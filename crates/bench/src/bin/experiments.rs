@@ -11,33 +11,17 @@
 //! Output is github-flavored markdown on stdout (tee it into
 //! EXPERIMENTS.md sections).
 //!
-//! `load --socket <addr>` skips the in-process harness and instead
-//! drives an already-running `csag serve --listen` server over TCP with
-//! the sequential-vs-pipelined closed-loop comparison (CI's transport
-//! smoke).
+//! `load --socket <addr>` drives an already-running `csag serve
+//! --listen` server over TCP with the sequential-vs-pipelined
+//! closed-loop comparison (CI's transport, cluster and shard smokes).
+//! Performance is measured by `benchmark/run.sh`, not here.
 
 use csag_bench::config::Scale;
 use csag_bench::{all_ids, run_experiment};
-use csag_graph::alloc_counter::CountingAllocator;
 use std::time::Instant;
-
-// The experiments binary counts heap allocations (one relaxed atomic
-// increment per alloc — below measurement noise) so the `perf` baseline
-// can report real allocations-per-query numbers.
-#[global_allocator]
-static ALLOC: CountingAllocator = CountingAllocator;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // Hidden re-exec hook: the load experiment's remote-cluster phase
-    // spawns this same binary as the follower *process* (replication
-    // genuinely crosses an OS process boundary in the measurements).
-    if args.first().map(String::as_str) == Some("__follower") {
-        let addr = args
-            .get(1)
-            .unwrap_or_else(|| die("__follower needs a replication address"));
-        csag_bench::load::follower_child(addr);
-    }
     let mut scale = Scale::full();
     let mut ids: Vec<String> = Vec::new();
     let mut socket: Option<String> = None;
@@ -108,6 +92,10 @@ fn main() {
                     t.elapsed().as_secs_f64()
                 );
             }
+            None if matches!(id.as_str(), "perf" | "churn" | "load") => die(&format!(
+                "`{id}` was retired; measure with `benchmark/run.sh --workload <name>` \
+                 (`load --socket <addr>` still drives a running server)"
+            )),
             None => die(&format!("unknown experiment id `{id}`")),
         }
     }
@@ -122,8 +110,7 @@ fn print_help() {
     println!("  --quick        smaller query sets / budgets (CI-friendly)");
     println!("  --threads N    worker threads for per-query parallelism");
     println!("  --socket ADDR  drive a running `csag serve --listen` server at");
-    println!("                 ADDR (host:port) closed-loop instead of the");
-    println!("                 in-process load harness (only with `load`)");
+    println!("                 ADDR (host:port) closed-loop (only with `load`)");
     println!("  list           print every experiment id and exit");
     println!("  all            run every experiment");
     println!();

@@ -9,9 +9,12 @@
 //! ```
 //!
 //! Criterion micro-benchmarks live under `crates/bench/benches/` and
-//! exercise the same code paths per table/figure.
+//! exercise the same code paths per table/figure. Engineering
+//! measurements (throughput, latency, per-layer costs) are not here:
+//! they live in `benchmark/` (`benchmark/run.sh --workload <name>`).
+//! [`load`] keeps only the socket smoke client behind
+//! `experiments load --socket <addr>`.
 
-pub mod churn;
 pub mod config;
 pub mod fig10;
 pub mod fig5;
@@ -19,7 +22,6 @@ pub mod fig7;
 pub mod fig8;
 pub mod fig9;
 pub mod load;
-pub mod perf;
 pub mod runner;
 pub mod tab1;
 pub mod tab2;
@@ -35,12 +37,7 @@ pub const EXPERIMENT_IDS: [&str; 10] = [
     "tab1", "fig5", "tab2", "tab3", "fig6", "tab4", "tab5", "fig7", "fig8", "fig9",
 ];
 
-/// Runs one experiment by id (`fig10` and `fig9` included although fig10
-/// is not in [`EXPERIMENT_IDS`]' paper-order list twice; `perf` is the
-/// engine performance baseline, which also writes `BENCH_perf.json`;
-/// `churn` measures the evolving-graph store's update latency and cache
-/// retention; `load` drives the admission-controlled service with an
-/// open-loop generator and writes `BENCH_serve.json`). Returns the
+/// Runs one experiment by id (every id of [`all_ids`]). Returns the
 /// rendered markdown, or `None` for an unknown id.
 pub fn run_experiment(id: &str, scale: &Scale) -> Option<String> {
     let out = match id {
@@ -55,22 +52,14 @@ pub fn run_experiment(id: &str, scale: &Scale) -> Option<String> {
         "fig8" => fig8::run(scale),
         "fig9" => fig9::run(scale),
         "fig10" => fig10::run(scale),
-        "perf" => perf::run(scale),
-        "churn" => churn::run(scale),
-        "load" => load::run(scale),
         _ => return None,
     };
     Some(out)
 }
 
-/// Every experiment id, including fig10, the perf baseline, the
-/// evolving-graph churn experiment, and the serving-layer load
-/// baseline.
+/// Every experiment id: the paper-order list plus fig10.
 pub fn all_ids() -> Vec<&'static str> {
     let mut ids = EXPERIMENT_IDS.to_vec();
     ids.push("fig10");
-    ids.push("perf");
-    ids.push("churn");
-    ids.push("load");
     ids
 }

@@ -1,90 +1,30 @@
-//! `load`: the serving-layer baseline.
+//! `load --socket`: the closed-loop csag-wire v2 smoke client.
 //!
-//! Drives a `csag::service::Service` with an **open-loop** generator —
-//! arrivals follow a fixed schedule and never wait for completions, so
-//! queueing (and, past the admission bound, shedding) emerges exactly
-//! as it would under real traffic — then snapshots the service metrics
-//! into a machine-readable `BENCH_serve.json`
-//! (`schema: csag-serve-v5`; keep keys append-only within a version).
+//! [`drive_socket`] drives an already-running `csag serve --listen`
+//! server over TCP — sequential (window 1) vs pipelined (window W) vs
+//! pipelined with an epoch pin — and returns a markdown summary. CI's
+//! transport, cluster and shard smokes point it at their servers; it
+//! measures nothing that is kept (the repo's measurements live in
+//! `benchmark/`, see `benchmark/README.md`).
 //!
-//! The workload has three deliberate ingredients:
-//!
-//! * a **steady phase** of rate-paced requests cycling priorities and
-//!   query nodes, with every consecutive pair sharing a query
-//!   fingerprint (coalescing fodder under concurrency) and every fifth
-//!   request carrying a 1 ms deadline (deterministic degradation);
-//! * an **overload pulse** (after the steady phase drains, so its
-//!   numbers are deterministic): with dequeuing paused, a burst of
-//!   identical interactive requests twice the admission capacity —
-//!   the first `capacity` admissions coalesce onto one queued job, the
-//!   rest shed with `Overloaded`, and one engine computation answers
-//!   every admitted waiter on resume;
-//! * a final **wait-for-all**, so every number in the report describes
-//!   answered traffic, not in-flight noise;
-//! * a **socket phase** over a real TCP loopback connection speaking
-//!   csag-wire v2: the same workload driven **closed-loop** twice —
-//!   window 1 (sequential: each request waits for its response, the v1
-//!   stdin discipline) and window W (pipelined: W requests outstanding)
-//!   — so the report carries a pipelined-vs-sequential throughput
-//!   comparison on identical queries. The workload reuses the steady
-//!   phase's coalescing fodder (consecutive pairs share a fingerprint):
-//!   with one request in flight the sequential discipline executes every
-//!   duplicate, while pipelining lets in-flight duplicates coalesce onto
-//!   one computation — the structural throughput win the report's
-//!   `speedup` row measures, with the coalesced count alongside it.
-//!   The driver is **resilient**: `overloaded` rejections are retried
-//!   after a jittered exponential backoff floored at the server's
-//!   `retry_after_ms` hint, and a dropped connection is redialed with
-//!   every unanswered (idempotent) read resubmitted — the report's
-//!   `retries` / `reconnects` keys count both;
-//! * a **cluster phase** against the `csag::cluster` router: read
-//!   throughput with the primary alone vs primary + N replicas,
-//!   unpinned vs epoch-pinned read latency under live churn, and an
-//!   induced replica failure timed through its degrade → reseed →
-//!   caught-up cycle — with the hard assertion that no routed read
-//!   ever fails, including during the failure window;
-//! * a **remote phase** across a real OS process boundary: the primary
-//!   offers `csag-repl v1` on a unix-domain socket and this binary
-//!   re-execs itself (hidden `__follower` argument → [`follower_child`])
-//!   as a follower process that snapshot-seeds, follows the live
-//!   stream, and serves `csag-wire v2` from its own store. The phase
-//!   measures solo vs primary+follower read throughput over real
-//!   sockets, times a scripted mid-stream replication drop through its
-//!   reconnect → reseed → caught-up cycle, and asserts zero failed
-//!   reads — including an epoch-pinned run against the follower after
-//!   the reseed.
-//!
-//! `drive_socket` is the externally-pointed flavor of the socket phase:
-//! it drives an already-running `csag serve --listen` server (CI's
-//! transport and cluster smokes use it); its pinned run threads the
-//! `"epoch"` wire key through the load generator.
+//! The driver is **resilient**: `overloaded` rejections are retried
+//! after a jittered exponential backoff floored at the server's
+//! `retry_after_ms` hint, and a dropped connection is redialed with
+//! every unanswered (idempotent) read resubmitted.
 
 use crate::config::Scale;
-use csag::cluster::{
-    Follower, FollowerConfig, ReadSource, ReplListener, ReplicaHealth, Router, ShardedRouter,
-};
-use csag::durability::FaultPlan;
-use csag::engine::{CommunityQuery, CsagError, Method};
-use csag::service::{Priority, Request, Service, ServiceConfig, Ticket, Transport};
-use csag_datasets::generator::{generate, SyntheticConfig};
-use csag_datasets::{random_queries, random_updates, ChurnMix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write as _};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-/// File the machine-readable report is written to (workspace root when
-/// run via `cargo run --bin experiments`).
-pub const REPORT_PATH: &str = "BENCH_serve.json";
-
-/// Outstanding-request window for the pipelined closed-loop run. Kept
-/// below every capacity this module configures so the comparison
-/// measures pipelining, not shedding.
+/// Outstanding-request window for the pipelined closed-loop runs. Kept
+/// well below `csag serve`'s default admission capacity so the
+/// comparison measures pipelining, not shedding.
 const PIPELINE_WINDOW: usize = 8;
 
 /// What one closed-loop run over a socket measured.
@@ -150,7 +90,7 @@ const MAX_RECONNECTS: u64 = 8;
 ///   answer arrived) are counted once.
 ///
 /// Every resubmission increments `retries`; `reconnects` counts the
-/// re-dials. Both land in `BENCH_serve.json`'s socket section.
+/// re-dials.
 fn closed_loop(addr: &str, lines: &[String], window: usize) -> std::io::Result<LoopStats> {
     let start = Instant::now();
     let mut stats = LoopStats {
@@ -289,10 +229,9 @@ fn wire_line(id: &str, q: u32, k: u32, seed: u64, pin: Option<u64>) -> String {
 
 /// Drives an external `csag serve --listen` server at `addr` with the
 /// sequential-vs-pipelined closed-loop comparison and returns the
-/// markdown summary. Does not write [`REPORT_PATH`] — the server's
-/// metrics belong to the server. Queries hit node 5 (present in any
-/// generated graph); responses may legitimately be typed `NoCommunity`
-/// errors for some seeds, so both kinds count as answered traffic.
+/// markdown summary. Queries hit node 5 (present in any generated
+/// graph); responses may legitimately be typed `NoCommunity` errors for
+/// some seeds, so both kinds count as answered traffic.
 /// Consecutive pairs share a seed (the coalescing-fodder convention),
 /// so the pipelined run shows the server coalescing in-flight
 /// duplicates that the sequential discipline must execute one by one.
@@ -359,1035 +298,13 @@ pub fn drive_socket(addr: &str, scale: &Scale) -> String {
     md
 }
 
-/// The follower half of the remote-cluster phase, running in its own
-/// OS process: the `experiments` binary re-execs itself with a hidden
-/// `__follower <addr>` argument that lands here. Follows `repl_addr`
-/// over `csag-repl v1` (an unseeded hello, so the primary ships a
-/// snapshot), waits until synced, then serves `csag-wire v2` from its
-/// own store on an ephemeral loopback port, announced on stdout as
-/// `listening tcp://...` — the line [`run`]'s spawn helper waits for.
-/// Never returns; the parent kills the process when the phase ends.
-pub fn follower_child(repl_addr: &str) -> ! {
-    let follower = Follower::start(
-        repl_addr,
-        FollowerConfig {
-            name: "bench-follower".into(),
-            ..FollowerConfig::default()
-        },
-    )
-    .expect("follower connects to the replication listener");
-    while !(follower.synced() && follower.connected()) {
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    // Long epoch waits: a pinned read arriving while the follower is
-    // mid-reseed should park on the watermark, not fail.
-    let service = Arc::new(Service::new(
-        Arc::clone(follower.store()),
-        ServiceConfig::default()
-            .with_workers(2)
-            .with_epoch_wait(Duration::from_secs(30)),
-    ));
-    let transport = Transport::bind_tcp(Arc::clone(&service), "127.0.0.1:0")
-        .expect("bind follower serving socket");
-    println!("listening {}", transport.local_addr());
-    let _ = std::io::stdout().flush();
-    loop {
-        std::thread::park();
-    }
-}
-
-/// Spawns this binary's hidden `__follower` mode as a real OS process
-/// following `repl_addr` and waits for its `listening tcp://...`
-/// announcement. Returns `None` when the re-exec is unavailable — unit
-/// tests run under the libtest harness, whose argument parser treats
-/// `__follower` as a test filter — so the caller can fall back to an
-/// in-process follower.
-fn spawn_follower_process(repl_addr: &str) -> Option<(std::process::Child, String)> {
-    let exe = std::env::current_exe().ok()?;
-    let mut child = std::process::Command::new(exe)
-        .arg("__follower")
-        .arg(repl_addr)
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .ok()?;
-    let stdout = child.stdout.take()?;
-    let (tx, rx) = mpsc::channel::<String>();
-    std::thread::spawn(move || {
-        for line in BufReader::new(stdout).lines() {
-            match line {
-                Ok(line) => {
-                    if tx.send(line).is_err() {
-                        return;
-                    }
-                }
-                Err(_) => return,
-            }
-        }
-    });
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let budget = deadline.saturating_duration_since(Instant::now());
-        match rx.recv_timeout(budget) {
-            Ok(line) => {
-                if let Some(addr) = line.trim().strip_prefix("listening tcp://") {
-                    return Some((child, addr.to_string()));
-                }
-            }
-            Err(_) => {
-                let _ = child.kill();
-                let _ = child.wait();
-                return None;
-            }
-        }
-    }
-}
-
-/// Runs the serving baseline and returns the markdown summary; writes
-/// [`REPORT_PATH`] as a side effect.
-pub fn run(scale: &Scale) -> String {
-    let (nodes, communities, steady_requests, interarrival) = if scale.quick {
-        (1_500, 6, 48, Duration::from_millis(2))
-    } else {
-        (6_000, 10, 300, Duration::from_millis(1))
-    };
-    let capacity = if scale.quick { 16 } else { 64 };
-    let k = 3u32;
-    let (graph, _) = generate(
-        &SyntheticConfig {
-            nodes,
-            communities,
-            ..Default::default()
-        },
-        0xBE9C,
-    );
-    let n = graph.n();
-    let m = graph.m();
-    let template = |q: u32, seed: u64| {
-        CommunityQuery::new(Method::Sea, q)
-            .with_k(k)
-            .with_hoeffding(0.3, 0.95)
-            .with_error_bound(0.1)
-            .with_seed(seed)
-    };
-    // Keep only query nodes whose sampled neighborhood actually holds a
-    // k-core (a NoCommunity answer is correct service behavior but not
-    // load): whether Gq holds one is deterministic per node, so one
-    // probe run settles it.
-    let probe = csag::engine::Engine::new(graph.clone());
-    let pool: Vec<u32> = random_queries(&graph, 16, k, 0x5EA0F)
-        .into_iter()
-        .filter(|&q| probe.run(&template(q, 0)).is_ok())
-        .take(8)
-        .collect();
-    assert!(pool.len() >= 4, "generated dataset must offer query nodes");
-    drop(probe);
-
-    let workers = scale.threads.max(1);
-    let socket_graph = graph.clone();
-    let shard_graph = graph.clone();
-    let cluster_graph = graph.clone();
-    let remote_graph = graph.clone();
-    let service = Service::over_graph(
-        graph,
-        ServiceConfig::default()
-            .with_workers(workers)
-            .with_capacity(capacity)
-            .with_full_effort_latency(Duration::from_millis(50)),
-    );
-
-    // Steady open-loop phase: submissions stick to the arrival schedule
-    // no matter how the service is doing (when we fall behind, the next
-    // submission happens immediately — that is the open loop).
-    let mut tickets: Vec<Ticket> = Vec::new();
-    let mut steady_shed = 0usize;
-    let start = Instant::now();
-    for i in 0..steady_requests {
-        let due = start + interarrival * i as u32;
-        let now = Instant::now();
-        if due > now {
-            std::thread::sleep(due - now);
-        }
-        // Consecutive pairs share (node, seed) ⇒ identical fingerprints.
-        let q = pool[(i / 2) % pool.len()];
-        let seed = 1_000 + (i / 2) as u64;
-        let priority = Priority::ALL[i % Priority::ALL.len()];
-        let mut req = Request::new(template(q, seed)).with_priority(priority);
-        if i % 5 == 0 {
-            req = req.with_deadline(Duration::from_millis(1));
-        }
-        match service.submit(req) {
-            Ok(t) => tickets.push(t),
-            Err(CsagError::Overloaded { .. }) => steady_shed += 1,
-            Err(e) => panic!("steady-phase submit failed unexpectedly: {e}"),
-        }
-    }
-
-    // Drain the steady phase first so the pulse below starts from an
-    // empty queue and its numbers are exactly reproducible.
-    let mut queue_ms = Vec::new();
-    let mut slack_missed = 0usize;
-    let drain = |tickets: Vec<Ticket>, queue_ms: &mut Vec<f64>, slack_missed: &mut usize| {
-        for t in tickets {
-            let resp = t.wait();
-            queue_ms.push(resp.queue_wait.as_secs_f64() * 1e3);
-            if resp.deadline_slack_ms.is_some_and(|s| s < 0.0) {
-                *slack_missed += 1;
-            }
-            // A typed NoCommunity is a correct answer (the sampled
-            // subset can miss the k-core for some seeds); anything else
-            // would be a serving bug.
-            match &resp.outcome {
-                Ok(_) | Err(CsagError::NoCommunity { .. }) => {}
-                Err(e) => panic!("load query failed unexpectedly: {e}"),
-            }
-        }
-    };
-    drain(
-        std::mem::take(&mut tickets),
-        &mut queue_ms,
-        &mut slack_missed,
-    );
-
-    // Overload pulse: identical interactive requests, twice the
-    // admission bound, against a paused scheduler — the queue fills,
-    // duplicates coalesce, the overflow sheds.
-    service.pause();
-    let burst_size = capacity * 2;
-    let mut burst_admitted = 0usize;
-    let mut burst_shed = 0usize;
-    let mut burst_retry_after_ms = 0.0f64;
-    for _ in 0..burst_size {
-        let req = Request::new(template(pool[0], 7)).with_priority(Priority::Interactive);
-        match service.submit(req) {
-            Ok(t) => {
-                burst_admitted += 1;
-                tickets.push(t);
-            }
-            Err(CsagError::Overloaded { retry_after }) => {
-                burst_shed += 1;
-                burst_retry_after_ms = retry_after.as_secs_f64() * 1e3;
-            }
-            Err(e) => panic!("burst submit failed unexpectedly: {e}"),
-        }
-    }
-    service.resume();
-
-    // Drain the pulse: every admitted request must be answered.
-    drain(tickets, &mut queue_ms, &mut slack_missed);
-    let elapsed = start.elapsed().as_secs_f64();
-    let snap = service.metrics();
-    assert_eq!(
-        snap.admitted, snap.completed,
-        "every admitted request is answered"
-    );
-    let mean_queue = if queue_ms.is_empty() {
-        0.0
-    } else {
-        queue_ms.iter().sum::<f64>() / queue_ms.len() as f64
-    };
-    let throughput = snap.completed as f64 / elapsed.max(1e-9);
-
-    // Socket phase: a fresh service behind a real TCP transport, the
-    // same pool of validated query nodes, distinct seeds (no
-    // coalescing), driven closed-loop twice — sequential (window 1,
-    // the v1 stdin discipline) vs pipelined (window W). A fresh
-    // service keeps its metrics attributable to socket traffic alone.
-    let socket_requests = if scale.quick { 32 } else { 96 };
-    let socket_service = Arc::new(Service::over_graph(
-        socket_graph,
-        ServiceConfig::default()
-            .with_workers(workers)
-            .with_capacity(capacity),
-    ));
-    let transport =
-        Transport::bind_tcp(Arc::clone(&socket_service), "127.0.0.1:0").expect("bind loopback");
-    let addr = transport
-        .local_addr()
-        .tcp()
-        .expect("tcp transport")
-        .to_string();
-    let render = |tag: &str, base: u64| -> Vec<String> {
-        (0..socket_requests)
-            .map(|i| {
-                // Consecutive pairs share (node, seed) — the steady
-                // phase's coalescing-fodder convention. Only the
-                // pipelined run can overlap a pair in flight.
-                wire_line(
-                    &format!("{tag}{i}"),
-                    pool[(i / 2) % pool.len()],
-                    k,
-                    base + (i / 2) as u64,
-                    None,
-                )
-            })
-            .collect()
-    };
-    // Warm the distance cache (one request per pool node) so both
-    // measured runs compare pipelining, not cache residency.
-    closed_loop(&addr, &render("w", 50_000), 1).expect("socket warmup");
-    let seq = closed_loop(&addr, &render("s", 60_000), 1).expect("sequential socket run");
-    let before_pipe = socket_service.metrics();
-    let pipe =
-        closed_loop(&addr, &render("p", 70_000), PIPELINE_WINDOW).expect("pipelined socket run");
-    let after_pipe = socket_service.metrics();
-    transport.shutdown();
-    assert_eq!(
-        seq.results + pipe.results,
-        2 * socket_requests,
-        "validated pool nodes always answer with a community ({} errors)",
-        seq.errors + pipe.errors
-    );
-    let pipelined_admitted = after_pipe.admitted - before_pipe.admitted;
-    let pipelined_wakes = after_pipe.wakes - before_pipe.wakes;
-    let pipelined_coalesced = after_pipe.coalesced - before_pipe.coalesced;
-    let socket_retries = seq.retries + pipe.retries;
-    let socket_reconnects = seq.reconnects + pipe.reconnects;
-    let sequential_qps = seq.qps(socket_requests);
-    let pipelined_qps = pipe.qps(socket_requests);
-    let speedup = pipelined_qps / sequential_qps.max(1e-9);
-
-    // Cluster phase: the same validated query pool against the
-    // `csag::cluster` router. `read_storm` routes every read through
-    // `route_read` (so leases, watermark checks, and pin semantics are
-    // all on the measured path) and runs it on the routed snapshot's
-    // engine from `workers` concurrent threads.
-    let cluster_replicas = if scale.quick { 2 } else { 3 };
-    let cluster_reads = if scale.quick { 32 } else { 160 };
-    let read_storm = |router: &Arc<Router>, reads: usize, pin: Option<u64>| -> (f64, f64, usize) {
-        let failed = AtomicUsize::new(0);
-        let lat_us = AtomicU64::new(0);
-        let per_thread = reads.div_ceil(workers);
-        let start = Instant::now();
-        std::thread::scope(|s| {
-            for t in 0..workers {
-                let (failed, lat_us, router, pool, template) =
-                    (&failed, &lat_us, router, &pool, &template);
-                s.spawn(move || {
-                    for i in 0..per_thread {
-                        let q = pool[(t + i) % pool.len()];
-                        let t0 = Instant::now();
-                        let outcome =
-                            router
-                                .route_read(pin, Duration::from_secs(5))
-                                .and_then(|r| {
-                                    r.snapshot()
-                                        .engine()
-                                        .run(&template(q, 90_000 + (t * per_thread + i) as u64))
-                                });
-                        lat_us.fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
-                        match outcome {
-                            Ok(_) | Err(CsagError::NoCommunity { .. }) => {}
-                            Err(_) => {
-                                failed.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        let n = per_thread * workers;
-        let elapsed = start.elapsed().as_secs_f64();
-        (
-            n as f64 / elapsed.max(1e-9),
-            lat_us.load(Ordering::Relaxed) as f64 / 1e3 / n as f64,
-            failed.load(Ordering::Relaxed),
-        )
-    };
-
-    // Baseline: router with zero replicas — every read lands on the
-    // primary. Then the replicated router, with churn applied through
-    // it so pinned reads have real epochs to pin.
-    let solo = Arc::new(Router::over_graph(cluster_graph.clone(), 0));
-    let (solo_qps, _, solo_failed) = read_storm(&solo, cluster_reads, None);
-    drop(solo);
-
-    let router = Arc::new(Router::over_graph(cluster_graph, cluster_replicas));
-    let mut churn_rng = StdRng::seed_from_u64(0xC1A5);
-    let churn_batch = |router: &Router, rng: &mut StdRng| {
-        let snap = router.primary().snapshot();
-        let batch = random_updates(snap.engine().graph(), rng, 6, ChurnMix::STRUCTURAL);
-        router.apply(&batch).expect("structural churn applies");
-    };
-    for _ in 0..3 {
-        churn_batch(&router, &mut churn_rng);
-    }
-    assert!(
-        router.wait_replicas_caught_up(Duration::from_secs(30)),
-        "replicas catch up with the churned primary"
-    );
-    let (replicated_qps, unpinned_mean_ms, unpinned_failed) =
-        read_storm(&router, cluster_reads, None);
-    let pinned_epoch = router.epoch();
-    let (_, pinned_mean_ms, pinned_failed) = read_storm(&router, cluster_reads, Some(pinned_epoch));
-
-    // Induced failure: replica 0 fails its next apply, degrades, and
-    // leaves the rotation; reads keep answering throughout; the next
-    // write reseeds it from the primary snapshot. `catchup_ms` times
-    // the whole degrade → reseed → caught-up cycle.
-    router.induce_failure(0);
-    let fail_start = Instant::now();
-    churn_batch(&router, &mut churn_rng);
-    let degrade_deadline = Instant::now() + Duration::from_secs(10);
-    while router.replica_health(0) == ReplicaHealth::Healthy && Instant::now() < degrade_deadline {
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    assert_ne!(
-        router.replica_health(0),
-        ReplicaHealth::Healthy,
-        "induced apply failure must degrade the replica"
-    );
-    let (_, _, failure_window_failed) = read_storm(&router, cluster_reads / 2, Some(pinned_epoch));
-    churn_batch(&router, &mut churn_rng); // write path reseeds the degraded replica
-    let heal_deadline = Instant::now() + Duration::from_secs(30);
-    while router.replica_health(0) != ReplicaHealth::Healthy && Instant::now() < heal_deadline {
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    assert_eq!(
-        router.replica_health(0),
-        ReplicaHealth::Healthy,
-        "reseed returns the failed replica to rotation"
-    );
-    assert!(
-        router.wait_replicas_caught_up(Duration::from_secs(30)),
-        "reseeded replica catches up"
-    );
-    let catchup_ms = fail_start.elapsed().as_secs_f64() * 1e3;
-    let cluster_failed = solo_failed + unpinned_failed + pinned_failed + failure_window_failed;
-    assert_eq!(
-        cluster_failed, 0,
-        "no routed read may fail, including during the failure window"
-    );
-    let cm = router.metrics();
-    let (degraded_marks, reseeds): (u64, u64) = cm
-        .replicas
-        .iter()
-        .fold((0, 0), |(d, r), m| (d + m.degraded, r + m.reseeded));
-    let replica_reads: u64 = cm.replicas.iter().map(|m| m.routed_reads).sum();
-    drop(router);
-
-    // Remote phase: replication across a real OS process boundary. A
-    // zero-replica router (the primary) offers csag-repl v1 on a
-    // unix-domain socket; a follower *process* (this binary re-exec'd
-    // via the hidden `__follower` hook) is seeded by a snapshot ship,
-    // follows the live stream, and serves csag-wire v2 from its own
-    // store. Reads run closed-loop over real sockets — the primary
-    // alone, then primary + follower concurrently. A scripted
-    // mid-stream connection drop on the replication link is timed
-    // through its reconnect → reseed → caught-up cycle, and a final
-    // epoch-pinned run against the follower must not fail a single
-    // read.
-    let remote_requests = if scale.quick { 16 } else { 64 };
-    let remote_router = Arc::new(Router::over_graph(remote_graph, 0));
-    // Records shipped so far when the scripted drop fires: the initial
-    // snapshot carries no tail (pre-spawn churn precedes the attach),
-    // so live records count from 0 and index 1 severs the stream on
-    // the second post-catch-up churn batch below.
-    let remote_faults = FaultPlan::none().drop_connection_at_request(1);
-    #[cfg(unix)]
-    let (remote_listener, repl_addr, repl_transport, repl_sock_path) = {
-        let path =
-            std::env::temp_dir().join(format!("csag-bench-repl-{}.sock", std::process::id()));
-        let listener =
-            ReplListener::bind_uds_with(Arc::clone(&remote_router), &path, remote_faults.clone())
-                .expect("bind replication uds");
-        let addr = format!("unix://{}", path.display());
-        (listener, addr, "uds", Some(path))
-    };
-    #[cfg(not(unix))]
-    let (remote_listener, repl_addr, repl_transport, repl_sock_path) = {
-        let listener = ReplListener::bind_tcp_with(
-            Arc::clone(&remote_router),
-            "127.0.0.1:0",
-            remote_faults.clone(),
-        )
-        .expect("bind replication tcp");
-        let addr = listener.local_addr().to_string();
-        (listener, addr, "tcp", None::<std::path::PathBuf>)
-    };
-    let primary_remote_service = Arc::new(Service::over_cluster(
-        Arc::clone(&remote_router),
-        ServiceConfig::default()
-            .with_workers(workers)
-            .with_capacity(capacity),
-    ));
-    let primary_remote_transport =
-        Transport::bind_tcp(Arc::clone(&primary_remote_service), "127.0.0.1:0")
-            .expect("bind remote-phase primary transport");
-    let primary_remote_addr = primary_remote_transport
-        .local_addr()
-        .tcp()
-        .expect("tcp transport")
-        .to_string();
-    // Churn before the follower exists, so its `epoch none` hello is
-    // genuinely behind and the handshake must ship a snapshot.
-    let mut remote_rng = StdRng::seed_from_u64(0x9E40);
-    for _ in 0..2 {
-        churn_batch(&remote_router, &mut remote_rng);
-    }
-    let follower_name = "bench-follower";
-    let (mut follower_proc, follower_fallback, follower_addr, process_isolated) =
-        match spawn_follower_process(&repl_addr) {
-            Some((child, addr)) => (Some(child), None, addr, true),
-            None => {
-                // In-process fallback for the libtest harness (the CI
-                // validator asserts the real binary isolates).
-                let follower = Follower::start(
-                    &repl_addr,
-                    FollowerConfig {
-                        name: follower_name.into(),
-                        ..FollowerConfig::default()
-                    },
-                )
-                .expect("in-process follower connects");
-                while !(follower.synced() && follower.connected()) {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                let service = Arc::new(Service::new(
-                    Arc::clone(follower.store()),
-                    ServiceConfig::default()
-                        .with_workers(2)
-                        .with_epoch_wait(Duration::from_secs(30)),
-                ));
-                let transport = Transport::bind_tcp(Arc::clone(&service), "127.0.0.1:0")
-                    .expect("bind fallback follower transport");
-                let addr = transport
-                    .local_addr()
-                    .tcp()
-                    .expect("tcp transport")
-                    .to_string();
-                (None, Some((follower, service, transport)), addr, false)
-            }
-        };
-    let wait_remote = |timeout: Duration| -> bool {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if remote_router.wait_remote_caught_up(follower_name, Duration::from_millis(100)) {
-                return true;
-            }
-            if Instant::now() > deadline {
-                return false;
-            }
-        }
-    };
-    assert!(
-        wait_remote(Duration::from_secs(60)),
-        "remote follower catches up with the churned primary"
-    );
-    let render_remote = |tag: &str, base: u64, count: usize, pin: Option<u64>| -> Vec<String> {
-        (0..count)
-            .map(|i| {
-                wire_line(
-                    &format!("{tag}{i}"),
-                    pool[i % pool.len()],
-                    k,
-                    base + i as u64,
-                    pin,
-                )
-            })
-            .collect()
-    };
-    // Warm both serving paths, then measure: primary alone vs the same
-    // total split across primary + follower driven concurrently.
-    closed_loop(
-        &primary_remote_addr,
-        &render_remote("mw", 80_000, pool.len(), None),
-        1,
-    )
-    .expect("remote-phase primary warmup");
-    closed_loop(
-        &follower_addr,
-        &render_remote("fw", 80_000, pool.len(), None),
-        1,
-    )
-    .expect("remote-phase follower warmup");
-    let remote_solo = closed_loop(
-        &primary_remote_addr,
-        &render_remote("ms", 81_000, remote_requests, None),
-        PIPELINE_WINDOW,
-    )
-    .expect("remote-phase solo run");
-    let remote_solo_qps = remote_solo.qps(remote_requests);
-    let half = remote_requests / 2;
-    let primary_half = render_remote("mp", 82_000, half, None);
-    let follower_half = render_remote("fp", 83_000, remote_requests - half, None);
-    let scaled_start = Instant::now();
-    let (primary_stats, follower_stats) = std::thread::scope(|s| {
-        let handle = s.spawn(|| {
-            closed_loop(&primary_remote_addr, &primary_half, PIPELINE_WINDOW)
-                .expect("remote-phase replicated primary half")
-        });
-        let follower_stats = closed_loop(&follower_addr, &follower_half, PIPELINE_WINDOW)
-            .expect("remote-phase replicated follower half");
-        (handle.join().expect("primary half joins"), follower_stats)
-    });
-    let remote_replicated_qps =
-        remote_requests as f64 / scaled_start.elapsed().as_secs_f64().max(1e-9);
-
-    // Scripted disconnect: the next two churn batches ship records 0
-    // and 1; the fault plan severs the stream on the second. Timed
-    // from the first post-measurement write to caught-up-again.
-    let drop_start = Instant::now();
-    churn_batch(&remote_router, &mut remote_rng);
-    churn_batch(&remote_router, &mut remote_rng);
-    assert!(
-        wait_remote(Duration::from_secs(60)),
-        "follower reconnects, reseeds, and catches up after the scripted drop"
-    );
-    let remote_catchup_ms = drop_start.elapsed().as_secs_f64() * 1e3;
-    assert!(
-        remote_faults.injected() >= 1,
-        "the scripted replication drop fired"
-    );
-
-    // Epoch-pinned run against the follower after the reseed: the pin
-    // is the primary's live epoch, so every answer proves the follower
-    // is current — and not one read may fail.
-    let remote_pinned_epoch = remote_router.epoch();
-    let pinned_stats = closed_loop(
-        &follower_addr,
-        &render_remote("mz", 84_000, remote_requests, Some(remote_pinned_epoch)),
-        PIPELINE_WINDOW,
-    )
-    .expect("remote-phase pinned follower run");
-    let remote_failed =
-        remote_solo.errors + primary_stats.errors + follower_stats.errors + pinned_stats.errors;
-    assert_eq!(
-        remote_failed, 0,
-        "no read through the remote cluster may fail, including pinned reads across the reseed"
-    );
-    let rm = remote_router.metrics();
-    let remote_member = rm
-        .remotes
-        .iter()
-        .find(|m| m.name == follower_name)
-        .expect("remote member registered in router metrics");
-    let (remote_records, remote_bytes, remote_snapshots, remote_degraded) = (
-        remote_member.records_sent,
-        remote_member.bytes_shipped,
-        remote_member.reseeds,
-        remote_member.degraded,
-    );
-    assert!(
-        remote_snapshots >= 1,
-        "the unseeded follower was seeded by at least one snapshot ship"
-    );
-    let remote_disconnects = remote_listener.connections_accepted().saturating_sub(1);
-    if let Some(mut child) = follower_proc.take() {
-        let _ = child.kill();
-        let _ = child.wait();
-    }
-    drop(follower_fallback);
-    primary_remote_transport.shutdown();
-    remote_listener.shutdown();
-    if let Some(path) = repl_sock_path {
-        let _ = std::fs::remove_file(path);
-    }
-    drop(remote_router);
-
-    // Shard phase: the same validated pool against the partitioned
-    // cluster. Reads route through the shard planner (local-hit vs
-    // scatter-gather is the measured split); structural churn applies
-    // through the fan-out write path, timed against a shadow
-    // single-store apply of the very same batches so the difference is
-    // the cluster-epoch publish lag (route + fan-out + view swap).
-    let shard_count = if scale.quick { 3 } else { 4 };
-    let shard_reads: usize = if scale.quick { 32 } else { 160 };
-    let sharded = Arc::new(ShardedRouter::over_graph(
-        shard_graph.clone(),
-        shard_count,
-        1,
-        0,
-    ));
-    let shard_solo = csag::engine::Engine::new(shard_graph.clone());
-    let shard_per_thread = shard_reads.div_ceil(workers);
-    let shard_total = shard_per_thread * workers;
-    let mut shard_failed = 0usize;
-    let solo_start = Instant::now();
-    for i in 0..shard_total {
-        match shard_solo.run(&template(pool[i % pool.len()], 95_000 + i as u64)) {
-            Ok(_) | Err(CsagError::NoCommunity { .. }) => {}
-            Err(_) => shard_failed += 1,
-        }
-    }
-    let shard_solo_elapsed = solo_start.elapsed().as_secs_f64();
-    let shard_solo_qps = shard_total as f64 / shard_solo_elapsed.max(1e-9);
-    drop(shard_solo);
-    let sharded_failed = AtomicUsize::new(0);
-    let sharded_start = Instant::now();
-    std::thread::scope(|s| {
-        for t in 0..workers {
-            let (sharded_failed, sharded, pool, template) =
-                (&sharded_failed, &sharded, &pool, &template);
-            s.spawn(move || {
-                let mut ws = csag::graph::QueryWorkspace::new();
-                for i in 0..shard_per_thread {
-                    let q = pool[(t + i) % pool.len()];
-                    let outcome = sharded
-                        .route_read(None, Duration::from_secs(5))
-                        .and_then(|r| {
-                            r.run_with_workspace(
-                                &template(q, 95_000 + (t * shard_per_thread + i) as u64),
-                                &mut ws,
-                            )
-                        });
-                    match outcome {
-                        Ok(_) | Err(CsagError::NoCommunity { .. }) => {}
-                        Err(_) => {
-                            sharded_failed.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-            });
-        }
-    });
-    let sharded_elapsed = sharded_start.elapsed().as_secs_f64();
-    let sharded_qps = shard_total as f64 / sharded_elapsed.max(1e-9);
-    let shard_failed = shard_failed + sharded_failed.load(Ordering::Relaxed);
-
-    // Churn through the fan-out write path, a shadow store timing the
-    // journal-only cost of the identical batches.
-    let shadow = csag::engine::GraphStore::new(shard_graph);
-    let mut shard_rng = StdRng::seed_from_u64(0x54A2);
-    let mut publish_lag_ms = 0.0f64;
-    let shard_churn_batches = 3;
-    for _ in 0..shard_churn_batches {
-        let snap = shadow.snapshot();
-        let batch = random_updates(
-            snap.engine().graph(),
-            &mut shard_rng,
-            6,
-            ChurnMix::STRUCTURAL,
-        );
-        drop(snap);
-        let t0 = Instant::now();
-        shadow.apply(&batch).expect("shadow churn applies");
-        let solo_apply = t0.elapsed();
-        let t1 = Instant::now();
-        sharded.apply(&batch).expect("sharded churn applies");
-        let fanned_apply = t1.elapsed();
-        publish_lag_ms += (fanned_apply.as_secs_f64() - solo_apply.as_secs_f64()).max(0.0) * 1e3;
-    }
-    publish_lag_ms /= shard_churn_batches as f64;
-    assert_eq!(
-        sharded.epoch(),
-        shadow.snapshot().epoch(),
-        "cluster epoch keeps pace with the journal"
-    );
-    let shard_cluster_epoch = sharded.epoch();
-    let sm = sharded.metrics();
-    let shard_local_hits: u64 = sm.shards.iter().map(|s| s.local_hits).sum();
-    let shard_gathers: u64 = sm.shards.iter().map(|s| s.gathers).sum();
-    assert_eq!(
-        (shard_local_hits + shard_gathers) as usize,
-        shard_total,
-        "every sharded read is either a local hit or a gather"
-    );
-    let local_hit_ratio = shard_local_hits as f64 / shard_total.max(1) as f64;
-    let gather_mean_ms = if shard_gathers > 0 {
-        sm.shards.iter().map(|s| s.merge_ms).sum::<f64>() / shard_gathers as f64
-    } else {
-        0.0
-    };
-    assert_eq!(shard_failed, 0, "no sharded read may fail");
-    drop(sharded);
-
-    // Machine-readable report (hand-rolled JSON; keys are the contract).
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"schema\": \"csag-serve-v6\",");
-    let _ = writeln!(
-        json,
-        "  \"mode\": \"{}\",",
-        if scale.quick { "quick" } else { "full" }
-    );
-    let _ = writeln!(json, "  \"workers\": {workers},");
-    let _ = writeln!(json, "  \"capacity\": {capacity},");
-    let _ = writeln!(
-        json,
-        "  \"dataset\": {{ \"nodes\": {n}, \"edges\": {m}, \"k\": {k} }},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"offered\": {{ \"steady\": {steady_requests}, \"burst\": {burst_size}, \
-         \"interarrival_ms\": {} }},",
-        interarrival.as_secs_f64() * 1e3
-    );
-    let _ = writeln!(
-        json,
-        "  \"admission\": {{ \"submitted\": {}, \"admitted\": {}, \"shed\": {}, \
-         \"rejected\": {}, \"steady_shed\": {steady_shed}, \"burst_admitted\": {burst_admitted}, \
-         \"burst_shed\": {burst_shed}, \"last_retry_after_ms\": {burst_retry_after_ms:.3} }},",
-        snap.submitted, snap.admitted, snap.shed, snap.rejected
-    );
-    let _ = writeln!(
-        json,
-        "  \"execution\": {{ \"completed\": {}, \"failed\": {}, \"executed\": {}, \
-         \"coalesced\": {}, \"degraded\": {}, \"deadline_missed\": {slack_missed}, \
-         \"warm_hit_ratio\": {:.4}, \"throughput_qps\": {throughput:.3}, \
-         \"mean_queue_ms\": {mean_queue:.4} }},",
-        snap.completed,
-        snap.failed,
-        snap.executed,
-        snap.coalesced,
-        snap.degraded,
-        snap.warm_hit_ratio
-    );
-    let _ = writeln!(
-        json,
-        "  \"socket\": {{ \"requests\": {socket_requests}, \"window\": {PIPELINE_WINDOW}, \
-         \"connections\": 1, \"sequential_qps\": {sequential_qps:.3}, \
-         \"pipelined_qps\": {pipelined_qps:.3}, \"speedup\": {speedup:.3}, \
-         \"pipelined_admitted\": {pipelined_admitted}, \
-         \"pipelined_wakes\": {pipelined_wakes}, \
-         \"pipelined_coalesced\": {pipelined_coalesced}, \
-         \"retries\": {socket_retries}, \"reconnects\": {socket_reconnects} }},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"cluster\": {{ \"replicas\": {cluster_replicas}, \"reads_per_storm\": {cluster_reads}, \
-         \"solo_qps\": {solo_qps:.3}, \"replicated_qps\": {replicated_qps:.3}, \
-         \"unpinned_mean_ms\": {unpinned_mean_ms:.4}, \"pinned_mean_ms\": {pinned_mean_ms:.4}, \
-         \"pinned_epoch\": {pinned_epoch}, \"replica_reads\": {replica_reads}, \
-         \"primary_reads\": {}, \"pinned_waits\": {}, \"pinned_rejects\": {}, \
-         \"degraded\": {degraded_marks}, \"reseeded\": {reseeds}, \
-         \"catchup_ms\": {catchup_ms:.3}, \"failed_reads\": {cluster_failed} }},",
-        cm.primary_reads, cm.pinned_waits, cm.pinned_rejects
-    );
-    let _ = writeln!(
-        json,
-        "  \"remote\": {{ \"transport\": \"{repl_transport}\", \
-         \"process_isolated\": {process_isolated}, \"requests\": {remote_requests}, \
-         \"solo_qps\": {remote_solo_qps:.3}, \"replicated_qps\": {remote_replicated_qps:.3}, \
-         \"records_shipped\": {remote_records}, \"bytes_shipped\": {remote_bytes}, \
-         \"snapshots_shipped\": {remote_snapshots}, \"degraded\": {remote_degraded}, \
-         \"disconnects\": {remote_disconnects}, \"catchup_ms\": {remote_catchup_ms:.3}, \
-         \"pinned_epoch\": {remote_pinned_epoch}, \"failed_reads\": {remote_failed} }},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"shards\": {{ \"count\": {shard_count}, \"halo\": 1, \"reads\": {shard_total}, \
-         \"solo_qps\": {shard_solo_qps:.3}, \"sharded_qps\": {sharded_qps:.3}, \
-         \"local_hits\": {shard_local_hits}, \"gathers\": {shard_gathers}, \
-         \"local_hit_ratio\": {local_hit_ratio:.4}, \"gather_mean_ms\": {gather_mean_ms:.4}, \
-         \"publish_lag_ms\": {publish_lag_ms:.4}, \"cluster_epoch\": {shard_cluster_epoch}, \
-         \"failed_reads\": {shard_failed} }},"
-    );
-    json.push_str("  \"per_priority\": {");
-    for (i, p) in Priority::ALL.into_iter().enumerate() {
-        let h = &snap.per_priority[i];
-        let fmt_q = |x: f64| {
-            if x.is_finite() {
-                format!("{x:.4}")
-            } else {
-                "null".to_string()
-            }
-        };
-        let _ = write!(
-            json,
-            "{}\n    \"{}\": {{ \"count\": {}, \"mean_ms\": {:.4}, \"p50_ms\": {}, \
-             \"p95_ms\": {}, \"p99_ms\": {} }}",
-            if i == 0 { "" } else { "," },
-            p.name(),
-            h.count,
-            h.mean_ms,
-            fmt_q(h.p50_ms),
-            fmt_q(h.p95_ms),
-            fmt_q(h.p99_ms)
-        );
-    }
-    json.push_str("\n  }\n}\n");
-    if let Err(e) = std::fs::write(REPORT_PATH, &json) {
-        eprintln!("[load] could not write {REPORT_PATH}: {e}");
-    }
-
-    // Markdown summary for the experiment log.
-    let mut md = String::new();
-    let _ = writeln!(
-        md,
-        "Serving baseline on a generated dataset ({n} nodes, {m} edges, SEA k = {k}): \
-         open-loop generator, {steady_requests} steady requests at one per \
-         {:.1} ms across {} priorities + a paused-scheduler overload pulse of \
-         {burst_size} identical interactive requests against an admission bound of \
-         {capacity}. {} worker(s).\n",
-        interarrival.as_secs_f64() * 1e3,
-        Priority::ALL.len(),
-        workers
-    );
-    md.push_str("| metric | value |\n|---|---|\n");
-    let _ = writeln!(
-        md,
-        "| submitted / admitted / shed | {} / {} / {} |",
-        snap.submitted, snap.admitted, snap.shed
-    );
-    let _ = writeln!(
-        md,
-        "| engine computations (admitted − coalesced) | {} ({} coalesced) |",
-        snap.executed, snap.coalesced
-    );
-    let _ = writeln!(
-        md,
-        "| burst: admitted / coalesced into queue / shed | {burst_admitted} / {} / {burst_shed} |",
-        burst_admitted.saturating_sub(1)
-    );
-    let _ = writeln!(md, "| degraded by deadline pressure | {} |", snap.degraded);
-    let _ = writeln!(md, "| warm-hit ratio | {:.2} |", snap.warm_hit_ratio);
-    let _ = writeln!(md, "| mean queue wait | {mean_queue:.3} ms |");
-    let _ = writeln!(md, "| end-to-end throughput | {throughput:.1} q/s |");
-    let _ = writeln!(
-        md,
-        "| socket sequential (window 1) | {sequential_qps:.1} q/s |"
-    );
-    let _ = writeln!(
-        md,
-        "| socket pipelined (window {PIPELINE_WINDOW}) | {pipelined_qps:.1} q/s ({speedup:.2}x) |"
-    );
-    let _ = writeln!(
-        md,
-        "| pipelined wakes / coalesced / admitted | \
-         {pipelined_wakes} / {pipelined_coalesced} / {pipelined_admitted} |"
-    );
-    let _ = writeln!(
-        md,
-        "| socket retries / reconnects | {socket_retries} / {socket_reconnects} |"
-    );
-    let _ = writeln!(
-        md,
-        "| cluster read qps: primary alone / + {cluster_replicas} replicas | \
-         {solo_qps:.1} / {replicated_qps:.1} q/s |"
-    );
-    let _ = writeln!(
-        md,
-        "| cluster mean latency: unpinned / pinned (epoch {pinned_epoch}) | \
-         {unpinned_mean_ms:.2} / {pinned_mean_ms:.2} ms |"
-    );
-    let _ = writeln!(
-        md,
-        "| induced failure: degrade → reseed → caught up | \
-         {catchup_ms:.0} ms ({degraded_marks} degraded, {reseeds} reseeded, \
-         {cluster_failed} failed reads) |"
-    );
-    let _ = writeln!(
-        md,
-        "| remote ({repl_transport}, {}) read qps: primary alone / + follower | \
-         {remote_solo_qps:.1} / {remote_replicated_qps:.1} q/s |",
-        if process_isolated {
-            "own OS process"
-        } else {
-            "in-process fallback"
-        }
-    );
-    let _ = writeln!(
-        md,
-        "| remote replication shipped | {remote_records} records / {remote_bytes} bytes / \
-         {remote_snapshots} snapshots |"
-    );
-    let _ = writeln!(
-        md,
-        "| remote scripted drop: reconnect → reseed → caught up | \
-         {remote_catchup_ms:.0} ms ({remote_disconnects} disconnects, \
-         {remote_failed} failed reads at pinned epoch {remote_pinned_epoch}) |"
-    );
-    let _ = writeln!(
-        md,
-        "| sharded ({shard_count} shards, halo 1) read qps: one store / sharded | \
-         {shard_solo_qps:.1} / {sharded_qps:.1} q/s |"
-    );
-    let _ = writeln!(
-        md,
-        "| shard split: local hits / gathers (hit ratio) | \
-         {shard_local_hits} / {shard_gathers} ({local_hit_ratio:.2}) |"
-    );
-    let _ = writeln!(
-        md,
-        "| scatter-gather mean / cluster-epoch publish lag | \
-         {gather_mean_ms:.2} ms / {publish_lag_ms:.2} ms |"
-    );
-    for (i, p) in Priority::ALL.into_iter().enumerate() {
-        let h = &snap.per_priority[i];
-        let _ = writeln!(
-            md,
-            "| {} latency p50 / p95 (n = {}) | {:.2} / {:.2} ms |",
-            p.name(),
-            h.count,
-            h.p50_ms,
-            h.p95_ms
-        );
-    }
-    let _ = writeln!(md, "\nMachine-readable report written to `{REPORT_PATH}`.");
-    md
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The quick load experiment runs end to end and emits structurally
-    /// sound JSON with every contract key (CI's serve-smoke gate in
-    /// miniature).
-    #[test]
-    fn quick_load_report_is_well_formed() {
-        let md = run(&Scale {
-            quick: true,
-            threads: 2,
-        });
-        assert!(md.contains("| submitted / admitted / shed |"));
-        assert!(md.contains("| warm-hit ratio |"));
-        let json = std::fs::read_to_string(REPORT_PATH).expect("report written");
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        for key in [
-            "\"schema\": \"csag-serve-v6\"",
-            "\"workers\"",
-            "\"capacity\"",
-            "\"offered\"",
-            "\"admission\"",
-            "\"submitted\"",
-            "\"burst_shed\"",
-            "\"execution\"",
-            "\"coalesced\"",
-            "\"degraded\"",
-            "\"warm_hit_ratio\"",
-            "\"socket\"",
-            "\"sequential_qps\"",
-            "\"pipelined_qps\"",
-            "\"speedup\"",
-            "\"pipelined_wakes\"",
-            "\"pipelined_coalesced\"",
-            "\"retries\"",
-            "\"reconnects\"",
-            "\"cluster\"",
-            "\"replicated_qps\"",
-            "\"pinned_mean_ms\"",
-            "\"catchup_ms\"",
-            "\"failed_reads\": 0",
-            "\"remote\"",
-            "\"process_isolated\"",
-            "\"records_shipped\"",
-            "\"snapshots_shipped\"",
-            "\"disconnects\"",
-            "\"shards\"",
-            "\"local_hit_ratio\"",
-            "\"gather_mean_ms\"",
-            "\"publish_lag_ms\"",
-            "\"cluster_epoch\"",
-            "\"per_priority\"",
-            "\"interactive\"",
-            "\"batch\"",
-            "\"p95_ms\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
-        // The paused burst of 2×capacity identical requests must have
-        // shed at least capacity requests (the queue held at most the
-        // other half) — the admission bound is real.
-        assert!(
-            json.contains("\"burst_shed\": 16"),
-            "burst sheds half: {json}"
-        );
-        // Unit tests run with the crate dir as CWD; don't leave a stray
-        // report next to the sources.
-        let _ = std::fs::remove_file(REPORT_PATH);
-    }
+    use csag::durability::FaultPlan;
+    use csag::service::{Service, ServiceConfig, Transport};
+    use csag_datasets::generator::{generate, SyntheticConfig};
+    use std::sync::Arc;
 
     fn tiny_service(capacity: usize) -> Arc<Service> {
         let (graph, _) = generate(

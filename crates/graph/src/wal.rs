@@ -44,6 +44,18 @@ use std::fmt;
 /// Magic that opens every frame header.
 pub const FRAME_MAGIC: &str = "!rec";
 
+/// Largest body [`read_frame`] accepts. The length comes from a socket
+/// peer's header, so it is bounded before anything is allocated for it;
+/// 64 MiB is far above any update batch a primary ships. [`frame`] and
+/// [`scan`] are not limited by it: a larger record is valid in a
+/// segment but cannot cross a socket.
+pub const MAX_FRAME_LEN: usize = 64 << 20;
+
+/// Longer than any well-formed header line (magic, 20-digit length,
+/// 16-digit checksum, separators): caps what a peer that never sends a
+/// newline can make [`read_frame`] buffer.
+const MAX_HEADER_LEN: u64 = 64;
+
 /// FNV-1a 64-bit hash — the per-record checksum. Not cryptographic;
 /// chosen because it is dependency-free, one multiply per byte, and
 /// detects the partial/bit-flipped writes a WAL cares about.
@@ -190,17 +202,32 @@ pub fn scan(bytes: &[u8]) -> Result<Scan<'_>, ScanError> {
 /// mid-frame or a checksum mismatch is an `Err` — a stream, unlike a
 /// crashed segment, cannot be "torn", only wrong.
 ///
+/// The peer is untrusted: a header line or a declared length above the
+/// caps ([`MAX_FRAME_LEN`]) is refused before any buffer grows to it.
+///
 /// # Errors
-/// A human-readable message naming the malformed header, short body, or
-/// checksum mismatch.
+/// A human-readable message naming the malformed or oversized header,
+/// short body, or checksum mismatch.
 pub fn read_frame<R: std::io::BufRead>(reader: &mut R) -> Result<Option<Vec<u8>>, String> {
+    use std::io::{BufRead, Read};
+
     let mut header = String::new();
-    match reader.read_line(&mut header) {
+    match (&mut *reader).take(MAX_HEADER_LEN).read_line(&mut header) {
         Ok(0) => return Ok(None),
         Ok(_) => {}
         Err(e) => return Err(e.to_string()),
     }
+    if header.len() as u64 == MAX_HEADER_LEN && !header.ends_with('\n') {
+        return Err(format!(
+            "frame header exceeds {MAX_HEADER_LEN} bytes without a newline"
+        ));
+    }
     let (len, crc) = parse_header(header.trim_end_matches('\n').as_bytes())?;
+    if len > MAX_FRAME_LEN {
+        return Err(format!(
+            "frame length {len} exceeds the {MAX_FRAME_LEN}-byte limit"
+        ));
+    }
     let mut body = vec![0u8; len];
     reader.read_exact(&mut body).map_err(|e| e.to_string())?;
     if checksum(&body) != crc {
@@ -343,6 +370,24 @@ mod tests {
             assert_eq!(read_frame(&mut reader).unwrap().as_deref(), Some(*b));
         }
         assert!(read_frame(&mut reader).unwrap_err().contains("checksum"));
+    }
+
+    #[test]
+    fn read_frame_refuses_oversized_headers_before_allocating() {
+        // The length a hostile peer would use to abort the process.
+        let huge = format!("{FRAME_MAGIC} {} {:016x}\nxx", u64::MAX, 0);
+        let mut reader = std::io::Cursor::new(huge.as_bytes());
+        let err = read_frame(&mut reader).unwrap_err();
+        assert!(err.contains("exceeds"), "{err}");
+        assert_eq!(reader.position() as usize, huge.len() - 2, "body unread");
+
+        let over = format!("{FRAME_MAGIC} {} {:016x}\n", MAX_FRAME_LEN + 1, 0);
+        assert!(read_frame(&mut std::io::Cursor::new(over.as_bytes())).is_err());
+
+        // A peer that never sends the newline cannot grow the header.
+        let mut endless = std::io::BufReader::new(std::io::repeat(b'7'));
+        let err = read_frame(&mut endless).unwrap_err();
+        assert!(err.contains("without a newline"), "{err}");
     }
 
     #[test]

@@ -8,9 +8,14 @@
 //! [`ScanError`], not a guess. These tests state that claim over
 //! generated graphs, generated update batches, and every (arbitrary)
 //! cut point and bit flip proptest can throw at it.
+//!
+//! The stream reader ([`read_frame`]) faces a socket peer instead of a
+//! crashed file, so its claim is about hostile bytes: whatever arrives,
+//! it answers `Ok`/`Err` — no panic, and no buffer sized by a header
+//! above [`MAX_FRAME_LEN`].
 
 use csag_graph::update::{GraphUpdate, MutableGraph};
-use csag_graph::wal::{frame, scan, ScanEnd, ScanError};
+use csag_graph::wal::{checksum, frame, read_frame, scan, ScanEnd, ScanError, MAX_FRAME_LEN};
 use csag_graph::{AttributedGraph, GraphBuilder};
 use proptest::prelude::*;
 
@@ -177,6 +182,56 @@ proptest! {
                         || scanned.frames.len() == bodies.len(),
                     "a damaged stream that scans clean must have kept every frame intact"
                 );
+            }
+        }
+    }
+
+    /// Whatever a peer sends — raw garbage, a well-formed header
+    /// declaring any `u64` length, or a genuine frame — `read_frame`
+    /// returns instead of panicking; a declared length above the cap is
+    /// refused with the body unread (so nothing was allocated for it),
+    /// and an accepted body is exactly the bytes that were sent.
+    #[test]
+    fn hostile_bytes_into_read_frame_are_refused_not_fatal(
+        variant in 0u32..4,
+        declared in any::<u64>(),
+        crc in any::<u64>(),
+        tail in prop::collection::vec(any::<u8>(), 0..96),
+    ) {
+        let (header, declared) = match variant {
+            0 => (String::new(), None),
+            1 => (format!("!rec {declared} {crc:016x}\n"), Some(declared)),
+            2 => {
+                let small = declared % (1 << 20);
+                (format!("!rec {small} {crc:016x}\n"), Some(small))
+            }
+            _ => (
+                format!("!rec {} {:016x}\n", tail.len(), checksum(&tail)),
+                Some(tail.len() as u64),
+            ),
+        };
+        let mut stream = header.clone().into_bytes();
+        stream.extend_from_slice(&tail);
+        let mut reader = std::io::Cursor::new(&stream);
+
+        match read_frame(&mut reader) {
+            Ok(Some(body)) => {
+                prop_assert!(body.len() <= stream.len(), "a body is bytes that were sent");
+                if variant == 3 {
+                    prop_assert_eq!(body, tail);
+                }
+            }
+            Ok(None) => prop_assert!(stream.is_empty(), "only an empty stream is a clean EOF"),
+            Err(reason) => {
+                prop_assert!(!reason.is_empty());
+                prop_assert!(variant != 3, "a genuine frame was refused: {reason}");
+                if declared.is_some_and(|d| d > MAX_FRAME_LEN as u64) {
+                    prop_assert_eq!(
+                        reader.position() as usize,
+                        header.len(),
+                        "an oversized frame must be refused before its body is read"
+                    );
+                }
             }
         }
     }

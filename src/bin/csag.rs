@@ -451,7 +451,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     use csag::cluster::{ReplListener, Router, ShardedRouter};
     use csag::service::{parse_wire_request, rejection_to_json, response_to_json};
-    use csag::service::{Service, ServiceConfig, Transport};
+    use csag::service::{Service, ServiceConfig};
     use std::io::{BufRead, Write};
     use std::sync::Arc;
 
@@ -477,54 +477,28 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     // Offering replication requires the router's write path (remote
     // members hang off it), even with zero in-process replicas.
     let want_repl = repl_listen.is_some() || repl_uds.is_some();
+    let shards = flags.get::<usize>("shards")?.unwrap_or(0);
+    let shard_halo = flags.get::<u32>("shard-halo")?.unwrap_or(1);
+    if shards > 0 && want_repl {
+        return Err("--repl-listen/--repl-uds cannot front a sharded cluster; \
+             use --replicas N for per-shard replication"
+            .to_string());
+    }
     // With --wal, an already-initialized directory wins over the
     // positional graph: the server recovers to the exact pre-crash
     // epoch and announces it (`recovered {...}`) before any `listening`
     // line, so restart scripts can read the epoch they came back to.
-    let shards = flags.get::<usize>("shards")?.unwrap_or(0);
-    let shard_halo = flags.get::<u32>("shard-halo")?.unwrap_or(1);
+    let (store, recovered) = wal_backed_store(g, wal.as_deref())?;
+    if let Some(report) = recovered {
+        println!("recovered {}", report.to_json());
+    }
+    let store = Arc::new(store);
     let mut repl_listeners = Vec::new();
     let service = if shards > 0 {
-        if want_repl {
-            return Err("--repl-listen/--repl-uds cannot front a sharded cluster; \
-                 use --replicas N for per-shard replication"
-                .to_string());
-        }
-        let sharded = match &wal {
-            None => Arc::new(ShardedRouter::over_graph(g, shards, shard_halo, replicas)),
-            Some(dir) => {
-                if csag::durability::wal_dir_initialized(dir) {
-                    let (router, report) =
-                        ShardedRouter::recover(dir, shards, shard_halo, replicas)
-                            .map_err(|e| format!("recovering wal {dir}: {e}"))?;
-                    println!("recovered {}", report.to_json());
-                    Arc::new(router)
-                } else {
-                    Arc::new(
-                        ShardedRouter::with_wal(g, shards, shard_halo, replicas, dir)
-                            .map_err(|e| format!("initializing wal {dir}: {e}"))?,
-                    )
-                }
-            }
-        };
-        Service::over_shards(sharded, config)
+        let sharded = ShardedRouter::from_journal(store, shards, shard_halo, replicas);
+        Service::over_shards(Arc::new(sharded), config)
     } else if replicas > 0 || want_repl {
-        let router = match &wal {
-            None => Arc::new(Router::over_graph(g, replicas)),
-            Some(dir) => {
-                if csag::durability::wal_dir_initialized(dir) {
-                    let (router, report) = Router::recover(dir, replicas)
-                        .map_err(|e| format!("recovering wal {dir}: {e}"))?;
-                    println!("recovered {}", report.to_json());
-                    Arc::new(router)
-                } else {
-                    Arc::new(
-                        Router::with_wal(g, replicas, dir)
-                            .map_err(|e| format!("initializing wal {dir}: {e}"))?,
-                    )
-                }
-            }
-        };
+        let router = Arc::new(Router::new(store, replicas));
         // Replication endpoints announce themselves before the serving
         // `listening` lines, so scripts can hand followers the address
         // first.
@@ -550,51 +524,13 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         }
         Service::over_cluster(router, config)
     } else {
-        match &wal {
-            None => Service::over_graph(g, config),
-            Some(dir) => {
-                let store = if csag::durability::wal_dir_initialized(dir) {
-                    let (store, report) = GraphStore::recover(dir)
-                        .map_err(|e| format!("recovering wal {dir}: {e}"))?;
-                    println!("recovered {}", report.to_json());
-                    store
-                } else {
-                    GraphStore::with_wal(g, dir)
-                        .map_err(|e| format!("initializing wal {dir}: {e}"))?
-                };
-                Service::new(Arc::new(store), config)
-            }
-        }
+        Service::new(store, config)
     };
+    let service = Arc::new(service);
 
-    // Socket mode: bind the requested transports, announce the bound
-    // addresses on stdout (scripts read the ephemeral port from the
-    // `listening tcp://...` line), and serve until killed.
-    let listen = flags.get::<String>("listen")?;
-    let uds = flags.get::<String>("uds")?;
-    if listen.is_some() || uds.is_some() {
-        let service = Arc::new(service);
-        let mut transports = Vec::new();
-        if let Some(addr) = listen {
-            let t = Transport::bind_tcp(Arc::clone(&service), addr.as_str())
-                .map_err(|e| format!("binding tcp {addr}: {e}"))?;
-            println!("listening {}", t.local_addr());
-            transports.push(t);
-        }
-        if let Some(path) = uds {
-            #[cfg(unix)]
-            {
-                let t = Transport::bind_uds(Arc::clone(&service), &path)
-                    .map_err(|e| format!("binding uds {path}: {e}"))?;
-                println!("listening {}", t.local_addr());
-                transports.push(t);
-            }
-            #[cfg(not(unix))]
-            {
-                let _ = path;
-                return Err("--uds needs a unix platform".to_string());
-            }
-        }
+    // Socket mode: serve the bound transports until killed.
+    let transports = bind_transports(&flags, &service)?;
+    if !transports.is_empty() {
         std::io::stdout()
             .flush()
             .map_err(|e| format!("writing stdout: {e}"))?;
@@ -709,7 +645,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 /// process to stop.
 fn cmd_replica(args: &[String]) -> Result<(), String> {
     use csag::cluster::{Follower, FollowerConfig};
-    use csag::service::{Service, ServiceConfig, Transport};
+    use csag::service::{Service, ServiceConfig};
     use std::io::Write;
     use std::sync::Arc;
 
@@ -740,27 +676,7 @@ fn cmd_replica(args: &[String]) -> Result<(), String> {
     }
     let service = Arc::new(Service::new(Arc::clone(follower.store()), sconfig));
 
-    let mut transports = Vec::new();
-    if let Some(listen) = flags.get::<String>("listen")? {
-        let t = Transport::bind_tcp(Arc::clone(&service), listen.as_str())
-            .map_err(|e| format!("binding tcp {listen}: {e}"))?;
-        println!("listening {}", t.local_addr());
-        transports.push(t);
-    }
-    if let Some(path) = flags.get::<String>("uds")? {
-        #[cfg(unix)]
-        {
-            let t = Transport::bind_uds(Arc::clone(&service), &path)
-                .map_err(|e| format!("binding uds {path}: {e}"))?;
-            println!("listening {}", t.local_addr());
-            transports.push(t);
-        }
-        #[cfg(not(unix))]
-        {
-            let _ = path;
-            return Err("--uds needs a unix platform".to_string());
-        }
-    }
+    let transports = bind_transports(&flags, &service)?;
     if transports.is_empty() {
         return Err("a replica serves csag-wire v2 sockets; pass --listen and/or --uds".into());
     }
@@ -775,6 +691,41 @@ fn cmd_replica(args: &[String]) -> Result<(), String> {
     loop {
         std::thread::park();
     }
+}
+
+/// Binds the `--listen` (TCP) and `--uds` transports a serving command
+/// was asked for, announcing each bound address on stdout (scripts read
+/// the ephemeral port from the `listening tcp://...` line). Empty when
+/// neither flag is given.
+fn bind_transports(
+    flags: &Flags,
+    service: &std::sync::Arc<csag::service::Service>,
+) -> Result<Vec<csag::service::Transport>, String> {
+    use csag::service::Transport;
+    use std::sync::Arc;
+
+    let mut transports = Vec::new();
+    if let Some(addr) = flags.get::<String>("listen")? {
+        let t = Transport::bind_tcp(Arc::clone(service), addr.as_str())
+            .map_err(|e| format!("binding tcp {addr}: {e}"))?;
+        println!("listening {}", t.local_addr());
+        transports.push(t);
+    }
+    if let Some(path) = flags.get::<String>("uds")? {
+        #[cfg(unix)]
+        {
+            let t = Transport::bind_uds(Arc::clone(service), &path)
+                .map_err(|e| format!("binding uds {path}: {e}"))?;
+            println!("listening {}", t.local_addr());
+            transports.push(t);
+        }
+        #[cfg(not(unix))]
+        {
+            let _ = path;
+            return Err("--uds needs a unix platform".to_string());
+        }
+    }
+    Ok(transports)
 }
 
 fn cmd_baseline(args: &[String]) -> Result<(), String> {
@@ -846,7 +797,11 @@ fn cmd_update(args: &[String]) -> Result<(), String> {
         std::fs::read_to_string(&script_path).map_err(|e| format!("reading {script_path}: {e}"))?;
     let updates = GraphUpdate::parse_script(&script).map_err(|e| format!("{script_path}: {e}"))?;
 
-    let store = wal_backed_store(g, flags.get::<String>("wal")?.as_deref())?;
+    let (store, recovered) = wal_backed_store(g, flags.get::<String>("wal")?.as_deref())?;
+    if let Some(report) = recovered {
+        // stderr, so `--json` stdout stays one object.
+        eprintln!("recovered {}", report.to_json());
+    }
     let t = Instant::now();
     let report = store
         .apply(&updates)
@@ -890,23 +845,24 @@ fn cmd_update(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// A store for a write command: plain when `wal` is `None`; otherwise
-/// WAL-backed — recovering the directory (report on stderr, so JSON
-/// stdout stays clean) when it is already initialized, creating it
-/// seeded from `g` when not.
-fn wal_backed_store(g: AttributedGraph, wal: Option<&str>) -> Result<GraphStore, String> {
+/// Opens the one store a command runs on: plain when `wal` is `None`;
+/// otherwise WAL-backed — recovering the directory when it is already
+/// initialized (the report is handed back so the caller chooses the
+/// stream it is announced on), creating it seeded from `g` when not.
+fn wal_backed_store(
+    g: AttributedGraph,
+    wal: Option<&str>,
+) -> Result<(GraphStore, Option<csag::durability::RecoveryReport>), String> {
     match wal {
-        None => Ok(GraphStore::new(g)),
-        Some(dir) => {
-            if csag::durability::wal_dir_initialized(dir) {
-                let (store, report) =
-                    GraphStore::recover(dir).map_err(|e| format!("recovering wal {dir}: {e}"))?;
-                eprintln!("recovered {}", report.to_json());
-                Ok(store)
-            } else {
-                GraphStore::with_wal(g, dir).map_err(|e| format!("initializing wal {dir}: {e}"))
-            }
+        None => Ok((GraphStore::new(g), None)),
+        Some(dir) if csag::durability::wal_dir_initialized(dir) => {
+            let (store, report) =
+                GraphStore::recover(dir).map_err(|e| format!("recovering wal {dir}: {e}"))?;
+            Ok((store, Some(report)))
         }
+        Some(dir) => GraphStore::with_wal(g, dir)
+            .map(|store| (store, None))
+            .map_err(|e| format!("initializing wal {dir}: {e}")),
     }
 }
 
@@ -926,7 +882,10 @@ fn cmd_wal_churn(args: &[String]) -> Result<(), String> {
     let sleep_ms: u64 = flags.get("sleep-ms")?.unwrap_or(0);
     let dir: String = flags.require("wal")?;
     let g = load(&flags)?;
-    let store = wal_backed_store(g, Some(&dir))?;
+    let (store, recovered) = wal_backed_store(g, Some(&dir))?;
+    if let Some(report) = recovered {
+        eprintln!("recovered {}", report.to_json());
+    }
 
     let mut plan = match flags.get::<String>("plan-out")? {
         Some(p) => {

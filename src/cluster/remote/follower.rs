@@ -252,7 +252,10 @@ impl Follower {
         self.shared.connected.load(Ordering::Acquire)
     }
 
-    /// `true` once the store holds real state (seed or snapshot).
+    /// `true` once the store holds real state (seed or snapshot). For a
+    /// snapshot it turns `true` just before the snapshot's epoch
+    /// publishes; gate store reads on [`Follower::wait_for_epoch`] or
+    /// [`Follower::connected`] as well.
     pub fn synced(&self) -> bool {
         self.shared.synced.load(Ordering::Acquire)
     }
@@ -381,9 +384,11 @@ fn run_session(
             if epoch > shared.store.published_epoch() || !shared.synced.load(Ordering::Acquire) {
                 let graph = csag_graph::io::read_graph(&bytes[..])
                     .map_err(|e| format!("unreadable snapshot: {e}"))?;
-                shared.store.reset_to(Arc::new(graph), epoch);
+                // Before `reset_to`: it publishes the epoch, and a waiter
+                // woken by that publish must already read these two.
                 shared.synced.store(true, Ordering::Release);
                 shared.snapshots_received.fetch_add(1, Ordering::Relaxed);
+                shared.store.reset_to(Arc::new(graph), epoch);
             }
             send_ack(&writer, shared.store.published_epoch())?;
         }

@@ -21,14 +21,12 @@ use crate::cluster::remote::feed::{CatchUp, RemoteAttach, RemoteMember};
 use crate::cluster::replica::{replica_loop, ReplicaMsg, ReplicaState};
 use crate::cluster::replication::LogRecord;
 use crate::cluster::shard::{planner, ClusterView, ShardStats};
-use crate::durability::WalError;
 use crate::engine::query::CommunityQuery;
 use crate::engine::result::{json_f64, json_string, push_key, push_kv};
 use crate::engine::{
     ApplyError, CommunityResult, CsagError, GraphStore, GraphUpdate, Snapshot, UpdateReport,
 };
 use csag_graph::{AttributedGraph, NodeId, QueryWorkspace};
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -301,38 +299,6 @@ impl Router {
         Router::new(Arc::new(GraphStore::new(graph)), replicas)
     }
 
-    /// [`Router::new`] over a fresh WAL-backed primary
-    /// ([`GraphStore::with_wal`]): every batch routed through
-    /// [`Router::apply`] is durably logged before it publishes or fans
-    /// out. Replicas stay in-memory — they are rebuilt from the
-    /// recovered primary, not from their own logs.
-    ///
-    /// # Errors
-    /// [`WalError`] when the log directory cannot be initialized.
-    pub fn with_wal(
-        graph: AttributedGraph,
-        replicas: usize,
-        dir: impl AsRef<Path>,
-    ) -> Result<Self, WalError> {
-        let store = GraphStore::with_wal(graph, dir)?;
-        Ok(Router::new(Arc::new(store), replicas))
-    }
-
-    /// Rebuilds the primary from a WAL directory
-    /// ([`GraphStore::recover`]) and fronts it with `replicas` fresh
-    /// replicas seeded from the recovered snapshot.
-    ///
-    /// # Errors
-    /// [`WalError`] when the directory is uninitialized or corrupt
-    /// beyond what a crash can explain.
-    pub fn recover(
-        dir: impl AsRef<Path>,
-        replicas: usize,
-    ) -> Result<(Self, crate::durability::RecoveryReport), WalError> {
-        let (store, report) = GraphStore::recover(dir)?;
-        Ok((Router::new(Arc::new(store), replicas), report))
-    }
-
     /// The primary store (reads through it bypass the rotation; apply
     /// through [`Router::apply`], never directly, or replicas will
     /// permanently lag).
@@ -478,25 +444,12 @@ impl Router {
         })
     }
 
-    /// Number of remote replicas ever registered (connected or not).
-    pub fn remote_count(&self) -> usize {
-        self.remotes().len()
-    }
-
     /// Current health of the remote replica `name`, if registered.
     pub fn remote_health(&self, name: &str) -> Option<ReplicaHealth> {
         self.remotes()
             .iter()
             .find(|m| m.name == name)
             .map(|m| m.status.health())
-    }
-
-    /// The highest epoch remote replica `name` has acked, if registered.
-    pub fn remote_watermark(&self, name: &str) -> Option<u64> {
-        self.remotes()
-            .iter()
-            .find(|m| m.name == name)
-            .map(|m| m.watermark.current())
     }
 
     /// Blocks until remote replica `name`'s acked watermark reaches the

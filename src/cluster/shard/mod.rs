@@ -58,11 +58,9 @@ pub use partition::ShardPlan;
 
 use crate::cluster::router::{ReadSource, RoutedSnapshot, Router};
 use crate::cluster::{ClusterMetrics, ShardSectionMetrics};
-use crate::durability::{RecoveryReport, WalError};
 use crate::engine::store::{EpochCell, Snapshot};
 use crate::engine::{ApplyError, CsagError, GraphStore, GraphUpdate, UpdateReport};
 use csag_graph::{AttributedGraph, NodeId};
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 use std::time::Duration;
@@ -211,48 +209,6 @@ impl ShardedRouter {
             halo,
             replicas_per_shard,
         )
-    }
-
-    /// [`ShardedRouter::over_graph`] with a WAL-backed journal: every
-    /// batch is durably logged (globally, once) before it fans out to
-    /// any shard.
-    ///
-    /// # Errors
-    /// [`WalError`] when the log directory cannot be initialized.
-    pub fn with_wal(
-        graph: AttributedGraph,
-        shards: usize,
-        halo: u32,
-        replicas_per_shard: usize,
-        dir: impl AsRef<Path>,
-    ) -> Result<Self, WalError> {
-        let journal = GraphStore::with_wal(graph, dir)?;
-        Ok(ShardedRouter::from_journal(
-            Arc::new(journal),
-            shards,
-            halo,
-            replicas_per_shard,
-        ))
-    }
-
-    /// Rebuilds the journal from a WAL directory and re-partitions the
-    /// recovered graph. The partition is recomputed at boot — it is a
-    /// performance layout, not state, so it owes the log nothing.
-    ///
-    /// # Errors
-    /// [`WalError`] when the directory is uninitialized or corrupt
-    /// beyond what a crash can explain.
-    pub fn recover(
-        dir: impl AsRef<Path>,
-        shards: usize,
-        halo: u32,
-        replicas_per_shard: usize,
-    ) -> Result<(Self, RecoveryReport), WalError> {
-        let (journal, report) = GraphStore::recover(dir)?;
-        Ok((
-            ShardedRouter::from_journal(Arc::new(journal), shards, halo, replicas_per_shard),
-            report,
-        ))
     }
 
     /// Fronts an existing journal store with freshly carved shards.

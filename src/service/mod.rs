@@ -150,10 +150,6 @@ pub struct ServiceConfig {
     pub capacity: usize,
     /// Optional per-[`QueryClass`] admission bound (tenant isolation).
     pub per_class_capacity: Option<usize>,
-    /// Wall-time under which deadline pressure starts degrading effort
-    /// (invariant 4): a request with at least this much deadline left
-    /// runs at full effort.
-    pub full_effort_latency: Duration,
     /// How long an epoch-pinned request *without* a deadline may wait
     /// for its pinned epoch to publish before the typed
     /// [`CsagError::EpochUnavailable`](crate::engine::CsagError)
@@ -172,7 +168,6 @@ impl Default for ServiceConfig {
             workers: crate::engine::batch::available_threads(),
             capacity: 256,
             per_class_capacity: None,
-            full_effort_latency: Duration::from_millis(200),
             epoch_wait: Duration::from_millis(250),
             start_paused: false,
         }
@@ -195,12 +190,6 @@ impl ServiceConfig {
     /// Sets (or clears) the per-class admission bound.
     pub fn with_per_class_capacity(mut self, cap: Option<usize>) -> Self {
         self.per_class_capacity = cap;
-        self
-    }
-
-    /// Sets the full-effort latency threshold.
-    pub fn with_full_effort_latency(mut self, d: Duration) -> Self {
-        self.full_effort_latency = d;
         self
     }
 
@@ -263,7 +252,6 @@ impl Service {
             config.capacity,
             config.per_class_capacity,
             workers,
-            config.full_effort_latency,
             config.epoch_wait,
             config.start_paused,
         ));

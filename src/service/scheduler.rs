@@ -99,6 +99,11 @@ impl PartialOrd for ReadyEntry {
     }
 }
 
+/// Wall-time under which deadline pressure starts degrading effort
+/// (invariant 4): a request with at least this much deadline left runs
+/// at full effort.
+const FULL_EFFORT_LATENCY: Duration = Duration::from_millis(200);
+
 /// Mutex-guarded scheduler state.
 pub(crate) struct SchedState {
     admission: Admission,
@@ -119,8 +124,6 @@ pub(crate) struct Shared {
     state: Mutex<SchedState>,
     work: Condvar,
     pub(crate) metrics: ServiceMetrics,
-    /// Wall-time under which deadline-driven degradation kicks in.
-    full_effort: Duration,
     /// How long an epoch-pinned read without a deadline may wait for
     /// its epoch to publish before the typed rejection.
     epoch_wait: Duration,
@@ -133,7 +136,6 @@ impl Shared {
         capacity: usize,
         per_class_capacity: Option<usize>,
         workers: usize,
-        full_effort: Duration,
         epoch_wait: Duration,
         start_paused: bool,
     ) -> Self {
@@ -151,7 +153,6 @@ impl Shared {
             }),
             work: Condvar::new(),
             metrics: ServiceMetrics::default(),
-            full_effort,
             epoch_wait,
             finish_seq: AtomicU64::new(0),
         }
@@ -436,8 +437,10 @@ impl Shared {
             // to a cheaper (ε, δ) answer instead of timing out.
             let dispatched = Instant::now();
             let (derived, degraded) = match earliest_deadline {
-                Some(at) => query
-                    .fit_to_deadline(at.saturating_duration_since(dispatched), self.full_effort),
+                Some(at) => query.fit_to_deadline(
+                    at.saturating_duration_since(dispatched),
+                    FULL_EFFORT_LATENCY,
+                ),
                 None => (query, false),
             };
 

@@ -380,13 +380,6 @@ impl Transport {
         self.shared.accepted.load(Ordering::Relaxed)
     }
 
-    /// Currently-registered connections (finished ones are reaped
-    /// lazily on the next accept, so this is an upper bound on live
-    /// connections).
-    pub fn open_connections(&self) -> usize {
-        self.shared.conns().len()
-    }
-
     /// Graceful shutdown: stop accepting, half-close every connection's
     /// read side, and join the per-connection threads. Requests already
     /// admitted keep their workers; this call returns only after every

@@ -254,6 +254,9 @@ fn induced_failure_degrades_then_heals_with_zero_failed_reads() {
     };
 
     churn(&router, &mut rng);
+    // Replica 0 must have drained the first record, or the induced
+    // failure hits *it* and the second apply reseeds the replica.
+    assert!(router.wait_replicas_caught_up(Duration::from_secs(10)));
     router.induce_failure(0);
     churn(&router, &mut rng); // replica 0 fails this apply and degrades
     let deadline = std::time::Instant::now() + Duration::from_secs(10);

@@ -159,8 +159,13 @@ fn distinct_queries_complete_in_priority_order_under_overload() {
         responses[2].sequence < responses[3].sequence,
         "FIFO within the interactive tier"
     );
-    assert_eq!(service.metrics().coalesced, 0);
-    assert_eq!(service.metrics().executed, 4);
+    let m = service.metrics();
+    assert_eq!((m.coalesced, m.executed), (0, 4));
+    // Every completion lands in exactly one priority's histogram
+    // (indexed batch, standard, interactive).
+    let counts: Vec<u64> = m.per_priority.iter().map(|h| h.count).collect();
+    assert_eq!(counts, vec![1, 1, 2]);
+    assert_eq!(counts.iter().sum::<u64>(), m.completed);
 }
 
 /// A request whose deadline cannot fit full effort is degraded to a

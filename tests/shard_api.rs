@@ -268,6 +268,11 @@ fn queries_split_between_local_hits_and_gathers() {
     assert_eq!(metrics.shards.len(), 3);
     let local: u64 = metrics.shards.iter().map(|s| s.local_hits).sum();
     let gathers: u64 = metrics.shards.iter().map(|s| s.gathers).sum();
+    assert_eq!(
+        (local + gathers) as usize,
+        2 * n + 1,
+        "every sharded read is either a local hit or a gather"
+    );
     assert!(local > 0, "some queries must resolve shard-locally");
     assert!(
         gathers > 0,
