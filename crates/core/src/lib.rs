@@ -41,7 +41,6 @@ pub mod distance;
 pub mod error;
 pub mod exact;
 pub mod hetero_cs;
-pub mod influence;
 pub mod sea;
 
 pub use distance::{

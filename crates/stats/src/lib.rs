@@ -18,7 +18,6 @@
 pub mod accuracy;
 pub mod bootstrap;
 pub mod describe;
-pub mod evt;
 pub mod hoeffding;
 pub mod normal;
 pub mod sampling;

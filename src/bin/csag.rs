@@ -450,6 +450,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
 /// journal logs globally, the partition is recomputed at boot).
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     use csag::cluster::{ReplListener, Router, ShardedRouter};
+    use csag::engine::ApplyError;
     use csag::service::{parse_wire_request, rejection_to_json, response_to_json};
     use csag::service::{Service, ServiceConfig};
     use std::io::{BufRead, Write};
@@ -494,9 +495,21 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     }
     let store = Arc::new(store);
     let mut repl_listeners = Vec::new();
-    let service = if shards > 0 {
-        let sharded = ShardedRouter::from_journal(store, shards, shard_halo, replicas);
-        Service::over_shards(Arc::new(sharded), config)
+    // The topology decides three things at once: what the service reads
+    // from, what the write feed applies through (a cluster must be
+    // written through its router), and what `--metrics` adds.
+    type Apply = Box<dyn Fn(&[GraphUpdate]) -> Result<UpdateReport, ApplyError>>;
+    type ClusterMetrics = Box<dyn Fn() -> Option<String>>;
+    let (service, apply, cluster_metrics): (Service, Apply, ClusterMetrics) = if shards > 0 {
+        let sharded = Arc::new(ShardedRouter::from_journal(
+            store, shards, shard_halo, replicas,
+        ));
+        let (writer, reporter) = (Arc::clone(&sharded), Arc::clone(&sharded));
+        (
+            Service::over_shards(sharded, config),
+            Box::new(move |batch| writer.apply(batch)),
+            Box::new(move || Some(reporter.metrics().to_json())),
+        )
     } else if replicas > 0 || want_repl {
         let router = Arc::new(Router::new(store, replicas));
         // Replication endpoints announce themselves before the serving
@@ -522,9 +535,19 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 return Err("--repl-uds needs a unix platform".to_string());
             }
         }
-        Service::over_cluster(router, config)
+        let (writer, reporter) = (Arc::clone(&router), Arc::clone(&router));
+        (
+            Service::over_cluster(router, config),
+            Box::new(move |batch| writer.apply(batch)),
+            Box::new(move || Some(reporter.metrics().to_json())),
+        )
     } else {
-        Service::new(store, config)
+        let writer = Arc::clone(&store);
+        (
+            Service::new(store, config),
+            Box::new(move |batch| writer.apply(batch)),
+            Box::new(|| None),
+        )
     };
     let service = Arc::new(service);
 
@@ -559,14 +582,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                     continue;
                 }
             };
-            let applied = if let Some(sharded) = service.shards() {
-                sharded.apply(std::slice::from_ref(&update))
-            } else if let Some(router) = service.cluster() {
-                router.apply(std::slice::from_ref(&update))
-            } else {
-                service.store().apply(std::slice::from_ref(&update))
-            };
-            match applied {
+            match apply(std::slice::from_ref(&update)) {
                 Ok(report) => println!("applied {}", report.epoch),
                 Err(e) => eprintln!("serve: update feed batch failed: {e}"),
             }
@@ -576,10 +592,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         }
         if flags.has("metrics") {
             println!("{}", service.metrics().to_json());
-            if let Some(router) = service.cluster() {
-                println!("{}", router.metrics().to_json());
-            } else if let Some(sharded) = service.shards() {
-                println!("{}", sharded.metrics().to_json());
+            if let Some(json) = cluster_metrics() {
+                println!("{json}");
             }
             std::io::stdout()
                 .flush()
@@ -613,12 +627,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let snapshot = service.metrics();
     if flags.has("metrics") {
         writeln!(out, "{}", snapshot.to_json()).map_err(|e| format!("writing stdout: {e}"))?;
-        if let Some(router) = service.cluster() {
-            writeln!(out, "{}", router.metrics().to_json())
-                .map_err(|e| format!("writing stdout: {e}"))?;
-        } else if let Some(sharded) = service.shards() {
-            writeln!(out, "{}", sharded.metrics().to_json())
-                .map_err(|e| format!("writing stdout: {e}"))?;
+        if let Some(json) = cluster_metrics() {
+            writeln!(out, "{json}").map_err(|e| format!("writing stdout: {e}"))?;
         }
     }
     eprintln!(

@@ -1,9 +1,9 @@
 //! Replica health primitives: the lifecycle state machine
-//! ([`ReplicaHealth`]), the heartbeat/status cell the router probes,
-//! and the condvar-backed per-replica high-watermark.
+//! ([`ReplicaHealth`]) and the heartbeat/status cell the router probes.
+//! (A member's high-watermark is the store's own
+//! `engine::store::EpochCell`.)
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Lifecycle state of one replica in the read rotation.
@@ -100,56 +100,6 @@ impl StatusCell {
     }
 }
 
-/// The per-replica high-watermark: the highest epoch the replica has
-/// *published* (applied and made readable). Waiters block on a condvar
-/// that the replica signals after each advance — the router never polls
-/// a healthy replica.
-pub(crate) struct Watermark {
-    epoch: Mutex<u64>,
-    advanced: Condvar,
-}
-
-impl Watermark {
-    pub(crate) fn new(epoch: u64) -> Self {
-        Watermark {
-            epoch: Mutex::new(epoch),
-            advanced: Condvar::new(),
-        }
-    }
-
-    pub(crate) fn current(&self) -> u64 {
-        *self.epoch.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Moves the watermark forward (never backward) and wakes waiters.
-    pub(crate) fn advance_to(&self, epoch: u64) {
-        let mut guard = self.epoch.lock().unwrap_or_else(PoisonError::into_inner);
-        if epoch > *guard {
-            *guard = epoch;
-            self.advanced.notify_all();
-        }
-    }
-
-    /// Blocks until the watermark reaches `epoch` or `timeout` elapses;
-    /// `true` when reached.
-    pub(crate) fn wait_for(&self, epoch: u64, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut guard = self.epoch.lock().unwrap_or_else(PoisonError::into_inner);
-        while *guard < epoch {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return false;
-            }
-            let (next, _timed_out) = self
-                .advanced
-                .wait_timeout(guard, left)
-                .unwrap_or_else(PoisonError::into_inner);
-            guard = next;
-        }
-        true
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,23 +123,5 @@ mod tests {
         cell.set_health(ReplicaHealth::Healthy);
         cell.set_health(ReplicaHealth::Degraded);
         assert_eq!(cell.degraded_marks(), 2);
-    }
-
-    #[test]
-    fn watermark_is_monotonic_and_wakes_waiters() {
-        let wm = Watermark::new(3);
-        assert_eq!(wm.current(), 3);
-        wm.advance_to(1);
-        assert_eq!(wm.current(), 3, "never moves backward");
-        assert!(wm.wait_for(3, Duration::ZERO));
-        assert!(!wm.wait_for(4, Duration::from_millis(5)));
-
-        let wm = std::sync::Arc::new(Watermark::new(0));
-        let waiter = std::thread::spawn({
-            let wm = std::sync::Arc::clone(&wm);
-            move || wm.wait_for(2, Duration::from_secs(10))
-        });
-        wm.advance_to(2);
-        assert!(waiter.join().unwrap());
     }
 }

@@ -3,8 +3,9 @@
 //! records into, plus the catch-up decision ([`CatchUp`]) the
 //! replication listener executes during a `csag-repl v1` handshake.
 
-use crate::cluster::health::{ReplicaHealth, StatusCell, Watermark};
+use crate::cluster::health::{ReplicaHealth, StatusCell};
 use crate::cluster::replication::LogRecord;
+use crate::engine::store::EpochCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 
@@ -25,16 +26,12 @@ pub(crate) struct RemoteAttach {
 /// primary's: decided by [`crate::cluster::Router::attach_remote`]
 /// under the write lock, executed by the listener's connection thread.
 pub(crate) enum CatchUp {
-    /// The follower's state already equals the primary's at `from`;
-    /// live records with epochs `> from` follow immediately.
-    Stream {
-        /// The epoch the follower proved (echoed back in the header).
-        from: u64,
-    },
-    /// The follower is behind, but the log still covers the gap: replay
-    /// `records` (epochs contiguous above `from`), then live records.
+    /// The follower's state at `from` can be resumed: it is level with
+    /// the primary (`records` empty) or the log still covers the gap.
+    /// Replay `records` (epochs contiguous above `from`), then live
+    /// records.
     Tail {
-        /// The follower's proven epoch.
+        /// The epoch the follower proved (echoed back in the header).
         from: u64,
         /// The `(from, pinned]` run read back from the WAL segments.
         records: Vec<LogRecord>,
@@ -67,7 +64,7 @@ pub(crate) struct RemoteMember {
     /// Highest epoch the follower has *acked* (applied and published on
     /// its side). Frozen while disconnected — a degraded remote never
     /// looks caught-up.
-    pub(crate) watermark: Watermark,
+    pub(crate) watermark: Arc<EpochCell>,
     pub(crate) records_sent: AtomicU64,
     pub(crate) bytes_shipped: AtomicU64,
     /// Full snapshots shipped (the reseed counter).
@@ -89,7 +86,7 @@ impl RemoteMember {
         RemoteMember {
             name: name.to_string(),
             status: StatusCell::new(),
-            watermark: Watermark::new(0),
+            watermark: EpochCell::new(0),
             records_sent: AtomicU64::new(0),
             bytes_shipped: AtomicU64::new(0),
             snapshots_shipped: AtomicU64::new(0),
@@ -146,7 +143,7 @@ impl RemoteMember {
     /// reseed left the member in.
     pub(crate) fn note_ack(&self, epoch: u64) {
         self.status.beat();
-        self.watermark.advance_to(epoch);
+        self.watermark.publish(epoch);
         self.acks.fetch_add(1, Ordering::Relaxed);
         if self.status.health() != ReplicaHealth::Healthy {
             self.status.set_health(ReplicaHealth::Healthy);

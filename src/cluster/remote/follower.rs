@@ -6,9 +6,10 @@
 //! connect → hello (carrying the follower's current epoch, or `none`
 //! before any state exists) → swallow the catch-up (a shipped snapshot
 //! resets the store via [`GraphStore::reset_to`]; a tail replay is just
-//! early log frames) → apply each framed [`LogRecord`] through the
-//! ordinary [`GraphStore::apply`] path, acking every applied epoch —
-//! plus periodic heartbeat acks so an idle follower never looks silent.
+//! early log frames) → hand each framed [`LogRecord`] to
+//! [`GraphStore::replay`] (the ordinary apply path behind the shared
+//! skip/gap rule), acking every applied epoch — plus periodic heartbeat
+//! acks so an idle follower never looks silent.
 //! Any failure (connection reset, checksum mismatch, epoch gap) tears
 //! the session down and reconnects after a backoff; the handshake then
 //! resynchronizes from whatever epoch the store actually reached, so a
@@ -22,14 +23,12 @@
 //! follower's store and clients cannot tell the processes apart.
 
 use crate::cluster::replication::LogRecord;
-use crate::engine::GraphStore;
+use crate::engine::{GraphStore, Replay};
+use crate::service::transport::Socket;
 use csag_graph::builder::GraphBuilder;
 use csag_graph::AttributedGraph;
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{Shutdown, TcpStream};
-#[cfg(unix)]
-use std::os::unix::net::UnixStream;
-use std::path::PathBuf;
+use std::net::Shutdown;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -68,107 +67,6 @@ impl Default for FollowerConfig {
     }
 }
 
-/// Where a follower connects: `tcp://host:port`, `unix:///path`, a bare
-/// `host:port`, or a bare filesystem path (anything containing `/`).
-enum ReplTarget {
-    Tcp(String),
-    #[cfg(unix)]
-    Unix(PathBuf),
-}
-
-impl ReplTarget {
-    fn parse(addr: &str) -> io::Result<ReplTarget> {
-        if let Some(rest) = addr.strip_prefix("tcp://") {
-            return Ok(ReplTarget::Tcp(rest.to_string()));
-        }
-        #[cfg(unix)]
-        if let Some(rest) = addr.strip_prefix("unix://") {
-            return Ok(ReplTarget::Unix(PathBuf::from(rest)));
-        }
-        #[cfg(unix)]
-        if addr.contains('/') {
-            return Ok(ReplTarget::Unix(PathBuf::from(addr)));
-        }
-        if addr.contains(':') {
-            return Ok(ReplTarget::Tcp(addr.to_string()));
-        }
-        Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("unrecognized replication address `{addr}`"),
-        ))
-    }
-
-    fn connect(&self) -> io::Result<ReplStream> {
-        match self {
-            ReplTarget::Tcp(addr) => {
-                let s = TcpStream::connect(addr.as_str())?;
-                // Acks are tiny writes racing the incoming stream;
-                // Nagle would hold them back for the delayed ACK.
-                s.set_nodelay(true)?;
-                Ok(ReplStream::Tcp(s))
-            }
-            #[cfg(unix)]
-            ReplTarget::Unix(path) => Ok(ReplStream::Unix(UnixStream::connect(path)?)),
-        }
-    }
-}
-
-/// The follower side of one replication socket (TCP or unix-domain).
-enum ReplStream {
-    Tcp(TcpStream),
-    #[cfg(unix)]
-    Unix(UnixStream),
-}
-
-impl ReplStream {
-    fn try_clone(&self) -> io::Result<ReplStream> {
-        match self {
-            ReplStream::Tcp(s) => s.try_clone().map(ReplStream::Tcp),
-            #[cfg(unix)]
-            ReplStream::Unix(s) => s.try_clone().map(ReplStream::Unix),
-        }
-    }
-
-    fn abort(&self) {
-        match self {
-            ReplStream::Tcp(s) => {
-                let _ = s.shutdown(Shutdown::Both);
-            }
-            #[cfg(unix)]
-            ReplStream::Unix(s) => {
-                let _ = s.shutdown(Shutdown::Both);
-            }
-        }
-    }
-}
-
-impl Read for ReplStream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            ReplStream::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            ReplStream::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for ReplStream {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            ReplStream::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            ReplStream::Unix(s) => s.write(buf),
-        }
-    }
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            ReplStream::Tcp(s) => s.flush(),
-            #[cfg(unix)]
-            ReplStream::Unix(s) => s.flush(),
-        }
-    }
-}
-
 /// Counters and control state shared with the session thread.
 struct FollowerShared {
     store: Arc<GraphStore>,
@@ -182,7 +80,7 @@ struct FollowerShared {
     /// Sessions opened after the first (each one is a reconnect).
     reconnects: AtomicU64,
     /// The live session's socket, for severing on [`Follower::stop`].
-    live: Mutex<Option<ReplStream>>,
+    live: Mutex<Option<Socket>>,
 }
 
 /// A remote replica runtime: owns the follower store and the session
@@ -203,7 +101,7 @@ impl Follower {
     /// [`io::ErrorKind::InvalidInput`] for an unparseable address (a
     /// *reachable* but dead address is retried forever, not an error).
     pub fn start(addr: &str, config: FollowerConfig) -> io::Result<Follower> {
-        let target = ReplTarget::parse(addr)?;
+        let dial = Socket::dialer(addr)?;
         let (store, synced) = match &config.seed {
             Some(graph) => (GraphStore::from_arc(Arc::clone(graph)), true),
             None => {
@@ -226,7 +124,7 @@ impl Follower {
         let session_shared = Arc::clone(&shared);
         let join = std::thread::Builder::new()
             .name("csag-repl-follower".into())
-            .spawn(move || session_loop(&session_shared, &target, &config))?;
+            .spawn(move || session_loop(&session_shared, &*dial, &config))?;
         Ok(Follower {
             shared,
             join: Some(join),
@@ -282,12 +180,15 @@ impl Follower {
     }
 
     /// Stops the session thread (severing any live connection) and
-    /// joins it. The store stays usable at its last published epoch.
-    pub fn stop(mut self) {
-        self.stop_inner();
+    /// joins it; dropping the handle does the same. The store stays
+    /// usable at its last published epoch.
+    pub fn stop(self) {
+        drop(self);
     }
+}
 
-    fn stop_inner(&mut self) {
+impl Drop for Follower {
+    fn drop(&mut self) {
         self.shared.stop.store(true, Ordering::Release);
         if let Some(live) = self
             .shared
@@ -296,7 +197,7 @@ impl Follower {
             .unwrap_or_else(PoisonError::into_inner)
             .as_ref()
         {
-            live.abort();
+            live.shutdown(Shutdown::Both);
         }
         if let Some(join) = self.join.take() {
             let _ = join.join();
@@ -304,18 +205,15 @@ impl Follower {
     }
 }
 
-impl Drop for Follower {
-    /// Same as [`Follower::stop`].
-    fn drop(&mut self) {
-        self.stop_inner();
-    }
-}
-
 /// Connect–follow–reconnect forever (until stopped).
-fn session_loop(shared: &Arc<FollowerShared>, target: &ReplTarget, config: &FollowerConfig) {
+fn session_loop(
+    shared: &Arc<FollowerShared>,
+    dial: &dyn Fn() -> io::Result<Socket>,
+    config: &FollowerConfig,
+) {
     let mut sessions = 0u64;
     while !shared.stop.load(Ordering::Acquire) {
-        if let Ok(stream) = target.connect() {
+        if let Ok(stream) = dial() {
             if sessions > 0 {
                 shared.reconnects.fetch_add(1, Ordering::Relaxed);
             }
@@ -338,7 +236,7 @@ fn session_loop(shared: &Arc<FollowerShared>, target: &ReplTarget, config: &Foll
 /// `Err` on any anomaly; the caller reconnects.
 fn run_session(
     shared: &Arc<FollowerShared>,
-    stream: ReplStream,
+    stream: Socket,
     config: &FollowerConfig,
 ) -> Result<(), String> {
     let write_half = stream.try_clone().map_err(|e| e.to_string())?;
@@ -376,8 +274,18 @@ fn run_session(
             }
         }
         Header::Snapshot { epoch, len } => {
-            let mut bytes = vec![0u8; len];
-            reader.read_exact(&mut bytes).map_err(|e| e.to_string())?;
+            // `len` is the peer's claim: read through `take` so memory
+            // grows with the bytes that actually arrive, never with the
+            // header's number.
+            let mut bytes = Vec::new();
+            let got = reader
+                .by_ref()
+                .take(len)
+                .read_to_end(&mut bytes)
+                .map_err(|e| e.to_string())?;
+            if (got as u64) < len {
+                return Err(format!("snapshot cut short: {got} of {len} bytes"));
+            }
             // A snapshot at or below our own epoch carries state we
             // already have (epoch lockstep makes it identical); resets
             // only ever move the published epoch forward.
@@ -422,7 +330,7 @@ fn run_session(
 
     let outcome = frame_loop(shared, &mut reader, &writer);
     beat_done.store(true, Ordering::Release);
-    reader.get_ref().abort();
+    reader.get_ref().shutdown(Shutdown::Both);
     let _ = beat.join();
     outcome
 }
@@ -430,8 +338,8 @@ fn run_session(
 /// Applies framed records until EOF or an anomaly.
 fn frame_loop(
     shared: &Arc<FollowerShared>,
-    reader: &mut BufReader<ReplStream>,
-    writer: &Arc<Mutex<ReplStream>>,
+    reader: &mut BufReader<Socket>,
+    writer: &Arc<Mutex<Socket>>,
 ) -> Result<(), String> {
     loop {
         if shared.stop.load(Ordering::Acquire) {
@@ -440,39 +348,34 @@ fn frame_loop(
         let Some(body) = csag_graph::wal::read_frame(reader)? else {
             return Ok(()); // clean EOF: primary shut down
         };
-        let text = std::str::from_utf8(&body).map_err(|_| "frame body is not UTF-8")?;
-        let record = LogRecord::parse_wire(text)?;
-        let published = shared.store.published_epoch();
-        if record.epoch <= published {
+        let record = LogRecord::from_frame(&body)?;
+        match shared.store.replay(&record) {
             // Overlap below a snapshot / our proven epoch: already
             // reflected in our state.
-            continue;
-        }
-        if record.epoch != published + 1 {
+            Replay::Skipped => continue,
+            Replay::Applied => {}
             // A gap the stream contract forbids: tear the session down;
-            // the reconnect handshake reseeds us from `published`.
-            return Err(format!(
-                "epoch gap: at {published}, stream sent {}",
-                record.epoch
-            ));
-        }
-        // Replaying an erroneous batch reproduces the same published
-        // prefix the primary saw — replication semantics, not a
-        // failure.
-        let _ = shared.store.apply(&record.updates);
-        if shared.store.published_epoch() != record.epoch {
-            return Err(format!(
-                "applying record {} left the store at epoch {}",
-                record.epoch,
-                shared.store.published_epoch()
-            ));
+            // the reconnect handshake reseeds us from where we are.
+            Replay::Gap { .. } => {
+                return Err(format!(
+                    "epoch gap: at {}, stream sent {}",
+                    shared.store.published_epoch(),
+                    record.epoch
+                ))
+            }
+            Replay::Diverged { reached } => {
+                return Err(format!(
+                    "applying record {} left the store at epoch {reached}",
+                    record.epoch
+                ))
+            }
         }
         shared.records_applied.fetch_add(1, Ordering::Relaxed);
         send_ack(writer, record.epoch)?;
     }
 }
 
-fn send_ack(writer: &Arc<Mutex<ReplStream>>, epoch: u64) -> Result<(), String> {
+fn send_ack(writer: &Arc<Mutex<Socket>>, epoch: u64) -> Result<(), String> {
     let mut w = writer.lock().unwrap_or_else(PoisonError::into_inner);
     writeln!(w, "{ACK_PREFIX}{epoch}").map_err(|e| e.to_string())?;
     w.flush().map_err(|e| e.to_string())

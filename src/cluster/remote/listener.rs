@@ -26,85 +26,13 @@ use super::{parse_hello, ACK_PREFIX, ERROR_PREFIX, SNAPSHOT_PREFIX, STREAM_PREFI
 use crate::cluster::replication::LogRecord;
 use crate::cluster::Router;
 use crate::durability::FaultPlan;
-use crate::service::transport::{reclaim_stale_uds, BoundAddr, WireListener, WireSocket};
+use crate::service::transport::{Acceptor, BoundAddr, Socket};
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-#[cfg(unix)]
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::net::{Shutdown, ToSocketAddrs};
 #[cfg(unix)]
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
-use std::thread::JoinHandle;
-
-/// One live replication connection: the handle to join and a hook that
-/// severs its socket so both of its threads unblock during shutdown.
-struct ReplConn {
-    closer: Box<dyn Fn() + Send>,
-    handle: JoinHandle<()>,
-}
-
-/// State shared between the accept loop, the connections, and the
-/// [`ReplListener`] handle.
-struct ReplShared {
-    router: Arc<Router>,
-    shutdown: AtomicBool,
-    conns: Mutex<Vec<ReplConn>>,
-    accepted: AtomicU64,
-    /// Deterministic fault script: connection drops are indexed by log
-    /// records shipped across all replication connections.
-    faults: FaultPlan,
-}
-
-impl ReplShared {
-    fn conns(&self) -> std::sync::MutexGuard<'_, Vec<ReplConn>> {
-        self.conns.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn spawn_conn<S: WireSocket>(self: &Arc<Self>, stream: S) {
-        self.accepted.fetch_add(1, Ordering::Relaxed);
-        let closer: Box<dyn Fn() + Send> = match stream.split_off_writer() {
-            Ok(half) => Box::new(move || {
-                let _ = half.abort();
-            }),
-            Err(_) => Box::new(|| {}),
-        };
-        let shared = Arc::clone(self);
-        let spawned = std::thread::Builder::new()
-            .name("csag-repl-conn".into())
-            .spawn(move || serve_conn(&shared, stream));
-        let Ok(handle) = spawned else { return };
-        let mut conns = self.conns();
-        let mut i = 0;
-        while i < conns.len() {
-            if conns[i].handle.is_finished() {
-                let done = conns.swap_remove(i);
-                let _ = done.handle.join();
-            } else {
-                i += 1;
-            }
-        }
-        conns.push(ReplConn { closer, handle });
-    }
-
-    fn accept_loop<L: WireListener>(self: &Arc<Self>, listener: L) {
-        loop {
-            match listener.accept_stream() {
-                Ok(stream) => {
-                    if self.shutdown.load(Ordering::Acquire) {
-                        break;
-                    }
-                    self.spawn_conn(stream);
-                }
-                Err(_) => {
-                    if self.shutdown.load(Ordering::Acquire) {
-                        break;
-                    }
-                }
-            }
-        }
-    }
-}
+use std::sync::atomic::Ordering;
+use std::sync::{mpsc, Arc};
 
 /// A listening `csag-repl v1` endpoint over a shared
 /// [`Router`]: the primary side of cross-process replication. Bind
@@ -113,9 +41,7 @@ impl ReplShared {
 /// ship), and then fed the live record stream. See
 /// `docs/replication.md` for the normative protocol grammar.
 pub struct ReplListener {
-    shared: Arc<ReplShared>,
-    accept: Option<JoinHandle<()>>,
-    addr: BoundAddr,
+    acceptor: Acceptor,
 }
 
 impl ReplListener {
@@ -142,9 +68,9 @@ impl ReplListener {
         addr: impl ToSocketAddrs,
         faults: FaultPlan,
     ) -> io::Result<ReplListener> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        ReplListener::start(router, listener, BoundAddr::Tcp(local), faults)
+        let serve = move |socket| serve_conn(&router, &faults, socket);
+        Acceptor::bind_tcp(addr, "csag-repl", Shutdown::Both, serve)
+            .map(|acceptor| ReplListener { acceptor })
     }
 
     /// Binds a unix-domain replication listener (stale socket files are
@@ -170,113 +96,50 @@ impl ReplListener {
         path: impl AsRef<Path>,
         faults: FaultPlan,
     ) -> io::Result<ReplListener> {
-        let path = path.as_ref().to_path_buf();
-        reclaim_stale_uds(&path)?;
-        let listener = UnixListener::bind(&path)?;
-        ReplListener::start(router, listener, BoundAddr::Unix(path), faults)
-    }
-
-    fn start<L: WireListener>(
-        router: Arc<Router>,
-        listener: L,
-        addr: BoundAddr,
-        faults: FaultPlan,
-    ) -> io::Result<ReplListener> {
-        let shared = Arc::new(ReplShared {
-            router,
-            shutdown: AtomicBool::new(false),
-            conns: Mutex::new(Vec::new()),
-            accepted: AtomicU64::new(0),
-            faults,
-        });
-        let accept_shared = Arc::clone(&shared);
-        let accept = std::thread::Builder::new()
-            .name("csag-repl-accept".into())
-            .spawn(move || accept_shared.accept_loop(listener))?;
-        Ok(ReplListener {
-            shared,
-            accept: Some(accept),
-            addr,
-        })
+        let serve = move |socket| serve_conn(&router, &faults, socket);
+        Acceptor::bind_uds(path, "csag-repl", Shutdown::Both, serve)
+            .map(|acceptor| ReplListener { acceptor })
     }
 
     /// The address this listener is bound to (with the real port when
     /// bound to port 0).
     pub fn local_addr(&self) -> &BoundAddr {
-        &self.addr
+        self.acceptor.local_addr()
     }
 
     /// Total replication connections accepted so far.
     pub fn connections_accepted(&self) -> u64 {
-        self.shared.accepted.load(Ordering::Relaxed)
+        self.acceptor.accepted()
     }
 
     /// Stops accepting, severs every replication connection, and joins
-    /// the per-connection threads. Followers see a dropped connection
-    /// and will retry against whatever binds this address next.
-    pub fn shutdown(mut self) {
-        self.shutdown_inner();
-    }
-
-    fn shutdown_inner(&mut self) {
-        if self.shared.shutdown.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        match &self.addr {
-            BoundAddr::Tcp(a) => {
-                let _ = TcpStream::connect(a);
-            }
-            #[cfg(unix)]
-            BoundAddr::Unix(p) => {
-                let _ = UnixStream::connect(p);
-            }
-        }
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        let conns = std::mem::take(&mut *self.shared.conns());
-        for c in &conns {
-            (c.closer)();
-        }
-        for c in conns {
-            let _ = c.handle.join();
-        }
-        #[cfg(unix)]
-        if let BoundAddr::Unix(p) = &self.addr {
-            let _ = std::fs::remove_file(p);
-        }
-    }
-}
-
-impl Drop for ReplListener {
-    /// Same as [`ReplListener::shutdown`].
-    fn drop(&mut self) {
-        self.shutdown_inner();
+    /// the per-connection threads (dropping the handle does the same).
+    /// Followers see a dropped connection and will retry against
+    /// whatever binds this address next.
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 /// Serves one follower connection end to end: handshake → catch-up →
 /// live forwarding, with the ack reader on a second thread.
-fn serve_conn<S: WireSocket>(shared: &Arc<ReplShared>, stream: S) {
-    let Ok(read_half) = stream.split_off_writer() else {
+fn serve_conn(router: &Router, faults: &FaultPlan, stream: Socket) {
+    let Ok(read_half) = stream.try_clone() else {
         return;
     };
     let mut reader = BufReader::new(read_half);
+    let mut out = BufWriter::new(stream);
     let mut hello = String::new();
     match reader.read_line(&mut hello) {
         Ok(n) if n > 0 => {}
         _ => return,
     }
-    let Ok((follower_epoch, name)) = parse_hello(hello.trim_end()) else {
-        let mut out = BufWriter::new(stream);
-        let _ = writeln!(out, "{ERROR_PREFIX} malformed hello");
-        return;
-    };
-
-    let attach = match shared.router.attach_remote(&name, follower_epoch) {
+    let attach = parse_hello(hello.trim_end())
+        .map_err(|_| "malformed hello".to_string())
+        .and_then(|(epoch, name)| router.attach_remote(&name, epoch));
+    let attach = match attach {
         Ok(attach) => attach,
         Err(msg) => {
-            let mut out = BufWriter::new(stream);
             let _ = writeln!(out, "{ERROR_PREFIX} {msg}");
             return;
         }
@@ -315,34 +178,28 @@ fn serve_conn<S: WireSocket>(shared: &Arc<ReplShared>, stream: S) {
 
     // Catch-up, then the live feed. Any write failure (or a scripted
     // drop) severs the socket, which also unblocks the ack reader.
-    let ok = write_catch_up(&member, attach.catch_up, &stream, shared)
-        && forward_feed(&member, attach.feed, &stream, shared);
+    let ok = write_catch_up(&member, attach.catch_up, &mut out, faults)
+        && forward_feed(&member, attach.feed, &mut out, faults);
     if !ok {
         member.detach(generation);
     }
-    let _ = stream.abort();
+    let _ = out.flush();
+    out.get_ref().shutdown(Shutdown::Both);
     let _ = ack_thread.join();
 }
 
 /// Writes the handshake response and any catch-up payload. `true` on
 /// success.
-fn write_catch_up<S: WireSocket>(
+fn write_catch_up(
     member: &RemoteMember,
     catch_up: CatchUp,
-    stream: &S,
-    shared: &ReplShared,
+    out: &mut impl Write,
+    faults: &FaultPlan,
 ) -> bool {
-    let Ok(write_half) = stream.split_off_writer() else {
-        return false;
-    };
-    let mut out = BufWriter::new(write_half);
     let written = match catch_up {
-        CatchUp::Stream { from } => writeln!(out, "{STREAM_PREFIX} {from}").is_ok(),
         CatchUp::Tail { from, records } => {
             writeln!(out, "{STREAM_PREFIX} {from}").is_ok()
-                && records
-                    .iter()
-                    .all(|r| write_record(member, r, &mut out, shared))
+                && records.iter().all(|r| write_record(member, r, out, faults))
         }
         CatchUp::Snapshot { epoch, bytes, tail } => {
             member.snapshots_shipped.fetch_add(1, Ordering::Relaxed);
@@ -351,9 +208,7 @@ fn write_catch_up<S: WireSocket>(
                 .fetch_add(bytes.len() as u64, Ordering::Relaxed);
             writeln!(out, "{SNAPSHOT_PREFIX} {epoch} {}", bytes.len()).is_ok()
                 && out.write_all(&bytes).is_ok()
-                && tail
-                    .iter()
-                    .all(|r| write_record(member, r, &mut out, shared))
+                && tail.iter().all(|r| write_record(member, r, out, faults))
         }
     };
     written && out.flush().is_ok()
@@ -363,13 +218,13 @@ fn write_catch_up<S: WireSocket>(
 /// scripted hit makes the caller abort the socket mid-stream (the
 /// follower sees a reset and reconnects). `true` when the record went
 /// out.
-fn write_record<W: Write>(
+fn write_record(
     member: &RemoteMember,
     record: &LogRecord,
-    out: &mut W,
-    shared: &ReplShared,
+    out: &mut impl Write,
+    faults: &FaultPlan,
 ) -> bool {
-    if shared.faults.next_request_drops() {
+    if faults.next_request_drops() {
         return false;
     }
     let frame = csag_graph::wal::frame(record.to_wire().as_bytes());
@@ -386,18 +241,14 @@ fn write_record<W: Write>(
 /// Forwards the live feed until the channel closes (router dropped or
 /// a newer connection superseded this one), a write fails, or a fault
 /// fires. `true` only for a clean channel close.
-fn forward_feed<S: WireSocket>(
+fn forward_feed(
     member: &RemoteMember,
     feed: mpsc::Receiver<LogRecord>,
-    stream: &S,
-    shared: &ReplShared,
+    out: &mut impl Write,
+    faults: &FaultPlan,
 ) -> bool {
-    let Ok(write_half) = stream.split_off_writer() else {
-        return false;
-    };
-    let mut out = BufWriter::new(write_half);
     while let Ok(record) = feed.recv() {
-        if !write_record(member, &record, &mut out, shared) || out.flush().is_err() {
+        if !write_record(member, &record, out, faults) || out.flush().is_err() {
             return false;
         }
     }

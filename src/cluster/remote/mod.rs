@@ -110,8 +110,8 @@ pub(crate) enum Header {
     Snapshot {
         /// The epoch the snapshot captures.
         epoch: u64,
-        /// Payload length in bytes.
-        len: usize,
+        /// Payload length in bytes, as claimed by the peer.
+        len: u64,
     },
     /// `error <message>`: the primary refused the handshake.
     Error {
@@ -141,7 +141,7 @@ pub(crate) fn parse_header(line: &str) -> Result<Header, String> {
                 .ok_or_else(|| format!("bad snapshot header `{line}`"))?;
             let len = tokens
                 .next()
-                .and_then(|t| t.parse::<usize>().ok())
+                .and_then(|t| t.parse::<u64>().ok())
                 .ok_or_else(|| format!("bad snapshot header `{line}`"))?;
             if tokens.next().is_some() {
                 return Err(format!("trailing tokens in `{line}`"));

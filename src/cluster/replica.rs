@@ -1,23 +1,24 @@
 //! The replica worker: one thread per replica consuming the router's
-//! replication channel, applying [`LogRecord`]s to its own
-//! [`GraphStore`], advancing its high-watermark, and heartbeating.
+//! replication channel, replaying [`LogRecord`]s onto its own
+//! [`GraphStore`] (whose publish watermark is the replica's
+//! high-watermark), and heartbeating.
 //!
 //! The channel **is** the log: records arrive in epoch order because
 //! the router serializes primary-apply + fan-out under one write lock.
-//! A replica therefore never reorders or merges — it applies each
-//! record whose epoch extends its store by exactly one, skips records
-//! at or below its epoch (the overlap a reseed leaves behind), and
-//! degrades itself on any gap or induced failure. Degraded replicas
+//! A replica therefore never reorders or merges — it hands each record
+//! to [`GraphStore::replay`] (apply the next epoch, skip the overlap a
+//! reseed leaves behind) and degrades itself on a gap, a divergence or
+//! an induced failure. Degraded replicas
 //! keep draining the channel (discarding records) so the queued reseed
 //! — which the router enqueues *in order* with later records — lands
 //! with everything after it still lined up.
 
-use crate::cluster::health::{ReplicaHealth, StatusCell, Watermark};
+use crate::cluster::health::{ReplicaHealth, StatusCell};
 use crate::cluster::replication::LogRecord;
-use crate::engine::{GraphStore, Snapshot};
+use crate::engine::{GraphStore, Replay};
 use csag_graph::AttributedGraph;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 /// How long an idle replica waits for a record before heartbeating again.
@@ -40,12 +41,11 @@ pub(crate) enum ReplicaMsg {
 /// State shared between a replica's thread and the router.
 pub(crate) struct ReplicaState {
     pub(crate) id: usize,
-    /// The replica's store; swapped wholesale by a reseed, so readers
-    /// go through [`ReplicaState::snapshot`] rather than caching it.
-    store: Mutex<Arc<GraphStore>>,
-    /// Highest epoch this replica has published (always `<=` the
-    /// store's actual epoch — advanced only *after* an apply returns).
-    pub(crate) watermark: Watermark,
+    /// The replica's store. Its publish watermark *is* the replica's
+    /// high-watermark: it moves only when a record applies or a reseed
+    /// ([`GraphStore::reset_to`]) lands, and stays frozen while the
+    /// replica is degraded and discarding records.
+    pub(crate) store: GraphStore,
     pub(crate) status: StatusCell,
     pub(crate) applied: AtomicU64,
     pub(crate) apply_errors: AtomicU64,
@@ -65,12 +65,10 @@ pub(crate) struct ReplicaState {
 }
 
 impl ReplicaState {
-    pub(crate) fn new(id: usize, store: Arc<GraphStore>) -> Self {
-        let epoch = store.published_epoch();
+    pub(crate) fn new(id: usize, store: GraphStore) -> Self {
         ReplicaState {
             id,
-            store: Mutex::new(store),
-            watermark: Watermark::new(epoch),
+            store,
             status: StatusCell::new(),
             applied: AtomicU64::new(0),
             apply_errors: AtomicU64::new(0),
@@ -81,18 +79,6 @@ impl ReplicaState {
             silenced: AtomicBool::new(false),
             fail_next: AtomicBool::new(false),
         }
-    }
-
-    /// Pins the replica's current epoch for reading.
-    pub(crate) fn snapshot(&self) -> Snapshot {
-        self.store
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .snapshot()
-    }
-
-    fn swap_store(&self, fresh: Arc<GraphStore>) {
-        *self.store.lock().unwrap_or_else(PoisonError::into_inner) = fresh;
     }
 }
 
@@ -113,10 +99,8 @@ pub(crate) fn replica_loop(state: Arc<ReplicaState>, rx: mpsc::Receiver<ReplicaM
                 // peel) at the primary's epoch numbering, then rejoin
                 // the rotation. Records queued behind this message with
                 // epoch <= `epoch` are skipped by the overlap check.
-                let fresh = Arc::new(GraphStore::from_arc_at(graph, epoch));
-                state.swap_store(fresh);
+                state.store.reset_to(graph, epoch);
                 state.reseeds.fetch_add(1, Ordering::Relaxed);
-                state.watermark.advance_to(epoch);
                 state.status.set_health(ReplicaHealth::Healthy);
             }
             Ok(ReplicaMsg::Shutdown) | Err(mpsc::RecvTimeoutError::Disconnected) => return,
@@ -136,26 +120,18 @@ fn apply_record(state: &ReplicaState, record: LogRecord) {
         // The watermark stays frozen, so no pinned read can route here.
         return;
     }
-    let store = Arc::clone(&state.store.lock().unwrap_or_else(PoisonError::into_inner));
-    let before = store.published_epoch();
-    if record.epoch <= before {
+    match state.store.replay(&record) {
         // Overlap with a reseed snapshot that already contained this
-        // batch's effects: skip, numbering is already covered.
-        return;
-    }
-    // The primary applied this exact batch to the identical epoch-
-    // `before` state, so the outcome — including a deterministic
-    // GraphError and its published prefix — matches by construction;
-    // an error here is replication working, not failing.
-    let _ = store.apply(&record.updates);
-    let after = store.published_epoch();
-    if after != record.epoch {
+        // batch's effects: numbering is already covered.
+        Replay::Skipped => {}
+        Replay::Applied => {
+            state.applied.fetch_add(1, Ordering::Relaxed);
+        }
         // A gap in the log (should be impossible over an in-order
         // channel): this replica's state can no longer be trusted.
-        state.apply_errors.fetch_add(1, Ordering::Relaxed);
-        state.status.set_health(ReplicaHealth::Degraded);
-        return;
+        Replay::Gap { .. } | Replay::Diverged { .. } => {
+            state.apply_errors.fetch_add(1, Ordering::Relaxed);
+            state.status.set_health(ReplicaHealth::Degraded);
+        }
     }
-    state.applied.fetch_add(1, Ordering::Relaxed);
-    state.watermark.advance_to(after);
 }

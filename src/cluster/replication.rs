@@ -69,6 +69,17 @@ impl LogRecord {
         let body: String = lines.collect::<Vec<_>>().join("\n");
         Ok(LogRecord::new(epoch, GraphUpdate::parse_script(&body)?))
     }
+
+    /// Decodes the body of one `!rec` frame ([`csag_graph::wal::frame`]
+    /// around [`LogRecord::to_wire`]) — what the WAL holds on disk and
+    /// the replication feed carries on the socket.
+    ///
+    /// # Errors
+    /// A message for a non-UTF-8 body, else [`LogRecord::parse_wire`]'s.
+    pub fn from_frame(body: &[u8]) -> Result<LogRecord, String> {
+        let text = std::str::from_utf8(body).map_err(|_| "record body is not UTF-8")?;
+        LogRecord::parse_wire(text)
+    }
 }
 
 #[cfg(test)]
@@ -110,5 +121,9 @@ mod tests {
         );
         assert!(LogRecord::parse_wire("# epoch x\n").is_err());
         assert!(LogRecord::parse_wire("# epoch 1\nfrobnicate\n").is_err());
+
+        let back = LogRecord::from_frame(wire.as_bytes()).unwrap();
+        assert_eq!((back.epoch, back.updates.len()), (7, 3));
+        assert!(LogRecord::from_frame(&[b'#', 0xFF]).is_err(), "not UTF-8");
     }
 }

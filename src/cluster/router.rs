@@ -22,7 +22,8 @@ use crate::cluster::replica::{replica_loop, ReplicaMsg, ReplicaState};
 use crate::cluster::replication::LogRecord;
 use crate::cluster::shard::{planner, ClusterView, ShardStats};
 use crate::engine::query::CommunityQuery;
-use crate::engine::result::{json_f64, json_string, push_key, push_kv};
+use crate::engine::result::{json_array, json_f64, json_object, json_string};
+use crate::engine::store::ReadCounters;
 use crate::engine::{
     ApplyError, CommunityResult, CsagError, GraphStore, GraphUpdate, Snapshot, UpdateReport,
 };
@@ -196,26 +197,13 @@ pub trait ReadSource: Send + Sync {
 }
 
 impl ReadSource for GraphStore {
-    /// Single-store routing: the current snapshot, or — for a pinned
-    /// read — a condvar wait on the store's own publish watermark.
+    /// Single-store routing: the current snapshot, once the store's own
+    /// publish watermark admits the pin. (A bare store reports no read
+    /// metrics, so the gate's counts are dropped.)
     fn route_read(&self, pin: Option<u64>, wait: Duration) -> Result<RoutedSnapshot, CsagError> {
-        match pin {
-            None => Ok(RoutedSnapshot::primary(self.snapshot())),
-            Some(epoch) => {
-                let snap = self.snapshot();
-                if snap.epoch() >= epoch {
-                    return Ok(RoutedSnapshot::primary(snap));
-                }
-                if self.subscribe().wait_for(epoch, wait) {
-                    Ok(RoutedSnapshot::primary(self.snapshot()))
-                } else {
-                    Err(CsagError::EpochUnavailable {
-                        requested: epoch,
-                        published: self.published_epoch(),
-                    })
-                }
-            }
-        }
+        self.watermark()
+            .admit_read(pin, wait, &ReadCounters::default())?;
+        Ok(RoutedSnapshot::primary(self.snapshot()))
     }
 }
 
@@ -228,10 +216,7 @@ struct ReplicaHandle {
 
 impl ReplicaHandle {
     fn spawn(id: usize, seed: &Snapshot) -> Self {
-        let store = Arc::new(GraphStore::from_arc_at(
-            seed.engine().graph_arc(),
-            seed.epoch(),
-        ));
+        let store = GraphStore::from_arc_at(seed.engine().graph_arc(), seed.epoch());
         let state = Arc::new(ReplicaState::new(id, store));
         let (tx, rx) = mpsc::channel();
         let join = std::thread::Builder::new()
@@ -246,6 +231,21 @@ impl ReplicaHandle {
             tx,
             join: Some(join),
         }
+    }
+
+    /// Queues a reseed from `snap` (the primary, pinned under the write
+    /// lock) when this replica is degraded; `true` when one was queued.
+    /// The replica rejoins the rotation once it has rebuilt.
+    fn reseed_if_degraded(&self, snap: &Snapshot) -> bool {
+        let degraded = self.state.status.health() == ReplicaHealth::Degraded;
+        if degraded {
+            self.state.status.set_health(ReplicaHealth::Reseeding);
+            let _ = self.tx.send(ReplicaMsg::Reseed {
+                graph: snap.engine().graph_arc(),
+                epoch: snap.epoch(),
+            });
+        }
+        degraded
     }
 }
 
@@ -264,11 +264,8 @@ pub struct Router {
     /// Rotation offset for least-loaded ties.
     rotate: AtomicUsize,
     records: AtomicU64,
-    pinned_reads: AtomicU64,
-    unpinned_reads: AtomicU64,
+    reads: ReadCounters,
     primary_reads: AtomicU64,
-    pinned_waits: AtomicU64,
-    pinned_rejects: AtomicU64,
 }
 
 impl Router {
@@ -286,11 +283,8 @@ impl Router {
             write: Mutex::new(()),
             rotate: AtomicUsize::new(0),
             records: AtomicU64::new(0),
-            pinned_reads: AtomicU64::new(0),
-            unpinned_reads: AtomicU64::new(0),
+            reads: ReadCounters::default(),
             primary_reads: AtomicU64::new(0),
-            pinned_waits: AtomicU64::new(0),
-            pinned_rejects: AtomicU64::new(0),
         }
     }
 
@@ -340,13 +334,7 @@ impl Router {
         let record = LogRecord::new(snap.epoch(), updates.to_vec());
         self.records.fetch_add(1, Ordering::Relaxed);
         for replica in &self.replicas {
-            if replica.state.status.health() == ReplicaHealth::Degraded {
-                replica.state.status.set_health(ReplicaHealth::Reseeding);
-                let _ = replica.tx.send(ReplicaMsg::Reseed {
-                    graph: snap.engine().graph_arc(),
-                    epoch: snap.epoch(),
-                });
-            } else {
+            if !replica.reseed_if_degraded(&snap) {
                 let _ = replica.tx.send(ReplicaMsg::Apply(record.clone()));
             }
         }
@@ -378,33 +366,30 @@ impl Router {
     ) -> Result<RemoteAttach, String> {
         let _guard = self.write.lock().unwrap_or_else(PoisonError::into_inner);
         let pinned = self.primary.published_epoch();
-        if follower_epoch.is_some_and(|e| e > pinned) {
+        if let Some(ahead) = follower_epoch.filter(|&e| e > pinned) {
             return Err(format!(
-                "follower epoch {} is ahead of primary epoch {pinned}",
-                follower_epoch.unwrap_or(0)
+                "follower epoch {ahead} is ahead of primary epoch {pinned}"
             ));
         }
-        let member = {
-            let mut remotes = self.remotes();
-            match remotes.iter().find(|m| m.name == name) {
-                Some(m) => Arc::clone(m),
-                None => {
-                    let m = Arc::new(RemoteMember::new(name));
-                    remotes.push(Arc::clone(&m));
-                    m
-                }
-            }
-        };
-        let catch_up = match follower_epoch {
-            Some(e) if e == pinned => CatchUp::Stream { from: e },
-            Some(e) => match self
-                .primary
-                .wal()
-                .and_then(|w| crate::durability::read_tail_records(w.dir(), e, pinned))
-            {
-                Some(records) => CatchUp::Tail { from: e, records },
-                None => self.snapshot_catch_up(pinned)?,
-            },
+        let member = self.remote(name).unwrap_or_else(|| {
+            let m = Arc::new(RemoteMember::new(name));
+            self.remotes().push(Arc::clone(&m));
+            m
+        });
+        // A follower with state resumes when it is level with the
+        // primary or the WAL can still prove the `(from, pinned]` run it
+        // is missing; everything else is a snapshot.
+        let resume = follower_epoch.and_then(|from| {
+            let records = if from == pinned {
+                Vec::new()
+            } else {
+                let wal = self.primary.wal()?;
+                crate::durability::read_tail_records(wal.dir(), from, pinned)?
+            };
+            Some(CatchUp::Tail { from, records })
+        });
+        let catch_up = match resume {
+            Some(tail) => tail,
             None => self.snapshot_catch_up(pinned)?,
         };
         if matches!(catch_up, CatchUp::Snapshot { .. }) {
@@ -444,12 +429,14 @@ impl Router {
         })
     }
 
+    /// The registry entry of remote replica `name`, if registered.
+    fn remote(&self, name: &str) -> Option<Arc<RemoteMember>> {
+        self.remotes().iter().find(|m| m.name == name).cloned()
+    }
+
     /// Current health of the remote replica `name`, if registered.
     pub fn remote_health(&self, name: &str) -> Option<ReplicaHealth> {
-        self.remotes()
-            .iter()
-            .find(|m| m.name == name)
-            .map(|m| m.status.health())
+        self.remote(name).map(|m| m.status.health())
     }
 
     /// Blocks until remote replica `name`'s acked watermark reaches the
@@ -457,15 +444,8 @@ impl Router {
     /// member is unknown or the wait times out.
     pub fn wait_remote_caught_up(&self, name: &str, timeout: Duration) -> bool {
         let target = self.primary.published_epoch();
-        let member = self
-            .remotes()
-            .iter()
-            .find(|m| m.name == name)
-            .map(Arc::clone);
-        match member {
-            Some(m) => m.watermark.wait_for(target, timeout),
-            None => false,
-        }
+        self.remote(name)
+            .is_some_and(|m| m.watermark.wait_for(target, timeout))
     }
 
     /// Queues a reseed for every currently degraded replica (the write
@@ -474,18 +454,10 @@ impl Router {
     pub fn heal(&self) -> usize {
         let _guard = self.write.lock().unwrap_or_else(PoisonError::into_inner);
         let snap = self.primary.snapshot();
-        let mut queued = 0;
-        for replica in &self.replicas {
-            if replica.state.status.health() == ReplicaHealth::Degraded {
-                replica.state.status.set_health(ReplicaHealth::Reseeding);
-                let _ = replica.tx.send(ReplicaMsg::Reseed {
-                    graph: snap.engine().graph_arc(),
-                    epoch: snap.epoch(),
-                });
-                queued += 1;
-            }
-        }
-        queued
+        self.replicas
+            .iter()
+            .filter(|replica| replica.reseed_if_degraded(&snap))
+            .count()
     }
 
     /// Degrades every healthy replica — in-process or remote — that has
@@ -495,20 +467,12 @@ impl Router {
     /// the next [`Router::heal`] / [`Router::apply`], remote ones on
     /// their next reconnect handshake.
     pub fn health_check(&self, max_silence: Duration) -> usize {
+        let remotes = self.remotes();
+        let locals = self.replicas.iter().map(|r| &r.state.status);
         let mut degraded = 0;
-        for replica in &self.replicas {
-            if replica.state.status.health() == ReplicaHealth::Healthy
-                && replica.state.status.silence() > max_silence
-            {
-                replica.state.status.set_health(ReplicaHealth::Degraded);
-                degraded += 1;
-            }
-        }
-        for remote in self.remotes().iter() {
-            if remote.status.health() == ReplicaHealth::Healthy
-                && remote.status.silence() > max_silence
-            {
-                remote.status.set_health(ReplicaHealth::Degraded);
+        for status in locals.chain(remotes.iter().map(|m| &m.status)) {
+            if status.health() == ReplicaHealth::Healthy && status.silence() > max_silence {
+                status.set_health(ReplicaHealth::Degraded);
                 degraded += 1;
             }
         }
@@ -522,7 +486,7 @@ impl Router {
 
     /// Replica `i`'s published high-watermark.
     pub fn replica_watermark(&self, i: usize) -> u64 {
-        self.replicas[i].state.watermark.current()
+        self.replicas[i].state.store.published_epoch()
     }
 
     /// Blocks until every healthy replica's watermark reaches the
@@ -536,7 +500,7 @@ impl Router {
             .filter(|r| r.state.status.health() == ReplicaHealth::Healthy)
             .all(|r| {
                 let left = deadline.saturating_duration_since(std::time::Instant::now());
-                r.state.watermark.wait_for(target, left)
+                r.state.store.watermark().wait_for(target, left)
             })
     }
 
@@ -590,7 +554,7 @@ impl Router {
         for i in 0..n {
             let replica = &self.replicas[(start + i) % n];
             if replica.state.status.health() != ReplicaHealth::Healthy
-                || replica.state.watermark.current() < min_epoch
+                || replica.state.store.published_epoch() < min_epoch
             {
                 continue;
             }
@@ -609,7 +573,7 @@ impl Router {
         // us here — stores only move forward, so the snapshot's epoch
         // is at least the watermark the pick saw.
         RoutedSnapshot {
-            target: RouteTarget::Engine(replica.state.snapshot()),
+            target: RouteTarget::Engine(replica.state.store.snapshot()),
             origin: ReadOrigin::Replica(replica.state.id),
             _lease: Some(lease),
         }
@@ -627,16 +591,16 @@ impl Router {
         ClusterMetrics {
             primary_epoch,
             records: self.records.load(Ordering::Relaxed),
-            pinned_reads: self.pinned_reads.load(Ordering::Relaxed),
-            unpinned_reads: self.unpinned_reads.load(Ordering::Relaxed),
+            pinned_reads: self.reads.pinned_reads.load(Ordering::Relaxed),
+            unpinned_reads: self.reads.unpinned_reads.load(Ordering::Relaxed),
             primary_reads: self.primary_reads.load(Ordering::Relaxed),
-            pinned_waits: self.pinned_waits.load(Ordering::Relaxed),
-            pinned_rejects: self.pinned_rejects.load(Ordering::Relaxed),
+            pinned_waits: self.reads.pinned_waits.load(Ordering::Relaxed),
+            pinned_rejects: self.reads.pinned_rejects.load(Ordering::Relaxed),
             replicas: self
                 .replicas
                 .iter()
                 .map(|r| {
-                    let watermark = r.state.watermark.current();
+                    let watermark = r.state.store.published_epoch();
                     ReplicaMetrics {
                         id: r.state.id,
                         health: r.state.status.health(),
@@ -676,49 +640,21 @@ impl Router {
 }
 
 impl ReadSource for Router {
-    /// Cluster routing. Unpinned: least-loaded healthy replica that has
-    /// caught up to the primary's current epoch, else the primary.
-    /// Pinned to `E`: any healthy replica with watermark `>= E`, else
-    /// the primary if it has published `E`, else a condvar wait on the
-    /// primary's publish watch (a replica can never be ahead of the
-    /// primary) bounded by `wait` — and only then the typed rejection.
+    /// Cluster routing: the primary's publish watermark is the gate (a
+    /// replica can never be ahead of the primary, so a pin no replica
+    /// has reached is a pin the primary's publish will wake). Once
+    /// admitted, the read goes to the least-loaded healthy replica
+    /// whose watermark reached the pin — for an unpinned read, the
+    /// primary's current epoch — and to the primary when none has.
     fn route_read(&self, pin: Option<u64>, wait: Duration) -> Result<RoutedSnapshot, CsagError> {
-        match pin {
-            None => {
-                self.unpinned_reads.fetch_add(1, Ordering::Relaxed);
-                let target = self.primary.published_epoch();
-                match self.pick_replica(target) {
-                    Some(replica) => Ok(self.lease_read(replica)),
-                    None => Ok(self.primary_read()),
-                }
-            }
-            Some(epoch) => {
-                self.pinned_reads.fetch_add(1, Ordering::Relaxed);
-                if let Some(replica) = self.pick_replica(epoch) {
-                    return Ok(self.lease_read(replica));
-                }
-                // No caught-up replica: the primary serves any epoch it
-                // has published; a future epoch waits for the publish.
-                if self.primary.published_epoch() >= epoch {
-                    return Ok(self.primary_read());
-                }
-                self.pinned_waits.fetch_add(1, Ordering::Relaxed);
-                if self.primary.subscribe().wait_for(epoch, wait) {
-                    // Published while we waited — replicas may have
-                    // caught up too; prefer them to keep the primary free.
-                    match self.pick_replica(epoch) {
-                        Some(replica) => Ok(self.lease_read(replica)),
-                        None => Ok(self.primary_read()),
-                    }
-                } else {
-                    self.pinned_rejects.fetch_add(1, Ordering::Relaxed);
-                    Err(CsagError::EpochUnavailable {
-                        requested: epoch,
-                        published: self.primary.published_epoch(),
-                    })
-                }
-            }
-        }
+        let min_epoch = self
+            .primary
+            .watermark()
+            .admit_read(pin, wait, &self.reads)?;
+        Ok(match self.pick_replica(min_epoch) {
+            Some(replica) => self.lease_read(replica),
+            None => self.primary_read(),
+        })
     }
 }
 
@@ -840,113 +776,58 @@ pub struct ShardSectionMetrics {
 impl ClusterMetrics {
     /// Serializes as one JSON object, schema `csag-cluster-metrics-v1`.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(512);
-        s.push('{');
-        push_kv(&mut s, "schema", &json_string("csag-cluster-metrics-v1"));
-        s.push(',');
-        push_kv(&mut s, "primary_epoch", &self.primary_epoch.to_string());
-        s.push(',');
-        push_kv(&mut s, "records", &self.records.to_string());
-        s.push(',');
-        push_kv(&mut s, "pinned_reads", &self.pinned_reads.to_string());
-        s.push(',');
-        push_kv(&mut s, "unpinned_reads", &self.unpinned_reads.to_string());
-        s.push(',');
-        push_kv(&mut s, "primary_reads", &self.primary_reads.to_string());
-        s.push(',');
-        push_kv(&mut s, "pinned_waits", &self.pinned_waits.to_string());
-        s.push(',');
-        push_kv(&mut s, "pinned_rejects", &self.pinned_rejects.to_string());
-        s.push(',');
-        push_key(&mut s, "replicas");
-        s.push('[');
-        for (i, r) in self.replicas.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push('{');
-            push_kv(&mut s, "id", &r.id.to_string());
-            s.push(',');
-            push_kv(&mut s, "health", &json_string(r.health.name()));
-            s.push(',');
-            push_kv(&mut s, "watermark", &r.watermark.to_string());
-            s.push(',');
-            push_kv(&mut s, "lag", &r.lag.to_string());
-            s.push(',');
-            push_kv(&mut s, "routed_reads", &r.routed_reads.to_string());
-            s.push(',');
-            push_kv(&mut s, "outstanding", &r.outstanding.to_string());
-            s.push(',');
-            push_kv(&mut s, "applied", &r.applied.to_string());
-            s.push(',');
-            push_kv(&mut s, "apply_errors", &r.apply_errors.to_string());
-            s.push(',');
-            push_kv(&mut s, "degraded", &r.degraded.to_string());
-            s.push(',');
-            push_kv(&mut s, "reseeded", &r.reseeded.to_string());
-            s.push('}');
-        }
-        s.push(']');
-        s.push(',');
-        push_key(&mut s, "remotes");
-        s.push('[');
-        for (i, m) in self.remotes.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push('{');
-            push_kv(&mut s, "name", &json_string(&m.name));
-            s.push(',');
-            push_kv(&mut s, "health", &json_string(m.health.name()));
-            s.push(',');
-            push_kv(
-                &mut s,
-                "connected",
-                if m.connected { "true" } else { "false" },
-            );
-            s.push(',');
-            push_kv(&mut s, "watermark", &m.watermark.to_string());
-            s.push(',');
-            push_kv(&mut s, "lag", &m.lag.to_string());
-            s.push(',');
-            push_kv(&mut s, "records_sent", &m.records_sent.to_string());
-            s.push(',');
-            push_kv(&mut s, "bytes_shipped", &m.bytes_shipped.to_string());
-            s.push(',');
-            push_kv(&mut s, "reseeds", &m.reseeds.to_string());
-            s.push(',');
-            push_kv(&mut s, "acks", &m.acks.to_string());
-            s.push(',');
-            push_kv(&mut s, "degraded", &m.degraded.to_string());
-            s.push('}');
-        }
-        s.push(']');
-        s.push(',');
-        push_key(&mut s, "shards");
-        s.push('[');
-        for (i, sh) in self.shards.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push('{');
-            push_kv(&mut s, "id", &sh.id.to_string());
-            s.push(',');
-            push_kv(&mut s, "owned", &sh.owned.to_string());
-            s.push(',');
-            push_kv(&mut s, "halo", &sh.halo.to_string());
-            s.push(',');
-            push_kv(&mut s, "watermark", &sh.watermark.to_string());
-            s.push(',');
-            push_kv(&mut s, "local_hits", &sh.local_hits.to_string());
-            s.push(',');
-            push_kv(&mut s, "gathers", &sh.gathers.to_string());
-            s.push(',');
-            push_kv(&mut s, "merge_ms", &json_f64(sh.merge_ms));
-            s.push('}');
-        }
-        s.push(']');
-        s.push('}');
-        s
+        let replicas = self.replicas.iter().map(|r| {
+            json_object(&[
+                ("id", r.id.to_string()),
+                ("health", json_string(r.health.name())),
+                ("watermark", r.watermark.to_string()),
+                ("lag", r.lag.to_string()),
+                ("routed_reads", r.routed_reads.to_string()),
+                ("outstanding", r.outstanding.to_string()),
+                ("applied", r.applied.to_string()),
+                ("apply_errors", r.apply_errors.to_string()),
+                ("degraded", r.degraded.to_string()),
+                ("reseeded", r.reseeded.to_string()),
+            ])
+        });
+        let remotes = self.remotes.iter().map(|m| {
+            json_object(&[
+                ("name", json_string(&m.name)),
+                ("health", json_string(m.health.name())),
+                ("connected", m.connected.to_string()),
+                ("watermark", m.watermark.to_string()),
+                ("lag", m.lag.to_string()),
+                ("records_sent", m.records_sent.to_string()),
+                ("bytes_shipped", m.bytes_shipped.to_string()),
+                ("reseeds", m.reseeds.to_string()),
+                ("acks", m.acks.to_string()),
+                ("degraded", m.degraded.to_string()),
+            ])
+        });
+        let shards = self.shards.iter().map(|sh| {
+            json_object(&[
+                ("id", sh.id.to_string()),
+                ("owned", sh.owned.to_string()),
+                ("halo", sh.halo.to_string()),
+                ("watermark", sh.watermark.to_string()),
+                ("local_hits", sh.local_hits.to_string()),
+                ("gathers", sh.gathers.to_string()),
+                ("merge_ms", json_f64(sh.merge_ms)),
+            ])
+        });
+        json_object(&[
+            ("schema", json_string("csag-cluster-metrics-v1")),
+            ("primary_epoch", self.primary_epoch.to_string()),
+            ("records", self.records.to_string()),
+            ("pinned_reads", self.pinned_reads.to_string()),
+            ("unpinned_reads", self.unpinned_reads.to_string()),
+            ("primary_reads", self.primary_reads.to_string()),
+            ("pinned_waits", self.pinned_waits.to_string()),
+            ("pinned_rejects", self.pinned_rejects.to_string()),
+            ("replicas", json_array(replicas)),
+            ("remotes", json_array(remotes)),
+            ("shards", json_array(shards)),
+        ])
     }
 }
 

@@ -58,7 +58,7 @@ pub use partition::ShardPlan;
 
 use crate::cluster::router::{ReadSource, RoutedSnapshot, Router};
 use crate::cluster::{ClusterMetrics, ShardSectionMetrics};
-use crate::engine::store::{EpochCell, Snapshot};
+use crate::engine::store::{EpochCell, ReadCounters, Snapshot};
 use crate::engine::{ApplyError, CsagError, GraphStore, GraphUpdate, UpdateReport};
 use csag_graph::{AttributedGraph, NodeId};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -187,10 +187,7 @@ pub struct ShardedRouter {
     write: Mutex<()>,
     stats: Arc<ShardStats>,
     records: AtomicU64,
-    pinned_reads: AtomicU64,
-    unpinned_reads: AtomicU64,
-    pinned_waits: AtomicU64,
-    pinned_rejects: AtomicU64,
+    reads: ReadCounters,
 }
 
 impl ShardedRouter {
@@ -239,10 +236,7 @@ impl ShardedRouter {
             write: Mutex::new(()),
             stats,
             records: AtomicU64::new(0),
-            pinned_reads: AtomicU64::new(0),
-            unpinned_reads: AtomicU64::new(0),
-            pinned_waits: AtomicU64::new(0),
-            pinned_rejects: AtomicU64::new(0),
+            reads: ReadCounters::default(),
         }
     }
 
@@ -281,7 +275,7 @@ impl ShardedRouter {
     /// has applied. Trails the journal's own watermark by exactly the
     /// in-flight fan-out.
     pub fn epoch(&self) -> u64 {
-        self.watch.watch().current()
+        self.watch.current()
     }
 
     /// The last published view.
@@ -352,11 +346,11 @@ impl ShardedRouter {
         ClusterMetrics {
             primary_epoch: self.epoch(),
             records: self.records.load(Ordering::Relaxed),
-            pinned_reads: self.pinned_reads.load(Ordering::Relaxed),
-            unpinned_reads: self.unpinned_reads.load(Ordering::Relaxed),
+            pinned_reads: self.reads.pinned_reads.load(Ordering::Relaxed),
+            unpinned_reads: self.reads.unpinned_reads.load(Ordering::Relaxed),
             primary_reads: 0,
-            pinned_waits: self.pinned_waits.load(Ordering::Relaxed),
-            pinned_rejects: self.pinned_rejects.load(Ordering::Relaxed),
+            pinned_waits: self.reads.pinned_waits.load(Ordering::Relaxed),
+            pinned_rejects: self.reads.pinned_rejects.load(Ordering::Relaxed),
             replicas: Vec::new(),
             remotes: Vec::new(),
             shards: (0..self.shards.len())
@@ -381,35 +375,13 @@ impl ReadSource for ShardedRouter {
     /// watermark — the journal publishing first is not enough; every
     /// shard must have applied.
     fn route_read(&self, pin: Option<u64>, wait: Duration) -> Result<RoutedSnapshot, CsagError> {
-        match pin {
-            None => {
-                self.unpinned_reads.fetch_add(1, Ordering::Relaxed);
-                Ok(RoutedSnapshot::sharded(
-                    self.view(),
-                    Arc::clone(&self.stats),
-                ))
-            }
-            Some(epoch) => {
-                self.pinned_reads.fetch_add(1, Ordering::Relaxed);
-                let view = self.view();
-                if view.epoch() >= epoch {
-                    return Ok(RoutedSnapshot::sharded(view, Arc::clone(&self.stats)));
-                }
-                self.pinned_waits.fetch_add(1, Ordering::Relaxed);
-                if self.watch.watch().wait_for(epoch, wait) {
-                    Ok(RoutedSnapshot::sharded(
-                        self.view(),
-                        Arc::clone(&self.stats),
-                    ))
-                } else {
-                    self.pinned_rejects.fetch_add(1, Ordering::Relaxed);
-                    Err(CsagError::EpochUnavailable {
-                        requested: epoch,
-                        published: self.epoch(),
-                    })
-                }
-            }
-        }
+        self.watch.admit_read(pin, wait, &self.reads)?;
+        // The view is swapped in before its epoch publishes, so the one
+        // read here is at least as new as the epoch just admitted.
+        Ok(RoutedSnapshot::sharded(
+            self.view(),
+            Arc::clone(&self.stats),
+        ))
     }
 }
 

@@ -8,8 +8,10 @@
 //!    checkpoint falls back to the previous one — the segments behind
 //!    it were only pruned after a *successful* newer checkpoint, so
 //!    coverage is intact).
-//! 2. **Replay**: scan every segment in epoch order and re-apply each
-//!    record through the ordinary [`GraphStore::apply`] path. Because
+//! 2. **Replay**: scan every segment in epoch order and hand each
+//!    record to [`GraphStore::replay`] — the ordinary
+//!    [`GraphStore::apply`] path behind the skip/gap rule replicas and
+//!    followers share. Because
 //!    **epoch = batches applied** (erroneous batches publish their
 //!    prefix deterministically), the recovered store is byte-identical
 //!    to the pre-crash store at the recovered epoch. A torn tail in the
@@ -22,8 +24,8 @@
 
 use super::wal::{list_checkpoints, list_segments, Wal, WalConfig, WalError};
 use crate::cluster::LogRecord;
-use crate::engine::result::push_kv;
-use crate::engine::GraphStore;
+use crate::engine::result::json_object;
+use crate::engine::{GraphStore, Replay};
 use csag_graph::wal::{scan, ScanEnd};
 use std::path::Path;
 use std::sync::Arc;
@@ -50,40 +52,14 @@ impl RecoveryReport {
     /// The report as one flat JSON object (printed by
     /// `csag serve --wal` / `csag update --wal` on recovery).
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{");
-        push_kv(
-            &mut s,
-            "checkpoint_epoch",
-            &self.checkpoint_epoch.to_string(),
-        );
-        s.push(',');
-        push_kv(
-            &mut s,
-            "records_replayed",
-            &self.records_replayed.to_string(),
-        );
-        s.push(',');
-        push_kv(&mut s, "epoch", &self.epoch.to_string());
-        s.push(',');
-        push_kv(
-            &mut s,
-            "torn_tail_truncated",
-            if self.torn_tail_truncated {
-                "true"
-            } else {
-                "false"
-            },
-        );
-        s.push(',');
-        push_kv(&mut s, "truncated_bytes", &self.truncated_bytes.to_string());
-        s.push(',');
-        push_kv(
-            &mut s,
-            "segments_scanned",
-            &self.segments_scanned.to_string(),
-        );
-        s.push('}');
-        s
+        json_object(&[
+            ("checkpoint_epoch", self.checkpoint_epoch.to_string()),
+            ("records_replayed", self.records_replayed.to_string()),
+            ("epoch", self.epoch.to_string()),
+            ("torn_tail_truncated", self.torn_tail_truncated.to_string()),
+            ("truncated_bytes", self.truncated_bytes.to_string()),
+            ("segments_scanned", self.segments_scanned.to_string()),
+        ])
     }
 }
 
@@ -128,7 +104,6 @@ pub(crate) fn recover_store(
 
     let segments = list_segments(dir)?;
     report.segments_scanned = segments.len();
-    let mut expected = checkpoint_epoch + 1;
     for (i, (_, path)) in segments.iter().enumerate() {
         let bytes = std::fs::read(path).map_err(|e| WalError::Io {
             context: format!("reading segment {}", path.display()),
@@ -149,17 +124,15 @@ pub(crate) fn recover_store(
                     reason: format!("torn frame in a non-final segment: {reason}"),
                 });
             }
+            let io = |e: std::io::Error| WalError::Io {
+                context: format!("truncating torn tail of {}", path.display()),
+                message: e.to_string(),
+            };
             let file = std::fs::OpenOptions::new()
                 .write(true)
                 .open(path)
-                .map_err(|e| WalError::Io {
-                    context: format!("truncating torn tail of {}", path.display()),
-                    message: e.to_string(),
-                })?;
-            file.set_len(*offset as u64).map_err(|e| WalError::Io {
-                context: format!("truncating torn tail of {}", path.display()),
-                message: e.to_string(),
-            })?;
+                .map_err(io)?;
+            file.set_len(*offset as u64).map_err(io)?;
             let _ = file.sync_data();
             report.torn_tail_truncated = true;
             report.truncated_bytes = (bytes.len() - offset) as u64;
@@ -170,32 +143,25 @@ pub(crate) fn recover_store(
                 offset: off as u64,
                 reason,
             };
-            let text = std::str::from_utf8(body)
-                .map_err(|_| corrupt("record body is not UTF-8".into()))?;
-            let record = LogRecord::parse_wire(text).map_err(&corrupt)?;
-            if record.epoch <= report.epoch {
+            let record = LogRecord::from_frame(body).map_err(&corrupt)?;
+            match store.replay(&record) {
                 // Overlap below the checkpoint: its effects are already
                 // in the base snapshot.
-                continue;
+                Replay::Skipped => continue,
+                Replay::Applied => {}
+                Replay::Gap { expected } => {
+                    return Err(corrupt(format!(
+                        "epoch gap: expected record {expected}, found {}",
+                        record.epoch
+                    )))
+                }
+                Replay::Diverged { reached } => {
+                    return Err(corrupt(format!(
+                        "replaying record {} left the store at epoch {reached}",
+                        record.epoch
+                    )))
+                }
             }
-            if record.epoch != expected {
-                return Err(corrupt(format!(
-                    "epoch gap: expected record {expected}, found {}",
-                    record.epoch
-                )));
-            }
-            // Replaying an erroneous batch reproduces the same published
-            // prefix (and the same error) the primary saw — replication
-            // semantics, not a failure.
-            let _ = store.apply(&record.updates);
-            if store.published_epoch() != record.epoch {
-                return Err(corrupt(format!(
-                    "replaying record {} left the store at epoch {}",
-                    record.epoch,
-                    store.published_epoch()
-                )));
-            }
-            expected += 1;
             report.records_replayed += 1;
             report.epoch = record.epoch;
         }

@@ -5,7 +5,7 @@
 
 use super::fault::{AppendFault, FaultPlan};
 use crate::cluster::LogRecord;
-use crate::engine::result::{json_string, push_kv};
+use crate::engine::result::{json_object, json_string};
 use csag_graph::AttributedGraph;
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -162,30 +162,21 @@ impl DurabilityStatus {
     /// The status as one flat JSON object (for `csag serve --wal`
     /// observability lines).
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{");
-        push_kv(
-            &mut s,
-            "degraded",
-            &self
-                .degraded
-                .as_deref()
-                .map(json_string)
-                .unwrap_or_else(|| "null".into()),
+        let degraded = self.degraded.as_deref().map(json_string);
+        let mut fields = vec![("degraded", degraded.unwrap_or_else(|| "null".into()))];
+        fields.extend(
+            [
+                ("appends", self.appends),
+                ("fsyncs", self.fsyncs),
+                ("rotations", self.rotations),
+                ("checkpoints", self.checkpoints),
+                ("checkpoint_failures", self.checkpoint_failures),
+                ("last_checkpoint_epoch", self.last_checkpoint_epoch),
+                ("last_epoch", self.last_epoch),
+            ]
+            .map(|(key, value)| (key, value.to_string())),
         );
-        for (key, value) in [
-            ("appends", self.appends),
-            ("fsyncs", self.fsyncs),
-            ("rotations", self.rotations),
-            ("checkpoints", self.checkpoints),
-            ("checkpoint_failures", self.checkpoint_failures),
-            ("last_checkpoint_epoch", self.last_checkpoint_epoch),
-            ("last_epoch", self.last_epoch),
-        ] {
-            s.push(',');
-            push_kv(&mut s, key, &value.to_string());
-        }
-        s.push('}');
-        s
+        json_object(&fields)
     }
 }
 
@@ -559,8 +550,7 @@ pub(crate) fn read_tail_records(dir: &Path, after: u64, upto: u64) -> Option<Vec
         let bytes = std::fs::read(path).ok()?;
         let scanned = csag_graph::wal::scan(&bytes).ok()?;
         for (_, body) in scanned.frames {
-            let text = std::str::from_utf8(body).ok()?;
-            let record = LogRecord::parse_wire(text).ok()?;
+            let record = LogRecord::from_frame(body).ok()?;
             if record.epoch <= after {
                 continue;
             }

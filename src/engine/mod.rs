@@ -51,7 +51,7 @@ pub use error::{CsagError, PartialSearch};
 pub use hetero::HeteroEngine;
 pub use query::{CommunityQuery, Method};
 pub use result::{error_to_json, AccuracyCertificate, CommunityResult, PhaseTimings, Provenance};
-pub use store::{ApplyError, EpochWatch, GraphStore, GraphUpdate, Snapshot, UpdateReport};
+pub use store::{ApplyError, EpochWatch, GraphStore, GraphUpdate, Replay, Snapshot, UpdateReport};
 
 use csag_baselines as baselines;
 use csag_core::distance::QueryDistances;

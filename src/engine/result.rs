@@ -328,6 +328,27 @@ pub(crate) fn push_kv(s: &mut String, key: &str, value: &str) {
     s.push_str(value);
 }
 
+/// A JSON object from already-rendered values, keys in the given order
+/// — the one writer behind the metrics/report `to_json`s (the per-query
+/// result writer above places its commas by hand to stay
+/// allocation-lean).
+pub(crate) fn json_object(fields: &[(&str, String)]) -> String {
+    let mut s = String::from("{");
+    for (i, (key, value)) in fields.iter().enumerate() {
+        if i > 0 {
+            s.push(',');
+        }
+        push_kv(&mut s, key, value);
+    }
+    s.push('}');
+    s
+}
+
+/// A JSON array from already-rendered items.
+pub(crate) fn json_array(items: impl Iterator<Item = String>) -> String {
+    format!("[{}]", items.collect::<Vec<_>>().join(","))
+}
+
 /// A JSON number literal, or `null` for non-finite values.
 pub(crate) fn json_f64(x: f64) -> String {
     if x.is_finite() {

@@ -55,7 +55,7 @@
 //! assert!(after.engine().run(&query).is_ok());
 //! ```
 
-use super::Engine;
+use super::{CsagError, Engine};
 use crate::cluster::LogRecord;
 use crate::durability::{DurabilityStatus, RecoveryReport, Wal, WalConfig, WalError};
 use csag_core::distance::QueryDistances;
@@ -63,6 +63,7 @@ use csag_decomp::{patch_node_trussness, CoreMaintainer};
 use csag_graph::{Applied, AttributedGraph, GraphError, MutableGraph, NodeId};
 use std::fmt;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
@@ -210,22 +211,29 @@ struct StoreState {
     epoch: u64,
 }
 
-/// The condvar-backed publish watermark behind
-/// [`GraphStore::subscribe`]: updated (and broadcast) immediately after
-/// each epoch's engine swaps in.
+/// The condvar-backed epoch watermark: the store's publish watermark
+/// behind [`GraphStore::subscribe`] (updated, and broadcast, right after
+/// each epoch's engine swaps in), and — the same three operations — a
+/// replica's applied watermark, a remote follower's acked watermark and
+/// the sharded cluster's epoch. Waiters block on the condvar; nothing
+/// polls.
 pub(crate) struct EpochCell {
     epoch: Mutex<u64>,
     published: Condvar,
 }
 
 impl EpochCell {
-    /// A fresh cell at `epoch` (the shard layer's cluster watermark
-    /// reuses the store's publish/subscribe machinery).
+    /// A fresh cell at `epoch`.
     pub(crate) fn new(epoch: u64) -> Arc<EpochCell> {
         Arc::new(EpochCell {
             epoch: Mutex::new(epoch),
             published: Condvar::new(),
         })
+    }
+
+    /// The highest epoch published so far.
+    pub(crate) fn current(&self) -> u64 {
+        *self.epoch.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Publishes `epoch` (monotone: lower values are ignored) and wakes
@@ -239,12 +247,69 @@ impl EpochCell {
         self.published.notify_all();
     }
 
-    /// A watch over this cell.
-    pub(crate) fn watch(self: &Arc<Self>) -> EpochWatch {
-        EpochWatch {
-            cell: Arc::clone(self),
+    /// Blocks until `epoch` (or later) is published, or `timeout`
+    /// elapses. Returns `true` when the epoch was reached.
+    pub(crate) fn wait_for(&self, epoch: u64, timeout: Duration) -> bool {
+        let deadline = Instant::now() + timeout;
+        let mut current = self.epoch.lock().unwrap_or_else(PoisonError::into_inner);
+        while *current < epoch {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return false;
+            }
+            let (guard, _timed_out) = self
+                .published
+                .wait_timeout(current, left)
+                .unwrap_or_else(PoisonError::into_inner);
+            current = guard;
         }
+        true
     }
+
+    /// The pinned-read gate every [`crate::cluster::ReadSource`] goes
+    /// through. An unpinned read passes at the current epoch, a read
+    /// pinned at or below the watermark passes at its pin, and a pin
+    /// above it waits (bounded by `wait`) for the publish. Returns the
+    /// minimum epoch to serve from; what this cell gates only moves
+    /// forward, so whatever the caller pins next is at least that new.
+    ///
+    /// # Errors
+    /// [`CsagError::EpochUnavailable`] with the pin and the watermark at
+    /// the moment the wait ran out.
+    pub(crate) fn admit_read(
+        &self,
+        pin: Option<u64>,
+        wait: Duration,
+        counters: &ReadCounters,
+    ) -> Result<u64, CsagError> {
+        let Some(epoch) = pin else {
+            counters.unpinned_reads.fetch_add(1, Ordering::Relaxed);
+            return Ok(self.current());
+        };
+        counters.pinned_reads.fetch_add(1, Ordering::Relaxed);
+        if self.current() < epoch {
+            counters.pinned_waits.fetch_add(1, Ordering::Relaxed);
+            if !self.wait_for(epoch, wait) {
+                counters.pinned_rejects.fetch_add(1, Ordering::Relaxed);
+                return Err(CsagError::EpochUnavailable {
+                    requested: epoch,
+                    published: self.current(),
+                });
+            }
+        }
+        Ok(epoch)
+    }
+}
+
+/// What [`EpochCell::admit_read`] counts, per read source: reads that
+/// arrived pinned / unpinned, pinned reads whose epoch was not yet
+/// published on arrival, and the ones refused after the wait.
+#[derive(Default)]
+pub(crate) struct ReadCounters {
+    pub(crate) pinned_reads: AtomicU64,
+    pub(crate) unpinned_reads: AtomicU64,
+    pub(crate) pinned_waits: AtomicU64,
+    pub(crate) pinned_rejects: AtomicU64,
 }
 
 /// A subscription to a store's epoch publishes ([`GraphStore::subscribe`]).
@@ -262,36 +327,37 @@ pub struct EpochWatch {
 impl EpochWatch {
     /// The highest epoch published so far.
     pub fn current(&self) -> u64 {
-        *self
-            .cell
-            .epoch
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+        self.cell.current()
     }
 
     /// Blocks until the store publishes `epoch` (or later), or `timeout`
     /// elapses. Returns `true` when the epoch was reached.
     pub fn wait_for(&self, epoch: u64, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut current = self
-            .cell
-            .epoch
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        while *current < epoch {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return false;
-            }
-            let (guard, _timed_out) = self
-                .cell
-                .published
-                .wait_timeout(current, left)
-                .unwrap_or_else(PoisonError::into_inner);
-            current = guard;
-        }
-        true
+        self.cell.wait_for(epoch, timeout)
     }
+}
+
+/// What [`GraphStore::replay`] did with one log record.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Replay {
+    /// The record's epoch is at or below the store's: its effects are
+    /// already in the state (the overlap a snapshot or checkpoint leaves
+    /// behind). Nothing was touched.
+    Skipped,
+    /// The record extended the store by exactly one epoch.
+    Applied,
+    /// The record does not follow the store's epoch: the log is missing
+    /// `expected`. Nothing was touched.
+    Gap {
+        /// The epoch the next record had to carry.
+        expected: u64,
+    },
+    /// The batch was applied but the store did not land on the record's
+    /// epoch: this store no longer mirrors the log's writer.
+    Diverged {
+        /// The epoch the store is at instead.
+        reached: u64,
+    },
 }
 
 /// The evolving-graph engine handle. See the [module docs](self).
@@ -325,23 +391,28 @@ impl GraphStore {
     /// `E + 1, E + 2, …` so replication log records line up with the
     /// primary's numbering.
     pub fn from_arc_at(graph: Arc<AttributedGraph>, epoch: u64) -> Self {
+        let (state, engine) = GraphStore::fresh_epoch(graph, epoch);
+        GraphStore {
+            state: Mutex::new(state),
+            current: RwLock::new(engine),
+            watch: EpochCell::new(epoch),
+            wal: None,
+        }
+    }
+
+    /// The writer state and the engine of a store (re)starting from
+    /// `graph` at `epoch`: one full core peel, nothing carried over.
+    fn fresh_epoch(graph: Arc<AttributedGraph>, epoch: u64) -> (StoreState, Arc<Engine>) {
         let mutable = MutableGraph::from_graph(&graph);
         let core = CoreMaintainer::new(&graph);
         let engine =
             Engine::from_store_parts(graph, epoch, core.coreness().to_vec(), None, Vec::new());
-        GraphStore {
-            state: Mutex::new(StoreState {
-                mutable,
-                core,
-                epoch,
-            }),
-            current: RwLock::new(Arc::new(engine)),
-            watch: Arc::new(EpochCell {
-                epoch: Mutex::new(epoch),
-                published: Condvar::new(),
-            }),
-            wal: None,
-        }
+        let state = StoreState {
+            mutable,
+            core,
+            epoch,
+        };
+        (state, Arc::new(engine))
     }
 
     /// Builds a store over `graph` whose every batch is durably logged
@@ -420,9 +491,10 @@ impl GraphStore {
     }
 
     /// Replaces this store's entire state with `graph` at `epoch` — the
-    /// follower half of snapshot reseeding: a remote replica that fell
-    /// behind the primary's pruned log horizon swallows a shipped
-    /// checkpoint and resumes applying records at `epoch + 1`.
+    /// receiving half of a reseed, for both member kinds: an in-process
+    /// replica handed the primary's snapshot graph, or a remote follower
+    /// that swallowed a shipped checkpoint, resumes replaying records at
+    /// `epoch + 1`.
     ///
     /// The publish watermark only moves forward: callers must not reset
     /// to an epoch below the published one (pinned readers would
@@ -439,24 +511,10 @@ impl GraphStore {
             "reset_to on a WAL-backed store would desynchronize it from its log"
         );
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        state.mutable = MutableGraph::from_graph(&graph);
-        state.core = CoreMaintainer::new(&graph);
-        state.epoch = epoch;
-        let engine = Engine::from_store_parts(
-            Arc::clone(&graph),
-            epoch,
-            state.core.coreness().to_vec(),
-            None,
-            Vec::new(),
-        );
-        *self.current.write().unwrap_or_else(PoisonError::into_inner) = Arc::new(engine);
-        let mut published = self
-            .watch
-            .epoch
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        *published = (*published).max(epoch);
-        self.watch.published.notify_all();
+        let (fresh, engine) = GraphStore::fresh_epoch(graph, epoch);
+        *state = fresh;
+        *self.current.write().unwrap_or_else(PoisonError::into_inner) = engine;
+        self.watch.publish(epoch);
     }
 
     /// Forces a checkpoint of the current epoch's graph, pruning
@@ -477,11 +535,13 @@ impl GraphStore {
     /// The highest epoch this store has published, without pinning a
     /// snapshot (the router's high-watermark probe).
     pub fn published_epoch(&self) -> u64 {
-        *self
-            .watch
-            .epoch
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+        self.watch.current()
+    }
+
+    /// The publish watermark itself — what the cluster router gates
+    /// pinned reads on.
+    pub(crate) fn watermark(&self) -> &EpochCell {
+        &self.watch
     }
 
     /// Subscribes to this store's epoch publishes: the returned
@@ -657,19 +717,44 @@ impl GraphStore {
 
         // Signal subscribers only after the engine swap: a woken waiter
         // snapshotting immediately must see (at least) this epoch.
-        {
-            let mut published = self
-                .watch
-                .epoch
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            *published = state.epoch;
-            self.watch.published.notify_all();
-        }
+        self.watch.publish(state.epoch);
 
         match first_error {
             Some(e) => Err(ApplyError::Graph(e)),
             None => Ok(report),
+        }
+    }
+
+    /// Replays one log record onto this store — **the** replay rule,
+    /// shared by the in-process replica thread, the remote follower's
+    /// frame loop and WAL recovery. A record at or below the store's
+    /// epoch is [`Replay::Skipped`] (a reseed snapshot or checkpoint
+    /// already contains it); one that does not carry exactly the next
+    /// epoch is refused untouched as a [`Replay::Gap`]; otherwise the
+    /// batch goes through [`GraphStore::apply`], whose `Result` is
+    /// deliberately ignored — the writer applied this exact batch to the
+    /// identical previous state, so a [`GraphError`] and the prefix it
+    /// published are reproduced here by construction — and the store
+    /// must then sit at the record's epoch ([`Replay::Applied`], else
+    /// [`Replay::Diverged`]).
+    ///
+    /// The caller must be the store's only writer. Reacting to a gap or
+    /// a divergence (degrade, drop the session, report a corrupt log) is
+    /// the caller's business, not part of the rule.
+    pub fn replay(&self, record: &LogRecord) -> Replay {
+        let published = self.published_epoch();
+        if record.epoch <= published {
+            return Replay::Skipped;
+        }
+        if record.epoch != published + 1 {
+            return Replay::Gap {
+                expected: published + 1,
+            };
+        }
+        let _ = self.apply(&record.updates);
+        match self.published_epoch() {
+            reached if reached == record.epoch => Replay::Applied,
+            reached => Replay::Diverged { reached },
         }
     }
 }
@@ -910,6 +995,39 @@ mod tests {
         let _ = store
             .apply(&[GraphUpdate::AddEdge { u: 0, v: 99 }])
             .unwrap_err();
+        assert_eq!(store.published_epoch(), 2);
+    }
+
+    #[test]
+    fn epoch_cell_is_monotonic_and_wakes_waiters() {
+        let cell = EpochCell::new(3);
+        assert_eq!(cell.current(), 3);
+        cell.publish(1);
+        assert_eq!(cell.current(), 3, "never moves backward");
+        assert!(cell.wait_for(3, Duration::ZERO));
+        assert!(!cell.wait_for(4, Duration::from_millis(5)));
+
+        let cell = EpochCell::new(0);
+        let waiter = std::thread::spawn({
+            let cell = Arc::clone(&cell);
+            move || cell.wait_for(2, Duration::from_secs(10))
+        });
+        cell.publish(2);
+        assert!(waiter.join().unwrap());
+    }
+
+    #[test]
+    fn replay_skips_overlap_refuses_gaps_and_applies_the_next_epoch() {
+        let store = GraphStore::new(clique_plus_tail());
+        let record = |epoch| LogRecord::new(epoch, vec![GraphUpdate::AddEdge { u: 4, v: 0 }]);
+        assert_eq!(store.replay(&record(2)), Replay::Gap { expected: 1 });
+        assert_eq!(store.published_epoch(), 0, "a refused gap touches nothing");
+        assert_eq!(store.replay(&record(1)), Replay::Applied);
+        assert_eq!(store.replay(&record(1)), Replay::Skipped);
+        assert_eq!(store.snapshot().graph().m(), 8);
+        // An erroneous batch reproduces the writer's published prefix.
+        let bad = LogRecord::new(2, vec![GraphUpdate::AddEdge { u: 0, v: 99 }]);
+        assert_eq!(store.replay(&bad), Replay::Applied);
         assert_eq!(store.published_epoch(), 2);
     }
 

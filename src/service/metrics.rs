@@ -3,7 +3,7 @@
 //! [`MetricsSnapshot`] with a stable JSON rendering
 //! (`csag-service-metrics-v1`).
 
-use crate::engine::result::{json_f64, json_string, push_key, push_kv};
+use crate::engine::result::{json_array, json_f64, json_object, json_string};
 use crate::service::request::Priority;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -198,61 +198,38 @@ impl MetricsSnapshot {
     /// Serializes the snapshot as one JSON object
     /// (`schema: csag-service-metrics-v1`).
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(512);
-        s.push('{');
-        push_kv(&mut s, "schema", &json_string("csag-service-metrics-v1"));
-        for (key, v) in [
-            ("submitted", self.submitted),
-            ("admitted", self.admitted),
-            ("shed", self.shed),
-            ("rejected", self.rejected),
-            ("coalesced", self.coalesced),
-            ("completed", self.completed),
-            ("failed", self.failed),
-            ("degraded", self.degraded),
-            ("executed", self.executed),
-            ("warm_hits", self.warm_hits),
-            ("wakes", self.wakes),
-        ] {
-            s.push(',');
-            push_kv(&mut s, key, &v.to_string());
-        }
-        s.push(',');
-        push_kv(&mut s, "warm_hit_ratio", &json_f64(self.warm_hit_ratio));
-        s.push(',');
-        push_key(&mut s, "per_priority");
-        s.push('{');
-        for (i, p) in Priority::ALL.into_iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
+        let mut fields = vec![("schema", json_string("csag-service-metrics-v1"))];
+        fields.extend(
+            [
+                ("submitted", self.submitted),
+                ("admitted", self.admitted),
+                ("shed", self.shed),
+                ("rejected", self.rejected),
+                ("coalesced", self.coalesced),
+                ("completed", self.completed),
+                ("failed", self.failed),
+                ("degraded", self.degraded),
+                ("executed", self.executed),
+                ("warm_hits", self.warm_hits),
+                ("wakes", self.wakes),
+            ]
+            .map(|(key, v)| (key, v.to_string())),
+        );
+        fields.push(("warm_hit_ratio", json_f64(self.warm_hit_ratio)));
+        let per_priority = Priority::ALL.map(|p| {
             let h = &self.per_priority[p.index()];
-            push_key(&mut s, p.name());
-            s.push('{');
-            push_kv(&mut s, "count", &h.count.to_string());
-            s.push(',');
-            push_kv(&mut s, "mean_ms", &json_f64(h.mean_ms));
-            s.push(',');
-            push_kv(&mut s, "p50_ms", &json_f64(h.p50_ms));
-            s.push(',');
-            push_kv(&mut s, "p95_ms", &json_f64(h.p95_ms));
-            s.push(',');
-            push_kv(&mut s, "p99_ms", &json_f64(h.p99_ms));
-            s.push(',');
-            push_key(&mut s, "buckets");
-            s.push('[');
-            for (j, b) in h.buckets.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                s.push_str(&b.to_string());
-            }
-            s.push(']');
-            s.push('}');
-        }
-        s.push('}');
-        s.push('}');
-        s
+            let row = json_object(&[
+                ("count", h.count.to_string()),
+                ("mean_ms", json_f64(h.mean_ms)),
+                ("p50_ms", json_f64(h.p50_ms)),
+                ("p95_ms", json_f64(h.p95_ms)),
+                ("p99_ms", json_f64(h.p99_ms)),
+                ("buckets", json_array(h.buckets.iter().map(u64::to_string))),
+            ]);
+            (p.name(), row)
+        });
+        fields.push(("per_priority", json_object(&per_priority)));
+        json_object(&fields)
     }
 }
 

@@ -100,44 +100,6 @@ use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// What the service reads from: a single [`GraphStore`], or a
-/// [`Router`]-fronted replica cluster. Both implement [`ReadSource`];
-/// the scheduler only ever sees the trait.
-enum Backend {
-    /// One store, one machine: every read pins its newest snapshot.
-    Store(Arc<GraphStore>),
-    /// A primary plus N replicas behind the epoch-consistent router:
-    /// unpinned reads balance across caught-up replicas, pinned reads
-    /// route to a store that published the pinned epoch.
-    Cluster(Arc<Router>),
-    /// N partitioned shard stores behind the scatter-gather router:
-    /// reads get a pinned cluster view and the shard planner decides,
-    /// per query, between a shard-local run and a gathered union.
-    Shards(Arc<ShardedRouter>),
-}
-
-impl Backend {
-    fn source(&self) -> &dyn ReadSource {
-        match self {
-            Backend::Store(store) => store.as_ref(),
-            Backend::Cluster(router) => router.as_ref(),
-            Backend::Shards(router) => router.as_ref(),
-        }
-    }
-
-    /// The store writes go to (the only store, the cluster primary, or
-    /// the sharded cluster's journal — but sharded writes must be
-    /// *applied* through [`ShardedRouter::apply`], never through this
-    /// handle, or the shards will permanently lag).
-    fn primary(&self) -> &Arc<GraphStore> {
-        match self {
-            Backend::Store(store) => store,
-            Backend::Cluster(router) => router.primary(),
-            Backend::Shards(router) => router.journal(),
-        }
-    }
-}
-
 /// Tuning knobs of a [`Service`]. The defaults suit an interactive
 /// deployment on commodity hardware; every knob has a `with_*` setter.
 #[derive(Clone, Debug)]
@@ -210,7 +172,12 @@ impl ServiceConfig {
 /// [`Router`]-fronted replica cluster — [`Service::over_cluster`]). See
 /// the [module docs](self) for the invariants it holds.
 pub struct Service {
-    backend: Backend,
+    /// Where reads are routed: the store itself, a replica [`Router`]
+    /// or a [`ShardedRouter`] — the scheduler only ever sees the trait.
+    source: Arc<dyn ReadSource>,
+    /// The store writes land on first: the only store, the cluster
+    /// primary, or the sharded cluster's journal.
+    primary: Arc<GraphStore>,
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
 }
@@ -221,7 +188,7 @@ impl Service {
     /// [`GraphStore::apply`] batches while the service runs, and new
     /// submissions pin the newest epoch.
     pub fn new(store: Arc<GraphStore>, config: ServiceConfig) -> Self {
-        Service::with_backend(Backend::Store(store), config)
+        Service::over(store.clone(), store, config)
     }
 
     /// [`Service::new`] over a fresh single-epoch store built from
@@ -235,7 +202,8 @@ impl Service {
     /// epoch-pinned reads only land on a store that published the
     /// epoch), writes keep going through [`Router::apply`].
     pub fn over_cluster(router: Arc<Router>, config: ServiceConfig) -> Self {
-        Service::with_backend(Backend::Cluster(router), config)
+        let primary = Arc::clone(router.primary());
+        Service::over(router, primary, config)
     }
 
     /// Starts a service over a sharded cluster: every read receives an
@@ -243,10 +211,11 @@ impl Service {
     /// the shard planner; writes keep going through
     /// [`ShardedRouter::apply`].
     pub fn over_shards(router: Arc<ShardedRouter>, config: ServiceConfig) -> Self {
-        Service::with_backend(Backend::Shards(router), config)
+        let journal = Arc::clone(router.journal());
+        Service::over(router, journal, config)
     }
 
-    fn with_backend(backend: Backend, config: ServiceConfig) -> Self {
+    fn over(source: Arc<dyn ReadSource>, primary: Arc<GraphStore>, config: ServiceConfig) -> Self {
         let workers = config.workers.max(1);
         let shared = Arc::new(Shared::new(
             config.capacity,
@@ -265,7 +234,8 @@ impl Service {
             })
             .collect();
         Service {
-            backend,
+            source,
+            primary,
             shared,
             workers: handles,
         }
@@ -279,7 +249,7 @@ impl Service {
     /// * [`CsagError::Overloaded`] — admission capacity (global or
     ///   per-class) is exhausted; retry after the carried back-off.
     pub fn submit(&self, request: Request) -> Result<Ticket, CsagError> {
-        self.shared.submit(self.backend.source(), request)
+        self.shared.submit(self.source.as_ref(), request)
     }
 
     /// Submits a burst of requests as **one batch**: every request is
@@ -304,7 +274,7 @@ impl Service {
             })
             .collect();
         self.shared
-            .submit_many(self.backend.source(), entries)
+            .submit_many(self.source.as_ref(), entries)
             .into_iter()
             .zip(receivers)
             .map(|(outcome, rx)| outcome.map(|id| Ticket { id, rx }))
@@ -331,7 +301,7 @@ impl Service {
             .collect();
         for (outcome, id) in self
             .shared
-            .submit_many(self.backend.source(), entries)
+            .submit_many(self.source.as_ref(), entries)
             .into_iter()
             .zip(ids)
         {
@@ -350,44 +320,26 @@ impl Service {
         Ok(self.submit(request)?.wait())
     }
 
-    /// The underlying evolving store — the only store, or the cluster
-    /// primary. **Single-store services** apply updates through this;
-    /// cluster-backed services must write through
-    /// [`Service::cluster`]'s [`Router::apply`] instead (writing the
-    /// primary directly would desynchronize the replicas).
+    /// The underlying evolving store — the only store, the cluster
+    /// primary, or the sharded cluster's journal. **Single-store
+    /// services** apply updates through this; a service started with
+    /// [`Service::over_cluster`] / [`Service::over_shards`] must be
+    /// written through the router it was given ([`Router::apply`] /
+    /// [`ShardedRouter::apply`]) — writing this store directly would
+    /// leave the replicas or shards permanently behind.
     pub fn store(&self) -> &GraphStore {
-        self.backend.primary()
+        &self.primary
     }
 
-    /// A shared handle to the store (the cluster primary, if any).
+    /// A shared handle to [`Service::store`].
     pub fn store_arc(&self) -> Arc<GraphStore> {
-        Arc::clone(self.backend.primary())
-    }
-
-    /// The replica cluster behind this service, if it was started with
-    /// [`Service::over_cluster`]. Writes to a cluster-backed service go
-    /// through [`Router::apply`] on this handle.
-    pub fn cluster(&self) -> Option<&Arc<Router>> {
-        match &self.backend {
-            Backend::Cluster(router) => Some(router),
-            Backend::Store(_) | Backend::Shards(_) => None,
-        }
-    }
-
-    /// The sharded cluster behind this service, when it was built with
-    /// [`Service::over_shards`]. Writes to a sharded service go through
-    /// [`ShardedRouter::apply`] on this handle.
-    pub fn shards(&self) -> Option<&Arc<ShardedRouter>> {
-        match &self.backend {
-            Backend::Shards(router) => Some(router),
-            Backend::Store(_) | Backend::Cluster(_) => None,
-        }
+        Arc::clone(&self.primary)
     }
 
     /// Pins the primary store's current epoch (a read-side
     /// convenience).
     pub fn snapshot(&self) -> Snapshot {
-        self.backend.primary().snapshot()
+        self.primary.snapshot()
     }
 
     /// Point-in-time serving metrics.

@@ -54,7 +54,7 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 
 /// Reader-side cap on how many parsed requests are submitted to the
@@ -125,145 +125,249 @@ impl fmt::Display for BoundAddr {
     }
 }
 
-/// The stream operations the connection loop needs, implemented by both
-/// [`TcpStream`] and [`UnixStream`]: splitting into a read and a write
-/// half, and half-closing the read side (the graceful-shutdown signal —
-/// the blocked reader sees EOF, in-flight responses still flow out).
-pub(crate) trait WireSocket: Read + Write + Send + Sized + 'static {
-    fn split_off_writer(&self) -> io::Result<Self>;
-    fn close_read(&self) -> io::Result<()>;
-    /// Severs both directions at once — the injected-fault "connection
-    /// drop": the client sees a reset mid-pipeline, nothing is drained.
-    fn abort(&self) -> io::Result<()>;
+/// One connected stream, TCP or unix-domain — the only socket type the
+/// query transport, the replication listener and the follower speak.
+pub(crate) enum Socket {
+    Tcp(TcpStream),
+    #[cfg(unix)]
+    Unix(UnixStream),
 }
 
-impl WireSocket for TcpStream {
-    fn split_off_writer(&self) -> io::Result<Self> {
-        self.try_clone()
+/// Runs `$body` on whichever stream `$socket` holds.
+macro_rules! on_stream {
+    ($socket:expr, $s:ident => $body:expr) => {
+        match $socket {
+            Socket::Tcp($s) => $body,
+            #[cfg(unix)]
+            Socket::Unix($s) => $body,
+        }
+    };
+}
+
+impl Socket {
+    /// Parses `tcp://host:port`, `unix:///path`, a bare `host:port` or a
+    /// bare filesystem path (anything containing `/`) into a dialer:
+    /// each call opens a fresh connection (names resolve per attempt).
+    ///
+    /// # Errors
+    /// [`io::ErrorKind::InvalidInput`] for an address in none of those
+    /// forms.
+    pub(crate) fn dialer(addr: &str) -> io::Result<Box<dyn Fn() -> io::Result<Socket> + Send>> {
+        let tcp = |host: &str| -> Box<dyn Fn() -> io::Result<Socket> + Send> {
+            let host = host.to_string();
+            Box::new(move || {
+                let s = TcpStream::connect(host.as_str())?;
+                // Small writes (acks, responses) race the incoming
+                // stream; Nagle would hold them for the delayed ACK.
+                s.set_nodelay(true)?;
+                Ok(Socket::Tcp(s))
+            })
+        };
+        if let Some(rest) = addr.strip_prefix("tcp://") {
+            return Ok(tcp(rest));
+        }
+        #[cfg(unix)]
+        if let Some(path) = addr
+            .strip_prefix("unix://")
+            .or(addr.contains('/').then_some(addr))
+        {
+            let path = PathBuf::from(path);
+            return Ok(Box::new(move || {
+                UnixStream::connect(&path).map(Socket::Unix)
+            }));
+        }
+        if addr.contains(':') {
+            return Ok(tcp(addr));
+        }
+        Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("unrecognized replication address `{addr}`"),
+        ))
     }
-    fn close_read(&self) -> io::Result<()> {
-        self.shutdown(Shutdown::Read)
+
+    /// A second handle to the same stream (a read half and a write
+    /// half, or a keeper to sever it from another thread).
+    pub(crate) fn try_clone(&self) -> io::Result<Socket> {
+        match self {
+            Socket::Tcp(s) => s.try_clone().map(Socket::Tcp),
+            #[cfg(unix)]
+            Socket::Unix(s) => s.try_clone().map(Socket::Unix),
+        }
     }
-    fn abort(&self) -> io::Result<()> {
-        self.shutdown(Shutdown::Both)
+
+    /// Shuts one or both directions down: [`Shutdown::Read`] is the
+    /// graceful signal (the blocked reader sees EOF, in-flight responses
+    /// still flow out), [`Shutdown::Both`] a dropped connection (the
+    /// peer sees a reset, nothing is drained).
+    pub(crate) fn shutdown(&self, how: Shutdown) {
+        let _ = on_stream!(self, s => s.shutdown(how));
     }
 }
 
-#[cfg(unix)]
-impl WireSocket for UnixStream {
-    fn split_off_writer(&self) -> io::Result<Self> {
-        self.try_clone()
-    }
-    fn close_read(&self) -> io::Result<()> {
-        self.shutdown(Shutdown::Read)
-    }
-    fn abort(&self) -> io::Result<()> {
-        self.shutdown(Shutdown::Both)
+impl Read for Socket {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        on_stream!(self, s => s.read(buf))
     }
 }
 
-/// A listener the accept loop can run on (TCP or unix-domain).
-pub(crate) trait WireListener: Send + 'static {
-    type Stream: WireSocket;
-    fn accept_stream(&self) -> io::Result<Self::Stream>;
-}
-
-impl WireListener for TcpListener {
-    type Stream = TcpStream;
-    fn accept_stream(&self) -> io::Result<TcpStream> {
-        let (s, _) = self.accept()?;
-        // Responses are small writes issued while earlier ones may still
-        // be unacknowledged; without TCP_NODELAY, Nagle holds them back
-        // for the delayed ACK and pipelined throughput collapses.
-        s.set_nodelay(true)?;
-        Ok(s)
+impl Write for Socket {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        on_stream!(self, s => s.write(buf))
+    }
+    fn flush(&mut self) -> io::Result<()> {
+        on_stream!(self, s => s.flush())
     }
 }
 
-#[cfg(unix)]
-impl WireListener for UnixListener {
-    type Stream = UnixStream;
-    fn accept_stream(&self) -> io::Result<UnixStream> {
-        self.accept().map(|(s, _)| s)
-    }
-}
-
-/// One live connection: the handle to join and a hook that half-closes
-/// its read side so the reader unblocks during shutdown.
+/// One live connection: the handle to join and a second handle to its
+/// socket so shutdown can signal it (`None` if the clone failed — the
+/// connection is served anyway and ends when its peer closes).
 struct Conn {
-    closer: Box<dyn Fn() + Send>,
+    socket: Option<Socket>,
     handle: JoinHandle<()>,
 }
 
-/// State shared between the accept loop, the connections, and the
-/// [`Transport`] handle.
-struct TransportShared {
-    service: Arc<Service>,
+/// What the accept thread shares with the [`Acceptor`] handle.
+#[derive(Default)]
+struct AcceptorState {
     shutdown: AtomicBool,
-    conns: Mutex<Vec<Conn>>,
     accepted: AtomicU64,
-    /// Deterministic fault script ([`FaultPlan::none`] in production):
-    /// connection drops are indexed by requests parsed across all
-    /// connections of this transport.
-    faults: FaultPlan,
 }
 
-impl TransportShared {
-    fn conns(&self) -> std::sync::MutexGuard<'_, Vec<Conn>> {
-        self.conns.lock().unwrap_or_else(PoisonError::into_inner)
+/// The listening-socket scaffolding under [`Transport`] and
+/// [`crate::cluster::ReplListener`]: bind, an accept thread that hands
+/// every connection to `serve` on a thread of its own and keeps the
+/// registry of live ones, and a shutdown (on drop) that stops accepting,
+/// shuts every live connection down `how` it was told to —
+/// [`Shutdown::Read`] lets it drain, [`Shutdown::Both`] severs it — and
+/// joins them.
+pub(crate) struct Acceptor {
+    state: Arc<AcceptorState>,
+    /// Returns the live-connection registry when it stops.
+    accept: Option<JoinHandle<Vec<Conn>>>,
+    addr: BoundAddr,
+    how: Shutdown,
+}
+
+impl Acceptor {
+    /// Binds TCP (port 0 for ephemeral) and starts accepting; threads
+    /// are named `<name>-accept` / `<name>-conn`.
+    pub(crate) fn bind_tcp(
+        addr: impl ToSocketAddrs,
+        name: &'static str,
+        how: Shutdown,
+        serve: impl Fn(Socket) + Send + Sync + 'static,
+    ) -> io::Result<Acceptor> {
+        let listener = TcpListener::bind(addr)?;
+        let local = BoundAddr::Tcp(listener.local_addr()?);
+        Acceptor::start(local, name, how, serve, move || {
+            let (s, _) = listener.accept()?;
+            // Responses are small writes issued while earlier ones may
+            // still be unacknowledged; without TCP_NODELAY, Nagle holds
+            // them back for the delayed ACK and pipelined throughput
+            // collapses.
+            s.set_nodelay(true)?;
+            Ok(Socket::Tcp(s))
+        })
     }
 
-    /// Registers and serves one accepted connection; also reaps
-    /// already-finished connection threads so the registry does not
-    /// grow with connection churn.
-    fn spawn_conn<S: WireSocket>(self: &Arc<Self>, stream: S) {
-        self.accepted.fetch_add(1, Ordering::Relaxed);
-        let closer: Box<dyn Fn() + Send> = match stream.split_off_writer() {
-            Ok(half) => Box::new(move || {
-                let _ = half.close_read();
-            }),
-            // No way to signal this connection during shutdown; it will
-            // still drain when the client closes. Serve it anyway.
-            Err(_) => Box::new(|| {}),
-        };
-        let service = Arc::clone(&self.service);
-        let faults = self.faults.clone();
-        let spawned = std::thread::Builder::new()
-            .name("csag-wire-conn".into())
-            .spawn(move || connection_loop(&service, stream, &faults));
-        let Ok(handle) = spawned else { return };
-        let mut conns = self.conns();
-        let mut i = 0;
-        while i < conns.len() {
-            if conns[i].handle.is_finished() {
-                let done = conns.swap_remove(i);
-                let _ = done.handle.join();
-            } else {
-                i += 1;
-            }
+    /// Binds a unix-domain socket at `path` (a stale socket file is
+    /// reclaimed, a live one is [`io::ErrorKind::AddrInUse`]; the file
+    /// is removed again on shutdown) and starts accepting.
+    #[cfg(unix)]
+    pub(crate) fn bind_uds(
+        path: impl AsRef<Path>,
+        name: &'static str,
+        how: Shutdown,
+        serve: impl Fn(Socket) + Send + Sync + 'static,
+    ) -> io::Result<Acceptor> {
+        let path = path.as_ref().to_path_buf();
+        reclaim_stale_uds(&path)?;
+        let listener = UnixListener::bind(&path)?;
+        Acceptor::start(BoundAddr::Unix(path), name, how, serve, move || {
+            listener.accept().map(|(s, _)| Socket::Unix(s))
+        })
+    }
+
+    fn start(
+        addr: BoundAddr,
+        name: &'static str,
+        how: Shutdown,
+        serve: impl Fn(Socket) + Send + Sync + 'static,
+        accept: impl Fn() -> io::Result<Socket> + Send + 'static,
+    ) -> io::Result<Acceptor> {
+        let state = Arc::new(AcceptorState::default());
+        let shared = Arc::clone(&state);
+        let serve = Arc::new(serve);
+        let accept = std::thread::Builder::new()
+            .name(format!("{name}-accept"))
+            .spawn(move || {
+                let mut conns: Vec<Conn> = Vec::new();
+                loop {
+                    let accepted = accept();
+                    // The shutdown wake-up connection (or a client
+                    // racing it) ends the loop; a transient accept error
+                    // (EMFILE, aborted handshake) does not.
+                    if shared.shutdown.load(Ordering::Acquire) {
+                        return conns;
+                    }
+                    let Ok(socket) = accepted else { continue };
+                    shared.accepted.fetch_add(1, Ordering::Relaxed);
+                    let keeper = socket.try_clone().ok();
+                    let serve = Arc::clone(&serve);
+                    let spawned = std::thread::Builder::new()
+                        .name(format!("{name}-conn"))
+                        .spawn(move || serve(socket));
+                    let Ok(handle) = spawned else { continue };
+                    // Reap finished connections so the registry does
+                    // not grow with connection churn.
+                    conns.retain(|c| !c.handle.is_finished());
+                    conns.push(Conn {
+                        socket: keeper,
+                        handle,
+                    });
+                }
+            })?;
+        Ok(Acceptor {
+            state,
+            accept: Some(accept),
+            addr,
+            how,
+        })
+    }
+
+    /// The bound address (with the real port when bound to port 0).
+    pub(crate) fn local_addr(&self) -> &BoundAddr {
+        &self.addr
+    }
+
+    /// Total connections accepted so far.
+    pub(crate) fn accepted(&self) -> u64 {
+        self.state.accepted.load(Ordering::Relaxed)
+    }
+}
+
+impl Drop for Acceptor {
+    fn drop(&mut self) {
+        self.state.shutdown.store(true, Ordering::Release);
+        // Unblock the accept loop with a wake-up connection; if that
+        // fails (listener already broken) the loop is unblocked anyway.
+        match &self.addr {
+            BoundAddr::Tcp(a) => drop(TcpStream::connect(a)),
+            #[cfg(unix)]
+            BoundAddr::Unix(p) => drop(UnixStream::connect(p)),
         }
-        conns.push(Conn { closer, handle });
-    }
-
-    fn accept_loop<L: WireListener>(self: &Arc<Self>, listener: L) {
-        loop {
-            match listener.accept_stream() {
-                Ok(stream) => {
-                    if self.shutdown.load(Ordering::Acquire) {
-                        // The shutdown wake-up connection (or a client
-                        // racing it): stop accepting.
-                        break;
-                    }
-                    self.spawn_conn(stream);
-                }
-                Err(_) => {
-                    if self.shutdown.load(Ordering::Acquire) {
-                        break;
-                    }
-                    // Transient accept error (EMFILE, aborted handshake):
-                    // keep serving.
-                }
-            }
+        let conns = self.accept.take().and_then(|h| h.join().ok());
+        let conns = conns.unwrap_or_default();
+        for socket in conns.iter().filter_map(|c| c.socket.as_ref()) {
+            socket.shutdown(self.how);
+        }
+        for c in conns {
+            let _ = c.handle.join();
+        }
+        #[cfg(unix)]
+        if let BoundAddr::Unix(p) = &self.addr {
+            let _ = std::fs::remove_file(p);
         }
     }
 }
@@ -277,9 +381,7 @@ impl TransportShared {
 /// using [`Service::submit`] concurrently, and several transports (TCP
 /// and UDS, say) can front one service.
 pub struct Transport {
-    shared: Arc<TransportShared>,
-    accept: Option<JoinHandle<()>>,
-    addr: BoundAddr,
+    acceptor: Acceptor,
 }
 
 impl Transport {
@@ -306,9 +408,9 @@ impl Transport {
         addr: impl ToSocketAddrs,
         faults: FaultPlan,
     ) -> io::Result<Transport> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        Transport::start(service, listener, BoundAddr::Tcp(local), faults)
+        let serve = move |socket| connection_loop(&service, socket, &faults);
+        Acceptor::bind_tcp(addr, "csag-wire", Shutdown::Read, serve)
+            .map(|acceptor| Transport { acceptor })
     }
 
     /// Binds a unix-domain socket listener and starts the accept loop.
@@ -339,102 +441,38 @@ impl Transport {
         path: impl AsRef<Path>,
         faults: FaultPlan,
     ) -> io::Result<Transport> {
-        let path = path.as_ref().to_path_buf();
-        reclaim_stale_uds(&path)?;
-        let listener = UnixListener::bind(&path)?;
-        Transport::start(service, listener, BoundAddr::Unix(path), faults)
-    }
-
-    fn start<L: WireListener>(
-        service: Arc<Service>,
-        listener: L,
-        addr: BoundAddr,
-        faults: FaultPlan,
-    ) -> io::Result<Transport> {
-        let shared = Arc::new(TransportShared {
-            service,
-            shutdown: AtomicBool::new(false),
-            conns: Mutex::new(Vec::new()),
-            accepted: AtomicU64::new(0),
-            faults,
-        });
-        let accept_shared = Arc::clone(&shared);
-        let accept = std::thread::Builder::new()
-            .name("csag-wire-accept".into())
-            .spawn(move || accept_shared.accept_loop(listener))?;
-        Ok(Transport {
-            shared,
-            accept: Some(accept),
-            addr,
-        })
+        let serve = move |socket| connection_loop(&service, socket, &faults);
+        Acceptor::bind_uds(path, "csag-wire", Shutdown::Read, serve)
+            .map(|acceptor| Transport { acceptor })
     }
 
     /// The address this transport is bound to (with the real port when
     /// bound to port 0).
     pub fn local_addr(&self) -> &BoundAddr {
-        &self.addr
+        self.acceptor.local_addr()
     }
 
     /// Total connections accepted so far.
     pub fn connections_accepted(&self) -> u64 {
-        self.shared.accepted.load(Ordering::Relaxed)
+        self.acceptor.accepted()
     }
 
     /// Graceful shutdown: stop accepting, half-close every connection's
     /// read side, and join the per-connection threads. Requests already
     /// admitted keep their workers; this call returns only after every
-    /// in-flight response has been written to its connection.
-    pub fn shutdown(mut self) {
-        self.shutdown_inner();
-    }
-
-    fn shutdown_inner(&mut self) {
-        if self.shared.shutdown.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        // Unblock the accept loop with a wake-up connection; if that
-        // fails (listener already broken) the loop is unblocked anyway.
-        match &self.addr {
-            BoundAddr::Tcp(a) => {
-                let _ = TcpStream::connect(a);
-            }
-            #[cfg(unix)]
-            BoundAddr::Unix(p) => {
-                let _ = UnixStream::connect(p);
-            }
-        }
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        let conns = std::mem::take(&mut *self.shared.conns());
-        for c in &conns {
-            (c.closer)();
-        }
-        for c in conns {
-            let _ = c.handle.join();
-        }
-        #[cfg(unix)]
-        if let BoundAddr::Unix(p) = &self.addr {
-            let _ = std::fs::remove_file(p);
-        }
-    }
-}
-
-impl Drop for Transport {
-    /// Same as [`Transport::shutdown`] — dropping the handle drains
-    /// in-flight work before the listener goes away.
-    fn drop(&mut self) {
-        self.shutdown_inner();
+    /// in-flight response has been written to its connection. Dropping
+    /// the handle does the same.
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 /// Probes a possibly-stale unix socket file before binding over it: a
 /// live server answering on `path` is an [`io::ErrorKind::AddrInUse`]
 /// error; a dead socket file (previous process crashed without
-/// unlinking) is removed so the caller's bind proceeds. Shared by the
-/// query transport and the replication listener.
+/// unlinking) is removed so the caller's bind proceeds.
 #[cfg(unix)]
-pub(crate) fn reclaim_stale_uds(path: &Path) -> io::Result<()> {
+fn reclaim_stale_uds(path: &Path) -> io::Result<()> {
     if path.exists() {
         match UnixStream::connect(path) {
             Ok(_) => {
@@ -457,8 +495,8 @@ pub(crate) fn reclaim_stale_uds(path: &Path) -> io::Result<()> {
 /// half-closed the read side); the writer is then joined, which
 /// finishes only after the scheduler has answered every in-flight
 /// request submitted here.
-fn connection_loop<S: WireSocket>(service: &Arc<Service>, stream: S, faults: &FaultPlan) {
-    let Ok(write_half) = stream.split_off_writer() else {
+fn connection_loop(service: &Service, stream: Socket, faults: &FaultPlan) {
+    let Ok(write_half) = stream.try_clone() else {
         return;
     };
     let (tx, rx) = mpsc::channel::<Outgoing>();
@@ -482,7 +520,7 @@ fn connection_loop<S: WireSocket>(service: &Arc<Service>, stream: S, faults: &Fa
                 // Scripted connection drop: sever both directions right
                 // now — this request and everything pipelined behind it
                 // (answered or not) is lost, exactly like a real reset.
-                let _ = reader.get_ref().abort();
+                reader.get_ref().shutdown(Shutdown::Both);
                 drop(tx);
                 let _ = writer.join();
                 return;

@@ -3,10 +3,10 @@
 //! that has not published the pin), failure → reseed recovery with zero
 //! failed client responses, and the typed `EpochUnavailable` rejection.
 
-use csag::cluster::{ReadOrigin, ReadSource, ReplicaHealth, Router};
+use csag::cluster::{ClusterMetrics, ReadOrigin, ReadSource, ReplicaHealth, Router, ShardedRouter};
 use csag::datasets::generator::{generate, SyntheticConfig};
 use csag::datasets::{random_queries, random_updates, ChurnMix};
-use csag::engine::{CommunityQuery, CsagError, Engine, Method};
+use csag::engine::{CommunityQuery, CsagError, Engine, GraphStore, GraphUpdate, Method};
 use csag::service::{Request, Service, ServiceConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -400,4 +400,119 @@ fn health_check_degrades_silent_replicas() {
         std::thread::sleep(Duration::from_millis(1));
     }
     assert_eq!(router.replica_health(1), ReplicaHealth::Healthy);
+}
+
+/// The pinned-read contract every [`ReadSource`] upholds, stated once
+/// and run over all three topologies through `&dyn ReadSource`: a pin
+/// at or below the published epoch is served at an epoch `>=` the pin;
+/// a pin above it with no wait budget is the typed rejection quoting
+/// exactly the requested and published epochs; a pin a writer publishes
+/// during the wait is served; and (for the two routers, which count)
+/// every pinned read is either served or rejected, with `pinned_waits`
+/// counting only the reads whose pin was still unpublished on arrival.
+#[test]
+fn every_read_source_upholds_the_pinned_read_contract() {
+    type Apply = Box<dyn Fn(&[GraphUpdate]) -> u64 + Send + Sync>;
+    type Metrics = Box<dyn Fn() -> ClusterMetrics + Send + Sync>;
+    struct Topology {
+        name: &'static str,
+        source: Arc<dyn ReadSource>,
+        apply: Apply,
+        metrics: Option<Metrics>,
+    }
+
+    let (g, _) = small_graph(37);
+    let store = Arc::new(GraphStore::new(g.clone()));
+    let router = Arc::new(Router::over_graph(g.clone(), 2));
+    let sharded = Arc::new(ShardedRouter::over_graph(g, 2, 1, 0));
+    let topologies = [
+        Topology {
+            name: "store",
+            source: Arc::clone(&store) as Arc<dyn ReadSource>,
+            apply: Box::new(move |b| store.apply(b).expect("batch applies").epoch),
+            metrics: None,
+        },
+        Topology {
+            name: "router",
+            source: Arc::clone(&router) as Arc<dyn ReadSource>,
+            apply: Box::new({
+                let router = Arc::clone(&router);
+                move |b| router.apply(b).expect("batch applies").epoch
+            }),
+            metrics: Some(Box::new(move || router.metrics())),
+        },
+        Topology {
+            name: "sharded",
+            source: Arc::clone(&sharded) as Arc<dyn ReadSource>,
+            apply: Box::new({
+                let sharded = Arc::clone(&sharded);
+                move |b| sharded.apply(b).expect("batch applies").epoch
+            }),
+            metrics: Some(Box::new(move || sharded.metrics())),
+        },
+    ];
+
+    for t in &topologies {
+        let source: &dyn ReadSource = t.source.as_ref();
+        let batch = [GraphUpdate::AddEdge { u: 0, v: 1 }];
+        let published = (t.apply)(&batch);
+        assert_eq!(published, 1, "{}", t.name);
+
+        // Pin <= published: served, never below the pin, no waiting.
+        let mut served = 0u64;
+        for pin in [0, published] {
+            let routed = source
+                .route_read(Some(pin), Duration::ZERO)
+                .unwrap_or_else(|e| panic!("{}: published pin {pin} must route: {e}", t.name));
+            assert!(routed.epoch() >= pin, "{}", t.name);
+            served += 1;
+        }
+
+        // Pin > published, zero wait: the typed rejection, exact numbers.
+        match source.route_read(Some(published + 1), Duration::ZERO) {
+            Err(CsagError::EpochUnavailable {
+                requested,
+                published: quoted,
+            }) => assert_eq!(
+                (requested, quoted),
+                (published + 1, published),
+                "{}",
+                t.name
+            ),
+            other => panic!("{}: expected EpochUnavailable, got {other:?}", t.name),
+        }
+
+        // A pin the writer publishes during the wait is served. The
+        // writer holds back until the read is provably blocked (the
+        // routers count it; the bare store gets a grace period).
+        let routed = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let deadline = std::time::Instant::now() + Duration::from_secs(30);
+                match &t.metrics {
+                    Some(metrics) => {
+                        while metrics().pinned_waits < 2 && std::time::Instant::now() < deadline {
+                            std::thread::sleep(Duration::from_millis(1));
+                        }
+                    }
+                    None => std::thread::sleep(Duration::from_millis(50)),
+                }
+                (t.apply)(&batch);
+            });
+            source.route_read(Some(published + 1), Duration::from_secs(30))
+        })
+        .unwrap_or_else(|e| panic!("{}: pin published during the wait must route: {e}", t.name));
+        assert!(routed.epoch() > published, "{}", t.name);
+        served += 1;
+
+        if let Some(metrics) = &t.metrics {
+            let m = metrics();
+            assert_eq!(m.pinned_reads, served + m.pinned_rejects, "{}", t.name);
+            assert_eq!(m.pinned_rejects, 1, "{}", t.name);
+            assert_eq!(
+                m.pinned_waits, 2,
+                "{}: only the two reads pinned above the published epoch blocked",
+                t.name
+            );
+        }
+    }
 }

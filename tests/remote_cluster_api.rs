@@ -221,6 +221,43 @@ fn unseeded_follower_is_seeded_by_a_snapshot_ship() {
     drop(listener);
 }
 
+/// Hostile input: a peer that claims an absurd snapshot length and then
+/// hangs up must cost the follower a failed session, not memory — the
+/// payload is read incrementally, so the header's number is never
+/// allocated up front. The follower reconnects and stays unsynced.
+#[test]
+fn a_lying_snapshot_header_costs_a_session_not_memory() {
+    let fake_primary = std::net::TcpListener::bind("127.0.0.1:0").expect("bind fake primary");
+    let addr = fake_primary.local_addr().unwrap();
+    let serving = std::thread::spawn(move || {
+        // Two sessions are enough to observe a reconnect; after that
+        // the listener closes and further dials are refused.
+        for _ in 0..2 {
+            let (mut stream, _) = fake_primary.accept().expect("follower dials");
+            let mut hello = String::new();
+            BufReader::new(&stream).read_line(&mut hello).unwrap();
+            assert!(hello.starts_with("repl hello csag-repl-v1 epoch none"));
+            let _ = stream.write_all(b"snapshot 1 18446744073709551615\n");
+        }
+    });
+
+    let follower =
+        Follower::start(&addr.to_string(), FollowerConfig::default()).expect("follower starts");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while follower.reconnects() == 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(
+        follower.reconnects() >= 1,
+        "the session thread survived the header and dialed again"
+    );
+    serving.join().expect("fake primary saw both sessions");
+    assert!(!follower.synced(), "no snapshot ever landed");
+    assert_eq!(follower.snapshots_received(), 0);
+    assert_eq!(follower.epoch(), 0);
+    follower.stop();
+}
+
 /// A follower whose epoch predates the WAL's pruned horizon cannot be
 /// caught up by tail replay — the handshake must fall back to shipping
 /// the newest checkpoint.
