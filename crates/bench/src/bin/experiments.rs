@@ -5,6 +5,8 @@
 //! ```text
 //! experiments [--quick] [--threads N] <id>... | all | list
 //! experiments [--quick] load --socket <addr>
+//! experiments load (--socket <addr> --requests <file> | --responses <file>)
+//!                  --expect <id>=<query.json>... [--ignore epoch]
 //! ```
 //!
 //! Ids: fig5 tab2 tab3 fig6 tab4 tab5 fig7 fig8 fig9 fig10.
@@ -15,8 +17,15 @@
 //! --listen` server over TCP with the sequential-vs-pipelined
 //! closed-loop comparison (CI's transport, cluster and shard smokes).
 //! Performance is measured by `benchmark/run.sh`, not here.
+//!
+//! With `--expect` it is the answer check of every CI smoke instead
+//! ([`csag_bench::load::Check`]): the response echoing `<id>` must
+//! carry the same answer as the `csag query --json` output in
+//! `<query.json>`, or the run exits 1 naming the id and the first
+//! differing path.
 
 use csag_bench::config::Scale;
+use csag_bench::load::Check;
 use csag_bench::{all_ids, run_experiment};
 use std::time::Instant;
 
@@ -25,6 +34,11 @@ fn main() {
     let mut scale = Scale::full();
     let mut ids: Vec<String> = Vec::new();
     let mut socket: Option<String> = None;
+    let (mut requests, mut responses) = (None, None);
+    let mut check = Check {
+        expects: Vec::new(),
+        ignore_epoch: false,
+    };
     let mut iter = args.iter().peekable();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
@@ -40,6 +54,16 @@ fn main() {
                         .clone(),
                 );
             }
+            "--requests" => requests = Some(value_of(&mut iter, arg)),
+            "--responses" => responses = Some(value_of(&mut iter, arg)),
+            "--expect" => match value_of(&mut iter, arg).split_once('=') {
+                Some((id, path)) => check.expects.push((id.into(), path.into())),
+                None => die("--expect takes <id>=<csag-query.json>"),
+            },
+            "--ignore" => match value_of(&mut iter, arg).as_str() {
+                "epoch" => check.ignore_epoch = true,
+                _ => die("--ignore takes `epoch` (the one optional part of an answer)"),
+            },
             "--threads" => {
                 let n = iter
                     .next()
@@ -58,10 +82,25 @@ fn main() {
             other => ids.push(other.to_string()),
         }
     }
-    if let Some(addr) = socket {
-        if !ids.is_empty() && ids != ["load"] {
-            die("--socket only applies to the `load` experiment");
+    if (socket.is_some() || responses.is_some()) && !ids.is_empty() && ids != ["load"] {
+        die("--socket / --responses only apply to the `load` experiment");
+    }
+    let checked = match (&socket, &requests, &responses) {
+        (Some(addr), Some(file), None) => Some(check.over_socket(addr, file)),
+        (None, None, Some(file)) => Some(check.over_file(file)),
+        // No check asked for: the plain socket drive or an experiment run.
+        (_, None, None) if check.expects.is_empty() && !check.ignore_epoch => None,
+        _ => die("the check takes --socket <addr> --requests <file>, or --responses <file>"),
+    };
+    match checked {
+        Some(Ok(summary)) => return println!("{summary}"),
+        Some(Err(msg)) => {
+            eprintln!("error: {msg}");
+            std::process::exit(1);
         }
+        None => {}
+    }
+    if let Some(addr) = socket {
         println!(
             "# SEA serving-layer socket drive ({} mode)\n",
             if scale.quick { "quick" } else { "full" }
@@ -101,16 +140,30 @@ fn main() {
     }
 }
 
+/// The value following `flag`.
+fn value_of<'a>(iter: &mut impl Iterator<Item = &'a String>, flag: &str) -> String {
+    iter.next()
+        .unwrap_or_else(|| die(&format!("{flag} needs a value")))
+        .clone()
+}
+
 fn print_help() {
     println!("experiments — regenerate the paper's tables and figures");
     println!();
     println!("Usage: experiments [--quick] [--threads N] <id>... | all | list");
     println!("       experiments [--quick] load --socket <addr>");
+    println!("       experiments load (--socket <addr> --requests <file> | --responses <file>)");
+    println!("                        --expect <id>=<query.json>... [--ignore epoch]");
     println!();
     println!("  --quick        smaller query sets / budgets (CI-friendly)");
     println!("  --threads N    worker threads for per-query parallelism");
     println!("  --socket ADDR  drive a running `csag serve --listen` server at");
     println!("                 ADDR (host:port) closed-loop (only with `load`)");
+    println!("  --requests F   check mode: send F's csag-wire lines to --socket");
+    println!("  --responses F  check mode: read a recorded csag-wire v1 session instead");
+    println!("  --expect ID=J  the response echoing ID carries the answer in J (the output");
+    println!("                 of `csag query --json`), timings_ms aside; repeatable");
+    println!("  --ignore epoch also set the answer's epoch aside (offline reference graph)");
     println!("  list           print every experiment id and exit");
     println!("  all            run every experiment");
     println!();

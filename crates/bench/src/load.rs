@@ -1,4 +1,4 @@
-//! `load --socket`: the closed-loop csag-wire v2 smoke client.
+//! `load`: the closed-loop csag-wire v2 smoke client and answer check.
 //!
 //! [`drive_socket`] drives an already-running `csag serve --listen`
 //! server over TCP — sequential (window 1) vs pipelined (window W) vs
@@ -7,12 +7,15 @@
 //! measures nothing that is kept (the repo's measurements live in
 //! `benchmark/`, see `benchmark/README.md`).
 //!
-//! The driver is **resilient**: `overloaded` rejections are retried
-//! after a jittered exponential backoff floored at the server's
-//! `retry_after_ms` hint, and a dropped connection is redialed with
-//! every unanswered (idempotent) read resubmitted.
+//! [`Check`] is the answer gate of every CI smoke: it sends a request
+//! file through the same closed loop (or reads a recorded v1 session)
+//! and compares each expected id's answer with a `csag query --json`
+//! file under the one identity rule,
+//! [`csag::engine::answer_identity`].
 
 use crate::config::Scale;
+use csag::engine::answer_identity;
+use csag::json::{self, first_difference, Value, Writer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, VecDeque};
@@ -40,6 +43,8 @@ struct LoopStats {
     retries: u64,
     /// Fresh connections dialed after the first (drops survived).
     reconnects: u64,
+    /// The final response to each request, in request order.
+    answers: Vec<Option<Value>>,
 }
 
 impl LoopStats {
@@ -48,20 +53,13 @@ impl LoopStats {
     }
 }
 
-/// The `"id"` value of a rendered request or response line. The driver
-/// only renders string ids, and csag-wire echoes the id first.
-fn wire_id(line: &str) -> Option<&str> {
-    line.split("\"id\":\"").nth(1)?.split('"').next()
-}
-
-/// The `retry_after_ms` hint of an `overloaded` rejection (the server's
-/// own estimate of when the queue will have room).
-fn retry_after_hint_ms(line: &str) -> f64 {
-    line.split("\"retry_after_ms\":")
-        .nth(1)
-        .and_then(|rest| rest.split([',', '}']).next())
-        .and_then(|v| v.trim().parse::<f64>().ok())
-        .unwrap_or(5.0)
+/// The `"id"` of a parsed request or response, as the text `--expect`
+/// names it by: a string id's content, a numeric id's digits.
+fn id_of(doc: &Value) -> Option<String> {
+    match doc.get("id")? {
+        Value::String(s) => Some(s.clone()),
+        other => Some(other.render()),
+    }
 }
 
 /// Give up on a request after this many `overloaded` rejections (keeps
@@ -99,13 +97,13 @@ fn closed_loop(addr: &str, lines: &[String], window: usize) -> std::io::Result<L
         errors: 0,
         retries: 0,
         reconnects: 0,
+        answers: vec![None; lines.len()],
     };
     let index_of: HashMap<String, usize> = lines
         .iter()
         .enumerate()
-        .filter_map(|(i, l)| wire_id(l).map(|id| (id.to_string(), i)))
+        .filter_map(|(i, l)| Some((id_of(&json::parse(l).ok()?)?, i)))
         .collect();
-    let mut answered = vec![false; lines.len()];
     let mut attempts = vec![0u32; lines.len()];
     let mut pending: VecDeque<usize> = (0..lines.len()).collect();
     let mut rng = StdRng::seed_from_u64(0xB0FF ^ lines.len() as u64);
@@ -167,27 +165,37 @@ fn closed_loop(addr: &str, lines: &[String], window: usize) -> std::io::Result<L
             }
             match rx.recv_timeout(Duration::from_secs(20)) {
                 Ok(line) => {
-                    let Some(i) = wire_id(&line).and_then(|id| index_of.get(id)).copied() else {
+                    let doc = json::parse(&line).ok();
+                    let id = doc.as_ref().and_then(id_of);
+                    let (Some(doc), Some(&i)) = (doc, id.and_then(|id| index_of.get(&id))) else {
                         continue; // unparseable line: ignore, the id map is the truth
                     };
-                    if answered[i] {
+                    if stats.answers[i].is_some() {
                         continue; // late duplicate from a pre-drop submission
                     }
                     in_flight.retain(|&j| j != i);
-                    if line.contains("\"error\":\"overloaded\"")
-                        && attempts[i] < MAX_OVERLOAD_RETRIES
-                    {
+                    let error = doc.get("error");
+                    let overloaded = error.and_then(|e| e.get("error")).and_then(Value::as_str)
+                        == Some("overloaded");
+                    if overloaded && attempts[i] < MAX_OVERLOAD_RETRIES {
+                        // The server's own estimate of when the queue
+                        // will have room floors the backoff.
+                        let hint = error.and_then(|e| e.get("retry_after_ms"));
                         attempts[i] += 1;
                         stats.retries += 1;
-                        backoff(attempts[i], retry_after_hint_ms(&line), &mut rng);
+                        backoff(
+                            attempts[i],
+                            hint.and_then(Value::as_f64).unwrap_or(5.0),
+                            &mut rng,
+                        );
                         pending.push_back(i);
                     } else {
-                        answered[i] = true;
-                        if line.contains("\"result\":{") {
+                        if doc.get("result").is_some() {
                             stats.results += 1;
                         } else {
                             stats.errors += 1;
                         }
+                        stats.answers[i] = Some(doc);
                     }
                 }
                 // EOF, reset, or a 20 s stall: the connection is dead.
@@ -221,10 +229,19 @@ fn closed_loop(addr: &str, lines: &[String], window: usize) -> std::io::Result<L
 /// Renders a csag-wire v2 SEA request line; `pin` adds the `"epoch"`
 /// key (the read must answer from a store epoch `>=` the pin).
 fn wire_line(id: &str, q: u32, k: u32, seed: u64, pin: Option<u64>) -> String {
-    let epoch = pin.map(|e| format!(",\"epoch\":{e}")).unwrap_or_default();
-    format!(
-        "{{\"id\":\"{id}\",\"method\":\"sea\",\"q\":{q},\"k\":{k},\"error\":0.1,\"seed\":{seed}{epoch}}}\n"
-    )
+    let mut w = Writer::new();
+    w.begin_object();
+    w.key("id").string(id);
+    w.key("method").string("sea");
+    w.key("q").uint(q.into());
+    w.key("k").uint(k.into());
+    w.key("error").float(0.1);
+    w.key("seed").uint(seed);
+    if let Some(epoch) = pin {
+        w.key("epoch").uint(epoch);
+    }
+    w.end_object();
+    w.finish() + "\n"
 }
 
 /// Drives an external `csag serve --listen` server at `addr` with the
@@ -298,6 +315,123 @@ pub fn drive_socket(addr: &str, scale: &Scale) -> String {
     md
 }
 
+/// Envelope members every response that carries a `"result"` has
+/// (`docs/wire-protocol.md` §Response envelope).
+const ENVELOPE: [&str; 7] = [
+    "epoch",
+    "priority",
+    "class",
+    "coalesced",
+    "degraded",
+    "queue_ms",
+    "deadline_slack_ms",
+];
+
+/// The answer check behind `experiments load --expect …`: which
+/// responses must carry which `csag query --json` answer.
+pub struct Check {
+    /// `(id, path)` per `--expect <id>=<path>`: the response echoing
+    /// `id` must carry the same answer as the JSON file at `path`.
+    pub expects: Vec<(String, String)>,
+    /// `--ignore epoch`: the expectation was computed on an offline
+    /// copy of the graph, whose store sits at epoch 0.
+    pub ignore_epoch: bool,
+}
+
+fn read(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))
+}
+
+/// `text` (the content of `path`) as one JSON document per non-blank
+/// line.
+fn parse_lines(path: &str, text: &str) -> Result<Vec<Value>, String> {
+    text.lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(|(n, line)| json::parse(line).map_err(|e| format!("{path}:{}: {e}", n + 1)))
+        .collect()
+}
+
+impl Check {
+    /// Sends the csag-wire request lines in the file `requests` to the
+    /// server at `addr`, pipelined through the closed loop, and checks
+    /// the responses.
+    ///
+    /// # Errors
+    /// The first failed check (see [`Check::over_file`]), an unreadable
+    /// file, a request without an `"id"`, or a dead server.
+    pub fn over_socket(&self, addr: &str, requests: &str) -> Result<String, String> {
+        let text = read(requests)?;
+        let sent = parse_lines(requests, &text)?;
+        if sent.iter().any(|r| id_of(r).is_none()) {
+            return Err(format!("{requests}: every request needs an \"id\""));
+        }
+        let lines = text.lines().filter(|line| !line.trim().is_empty());
+        let lines: Vec<String> = lines.map(|line| format!("{line}\n")).collect();
+        let stats = closed_loop(addr, &lines, PIPELINE_WINDOW)
+            .map_err(|e| format!("driving {addr}: {e}"))?;
+        let responses: Vec<Value> = stats.answers.into_iter().flatten().collect();
+        self.verify(&sent, &responses)
+    }
+
+    /// Checks a recorded session: `responses` holds one response line
+    /// per line (what `csag serve` printed for a csag-wire v1 session).
+    ///
+    /// # Errors
+    /// The first failed check, naming the response id and — for an
+    /// answer mismatch — the first differing path.
+    pub fn over_file(&self, responses: &str) -> Result<String, String> {
+        self.verify(&[], &parse_lines(responses, &read(responses)?)?)
+    }
+
+    fn verify(&self, requests: &[Value], responses: &[Value]) -> Result<String, String> {
+        let by_id = |id: &str| responses.iter().find(|r| id_of(r).as_deref() == Some(id));
+        for r in responses {
+            let id = id_of(r).ok_or_else(|| format!("response without an id: {}", r.render()))?;
+            let missing = ENVELOPE.iter().find(|key| r.get(key).is_none());
+            if let (Some(_), Some(key)) = (r.get("result"), missing) {
+                return Err(format!("response {id} lacks the envelope key \"{key}\""));
+            }
+        }
+        let mut pins = 0;
+        for request in requests {
+            let Some(pin) = request.get("epoch").and_then(Value::as_u64) else {
+                continue;
+            };
+            let id = id_of(request).unwrap_or_default();
+            let answered_at = by_id(&id).and_then(|r| r.get("epoch")?.as_u64());
+            if answered_at.is_none_or(|epoch| epoch < pin) {
+                return Err(format!(
+                    "request {id} pinned epoch {pin} but was answered at {answered_at:?}"
+                ));
+            }
+            pins += 1;
+        }
+        for (id, path) in &self.expects {
+            let want = json::parse(&read(path)?).map_err(|e| format!("{path}: {e}"))?;
+            let want = answer_identity(&want, self.ignore_epoch)
+                .ok_or_else(|| format!("{path} holds no answer object"))?;
+            let response = by_id(id).ok_or_else(|| format!("no response carries id {id}"))?;
+            let got = answer_identity(response, self.ignore_epoch)
+                .ok_or_else(|| format!("response {id} holds no answer object"))?;
+            if let Some(at) = first_difference(&want, &got) {
+                return Err(format!(
+                    "response {id} differs from {path} at {at}\n  expected {}\n  got      {}",
+                    want.render(),
+                    got.render()
+                ));
+            }
+        }
+        Ok(format!(
+            "check: {} response(s) well-formed, {pins} epoch pin(s) honoured, {} answer(s) \
+             byte-match csag query --json (timings_ms{} aside)",
+            responses.len(),
+            self.expects.len(),
+            if self.ignore_epoch { " and epoch" } else { "" }
+        ))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -350,6 +484,60 @@ mod tests {
             stats.retries >= 1,
             "the dropped in-flight reads were resubmitted"
         );
+    }
+
+    /// The check over a live socket: numeric and string ids both match
+    /// their `--expect`, an honoured pin is counted, and a pin the
+    /// response does not honour — or a result stripped of its envelope
+    /// — fails the run by name.
+    #[test]
+    fn check_matches_ids_honours_pins_and_demands_the_envelope() {
+        let service = tiny_service(64);
+        let transport = Transport::bind_tcp(Arc::clone(&service), "127.0.0.1:0").expect("bind");
+        let addr = transport.local_addr().tcp().expect("tcp").to_string();
+        let dir = std::env::temp_dir().join(format!("csag-load-check-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = |name: &str| dir.join(name).to_str().expect("utf-8 path").to_string();
+
+        let query = csag::engine::CommunityQuery::new(csag::engine::Method::Sea, 5)
+            .with_k(3)
+            .with_error_bound(0.1)
+            .with_seed(7);
+        let snapshot = service.store().snapshot();
+        let want = match snapshot.engine().run(&query) {
+            Ok(result) => result.to_json(),
+            Err(error) => csag::engine::error_to_json(&error),
+        };
+        std::fs::write(path("want.json"), want).expect("write expectation");
+        let requests = format!(
+            "{}\n{}",
+            r#"{"id":17,"method":"sea","q":5,"k":3,"error":0.1,"seed":7,"epoch":0}"#,
+            wire_line("s", 5, 3, 7, None)
+        );
+        std::fs::write(path("requests.jsonl"), requests).expect("write requests");
+        let check = Check {
+            expects: vec![
+                ("17".into(), path("want.json")),
+                ("s".into(), path("want.json")),
+            ],
+            ignore_epoch: false,
+        };
+        let summary = check
+            .over_socket(&addr, &path("requests.jsonl"))
+            .expect("both answers match");
+        assert!(summary.contains("2 response(s)"), "{summary}");
+        assert!(summary.contains("1 epoch pin(s)"), "{summary}");
+        assert!(summary.contains("2 answer(s)"), "{summary}");
+        transport.shutdown();
+
+        let request = json::parse(r#"{"id":"p","q":5,"epoch":4}"#).unwrap();
+        let stale = json::parse(r#"{"id":"p","epoch":3,"error":{"error":"no_community"}}"#);
+        let err = check.verify(&[request], &[stale.unwrap()]).unwrap_err();
+        assert!(err.contains("request p pinned epoch 4"), "{err}");
+        let bare = json::parse(r#"{"id":"b","epoch":0,"result":{"q":5}}"#).unwrap();
+        let err = check.verify(&[], &[bare]).unwrap_err();
+        assert!(err.contains("response b lacks the envelope key"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// `overloaded` rejections are retried, not tallied: a paused

@@ -55,6 +55,7 @@ use csag::engine::{
 use csag::graph::io::{load_graph, save_graph};
 use csag::graph::stats::graph_stats;
 use csag::graph::{AttributedGraph, GraphBuilder};
+use csag::json::Writer;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
@@ -148,15 +149,43 @@ struct Flags {
     named: HashMap<String, Vec<String>>,
 }
 
-fn parse_flags(args: &[String], arity: &HashMap<&str, usize>) -> Result<Flags, String> {
+/// A command's flag vocabulary: each `--name` with the number of values
+/// it takes.
+type FlagSet = &'static [(&'static str, usize)];
+
+/// What [`query_of`] reads — shared by `query`, `exact`, `sea` and
+/// `baseline` (`--method` only by the two that take one).
+const SEARCH_FLAGS: FlagSet = &[
+    ("query", 1),
+    ("k", 1),
+    ("gamma", 1),
+    ("truss", 0),
+    ("budget-ms", 1),
+    ("error", 1),
+    ("confidence", 1),
+    ("lambda", 1),
+    ("seed", 1),
+    ("size", 2),
+    ("json", 0),
+];
+const METHOD_FLAG: FlagSet = &[("method", 1)];
+/// The serving sockets and scheduler knobs `serve` and `replica` share.
+const SERVING_FLAGS: FlagSet = &[("workers", 1), ("capacity", 1), ("listen", 1), ("uds", 1)];
+const REPLICA_FLAGS: FlagSet = &[("follow", 1), ("name", 1)];
+
+/// Parses `args` against the flags `cmd` reads (`sets`, concatenated);
+/// any other `--flag` is an error naming the command.
+fn parse_flags(cmd: &str, args: &[String], sets: &[FlagSet]) -> Result<Flags, String> {
     let mut positional = Vec::new();
     let mut named: HashMap<String, Vec<String>> = HashMap::new();
     let mut it = args.iter().peekable();
     while let Some(a) = it.next() {
         if let Some(name) = a.strip_prefix("--") {
-            let n = *arity
-                .get(name)
-                .ok_or_else(|| format!("unknown flag --{name}"))?;
+            let &(_, n) = sets
+                .iter()
+                .flat_map(|set| set.iter())
+                .find(|(flag, _)| *flag == name)
+                .ok_or_else(|| format!("unknown flag --{name} for {cmd}"))?;
             let mut vals = Vec::with_capacity(n);
             for _ in 0..n {
                 vals.push(
@@ -192,43 +221,6 @@ impl Flags {
     fn has(&self, name: &str) -> bool {
         self.named.contains_key(name)
     }
-}
-
-fn common_arity() -> HashMap<&'static str, usize> {
-    HashMap::from([
-        ("query", 1),
-        ("k", 1),
-        ("gamma", 1),
-        ("truss", 0),
-        ("budget-ms", 1),
-        ("error", 1),
-        ("confidence", 1),
-        ("lambda", 1),
-        ("seed", 1),
-        ("size", 2),
-        ("method", 1),
-        ("nodes", 1),
-        ("communities", 1),
-        ("out", 1),
-        ("json", 0),
-        ("script", 1),
-        ("batches", 1),
-        ("workers", 1),
-        ("capacity", 1),
-        ("replicas", 1),
-        ("shards", 1),
-        ("shard-halo", 1),
-        ("metrics", 0),
-        ("listen", 1),
-        ("uds", 1),
-        ("follow", 1),
-        ("name", 1),
-        ("repl-listen", 1),
-        ("repl-uds", 1),
-        ("wal", 1),
-        ("plan-out", 1),
-        ("sleep-ms", 1),
-    ])
 }
 
 fn load(flags: &Flags) -> Result<AttributedGraph, String> {
@@ -383,7 +375,7 @@ fn run_and_render(g: AttributedGraph, query: &CommunityQuery, json: bool) -> Res
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args, &common_arity())?;
+    let flags = parse_flags("stats", args, &[])?;
     let g = load(&flags)?;
     let s = graph_stats(&g);
     let engine = Engine::new(g);
@@ -401,7 +393,7 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_search(args: &[String], method: Method) -> Result<(), String> {
-    let flags = parse_flags(args, &common_arity())?;
+    let flags = parse_flags(method.name(), args, &[SEARCH_FLAGS])?;
     let g = load(&flags)?;
     let query = query_of(&flags, method)?;
     run_and_render(g, &query, flags.has("json"))
@@ -413,7 +405,7 @@ fn cmd_search(args: &[String], method: Method) -> Result<(), String> {
 /// it byte-matches the `"result"` object of a `csag serve` response for
 /// the same query (timings aside).
 fn cmd_query(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args, &common_arity())?;
+    let flags = parse_flags("query", args, &[SEARCH_FLAGS, METHOD_FLAG])?;
     let g = load(&flags)?;
     let method: String = flags.require("method")?;
     let method: Method = method.parse().map_err(|e: CsagError| e.to_string())?;
@@ -456,10 +448,19 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     use std::io::{BufRead, Write};
     use std::sync::Arc;
 
-    let flags = parse_flags(args, &common_arity())?;
-    // `--follow` turns this invocation into a replica: same flags, but
-    // the store is fed by a primary's replication stream instead of
-    // local writes.
+    const SERVE_FLAGS: FlagSet = &[
+        ("replicas", 1),
+        ("shards", 1),
+        ("shard-halo", 1),
+        ("wal", 1),
+        ("metrics", 0),
+        ("repl-listen", 1),
+        ("repl-uds", 1),
+    ];
+    let flags = parse_flags("serve", args, &[SERVE_FLAGS, SERVING_FLAGS, REPLICA_FLAGS])?;
+    // `--follow` turns this invocation into a replica: the store is fed
+    // by a primary's replication stream instead of local writes (and
+    // only the replica's own flags apply).
     if flags.has("follow") {
         return cmd_replica(args);
     }
@@ -659,7 +660,7 @@ fn cmd_replica(args: &[String]) -> Result<(), String> {
     use std::io::Write;
     use std::sync::Arc;
 
-    let flags = parse_flags(args, &common_arity())?;
+    let flags = parse_flags("replica", args, &[REPLICA_FLAGS, SERVING_FLAGS])?;
     let addr: String = flags.require("follow")?;
     let mut config = FollowerConfig::default();
     if let Some(name) = flags.get::<String>("name")? {
@@ -739,7 +740,7 @@ fn bind_transports(
 }
 
 fn cmd_baseline(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args, &common_arity())?;
+    let flags = parse_flags("baseline", args, &[SEARCH_FLAGS, METHOD_FLAG])?;
     let g = load(&flags)?;
     let method: String = flags.require("method")?;
     let method: Method = method.parse().map_err(|e: CsagError| e.to_string())?;
@@ -756,7 +757,8 @@ fn cmd_baseline(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_generate(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args, &common_arity())?;
+    const FLAGS: FlagSet = &[("nodes", 1), ("communities", 1), ("seed", 1), ("out", 1)];
+    let flags = parse_flags("generate", args, &[FLAGS])?;
     let nodes: usize = flags.require("nodes")?;
     let communities: usize = flags.require("communities")?;
     let seed = flags.get::<u64>("seed")?.unwrap_or(0);
@@ -777,21 +779,22 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn report_to_json(r: &UpdateReport) -> String {
-    format!(
-        "{{\"epoch\":{},\"edges_added\":{},\"edges_removed\":{},\"vertices_added\":{},\
-         \"attributes_set\":{},\"noops\":{},\"coreness_changed\":{},\
-         \"distance_tables_retained\":{},\"distance_tables_invalidated\":{}}}",
-        r.epoch,
-        r.edges_added,
-        r.edges_removed,
-        r.vertices_added,
-        r.attributes_set,
-        r.noops,
-        r.coreness_changed,
-        r.distance_tables_retained,
-        r.distance_tables_invalidated
-    )
+fn write_report_json(r: &UpdateReport, w: &mut Writer) {
+    w.begin_object();
+    w.key("epoch").uint(r.epoch);
+    for (key, count) in [
+        ("edges_added", r.edges_added),
+        ("edges_removed", r.edges_removed),
+        ("vertices_added", r.vertices_added),
+        ("attributes_set", r.attributes_set),
+        ("noops", r.noops),
+        ("coreness_changed", r.coreness_changed),
+        ("distance_tables_retained", r.distance_tables_retained),
+        ("distance_tables_invalidated", r.distance_tables_invalidated),
+    ] {
+        w.key(key).uint(count as u64);
+    }
+    w.end_object();
 }
 
 /// `csag update`: apply a `csag-updates v1` script to a graph through the
@@ -800,7 +803,8 @@ fn report_to_json(r: &UpdateReport) -> String {
 /// initialized directory is recovered before the batch applies; the
 /// recovery report goes to stderr so `--json` stdout stays one object).
 fn cmd_update(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args, &common_arity())?;
+    const FLAGS: FlagSet = &[("script", 1), ("out", 1), ("wal", 1), ("json", 0)];
+    let flags = parse_flags("update", args, &[FLAGS])?;
     let g = load(&flags)?;
     let script_path: String = flags.require("script")?;
     let script =
@@ -819,14 +823,15 @@ fn cmd_update(args: &[String]) -> Result<(), String> {
     let elapsed_ms = t.elapsed().as_secs_f64() * 1000.0;
     let snap = store.snapshot();
     if flags.has("json") {
-        println!(
-            "{{\"applied\":{},\"elapsed_ms\":{elapsed_ms:.3},\"nodes\":{},\"edges\":{},\
-             \"report\":{}}}",
-            updates.len(),
-            snap.graph().n(),
-            snap.graph().m(),
-            report_to_json(&report)
-        );
+        let mut w = Writer::new();
+        w.begin_object();
+        w.key("applied").uint(updates.len() as u64);
+        w.key("elapsed_ms").fixed(elapsed_ms, 3);
+        w.key("nodes").uint(snap.graph().n() as u64);
+        w.key("edges").uint(snap.graph().m() as u64);
+        write_report_json(&report, w.key("report"));
+        w.end_object();
+        println!("{}", w.finish());
     } else {
         println!(
             "applied {} update(s) in {elapsed_ms:.2} ms → epoch {}: \
@@ -886,7 +891,14 @@ fn wal_backed_store(
 fn cmd_wal_churn(args: &[String]) -> Result<(), String> {
     use std::io::Write;
 
-    let flags = parse_flags(args, &common_arity())?;
+    const FLAGS: FlagSet = &[
+        ("wal", 1),
+        ("plan-out", 1),
+        ("batches", 1),
+        ("seed", 1),
+        ("sleep-ms", 1),
+    ];
+    let flags = parse_flags("wal-churn", args, &[FLAGS])?;
     let batches: usize = flags.get("batches")?.unwrap_or(64);
     let seed: u64 = flags.get("seed")?.unwrap_or(0xC0FFEE);
     let sleep_ms: u64 = flags.get("sleep-ms")?.unwrap_or(0);
@@ -995,7 +1007,8 @@ fn outcome_fingerprint(r: Result<&CommunityResult, &CsagError>) -> String {
 fn cmd_serve_churn(args: &[String]) -> Result<(), String> {
     use csag::service::{Request, Service, ServiceConfig};
 
-    let flags = parse_flags(args, &common_arity())?;
+    const FLAGS: FlagSet = &[("batches", 1), ("seed", 1), ("json", 0)];
+    let flags = parse_flags("serve-churn", args, &[FLAGS])?;
     let batches: usize = flags.get("batches")?.unwrap_or(6);
     let seed: u64 = flags.get("seed")?.unwrap_or(0xC0FFEE);
     let json = flags.has("json");
@@ -1064,12 +1077,19 @@ fn cmd_serve_churn(args: &[String]) -> Result<(), String> {
 
     let mean_apply = apply_ms.iter().sum::<f64>() / apply_ms.len().max(1) as f64;
     if json {
-        println!(
-            "{{\"batches\":{batches},\"checks\":{total_checks},\"mismatches\":{mismatches},\
-             \"epoch_mismatches\":{epoch_mismatches},\"served\":{served},\
-             \"mean_apply_ms\":{mean_apply:.3},\"distance_tables_retained\":{retained},\
-             \"distance_tables_invalidated\":{invalidated}}}"
-        );
+        let mut w = Writer::new();
+        w.begin_object();
+        w.key("batches").uint(batches as u64);
+        w.key("checks").uint(total_checks as u64);
+        w.key("mismatches").uint(mismatches as u64);
+        w.key("epoch_mismatches").uint(epoch_mismatches as u64);
+        w.key("served").uint(served);
+        w.key("mean_apply_ms").fixed(mean_apply, 3);
+        w.key("distance_tables_retained").uint(retained as u64);
+        w.key("distance_tables_invalidated")
+            .uint(invalidated as u64)
+            .end_object();
+        println!("{}", w.finish());
     } else {
         println!(
             "serve-churn: {batches} batch(es) × 2 graphs, {total_checks} service answers \
@@ -1091,7 +1111,7 @@ fn cmd_serve_churn(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_demo(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args, &common_arity())?;
+    let flags = parse_flags("demo", args, &[&[("json", 0)]])?;
     let (g, q) = figure1_imdb();
     let engine = Engine::new(g);
     let res = engine

@@ -22,11 +22,11 @@ use crate::cluster::replica::{replica_loop, ReplicaMsg, ReplicaState};
 use crate::cluster::replication::LogRecord;
 use crate::cluster::shard::{planner, ClusterView, ShardStats};
 use crate::engine::query::CommunityQuery;
-use crate::engine::result::{json_array, json_f64, json_object, json_string};
 use crate::engine::store::ReadCounters;
 use crate::engine::{
     ApplyError, CommunityResult, CsagError, GraphStore, GraphUpdate, Snapshot, UpdateReport,
 };
+use crate::json::Writer;
 use csag_graph::{AttributedGraph, NodeId, QueryWorkspace};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
@@ -776,58 +776,59 @@ pub struct ShardSectionMetrics {
 impl ClusterMetrics {
     /// Serializes as one JSON object, schema `csag-cluster-metrics-v1`.
     pub fn to_json(&self) -> String {
-        let replicas = self.replicas.iter().map(|r| {
-            json_object(&[
-                ("id", r.id.to_string()),
-                ("health", json_string(r.health.name())),
-                ("watermark", r.watermark.to_string()),
-                ("lag", r.lag.to_string()),
-                ("routed_reads", r.routed_reads.to_string()),
-                ("outstanding", r.outstanding.to_string()),
-                ("applied", r.applied.to_string()),
-                ("apply_errors", r.apply_errors.to_string()),
-                ("degraded", r.degraded.to_string()),
-                ("reseeded", r.reseeded.to_string()),
-            ])
-        });
-        let remotes = self.remotes.iter().map(|m| {
-            json_object(&[
-                ("name", json_string(&m.name)),
-                ("health", json_string(m.health.name())),
-                ("connected", m.connected.to_string()),
-                ("watermark", m.watermark.to_string()),
-                ("lag", m.lag.to_string()),
-                ("records_sent", m.records_sent.to_string()),
-                ("bytes_shipped", m.bytes_shipped.to_string()),
-                ("reseeds", m.reseeds.to_string()),
-                ("acks", m.acks.to_string()),
-                ("degraded", m.degraded.to_string()),
-            ])
-        });
-        let shards = self.shards.iter().map(|sh| {
-            json_object(&[
-                ("id", sh.id.to_string()),
-                ("owned", sh.owned.to_string()),
-                ("halo", sh.halo.to_string()),
-                ("watermark", sh.watermark.to_string()),
-                ("local_hits", sh.local_hits.to_string()),
-                ("gathers", sh.gathers.to_string()),
-                ("merge_ms", json_f64(sh.merge_ms)),
-            ])
-        });
-        json_object(&[
-            ("schema", json_string("csag-cluster-metrics-v1")),
-            ("primary_epoch", self.primary_epoch.to_string()),
-            ("records", self.records.to_string()),
-            ("pinned_reads", self.pinned_reads.to_string()),
-            ("unpinned_reads", self.unpinned_reads.to_string()),
-            ("primary_reads", self.primary_reads.to_string()),
-            ("pinned_waits", self.pinned_waits.to_string()),
-            ("pinned_rejects", self.pinned_rejects.to_string()),
-            ("replicas", json_array(replicas)),
-            ("remotes", json_array(remotes)),
-            ("shards", json_array(shards)),
-        ])
+        let mut w = Writer::new();
+        w.begin_object();
+        w.key("schema").string("csag-cluster-metrics-v1");
+        w.key("primary_epoch").uint(self.primary_epoch);
+        w.key("records").uint(self.records);
+        w.key("pinned_reads").uint(self.pinned_reads);
+        w.key("unpinned_reads").uint(self.unpinned_reads);
+        w.key("primary_reads").uint(self.primary_reads);
+        w.key("pinned_waits").uint(self.pinned_waits);
+        w.key("pinned_rejects").uint(self.pinned_rejects);
+        w.key("replicas").begin_array();
+        for r in &self.replicas {
+            w.begin_object();
+            w.key("id").uint(r.id as u64);
+            w.key("health").string(r.health.name());
+            w.key("watermark").uint(r.watermark);
+            w.key("lag").uint(r.lag);
+            w.key("routed_reads").uint(r.routed_reads);
+            w.key("outstanding").uint(r.outstanding);
+            w.key("applied").uint(r.applied);
+            w.key("apply_errors").uint(r.apply_errors);
+            w.key("degraded").uint(r.degraded);
+            w.key("reseeded").uint(r.reseeded).end_object();
+        }
+        w.end_array();
+        w.key("remotes").begin_array();
+        for m in &self.remotes {
+            w.begin_object();
+            w.key("name").string(&m.name);
+            w.key("health").string(m.health.name());
+            w.key("connected").boolean(m.connected);
+            w.key("watermark").uint(m.watermark);
+            w.key("lag").uint(m.lag);
+            w.key("records_sent").uint(m.records_sent);
+            w.key("bytes_shipped").uint(m.bytes_shipped);
+            w.key("reseeds").uint(m.reseeds);
+            w.key("acks").uint(m.acks);
+            w.key("degraded").uint(m.degraded).end_object();
+        }
+        w.end_array();
+        w.key("shards").begin_array();
+        for sh in &self.shards {
+            w.begin_object();
+            w.key("id").uint(sh.id as u64);
+            w.key("owned").uint(sh.owned);
+            w.key("halo").uint(sh.halo);
+            w.key("watermark").uint(sh.watermark);
+            w.key("local_hits").uint(sh.local_hits);
+            w.key("gathers").uint(sh.gathers);
+            w.key("merge_ms").float(sh.merge_ms).end_object();
+        }
+        w.end_array().end_object();
+        w.finish()
     }
 }
 

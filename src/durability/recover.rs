@@ -24,8 +24,8 @@
 
 use super::wal::{list_checkpoints, list_segments, Wal, WalConfig, WalError};
 use crate::cluster::LogRecord;
-use crate::engine::result::json_object;
 use crate::engine::{GraphStore, Replay};
+use crate::json::Writer;
 use csag_graph::wal::{scan, ScanEnd};
 use std::path::Path;
 use std::sync::Arc;
@@ -52,14 +52,18 @@ impl RecoveryReport {
     /// The report as one flat JSON object (printed by
     /// `csag serve --wal` / `csag update --wal` on recovery).
     pub fn to_json(&self) -> String {
-        json_object(&[
-            ("checkpoint_epoch", self.checkpoint_epoch.to_string()),
-            ("records_replayed", self.records_replayed.to_string()),
-            ("epoch", self.epoch.to_string()),
-            ("torn_tail_truncated", self.torn_tail_truncated.to_string()),
-            ("truncated_bytes", self.truncated_bytes.to_string()),
-            ("segments_scanned", self.segments_scanned.to_string()),
-        ])
+        let mut w = Writer::new();
+        w.begin_object();
+        w.key("checkpoint_epoch").uint(self.checkpoint_epoch);
+        w.key("records_replayed").uint(self.records_replayed);
+        w.key("epoch").uint(self.epoch);
+        w.key("torn_tail_truncated")
+            .boolean(self.torn_tail_truncated);
+        w.key("truncated_bytes").uint(self.truncated_bytes);
+        w.key("segments_scanned")
+            .uint(self.segments_scanned as u64)
+            .end_object();
+        w.finish()
     }
 }
 

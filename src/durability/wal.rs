@@ -5,7 +5,7 @@
 
 use super::fault::{AppendFault, FaultPlan};
 use crate::cluster::LogRecord;
-use crate::engine::result::{json_object, json_string};
+use crate::json::Writer;
 use csag_graph::AttributedGraph;
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -162,21 +162,25 @@ impl DurabilityStatus {
     /// The status as one flat JSON object (for `csag serve --wal`
     /// observability lines).
     pub fn to_json(&self) -> String {
-        let degraded = self.degraded.as_deref().map(json_string);
-        let mut fields = vec![("degraded", degraded.unwrap_or_else(|| "null".into()))];
-        fields.extend(
-            [
-                ("appends", self.appends),
-                ("fsyncs", self.fsyncs),
-                ("rotations", self.rotations),
-                ("checkpoints", self.checkpoints),
-                ("checkpoint_failures", self.checkpoint_failures),
-                ("last_checkpoint_epoch", self.last_checkpoint_epoch),
-                ("last_epoch", self.last_epoch),
-            ]
-            .map(|(key, value)| (key, value.to_string())),
-        );
-        json_object(&fields)
+        let mut w = Writer::new();
+        w.begin_object().key("degraded");
+        match &self.degraded {
+            Some(reason) => w.string(reason),
+            None => w.null(),
+        };
+        for (key, count) in [
+            ("appends", self.appends),
+            ("fsyncs", self.fsyncs),
+            ("rotations", self.rotations),
+            ("checkpoints", self.checkpoints),
+            ("checkpoint_failures", self.checkpoint_failures),
+            ("last_checkpoint_epoch", self.last_checkpoint_epoch),
+            ("last_epoch", self.last_epoch),
+        ] {
+            w.key(key).uint(count);
+        }
+        w.end_object();
+        w.finish()
     }
 }
 

@@ -50,7 +50,9 @@ pub use batch::parallel_map;
 pub use error::{CsagError, PartialSearch};
 pub use hetero::HeteroEngine;
 pub use query::{CommunityQuery, Method};
-pub use result::{error_to_json, AccuracyCertificate, CommunityResult, PhaseTimings, Provenance};
+pub use result::{
+    answer_identity, error_to_json, AccuracyCertificate, CommunityResult, PhaseTimings, Provenance,
+};
 pub use store::{ApplyError, EpochWatch, GraphStore, GraphUpdate, Replay, Snapshot, UpdateReport};
 
 use csag_baselines as baselines;

@@ -2,6 +2,7 @@
 //! timings, and provenance — one shape for every [`Method`].
 
 use super::query::Method;
+use crate::json::{Value, Writer};
 use csag_decomp::CommunityModel;
 use csag_graph::NodeId;
 use std::time::Duration;
@@ -121,135 +122,89 @@ pub struct CommunityResult {
 }
 
 impl CommunityResult {
-    /// Serializes the result as a single JSON object (hand-rolled — the
-    /// workspace has no serde). Non-finite numbers become `null`;
-    /// durations are reported in fractional milliseconds.
+    /// Serializes the result as a single JSON object (through
+    /// [`crate::json::Writer`] — the workspace has no serde). Non-finite
+    /// numbers become `null`; durations are reported in fractional
+    /// milliseconds.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(256 + 12 * self.community.len());
-        s.push('{');
-        push_kv(&mut s, "q", &self.q.to_string());
-        s.push(',');
-        push_kv(&mut s, "epoch", &self.epoch.to_string());
-        s.push(',');
-        push_key(&mut s, "community");
-        s.push('[');
-        for (i, v) in self.community.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&v.to_string());
-        }
-        s.push(']');
-        s.push(',');
-        push_kv(&mut s, "size", &self.community.len().to_string());
-        s.push(',');
-        push_kv(&mut s, "delta", &json_f64(self.delta));
-        s.push(',');
-        push_key(&mut s, "certificate");
+        let mut w = Writer::with_capacity(256 + 12 * self.community.len());
+        self.write_json(&mut w);
+        w.finish()
+    }
+
+    /// [`CommunityResult::to_json`] as one value of a larger document.
+    pub(crate) fn write_json(&self, w: &mut Writer) {
+        w.begin_object();
+        w.key("q").uint(self.q.into());
+        w.key("epoch").uint(self.epoch);
+        write_nodes(w.key("community"), &self.community);
+        w.key("size").uint(self.community.len() as u64);
+        w.key("delta").float(self.delta);
+        w.key("certificate");
         match &self.certificate {
-            None => s.push_str("null"),
+            None => w.null(),
             Some(c) => {
-                s.push('{');
-                push_kv(
-                    &mut s,
-                    "certified",
-                    if c.certified { "true" } else { "false" },
-                );
-                s.push(',');
-                push_kv(&mut s, "error_bound", &json_f64(c.error_bound));
-                s.push(',');
-                push_kv(&mut s, "confidence", &json_f64(c.confidence));
-                s.push(',');
-                push_kv(&mut s, "moe", &json_f64(c.moe));
-                s.push('}');
+                w.begin_object();
+                w.key("certified").boolean(c.certified);
+                w.key("error_bound").float(c.error_bound);
+                w.key("confidence").float(c.confidence);
+                w.key("moe").float(c.moe).end_object()
             }
-        }
-        s.push(',');
-        push_key(&mut s, "timings_ms");
-        s.push('{');
-        for (i, (name, d)) in [
+        };
+        w.key("timings_ms").begin_object();
+        for (name, d) in [
             ("prepare", self.timings.prepare),
             ("search", self.timings.search),
             ("sampling", self.timings.sampling),
             ("estimation", self.timings.estimation),
             ("incremental", self.timings.incremental),
             ("total", self.timings.total),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            if i > 0 {
-                s.push(',');
-            }
-            push_kv(&mut s, name, &json_f64(d.as_secs_f64() * 1000.0));
+        ] {
+            w.key(name).float(d.as_secs_f64() * 1000.0);
         }
-        s.push('}');
-        s.push(',');
-        push_key(&mut s, "provenance");
-        s.push('{');
-        push_kv(
-            &mut s,
-            "method",
-            &json_string(self.provenance.method.name()),
-        );
-        s.push(',');
-        push_kv(&mut s, "k", &self.provenance.k.to_string());
-        s.push(',');
-        push_kv(
-            &mut s,
-            "model",
-            &json_string(&self.provenance.model.to_string()),
-        );
-        s.push(',');
-        push_kv(&mut s, "rounds", &self.provenance.rounds.to_string());
-        s.push(',');
-        push_kv(
-            &mut s,
-            "states_explored",
-            &self.provenance.states_explored.to_string(),
-        );
-        s.push(',');
-        push_kv(
-            &mut s,
-            "candidates_examined",
-            &self.provenance.candidates_examined.to_string(),
-        );
-        s.push(',');
-        push_kv(
-            &mut s,
-            "population_size",
-            &self.provenance.population_size.to_string(),
-        );
-        s.push(',');
-        push_kv(
-            &mut s,
-            "sample_size",
-            &self.provenance.sample_size.to_string(),
-        );
-        s.push(',');
-        push_kv(&mut s, "seed", &self.provenance.seed.to_string());
-        s.push(',');
-        push_kv(
-            &mut s,
-            "objective",
-            &self
-                .provenance
-                .objective
-                .map(json_f64)
-                .unwrap_or_else(|| "null".into()),
-        );
-        s.push('}');
-        s.push('}');
-        s
+        w.end_object();
+        let p = &self.provenance;
+        w.key("provenance").begin_object();
+        w.key("method").string(p.method.name());
+        w.key("k").uint(p.k.into());
+        w.key("model").display(p.model);
+        w.key("rounds").uint(p.rounds as u64);
+        w.key("states_explored").uint(p.states_explored);
+        w.key("candidates_examined")
+            .uint(p.candidates_examined as u64);
+        w.key("population_size").uint(p.population_size as u64);
+        w.key("sample_size").uint(p.sample_size as u64);
+        w.key("seed").uint(p.seed);
+        w.key("objective");
+        match p.objective {
+            Some(x) => w.float(x),
+            None => w.null(),
+        };
+        w.end_object().end_object();
     }
+}
+
+/// A node-id array.
+fn write_nodes(w: &mut Writer, nodes: &[NodeId]) {
+    w.begin_array();
+    for &v in nodes {
+        w.uint(v.into());
+    }
+    w.end_array();
 }
 
 /// Serializes an engine error as a JSON object (for `csag --json` runs
 /// that fail); a [`super::error::PartialSearch`] best-so-far is included
 /// when the budget ran out.
 pub fn error_to_json(err: &super::error::CsagError) -> String {
+    let mut w = Writer::new();
+    write_error_json(err, &mut w);
+    w.finish()
+}
+
+/// [`error_to_json`] as one value of a larger document.
+pub(crate) fn write_error_json(err: &super::error::CsagError, w: &mut Writer) {
     use super::error::CsagError;
-    let mut s = String::from("{");
     let kind = match err {
         CsagError::InvalidParams { .. } => "invalid_params",
         CsagError::QueryNodeNotFound { .. } => "query_node_not_found",
@@ -259,129 +214,71 @@ pub fn error_to_json(err: &super::error::CsagError) -> String {
         CsagError::EpochUnavailable { .. } => "epoch_unavailable",
         CsagError::DurabilityUnavailable { .. } => "durability_unavailable",
     };
-    push_kv(&mut s, "error", &json_string(kind));
-    s.push(',');
-    push_kv(&mut s, "message", &json_string(&err.to_string()));
-    if let CsagError::Overloaded { retry_after } = err {
-        s.push(',');
-        push_kv(
-            &mut s,
-            "retry_after_ms",
-            &json_f64(retry_after.as_secs_f64() * 1000.0),
-        );
-    }
-    if let CsagError::EpochUnavailable {
-        requested,
-        published,
-    } = err
-    {
-        s.push(',');
-        push_kv(&mut s, "requested", &requested.to_string());
-        s.push(',');
-        push_kv(&mut s, "published", &published.to_string());
-        // Mirror the `overloaded` envelope so pinned-read clients can
-        // back off instead of hot-retrying. The hint scales with the
-        // epoch gap (each missing epoch is one write the cluster still
-        // has to publish), derived purely from the two epochs so serve
-        // and `csag query --json` render the identical rejection.
-        let gap = requested.saturating_sub(*published).clamp(1, 50);
-        s.push(',');
-        push_kv(&mut s, "retry_after_ms", &json_f64((5 * gap) as f64));
-    }
-    if let CsagError::BudgetExhausted { partial: Some(p) } = err {
-        s.push(',');
-        push_key(&mut s, "partial");
-        s.push('{');
-        push_key(&mut s, "community");
-        s.push('[');
-        for (i, v) in p.community.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&v.to_string());
+    w.begin_object();
+    w.key("error").string(kind);
+    w.key("message").display(err);
+    match err {
+        CsagError::Overloaded { retry_after } => {
+            w.key("retry_after_ms")
+                .float(retry_after.as_secs_f64() * 1000.0);
         }
-        s.push(']');
-        s.push(',');
-        push_kv(&mut s, "delta", &json_f64(p.delta));
-        s.push(',');
-        push_kv(&mut s, "states_explored", &p.states_explored.to_string());
-        s.push(',');
-        push_kv(
-            &mut s,
-            "elapsed_ms",
-            &json_f64(p.elapsed.as_secs_f64() * 1000.0),
-        );
-        s.push('}');
-    }
-    s.push('}');
-    s
-}
-
-pub(crate) fn push_key(s: &mut String, key: &str) {
-    s.push('"');
-    s.push_str(key);
-    s.push_str("\":");
-}
-
-pub(crate) fn push_kv(s: &mut String, key: &str, value: &str) {
-    push_key(s, key);
-    s.push_str(value);
-}
-
-/// A JSON object from already-rendered values, keys in the given order
-/// — the one writer behind the metrics/report `to_json`s (the per-query
-/// result writer above places its commas by hand to stay
-/// allocation-lean).
-pub(crate) fn json_object(fields: &[(&str, String)]) -> String {
-    let mut s = String::from("{");
-    for (i, (key, value)) in fields.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
+        CsagError::EpochUnavailable {
+            requested,
+            published,
+        } => {
+            w.key("requested").uint(*requested);
+            w.key("published").uint(*published);
+            // Mirror the `overloaded` envelope so pinned-read clients can
+            // back off instead of hot-retrying. The hint scales with the
+            // epoch gap (each missing epoch is one write the cluster still
+            // has to publish), derived purely from the two epochs so serve
+            // and `csag query --json` render the identical rejection.
+            let gap = requested.saturating_sub(*published).clamp(1, 50);
+            w.key("retry_after_ms").float((5 * gap) as f64);
         }
-        push_kv(&mut s, key, value);
-    }
-    s.push('}');
-    s
-}
-
-/// A JSON array from already-rendered items.
-pub(crate) fn json_array(items: impl Iterator<Item = String>) -> String {
-    format!("[{}]", items.collect::<Vec<_>>().join(","))
-}
-
-/// A JSON number literal, or `null` for non-finite values.
-pub(crate) fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        // `{:?}` prints a round-trippable float (always with a decimal
-        // point or exponent), which is valid JSON.
-        format!("{x:?}")
-    } else {
-        "null".into()
-    }
-}
-
-/// A JSON string literal with minimal escaping (quotes, backslashes,
-/// control characters).
-pub(crate) fn json_string(raw: &str) -> String {
-    let mut out = String::with_capacity(raw.len() + 2);
-    out.push('"');
-    for c in raw.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+        CsagError::BudgetExhausted { partial: Some(p) } => {
+            w.key("partial").begin_object();
+            write_nodes(w.key("community"), &p.community);
+            w.key("delta").float(p.delta);
+            w.key("states_explored").uint(p.states_explored);
+            w.key("elapsed_ms").float(p.elapsed.as_secs_f64() * 1000.0);
+            w.end_object();
         }
+        _ => {}
     }
-    out.push('"');
-    out
+    w.end_object();
+}
+
+/// What "the same answer" means, everywhere an answer is compared: the
+/// payload of `doc` — the `"result"` (or `"error"`) object of a
+/// csag-wire response envelope, or `doc` itself when it is what `csag
+/// query --json` printed — minus `timings_ms`, the one wall-clock
+/// section, and minus `epoch` when `ignore_epoch` (a store that replayed
+/// the same updates offline answers at epoch 0). Everything else —
+/// community, δ, certificate, provenance, an error's kind and message —
+/// must match to the byte. `None` when `doc` carries no object payload.
+pub fn answer_identity(doc: &Value, ignore_epoch: bool) -> Option<Value> {
+    let payload = ["result", "error"]
+        .into_iter()
+        .filter_map(|member| doc.get(member))
+        .find(|v| matches!(v, Value::Object(_)))
+        .unwrap_or(doc);
+    let Value::Object(members) = payload else {
+        return None;
+    };
+    let noise = |key: &str| key == "timings_ms" || (ignore_epoch && key == "epoch");
+    Some(Value::Object(
+        members
+            .iter()
+            .filter(|(key, _)| !noise(key))
+            .cloned()
+            .collect(),
+    ))
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::error::CsagError;
     use super::*;
 
     fn sample() -> CommunityResult {
@@ -432,11 +329,57 @@ mod tests {
         assert!(j.contains("\"certificate\":null"));
     }
 
+    fn json_string(raw: &str) -> String {
+        let mut w = Writer::new();
+        w.string(raw);
+        w.finish()
+    }
+
+    fn json_f64(x: f64) -> String {
+        let mut w = Writer::new();
+        w.float(x);
+        w.finish()
+    }
+
     #[test]
     fn json_escaping() {
         assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
         assert_eq!(json_f64(1.0), "1.0");
         assert_eq!(json_f64(f64::INFINITY), "null");
+    }
+
+    #[test]
+    fn answer_identity_cuts_timings_and_optionally_epoch() {
+        use crate::json::parse;
+        let mut later = sample();
+        later.timings.total = Duration::from_millis(7);
+        let bare = parse(&sample().to_json()).unwrap();
+        let enveloped = parse(&format!(
+            "{{\"id\":1,\"epoch\":9,\"queue_ms\":0.5,\"result\":{}}}",
+            later.to_json()
+        ))
+        .unwrap();
+        let id = answer_identity(&bare, false).unwrap();
+        assert_eq!(Some(&id), answer_identity(&enveloped, false).as_ref());
+        assert!(id.get("timings_ms").is_none() && id.get("epoch").is_some());
+        assert!(id.get("provenance").is_some() && id.get("community").is_some());
+
+        later.epoch = 30;
+        let moved = parse(&later.to_json()).unwrap();
+        assert_ne!(Some(&id), answer_identity(&moved, false).as_ref());
+        assert_eq!(
+            answer_identity(&bare, true),
+            answer_identity(&moved, true),
+            "the answer's epoch is the one optional part"
+        );
+
+        // Errors compare whole, bare (`csag query --json`) or enveloped.
+        let err = error_to_json(&CsagError::invalid("k too small"));
+        let bare = parse(&err).unwrap();
+        let enveloped = parse(&format!("{{\"id\":\"x\",\"error\":{err}}}")).unwrap();
+        assert_eq!(answer_identity(&bare, false), Some(bare.clone()));
+        assert_eq!(answer_identity(&enveloped, false), Some(bare));
+        assert_eq!(answer_identity(&parse("[1]").unwrap(), false), None);
     }
 
     #[test]

@@ -35,6 +35,8 @@
 //!   may pin an epoch; pinned reads are only served by a store that has
 //!   published it), plus replica health tracking with automatic
 //!   reseed-from-primary recovery (`csag serve --replicas N`),
+//! * [`json`] — the one JSON writer and the one strict reader behind
+//!   every serializer, the wire parser and the smoke client,
 //! * [`graph`] — attributed homogeneous & heterogeneous graph storage,
 //! * [`decomp`] — k-core / k-truss decomposition and maintenance,
 //! * [`stats`] — Hoeffding bounds, bootstrap, Bag of Little Bootstraps,
@@ -88,6 +90,7 @@
 pub mod cluster;
 pub mod durability;
 pub mod engine;
+pub mod json;
 pub mod service;
 
 pub use csag_baselines as baselines;

@@ -3,7 +3,7 @@
 //! [`MetricsSnapshot`] with a stable JSON rendering
 //! (`csag-service-metrics-v1`).
 
-use crate::engine::result::{json_array, json_f64, json_object, json_string};
+use crate::json::Writer;
 use crate::service::request::Priority;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -198,38 +198,42 @@ impl MetricsSnapshot {
     /// Serializes the snapshot as one JSON object
     /// (`schema: csag-service-metrics-v1`).
     pub fn to_json(&self) -> String {
-        let mut fields = vec![("schema", json_string("csag-service-metrics-v1"))];
-        fields.extend(
-            [
-                ("submitted", self.submitted),
-                ("admitted", self.admitted),
-                ("shed", self.shed),
-                ("rejected", self.rejected),
-                ("coalesced", self.coalesced),
-                ("completed", self.completed),
-                ("failed", self.failed),
-                ("degraded", self.degraded),
-                ("executed", self.executed),
-                ("warm_hits", self.warm_hits),
-                ("wakes", self.wakes),
-            ]
-            .map(|(key, v)| (key, v.to_string())),
-        );
-        fields.push(("warm_hit_ratio", json_f64(self.warm_hit_ratio)));
-        let per_priority = Priority::ALL.map(|p| {
+        let mut w = Writer::new();
+        w.begin_object();
+        w.key("schema").string("csag-service-metrics-v1");
+        for (key, count) in [
+            ("submitted", self.submitted),
+            ("admitted", self.admitted),
+            ("shed", self.shed),
+            ("rejected", self.rejected),
+            ("coalesced", self.coalesced),
+            ("completed", self.completed),
+            ("failed", self.failed),
+            ("degraded", self.degraded),
+            ("executed", self.executed),
+            ("warm_hits", self.warm_hits),
+            ("wakes", self.wakes),
+        ] {
+            w.key(key).uint(count);
+        }
+        w.key("warm_hit_ratio").float(self.warm_hit_ratio);
+        w.key("per_priority").begin_object();
+        for p in Priority::ALL {
             let h = &self.per_priority[p.index()];
-            let row = json_object(&[
-                ("count", h.count.to_string()),
-                ("mean_ms", json_f64(h.mean_ms)),
-                ("p50_ms", json_f64(h.p50_ms)),
-                ("p95_ms", json_f64(h.p95_ms)),
-                ("p99_ms", json_f64(h.p99_ms)),
-                ("buckets", json_array(h.buckets.iter().map(u64::to_string))),
-            ]);
-            (p.name(), row)
-        });
-        fields.push(("per_priority", json_object(&per_priority)));
-        json_object(&fields)
+            w.key(p.name()).begin_object();
+            w.key("count").uint(h.count);
+            w.key("mean_ms").float(h.mean_ms);
+            w.key("p50_ms").float(h.p50_ms);
+            w.key("p95_ms").float(h.p95_ms);
+            w.key("p99_ms").float(h.p99_ms);
+            w.key("buckets").begin_array();
+            for &bucket in &h.buckets {
+                w.uint(bucket);
+            }
+            w.end_array().end_object();
+        }
+        w.end_object().end_object();
+        w.finish()
     }
 }
 

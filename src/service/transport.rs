@@ -63,6 +63,11 @@ use std::thread::JoinHandle;
 /// giving up wake amortization.
 const MAX_SUBMIT_BATCH: usize = 128;
 
+/// Longest request line the reader buffers. A peer that never sends
+/// `\n` must not size the server's allocation: a longer line is
+/// discarded up to its newline and answered `invalid_params`.
+const MAX_REQUEST_LINE: usize = 64 * 1024;
+
 /// One message on a connection's completion channel, rendered to a
 /// response line by the connection's writer thread.
 pub(crate) enum Outgoing {
@@ -506,17 +511,31 @@ fn connection_loop(service: &Service, stream: Socket, faults: &FaultPlan) {
     let Ok(writer) = spawned else { return };
 
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut bytes = Vec::new();
     let mut batch: Vec<(Arc<str>, Request)> = Vec::new();
     let mut line_no = 0usize;
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
+        bytes.clear();
+        let mut capped = (&mut reader).take(MAX_REQUEST_LINE as u64 + 1);
+        match capped.read_until(b'\n', &mut bytes) {
             Ok(0) | Err(_) => break,
             Ok(_) => {}
         }
-        if !line.trim().is_empty() {
-            if faults.next_request_drops() {
+        let request = if bytes.len() > MAX_REQUEST_LINE && !bytes.ends_with(b"\n") {
+            // Discarded to its newline without being buffered.
+            if reader.skip_until(b'\n').is_err() {
+                break;
+            }
+            Some(Err(format!(
+                "request line exceeds {MAX_REQUEST_LINE} bytes"
+            )))
+        } else {
+            let Ok(line) = std::str::from_utf8(&bytes) else {
+                break;
+            };
+            if line.trim().is_empty() {
+                None
+            } else if faults.next_request_drops() {
                 // Scripted connection drop: sever both directions right
                 // now — this request and everything pipelined behind it
                 // (answered or not) is lost, exactly like a real reset.
@@ -524,16 +543,19 @@ fn connection_loop(service: &Service, stream: Socket, faults: &FaultPlan) {
                 drop(tx);
                 let _ = writer.join();
                 return;
+            } else {
+                Some(parse_wire_request(line, line_no))
             }
-            match parse_wire_request(&line, line_no) {
-                Err(msg) => {
-                    let _ = tx.send(Outgoing::Reject {
-                        id: Arc::from(line_no.to_string().as_str()),
-                        error: CsagError::invalid(msg),
-                    });
-                }
-                Ok(wire) => batch.push((Arc::from(wire.id.as_str()), wire.request)),
+        };
+        match request {
+            None => {}
+            Some(Err(msg)) => {
+                let _ = tx.send(Outgoing::Reject {
+                    id: Arc::from(line_no.to_string().as_str()),
+                    error: CsagError::invalid(msg),
+                });
             }
+            Some(Ok(wire)) => batch.push((Arc::from(wire.id.as_str()), wire.request)),
         }
         line_no += 1;
         // Batch boundary: submit once nothing more is already buffered

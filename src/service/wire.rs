@@ -11,23 +11,15 @@
 //! so the `"result"` object is byte-identical to `csag query --json`
 //! for the same query (modulo wall-clock `timings_ms`). Shed and
 //! invalid requests answer with the same envelope carrying an
-//! `"error"` object ([`error_to_json`]), so a client parses exactly
-//! one shape.
+//! `"error"` object ([`error_to_json`](crate::engine::error_to_json)),
+//! so a client parses exactly one shape.
 
-use crate::engine::result::{json_f64, json_string, push_key, push_kv};
-use crate::engine::{error_to_json, CommunityQuery, CsagError, Method};
+use crate::engine::result::write_error_json;
+use crate::engine::{CommunityQuery, CsagError, Method};
+use crate::json::{self, Value, Writer};
 use crate::service::request::{Priority, Request, Response};
 use csag_decomp::CommunityModel;
 use std::time::Duration;
-
-/// One scalar value of a flat `csag-wire` JSON object.
-#[derive(Clone, Debug, PartialEq)]
-enum Scalar {
-    String(String),
-    Number(f64),
-    Bool(bool),
-    Null,
-}
 
 /// A parsed wire request: the service [`Request`] plus the client's id
 /// token, echoed verbatim into the response (so string ids stay
@@ -49,11 +41,14 @@ pub struct WireRequest {
 /// A human-readable description of the first syntax or vocabulary
 /// problem (unknown key, wrong type, missing `q`, malformed JSON).
 pub fn parse_wire_request(line: &str, line_no: usize) -> Result<WireRequest, String> {
-    let fields = parse_flat_object(line)?;
+    let Value::Object(fields) = json::parse(line)? else {
+        return Err("a csag-wire request is one JSON object".to_string());
+    };
     let mut id = line_no.to_string();
     let mut q: Option<u32> = None;
-    let mut method = Method::Exact;
-    let mut query_mods: Vec<Box<dyn FnOnce(CommunityQuery) -> CommunityQuery>> = Vec::new();
+    // Every builder is a plain setter, so fields fold in as they come;
+    // the node is set last, once `q` is known to be present.
+    let mut query = CommunityQuery::new(Method::Exact, 0);
     let mut size_l: Option<usize> = None;
     let mut size_h: Option<usize> = None;
     let mut priority = Priority::Standard;
@@ -62,15 +57,18 @@ pub fn parse_wire_request(line: &str, line_no: usize) -> Result<WireRequest, Str
     let mut pin_epoch: Option<u64> = None;
 
     for (key, value) in fields {
+        if matches!(value, Value::Array(_) | Value::Object(_)) {
+            return Err(format!("csag-wire values are scalars; \"{key}\" is nested"));
+        }
         match key.as_str() {
             "id" => {
                 id = match value {
-                    Scalar::String(s) => json_string(&s),
-                    // Integral ids echo as integers, like they arrived.
-                    Scalar::Number(n) if n.fract() == 0.0 && n.abs() < 9e15 => {
+                    // Negative integral ids echo as integers too, like
+                    // they arrived.
+                    Value::Float(n) if n.fract() == 0.0 && n.abs() < 9e15 => {
                         format!("{}", n as i64)
                     }
-                    Scalar::Number(n) => json_f64(n),
+                    Value::String(_) | Value::UInt(_) | Value::Float(_) => value.render(),
                     other => {
                         return Err(format!("\"id\" must be a string or number, got {other:?}"))
                     }
@@ -78,79 +76,38 @@ pub fn parse_wire_request(line: &str, line_no: usize) -> Result<WireRequest, Str
             }
             "q" => q = Some(u32_field(&key, &value)?),
             "method" => {
-                method = str_field(&key, &value)?
-                    .parse()
-                    .map_err(|e: CsagError| e.to_string())?
+                let method = str_field(&key, value)?.parse();
+                query = query.with_method(method.map_err(|e: CsagError| e.to_string())?);
             }
-            "k" => {
-                let k = u32_field(&key, &value)?;
-                query_mods.push(Box::new(move |c| c.with_k(k)));
-            }
+            "k" => query = query.with_k(u32_field(&key, &value)?),
             "model" => {
-                let model = match str_field(&key, &value)?.as_str() {
+                query = query.with_model(match str_field(&key, value)?.as_str() {
                     "k-core" => CommunityModel::KCore,
                     "k-truss" => CommunityModel::KTruss,
                     other => return Err(format!("unknown model `{other}` (k-core | k-truss)")),
-                };
-                query_mods.push(Box::new(move |c| c.with_model(model)));
+                })
             }
-            "gamma" => {
-                let g = num_field(&key, &value)?;
-                query_mods.push(Box::new(move |c| c.with_gamma(g)));
-            }
-            "error" => {
-                let e = num_field(&key, &value)?;
-                query_mods.push(Box::new(move |c| c.with_error_bound(e)));
-            }
-            "confidence" => {
-                let c0 = num_field(&key, &value)?;
-                query_mods.push(Box::new(move |c| c.with_confidence(c0)));
-            }
-            "lambda" => {
-                let l = num_field(&key, &value)?;
-                query_mods.push(Box::new(move |c| c.with_lambda(l)));
-            }
-            "seed" => {
-                let s = uint_field(&key, &value)?;
-                query_mods.push(Box::new(move |c| c.with_seed(s)));
-            }
+            "gamma" => query = query.with_gamma(num_field(&key, &value)?),
+            "error" => query = query.with_error_bound(num_field(&key, &value)?),
+            "confidence" => query = query.with_confidence(num_field(&key, &value)?),
+            "lambda" => query = query.with_lambda(num_field(&key, &value)?),
+            "seed" => query = query.with_seed(uint_field(&key, &value)?),
             "size_l" => size_l = Some(uint_field(&key, &value)? as usize),
             "size_h" => size_h = Some(uint_field(&key, &value)? as usize),
-            "budget_ms" => {
-                let ms = num_field(&key, &value)?;
-                if !ms.is_finite() || ms < 0.0 {
-                    return Err("\"budget_ms\" must be non-negative".to_string());
-                }
-                query_mods.push(Box::new(move |c| {
-                    c.with_time_budget(Duration::from_secs_f64(ms / 1e3))
-                }));
-            }
-            "budget_states" => {
-                let b = uint_field(&key, &value)?;
-                query_mods.push(Box::new(move |c| c.with_state_budget(b)));
-            }
+            "budget_ms" => query = query.with_time_budget(millis_field(&key, &value)?),
+            "budget_states" => query = query.with_state_budget(uint_field(&key, &value)?),
             "priority" => {
-                priority = str_field(&key, &value)?
+                priority = str_field(&key, value)?
                     .parse()
                     .map_err(|e: CsagError| e.to_string())?
             }
-            "deadline_ms" => {
-                let ms = num_field(&key, &value)?;
-                if !ms.is_finite() || ms < 0.0 {
-                    return Err("\"deadline_ms\" must be non-negative".to_string());
-                }
-                deadline = Some(Duration::from_secs_f64(ms / 1e3));
-            }
-            "class" => class = Some(str_field(&key, &value)?),
+            "deadline_ms" => deadline = Some(millis_field(&key, &value)?),
+            "class" => class = Some(str_field(&key, value)?),
             "epoch" => pin_epoch = Some(uint_field(&key, &value)?),
             other => return Err(format!("unknown csag-wire key \"{other}\"")),
         }
     }
-    let q = q.ok_or("missing required key \"q\"")?;
-    let mut query = CommunityQuery::new(method, q);
-    for m in query_mods {
-        query = m(query);
-    }
+    let mut query = query.with_query(q.ok_or("missing required key \"q\"")?);
     match (size_l, size_h) {
         (Some(l), Some(h)) => {
             query = query.with_size_bound(l, h);
@@ -180,223 +137,80 @@ pub fn parse_wire_request(line: &str, line_no: usize) -> Result<WireRequest, Str
 /// [`error_to_json`].
 ///
 /// [`CommunityResult::to_json`]: crate::engine::CommunityResult::to_json
+/// [`error_to_json`]: crate::engine::error_to_json
 pub fn response_to_json(id: &str, resp: &Response) -> String {
-    let mut s = String::with_capacity(256);
-    s.push('{');
-    push_kv(&mut s, "id", id);
-    s.push(',');
-    push_kv(&mut s, "epoch", &resp.epoch.to_string());
-    s.push(',');
-    push_kv(&mut s, "priority", &json_string(resp.priority.name()));
-    s.push(',');
-    push_kv(&mut s, "class", &json_string(resp.class.label()));
-    s.push(',');
-    push_kv(&mut s, "coalesced", bool_lit(resp.coalesced));
-    s.push(',');
-    push_kv(&mut s, "degraded", bool_lit(resp.degraded));
-    s.push(',');
-    push_kv(
-        &mut s,
-        "queue_ms",
-        &json_f64(resp.queue_wait.as_secs_f64() * 1e3),
-    );
-    s.push(',');
-    push_kv(
-        &mut s,
-        "deadline_slack_ms",
-        &resp
-            .deadline_slack_ms
-            .map(json_f64)
-            .unwrap_or_else(|| "null".into()),
-    );
-    s.push(',');
+    let mut w = Writer::with_capacity(512);
+    w.begin_object();
+    w.key("id").raw(id);
+    w.key("epoch").uint(resp.epoch);
+    w.key("priority").string(resp.priority.name());
+    w.key("class").string(resp.class.label());
+    w.key("coalesced").boolean(resp.coalesced);
+    w.key("degraded").boolean(resp.degraded);
+    w.key("queue_ms").float(resp.queue_wait.as_secs_f64() * 1e3);
+    w.key("deadline_slack_ms");
+    match resp.deadline_slack_ms {
+        Some(ms) => w.float(ms),
+        None => w.null(),
+    };
     match &resp.outcome {
-        Ok(result) => {
-            push_key(&mut s, "result");
-            s.push_str(&result.to_json());
-        }
-        Err(err) => {
-            push_key(&mut s, "error");
-            s.push_str(&error_to_json(err));
-        }
+        Ok(result) => result.write_json(w.key("result")),
+        Err(err) => write_error_json(err, w.key("error")),
     }
-    s.push('}');
-    s
+    w.end_object();
+    w.finish()
 }
 
 /// Serializes a request that never produced a [`Response`] (shed at
 /// admission, or malformed) in the same envelope shape, so clients
 /// parse exactly one schema.
 pub fn rejection_to_json(id: &str, err: &CsagError) -> String {
-    let mut s = String::with_capacity(128);
-    s.push('{');
-    push_kv(&mut s, "id", id);
-    s.push(',');
-    push_key(&mut s, "error");
-    s.push_str(&error_to_json(err));
-    s.push('}');
-    s
+    let mut w = Writer::with_capacity(128);
+    w.begin_object();
+    w.key("id").raw(id);
+    write_error_json(err, w.key("error"));
+    w.end_object();
+    w.finish()
 }
 
-fn bool_lit(b: bool) -> &'static str {
-    if b {
-        "true"
-    } else {
-        "false"
-    }
-}
-
-fn str_field(key: &str, v: &Scalar) -> Result<String, String> {
+fn str_field(key: &str, v: Value) -> Result<String, String> {
     match v {
-        Scalar::String(s) => Ok(s.clone()),
+        Value::String(s) => Ok(s),
         other => Err(format!("\"{key}\" must be a string, got {other:?}")),
     }
 }
 
-fn num_field(key: &str, v: &Scalar) -> Result<f64, String> {
-    match v {
-        Scalar::Number(n) => Ok(*n),
-        other => Err(format!("\"{key}\" must be a number, got {other:?}")),
-    }
+fn num_field(key: &str, v: &Value) -> Result<f64, String> {
+    v.as_f64()
+        .ok_or_else(|| format!("\"{key}\" must be a number, got {v:?}"))
 }
 
-fn uint_field(key: &str, v: &Scalar) -> Result<u64, String> {
-    let n = num_field(key, v)?;
-    if n < 0.0 || n.fract() != 0.0 || n > u64::MAX as f64 {
-        return Err(format!("\"{key}\" must be a non-negative integer, got {n}"));
+/// A span of fractional milliseconds; negative, non-finite and
+/// unrepresentably large values are rejected (never a panic).
+fn millis_field(key: &str, v: &Value) -> Result<Duration, String> {
+    Duration::try_from_secs_f64(num_field(key, v)? / 1e3)
+        .map_err(|_| format!("\"{key}\" must be a non-negative number of milliseconds"))
+}
+
+/// An integer field, read from the integer literal itself so all 64
+/// bits survive (`seed`, `epoch`, `budget_states`). A literal spelled
+/// with a fraction or exponent (`3.0`, `1e3`) still counts while `f64`
+/// holds it exactly.
+fn uint_field(key: &str, v: &Value) -> Result<u64, String> {
+    const EXACT: f64 = (1u64 << 53) as f64;
+    match *v {
+        Value::UInt(n) => Ok(n),
+        Value::Float(x) if x >= 0.0 && x.fract() == 0.0 && x < EXACT => Ok(x as u64),
+        Value::Float(x) => Err(format!("\"{key}\" must be a non-negative integer, got {x}")),
+        ref other => Err(format!("\"{key}\" must be a number, got {other:?}")),
     }
-    Ok(n as u64)
 }
 
 /// [`uint_field`] bounded to node-id/k range — out-of-range values are
 /// rejected loudly, never silently wrapped to a different node.
-fn u32_field(key: &str, v: &Scalar) -> Result<u32, String> {
+fn u32_field(key: &str, v: &Value) -> Result<u32, String> {
     let n = uint_field(key, v)?;
     u32::try_from(n).map_err(|_| format!("\"{key}\" must fit in 32 bits, got {n}"))
-}
-
-/// Parses a flat JSON object of scalars — the whole grammar `csag-wire`
-/// requests need, in ~100 lines instead of a serde dependency.
-fn parse_flat_object(line: &str) -> Result<Vec<(String, Scalar)>, String> {
-    let mut chars = line.char_indices().peekable();
-    let mut fields = Vec::new();
-    skip_ws(&mut chars);
-    expect(&mut chars, '{')?;
-    skip_ws(&mut chars);
-    if matches!(chars.peek(), Some((_, '}'))) {
-        chars.next();
-        return finish(chars, fields);
-    }
-    loop {
-        skip_ws(&mut chars);
-        let key = parse_string(&mut chars)?;
-        skip_ws(&mut chars);
-        expect(&mut chars, ':')?;
-        skip_ws(&mut chars);
-        let value = parse_scalar(&mut chars)?;
-        fields.push((key, value));
-        skip_ws(&mut chars);
-        match chars.next() {
-            Some((_, ',')) => continue,
-            Some((_, '}')) => return finish(chars, fields),
-            Some((i, c)) => return Err(format!("expected `,` or `}}` at byte {i}, got `{c}`")),
-            None => return Err("unterminated object".to_string()),
-        }
-    }
-}
-
-type Chars<'a> = std::iter::Peekable<std::str::CharIndices<'a>>;
-
-fn finish(
-    mut chars: Chars<'_>,
-    fields: Vec<(String, Scalar)>,
-) -> Result<Vec<(String, Scalar)>, String> {
-    skip_ws(&mut chars);
-    match chars.next() {
-        None => Ok(fields),
-        Some((i, c)) => Err(format!("trailing content at byte {i}: `{c}`")),
-    }
-}
-
-fn skip_ws(chars: &mut Chars<'_>) {
-    while matches!(chars.peek(), Some((_, c)) if c.is_ascii_whitespace()) {
-        chars.next();
-    }
-}
-
-fn expect(chars: &mut Chars<'_>, want: char) -> Result<(), String> {
-    match chars.next() {
-        Some((_, c)) if c == want => Ok(()),
-        Some((i, c)) => Err(format!("expected `{want}` at byte {i}, got `{c}`")),
-        None => Err(format!("expected `{want}`, got end of line")),
-    }
-}
-
-fn parse_string(chars: &mut Chars<'_>) -> Result<String, String> {
-    expect(chars, '"')?;
-    let mut out = String::new();
-    loop {
-        match chars.next() {
-            Some((_, '"')) => return Ok(out),
-            Some((_, '\\')) => match chars.next() {
-                Some((_, '"')) => out.push('"'),
-                Some((_, '\\')) => out.push('\\'),
-                Some((_, '/')) => out.push('/'),
-                Some((_, 'n')) => out.push('\n'),
-                Some((_, 't')) => out.push('\t'),
-                Some((_, 'r')) => out.push('\r'),
-                Some((_, 'u')) => {
-                    let mut code = 0u32;
-                    for _ in 0..4 {
-                        let (_, h) = chars.next().ok_or("truncated \\u escape")?;
-                        code = code * 16 + h.to_digit(16).ok_or("bad \\u escape")?;
-                    }
-                    out.push(char::from_u32(code).ok_or("non-scalar \\u escape")?);
-                }
-                Some((i, c)) => return Err(format!("bad escape `\\{c}` at byte {i}")),
-                None => return Err("unterminated string".to_string()),
-            },
-            Some((_, c)) => out.push(c),
-            None => return Err("unterminated string".to_string()),
-        }
-    }
-}
-
-fn parse_scalar(chars: &mut Chars<'_>) -> Result<Scalar, String> {
-    match chars.peek().copied() {
-        Some((_, '"')) => Ok(Scalar::String(parse_string(chars)?)),
-        Some((_, 't')) => take_lit(chars, "true").map(|()| Scalar::Bool(true)),
-        Some((_, 'f')) => take_lit(chars, "false").map(|()| Scalar::Bool(false)),
-        Some((_, 'n')) => take_lit(chars, "null").map(|()| Scalar::Null),
-        Some((i, c)) if c == '-' || c.is_ascii_digit() => {
-            let mut lit = String::new();
-            while let Some(&(_, c)) = chars.peek() {
-                if c == '-' || c == '+' || c == '.' || c == 'e' || c == 'E' || c.is_ascii_digit() {
-                    lit.push(c);
-                    chars.next();
-                } else {
-                    break;
-                }
-            }
-            lit.parse::<f64>()
-                .map(Scalar::Number)
-                .map_err(|_| format!("bad number `{lit}` at byte {i}"))
-        }
-        Some((i, c)) => Err(format!(
-            "csag-wire values are scalars; unexpected `{c}` at byte {i}"
-        )),
-        None => Err("expected a value, got end of line".to_string()),
-    }
-}
-
-fn take_lit(chars: &mut Chars<'_>, lit: &str) -> Result<(), String> {
-    for want in lit.chars() {
-        match chars.next() {
-            Some((_, c)) if c == want => {}
-            _ => return Err(format!("expected literal `{lit}`")),
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -433,6 +247,85 @@ mod tests {
         assert_eq!(wire.id, "12", "numeric ids echo as numbers");
     }
 
+    /// The determinism handle and the correlation handle both need all
+    /// 64 bits: 2^53 + 1 is the first integer an `f64` reader corrupts.
+    #[test]
+    fn wire_integers_are_exact_over_the_whole_u64_range() {
+        use crate::engine::{answer_identity, Engine};
+        const SEED: u64 = 9007199254740993;
+        let wire = parse_wire_request(
+            &format!(r#"{{"id":{SEED},"method":"sea","q":0,"k":3,"seed":{SEED}}}"#),
+            0,
+        )
+        .unwrap();
+        assert_eq!(wire.id, SEED.to_string(), "id echoes its token");
+        assert_eq!(wire.request.query.seed, SEED);
+
+        let (graph, q) = csag_datasets::paper_examples::figure1_imdb();
+        let engine = Engine::new(graph);
+        let line = format!(r#"{{"method":"sea","q":{q},"k":3,"seed":{SEED}}}"#);
+        let over_the_wire = parse_wire_request(&line, 0).unwrap().request.query;
+        let direct = CommunityQuery::new(Method::Sea, q)
+            .with_k(3)
+            .with_seed(SEED);
+        let identity = |query: &CommunityQuery| {
+            let doc = json::parse(&engine.run(query).unwrap().to_json()).unwrap();
+            answer_identity(&doc, false).unwrap().render()
+        };
+        assert_eq!(identity(&over_the_wire), identity(&direct));
+        assert!(identity(&direct).contains(&format!("\"seed\":{SEED}")));
+
+        let line = format!(
+            r#"{{"id":{0},"q":1,"seed":{0},"epoch":{0},"budget_states":{0},"size_l":3,"size_h":{0}}}"#,
+            u64::MAX
+        );
+        let wire = parse_wire_request(&line, 0).unwrap();
+        assert_eq!(wire.id, u64::MAX.to_string());
+        assert_eq!(wire.request.query.seed, u64::MAX);
+        assert_eq!(wire.request.pin_epoch, Some(u64::MAX));
+        assert_eq!(wire.request.query.size_bound, Some((3, u64::MAX as usize)));
+        // Other id spellings echo as before.
+        for (token, echo) in [
+            ("-5", "-5"),
+            ("12.0", "12"),
+            ("1.5", "1.5"),
+            (r#""a\"b""#, r#""a\"b""#),
+        ] {
+            let wire = parse_wire_request(&format!(r#"{{"q":1,"id":{token}}}"#), 0).unwrap();
+            assert_eq!(wire.id, echo);
+        }
+        // Integral literals spelled as floats still count while exact.
+        let wire = parse_wire_request(r#"{"q": 2.0, "seed": 1e3}"#, 0).unwrap();
+        assert_eq!((wire.request.query.q, wire.request.query.seed), (2, 1000));
+    }
+
+    #[test]
+    fn escaped_surrogate_pairs_are_valid_strings() {
+        let wire = parse_wire_request(
+            r#"{"q": 1, "class": "\uD83D\uDE00", "id": "\ud83d\ude00"}"#,
+            0,
+        )
+        .unwrap();
+        assert_eq!(wire.request.class.label(), "😀");
+        assert_eq!(wire.id, "\"😀\"");
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn arbitrary_lines_never_panic_the_wire_parser(
+            bytes in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..96),
+            picks in proptest::collection::vec(0usize..16, 0..24),
+        ) {
+            const PIECES: [&str; 16] = [
+                "{", "}", "\"q\"", "\"id\"", "\"seed\"", "\"epoch\"", ":", ",", "1", "-", ".5",
+                "18446744073709551616", "\"sea\"", "\"method\"", "[", "\\ud83d",
+            ];
+            let _ = parse_wire_request(&String::from_utf8_lossy(&bytes), 0);
+            let line: String = picks.iter().map(|&i| PIECES[i]).collect();
+            let _ = parse_wire_request(&line, 0);
+        }
+    }
+
     #[test]
     fn size_window_switches_sea_to_size_bounded() {
         let wire = parse_wire_request(r#"{"q": 1, "method": "sea", "size_l": 3, "size_h": 9}"#, 0)
@@ -456,9 +349,23 @@ mod tests {
             (r#"{"q": [1]}"#, "scalars"),
             (r#"{"q": 1} trailing"#, "trailing"),
             (r#"{"q": 1, "deadline_ms": -5}"#, "non-negative"),
+            (r#"{"q": 1, "budget_ms": 1e300}"#, "non-negative"),
             (r#"{"q": 1, "epoch": -2}"#, "non-negative integer"),
             (r#"{"q": 1, "epoch": 1.5}"#, "non-negative integer"),
             (r#"{"q": 1, "priority": "urgent"}"#, "unknown priority"),
+            (r#"{"q": 5, "q": 6}"#, "duplicate key \"q\""),
+            (r#"{"q": 1.}"#, "bad number"),
+            (r#"{"q": 03}"#, "bad number"),
+            (
+                r#"{"q": 1, "seed": 18446744073709551616}"#,
+                "non-negative integer",
+            ),
+            (
+                r#"{"q": 1, "seed": 9007199254740992.0}"#,
+                "non-negative integer",
+            ),
+            (r#"{"q": {"node": 1}}"#, "scalars"),
+            (r#"[{"q": 1}]"#, "one JSON object"),
         ] {
             let err = parse_wire_request(line, 0).unwrap_err();
             assert!(

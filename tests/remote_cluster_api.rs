@@ -41,6 +41,16 @@ fn answer_fingerprint(r: &Result<csag::engine::CommunityResult, CsagError>) -> S
     }
 }
 
+/// The answer a csag-wire response line carries, under the one identity
+/// rule ([`csag::engine::answer_identity`]): the `result` (or `error`)
+/// payload minus `timings_ms`, rendered for a byte comparison.
+fn answer_of(line: &str) -> String {
+    let doc = csag::json::parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+    csag::engine::answer_identity(&doc, false)
+        .unwrap_or_else(|| panic!("response has neither result nor error: {line}"))
+        .render()
+}
+
 fn queries_for(q: u32) -> Vec<CommunityQuery> {
     vec![
         CommunityQuery::new(Method::Exact, q)
@@ -486,21 +496,9 @@ fn epoch_pins_hold_across_the_socket() {
         reader.read_line(&mut response).expect("response line");
         response
     };
-    // Compares the answer payload only: envelope timings (`queue_ms`)
-    // and any `timings_ms` section are the legitimately
+    // `answer_of` compares the answer payload only: envelope timings
+    // (`queue_ms`) and any `timings_ms` section are the legitimately
     // nondeterministic parts of two identical computations.
-    let norm = |line: &str| -> String {
-        let start = line
-            .find("\"result\":")
-            .or_else(|| line.find("\"error\":"))
-            .unwrap_or_else(|| panic!("response has neither result nor error: {line}"));
-        let mut s = line[start..].trim_end().to_string();
-        if let Some(t) = s.find(",\"timings_ms\":{") {
-            let end = s[t..].find('}').map(|i| t + i).unwrap();
-            s.replace_range(t..=end, "");
-        }
-        s
-    };
 
     // Churn can legitimately dissolve a node's community (a typed
     // no_community answer), so compare every query node byte-for-byte
@@ -517,8 +515,8 @@ fn epoch_pins_hold_across_the_socket() {
             "pinned response reports the pin's epoch: {via_follower}"
         );
         assert_eq!(
-            norm(&via_follower),
-            norm(&via_primary),
+            answer_of(&via_follower),
+            answer_of(&via_primary),
             "pinned answers byte-match across processes (q = {q})"
         );
         if via_follower.contains("\"result\":{") {
@@ -662,18 +660,6 @@ fn a_separate_os_process_follower_serves_byte_identical_answers() {
         BufReader::new(sock).read_line(&mut line).expect("response");
         line
     };
-    let norm = |line: &str| -> String {
-        let start = line
-            .find("\"result\":")
-            .or_else(|| line.find("\"error\":"))
-            .unwrap_or_else(|| panic!("response has neither result nor error: {line}"));
-        let mut s = line[start..].trim_end().to_string();
-        if let Some(t) = s.find(",\"timings_ms\":{") {
-            let end = s[t..].find('}').map(|i| t + i).unwrap();
-            s.replace_range(t..=end, "");
-        }
-        s
-    };
     let mut with_result = 0usize;
     for (i, q) in queries.iter().enumerate() {
         let req = format!(
@@ -686,8 +672,8 @@ fn a_separate_os_process_follower_serves_byte_identical_answers() {
             "pinned read served below the pin: {from_follower}"
         );
         assert_eq!(
-            norm(&from_follower),
-            norm(&from_primary),
+            answer_of(&from_follower),
+            answer_of(&from_primary),
             "follower process answer drifted from the primary (q = {q})"
         );
         if from_follower.contains("\"result\"") {

@@ -23,19 +23,17 @@ use rand::SeedableRng;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Result JSON with `"timings_ms":{...}` cut out: everything else —
+/// The answer's identity ([`csag::engine::answer_identity`]: the result
+/// JSON minus its wall-clock `timings_ms`): everything else —
 /// community, delta, certificate, epoch, provenance — must match to
 /// the byte. Errors compare by their `Display` bytes (the wire sends
 /// exactly those).
 fn fingerprint(r: &Result<csag::engine::CommunityResult, CsagError>) -> String {
     match r {
         Ok(res) => {
-            let json = res.to_json();
-            let start = json
-                .find(",\"timings_ms\":{")
-                .expect("result JSON carries timings");
-            let end = start + json[start..].find('}').expect("timings object closes");
-            format!("ok:{}{}", &json[..start], &json[end + 1..])
+            let doc = csag::json::parse(&res.to_json()).expect("to_json renders JSON");
+            let identity = csag::engine::answer_identity(&doc, false).expect("a result object");
+            format!("ok:{}", identity.render())
         }
         Err(e) => format!("err:{e}"),
     }

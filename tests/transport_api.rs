@@ -460,3 +460,50 @@ fn scripted_connection_drop_severs_the_pipeline_at_the_exact_request() {
 
     transport.shutdown();
 }
+
+/// Hostile framing: a peer that streams megabytes without a newline
+/// must not size the server's buffer. The over-long line is discarded
+/// up to its newline, answered `invalid_params` under its line-number
+/// id, and the same connection keeps serving.
+#[test]
+fn an_over_long_line_is_rejected_and_the_connection_keeps_serving() {
+    let (graph, q) = figure1_imdb();
+    let service = Arc::new(Service::over_graph(
+        graph,
+        ServiceConfig::default().with_workers(1),
+    ));
+    let transport = Transport::bind_tcp(Arc::clone(&service), "127.0.0.1:0").expect("bind");
+    let sock = connect(&transport);
+    let mut reader = BufReader::new(sock.try_clone().unwrap());
+
+    // Written from a second thread: the server discards as it reads, so
+    // neither side can stall the other on a full socket buffer.
+    let writer = std::thread::spawn({
+        let mut sock = sock.try_clone().unwrap();
+        let follow_up = sea_line("after", q, 7, None);
+        move || {
+            // Multi-byte characters, so the cap lands inside one.
+            let chunk = "é".repeat(32 * 1024);
+            for _ in 0..20 {
+                sock.write_all(chunk.as_bytes()).unwrap();
+            }
+            sock.write_all(b"\n").unwrap();
+            sock.write_all(follow_up.as_bytes()).unwrap();
+        }
+    });
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("rejection line");
+    assert!(
+        line.starts_with("{\"id\":0,\"error\":{\"error\":\"invalid_params\""),
+        "{line}"
+    );
+    assert!(line.contains("exceeds 65536 bytes"), "{line}");
+    line.clear();
+    reader
+        .read_line(&mut line)
+        .expect("the follow-up is answered");
+    assert!(line.starts_with("{\"id\":\"after\""), "{line}");
+    assert!(line.contains("\"result\":{"), "{line}");
+    writer.join().unwrap();
+    transport.shutdown();
+}
