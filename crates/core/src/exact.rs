@@ -214,34 +214,20 @@ impl<'g> Exact<'g> {
     pub fn run(&self, q: NodeId, params: &ExactParams) -> Result<ExactResult, CsagError> {
         check_query_node(q, self.g.n())?;
         let dist = QueryDistances::new(q, self.g.n(), self.dparams);
-        self.run_with_distances(q, params, &dist)
+        self.run_in_workspace(q, params, &dist, &mut QueryWorkspace::new())
     }
 
     /// Like [`Exact::run`], but reuses a caller-provided per-query
     /// distance cache (the seam the `csag::engine` facade uses to share
-    /// `f(·,q)` evaluations across methods and repeated queries).
-    ///
-    /// # Errors
-    /// In addition to the [`Exact::run`] errors,
-    /// [`CsagError::InvalidParams`] when `dist` was built for a different
-    /// query node or different distance parameters.
-    pub fn run_with_distances(
-        &self,
-        q: NodeId,
-        params: &ExactParams,
-        dist: &QueryDistances,
-    ) -> Result<ExactResult, CsagError> {
-        let mut ws = QueryWorkspace::new();
-        self.run_in_workspace(q, params, dist, &mut ws)
-    }
-
-    /// Like [`Exact::run_with_distances`], but additionally reuses a
+    /// `f(·,q)` evaluations across methods and repeated queries) and a
     /// caller-provided [`QueryWorkspace`] for the warm-start scratch (the
     /// batch-executor seam; the enumeration's per-level buffers pool
     /// internally).
     ///
     /// # Errors
-    /// Same as [`Exact::run_with_distances`].
+    /// In addition to the [`Exact::run`] errors,
+    /// [`CsagError::InvalidParams`] when `dist` was built for a different
+    /// query node or different distance parameters.
     pub fn run_in_workspace(
         &self,
         q: NodeId,
@@ -704,14 +690,15 @@ mod tests {
     fn mismatched_distance_cache_is_rejected() {
         let (g, q) = figure3_graph();
         let exact = Exact::new(&g, DistanceParams::with_gamma(0.0));
+        let mut ws = QueryWorkspace::new();
         let wrong_q = QueryDistances::new(1, g.n(), DistanceParams::with_gamma(0.0));
         assert!(matches!(
-            exact.run_with_distances(q, &exact_params(), &wrong_q),
+            exact.run_in_workspace(q, &exact_params(), &wrong_q, &mut ws),
             Err(CsagError::InvalidParams { .. })
         ));
         let wrong_gamma = QueryDistances::new(q, g.n(), DistanceParams::with_gamma(0.7));
         assert!(matches!(
-            exact.run_with_distances(q, &exact_params(), &wrong_gamma),
+            exact.run_in_workspace(q, &exact_params(), &wrong_gamma, &mut ws),
             Err(CsagError::InvalidParams { .. })
         ));
     }

@@ -12,13 +12,17 @@
 //!    computed on the target nodes' attributes.
 //!
 //! Internally we materialize the meta-path projection restricted to `Gq`
-//! and reuse [`crate::sea::sea_on_population`]; a `(k, P)-core` of the
+//! — the one place a second graph (and with it a second id space and a
+//! second `f(·,q)` table) is genuinely needed, because P-neighbor edges do
+//! not exist in the heterogeneous graph — and hand it to the same
+//! [`crate::sea::sea_on_population`] the homogeneous solver calls, with
+//! every projected node as the population; a `(k, P)-core` of the
 //! heterogeneous graph is exactly a k-core of the projection.
 
-use crate::distance::{composite_distance_attrs, DistanceParams};
+use crate::distance::{composite_distance_attrs, DistanceParams, QueryDistances};
 use crate::error::{check_query_node, CsagError};
 use crate::sea::{sea_on_population, SeaParams, SeaResult};
-use csag_graph::{FixedBitSet, HeteroGraph, MetaPath, MinScored, NodeId};
+use csag_graph::{FixedBitSet, HeteroGraph, MetaPath, MinScored, NodeId, QueryWorkspace};
 use csag_stats::min_population_size;
 use rand::Rng;
 use std::collections::BinaryHeap;
@@ -94,16 +98,20 @@ impl<'g> SeaHetero<'g> {
 
         // Modification 3: estimation happens over target nodes; distances
         // are inherited through the projection's restricted attributes.
-        // Restate population-local "no community" answers in terms of the
+        // Restate projection-local "no community" answers in terms of the
         // heterogeneous node id the caller asked about.
-        let mut result = sea_on_population(&projection.graph, q_local, self.dparams, params, rng)
+        let pg = &projection.graph;
+        let all: Vec<NodeId> = (0..pg.n() as NodeId).collect();
+        let dist = QueryDistances::new(q_local, pg.n(), self.dparams);
+        let mut ws = QueryWorkspace::new();
+        let mut result = sea_on_population(pg, &all, q_local, &dist, params, rng, &mut ws)
             .map_err(|e| match e {
-            CsagError::NoCommunity { .. } => CsagError::no_community(format!(
-                "target node {q} has no (k,P)-community at k = {} in its sampled neighborhood",
-                params.k
-            )),
-            other => other,
-        })?;
+                CsagError::NoCommunity { .. } => CsagError::no_community(format!(
+                    "target node {q} has no (k,P)-community at k = {} in its sampled neighborhood",
+                    params.k
+                )),
+                other => other,
+            })?;
         result.timing.sampling += setup;
         result.community = result
             .community

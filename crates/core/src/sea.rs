@@ -21,8 +21,13 @@
 //! Size-bounded search (§VI-B) plugs in through
 //! [`SeaParams::size_bound`]; the k-truss model (§VI-C) through
 //! [`SeaParams::model`]; heterogeneous graphs (§VI-A) through
-//! [`crate::hetero_cs`], which reuses [`sea_on_population`] on a meta-path
+//! [`crate::hetero_cs`], which calls [`sea_on_population`] on a meta-path
 //! projection.
+//!
+//! SEA never copies the graph: the population `Gq` is a sorted list of the
+//! graph's own node ids, every peel is restricted to a subset of it, and
+//! one [`QueryDistances`] table per `(q, γ)` serves growth, sampling
+//! weights and estimation.
 
 use crate::distance::{DistanceParams, QueryDistances};
 use crate::error::{check_query_node, CsagError};
@@ -275,36 +280,20 @@ impl<'g> Sea<'g> {
     ) -> Result<SeaResult, CsagError> {
         check_query_node(q, self.g.n())?;
         let dist = QueryDistances::new(q, self.g.n(), self.dparams);
-        self.run_with_distances(q, params, rng, &dist)
+        self.run_in_workspace(q, params, rng, &dist, &mut QueryWorkspace::new())
     }
 
-    /// Like [`Sea::run`], but reuses a caller-provided distance cache for
-    /// the neighborhood-growth phase (the `csag::engine` seam; the
-    /// population-local estimation keeps its own cache because its node
-    /// ids are remapped).
+    /// Like [`Sea::run`], but reads `f(·,q)` from a caller-provided
+    /// distance table — growth, sampling weights and estimation all share
+    /// it, so a table that is already warm is never recomputed — and
+    /// recycles a caller-provided [`QueryWorkspace`], so repeated queries
+    /// on one thread reuse every bitset, heap and scratch buffer of the
+    /// hot path (the `csag::engine` / batch-executor seam).
     ///
     /// # Errors
     /// In addition to the [`Sea::run`] errors,
     /// [`CsagError::InvalidParams`] when `dist` was built for a different
     /// query node or different distance parameters.
-    pub fn run_with_distances<R: Rng + ?Sized>(
-        &self,
-        q: NodeId,
-        params: &SeaParams,
-        rng: &mut R,
-        dist: &QueryDistances,
-    ) -> Result<SeaResult, CsagError> {
-        let mut ws = QueryWorkspace::new();
-        self.run_in_workspace(q, params, rng, dist, &mut ws)
-    }
-
-    /// Like [`Sea::run_with_distances`], but additionally reuses a
-    /// caller-provided [`QueryWorkspace`] so repeated queries on one
-    /// thread recycle every bitset, heap and scratch buffer of the hot
-    /// path instead of reallocating them (the batch-executor seam).
-    ///
-    /// # Errors
-    /// Same as [`Sea::run_with_distances`].
     pub fn run_in_workspace<R: Rng + ?Sized>(
         &self,
         q: NodeId,
@@ -331,32 +320,12 @@ impl<'g> Sea<'g> {
         );
         let mut gq_nodes = ws.take_nodes();
         grow_neighborhood_into(self.g, q, min_gq, dist, ws, &mut gq_nodes);
-        let population = self.g.induced(&gq_nodes);
-        ws.put_nodes(gq_nodes);
-        let q_local = population.local(q).expect("q is in its own neighborhood");
         let sampling_setup = t0.elapsed();
 
-        // `sea_on_population` speaks in population-local ids; restate its
-        // definitive "no" in terms of the node the caller actually asked
-        // about.
-        let mut result =
-            sea_on_population_with(&population.graph, q_local, self.dparams, params, rng, ws)
-                .map_err(|e| match e {
-                    CsagError::NoCommunity { .. } => CsagError::no_community(format!(
-                        "even the full sampled neighborhood holds no {} of node {q} at k = {}{}",
-                        params.model,
-                        params.k,
-                        match params.size_bound {
-                            Some((l, h)) => format!(" within the size bound [{l}, {h}]"),
-                            None => String::new(),
-                        }
-                    )),
-                    other => other,
-                })?;
+        let result = sea_on_population(self.g, &gq_nodes, q, dist, params, rng, ws);
+        ws.put_nodes(gq_nodes);
+        let mut result = result?;
         result.timing.sampling += sampling_setup;
-
-        // Map the community back to original ids.
-        result.community = population.originals(&result.community);
         Ok(result)
     }
 }
@@ -420,28 +389,10 @@ pub fn grow_neighborhood_into(
     ws.put_bitset(taken);
 }
 
-/// Runs sampling + estimation + incremental sampling on a *population
-/// graph* (the induced neighborhood `Gq`, or a meta-path projection of it
-/// for heterogeneous graphs). Node ids in the result are population-local.
-///
-/// # Errors
-/// [`CsagError::NoCommunity`] when even the full population holds no
-/// community of the requested model/k containing `q` (or none inside the
-/// requested size window); [`CsagError::InvalidParams`] for parameters
-/// that fail [`SeaParams::validate`].
-pub fn sea_on_population<R: Rng + ?Sized>(
-    pop: &AttributedGraph,
-    q: NodeId,
-    dparams: DistanceParams,
-    params: &SeaParams,
-    rng: &mut R,
-) -> Result<SeaResult, CsagError> {
-    let mut ws = QueryWorkspace::new();
-    sea_on_population_with(pop, q, dparams, params, rng, &mut ws)
-}
-
-/// Pooled scratch of one `sea_on_population_with` call, checked out of the
-/// caller's workspace up front so every exit path returns it.
+/// Pooled scratch of one [`sea_on_population`] call. `weights` and
+/// `in_sample` are indexed by *position in the population* (so the seeded
+/// draws do not depend on which graph the population lives in); every
+/// node buffer holds ids of the graph.
 struct PopulationBufs {
     weights: Vec<f64>,
     in_sample: FixedBitSet,
@@ -454,25 +405,49 @@ struct PopulationBufs {
     best_comm: Vec<NodeId>,
 }
 
-/// Like [`sea_on_population`], but recycles the caller's
-/// [`QueryWorkspace`] buffers, so the per-round candidate scan allocates
-/// nothing in the steady state (the engine/batch seam).
+/// Runs sampling + estimation + incremental sampling over a *population*:
+/// a sorted list of distinct nodes of `g` that contains `q` (the grown
+/// neighborhood `Gq`, or every node of a meta-path projection for
+/// heterogeneous graphs). Nothing is copied — every peel is restricted to
+/// a subset of `population` inside `g`, distances are read from `dist`
+/// (the `f(·,q)` table of `g`), and the community comes back in `g`'s own
+/// node ids. Scratch buffers are recycled through `ws`.
 ///
 /// # Errors
-/// Same as [`sea_on_population`].
-pub fn sea_on_population_with<R: Rng + ?Sized>(
-    pop: &AttributedGraph,
+/// [`CsagError::NoCommunity`] when the population holds no community of
+/// the requested model/k containing `q` (or none inside the requested size
+/// window); [`CsagError::InvalidParams`] for parameters that fail
+/// [`SeaParams::validate`], a `dist` built for another query node, or a
+/// population without `q`.
+pub fn sea_on_population<R: Rng + ?Sized>(
+    g: &AttributedGraph,
+    population: &[NodeId],
     q: NodeId,
-    dparams: DistanceParams,
+    dist: &QueryDistances,
     params: &SeaParams,
     rng: &mut R,
     ws: &mut QueryWorkspace,
 ) -> Result<SeaResult, CsagError> {
     params.validate()?;
-    check_query_node(q, pop.n())?;
+    check_query_node(q, g.n())?;
+    debug_assert!(
+        population.windows(2).all(|w| w[0] < w[1])
+            && population.last().is_none_or(|&v| (v as usize) < g.n()),
+        "population must be sorted, distinct and inside the graph"
+    );
+    let q_pos = match population.binary_search(&q) {
+        Ok(pos) if dist.q() == q => pos,
+        _ => {
+            return Err(CsagError::invalid(
+                "population or distance table does not belong to the query node",
+            ))
+        }
+    };
+    // Checked out of the caller's workspace up front so every exit path
+    // of the search returns them.
     let mut bufs = PopulationBufs {
         weights: ws.take_f64s(),
-        in_sample: ws.take_bitset(pop.n()),
+        in_sample: ws.take_bitset(population.len()),
         sample_nodes: ws.take_nodes(),
         root: ws.take_nodes(),
         by_f: ws.take_scored(),
@@ -481,7 +456,7 @@ pub fn sea_on_population_with<R: Rng + ?Sized>(
         data: ws.take_f64s(),
         best_comm: ws.take_nodes(),
     };
-    let res = sea_population_inner(pop, q, dparams, params, rng, &mut bufs);
+    let res = sea_population_inner(g, population, q_pos, dist, params, rng, &mut bufs);
     ws.put_f64s(bufs.weights);
     ws.put_bitset(bufs.in_sample);
     ws.put_nodes(bufs.sample_nodes);
@@ -495,23 +470,37 @@ pub fn sea_on_population_with<R: Rng + ?Sized>(
 }
 
 fn sea_population_inner<R: Rng + ?Sized>(
-    pop: &AttributedGraph,
-    q: NodeId,
-    dparams: DistanceParams,
+    g: &AttributedGraph,
+    population: &[NodeId],
+    q_pos: usize,
+    dist: &QueryDistances,
     params: &SeaParams,
     rng: &mut R,
     bufs: &mut PopulationBufs,
 ) -> Result<SeaResult, CsagError> {
-    let n = pop.n();
-    let dist = QueryDistances::new(q, n, dparams);
-    let mut maintainer = Maintainer::new(pop, params.model, params.k);
+    let n = population.len();
+    let q = population[q_pos];
+    // One text for both ways of finding nothing (no root at full sample, no
+    // candidate inside the size window), in the caller's own node ids.
+    let no_community = || {
+        CsagError::no_community(format!(
+            "even the full sampled neighborhood holds no {} of node {q} at k = {}{}",
+            params.model,
+            params.k,
+            match params.size_bound {
+                Some((l, h)) => format!(" within the size bound [{l}, {h}]"),
+                None => String::new(),
+            }
+        ))
+    };
+    let mut maintainer = Maintainer::new(g, params.model, params.k);
     // The candidate ladder peels growing prefixes of one f-sorted member
     // list; for the k-core model a [`PrefixPeeler`] maintains the
     // restricted-degree counters incrementally across the whole scan
     // instead of recomputing them per candidate. The truss model has no
     // incremental twin and keeps the general maintainer peel.
     let mut prefix_peeler = match params.model {
-        CommunityModel::KCore => Some(PrefixPeeler::new(pop, params.k)),
+        CommunityModel::KCore => Some(PrefixPeeler::new(g, params.k)),
         CommunityModel::KTruss => None,
     };
     let z = z_for_confidence(params.confidence);
@@ -521,8 +510,8 @@ fn sea_population_inner<R: Rng + ?Sized>(
     // Attribute-aware sampling weights Ps(v) ∝ 1 − f(v,q) (Eq. 5).
     let t_weights = Instant::now();
     bufs.weights
-        .extend((0..n as NodeId).map(|v| 1.0 - dist.get(pop, v)));
-    bufs.in_sample.insert(q);
+        .extend(population.iter().map(|&v| 1.0 - dist.get(g, v)));
+    bufs.in_sample.insert(q_pos as u32);
     let initial =
         ((params.lambda * n as f64).ceil() as usize).clamp(params.min_members().min(n), n);
     add_samples(
@@ -543,7 +532,8 @@ fn sea_population_inner<R: Rng + ?Sized>(
         // S1: peel the induced sample to the maximal community of q.
         let t1 = Instant::now();
         bufs.sample_nodes.clear();
-        bufs.sample_nodes.extend(bufs.in_sample.iter());
+        bufs.sample_nodes
+            .extend(bufs.in_sample.iter().map(|i| population[i as usize]));
         let have_root = maintainer.maximal_within_into(q, &bufs.sample_nodes, &mut bufs.root);
         timing.sampling += t1.elapsed();
 
@@ -551,10 +541,7 @@ fn sea_population_inner<R: Rng + ?Sized>(
             // No community in the sample: enlarge (double) and retry, or
             // fail definitively once the whole population is sampled.
             if bufs.in_sample.count() == n {
-                return Err(CsagError::no_community(format!(
-                    "even the full population holds no connected {} containing node {q} at k = {}",
-                    params.model, params.k
-                )));
+                return Err(no_community());
             }
             let t3 = Instant::now();
             let add = bufs.in_sample.count().max(1);
@@ -587,7 +574,7 @@ fn sea_population_inner<R: Rng + ?Sized>(
                 bufs.root
                     .iter()
                     .filter(|&&v| v != q)
-                    .map(|&v| (dist.get(pop, v), v)),
+                    .map(|&v| (dist.get(g, v), v)),
             );
             by_f.sort_unstable_by(|a, b| {
                 a.0.partial_cmp(&b.0).expect("no NaN").then(a.1.cmp(&b.1))
@@ -664,7 +651,7 @@ fn sea_population_inner<R: Rng + ?Sized>(
                                 bufs.cand
                                     .iter()
                                     .filter(|&&v| v != q)
-                                    .map(|&v| dist.get(pop, v)),
+                                    .map(|&v| dist.get(g, v)),
                             );
                         }
                         let est = params.blb.estimate(&bufs.data, z, rng);
@@ -722,18 +709,7 @@ fn sea_population_inner<R: Rng + ?Sized>(
         }
     }
 
-    let (delta_star, moe) = best.ok_or_else(|| {
-        CsagError::no_community(match params.size_bound {
-            Some((l, h)) => format!(
-                "no candidate community of node {q} fits the size bound [{l}, {h}] at k = {}",
-                params.k
-            ),
-            None => format!(
-                "sampling found no estimable community of node {q} at k = {}",
-                params.k
-            ),
-        })
-    })?;
+    let (delta_star, moe) = best.ok_or_else(no_community)?;
     Ok(SeaResult {
         ci: ConfidenceInterval {
             center: delta_star,

@@ -1,11 +1,13 @@
-//! Property tests: the exact algorithm against brute force, and SEA
-//! structural validity, on random attributed graphs.
+//! Property tests: the exact algorithm against brute force, SEA
+//! structural validity, and SEA in place against SEA on a materialized
+//! copy of its population, on random attributed graphs.
 
 use csag_core::distance::{DistanceParams, QueryDistances};
 use csag_core::error::CsagError;
 use csag_core::exact::{Exact, ExactParams, PruningConfig};
-use csag_core::sea::{Sea, SeaParams};
-use csag_graph::{AttributedGraph, GraphBuilder};
+use csag_core::sea::{grow_neighborhood, sea_on_population, Sea, SeaParams, SeaResult};
+use csag_decomp::CommunityModel;
+use csag_graph::{AttributedGraph, GraphBuilder, NodeId, QueryWorkspace};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -30,6 +32,65 @@ fn arb_graph() -> impl Strategy<Value = (AttributedGraph, u32)> {
             }
             (b.build().unwrap(), q)
         })
+}
+
+/// A denser graph of 12..48 nodes with mixed token sets, a query node and
+/// a population size: big enough that a grown neighborhood is a proper,
+/// id-interleaved subset holding a community most of the time.
+fn arb_population_case() -> impl Strategy<Value = (AttributedGraph, u32, usize)> {
+    (12usize..48)
+        .prop_flat_map(|n| {
+            let edges = prop::collection::vec((0..n as u32, 0..n as u32), 3 * n..7 * n);
+            let values = prop::collection::vec(0.0f64..1.0, n);
+            let topics = prop::collection::vec(1usize..8, n);
+            (edges, values, topics, 0..n as u32, n / 3..n + 1)
+        })
+        .prop_map(|(edges, values, topics, q, pop_size)| {
+            let names = ["alpha", "beta", "gamma"];
+            let mut b = GraphBuilder::new(1);
+            for (mask, x) in topics.iter().zip(&values) {
+                let tokens: Vec<&str> = (0..3)
+                    .filter(|bit| mask & (1 << bit) != 0)
+                    .map(|bit| names[bit])
+                    .collect();
+                b.add_node(&tokens, &[*x]);
+            }
+            for (u, v) in edges {
+                b.add_edge(u, v).unwrap();
+            }
+            (b.build().unwrap(), q, pop_size)
+        })
+}
+
+/// Everything about a SEA outcome that is not wall-clock time, with the
+/// community mapped through `to_graph_id`; errors compare by variant (their
+/// text names the query node in whichever id space the search ran in).
+fn outcome(
+    res: Result<SeaResult, CsagError>,
+    to_graph_id: &dyn Fn(NodeId) -> NodeId,
+) -> Result<impl PartialEq + std::fmt::Debug, std::mem::Discriminant<CsagError>> {
+    match res {
+        Ok(r) => Ok((
+            r.community
+                .iter()
+                .map(|&v| to_graph_id(v))
+                .collect::<Vec<_>>(),
+            (r.delta_star.to_bits(), r.ci.moe.to_bits(), r.certified),
+            (r.population_size, r.sample_size),
+            r.rounds
+                .iter()
+                .map(|x| {
+                    (
+                        x.delta_star.to_bits(),
+                        x.moe.to_bits(),
+                        x.added_samples,
+                        x.candidates_examined,
+                    )
+                })
+                .collect::<Vec<_>>(),
+        )),
+        Err(e) => Err(std::mem::discriminant(&e)),
+    }
 }
 
 /// Brute force optimal connected k-core by subset enumeration.
@@ -150,5 +211,47 @@ proptest! {
             .run(q, &SeaParams::default().with_k(k).with_error_bound(0.3), &mut rng)
             .is_ok();
         prop_assert_eq!(sea_exists, exact_exists);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// SEA restricted to a node subset of the graph answers exactly as SEA
+    /// on a materialized copy of that subset: `induced()` numbers its nodes
+    /// in ascending original order, so the seeded draws (by population
+    /// position), the `(f, id)` tie-breaks and the sorted outputs coincide.
+    /// This is the only place the copying route is still exercised.
+    #[test]
+    fn sea_in_place_equals_sea_on_the_induced_copy(
+        (g, q, pop_size) in arb_population_case(),
+        (k, truss) in (2u32..5, any::<bool>()),
+        (bounded, l, width) in (any::<bool>(), 1usize..6, 0usize..8),
+        (seed, error) in (0u64..1000, 0.02f64..0.5),
+    ) {
+        let dp = DistanceParams::default();
+        let mut params = SeaParams::default().with_k(k).with_error_bound(error);
+        if truss {
+            params = params.with_model(CommunityModel::KTruss);
+        }
+        if bounded {
+            params = params.with_size_bound(l, l + width);
+        }
+        let dist = QueryDistances::new(q, g.n(), dp);
+        let pop = grow_neighborhood(&g, q, pop_size, &dist);
+        let mut ws = QueryWorkspace::new();
+        let in_place = sea_on_population(
+            &g, &pop, q, &dist, &params, &mut StdRng::seed_from_u64(seed), &mut ws,
+        );
+
+        let sub = g.induced(&pop);
+        let all: Vec<NodeId> = (0..sub.graph.n() as NodeId).collect();
+        let q_local = sub.local(q).expect("q is in its own neighborhood");
+        let dist_local = QueryDistances::new(q_local, sub.graph.n(), dp);
+        let copied = sea_on_population(
+            &sub.graph, &all, q_local, &dist_local, &params,
+            &mut StdRng::seed_from_u64(seed), &mut ws,
+        );
+        prop_assert_eq!(outcome(in_place, &|v| v), outcome(copied, &|l| sub.original(l)));
     }
 }

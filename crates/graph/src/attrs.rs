@@ -12,6 +12,7 @@
 //!   normalized once at build time.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Interns textual attribute tokens (e.g. `"movie"`, `"crime"`) to dense
 /// `u32` ids, bidirectionally.
@@ -67,9 +68,13 @@ impl TokenInterner {
 ///   and deduplicated;
 /// * `numeric.len() == n * dims`; `normalized` mirrors `numeric` with every
 ///   dimension min-max scaled into `[0, 1]`.
+///
+/// The interner is shared, not copied, by everything derived from one
+/// graph (restrictions, snapshots of a [`crate::update::MutableGraph`]):
+/// cloning it costs two `String`s per token of the whole vocabulary.
 #[derive(Clone, Debug)]
 pub struct NodeAttributes {
-    pub(crate) interner: TokenInterner,
+    pub(crate) interner: Arc<TokenInterner>,
     pub(crate) token_offsets: Vec<usize>,
     pub(crate) tokens: Vec<u32>,
     pub(crate) dims: usize,
@@ -126,7 +131,7 @@ impl NodeAttributes {
     /// min-max normalized per dimension (constant dimensions normalize
     /// to 0).
     pub(crate) fn from_rows(
-        interner: TokenInterner,
+        interner: impl Into<Arc<TokenInterner>>,
         token_rows: Vec<Vec<u32>>,
         dims: usize,
         numeric: Vec<f64>,
@@ -168,7 +173,7 @@ impl NodeAttributes {
         }
 
         NodeAttributes {
-            interner,
+            interner: interner.into(),
             token_offsets,
             tokens,
             dims,
@@ -181,9 +186,9 @@ impl NodeAttributes {
 
     /// Restriction of the attributes to `nodes` (new ids are positions in
     /// `nodes`). Normalization ranges are inherited from the parent graph so
-    /// that distances computed in a subgraph match the parent's (this is
-    /// what the sampling pipeline requires: `Gq[S]` must score nodes exactly
-    /// as `G` does).
+    /// that distances computed in a subgraph match the parent's (a meta-path
+    /// projection must score nodes exactly as the heterogeneous graph does),
+    /// and the interner is shared with the parent.
     pub(crate) fn restrict(&self, nodes: &[u32]) -> Self {
         let mut token_offsets = Vec::with_capacity(nodes.len() + 1);
         token_offsets.push(0usize);
@@ -197,7 +202,7 @@ impl NodeAttributes {
             normalized.extend_from_slice(self.numeric_normalized(v));
         }
         NodeAttributes {
-            interner: self.interner.clone(),
+            interner: Arc::clone(&self.interner),
             token_offsets,
             tokens,
             dims: self.dims,

@@ -212,13 +212,6 @@ impl InducedSubgraph {
     pub fn original(&self, local: NodeId) -> NodeId {
         self.to_original[local as usize]
     }
-
-    /// Maps a set of subgraph ids back to sorted original ids.
-    pub fn originals(&self, locals: &[NodeId]) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = locals.iter().map(|&l| self.original(l)).collect();
-        v.sort_unstable();
-        v
-    }
 }
 
 #[cfg(test)]
@@ -314,7 +307,7 @@ mod tests {
         assert!(sub.graph.has_edge(l1, l3));
         assert_eq!(sub.original(l1), 1);
         assert_eq!(sub.local(0), None);
-        assert_eq!(sub.originals(&[l3, l1]), vec![1, 3]);
+        assert_eq!(sub.original(l3), 3);
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! ```
 //!
 //! Token lists are comma-separated (empty list written as `-`); numerical
-//! attributes follow as whitespace-separated floats. This is meant for
+//! attributes follow as whitespace-separated finite floats (`nan`, `inf`
+//! and overflowing literals are parse errors). This is meant for
 //! examples and fixtures, not bulk storage.
 
 use crate::builder::GraphBuilder;
@@ -54,6 +55,21 @@ pub fn save_graph<P: AsRef<Path>>(g: &AttributedGraph, path: P) -> io::Result<()
 
 fn parse_err(line_no: usize, msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("line {line_no}: {msg}"))
+}
+
+/// Parses one numerical attribute. `f64::from_str` also accepts `nan` and
+/// `inf` and rounds `1e999` to infinity; none of them is an attribute the
+/// metric can use (min-max normalization and every `f(·,q)` ordering need
+/// finite values), so they are refused where text enters the program.
+pub(crate) fn parse_finite(field: &str) -> Option<f64> {
+    field.parse().ok().filter(|x: &f64| x.is_finite())
+}
+
+/// The numerical attributes that end a `node` record.
+fn parse_numeric<'a>(parts: impl Iterator<Item = &'a str>, no: usize) -> io::Result<Vec<f64>> {
+    parts
+        .map(|p| parse_finite(p).ok_or_else(|| parse_err(no, "bad numeric attribute")))
+        .collect()
 }
 
 /// Reads a graph in the v1 text format.
@@ -119,12 +135,7 @@ pub fn read_graph<R: Read>(input: R) -> io::Result<AttributedGraph> {
                 } else {
                     token_field.split(',').collect()
                 };
-                let numeric: Vec<f64> = parts
-                    .map(|p| {
-                        p.parse()
-                            .map_err(|_| parse_err(no, "bad numeric attribute"))
-                    })
-                    .collect::<io::Result<_>>()?;
+                let numeric = parse_numeric(parts, no)?;
                 b.add_node(&tokens, &numeric);
             }
             Some("edge") => {
@@ -318,12 +329,7 @@ pub fn read_hetero_graph<R: Read>(input: R) -> io::Result<HeteroGraph> {
                 } else {
                     token_field.split(',').collect()
                 };
-                let numeric: Vec<f64> = parts
-                    .map(|p| {
-                        p.parse()
-                            .map_err(|_| parse_err(no, "bad numeric attribute"))
-                    })
-                    .collect::<io::Result<_>>()?;
+                let numeric = parse_numeric(parts, no)?;
                 b.add_node(ty, &tokens, &numeric);
             }
             Some("edge") => {
@@ -473,6 +479,20 @@ mod tests {
         let bad_edge_type =
             "csag-hetero v1\ndims 0\nntype 0 a\nnode 0 0 -\nnode 1 0 -\nedge 0 1 5\n";
         assert!(read_hetero_graph(bad_edge_type.as_bytes()).is_err());
+    }
+
+    /// Everything `f64::from_str` accepts beyond finite numbers is a typed
+    /// parse error naming the line, in both readers.
+    #[test]
+    fn non_finite_numeric_attributes_are_rejected() {
+        for bad in ["nan", "NaN", "inf", "-inf", "infinity", "1e999"] {
+            let text = format!("csag-graph v1\ndims 2\nnode 0 a 1 {bad}\n");
+            let err = read_graph(text.as_bytes()).unwrap_err().to_string();
+            assert_eq!(err, "line 3: bad numeric attribute", "{bad}");
+            let text = format!("csag-hetero v1\ndims 1\nntype 0 a\nnode 0 0 - {bad}\n");
+            let err = read_hetero_graph(text.as_bytes()).unwrap_err().to_string();
+            assert_eq!(err, "line 4: bad numeric attribute", "{bad}");
+        }
     }
 
     #[test]

@@ -23,6 +23,7 @@ use crate::attrs::{NodeAttributes, TokenInterner};
 use crate::builder::GraphError;
 use crate::graph::AttributedGraph;
 use crate::NodeId;
+use std::sync::Arc;
 
 /// One edit to an attributed graph.
 ///
@@ -78,7 +79,8 @@ impl GraphUpdate {
     ///
     /// For `add-vertex`, `-` means an empty token set. For `set-attrs`,
     /// `-` as the token field keeps the node's current tokens, and an
-    /// absent numeric tail keeps the current numerics.
+    /// absent numeric tail keeps the current numerics. Numerics must be
+    /// finite: `nan`, `inf` and overflowing literals are refused.
     ///
     /// # Errors
     /// A human-readable message naming what failed to parse.
@@ -206,8 +208,7 @@ fn parse_tokens(field: &str) -> Option<Vec<String>> {
 fn parse_floats<'a>(parts: impl Iterator<Item = &'a str>, op: &str) -> Result<Vec<f64>, String> {
     parts
         .map(|p| {
-            p.parse()
-                .map_err(|_| format!("{op}: bad numeric attribute `{p}`"))
+            crate::io::parse_finite(p).ok_or_else(|| format!("{op}: bad numeric attribute `{p}`"))
         })
         .collect()
 }
@@ -236,7 +237,9 @@ pub enum Applied {
 #[derive(Clone, Debug)]
 pub struct MutableGraph {
     adj: Vec<Vec<NodeId>>,
-    interner: TokenInterner,
+    /// Shared with the graph it came from and every snapshot it publishes;
+    /// copied only when an update brings a token nobody has seen.
+    interner: Arc<TokenInterner>,
     token_rows: Vec<Vec<u32>>,
     dims: usize,
     numeric: Vec<f64>,
@@ -251,7 +254,7 @@ impl MutableGraph {
         let token_rows: Vec<Vec<u32>> = (0..n as NodeId).map(|v| g.tokens(v).to_vec()).collect();
         MutableGraph {
             adj,
-            interner: g.interner().clone(),
+            interner: Arc::clone(&g.attrs.interner),
             token_rows,
             dims: g.attrs().dims(),
             numeric: (0..n as NodeId)
@@ -345,7 +348,7 @@ impl MutableGraph {
             GraphUpdate::AddVertex { tokens, numeric } => {
                 let id = self.n() as NodeId;
                 self.check_dims(id, numeric)?;
-                let mut row: Vec<u32> = tokens.iter().map(|t| self.interner.intern(t)).collect();
+                let mut row: Vec<u32> = tokens.iter().map(|t| self.intern(t)).collect();
                 row.sort_unstable();
                 row.dedup();
                 self.adj.push(Vec::new());
@@ -359,8 +362,7 @@ impl MutableGraph {
                     self.check_dims(*v, row)?;
                 }
                 if let Some(tokens) = tokens {
-                    let mut row: Vec<u32> =
-                        tokens.iter().map(|t| self.interner.intern(t)).collect();
+                    let mut row: Vec<u32> = tokens.iter().map(|t| self.intern(t)).collect();
                     row.sort_unstable();
                     row.dedup();
                     self.token_rows[*v as usize] = row;
@@ -371,6 +373,13 @@ impl MutableGraph {
                 }
                 Ok(Applied::AttributesSet(*v))
             }
+        }
+    }
+
+    fn intern(&mut self, token: &str) -> u32 {
+        match self.interner.get(token) {
+            Some(id) => id,
+            None => Arc::make_mut(&mut self.interner).intern(token),
         }
     }
 
@@ -389,7 +398,7 @@ impl MutableGraph {
             offsets.push(targets.len());
         }
         let attrs = NodeAttributes::from_rows(
-            self.interner.clone(),
+            Arc::clone(&self.interner),
             self.token_rows.clone(),
             self.dims,
             self.numeric.clone(),
@@ -603,6 +612,53 @@ set-attrs 0 drama
             assert!(GraphUpdate::parse_line(bad).is_err(), "{bad} must fail");
         }
         assert!(GraphUpdate::parse_script("add-edge 0\n").is_err());
+    }
+
+    /// Snapshots share the vocabulary until an update interns a new token;
+    /// then the working copy takes a private copy and published snapshots
+    /// keep theirs.
+    #[test]
+    fn interner_is_shared_until_a_new_token_arrives() {
+        let g = sample();
+        let mut m = MutableGraph::from_graph(&g);
+        let set = |tokens: &[&str]| GraphUpdate::SetAttributes {
+            v: 0,
+            tokens: Some(tokens.iter().map(|t| t.to_string()).collect()),
+            numeric: None,
+        };
+        m.apply(&set(&["tv", "crime"])).unwrap();
+        let known = m.snapshot();
+        assert!(std::ptr::eq(known.interner(), g.interner()));
+        assert!(std::ptr::eq(
+            known.induced(&[0, 1]).graph.interner(),
+            g.interner()
+        ));
+        m.apply(&set(&["tv", "western"])).unwrap();
+        let grown = m.snapshot();
+        assert_eq!(g.interner().get("western"), None);
+        assert_eq!(known.interner().get("western"), None);
+        let western = grown.interner().get("western").expect("interned");
+        assert!(grown.tokens(0).contains(&western));
+        assert_eq!(grown.interner().get("tv"), g.interner().get("tv"));
+    }
+
+    /// A non-finite value must never reach the log, the followers or the
+    /// live store: the text format refuses it with the typed parse error.
+    #[test]
+    fn non_finite_update_values_are_rejected() {
+        for bad in ["nan", "NaN", "inf", "-inf", "infinity", "1e999"] {
+            assert_eq!(
+                GraphUpdate::parse_line(&format!("set-attrs 1 a {bad} 0.5")),
+                Err(format!("set-attrs: bad numeric attribute `{bad}`"))
+            );
+            assert_eq!(
+                GraphUpdate::parse_line(&format!("add-vertex - 0.5 {bad}")),
+                Err(format!("add-vertex: bad numeric attribute `{bad}`"))
+            );
+            assert!(
+                GraphUpdate::parse_script(&format!("add-edge 0 1\nset-attrs 1 a {bad}\n")).is_err()
+            );
+        }
     }
 
     #[test]

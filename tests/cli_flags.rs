@@ -1,17 +1,25 @@
 //! `csag` parses each command against the flags that command reads:
-//! a flag another command owns is an error, not silently ignored.
+//! a flag another command owns is an error, not silently ignored; and
+//! text the parsers must refuse is exit 1 with a typed message, never a
+//! panic.
 
 use std::process::Command;
 
-fn csag(args: &[&str]) -> (bool, String) {
+/// Exit code and stderr of one `csag` run.
+fn csag_exit(args: &[&str]) -> (Option<i32>, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_csag"))
         .args(args)
         .output()
         .expect("spawn csag");
     (
-        out.status.success(),
+        out.status.code(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
     )
+}
+
+fn csag(args: &[&str]) -> (bool, String) {
+    let (code, err) = csag_exit(args);
+    (code == Some(0), err)
 }
 
 #[test]
@@ -99,5 +107,56 @@ fn a_flag_the_command_does_not_read_is_an_error() {
         .0
     );
     assert!(csag(&["demo", "--json"]).0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `f64::from_str` accepts `nan`/`inf`; the graph and update parsers must
+/// not. A non-finite attribute is exit 1 with the parser's typed message
+/// on stderr — no panic backtrace, no output file, no WAL directory.
+#[test]
+fn non_finite_numbers_are_typed_errors_that_write_nothing() {
+    let dir = std::env::temp_dir().join(format!("csag-cli-nonfinite-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = |name: &str| dir.join(name).to_str().expect("utf-8 temp path").to_owned();
+    let (graph, script, out, wal) = (path("g.txt"), path("u.txt"), path("out.txt"), path("wal"));
+    std::fs::write(
+        &graph,
+        "csag-graph v1\ndims 2\nnode 0 a 0 0.5\nnode 1 a 1 0.5\nnode 2 b 2 0.5\n\
+         edge 0 1\nedge 1 2\nedge 0 2\n",
+    )
+    .expect("write graph");
+
+    for bad in ["nan", "NaN", "inf", "-inf", "infinity", "1e999"] {
+        std::fs::write(&script, format!("add-edge 0 1\nset-attrs 1 a {bad} 0.5\n"))
+            .expect("write script");
+        let (code, err) = csag_exit(&[
+            "update", &graph, "--script", &script, "--out", &out, "--wal", &wal,
+        ]);
+        assert_eq!(code, Some(1), "update with {bad}: {err}");
+        assert!(
+            err.contains(&format!("line 2: set-attrs: bad numeric attribute `{bad}`")),
+            "update with {bad}: {err}"
+        );
+        assert!(!err.contains("panicked"), "update with {bad}: {err}");
+        assert!(!std::path::Path::new(&out).exists(), "{bad}: --out written");
+        assert!(!std::path::Path::new(&wal).exists(), "{bad}: --wal created");
+
+        let poisoned = path("poisoned.txt");
+        std::fs::write(
+            &poisoned,
+            format!("csag-graph v1\ndims 1\nnode 0 a {bad}\nnode 1 a 1\nedge 0 1\n"),
+        )
+        .expect("write poisoned graph");
+        for method in ["exact", "sea"] {
+            let (code, err) = csag_exit(&[
+                "query", &poisoned, "--method", method, "--query", "0", "--k", "2",
+            ]);
+            assert_eq!(code, Some(1), "{method} on a {bad} graph: {err}");
+            assert!(
+                err.contains("line 3: bad numeric attribute") && !err.contains("panicked"),
+                "{method} on a {bad} graph: {err}"
+            );
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
