@@ -2,27 +2,63 @@
 //!
 //! The engine's evolving-graph store applies [`csag_graph::GraphUpdate`]
 //! batches and must keep its cached decompositions consistent without
-//! recomputing them from scratch on every epoch. Two tools live here:
+//! recomputing them from scratch on every epoch.
 //!
-//! * [`CoreMaintainer`] patches the **core numbers** after each single
-//!   edge toggle with the classic traversal ("subcore") algorithm: a
-//!   single edge insertion or deletion changes core numbers by at most 1,
-//!   and only within the *subcore* of the edge's lower-core endpoint —
-//!   the nodes of that same core number reachable through nodes of that
-//!   core number. The repair visits only that region.
-//! * [`patch_node_trussness`] repairs the **node trussness** table by
-//!   *targeted recompute*: trussness is component-local (triangles never
-//!   cross components), and incremental truss repair proper is unsound
-//!   in corner cases (support cascades can travel arbitrarily far and
-//!   both grow and shrink within one batch), so the patch re-peels
-//!   exactly the connected components touched by the batch and copies
-//!   every other node's value over unchanged.
+//! # Trussness: [`TrussMaintainer`], a local per-edge repair
 //!
-//! Both are verified against from-scratch recomputation after every
-//! batch by the churn property tests (`tests/prop_maintain.rs`).
+//! The store's one truss repair path. It holds the trussness of every
+//! edge and fixes it up after each single edge toggle, touching only the
+//! edges that change and their triangle neighbours. Soundness rests on a
+//! characterization and two bounds, not on a peel order:
+//!
+//! * **Greatest fixpoint.** Call `f: E → {2, 3, …}` *feasible* when every
+//!   edge `e` lies in at least `f(e) − 2` triangles whose other two edges
+//!   have `f ≥ f(e)`. Trussness `τ` is feasible, and it is the pointwise
+//!   greatest feasible function: for any feasible `f` the edges with
+//!   `f ≥ k` each keep `k − 2` triangles among themselves, so they sit
+//!   inside the k-truss and `f ≤ τ`. Hence a work-list that starts from
+//!   any pointwise **upper bound** of `τ`, lowers a violating edge by one
+//!   and re-queues the edges of its triangles that sat at exactly the old
+//!   level (`settle`) can only stop at `τ`: a violating edge at level `k`
+//!   cannot be in the k-truss (whose edges all still read `≥ k`), so no
+//!   step ever drops below `τ`, and what is left when nothing violates is
+//!   feasible, so it is not above `τ` either.
+//! * **A removal only lowers, by at most one.** The old values are
+//!   therefore an upper bound as they stand; only the edges that shared a
+//!   triangle with the removed one can violate at first.
+//! * **An insertion only raises, by at most one** (delete the new edge
+//!   from a would-be `(k + 2)`-truss: every other edge loses at most one
+//!   triangle, leaving a `(k + 1)`-truss of the old graph). The new edge
+//!   `{u, v}` itself is bounded by `k2`, the largest `k` with `k − 2`
+//!   common neighbours `w` having `min(τ(u,w), τ(v,w)) ≥ k − 1`. An old
+//!   edge can rise from `k` to `k + 1` only if `k < k2` and it is reached
+//!   from the new edge through triangles whose edges all have `τ ≥ k`,
+//!   stepping over edges at exactly level `k` — otherwise the risen edges
+//!   not so reached, added to the old `(k + 1)`-truss, would already have
+//!   been a `(k + 1)`-truss before the insertion (the level-`k` triangle
+//!   connectivity of Huang et al., SIGMOD 2014). Raising exactly that
+//!   candidate set by one yields the upper bound `settle` starts from.
+//!
+//! # Coreness: one peel per structural batch
+//!
+//! The store recomputes core numbers with one [`core_decomposition`] per
+//! batch that changed an edge. A traversal repair visits the *subcore* of
+//! the touched edge, and on graphs whose main shell is most of the graph
+//! (the benchmark's 5 000-node graph holds 4 662 nodes at core 10) one
+//! such walk already costs more than the `O(n + m)` peel — the same order
+//! as the CSR snapshot every batch pays anyway.
+//!
+//! # References kept for tests and the benchmark
+//!
+//! [`CoreMaintainer`] (per-edge subcore traversal) and
+//! [`patch_node_trussness`] (re-peel of every touched connected
+//! component) are what the store used before; they have no product
+//! caller, and stay as the per-edge / from-scratch references the churn
+//! property tests (`tests/prop_maintain.rs`) and `benchmark/` compile
+//! against.
 
 use crate::kcore::core_decomposition;
-use crate::ktruss::node_max_trussness;
+use crate::ktruss::{for_common_in_rows, node_max_trussness, truss_decomposition};
 use csag_graph::{AttributedGraph, MutableGraph, NodeId};
 
 /// Neighbor access shared by the immutable CSR graph and the evolving
@@ -253,6 +289,265 @@ impl CoreMaintainer {
     }
 }
 
+/// Marks an edge as a rise candidate of the insertion in progress, in
+/// the top bit of its `tau` slots (trussness is at most the maximum
+/// degree plus one, nowhere near `2^31`).
+const CANDIDATE: u32 = 1 << 31;
+
+/// Incrementally maintained trussness of every edge of an evolving
+/// graph, and the per-node maximum the engine screens k-truss queries
+/// with. See the [module docs](self) for why the repair is exact.
+///
+/// Seed it from the initial graph, then report every structural change
+/// through [`TrussMaintainer::insert_edge`] /
+/// [`TrussMaintainer::remove_edge`] (passing the adjacency *after* the
+/// change) and [`TrussMaintainer::add_vertex`];
+/// [`TrussMaintainer::node_trussness`] is then always equal to a
+/// from-scratch [`node_max_trussness`] of the current graph. A repair
+/// visits the changed edges and their triangle neighbours only —
+/// [`TrussMaintainer::work`] counts the steps.
+#[derive(Clone, Debug)]
+pub struct TrussMaintainer {
+    /// `tau[v][i]` is the trussness of the edge `{v, neighbors_of(v)[i]}`:
+    /// rows parallel to the adjacency, every edge in both endpoints' rows,
+    /// so a triangle's two partner values fall out of the row merge.
+    tau: Vec<Vec<u32>>,
+    /// Maximum of each `tau` row (0 for an isolated node).
+    node_max: Vec<u32>,
+    work: u64,
+    /// Edges whose support must be re-checked by `settle`.
+    queue: Vec<(NodeId, NodeId)>,
+    /// Rise candidates of the current insertion, in visit order.
+    candidates: Vec<(NodeId, NodeId)>,
+    /// Nodes that lost an edge at their maximum during this repair.
+    dirty: Vec<NodeId>,
+    /// Partner minima of the new edge's triangles (for its bound).
+    mins: Vec<u32>,
+}
+
+impl TrussMaintainer {
+    /// Decomposes `g` once and lays the edge trussness out in rows.
+    pub fn new(g: &AttributedGraph) -> Self {
+        let (eidx, trussness) = truss_decomposition(g);
+        let tau: Vec<Vec<u32>> = (0..g.n() as NodeId)
+            .map(|v| {
+                (0..g.neighbors(v).len())
+                    .map(|i| trussness[eidx.id_at(g, v, i) as usize])
+                    .collect()
+            })
+            .collect();
+        let node_max = tau.iter().map(|row| row_max(row)).collect();
+        TrussMaintainer {
+            tau,
+            node_max,
+            work: 0,
+            queue: Vec::new(),
+            candidates: Vec::new(),
+            dirty: Vec::new(),
+            mins: Vec::new(),
+        }
+    }
+
+    /// Maximum trussness over each node's incident edges.
+    pub fn node_trussness(&self) -> &[u32] {
+        &self.node_max
+    }
+
+    /// The maintained trussness of the edge `{u, v}` of `g` (the current
+    /// adjacency), or `None` when `g` has no such edge.
+    pub fn trussness_of<A: NeighborAccess>(&self, g: &A, u: NodeId, v: NodeId) -> Option<u32> {
+        let row = &self.tau[u as usize];
+        debug_assert_eq!(row.len(), g.neighbors_of(u).len(), "row {u} misaligned");
+        g.neighbors_of(u).binary_search(&v).ok().map(|i| row[i])
+    }
+
+    /// Steps taken by every repair so far: one per support re-check, one
+    /// per rise candidate visited. Monotone; a clock-free measure of how
+    /// local the repairs are.
+    pub fn work(&self) -> u64 {
+        self.work
+    }
+
+    /// Registers a new isolated vertex (no edges, node trussness 0).
+    pub fn add_vertex(&mut self) {
+        self.tau.push(Vec::new());
+        self.node_max.push(0);
+    }
+
+    /// Repairs the table after the edge `{u, v}` was inserted; `g` must
+    /// already contain the edge.
+    pub fn insert_edge<A: NeighborAccess>(&mut self, g: &A, u: NodeId, v: NodeId) {
+        let (nu, nv) = (g.neighbors_of(u), g.neighbors_of(v));
+        // Open the two slots first so every row is aligned with `g`. A
+        // common neighbour is neither `u` nor `v`, so the merges below
+        // never read them before they are set.
+        self.tau[u as usize].insert(slot(nu, v), 0);
+        self.tau[v as usize].insert(slot(nv, u), 0);
+
+        // k2: the largest k with k − 2 triangles whose partners are both
+        // at k − 1 or more (they can rise by one, no further).
+        let (tu, tv) = (&self.tau[u as usize], &self.tau[v as usize]);
+        self.mins.clear();
+        for_common_in_rows(nu, nv, |_, p, q| self.mins.push(tu[p].min(tv[q])));
+        self.mins.sort_unstable_by(|a, b| b.cmp(a));
+        let triangles = (self.mins.iter().zip(2u32..))
+            .take_while(|&(&partners, need)| partners >= need)
+            .count();
+        let k2 = triangles as u32 + 2;
+
+        // Rise candidates, seeded by the new edge's triangles: in each,
+        // the lower partner (both, on a tie) if it sits below k2.
+        self.candidates.clear();
+        for_common_in_rows(nu, nv, |w, p, q| {
+            let k = tu[p].min(tv[q]);
+            if k < k2 {
+                if tu[p] == k {
+                    self.candidates.push((u, w));
+                }
+                if tv[q] == k {
+                    self.candidates.push((v, w));
+                }
+            }
+        });
+        self.set(g, u, v, k2);
+        self.flag_candidates(g, 0);
+        // Then from each candidate at its own level k, through triangles
+        // with both partners at k or more, to the partners at exactly k.
+        // The new edge reads k2 > k: it carries the walk, never joins it.
+        let mut head = 0;
+        while head < self.candidates.len() {
+            let (x, y) = self.candidates[head];
+            head += 1;
+            let (nx, ny) = (g.neighbors_of(x), g.neighbors_of(y));
+            let (tx, ty) = (&self.tau[x as usize], &self.tau[y as usize]);
+            let k = tx[slot(nx, y)] & !CANDIDATE;
+            let found = self.candidates.len();
+            for_common_in_rows(nx, ny, |w, p, q| {
+                if tx[p] & !CANDIDATE >= k && ty[q] & !CANDIDATE >= k {
+                    // A flagged slot never equals k: visited once.
+                    if tx[p] == k {
+                        self.candidates.push((x, w));
+                    }
+                    if ty[q] == k {
+                        self.candidates.push((y, w));
+                    }
+                }
+            });
+            self.flag_candidates(g, found);
+        }
+        self.work += self.candidates.len() as u64;
+
+        // The upper bound: every candidate one up, the new edge at k2.
+        self.queue.push((u, v));
+        for i in 0..self.candidates.len() {
+            let (x, y) = self.candidates[i];
+            let raised = (self.tau[x as usize][slot(g.neighbors_of(x), y)] & !CANDIDATE) + 1;
+            self.set(g, x, y, raised);
+            self.queue.push((x, y));
+        }
+        self.settle(g);
+    }
+
+    /// Repairs the table after the edge `{u, v}` was removed; `g` must no
+    /// longer contain the edge.
+    pub fn remove_edge<A: NeighborAccess>(&mut self, g: &A, u: NodeId, v: NodeId) {
+        let (nu, nv) = (g.neighbors_of(u), g.neighbors_of(v));
+        // Where the neighbour would be inserted is where its slot was.
+        let gone = self.tau[u as usize].remove(nu.binary_search(&v).unwrap_err());
+        self.tau[v as usize].remove(nv.binary_search(&u).unwrap_err());
+        for x in [u, v] {
+            if self.node_max[x as usize] == gone {
+                self.dirty.push(x);
+            }
+        }
+        // Only an edge that counted the lost triangle can now fall short.
+        let (tu, tv) = (&self.tau[u as usize], &self.tau[v as usize]);
+        for_common_in_rows(nu, nv, |w, p, q| {
+            if tu[p] <= gone.min(tv[q]) {
+                self.queue.push((u, w));
+            }
+            if tv[q] <= gone.min(tu[p]) {
+                self.queue.push((v, w));
+            }
+        });
+        self.settle(g);
+    }
+
+    /// Writes `value` into both slots of the edge `{a, b}` and keeps the
+    /// node maxima: a rise lifts them at once, a fall from the maximum
+    /// marks the endpoint dirty, to be recomputed when `settle` is done.
+    fn set<A: NeighborAccess>(&mut self, g: &A, a: NodeId, b: NodeId, value: u32) {
+        for (x, y) in [(a, b), (b, a)] {
+            let cell = &mut self.tau[x as usize][slot(g.neighbors_of(x), y)];
+            let old = std::mem::replace(cell, value) & !CANDIDATE;
+            let max = &mut self.node_max[x as usize];
+            if value > *max {
+                *max = value;
+            } else if value < old && old == *max {
+                self.dirty.push(x);
+            }
+        }
+    }
+
+    /// Flags both slots of `candidates[from..]` as visited.
+    fn flag_candidates<A: NeighborAccess>(&mut self, g: &A, from: usize) {
+        for &(x, y) in &self.candidates[from..] {
+            for (a, b) in [(x, y), (y, x)] {
+                self.tau[a as usize][slot(g.neighbors_of(a), b)] |= CANDIDATE;
+            }
+        }
+    }
+
+    /// Drains the queue: an edge at level `k` with fewer than `k − 2`
+    /// triangles whose partners are both at `k` or more drops to `k − 1`,
+    /// which costs exactly the partners at level `k` of those triangles
+    /// one unit of support — they, and the edge itself, are re-checked.
+    fn settle<A: NeighborAccess>(&mut self, g: &A) {
+        while let Some((a, b)) = self.queue.pop() {
+            self.work += 1;
+            let (na, nb) = (g.neighbors_of(a), g.neighbors_of(b));
+            let (ta, tb) = (&self.tau[a as usize], &self.tau[b as usize]);
+            let k = ta[slot(na, b)];
+            if k <= 2 {
+                continue; // no triangle required
+            }
+            let mut support = 0;
+            for_common_in_rows(na, nb, |_, p, q| {
+                if ta[p].min(tb[q]) >= k {
+                    support += 1;
+                }
+            });
+            if support + 2 >= k {
+                continue;
+            }
+            for_common_in_rows(na, nb, |w, p, q| {
+                if ta[p].min(tb[q]) >= k {
+                    if ta[p] == k {
+                        self.queue.push((a, w));
+                    }
+                    if tb[q] == k {
+                        self.queue.push((b, w));
+                    }
+                }
+            });
+            self.queue.push((a, b));
+            self.set(g, a, b, k - 1);
+        }
+        for x in self.dirty.drain(..) {
+            self.node_max[x as usize] = row_max(&self.tau[x as usize]);
+        }
+    }
+}
+
+/// Position of `b` in the sorted neighbor row `row`.
+fn slot(row: &[NodeId], b: NodeId) -> usize {
+    row.binary_search(&b).expect("edge is in the adjacency")
+}
+
+fn row_max(row: &[u32]) -> u32 {
+    row.iter().copied().max().unwrap_or(0)
+}
+
 /// Repairs a [`node_max_trussness`] table after a structural update batch
 /// by recomputing exactly the connected components of `new_g` containing
 /// a `seed` (the endpoints of every added/removed edge) and copying all
@@ -449,6 +744,127 @@ mod tests {
             maint.coreness(),
             core_decomposition(&mutable.snapshot()).as_slice()
         );
+    }
+
+    /// Drives a `MutableGraph` + `TrussMaintainer` through a churn script,
+    /// asserting after every single step that each `tau` row is aligned
+    /// with the adjacency and holds the decomposition's value for its
+    /// edge, and that the node table is the per-row maximum.
+    fn drive_truss(initial: &AttributedGraph, script: &[GraphUpdate]) -> TrussMaintainer {
+        let mut mutable = MutableGraph::from_graph(initial);
+        let mut maint = TrussMaintainer::new(initial);
+        for update in script {
+            match mutable.apply(update).unwrap() {
+                csag_graph::Applied::EdgeAdded(u, v) => maint.insert_edge(&mutable, u, v),
+                csag_graph::Applied::EdgeRemoved(u, v) => maint.remove_edge(&mutable, u, v),
+                csag_graph::Applied::VertexAdded(_) => maint.add_vertex(),
+                csag_graph::Applied::AttributesSet(_) | csag_graph::Applied::NoOp => {}
+            }
+            let snap = mutable.snapshot();
+            let (eidx, fresh) = truss_decomposition(&snap);
+            assert_eq!(maint.tau.len(), snap.n());
+            for v in 0..snap.n() as NodeId {
+                let want: Vec<u32> = (0..snap.neighbors(v).len())
+                    .map(|i| fresh[eidx.id_at(&snap, v, i) as usize])
+                    .collect();
+                assert_eq!(maint.tau[v as usize], want, "row {v} after {update:?}");
+            }
+            assert_eq!(maint.node_trussness(), node_max_trussness(&snap));
+        }
+        assert!(maint.queue.is_empty() && maint.dirty.is_empty());
+        maint
+    }
+
+    fn add(u: NodeId, v: NodeId) -> GraphUpdate {
+        GraphUpdate::AddEdge { u, v }
+    }
+
+    fn remove(u: NodeId, v: NodeId) -> GraphUpdate {
+        GraphUpdate::RemoveEdge { u, v }
+    }
+
+    /// The octahedron K(2,2,2) on pairs {0,1}, {2,3}, {4,5}: every edge in
+    /// exactly two triangles, a 4-truss with no slack anywhere.
+    fn octahedron() -> AttributedGraph {
+        let mut edges = Vec::new();
+        for u in 0..6u32 {
+            for v in (u + 1)..6 {
+                if u / 2 != v / 2 {
+                    edges.push((u, v));
+                }
+            }
+        }
+        grid(6, &edges)
+    }
+
+    #[test]
+    fn insertion_closing_a_clique_lifts_the_whole_level() {
+        // K5 short of the edge {0, 1}: two 4-cliques glued on a triangle,
+        // every edge at 4. Closing it makes K5 — all ten edges at 5,
+        // the three among {2, 3, 4} included, which share no triangle
+        // with the new edge.
+        let mut edges = Vec::new();
+        for u in 0..5u32 {
+            for v in (u + 1)..5 {
+                if (u, v) != (0, 1) {
+                    edges.push((u, v));
+                }
+            }
+        }
+        let g = grid(5, &edges);
+        let before = TrussMaintainer::new(&g);
+        assert!(before.tau.iter().flatten().all(|&t| t == 4));
+        let after = drive_truss(&g, &[add(0, 1)]);
+        assert!(after.tau.iter().flatten().all(|&t| t == 5));
+        assert_eq!(after.node_trussness(), &[5; 5]);
+    }
+
+    #[test]
+    fn deletion_cascades_two_hops() {
+        // Removing {0, 2} costs its four triangle partners their second
+        // triangle; their fall takes the rest of the level with it — the
+        // edge {1, 3} shares no triangle, not even a node, with {0, 2}.
+        let g = octahedron();
+        let before = TrussMaintainer::new(&g);
+        assert_eq!(before.trussness_of(&g, 1, 3), Some(4));
+        let mut mutable = MutableGraph::from_graph(&g);
+        mutable.apply(&remove(0, 2)).unwrap();
+        let after = drive_truss(&g, &[remove(0, 2)]);
+        assert_eq!(after.trussness_of(&mutable, 1, 3), Some(3));
+        assert_eq!(after.trussness_of(&mutable, 0, 2), None);
+        assert_eq!(after.node_trussness(), &[3; 6]);
+    }
+
+    #[test]
+    fn insertion_between_components_moves_nothing_else() {
+        let g = grid(7, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]);
+        let mut mutable = MutableGraph::from_graph(&g);
+        mutable.apply(&add(2, 3)).unwrap();
+        let after = drive_truss(&g, &[add(2, 3)]);
+        assert_eq!(after.trussness_of(&mutable, 2, 3), Some(2));
+        assert_eq!(after.node_trussness(), &[3, 3, 3, 3, 3, 3, 0]);
+        assert_eq!(
+            after.work(),
+            1,
+            "no triangle: the new edge alone is checked"
+        );
+        // An isolated node's first edge, and a vertex added on the fly.
+        let grown = GraphUpdate::AddVertex {
+            tokens: vec![],
+            numeric: vec![],
+        };
+        let after = drive_truss(&g, &[add(6, 0), grown, add(7, 6), add(7, 0)]);
+        assert_eq!(after.node_trussness(), &[3, 3, 3, 3, 3, 3, 3, 3]);
+    }
+
+    #[test]
+    fn reinserting_a_removed_edge_restores_every_value() {
+        let g = octahedron();
+        let seeded = TrussMaintainer::new(&g);
+        let back = drive_truss(&g, &[remove(0, 2), add(0, 2), remove(4, 1), add(1, 4)]);
+        assert_eq!(back.tau, seeded.tau);
+        assert_eq!(back.node_trussness(), seeded.node_trussness());
+        assert!(back.work() > seeded.work(), "the counter only grows");
     }
 
     #[test]

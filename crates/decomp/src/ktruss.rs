@@ -98,17 +98,14 @@ impl TrussScratch {
     }
 }
 
-/// Counts common neighbors of `u` and `v` that satisfy `keep`, by a sorted
-/// merge of the two adjacency rows; calls `visit(w, i, j)` for each common
-/// neighbor `w` found at row positions `i` (in u's row) and `j` (in v's).
+/// Sorted merge of two adjacency rows: calls `visit(w, i, j)` for each
+/// common neighbor `w`, found at positions `i` in `nu` and `j` in `nv`.
 #[inline]
-fn for_common_neighbors(
-    g: &AttributedGraph,
-    u: NodeId,
-    v: NodeId,
+pub(crate) fn for_common_in_rows(
+    nu: &[NodeId],
+    nv: &[NodeId],
     mut visit: impl FnMut(NodeId, usize, usize),
 ) {
-    let (nu, nv) = (g.neighbors(u), g.neighbors(v));
     let (mut i, mut j) = (0, 0);
     while i < nu.len() && j < nv.len() {
         match nu[i].cmp(&nv[j]) {
@@ -121,6 +118,17 @@ fn for_common_neighbors(
             }
         }
     }
+}
+
+/// [`for_common_in_rows`] over the rows of `u` and `v` in `g`.
+#[inline]
+fn for_common_neighbors(
+    g: &AttributedGraph,
+    u: NodeId,
+    v: NodeId,
+    visit: impl FnMut(NodeId, usize, usize),
+) {
+    for_common_in_rows(g.neighbors(u), g.neighbors(v), visit);
 }
 
 /// Peels the subgraph induced by `nodes` down to the maximal connected

@@ -21,7 +21,7 @@ pub mod kcore;
 pub mod ktruss;
 pub mod maintainer;
 
-pub use incremental::{patch_node_trussness, CoreMaintainer, NeighborAccess};
+pub use incremental::{patch_node_trussness, CoreMaintainer, NeighborAccess, TrussMaintainer};
 pub use kcore::{core_decomposition, max_connected_kcore, PrefixPeeler};
 pub use ktruss::{max_connected_ktruss, node_max_trussness, truss_decomposition, EdgeIndex};
 pub use maintainer::{CommunityModel, Maintainer};

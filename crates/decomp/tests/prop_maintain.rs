@@ -1,10 +1,18 @@
 //! Churn property tests: incrementally maintained core numbers and the
 //! targeted trussness patch must equal from-scratch recomputation after
 //! every update batch, for arbitrary random graphs and update streams.
+//! The per-edge [`TrussMaintainer`] — the store's repair path — is held to
+//! the stricter standard: every edge's trussness equals the decomposition's
+//! after every *single* update, on graphs dense enough to reach trussness
+//! 6 and beyond.
 
-use csag_decomp::{core_decomposition, node_max_trussness, patch_node_trussness, CoreMaintainer};
+use csag_decomp::{
+    core_decomposition, node_max_trussness, patch_node_trussness, truss_decomposition,
+    CoreMaintainer, TrussMaintainer,
+};
 use csag_graph::{Applied, GraphBuilder, GraphUpdate, MutableGraph, NodeId};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 fn build(n: usize, edges: &[(u32, u32)]) -> csag_graph::AttributedGraph {
     let mut b = GraphBuilder::new(0);
@@ -58,6 +66,7 @@ proptest! {
         let mut mutable = MutableGraph::from_graph(&initial);
         let mut maint = CoreMaintainer::new(&initial);
         let mut truss = node_max_trussness(&initial);
+        let mut edge_truss = TrussMaintainer::new(&initial);
 
         for batch in ops.chunks(batch_size) {
             let mut seeds: Vec<NodeId> = Vec::new();
@@ -66,13 +75,18 @@ proptest! {
                 match mutable.apply(&update).unwrap() {
                     Applied::EdgeAdded(u, v) => {
                         maint.insert_edge(&mutable, u, v);
+                        edge_truss.insert_edge(&mutable, u, v);
                         seeds.extend([u, v]);
                     }
                     Applied::EdgeRemoved(u, v) => {
                         maint.remove_edge(&mutable, u, v);
+                        edge_truss.remove_edge(&mutable, u, v);
                         seeds.extend([u, v]);
                     }
-                    Applied::VertexAdded(_) => maint.add_vertex(),
+                    Applied::VertexAdded(_) => {
+                        maint.add_vertex();
+                        edge_truss.add_vertex();
+                    }
                     Applied::AttributesSet(_) | Applied::NoOp => {}
                 }
             }
@@ -89,6 +103,12 @@ proptest! {
                 &truss,
                 &node_max_trussness(&snap),
                 "patched trussness diverged after batch {:?}",
+                batch
+            );
+            prop_assert_eq!(
+                edge_truss.node_trussness(),
+                truss.as_slice(),
+                "maintained trussness diverged after batch {:?}",
                 batch
             );
         }
@@ -114,4 +134,110 @@ proptest! {
         let replayed = CoreMaintainer::new(&mutable.snapshot());
         prop_assert_eq!(maint.coreness(), replayed.coreness());
     }
+
+    /// Per edge, after every single update, at the default case count.
+    #[test]
+    fn maintained_edge_trussness_matches_decomposition(case in arb_dense_churn()) {
+        check_dense_case(case)?;
+    }
+}
+
+/// `(initial node count, edge density, one draw per node pair, churn ops)`.
+type DenseCase = (usize, f64, Vec<f64>, Vec<(u8, u32, u32)>);
+
+/// Graphs of up to 34 nodes whose every node pair is an edge with a
+/// probability drawn in 0.1–0.9 (dense ones reach trussness 6 and more),
+/// and up to 120 ops. kind: 0–2 = add edge, 3–6 = remove edge (an op only
+/// bites when the pair is an edge, so removals are drawn more often),
+/// 7 = add vertex.
+fn arb_dense_churn() -> impl Strategy<Value = DenseCase> {
+    (4usize..=34, 0.1f64..0.9).prop_flat_map(|(n, density)| {
+        let draws = prop::collection::vec(0.0f64..1.0, n * (n - 1) / 2);
+        let ops = prop::collection::vec((0u8..8, 0u32..64, 0u32..64), 1..121);
+        (Just(n), Just(density), draws, ops)
+    })
+}
+
+/// Drives a [`TrussMaintainer`] through the case and checks it against
+/// [`truss_decomposition`] after each op: every edge's value from both
+/// endpoints' rows (the accessor also checks the row against the
+/// adjacency's length in debug builds), no value for a missing edge, and
+/// the node table equal to the per-node fold. Returns how many ops changed
+/// the graph (each one checked) and the highest trussness seen.
+fn check_dense_case((n, density, draws, ops): DenseCase) -> Result<(usize, u32), TestCaseError> {
+    let pairs = (0..n as u32).flat_map(|u| (u + 1..n as u32).map(move |v| (u, v)));
+    let edges: Vec<(u32, u32)> = pairs
+        .zip(&draws)
+        .filter_map(|(pair, &draw)| (draw < density).then_some(pair))
+        .collect();
+    let initial = build(n, &edges);
+    let mut mutable = MutableGraph::from_graph(&initial);
+    let mut maint = TrussMaintainer::new(&initial);
+    let (mut checked, mut highest) = (0, 0);
+    for &(kind, a, b) in &ops {
+        let n = mutable.n() as u32;
+        let (u, v) = (a % n, b % n);
+        let update = match kind {
+            0..=2 => GraphUpdate::AddEdge { u, v },
+            3..=6 => GraphUpdate::RemoveEdge { u, v },
+            _ => GraphUpdate::AddVertex {
+                tokens: vec![],
+                numeric: vec![],
+            },
+        };
+        match mutable.apply(&update).unwrap() {
+            Applied::EdgeAdded(u, v) => maint.insert_edge(&mutable, u, v),
+            Applied::EdgeRemoved(u, v) => maint.remove_edge(&mutable, u, v),
+            Applied::VertexAdded(_) => maint.add_vertex(),
+            Applied::AttributesSet(_) | Applied::NoOp => continue,
+        }
+        let snap = mutable.snapshot();
+        let (eidx, fresh) = truss_decomposition(&snap);
+        let mut fold = vec![0u32; snap.n()];
+        for u in 0..snap.n() as NodeId {
+            for v in 0..snap.n() as NodeId {
+                let want = eidx.id(&snap, u, v).map(|id| fresh[id as usize]);
+                prop_assert_eq!(
+                    maint.trussness_of(&mutable, u, v),
+                    want,
+                    "edge ({}, {}) after {:?}",
+                    u,
+                    v,
+                    update
+                );
+                fold[u as usize] = fold[u as usize].max(want.unwrap_or(0));
+            }
+        }
+        prop_assert_eq!(
+            maint.node_trussness(),
+            fold.as_slice(),
+            "after {:?}",
+            update
+        );
+        checked += 1;
+        highest = highest.max(fold.iter().copied().max().unwrap_or(0));
+    }
+    Ok((checked, highest))
+}
+
+/// The longer offline run of the same property (CHANGES.md quotes it):
+/// `cargo test -p csag-decomp --release --test prop_maintain -- --ignored`.
+#[test]
+#[ignore = "4 000 cases, well over 100 000 single updates; run on demand"]
+fn maintained_edge_trussness_matches_decomposition_long_run() {
+    use rand::{rngs::StdRng, SeedableRng};
+    let strategy = arb_dense_churn();
+    let (mut updates, mut highest) = (0, 0);
+    for case in 0..4_000u64 {
+        let mut rng = StdRng::seed_from_u64(0x7255_5353 ^ case);
+        match check_dense_case(strategy.generate(&mut rng)) {
+            Ok((checked, top)) => {
+                updates += checked;
+                highest = highest.max(top);
+            }
+            Err(e) => panic!("case {case}: {e}"),
+        }
+    }
+    assert!(updates >= 100_000, "only {updates} updates changed a graph");
+    println!("{updates} single updates, zero mismatches, trussness up to {highest}");
 }

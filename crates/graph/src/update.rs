@@ -138,11 +138,9 @@ impl GraphUpdate {
     ///
     /// Numerics render in shortest round-trip form, so `parse_line ∘
     /// to_line` is the identity for every update the text format can
-    /// express. The one lossy corner: the format spells "no tokens" and
-    /// "keep tokens" both as `-`, so `SetAttributes` with
-    /// `tokens: Some(vec![])` (clear to empty) parses back as `None`
-    /// (keep) — token lists themselves cannot contain whitespace or
-    /// commas, by construction of the format.
+    /// express. Not every value of this type is one: see
+    /// [`GraphUpdate::replayable`], the check a writer must pass before
+    /// it may log or ship the line.
     pub fn to_line(&self) -> String {
         fn tokens_field(tokens: &[String]) -> String {
             if tokens.is_empty() {
@@ -175,6 +173,33 @@ impl GraphUpdate {
                 }
                 s
             }
+        }
+    }
+
+    /// Whether this update survives its own text form:
+    /// `parse_line(to_line(u)) == u`. The rule every log writer enforces
+    /// (`GraphStore::apply` refuses a batch holding an update that fails
+    /// it), defined *as* the round trip so that format and check cannot
+    /// drift. What the format cannot say: a token that is empty on its
+    /// own, is a lone `-`, or holds whitespace or a comma;
+    /// `SetAttributes` clearing tokens (`Some(vec![])` — `-` means
+    /// *keep*) or carrying an empty numeric row; a non-finite numeric.
+    /// Updates that came out of [`GraphUpdate::parse_line`] always pass.
+    ///
+    /// # Errors
+    /// What the line reads back as instead, for the writer's refusal.
+    pub fn replayable(&self) -> Result<(), String> {
+        if matches!(
+            self,
+            GraphUpdate::AddEdge { .. } | GraphUpdate::RemoveEdge { .. }
+        ) {
+            return Ok(()); // two integers: nothing to lose
+        }
+        let line = self.to_line();
+        match Self::parse_line(&line) {
+            Ok(back) if back == *self => Ok(()),
+            Ok(back) => Err(format!("`{line}` reads back as {back:?}")),
+            Err(e) => Err(format!("`{line}` does not read back: {e}")),
         }
     }
 
@@ -658,6 +683,49 @@ set-attrs 0 drama
             assert!(
                 GraphUpdate::parse_script(&format!("add-edge 0 1\nset-attrs 1 a {bad}\n")).is_err()
             );
+        }
+    }
+
+    /// The values `to_line` cannot write faithfully are exactly the ones
+    /// `replayable` refuses, each with the line and what it turns into.
+    #[test]
+    fn replayable_refuses_what_the_text_cannot_say() {
+        let set = |tokens: Option<&[&str]>, numeric: Option<Vec<f64>>| GraphUpdate::SetAttributes {
+            v: 0,
+            tokens: tokens.map(|t| t.iter().map(|t| t.to_string()).collect()),
+            numeric,
+        };
+        let vertex = |tokens: &[&str], numeric: Vec<f64>| GraphUpdate::AddVertex {
+            tokens: tokens.iter().map(|t| t.to_string()).collect(),
+            numeric,
+        };
+        for lost in [
+            set(Some(&[]), None), // `-` means keep, not clear
+            set(Some(&["new york"]), None),
+            set(Some(&["a,b"]), None),
+            set(Some(&[""]), None),
+            set(Some(&["-"]), None),
+            set(None, Some(vec![])), // no numeric tail means keep
+            set(None, Some(vec![f64::NAN])),
+            vertex(&["-"], vec![0.5]),
+            vertex(&["tab\there"], vec![0.5]),
+            vertex(&[], vec![f64::INFINITY]),
+        ] {
+            let why = lost.replayable().unwrap_err();
+            assert!(why.contains(&lost.to_line()), "{why}");
+        }
+        assert_eq!(
+            set(Some(&[]), None).replayable().unwrap_err(),
+            "`set-attrs 0 -` reads back as SetAttributes { v: 0, tokens: None, numeric: None }"
+        );
+        for kept in [
+            set(Some(&["a", "-", ""]), Some(vec![-0.0])), // `a,-,` splits back
+            set(None, None),
+            vertex(&[], vec![]),
+            vertex(&["#", "7"], vec![1e-300]),
+            GraphUpdate::AddEdge { u: 1, v: u32::MAX },
+        ] {
+            assert_eq!(kept.replayable(), Ok(()), "{kept:?}");
         }
     }
 

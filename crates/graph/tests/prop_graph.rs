@@ -105,3 +105,76 @@ proptest! {
         prop_assert_eq!(bs.to_vec(), reference.into_iter().collect::<Vec<_>>());
     }
 }
+
+/// Hostile input to the `csag-updates v1` reader — what a WAL frame, a
+/// replication feed or an operator's script can hold.
+mod update_text {
+    use csag_graph::GraphUpdate;
+    use proptest::prelude::*;
+
+    /// Fragments the grammar is made of, and near misses of each.
+    const FRAGMENTS: [&str; 24] = [
+        "add-edge",
+        "remove-edge",
+        "add-vertex",
+        "set-attrs",
+        "add-edg",
+        "#",
+        "# epoch 3",
+        "-",
+        "--",
+        ",",
+        "a,b",
+        "a,,b",
+        "0",
+        "7",
+        "4294967295",
+        "4294967296",
+        "-1",
+        "1.5",
+        "1e999",
+        "nan",
+        "inf",
+        "\u{a0}",
+        "\u{0}",
+        "é",
+    ];
+    const JOINTS: [&str; 5] = [" ", "\n", "\t", "\r\n", "  "];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn arbitrary_bytes_never_panic_the_script_reader(
+            bytes in prop::collection::vec(any::<u8>(), 0..96),
+        ) {
+            let _ = GraphUpdate::parse_script(&String::from_utf8_lossy(&bytes));
+        }
+
+        /// Whitespace-joined grammar fragments parse or fail cleanly, and
+        /// whatever parses is a value the text can say again: updates
+        /// that came from text always pass the writers' replay check.
+        #[test]
+        fn joined_fragments_parse_or_fail_and_parsed_updates_are_replayable(
+            picks in prop::collection::vec((0..FRAGMENTS.len(), 0..JOINTS.len()), 0..24),
+        ) {
+            let text: String = picks
+                .iter()
+                .flat_map(|&(f, j)| [FRAGMENTS[f], JOINTS[j]])
+                .collect();
+            let whole = GraphUpdate::parse_script(&text);
+            let mut sayable = Vec::new();
+            for line in text.lines() {
+                if let Ok(update) = GraphUpdate::parse_line(line) {
+                    prop_assert_eq!(update.replayable(), Ok(()), "from {:?}", line);
+                    sayable.push(update);
+                }
+            }
+            if let Ok(updates) = whole {
+                prop_assert_eq!(&updates, &sayable, "script and lines agree on {:?}", text);
+            }
+            let again: String = sayable.iter().map(|u| u.to_line() + "\n").collect();
+            prop_assert_eq!(GraphUpdate::parse_script(&again), Ok(sayable));
+        }
+    }
+}

@@ -319,13 +319,14 @@ impl Router {
     /// Exactly [`GraphStore::apply`]'s errors. An erroneous batch
     /// ([`ApplyError::Graph`]) still publishes (and replicates) its
     /// applied prefix — the epoch bumps on every outcome, keeping
-    /// primary and replicas in lockstep. A durability rejection
-    /// ([`ApplyError::DurabilityUnavailable`]) applied *nothing* — no
-    /// epoch bump — so no record fans out either.
+    /// primary and replicas in lockstep. A refused batch
+    /// ([`ApplyError::refused_batch`]: the log was unavailable, or an
+    /// update has no faithful text form) applied *nothing* — no epoch
+    /// bump — so no record fans out either.
     pub fn apply(&self, updates: &[GraphUpdate]) -> Result<UpdateReport, ApplyError> {
         let _guard = self.write.lock().unwrap_or_else(PoisonError::into_inner);
         let outcome = self.primary.apply(updates);
-        if matches!(outcome, Err(ApplyError::DurabilityUnavailable { .. })) {
+        if matches!(&outcome, Err(e) if e.refused_batch()) {
             // The primary is byte-for-byte unchanged: replicating would
             // fan out a record for an epoch that never happened.
             return outcome;

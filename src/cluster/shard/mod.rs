@@ -294,14 +294,14 @@ impl ShardedRouter {
     /// erroneous batch ([`ApplyError::Graph`]) still publishes its
     /// applied prefix — the routing pre-simulates the journal's
     /// validity checks so each shard receives exactly that prefix's
-    /// sub-batch. A durability rejection applied nothing anywhere: no
-    /// fan-out, no cluster epoch.
+    /// sub-batch. A refused batch ([`ApplyError::refused_batch`])
+    /// applied nothing anywhere: no fan-out, no cluster epoch.
     pub fn apply(&self, updates: &[GraphUpdate]) -> Result<UpdateReport, ApplyError> {
         let _guard = self.write.lock().unwrap_or_else(PoisonError::into_inner);
         let mut plan = self.plan.lock().unwrap_or_else(PoisonError::into_inner);
         let routed = plan.route(updates);
         let outcome = self.journal.apply(updates);
-        if matches!(outcome, Err(ApplyError::DurabilityUnavailable { .. })) {
+        if matches!(&outcome, Err(e) if e.refused_batch()) {
             // Nothing was applied or logged: the plan is untouched and
             // no shard may hear about the batch.
             return outcome;

@@ -3,23 +3,31 @@
 //!
 //! A [`GraphStore`] owns the one *mutable* copy of a graph and publishes
 //! an immutable [`Engine`] per **epoch**. [`GraphStore::apply`] takes a
-//! batch of [`GraphUpdate`]s, edits the working copy, repairs the cached
-//! decompositions *incrementally*, and atomically swaps in the next
-//! epoch's engine — queries already running keep reading their epoch's
-//! snapshot untouched, while every query started after the swap sees the
-//! updated graph. [`GraphStore::snapshot`] is how readers pin an epoch.
+//! batch of [`GraphUpdate`]s, edits the working copy, repairs what the
+//! batch changed of the cached decompositions, and atomically swaps in
+//! the next epoch's engine — queries already running keep reading their
+//! epoch's snapshot untouched, while every query started after the swap
+//! sees the updated graph. [`GraphStore::snapshot`] is how readers pin an
+//! epoch.
 //!
 //! # What survives an epoch bump
 //!
 //! The expensive per-graph state is carried forward instead of rebuilt:
 //!
-//! * **Core numbers** are maintained by [`csag_decomp::CoreMaintainer`]
-//!   (per-edge subcore repair) and pre-seeded into every epoch's engine —
-//!   the full `O(n + m)` peel runs once at store construction, never per
-//!   batch.
-//! * **Node trussness** is patched by component-targeted recompute
-//!   ([`csag_decomp::patch_node_trussness`]) — but only if some query
-//!   already paid for the truss decomposition; otherwise it stays lazy.
+//! * **Node trussness** is repaired edge by edge by a
+//!   [`csag_decomp::TrussMaintainer`] fed next to the working copy: each
+//!   update touches only the edges whose trussness moves and their
+//!   triangle neighbours, whatever the size of the graph. The maintainer
+//!   is seeded (one truss decomposition of the pre-batch graph) by the
+//!   first batch applied after some query made trussness resident, and
+//!   lives until [`GraphStore::reset_to`]; a store nobody asks k-truss
+//!   questions stays lazy.
+//! * **Core numbers** are pre-seeded into every epoch's engine: carried
+//!   over as they are by a batch that changed no edge, and recomputed by
+//!   one `O(n + m)` peel — the order of the CSR snapshot the batch pays
+//!   anyway — by one that did. No per-edge traversal repair: a single
+//!   subcore walk on a graph whose main shell is most of the graph costs
+//!   more than the peel.
 //! * **Distance tables** (`Arc<QueryDistances>`) are invalidated
 //!   *selectively*. The composite distance `f(v, q)` depends on
 //!   attributes only, so:
@@ -59,7 +67,7 @@ use super::{CsagError, Engine};
 use crate::cluster::LogRecord;
 use crate::durability::{DurabilityStatus, RecoveryReport, Wal, WalConfig, WalError};
 use csag_core::distance::QueryDistances;
-use csag_decomp::{patch_node_trussness, CoreMaintainer};
+use csag_decomp::{core_decomposition, TrussMaintainer};
 use csag_graph::{Applied, AttributedGraph, GraphError, MutableGraph, NodeId};
 use std::fmt;
 use std::path::Path;
@@ -85,6 +93,18 @@ pub enum ApplyError {
         /// Why the log refused the append.
         reason: String,
     },
+    /// An update in the batch cannot be written in `csag-updates v1`
+    /// text — the form the write-ahead log and every replication feed
+    /// carry — and read back as itself
+    /// ([`GraphUpdate::replayable`]). The *whole* batch was refused
+    /// before the log or the graph was touched: no epoch bump. Updates
+    /// parsed from text never hit this.
+    NotReplayable {
+        /// Position of the offending update in the batch.
+        index: usize,
+        /// What its text form reads back as instead.
+        reason: String,
+    },
 }
 
 impl fmt::Display for ApplyError {
@@ -93,6 +113,12 @@ impl fmt::Display for ApplyError {
             ApplyError::Graph(e) => e.fmt(f),
             ApplyError::DurabilityUnavailable { reason } => {
                 write!(f, "durability unavailable: write rejected ({reason})")
+            }
+            ApplyError::NotReplayable { index, reason } => {
+                write!(
+                    f,
+                    "update {index} cannot be logged: batch refused ({reason})"
+                )
             }
         }
     }
@@ -109,17 +135,24 @@ impl From<GraphError> for ApplyError {
 impl ApplyError {
     /// The serving-layer ([`super::CsagError`]) form of this rejection:
     /// `Some` for [`ApplyError::DurabilityUnavailable`] (wire kind
-    /// `durability_unavailable`), `None` for graph errors, which are
-    /// caller mistakes reported as-is.
+    /// `durability_unavailable`), `None` for graph errors and updates the
+    /// log cannot say, which are caller mistakes reported as-is.
     pub fn as_csag_error(&self) -> Option<super::CsagError> {
         match self {
-            ApplyError::Graph(_) => None,
+            ApplyError::Graph(_) | ApplyError::NotReplayable { .. } => None,
             ApplyError::DurabilityUnavailable { reason } => {
                 Some(super::CsagError::DurabilityUnavailable {
                     reason: reason.clone(),
                 })
             }
         }
+    }
+
+    /// Whether the batch was refused as a whole — nothing logged, nothing
+    /// applied, no epoch bump — so there is nothing to replicate either.
+    /// `false` for [`ApplyError::Graph`], whose valid prefix published.
+    pub fn refused_batch(&self) -> bool {
+        !matches!(self, ApplyError::Graph(_))
     }
 }
 
@@ -207,7 +240,9 @@ impl std::ops::Deref for Snapshot {
 /// readers never touch it).
 struct StoreState {
     mutable: MutableGraph,
-    core: CoreMaintainer,
+    /// Per-edge trussness of `mutable`, once some query made the node
+    /// table resident (see [`GraphStore::apply`]); `None` while lazy.
+    truss: Option<TrussMaintainer>,
     epoch: u64,
 }
 
@@ -374,8 +409,8 @@ pub struct GraphStore {
 
 impl GraphStore {
     /// Builds a store over `graph`, computing the initial core
-    /// decomposition once (every epoch's engine is pre-seeded from the
-    /// maintained copy).
+    /// decomposition once (every epoch's engine is pre-seeded with its
+    /// core numbers).
     pub fn new(graph: AttributedGraph) -> Self {
         GraphStore::from_arc(Arc::new(graph))
     }
@@ -403,15 +438,13 @@ impl GraphStore {
     /// The writer state and the engine of a store (re)starting from
     /// `graph` at `epoch`: one full core peel, nothing carried over.
     fn fresh_epoch(graph: Arc<AttributedGraph>, epoch: u64) -> (StoreState, Arc<Engine>) {
-        let mutable = MutableGraph::from_graph(&graph);
-        let core = CoreMaintainer::new(&graph);
-        let engine =
-            Engine::from_store_parts(graph, epoch, core.coreness().to_vec(), None, Vec::new());
         let state = StoreState {
-            mutable,
-            core,
+            mutable: MutableGraph::from_graph(&graph),
+            truss: None,
             epoch,
         };
+        let coreness = core_decomposition(&graph);
+        let engine = Engine::from_store_parts(graph, epoch, coreness, None, Vec::new());
         (state, Arc::new(engine))
     }
 
@@ -595,13 +628,27 @@ impl GraphStore {
     /// included. If the log cannot record the batch, the write is
     /// rejected wholesale: no epoch bump, reads unaffected.
     ///
+    /// Replay is a promise about text: the log and the replication feeds
+    /// carry the batch as `csag-updates v1` lines, so a batch holding an
+    /// update that does not read back as itself
+    /// ([`GraphUpdate::replayable`]) is refused whole, on durable and
+    /// plain stores alike (a plain primary's followers read the same
+    /// text) — an acknowledged write is always one the log can say.
+    ///
     /// # Errors
     /// * [`ApplyError::Graph`] — [`GraphError::NodeOutOfRange`] /
     ///   [`GraphError::DimMismatch`] from the offending update (the
     ///   valid prefix published).
     /// * [`ApplyError::DurabilityUnavailable`] — the WAL append failed;
     ///   nothing was applied.
+    /// * [`ApplyError::NotReplayable`] — an update has no faithful text
+    ///   form; nothing was logged or applied.
     pub fn apply(&self, updates: &[GraphUpdate]) -> Result<UpdateReport, ApplyError> {
+        for (index, update) in updates.iter().enumerate() {
+            update
+                .replayable()
+                .map_err(|reason| ApplyError::NotReplayable { index, reason })?;
+        }
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(wal) = &self.wal {
             // Write-ahead: the batch must be durable before any effect
@@ -613,29 +660,39 @@ impl GraphStore {
                 })?;
         }
         let old_engine = self.snapshot().engine_arc();
-        let old_core: Vec<u32> = state.core.coreness().to_vec();
+        // Trussness is maintained only once a query paid for it: seed the
+        // per-edge table from the pre-batch graph, once per store lifetime.
+        if state.truss.is_none() && old_engine.trussness_if_computed().is_some() {
+            state.truss = Some(TrussMaintainer::new(old_engine.graph()));
+        }
 
         let mut report = UpdateReport::default();
-        let mut structural_seeds: Vec<NodeId> = Vec::new();
+        let mut edges_changed = false;
         let mut attrs_changed: Vec<NodeId> = Vec::new();
         let mut n_changed = false;
         let mut first_error: Option<GraphError> = None;
 
         for update in updates {
-            let StoreState { mutable, core, .. } = &mut *state;
+            let StoreState { mutable, truss, .. } = &mut *state;
             match mutable.apply(update) {
                 Ok(Applied::EdgeAdded(u, v)) => {
-                    core.insert_edge(mutable, u, v);
-                    structural_seeds.extend([u, v]);
+                    if let Some(truss) = truss {
+                        truss.insert_edge(mutable, u, v);
+                    }
+                    edges_changed = true;
                     report.edges_added += 1;
                 }
                 Ok(Applied::EdgeRemoved(u, v)) => {
-                    core.remove_edge(mutable, u, v);
-                    structural_seeds.extend([u, v]);
+                    if let Some(truss) = truss {
+                        truss.remove_edge(mutable, u, v);
+                    }
+                    edges_changed = true;
                     report.edges_removed += 1;
                 }
                 Ok(Applied::VertexAdded(_)) => {
-                    core.add_vertex();
+                    if let Some(truss) = truss {
+                        truss.add_vertex();
+                    }
                     n_changed = true;
                     report.vertices_added += 1;
                 }
@@ -658,10 +715,23 @@ impl GraphStore {
         // keeps report numbering simple and observable).
         let new_graph = Arc::new(state.mutable.snapshot());
 
-        // Trussness: patch only what a previous query already paid for.
-        let trussness = old_engine
-            .trussness_if_computed()
-            .map(|old| patch_node_trussness(&new_graph, old, &structural_seeds));
+        // Coreness: one peel if an edge moved; otherwise the old table,
+        // with core 0 for every vertex the batch appended.
+        let old_core = old_engine.coreness();
+        let new_core = if edges_changed {
+            core_decomposition(&new_graph)
+        } else {
+            let mut core = old_core.to_vec();
+            core.resize(new_graph.n(), 0);
+            core
+        };
+        report.coreness_changed = new_core
+            .iter()
+            .zip(old_core)
+            .filter(|(a, b)| a != b)
+            .count()
+            + (new_core.len() - old_core.len());
+        let trussness = state.truss.as_ref().map(|t| t.node_trussness().to_vec());
 
         // Selective distance-table invalidation (see the module docs).
         let ranges_changed = n_changed
@@ -691,13 +761,6 @@ impl GraphStore {
 
         state.epoch += 1;
         report.epoch = state.epoch;
-        let new_core = state.core.coreness();
-        report.coreness_changed = new_core
-            .iter()
-            .zip(old_core.iter())
-            .filter(|(a, b)| a != b)
-            .count()
-            + new_core.len().saturating_sub(old_core.len());
 
         if let Some(wal) = &self.wal {
             // Periodic checkpoint so replay is bounded by the delta
@@ -709,7 +772,7 @@ impl GraphStore {
         let engine = Arc::new(Engine::from_store_parts(
             new_graph,
             state.epoch,
-            new_core.to_vec(),
+            new_core,
             trussness,
             carried,
         ));
@@ -926,6 +989,7 @@ mod tests {
         // No truss query yet: updates must not force the decomposition.
         store.apply(&[GraphUpdate::AddEdge { u: 4, v: 0 }]).unwrap();
         assert_eq!(store.snapshot().engine().truss_decomp_computations(), 0);
+        assert!(store.state.lock().unwrap().truss.is_none(), "nor seed one");
 
         // Pay for it on epoch 1, then churn: epoch 2's table is patched,
         // not recomputed, and matches from scratch.
@@ -950,6 +1014,10 @@ mod tests {
             "the epoch inherited a patched table"
         );
         assert!(snap.run(&truss_query).is_ok());
+        assert!(store.state.lock().unwrap().truss.is_some());
+        // A reset starts over: the maintainer described the old graph.
+        store.reset_to(Arc::new(clique_plus_tail()), 7);
+        assert!(store.state.lock().unwrap().truss.is_none());
     }
 
     #[test]

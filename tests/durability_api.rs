@@ -435,3 +435,167 @@ fn router_skips_fanout_on_durability_rejection_and_keeps_reading() {
     let routed = router.route_read(Some(1), Duration::from_secs(1)).unwrap();
     assert!(routed.epoch() >= 1);
 }
+
+/// `SetAttributes { v: 0, tokens: Some(tokens) }` behind a valid edge
+/// insertion: the edge tells whether the batch was refused *whole*.
+fn batch_setting_tokens(tokens: &[&str]) -> Vec<GraphUpdate> {
+    vec![
+        GraphUpdate::AddEdge { u: 0, v: 4 },
+        GraphUpdate::SetAttributes {
+            v: 0,
+            tokens: Some(tokens.iter().map(|t| t.to_string()).collect()),
+            numeric: None,
+        },
+    ]
+}
+
+/// The log carries batches as `csag-updates v1` text, and that text
+/// cannot say everything a `GraphUpdate` value can hold. Clearing a
+/// node's tokens used to be acknowledged, logged as `set-attrs 0 -`
+/// ("keep") and recovered with the tokens still there — silent
+/// divergence at equal epochs; a token with a space used to be
+/// acknowledged and then make the whole log unrecoverable. Both are
+/// now refused before the append, and what *was* acknowledged recovers.
+#[test]
+fn an_update_the_log_cannot_say_is_refused_whole_and_never_acknowledged() {
+    let dir = TempDir::new("unsayable");
+    let store = GraphStore::with_wal(base_graph(), dir.path()).unwrap();
+    store.apply(&batches()[0]).unwrap();
+    let unsayable: [&[&str]; 6] = [&[], &["new york"], &["a,b"], &[""], &["-"], &["a\u{a0}b"]];
+    for tokens in unsayable {
+        let err = store.apply(&batch_setting_tokens(tokens)).unwrap_err();
+        assert!(
+            matches!(err, ApplyError::NotReplayable { index: 1, .. }),
+            "{tokens:?}: {err}"
+        );
+        assert!(err.refused_batch() && err.as_csag_error().is_none());
+        assert_eq!(store.epoch(), 1, "{tokens:?}: no epoch bump");
+        let snap = store.snapshot();
+        assert!(!snap.graph().has_edge(0, 4), "{tokens:?}: nothing applied");
+        assert_eq!(snap.graph().tokens(0).len(), 1, "{tokens:?}: tokens kept");
+    }
+    let status = store.wal_status().unwrap();
+    assert!(
+        status.degraded.is_none(),
+        "a caller's mistake is no log failure"
+    );
+    // The same values in a form the text can say are ordinary writes.
+    store
+        .apply(&batch_setting_tokens(&["new-york", "a", "b"]))
+        .unwrap();
+    let snap = store.snapshot();
+    let written = (graph_bytes(snap.graph()), snap.epoch());
+    drop(snap);
+    drop(store);
+
+    let (recovered, report) = GraphStore::recover(dir.path()).unwrap();
+    assert_eq!(
+        report.records_replayed, 2,
+        "refused batches never reached the log"
+    );
+    let snap = recovered.snapshot();
+    assert_eq!((graph_bytes(snap.graph()), snap.epoch()), written);
+    assert_eq!(snap.epoch(), 2);
+}
+
+/// A plain primary's followers read the same text, so the refusal does
+/// not depend on a WAL — and a refused batch fans nothing out.
+#[test]
+fn plain_stores_and_routers_refuse_unsayable_updates_too() {
+    let store = GraphStore::new(base_graph());
+    let err = store.apply(&batch_setting_tokens(&[])).unwrap_err();
+    assert!(matches!(err, ApplyError::NotReplayable { index: 1, .. }));
+    assert_eq!(store.epoch(), 0);
+    // Non-finite numerics are refused by the text reader, hence here.
+    let nan = GraphUpdate::AddVertex {
+        tokens: vec![],
+        numeric: vec![f64::NAN],
+    };
+    let err = store.apply(&[nan]).unwrap_err();
+    assert!(matches!(err, ApplyError::NotReplayable { index: 0, .. }));
+    assert_eq!(store.snapshot().graph().n(), 8);
+
+    let router = Router::new(Arc::new(store), 1);
+    router.apply(&batches()[0]).unwrap();
+    let err = router
+        .apply(&batch_setting_tokens(&["new york"]))
+        .unwrap_err();
+    assert!(matches!(err, ApplyError::NotReplayable { .. }));
+    assert_eq!(router.metrics().records, 1, "no record for a refused batch");
+    assert_eq!(router.epoch(), 1);
+    assert!(router.wait_replicas_caught_up(Duration::from_secs(5)));
+    assert_eq!(router.replica_watermark(0), 1);
+}
+
+mod accepted_writes_are_sayable {
+    use super::*;
+    use csag::cluster::LogRecord;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
+
+    /// Tokens and numerics drawn to hit every corner of the text format:
+    /// separators, the `-` placeholder, emptiness, comment and line
+    /// characters, Unicode space, non-finite and signed-zero floats.
+    fn arb_update() -> impl Strategy<Value = GraphUpdate> {
+        const PIECES: [&str; 16] = [
+            "a", "b", "c", "d", "x-y", "7", "1.5", "#", "-", "-", ",", " ", "", "\n", "\r",
+            "\u{a0}",
+        ];
+        const FLOATS: [f64; 10] = [
+            0.25,
+            0.5,
+            -0.0,
+            -3.0,
+            1e-300,
+            0.1 + 0.2,
+            f64::MAX,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let token = prop::collection::vec(0..PIECES.len(), 0..3)
+            .prop_map(|parts| parts.iter().map(|&i| PIECES[i]).collect::<String>());
+        let tokens = prop::collection::vec(token, 0..3);
+        let numeric = prop::collection::vec(0..FLOATS.len(), 0..3)
+            .prop_map(|picks| picks.iter().map(|&i| FLOATS[i]).collect::<Vec<f64>>());
+        (0u8..8, 0u32..10, 0u32..10, tokens, numeric).prop_map(|(kind, u, v, tokens, numeric)| {
+            match kind {
+                0 => GraphUpdate::AddEdge { u, v },
+                1 => GraphUpdate::RemoveEdge { u, v },
+                2 | 3 => GraphUpdate::AddVertex { tokens, numeric },
+                // 4–7: each side set or kept.
+                _ => GraphUpdate::SetAttributes {
+                    v,
+                    tokens: (kind & 1 == 0).then_some(tokens),
+                    numeric: (kind & 2 == 0).then_some(numeric),
+                },
+            }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Whatever `apply` does not refuse whole — acknowledged batches
+        /// and erroring ones alike, both of which bump the epoch and are
+        /// logged — the record's text reads back as the same batch; a
+        /// refused batch leaves the epoch alone.
+        #[test]
+        fn every_batch_apply_accepts_reads_back_from_the_log_text(
+            batch in prop::collection::vec(arb_update(), 0..6),
+        ) {
+            let store = GraphStore::new(base_graph());
+            match store.apply(&batch) {
+                Err(e) if e.refused_batch() => prop_assert_eq!(store.epoch(), 0),
+                _ => {
+                    prop_assert_eq!(store.epoch(), 1);
+                    let wire = LogRecord::new(1, batch.clone()).to_wire();
+                    let back = LogRecord::parse_wire(&wire).map_err(|e| {
+                        TestCaseError::fail(format!("{batch:?} logged as {wire:?}: {e}"))
+                    })?;
+                    prop_assert_eq!(&*back.updates, &batch);
+                }
+            }
+        }
+    }
+}

@@ -240,3 +240,197 @@ fn concurrent_readers_see_consistent_epochs_during_churn() {
     });
     assert_eq!(store.epoch(), 8);
 }
+
+/// "Local in fact", as a count no wall clock can give: toggling an edge
+/// *inside* a planted community is the expensive case for the truss
+/// repair — the new edge closes triangles, so a whole community level is
+/// its candidate set — and its cost must depend on the community, not on
+/// the graph. The same per-update bound holds at 5 000 and at 30 000
+/// nodes (the benchmark's `G5` shape, communities of ≈ 91).
+#[test]
+fn truss_repair_work_is_bounded_by_the_community_not_the_graph() {
+    use csag::decomp::TrussMaintainer;
+    use csag::graph::MutableGraph;
+    use rand::Rng;
+
+    const STEPS_PER_UPDATE: u64 = 8_000;
+    for (nodes, communities) in [(5_000, 55), (30_000, 330)] {
+        let config = SyntheticConfig {
+            nodes,
+            communities,
+            intra_degree: 6,
+            inter_degree: 1.5,
+            personal_pool: 500,
+            ..SyntheticConfig::default()
+        };
+        let (g, planted) = generate(&config, 20);
+        let mut mutable = MutableGraph::from_graph(&g);
+        let mut maint = TrussMaintainer::new(&g);
+        let mut rng = StdRng::seed_from_u64(0x10CA1);
+        let (mut worst, mut total) = (0, 0);
+        for _ in 0..512 {
+            let community = &planted[rng.gen_range(0..planted.len())];
+            let u = community[rng.gen_range(0..community.len())];
+            let v = community[rng.gen_range(0..community.len())];
+            let before = maint.work();
+            if mutable.has_edge(u, v) {
+                mutable.apply(&GraphUpdate::RemoveEdge { u, v }).unwrap();
+                maint.remove_edge(&mutable, u, v);
+            } else if u != v {
+                mutable.apply(&GraphUpdate::AddEdge { u, v }).unwrap();
+                maint.insert_edge(&mutable, u, v);
+            }
+            let steps = maint.work() - before;
+            assert!(
+                steps <= STEPS_PER_UPDATE,
+                "{nodes} nodes: toggling ({u}, {v}) took {steps} steps"
+            );
+            worst = worst.max(steps);
+            total += steps;
+        }
+        println!("{nodes} nodes: worst {worst}, mean {}", total / 512);
+        assert_eq!(
+            maint.node_trussness(),
+            csag::decomp::node_max_trussness(&mutable.snapshot()).as_slice(),
+            "{nodes} nodes: the counted repairs are the correct ones"
+        );
+    }
+}
+
+fn small_store(seed: u64) -> GraphStore {
+    let config = SyntheticConfig {
+        nodes: 220,
+        communities: 5,
+        ..Default::default()
+    };
+    GraphStore::new(generate(&config, seed).0)
+}
+
+/// Applies one random batch drawn against the store's current graph.
+fn churn(
+    store: &GraphStore,
+    rng: &mut StdRng,
+    count: usize,
+    mix: ChurnMix,
+) -> csag::engine::UpdateReport {
+    let batch = random_updates(store.snapshot().graph(), rng, count, mix);
+    store.apply(&batch).expect("generated endpoints exist")
+}
+
+/// Both structural tables of the store's current epoch were handed over
+/// by `apply` (this engine computed neither) and equal from-scratch
+/// recomputation on the epoch's graph.
+fn assert_inherited_tables_match_scratch(store: &GraphStore) {
+    let snap = store.snapshot();
+    let epoch = snap.epoch();
+    assert_eq!(
+        snap.engine().coreness(),
+        csag::decomp::core_decomposition(snap.graph()).as_slice(),
+        "epoch {epoch} coreness"
+    );
+    assert_eq!(
+        snap.engine().node_trussness(),
+        csag::decomp::node_max_trussness(snap.graph()).as_slice(),
+        "epoch {epoch} trussness"
+    );
+    assert_eq!(snap.engine().decomp_computations(), 0, "epoch {epoch}");
+    assert_eq!(
+        snap.engine().truss_decomp_computations(),
+        0,
+        "epoch {epoch}"
+    );
+}
+
+/// Reads the current epoch's trussness for the first time: the engine had
+/// no table (it computes one now), and it is the right one.
+fn assert_first_truss_read_computes(store: &GraphStore) {
+    let snap = store.snapshot();
+    assert_eq!(snap.engine().truss_decomp_computations(), 0);
+    assert_eq!(
+        snap.engine().node_trussness(),
+        csag::decomp::node_max_trussness(snap.graph()).as_slice()
+    );
+    assert_eq!(snap.engine().truss_decomp_computations(), 1);
+}
+
+/// Trussness upkeep is paid for only by stores that use it: without a
+/// k-truss question, `apply` seeds no maintainer and hands no table on.
+#[test]
+fn a_store_nobody_asks_truss_questions_stays_lazy_across_batches() {
+    let store = small_store(31);
+    let mut rng = StdRng::seed_from_u64(0x1A27);
+    for _ in 0..4 {
+        churn(&store, &mut rng, 12, ChurnMix::MIXED);
+        assert_eq!(store.snapshot().engine().decomp_computations(), 0);
+    }
+    assert_first_truss_read_computes(&store);
+    // From here on the table is resident, so the next batch carries it.
+    churn(&store, &mut rng, 12, ChurnMix::MIXED);
+    assert_inherited_tables_match_scratch(&store);
+}
+
+/// A batch that errors midway publishes its valid prefix — and the tables
+/// published with it describe exactly that prefix.
+#[test]
+fn an_erroring_batch_publishes_tables_of_its_prefix() {
+    let store = small_store(32);
+    store.snapshot().engine().node_trussness();
+    let mut rng = StdRng::seed_from_u64(0xBAD);
+    let mut batch = random_updates(store.snapshot().graph(), &mut rng, 12, ChurnMix::STRUCTURAL);
+    let (u, v) = (0..220u32)
+        .flat_map(|u| (u + 1..220).map(move |v| (u, v)))
+        .find(|&(u, v)| !store.snapshot().graph().has_edge(u, v))
+        .unwrap();
+    batch.push(GraphUpdate::AddEdge { u: 0, v: 99_999 });
+    batch.push(GraphUpdate::AddEdge { u, v });
+    let err = store.apply(&batch).unwrap_err();
+    assert!(matches!(err, csag::engine::ApplyError::Graph(_)), "{err}");
+    assert_eq!(store.epoch(), 1, "the prefix published");
+    assert!(!store.snapshot().graph().has_edge(u, v), "the tail did not");
+    assert_inherited_tables_match_scratch(&store);
+    // The maintainer stopped where the graph did: the next batch is exact.
+    store.apply(&[GraphUpdate::AddEdge { u, v }]).unwrap();
+    assert_inherited_tables_match_scratch(&store);
+}
+
+/// `reset_to` swaps the whole state: the maintainer of the old graph must
+/// go with it, and the new graph earns its own the usual way.
+#[test]
+fn reset_to_drops_the_truss_maintainer_and_the_next_resident_epoch_reseeds() {
+    let store = small_store(33);
+    store.snapshot().engine().node_trussness();
+    let mut rng = StdRng::seed_from_u64(0x5E7);
+    churn(&store, &mut rng, 12, ChurnMix::STRUCTURAL);
+    assert_inherited_tables_match_scratch(&store);
+
+    // A different graph altogether (a follower swallowing a checkpoint).
+    let other = small_store(34).snapshot().engine().graph_arc();
+    store.reset_to(other, 10);
+    churn(&store, &mut rng, 12, ChurnMix::STRUCTURAL);
+    assert_eq!(store.epoch(), 11);
+    assert_first_truss_read_computes(&store); // lazy again: nothing carried
+    churn(&store, &mut rng, 12, ChurnMix::STRUCTURAL);
+    assert_inherited_tables_match_scratch(&store); // reseeded from epoch 11
+}
+
+/// Sustained mixed churn with trussness resident — edges, attribute
+/// rewrites and new vertices (which later batches wire in): both tables
+/// equal from-scratch recomputation at every one of 24 epochs.
+#[test]
+fn resident_tables_equal_from_scratch_at_every_epoch_of_mixed_churn() {
+    let store = small_store(35);
+    store.snapshot().engine().node_trussness();
+    let mut rng = StdRng::seed_from_u64(0xC4095);
+    let (mut vertices, mut edges) = (0, 0);
+    for round in 1..=24 {
+        let report = churn(&store, &mut rng, 16, ChurnMix::MIXED);
+        assert_eq!(report.epoch, round);
+        vertices += report.vertices_added;
+        edges += report.edges_added + report.edges_removed;
+        assert_inherited_tables_match_scratch(&store);
+    }
+    assert!(
+        vertices > 0 && edges > 100,
+        "{vertices} vertices, {edges} edge toggles"
+    );
+}
