@@ -2,27 +2,10 @@
 //!
 //! Every search command routes through the unified [`csag::engine`]: one
 //! `Engine` per loaded graph, one `CommunityQuery` per run, typed errors
-//! on stderr, and `--json` for machine-readable results.
-//!
-//! ```text
-//! csag stats    <graph.txt>
-//! csag query    <graph.txt> --method M --query <id> --k <k> [shared flags] [--json]
-//! csag exact    <graph.txt> --query <id> --k <k> [--gamma G] [--truss] [--budget-ms MS] [--json]
-//! csag sea      <graph.txt> --query <id> --k <k> [--gamma G] [--truss] [--error E]
-//!                           [--confidence C] [--lambda L] [--seed S] [--size L H] [--json]
-//! csag baseline <graph.txt> --method acq|atc|vac|evac --query <id> --k <k> [--gamma G] [--json]
-//! csag generate --nodes N --communities C --seed S --out <graph.txt>
-//! csag update   <graph.txt> --script <updates.txt> [--out <new.txt>] [--wal <dir>] [--json]
-//! csag serve    <graph.txt> [--workers N] [--capacity N] [--replicas N] [--wal <dir>]
-//!                           [--shards N [--shard-halo R]]
-//!                           [--metrics] [--listen <addr>] [--uds <path>]
-//!                           [--repl-listen <addr>] [--repl-uds <path>]
-//! csag replica  [seed-graph.txt] --follow <addr> [--name N] [--listen <addr>] [--uds <path>]
-//! csag serve-churn [--batches N] [--seed S] [--json]
-//! csag wal-churn <graph.txt> --wal <dir> [--plan-out <plan.txt>] [--batches N]
-//!                           [--seed S] [--sleep-ms MS]
-//! csag demo     [--json]
-//! ```
+//! on stderr, and `--json` for machine-readable results. `csag help`
+//! lists every command and flag; that text, the parser and the
+//! unknown-flag error are all driven by the one command table
+//! ([`COMMANDS`]).
 //!
 //! Graph files use the `csag-graph v1` text format (see `csag::graph::io`);
 //! update scripts use the `csag-updates v1` line format (see
@@ -45,47 +28,253 @@
 //! In socket mode the primary's stdin doubles as a write feed — one
 //! `csag-updates v1` line per batch, `applied <epoch>` echoed back.
 
+use csag::cluster::{Follower, FollowerConfig, ReplListener, Router, ShardedRouter};
 use csag::datasets::generator::{generate, SyntheticConfig};
-use csag::datasets::paper_examples::{figure1_imdb, FIGURE1_TITLES};
+use csag::datasets::paper_examples::{figure1_imdb, figure3_graph, FIGURE1_TITLES};
 use csag::datasets::{random_updates, ChurnMix};
 use csag::engine::{
-    error_to_json, CommunityQuery, CommunityResult, CsagError, Engine, GraphStore, GraphUpdate,
-    Method, UpdateReport,
+    error_to_json, outcome_identity, CommunityQuery, CommunityResult, CsagError, Engine,
+    GraphStore, GraphUpdate, Method, UpdateReport,
 };
 use csag::graph::io::{load_graph, save_graph};
 use csag::graph::stats::graph_stats;
-use csag::graph::{AttributedGraph, GraphBuilder};
+use csag::graph::AttributedGraph;
 use csag::json::Writer;
+use csag::service::transport::{read_capped_line, serve_session};
+use csag::service::{Request, Service, ServiceConfig, Transport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
+use std::io::Write;
 use std::process::exit;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// One `--flag`: its name, how many values follow it, and where the
+/// parser stores them (typed) in [`Args`].
+type Flag = (
+    &'static str,
+    usize,
+    fn(&mut Args, &str, &[String]) -> Result<(), String>,
+);
+
+/// Every flag any command reads, declared once; a command's table row
+/// lists the names it admits.
+const FLAGS: &[Flag] = &[
+    ("method", 1, |a, n, v| set(&mut a.method, n, v)),
+    ("query", 1, |a, n, v| set(&mut a.query, n, v)),
+    ("k", 1, |a, n, v| set(&mut a.k, n, v)),
+    ("gamma", 1, |a, n, v| set(&mut a.gamma, n, v)),
+    ("truss", 0, |a, _, _| on(&mut a.truss)),
+    ("budget-ms", 1, |a, n, v| set(&mut a.budget_ms, n, v)),
+    ("error", 1, |a, n, v| set(&mut a.error, n, v)),
+    ("confidence", 1, |a, n, v| set(&mut a.confidence, n, v)),
+    ("lambda", 1, |a, n, v| set(&mut a.lambda, n, v)),
+    ("seed", 1, |a, n, v| set(&mut a.seed, n, v)),
+    ("size", 2, |a, _, v| {
+        let lower = v[0].parse().map_err(|_| "bad --size lower bound")?;
+        let upper = v[1].parse().map_err(|_| "bad --size upper bound")?;
+        a.size = Some((lower, upper));
+        Ok(())
+    }),
+    ("json", 0, |a, _, _| on(&mut a.json)),
+    ("nodes", 1, |a, n, v| set(&mut a.nodes, n, v)),
+    ("communities", 1, |a, n, v| set(&mut a.communities, n, v)),
+    ("out", 1, |a, n, v| set(&mut a.out, n, v)),
+    ("script", 1, |a, n, v| set(&mut a.script, n, v)),
+    ("wal", 1, |a, n, v| set(&mut a.wal, n, v)),
+    ("workers", 1, |a, n, v| set(&mut a.workers, n, v)),
+    ("capacity", 1, |a, n, v| set(&mut a.capacity, n, v)),
+    ("listen", 1, |a, n, v| set(&mut a.listen, n, v)),
+    ("uds", 1, |a, n, v| set(&mut a.uds, n, v)),
+    ("metrics", 0, |a, _, _| on(&mut a.metrics)),
+    ("replicas", 1, |a, n, v| set(&mut a.replicas, n, v)),
+    ("shards", 1, |a, n, v| set(&mut a.shards, n, v)),
+    ("shard-halo", 1, |a, n, v| set(&mut a.shard_halo, n, v)),
+    ("repl-listen", 1, |a, n, v| set(&mut a.repl_listen, n, v)),
+    ("repl-uds", 1, |a, n, v| set(&mut a.repl_uds, n, v)),
+    ("follow", 1, |a, n, v| set(&mut a.follow, n, v)),
+    ("name", 1, |a, n, v| set(&mut a.name, n, v)),
+    ("batches", 1, |a, n, v| set(&mut a.batches, n, v)),
+    ("plan-out", 1, |a, n, v| set(&mut a.plan_out, n, v)),
+    ("sleep-ms", 1, |a, n, v| set(&mut a.sleep_ms, n, v)),
+];
+
+fn set<T: std::str::FromStr>(slot: &mut Option<T>, flag: &str, v: &[String]) -> Result<(), String> {
+    let unparsed = |_| format!("--{flag}: cannot parse `{}`", v[0]);
+    *slot = Some(v[0].parse().map_err(unparsed)?);
+    Ok(())
+}
+
+fn on(slot: &mut bool) -> Result<(), String> {
+    *slot = true;
+    Ok(())
+}
+
+/// What a search reads — shared by `query`, `exact`, `sea` and
+/// `baseline` (`--method` only by the two that take one).
+const SEARCH_FLAGS: &[&str] = &[
+    "query",
+    "k",
+    "gamma",
+    "truss",
+    "budget-ms",
+    "error",
+    "confidence",
+    "lambda",
+    "seed",
+    "size",
+    "json",
+];
+/// What `serve` and `replica` both take: scheduler knobs, serving
+/// sockets, and — `serve --follow` being a replica — whom to follow.
+const SERVING_FLAGS: &[&str] = &["workers", "capacity", "listen", "uds", "follow", "name"];
+/// What only a primary takes: its topology, its log, its endpoints.
+const PRIMARY_FLAGS: &[&str] = &[
+    "replicas",
+    "shards",
+    "shard-halo",
+    "wal",
+    "metrics",
+    "repl-listen",
+    "repl-uds",
+];
+
+/// One row of the command table.
+struct Command {
+    name: &'static str,
+    /// What follows the name under `commands:` in the usage text.
+    synopsis: &'static str,
+    /// The command's flags paragraph of the usage text, if it has one.
+    help: &'static str,
+    /// The [`FLAGS`] it reads; any other `--flag` is an error.
+    flags: &'static [&'static [&'static str]],
+    run: fn(Args) -> Result<(), String>,
+}
+
+/// The command table: dispatch, parsing, the unknown-flag error and
+/// [`usage`] all read it.
+static COMMANDS: [Command; 12] = [
+    Command {
+        name: "stats",
+        synopsis: "<graph.txt>                      graph statistics",
+        help: "",
+        flags: &[],
+        run: cmd_stats,
+    },
+    Command {
+        name: "query",
+        synopsis: "<graph.txt> --method M --query Q --k K   any method through one command",
+        help: "common flags: --gamma G (0..1, default 0.5)  --truss  --seed S  --json",
+        flags: &[SEARCH_FLAGS, &["method"]],
+        run: cmd_search,
+    },
+    Command {
+        name: "exact",
+        synopsis: "<graph.txt> --query Q --k K      exact CS-AG (δ-optimal community)",
+        help: "exact flags:  --budget-ms MS (stop early, report best found; unbounded by default)",
+        flags: &[SEARCH_FLAGS],
+        run: cmd_search,
+    },
+    Command {
+        name: "sea",
+        synopsis: "<graph.txt> --query Q --k K      approximate CS-AG with accuracy guarantee",
+        help: "sea flags:    --error E (default 0.02)  --confidence C (default 0.95)\n\
+               --lambda L (default 0.2)  --size L H (size-bounded search)",
+        flags: &[SEARCH_FLAGS],
+        run: cmd_search,
+    },
+    Command {
+        name: "baseline",
+        synopsis: "<graph.txt> --method M ...       run acq | atc | vac | evac",
+        help: "",
+        flags: &[SEARCH_FLAGS, &["method"]],
+        run: cmd_search,
+    },
+    Command {
+        name: "generate",
+        synopsis: "--nodes N --communities C ...    write a synthetic attributed graph",
+        help: "",
+        flags: &[&["nodes", "communities", "seed", "out"]],
+        run: cmd_generate,
+    },
+    Command {
+        name: "update",
+        synopsis: "<graph.txt> --script <u.txt>      apply a GraphUpdate batch via GraphStore",
+        help: "update flags: --script <updates.txt> (csag-updates v1)  --out <new-graph.txt>\n\
+               --wal <dir> (durably log the batch; recovers the dir first if initialized)",
+        flags: &[&["script", "out", "wal", "json"]],
+        run: cmd_update,
+    },
+    Command {
+        name: "serve",
+        synopsis: "<graph.txt>                       csag-wire service: v1 on stdin/stdout, or\n\
+                   pipelined v2 sockets via --listen / --uds",
+        help: "serve flags:  --workers N  --capacity N (admission bound)  --metrics (snapshot on exit)\n\
+               --shards N (partition the graph into N shard stores behind the\n\
+               \x20 scatter-gather router; --shard-halo R sets the ghost radius, default 1;\n\
+               \x20 composes with --replicas, which then replicates per shard, and --wal)\n\
+               --replicas N (replicated stores behind the epoch-consistent csag::cluster\n\
+               router; reads balance, `\"epoch\"`-pinned reads stay consistent)\n\
+               --wal <dir> (write-ahead log + checkpoints; an initialized dir is\n\
+               recovered to the exact pre-crash epoch and announced as `recovered {...}`\n\
+               before any `listening` line)\n\
+               --listen <ip:port> (TCP csag-wire v2; port 0 = ephemeral, bound address\n\
+               is printed as `listening tcp://...`)  --uds <path> (unix-domain socket)\n\
+               --repl-listen <ip:port> / --repl-uds <path> (csag-repl v1 replication\n\
+               endpoint for `csag replica` followers, printed as `repl-listening ...`;\n\
+               in socket mode stdin becomes a csag-updates v1 write feed)",
+        flags: &[PRIMARY_FLAGS, SERVING_FLAGS],
+        run: cmd_serve,
+    },
+    Command {
+        name: "replica",
+        synopsis: "[seed.txt] --follow <addr>        remote replica: follow a primary's --repl-listen\n\
+                   stream, serve byte-identical reads via --listen/--uds",
+        help: "replica flags: --follow <addr> (tcp://host:port or a socket path; required)\n\
+               --name N (member name on the primary)  --listen / --uds (serving sockets)\n\
+               [seed-graph.txt] (skip the initial snapshot ship when you have the\n\
+               primary's epoch-0 graph)",
+        flags: &[SERVING_FLAGS],
+        run: cmd_serve,
+    },
+    Command {
+        name: "serve-churn",
+        synopsis: "[--batches N]                  churn the paper's examples, verify vs fresh engines",
+        help: "",
+        flags: &[&["batches", "seed", "json"]],
+        run: cmd_serve_churn,
+    },
+    Command {
+        name: "wal-churn",
+        synopsis: "<graph.txt> --wal <dir>          churn a WAL-backed store (crash-recovery smoke driver)",
+        help: "wal-churn flags: --wal <dir>  --plan-out <plan.txt> (every batch written+synced *before*\n\
+               it is applied, so the plan covers the durable prefix after a crash)\n\
+               --batches N  --seed S  --sleep-ms MS (pacing, so a killer lands mid-run)",
+        flags: &[&["wal", "plan-out", "batches", "seed", "sleep-ms"]],
+        run: cmd_wal_churn,
+    },
+    Command {
+        name: "demo",
+        synopsis: "                                  the paper's Figure-1 IMDB example",
+        help: "",
+        flags: &[&["json"]],
+        run: cmd_demo,
+    },
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
+    let Some(name) = args.first() else {
         usage();
         exit(2);
     };
-    let result = match cmd.as_str() {
-        "stats" => cmd_stats(&args[1..]),
-        "query" => cmd_query(&args[1..]),
-        "exact" => cmd_search(&args[1..], Method::Exact),
-        "sea" => cmd_search(&args[1..], Method::Sea),
-        "baseline" => cmd_baseline(&args[1..]),
-        "generate" => cmd_generate(&args[1..]),
-        "update" => cmd_update(&args[1..]),
-        "serve" => cmd_serve(&args[1..]),
-        "replica" => cmd_replica(&args[1..]),
-        "serve-churn" => cmd_serve_churn(&args[1..]),
-        "wal-churn" => cmd_wal_churn(&args[1..]),
-        "demo" => cmd_demo(&args[1..]),
-        "help" | "--help" | "-h" => {
+    let result = match COMMANDS.iter().find(|c| c.name == name) {
+        Some(cmd) => cmd.parse(&args[1..]).and_then(cmd.run),
+        None if matches!(name.as_str(), "help" | "--help" | "-h") => {
             usage();
             Ok(())
         }
-        other => Err(format!("unknown command `{other}`")),
+        None => Err(format!("unknown command `{name}`")),
     };
     if let Err(msg) = result {
         eprintln!("error: {msg}");
@@ -93,187 +282,114 @@ fn main() {
     }
 }
 
+/// Prints the usage text: every command's synopsis, then every flags
+/// paragraph, in table order (continuation lines hang under the text).
 fn usage() {
-    eprintln!(
-        "csag — community search on attributed graphs\n\
-         \n\
-         commands:\n\
-         \x20 stats    <graph.txt>                      graph statistics\n\
-         \x20 query    <graph.txt> --method M --query Q --k K   any method through one command\n\
-         \x20 exact    <graph.txt> --query Q --k K      exact CS-AG (δ-optimal community)\n\
-         \x20 sea      <graph.txt> --query Q --k K      approximate CS-AG with accuracy guarantee\n\
-         \x20 baseline <graph.txt> --method M ...       run acq | atc | vac | evac\n\
-         \x20 generate --nodes N --communities C ...    write a synthetic attributed graph\n\
-         \x20 update   <graph.txt> --script <u.txt>      apply a GraphUpdate batch via GraphStore\n\
-         \x20 serve    <graph.txt>                       csag-wire service: v1 on stdin/stdout, or\n\
-         \x20                                            pipelined v2 sockets via --listen / --uds\n\
-         \x20 replica  [seed.txt] --follow <addr>        remote replica: follow a primary's --repl-listen\n\
-         \x20                                            stream, serve byte-identical reads via --listen/--uds\n\
-         \x20 serve-churn [--batches N]                  churn the paper's examples, verify vs fresh engines\n\
-         \x20 wal-churn <graph.txt> --wal <dir>          churn a WAL-backed store (crash-recovery smoke driver)\n\
-         \x20 demo                                       the paper's Figure-1 IMDB example\n\
-         \n\
-         common flags: --gamma G (0..1, default 0.5)  --truss  --seed S  --json\n\
-         exact flags:  --budget-ms MS (stop early, report best found; unbounded by default)\n\
-         sea flags:    --error E (default 0.02)  --confidence C (default 0.95)\n\
-         \x20             --lambda L (default 0.2)  --size L H (size-bounded search)\n\
-         update flags: --script <updates.txt> (csag-updates v1)  --out <new-graph.txt>\n\
-         \x20             --wal <dir> (durably log the batch; recovers the dir first if initialized)\n\
-         serve flags:  --workers N  --capacity N (admission bound)  --metrics (snapshot on exit)\n\
-         \x20             --shards N (partition the graph into N shard stores behind the\n\
-         \x20               scatter-gather router; --shard-halo R sets the ghost radius, default 1;\n\
-         \x20               composes with --replicas, which then replicates per shard, and --wal)\n\
-         \x20             --replicas N (replicated stores behind the epoch-consistent csag::cluster\n\
-         \x20             router; reads balance, `\"epoch\"`-pinned reads stay consistent)\n\
-         \x20             --wal <dir> (write-ahead log + checkpoints; an initialized dir is\n\
-         \x20             recovered to the exact pre-crash epoch and announced as `recovered {{...}}`\n\
-         \x20             before any `listening` line)\n\
-         \x20             --listen <ip:port> (TCP csag-wire v2; port 0 = ephemeral, bound address\n\
-         \x20             is printed as `listening tcp://...`)  --uds <path> (unix-domain socket)\n\
-         \x20             --repl-listen <ip:port> / --repl-uds <path> (csag-repl v1 replication\n\
-         \x20             endpoint for `csag replica` followers, printed as `repl-listening ...`;\n\
-         \x20             in socket mode stdin becomes a csag-updates v1 write feed)\n\
-         replica flags: --follow <addr> (tcp://host:port or a socket path; required)\n\
-         \x20             --name N (member name on the primary)  --listen / --uds (serving sockets)\n\
-         \x20             [seed-graph.txt] (skip the initial snapshot ship when you have the\n\
-         \x20             primary's epoch-0 graph)\n\
-         wal-churn flags: --wal <dir>  --plan-out <plan.txt> (every batch written+synced *before*\n\
-         \x20             it is applied, so the plan covers the durable prefix after a crash)\n\
-         \x20             --batches N  --seed S  --sleep-ms MS (pacing, so a killer lands mid-run)"
-    );
+    eprintln!("csag — community search on attributed graphs\n\ncommands:");
+    for cmd in &COMMANDS {
+        let synopsis = cmd.synopsis.replace('\n', &format!("\n{:45}", ""));
+        eprintln!("  {:<8} {synopsis}", cmd.name);
+    }
+    eprintln!();
+    for cmd in COMMANDS.iter().filter(|cmd| !cmd.help.is_empty()) {
+        eprintln!("{}", cmd.help.replace('\n', &format!("\n{:14}", "")));
+    }
 }
 
-/// Parses `--flag value` pairs and positional arguments.
-struct Flags {
+/// A parsed command line — one typed struct for every command: the
+/// table admits only the flags a command reads, so the others stay
+/// `None` / `false`, and defaults belong to the command that owns them.
+#[derive(Default)]
+struct Args {
+    /// The command's table name (`serve --follow` parses as `replica`).
+    cmd: &'static str,
     positional: Vec<String>,
-    named: HashMap<String, Vec<String>>,
+    method: Option<String>,
+    query: Option<u32>,
+    k: Option<u32>,
+    gamma: Option<f64>,
+    truss: bool,
+    budget_ms: Option<u64>,
+    error: Option<f64>,
+    confidence: Option<f64>,
+    lambda: Option<f64>,
+    seed: Option<u64>,
+    size: Option<(usize, usize)>,
+    json: bool,
+    nodes: Option<usize>,
+    communities: Option<usize>,
+    out: Option<String>,
+    script: Option<String>,
+    wal: Option<String>,
+    workers: Option<usize>,
+    capacity: Option<usize>,
+    listen: Option<String>,
+    uds: Option<String>,
+    metrics: bool,
+    replicas: Option<usize>,
+    shards: Option<usize>,
+    shard_halo: Option<u32>,
+    repl_listen: Option<String>,
+    repl_uds: Option<String>,
+    follow: Option<String>,
+    name: Option<String>,
+    batches: Option<usize>,
+    plan_out: Option<String>,
+    sleep_ms: Option<u64>,
 }
 
-/// A command's flag vocabulary: each `--name` with the number of values
-/// it takes.
-type FlagSet = &'static [(&'static str, usize)];
-
-/// What [`query_of`] reads — shared by `query`, `exact`, `sea` and
-/// `baseline` (`--method` only by the two that take one).
-const SEARCH_FLAGS: FlagSet = &[
-    ("query", 1),
-    ("k", 1),
-    ("gamma", 1),
-    ("truss", 0),
-    ("budget-ms", 1),
-    ("error", 1),
-    ("confidence", 1),
-    ("lambda", 1),
-    ("seed", 1),
-    ("size", 2),
-    ("json", 0),
-];
-const METHOD_FLAG: FlagSet = &[("method", 1)];
-/// The serving sockets and scheduler knobs `serve` and `replica` share.
-const SERVING_FLAGS: FlagSet = &[("workers", 1), ("capacity", 1), ("listen", 1), ("uds", 1)];
-const REPLICA_FLAGS: FlagSet = &[("follow", 1), ("name", 1)];
-
-/// Parses `args` against the flags `cmd` reads (`sets`, concatenated);
-/// any other `--flag` is an error naming the command.
-fn parse_flags(cmd: &str, args: &[String], sets: &[FlagSet]) -> Result<Flags, String> {
-    let mut positional = Vec::new();
-    let mut named: HashMap<String, Vec<String>> = HashMap::new();
-    let mut it = args.iter().peekable();
-    while let Some(a) = it.next() {
-        if let Some(name) = a.strip_prefix("--") {
-            let &(_, n) = sets
-                .iter()
-                .flat_map(|set| set.iter())
-                .find(|(flag, _)| *flag == name)
-                .ok_or_else(|| format!("unknown flag --{name} for {cmd}"))?;
-            let mut vals = Vec::with_capacity(n);
-            for _ in 0..n {
-                vals.push(
-                    it.next()
-                        .ok_or_else(|| format!("--{name} expects {n} value(s)"))?
-                        .clone(),
-                );
+impl Command {
+    /// The one parser: positionals, and each `--flag` this command
+    /// admits stored — typed — by its [`FLAGS`] row; any other flag is
+    /// an error naming the command.
+    fn parse(&self, args: &[String]) -> Result<Args, String> {
+        let mut parsed = Args {
+            cmd: self.name,
+            ..Args::default()
+        };
+        let mut it = args.iter();
+        while let Some(a) = it.next() {
+            let Some(name) = a.strip_prefix("--") else {
+                parsed.positional.push(a.clone());
+                continue;
+            };
+            if !self.flags.iter().any(|set| set.contains(&name)) {
+                return Err(format!("unknown flag --{name} for {}", self.name));
             }
-            named.insert(name.to_string(), vals);
-        } else {
-            positional.push(a.clone());
+            let declared = FLAGS.iter().find(|flag| flag.0 == name);
+            let &(_, n, store) = declared.expect("every admitted flag is declared");
+            let values: Vec<String> = it.by_ref().take(n).cloned().collect();
+            if values.len() < n {
+                return Err(format!("--{name} expects {n} value(s)"));
+            }
+            store(&mut parsed, name, &values)?;
         }
-    }
-    Ok(Flags { positional, named })
-}
-
-impl Flags {
-    fn get<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
-        match self.named.get(name) {
-            None => Ok(None),
-            Some(vals) => vals[0]
-                .parse()
-                .map(Some)
-                .map_err(|_| format!("--{name}: cannot parse `{}`", vals[0])),
+        if self.name == "serve" && parsed.follow.is_some() {
+            // `serve --follow` is a replica: only its own flags apply.
+            let replica = COMMANDS.iter().find(|c| c.name == "replica");
+            return replica.expect("in the table").parse(args);
         }
-    }
-
-    fn require<T: std::str::FromStr>(&self, name: &str) -> Result<T, String> {
-        self.get(name)?
-            .ok_or_else(|| format!("--{name} is required"))
-    }
-
-    fn has(&self, name: &str) -> bool {
-        self.named.contains_key(name)
+        Ok(parsed)
     }
 }
 
-fn load(flags: &Flags) -> Result<AttributedGraph, String> {
-    let path = flags
-        .positional
-        .first()
-        .ok_or("a graph file is required (csag-graph v1 format)")?;
-    load_graph(path).map_err(|e| format!("loading {path}: {e}"))
+impl Args {
+    /// Loads the positional graph file.
+    fn graph(&self) -> Result<AttributedGraph, String> {
+        let path = self.positional.first();
+        let path = path.ok_or("a graph file is required (csag-graph v1 format)")?;
+        load_graph(path).map_err(|e| format!("loading {path}: {e}"))
+    }
 }
 
-/// Builds the query shared by `exact` / `sea` / `baseline` from flags.
-fn query_of(flags: &Flags, method: Method) -> Result<CommunityQuery, String> {
-    let q: u32 = flags.require("query")?;
-    let k: u32 = flags.require("k")?;
-    let mut query = CommunityQuery::new(method, q).with_k(k);
-    if flags.has("truss") {
-        query = query.with_model(csag::decomp::CommunityModel::KTruss);
-    }
-    if let Some(g) = flags.get::<f64>("gamma")? {
-        query = query.with_gamma(g);
-    }
-    if let Some(ms) = flags.get::<u64>("budget-ms")? {
-        query = query.with_time_budget(Duration::from_millis(ms));
-    }
-    if let Some(e) = flags.get::<f64>("error")? {
-        query = query.with_error_bound(e);
-    }
-    if let Some(c) = flags.get::<f64>("confidence")? {
-        query = query.with_confidence(c);
-    }
-    if let Some(l) = flags.get::<f64>("lambda")? {
-        query = query.with_lambda(l);
-    }
-    if let Some(s) = flags.get::<u64>("seed")? {
-        query = query.with_seed(s);
-    }
-    if let Some(vals) = flags.named.get("size") {
-        let l: usize = vals[0].parse().map_err(|_| "bad --size lower bound")?;
-        let h: usize = vals[1].parse().map_err(|_| "bad --size upper bound")?;
-        query = query.with_size_bound(l, h);
-        if query.method == Method::Sea {
-            query = query.with_method(Method::SeaSizeBounded);
-        }
-    }
-    // Build-time validation: degenerate parameters die here with a
-    // precise message (and, in `--json` mode, an error object on stdout),
-    // before the graph is even touched.
-    query.build().map_err(|e| {
-        if flags.has("json") {
-            println!("{}", error_to_json(&e));
-        }
-        e.to_string()
-    })
+/// `value`, or the error a missing `--flag` gets.
+fn required<T>(value: Option<T>, flag: &str) -> Result<T, String> {
+    value.ok_or_else(|| format!("--{flag} is required"))
+}
+
+fn flush_stdout() -> Result<(), String> {
+    let flushed = std::io::stdout().flush();
+    flushed.map_err(|e| format!("writing stdout: {e}"))
 }
 
 fn print_community(g: &AttributedGraph, comm: &[u32]) {
@@ -374,9 +490,8 @@ fn run_and_render(g: AttributedGraph, query: &CommunityQuery, json: bool) -> Res
     }
 }
 
-fn cmd_stats(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags("stats", args, &[])?;
-    let g = load(&flags)?;
+fn cmd_stats(args: Args) -> Result<(), String> {
+    let g = args.graph()?;
     let s = graph_stats(&g);
     let engine = Engine::new(g);
     let coreness = engine.coreness();
@@ -392,383 +507,78 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_search(args: &[String], method: Method) -> Result<(), String> {
-    let flags = parse_flags(method.name(), args, &[SEARCH_FLAGS])?;
-    let g = load(&flags)?;
-    let query = query_of(&flags, method)?;
-    run_and_render(g, &query, flags.has("json"))
-}
-
-/// `csag query`: the unified search command — any method via `--method`
-/// (the `exact` / `sea` / `baseline` commands are conveniences over
-/// this). `--json` output is the one `CommunityResult` serializer, so
-/// it byte-matches the `"result"` object of a `csag serve` response for
-/// the same query (timings aside).
-fn cmd_query(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags("query", args, &[SEARCH_FLAGS, METHOD_FLAG])?;
-    let g = load(&flags)?;
-    let method: String = flags.require("method")?;
-    let method: Method = method.parse().map_err(|e: CsagError| e.to_string())?;
-    let query = query_of(&flags, method)?;
-    run_and_render(g, &query, flags.has("json"))
-}
-
-/// `csag serve`: the admission-controlled service on the wire. The
-/// default mode speaks `csag-wire v1` over stdin/stdout — one request
-/// line in, one response line out, strictly in order. With `--listen
-/// <addr>` and/or `--uds <path>` it speaks the pipelined `csag-wire v2`
-/// over real sockets instead: many concurrent connections, batched
-/// admission, responses written out of order as computations finish and
-/// matched by the client-assigned `id`. Either way every request goes
-/// through the full `csag::service` path (admission, priorities,
-/// deadlines, coalescing); malformed or shed lines answer with an
-/// `"error"` envelope instead of killing the session. With `--metrics`
-/// (stdin mode), a `csag-service-metrics-v1` snapshot is printed to
-/// stdout after EOF (plus a `csag-cluster-metrics-v1` line when
-/// `--replicas` is on; stderr always gets a one-line summary).
-///
-/// `--replicas N` fronts the store with the `csag::cluster` router: N
-/// replica stores consume the primary's replication log, unpinned reads
-/// balance across whichever are caught up, and a request carrying the
-/// `"epoch"` wire key is only answered by a store that has published
-/// that epoch.
-///
-/// `--shards N` partitions the graph into N shard stores behind the
-/// `csag::cluster::shard` scatter-gather router (`--shard-halo R` sets
-/// the ghost-vertex radius, default 1). Answers stay byte-identical to
-/// a single store; pinned reads gate on the *cluster* epoch (published
-/// only once every shard applied the batch). Composes with
-/// `--replicas` (each shard gets its own replica set) and `--wal` (the
-/// journal logs globally, the partition is recomputed at boot).
-fn cmd_serve(args: &[String]) -> Result<(), String> {
-    use csag::cluster::{ReplListener, Router, ShardedRouter};
-    use csag::engine::ApplyError;
-    use csag::service::{parse_wire_request, rejection_to_json, response_to_json};
-    use csag::service::{Service, ServiceConfig};
-    use std::io::{BufRead, Write};
-    use std::sync::Arc;
-
-    const SERVE_FLAGS: FlagSet = &[
-        ("replicas", 1),
-        ("shards", 1),
-        ("shard-halo", 1),
-        ("wal", 1),
-        ("metrics", 0),
-        ("repl-listen", 1),
-        ("repl-uds", 1),
-    ];
-    let flags = parse_flags("serve", args, &[SERVE_FLAGS, SERVING_FLAGS, REPLICA_FLAGS])?;
-    // `--follow` turns this invocation into a replica: the store is fed
-    // by a primary's replication stream instead of local writes (and
-    // only the replica's own flags apply).
-    if flags.has("follow") {
-        return cmd_replica(args);
-    }
-    let g = load(&flags)?;
-    let mut config = ServiceConfig::default();
-    if let Some(w) = flags.get::<usize>("workers")? {
-        config = config.with_workers(w);
-    }
-    if let Some(c) = flags.get::<usize>("capacity")? {
-        config = config.with_capacity(c);
-    }
-    let replicas = flags.get::<usize>("replicas")?.unwrap_or(0);
-    let wal = flags.get::<String>("wal")?;
-    let repl_listen = flags.get::<String>("repl-listen")?;
-    let repl_uds = flags.get::<String>("repl-uds")?;
-    // Offering replication requires the router's write path (remote
-    // members hang off it), even with zero in-process replicas.
-    let want_repl = repl_listen.is_some() || repl_uds.is_some();
-    let shards = flags.get::<usize>("shards")?.unwrap_or(0);
-    let shard_halo = flags.get::<u32>("shard-halo")?.unwrap_or(1);
-    if shards > 0 && want_repl {
-        return Err("--repl-listen/--repl-uds cannot front a sharded cluster; \
-             use --replicas N for per-shard replication"
-            .to_string());
-    }
-    // With --wal, an already-initialized directory wins over the
-    // positional graph: the server recovers to the exact pre-crash
-    // epoch and announces it (`recovered {...}`) before any `listening`
-    // line, so restart scripts can read the epoch they came back to.
-    let (store, recovered) = wal_backed_store(g, wal.as_deref())?;
-    if let Some(report) = recovered {
-        println!("recovered {}", report.to_json());
-    }
-    let store = Arc::new(store);
-    let mut repl_listeners = Vec::new();
-    // The topology decides three things at once: what the service reads
-    // from, what the write feed applies through (a cluster must be
-    // written through its router), and what `--metrics` adds.
-    type Apply = Box<dyn Fn(&[GraphUpdate]) -> Result<UpdateReport, ApplyError>>;
-    type ClusterMetrics = Box<dyn Fn() -> Option<String>>;
-    let (service, apply, cluster_metrics): (Service, Apply, ClusterMetrics) = if shards > 0 {
-        let sharded = Arc::new(ShardedRouter::from_journal(
-            store, shards, shard_halo, replicas,
-        ));
-        let (writer, reporter) = (Arc::clone(&sharded), Arc::clone(&sharded));
-        (
-            Service::over_shards(sharded, config),
-            Box::new(move |batch| writer.apply(batch)),
-            Box::new(move || Some(reporter.metrics().to_json())),
-        )
-    } else if replicas > 0 || want_repl {
-        let router = Arc::new(Router::new(store, replicas));
-        // Replication endpoints announce themselves before the serving
-        // `listening` lines, so scripts can hand followers the address
-        // first.
-        if let Some(addr) = &repl_listen {
-            let l = ReplListener::bind_tcp(Arc::clone(&router), addr.as_str())
-                .map_err(|e| format!("binding repl tcp {addr}: {e}"))?;
-            println!("repl-listening {}", l.local_addr());
-            repl_listeners.push(l);
-        }
-        if let Some(path) = &repl_uds {
-            #[cfg(unix)]
-            {
-                let l = ReplListener::bind_uds(Arc::clone(&router), path)
-                    .map_err(|e| format!("binding repl uds {path}: {e}"))?;
-                println!("repl-listening {}", l.local_addr());
-                repl_listeners.push(l);
-            }
-            #[cfg(not(unix))]
-            {
-                let _ = path;
-                return Err("--repl-uds needs a unix platform".to_string());
-            }
-        }
-        let (writer, reporter) = (Arc::clone(&router), Arc::clone(&router));
-        (
-            Service::over_cluster(router, config),
-            Box::new(move |batch| writer.apply(batch)),
-            Box::new(move || Some(reporter.metrics().to_json())),
-        )
-    } else {
-        let writer = Arc::clone(&store);
-        (
-            Service::new(store, config),
-            Box::new(move |batch| writer.apply(batch)),
-            Box::new(|| None),
-        )
+/// `csag query` and its conveniences `exact` / `sea` (the method is the
+/// command) and `baseline`: one search through the engine. `--json`
+/// output is the one `CommunityResult` serializer, so it byte-matches
+/// the `"result"` object of a `csag serve` response for the same query
+/// (timings aside).
+fn cmd_search(args: Args) -> Result<(), String> {
+    let g = args.graph()?;
+    let method = match args.cmd {
+        "exact" => Method::Exact,
+        "sea" => Method::Sea,
+        _ => required(args.method.as_deref(), "method")?
+            .parse()
+            .map_err(|e: CsagError| e.to_string())?,
     };
-    let service = Arc::new(service);
-
-    // Socket mode: serve the bound transports until killed.
-    let transports = bind_transports(&flags, &service)?;
-    if !transports.is_empty() {
-        std::io::stdout()
-            .flush()
-            .map_err(|e| format!("writing stdout: {e}"))?;
-        eprintln!(
-            "serve: csag-wire v2 on {} transport(s) — pipelined, responses matched by id; \
-             kill the process to stop",
-            transports.len()
-        );
-        // Socket mode keeps stdin as a write feed: each `csag-updates
-        // v1` line applies as a one-update batch through the serving
-        // store (the router, when replicated — so remote followers see
-        // it too), echoing `applied <epoch>` so drivers can pin reads
-        // to what they just wrote. EOF closes the feed but the server
-        // keeps serving until killed.
-        let stdin = std::io::stdin();
-        for line in stdin.lock().lines() {
-            let line = line.map_err(|e| format!("reading stdin: {e}"))?;
-            let text = line.trim();
-            if text.is_empty() || text.starts_with('#') {
-                continue;
-            }
-            let update = match GraphUpdate::parse_line(text) {
-                Ok(u) => u,
-                Err(e) => {
-                    eprintln!("serve: ignoring malformed update line: {e}");
-                    continue;
-                }
-            };
-            match apply(std::slice::from_ref(&update)) {
-                Ok(report) => println!("applied {}", report.epoch),
-                Err(e) => eprintln!("serve: update feed batch failed: {e}"),
-            }
-            std::io::stdout()
-                .flush()
-                .map_err(|e| format!("writing stdout: {e}"))?;
-        }
-        if flags.has("metrics") {
-            println!("{}", service.metrics().to_json());
-            if let Some(json) = cluster_metrics() {
-                println!("{json}");
-            }
-            std::io::stdout()
-                .flush()
-                .map_err(|e| format!("writing stdout: {e}"))?;
-        }
-        eprintln!("serve: stdin feed closed; still serving — kill the process to stop");
-        loop {
-            std::thread::park();
-        }
-    }
-
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    let mut lines = 0usize;
-    for (line_no, line) in stdin.lock().lines().enumerate() {
-        let line = line.map_err(|e| format!("reading stdin: {e}"))?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        lines += 1;
-        let rendered = match parse_wire_request(&line, line_no) {
-            Err(msg) => rejection_to_json(&line_no.to_string(), &CsagError::invalid(msg)),
-            Ok(wire) => match service.submit(wire.request) {
-                Err(err) => rejection_to_json(&wire.id, &err),
-                Ok(ticket) => response_to_json(&wire.id, &ticket.wait()),
-            },
-        };
-        writeln!(out, "{rendered}").map_err(|e| format!("writing stdout: {e}"))?;
-    }
-    let snapshot = service.metrics();
-    if flags.has("metrics") {
-        writeln!(out, "{}", snapshot.to_json()).map_err(|e| format!("writing stdout: {e}"))?;
-        if let Some(json) = cluster_metrics() {
-            writeln!(out, "{json}").map_err(|e| format!("writing stdout: {e}"))?;
-        }
-    }
-    eprintln!(
-        "serve: {lines} request line(s) — admitted {}, shed {}, coalesced {}, \
-         {} computation(s), warm-hit ratio {:.2}",
-        snapshot.admitted,
-        snapshot.shed,
-        snapshot.coalesced,
-        snapshot.executed,
-        snapshot.warm_hit_ratio
-    );
-    Ok(())
-}
-
-/// `csag replica`: a remote replica process. Follows a primary's
-/// `--repl-listen` / `--repl-uds` endpoint over `csag-repl v1` (an
-/// optional positional graph seeds the store so the first handshake
-/// can stream instead of shipping a snapshot), keeps its store in
-/// epoch lockstep by applying the record stream, and serves reads over
-/// its own `csag-wire v2` sockets — answers at epoch `E` are
-/// byte-identical to the primary's at `E`. Prints `following <addr>
-/// epoch <E>` once synced, then the usual `listening ...` lines.
-/// Dropped connections reconnect (and reseed) forever; kill the
-/// process to stop.
-fn cmd_replica(args: &[String]) -> Result<(), String> {
-    use csag::cluster::{Follower, FollowerConfig};
-    use csag::service::{Service, ServiceConfig};
-    use std::io::Write;
-    use std::sync::Arc;
-
-    let flags = parse_flags("replica", args, &[REPLICA_FLAGS, SERVING_FLAGS])?;
-    let addr: String = flags.require("follow")?;
-    let mut config = FollowerConfig::default();
-    if let Some(name) = flags.get::<String>("name")? {
-        config.name = name;
-    }
-    if let Some(path) = flags.positional.first() {
-        let g = load_graph(path).map_err(|e| format!("loading {path}: {e}"))?;
-        config.seed = Some(Arc::new(g));
-    }
-    let follower = Follower::start(&addr, config).map_err(|e| format!("following {addr}: {e}"))?;
-    // Block until the first session syncs: clients connecting after the
-    // `following` line never see the pre-replication empty store.
-    while !(follower.synced() && follower.connected()) {
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    println!("following {addr} epoch {}", follower.epoch());
-
-    let mut sconfig = ServiceConfig::default().with_epoch_wait(Duration::from_secs(5));
-    if let Some(w) = flags.get::<usize>("workers")? {
-        sconfig = sconfig.with_workers(w);
-    }
-    if let Some(c) = flags.get::<usize>("capacity")? {
-        sconfig = sconfig.with_capacity(c);
-    }
-    let service = Arc::new(Service::new(Arc::clone(follower.store()), sconfig));
-
-    let transports = bind_transports(&flags, &service)?;
-    if transports.is_empty() {
-        return Err("a replica serves csag-wire v2 sockets; pass --listen and/or --uds".into());
-    }
-    std::io::stdout()
-        .flush()
-        .map_err(|e| format!("writing stdout: {e}"))?;
-    eprintln!(
-        "replica: following {addr}, serving csag-wire v2 on {} transport(s); \
-         kill the process to stop",
-        transports.len()
-    );
-    loop {
-        std::thread::park();
-    }
-}
-
-/// Binds the `--listen` (TCP) and `--uds` transports a serving command
-/// was asked for, announcing each bound address on stdout (scripts read
-/// the ephemeral port from the `listening tcp://...` line). Empty when
-/// neither flag is given.
-fn bind_transports(
-    flags: &Flags,
-    service: &std::sync::Arc<csag::service::Service>,
-) -> Result<Vec<csag::service::Transport>, String> {
-    use csag::service::Transport;
-    use std::sync::Arc;
-
-    let mut transports = Vec::new();
-    if let Some(addr) = flags.get::<String>("listen")? {
-        let t = Transport::bind_tcp(Arc::clone(service), addr.as_str())
-            .map_err(|e| format!("binding tcp {addr}: {e}"))?;
-        println!("listening {}", t.local_addr());
-        transports.push(t);
-    }
-    if let Some(path) = flags.get::<String>("uds")? {
-        #[cfg(unix)]
-        {
-            let t = Transport::bind_uds(Arc::clone(service), &path)
-                .map_err(|e| format!("binding uds {path}: {e}"))?;
-            println!("listening {}", t.local_addr());
-            transports.push(t);
-        }
-        #[cfg(not(unix))]
-        {
-            let _ = path;
-            return Err("--uds needs a unix platform".to_string());
-        }
-    }
-    Ok(transports)
-}
-
-fn cmd_baseline(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags("baseline", args, &[SEARCH_FLAGS, METHOD_FLAG])?;
-    let g = load(&flags)?;
-    let method: String = flags.require("method")?;
-    let method: Method = method.parse().map_err(|e: CsagError| e.to_string())?;
-    if !matches!(
+    let baseline = matches!(
         method,
         Method::Acq | Method::Atc | Method::Vac | Method::EVac
-    ) {
+    );
+    if args.cmd == "baseline" && !baseline {
         return Err(format!(
             "`{method}` is not a baseline; use the `exact` / `sea` commands"
         ));
     }
-    let query = query_of(&flags, method)?;
-    run_and_render(g, &query, flags.has("json"))
+    let (q, k) = (required(args.query, "query")?, required(args.k, "k")?);
+    let mut query = CommunityQuery::new(method, q).with_k(k);
+    if args.truss {
+        query = query.with_model(csag::decomp::CommunityModel::KTruss);
+    }
+    if let Some(g) = args.gamma {
+        query = query.with_gamma(g);
+    }
+    if let Some(ms) = args.budget_ms {
+        query = query.with_time_budget(Duration::from_millis(ms));
+    }
+    if let Some(e) = args.error {
+        query = query.with_error_bound(e);
+    }
+    if let Some(c) = args.confidence {
+        query = query.with_confidence(c);
+    }
+    if let Some(l) = args.lambda {
+        query = query.with_lambda(l);
+    }
+    if let Some(s) = args.seed {
+        query = query.with_seed(s);
+    }
+    if let Some((l, h)) = args.size {
+        query = query.with_size_bound(l, h);
+        if query.method == Method::Sea {
+            query = query.with_method(Method::SeaSizeBounded);
+        }
+    }
+    // Build-time validation: degenerate parameters die here with a
+    // precise message (and, in `--json` mode, an error object on
+    // stdout) before the search starts.
+    let query = query.build().map_err(|e| {
+        if args.json {
+            println!("{}", error_to_json(&e));
+        }
+        e.to_string()
+    })?;
+    run_and_render(g, &query, args.json)
 }
 
-fn cmd_generate(args: &[String]) -> Result<(), String> {
-    const FLAGS: FlagSet = &[("nodes", 1), ("communities", 1), ("seed", 1), ("out", 1)];
-    let flags = parse_flags("generate", args, &[FLAGS])?;
-    let nodes: usize = flags.require("nodes")?;
-    let communities: usize = flags.require("communities")?;
-    let seed = flags.get::<u64>("seed")?.unwrap_or(0);
-    let out: String = flags.require("out")?;
+fn cmd_generate(args: Args) -> Result<(), String> {
     let cfg = SyntheticConfig {
-        nodes,
-        communities,
+        nodes: required(args.nodes, "nodes")?,
+        communities: required(args.communities, "communities")?,
         ..Default::default()
     };
-    let (g, truth) = generate(&cfg, seed);
+    let out = required(args.out, "out")?;
+    let (g, truth) = generate(&cfg, args.seed.unwrap_or(0));
     save_graph(&g, &out).map_err(|e| format!("writing {out}: {e}"))?;
     println!(
         "wrote {out}: {} nodes, {} edges, {} planted communities",
@@ -779,39 +589,19 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn write_report_json(r: &UpdateReport, w: &mut Writer) {
-    w.begin_object();
-    w.key("epoch").uint(r.epoch);
-    for (key, count) in [
-        ("edges_added", r.edges_added),
-        ("edges_removed", r.edges_removed),
-        ("vertices_added", r.vertices_added),
-        ("attributes_set", r.attributes_set),
-        ("noops", r.noops),
-        ("coreness_changed", r.coreness_changed),
-        ("distance_tables_retained", r.distance_tables_retained),
-        ("distance_tables_invalidated", r.distance_tables_invalidated),
-    ] {
-        w.key(key).uint(count as u64);
-    }
-    w.end_object();
-}
-
 /// `csag update`: apply a `csag-updates v1` script to a graph through the
 /// evolving-graph store, report what changed, optionally save the new
 /// snapshot. With `--wal <dir>` the batch is durably logged first (an
 /// initialized directory is recovered before the batch applies; the
 /// recovery report goes to stderr so `--json` stdout stays one object).
-fn cmd_update(args: &[String]) -> Result<(), String> {
-    const FLAGS: FlagSet = &[("script", 1), ("out", 1), ("wal", 1), ("json", 0)];
-    let flags = parse_flags("update", args, &[FLAGS])?;
-    let g = load(&flags)?;
-    let script_path: String = flags.require("script")?;
+fn cmd_update(args: Args) -> Result<(), String> {
+    let g = args.graph()?;
+    let script_path = required(args.script.as_deref(), "script")?;
     let script =
-        std::fs::read_to_string(&script_path).map_err(|e| format!("reading {script_path}: {e}"))?;
+        std::fs::read_to_string(script_path).map_err(|e| format!("reading {script_path}: {e}"))?;
     let updates = GraphUpdate::parse_script(&script).map_err(|e| format!("{script_path}: {e}"))?;
 
-    let (store, recovered) = wal_backed_store(g, flags.get::<String>("wal")?.as_deref())?;
+    let (store, recovered) = wal_backed_store(g, args.wal.as_deref())?;
     if let Some(report) = recovered {
         // stderr, so `--json` stdout stays one object.
         eprintln!("recovered {}", report.to_json());
@@ -822,14 +612,14 @@ fn cmd_update(args: &[String]) -> Result<(), String> {
         .map_err(|e| format!("applying updates: {e}"))?;
     let elapsed_ms = t.elapsed().as_secs_f64() * 1000.0;
     let snap = store.snapshot();
-    if flags.has("json") {
+    if args.json {
         let mut w = Writer::new();
         w.begin_object();
         w.key("applied").uint(updates.len() as u64);
         w.key("elapsed_ms").fixed(elapsed_ms, 3);
         w.key("nodes").uint(snap.graph().n() as u64);
         w.key("edges").uint(snap.graph().m() as u64);
-        write_report_json(&report, w.key("report"));
+        w.key("report").raw(&report.to_json());
         w.end_object();
         println!("{}", w.finish());
     } else {
@@ -851,9 +641,9 @@ fn cmd_update(args: &[String]) -> Result<(), String> {
             report.coreness_changed
         );
     }
-    if let Some(out) = flags.get::<String>("out")? {
-        save_graph(snap.graph(), &out).map_err(|e| format!("writing {out}: {e}"))?;
-        if !flags.has("json") {
+    if let Some(out) = &args.out {
+        save_graph(snap.graph(), out).map_err(|e| format!("writing {out}: {e}"))?;
+        if !args.json {
             println!("updated graph written to {out}");
         }
     }
@@ -881,6 +671,269 @@ fn wal_backed_store(
     }
 }
 
+/// What a serving process stands up behind its sockets. The variant
+/// decides three things at once: what the service reads from, what the
+/// write feed applies through (a cluster must be written through its
+/// router, or its members permanently lag), and what `--metrics` adds.
+enum Topology {
+    Solo(Arc<GraphStore>),
+    /// `--replicas N` and/or a replication endpoint (the listeners live
+    /// as long as the router they feed from).
+    Replicated {
+        router: Arc<Router>,
+        _listeners: Vec<ReplListener>,
+    },
+    /// `--shards N`; the partition is recomputed from the journal at boot.
+    Sharded(Arc<ShardedRouter>),
+    /// `--follow <addr>`: a store only the primary's stream writes.
+    Follower(Follower),
+}
+
+impl Topology {
+    /// The one place a topology is built. Announces on stdout, in the
+    /// order scripts wait for them: `recovered {...}` (an initialized
+    /// `--wal` directory wins over the positional graph and comes back
+    /// at the exact pre-crash epoch), each `repl-listening <addr>`, or
+    /// `following <addr> epoch <E>` once a replica's first session has
+    /// synced — all before any serving `listening` line.
+    fn build(args: &Args) -> Result<Topology, String> {
+        if args.cmd == "replica" {
+            let addr = required(args.follow.as_deref(), "follow")?;
+            let mut config = FollowerConfig::default();
+            if let Some(name) = &args.name {
+                config.name = name.clone();
+            }
+            if !args.positional.is_empty() {
+                // A seed lets the first handshake stream instead of
+                // shipping a snapshot.
+                config.seed = Some(Arc::new(args.graph()?));
+            }
+            let follower =
+                Follower::start(addr, config).map_err(|e| format!("following {addr}: {e}"))?;
+            // Clients connecting after the `following` line never see
+            // the pre-replication empty store.
+            while !(follower.synced() && follower.connected()) {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            println!("following {addr} epoch {}", follower.epoch());
+            return Ok(Topology::Follower(follower));
+        }
+        let g = args.graph()?;
+        // Offering replication requires the router's write path (remote
+        // members hang off it), even with zero in-process replicas.
+        let want_repl = args.repl_listen.is_some() || args.repl_uds.is_some();
+        let (shards, replicas) = (args.shards.unwrap_or(0), args.replicas.unwrap_or(0));
+        if shards > 0 && want_repl {
+            return Err("--repl-listen/--repl-uds cannot front a sharded cluster; \
+                 use --replicas N for per-shard replication"
+                .to_string());
+        }
+        let (store, recovered) = wal_backed_store(g, args.wal.as_deref())?;
+        if let Some(report) = recovered {
+            println!("recovered {}", report.to_json());
+        }
+        let store = Arc::new(store);
+        if shards > 0 {
+            let halo = args.shard_halo.unwrap_or(1);
+            let sharded = ShardedRouter::from_journal(store, shards, halo, replicas);
+            return Ok(Topology::Sharded(Arc::new(sharded)));
+        }
+        if replicas == 0 && !want_repl {
+            return Ok(Topology::Solo(store));
+        }
+        let router = Arc::new(Router::new(store, replicas));
+        let mut listeners = Vec::new();
+        if let Some(addr) = &args.repl_listen {
+            let l = ReplListener::bind_tcp(Arc::clone(&router), addr.as_str())
+                .map_err(|e| format!("binding repl tcp {addr}: {e}"))?;
+            println!("repl-listening {}", l.local_addr());
+            listeners.push(l);
+        }
+        if let Some(path) = &args.repl_uds {
+            #[cfg(unix)]
+            {
+                let l = ReplListener::bind_uds(Arc::clone(&router), path)
+                    .map_err(|e| format!("binding repl uds {path}: {e}"))?;
+                println!("repl-listening {}", l.local_addr());
+                listeners.push(l);
+            }
+            #[cfg(not(unix))]
+            {
+                let _ = path;
+                return Err("--repl-uds needs a unix platform".to_string());
+            }
+        }
+        Ok(Topology::Replicated {
+            router,
+            _listeners: listeners,
+        })
+    }
+
+    /// The read side: a service over whatever this topology reads from.
+    fn service(&self, config: ServiceConfig) -> Service {
+        match self {
+            Topology::Solo(store) => Service::new(Arc::clone(store), config),
+            Topology::Replicated { router, .. } => {
+                Service::over_cluster(Arc::clone(router), config)
+            }
+            Topology::Sharded(sharded) => Service::over_shards(Arc::clone(sharded), config),
+            Topology::Follower(follower) => Service::new(
+                Arc::clone(follower.store()),
+                config.with_epoch_wait(Duration::from_secs(5)),
+            ),
+        }
+    }
+
+    /// The write side (a follower has none: only its primary's stream
+    /// writes its store).
+    fn apply(&self, batch: &[GraphUpdate]) -> Result<UpdateReport, String> {
+        let applied = match self {
+            Topology::Solo(store) => store.apply(batch),
+            Topology::Replicated { router, .. } => router.apply(batch),
+            Topology::Sharded(sharded) => sharded.apply(batch),
+            Topology::Follower(_) => return Err("a replica takes no writes".into()),
+        };
+        applied.map_err(|e| e.to_string())
+    }
+
+    /// The `csag-cluster-metrics-v2` line `--metrics` adds, if any.
+    fn cluster_metrics(&self) -> Option<String> {
+        match self {
+            Topology::Replicated { router, .. } => Some(router.metrics().to_json()),
+            Topology::Sharded(sharded) => Some(sharded.metrics().to_json()),
+            Topology::Solo(_) | Topology::Follower(_) => None,
+        }
+    }
+}
+
+/// `csag serve` / `csag replica`: the admission-controlled service on
+/// the wire, over whichever [`Topology`] the flags ask for — v1 on
+/// stdin/stdout, or v2 on the sockets until killed. Either way every
+/// request takes the full `csag::service` path (admission, priorities,
+/// deadlines, coalescing); a malformed or shed line answers with an
+/// `"error"` envelope instead of killing the session; and `--metrics`
+/// prints the service snapshot (plus the topology's cluster line) once
+/// stdin closes.
+fn cmd_serve(args: Args) -> Result<(), String> {
+    let topology = Topology::build(&args)?;
+    let mut config = ServiceConfig::default();
+    if let Some(w) = args.workers {
+        config = config.with_workers(w);
+    }
+    if let Some(c) = args.capacity {
+        config = config.with_capacity(c);
+    }
+    let service = Arc::new(topology.service(config));
+    let print_metrics = || {
+        println!("{}", service.metrics().to_json());
+        if let Some(json) = topology.cluster_metrics() {
+            println!("{json}");
+        }
+    };
+
+    let transports = bind_transports(&args, &service)?;
+    if let Some(addr) = &args.follow {
+        if transports.is_empty() {
+            return Err("a replica serves csag-wire v2 sockets; pass --listen and/or --uds".into());
+        }
+        flush_stdout()?;
+        eprintln!(
+            "replica: following {addr}, serving csag-wire v2 on {} transport(s); \
+             kill the process to stop",
+            transports.len()
+        );
+    } else if transports.is_empty() {
+        let (stdin, stdout) = (std::io::stdin(), std::io::stdout());
+        let lines = serve_session(&service, stdin.lock(), stdout.lock())
+            .map_err(|e| format!("csag-wire v1 session: {e}"))?;
+        let snapshot = service.metrics();
+        if args.metrics {
+            print_metrics();
+        }
+        eprintln!(
+            "serve: {lines} request line(s) — admitted {}, shed {}, coalesced {}, \
+             {} computation(s), warm-hit ratio {:.2}",
+            snapshot.admitted,
+            snapshot.shed,
+            snapshot.coalesced,
+            snapshot.executed,
+            snapshot.warm_hit_ratio
+        );
+        return Ok(());
+    } else {
+        flush_stdout()?;
+        eprintln!(
+            "serve: csag-wire v2 on {} transport(s) — pipelined, responses matched by id; \
+             kill the process to stop",
+            transports.len()
+        );
+        write_feed(&topology)?;
+        if args.metrics {
+            print_metrics();
+            flush_stdout()?;
+        }
+        eprintln!("serve: stdin feed closed; still serving — kill the process to stop");
+    }
+    loop {
+        std::thread::park();
+    }
+}
+
+/// Socket mode keeps stdin as a write feed: each `csag-updates v1` line
+/// applies as a one-update batch through the topology's write path (the
+/// router, when replicated — so remote followers see it too), echoing
+/// `applied <epoch>` so drivers can pin reads to what they just wrote.
+/// Returns at EOF; the server keeps serving.
+fn write_feed(topology: &Topology) -> Result<(), String> {
+    let mut stdin = std::io::stdin().lock();
+    let mut bytes = Vec::new();
+    loop {
+        let line = read_capped_line(&mut stdin, &mut bytes);
+        let Some(line) = line.map_err(|e| format!("reading stdin: {e}"))? else {
+            return Ok(());
+        };
+        let update = match line.map(str::trim) {
+            Ok(text) if text.is_empty() || text.starts_with('#') => continue,
+            line => line.and_then(GraphUpdate::parse_line),
+        };
+        match update.map(|u| topology.apply(&[u])) {
+            Err(e) => eprintln!("serve: ignoring malformed update line: {e}"),
+            Ok(Ok(report)) => println!("applied {}", report.epoch),
+            Ok(Err(e)) => eprintln!("serve: update feed batch failed: {e}"),
+        }
+        flush_stdout()?;
+    }
+}
+
+/// Binds the `--listen` (TCP) and `--uds` transports a serving command
+/// was asked for, announcing each bound address on stdout (scripts read
+/// the ephemeral port from the `listening tcp://...` line). Empty when
+/// neither flag is given.
+fn bind_transports(args: &Args, service: &Arc<Service>) -> Result<Vec<Transport>, String> {
+    let mut transports = Vec::new();
+    if let Some(addr) = &args.listen {
+        let t = Transport::bind_tcp(Arc::clone(service), addr.as_str())
+            .map_err(|e| format!("binding tcp {addr}: {e}"))?;
+        println!("listening {}", t.local_addr());
+        transports.push(t);
+    }
+    if let Some(path) = &args.uds {
+        #[cfg(unix)]
+        {
+            let t = Transport::bind_uds(Arc::clone(service), path)
+                .map_err(|e| format!("binding uds {path}: {e}"))?;
+            println!("listening {}", t.local_addr());
+            transports.push(t);
+        }
+        #[cfg(not(unix))]
+        {
+            let _ = path;
+            return Err("--uds needs a unix platform".to_string());
+        }
+    }
+    Ok(transports)
+}
+
 /// `csag wal-churn`: churn a WAL-backed store with seeded random update
 /// batches. With `--plan-out` every batch is written (and fsynced) to
 /// the plan file *before* it is applied, so after a `kill -9` the plan
@@ -888,36 +941,23 @@ fn wal_backed_store(
 /// gate kills this mid-run, restarts with `csag serve --wal`, and
 /// byte-diffs the recovered server's answers against a fresh engine fed
 /// the plan's first `epoch` batches.
-fn cmd_wal_churn(args: &[String]) -> Result<(), String> {
-    use std::io::Write;
-
-    const FLAGS: FlagSet = &[
-        ("wal", 1),
-        ("plan-out", 1),
-        ("batches", 1),
-        ("seed", 1),
-        ("sleep-ms", 1),
-    ];
-    let flags = parse_flags("wal-churn", args, &[FLAGS])?;
-    let batches: usize = flags.get("batches")?.unwrap_or(64);
-    let seed: u64 = flags.get("seed")?.unwrap_or(0xC0FFEE);
-    let sleep_ms: u64 = flags.get("sleep-ms")?.unwrap_or(0);
-    let dir: String = flags.require("wal")?;
-    let g = load(&flags)?;
-    let (store, recovered) = wal_backed_store(g, Some(&dir))?;
+fn cmd_wal_churn(args: Args) -> Result<(), String> {
+    let (batches, sleep_ms) = (args.batches.unwrap_or(64), args.sleep_ms.unwrap_or(0));
+    let dir = required(args.wal.as_deref(), "wal")?;
+    let (store, recovered) = wal_backed_store(args.graph()?, Some(dir))?;
     if let Some(report) = recovered {
         eprintln!("recovered {}", report.to_json());
     }
 
-    let mut plan = match flags.get::<String>("plan-out")? {
+    let mut plan = match &args.plan_out {
         Some(p) => {
-            let file = std::fs::File::create(&p).map_err(|e| format!("creating {p}: {e}"))?;
+            let file = std::fs::File::create(p).map_err(|e| format!("creating {p}: {e}"))?;
             Some(std::io::BufWriter::new(file))
         }
         None => None,
     };
     let start_epoch = store.published_epoch();
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = StdRng::seed_from_u64(args.seed.unwrap_or(0xC0FFEE));
     for batch_no in 0..batches {
         let batch = random_updates(store.snapshot().graph(), &mut rng, 5, ChurnMix::MIXED);
         if let Some(out) = &mut plan {
@@ -948,28 +988,6 @@ fn cmd_wal_churn(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// The Figure 2(c)/Figure 3 example graph (γ = 0 queries, q = 5).
-fn figure3_graph() -> (AttributedGraph, u32) {
-    let mut b = GraphBuilder::new(1);
-    for &x in &[1.0, 0.7, 0.6, 0.6, 0.5, 0.0, 0.3] {
-        b.add_node(&[], &[x]);
-    }
-    for (u, v) in [
-        (1, 2),
-        (1, 3),
-        (2, 3),
-        (2, 4),
-        (3, 6),
-        (4, 5),
-        (5, 6),
-        (4, 6),
-        (1, 5),
-    ] {
-        b.add_edge(u, v).unwrap();
-    }
-    (b.build().unwrap(), 5)
-}
-
 /// The pinned query set replayed after every churn batch (node ids are
 /// clamped into the graph at run time, so late epochs stay covered).
 fn churn_queries(q: u32) -> Vec<CommunityQuery> {
@@ -988,15 +1006,6 @@ fn churn_queries(q: u32) -> Vec<CommunityQuery> {
     ]
 }
 
-/// Renders an engine outcome into a comparable fingerprint: community +
-/// exact δ bits on success, the full message on failure.
-fn outcome_fingerprint(r: Result<&CommunityResult, &CsagError>) -> String {
-    match r {
-        Ok(res) => format!("ok:{:?}:{:x}", res.community, res.delta.to_bits()),
-        Err(e) => format!("err:{e}"),
-    }
-}
-
 /// `csag serve-churn`: apply N random update batches to the paper's
 /// pinned examples (Figure 1 IMDB, Figure 3) and, after every batch,
 /// re-answer the pinned queries *through the serving layer* (a
@@ -1004,14 +1013,8 @@ fn outcome_fingerprint(r: Result<&CommunityResult, &CsagError>) -> String {
 /// admission/scheduler path `csag serve` uses) and on a fresh engine
 /// built from the post-churn graph. Any divergence is a bug; the
 /// command exits non-zero (this is CI's churn-smoke gate).
-fn cmd_serve_churn(args: &[String]) -> Result<(), String> {
-    use csag::service::{Request, Service, ServiceConfig};
-
-    const FLAGS: FlagSet = &[("batches", 1), ("seed", 1), ("json", 0)];
-    let flags = parse_flags("serve-churn", args, &[FLAGS])?;
-    let batches: usize = flags.get("batches")?.unwrap_or(6);
-    let seed: u64 = flags.get("seed")?.unwrap_or(0xC0FFEE);
-    let json = flags.has("json");
+fn cmd_serve_churn(args: Args) -> Result<(), String> {
+    let (batches, seed) = (args.batches.unwrap_or(6), args.seed.unwrap_or(0xC0FFEE));
 
     let (fig1, q1) = figure1_imdb();
     let (fig3, q3) = figure3_graph();
@@ -1024,11 +1027,8 @@ fn cmd_serve_churn(args: &[String]) -> Result<(), String> {
     let mut apply_ms = Vec::new();
 
     for (name, graph, q) in [("fig1", fig1, q1), ("fig3", fig3, q3)] {
-        let store = std::sync::Arc::new(GraphStore::new(graph));
-        let service = Service::new(
-            std::sync::Arc::clone(&store),
-            ServiceConfig::default().with_workers(2),
-        );
+        let store = Arc::new(GraphStore::new(graph));
+        let service = Service::new(Arc::clone(&store), ServiceConfig::default().with_workers(2));
         let mut rng = StdRng::seed_from_u64(seed ^ q as u64);
         // Warm the store's caches so carry-over is actually exercised.
         for query in churn_queries(q) {
@@ -1061,8 +1061,9 @@ fn cmd_serve_churn(args: &[String]) -> Result<(), String> {
                         response.epoch, report.epoch
                     );
                 }
-                let a = outcome_fingerprint(response.outcome.as_ref().map(|arc| arc.as_ref()));
-                let b = outcome_fingerprint(rebuilt.as_ref());
+                // A fresh engine answers at epoch 0.
+                let a = outcome_identity(&response.outcome, true);
+                let b = outcome_identity(&rebuilt, true);
                 if a != b {
                     mismatches += 1;
                     eprintln!(
@@ -1076,7 +1077,7 @@ fn cmd_serve_churn(args: &[String]) -> Result<(), String> {
     }
 
     let mean_apply = apply_ms.iter().sum::<f64>() / apply_ms.len().max(1) as f64;
-    if json {
+    if args.json {
         let mut w = Writer::new();
         w.begin_object();
         w.key("batches").uint(batches as u64);
@@ -1110,14 +1111,13 @@ fn cmd_serve_churn(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_demo(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags("demo", args, &[&[("json", 0)]])?;
+fn cmd_demo(args: Args) -> Result<(), String> {
     let (g, q) = figure1_imdb();
     let engine = Engine::new(g);
     let res = engine
         .run(&CommunityQuery::new(Method::Exact, q).with_k(3))
         .map_err(|e| e.to_string())?;
-    if flags.has("json") {
+    if args.json {
         println!("{}", res.to_json());
         return Ok(());
     }

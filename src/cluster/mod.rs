@@ -35,15 +35,25 @@
 //!   (or [`Router::heal`]) — clients never see a failed response from
 //!   the transition.
 //!
-//! The replica seam is distribution-shaped — a replica consumes an
-//! ordered stream of [`LogRecord`]s and publishes a watermark, nothing
-//! more — and [`remote`] takes it across the process boundary: a
-//! [`ReplListener`] on the primary speaks `csag-repl v1` over TCP/UDS
-//! (handshake on the follower's epoch, WAL-tail replay or checkpoint
-//! snapshot shipping to catch up, then the framed live stream), and a
-//! [`Follower`] in another process applies it through the ordinary
-//! store, acking its watermark back. Remote members live in the same
-//! lifecycle: drops and ack silence degrade, reconnects reseed.
+//! ## One kind of member
+//!
+//! SEA is index-free: a replica needs the graph and the update log and
+//! nothing else. So a replica is one thing — an ordered [`LogRecord`]
+//! consumer that publishes a watermark — and the router keeps **one
+//! member table** whose entries differ only in their *link*: a thread
+//! in this process (a store the router may route reads to, a record
+//! channel, the test seams), or a socket to a [`Follower`] in another
+//! process, attached by a [`ReplListener`] speaking `csag-repl v1`
+//! over TCP/UDS (handshake on the follower's epoch, WAL-tail replay or
+//! checkpoint snapshot shipping to catch up, then the framed live
+//! stream, acks coming back as the watermark). Both kinds replay
+//! through one consumer and live one lifecycle — replay failures,
+//! silence and dropped connections degrade; the next write (in
+//! process) or reconnect (socket) reseeds — read through one accessor
+//! set keyed by member name ([`Router::member_health`],
+//! [`Router::member_watermark`], [`Router::wait_member_caught_up`],
+//! [`Router::wait_caught_up`]; in-process replica `i` is `local-<i>`)
+//! and one [`MemberMetrics`] row.
 //!
 //! ```
 //! use csag::cluster::{ReadSource, Router};
@@ -54,7 +64,7 @@
 //! let (graph, q) = figure1_imdb();
 //! let router = Router::over_graph(graph, 2);
 //! router.apply(&[GraphUpdate::AddEdge { u: q, v: 0 }]).unwrap();
-//! router.wait_replicas_caught_up(Duration::from_secs(5));
+//! router.wait_caught_up(Duration::from_secs(5));
 //!
 //! // A read pinned to epoch 1 is never served by a store that has not
 //! // published epoch 1.
@@ -81,7 +91,7 @@ pub use health::ReplicaHealth;
 pub use remote::{Follower, FollowerConfig, ReplListener};
 pub use replication::LogRecord;
 pub use router::{
-    ClusterMetrics, ReadOrigin, ReadSource, RemoteReplicaMetrics, ReplicaMetrics, RoutedSnapshot,
-    Router, ShardSectionMetrics,
+    ClusterMetrics, MemberKind, MemberMetrics, ReadOrigin, ReadSource, RoutedSnapshot, Router,
+    ShardSectionMetrics,
 };
 pub use shard::{ClusterView, ShardPlan, ShardedRouter};

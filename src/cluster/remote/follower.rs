@@ -22,12 +22,13 @@
 //! [`crate::service::Service`] + [`crate::service::Transport`] over the
 //! follower's store and clients cannot tell the processes apart.
 
+use crate::cluster::replica::{install_snapshot, replay_record};
 use crate::cluster::replication::LogRecord;
-use crate::engine::{GraphStore, Replay};
-use crate::service::transport::Socket;
+use crate::engine::GraphStore;
+use crate::service::transport::{read_capped_line, Socket};
 use csag_graph::builder::GraphBuilder;
 use csag_graph::AttributedGraph;
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::Shutdown;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -259,9 +260,11 @@ fn run_session(
         w.flush().map_err(|e| e.to_string())?;
     }
 
-    let mut line = String::new();
-    reader.read_line(&mut line).map_err(|e| e.to_string())?;
-    match parse_header(line.trim_end())? {
+    // Capped: a peer that never sends the newline cannot size `line`.
+    let mut line = Vec::new();
+    let header = read_capped_line(&mut reader, &mut line).map_err(|e| e.to_string())?;
+    let header = header.ok_or("primary closed before answering the hello")??;
+    match parse_header(header.trim_end())? {
         Header::Stream { from } => {
             // The stream header echoes the epoch the primary accepted;
             // anything else means the handshake raced a different
@@ -292,11 +295,11 @@ fn run_session(
             if epoch > shared.store.published_epoch() || !shared.synced.load(Ordering::Acquire) {
                 let graph = csag_graph::io::read_graph(&bytes[..])
                     .map_err(|e| format!("unreadable snapshot: {e}"))?;
-                // Before `reset_to`: it publishes the epoch, and a waiter
-                // woken by that publish must already read these two.
+                // Before the install: it publishes the epoch, and a
+                // waiter woken by that publish must already read this.
                 shared.synced.store(true, Ordering::Release);
-                shared.snapshots_received.fetch_add(1, Ordering::Relaxed);
-                shared.store.reset_to(Arc::new(graph), epoch);
+                let received = &shared.snapshots_received;
+                install_snapshot(&shared.store, Arc::new(graph), epoch, received);
             }
             send_ack(&writer, shared.store.published_epoch())?;
         }
@@ -349,29 +352,11 @@ fn frame_loop(
             return Ok(()); // clean EOF: primary shut down
         };
         let record = LogRecord::from_frame(&body)?;
-        match shared.store.replay(&record) {
-            // Overlap below a snapshot / our proven epoch: already
-            // reflected in our state.
-            Replay::Skipped => continue,
-            Replay::Applied => {}
-            // A gap the stream contract forbids: tear the session down;
-            // the reconnect handshake reseeds us from where we are.
-            Replay::Gap { .. } => {
-                return Err(format!(
-                    "epoch gap: at {}, stream sent {}",
-                    shared.store.published_epoch(),
-                    record.epoch
-                ))
-            }
-            Replay::Diverged { reached } => {
-                return Err(format!(
-                    "applying record {} left the store at epoch {reached}",
-                    record.epoch
-                ))
-            }
+        // A gap the stream contract forbids tears the session down; the
+        // reconnect handshake reseeds us from where we are.
+        if replay_record(&shared.store, &record, &shared.records_applied)? {
+            send_ack(writer, record.epoch)?;
         }
-        shared.records_applied.fetch_add(1, Ordering::Relaxed);
-        send_ack(writer, record.epoch)?;
     }
 }
 

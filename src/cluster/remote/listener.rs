@@ -21,13 +21,14 @@
 //! the member returns to healthy — the exact local-replica lifecycle,
 //! across a process boundary.
 
-use super::feed::{CatchUp, RemoteMember};
+use super::feed::CatchUp;
 use super::{parse_hello, ACK_PREFIX, ERROR_PREFIX, SNAPSHOT_PREFIX, STREAM_PREFIX};
+use crate::cluster::replica::{Feed, Member};
 use crate::cluster::replication::LogRecord;
 use crate::cluster::Router;
 use crate::durability::FaultPlan;
-use crate::service::transport::{Acceptor, BoundAddr, Socket};
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use crate::service::transport::{read_capped_line, Acceptor, BoundAddr, Socket};
+use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{Shutdown, ToSocketAddrs};
 #[cfg(unix)]
 use std::path::Path;
@@ -129,18 +130,27 @@ fn serve_conn(router: &Router, faults: &FaultPlan, stream: Socket) {
     };
     let mut reader = BufReader::new(read_half);
     let mut out = BufWriter::new(stream);
-    let mut hello = String::new();
-    match reader.read_line(&mut hello) {
-        Ok(n) if n > 0 => {}
-        _ => return,
-    }
-    let attach = parse_hello(hello.trim_end())
-        .map_err(|_| "malformed hello".to_string())
-        .and_then(|(epoch, name)| router.attach_remote(&name, epoch));
+    // The hello and every ack come through the capped line reader: a
+    // peer that never sends a newline cannot size our buffer.
+    let mut line = Vec::new();
+    let attach = match read_capped_line(&mut reader, &mut line) {
+        Ok(Some(hello)) => hello
+            .and_then(|hello| parse_hello(hello.trim_end()))
+            .map_err(|_| "malformed hello".to_string())
+            .and_then(|(epoch, name)| router.attach_remote(&name, epoch)),
+        _ => Err(String::new()),
+    };
     let attach = match attach {
         Ok(attach) => attach,
         Err(msg) => {
-            let _ = writeln!(out, "{ERROR_PREFIX} {msg}");
+            // Refused: say why (a peer that said nothing hears nothing)
+            // and hang up — the acceptor's registry still holds a clone
+            // of the socket, so returning alone leaves the peer waiting.
+            if !msg.is_empty() {
+                let _ = writeln!(out, "{ERROR_PREFIX} {msg}");
+            }
+            let _ = out.flush();
+            out.get_ref().shutdown(Shutdown::Both);
             return;
         }
     };
@@ -154,17 +164,9 @@ fn serve_conn(router: &Router, faults: &FaultPlan, stream: Socket) {
     let ack_thread = std::thread::Builder::new()
         .name("csag-repl-ack".into())
         .spawn(move || {
-            let mut line = String::new();
-            loop {
-                line.clear();
-                match reader.read_line(&mut line) {
-                    Ok(0) | Err(_) => break,
-                    Ok(_) => {}
-                }
-                let Some(rest) = line.trim_end().strip_prefix(ACK_PREFIX) else {
-                    break;
-                };
-                let Ok(epoch) = rest.trim().parse::<u64>() else {
+            while let Ok(Some(Ok(ack))) = read_capped_line(&mut reader, &mut line) {
+                let epoch = ack.trim_end().strip_prefix(ACK_PREFIX);
+                let Some(Ok(epoch)) = epoch.map(|e| e.trim().parse::<u64>()) else {
                     break;
                 };
                 ack_member.note_ack(epoch);
@@ -191,7 +193,7 @@ fn serve_conn(router: &Router, faults: &FaultPlan, stream: Socket) {
 /// Writes the handshake response and any catch-up payload. `true` on
 /// success.
 fn write_catch_up(
-    member: &RemoteMember,
+    member: &Member,
     catch_up: CatchUp,
     out: &mut impl Write,
     faults: &FaultPlan,
@@ -202,10 +204,9 @@ fn write_catch_up(
                 && records.iter().all(|r| write_record(member, r, out, faults))
         }
         CatchUp::Snapshot { epoch, bytes, tail } => {
-            member.snapshots_shipped.fetch_add(1, Ordering::Relaxed);
-            member
-                .bytes_shipped
-                .fetch_add(bytes.len() as u64, Ordering::Relaxed);
+            member.counters.reseeds.fetch_add(1, Ordering::Relaxed);
+            let shipped = &member.counters.bytes_shipped;
+            shipped.fetch_add(bytes.len() as u64, Ordering::Relaxed);
             writeln!(out, "{SNAPSHOT_PREFIX} {epoch} {}", bytes.len()).is_ok()
                 && out.write_all(&bytes).is_ok()
                 && tail.iter().all(|r| write_record(member, r, out, faults))
@@ -219,7 +220,7 @@ fn write_catch_up(
 /// follower sees a reset and reconnects). `true` when the record went
 /// out.
 fn write_record(
-    member: &RemoteMember,
+    member: &Member,
     record: &LogRecord,
     out: &mut impl Write,
     faults: &FaultPlan,
@@ -231,10 +232,9 @@ fn write_record(
     if out.write_all(&frame).is_err() {
         return false;
     }
-    member.records_sent.fetch_add(1, Ordering::Relaxed);
-    member
-        .bytes_shipped
-        .fetch_add(frame.len() as u64, Ordering::Relaxed);
+    member.counters.records.fetch_add(1, Ordering::Relaxed);
+    let shipped = &member.counters.bytes_shipped;
+    shipped.fetch_add(frame.len() as u64, Ordering::Relaxed);
     true
 }
 
@@ -242,12 +242,12 @@ fn write_record(
 /// a newer connection superseded this one), a write fails, or a fault
 /// fires. `true` only for a clean channel close.
 fn forward_feed(
-    member: &RemoteMember,
-    feed: mpsc::Receiver<LogRecord>,
+    member: &Member,
+    feed: mpsc::Receiver<Feed>,
     out: &mut impl Write,
     faults: &FaultPlan,
 ) -> bool {
-    while let Ok(record) = feed.recv() {
+    while let Ok(Feed::Record(record)) = feed.recv() {
         if !write_record(member, &record, out, faults) || out.flush().is_err() {
             return false;
         }

@@ -19,12 +19,12 @@
 //!   reconnecting (with gap detection and snapshot reseed) after any
 //!   drop. Serve reads from its store with an ordinary
 //!   [`crate::service::Service`] + [`crate::service::Transport`].
-//! * The router tracks each follower as a remote member with the
-//!   existing lifecycle: ack silence or a dropped connection degrades
-//!   it (watermark frozen — a pinned read can never be served stale),
-//!   a reconnect reseeds it, acks return it to healthy. Metrics
-//!   surface per-remote lag, bytes shipped, and reseeds in
-//!   `csag-cluster-metrics-v1`.
+//! * The router tracks each follower in its one member table, a
+//!   member whose link is a socket, under the one lifecycle: ack
+//!   silence or a dropped connection degrades it (watermark frozen — a
+//!   pinned read can never be served stale), a reconnect reseeds it,
+//!   acks return it to healthy. Its `"kind":"remote"` row of
+//!   `csag-cluster-metrics-v2` carries lag, bytes shipped and reseeds.
 //!
 //! Wire framing reuses what already exists: log records cross the
 //! socket in the WAL's checksummed `!rec` frames
@@ -193,6 +193,42 @@ mod tests {
         }
         for bad in ["", "stream", "stream x", "snapshot 1", "frobnicate 3"] {
             assert!(parse_header(bad).is_err(), "accepted `{bad}`");
+        }
+    }
+    proptest::proptest! {
+        /// Hostile handshake lines — arbitrary bytes, and whitespace-joined
+        /// fragments of the grammar — parse or are refused with a
+        /// message; what parses round-trips through the grammar.
+        #[test]
+        fn handshake_parsers_never_panic_and_accept_only_the_grammar(
+            bytes in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..96),
+            picks in proptest::collection::vec(0usize..16, 0..12),
+        ) {
+            const PIECES: [&str; 16] = [
+                "repl", "hello", PROTOCOL, "epoch", "none", "name", "stream", "snapshot", "error",
+                "ack", "0", "7", "18446744073709551615", "18446744073709551616", "-1", "f\u{0}1",
+            ];
+            let noise = String::from_utf8_lossy(&bytes);
+            let line = picks.iter().map(|&i| PIECES[i]).collect::<Vec<_>>().join(" ");
+            for line in [&*noise, line.as_str()] {
+                if let Ok((epoch, name)) = parse_hello(line) {
+                    let epoch = epoch.map_or("none".to_string(), |e| e.to_string());
+                    let canonical = format!("{HELLO_PREFIX} {PROTOCOL} epoch {epoch} name {name}");
+                    let tokens = |s: &str| s.split_whitespace().map(str::to_string).collect::<Vec<_>>();
+                    proptest::prop_assert_eq!(tokens(line), tokens(&canonical));
+                }
+                match parse_header(line) {
+                    Ok(Header::Stream { from }) => {
+                        proptest::prop_assert_eq!(line.split_whitespace().nth(1), Some(&*from.to_string()));
+                    }
+                    Ok(Header::Snapshot { epoch, len }) => {
+                        let want = format!("{SNAPSHOT_PREFIX} {epoch} {len}");
+                        proptest::prop_assert_eq!(line.split_whitespace().collect::<Vec<_>>().join(" "), want);
+                    }
+                    Ok(Header::Error { .. }) => proptest::prop_assert!(line.trim_start().starts_with(ERROR_PREFIX)),
+                    Err(message) => proptest::prop_assert!(!message.is_empty()),
+                }
+            }
         }
     }
 }

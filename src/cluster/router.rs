@@ -1,24 +1,12 @@
 //! The epoch-consistent router: owns the write path (primary apply +
-//! log fan-out) and load-balances reads across caught-up replicas.
-//!
-//! See the [module docs](super) for the guarantees; the short version:
-//!
-//! * **Writes** go through [`Router::apply`]: the primary applies the
-//!   batch, then one [`LogRecord`] per published epoch fans out to
-//!   every replica channel — both under one write lock, so each
-//!   channel receives records in epoch order.
-//! * **Reads** go through [`ReadSource::route_read`]: an unpinned read
-//!   picks the least-loaded healthy caught-up replica (primary as
-//!   fallback); a read pinned to epoch `E` is only ever served by a
-//!   store whose published watermark is `>= E` — a lagging replica is
-//!   skipped, the primary steps in, and a not-yet-published epoch
-//!   waits (condvar, no polling) up to the caller's budget before
-//!   failing with the typed
-//!   [`CsagError::EpochUnavailable`](crate::engine::CsagError).
+//! log fan-out to the one member table) and load-balances reads across
+//! caught-up in-process replicas. The guarantees — epoch lockstep,
+//! pinned reads never read backward, unpinned reads balance, failure
+//! degrades then heals — are stated once, in the [module docs](super).
 
 use crate::cluster::health::ReplicaHealth;
-use crate::cluster::remote::feed::{CatchUp, RemoteAttach, RemoteMember};
-use crate::cluster::replica::{replica_loop, ReplicaMsg, ReplicaState};
+use crate::cluster::remote::feed::{CatchUp, RemoteAttach};
+use crate::cluster::replica::{LocalLink, Member, LOCAL_PREFIX};
 use crate::cluster::replication::LogRecord;
 use crate::cluster::shard::{planner, ClusterView, ShardStats};
 use crate::engine::query::CommunityQuery;
@@ -29,9 +17,8 @@ use crate::engine::{
 use crate::json::Writer;
 use csag_graph::{AttributedGraph, NodeId, QueryWorkspace};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::sync::{mpsc, Arc, Mutex, PoisonError, RwLock};
+use std::time::{Duration, Instant};
 
 /// Which store answered a routed read.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -207,59 +194,19 @@ impl ReadSource for GraphStore {
     }
 }
 
-/// One replica as the router holds it: shared state + channel + thread.
-struct ReplicaHandle {
-    state: Arc<ReplicaState>,
-    tx: mpsc::Sender<ReplicaMsg>,
-    join: Option<JoinHandle<()>>,
-}
-
-impl ReplicaHandle {
-    fn spawn(id: usize, seed: &Snapshot) -> Self {
-        let store = GraphStore::from_arc_at(seed.engine().graph_arc(), seed.epoch());
-        let state = Arc::new(ReplicaState::new(id, store));
-        let (tx, rx) = mpsc::channel();
-        let join = std::thread::Builder::new()
-            .name(format!("csag-replica-{id}"))
-            .spawn({
-                let state = Arc::clone(&state);
-                move || replica_loop(state, rx)
-            })
-            .expect("spawn replica thread");
-        ReplicaHandle {
-            state,
-            tx,
-            join: Some(join),
-        }
-    }
-
-    /// Queues a reseed from `snap` (the primary, pinned under the write
-    /// lock) when this replica is degraded; `true` when one was queued.
-    /// The replica rejoins the rotation once it has rebuilt.
-    fn reseed_if_degraded(&self, snap: &Snapshot) -> bool {
-        let degraded = self.state.status.health() == ReplicaHealth::Degraded;
-        if degraded {
-            self.state.status.set_health(ReplicaHealth::Reseeding);
-            let _ = self.tx.send(ReplicaMsg::Reseed {
-                graph: snap.engine().graph_arc(),
-                epoch: snap.epoch(),
-            });
-        }
-        degraded
-    }
-}
-
-/// The cluster front-end: primary store + N in-process replicas behind
-/// an epoch-consistent read router. See the [module docs](super).
+/// The cluster front-end: primary store + replicas behind an
+/// epoch-consistent read router. See the [module docs](super).
 pub struct Router {
     primary: Arc<GraphStore>,
-    replicas: Vec<ReplicaHandle>,
-    /// Remote replicas (followers in other processes), registered by
-    /// the replication listener as their connections handshake. Keyed
-    /// by follower name; entries survive disconnects.
-    remotes: Mutex<Vec<Arc<RemoteMember>>>,
-    /// Serializes primary-apply + fan-out so every replica channel
-    /// receives log records in epoch order.
+    /// The one member table. The first `locals` entries are the
+    /// in-process replicas (`local-<i>`, fixed at construction — the
+    /// only members reads route to); followers in other processes are
+    /// appended by the replication listener as they handshake, keyed by
+    /// name, and survive disconnects.
+    members: RwLock<Vec<Arc<Member>>>,
+    locals: usize,
+    /// Serializes primary-apply + fan-out so every member receives log
+    /// records in epoch order.
     write: Mutex<()>,
     /// Rotation offset for least-loaded ties.
     rotate: AtomicUsize,
@@ -273,13 +220,13 @@ impl Router {
     /// replica stores, each seeded from the primary's current snapshot.
     pub fn new(primary: Arc<GraphStore>, replicas: usize) -> Self {
         let seed = primary.snapshot();
-        let replicas = (0..replicas)
-            .map(|id| ReplicaHandle::spawn(id, &seed))
+        let members = (0..replicas)
+            .map(|i| Member::spawn_local(i, &seed))
             .collect();
         Router {
             primary,
-            replicas,
-            remotes: Mutex::new(Vec::new()),
+            members: RwLock::new(members),
+            locals: replicas,
             write: Mutex::new(()),
             rotate: AtomicUsize::new(0),
             records: AtomicU64::new(0),
@@ -300,9 +247,10 @@ impl Router {
         &self.primary
     }
 
-    /// Number of replicas behind this router.
+    /// Number of in-process replicas behind this router (members
+    /// `local-0` … `local-<n-1>`).
     pub fn replica_count(&self) -> usize {
-        self.replicas.len()
+        self.locals
     }
 
     /// The primary's published epoch (the cluster-wide high-watermark).
@@ -311,8 +259,8 @@ impl Router {
     }
 
     /// The cluster write path: applies `updates` to the primary and
-    /// fans the resulting [`LogRecord`] out to every replica channel.
-    /// A degraded replica instead receives a reseed from the post-batch
+    /// fans the resulting [`LogRecord`] out to every member. A degraded
+    /// in-process member instead receives a reseed from the post-batch
     /// primary snapshot (it rejoins the rotation once rebuilt).
     ///
     /// # Errors
@@ -334,22 +282,22 @@ impl Router {
         let snap = self.primary.snapshot();
         let record = LogRecord::new(snap.epoch(), updates.to_vec());
         self.records.fetch_add(1, Ordering::Relaxed);
-        for replica in &self.replicas {
-            if !replica.reseed_if_degraded(&snap) {
-                let _ = replica.tx.send(ReplicaMsg::Apply(record.clone()));
-            }
-        }
-        for remote in self.remotes().iter() {
-            remote.send(&record);
+        for member in self.members().iter() {
+            member.deliver(&record, &snap);
         }
         outcome
     }
 
-    fn remotes(&self) -> std::sync::MutexGuard<'_, Vec<Arc<RemoteMember>>> {
-        self.remotes.lock().unwrap_or_else(PoisonError::into_inner)
+    fn members(&self) -> std::sync::RwLockReadGuard<'_, Vec<Arc<Member>>> {
+        self.members.read().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Registers (or re-attaches) the remote replica `name` under the
+    /// The table entry of member `name`, if there is one.
+    fn member(&self, name: &str) -> Option<Arc<Member>> {
+        self.members().iter().find(|m| m.name == name).cloned()
+    }
+
+    /// Registers (or re-attaches) the remote member `name` under the
     /// write lock and decides its catch-up path against the primary's
     /// epoch *at attach time*: every record fanned out after this call
     /// has a higher epoch, so the connection that executes the returned
@@ -357,24 +305,31 @@ impl Router {
     /// in-order stream.
     ///
     /// # Errors
-    /// A message for the `error` handshake response — today only a
-    /// follower claiming an epoch *above* the primary's (it followed a
-    /// different history; applying our records to it would corrupt it).
+    /// A message for the `error` handshake response: a name reserved
+    /// for in-process members (`local-<i>`), or a follower claiming an
+    /// epoch *above* the primary's (it followed a different history;
+    /// applying our records to it would corrupt it).
     pub(crate) fn attach_remote(
         &self,
         name: &str,
         follower_epoch: Option<u64>,
     ) -> Result<RemoteAttach, String> {
         let _guard = self.write.lock().unwrap_or_else(PoisonError::into_inner);
+        if name.starts_with(LOCAL_PREFIX) {
+            return Err(format!(
+                "member name `{name}` is reserved for in-process replicas"
+            ));
+        }
         let pinned = self.primary.published_epoch();
         if let Some(ahead) = follower_epoch.filter(|&e| e > pinned) {
             return Err(format!(
                 "follower epoch {ahead} is ahead of primary epoch {pinned}"
             ));
         }
-        let member = self.remote(name).unwrap_or_else(|| {
-            let m = Arc::new(RemoteMember::new(name));
-            self.remotes().push(Arc::clone(&m));
+        let member = self.member(name).unwrap_or_else(|| {
+            let m = Arc::new(Member::remote(name));
+            let mut members = self.members.write().unwrap_or_else(PoisonError::into_inner);
+            members.push(Arc::clone(&m));
             m
         });
         // A follower with state resumes when it is level with the
@@ -430,48 +385,67 @@ impl Router {
         })
     }
 
-    /// The registry entry of remote replica `name`, if registered.
-    fn remote(&self, name: &str) -> Option<Arc<RemoteMember>> {
-        self.remotes().iter().find(|m| m.name == name).cloned()
+    /// Current health of member `name` (`local-<i>` for in-process
+    /// replica `i`, else a follower's self-declared name), if any.
+    pub fn member_health(&self, name: &str) -> Option<ReplicaHealth> {
+        self.member(name).map(|m| m.status.health())
     }
 
-    /// Current health of the remote replica `name`, if registered.
-    pub fn remote_health(&self, name: &str) -> Option<ReplicaHealth> {
-        self.remote(name).map(|m| m.status.health())
+    /// Member `name`'s high-watermark: the highest epoch it has
+    /// published (in process) or acked (across a socket).
+    pub fn member_watermark(&self, name: &str) -> Option<u64> {
+        self.member(name).map(|m| m.watermark.current())
     }
 
-    /// Blocks until remote replica `name`'s acked watermark reaches the
-    /// primary's current epoch, or `timeout` elapses. `false` when the
-    /// member is unknown or the wait times out.
-    pub fn wait_remote_caught_up(&self, name: &str, timeout: Duration) -> bool {
+    /// Blocks until member `name`'s watermark reaches the primary's
+    /// current epoch, or `timeout` elapses. `false` when the member is
+    /// unknown or the wait times out.
+    pub fn wait_member_caught_up(&self, name: &str, timeout: Duration) -> bool {
         let target = self.primary.published_epoch();
-        self.remote(name)
+        self.member(name)
             .is_some_and(|m| m.watermark.wait_for(target, timeout))
     }
 
-    /// Queues a reseed for every currently degraded replica (the write
-    /// path does this lazily on the next batch; `heal` forces it now).
-    /// Returns how many reseeds were queued.
+    /// Blocks until every healthy member's watermark reaches the
+    /// primary's current epoch, or `timeout` elapses. `true` when all
+    /// caught up (vacuously, when no member is healthy).
+    pub fn wait_caught_up(&self, timeout: Duration) -> bool {
+        let target = self.primary.published_epoch();
+        let deadline = Instant::now() + timeout;
+        // A copy of the table: the wait must not hold up a handshake
+        // that wants to add a member.
+        let members = self.members().clone();
+        members
+            .iter()
+            .filter(|m| m.status.health() == ReplicaHealth::Healthy)
+            .all(|m| {
+                let left = deadline.saturating_duration_since(Instant::now());
+                m.watermark.wait_for(target, left)
+            })
+    }
+
+    /// Queues a reseed for every currently degraded in-process member
+    /// (the write path does this lazily on the next batch; `heal`
+    /// forces it now; remote members reseed on their own reconnect
+    /// handshake). Returns how many reseeds were queued.
     pub fn heal(&self) -> usize {
         let _guard = self.write.lock().unwrap_or_else(PoisonError::into_inner);
         let snap = self.primary.snapshot();
-        self.replicas
+        let members = self.members();
+        members
             .iter()
-            .filter(|replica| replica.reseed_if_degraded(&snap))
+            .filter(|m| m.reseed_if_degraded(&snap))
             .count()
     }
 
-    /// Degrades every healthy replica — in-process or remote — that has
-    /// not heartbeat (for remotes: acked) within `max_silence`
-    /// (reseeding replicas are busy rebuilding and exempt by design).
-    /// Returns how many were newly degraded; local replicas reseed on
-    /// the next [`Router::heal`] / [`Router::apply`], remote ones on
-    /// their next reconnect handshake.
+    /// Degrades every healthy member that has not heartbeat (across a
+    /// socket: acked) within `max_silence` (reseeding members are busy
+    /// rebuilding and exempt by design). Returns how many were newly
+    /// degraded; they reseed as [`Router::heal`] describes.
     pub fn health_check(&self, max_silence: Duration) -> usize {
-        let remotes = self.remotes();
-        let locals = self.replicas.iter().map(|r| &r.state.status);
         let mut degraded = 0;
-        for status in locals.chain(remotes.iter().map(|m| &m.status)) {
+        for member in self.members().iter() {
+            let status = &member.status;
             if status.health() == ReplicaHealth::Healthy && status.silence() > max_silence {
                 status.set_health(ReplicaHealth::Degraded);
                 degraded += 1;
@@ -480,160 +454,101 @@ impl Router {
         degraded
     }
 
-    /// Current health of replica `i`.
-    pub fn replica_health(&self, i: usize) -> ReplicaHealth {
-        self.replicas[i].state.status.health()
-    }
-
-    /// Replica `i`'s published high-watermark.
-    pub fn replica_watermark(&self, i: usize) -> u64 {
-        self.replicas[i].state.store.published_epoch()
-    }
-
-    /// Blocks until every healthy replica's watermark reaches the
-    /// primary's current epoch, or `timeout` elapses. `true` when all
-    /// caught up (vacuously, when no replica is healthy).
-    pub fn wait_replicas_caught_up(&self, timeout: Duration) -> bool {
-        let target = self.primary.published_epoch();
-        let deadline = std::time::Instant::now() + timeout;
-        self.replicas
-            .iter()
-            .filter(|r| r.state.status.health() == ReplicaHealth::Healthy)
-            .all(|r| {
-                let left = deadline.saturating_duration_since(std::time::Instant::now());
-                r.state.store.watermark().wait_for(target, left)
-            })
+    /// Runs `seam` on in-process replica `i`'s link.
+    fn with_local(&self, i: usize, seam: impl FnOnce(&LocalLink)) {
+        assert!(i < self.locals, "no in-process replica {i}");
+        seam(
+            self.members()[i]
+                .local()
+                .expect("local prefix of the table"),
+        );
     }
 
     /// Test/bench seam: stop replica `i` consuming its channel (records
     /// queue up — simulated replication lag). It keeps heartbeating.
     pub fn pause_replica(&self, i: usize) {
-        self.replicas[i].state.paused.store(true, Ordering::Relaxed);
+        self.with_local(i, |link| link.paused.store(true, Ordering::Relaxed));
     }
 
-    /// Undoes [`Router::pause_replica`]; the replica drains its backlog.
+    /// Undoes [`Router::pause_replica`] and [`Router::silence_replica`];
+    /// the replica drains its backlog.
     pub fn resume_replica(&self, i: usize) {
-        self.replicas[i]
-            .state
-            .paused
-            .store(false, Ordering::Relaxed);
-        self.replicas[i]
-            .state
-            .silenced
-            .store(false, Ordering::Relaxed);
+        self.with_local(i, |link| {
+            link.paused.store(false, Ordering::Relaxed);
+            link.silenced.store(false, Ordering::Relaxed);
+        });
     }
 
     /// Test/bench seam: pause replica `i` *and* stop its heartbeat, so
     /// [`Router::health_check`] observes a silent replica.
     pub fn silence_replica(&self, i: usize) {
-        self.replicas[i]
-            .state
-            .silenced
-            .store(true, Ordering::Relaxed);
-        self.replicas[i].state.paused.store(true, Ordering::Relaxed);
+        self.with_local(i, |link| {
+            link.silenced.store(true, Ordering::Relaxed);
+            link.paused.store(true, Ordering::Relaxed);
+        });
     }
 
     /// Test/bench seam: replica `i` fails its next apply (an induced
     /// replica failure: it degrades and leaves the read rotation until
     /// reseeded).
     pub fn induce_failure(&self, i: usize) {
-        self.replicas[i]
-            .state
-            .fail_next
-            .store(true, Ordering::Relaxed);
+        self.with_local(i, |link| link.fail_next.store(true, Ordering::Relaxed));
     }
 
-    /// Picks the least-loaded healthy replica whose watermark has
-    /// reached `min_epoch` (rotating ties).
-    fn pick_replica(&self, min_epoch: u64) -> Option<&ReplicaHandle> {
-        let n = self.replicas.len();
-        if n == 0 {
-            return None;
-        }
+    /// Routes one admitted read: to the least-loaded healthy in-process
+    /// replica whose watermark has reached `min_epoch` (rotating ties),
+    /// else to the primary.
+    fn pick(&self, min_epoch: u64) -> RoutedSnapshot {
+        let members = self.members();
+        let locals = &members[..self.locals];
         let start = self.rotate.fetch_add(1, Ordering::Relaxed);
-        let mut best: Option<(&ReplicaHandle, u64)> = None;
-        for i in 0..n {
-            let replica = &self.replicas[(start + i) % n];
-            if replica.state.status.health() != ReplicaHealth::Healthy
-                || replica.state.store.published_epoch() < min_epoch
+        let mut best: Option<(usize, u64)> = None;
+        for i in (0..locals.len()).map(|i| (start + i) % locals.len()) {
+            let member = &locals[i];
+            if member.status.health() != ReplicaHealth::Healthy
+                || member.watermark.current() < min_epoch
             {
                 continue;
             }
-            let load = replica.state.outstanding.load(Ordering::Relaxed);
+            let load = member.counters.outstanding.load(Ordering::Relaxed);
             if best.is_none_or(|(_, b)| load < b) {
-                best = Some((replica, load));
+                best = Some((i, load));
             }
         }
-        best.map(|(replica, _)| replica)
-    }
-
-    fn lease_read(&self, replica: &ReplicaHandle) -> RoutedSnapshot {
-        replica.state.routed_reads.fetch_add(1, Ordering::Relaxed);
-        let lease = ReadLease::acquire(&replica.state.outstanding);
+        let Some((i, _)) = best else {
+            self.primary_reads.fetch_add(1, Ordering::Relaxed);
+            return RoutedSnapshot::primary(self.primary.snapshot());
+        };
+        let (member, link) = (&locals[i], locals[i].local().expect("local prefix"));
+        member.counters.routed_reads.fetch_add(1, Ordering::Relaxed);
+        let lease = ReadLease::acquire(&member.counters.outstanding);
         // Order matters: snapshot *after* the watermark check that got
         // us here — stores only move forward, so the snapshot's epoch
         // is at least the watermark the pick saw.
         RoutedSnapshot {
-            target: RouteTarget::Engine(replica.state.store.snapshot()),
-            origin: ReadOrigin::Replica(replica.state.id),
+            target: RouteTarget::Engine(link.store.snapshot()),
+            origin: ReadOrigin::Replica(i),
             _lease: Some(lease),
         }
     }
 
-    fn primary_read(&self) -> RoutedSnapshot {
-        self.primary_reads.fetch_add(1, Ordering::Relaxed);
-        RoutedSnapshot::primary(self.primary.snapshot())
-    }
-
-    /// Point-in-time cluster metrics (schema `csag-cluster-metrics-v1`
+    /// Point-in-time cluster metrics (schema `csag-cluster-metrics-v2`
     /// via [`ClusterMetrics::to_json`]).
     pub fn metrics(&self) -> ClusterMetrics {
         let primary_epoch = self.primary.published_epoch();
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
         ClusterMetrics {
             primary_epoch,
-            records: self.records.load(Ordering::Relaxed),
-            pinned_reads: self.reads.pinned_reads.load(Ordering::Relaxed),
-            unpinned_reads: self.reads.unpinned_reads.load(Ordering::Relaxed),
-            primary_reads: self.primary_reads.load(Ordering::Relaxed),
-            pinned_waits: self.reads.pinned_waits.load(Ordering::Relaxed),
-            pinned_rejects: self.reads.pinned_rejects.load(Ordering::Relaxed),
-            replicas: self
-                .replicas
+            records: load(&self.records),
+            pinned_reads: load(&self.reads.pinned_reads),
+            unpinned_reads: load(&self.reads.unpinned_reads),
+            primary_reads: load(&self.primary_reads),
+            pinned_waits: load(&self.reads.pinned_waits),
+            pinned_rejects: load(&self.reads.pinned_rejects),
+            members: self
+                .members()
                 .iter()
-                .map(|r| {
-                    let watermark = r.state.store.published_epoch();
-                    ReplicaMetrics {
-                        id: r.state.id,
-                        health: r.state.status.health(),
-                        watermark,
-                        lag: primary_epoch.saturating_sub(watermark),
-                        routed_reads: r.state.routed_reads.load(Ordering::Relaxed),
-                        outstanding: r.state.outstanding.load(Ordering::Relaxed),
-                        applied: r.state.applied.load(Ordering::Relaxed),
-                        apply_errors: r.state.apply_errors.load(Ordering::Relaxed),
-                        degraded: r.state.status.degraded_marks(),
-                        reseeded: r.state.reseeds.load(Ordering::Relaxed),
-                    }
-                })
-                .collect(),
-            remotes: self
-                .remotes()
-                .iter()
-                .map(|m| {
-                    let watermark = m.watermark.current();
-                    RemoteReplicaMetrics {
-                        name: m.name.clone(),
-                        health: m.status.health(),
-                        connected: m.connected.load(Ordering::Acquire),
-                        watermark,
-                        lag: primary_epoch.saturating_sub(watermark),
-                        records_sent: m.records_sent.load(Ordering::Relaxed),
-                        bytes_shipped: m.bytes_shipped.load(Ordering::Relaxed),
-                        reseeds: m.snapshots_shipped.load(Ordering::Relaxed),
-                        acks: m.acks.load(Ordering::Relaxed),
-                        degraded: m.status.degraded_marks(),
-                    }
-                })
+                .map(|m| m.metrics(primary_epoch))
                 .collect(),
             shards: Vec::new(),
         }
@@ -652,78 +567,62 @@ impl ReadSource for Router {
             .primary
             .watermark()
             .admit_read(pin, wait, &self.reads)?;
-        Ok(match self.pick_replica(min_epoch) {
-            Some(replica) => self.lease_read(replica),
-            None => self.primary_read(),
-        })
+        Ok(self.pick(min_epoch))
     }
 }
 
 impl Drop for Router {
-    /// Shuts every replica down and joins its thread.
+    /// Shuts every replica thread down and joins it.
     fn drop(&mut self) {
-        for replica in &self.replicas {
-            replica.state.paused.store(false, Ordering::Relaxed);
-            let _ = replica.tx.send(ReplicaMsg::Shutdown);
-        }
-        for replica in &mut self.replicas {
-            if let Some(join) = replica.join.take() {
-                let _ = join.join();
-            }
+        for member in self.members().iter() {
+            member.stop();
         }
     }
 }
 
-/// Point-in-time view of one replica, inside [`ClusterMetrics`].
-#[derive(Clone, Debug)]
-pub struct ReplicaMetrics {
-    /// Replica index (0-based).
-    pub id: usize,
-    /// Current lifecycle state.
-    pub health: ReplicaHealth,
-    /// Highest epoch this replica has published.
-    pub watermark: u64,
-    /// Fan-out lag: primary epoch minus this watermark.
-    pub lag: u64,
-    /// Reads the router has routed here.
-    pub routed_reads: u64,
-    /// Reads currently leased against this replica.
-    pub outstanding: u64,
-    /// Log records applied.
-    pub applied: u64,
-    /// Apply failures (induced or gap-detected).
-    pub apply_errors: u64,
-    /// Times this replica was marked degraded.
-    pub degraded: u64,
-    /// Times this replica was reseeded from the primary.
-    pub reseeded: u64,
+/// How a member is linked to the router.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum MemberKind {
+    /// A replica thread in the router's process (`local-<i>`).
+    Local,
+    /// A follower process fed over `csag-repl v1`.
+    Remote,
 }
 
-/// Point-in-time view of one *remote* replica (a follower process fed
-/// over `csag-repl v1`), inside [`ClusterMetrics`].
+/// Point-in-time view of one member, inside [`ClusterMetrics`] — the
+/// same row for both kinds; a counter the kind never moves reads 0.
 #[derive(Clone, Debug)]
-pub struct RemoteReplicaMetrics {
-    /// The follower's self-declared name (the registry key).
+pub struct MemberMetrics {
+    /// `local-<i>`, or the follower's self-declared name (the key).
     pub name: String,
-    /// Current lifecycle state (acks drive healthy; drops and ack
-    /// silence drive degraded; a snapshot in flight is reseeding).
+    /// In process or across a socket.
+    pub kind: MemberKind,
+    /// Current lifecycle state.
     pub health: ReplicaHealth,
-    /// `true` while a replication connection is attached.
+    /// `true` while a consumer is attached: the replica thread (for the
+    /// router's life) or a live replication connection.
     pub connected: bool,
-    /// Highest epoch the follower has acked.
+    /// Highest epoch the member has published (remote: acked).
     pub watermark: u64,
-    /// Replication lag: primary epoch minus the acked watermark.
+    /// Replication lag: primary epoch minus this watermark.
     pub lag: u64,
-    /// Live log records shipped over the current and past connections.
-    pub records_sent: u64,
-    /// Payload bytes shipped (snapshots + framed records).
-    pub bytes_shipped: u64,
-    /// Full snapshots shipped (each one is a reseed).
+    /// Log records replayed (remote: shipped, tail replays included).
+    pub records: u64,
+    /// Snapshots installed (remote: shipped) — each one is a reseed.
     pub reseeds: u64,
-    /// Acks received.
-    pub acks: u64,
     /// Times this member was marked degraded.
     pub degraded: u64,
+    /// Failed replays, induced or gap-detected (local only: a follower's
+    /// reaches the router as a dropped connection).
+    pub apply_errors: u64,
+    /// Reads the router has routed here (local only).
+    pub routed_reads: u64,
+    /// Reads currently leased against this member (local only).
+    pub outstanding: u64,
+    /// Payload bytes shipped: snapshots + framed records (remote only).
+    pub bytes_shipped: u64,
+    /// Acks received (remote only).
+    pub acks: u64,
 }
 
 /// Point-in-time cluster metrics ([`Router::metrics`]).
@@ -743,10 +642,9 @@ pub struct ClusterMetrics {
     pub pinned_waits: u64,
     /// Pinned reads rejected as [`CsagError::EpochUnavailable`].
     pub pinned_rejects: u64,
-    /// Per-replica detail.
-    pub replicas: Vec<ReplicaMetrics>,
-    /// Per-remote-replica detail (followers in other processes).
-    pub remotes: Vec<RemoteReplicaMetrics>,
+    /// Per-member detail: in-process replicas first, then followers in
+    /// handshake order.
+    pub members: Vec<MemberMetrics>,
     /// Per-shard detail (populated by
     /// [`crate::cluster::shard::ShardedRouter::metrics`]; empty for a
     /// plain replicated router).
@@ -775,11 +673,11 @@ pub struct ShardSectionMetrics {
 }
 
 impl ClusterMetrics {
-    /// Serializes as one JSON object, schema `csag-cluster-metrics-v1`.
+    /// Serializes as one JSON object, schema `csag-cluster-metrics-v2`.
     pub fn to_json(&self) -> String {
         let mut w = Writer::new();
         w.begin_object();
-        w.key("schema").string("csag-cluster-metrics-v1");
+        w.key("schema").string("csag-cluster-metrics-v2");
         w.key("primary_epoch").uint(self.primary_epoch);
         w.key("records").uint(self.records);
         w.key("pinned_reads").uint(self.pinned_reads);
@@ -787,34 +685,31 @@ impl ClusterMetrics {
         w.key("primary_reads").uint(self.primary_reads);
         w.key("pinned_waits").uint(self.pinned_waits);
         w.key("pinned_rejects").uint(self.pinned_rejects);
-        w.key("replicas").begin_array();
-        for r in &self.replicas {
-            w.begin_object();
-            w.key("id").uint(r.id as u64);
-            w.key("health").string(r.health.name());
-            w.key("watermark").uint(r.watermark);
-            w.key("lag").uint(r.lag);
-            w.key("routed_reads").uint(r.routed_reads);
-            w.key("outstanding").uint(r.outstanding);
-            w.key("applied").uint(r.applied);
-            w.key("apply_errors").uint(r.apply_errors);
-            w.key("degraded").uint(r.degraded);
-            w.key("reseeded").uint(r.reseeded).end_object();
-        }
-        w.end_array();
-        w.key("remotes").begin_array();
-        for m in &self.remotes {
+        w.key("members").begin_array();
+        for m in &self.members {
             w.begin_object();
             w.key("name").string(&m.name);
+            w.key("kind").string(match m.kind {
+                MemberKind::Local => "local",
+                MemberKind::Remote => "remote",
+            });
             w.key("health").string(m.health.name());
             w.key("connected").boolean(m.connected);
-            w.key("watermark").uint(m.watermark);
-            w.key("lag").uint(m.lag);
-            w.key("records_sent").uint(m.records_sent);
-            w.key("bytes_shipped").uint(m.bytes_shipped);
-            w.key("reseeds").uint(m.reseeds);
-            w.key("acks").uint(m.acks);
-            w.key("degraded").uint(m.degraded).end_object();
+            for (key, count) in [
+                ("watermark", m.watermark),
+                ("lag", m.lag),
+                ("records", m.records),
+                ("reseeds", m.reseeds),
+                ("degraded", m.degraded),
+                ("apply_errors", m.apply_errors),
+                ("routed_reads", m.routed_reads),
+                ("outstanding", m.outstanding),
+                ("bytes_shipped", m.bytes_shipped),
+                ("acks", m.acks),
+            ] {
+                w.key(key).uint(count);
+            }
+            w.end_object();
         }
         w.end_array();
         w.key("shards").begin_array();

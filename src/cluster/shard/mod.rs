@@ -339,7 +339,7 @@ impl ShardedRouter {
     }
 
     /// Point-in-time cluster metrics: the shared schema with a
-    /// populated per-shard section (and no replica/remote sections —
+    /// populated per-shard section (and no member section —
     /// each shard's own router tracks those).
     pub fn metrics(&self) -> ClusterMetrics {
         let view = self.view();
@@ -351,8 +351,7 @@ impl ShardedRouter {
             primary_reads: 0,
             pinned_waits: self.reads.pinned_waits.load(Ordering::Relaxed),
             pinned_rejects: self.reads.pinned_rejects.load(Ordering::Relaxed),
-            replicas: Vec::new(),
-            remotes: Vec::new(),
+            members: Vec::new(),
             shards: (0..self.shards.len())
                 .map(|s| ShardSectionMetrics {
                     id: s,

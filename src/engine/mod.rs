@@ -51,7 +51,8 @@ pub use error::{CsagError, PartialSearch};
 pub use hetero::HeteroEngine;
 pub use query::{CommunityQuery, Method};
 pub use result::{
-    answer_identity, error_to_json, AccuracyCertificate, CommunityResult, PhaseTimings, Provenance,
+    answer_identity, error_to_json, outcome_identity, AccuracyCertificate, CommunityResult,
+    PhaseTimings, Provenance,
 };
 pub use store::{ApplyError, EpochWatch, GraphStore, GraphUpdate, Replay, Snapshot, UpdateReport};
 

@@ -276,6 +276,25 @@ pub fn answer_identity(doc: &Value, ignore_epoch: bool) -> Option<Value> {
     ))
 }
 
+/// [`answer_identity`] of a typed outcome, rendered for a byte
+/// comparison — the same rule for answers that never crossed the wire
+/// (a replica against its primary, a churned store against a fresh
+/// engine). Errors compare by their `Display` bytes: the wire sends
+/// exactly those, and a budget partial's `elapsed_ms` is wall-clock.
+pub fn outcome_identity<R: std::borrow::Borrow<CommunityResult>>(
+    outcome: &Result<R, super::error::CsagError>,
+    ignore_epoch: bool,
+) -> String {
+    match outcome {
+        Ok(result) => {
+            let doc = crate::json::parse(&result.borrow().to_json()).expect("to_json renders JSON");
+            let identity = answer_identity(&doc, ignore_epoch).expect("a result object");
+            format!("ok:{}", identity.render())
+        }
+        Err(e) => format!("err:{e}"),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::super::error::CsagError;
@@ -380,6 +399,24 @@ mod tests {
         assert_eq!(answer_identity(&bare, false), Some(bare.clone()));
         assert_eq!(answer_identity(&enveloped, false), Some(bare));
         assert_eq!(answer_identity(&parse("[1]").unwrap(), false), None);
+
+        // The typed form is the same identity, certificate included.
+        let mut other = sample();
+        other.timings.total = Duration::from_millis(9);
+        other.epoch = 7;
+        let (a, b) = (Ok(sample()), Ok(std::sync::Arc::new(other.clone())));
+        assert_ne!(outcome_identity(&a, false), outcome_identity(&b, false));
+        assert_eq!(outcome_identity(&a, true), outcome_identity(&b, true));
+        other.certificate = None;
+        assert_ne!(
+            outcome_identity(&a, true),
+            outcome_identity(&Ok(other), true)
+        );
+        let refused: Result<CommunityResult, _> = Err(CsagError::invalid("k = 0"));
+        assert_eq!(
+            outcome_identity(&refused, true),
+            "err:invalid parameters: k = 0"
+        );
     }
 
     #[test]

@@ -181,6 +181,33 @@ pub struct UpdateReport {
     pub distance_tables_invalidated: usize,
 }
 
+impl UpdateReport {
+    /// The report as one flat JSON object (the `"report"` member of
+    /// `csag update --json`).
+    pub fn to_json(&self) -> String {
+        let mut w = crate::json::Writer::new();
+        w.begin_object();
+        w.key("epoch").uint(self.epoch);
+        for (key, count) in [
+            ("edges_added", self.edges_added),
+            ("edges_removed", self.edges_removed),
+            ("vertices_added", self.vertices_added),
+            ("attributes_set", self.attributes_set),
+            ("noops", self.noops),
+            ("coreness_changed", self.coreness_changed),
+            ("distance_tables_retained", self.distance_tables_retained),
+            (
+                "distance_tables_invalidated",
+                self.distance_tables_invalidated,
+            ),
+        ] {
+            w.key(key).uint(count as u64);
+        }
+        w.end_object();
+        w.finish()
+    }
+}
+
 /// A pinned, immutable view of one store epoch.
 ///
 /// Dereferences to the epoch's [`Engine`], so `snapshot.run(&query)`
@@ -573,7 +600,7 @@ impl GraphStore {
 
     /// The publish watermark itself — what the cluster router gates
     /// pinned reads on.
-    pub(crate) fn watermark(&self) -> &EpochCell {
+    pub(crate) fn watermark(&self) -> &Arc<EpochCell> {
         &self.watch
     }
 

@@ -494,6 +494,65 @@ fn reclaim_stale_uds(path: &Path) -> io::Result<()> {
     Ok(())
 }
 
+/// Reads the next `\n`-terminated line of a request stream into
+/// `bytes` — the one line reader behind both session loops and the
+/// socket-mode write feed. `None` at end of input. A line longer than
+/// `MAX_REQUEST_LINE` (64 KiB) is discarded up to its newline without ever
+/// being buffered, and it or a line that is not UTF-8 comes back as
+/// `Err(message)`: the caller refuses that line and keeps reading.
+///
+/// # Errors
+/// Any [`io::Error`] from the underlying reader.
+pub fn read_capped_line<'a>(
+    reader: &mut impl BufRead,
+    bytes: &'a mut Vec<u8>,
+) -> io::Result<Option<Result<&'a str, String>>> {
+    bytes.clear();
+    let mut capped = reader.by_ref().take(MAX_REQUEST_LINE as u64 + 1);
+    if capped.read_until(b'\n', bytes)? == 0 {
+        return Ok(None);
+    }
+    if bytes.len() > MAX_REQUEST_LINE && !bytes.ends_with(b"\n") {
+        reader.skip_until(b'\n')?;
+        let refusal = format!("request line exceeds {MAX_REQUEST_LINE} bytes");
+        return Ok(Some(Err(refusal)));
+    }
+    let line = std::str::from_utf8(bytes).map_err(|_| "request line is not UTF-8".to_string());
+    Ok(Some(line))
+}
+
+/// One `csag-wire v1` session: request lines off `input`, answered in
+/// lock-step — one response line per request line, in request order —
+/// on `output`, until end of input. A line the reader or the parser
+/// refuses is answered `invalid_params` under its line-number id and
+/// the session goes on. Returns how many request lines were answered.
+///
+/// # Errors
+/// Any [`io::Error`] from reading `input` or writing `output`.
+pub fn serve_session(
+    service: &Service,
+    mut input: impl BufRead,
+    mut output: impl Write,
+) -> io::Result<usize> {
+    let mut bytes = Vec::new();
+    let (mut line_no, mut answered) = (0usize, 0usize);
+    while let Some(line) = read_capped_line(&mut input, &mut bytes)? {
+        if !matches!(line, Ok(text) if text.trim().is_empty()) {
+            let rendered = match line.and_then(|text| parse_wire_request(text, line_no)) {
+                Err(msg) => rejection_to_json(&line_no.to_string(), &CsagError::invalid(msg)),
+                Ok(wire) => match service.submit(wire.request) {
+                    Err(err) => rejection_to_json(&wire.id, &err),
+                    Ok(ticket) => response_to_json(&wire.id, &ticket.wait()),
+                },
+            };
+            writeln!(output, "{rendered}")?;
+            answered += 1;
+        }
+        line_no += 1;
+    }
+    Ok(answered)
+}
+
 /// The per-connection reader: parse lines, batch every burst of
 /// already-buffered requests into one scheduler submission, and never
 /// wait for an answer. Ends at EOF (client closed, or shutdown
@@ -514,28 +573,10 @@ fn connection_loop(service: &Service, stream: Socket, faults: &FaultPlan) {
     let mut bytes = Vec::new();
     let mut batch: Vec<(Arc<str>, Request)> = Vec::new();
     let mut line_no = 0usize;
-    loop {
-        bytes.clear();
-        let mut capped = (&mut reader).take(MAX_REQUEST_LINE as u64 + 1);
-        match capped.read_until(b'\n', &mut bytes) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {}
-        }
-        let request = if bytes.len() > MAX_REQUEST_LINE && !bytes.ends_with(b"\n") {
-            // Discarded to its newline without being buffered.
-            if reader.skip_until(b'\n').is_err() {
-                break;
-            }
-            Some(Err(format!(
-                "request line exceeds {MAX_REQUEST_LINE} bytes"
-            )))
-        } else {
-            let Ok(line) = std::str::from_utf8(&bytes) else {
-                break;
-            };
-            if line.trim().is_empty() {
-                None
-            } else if faults.next_request_drops() {
+    while let Ok(Some(line)) = read_capped_line(&mut reader, &mut bytes) {
+        let request = match line {
+            Ok(line) if line.trim().is_empty() => None,
+            Ok(_) if faults.next_request_drops() => {
                 // Scripted connection drop: sever both directions right
                 // now — this request and everything pipelined behind it
                 // (answered or not) is lost, exactly like a real reset.
@@ -543,9 +584,8 @@ fn connection_loop(service: &Service, stream: Socket, faults: &FaultPlan) {
                 drop(tx);
                 let _ = writer.join();
                 return;
-            } else {
-                Some(parse_wire_request(line, line_no))
             }
+            line => Some(line.and_then(|line| parse_wire_request(line, line_no))),
         };
         match request {
             None => {}

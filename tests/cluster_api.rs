@@ -3,10 +3,15 @@
 //! that has not published the pin), failure → reseed recovery with zero
 //! failed client responses, and the typed `EpochUnavailable` rejection.
 
-use csag::cluster::{ClusterMetrics, ReadOrigin, ReadSource, ReplicaHealth, Router, ShardedRouter};
+use csag::cluster::{
+    ClusterMetrics, Follower, FollowerConfig, MemberKind, MemberMetrics, ReadOrigin, ReadSource,
+    ReplListener, ReplicaHealth, Router, ShardedRouter,
+};
 use csag::datasets::generator::{generate, SyntheticConfig};
 use csag::datasets::{random_queries, random_updates, ChurnMix};
-use csag::engine::{CommunityQuery, CsagError, Engine, GraphStore, GraphUpdate, Method};
+use csag::engine::{
+    outcome_identity, CommunityQuery, CsagError, Engine, GraphStore, GraphUpdate, Method,
+};
 use csag::service::{Request, Service, ServiceConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -27,11 +32,11 @@ fn small_graph(seed: u64) -> (csag::graph::AttributedGraph, Vec<u32>) {
     (g, queries)
 }
 
-fn answer_fingerprint(r: &Result<csag::engine::CommunityResult, CsagError>) -> String {
-    match r {
-        Ok(res) => format!("ok:{:?}:{:x}", res.community, res.delta.to_bits()),
-        Err(e) => format!("err:{e}"),
-    }
+/// In-process replica `i`'s watermark, through the by-name accessor.
+fn watermark(router: &Router, i: usize) -> u64 {
+    router
+        .member_watermark(&format!("local-{i}"))
+        .expect("in-process members are named local-<i>")
 }
 
 /// The replication contract: after arbitrary churn through the router,
@@ -62,14 +67,14 @@ fn replicas_answer_byte_identically_to_the_primary_after_churn() {
         drop(snap);
         router.apply(&batch).expect("churn batch applies");
         assert!(
-            router.wait_replicas_caught_up(Duration::from_secs(30)),
+            router.wait_caught_up(Duration::from_secs(30)),
             "replicas catch up after round {round}"
         );
         let primary = router.primary().snapshot();
         let fresh = Engine::new(primary.engine().graph().clone());
         for i in 0..router.replica_count() {
             assert_eq!(
-                router.replica_watermark(i),
+                watermark(&router, i),
                 primary.epoch(),
                 "caught-up replica {i} sits at the primary epoch"
             );
@@ -86,13 +91,14 @@ fn replicas_answer_byte_identically_to_the_primary_after_churn() {
                     let via_primary = primary.engine().run(&query);
                     let via_fresh = fresh.run(&query);
                     assert_eq!(
-                        answer_fingerprint(&via_router),
-                        answer_fingerprint(&via_primary),
+                        outcome_identity(&via_router, false),
+                        outcome_identity(&via_primary, false),
                         "round {round}: routed read disagrees with primary on {query:?}"
                     );
+                    // A fresh engine answers at epoch 0.
                     assert_eq!(
-                        answer_fingerprint(&via_primary),
-                        answer_fingerprint(&via_fresh),
+                        outcome_identity(&via_primary, true),
+                        outcome_identity(&via_fresh, true),
                         "round {round}: primary disagrees with a fresh engine on {query:?}"
                     );
                 }
@@ -120,15 +126,15 @@ fn pinned_reads_skip_lagging_replicas() {
     }
     let pin = router.epoch();
     assert_eq!(pin, 3);
-    // `wait_replicas_caught_up` would block on the paused-but-healthy
+    // `wait_caught_up` would block on the paused-but-healthy
     // replica 0; wait for replica 1's watermark directly.
     let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    while router.replica_watermark(1) < pin && std::time::Instant::now() < deadline {
+    while watermark(&router, 1) < pin && std::time::Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(1));
     }
-    assert_eq!(router.replica_watermark(1), pin, "replica 1 catches up");
+    assert_eq!(watermark(&router, 1), pin, "replica 1 catches up");
     assert!(
-        router.replica_watermark(0) < pin,
+        watermark(&router, 0) < pin,
         "paused replica must lag for this test to bite"
     );
 
@@ -158,7 +164,7 @@ fn pinned_reads_skip_lagging_replicas() {
 
     // Once resumed and drained, the replica serves pinned reads again.
     router.resume_replica(0);
-    assert!(router.wait_replicas_caught_up(Duration::from_secs(30)));
+    assert!(router.wait_caught_up(Duration::from_secs(30)));
     let mut saw_replica0 = false;
     for _ in 0..64 {
         let routed = router
@@ -256,15 +262,19 @@ fn induced_failure_degrades_then_heals_with_zero_failed_reads() {
     churn(&router, &mut rng);
     // Replica 0 must have drained the first record, or the induced
     // failure hits *it* and the second apply reseeds the replica.
-    assert!(router.wait_replicas_caught_up(Duration::from_secs(10)));
+    assert!(router.wait_caught_up(Duration::from_secs(10)));
     router.induce_failure(0);
     churn(&router, &mut rng); // replica 0 fails this apply and degrades
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while router.replica_health(0) == ReplicaHealth::Healthy && std::time::Instant::now() < deadline
+    while router.member_health("local-0") == Some(ReplicaHealth::Healthy)
+        && std::time::Instant::now() < deadline
     {
         std::thread::sleep(Duration::from_millis(1));
     }
-    assert_eq!(router.replica_health(0), ReplicaHealth::Degraded);
+    assert_eq!(
+        router.member_health("local-0"),
+        Some(ReplicaHealth::Degraded)
+    );
 
     // Reads keep answering while the replica is out — and never from it.
     let pin = router.epoch();
@@ -292,16 +302,20 @@ fn induced_failure_degrades_then_heals_with_zero_failed_reads() {
     // Heal: reseed from the primary snapshot, rejoin, agree.
     assert_eq!(router.heal(), 1, "exactly the failed replica reseeds");
     let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    while router.replica_health(0) != ReplicaHealth::Healthy && std::time::Instant::now() < deadline
+    while router.member_health("local-0") != Some(ReplicaHealth::Healthy)
+        && std::time::Instant::now() < deadline
     {
         std::thread::sleep(Duration::from_millis(1));
     }
-    assert_eq!(router.replica_health(0), ReplicaHealth::Healthy);
-    assert!(router.wait_replicas_caught_up(Duration::from_secs(30)));
-    assert_eq!(router.replica_watermark(0), router.epoch());
+    assert_eq!(
+        router.member_health("local-0"),
+        Some(ReplicaHealth::Healthy)
+    );
+    assert!(router.wait_caught_up(Duration::from_secs(30)));
+    assert_eq!(watermark(&router, 0), router.epoch());
 
     churn(&router, &mut rng); // a reseeded replica consumes new records
-    assert!(router.wait_replicas_caught_up(Duration::from_secs(30)));
+    assert!(router.wait_caught_up(Duration::from_secs(30)));
     let primary = router.primary().snapshot();
     let query = CommunityQuery::new(Method::Exact, query_nodes[0])
         .with_k(3)
@@ -314,8 +328,8 @@ fn induced_failure_degrades_then_heals_with_zero_failed_reads() {
         if routed.origin() == ReadOrigin::Replica(0) {
             saw_replica0 = true;
             assert_eq!(
-                answer_fingerprint(&routed.snapshot().engine().run(&query)),
-                answer_fingerprint(&primary.engine().run(&query)),
+                outcome_identity(&routed.snapshot().engine().run(&query), false),
+                outcome_identity(&primary.engine().run(&query), false),
                 "reseeded replica must agree with the primary"
             );
         }
@@ -323,9 +337,9 @@ fn induced_failure_degrades_then_heals_with_zero_failed_reads() {
     assert!(saw_replica0, "healed replica rejoins the rotation");
 
     let metrics = router.metrics();
-    assert_eq!(metrics.replicas[0].degraded, 1);
-    assert_eq!(metrics.replicas[0].reseeded, 1);
-    assert!(metrics.replicas[0].apply_errors >= 1);
+    assert_eq!(metrics.members[0].degraded, 1);
+    assert_eq!(metrics.members[0].reseeds, 1);
+    assert!(metrics.members[0].apply_errors >= 1);
 }
 
 /// A pin beyond every published epoch fails with the typed error (and
@@ -385,7 +399,10 @@ fn health_check_degrades_silent_replicas() {
     router.silence_replica(1);
     std::thread::sleep(Duration::from_millis(80));
     assert_eq!(router.health_check(Duration::from_millis(50)), 1);
-    assert_eq!(router.replica_health(1), ReplicaHealth::Degraded);
+    assert_eq!(
+        router.member_health("local-1"),
+        Some(ReplicaHealth::Degraded)
+    );
     assert_eq!(
         router.health_check(Duration::from_millis(50)),
         0,
@@ -395,11 +412,129 @@ fn health_check_degrades_silent_replicas() {
     router.resume_replica(1); // clears the silence along with the pause
     assert_eq!(router.heal(), 1);
     let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    while router.replica_health(1) != ReplicaHealth::Healthy && std::time::Instant::now() < deadline
+    while router.member_health("local-1") != Some(ReplicaHealth::Healthy)
+        && std::time::Instant::now() < deadline
     {
         std::thread::sleep(Duration::from_millis(1));
     }
-    assert_eq!(router.replica_health(1), ReplicaHealth::Healthy);
+    assert_eq!(
+        router.member_health("local-1"),
+        Some(ReplicaHealth::Healthy)
+    );
+}
+
+/// The member lifecycle, stated once and run over both member kinds —
+/// an in-process replica and a follower across a `csag-repl v1` socket
+/// — through the one accessor set and the one [`MemberMetrics`] row:
+/// healthy → degraded (out of the stream, watermark frozen, one
+/// incident counted) → reseeded → healthy and consuming again. Only the
+/// triggers are kind-specific: the failure seam exists in process only,
+/// and a follower is reseeded by its own reconnect.
+#[test]
+fn every_member_kind_upholds_the_lifecycle() {
+    let (g, _) = small_graph(38);
+    let router = Arc::new(Router::over_graph(g, 1));
+    let listener =
+        ReplListener::bind_tcp(Arc::clone(&router), "127.0.0.1:0").expect("bind repl listener");
+    let addr = listener.local_addr().to_string();
+    let follow = || {
+        let config = FollowerConfig {
+            name: "f".into(),
+            ..FollowerConfig::default()
+        };
+        Follower::start(&addr, config).expect("follower starts")
+    };
+    let follower = std::sync::Mutex::new(Some(follow()));
+
+    let mut rng = StdRng::seed_from_u64(0x11FE);
+    let mut churn = || {
+        let snap = router.primary().snapshot();
+        let batch = random_updates(snap.graph(), &mut rng, 3, ChurnMix::STRUCTURAL);
+        router.apply(&batch).expect("churn batch applies");
+    };
+    let row = |name: &str| -> MemberMetrics {
+        let rows = router.metrics().members;
+        let found = rows.into_iter().find(|m| m.name == name);
+        found.unwrap_or_else(|| panic!("no member {name}"))
+    };
+    let wait_until = |what: &str, reached: &dyn Fn() -> bool| {
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        while !reached() {
+            assert!(std::time::Instant::now() < deadline, "never: {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    };
+    let wait_health = |name: &str, want: ReplicaHealth| {
+        wait_until(&format!("{name} {want:?}"), &|| {
+            router.member_health(name) == Some(want)
+        });
+    };
+    let caught_up = |name: &str| {
+        wait_health(name, ReplicaHealth::Healthy);
+        assert!(router.wait_member_caught_up(name, Duration::from_secs(30)));
+        assert_eq!(router.member_watermark(name), Some(router.epoch()));
+    };
+
+    type Trigger<'a> = &'a dyn Fn();
+    let kinds: [(&str, MemberKind, Trigger, Trigger); 2] = [
+        (
+            "local-0",
+            MemberKind::Local,
+            &|| router.induce_failure(0),
+            &|| assert_eq!(router.heal(), 1),
+        ),
+        (
+            "f",
+            MemberKind::Remote,
+            &|| drop(follower.lock().unwrap().take()),
+            &|| *follower.lock().unwrap() = Some(follow()),
+        ),
+    ];
+    for (name, kind, fail, reseed) in kinds {
+        // The follower registers with its first hello.
+        wait_until(&format!("{name} joins"), &|| {
+            router.member_health(name).is_some()
+        });
+        churn();
+        caught_up(name);
+        let healthy = row(name);
+        assert_eq!(healthy.kind, kind);
+        assert!(healthy.connected, "{name}");
+        assert_eq!((healthy.lag, healthy.degraded), (0, 0), "{name}");
+
+        // Degraded: the batch behind the failure never lands, so the
+        // watermark freezes one epoch short and stays there.
+        fail();
+        churn();
+        wait_health(name, ReplicaHealth::Degraded);
+        let out = row(name);
+        assert_eq!(out.watermark, healthy.watermark, "{name}: frozen");
+        assert_eq!(
+            (out.lag, out.degraded, out.reseeds),
+            (1, 1, healthy.reseeds),
+            "{name}"
+        );
+        assert!(!router.wait_member_caught_up(name, Duration::from_millis(20)));
+        let pin = router.epoch();
+        let routed = router.route_read(Some(pin), Duration::ZERO);
+        let routed = routed.expect("reads keep flowing around a degraded member");
+        assert!(routed.epoch() >= pin);
+
+        // Reseeded, healthy again, and consuming what comes next.
+        reseed();
+        caught_up(name);
+        let back = row(name);
+        assert_eq!(
+            (back.lag, back.degraded, back.reseeds),
+            (0, 1, healthy.reseeds + 1),
+            "{name}"
+        );
+        churn();
+        caught_up(name);
+        assert!(router.wait_caught_up(Duration::from_secs(30)));
+    }
+    drop(follower);
+    listener.shutdown();
 }
 
 /// The pinned-read contract every [`ReadSource`] upholds, stated once

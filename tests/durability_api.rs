@@ -421,7 +421,7 @@ fn router_skips_fanout_on_durability_rejection_and_keeps_reading() {
     let router = Router::new(primary, 2);
     let all = batches();
     router.apply(&all[0]).unwrap();
-    assert!(router.wait_replicas_caught_up(Duration::from_secs(5)));
+    assert!(router.wait_caught_up(Duration::from_secs(5)));
 
     let err = router.apply(&all[1]).unwrap_err();
     assert!(matches!(err, ApplyError::DurabilityUnavailable { .. }));
@@ -429,7 +429,7 @@ fn router_skips_fanout_on_durability_rejection_and_keeps_reading() {
     assert_eq!(router.metrics().records, 1);
     assert_eq!(router.epoch(), 1);
     for i in 0..router.replica_count() {
-        assert_eq!(router.replica_watermark(i), 1);
+        assert_eq!(router.member_watermark(&format!("local-{i}")), Some(1));
     }
     // …and routed reads keep being served, epoch-consistently.
     let routed = router.route_read(Some(1), Duration::from_secs(1)).unwrap();
@@ -523,8 +523,8 @@ fn plain_stores_and_routers_refuse_unsayable_updates_too() {
     assert!(matches!(err, ApplyError::NotReplayable { .. }));
     assert_eq!(router.metrics().records, 1, "no record for a refused batch");
     assert_eq!(router.epoch(), 1);
-    assert!(router.wait_replicas_caught_up(Duration::from_secs(5)));
-    assert_eq!(router.replica_watermark(0), 1);
+    assert!(router.wait_caught_up(Duration::from_secs(5)));
+    assert_eq!(router.member_watermark("local-0"), Some(1));
 }
 
 mod accepted_writes_are_sayable {

@@ -265,3 +265,94 @@ fn delta_star_is_exactly_the_returned_communitys_distance() {
     let actual = dist.delta(&g, &res.community);
     assert!((actual - res.delta_star).abs() < 1e-9);
 }
+
+/// ROADMAP 5(a), quick form: SEA's certificate (Theorems 10–11) says a
+/// certified answer's δ is within relative error `e` of the exact
+/// optimum with probability ≥ 1 − α over SEA's own randomness. For
+/// every (graph, q, k) cell — the paper's Figure-1 and Figure-3 graphs
+/// and two planted graphs small enough that `Method::Exact` finishes —
+/// run `Exact` once and `Method::Sea` over 200 seeds at `e` ∈ {0.05,
+/// 0.1}, 1 − α = 0.95, count the certified answers whose relative error
+/// exceeds `e`, and reject the cell when a one-sided exact binomial
+/// test refuses "violation rate ≤ α" at the 1 % level. Seeds are the
+/// first 200 integers; nothing here is tuned to pass.
+///
+/// **It rejects** — every cell that certifies anything, by a wide margin
+/// (counts in CHANGES.md and at the top of ROADMAP 5(a)) — so it is
+/// ignored rather than loosened, and the two older, looser assertions
+/// (`certification_implies_small_error_most_of_the_time` above, the
+/// single draw in `csag_core::sea`) stay until the estimator is fixed.
+/// Run it with `cargo test --test integration_pipeline -- --ignored
+/// --nocapture` (~1 s).
+#[test]
+#[ignore = "coverage finding, ROADMAP 5(a)"]
+fn certified_answers_violate_the_error_bound_no_more_often_than_alpha() {
+    use csag::datasets::paper_examples::{figure1_imdb, figure3_graph};
+    use csag::engine::{CommunityQuery, Engine, Method};
+    use csag::stats::binomial_tail;
+
+    const SEEDS: u64 = 200;
+    const ALPHA: f64 = 0.05;
+    let planted = |nodes: usize, seed: u64| {
+        let config = SyntheticConfig {
+            nodes,
+            communities: 3,
+            ..Default::default()
+        };
+        generate(&config, seed).0
+    };
+    let (fig1, q1) = figure1_imdb();
+    let (fig3, q3) = figure3_graph();
+    let (planted_a, planted_b) = (planted(24, 71), planted(28, 72));
+    let mut cells: Vec<(&str, AttributedGraph, NodeId, u32, f64)> =
+        vec![("fig1", fig1, q1, 3, 0.5), ("fig3", fig3, q3, 2, 0.0)];
+    for (name, g) in [("planted-a", planted_a), ("planted-b", planted_b)] {
+        for q in random_queries(&g, 2, 3, 0xC0DE) {
+            cells.push((name, g.clone(), q, 3, 0.5));
+        }
+    }
+    assert!(cells.len() >= 4, "every graph offers a query cell");
+
+    let mut rejected = Vec::new();
+    for (name, g, q, k, gamma) in cells {
+        let engine = Engine::new(g);
+        let cell = |method| CommunityQuery::new(method, q).with_k(k).with_gamma(gamma);
+        let exact = engine
+            .run(&cell(Method::Exact).with_state_budget(2_000_000))
+            .unwrap_or_else(|e| panic!("{name} q={q}: exact must finish: {e}"));
+        for e in [0.05, 0.1] {
+            let (mut certified, mut violations) = (0u64, 0u64);
+            for seed in 0..SEEDS {
+                let query = cell(Method::Sea)
+                    .with_error_bound(e)
+                    .with_confidence(1.0 - ALPHA)
+                    .with_seed(seed);
+                let sea = engine
+                    .run(&query)
+                    .unwrap_or_else(|err| panic!("{name} q={q} seed={seed}: {err}"));
+                assert!(
+                    sea.delta >= exact.delta - 1e-9,
+                    "SEA cannot beat the optimum"
+                );
+                if sea.certificate.is_some_and(|c| c.certified) {
+                    certified += 1;
+                    violations += u64::from(relative_error(sea.delta, exact.delta) > e);
+                }
+            }
+            let p_value = binomial_tail(certified, violations, ALPHA);
+            eprintln!(
+                "coverage {name} q={q} k={k} e={e}: {violations} violation(s) among \
+                 {certified} certified of {SEEDS}, p = {p_value:.4}"
+            );
+            if p_value < 0.01 {
+                rejected.push(format!(
+                    "{name} q={q} k={k} e={e}: {violations}/{certified} (p = {p_value:.2e})"
+                ));
+            }
+        }
+    }
+    assert!(
+        rejected.is_empty(),
+        "certified answers miss the bound more often than α = {ALPHA}: {rejected:?}"
+    );
+}

@@ -1,14 +1,17 @@
-//! Golden-string tests for the four metrics/report JSON writers CI's
-//! smoke steps parse (`csag-cluster-metrics-v1`,
-//! `csag-service-metrics-v1`, the WAL status line and the `recovered
-//! {...}` line). Key order and bytes are part of the contract: the
-//! expected strings were taken from the writers' output before they
-//! were moved onto the shared `push_object` helper.
+//! Golden-string tests for the metrics/report JSON writers CI's smoke
+//! steps and scripts parse (`csag-cluster-metrics-v2`,
+//! `csag-service-metrics-v1`, the WAL status line, the `recovered
+//! {...}` line and the `csag update --json` report). Key order and
+//! bytes are part of the contract. The cluster schema was re-pinned
+//! once, deliberately, when the `"replicas"` and `"remotes"` arrays
+//! became the one `"members"` array; its `"shards"` section kept its
+//! bytes.
 
 use csag::cluster::{
-    ClusterMetrics, RemoteReplicaMetrics, ReplicaHealth, ReplicaMetrics, ShardSectionMetrics,
+    ClusterMetrics, MemberKind, MemberMetrics, ReplicaHealth, ShardSectionMetrics,
 };
 use csag::durability::{DurabilityStatus, RecoveryReport};
+use csag::engine::UpdateReport;
 use csag::service::{HistogramSnapshot, MetricsSnapshot};
 
 #[test]
@@ -21,30 +24,40 @@ fn cluster_metrics_json_bytes_are_pinned() {
         primary_reads: 5,
         pinned_waits: 4,
         pinned_rejects: 3,
-        replicas: vec![ReplicaMetrics {
-            id: 0,
-            health: ReplicaHealth::Healthy,
-            watermark: 9,
-            lag: 0,
-            routed_reads: 11,
-            outstanding: 1,
-            applied: 8,
-            apply_errors: 2,
-            degraded: 1,
-            reseeded: 1,
-        }],
-        remotes: vec![RemoteReplicaMetrics {
-            name: "f\"1".into(),
-            health: ReplicaHealth::Reseeding,
-            connected: true,
-            watermark: 7,
-            lag: 2,
-            records_sent: 5,
-            bytes_shipped: 4096,
-            reseeds: 2,
-            acks: 13,
-            degraded: 1,
-        }],
+        members: vec![
+            MemberMetrics {
+                name: "local-0".into(),
+                kind: MemberKind::Local,
+                health: ReplicaHealth::Healthy,
+                connected: true,
+                watermark: 9,
+                lag: 0,
+                records: 8,
+                reseeds: 1,
+                degraded: 1,
+                apply_errors: 2,
+                routed_reads: 11,
+                outstanding: 1,
+                bytes_shipped: 0,
+                acks: 0,
+            },
+            MemberMetrics {
+                name: "f\"1".into(),
+                kind: MemberKind::Remote,
+                health: ReplicaHealth::Reseeding,
+                connected: true,
+                watermark: 7,
+                lag: 2,
+                records: 5,
+                reseeds: 2,
+                degraded: 1,
+                apply_errors: 0,
+                routed_reads: 0,
+                outstanding: 0,
+                bytes_shipped: 4096,
+                acks: 13,
+            },
+        ],
         shards: vec![ShardSectionMetrics {
             id: 1,
             owned: 100,
@@ -58,26 +71,27 @@ fn cluster_metrics_json_bytes_are_pinned() {
     assert_eq!(
         metrics.to_json(),
         concat!(
-            r#"{"schema":"csag-cluster-metrics-v1","primary_epoch":9,"records":8,"#,
+            r#"{"schema":"csag-cluster-metrics-v2","primary_epoch":9,"records":8,"#,
             r#""pinned_reads":7,"unpinned_reads":6,"primary_reads":5,"pinned_waits":4,"#,
-            r#""pinned_rejects":3,"replicas":[{"id":0,"health":"healthy","watermark":9,"#,
-            r#""lag":0,"routed_reads":11,"outstanding":1,"applied":8,"apply_errors":2,"#,
-            r#""degraded":1,"reseeded":1}],"remotes":[{"name":"f\"1","health":"reseeding","#,
-            r#""connected":true,"watermark":7,"lag":2,"records_sent":5,"bytes_shipped":4096,"#,
-            r#""reseeds":2,"acks":13,"degraded":1}],"shards":[{"id":1,"owned":100,"halo":12,"#,
+            r#""pinned_rejects":3,"members":[{"name":"local-0","kind":"local","#,
+            r#""health":"healthy","connected":true,"watermark":9,"lag":0,"records":8,"#,
+            r#""reseeds":1,"degraded":1,"apply_errors":2,"routed_reads":11,"outstanding":1,"#,
+            r#""bytes_shipped":0,"acks":0},{"name":"f\"1","kind":"remote","#,
+            r#""health":"reseeding","connected":true,"watermark":7,"lag":2,"records":5,"#,
+            r#""reseeds":2,"degraded":1,"apply_errors":0,"routed_reads":0,"outstanding":0,"#,
+            r#""bytes_shipped":4096,"acks":13}],"shards":[{"id":1,"owned":100,"halo":12,"#,
             r#""watermark":9,"local_hits":3,"gathers":4,"merge_ms":1.5}]}"#
         )
     );
 
     // Empty sections keep their keys; two rows are comma-separated.
     let two = ClusterMetrics {
-        replicas: Vec::new(),
-        remotes: Vec::new(),
+        members: Vec::new(),
         shards: vec![metrics.shards[0].clone(), metrics.shards[0].clone()],
         ..metrics
     };
     let json = two.to_json();
-    assert!(json.contains(r#""replicas":[],"remotes":[],"shards":[{"id":1,"#));
+    assert!(json.contains(r#""members":[],"shards":[{"id":1,"#));
     assert!(json.contains(r#""merge_ms":1.5},{"id":1,"#));
 }
 
@@ -161,6 +175,29 @@ fn recovery_report_json_bytes_are_pinned() {
         concat!(
             r#"{"checkpoint_epoch":4,"records_replayed":3,"epoch":7,"#,
             r#""torn_tail_truncated":true,"truncated_bytes":19,"segments_scanned":2}"#
+        )
+    );
+}
+
+#[test]
+fn update_report_json_bytes_are_pinned() {
+    let report = UpdateReport {
+        epoch: 3,
+        edges_added: 2,
+        edges_removed: 1,
+        vertices_added: 4,
+        attributes_set: 5,
+        noops: 6,
+        coreness_changed: 7,
+        distance_tables_retained: 8,
+        distance_tables_invalidated: 9,
+    };
+    assert_eq!(
+        report.to_json(),
+        concat!(
+            r#"{"epoch":3,"edges_added":2,"edges_removed":1,"vertices_added":4,"#,
+            r#""attributes_set":5,"noops":6,"coreness_changed":7,"#,
+            r#""distance_tables_retained":8,"distance_tables_invalidated":9}"#
         )
     );
 }

@@ -10,7 +10,7 @@ use csag::cluster::{Follower, FollowerConfig, ReplListener, ReplicaHealth, Route
 use csag::datasets::generator::{generate, SyntheticConfig};
 use csag::datasets::{random_queries, random_updates, ChurnMix};
 use csag::durability::{FaultPlan, WalConfig};
-use csag::engine::{CommunityQuery, CsagError, GraphStore, Method};
+use csag::engine::{outcome_identity, CommunityQuery, CsagError, GraphStore, Method};
 use csag::service::{Request, Service, ServiceConfig, Transport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -32,13 +32,6 @@ fn small_graph(seed: u64) -> (csag::graph::AttributedGraph, Vec<u32>) {
     let queries = random_queries(&g, 4, 3, 0xC1);
     assert!(!queries.is_empty(), "generated graph must offer 3-cores");
     (g, queries)
-}
-
-fn answer_fingerprint(r: &Result<csag::engine::CommunityResult, CsagError>) -> String {
-    match r {
-        Ok(res) => format!("ok:{:?}:{:x}", res.community, res.delta.to_bits()),
-        Err(e) => format!("err:{e}"),
-    }
 }
 
 /// The answer a csag-wire response line carries, under the one identity
@@ -74,7 +67,7 @@ fn uds_path(tag: &str) -> PathBuf {
 fn wait_caught_up(router: &Router, name: &str, timeout: Duration) -> bool {
     let deadline = Instant::now() + timeout;
     while Instant::now() < deadline {
-        if router.wait_remote_caught_up(name, Duration::from_millis(50)) {
+        if router.wait_member_caught_up(name, Duration::from_millis(50)) {
             return true;
         }
         std::thread::sleep(Duration::from_millis(1));
@@ -136,8 +129,8 @@ fn follower_answers_byte_identically_after_churn() {
         for &q in &query_nodes {
             for query in queries_for(q) {
                 assert_eq!(
-                    answer_fingerprint(&theirs.engine().run(&query)),
-                    answer_fingerprint(&primary.engine().run(&query)),
+                    outcome_identity(&theirs.engine().run(&query), false),
+                    outcome_identity(&primary.engine().run(&query), false),
                     "follower answer at epoch {epoch} diverged (q = {q})"
                 );
             }
@@ -156,16 +149,21 @@ fn follower_answers_byte_identically_after_churn() {
         "a seeded follower streams"
     );
     assert_eq!(
-        router.remote_health("f1"),
+        router.member_health("f1"),
         Some(ReplicaHealth::Healthy),
         "acks keep the member healthy"
     );
     let metrics = router.metrics();
-    let remote = &metrics.remotes[0];
+    let remote = &metrics.members[0];
     assert_eq!(remote.name, "f1");
-    assert!(remote.records_sent >= 5, "{}", remote.records_sent);
+    assert!(remote.records >= 5, "{}", remote.records);
     assert!(remote.bytes_shipped > 0);
-    assert!(metrics.to_json().contains("\"remotes\":["), "metrics JSON");
+    assert!(
+        metrics
+            .to_json()
+            .contains("\"members\":[{\"name\":\"f1\",\"kind\":\"remote\","),
+        "metrics JSON"
+    );
 
     drop(follower);
     listener.shutdown();
@@ -217,15 +215,15 @@ fn unseeded_follower_is_seeded_by_a_snapshot_ship() {
     for &q in &query_nodes {
         for query in queries_for(q) {
             assert_eq!(
-                answer_fingerprint(&theirs.engine().run(&query)),
-                answer_fingerprint(&primary.engine().run(&query)),
+                outcome_identity(&theirs.engine().run(&query), false),
+                outcome_identity(&primary.engine().run(&query), false),
                 "snapshot-seeded follower diverged (q = {q})"
             );
         }
     }
 
     let metrics = router.metrics();
-    assert_eq!(metrics.remotes[0].reseeds, 1, "one snapshot shipped");
+    assert_eq!(metrics.members[0].reseeds, 1, "one snapshot shipped");
 
     drop(follower);
     drop(listener);
@@ -266,6 +264,190 @@ fn a_lying_snapshot_header_costs_a_session_not_memory() {
     assert_eq!(follower.snapshots_received(), 0);
     assert_eq!(follower.epoch(), 0);
     follower.stop();
+}
+
+/// The two fuzz generators, `rounds` of each: arbitrary bytes, and
+/// `pieces` of a grammar joined by single spaces.
+fn fuzz_inputs(seed: u64, rounds: usize, pieces: &[&str]) -> Vec<Vec<u8>> {
+    use rand::Rng;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut inputs = Vec::new();
+    for _ in 0..rounds {
+        let noise = (0..rng.gen_range(1..96)).map(|_| rng.gen_range(0..256u32) as u8);
+        inputs.push(noise.collect());
+        let picks = (0..rng.gen_range(1..12)).map(|_| pieces[rng.gen_range(0..pieces.len())]);
+        inputs.push(picks.collect::<Vec<_>>().join(" ").into_bytes());
+    }
+    inputs
+}
+
+/// ROADMAP 5(c), the repl half, from the follower's side: a primary that
+/// answers the hello with anything but the grammar — hand-picked lies
+/// about lengths and epochs, then the two fuzz generators (arbitrary
+/// bytes; whitespace-joined grammar fragments) — costs the follower one
+/// failed session each, never a panic, a stuck thread, or a buffer sized
+/// by the peer's number. The session loop then reconnects clean: the
+/// first honest snapshot syncs it.
+#[test]
+fn hostile_handshakes_and_frames_cost_sessions_never_the_follower() {
+    let (g, _) = small_graph(97);
+    let mut honest = Vec::new();
+    csag::graph::io::write_graph(&g, &mut honest).expect("serialize graph");
+    let framed = |body: &[u8]| csag::graph::wal::frame(body);
+    let mut scripts: Vec<Vec<u8>> = vec![
+        b"snapshot 1 18446744073709551615\nshort".to_vec(),
+        b"snapshot 1 64\nshort body".to_vec(),
+        b"snapshot 1 5\nhello".to_vec(),
+        b"snapshot 18446744073709551616 5\nhello".to_vec(),
+        b"stream 0\n!rec 18446744073709551615 0000000000000000\n".to_vec(),
+        b"stream 0\n!rec 4 0000000000000000\nabcd".to_vec(),
+        [&b"stream 0\n"[..], &framed(b"not a record")].concat(),
+        [&b"stream 0\n"[..], &framed(b"# epoch 9\nadd-edge 0 1\n")].concat(),
+        b"stream 7\n".to_vec(),
+        b"error go away\n".to_vec(),
+        b"\xFF\xFE\n".to_vec(),
+        vec![b'x'; 100 * 1024],
+        Vec::new(),
+    ];
+    scripts.extend(fuzz_inputs(
+        0xF022,
+        24,
+        &[
+            "stream",
+            "snapshot",
+            "error",
+            "!rec",
+            "0",
+            "1",
+            "5",
+            "18446744073709551615",
+            "\n",
+            "0000000000000000",
+            "# epoch 1",
+            "add-edge 0 1",
+        ],
+    ));
+    let hostile = scripts.len() as u64;
+    scripts.push([format!("snapshot 3 {}\n", honest.len()).as_bytes(), &honest].concat());
+
+    let fake_primary = std::net::TcpListener::bind("127.0.0.1:0").expect("bind fake primary");
+    let addr = fake_primary.local_addr().unwrap();
+    let (synced_tx, synced_rx) = std::sync::mpsc::channel::<()>();
+    let serving = std::thread::spawn(move || {
+        let last = scripts.len() - 1;
+        for (i, script) in scripts.iter().enumerate() {
+            let (mut stream, _) = fake_primary.accept().expect("follower dials");
+            let mut hello = String::new();
+            BufReader::new(&stream).read_line(&mut hello).unwrap();
+            assert!(
+                hello.starts_with("repl hello csag-repl-v1 epoch none"),
+                "session {i} hello: {hello}"
+            );
+            let _ = stream.write_all(script);
+            if i == last {
+                // Hold the honest session open until the test has looked.
+                let _ = synced_rx.recv();
+            }
+        }
+    });
+
+    let config = FollowerConfig {
+        reconnect_backoff: Duration::from_millis(1),
+        ..FollowerConfig::default()
+    };
+    let follower = Follower::start(&addr.to_string(), config).expect("follower starts");
+    assert!(
+        follower.wait_for_epoch(3, Duration::from_secs(60)),
+        "the honest snapshot syncs the follower after {hostile} hostile sessions \
+         ({} reconnects so far)",
+        follower.reconnects()
+    );
+    assert!(follower.synced());
+    assert_eq!(
+        follower.snapshots_received(),
+        1,
+        "only the honest one landed"
+    );
+    assert_eq!(follower.records_applied(), 0, "no hostile frame applied");
+    assert_eq!(follower.reconnects(), hostile, "one session per script");
+    assert_eq!(follower.store().snapshot().graph().n(), g.n());
+    synced_tx.send(()).expect("fake primary is waiting");
+    serving.join().expect("fake primary saw every session");
+    follower.stop();
+}
+
+/// The same from the primary's side: junk hellos (and the one
+/// well-formed hello the router must refuse — a follower claiming an
+/// in-process member's reserved name) get the typed `error` line or a
+/// closed socket, and the listener keeps accepting: a real follower
+/// still handshakes afterwards.
+#[test]
+fn hostile_hellos_are_refused_and_the_listener_keeps_accepting() {
+    use std::io::Read;
+
+    let (g, _) = small_graph(101);
+    let router = Arc::new(Router::over_graph(g.clone(), 1));
+    let path = uds_path("hello");
+    let listener = ReplListener::bind_uds(Arc::clone(&router), &path).expect("bind repl uds");
+    let answer = |hello: &[u8]| -> String {
+        let mut sock = UnixStream::connect(&path).expect("connect");
+        sock.set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let _ = sock.write_all(hello);
+        let _ = sock.shutdown(std::net::Shutdown::Write);
+        let mut response = Vec::new();
+        let _ = sock.read_to_end(&mut response);
+        String::from_utf8_lossy(&response).into_owned()
+    };
+
+    assert_eq!(
+        answer(b"repl hello csag-repl-v1 epoch 0 name local-0\n"),
+        "error member name `local-0` is reserved for in-process replicas\n"
+    );
+    assert_eq!(
+        answer(b"repl hello csag-repl-v1 epoch 5 name ahead\n"),
+        "error follower epoch 5 is ahead of primary epoch 0\n"
+    );
+    assert_eq!(answer(&vec![b'x'; 100 * 1024]), "error malformed hello\n");
+    assert_eq!(answer(b"\xFF\n"), "error malformed hello\n");
+    assert_eq!(answer(b""), "", "a silent peer is just closed");
+    let pieces = [
+        "repl",
+        "hello",
+        "csag-repl-v1",
+        "csag-repl-v2",
+        "epoch",
+        "none",
+        "name",
+        "f",
+        "-1",
+        "18446744073709551616",
+    ];
+    for mut hello in fuzz_inputs(0x4E11, 24, &pieces) {
+        hello.push(b'\n');
+        let response = answer(&hello);
+        assert!(
+            response.is_empty() || response == *"error malformed hello\n",
+            "{:?} → {response:?}",
+            String::from_utf8_lossy(&hello)
+        );
+    }
+    let members = router.metrics().members;
+    assert_eq!(members.len(), 1, "no junk hello registered a member");
+
+    let config = FollowerConfig {
+        name: "real".into(),
+        seed: Some(Arc::new(g)),
+        ..FollowerConfig::default()
+    };
+    let follower = Follower::start(path.to_str().unwrap(), config).expect("follower starts");
+    router
+        .apply(&[csag::engine::GraphUpdate::AddEdge { u: 0, v: 1 }])
+        .expect("batch applies");
+    assert!(wait_caught_up(&router, "real", Duration::from_secs(30)));
+    assert_eq!(router.member_health("real"), Some(ReplicaHealth::Healthy));
+    drop(follower);
+    listener.shutdown();
 }
 
 /// A follower whose epoch predates the WAL's pruned horizon cannot be
@@ -329,8 +511,8 @@ fn follower_behind_the_pruned_horizon_reseeds_from_a_checkpoint() {
     for &q in &query_nodes {
         for query in queries_for(q) {
             assert_eq!(
-                answer_fingerprint(&theirs.engine().run(&query)),
-                answer_fingerprint(&primary.engine().run(&query)),
+                outcome_identity(&theirs.engine().run(&query), false),
+                outcome_identity(&primary.engine().run(&query), false),
                 "checkpoint-reseeded follower diverged (q = {q})"
             );
         }
@@ -424,10 +606,10 @@ fn scripted_drop_degrades_then_reseeds_with_zero_failed_reads() {
         "the member returns to the caught-up set"
     );
     let metrics = router.metrics();
-    let remote = &metrics.remotes[0];
+    let remote = &metrics.members[0];
     assert!(remote.degraded >= 1, "the drop marked the member degraded");
     assert!(remote.reseeds >= 1);
-    assert_eq!(router.remote_health("f1"), Some(ReplicaHealth::Healthy));
+    assert_eq!(router.member_health("f1"), Some(ReplicaHealth::Healthy));
 
     drop(follower);
     drop(listener);

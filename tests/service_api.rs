@@ -320,3 +320,37 @@ fn invalid_queries_never_occupy_admission_slots() {
         Ok(_) | Err(CsagError::NoCommunity { .. })
     ));
 }
+
+/// A `csag-wire v1` session cannot be killed by one line: a 70 KiB line
+/// (never buffered past the cap, newline or not) and a line with a
+/// non-UTF-8 byte each answer `invalid_params` under their line-number
+/// id, and the valid request behind them is still answered — in order.
+#[test]
+fn v1_session_survives_overlong_and_non_utf8_lines() {
+    use csag::service::transport::serve_session;
+
+    let (graph, q) = figure1_imdb();
+    let service = Service::over_graph(graph, ServiceConfig::default().with_workers(1));
+    let valid = format!("{{\"id\":\"ok\",\"method\":\"sea\",\"q\":{q},\"k\":3,\"seed\":11}}\n");
+    let mut input = vec![b'x'; 70 * 1024];
+    input.extend_from_slice(b"\n\n{\"q\":\xFF}\n");
+    input.extend_from_slice(valid.as_bytes());
+    // The last line has no newline at all and is over the cap too.
+    input.extend_from_slice(&vec![b'y'; 70 * 1024]);
+
+    let mut output = Vec::new();
+    let answered = serve_session(&service, &input[..], &mut output).expect("in-memory io");
+    assert_eq!(answered, 4, "the blank line is skipped, not answered");
+    let output = String::from_utf8(output).expect("responses are UTF-8");
+    let lines: Vec<&str> = output.lines().collect();
+    assert_eq!(lines.len(), 4, "{output}");
+    let refused = |id: usize| format!("{{\"id\":{id},\"error\":{{\"error\":\"invalid_params\"");
+    assert!(lines[0].starts_with(&refused(0)), "{}", lines[0]);
+    assert!(lines[0].contains("exceeds 65536 bytes"), "{}", lines[0]);
+    assert!(lines[1].starts_with(&refused(2)), "{}", lines[1]);
+    assert!(lines[1].contains("not UTF-8"), "{}", lines[1]);
+    assert!(lines[2].starts_with("{\"id\":\"ok\""), "{}", lines[2]);
+    assert!(lines[2].contains("\"result\":{"), "{}", lines[2]);
+    assert!(lines[3].starts_with(&refused(4)), "{}", lines[3]);
+    assert_eq!(service.metrics().completed, 1);
+}

@@ -14,7 +14,8 @@ use csag::core::CommunityModel;
 use csag::datasets::generator::{generate, SyntheticConfig};
 use csag::datasets::{random_queries, random_updates, ChurnMix};
 use csag::engine::{
-    ApplyError, CommunityQuery, CsagError, GraphStore, GraphUpdate, Method, UpdateReport,
+    outcome_identity, ApplyError, CommunityQuery, CsagError, GraphStore, GraphUpdate, Method,
+    UpdateReport,
 };
 use csag::graph::QueryWorkspace;
 use proptest::prelude::*;
@@ -22,22 +23,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// The answer's identity ([`csag::engine::answer_identity`]: the result
-/// JSON minus its wall-clock `timings_ms`): everything else —
-/// community, delta, certificate, epoch, provenance — must match to
-/// the byte. Errors compare by their `Display` bytes (the wire sends
-/// exactly those).
-fn fingerprint(r: &Result<csag::engine::CommunityResult, CsagError>) -> String {
-    match r {
-        Ok(res) => {
-            let doc = csag::json::parse(&res.to_json()).expect("to_json renders JSON");
-            let identity = csag::engine::answer_identity(&doc, false).expect("a result object");
-            format!("ok:{}", identity.render())
-        }
-        Err(e) => format!("err:{e}"),
-    }
-}
 
 /// Graph-state facets of an [`UpdateReport`]: epoch and mutation
 /// counts must agree between the sharded journal and the solo store.
@@ -118,8 +103,8 @@ fn assert_identical_at(solo: &GraphStore, sharded: &ShardedRouter, q: u32, ctx: 
         let a = solo_engine.run_with_workspace(&query, &mut ws_solo);
         let b = routed.run_with_workspace(&query, &mut ws_shard);
         assert_eq!(
-            fingerprint(&a),
-            fingerprint(&b),
+            outcome_identity(&a, false),
+            outcome_identity(&b, false),
             "sharded answer diverged ({ctx}, q={q}, method={:?}, k={}, model={:?})",
             query.method,
             query.k,
@@ -241,7 +226,11 @@ fn queries_split_between_local_hits_and_gathers() {
                 .engine()
                 .run_with_workspace(&query, &mut ws_solo);
             let b = routed.run_with_workspace(&query, &mut ws_shard);
-            assert_eq!(fingerprint(&a), fingerprint(&b), "sweep q={q}");
+            assert_eq!(
+                outcome_identity(&a, false),
+                outcome_identity(&b, false),
+                "sweep q={q}"
+            );
         }
     }
     // A fresh vertex with no edges is covered only at its owner, and

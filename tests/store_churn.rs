@@ -8,17 +8,10 @@
 
 use csag::datasets::generator::{generate, SyntheticConfig};
 use csag::datasets::{random_queries, random_updates, ChurnMix};
-use csag::engine::{CommunityQuery, CsagError, Engine, GraphStore, GraphUpdate, Method};
+use csag::engine::{outcome_identity, CommunityQuery, Engine, GraphStore, GraphUpdate, Method};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
-
-fn fingerprint(r: &Result<csag::engine::CommunityResult, CsagError>) -> String {
-    match r {
-        Ok(res) => format!("ok:{:?}:{:x}", res.community, res.delta.to_bits()),
-        Err(e) => format!("err:{e}"),
-    }
-}
 
 /// The headline acceptance test: after every one of a stream of random
 /// mixed batches, the evolving engine's answers — across methods and
@@ -77,8 +70,8 @@ fn every_answer_after_churn_equals_a_fresh_engine() {
                 let a = snap.engine().run(&query);
                 let b = fresh.run(&query);
                 assert_eq!(
-                    fingerprint(&a),
-                    fingerprint(&b),
+                    outcome_identity(&a, true),
+                    outcome_identity(&b, true),
                     "epoch {} {:?} on q = {q} diverged",
                     report.epoch,
                     query.method
@@ -229,8 +222,8 @@ fn concurrent_readers_see_consistent_epochs_during_churn() {
                     let fresh = Engine::new(snap.graph().clone());
                     let rebuilt = fresh.run(&make(q));
                     assert_eq!(
-                        fingerprint(&evolved),
-                        fingerprint(&rebuilt),
+                        outcome_identity(&evolved, true),
+                        outcome_identity(&rebuilt, true),
                         "epoch {} reader on q = {q} diverged",
                         snap.epoch()
                     );
