@@ -22,7 +22,7 @@
 
 use crate::distance::{DistanceParams, QueryDistances};
 use crate::error::{check_query_node, CsagError, PartialSearch};
-use csag_decomp::{CommunityModel, Maintainer};
+use csag_decomp::{CommunityModel, EdgeIndex, Maintainer};
 use csag_graph::{AttributedGraph, NodeId, QueryWorkspace};
 use std::time::{Duration, Instant};
 
@@ -164,6 +164,7 @@ pub struct ExactResult {
 pub struct Exact<'g> {
     g: &'g AttributedGraph,
     dparams: DistanceParams,
+    eidx: Option<&'g EdgeIndex>,
 }
 
 struct SearchCtx<'g> {
@@ -200,7 +201,19 @@ struct LevelBufs {
 impl<'g> Exact<'g> {
     /// Creates a solver over `g` with the given distance parameters.
     pub fn new(g: &'g AttributedGraph, dparams: DistanceParams) -> Self {
-        Exact { g, dparams }
+        Exact {
+            g,
+            dparams,
+            eidx: None,
+        }
+    }
+
+    /// Lets k-truss runs borrow `eidx`, an [`EdgeIndex`] of this graph
+    /// built once, instead of building one per run; `None` keeps
+    /// building. See [`Maintainer::with_edge_index`].
+    pub fn with_edge_index(mut self, eidx: Option<&'g EdgeIndex>) -> Self {
+        self.eidx = eidx;
+        self
     }
 
     /// Runs the exact search from query node `q`.
@@ -242,7 +255,7 @@ impl<'g> Exact<'g> {
             ));
         }
         let start = Instant::now();
-        let mut maintainer = Maintainer::new(self.g, params.model, params.k);
+        let mut maintainer = Maintainer::with_edge_index(self.g, params.model, params.k, self.eidx);
         let root = maintainer.maximal(q).ok_or_else(|| {
             CsagError::no_community(format!(
                 "node {q} is in no connected {} at k = {}",

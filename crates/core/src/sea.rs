@@ -4,7 +4,8 @@
 //!
 //! 1. **Sampling-based maximal H̃ₖ finding (§V-A)** — determine the minimum
 //!    neighborhood size |Gq| from the Hoeffding bound (Theorem 10), grow
-//!    `Gq` around `q` by best-first search on `f(·,q)`, draw
+//!    `Gq` around `q` by best-first search on `f(·,q)` (or take `q`'s
+//!    component outright when the bound reaches `n`), draw
 //!    `|S| = λ·|V_Gq|` samples with probability ∝ `1 − f(v,q)` (Eq. 5),
 //!    and peel the induced graph `Gq[S]` to the maximal connected
 //!    community of `q`.
@@ -31,7 +32,7 @@
 
 use crate::distance::{DistanceParams, QueryDistances};
 use crate::error::{check_query_node, CsagError};
-use csag_decomp::{CommunityModel, Maintainer, PrefixPeeler};
+use csag_decomp::{CommunityModel, EdgeIndex, Maintainer, PrefixPeeler};
 use csag_graph::{AttributedGraph, FixedBitSet, MinScored, NodeId, QueryWorkspace};
 use csag_stats::{
     incremental_sample_size, min_population_size, satisfies_error_bound,
@@ -255,12 +256,26 @@ pub struct SeaResult {
 pub struct Sea<'g> {
     g: &'g AttributedGraph,
     dparams: DistanceParams,
+    eidx: Option<&'g EdgeIndex>,
 }
 
 impl<'g> Sea<'g> {
     /// Creates a solver over `g` with the given distance parameters.
     pub fn new(g: &'g AttributedGraph, dparams: DistanceParams) -> Self {
-        Sea { g, dparams }
+        Sea {
+            g,
+            dparams,
+            eidx: None,
+        }
+    }
+
+    /// Lets k-truss runs borrow `eidx`, an [`EdgeIndex`] of this graph
+    /// built once (the engine keeps its trussness decomposition's), instead
+    /// of building one per run; `None` keeps building. See
+    /// [`Maintainer::with_edge_index`].
+    pub fn with_edge_index(mut self, eidx: Option<&'g EdgeIndex>) -> Self {
+        self.eidx = eidx;
+        self
     }
 
     /// Runs the full SEA pipeline for query `q`.
@@ -311,7 +326,8 @@ impl<'g> Sea<'g> {
         }
         let t0 = Instant::now();
 
-        // §V-A: minimum |Gq| by Theorem 10, then best-first growth.
+        // §V-A: minimum |Gq| by Theorem 10, then best-first growth (q's
+        // component when the bound reaches n).
         let min_gq = min_population_size(
             params.min_members(),
             self.g.n(),
@@ -322,7 +338,7 @@ impl<'g> Sea<'g> {
         grow_neighborhood_into(self.g, q, min_gq, dist, ws, &mut gq_nodes);
         let sampling_setup = t0.elapsed();
 
-        let result = sea_on_population(self.g, &gq_nodes, q, dist, params, rng, ws);
+        let result = search_population(self, &gq_nodes, q, dist, params, rng, ws);
         ws.put_nodes(gq_nodes);
         let mut result = result?;
         result.timing.sampling += sampling_setup;
@@ -333,6 +349,12 @@ impl<'g> Sea<'g> {
 /// Best-first (smallest `f(·,q)` first) neighborhood growth from `q` until
 /// `min_size` nodes are collected or the component is exhausted (§V-A).
 /// Returns the collected nodes (sorted); always contains `q`.
+///
+/// When `min_size` reaches the graph's node count — Theorem 10's bound is
+/// capped at `n`, so this is every graph below ≈ 11 k nodes at the default
+/// ϵ = β = 0.05 — growth cannot stop early and its answer is exactly `q`'s
+/// connected component, in any visiting order. That case is a plain walk
+/// that reads no `f(·,q)` at all.
 pub fn grow_neighborhood(
     g: &AttributedGraph,
     q: NodeId,
@@ -340,7 +362,7 @@ pub fn grow_neighborhood(
     dist: &QueryDistances,
 ) -> Vec<NodeId> {
     let mut ws = QueryWorkspace::new();
-    let mut out = Vec::with_capacity(min_size.max(1));
+    let mut out = Vec::with_capacity(min_size.min(g.n()).max(1));
     grow_neighborhood_into(g, q, min_size, dist, &mut ws, &mut out);
     out
 }
@@ -349,6 +371,11 @@ pub fn grow_neighborhood(
 /// (cleared first) using pooled workspace state. With a warmed workspace
 /// and a capacious `out` this is the zero-allocation steady state the
 /// counting-allocator test asserts.
+///
+/// `min_size ≥ n` takes the component walk: `out` doubles as the walk's
+/// stack and is then refilled from the pooled `taken` bitset, which
+/// iterates in ascending order — no heap, no `f(·,q)` lookup, no sort.
+/// Below `n` the growth is best-first on `f(·,q)`.
 pub fn grow_neighborhood_into(
     g: &AttributedGraph,
     q: NodeId,
@@ -358,6 +385,21 @@ pub fn grow_neighborhood_into(
     out: &mut Vec<NodeId>,
 ) {
     let mut taken = ws.take_bitset(g.n());
+    out.clear();
+    if min_size >= g.n() {
+        taken.insert(q);
+        out.push(q);
+        while let Some(v) = out.pop() {
+            for &w in g.neighbors(v) {
+                if taken.insert(w) {
+                    out.push(w);
+                }
+            }
+        }
+        out.extend(taken.iter());
+        ws.put_bitset(taken);
+        return;
+    }
     let mut queued = ws.take_bitset(g.n());
     let mut heap = ws.take_heap();
     queued.insert(q);
@@ -365,7 +407,6 @@ pub fn grow_neighborhood_into(
         score: 0.0,
         node: q,
     });
-    out.clear();
     while let Some(MinScored { node: v, .. }) = heap.pop() {
         if !taken.insert(v) {
             continue;
@@ -428,6 +469,29 @@ pub fn sea_on_population<R: Rng + ?Sized>(
     rng: &mut R,
     ws: &mut QueryWorkspace,
 ) -> Result<SeaResult, CsagError> {
+    search_population(
+        &Sea::new(g, dist.params()),
+        population,
+        q,
+        dist,
+        params,
+        rng,
+        ws,
+    )
+}
+
+/// [`sea_on_population`] over `sea`'s graph, with its peels borrowing
+/// `sea`'s edge index when it has one.
+fn search_population<R: Rng + ?Sized>(
+    sea: &Sea<'_>,
+    population: &[NodeId],
+    q: NodeId,
+    dist: &QueryDistances,
+    params: &SeaParams,
+    rng: &mut R,
+    ws: &mut QueryWorkspace,
+) -> Result<SeaResult, CsagError> {
+    let g = sea.g;
     params.validate()?;
     check_query_node(q, g.n())?;
     debug_assert!(
@@ -443,6 +507,7 @@ pub fn sea_on_population<R: Rng + ?Sized>(
             ))
         }
     };
+    let maintainer = Maintainer::with_edge_index(g, params.model, params.k, sea.eidx);
     // Checked out of the caller's workspace up front so every exit path
     // of the search returns them.
     let mut bufs = PopulationBufs {
@@ -456,7 +521,7 @@ pub fn sea_on_population<R: Rng + ?Sized>(
         data: ws.take_f64s(),
         best_comm: ws.take_nodes(),
     };
-    let res = sea_population_inner(g, population, q_pos, dist, params, rng, &mut bufs);
+    let res = sea_population_inner(maintainer, population, q_pos, dist, params, rng, &mut bufs);
     ws.put_f64s(bufs.weights);
     ws.put_bitset(bufs.in_sample);
     ws.put_nodes(bufs.sample_nodes);
@@ -470,7 +535,7 @@ pub fn sea_on_population<R: Rng + ?Sized>(
 }
 
 fn sea_population_inner<R: Rng + ?Sized>(
-    g: &AttributedGraph,
+    mut maintainer: Maintainer<'_>,
     population: &[NodeId],
     q_pos: usize,
     dist: &QueryDistances,
@@ -478,6 +543,7 @@ fn sea_population_inner<R: Rng + ?Sized>(
     rng: &mut R,
     bufs: &mut PopulationBufs,
 ) -> Result<SeaResult, CsagError> {
+    let g = maintainer.graph();
     let n = population.len();
     let q = population[q_pos];
     // One text for both ways of finding nothing (no root at full sample, no
@@ -493,7 +559,6 @@ fn sea_population_inner<R: Rng + ?Sized>(
             }
         ))
     };
-    let mut maintainer = Maintainer::new(g, params.model, params.k);
     // The candidate ladder peels growing prefixes of one f-sorted member
     // list; for the k-core model a [`PrefixPeeler`] maintains the
     // restricted-degree counters incrementally across the whole scan

@@ -5,8 +5,11 @@
 use csag_core::distance::{DistanceParams, QueryDistances};
 use csag_core::error::CsagError;
 use csag_core::exact::{Exact, ExactParams, PruningConfig};
-use csag_core::sea::{grow_neighborhood, sea_on_population, Sea, SeaParams, SeaResult};
+use csag_core::sea::{
+    grow_neighborhood, grow_neighborhood_into, sea_on_population, Sea, SeaParams, SeaResult,
+};
 use csag_decomp::CommunityModel;
+use csag_graph::traversal::component_of;
 use csag_graph::{AttributedGraph, GraphBuilder, NodeId, QueryWorkspace};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -36,14 +39,15 @@ fn arb_graph() -> impl Strategy<Value = (AttributedGraph, u32)> {
 
 /// A denser graph of 12..48 nodes with mixed token sets, a query node and
 /// a population size: big enough that a grown neighborhood is a proper,
-/// id-interleaved subset holding a community most of the time.
+/// id-interleaved subset holding a community most of the time. Sizes from
+/// `n` up draw the whole component (the walk branch of growth).
 fn arb_population_case() -> impl Strategy<Value = (AttributedGraph, u32, usize)> {
     (12usize..48)
         .prop_flat_map(|n| {
             let edges = prop::collection::vec((0..n as u32, 0..n as u32), 3 * n..7 * n);
             let values = prop::collection::vec(0.0f64..1.0, n);
             let topics = prop::collection::vec(1usize..8, n);
-            (edges, values, topics, 0..n as u32, n / 3..n + 1)
+            (edges, values, topics, 0..n as u32, n / 3..n + 3)
         })
         .prop_map(|(edges, values, topics, q, pop_size)| {
             let names = ["alpha", "beta", "gamma"];
@@ -59,6 +63,31 @@ fn arb_population_case() -> impl Strategy<Value = (AttributedGraph, u32, usize)>
                 b.add_edge(u, v).unwrap();
             }
             (b.build().unwrap(), q, pop_size)
+        })
+}
+
+/// A graph of 1..40 nodes split into up to four id-interleaved blocks
+/// (node `v` sits in block `v % blocks`) with edges only inside a block,
+/// so it has several components and, often, isolated nodes; plus a query
+/// node and a growth size at or above `n`.
+fn arb_components_case() -> impl Strategy<Value = (AttributedGraph, u32, usize)> {
+    (1usize..40, 1u32..5)
+        .prop_flat_map(|(n, blocks)| {
+            let edges = prop::collection::vec((0..n as u32, 0..n as u32), 0..2 * n);
+            let values = prop::collection::vec(0.0f64..1.0, n);
+            (Just(blocks), edges, values, 0..n as u32, n..n + 3)
+        })
+        .prop_map(|(blocks, edges, values, q, size)| {
+            let mut b = GraphBuilder::new(1);
+            for x in &values {
+                b.add_node(&["t"], &[*x]);
+            }
+            for (u, v) in edges {
+                if u % blocks == v % blocks {
+                    b.add_edge(u, v).unwrap();
+                }
+            }
+            (b.build().unwrap(), q, size)
         })
 }
 
@@ -216,6 +245,25 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Growth that the Theorem-10 bound cannot stop early (`min_size ≥ n`)
+    /// collects exactly `q`'s connected component — checked against the
+    /// independent BFS of `traversal::component_of`, for every node as
+    /// `q`, isolated ones included.
+    #[test]
+    fn unstoppable_growth_is_the_component((g, q, size) in arb_components_case()) {
+        let dist = QueryDistances::new(q, g.n(), DistanceParams::default());
+        let grown = grow_neighborhood(&g, q, size, &dist);
+        prop_assert_eq!(&grown, &component_of(&g, q, None));
+        prop_assert_eq!(dist.computed(), 0, "the walk reads no f(·,q)");
+        let mut ws = QueryWorkspace::new();
+        let mut out = Vec::new();
+        for v in 0..g.n() as NodeId {
+            let dist = QueryDistances::new(v, g.n(), DistanceParams::default());
+            grow_neighborhood_into(&g, v, size, &dist, &mut ws, &mut out);
+            prop_assert_eq!(&out, &component_of(&g, v, None), "q = {}", v);
+        }
+    }
 
     /// SEA restricted to a node subset of the graph answers exactly as SEA
     /// on a materialized copy of that subset: `induced()` numbers its nodes

@@ -1,8 +1,9 @@
 //! The zero-allocation guarantee of the workspace-reused query hot loop.
 //!
 //! This binary registers the counting global allocator and drives the
-//! steady-state SEA inner loop — best-first neighborhood growth plus the
-//! incremental prefix-candidate peel — through a reused
+//! steady-state SEA inner loop — neighborhood growth, both as the
+//! component walk and best-first, plus the incremental prefix-candidate
+//! peel — through a reused
 //! [`QueryWorkspace`] / [`PrefixPeeler`]. After a short warm-up (pools
 //! grow to their high-water mark), repeating the loop must perform
 //! **exactly zero** heap allocations.
@@ -49,6 +50,7 @@ fn planted() -> AttributedGraph {
 /// the f-ordered prefix ladder with incrementally maintained degree
 /// counters, peeling each rung and accumulating its δ numerator.
 struct LoopBufs {
+    component: Vec<NodeId>,
     grown: Vec<NodeId>,
     by_f: Vec<(f64, NodeId)>,
     cand: Vec<NodeId>,
@@ -62,7 +64,15 @@ fn hot_loop(
     peeler: &mut PrefixPeeler<'_>,
     bufs: &mut LoopBufs,
 ) -> f64 {
-    let LoopBufs { grown, by_f, cand } = bufs;
+    let LoopBufs {
+        component,
+        grown,
+        by_f,
+        cand,
+    } = bufs;
+    // Both growth branches: the component walk (size ≥ n) and best-first.
+    grow_neighborhood_into(g, q, g.n(), dist, ws, component);
+    assert_eq!(component.len(), g.n(), "the bridges connect both blocks");
     grow_neighborhood_into(g, q, 24, dist, ws, grown);
     by_f.clear();
     by_f.extend(
@@ -99,6 +109,7 @@ fn steady_state_query_loop_allocates_nothing() {
     let mut ws = QueryWorkspace::new();
     let mut peeler = PrefixPeeler::new(&g, 3);
     let mut bufs = LoopBufs {
+        component: Vec::new(),
         grown: Vec::new(),
         by_f: Vec::new(),
         cand: Vec::new(),

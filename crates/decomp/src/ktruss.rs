@@ -9,6 +9,10 @@
 use crate::kcore::PeelScratch;
 use csag_graph::{AttributedGraph, NodeId};
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Edge indexes built so far in this process ([`EdgeIndex::builds`]).
+static BUILDS: AtomicU64 = AtomicU64::new(0);
 
 /// Assigns a dense id in `0..m` to every undirected edge, aligned with the
 /// graph's CSR adjacency so that both directions of an edge share the id.
@@ -23,6 +27,7 @@ pub struct EdgeIndex {
 impl EdgeIndex {
     /// Builds the index in O(n + m log d_max).
     pub fn new(g: &AttributedGraph) -> Self {
+        BUILDS.fetch_add(1, Ordering::Relaxed);
         let mut ids = vec![u32::MAX; 2 * g.m()];
         let mut next = 0u32;
         for u in 0..g.n() as NodeId {
@@ -46,6 +51,15 @@ impl EdgeIndex {
             ids,
             m: next as usize,
         }
+    }
+
+    /// How many indexes [`EdgeIndex::new`] has built in this process — a
+    /// clock-free count of the `O(m log d_max)` builds, so a test can
+    /// assert that k-truss reads reuse one index instead of building their
+    /// own. Process-wide: read deltas in a binary that runs nothing else
+    /// concurrently.
+    pub fn builds() -> u64 {
+        BUILDS.load(Ordering::Relaxed)
     }
 
     /// Number of undirected edges.
@@ -289,6 +303,13 @@ pub(crate) fn peel_to_ktruss_into(
 /// connected k-truss holding `q`. The engine caches this to settle truss
 /// "no" answers in O(1), exactly as coreness settles k-core ones.
 pub fn node_max_trussness(g: &AttributedGraph) -> Vec<u32> {
+    node_max_trussness_with_index(g).1
+}
+
+/// [`node_max_trussness`] together with the [`EdgeIndex`] its
+/// decomposition built, for a caller that goes on to peel k-trusses of
+/// `g` and would otherwise build the same index again.
+pub fn node_max_trussness_with_index(g: &AttributedGraph) -> (EdgeIndex, Vec<u32>) {
     let (eidx, trussness) = truss_decomposition(g);
     let mut out = vec![0u32; g.n()];
     for u in 0..g.n() as NodeId {
@@ -299,7 +320,7 @@ pub fn node_max_trussness(g: &AttributedGraph) -> Vec<u32> {
             }
         }
     }
-    out
+    (eidx, out)
 }
 
 /// Maximal connected k-truss of the whole graph containing `q`, or `None`.

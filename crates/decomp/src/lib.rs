@@ -23,5 +23,8 @@ pub mod maintainer;
 
 pub use incremental::{patch_node_trussness, CoreMaintainer, NeighborAccess, TrussMaintainer};
 pub use kcore::{core_decomposition, max_connected_kcore, PrefixPeeler};
-pub use ktruss::{max_connected_ktruss, node_max_trussness, truss_decomposition, EdgeIndex};
+pub use ktruss::{
+    max_connected_ktruss, node_max_trussness, node_max_trussness_with_index, truss_decomposition,
+    EdgeIndex,
+};
 pub use maintainer::{CommunityModel, Maintainer};

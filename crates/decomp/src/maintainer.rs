@@ -10,6 +10,7 @@
 use crate::kcore::{peel_to_kcore_into, peel_to_kcore_scratch, PeelScratch};
 use crate::ktruss::{peel_to_ktruss_into, peel_to_ktruss_scratch, EdgeIndex, TrussScratch};
 use csag_graph::{AttributedGraph, NodeId};
+use std::borrow::Cow;
 
 /// Structure cohesiveness model (paper §II-A and §VI-C).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -41,33 +42,57 @@ impl std::fmt::Display for CommunityModel {
     }
 }
 
-enum Scratch {
+enum Scratch<'g> {
     Core(PeelScratch),
-    Truss(Box<TrussWork>),
+    Truss(Box<TrussWork<'g>>),
 }
 
-struct TrussWork {
-    eidx: EdgeIndex,
+struct TrussWork<'g> {
+    eidx: Cow<'g, EdgeIndex>,
     scratch: TrussScratch,
 }
 
 /// Repeatedly computes maximal connected communities within node subsets of
 /// one graph, amortizing scratch allocations across calls.
+///
+/// A k-truss maintainer peels through an [`EdgeIndex`] of `g`. It either
+/// owns one ([`Maintainer::new`], for standalone callers) or borrows one
+/// built once per graph ([`Maintainer::with_edge_index`], how the engine's
+/// SEA and Exact reads reuse the index of the trussness decomposition
+/// that screened them).
 pub struct Maintainer<'g> {
     g: &'g AttributedGraph,
     model: CommunityModel,
     k: u32,
-    scratch: Scratch,
+    scratch: Scratch<'g>,
 }
 
 impl<'g> Maintainer<'g> {
     /// Creates a maintainer for `(model, k)` queries on `g`. For the truss
     /// model this builds an edge index once (O(m log d_max)).
     pub fn new(g: &'g AttributedGraph, model: CommunityModel, k: u32) -> Self {
+        Self::with_edge_index(g, model, k, None)
+    }
+
+    /// [`Maintainer::new`] that, for the truss model, borrows `eidx` — an
+    /// index of this same `g` — instead of building its own; `None`
+    /// builds one. The k-core model never reads an edge index.
+    pub fn with_edge_index(
+        g: &'g AttributedGraph,
+        model: CommunityModel,
+        k: u32,
+        eidx: Option<&'g EdgeIndex>,
+    ) -> Self {
         let scratch = match model {
             CommunityModel::KCore => Scratch::Core(PeelScratch::new(g.n())),
             CommunityModel::KTruss => Scratch::Truss(Box::new(TrussWork {
-                eidx: EdgeIndex::new(g),
+                eidx: match eidx {
+                    Some(e) => {
+                        debug_assert_eq!(e.m(), g.m(), "edge index of another graph");
+                        Cow::Borrowed(e)
+                    }
+                    None => Cow::Owned(EdgeIndex::new(g)),
+                },
                 scratch: TrussScratch::new(g.n(), g.m()),
             })),
         };
@@ -191,6 +216,27 @@ mod tests {
             let first = m.maximal(2).unwrap();
             for _ in 0..20 {
                 assert_eq!(m.maximal(2).unwrap(), first);
+            }
+        }
+    }
+
+    /// Borrowing a prebuilt index peels exactly as building one.
+    #[test]
+    fn borrowed_edge_index_peels_like_an_owned_one() {
+        let g = clique_with_tail();
+        let eidx = EdgeIndex::new(&g);
+        for model in [CommunityModel::KCore, CommunityModel::KTruss] {
+            for k in 2..6 {
+                let mut owned = Maintainer::new(&g, model, k);
+                let mut borrowed = Maintainer::with_edge_index(&g, model, k, Some(&eidx));
+                for q in 0..g.n() as NodeId {
+                    assert_eq!(borrowed.maximal(q), owned.maximal(q), "{model} k={k} q={q}");
+                    let subset = [0, 1, 2, 4, 5];
+                    assert_eq!(
+                        borrowed.maximal_within(q, &subset),
+                        owned.maximal_within(q, &subset)
+                    );
+                }
             }
         }
     }

@@ -121,9 +121,17 @@ impl NodeAttributes {
         &self.interner
     }
 
-    /// Observed `[min, max]` of dimension `d` before normalization.
+    /// Observed `[min, max]` of dimension `d` before normalization
+    /// (`(0, 0)` for every dimension of a graph without nodes).
+    ///
+    /// # Panics
+    /// When `d ≥ dims`.
     pub fn dim_range(&self, d: usize) -> (f64, f64) {
-        (self.dim_min[d], self.dim_max[d])
+        assert!(d < self.dims, "dimension {d} out of range {}", self.dims);
+        match (self.dim_min.get(d), self.dim_max.get(d)) {
+            (Some(&lo), Some(&hi)) => (lo, hi),
+            _ => (0.0, 0.0),
+        }
     }
 
     /// Builds attribute storage from per-node token-id lists and numeric
@@ -148,17 +156,17 @@ impl NodeAttributes {
             token_offsets.push(tokens.len());
         }
 
-        let mut dim_min = vec![f64::INFINITY; dims];
-        let mut dim_max = vec![f64::NEG_INFINITY; dims];
+        // Ranges are kept only for dimensions some row backs up: a graph
+        // without nodes answers `(0, 0)` from `dim_range` rather than
+        // allocating whatever its `dims` claims.
+        let ranged = if n == 0 { 0 } else { dims };
+        let mut dim_min = vec![f64::INFINITY; ranged];
+        let mut dim_max = vec![f64::NEG_INFINITY; ranged];
         for row in numeric.chunks_exact(dims.max(1)) {
             for (d, &x) in row.iter().enumerate() {
                 dim_min[d] = dim_min[d].min(x);
                 dim_max[d] = dim_max[d].max(x);
             }
-        }
-        if n == 0 {
-            dim_min.fill(0.0);
-            dim_max.fill(0.0);
         }
         let mut normalized = Vec::with_capacity(numeric.len());
         for row in numeric.chunks_exact(dims.max(1)) {

@@ -87,37 +87,27 @@ impl GraphBuilder {
     /// [`build`](GraphBuilder::build) (so bulk loading code does not need a
     /// `?` on every row).
     pub fn add_node(&mut self, textual: &[&str], numerical: &[f64]) -> NodeId {
-        let id = self.token_rows.len() as NodeId;
-        if numerical.len() != self.dims && self.deferred_error.is_none() {
-            self.deferred_error = Some(GraphError::DimMismatch {
-                node: id,
-                expected: self.dims,
-                got: numerical.len(),
-            });
-        }
         let row = textual.iter().map(|t| self.interner.intern(t)).collect();
-        self.token_rows.push(row);
-        let mut fixed = numerical.to_vec();
-        fixed.resize(self.dims, 0.0);
-        self.numeric.extend_from_slice(&fixed);
-        id
+        self.add_node_interned(row, numerical)
     }
 
     /// Adds a node whose tokens are already interned ids (used by the
     /// dataset generators, which intern topics up front).
     pub fn add_node_interned(&mut self, tokens: Vec<u32>, numerical: &[f64]) -> NodeId {
         let id = self.token_rows.len() as NodeId;
-        if numerical.len() != self.dims && self.deferred_error.is_none() {
+        self.token_rows.push(tokens);
+        if numerical.len() == self.dims {
+            self.numeric.extend_from_slice(numerical);
+        } else if self.deferred_error.is_none() {
+            // The row is dropped, not padded out to `dims`: `build` fails
+            // on the recorded error anyway, and padding would allocate
+            // whatever `dims` claims.
             self.deferred_error = Some(GraphError::DimMismatch {
                 node: id,
                 expected: self.dims,
                 got: numerical.len(),
             });
         }
-        self.token_rows.push(tokens);
-        let mut fixed = numerical.to_vec();
-        fixed.resize(self.dims, 0.0);
-        self.numeric.extend_from_slice(&fixed);
         id
     }
 
@@ -234,6 +224,24 @@ mod tests {
             GraphError::DimMismatch {
                 node: 1,
                 expected: 2,
+                got: 1
+            }
+        );
+    }
+
+    /// A mismatched row is recorded, never padded out to `dims`: a builder
+    /// told `usize::MAX` dimensions reports the mismatch instead of
+    /// allocating for them.
+    #[test]
+    fn mismatched_rows_are_not_padded() {
+        let mut b = GraphBuilder::new(usize::MAX);
+        b.add_node(&["x"], &[1.0]);
+        b.add_node(&["y"], &[]);
+        assert_eq!(
+            b.build().unwrap_err(),
+            GraphError::DimMismatch {
+                node: 0,
+                expected: usize::MAX,
                 got: 1
             }
         );

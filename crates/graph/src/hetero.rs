@@ -354,14 +354,24 @@ impl HeteroGraphBuilder {
     }
 
     /// Adds a node of type `ty` with attributes; returns its id.
+    ///
+    /// # Panics
+    /// When `numerical` does not hold exactly `dims` values. Text input is
+    /// checked before it gets here (`read_hetero_graph` refuses such a row
+    /// with a typed error), so only a caller's own bug can trip this.
     pub fn add_node(&mut self, ty: NodeTypeId, textual: &[&str], numerical: &[f64]) -> NodeId {
         let id = self.node_types.len() as NodeId;
+        assert_eq!(
+            numerical.len(),
+            self.dims,
+            "node {id} has {} numerical attributes, expected {}",
+            numerical.len(),
+            self.dims
+        );
         self.node_types.push(ty);
         let row = textual.iter().map(|t| self.interner.intern(t)).collect();
         self.token_rows.push(row);
-        let mut fixed = numerical.to_vec();
-        fixed.resize(self.dims, 0.0);
-        self.numeric.extend_from_slice(&fixed);
+        self.numeric.extend_from_slice(numerical);
         id
     }
 
@@ -461,6 +471,16 @@ mod tests {
         let g = b.build();
         let apa = MetaPath::new(vec![author, paper, author], vec![writes, writes]);
         (g, apa, authors)
+    }
+
+    /// A row of the wrong width is the caller's bug, reported as such —
+    /// never padded out to whatever `dims` claims.
+    #[test]
+    #[should_panic(expected = "node 0 has 1 numerical attributes, expected 4000000000")]
+    fn mismatched_rows_are_refused_not_padded() {
+        let mut b = HeteroGraphBuilder::new(4_000_000_000);
+        let t = b.node_type("t");
+        b.add_node(t, &[], &[1.0]);
     }
 
     #[test]

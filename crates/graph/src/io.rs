@@ -15,7 +15,7 @@
 //! and overflowing literals are parse errors). This is meant for
 //! examples and fixtures, not bulk storage.
 
-use crate::builder::GraphBuilder;
+use crate::builder::{GraphBuilder, GraphError};
 use crate::graph::AttributedGraph;
 use crate::hetero::{HeteroGraph, HeteroGraphBuilder};
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
@@ -65,11 +65,28 @@ pub(crate) fn parse_finite(field: &str) -> Option<f64> {
     field.parse().ok().filter(|x: &f64| x.is_finite())
 }
 
-/// The numerical attributes that end a `node` record.
-fn parse_numeric<'a>(parts: impl Iterator<Item = &'a str>, no: usize) -> io::Result<Vec<f64>> {
-    parts
+/// The numerical attributes that end the `node` record of node `id`:
+/// exactly `dims` of them. The count is checked here, against what the
+/// line holds, so no builder ever pads a row out to a `dims` header that
+/// the rows never back up.
+fn parse_numeric<'a>(
+    parts: impl Iterator<Item = &'a str>,
+    id: u32,
+    dims: usize,
+    no: usize,
+) -> io::Result<Vec<f64>> {
+    let numeric = parts
         .map(|p| parse_finite(p).ok_or_else(|| parse_err(no, "bad numeric attribute")))
-        .collect()
+        .collect::<io::Result<Vec<f64>>>()?;
+    if numeric.len() != dims {
+        let mismatch = GraphError::DimMismatch {
+            node: id,
+            expected: dims,
+            got: numeric.len(),
+        };
+        return Err(parse_err(no, &mismatch.to_string()));
+    }
+    Ok(numeric)
 }
 
 /// Reads a graph in the v1 text format.
@@ -98,6 +115,7 @@ pub fn read_graph<R: Read>(input: R) -> io::Result<AttributedGraph> {
     }
 
     let mut builder: Option<GraphBuilder> = None;
+    let mut dims = 0;
     for (no, line) in lines {
         let line = line?;
         let no = no + 1;
@@ -113,6 +131,7 @@ pub fn read_graph<R: Read>(input: R) -> io::Result<AttributedGraph> {
                     .ok_or_else(|| parse_err(no, "dims needs a value"))?
                     .parse()
                     .map_err(|_| parse_err(no, "bad dims value"))?;
+                dims = d;
                 builder = Some(GraphBuilder::new(d));
             }
             Some("node") => {
@@ -135,7 +154,7 @@ pub fn read_graph<R: Read>(input: R) -> io::Result<AttributedGraph> {
                 } else {
                     token_field.split(',').collect()
                 };
-                let numeric = parse_numeric(parts, no)?;
+                let numeric = parse_numeric(parts, id, dims, no)?;
                 b.add_node(&tokens, &numeric);
             }
             Some("edge") => {
@@ -247,6 +266,7 @@ pub fn read_hetero_graph<R: Read>(input: R) -> io::Result<HeteroGraph> {
     let mut ntype_names: Vec<String> = Vec::new();
     let mut etype_names: Vec<String> = Vec::new();
     let mut node_count = 0u32;
+    let mut dims = 0;
     for (no, line) in lines {
         let line = line?;
         let no = no + 1;
@@ -262,6 +282,7 @@ pub fn read_hetero_graph<R: Read>(input: R) -> io::Result<HeteroGraph> {
                     .ok_or_else(|| parse_err(no, "dims needs a value"))?
                     .parse()
                     .map_err(|_| parse_err(no, "bad dims value"))?;
+                dims = d;
                 builder = Some(HeteroGraphBuilder::new(d));
             }
             Some("ntype") => {
@@ -279,8 +300,10 @@ pub fn read_hetero_graph<R: Read>(input: R) -> io::Result<HeteroGraph> {
                 if id != ntype_names.len() {
                     return Err(parse_err(no, "ntype ids must be consecutive from 0"));
                 }
+                if b.node_type(name) as usize != id {
+                    return Err(parse_err(no, "ntype names must be distinct"));
+                }
                 ntype_names.push(name.to_string());
-                b.node_type(name);
             }
             Some("etype") => {
                 let b = builder
@@ -297,8 +320,10 @@ pub fn read_hetero_graph<R: Read>(input: R) -> io::Result<HeteroGraph> {
                 if id != etype_names.len() {
                     return Err(parse_err(no, "etype ids must be consecutive from 0"));
                 }
+                if b.edge_type(name) as usize != id {
+                    return Err(parse_err(no, "etype names must be distinct"));
+                }
                 etype_names.push(name.to_string());
-                b.edge_type(name);
             }
             Some("node") => {
                 let b = builder
@@ -329,7 +354,7 @@ pub fn read_hetero_graph<R: Read>(input: R) -> io::Result<HeteroGraph> {
                 } else {
                     token_field.split(',').collect()
                 };
-                let numeric = parse_numeric(parts, no)?;
+                let numeric = parse_numeric(parts, id, dims, no)?;
                 b.add_node(ty, &tokens, &numeric);
             }
             Some("edge") => {
@@ -479,6 +504,14 @@ mod tests {
         let bad_edge_type =
             "csag-hetero v1\ndims 0\nntype 0 a\nnode 0 0 -\nnode 1 0 -\nedge 0 1 5\n";
         assert!(read_hetero_graph(bad_edge_type.as_bytes()).is_err());
+        // A second id for one type name would write back as a file whose
+        // nodes name an undeclared type.
+        let twice = "csag-hetero v1\ndims 0\nntype 0 a\nntype 1 a\nnode 0 1 -\n";
+        let err = read_hetero_graph(twice.as_bytes()).unwrap_err();
+        assert_eq!(err.to_string(), "line 4: ntype names must be distinct");
+        let twice = "csag-hetero v1\ndims 0\netype 0 w\netype 1 w\n";
+        let err = read_hetero_graph(twice.as_bytes()).unwrap_err();
+        assert_eq!(err.to_string(), "line 4: etype names must be distinct");
     }
 
     /// Everything `f64::from_str` accepts beyond finite numbers is a typed
@@ -493,6 +526,58 @@ mod tests {
             let err = read_hetero_graph(text.as_bytes()).unwrap_err().to_string();
             assert_eq!(err, "line 4: bad numeric attribute", "{bad}");
         }
+    }
+
+    /// A `dims` record is only believed as far as the rows back it up: a
+    /// node row of another width is a typed error naming its line in both
+    /// readers (never a row padded out to the claimed width), and a file
+    /// without nodes reads without allocating what `dims` claims.
+    #[test]
+    fn node_rows_must_match_the_dims_record() {
+        let huge = "18446744073709551615";
+        // (dims, each node's "tokens numbers", the refusal after `line N: `)
+        let cases: [(&str, &[&str], &str); 4] = [
+            (
+                huge,
+                &["-"],
+                "node 0 has 0 numerical attributes, expected 18446744073709551615",
+            ),
+            (
+                "4000000000",
+                &["- 1", "- 2"],
+                "node 0 has 1 numerical attributes, expected 4000000000",
+            ),
+            (
+                "2",
+                &["a 1 2", "b 3"],
+                "node 1 has 1 numerical attributes, expected 2",
+            ),
+            (
+                "1",
+                &["a 1 2"],
+                "node 0 has 2 numerical attributes, expected 1",
+            ),
+        ];
+        for (dims, rows, want) in cases {
+            let bad = want[5..6].parse::<usize>().unwrap();
+            let mut text = format!("csag-graph v1\ndims {dims}\n");
+            let mut hetero = format!("csag-hetero v1\ndims {dims}\nntype 0 t\n");
+            for (i, row) in rows.iter().enumerate() {
+                text += &format!("node {i} {row}\n");
+                hetero += &format!("node {i} 0 {row}\n");
+            }
+            let err = read_graph(text.as_bytes()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert_eq!(err.to_string(), format!("line {}: {want}", 3 + bad));
+            let err = read_hetero_graph(hetero.as_bytes()).unwrap_err();
+            assert_eq!(err.to_string(), format!("line {}: {want}", 4 + bad));
+        }
+
+        let empty = read_graph(format!("csag-graph v1\ndims {huge}\n").as_bytes()).unwrap();
+        assert_eq!((empty.n(), empty.attrs().dims()), (0, usize::MAX));
+        assert_eq!(empty.attrs().dim_range(7), (0.0, 0.0));
+        let empty = read_hetero_graph(format!("csag-hetero v1\ndims {huge}\n").as_bytes()).unwrap();
+        assert_eq!((empty.n(), empty.attrs().dims()), (0, usize::MAX));
     }
 
     #[test]

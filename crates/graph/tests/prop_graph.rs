@@ -106,6 +106,112 @@ proptest! {
     }
 }
 
+/// Hostile input to the graph-file readers — what a `--graph` file, a
+/// primary's snapshot payload or a WAL checkpoint can hold. Every input
+/// reads to `Ok` or a typed `Err`, never a panic and never an allocation
+/// sized by a header field; whatever reads writes back and reads again
+/// to the same graph.
+mod graph_text {
+    use csag_graph::io::{read_graph, read_hetero_graph, write_graph, write_hetero_graph};
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
+
+    /// Fragments both grammars are made of — whole records, their words,
+    /// and near misses of each.
+    const FRAGMENTS: [&str; 40] = [
+        "csag-graph v1",
+        "csag-hetero v1",
+        "dims 0",
+        "dims 1",
+        "dims 18446744073709551615",
+        "dims 4000000000",
+        "node 0 -",
+        "node 0 a 1",
+        "node 1 - 2",
+        "node 0 0 -",
+        "node 1 0 a,b 1",
+        "edge 0 1",
+        "edge 0 1 0",
+        "ntype 0 t",
+        "ntype 1 t",
+        "etype 0 w",
+        "dims",
+        "node",
+        "edge",
+        "ntype",
+        "t",
+        "#",
+        "-",
+        "a,,b",
+        "0",
+        "1",
+        "4000000000",
+        "4294967295",
+        "4294967296",
+        "18446744073709551615",
+        "18446744073709551616",
+        "-1",
+        "1.5",
+        "1e999",
+        "nan",
+        "inf",
+        "\u{a0}",
+        "\u{0}",
+        "é",
+        "",
+    ];
+    const JOINTS: [&str; 5] = [" ", "\n", "\t", "\r\n", "\n\n"];
+    const HEADERS: [&str; 3] = ["", "csag-graph v1\n", "csag-hetero v1\n"];
+
+    /// Reads `text` with both readers; each `Ok` must survive a write and
+    /// a second read with its shape intact.
+    fn read_both(text: &str) -> Result<(), TestCaseError> {
+        if let Ok(g) = read_graph(text.as_bytes()) {
+            let mut again = Vec::new();
+            write_graph(&g, &mut again).expect("write to memory");
+            let g2 = read_graph(&again[..]).expect("a written graph reads back");
+            prop_assert_eq!(
+                (g2.n(), g2.m(), g2.attrs().dims()),
+                (g.n(), g.m(), g.attrs().dims())
+            );
+        }
+        if let Ok(g) = read_hetero_graph(text.as_bytes()) {
+            let mut again = Vec::new();
+            write_hetero_graph(&g, &mut again).expect("write to memory");
+            let g2 = read_hetero_graph(&again[..]).expect("a written graph reads back");
+            prop_assert_eq!(
+                (g2.n(), g2.m(), g2.attrs().dims()),
+                (g.n(), g.m(), g.attrs().dims())
+            );
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn arbitrary_bytes_never_panic_the_graph_readers(
+            header in 0..HEADERS.len(),
+            bytes in prop::collection::vec(any::<u8>(), 0..96),
+        ) {
+            let text = HEADERS[header].to_string() + &String::from_utf8_lossy(&bytes);
+            read_both(&text)?;
+        }
+
+        #[test]
+        fn joined_fragments_read_or_fail_cleanly(
+            header in 0..HEADERS.len(),
+            picks in prop::collection::vec((0..FRAGMENTS.len(), 0..JOINTS.len()), 0..32),
+        ) {
+            let text: String = std::iter::once(HEADERS[header])
+                .chain(picks.iter().flat_map(|&(f, j)| [FRAGMENTS[f], JOINTS[j]]))
+                .collect();
+            read_both(&text)?;
+        }
+    }
+}
+
 /// Hostile input to the `csag-updates v1` reader — what a WAL frame, a
 /// replication feed or an operator's script can hold.
 mod update_text {

@@ -6,7 +6,8 @@
 //! * the **core-number decomposition** and, for truss-model queries, the
 //!   **edge-trussness decomposition** (each computed lazily, exactly
 //!   once, via `csag-decomp`) — used to answer "no community" queries in
-//!   O(1) before any peeling happens;
+//!   O(1) before any peeling happens — and the truss decomposition's
+//!   edge index, which every k-truss SEA and Exact peel then borrows;
 //! * a **sharded cache of per-query-node distance tables**
 //!   ([`csag_core::distance::QueryDistances`]). Tables are handed out as
 //!   `Arc` clones — a warm hit costs a reference-count bump, never an
@@ -61,7 +62,7 @@ use csag_core::distance::QueryDistances;
 use csag_core::error::check_query_node;
 use csag_core::exact::Exact;
 use csag_core::sea::Sea;
-use csag_decomp::CommunityModel;
+use csag_decomp::{CommunityModel, EdgeIndex};
 use csag_graph::{AttributedGraph, NodeId, QueryWorkspace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -103,6 +104,10 @@ pub struct Engine {
     /// Per-node maximum incident-edge trussness, computed once on the
     /// first truss-model query (k-core queries never pay for it).
     trussness: OnceLock<Vec<u32>>,
+    /// The edge index every k-truss peel of this graph reads: kept from
+    /// the trussness decomposition that fills `trussness`, or built once
+    /// on first use when the store seeded `trussness` instead.
+    edge_index: OnceLock<EdgeIndex>,
     /// How many times each decomposition actually ran (observable
     /// evidence that batches share them; see the engine tests).
     decomp_runs: AtomicUsize,
@@ -134,6 +139,7 @@ impl Engine {
             epoch: 0,
             coreness: OnceLock::new(),
             trussness: OnceLock::new(),
+            edge_index: OnceLock::new(),
             decomp_runs: AtomicUsize::new(0),
             truss_runs: AtomicUsize::new(0),
             distances: (0..DISTANCE_SHARDS)
@@ -230,8 +236,18 @@ impl Engine {
     pub fn node_trussness(&self) -> &[u32] {
         self.trussness.get_or_init(|| {
             self.truss_runs.fetch_add(1, Ordering::Relaxed);
-            csag_decomp::node_max_trussness(&self.graph)
+            let (eidx, trussness) = csag_decomp::node_max_trussness_with_index(&self.graph);
+            let _ = self.edge_index.set(eidx);
+            trussness
         })
+    }
+
+    /// The [`EdgeIndex`] of the graph that every k-truss SEA and Exact
+    /// read on this engine peels through: the one the trussness
+    /// decomposition built, or — on an engine the store seeded with
+    /// trussness — one built on first use. Either way, once per epoch.
+    fn edge_index(&self) -> &EdgeIndex {
+        self.edge_index.get_or_init(|| EdgeIndex::new(&self.graph))
     }
 
     /// How many times the core decomposition has actually been computed
@@ -371,14 +387,24 @@ impl Engine {
         let g = self.graph.as_ref();
         let dp = query.distance_params();
         let mut prov = Provenance::new(query.method, query.k, query.model, query.seed);
+        // SEA's and Exact's k-truss peels read the epoch's one edge index
+        // (the baselines keep building their own).
+        let eidx = || match query.model {
+            CommunityModel::KCore => None,
+            CommunityModel::KTruss => Some(self.edge_index()),
+        };
         match query.method {
             Method::SeaHetero => Err(CsagError::invalid(
                 "method sea-hetero samples before projecting and needs the original \
                  heterogeneous graph; run it through HeteroEngine",
             )),
             Method::Exact => {
-                let r =
-                    Exact::new(g, dp).run_in_workspace(query.q, &query.exact_params(), dist, ws)?;
+                let r = Exact::new(g, dp).with_edge_index(eidx()).run_in_workspace(
+                    query.q,
+                    &query.exact_params(),
+                    dist,
+                    ws,
+                )?;
                 prov.states_explored = r.states_explored;
                 Ok(CommunityResult {
                     q: query.q,
@@ -399,7 +425,7 @@ impl Engine {
             }
             Method::Sea | Method::SeaSizeBounded => {
                 let mut rng = StdRng::seed_from_u64(query.seed);
-                let r = Sea::new(g, dp).run_in_workspace(
+                let r = Sea::new(g, dp).with_edge_index(eidx()).run_in_workspace(
                     query.q,
                     &query.sea_params(),
                     &mut rng,

@@ -1,0 +1,180 @@
+//! One edge index per epoch: the engine's k-truss SEA and Exact reads peel
+//! through the `EdgeIndex` its trussness decomposition built (or, on an
+//! epoch the store seeded with trussness, one built on first use) rather
+//! than building an `O(m log d_max)` index per query — and answer exactly
+//! as the standalone solvers that build their own.
+//!
+//! Keep this file at ONE `#[test]`: `EdgeIndex::builds` is process-wide,
+//! so a concurrently running sibling test would pollute the deltas.
+
+use csag::core::distance::DistanceParams;
+use csag::core::exact::{Exact, ExactParams};
+use csag::core::sea::{Sea, SeaParams};
+use csag::datasets::generator::{generate, SyntheticConfig};
+use csag::datasets::{random_updates, ChurnMix};
+use csag::decomp::{CommunityModel, EdgeIndex};
+use csag::engine::{
+    outcome_identity, CommunityQuery, CommunityResult, CsagError, Engine, GraphStore, Method,
+};
+use csag::graph::NodeId;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+const K: u32 = 4;
+const STATES: u64 = 200;
+
+/// The SEA and Exact reads of `q` under `model`, engine-side.
+fn reads(q: NodeId, model: CommunityModel) -> [CommunityQuery; 2] {
+    [
+        CommunityQuery::new(Method::Sea, q)
+            .with_k(K)
+            .with_model(model)
+            .with_error_bound(0.1)
+            .with_seed(u64::from(q)),
+        CommunityQuery::new(Method::Exact, q)
+            .with_k(K)
+            .with_model(model)
+            .with_state_budget(STATES),
+    ]
+}
+
+/// `query` run by a standalone solver — which builds its own edge index —
+/// in the engine's answer shape: the engine's own `answer` with every
+/// field the search decides replaced by the standalone run's. The two are
+/// `outcome_identity`-equal iff both searches returned the same community,
+/// δ, interval, certificate and effort counters (or the same error).
+fn standalone(
+    engine: &Engine,
+    query: &CommunityQuery,
+    answer: &Result<CommunityResult, CsagError>,
+) -> String {
+    let g = engine.graph();
+    let dp = DistanceParams::default();
+    let like = || answer.clone().expect("the engine answered too");
+    let outcome = match query.method {
+        Method::Sea => {
+            let params = SeaParams::default()
+                .with_k(K)
+                .with_model(query.model)
+                .with_error_bound(query.error_bound);
+            let mut rng = StdRng::seed_from_u64(query.seed);
+            Sea::new(g, dp).run(query.q, &params, &mut rng).map(|r| {
+                let mut res = like();
+                res.community = r.community;
+                res.delta = r.delta_star;
+                let cert = res.certificate.as_mut().expect("SEA answers certify");
+                cert.certified = r.certified;
+                cert.moe = r.ci.moe;
+                res.provenance.rounds = r.rounds.len();
+                res.provenance.candidates_examined =
+                    r.rounds.iter().map(|x| x.candidates_examined).sum();
+                res.provenance.population_size = r.population_size;
+                res.provenance.sample_size = r.sample_size;
+                res
+            })
+        }
+        _ => {
+            let params = ExactParams::default()
+                .with_k(K)
+                .with_model(query.model)
+                .with_state_budget(STATES);
+            Exact::new(g, dp).run(query.q, &params).map(|r| {
+                let mut res = like();
+                res.community = r.community;
+                res.delta = r.delta;
+                res.provenance.states_explored = r.states_explored;
+                res
+            })
+        }
+    };
+    outcome_identity(&outcome, false)
+}
+
+#[test]
+fn truss_reads_borrow_one_edge_index_per_epoch() {
+    let (g, _) = generate(
+        &SyntheticConfig {
+            nodes: 300,
+            communities: 6,
+            ..Default::default()
+        },
+        11,
+    );
+
+    // A standalone engine: the trussness screen's decomposition builds
+    // the one index, and it is kept.
+    let engine = Engine::new(g.clone());
+    let before = EdgeIndex::builds();
+    let trussness = engine.node_trussness().to_vec();
+    assert_eq!(EdgeIndex::builds() - before, 1, "the decomposition's index");
+    let coreness = engine.coreness();
+    let picks: Vec<NodeId> = (0..g.n() as NodeId)
+        .filter(|&v| trussness[v as usize] >= K && coreness[v as usize] >= K)
+        .step_by(37)
+        .take(6)
+        .collect();
+    assert!(
+        picks.len() >= 4,
+        "the generator plants 4-trusses: {picks:?}"
+    );
+
+    let before = EdgeIndex::builds();
+    let mut truss_answers = Vec::new();
+    for _ in 0..3 {
+        for &q in &picks {
+            for query in reads(q, CommunityModel::KTruss) {
+                truss_answers.push((query.clone(), engine.run(&query)));
+            }
+        }
+    }
+    assert_eq!(
+        EdgeIndex::builds() - before,
+        0,
+        "warm k-truss reads borrow the engine's index"
+    );
+
+    // The borrowed index changes nothing: every answer, k-core and
+    // k-truss, equals the standalone solver's.
+    let core_answers: Vec<_> = picks
+        .iter()
+        .flat_map(|&q| reads(q, CommunityModel::KCore))
+        .map(|query| {
+            let answer = engine.run(&query);
+            (query, answer)
+        })
+        .collect();
+    let mut communities = 0;
+    for (query, answer) in truss_answers.iter().chain(&core_answers) {
+        assert_eq!(
+            outcome_identity(answer, false),
+            standalone(&engine, query, answer),
+            "{} {} at q = {}",
+            query.method,
+            query.model,
+            query.q
+        );
+        communities += usize::from(answer.is_ok());
+    }
+    // Every SEA read finds its community; budget-stopped Exact reads
+    // compare as errors (their text carries no clock).
+    assert!(communities >= 4 * picks.len(), "{communities}");
+
+    // A store-seeded epoch: the store hands the engine trussness it
+    // repaired, so the index is built once, on the first read that peels.
+    let store = GraphStore::new(g.clone());
+    store.snapshot().engine().node_trussness();
+    let mut rng = StdRng::seed_from_u64(7);
+    let batch = random_updates(&g, &mut rng, 8, ChurnMix::MIXED);
+    store.apply(&batch).expect("churn applies");
+    let snap = store.snapshot();
+    assert_eq!(snap.engine().truss_decomp_computations(), 0, "seeded");
+    let before = EdgeIndex::builds();
+    for _ in 0..3 {
+        for &q in &picks {
+            for query in reads(q, CommunityModel::KTruss) {
+                let _ = snap.engine().run(&query);
+            }
+        }
+    }
+    assert_eq!(EdgeIndex::builds() - before, 1, "one index for the epoch");
+}

@@ -294,7 +294,11 @@ fn hostile_handshakes_and_frames_cost_sessions_never_the_follower() {
     let mut honest = Vec::new();
     csag::graph::io::write_graph(&g, &mut honest).expect("serialize graph");
     let framed = |body: &[u8]| csag::graph::wal::frame(body);
+    // A whole, honestly sized payload that lies inside: a `dims` header
+    // no row backs up, which the graph reader once padded every row to.
+    let wide: &[u8] = b"csag-graph v1\ndims 4000000000\nnode 0 - 1\nnode 1 - 2\n";
     let mut scripts: Vec<Vec<u8>> = vec![
+        [format!("snapshot 1 {}\n", wide.len()).as_bytes(), wide].concat(),
         b"snapshot 1 18446744073709551615\nshort".to_vec(),
         b"snapshot 1 64\nshort body".to_vec(),
         b"snapshot 1 5\nhello".to_vec(),
