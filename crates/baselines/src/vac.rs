@@ -20,7 +20,7 @@
 
 use crate::BaselineResult;
 use csag_core::distance::{composite_distance, DistanceParams, QueryDistances};
-use csag_core::error::{check_query_node, CsagError, PartialSearch};
+use csag_core::error::{check_query_node, CsagError};
 use csag_decomp::{CommunityModel, Maintainer};
 use csag_graph::{AttributedGraph, NodeId};
 use std::collections::HashSet;
@@ -136,9 +136,9 @@ pub fn vac(
 pub struct EVacLimits {
     /// Maximum number of branch-and-bound states.
     pub state_budget: Option<u64>,
-    /// Give up immediately (return `None`) if the maximal community is
-    /// larger than this — mirrors the paper only reporting E-VAC on its
-    /// two smallest datasets.
+    /// Refuse outright ([`CsagError::BudgetExhausted`]) if the maximal
+    /// community is larger than this — mirrors the paper only reporting
+    /// E-VAC on its two smallest datasets.
     pub max_root: Option<usize>,
     /// Wall-clock budget.
     pub time_budget: Option<Duration>,
@@ -152,14 +152,17 @@ pub struct EVacLimits {
 /// deduplicated by their node sets; [`EVacLimits`] bounds the exponential
 /// worst case.
 ///
+/// The root is scored before any budget check, so a state or time limit
+/// only truncates the search: the result is then the best community
+/// found so far, as for [`vac`] at its iteration cap. E-VAC minimises
+/// the max-pairwise distance, not δ, so a truncated run has no δ-bracket
+/// to report.
+///
 /// # Errors
 /// [`CsagError::QueryNodeNotFound`] for an out-of-range `q`;
 /// [`CsagError::NoCommunity`] when `q` has no community;
-/// [`CsagError::BudgetExhausted`] when a limit cut the search short —
-/// `partial: None` when the root exceeded [`EVacLimits::max_root`]
-/// (refused outright) or nothing was scored, otherwise the best
-/// community found so far. An `Ok` therefore certifies the min-max
-/// optimum over the branch-and-bound space, exactly like `Exact`.
+/// [`CsagError::BudgetExhausted`] when the root exceeded
+/// [`EVacLimits::max_root`] (refused outright).
 pub fn e_vac(
     g: &AttributedGraph,
     q: NodeId,
@@ -176,9 +179,8 @@ pub fn e_vac(
         CsagError::no_community(format!("node {q} is in no connected {model} at k = {k}"))
     })?;
     if limits.max_root.is_some_and(|m| root.len() > m) {
-        // The paper refuses E-VAC on large roots outright (its `-` rows);
-        // no search happened, so there is no partial to report.
-        return Err(CsagError::BudgetExhausted { partial: None });
+        // The paper refuses E-VAC on large roots outright (its `-` rows).
+        return Err(CsagError::BudgetExhausted);
     }
 
     let mut best_obj = f64::INFINITY;
@@ -188,10 +190,8 @@ pub fn e_vac(
     let mut states: u64 = 0;
     let budget = limits.state_budget.unwrap_or(u64::MAX);
 
-    let mut truncated = false;
     while let Some(state) = stack.pop() {
-        if states >= budget || deadline.is_some_and(|d| Instant::now() >= d) {
-            truncated = true;
+        if states > 0 && (states >= budget || deadline.is_some_and(|d| Instant::now() >= d)) {
             break;
         }
         if !seen.insert(state.clone()) {
@@ -220,23 +220,6 @@ pub fn e_vac(
         }
     }
 
-    if best.is_empty() {
-        // The budget ran out before even the root state was scored.
-        return Err(CsagError::BudgetExhausted { partial: None });
-    }
-    if truncated {
-        // Unexplored states remain: the incumbent is best-so-far, not a
-        // certified optimum — same contract as the exact CS-AG search.
-        let delta = QueryDistances::new(q, g.n(), dparams).delta(g, &best);
-        return Err(CsagError::BudgetExhausted {
-            partial: Some(PartialSearch {
-                community: best,
-                delta,
-                states_explored: states,
-                elapsed: start.elapsed(),
-            }),
-        });
-    }
     Ok(BaselineResult {
         community: best,
         elapsed: start.elapsed(),
@@ -357,40 +340,41 @@ mod tests {
     #[test]
     fn e_vac_respects_limits() {
         let g = clique_with_outlier();
-        // A 1-state budget scores the root, then truncates: best-so-far
-        // arrives as the BudgetExhausted partial, never as a certified Ok.
-        let err = e_vac(
-            &g,
-            0,
-            2,
-            CommunityModel::KCore,
-            DistanceParams::default(),
-            &EVacLimits {
-                state_budget: Some(1),
-                ..Default::default()
-            },
-        )
-        .unwrap_err();
-        let CsagError::BudgetExhausted { partial: Some(p) } = err else {
-            panic!("expected a best-so-far partial, got {err:?}");
-        };
-        assert!(p.community.contains(&0));
-        assert_eq!(p.states_explored, 1);
-        // Root-size guard refuses outright, with no partial to report.
-        assert!(matches!(
+        let run = |limits: EVacLimits| {
             e_vac(
                 &g,
                 0,
                 2,
                 CommunityModel::KCore,
                 DistanceParams::default(),
-                &EVacLimits {
-                    max_root: Some(3),
-                    ..Default::default()
-                },
-            ),
-            Err(CsagError::BudgetExhausted { partial: None })
-        ));
+                &limits,
+            )
+        };
+        let full = run(EVacLimits::default()).unwrap();
+        // A 1-state budget scores the root, then truncates to it.
+        let one = run(EVacLimits {
+            state_budget: Some(1),
+            ..Default::default()
+        })
+        .unwrap();
+        assert!(one.community.contains(&0));
+        assert!(one.objective >= full.objective);
+        // A zero time budget still scores the root.
+        let root = run(EVacLimits {
+            time_budget: Some(Duration::ZERO),
+            ..Default::default()
+        })
+        .unwrap();
+        assert_eq!(root.community, vec![0, 1, 2, 3, 4]);
+        // The root-size guard refuses outright.
+        assert_eq!(
+            run(EVacLimits {
+                max_root: Some(3),
+                ..Default::default()
+            })
+            .unwrap_err(),
+            CsagError::BudgetExhausted
+        );
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //! cargo run --release -p csag-bench --bin experiments -- fig5 tab4 --quick
 //! ```
 //!
-//! Criterion micro-benchmarks live under `crates/bench/benches/` and
-//! exercise the same code paths per table/figure. Engineering
-//! measurements (throughput, latency, per-layer costs) are not here:
+//! Engineering measurements (throughput, latency, per-layer costs) are
+//! not here:
 //! they live in `benchmark/` (`benchmark/run.sh --workload <name>`).
 //! [`load`] keeps only the socket smoke client behind
 //! `experiments load --socket <addr>`.

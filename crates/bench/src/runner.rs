@@ -6,12 +6,12 @@
 //! per-query distance tables), returns its community, the community's
 //! q-centric attribute distance δ (the paper's Figure-5(a) metric, which
 //! the engine evaluates identically for everyone), and the wall-clock
-//! time. Budget-exhausted exact runs surface the engine's typed
-//! [`CsagError::BudgetExhausted`] partial as a non-optimal
-//! [`MethodRun`] — the paper's "best found within the limit" rows.
+//! time. Budget-stopped exact runs answer with their best community so
+//! far, marked non-optimal — the paper's "best found within the limit"
+//! rows.
 
 use csag::engine::{
-    parallel_map as engine_parallel_map, CommunityQuery, CommunityResult, CsagError, Engine, Method,
+    parallel_map as engine_parallel_map, CommunityQuery, CommunityResult, Engine, Method,
 };
 use csag_core::distance::DistanceParams;
 use csag_core::CommunityModel;
@@ -27,7 +27,7 @@ pub struct MethodRun {
     pub delta: f64,
     /// Wall-clock milliseconds.
     pub millis: f64,
-    /// True when the method self-reported optimality (Exact only).
+    /// True when the method proved optimality (a completed Exact run).
     pub optimal: bool,
 }
 
@@ -69,23 +69,13 @@ fn method_run(res: &CommunityResult, optimal: bool) -> MethodRun {
 }
 
 /// Runs one engine query the way the experiment tables consume outcomes:
-/// `Some` for answers (including the best-so-far partial of a
-/// budget-exhausted exact run, flagged non-optimal), `None` for "this
-/// method has no community / refused" cells.
+/// `Some` for answers (a budget-stopped exact run's best so far
+/// included, flagged non-optimal), `None` for "this method has no
+/// community / refused" cells.
 pub fn run_query(engine: &Engine, query: &CommunityQuery) -> Option<MethodRun> {
-    match engine.run(query) {
-        Ok(res) => {
-            let optimal = query.method == Method::Exact;
-            Some(method_run(&res, optimal))
-        }
-        Err(CsagError::BudgetExhausted { partial: Some(p) }) => Some(MethodRun {
-            community: p.community,
-            delta: p.delta,
-            millis: p.elapsed.as_secs_f64() * 1000.0,
-            optimal: false,
-        }),
-        Err(_) => None,
-    }
+    let res = engine.run(query).ok()?;
+    let optimal = query.method == Method::Exact && res.certificate.is_some_and(|c| c.certified);
+    Some(method_run(&res, optimal))
 }
 
 /// Runs the exact algorithm (all prunings, warm start) under a time
@@ -282,7 +272,7 @@ mod tests {
             );
             assert!(run.millis >= 0.0);
         }
-        // Exact is never worse than anyone on δ (its budget-exhausted
+        // Exact is never worse than anyone on δ (its budget-stopped
         // incumbent included).
         let exact_delta = runs[0].1.delta;
         for (name, run) in &runs[1..] {

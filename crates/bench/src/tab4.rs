@@ -9,7 +9,7 @@
 use crate::config::{Scale, QUERY_SEED};
 use crate::runner::parallel_map;
 use crate::table::{fmt_ms, Table};
-use csag::engine::{CommunityQuery, CsagError, Engine, Method};
+use csag::engine::{CommunityQuery, Engine, Method};
 use csag_core::exact::PruningConfig;
 use csag_datasets::{random_queries, standins, Dataset};
 
@@ -54,17 +54,12 @@ pub fn run(scale: &Scale) -> String {
                 .with_state_budget(state_budget)
                 .with_time_budget(scale.exact_budget());
             let runs: Vec<Option<(f64, u64, bool)>> = parallel_map(&queries, scale.threads, |q| {
-                match engine.run(&template.clone().with_query(q)) {
-                    Ok(r) => Some((
-                        r.timings.search.as_secs_f64() * 1000.0,
-                        r.provenance.states_explored,
-                        false,
-                    )),
-                    Err(CsagError::BudgetExhausted { partial: Some(p) }) => {
-                        Some((p.elapsed.as_secs_f64() * 1000.0, p.states_explored, true))
-                    }
-                    Err(_) => None,
-                }
+                let r = engine.run(&template.clone().with_query(q)).ok()?;
+                Some((
+                    r.timings.search.as_secs_f64() * 1000.0,
+                    r.provenance.states_explored,
+                    !r.certificate.is_some_and(|c| c.certified),
+                ))
             });
             let done: Vec<&(f64, u64, bool)> = runs.iter().flatten().collect();
             if done.is_empty() {

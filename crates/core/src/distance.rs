@@ -203,6 +203,40 @@ impl QueryDistances {
             sum / cnt as f64
         }
     }
+
+    /// The Theorem-6 lower bound (Eqs. 3–4): the mean of the `need`
+    /// smallest `f(·, q)` over `nodes` (q excluded, as in δ), or the mean
+    /// of all of them when there are no more than `need`. Every community
+    /// inside `nodes` with at least `need` members besides q has δ at
+    /// least this, and the bound of a subset is never lower. `buf` is
+    /// reusable scratch.
+    pub fn lower_bound(
+        &self,
+        g: &AttributedGraph,
+        nodes: &[NodeId],
+        need: usize,
+        buf: &mut Vec<f64>,
+    ) -> f64 {
+        if need == 0 {
+            return 0.0;
+        }
+        buf.clear();
+        buf.extend(
+            nodes
+                .iter()
+                .filter(|&&v| v != self.q)
+                .map(|&v| self.get(g, v)),
+        );
+        if buf.len() <= need {
+            return if buf.is_empty() {
+                0.0
+            } else {
+                buf.iter().sum::<f64>() / buf.len() as f64
+            };
+        }
+        buf.select_nth_unstable_by(need - 1, |a, b| a.partial_cmp(b).expect("no NaN"));
+        buf[..need].iter().sum::<f64>() / need as f64
+    }
 }
 
 impl Clone for QueryDistances {
@@ -339,6 +373,19 @@ mod tests {
         assert_eq!(copy.computed(), 2, "only slot 1 was forgotten");
         assert_eq!(dist.computed(), 3, "the original is untouched");
         assert_eq!(copy.get(&g, 1), dist.get(&g, 1), "lazy recompute agrees");
+    }
+
+    #[test]
+    fn lower_bound_averages_the_closest() {
+        let g = movie_graph();
+        let dist = QueryDistances::new(0, g.n(), DistanceParams::default());
+        let (d1, d2) = (dist.get(&g, 1), dist.get(&g, 2));
+        let mut buf = Vec::new();
+        assert_eq!(dist.lower_bound(&g, &[0, 1, 2], 1, &mut buf), d1.min(d2));
+        let all = dist.lower_bound(&g, &[0, 1, 2], 5, &mut buf);
+        assert!((all - dist.delta(&g, &[0, 1, 2])).abs() < 1e-12);
+        assert_eq!(dist.lower_bound(&g, &[0, 1, 2], 0, &mut buf), 0.0);
+        assert_eq!(dist.lower_bound(&g, &[0], 2, &mut buf), 0.0);
     }
 
     #[test]

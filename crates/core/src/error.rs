@@ -8,9 +8,9 @@
 //! * the query node does not exist ([`CsagError::QueryNodeNotFound`]),
 //! * no community satisfies the model — a definitive, correct "no"
 //!   ([`CsagError::NoCommunity`]),
-//! * the search ran out of state/time budget before it could finish —
-//!   the best community found so far rides along in
-//!   [`CsagError::BudgetExhausted`] as a [`PartialSearch`],
+//! * a resource guard refused the search before it began
+//!   ([`CsagError::BudgetExhausted`]: E-VAC's root-size limit; a search
+//!   a budget stops still answers with its best community so far),
 //! * a serving layer shed the request before it ran at all
 //!   ([`CsagError::Overloaded`], carrying a suggested back-off),
 //! * a pinned epoch nobody had published yet
@@ -22,21 +22,6 @@
 use csag_graph::NodeId;
 use std::fmt;
 use std::time::Duration;
-
-/// Best-so-far outcome of a search that hit its state or time budget.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PartialSearch {
-    /// The best community found before the budget ran out (sorted node
-    /// ids, contains the query node).
-    pub community: Vec<NodeId>,
-    /// The q-centric attribute distance δ of that community.
-    pub delta: f64,
-    /// States visited before the budget ran out (0 when the notion of a
-    /// search-tree state does not apply to the method).
-    pub states_explored: u64,
-    /// Wall-clock time spent before giving up.
-    pub elapsed: Duration,
-}
 
 /// Typed failure of a community-search run.
 #[derive(Clone, Debug, PartialEq)]
@@ -61,17 +46,13 @@ pub enum CsagError {
         /// Why no community exists (model, k, locality).
         reason: String,
     },
-    /// A state or time budget ran out before the search finished.
-    BudgetExhausted {
-        /// The best community found so far, when one was reached before
-        /// the budget ran out.
-        partial: Option<PartialSearch>,
-    },
+    /// A resource guard refused the search before any community was
+    /// found: E-VAC's root exceeded its size limit.
+    BudgetExhausted,
     /// A serving layer refused to queue the request: admission capacity
     /// is exhausted, so the request was shed instead of waiting
-    /// unboundedly. Unlike [`CsagError::BudgetExhausted`] nothing ran —
-    /// retrying after `retry_after` is expected to succeed once the
-    /// queue drains.
+    /// unboundedly. Nothing ran — retrying after `retry_after` is
+    /// expected to succeed once the queue drains.
     Overloaded {
         /// Suggested back-off before retrying (derived from the
         /// service's observed drain rate).
@@ -105,14 +86,7 @@ impl fmt::Display for CsagError {
                 write!(f, "query node {q} not found (graph has {nodes} nodes)")
             }
             CsagError::NoCommunity { reason } => write!(f, "no community: {reason}"),
-            CsagError::BudgetExhausted { partial: Some(p) } => write!(
-                f,
-                "budget exhausted after {} states; best so far: {} nodes at δ = {:.6}",
-                p.states_explored,
-                p.community.len(),
-                p.delta
-            ),
-            CsagError::BudgetExhausted { partial: None } => {
+            CsagError::BudgetExhausted => {
                 write!(f, "budget exhausted before any community was found")
             }
             CsagError::Overloaded { retry_after } => write!(
@@ -183,18 +157,12 @@ mod tests {
         let e = CsagError::no_community("no 3-core contains node 0");
         assert!(e.is_no_community());
         assert!(e.to_string().contains("3-core"));
-        let e = CsagError::BudgetExhausted {
-            partial: Some(PartialSearch {
-                community: vec![0, 1, 2],
-                delta: 0.25,
-                states_explored: 10,
-                elapsed: Duration::from_millis(5),
-            }),
-        };
-        assert!(e.to_string().contains("best so far"));
+        let e = CsagError::BudgetExhausted;
+        assert_eq!(
+            e.to_string(),
+            "budget exhausted before any community was found"
+        );
         assert!(!e.is_no_community());
-        let e = CsagError::BudgetExhausted { partial: None };
-        assert!(e.to_string().contains("before any community"));
         let e = CsagError::Overloaded {
             retry_after: Duration::from_millis(25),
         };

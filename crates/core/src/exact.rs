@@ -11,17 +11,19 @@
 //! * **P2 — unnecessary states** (Theorem 5): only delete nodes with
 //!   `f(·,q) > δ(current state)`.
 //! * **P3 — unpromising states** (Theorem 6): prune a state whose
-//!   lower-bound distance (mean of the smallest `min_size − 1` distances,
-//!   Eqs. 3–4) is no better than the best δ found so far.
+//!   lower-bound distance ([`QueryDistances::lower_bound`] of its
+//!   smallest `min_size − 1` distances, Eqs. 3–4) is no better than the
+//!   best δ found so far.
 //!
 //! Each strategy can be toggled independently ([`PruningConfig`]) to
-//! reproduce the paper's Table IV ablation, and a state/time budget turns
-//! runaway configurations into explicit
-//! [`CsagError::BudgetExhausted`] errors carrying the best community
-//! found so far — the way the paper reports `> 8 days`.
+//! reproduce the paper's Table IV ablation. A state/time budget stops
+//! runaway configurations — the way the paper reports `> 8 days` — and
+//! the stopped search still answers: its best community so far, marked
+//! incomplete, with a proven Theorem-6 lower bound on the optimum (see
+//! [`ExactResult`]).
 
 use crate::distance::{DistanceParams, QueryDistances};
-use crate::error::{check_query_node, CsagError, PartialSearch};
+use crate::error::{check_query_node, CsagError};
 use csag_decomp::{CommunityModel, EdgeIndex, Maintainer};
 use csag_graph::{AttributedGraph, NodeId, QueryWorkspace};
 use std::time::{Duration, Instant};
@@ -145,15 +147,23 @@ impl ExactParams {
     }
 }
 
-/// Result of a *completed* exact CS-AG search: the community is δ-optimal
-/// under the chosen model. Runs cut short by a budget return
-/// [`CsagError::BudgetExhausted`] with the best community so far instead.
+/// Result of an exact CS-AG search. A `complete` search's community is
+/// δ-optimal under the chosen model. A search its state or time budget
+/// stopped returns the best community found so far, and the optimum lies
+/// in `[lower_bound, delta]`.
 #[derive(Clone, Debug)]
 pub struct ExactResult {
-    /// The optimal community (sorted node ids, contains `q`).
+    /// The best community found (sorted node ids, contains `q`).
     pub community: Vec<NodeId>,
     /// Its attribute distance δ.
     pub delta: f64,
+    /// A proven lower bound on the optimal δ: `delta` itself when the
+    /// search completed. When a budget stopped it, the smallest of `delta`
+    /// and the Theorem-6 bounds of the states whose subtrees the stop left
+    /// unexplored.
+    pub lower_bound: f64,
+    /// Whether the search ran to the end, so `community` is δ-optimal.
+    pub complete: bool,
     /// Number of states visited in the search tree (root included).
     pub states_explored: u64,
     /// Wall-clock time of the whole search.
@@ -171,13 +181,18 @@ struct SearchCtx<'g> {
     g: &'g AttributedGraph,
     q: NodeId,
     pruning: PruningConfig,
-    min_size: usize,
+    /// Members besides q that any community has: `min_size − 1`, the
+    /// Theorem-6 bound's `need`.
+    need: usize,
     best: Vec<NodeId>,
     best_delta: f64,
     states: u64,
     state_budget: u64,
     deadline: Option<Instant>,
     out_of_budget: bool,
+    /// Smallest Theorem-6 bound over the subtrees a stop left unexplored,
+    /// folded in as the recursion unwinds from it (∞ while none is).
+    unexplored_bound: f64,
     /// Free per-recursion-level buffer sets. Each `enumerate` level pops
     /// one set on entry and pushes it back on exit, so the enumeration
     /// allocates only up to its deepest-ever recursion and then reuses —
@@ -222,8 +237,8 @@ impl<'g> Exact<'g> {
     /// * [`CsagError::QueryNodeNotFound`] — `q` is outside the graph.
     /// * [`CsagError::NoCommunity`] — `q` has no community under the
     ///   chosen model/k (e.g. no k-core contains it).
-    /// * [`CsagError::BudgetExhausted`] — the state or time budget ran
-    ///   out; the best community found so far rides along as the partial.
+    ///
+    /// A budget stop is not an error: see [`ExactResult::complete`].
     pub fn run(&self, q: NodeId, params: &ExactParams) -> Result<ExactResult, CsagError> {
         check_query_node(q, self.g.n())?;
         let dist = QueryDistances::new(q, self.g.n(), self.dparams);
@@ -347,13 +362,14 @@ impl<'g> Exact<'g> {
             g: self.g,
             q,
             pruning: params.pruning,
-            min_size: params.model.min_size(params.k),
+            need: params.model.min_size(params.k).saturating_sub(1),
             best: incumbent.0,
             best_delta: incumbent.1,
             states: 0,
             state_budget: params.state_budget.unwrap_or(u64::MAX),
             deadline: params.time_budget.map(|b| start + b),
             out_of_budget: false,
+            unexplored_bound: f64::INFINITY,
             free: Vec::new(),
         };
         enumerate(
@@ -365,18 +381,10 @@ impl<'g> Exact<'g> {
             f64::INFINITY,
         );
 
-        if ctx.out_of_budget {
-            return Err(CsagError::BudgetExhausted {
-                partial: Some(PartialSearch {
-                    community: ctx.best,
-                    delta: ctx.best_delta,
-                    states_explored: ctx.states,
-                    elapsed: start.elapsed(),
-                }),
-            });
-        }
         Ok(ExactResult {
             delta: ctx.best_delta,
+            lower_bound: ctx.best_delta.min(ctx.unexplored_bound),
+            complete: !ctx.out_of_budget,
             community: ctx.best,
             states_explored: ctx.states,
             elapsed: start.elapsed(),
@@ -384,36 +392,14 @@ impl<'g> Exact<'g> {
     }
 }
 
-/// Lower bound on δ over all substates (Eqs. 3–4): the mean of the
-/// `need` smallest `f(·,q)` values among the state's members (q excluded,
-/// since δ never averages over q). `buf` is reusable scratch.
-fn lower_bound(
-    ctx: &SearchCtx<'_>,
-    dist: &QueryDistances,
-    state: &[NodeId],
-    need: usize,
-    buf: &mut Vec<f64>,
-) -> f64 {
-    if need == 0 {
-        return 0.0;
-    }
-    buf.clear();
-    buf.extend(
-        state
-            .iter()
-            .filter(|&&v| v != ctx.q)
-            .map(|&v| dist.get(ctx.g, v)),
-    );
-    if buf.len() <= need {
-        return if buf.is_empty() {
-            0.0
-        } else {
-            buf.iter().sum::<f64>() / buf.len() as f64
-        };
-    }
-    buf.select_nth_unstable_by(need - 1, |a, b| a.partial_cmp(b).expect("no NaN"));
-    let head = &buf[..need];
-    head.iter().sum::<f64>() / need as f64
+/// Folds the Theorem-6 bound of `state` into the bound on what a stop
+/// left unexplored: every state below it is a subset, so none has a
+/// smaller δ.
+fn fold_unexplored(ctx: &mut SearchCtx<'_>, dist: &QueryDistances, state: &[NodeId]) {
+    let mut buf = ctx.free.pop().unwrap_or_default();
+    let lb = dist.lower_bound(ctx.g, state, ctx.need, &mut buf.lb);
+    ctx.unexplored_bound = ctx.unexplored_bound.min(lb);
+    ctx.free.push(buf);
 }
 
 fn enumerate(
@@ -424,11 +410,14 @@ fn enumerate(
     state_delta: f64,
     f_u: f64,
 ) {
-    ctx.states += 1;
+    // A budget of B admits B states and stops at the attempt to enter
+    // state B + 1, which the stop leaves unexplored.
     if ctx.states >= ctx.state_budget || ctx.deadline.is_some_and(|d| Instant::now() >= d) {
         ctx.out_of_budget = true;
+        fold_unexplored(ctx, dist, state);
         return;
     }
+    ctx.states += 1;
 
     // This level's buffers: popped from the free pool, pushed back on
     // every exit. Steady-state recursion therefore reuses the deepest
@@ -437,7 +426,7 @@ fn enumerate(
 
     // P3: prune unpromising states (Theorem 6).
     if ctx.pruning.unpromising {
-        let lb = lower_bound(ctx, dist, state, ctx.min_size - 1, &mut level.lb);
+        let lb = dist.lower_bound(ctx.g, state, ctx.need, &mut level.lb);
         if lb >= ctx.best_delta {
             ctx.free.push(level);
             return;
@@ -461,9 +450,6 @@ fn enumerate(
         .sort_unstable_by(|a, b| b.0.partial_cmp(&a.0).expect("no NaN").then(a.1.cmp(&b.1)));
 
     for idx in 0..level.cands.len() {
-        if ctx.out_of_budget {
-            break;
-        }
         let (f_v, v) = level.cands[idx];
         level.work.clear();
         level.work.extend(state.iter().copied().filter(|&x| x != v));
@@ -503,6 +489,14 @@ fn enumerate(
             ctx.best.extend_from_slice(substate);
         }
         enumerate(ctx, maintainer, dist, &level.substate, sub_delta, f_v);
+        if ctx.out_of_budget {
+            // Unwinding from a stop: the candidates after this one are
+            // unexplored subtrees of `state`.
+            if idx + 1 < level.cands.len() {
+                fold_unexplored(ctx, dist, state);
+            }
+            break;
+        }
     }
     ctx.free.push(level);
 }
@@ -682,21 +676,41 @@ mod tests {
     fn state_budget_surfaces_best_so_far() {
         let (g, q) = figure3_graph();
         let exact = Exact::new(&g, DistanceParams::with_gamma(0.0));
-        let err = exact
-            .run(
-                q,
-                &exact_params()
-                    .with_pruning(PruningConfig::NONE)
-                    .with_state_budget(2),
-            )
-            .unwrap_err();
-        let CsagError::BudgetExhausted { partial: Some(p) } = err else {
-            panic!("expected BudgetExhausted with a partial, got {err:?}");
-        };
-        assert!(p.states_explored <= 3);
-        // The partial still carries a valid community (the root).
-        assert!(p.community.contains(&q));
-        assert!(p.delta.is_finite());
+        let params = exact_params().with_pruning(PruningConfig::NONE);
+        let full = exact.run(q, &params).unwrap();
+        assert!(full.complete && full.states_explored > 2);
+        assert_eq!(full.lower_bound, full.delta);
+        let stopped = exact.run(q, &params.with_state_budget(2)).unwrap();
+        assert!(!stopped.complete);
+        assert_eq!(stopped.states_explored, 2);
+        // The best-so-far is a valid community, and the proven bracket
+        // holds the optimum.
+        assert!(stopped.community.contains(&q));
+        assert!(stopped.lower_bound <= full.delta && full.delta <= stopped.delta);
+    }
+
+    /// A budget of B expands B states: a search that needs exactly one
+    /// state completes under a budget of one.
+    #[test]
+    fn a_budget_of_b_expands_b_states() {
+        let mut b = GraphBuilder::new(1);
+        for x in [0.0, 0.1, 0.2, 0.3, 0.4] {
+            b.add_node(&[], &[x]);
+        }
+        for u in 0..5 {
+            for v in u + 1..5 {
+                b.add_edge(u, v).unwrap();
+            }
+        }
+        let g = b.build().unwrap();
+        let exact = Exact::new(&g, DistanceParams::default());
+        let params = ExactParams::default().with_k(4);
+        let full = exact.run(0, &params).unwrap();
+        assert_eq!(full.states_explored, 1);
+        let budgeted = exact.run(0, &params.with_state_budget(1)).unwrap();
+        assert!(budgeted.complete);
+        assert_eq!(budgeted.community, full.community);
+        assert_eq!(budgeted.delta, full.delta);
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub use distance::{
     composite_distance, composite_distance_attrs, jaccard_distance, manhattan_distance,
     DistanceParams, QueryDistances,
 };
-pub use error::{CsagError, PartialSearch};
+pub use error::CsagError;
 pub use exact::{Exact, ExactParams, ExactResult, PruningConfig};
 pub use hetero_cs::SeaHetero;
 pub use sea::{Sea, SeaParams, SeaResult, SeaRound, SeaTiming};

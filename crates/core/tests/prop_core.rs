@@ -91,6 +91,34 @@ fn arb_components_case() -> impl Strategy<Value = (AttributedGraph, u32, usize)>
         })
 }
 
+/// A graph of 12..30 nodes split into 2..4 id-interleaved blocks (node
+/// `v` sits in block `v % blocks`) with random edges only inside a block,
+/// plus a query node: q's community lives in a block of 3..15 nodes, so
+/// many searches, unpruned ones included, stay small enough to rerun at
+/// every state budget.
+fn arb_bracket_case() -> impl Strategy<Value = (AttributedGraph, u32)> {
+    (12usize..31, 2u32..5)
+        .prop_flat_map(|(n, blocks)| {
+            let edges = prop::collection::vec((0..n as u32, 0..n as u32), 3 * n..6 * n);
+            let values = prop::collection::vec(0.0f64..1.0, n);
+            let topics = prop::collection::vec(0usize..3, n);
+            (Just(blocks), edges, values, topics, 0..n as u32)
+        })
+        .prop_map(|(blocks, edges, values, topics, q)| {
+            let names = ["alpha", "beta", "gamma"];
+            let mut b = GraphBuilder::new(1);
+            for (t, x) in topics.iter().zip(&values) {
+                b.add_node(&[names[*t]], &[*x]);
+            }
+            for (u, v) in edges {
+                if u % blocks == v % blocks {
+                    b.add_edge(u, v).unwrap();
+                }
+            }
+            (b.build().unwrap(), q)
+        })
+}
+
 /// Everything about a SEA outcome that is not wall-clock time, with the
 /// community mapped through `to_graph_id`; errors compare by variant (their
 /// text names the query node in whichever id space the search ran in).
@@ -240,6 +268,56 @@ proptest! {
             .run(q, &SeaParams::default().with_k(k).with_error_bound(0.3), &mut rng)
             .is_ok();
         prop_assert_eq!(sea_exists, exact_exists);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A search stopped at any state budget B brackets the optimum:
+    /// `lower_bound ≤ δ_opt ≤ δ_B`. The bracket never widens as B grows,
+    /// and it closes, with the unbudgeted community, exactly when B
+    /// reaches the `C` states the unbudgeted search needs. Searches
+    /// needing more than 300 states are skipped to keep the B-sweep small.
+    #[test]
+    fn a_stopped_search_brackets_the_optimum((g, q) in arb_bracket_case(), k in 2u32..4) {
+        let exact = Exact::new(&g, DistanceParams::default());
+        for model in [CommunityModel::KCore, CommunityModel::KTruss] {
+            for pruning in [
+                PruningConfig::ALL,
+                PruningConfig::NO_P3,
+                PruningConfig::P1_ONLY,
+                PruningConfig::NONE,
+            ] {
+                let params = ExactParams::default()
+                    .with_k(k)
+                    .with_model(model)
+                    .with_pruning(pruning);
+                let Ok(full) = exact.run(q, &params.clone().with_state_budget(300)) else {
+                    continue;
+                };
+                if !full.complete {
+                    continue;
+                }
+                let (opt, c) = (full.delta, full.states_explored);
+                let mut gap = f64::INFINITY;
+                for b in 1..=c {
+                    let r = exact.run(q, &params.clone().with_state_budget(b)).unwrap();
+                    let at = format!("{model} k={k} {pruning:?} B={b} of {c}");
+                    prop_assert!(
+                        r.lower_bound <= opt + 1e-12 && opt <= r.delta + 1e-12,
+                        "{}: {} ≤ {} ≤ {} fails", at, r.lower_bound, opt, r.delta
+                    );
+                    prop_assert!(r.delta - r.lower_bound <= gap + 1e-12, "{}: bracket widened", at);
+                    gap = r.delta - r.lower_bound;
+                    prop_assert_eq!(r.complete, b == c, "{}", at);
+                    prop_assert_eq!(r.states_explored, b, "{}", at);
+                    if b == c {
+                        prop_assert_eq!(&r.community, &full.community, "{}", at);
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -392,21 +392,6 @@ fn flush_stdout() -> Result<(), String> {
     flushed.map_err(|e| format!("writing stdout: {e}"))
 }
 
-fn print_community(g: &AttributedGraph, comm: &[u32]) {
-    for &v in comm {
-        let tokens: Vec<&str> = g
-            .tokens(v)
-            .iter()
-            .filter_map(|&t| g.interner().name(t))
-            .collect();
-        println!(
-            "  node {v:>6}  [{}]  {:?}",
-            tokens.join(","),
-            g.numeric_raw(v)
-        );
-    }
-}
-
 fn print_result(g: &AttributedGraph, res: &CommunityResult) {
     print!(
         "{}: community of {} nodes, δ = {:.6}",
@@ -421,7 +406,8 @@ fn print_result(g: &AttributedGraph, res: &CommunityResult) {
             c.confidence * 100.0,
             c.certified
         ),
-        Some(_) => print!(" (δ-optimal)"),
+        Some(c) if c.certified => print!(" (δ-optimal)"),
+        Some(c) => print!(" (stopped; proven error bound {:.4e})", c.error_bound),
         None => {
             if let Some(obj) = res.provenance.objective {
                 print!(" (own objective {obj:.4})");
@@ -446,39 +432,34 @@ fn print_result(g: &AttributedGraph, res: &CommunityResult) {
     if res.provenance.states_explored > 0 {
         println!("  {} states explored", res.provenance.states_explored);
     }
-    print_community(g, &res.community);
+    for &v in &res.community {
+        let tokens: Vec<&str> = g
+            .tokens(v)
+            .iter()
+            .filter_map(|&t| g.interner().name(t))
+            .collect();
+        println!(
+            "  node {v:>6}  [{}]  {:?}",
+            tokens.join(","),
+            g.numeric_raw(v)
+        );
+    }
 }
 
 /// Runs a built query and renders the outcome (text or `--json`).
-/// Exit status is consistent across both modes: success and budget
-/// exhaustion *with* a best-effort partial exit 0; every other engine
-/// error exits non-zero (in `--json` mode the error object still goes to
-/// stdout, with the human-readable message on stderr).
+/// Exit status is consistent across both modes: an answer exits 0 (a
+/// budget-stopped one included); an engine error exits non-zero (in
+/// `--json` mode the error object still goes to stdout, with the
+/// human-readable message on stderr).
 fn run_and_render(g: AttributedGraph, query: &CommunityQuery, json: bool) -> Result<(), String> {
     let engine = Engine::new(g);
-    let g = engine.graph();
     match engine.run(query) {
         Ok(res) => {
             if json {
                 println!("{}", res.to_json());
             } else {
-                print_result(g, &res);
+                print_result(engine.graph(), &res);
             }
-            Ok(())
-        }
-        Err(CsagError::BudgetExhausted { partial: Some(p) }) => {
-            if json {
-                let err = CsagError::BudgetExhausted { partial: Some(p) };
-                println!("{}", error_to_json(&err));
-                return Ok(());
-            }
-            println!(
-                "budget exhausted after {} states — best found so far: {} nodes, δ = {:.6}",
-                p.states_explored,
-                p.community.len(),
-                p.delta
-            );
-            print_community(g, &p.community);
             Ok(())
         }
         Err(err) => {

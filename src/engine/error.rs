@@ -12,9 +12,9 @@
 //! | [`CsagError::InvalidParams`] | the query could never run | fix the builder call |
 //! | [`CsagError::QueryNodeNotFound`] | the node id is out of range | fix the id |
 //! | [`CsagError::NoCommunity`] | a definitive, correct "no" | report the empty answer |
-//! | [`CsagError::BudgetExhausted`] | resources ran out mid-search | use the [`PartialSearch`] best-so-far, or retry with a bigger budget |
+//! | [`CsagError::BudgetExhausted`] | E-VAC refused a root above its size limit | raise the limit or pick another method |
 //! | [`CsagError::Overloaded`] | the service shed the request before it ran | back off for `retry_after`, then resubmit |
 //! | [`CsagError::EpochUnavailable`] | a pinned epoch nobody has published | retry once writes land, or drop the pin |
 //! | [`CsagError::DurabilityUnavailable`] | the WAL rejected an append; the store is read-only | keep reading; retry writes after the disk recovers |
 
-pub use csag_core::error::{CsagError, PartialSearch};
+pub use csag_core::error::CsagError;

@@ -48,7 +48,7 @@ pub mod result;
 pub mod store;
 
 pub use batch::parallel_map;
-pub use error::{CsagError, PartialSearch};
+pub use error::CsagError;
 pub use hetero::HeteroEngine;
 pub use query::{CommunityQuery, Method};
 pub use result::{
@@ -298,8 +298,9 @@ impl Engine {
     /// * [`CsagError::NoCommunity`] — no community satisfies the model; a
     ///   definitive negative (answered from the cached decomposition when
     ///   the query node's core number is already too small).
-    /// * [`CsagError::BudgetExhausted`] — a state/time budget ran out;
-    ///   the best-so-far community rides along as the partial.
+    /// * [`CsagError::BudgetExhausted`] — E-VAC refused a root above its
+    ///   size limit. A budget stop is no error: the best community so
+    ///   far answers, Exact's with a bracketing [`AccuracyCertificate`].
     pub fn run(&self, query: &CommunityQuery) -> Result<CommunityResult, CsagError> {
         let mut ws = QueryWorkspace::new();
         self.run_with_workspace(query, &mut ws)
@@ -411,11 +412,16 @@ impl Engine {
                     epoch: 0,
                     delta: r.delta,
                     community: r.community,
-                    // A completed exact run is the strongest certificate:
-                    // zero error at full confidence.
+                    // The proven bracket [lower_bound, δ] on the optimum,
+                    // as a relative error: 0 when complete, ∞ when the
+                    // bound is 0.
                     certificate: Some(AccuracyCertificate {
-                        certified: true,
-                        error_bound: 0.0,
+                        certified: r.complete,
+                        error_bound: if r.delta <= r.lower_bound {
+                            0.0
+                        } else {
+                            r.delta / r.lower_bound - 1.0
+                        },
                         confidence: 1.0,
                         moe: 0.0,
                     }),
@@ -732,6 +738,6 @@ mod tests {
                     .with_evac_max_root(Some(2)),
             )
             .unwrap_err();
-        assert!(matches!(err, CsagError::BudgetExhausted { partial: None }));
+        assert_eq!(err, CsagError::BudgetExhausted);
     }
 }

@@ -358,8 +358,8 @@ impl CommunityQuery {
     /// * **Exact / E-VAC** — a state budget derived from the remaining
     ///   milliseconds (a coarse states-per-millisecond calibration;
     ///   the exact wall-clock budget backstops it), so a late request
-    ///   returns a [`CsagError::BudgetExhausted`] best-so-far instead
-    ///   of blowing through the deadline.
+    ///   returns its best community so far — Exact's with a proven
+    ///   error bound — instead of blowing through the deadline.
     /// * **VAC** — a proportionally smaller peeling-iteration cap.
     /// * **ACQ / ATC** — unchanged (already cheap local heuristics).
     ///

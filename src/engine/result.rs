@@ -9,8 +9,8 @@ use std::time::Duration;
 
 /// What the run can promise about the community's attribute distance δ.
 ///
-/// * Exact runs certify δ-optimality: `certified = true`, `error_bound =
-///   0`, `confidence = 1`.
+/// * Exact runs prove `δ ≤ (1 + error_bound)·δ_opt` (Theorem 6) at
+///   `confidence = 1`; `certified` means the search completed (bound 0).
 /// * SEA runs carry the Theorem-11 certificate when it fired, and the
 ///   error bound *actually achieved* either way (derived from the final
 ///   confidence interval, so a run that missed the requested bound still
@@ -20,7 +20,7 @@ use std::time::Duration;
 #[derive(Clone, Copy, Debug)]
 pub struct AccuracyCertificate {
     /// Whether the requested accuracy was certified (Theorem 11 for SEA;
-    /// always for a completed exact run).
+    /// completion for Exact).
     pub certified: bool,
     /// The relative error bound on δ actually achieved
     /// (`f64::INFINITY` when the interval was too wide to bound at all).
@@ -137,7 +137,11 @@ impl CommunityResult {
         w.begin_object();
         w.key("q").uint(self.q.into());
         w.key("epoch").uint(self.epoch);
-        write_nodes(w.key("community"), &self.community);
+        w.key("community").begin_array();
+        for &v in &self.community {
+            w.uint(v.into());
+        }
+        w.end_array();
         w.key("size").uint(self.community.len() as u64);
         w.key("delta").float(self.delta);
         w.key("certificate");
@@ -184,18 +188,8 @@ impl CommunityResult {
     }
 }
 
-/// A node-id array.
-fn write_nodes(w: &mut Writer, nodes: &[NodeId]) {
-    w.begin_array();
-    for &v in nodes {
-        w.uint(v.into());
-    }
-    w.end_array();
-}
-
 /// Serializes an engine error as a JSON object (for `csag --json` runs
-/// that fail); a [`super::error::PartialSearch`] best-so-far is included
-/// when the budget ran out.
+/// that fail).
 pub fn error_to_json(err: &super::error::CsagError) -> String {
     let mut w = Writer::new();
     write_error_json(err, &mut w);
@@ -209,7 +203,7 @@ pub(crate) fn write_error_json(err: &super::error::CsagError, w: &mut Writer) {
         CsagError::InvalidParams { .. } => "invalid_params",
         CsagError::QueryNodeNotFound { .. } => "query_node_not_found",
         CsagError::NoCommunity { .. } => "no_community",
-        CsagError::BudgetExhausted { .. } => "budget_exhausted",
+        CsagError::BudgetExhausted => "budget_exhausted",
         CsagError::Overloaded { .. } => "overloaded",
         CsagError::EpochUnavailable { .. } => "epoch_unavailable",
         CsagError::DurabilityUnavailable { .. } => "durability_unavailable",
@@ -235,14 +229,6 @@ pub(crate) fn write_error_json(err: &super::error::CsagError, w: &mut Writer) {
             // and `csag query --json` render the identical rejection.
             let gap = requested.saturating_sub(*published).clamp(1, 50);
             w.key("retry_after_ms").float((5 * gap) as f64);
-        }
-        CsagError::BudgetExhausted { partial: Some(p) } => {
-            w.key("partial").begin_object();
-            write_nodes(w.key("community"), &p.community);
-            w.key("delta").float(p.delta);
-            w.key("states_explored").uint(p.states_explored);
-            w.key("elapsed_ms").float(p.elapsed.as_secs_f64() * 1000.0);
-            w.end_object();
         }
         _ => {}
     }
@@ -279,20 +265,20 @@ pub fn answer_identity(doc: &Value, ignore_epoch: bool) -> Option<Value> {
 /// [`answer_identity`] of a typed outcome, rendered for a byte
 /// comparison — the same rule for answers that never crossed the wire
 /// (a replica against its primary, a churned store against a fresh
-/// engine). Errors compare by their `Display` bytes: the wire sends
-/// exactly those, and a budget partial's `elapsed_ms` is wall-clock.
+/// engine), applied to the JSON the wire would send for either a result
+/// or an error.
 pub fn outcome_identity<R: std::borrow::Borrow<CommunityResult>>(
     outcome: &Result<R, super::error::CsagError>,
     ignore_epoch: bool,
 ) -> String {
-    match outcome {
-        Ok(result) => {
-            let doc = crate::json::parse(&result.borrow().to_json()).expect("to_json renders JSON");
-            let identity = answer_identity(&doc, ignore_epoch).expect("a result object");
-            format!("ok:{}", identity.render())
-        }
-        Err(e) => format!("err:{e}"),
-    }
+    let json = match outcome {
+        Ok(result) => result.borrow().to_json(),
+        Err(e) => error_to_json(e),
+    };
+    let doc = crate::json::parse(&json).expect("the writer renders JSON");
+    answer_identity(&doc, ignore_epoch)
+        .expect("an object payload")
+        .render()
 }
 
 #[cfg(test)]
@@ -412,28 +398,23 @@ mod tests {
             outcome_identity(&a, true),
             outcome_identity(&Ok(other), true)
         );
+        // Errors follow the one rule too: their wire JSON, whole.
         let refused: Result<CommunityResult, _> = Err(CsagError::invalid("k = 0"));
         assert_eq!(
             outcome_identity(&refused, true),
-            "err:invalid parameters: k = 0"
+            error_to_json(&CsagError::invalid("k = 0"))
         );
     }
 
     #[test]
     fn error_json_includes_partial() {
-        use super::super::error::{CsagError, PartialSearch};
-        let err = CsagError::BudgetExhausted {
-            partial: Some(PartialSearch {
-                community: vec![0, 2],
-                delta: 0.5,
-                states_explored: 9,
-                elapsed: Duration::from_millis(3),
-            }),
-        };
-        let j = error_to_json(&err);
-        assert!(j.contains("\"error\":\"budget_exhausted\""));
-        assert!(j.contains("\"community\":[0,2]"));
-        assert!(j.contains("\"states_explored\":9"));
+        // A budget refusal is its kind and message alone.
+        let j = error_to_json(&CsagError::BudgetExhausted);
+        assert_eq!(
+            j,
+            "{\"error\":\"budget_exhausted\",\"message\":\"budget exhausted before any community was found\"}"
+        );
+        assert!(!j.contains("\"partial\""));
         let j = error_to_json(&CsagError::invalid("k too small"));
         assert!(j.contains("\"error\":\"invalid_params\""));
         assert!(j.contains("k too small"));

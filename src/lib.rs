@@ -78,9 +78,9 @@
 //! ```
 //!
 //! Failures are typed ([`engine::CsagError`]): invalid parameters,
-//! unknown query nodes, a definitive "no community exists", and budget
-//! exhaustion (which carries the best community found so far) are four
-//! distinct cases instead of one `None`.
+//! unknown query nodes, a definitive "no community exists", and E-VAC's
+//! root-size refusal are four distinct cases instead of one `None`; a
+//! budget-stopped search answers with its best community so far.
 
 // Every public item of the facade crate must carry docs; CI promotes
 // this (and every other rustdoc warning) to an error via

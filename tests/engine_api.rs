@@ -267,21 +267,31 @@ fn engine_reports_typed_errors() {
         engine.run(&CommunityQuery::new(Method::Exact, q).with_k(40)),
         Err(CsagError::NoCommunity { .. })
     ));
-    // BudgetExhausted carries the best community found so far.
-    let err = engine
-        .run(
-            &CommunityQuery::new(Method::Exact, q)
-                .with_k(2)
-                .with_gamma(0.0)
-                .with_pruning(csag::core::exact::PruningConfig::NONE)
-                .with_state_budget(2),
-        )
-        .unwrap_err();
-    let CsagError::BudgetExhausted { partial: Some(p) } = err else {
-        panic!("expected a partial, got {err:?}");
-    };
-    assert!(p.community.contains(&q));
-    assert!(p.delta.is_finite());
+    // BudgetExhausted — E-VAC's root-size refusal.
+    assert_eq!(
+        engine
+            .run(
+                &CommunityQuery::new(Method::EVac, q)
+                    .with_k(2)
+                    .with_evac_max_root(Some(2))
+            )
+            .unwrap_err(),
+        CsagError::BudgetExhausted
+    );
+    // A budget-stopped Exact is no error: its best so far, uncertified,
+    // with a proven error bound against the optimum.
+    let query = CommunityQuery::new(Method::Exact, q)
+        .with_k(2)
+        .with_gamma(0.0)
+        .with_pruning(csag::core::exact::PruningConfig::NONE);
+    let optimum = engine.run(&query).unwrap().delta;
+    let stopped = engine.run(&query.with_state_budget(2)).unwrap();
+    let cert = stopped.certificate.unwrap();
+    assert!(!cert.certified);
+    assert!(stopped.delta <= (1.0 + cert.error_bound) * optimum + 1e-12);
+    assert_eq!((cert.confidence, cert.moe), (1.0, 0.0));
+    assert_eq!(stopped.provenance.states_explored, 2);
+    assert!(stopped.community.contains(&q));
 }
 
 /// The JSON serialization of a real engine run is structurally sound and

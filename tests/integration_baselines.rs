@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: every method optimizes *its own* metric
 //! best (the Table II diagonal), on a planted graph.
 
-use csag::baselines::{acq, e_vac, loc_atc, vac, CsagError, EVacLimits};
+use csag::baselines::{acq, e_vac, loc_atc, vac, EVacLimits};
 use csag::core::distance::{DistanceParams, QueryDistances};
 use csag::core::exact::{Exact, ExactParams};
 use csag::core::CommunityModel;
@@ -33,23 +33,20 @@ fn each_method_wins_its_own_metric() {
     let q = random_queries(&g, 1, k, 77)[0];
     let model = CommunityModel::KCore;
 
-    // Accept the budget-exhausted best-so-far on slow (debug) builds —
-    // the incumbent is still at least as δ-tight as any baseline here.
-    let (exact_community, exact_delta) = match Exact::new(&g, dp).run(
-        q,
-        &ExactParams::default()
-            .with_k(k)
-            .with_time_budget(Duration::from_secs(5)),
-    ) {
-        Ok(r) => (r.community, r.delta),
-        Err(CsagError::BudgetExhausted { partial: Some(p) }) => (p.community, p.delta),
-        Err(e) => panic!("expected a {k}-core around node {q}: {e}"),
-    };
+    let exact = Exact::new(&g, dp)
+        .run(
+            q,
+            &ExactParams::default()
+                .with_k(k)
+                .with_time_budget(Duration::from_secs(5)),
+        )
+        .unwrap_or_else(|e| panic!("expected a {k}-core around node {q}: {e}"));
     let acq_r = acq(&g, q, k, model).unwrap();
     let atc_r = loc_atc(&g, q, k, model).unwrap();
     let vac_r = vac(&g, q, k, model, dp, Some(2_000)).unwrap();
 
-    // δ: Exact is at least as good as every baseline.
+    // δ: Exact is at least as good as every baseline — when it completed;
+    // a slow (debug) build that stops it holds no ground truth.
     let dist = QueryDistances::new(q, g.n(), dp);
     for (name, comm) in [
         ("ACQ", &acq_r.community),
@@ -58,14 +55,15 @@ fn each_method_wins_its_own_metric() {
     ] {
         let delta = dist.delta(&g, comm);
         assert!(
-            exact_delta <= delta + 1e-9,
-            "{name} beat Exact on δ: {delta} < {exact_delta}"
+            !exact.complete || exact.delta <= delta + 1e-9,
+            "{name} beat Exact on δ: {delta} < {}",
+            exact.delta
         );
     }
 
     // #shared: ACQ is at least as good as Exact and VAC.
     let acq_shared = shared_attributes(&g, q, &acq_r.community);
-    for (name, comm) in [("Exact", &exact_community), ("VAC", &vac_r.community)] {
+    for (name, comm) in [("Exact", &exact.community), ("VAC", &vac_r.community)] {
         assert!(
             acq_shared >= shared_attributes(&g, q, comm),
             "{name} beat ACQ on #shared"

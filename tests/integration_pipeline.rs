@@ -2,7 +2,6 @@
 //! evaluation, end to end.
 
 use csag::core::distance::{DistanceParams, QueryDistances};
-use csag::core::error::CsagError;
 use csag::core::exact::{Exact, ExactParams};
 use csag::core::sea::{Sea, SeaParams};
 use csag::core::CommunityModel;
@@ -24,8 +23,8 @@ fn small_config() -> SyntheticConfig {
     }
 }
 
-/// Community and δ of a budgeted exact search, accepting the
-/// budget-exhausted best-so-far partial the way the experiments do.
+/// Community and δ of a budgeted exact search — its best so far when the
+/// budget stops it, the way the experiments read it.
 fn exact_best(
     g: &AttributedGraph,
     q: NodeId,
@@ -37,11 +36,10 @@ fn exact_best(
         .with_k(k)
         .with_model(model)
         .with_time_budget(budget);
-    match Exact::new(g, DistanceParams::default()).run(q, &params) {
-        Ok(r) => (r.community, r.delta),
-        Err(CsagError::BudgetExhausted { partial: Some(p) }) => (p.community, p.delta),
-        Err(e) => panic!("expected a {k}-community around node {q}: {e}"),
-    }
+    let r = Exact::new(g, DistanceParams::default())
+        .run(q, &params)
+        .unwrap_or_else(|e| panic!("expected a {k}-community around node {q}: {e}"));
+    (r.community, r.delta)
 }
 
 #[test]
@@ -95,15 +93,16 @@ fn certification_implies_small_error_most_of_the_time() {
         if !sea.certified {
             continue;
         }
-        // Only truly optimal ground truths count: budget-exhausted exact
-        // runs now arrive as `Err(BudgetExhausted)` and are skipped.
-        let Ok(exact) = Exact::new(&g, dp).run(
+        // Only truly optimal ground truths count: budget-stopped exact
+        // runs are skipped.
+        let exact = match Exact::new(&g, dp).run(
             q,
             &ExactParams::default()
                 .with_k(4)
                 .with_time_budget(Duration::from_secs(5)),
-        ) else {
-            continue;
+        ) {
+            Ok(exact) if exact.complete => exact,
+            _ => continue,
         };
         certified_errors.push(relative_error(sea.delta_star, exact.delta));
     }
@@ -319,7 +318,11 @@ fn certified_answers_violate_the_error_bound_no_more_often_than_alpha() {
         let cell = |method| CommunityQuery::new(method, q).with_k(k).with_gamma(gamma);
         let exact = engine
             .run(&cell(Method::Exact).with_state_budget(2_000_000))
-            .unwrap_or_else(|e| panic!("{name} q={q}: exact must finish: {e}"));
+            .unwrap_or_else(|e| panic!("{name} q={q}: exact must answer: {e}"));
+        assert!(
+            exact.certificate.is_some_and(|c| c.certified),
+            "{name} q={q}: exact must finish to be ground truth"
+        );
         for e in [0.05, 0.1] {
             let (mut certified, mut violations) = (0u64, 0u64);
             for seed in 0..SEEDS {

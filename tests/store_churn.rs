@@ -32,7 +32,7 @@ fn every_answer_after_churn_equals_a_fresh_engine() {
     let mut rng = StdRng::seed_from_u64(0x5EED);
 
     // Exact runs carry a *state* budget: deterministic for a given graph,
-    // so budget-exhausted partials also compare equal across engines —
+    // so budget-stopped answers also compare equal across engines —
     // while keeping the debug-mode test fast.
     let queries_for = |q: u32| {
         vec![
