@@ -5,7 +5,8 @@
 //! 1. **Sampling-based maximal H̃ₖ finding (§V-A)** — determine the minimum
 //!    neighborhood size |Gq| from the Hoeffding bound (Theorem 10), grow
 //!    `Gq` around `q` by best-first search on `f(·,q)` (or take `q`'s
-//!    component outright when the bound reaches `n`), draw
+//!    component outright when the bound reaches `n` — a slice of the
+//!    engine's [`Components`] index when it has one), draw
 //!    `|S| = λ·|V_Gq|` samples with probability ∝ `1 − f(v,q)` (Eq. 5),
 //!    and peel the induced graph `Gq[S]` to the maximal connected
 //!    community of `q`.
@@ -33,10 +34,11 @@
 use crate::distance::{DistanceParams, QueryDistances};
 use crate::error::{check_query_node, CsagError};
 use csag_decomp::{CommunityModel, EdgeIndex, Maintainer, PrefixPeeler};
+use csag_graph::traversal::Components;
 use csag_graph::{AttributedGraph, FixedBitSet, MinScored, NodeId, QueryWorkspace};
 use csag_stats::{
     incremental_sample_size, min_population_size, satisfies_error_bound,
-    weighted_sample_without_replacement, z_for_confidence, Blb, ConfidenceInterval,
+    weighted_sample_without_replacement_into, z_for_confidence, Blb, ConfidenceInterval,
 };
 use rand::Rng;
 use std::time::{Duration, Instant};
@@ -61,7 +63,10 @@ pub struct SeaParams {
     /// Bag-of-Little-Bootstraps configuration.
     pub blb: Blb,
     /// Maximum sampling/estimation rounds before giving up and returning
-    /// the best uncertified candidate (paper: `N_e ≤ 5` in practice).
+    /// the best uncertified candidate (paper: `N_e ≤ 5` in practice). The
+    /// cap applies once some candidate has been estimated; until then the
+    /// sample keeps growing, so "no community" always means the whole
+    /// population was peeled.
     pub max_rounds: usize,
     /// Maximum greedy candidate deletions examined per round. Bounds the
     /// estimation step on giant sampled communities; certification
@@ -257,6 +262,7 @@ pub struct Sea<'g> {
     g: &'g AttributedGraph,
     dparams: DistanceParams,
     eidx: Option<&'g EdgeIndex>,
+    components: Option<&'g Components>,
 }
 
 impl<'g> Sea<'g> {
@@ -266,6 +272,7 @@ impl<'g> Sea<'g> {
             g,
             dparams,
             eidx: None,
+            components: None,
         }
     }
 
@@ -275,6 +282,15 @@ impl<'g> Sea<'g> {
     /// [`Maintainer::with_edge_index`].
     pub fn with_edge_index(mut self, eidx: Option<&'g EdgeIndex>) -> Self {
         self.eidx = eidx;
+        self
+    }
+
+    /// Lets runs whose Theorem-10 bound reaches `n` take `q`'s population
+    /// from `components`, a component index of this graph built once (the
+    /// engine keeps one per epoch), instead of walking `q`'s component per
+    /// run. Both give the same population.
+    pub fn with_components(mut self, components: &'g Components) -> Self {
+        self.components = Some(components);
         self
     }
 
@@ -334,12 +350,18 @@ impl<'g> Sea<'g> {
             params.hoeffding_epsilon,
             1.0 - params.hoeffding_confidence,
         );
-        let mut gq_nodes = ws.take_nodes();
-        grow_neighborhood_into(self.g, q, min_gq, dist, ws, &mut gq_nodes);
+        let mut grown = ws.take_nodes();
+        let population = match self.components {
+            Some(components) if min_gq >= self.g.n() => components.of(q),
+            _ => {
+                grow_neighborhood_into(self.g, q, min_gq, dist, ws, &mut grown);
+                &grown[..]
+            }
+        };
         let sampling_setup = t0.elapsed();
 
-        let result = search_population(self, &gq_nodes, q, dist, params, rng, ws);
-        ws.put_nodes(gq_nodes);
+        let result = search_population(self, population, q, dist, params, rng, ws);
+        ws.put_nodes(grown);
         let mut result = result?;
         result.timing.sampling += sampling_setup;
         Ok(result)
@@ -437,6 +459,8 @@ pub fn grow_neighborhood_into(
 struct PopulationBufs {
     weights: Vec<f64>,
     in_sample: FixedBitSet,
+    keys: Vec<(f64, NodeId)>,
+    picks: Vec<NodeId>,
     sample_nodes: Vec<NodeId>,
     root: Vec<NodeId>,
     by_f: Vec<(f64, NodeId)>,
@@ -513,6 +537,8 @@ fn search_population<R: Rng + ?Sized>(
     let mut bufs = PopulationBufs {
         weights: ws.take_f64s(),
         in_sample: ws.take_bitset(population.len()),
+        keys: ws.take_scored(),
+        picks: ws.take_nodes(),
         sample_nodes: ws.take_nodes(),
         root: ws.take_nodes(),
         by_f: ws.take_scored(),
@@ -524,6 +550,8 @@ fn search_population<R: Rng + ?Sized>(
     let res = sea_population_inner(maintainer, population, q_pos, dist, params, rng, &mut bufs);
     ws.put_f64s(bufs.weights);
     ws.put_bitset(bufs.in_sample);
+    ws.put_scored(bufs.keys);
+    ws.put_nodes(bufs.picks);
     ws.put_nodes(bufs.sample_nodes);
     ws.put_nodes(bufs.root);
     ws.put_scored(bufs.by_f);
@@ -579,19 +607,16 @@ fn sea_population_inner<R: Rng + ?Sized>(
     bufs.in_sample.insert(q_pos as u32);
     let initial =
         ((params.lambda * n as f64).ceil() as usize).clamp(params.min_members().min(n), n);
-    add_samples(
-        &bufs.weights,
-        &mut bufs.in_sample,
-        initial.saturating_sub(1),
-        rng,
-    );
+    add_samples(bufs, initial.saturating_sub(1), rng);
     timing.sampling += t_weights.elapsed();
 
     let mut best: Option<(f64, f64)> = None; // (δ⋆, ε) of `bufs.best_comm`
     let mut certified = false;
     let mut added_this_round = 0usize;
 
-    for _round in 0..params.max_rounds {
+    let mut round = 0usize;
+    while round < params.max_rounds || best.is_none() {
+        round += 1;
         let round_start = Instant::now();
 
         // S1: peel the induced sample to the maximal community of q.
@@ -610,7 +635,7 @@ fn sea_population_inner<R: Rng + ?Sized>(
             }
             let t3 = Instant::now();
             let add = bufs.in_sample.count().max(1);
-            let added = add_samples(&bufs.weights, &mut bufs.in_sample, add, rng);
+            let added = add_samples(bufs, add, rng);
             added_this_round += added;
             timing.incremental += t3.elapsed();
             continue;
@@ -766,7 +791,7 @@ fn sea_population_inner<R: Rng + ?Sized>(
             params.blb.scale_exponent,
         )
         .max(1);
-        let added = add_samples(&bufs.weights, &mut bufs.in_sample, want, rng);
+        let added = add_samples(bufs, want, rng);
         added_this_round += added;
         timing.incremental += t3.elapsed();
         if added == 0 {
@@ -791,33 +816,29 @@ fn sea_population_inner<R: Rng + ?Sized>(
     })
 }
 
-/// Draws up to `want` *new* samples (indices not yet in `in_sample`) by
-/// weighted sampling without replacement; returns how many were added.
-fn add_samples<R: Rng + ?Sized>(
-    weights: &[f64],
-    in_sample: &mut FixedBitSet,
-    want: usize,
-    rng: &mut R,
-) -> usize {
-    if want == 0 {
-        return 0;
+/// Draws up to `want` *new* samples (positions not yet in `in_sample`)
+/// by weighted sampling without replacement over the unsampled positions;
+/// returns how many were added.
+fn add_samples<R: Rng + ?Sized>(bufs: &mut PopulationBufs, want: usize, rng: &mut R) -> usize {
+    let PopulationBufs {
+        weights,
+        in_sample,
+        keys,
+        picks,
+        ..
+    } = bufs;
+    weighted_sample_without_replacement_into(
+        weights,
+        |i| in_sample.contains(i as u32),
+        want,
+        rng,
+        keys,
+        picks,
+    );
+    for &p in picks.iter() {
+        in_sample.insert(p);
     }
-    // Restrict weights to the complement of the current sample.
-    let remaining: Vec<usize> = (0..weights.len())
-        .filter(|&i| !in_sample.contains(i as u32))
-        .collect();
-    if remaining.is_empty() {
-        return 0;
-    }
-    let sub_weights: Vec<f64> = remaining.iter().map(|&i| weights[i]).collect();
-    let picks = weighted_sample_without_replacement(&sub_weights, want, rng);
-    let mut added = 0;
-    for p in picks {
-        if in_sample.insert(remaining[p] as u32) {
-            added += 1;
-        }
-    }
-    added
+    picks.len()
 }
 
 #[cfg(test)]

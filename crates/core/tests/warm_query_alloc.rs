@@ -124,9 +124,10 @@ fn warm_query_allocations_are_small_and_independent_of_the_vocabulary() {
             "{model}: allocations per warm query must not depend on the vocabulary \
              ({few} with 10 tokens, {many} with 10 010)"
         );
+        // Measured: 53.4 (k-core) and 93.2 (k-truss).
         assert!(
-            few.max(many) <= 128.0,
-            "{model}: {few} / {many} allocations per warm query (budget 128)"
+            few.max(many) <= 96.0,
+            "{model}: {few} / {many} allocations per warm query (budget 96)"
         );
     }
 }

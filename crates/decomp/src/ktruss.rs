@@ -84,30 +84,31 @@ impl EdgeIndex {
 #[derive(Clone, Debug)]
 pub(crate) struct TrussScratch {
     pub(crate) node: PeelScratch,
-    /// Epoch stamp marking edges inside the current subset.
-    edge_in: Vec<u32>,
     /// Epoch stamp marking edges removed by the current peel.
     edge_rm: Vec<u32>,
     /// Triangle support of each edge in the current peel.
     support: Vec<u32>,
-    /// Internal edges of the current subset (reused across peels).
-    edges: Vec<(NodeId, NodeId, u32)>,
+    /// Row number of each subset member in the current peel.
+    row_of: Vec<u32>,
+    /// The subset's induced rows: row `r` holds, ascending, the positions
+    /// in its member's CSR row of the neighbours inside the subset, at
+    /// `row_pos[row_start[r]..row_start[r + 1]]`.
+    row_start: Vec<u32>,
+    row_pos: Vec<u32>,
     /// Peel queue of subcritical edges (reused across peels).
     queue: VecDeque<(NodeId, NodeId, u32)>,
-    /// Surviving-edge hit list of one removal step (reused across peels).
-    hits: Vec<(NodeId, NodeId, u32)>,
 }
 
 impl TrussScratch {
     pub(crate) fn new(n: usize, m: usize) -> Self {
         TrussScratch {
             node: PeelScratch::new(n),
-            edge_in: vec![0; m],
             edge_rm: vec![0; m],
             support: vec![0; m],
-            edges: Vec::new(),
+            row_of: vec![0; n],
+            row_start: Vec::new(),
+            row_pos: Vec::new(),
             queue: VecDeque::new(),
-            hits: Vec::new(),
         }
     }
 }
@@ -145,6 +146,32 @@ fn for_common_neighbors(
     for_common_in_rows(g.neighbors(u), g.neighbors(v), visit);
 }
 
+/// [`for_common_in_rows`] over two induced rows: `pu` and `pv` are
+/// ascending positions into the full rows `nu` and `nv`, and `visit`
+/// receives the full-row positions of each common neighbour.
+#[inline]
+fn for_common_in_induced(
+    nu: &[NodeId],
+    pu: &[u32],
+    nv: &[NodeId],
+    pv: &[u32],
+    mut visit: impl FnMut(NodeId, usize, usize),
+) {
+    let (mut i, mut j) = (0, 0);
+    while i < pu.len() && j < pv.len() {
+        let (a, b) = (pu[i] as usize, pv[j] as usize);
+        match nu[a].cmp(&nv[b]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                visit(nu[a], a, b);
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+}
+
 /// Peels the subgraph induced by `nodes` down to the maximal connected
 /// k-truss containing `q`. Returns the sorted member nodes, or `None` if
 /// `q` has no incident surviving edge.
@@ -168,6 +195,11 @@ pub(crate) fn peel_to_ktruss_scratch(
 /// member list into `out` (cleared first) and returns whether `q`
 /// survived with at least one incident truss edge. With a warmed
 /// `scratch` and a capacious `out` this performs zero heap allocations.
+///
+/// `nodes` must be distinct, in any order. The subset's induced rows are
+/// laid out once, by one scan of each member's full row; support counting,
+/// the peel and the final traversal then merge and walk only in-subset
+/// neighbours, and every row entry is an internal edge by construction.
 pub(crate) fn peel_to_ktruss_into(
     g: &AttributedGraph,
     eidx: &EdgeIndex,
@@ -190,45 +222,53 @@ pub(crate) fn peel_to_ktruss_into(
     // Split-borrow the scratch so node and edge tables can be used together.
     let TrussScratch {
         node,
-        edge_in,
         edge_rm,
         support,
-        edges,
+        row_of,
+        row_start,
+        row_pos,
         queue,
-        hits,
     } = scratch;
     let in_epoch = &node.in_epoch;
     let vis = &mut node.vis_epoch;
 
-    // Collect internal edges, stamp them in, and compute supports.
-    edges.clear();
-    for &u in nodes {
+    // Lay out the induced rows.
+    row_start.clear();
+    row_pos.clear();
+    row_start.push(0);
+    for (r, &u) in nodes.iter().enumerate() {
+        row_of[u as usize] = r as u32;
         for (i, &v) in g.neighbors(u).iter().enumerate() {
-            if u < v && in_epoch[v as usize] == e {
-                let id = eidx.id_at(g, u, i);
-                edge_in[id as usize] = e;
-                edges.push((u, v, id));
+            if in_epoch[v as usize] == e {
+                row_pos.push(i as u32);
             }
         }
+        row_start.push(row_pos.len() as u32);
     }
-    for &(u, v, id) in edges.iter() {
-        let mut cnt = 0u32;
-        for_common_neighbors(g, u, v, |w, _, _| {
-            if in_epoch[w as usize] == e {
-                cnt += 1;
-            }
-        });
-        support[id as usize] = cnt;
-    }
+    let row = |u: NodeId| {
+        let r = row_of[u as usize] as usize;
+        &row_pos[row_start[r] as usize..row_start[r + 1] as usize]
+    };
 
-    // Peel edges whose support is below k-2. Edges are *stamped removed at
-    // processing time*, not at enqueue time: when one edge of a triangle is
-    // processed, the other two must still count as alive so the triangle's
-    // loss is charged to them exactly once.
+    // Supports of the internal edges (each counted once, from its lower
+    // end), queueing the subcritical ones. Edges are *stamped removed at
+    // processing time*, not at enqueue time: when one edge of a triangle
+    // is processed, the other two must still count as alive so the
+    // triangle's loss is charged to them exactly once.
     queue.clear();
-    for &(u, v, id) in edges.iter() {
-        if support[id as usize] < need {
-            queue.push_back((u, v, id));
+    for &u in nodes {
+        let (nu, pu) = (g.neighbors(u), row(u));
+        for &i in pu {
+            let v = nu[i as usize];
+            if u < v {
+                let mut cnt = 0u32;
+                for_common_in_induced(nu, pu, g.neighbors(v), row(v), |_, _, _| cnt += 1);
+                let id = eidx.id_at(g, u, i as usize);
+                support[id as usize] = cnt;
+                if cnt < need {
+                    queue.push_back((u, v, id));
+                }
+            }
         }
     }
     while let Some((u, v, id)) = queue.pop_front() {
@@ -237,30 +277,23 @@ pub(crate) fn peel_to_ktruss_into(
         }
         edge_rm[id as usize] = e;
         // Every triangle (u, v, w) whose other two edges are still alive
-        // dies with this edge; both survivors lose one unit of support.
-        hits.clear();
-        for_common_neighbors(g, u, v, |w, i, j| {
-            if in_epoch[w as usize] != e {
-                return;
-            }
+        // dies with this edge; both survivors lose one unit of support,
+        // and each is queued exactly at its threshold crossing (it was
+        // above `need` before this decrement, so that fires at most once).
+        let (nu, nv) = (g.neighbors(u), g.neighbors(v));
+        for_common_in_induced(nu, row(u), nv, row(v), |w, i, j| {
             let uw = eidx.id_at(g, u, i);
             let vw = eidx.id_at(g, v, j);
-            let uw_alive = edge_in[uw as usize] == e && edge_rm[uw as usize] != e;
-            let vw_alive = edge_in[vw as usize] == e && edge_rm[vw as usize] != e;
-            if uw_alive && vw_alive {
-                hits.push((u, w, uw));
-                hits.push((v, w, vw));
+            if edge_rm[uw as usize] != e && edge_rm[vw as usize] != e {
+                for (a, b, id2) in [(u, w, uw), (v, w, vw)] {
+                    let s = &mut support[id2 as usize];
+                    *s -= 1;
+                    if *s + 1 == need {
+                        queue.push_back((a, b, id2));
+                    }
+                }
             }
         });
-        for &(a, b, id2) in hits.iter() {
-            let s = &mut support[id2 as usize];
-            *s -= 1;
-            // Push exactly at the threshold crossing; the edge was above
-            // `need` before this decrement, so this fires at most once.
-            if *s + 1 == need {
-                queue.push_back((a, b, id2));
-            }
-        }
     }
 
     // Traverse from q over surviving edges; `out` is sorted afterwards so
@@ -272,15 +305,13 @@ pub(crate) fn peel_to_ktruss_into(
     let mut q_has_edge = false;
     while let Some(u) = dfs.pop() {
         out.push(u);
-        for (i, &v) in g.neighbors(u).iter().enumerate() {
-            if in_epoch[v as usize] != e {
-                continue;
-            }
-            let id = eidx.id_at(g, u, i);
-            if edge_in[id as usize] == e && edge_rm[id as usize] != e {
+        let nu = g.neighbors(u);
+        for &i in row(u) {
+            if edge_rm[eidx.id_at(g, u, i as usize) as usize] != e {
                 if u == q {
                     q_has_edge = true;
                 }
+                let v = nu[i as usize];
                 if vis[v as usize] != e {
                     vis[v as usize] = e;
                     dfs.push(v);

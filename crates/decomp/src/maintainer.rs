@@ -125,7 +125,7 @@ impl<'g> Maintainer<'g> {
     }
 
     /// Maximal connected community containing `q` within the node subset
-    /// `nodes` (sorted member list), or `None` if `q` does not survive.
+    /// `nodes` (distinct, in any order), or `None` if `q` does not survive.
     pub fn maximal_within(&mut self, q: NodeId, nodes: &[NodeId]) -> Option<Vec<NodeId>> {
         match &mut self.scratch {
             Scratch::Core(s) => peel_to_kcore_scratch(self.g, q, self.k, nodes, s),

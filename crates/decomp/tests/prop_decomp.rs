@@ -1,9 +1,10 @@
 //! Property tests: k-core and k-truss invariants on random graphs.
 
 use csag_decomp::{core_decomposition, max_connected_kcore, max_connected_ktruss};
-use csag_decomp::{truss_decomposition, CommunityModel, Maintainer};
-use csag_graph::GraphBuilder;
+use csag_decomp::{truss_decomposition, CommunityModel, EdgeIndex, Maintainer};
+use csag_graph::{AttributedGraph, GraphBuilder, NodeId};
 use proptest::prelude::*;
+use std::collections::VecDeque;
 
 fn arb_graph() -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
     (2usize..30).prop_flat_map(|n| {
@@ -23,7 +24,145 @@ fn build(n: usize, edges: &[(u32, u32)]) -> csag_graph::AttributedGraph {
     b.build().unwrap()
 }
 
+/// Common neighbours of `u` and `v` with their positions in each full row.
+fn common_in_rows(g: &AttributedGraph, u: NodeId, v: NodeId) -> Vec<(NodeId, usize, usize)> {
+    let (nu, nv) = (g.neighbors(u), g.neighbors(v));
+    let (mut i, mut j, mut out) = (0, 0, Vec::new());
+    while i < nu.len() && j < nv.len() {
+        match nu[i].cmp(&nv[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                out.push((nu[i], i, j));
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    out
+}
+
+/// Reference: the restricted k-truss peel over *full* CSR rows — supports,
+/// the peel and the traversal merge or walk every internal edge's whole
+/// rows and filter by subset membership and an internal-edge mark.
+fn reference_truss_peel(
+    g: &AttributedGraph,
+    eidx: &EdgeIndex,
+    q: NodeId,
+    k: u32,
+    nodes: &[NodeId],
+) -> Option<Vec<NodeId>> {
+    let mut inside = vec![false; g.n()];
+    for &v in nodes {
+        inside[v as usize] = true;
+    }
+    if !inside[q as usize] {
+        return None;
+    }
+    let need = k.saturating_sub(2);
+    let mut edge_in = vec![false; eidx.m()];
+    let mut removed = vec![false; eidx.m()];
+    let mut support = vec![0u32; eidx.m()];
+    let mut edges = Vec::new();
+    for &u in nodes {
+        for (i, &v) in g.neighbors(u).iter().enumerate() {
+            if u < v && inside[v as usize] {
+                let id = eidx.id_at(g, u, i);
+                edge_in[id as usize] = true;
+                edges.push((u, v, id));
+            }
+        }
+    }
+    for &(u, v, id) in &edges {
+        support[id as usize] = common_in_rows(g, u, v)
+            .iter()
+            .filter(|&&(w, _, _)| inside[w as usize])
+            .count() as u32;
+    }
+    let mut queue: VecDeque<_> = edges
+        .iter()
+        .copied()
+        .filter(|&(_, _, id)| support[id as usize] < need)
+        .collect();
+    while let Some((u, v, id)) = queue.pop_front() {
+        if removed[id as usize] {
+            continue;
+        }
+        removed[id as usize] = true;
+        let mut hits = Vec::new();
+        for (w, i, j) in common_in_rows(g, u, v) {
+            if !inside[w as usize] {
+                continue;
+            }
+            let (uw, vw) = (eidx.id_at(g, u, i), eidx.id_at(g, v, j));
+            let alive = |e: u32| edge_in[e as usize] && !removed[e as usize];
+            if alive(uw) && alive(vw) {
+                hits.push((u, w, uw));
+                hits.push((v, w, vw));
+            }
+        }
+        for (a, b, id2) in hits {
+            support[id2 as usize] -= 1;
+            if support[id2 as usize] + 1 == need {
+                queue.push_back((a, b, id2));
+            }
+        }
+    }
+    let mut seen = vec![false; g.n()];
+    let (mut stack, mut out, mut q_has_edge) = (vec![q], Vec::new(), false);
+    seen[q as usize] = true;
+    while let Some(u) = stack.pop() {
+        out.push(u);
+        for (i, &v) in g.neighbors(u).iter().enumerate() {
+            let id = eidx.id_at(g, u, i) as usize;
+            if inside[v as usize] && edge_in[id] && !removed[id] {
+                q_has_edge |= u == q;
+                if !seen[v as usize] {
+                    seen[v as usize] = true;
+                    stack.push(v);
+                }
+            }
+        }
+    }
+    out.sort_unstable();
+    q_has_edge.then_some(out)
+}
+
 proptest! {
+    /// The induced-row k-truss peel equals the full-row reference on
+    /// random subsets — sorted or in arbitrary order, as SEA's prefix
+    /// ladder passes them — with one maintainer reused across them all.
+    #[test]
+    fn induced_row_truss_peel_matches_the_full_row_peel(
+        (n, edges) in arb_graph(),
+        subsets in prop::collection::vec(
+            (0u32..30, prop::collection::vec((any::<bool>(), any::<u32>()), 30)),
+            1..6,
+        ),
+    ) {
+        let g = build(n, &edges);
+        let eidx = EdgeIndex::new(&g);
+        for k in 2u32..6 {
+            let mut m = Maintainer::new(&g, CommunityModel::KTruss, k);
+            for (q, picks) in &subsets {
+                let q = q % n as u32;
+                let mut keyed: Vec<(u32, NodeId)> = (0..n as NodeId)
+                    .filter(|&v| picks[v as usize].0 || v == q)
+                    .map(|v| (picks[v as usize].1, v))
+                    .collect();
+                keyed.sort_unstable();
+                let shuffled: Vec<NodeId> = keyed.iter().map(|&(_, v)| v).collect();
+                let mut sorted = shuffled.clone();
+                sorted.sort_unstable();
+                let want = reference_truss_peel(&g, &eidx, q, k, &sorted);
+                prop_assert_eq!(&m.maximal_within(q, &shuffled), &want, "k={} q={} {:?}", k, q, shuffled);
+                prop_assert_eq!(&m.maximal_within(q, &sorted), &want, "k={} q={} sorted", k, q);
+                let all: Vec<NodeId> = (0..n as NodeId).collect();
+                prop_assert_eq!(m.maximal(q), reference_truss_peel(&g, &eidx, q, k, &all));
+            }
+        }
+    }
+
     /// Coreness is consistent with brute-force peeling at every k.
     #[test]
     fn coreness_matches_naive_peel((n, edges) in arb_graph()) {

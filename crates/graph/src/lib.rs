@@ -12,7 +12,8 @@
 //!   onto an [`AttributedGraph`] of target-type nodes (paper §VI-A).
 //! * [`FixedBitSet`] — a dense node-mask used pervasively by the
 //!   decomposition and search algorithms.
-//! * [`traversal`] — BFS / connectivity primitives restricted to node masks.
+//! * [`traversal`] — BFS / connectivity primitives restricted to node
+//!   masks, and [`traversal::Components`], a graph's component index.
 //! * [`wal`] — checksummed byte framing for write-ahead-log segments,
 //!   with torn-tail vs. corruption classification (the byte layer under
 //!   the facade crate's durable update log).

@@ -68,22 +68,74 @@ pub fn bfs_order(g: &AttributedGraph, start: NodeId) -> Vec<NodeId> {
     order
 }
 
-/// All connected components of the graph, each sorted, ordered by their
-/// smallest node.
-pub fn connected_components(g: &AttributedGraph) -> Vec<Vec<NodeId>> {
-    let mut seen = FixedBitSet::new(g.n());
-    let mut comps = Vec::new();
-    for v in 0..g.n() as NodeId {
-        if seen.contains(v) {
-            continue;
+/// Every connected component of a graph, indexed so that a node's
+/// component is a slice lookup: a label per node, plus the members of
+/// each component grouped together in ascending order. Components are
+/// numbered by their smallest node.
+#[derive(Clone, Debug)]
+pub struct Components {
+    /// `label[v]` is the number of `v`'s component.
+    label: Vec<u32>,
+    /// Members of component `c`, ascending, at `members[start[c]..start[c + 1]]`.
+    members: Vec<NodeId>,
+    start: Vec<u32>,
+}
+
+impl Components {
+    /// Labels every node of `g` in O(n + m).
+    pub fn new(g: &AttributedGraph) -> Self {
+        let n = g.n();
+        let mut label = vec![u32::MAX; n];
+        let mut start = vec![0u32];
+        // `members` serves as the labelling walk's stack, then is filled
+        // by one ascending pass that drops each node into its group.
+        let mut members = Vec::with_capacity(n);
+        for s in 0..n as NodeId {
+            if label[s as usize] != u32::MAX {
+                continue;
+            }
+            let c = (start.len() - 1) as u32;
+            let mut size = 0u32;
+            label[s as usize] = c;
+            members.push(s);
+            while let Some(v) = members.pop() {
+                size += 1;
+                for &w in g.neighbors(v) {
+                    if label[w as usize] == u32::MAX {
+                        label[w as usize] = c;
+                        members.push(w);
+                    }
+                }
+            }
+            start.push(start[c as usize] + size);
         }
-        let comp = component_of(g, v, None);
-        for &u in &comp {
-            seen.insert(u);
+        members.resize(n, 0);
+        let mut next = start.clone();
+        for v in 0..n as NodeId {
+            let slot = &mut next[label[v as usize] as usize];
+            members[*slot as usize] = v;
+            *slot += 1;
         }
-        comps.push(comp);
+        Components {
+            label,
+            members,
+            start,
+        }
     }
-    comps
+
+    /// The component containing `v`, ascending — what
+    /// [`component_of`]`(g, v, None)` returns, without a walk.
+    pub fn of(&self, v: NodeId) -> &[NodeId] {
+        let c = self.label[v as usize] as usize;
+        &self.members[self.start[c] as usize..self.start[c + 1] as usize]
+    }
+
+    /// Every component, ordered by smallest node, each ascending.
+    pub fn iter(&self) -> impl Iterator<Item = &[NodeId]> + '_ {
+        self.start
+            .windows(2)
+            .map(|w| &self.members[w[0] as usize..w[1] as usize])
+    }
 }
 
 /// Hop distance (unweighted shortest path length) from `start` to every
@@ -168,8 +220,13 @@ mod tests {
     #[test]
     fn components_partition_the_graph() {
         let g = two_triangles();
-        let comps = connected_components(&g);
-        assert_eq!(comps, vec![vec![0, 1, 2, 3, 4, 5], vec![6]]);
+        let comps = Components::new(&g);
+        assert_eq!(
+            comps.iter().collect::<Vec<_>>(),
+            [&[0, 1, 2, 3, 4, 5][..], &[6][..]]
+        );
+        assert_eq!(comps.of(4), &[0, 1, 2, 3, 4, 5]);
+        assert_eq!(comps.of(6), &[6]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property tests for the graph substrate.
 
-use csag_graph::traversal::{component_of, connected_components};
+use csag_graph::traversal::{component_of, Components};
 use csag_graph::{FixedBitSet, GraphBuilder};
 use proptest::prelude::*;
 
@@ -8,6 +8,24 @@ use proptest::prelude::*;
 fn arb_graph() -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
     (1usize..40).prop_flat_map(|n| {
         let edges = prop::collection::vec((0..n as u32, 0..n as u32), 0..120);
+        (Just(n), edges)
+    })
+}
+
+/// Strategy: `blocks` groups of `size` nodes striped across the id space
+/// (node `u·blocks + b` is the `u`-th of group `b`), edges only inside a
+/// group, and `isolated` edgeless nodes after them — so always several
+/// components, interleaved in id order.
+fn arb_multi_component_graph() -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
+    (2u32..6, 1u32..12, 1usize..6).prop_flat_map(|(blocks, size, isolated)| {
+        let n = (blocks * size) as usize + isolated;
+        let edges =
+            prop::collection::vec((0..blocks, 0..size, 0..size), 0..80).prop_map(move |picks| {
+                picks
+                    .into_iter()
+                    .map(|(b, u, v)| (u * blocks + b, v * blocks + b))
+                    .collect()
+            });
         (Just(n), edges)
     })
 }
@@ -54,15 +72,27 @@ proptest! {
     #[test]
     fn components_partition_nodes((n, edges) in arb_graph()) {
         let g = build(n, &edges);
-        let comps = connected_components(&g);
+        let comps = Components::new(&g);
         let mut all: Vec<u32> = comps.iter().flatten().copied().collect();
         all.sort_unstable();
         prop_assert_eq!(all, (0..n as u32).collect::<Vec<_>>());
         // Every node's component query agrees with the partition.
-        for comp in &comps {
+        for comp in comps.iter() {
             for &v in comp {
-                prop_assert_eq!(&component_of(&g, v, None), comp);
+                prop_assert_eq!(&component_of(&g, v, None)[..], comp);
             }
+        }
+    }
+
+    /// The component index answers exactly what the walk does, on graphs
+    /// with several interleaved components and isolated nodes.
+    #[test]
+    fn component_index_matches_the_walk((n, edges) in arb_multi_component_graph()) {
+        let g = build(n, &edges);
+        let comps = Components::new(&g);
+        prop_assert!(comps.iter().count() >= 3, "two groups and an isolated node at least");
+        for v in 0..n as u32 {
+            prop_assert_eq!(comps.of(v), &component_of(&g, v, None)[..]);
         }
     }
 

@@ -32,4 +32,4 @@ pub use binomial::binomial_tail;
 pub use bootstrap::{bootstrap_std, bootstrap_std_sized, Blb, BlbEstimate};
 pub use hoeffding::{min_population_size, min_possible_worlds};
 pub use normal::{normal_cdf, normal_quantile, z_for_confidence};
-pub use sampling::weighted_sample_without_replacement;
+pub use sampling::{weighted_sample_without_replacement, weighted_sample_without_replacement_into};

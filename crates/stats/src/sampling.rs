@@ -4,90 +4,98 @@
 //! with probability proportional to `1 − f(v, q)` (Eq. 5). We use the
 //! Efraimidis–Spirakis A-Res scheme: draw `key(v) = u_v^{1/w_v}` with
 //! `u_v ~ U(0,1)` and keep the `k` largest keys, which realizes weighted
-//! sampling without replacement in one pass.
+//! sampling without replacement in one pass. Keys are compared as
+//! `ln u_v / w_v`, which orders like `u_v^{1/w_v}` without an `exp` per
+//! item (and keeps apart keys whose `exp` would round to one value), and
+//! the `k` largest are found by selection rather than a heap.
 
 use rand::Rng;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
-#[derive(PartialEq)]
-struct HeapItem {
-    key: f64,
-    index: usize,
-}
-
-impl Eq for HeapItem {}
-
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap on key via reversed comparison.
-        other.key.partial_cmp(&self.key).unwrap_or(Ordering::Equal)
-    }
-}
 
 /// Draws `k` distinct indices from `0..weights.len()` with probability
 /// proportional to `weights[i]`, without replacement.
 ///
-/// * Zero/negative/NaN weights are treated as "never sample" unless fewer
-///   than `k` positive weights exist, in which case the positive-weight
-///   items are exhausted first and the remainder is filled uniformly from
-///   the zero-weight items (so the requested sample size is always honored
-///   when possible).
+/// * Zero/negative/NaN/infinite weights are treated as "never sample"
+///   unless fewer than `k` positive weights exist, in which case the
+///   positive-weight items are exhausted first and the remainder is filled
+///   uniformly from the others (so the requested sample size is always
+///   honored when possible).
 /// * Returns fewer than `k` indices only if `weights.len() < k`.
+/// * The result is sorted.
 ///
-/// Runs in O(n log k).
+/// Runs in O(n) expected time. The random draws are one `gen_range` per
+/// positive finite weight in index order, then one per top-up pick.
 pub fn weighted_sample_without_replacement<R: Rng + ?Sized>(
     weights: &[f64],
     k: usize,
     rng: &mut R,
 ) -> Vec<usize> {
-    let n = weights.len();
-    let k = k.min(n);
-    if k == 0 {
-        return Vec::new();
-    }
+    let mut picks = Vec::new();
+    weighted_sample_without_replacement_into(
+        weights,
+        |_| false,
+        k,
+        rng,
+        &mut Vec::new(),
+        &mut picks,
+    );
+    picks.into_iter().map(|i| i as usize).collect()
+}
 
-    // A-Res over positive weights.
-    let mut heap: BinaryHeap<HeapItem> = BinaryHeap::with_capacity(k + 1);
-    let mut zero_weight: Vec<usize> = Vec::new();
+/// [`weighted_sample_without_replacement`] over the positions for which
+/// `skip` returns `false`, with caller-owned buffers: it draws exactly as the
+/// allocating form does on the subsequence of kept weights, and writes
+/// the chosen *original* positions, ascending, to `out` (cleared first).
+/// `keys` is scratch. With warm buffers this allocates nothing — SEA's
+/// incremental rounds draw over the unsampled part of the population
+/// this way without copying it out.
+///
+/// # Panics
+/// If `weights` has more than `u32::MAX` entries.
+pub fn weighted_sample_without_replacement_into<R: Rng + ?Sized>(
+    weights: &[f64],
+    skip: impl Fn(usize) -> bool,
+    k: usize,
+    rng: &mut R,
+    keys: &mut Vec<(f64, u32)>,
+    out: &mut Vec<u32>,
+) {
+    keys.clear();
+    out.clear();
+    if k == 0 {
+        return;
+    }
+    assert!(
+        u32::try_from(weights.len()).is_ok(),
+        "positions must fit in u32"
+    );
+    // A-Res keys of the positive weights; the other kept positions form
+    // the top-up pool, collected in `out` until the picks replace them.
     for (i, &w) in weights.iter().enumerate() {
+        if skip(i) {
+            continue;
+        }
         if w > 0.0 && w.is_finite() {
             let u: f64 = rng.gen_range(0.0..1.0f64);
-            // key = u^(1/w); compute in log-space for numerical stability.
-            let key = (u.max(f64::MIN_POSITIVE).ln() / w).exp();
-            if heap.len() < k {
-                heap.push(HeapItem { key, index: i });
-            } else if let Some(top) = heap.peek() {
-                if key > top.key {
-                    heap.pop();
-                    heap.push(HeapItem { key, index: i });
-                }
-            }
+            keys.push((u.max(f64::MIN_POSITIVE).ln() / w, i as u32));
         } else {
-            zero_weight.push(i);
+            out.push(i as u32);
         }
     }
-    let mut chosen: Vec<usize> = heap.into_iter().map(|h| h.index).collect();
-
-    // Top up from zero-weight items uniformly if needed.
-    if chosen.len() < k && !zero_weight.is_empty() {
-        let need = k - chosen.len();
-        // Partial Fisher-Yates over the zero-weight pool.
-        let m = zero_weight.len();
-        for i in 0..need.min(m) {
-            let j = rng.gen_range(i..m);
-            zero_weight.swap(i, j);
-            chosen.push(zero_weight[i]);
-        }
+    if keys.len() > k {
+        keys.select_nth_unstable_by(k - 1, |a, b| b.0.total_cmp(&a.0));
+        keys.truncate(k);
     }
-    chosen.sort_unstable();
-    chosen
+    // Top up uniformly from the pool: a partial Fisher–Yates leaves the
+    // drawn items at its front.
+    let pool = out.len();
+    let need = (k - keys.len()).min(pool);
+    for i in 0..need {
+        let j = rng.gen_range(i..pool);
+        out.swap(i, j);
+    }
+    out.truncate(need);
+    out.extend(keys.iter().map(|&(_, i)| i));
+    out.sort_unstable();
 }
 
 #[cfg(test)]

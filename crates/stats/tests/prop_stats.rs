@@ -2,11 +2,85 @@
 
 use csag_stats::{
     incremental_sample_size, min_population_size, normal_cdf, normal_quantile, required_moe,
-    satisfies_error_bound, weighted_sample_without_replacement, Blb, ConfidenceInterval,
+    satisfies_error_bound, weighted_sample_without_replacement,
+    weighted_sample_without_replacement_into, Blb, ConfidenceInterval,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, RngCore, SeedableRng};
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+
+/// Reference: A-Res with `exp`-space keys `u^{1/w}` kept in a size-`k`
+/// min-heap, then a partial Fisher–Yates top-up over the non-positive
+/// weights.
+fn reference_sample(weights: &[f64], k: usize, rng: &mut StdRng) -> Vec<usize> {
+    struct Item(f64, usize);
+    impl PartialEq for Item {
+        fn eq(&self, other: &Self) -> bool {
+            self.cmp(other) == Ordering::Equal
+        }
+    }
+    impl Eq for Item {}
+    impl PartialOrd for Item {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl Ord for Item {
+        fn cmp(&self, other: &Self) -> Ordering {
+            other.0.partial_cmp(&self.0).unwrap_or(Ordering::Equal)
+        }
+    }
+    let k = k.min(weights.len());
+    if k == 0 {
+        return Vec::new();
+    }
+    let mut heap = BinaryHeap::with_capacity(k + 1);
+    let mut zero_weight = Vec::new();
+    for (i, &w) in weights.iter().enumerate() {
+        if w > 0.0 && w.is_finite() {
+            let u: f64 = rng.gen_range(0.0..1.0f64);
+            let key = (u.max(f64::MIN_POSITIVE).ln() / w).exp();
+            if heap.len() < k {
+                heap.push(Item(key, i));
+            } else if heap.peek().is_some_and(|top| key > top.0) {
+                heap.pop();
+                heap.push(Item(key, i));
+            }
+        } else {
+            zero_weight.push(i);
+        }
+    }
+    let mut chosen: Vec<usize> = heap.into_iter().map(|h| h.1).collect();
+    if chosen.len() < k && !zero_weight.is_empty() {
+        let need = k - chosen.len();
+        let m = zero_weight.len();
+        for i in 0..need.min(m) {
+            let j = rng.gen_range(i..m);
+            zero_weight.swap(i, j);
+            chosen.push(zero_weight[i]);
+        }
+    }
+    chosen.sort_unstable();
+    chosen
+}
+
+/// Weights of every kind the sampler distinguishes. Positive weights stay
+/// ≥ 0.05, where no `exp`-space key of the reference underflows, so its
+/// keys tie only with negligible probability and both orders agree.
+fn arb_weights() -> impl Strategy<Value = Vec<f64>> {
+    prop::collection::vec(
+        (0u32..10, 0.05f64..10.0).prop_map(|(kind, w)| match kind {
+            0 => 0.0,
+            1 => -w,
+            2 => f64::NAN,
+            3 => f64::INFINITY,
+            _ => w,
+        }),
+        0..90,
+    )
+}
 
 proptest! {
     /// Φ and Φ⁻¹ are inverse over a wide range of p.
@@ -81,6 +155,45 @@ proptest! {
         prop_assert_eq!(s.len(), k.min(weights.len()));
         prop_assert!(s.windows(2).all(|w| w[0] < w[1]));
         prop_assert!(s.iter().all(|&i| i < weights.len()));
+    }
+
+    /// The selection sampler picks what the heap reference picks and
+    /// leaves the RNG where the reference leaves it, at every `k`; its
+    /// `_into` twin does the same over the kept positions of a skip mask,
+    /// as the reference does on the copied-out complement.
+    #[test]
+    fn sampler_matches_the_heap_reference(
+        (weights, mask) in arb_weights().prop_flat_map(|w| {
+            let n = w.len();
+            (Just(w), prop::collection::vec(any::<bool>(), n))
+        }),
+        seed in any::<u64>(),
+    ) {
+        let kept: Vec<usize> = (0..weights.len()).filter(|&i| !mask[i]).collect();
+        let sub: Vec<f64> = kept.iter().map(|&i| weights[i]).collect();
+        let (mut keys, mut out) = (Vec::new(), Vec::new());
+        for k in 0..=weights.len() + 1 {
+            let mut want = StdRng::seed_from_u64(seed);
+            let mut got = StdRng::seed_from_u64(seed);
+            prop_assert_eq!(
+                weighted_sample_without_replacement(&weights, k, &mut got),
+                reference_sample(&weights, k, &mut want),
+                "k = {}", k
+            );
+            prop_assert_eq!(got.next_u64(), want.next_u64(), "RNG state at k = {}", k);
+
+            let mut want = StdRng::seed_from_u64(seed);
+            let mut got = StdRng::seed_from_u64(seed);
+            let expect: Vec<u32> = reference_sample(&sub, k, &mut want)
+                .into_iter()
+                .map(|p| kept[p] as u32)
+                .collect();
+            weighted_sample_without_replacement_into(
+                &weights, |i| mask[i], k, &mut got, &mut keys, &mut out,
+            );
+            prop_assert_eq!(&out, &expect, "skip mask, k = {}", k);
+            prop_assert_eq!(got.next_u64(), want.next_u64(), "RNG state, skip mask, k = {}", k);
+        }
     }
 
     /// BLB MoE is nonnegative and finite; the point estimate equals the

@@ -8,6 +8,9 @@
 //!   once, via `csag-decomp`) — used to answer "no community" queries in
 //!   O(1) before any peeling happens — and the truss decomposition's
 //!   edge index, which every k-truss SEA and Exact peel then borrows;
+//! * a **component index** (built lazily, once), from which a SEA read
+//!   whose Theorem-10 bound reaches `n` takes its population as a slice
+//!   instead of walking q's component;
 //! * a **sharded cache of per-query-node distance tables**
 //!   ([`csag_core::distance::QueryDistances`]). Tables are handed out as
 //!   `Arc` clones — a warm hit costs a reference-count bump, never an
@@ -63,6 +66,7 @@ use csag_core::error::check_query_node;
 use csag_core::exact::Exact;
 use csag_core::sea::Sea;
 use csag_decomp::{CommunityModel, EdgeIndex};
+use csag_graph::traversal::Components;
 use csag_graph::{AttributedGraph, NodeId, QueryWorkspace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -108,6 +112,8 @@ pub struct Engine {
     /// the trussness decomposition that fills `trussness`, or built once
     /// on first use when the store seeded `trussness` instead.
     edge_index: OnceLock<EdgeIndex>,
+    /// The graph's connected components, built on the first SEA read.
+    components: OnceLock<Components>,
     /// How many times each decomposition actually ran (observable
     /// evidence that batches share them; see the engine tests).
     decomp_runs: AtomicUsize,
@@ -140,6 +146,7 @@ impl Engine {
             coreness: OnceLock::new(),
             trussness: OnceLock::new(),
             edge_index: OnceLock::new(),
+            components: OnceLock::new(),
             decomp_runs: AtomicUsize::new(0),
             truss_runs: AtomicUsize::new(0),
             distances: (0..DISTANCE_SHARDS)
@@ -248,6 +255,13 @@ impl Engine {
     /// trussness — one built on first use. Either way, once per epoch.
     fn edge_index(&self) -> &EdgeIndex {
         self.edge_index.get_or_init(|| EdgeIndex::new(&self.graph))
+    }
+
+    /// The component index every SEA read on this engine takes its
+    /// population from when Theorem 10's bound reaches `n`, built in
+    /// `O(n + m)` on first use, once per epoch.
+    fn components(&self) -> &Components {
+        self.components.get_or_init(|| Components::new(&self.graph))
     }
 
     /// How many times the core decomposition has actually been computed
@@ -431,13 +445,10 @@ impl Engine {
             }
             Method::Sea | Method::SeaSizeBounded => {
                 let mut rng = StdRng::seed_from_u64(query.seed);
-                let r = Sea::new(g, dp).with_edge_index(eidx()).run_in_workspace(
-                    query.q,
-                    &query.sea_params(),
-                    &mut rng,
-                    dist,
-                    ws,
-                )?;
+                let r = Sea::new(g, dp)
+                    .with_edge_index(eidx())
+                    .with_components(self.components())
+                    .run_in_workspace(query.q, &query.sea_params(), &mut rng, dist, ws)?;
                 Ok(sea_community_result(query, r))
             }
             Method::Acq | Method::Atc | Method::Vac | Method::EVac => {

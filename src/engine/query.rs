@@ -392,10 +392,11 @@ impl CommunityQuery {
                 // Rounds are the latency lever (each incremental round
                 // re-samples and re-estimates); the initial sampling
                 // fraction stays intact and at least one incremental
-                // recovery round survives (a sample that misses the
-                // community entirely can still grow once), so a
-                // degraded answer is still an answer — just with a
-                // proportionally looser bound.
+                // round survives (a first candidate that misses the
+                // bound can still be refined once), so a degraded answer
+                // is still an answer — just with a proportionally looser
+                // bound. Rounds whose sample holds no community yet do
+                // not count against the cap.
                 let floor = 2.min(q.max_rounds).max(1);
                 q.max_rounds = ((q.max_rounds as f64 * r).ceil() as usize).max(floor);
                 q.error_bound = (q.error_bound / r).min(0.95);

@@ -4,8 +4,9 @@
 use csag::datasets::generator::{generate, SyntheticConfig};
 use csag::datasets::paper_examples::figure1_imdb;
 use csag::datasets::random_queries;
+use csag::decomp::CommunityModel;
 use csag::engine::{CommunityQuery, CsagError, Engine, Method};
-use csag::graph::GraphBuilder;
+use csag::graph::{GraphBuilder, NodeId};
 
 /// The Figure 2(c)/Figure 3 example from the paper: a connected 2-core on
 /// six nodes with known composite distances (γ = 0).
@@ -353,6 +354,46 @@ fn one_template_replays_across_methods() {
         ) {
             assert!(res.certificate.is_none(), "{method} promises no accuracy");
             assert!(res.provenance.objective.is_some());
+        }
+    }
+}
+
+/// A round whose sample holds no root doubles the sample and must not use
+/// up `max_rounds` (which `fit_to_deadline` cuts to 2): "no community"
+/// means the whole population was peeled. Every node the engine's screen
+/// admits has a community, so SEA answers it at one or two rounds too.
+#[test]
+fn few_rounds_never_turn_an_admitted_node_into_no_community() {
+    let (g, _) = generate(
+        &SyntheticConfig {
+            nodes: 300,
+            communities: 5,
+            ..Default::default()
+        },
+        5,
+    );
+    let engine = Engine::new(g);
+    let k = 3;
+    for model in [CommunityModel::KCore, CommunityModel::KTruss] {
+        let screen = match model {
+            CommunityModel::KCore => engine.coreness().to_vec(),
+            CommunityModel::KTruss => engine.node_trussness().to_vec(),
+        };
+        let admitted: Vec<NodeId> = (0..engine.graph().n() as NodeId)
+            .filter(|&v| screen[v as usize] >= k)
+            .collect();
+        assert!(admitted.len() > 100, "{model}: {} admitted", admitted.len());
+        for rounds in [1, 2] {
+            for &q in &admitted {
+                let query = CommunityQuery::new(Method::Sea, q)
+                    .with_k(k)
+                    .with_model(model)
+                    .with_seed(u64::from(q))
+                    .with_max_rounds(rounds);
+                if let Err(err) = engine.run(&query) {
+                    panic!("{model} q = {q} at max_rounds {rounds}: {err}");
+                }
+            }
         }
     }
 }

@@ -2,7 +2,9 @@
 //! through the `EdgeIndex` its trussness decomposition built (or, on an
 //! epoch the store seeded with trussness, one built on first use) rather
 //! than building an `O(m log d_max)` index per query — and answer exactly
-//! as the standalone solvers that build their own.
+//! as the standalone solvers that build their own. Likewise one component
+//! index per epoch: an engine SEA read takes q's component from it where
+//! the standalone solver walks, with the same answer.
 //!
 //! Keep this file at ONE `#[test]`: `EdgeIndex::builds` is process-wide,
 //! so a concurrently running sibling test would pollute the deltas.
@@ -16,7 +18,8 @@ use csag::decomp::{CommunityModel, EdgeIndex};
 use csag::engine::{
     outcome_identity, CommunityQuery, CommunityResult, CsagError, Engine, GraphStore, Method,
 };
-use csag::graph::NodeId;
+use csag::graph::traversal::Components;
+use csag::graph::{AttributedGraph, GraphUpdate as Edit, MutableGraph, NodeId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -52,11 +55,14 @@ fn standalone(
     let dp = DistanceParams::default();
     let like = || answer.clone().expect("the engine answered too");
     let outcome = match query.method {
-        Method::Sea => {
-            let params = SeaParams::default()
-                .with_k(K)
+        Method::Sea | Method::SeaSizeBounded => {
+            let mut params = SeaParams::default()
+                .with_k(query.k)
                 .with_model(query.model)
                 .with_error_bound(query.error_bound);
+            if let Some((l, h)) = query.size_bound {
+                params = params.with_size_bound(l, h);
+            }
             let mut rng = StdRng::seed_from_u64(query.seed);
             Sea::new(g, dp).run(query.q, &params, &mut rng).map(|r| {
                 let mut res = like();
@@ -177,4 +183,75 @@ fn truss_reads_borrow_one_edge_index_per_epoch() {
         }
     }
     assert_eq!(EdgeIndex::builds() - before, 1, "one index for the epoch");
+
+    engine_sea_reads_match_the_walk_across_components(&g);
+}
+
+/// `g` cut into three blocks of ids (`0..100`, `100..200`, the rest) with
+/// no edge between blocks, and every 50th node stripped of its edges.
+fn blocks_and_isolated(g: &AttributedGraph) -> AttributedGraph {
+    let mut cut = MutableGraph::from_graph(g);
+    for (u, v) in g.edges() {
+        if u / 100 != v / 100 || u % 50 == 0 || v % 50 == 0 {
+            cut.apply(&Edit::RemoveEdge { u, v }).expect("edge of g");
+        }
+    }
+    cut.snapshot()
+}
+
+/// On a graph of several components and isolated nodes, every engine SEA
+/// read — k-core, k-truss and size-bounded, under several seeds — answers
+/// exactly as the standalone solver, which walks q's component.
+fn engine_sea_reads_match_the_walk_across_components(g: &AttributedGraph) {
+    let cut = blocks_and_isolated(g);
+    let components = Components::new(&cut);
+    let isolated = components.iter().filter(|c| c.len() == 1).count();
+    assert!(isolated >= 6, "every 50th node is isolated: {isolated}");
+    assert!(
+        components.iter().count() - isolated >= 3,
+        "three blocks at least"
+    );
+    let engine = Engine::new(cut);
+    let (coreness, trussness) = (engine.coreness().to_vec(), engine.node_trussness().to_vec());
+    let mut answered = [0usize; 3];
+    for (block, answered) in answered.iter_mut().enumerate() {
+        let first = block as NodeId * 100;
+        let nodes = first..(first + 100).min(engine.graph().n() as NodeId);
+        for q in nodes
+            .filter(|&v| coreness[v as usize] >= K)
+            .step_by(7)
+            .take(4)
+        {
+            for seed in [1, 2, 77] {
+                let sea = CommunityQuery::new(Method::Sea, q)
+                    .with_k(K)
+                    .with_error_bound(0.1)
+                    .with_seed(seed);
+                let mut queries = vec![
+                    sea.clone(),
+                    sea.clone()
+                        .with_size_bound(5, 12)
+                        .with_method(Method::SeaSizeBounded),
+                ];
+                if trussness[q as usize] >= K {
+                    queries.push(sea.with_model(CommunityModel::KTruss));
+                }
+                for query in queries {
+                    let answer = engine.run(&query);
+                    assert_eq!(
+                        outcome_identity(&answer, false),
+                        standalone(&engine, &query, &answer),
+                        "{} {} at q = {q}, seed {seed}",
+                        query.method,
+                        query.model
+                    );
+                    *answered += usize::from(answer.is_ok());
+                }
+            }
+        }
+    }
+    assert!(
+        answered.iter().all(|&a| a >= 12),
+        "every block answers: {answered:?}"
+    );
 }
