@@ -24,8 +24,10 @@
 
 use crate::distance::{DistanceParams, QueryDistances};
 use crate::error::{check_query_node, CsagError};
+use crate::sea::prefix_ladder;
 use csag_decomp::{CommunityModel, EdgeIndex, Maintainer};
 use csag_graph::{AttributedGraph, NodeId, QueryWorkspace};
+use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
 
 /// Which pruning strategies are active (Table IV ablation).
@@ -89,11 +91,6 @@ pub struct ExactParams {
     pub state_budget: Option<u64>,
     /// Abort after this much wall-clock time (`None` = unlimited).
     pub time_budget: Option<Duration>,
-    /// Seed the incumbent with a greedy farthest-node descent before
-    /// enumerating. Never changes the optimum — it only tightens the
-    /// Theorem-6 bound from the first state, which shrinks the search
-    /// tree by orders of magnitude on homogeneous-attribute communities.
-    pub warm_start: bool,
 }
 
 impl Default for ExactParams {
@@ -104,7 +101,6 @@ impl Default for ExactParams {
             pruning: PruningConfig::default(),
             state_budget: None,
             time_budget: None,
-            warm_start: true,
         }
     }
 }
@@ -137,12 +133,6 @@ impl ExactParams {
     /// Sets a time budget.
     pub fn with_time_budget(mut self, budget: Duration) -> Self {
         self.time_budget = Some(budget);
-        self
-    }
-
-    /// Disables the greedy warm start (e.g. to reproduce raw state counts).
-    pub fn without_warm_start(mut self) -> Self {
-        self.warm_start = false;
         self
     }
 }
@@ -281,82 +271,71 @@ impl<'g> Exact<'g> {
         dist.warm(self.g, &root);
         let root_delta = dist.delta(self.g, &root);
 
-        // Optional warm start, two phases. Phase 1: *prefix peeling* — sort
-        // members by f(·,q) and peel geometrically spaced prefixes of the
-        // closest nodes; the δ-optimum is close to "the nearest nodes that
-        // still hold a community", so some prefix lands near it at a cost
-        // of O(#prefixes · |E_root|). Phase 2: greedy farthest-node descent
+        // Warm start, two phases. Phase 1: the [`prefix_ladder`] — the
+        // δ-optimum is close to "the nearest nodes that still hold a
+        // community", so some prefix lands near it at a cost of
+        // O(#prefixes · |E_root|). Phase 2: greedy farthest-node descent
         // from the best prefix, refining the incumbent one deletion at a
         // time. Neither phase affects optimality — they only tighten the
-        // Theorem-6 bound before enumeration starts.
+        // Theorem-6 bound before enumeration starts, which shrinks the
+        // search tree by orders of magnitude on homogeneous-attribute
+        // communities.
         let deadline = params.time_budget.map(|b| start + b);
+        let past_deadline = || deadline.is_some_and(|d| Instant::now() >= d);
         let mut incumbent = (root.clone(), root_delta);
-        if params.warm_start {
-            let mut by_f = ws.take_scored();
-            let mut prefix = ws.take_nodes();
-            let mut cand = ws.take_nodes();
-            by_f.extend(
-                root.iter()
-                    .filter(|&&v| v != q)
-                    .map(|&v| (dist.get(self.g, v), v)),
-            );
-            by_f.sort_unstable_by(|a, b| {
-                a.0.partial_cmp(&b.0).expect("no NaN").then(a.1.cmp(&b.1))
-            });
-            let min_others = params.model.min_size(params.k).saturating_sub(1).max(1);
-            let mut size = min_others;
-            while size < by_f.len() {
-                prefix.clear();
-                prefix.push(q);
-                prefix.extend(by_f[..size].iter().map(|&(_, v)| v));
-                if maintainer.maximal_within_into(q, &prefix, &mut cand) {
-                    let d = dist.delta(self.g, &cand);
+        prefix_ladder(
+            &mut maintainer,
+            dist,
+            &root,
+            params.model.min_size(params.k),
+            None,
+            ws,
+            |_, cand| {
+                if let Some(cand) = cand {
+                    let d = dist.delta(self.g, cand);
                     if d < incumbent.1 {
                         incumbent.0.clear();
-                        incumbent.0.extend_from_slice(&cand);
+                        incumbent.0.extend_from_slice(cand);
                         incumbent.1 = d;
                     }
                 }
-                size = (size * 5 / 4).max(size + 1);
-                if deadline.is_some_and(|dl| Instant::now() >= dl) {
-                    break;
-                }
-            }
-
-            // Greedy descent: `prefix` doubles as the shrunk-state buffer.
-            let mut cur = ws.take_nodes();
-            cur.extend_from_slice(&incumbent.0);
-            loop {
-                if deadline.is_some_and(|d| Instant::now() >= d) {
-                    break;
-                }
-                let Some((_, worst)) = cur
-                    .iter()
-                    .filter(|&&v| v != q)
-                    .map(|&v| (dist.get(self.g, v), v))
-                    .max_by(|a, b| a.0.partial_cmp(&b.0).expect("no NaN").then(a.1.cmp(&b.1)))
-                else {
-                    break;
-                };
-                prefix.clear();
-                prefix.extend(cur.iter().copied().filter(|&x| x != worst));
-                if maintainer.maximal_within_into(q, &prefix, &mut cand) {
-                    let d = dist.delta(self.g, &cand);
-                    if d < incumbent.1 {
-                        incumbent.0.clear();
-                        incumbent.0.extend_from_slice(&cand);
-                        incumbent.1 = d;
-                    }
-                    std::mem::swap(&mut cur, &mut cand);
+                if past_deadline() {
+                    ControlFlow::Break(())
                 } else {
-                    break;
+                    ControlFlow::Continue(())
                 }
+            },
+        );
+
+        let mut cur = ws.take_nodes();
+        let mut shrunk = ws.take_nodes();
+        let mut cand = ws.take_nodes();
+        cur.extend_from_slice(&incumbent.0);
+        while !past_deadline() {
+            let Some((_, worst)) = cur
+                .iter()
+                .filter(|&&v| v != q)
+                .map(|&v| (dist.get(self.g, v), v))
+                .max_by(|a, b| a.0.partial_cmp(&b.0).expect("no NaN").then(a.1.cmp(&b.1)))
+            else {
+                break;
+            };
+            shrunk.clear();
+            shrunk.extend(cur.iter().copied().filter(|&x| x != worst));
+            if !maintainer.maximal_within_into(q, &shrunk, &mut cand) {
+                break;
             }
-            ws.put_nodes(cur);
-            ws.put_scored(by_f);
-            ws.put_nodes(prefix);
-            ws.put_nodes(cand);
+            let d = dist.delta(self.g, &cand);
+            if d < incumbent.1 {
+                incumbent.0.clear();
+                incumbent.0.extend_from_slice(&cand);
+                incumbent.1 = d;
+            }
+            std::mem::swap(&mut cur, &mut cand);
         }
+        ws.put_nodes(cur);
+        ws.put_nodes(shrunk);
+        ws.put_nodes(cand);
 
         let mut ctx = SearchCtx {
             g: self.g,
@@ -367,7 +346,7 @@ impl<'g> Exact<'g> {
             best_delta: incumbent.1,
             states: 0,
             state_budget: params.state_budget.unwrap_or(u64::MAX),
-            deadline: params.time_budget.map(|b| start + b),
+            deadline,
             out_of_budget: false,
             unexplored_bound: f64::INFINITY,
             free: Vec::new(),

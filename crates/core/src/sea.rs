@@ -15,8 +15,7 @@
 //!    `δ⋆ ± ε` at level `1 − α`; stop as soon as `ε ≤ δ⋆·e/(1+e)`
 //!    (Theorem 11). Candidates are the fixed points of the paper's
 //!    most-dissimilar-node greedy walk, generated directly as peeled
-//!    prefixes of the closest members (see the prefix-ladder comment in
-//!    [`sea_on_population`]).
+//!    prefixes of the closest members (see [`prefix_ladder`]).
 //! 3. **Error-based incremental sampling (§V-C)** — if no candidate
 //!    certifies, enlarge the sample by `|ΔS|` (Eq. 12) and repeat.
 //!
@@ -33,7 +32,7 @@
 
 use crate::distance::{DistanceParams, QueryDistances};
 use crate::error::{check_query_node, CsagError};
-use csag_decomp::{CommunityModel, EdgeIndex, Maintainer, PrefixPeeler};
+use csag_decomp::{CommunityModel, EdgeIndex, Maintainer};
 use csag_graph::traversal::Components;
 use csag_graph::{AttributedGraph, FixedBitSet, MinScored, NodeId, QueryWorkspace};
 use csag_stats::{
@@ -41,6 +40,7 @@ use csag_stats::{
     weighted_sample_without_replacement_into, z_for_confidence, Blb, ConfidenceInterval,
 };
 use rand::Rng;
+use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
 
 /// Parameters of a SEA query. Defaults match the paper's §VII-A setup.
@@ -68,10 +68,6 @@ pub struct SeaParams {
     /// sample keeps growing, so "no community" always means the whole
     /// population was peeled.
     pub max_rounds: usize,
-    /// Maximum greedy candidate deletions examined per round. Bounds the
-    /// estimation step on giant sampled communities; certification
-    /// normally terminates long before the cap.
-    pub max_candidates_per_round: usize,
     /// Optional size bound `[l, h]` (§VI-B).
     pub size_bound: Option<(usize, usize)>,
 }
@@ -88,7 +84,6 @@ impl Default for SeaParams {
             lambda: 0.2,
             blb: Blb::default(),
             max_rounds: 5,
-            max_candidates_per_round: 128,
             size_bound: None,
         }
     }
@@ -463,9 +458,6 @@ struct PopulationBufs {
     picks: Vec<NodeId>,
     sample_nodes: Vec<NodeId>,
     root: Vec<NodeId>,
-    by_f: Vec<(f64, NodeId)>,
-    prefix: Vec<NodeId>,
-    cand: Vec<NodeId>,
     data: Vec<f64>,
     best_comm: Vec<NodeId>,
 }
@@ -541,39 +533,36 @@ fn search_population<R: Rng + ?Sized>(
         picks: ws.take_nodes(),
         sample_nodes: ws.take_nodes(),
         root: ws.take_nodes(),
-        by_f: ws.take_scored(),
-        prefix: ws.take_nodes(),
-        cand: ws.take_nodes(),
         data: ws.take_f64s(),
         best_comm: ws.take_nodes(),
     };
-    let res = sea_population_inner(maintainer, population, q_pos, dist, params, rng, &mut bufs);
+    bufs.in_sample.insert(q_pos as u32);
+    let res = sea_population_inner(maintainer, population, dist, params, rng, &mut bufs, ws);
     ws.put_f64s(bufs.weights);
     ws.put_bitset(bufs.in_sample);
     ws.put_scored(bufs.keys);
     ws.put_nodes(bufs.picks);
     ws.put_nodes(bufs.sample_nodes);
     ws.put_nodes(bufs.root);
-    ws.put_scored(bufs.by_f);
-    ws.put_nodes(bufs.prefix);
-    ws.put_nodes(bufs.cand);
     ws.put_f64s(bufs.data);
     ws.put_nodes(bufs.best_comm);
     res
 }
 
+/// The search proper, with `q` already in the sample; the ladder's scratch
+/// comes from `ws`.
 fn sea_population_inner<R: Rng + ?Sized>(
     mut maintainer: Maintainer<'_>,
     population: &[NodeId],
-    q_pos: usize,
     dist: &QueryDistances,
     params: &SeaParams,
     rng: &mut R,
     bufs: &mut PopulationBufs,
+    ws: &mut QueryWorkspace,
 ) -> Result<SeaResult, CsagError> {
     let g = maintainer.graph();
     let n = population.len();
-    let q = population[q_pos];
+    let q = dist.q();
     // One text for both ways of finding nothing (no root at full sample, no
     // candidate inside the size window), in the caller's own node ids.
     let no_community = || {
@@ -587,15 +576,6 @@ fn sea_population_inner<R: Rng + ?Sized>(
             }
         ))
     };
-    // The candidate ladder peels growing prefixes of one f-sorted member
-    // list; for the k-core model a [`PrefixPeeler`] maintains the
-    // restricted-degree counters incrementally across the whole scan
-    // instead of recomputing them per candidate. The truss model has no
-    // incremental twin and keeps the general maintainer peel.
-    let mut prefix_peeler = match params.model {
-        CommunityModel::KCore => Some(PrefixPeeler::new(g, params.k)),
-        CommunityModel::KTruss => None,
-    };
     let z = z_for_confidence(params.confidence);
     let mut timing = SeaTiming::default();
     let mut rounds: Vec<SeaRound> = Vec::new();
@@ -604,7 +584,6 @@ fn sea_population_inner<R: Rng + ?Sized>(
     let t_weights = Instant::now();
     bufs.weights
         .extend(population.iter().map(|&v| 1.0 - dist.get(g, v)));
-    bufs.in_sample.insert(q_pos as u32);
     let initial =
         ((params.lambda * n as f64).ceil() as usize).clamp(params.min_members().min(n), n);
     add_samples(bufs, initial.saturating_sub(1), rng);
@@ -641,127 +620,63 @@ fn sea_population_inner<R: Rng + ?Sized>(
             continue;
         }
 
-        // S2: BLB estimation over a prefix-candidate ladder.
-        //
-        // The paper walks candidates by deleting the single most dissimilar
-        // node from the sampled root. On sampled graphs whose root spans
-        // several attribute scales that walk can collapse the community
-        // before reaching the attribute-tight core, so we generate the
-        // same family of candidates directly: sort the root's members by
-        // f(·,q) and peel geometrically spaced *prefixes of the closest
-        // nodes* (the greedy walk's fixed points are exactly such
-        // prefixes). Candidates are estimated in ascending size order —
-        // ascending δ⋆ — and the first one that certifies (Theorem 11)
-        // wins, which realizes the paper's "terminate at the first
-        // accurate-enough candidate" semantics at the best achievable δ.
+        // S2: BLB estimation over the prefix ladder. Candidates come in
+        // ascending size — ascending δ⋆ — and the first one that certifies
+        // (Theorem 11) ends the round, which realizes the paper's
+        // "terminate at the first accurate-enough candidate" semantics at
+        // the best achievable δ.
         let t2 = Instant::now();
         let mut candidates_examined = 0usize;
         let mut last_est: Option<(f64, f64, usize)> = None; // (δ⋆, ε, |S_blb|)
-        {
-            let by_f = &mut bufs.by_f;
-            by_f.clear();
-            by_f.extend(
-                bufs.root
-                    .iter()
-                    .filter(|&&v| v != q)
-                    .map(|&v| (dist.get(g, v), v)),
-            );
-            by_f.sort_unstable_by(|a, b| {
-                a.0.partial_cmp(&b.0).expect("no NaN").then(a.1.cmp(&b.1))
-            });
-
-            // The incremental scan state: how many of `by_f` are already
-            // in the (grow-only) prefix.
-            let mut pushed = 0usize;
-            if let Some(p) = prefix_peeler.as_mut() {
-                p.clear();
-                p.push(q);
-            }
-
-            // Prefix sizes: every size inside a size-bound window, else a
-            // geometric ladder from the model minimum to the full root.
-            let (first, hi, geometric) = match params.size_bound {
-                Some((l, h)) => (l.saturating_sub(1).max(1), (2 * h).min(by_f.len()), false),
-                None => (
-                    params.min_members().saturating_sub(1).max(1),
-                    by_f.len(),
-                    true,
-                ),
-            };
-            let mut size = first;
-            let mut last_len = 0usize;
-            while size <= hi && size <= by_f.len() {
-                if candidates_examined >= params.max_candidates_per_round {
-                    break;
-                }
-                // The ladder only grows, so the peeler's counters advance
-                // by exactly the nodes the prefix gained since last time.
-                let have_cand = match prefix_peeler.as_mut() {
-                    Some(p) => {
-                        while pushed < size {
-                            p.push(by_f[pushed].1);
-                            pushed += 1;
-                        }
-                        p.peel_into(q, &mut bufs.cand)
-                    }
-                    None => {
-                        bufs.prefix.clear();
-                        bufs.prefix.push(q);
-                        bufs.prefix.extend(by_f[..size].iter().map(|&(_, v)| v));
-                        maintainer.maximal_within_into(q, &bufs.prefix, &mut bufs.cand)
-                    }
+        let window_top = params.size_bound.map(|(_, h)| 2 * h);
+        prefix_ladder(
+            &mut maintainer,
+            dist,
+            &bufs.root,
+            params.min_members(),
+            window_top,
+            ws,
+            |rung, cand| {
+                let Some(cand) = cand else {
+                    return ControlFlow::Continue(());
                 };
-                let next_size = if geometric {
-                    if size >= by_f.len() {
-                        hi + 1 // final rung evaluated; terminate
-                    } else {
-                        (size * 5 / 4).max(size + 1).min(by_f.len())
-                    }
+                if params
+                    .size_bound
+                    .is_some_and(|(l, h)| cand.len() < l || cand.len() > h)
+                {
+                    return ControlFlow::Continue(());
+                }
+                candidates_examined += 1;
+                bufs.data.clear();
+                if cand.len() == rung.len() + 1 {
+                    // The peel kept the whole prefix (the output is a subset, so
+                    // equal size means equal set): the δ numerator is over the
+                    // rung verbatim — no per-member lookups or filtering.
+                    bufs.data.extend(rung.iter().map(|&(f, _)| f));
                 } else {
-                    size + 1
-                };
-                if have_cand && bufs.cand.len() != last_len {
-                    // A new fixed point (not the previous prefix's).
-                    last_len = bufs.cand.len();
-                    let size_ok = match params.size_bound {
-                        Some((l, h)) => bufs.cand.len() >= l && bufs.cand.len() <= h,
-                        None => true,
-                    };
-                    if size_ok {
-                        candidates_examined += 1;
-                        bufs.data.clear();
-                        if bufs.cand.len() == size + 1 {
-                            // The peel kept the whole prefix (the output is
-                            // a subset, so equal size means equal set): the
-                            // δ numerator is over by_f[..size] verbatim — no
-                            // per-member lookups or membership filtering.
-                            bufs.data.extend(by_f[..size].iter().map(|&(f, _)| f));
-                        } else {
-                            bufs.data.extend(
-                                bufs.cand
-                                    .iter()
-                                    .filter(|&&v| v != q)
-                                    .map(|&v| dist.get(g, v)),
-                            );
-                        }
-                        let est = params.blb.estimate(&bufs.data, z, rng);
-                        last_est = Some((est.point, est.moe, est.blb_sample_size));
-                        let pass = satisfies_error_bound(est.moe, est.point, params.error_bound);
-                        let better = best.is_none_or(|(d, _)| est.point < d);
-                        if better || pass {
-                            best = Some((est.point, est.moe));
-                            bufs.best_comm.clear();
-                            bufs.best_comm.extend_from_slice(&bufs.cand);
-                        }
-                        if pass {
-                            certified = true;
-                            break;
-                        }
-                    }
+                    bufs.data
+                        .extend(cand.iter().filter(|&&v| v != q).map(|&v| dist.get(g, v)));
                 }
-                size = next_size;
-            }
-        }
+                let est = params.blb.estimate(&bufs.data, z, rng);
+                last_est = Some((est.point, est.moe, est.blb_sample_size));
+                let pass = satisfies_error_bound(est.moe, est.point, params.error_bound);
+                let better = best.is_none_or(|(d, _)| est.point < d);
+                if better || pass {
+                    best = Some((est.point, est.moe));
+                    bufs.best_comm.clear();
+                    bufs.best_comm.extend_from_slice(cand);
+                }
+                if pass {
+                    certified = true;
+                    return ControlFlow::Break(());
+                }
+                if candidates_examined >= MAX_CANDIDATES_PER_ROUND {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            },
+        );
         timing.estimation += t2.elapsed();
 
         let (ds, moe, sblb) = last_est.unwrap_or((0.0, f64::INFINITY, bufs.in_sample.count()));
@@ -814,6 +729,76 @@ fn sea_population_inner<R: Rng + ?Sized>(
         sample_size: bufs.in_sample.count(),
         community: bufs.best_comm[..].to_vec(),
     })
+}
+
+/// Most candidates one round of the ladder estimates. Bounds the estimation
+/// step on giant sampled communities; certification normally ends a round
+/// long before the cap.
+const MAX_CANDIDATES_PER_ROUND: usize = 128;
+
+/// The prefix ladder of SEA's candidate scan (§V-B) and of Exact's warm
+/// start: peels growing prefixes of `root`'s members closest to `q =
+/// dist.q()`.
+///
+/// The paper walks candidates by deleting the single most dissimilar node
+/// from the root. On sampled roots that span several attribute scales that
+/// walk can collapse the community before it reaches the attribute-tight
+/// core, so the ladder generates the walk's fixed points directly: it sorts
+/// `root ∖ {q}` by `(f(·,q), id)` into `by_f` and peels `{q} ∪
+/// by_f[..size]` through [`Maintainer::maximal_within_into`] for each rung
+/// size. Sizes start at `min_members − 1` (at least 1). Without a
+/// `window_top` they grow ×5/4 (at least by one) up to the whole list,
+/// which is the last rung; with one they take every size up to
+/// `window_top` (capped at the list).
+///
+/// After every rung, `visit(&by_f[..size], cand)` runs; returning
+/// [`ControlFlow::Break`] ends the ladder. `cand` is the peeled community
+/// when it is a fixed point no earlier rung reached, else `None`: peels of
+/// growing prefixes are nested, so a candidate as long as the last one is
+/// that same set. The scratch comes from `ws`.
+pub fn prefix_ladder(
+    m: &mut Maintainer<'_>,
+    dist: &QueryDistances,
+    root: &[NodeId],
+    min_members: usize,
+    window_top: Option<usize>,
+    ws: &mut QueryWorkspace,
+    mut visit: impl FnMut(&[(f64, NodeId)], Option<&[NodeId]>) -> ControlFlow<()>,
+) {
+    let g = m.graph();
+    let q = dist.q();
+    let mut by_f = ws.take_scored();
+    let mut prefix = ws.take_nodes();
+    let mut cand = ws.take_nodes();
+    by_f.extend(
+        root.iter()
+            .filter(|&&v| v != q)
+            .map(|&v| (dist.get(g, v), v)),
+    );
+    by_f.sort_unstable_by(|a, b| a.0.partial_cmp(&b.0).expect("no NaN").then(a.1.cmp(&b.1)));
+    let top = window_top.map_or(by_f.len(), |t| t.min(by_f.len()));
+    let mut size = min_members.saturating_sub(1).max(1);
+    let mut last_len = 0;
+    while size <= top {
+        prefix.clear();
+        prefix.push(q);
+        prefix.extend(by_f[..size].iter().map(|&(_, v)| v));
+        let fresh = m.maximal_within_into(q, &prefix, &mut cand) && cand.len() != last_len;
+        if fresh {
+            last_len = cand.len();
+        }
+        if visit(&by_f[..size], fresh.then_some(&cand[..])).is_break() {
+            break;
+        }
+        size = if window_top.is_some() || size == top {
+            size + 1
+        } else {
+            (size * 5 / 4).max(size + 1).min(top)
+        };
+    }
+    ws.put_scored(by_f);
+    ws.put_nodes(prefix);
+    ws.put_nodes(cand);
 }
 
 /// Draws up to `want` *new* samples (positions not yet in `in_sample`)

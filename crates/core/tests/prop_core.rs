@@ -1,19 +1,22 @@
 //! Property tests: the exact algorithm against brute force, SEA
-//! structural validity, and SEA in place against SEA on a materialized
-//! copy of its population, on random attributed graphs.
+//! structural validity, the prefix ladder against from-scratch peels, and
+//! SEA in place against SEA on a materialized copy of its population, on
+//! random attributed graphs.
 
 use csag_core::distance::{DistanceParams, QueryDistances};
 use csag_core::error::CsagError;
 use csag_core::exact::{Exact, ExactParams, PruningConfig};
 use csag_core::sea::{
-    grow_neighborhood, grow_neighborhood_into, sea_on_population, Sea, SeaParams, SeaResult,
+    grow_neighborhood, grow_neighborhood_into, prefix_ladder, sea_on_population, Sea, SeaParams,
+    SeaResult,
 };
-use csag_decomp::CommunityModel;
+use csag_decomp::{CommunityModel, Maintainer};
 use csag_graph::traversal::component_of;
 use csag_graph::{AttributedGraph, GraphBuilder, NodeId, QueryWorkspace};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::ops::ControlFlow;
 
 /// Random attributed graph: n in 4..12 so subsets are enumerable.
 fn arb_graph() -> impl Strategy<Value = (AttributedGraph, u32)> {
@@ -117,6 +120,24 @@ fn arb_bracket_case() -> impl Strategy<Value = (AttributedGraph, u32)> {
             }
             (b.build().unwrap(), q)
         })
+}
+
+/// The rung sizes the prefix ladder promises over a list of `len` members:
+/// from `min_members − 1` (at least 1), ×5/4 (at least +1) up to the whole
+/// list, or every size up to `window_top` (capped at the list).
+fn expected_rungs(len: usize, min_members: usize, window_top: Option<usize>) -> Vec<usize> {
+    let top = window_top.map_or(len, |t| t.min(len));
+    let mut sizes = Vec::new();
+    let mut size = min_members.saturating_sub(1).max(1);
+    while size <= top {
+        sizes.push(size);
+        size = match window_top {
+            Some(_) => size + 1,
+            None if size == top => break,
+            None => (size * 5 / 4).max(size + 1).min(top),
+        };
+    }
+    sizes
 }
 
 /// Everything about a SEA outcome that is not wall-clock time, with the
@@ -315,6 +336,74 @@ proptest! {
                     if b == c {
                         prop_assert_eq!(&r.community, &full.community, "{}", at);
                     }
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The prefix ladder, for every query node and both models, with and
+    /// without a size window and with a random early stop: its rungs are
+    /// the promised prefixes of `root ∖ {q}` sorted by `(f, id)`, and its
+    /// candidates are exactly the from-scratch `maximal_within` peels of
+    /// those rungs with repeated fixed points dropped. Successive peels are
+    /// nested, so a peel as long as the previous one is the same set. One
+    /// maintainer and one workspace serve every ladder.
+    #[test]
+    fn the_prefix_ladder_reports_each_new_fixed_point_once(
+        (g, _) in arb_bracket_case(),
+        (k, truss, extra) in (2u32..5, any::<bool>(), 0usize..3),
+        (windowed, top) in (any::<bool>(), 1usize..40),
+        (stops, stop) in (any::<bool>(), 1usize..12),
+    ) {
+        let model = if truss { CommunityModel::KTruss } else { CommunityModel::KCore };
+        let min_members = model.min_size(k) + extra;
+        let window_top = windowed.then_some(top);
+        let stop_after = stops.then_some(stop);
+        let mut m = Maintainer::new(&g, model, k);
+        let mut ws = QueryWorkspace::new();
+        for q in 0..g.n() as NodeId {
+            let Some(root) = m.maximal(q) else { continue };
+            let dist = QueryDistances::new(q, g.n(), DistanceParams::default());
+            let (mut rungs, mut cands) = (Vec::new(), Vec::new());
+            prefix_ladder(&mut m, &dist, &root, min_members, window_top, &mut ws, |rung, cand| {
+                rungs.push(rung.to_vec());
+                cands.push(cand.map(<[NodeId]>::to_vec));
+                match stop_after {
+                    Some(s) if rungs.len() >= s => ControlFlow::Break(()),
+                    _ => ControlFlow::Continue(()),
+                }
+            });
+
+            let mut by_f: Vec<(f64, NodeId)> = root
+                .iter()
+                .filter(|&&v| v != q)
+                .map(|&v| (dist.get(&g, v), v))
+                .collect();
+            by_f.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            let mut sizes = expected_rungs(by_f.len(), min_members, window_top);
+            sizes.truncate(stop_after.unwrap_or(usize::MAX));
+            prop_assert_eq!(rungs.len(), sizes.len(), "q = {}: rung count", q);
+            let mut last: Option<Vec<NodeId>> = None;
+            for ((rung, cand), size) in rungs.iter().zip(&cands).zip(sizes) {
+                prop_assert_eq!(rung.as_slice(), &by_f[..size], "q = {}: rung {}", q, size);
+                let mut prefix = vec![q];
+                prefix.extend(by_f[..size].iter().map(|&(_, v)| v));
+                let peel = Maintainer::new(&g, model, k).maximal_within(q, &prefix);
+                if let (Some(p), Some(l)) = (&peel, &last) {
+                    prop_assert!(
+                        l.iter().all(|v| p.binary_search(v).is_ok()),
+                        "q = {}: rung {} does not contain the last fixed point", q, size
+                    );
+                    prop_assert_eq!(p.len() == l.len(), p == l, "q = {}: rung {}", q, size);
+                }
+                let fresh = peel.is_some() && peel != last;
+                prop_assert_eq!(cand, &peel.clone().filter(|_| fresh), "q = {}: rung {}", q, size);
+                if peel.is_some() {
+                    last = peel;
                 }
             }
         }

@@ -108,7 +108,13 @@ fn warm_query_allocations_are_small_and_independent_of_the_vocabulary() {
     assert_eq!(large.interner().len(), 10_010);
     assert_eq!((small.n(), small.m()), (large.n(), large.m()));
 
-    for model in [CommunityModel::KCore, CommunityModel::KTruss] {
+    // Measured: 41.6 (k-core) and 93.2 (k-truss). The k-core budget sits
+    // close enough that one more per-query `O(n)` peel scratch (a
+    // maintainer's is four arrays) fails it.
+    for (model, budget) in [
+        (CommunityModel::KCore, 44.0),
+        (CommunityModel::KTruss, 96.0),
+    ] {
         // What is left scales with the candidates estimated (BLB allocates
         // its subsamples per estimate), so the budget is stated for a
         // query that certifies within a couple of rounds.
@@ -124,10 +130,9 @@ fn warm_query_allocations_are_small_and_independent_of_the_vocabulary() {
             "{model}: allocations per warm query must not depend on the vocabulary \
              ({few} with 10 tokens, {many} with 10 010)"
         );
-        // Measured: 53.4 (k-core) and 93.2 (k-truss).
         assert!(
-            few.max(many) <= 96.0,
-            "{model}: {few} / {many} allocations per warm query (budget 96)"
+            few.max(many) <= budget,
+            "{model}: {few} / {many} allocations per warm query (budget {budget})"
         );
     }
 }

@@ -2,10 +2,10 @@
 //!
 //! This binary registers the counting global allocator and drives the
 //! steady-state SEA inner loop — neighborhood growth, both as the
-//! component walk and best-first, plus the incremental prefix-candidate
-//! peel — through a reused
-//! [`QueryWorkspace`] / [`PrefixPeeler`]. After a short warm-up (pools
-//! grow to their high-water mark), repeating the loop must perform
+//! component walk and best-first, plus the [`prefix_ladder`] of candidate
+//! peels under both community models — through a reused
+//! [`QueryWorkspace`] and reused [`Maintainer`]s. After a short warm-up
+//! (pools grow to their high-water mark), repeating the loop must perform
 //! **exactly zero** heap allocations.
 //!
 //! Keep this file at ONE `#[test]`: the allocation counter is
@@ -13,10 +13,11 @@
 //! delta.
 
 use csag_core::distance::{DistanceParams, QueryDistances};
-use csag_core::sea::grow_neighborhood_into;
-use csag_decomp::PrefixPeeler;
+use csag_core::sea::{grow_neighborhood_into, prefix_ladder};
+use csag_decomp::{CommunityModel, Maintainer};
 use csag_graph::alloc_counter::{allocation_count, counting_enabled, CountingAllocator};
 use csag_graph::{AttributedGraph, GraphBuilder, NodeId, QueryWorkspace};
+use std::ops::ControlFlow;
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -46,53 +47,32 @@ fn planted() -> AttributedGraph {
     b.build().unwrap()
 }
 
-/// One steady-state iteration: grow the neighborhood best-first, then walk
-/// the f-ordered prefix ladder with incrementally maintained degree
-/// counters, peeling each rung and accumulating its δ numerator.
-struct LoopBufs {
-    component: Vec<NodeId>,
-    grown: Vec<NodeId>,
-    by_f: Vec<(f64, NodeId)>,
-    cand: Vec<NodeId>,
-}
-
+/// One steady-state iteration: grow the neighborhood both ways, then walk
+/// the f-ordered prefix ladder with each maintainer, accumulating every
+/// candidate's rung δ numerator over its size.
 fn hot_loop(
     g: &AttributedGraph,
     q: NodeId,
     dist: &QueryDistances,
     ws: &mut QueryWorkspace,
-    peeler: &mut PrefixPeeler<'_>,
-    bufs: &mut LoopBufs,
+    maintainers: &mut [Maintainer<'_>],
+    component: &mut Vec<NodeId>,
+    grown: &mut Vec<NodeId>,
 ) -> f64 {
-    let LoopBufs {
-        component,
-        grown,
-        by_f,
-        cand,
-    } = bufs;
     // Both growth branches: the component walk (size ≥ n) and best-first.
     grow_neighborhood_into(g, q, g.n(), dist, ws, component);
     assert_eq!(component.len(), g.n(), "the bridges connect both blocks");
     grow_neighborhood_into(g, q, 24, dist, ws, grown);
-    by_f.clear();
-    by_f.extend(
-        grown
-            .iter()
-            .filter(|&&v| v != q)
-            .map(|&v| (dist.get(g, v), v)),
-    );
-    by_f.sort_unstable_by(|a, b| a.0.partial_cmp(&b.0).expect("no NaN").then(a.1.cmp(&b.1)));
 
-    peeler.clear();
-    peeler.push(q);
     let mut checksum = 0.0;
-    let mut numerator = 0.0;
-    for &(f, v) in by_f.iter() {
-        peeler.push(v);
-        numerator += f;
-        if peeler.len() >= 4 && peeler.peel_into(q, cand) {
-            checksum += numerator / (cand.len() as f64);
-        }
+    for m in maintainers.iter_mut() {
+        let min_members = m.min_size();
+        prefix_ladder(m, dist, grown, min_members, None, ws, |rung, cand| {
+            if let Some(cand) = cand {
+                checksum += rung.iter().map(|&(f, _)| f).sum::<f64>() / cand.len() as f64;
+            }
+            ControlFlow::Continue(())
+        });
     }
     checksum
 }
@@ -107,19 +87,28 @@ fn steady_state_query_loop_allocates_nothing() {
     let q: NodeId = 0;
     let dist = QueryDistances::new(q, g.n(), DistanceParams::default());
     let mut ws = QueryWorkspace::new();
-    let mut peeler = PrefixPeeler::new(&g, 3);
-    let mut bufs = LoopBufs {
-        component: Vec::new(),
-        grown: Vec::new(),
-        by_f: Vec::new(),
-        cand: Vec::new(),
+    let mut maintainers = [
+        Maintainer::new(&g, CommunityModel::KCore, 3),
+        Maintainer::new(&g, CommunityModel::KTruss, 4),
+    ];
+    let (mut component, mut grown) = (Vec::new(), Vec::new());
+    let mut run = |ws: &mut QueryWorkspace| {
+        hot_loop(
+            &g,
+            q,
+            &dist,
+            ws,
+            &mut maintainers,
+            &mut component,
+            &mut grown,
+        )
     };
 
     // Warm-up: pools and the distance table reach their high-water mark.
-    let reference = hot_loop(&g, q, &dist, &mut ws, &mut peeler, &mut bufs);
+    let reference = run(&mut ws);
     assert!(reference.is_finite() && reference > 0.0);
     for _ in 0..2 {
-        hot_loop(&g, q, &dist, &mut ws, &mut peeler, &mut bufs);
+        run(&mut ws);
     }
 
     // Steady state: bit-identical work, zero allocator traffic. The
@@ -133,7 +122,7 @@ fn steady_state_query_loop_allocates_nothing() {
         let before = allocation_count();
         let mut checksum = 0.0;
         for _ in 0..64 {
-            checksum += hot_loop(&g, q, &dist, &mut ws, &mut peeler, &mut bufs);
+            checksum += run(&mut ws);
         }
         let allocations = allocation_count() - before;
         assert!((checksum - 64.0 * reference).abs() < 1e-9, "same answers");

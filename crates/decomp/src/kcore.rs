@@ -136,12 +136,12 @@ pub(crate) fn peel_to_kcore_into(
     scratch: &mut PeelScratch,
     out: &mut Vec<NodeId>,
 ) -> bool {
+    out.clear();
     let e = scratch.next_epoch();
     for &v in nodes {
         scratch.in_epoch[v as usize] = e;
     }
     if scratch.in_epoch[q as usize] != e {
-        out.clear();
         return false;
     }
 
@@ -155,29 +155,9 @@ pub(crate) fn peel_to_kcore_into(
         scratch.deg[v as usize] = d;
     }
 
-    cascade_and_collect(g, q, k, nodes, scratch, e, out)
-}
-
-/// The shared back half of every restricted k-core peel: given subset
-/// membership (`in_epoch == e`) and restricted degrees already seeded in
-/// `scratch.deg`, cascade-removes subcritical nodes and collects the
-/// connected component of `q` into `out` (sorted). Returns whether `q`
-/// survived. Used by [`peel_to_kcore_into`] (which computes degrees from
-/// scratch) and [`PrefixPeeler::peel_into`] (which maintains them
-/// incrementally).
-fn cascade_and_collect(
-    g: &AttributedGraph,
-    q: NodeId,
-    k: u32,
-    members: &[NodeId],
-    scratch: &mut PeelScratch,
-    e: u32,
-    out: &mut Vec<NodeId>,
-) -> bool {
-    out.clear();
     // Cascade-remove nodes with restricted degree < k.
     scratch.stack.clear();
-    for &v in members {
+    for &v in nodes {
         if scratch.deg[v as usize] < k {
             scratch.stack.push(v);
             scratch.rm_epoch[v as usize] = e;
@@ -222,111 +202,6 @@ fn cascade_and_collect(
     }
     out.sort_unstable();
     true
-}
-
-/// Incrementally maintained restricted k-core peeling over a *growing*
-/// node prefix (the SEA candidate ladder's access pattern, §V-B).
-///
-/// The prefix-candidate scan peels ever-larger prefixes of the same
-/// `f(·,q)`-sorted member list. Recomputing restricted degrees for every
-/// prefix costs `O(Σ_{v∈prefix} deg(v))` *per candidate*; this structure
-/// pays that sum once across the whole scan — [`PrefixPeeler::push`]
-/// updates the affected counters in `O(deg(v))` — and each
-/// [`PrefixPeeler::peel_into`] starts from the maintained counters with an
-/// `O(|prefix|)` seed copy instead of a neighborhood walk.
-#[derive(Clone, Debug)]
-pub struct PrefixPeeler<'g> {
-    g: &'g AttributedGraph,
-    k: u32,
-    /// Epoch of the *current prefix* (distinct from the peel scratch's
-    /// epoch stream): `in_mark[v] == epoch` means `v` is in the prefix.
-    epoch: u32,
-    in_mark: Vec<u32>,
-    /// Live degree of each prefix member restricted to the prefix.
-    deg: Vec<u32>,
-    members: Vec<NodeId>,
-    scratch: PeelScratch,
-}
-
-impl<'g> PrefixPeeler<'g> {
-    /// A peeler for connected k-cores within growing subsets of `g`.
-    pub fn new(g: &'g AttributedGraph, k: u32) -> Self {
-        let n = g.n();
-        PrefixPeeler {
-            g,
-            k,
-            epoch: 1,
-            in_mark: vec![0; n],
-            deg: vec![0; n],
-            members: Vec::new(),
-            scratch: PeelScratch::new(n),
-        }
-    }
-
-    /// Empties the prefix (O(1): bumps the membership epoch).
-    pub fn clear(&mut self) {
-        self.epoch = self.epoch.checked_add(1).expect("prefix epoch overflow");
-        self.members.clear();
-    }
-
-    /// Current prefix members, in insertion order.
-    pub fn members(&self) -> &[NodeId] {
-        &self.members
-    }
-
-    /// Number of nodes in the prefix.
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Whether the prefix is empty.
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
-    /// Adds `v` to the prefix, updating the restricted-degree counters of
-    /// `v` and its in-prefix neighbors in `O(deg(v))`. `v` must not
-    /// already be in the prefix.
-    pub fn push(&mut self, v: NodeId) {
-        let e = self.epoch;
-        debug_assert_ne!(self.in_mark[v as usize], e, "node {v} pushed twice");
-        let mut d = 0u32;
-        for &w in self.g.neighbors(v) {
-            if self.in_mark[w as usize] == e {
-                self.deg[w as usize] += 1;
-                d += 1;
-            }
-        }
-        self.in_mark[v as usize] = e;
-        self.deg[v as usize] = d;
-        self.members.push(v);
-    }
-
-    /// Peels the current prefix to the maximal connected k-core containing
-    /// `q` without disturbing the maintained counters; writes the sorted
-    /// members into `out` (cleared first) and returns whether `q`
-    /// survived. Zero heap allocations once `scratch`/`out` are warm.
-    pub fn peel_into(&mut self, q: NodeId, out: &mut Vec<NodeId>) -> bool {
-        let PrefixPeeler {
-            g,
-            k,
-            epoch,
-            in_mark,
-            deg,
-            members,
-            scratch,
-        } = self;
-        if in_mark[q as usize] != *epoch {
-            out.clear();
-            return false;
-        }
-        let e = scratch.next_epoch();
-        for &v in members.iter() {
-            scratch.in_epoch[v as usize] = e;
-            scratch.deg[v as usize] = deg[v as usize];
-        }
-        cascade_and_collect(g, q, *k, members, scratch, e, out)
-    }
 }
 
 /// Maximal connected k-core of the whole graph containing `q` (paper
@@ -469,51 +344,6 @@ mod tests {
                 .unwrap();
             assert_eq!(b, vec![7, 8, 9, 10, 11]);
         }
-    }
-
-    /// The incremental prefix peeler must agree with the from-scratch peel
-    /// on every prefix of an f-ordered scan, across clears and reuse.
-    #[test]
-    fn prefix_peeler_matches_from_scratch_peel() {
-        let g = figure2_graph();
-        let order: Vec<NodeId> = vec![5, 4, 6, 1, 3, 2, 12, 7, 9, 8, 10, 11, 0];
-        for k in 1..=4u32 {
-            let mut peeler = PrefixPeeler::new(&g, k);
-            let mut scratch = PeelScratch::new(g.n());
-            let mut got = Vec::new();
-            peeler.clear();
-            for (len, &v) in order.iter().enumerate() {
-                peeler.push(v);
-                let expect = peel_to_kcore_scratch(&g, 5, k, &order[..=len], &mut scratch);
-                let ok = peeler.peel_into(5, &mut got);
-                assert_eq!(
-                    ok.then(|| got.clone()),
-                    expect,
-                    "k = {k}, prefix = {:?}",
-                    &order[..=len]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn prefix_peeler_clear_is_a_fresh_start() {
-        let g = figure2_graph();
-        let mut peeler = PrefixPeeler::new(&g, 3);
-        let mut out = Vec::new();
-        for _ in 0..3 {
-            peeler.clear();
-            assert!(peeler.is_empty());
-            for v in 1..=6 {
-                peeler.push(v);
-            }
-            assert_eq!(peeler.len(), 6);
-            assert!(peeler.peel_into(5, &mut out));
-            assert_eq!(out, vec![1, 2, 3, 4, 5, 6]);
-            // q outside the prefix is a clean miss.
-            assert!(!peeler.peel_into(9, &mut out));
-        }
-        assert_eq!(peeler.members(), &[1, 2, 3, 4, 5, 6]);
     }
 
     #[test]

@@ -151,8 +151,6 @@ pub struct CommunityQuery {
     pub seed: u64,
     /// Pruning strategies for [`Method::Exact`] (Table IV ablation).
     pub pruning: PruningConfig,
-    /// Greedy warm start for [`Method::Exact`].
-    pub warm_start: bool,
     /// Search-tree state budget ([`Method::Exact`] / [`Method::EVac`]).
     pub state_budget: Option<u64>,
     /// Wall-clock budget ([`Method::Exact`] / [`Method::EVac`]).
@@ -185,7 +183,6 @@ impl CommunityQuery {
             size_bound: None,
             seed: 42,
             pruning: exact.pruning,
-            warm_start: exact.warm_start,
             state_budget: None,
             time_budget: None,
             vac_iteration_cap: Some(5_000),
@@ -265,12 +262,6 @@ impl CommunityQuery {
     /// Sets the exact method's pruning configuration.
     pub fn with_pruning(mut self, pruning: PruningConfig) -> Self {
         self.pruning = pruning;
-        self
-    }
-
-    /// Disables the exact method's greedy warm start.
-    pub fn without_warm_start(mut self) -> Self {
-        self.warm_start = false;
         self
     }
 
@@ -454,7 +445,6 @@ impl CommunityQuery {
             pruning: self.pruning,
             state_budget: self.state_budget,
             time_budget: self.time_budget,
-            warm_start: self.warm_start,
         }
     }
 }
@@ -541,14 +531,12 @@ mod tests {
             .with_k(5)
             .with_model(CommunityModel::KTruss)
             .with_pruning(PruningConfig::NO_P3)
-            .with_state_budget(100)
-            .without_warm_start();
+            .with_state_budget(100);
         let e = q.exact_params();
         assert_eq!(e.k, 5);
         assert_eq!(e.model, CommunityModel::KTruss);
         assert_eq!(e.pruning, PruningConfig::NO_P3);
         assert_eq!(e.state_budget, Some(100));
-        assert!(!e.warm_start);
 
         let q = CommunityQuery::new(Method::Sea, 3)
             .with_k(4)

@@ -545,7 +545,7 @@ fn fingerprint(q: &CommunityQuery, epoch: u64, deadlined: bool) -> String {
     let mut s = String::with_capacity(128);
     let _ = write!(
         s,
-        "{epoch}|{deadlined}|{}|{}|{}|{}|{:x}|{:x}|{:x}|{:x}|{:x}|{:x}|{:?}|{}|{:?}|{}|{:?}|{:?}|{:?}|{:?}|{}",
+        "{epoch}|{deadlined}|{}|{}|{}|{}|{:x}|{:x}|{:x}|{:x}|{:x}|{:x}|{:?}|{}|{:?}|{:?}|{:?}|{:?}|{:?}|{}",
         q.method.name(),
         q.q,
         q.k,
@@ -559,7 +559,6 @@ fn fingerprint(q: &CommunityQuery, epoch: u64, deadlined: bool) -> String {
         q.size_bound,
         q.seed,
         q.pruning,
-        q.warm_start,
         q.state_budget,
         q.time_budget,
         q.vac_iteration_cap,
