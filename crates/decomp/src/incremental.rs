@@ -58,7 +58,7 @@
 //! against.
 
 use crate::kcore::core_decomposition;
-use crate::ktruss::{for_common_in_rows, node_max_trussness, truss_decomposition};
+use crate::ktruss::{for_common_in_rows, node_max_trussness, truss_decomposition, EdgeIndex};
 use csag_graph::{AttributedGraph, MutableGraph, NodeId};
 
 /// Neighbor access shared by the immutable CSR graph and the evolving
@@ -298,8 +298,9 @@ const CANDIDATE: u32 = 1 << 31;
 /// graph, and the per-node maximum the engine screens k-truss queries
 /// with. See the [module docs](self) for why the repair is exact.
 ///
-/// Seed it from the initial graph, then report every structural change
-/// through [`TrussMaintainer::insert_edge`] /
+/// Seed it from the initial graph — or from its decomposition, when one
+/// is at hand ([`TrussMaintainer::from_decomposition`]) — then report
+/// every structural change through [`TrussMaintainer::insert_edge`] /
 /// [`TrussMaintainer::remove_edge`] (passing the adjacency *after* the
 /// change) and [`TrussMaintainer::add_vertex`];
 /// [`TrussMaintainer::node_trussness`] is then always equal to a
@@ -329,11 +330,17 @@ impl TrussMaintainer {
     /// Decomposes `g` once and lays the edge trussness out in rows.
     pub fn new(g: &AttributedGraph) -> Self {
         let (eidx, trussness) = truss_decomposition(g);
+        Self::from_decomposition(g, &eidx, &trussness)
+    }
+
+    /// Adopts a finished decomposition of `g` — `trussness[id]` for every
+    /// edge id of `eidx`, as [`truss_decomposition`] returns it — and only
+    /// lays it out in rows.
+    pub fn from_decomposition(g: &AttributedGraph, eidx: &EdgeIndex, trussness: &[u32]) -> Self {
         let tau: Vec<Vec<u32>> = (0..g.n() as NodeId)
             .map(|v| {
-                (0..g.neighbors(v).len())
-                    .map(|i| trussness[eidx.id_at(g, v, i) as usize])
-                    .collect()
+                let ids = eidx.row(g, v).iter();
+                ids.map(|&id| trussness[id as usize]).collect()
             })
             .collect();
         let node_max = tau.iter().map(|row| row_max(row)).collect();

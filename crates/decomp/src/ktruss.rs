@@ -73,6 +73,12 @@ impl EdgeIndex {
         self.ids[g.row_range(v).start + i]
     }
 
+    /// Edge ids of `v`'s whole neighbor row, parallel to `g.neighbors(v)`.
+    #[inline]
+    pub(crate) fn row(&self, g: &AttributedGraph, v: NodeId) -> &[u32] {
+        &self.ids[g.row_range(v)]
+    }
+
     /// Edge id of `{u, v}`, if the edge exists.
     pub fn id(&self, g: &AttributedGraph, u: NodeId, v: NodeId) -> Option<u32> {
         let i = g.neighbors(u).binary_search(&v).ok()?;
@@ -113,8 +119,16 @@ impl TrussScratch {
     }
 }
 
+/// Position of the first neighbour above `u` in `u`'s sorted row.
+#[inline]
+fn forward_start(row: &[NodeId], u: NodeId) -> usize {
+    row.partition_point(|&w| w < u)
+}
+
 /// Sorted merge of two adjacency rows: calls `visit(w, i, j)` for each
 /// common neighbor `w`, found at positions `i` in `nu` and `j` in `nv`.
+/// Both cursors step by a comparison, not a branch on it: the loop's only
+/// data-dependent jump is the (rarely taken) visit.
 #[inline]
 pub(crate) fn for_common_in_rows(
     nu: &[NodeId],
@@ -123,27 +137,13 @@ pub(crate) fn for_common_in_rows(
 ) {
     let (mut i, mut j) = (0, 0);
     while i < nu.len() && j < nv.len() {
-        match nu[i].cmp(&nv[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                visit(nu[i], i, j);
-                i += 1;
-                j += 1;
-            }
+        let (a, b) = (nu[i], nv[j]);
+        if a == b {
+            visit(a, i, j);
         }
+        i += usize::from(a <= b);
+        j += usize::from(b <= a);
     }
-}
-
-/// [`for_common_in_rows`] over the rows of `u` and `v` in `g`.
-#[inline]
-fn for_common_neighbors(
-    g: &AttributedGraph,
-    u: NodeId,
-    v: NodeId,
-    visit: impl FnMut(NodeId, usize, usize),
-) {
-    for_common_in_rows(g.neighbors(u), g.neighbors(v), visit);
 }
 
 /// [`for_common_in_rows`] over two induced rows: `pu` and `pv` are
@@ -159,16 +159,13 @@ fn for_common_in_induced(
 ) {
     let (mut i, mut j) = (0, 0);
     while i < pu.len() && j < pv.len() {
-        let (a, b) = (pu[i] as usize, pv[j] as usize);
-        match nu[a].cmp(&nv[b]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                visit(nu[a], a, b);
-                i += 1;
-                j += 1;
-            }
+        let (p, q) = (pu[i] as usize, pv[j] as usize);
+        let (a, b) = (nu[p], nv[q]);
+        if a == b {
+            visit(a, p, q);
         }
+        i += usize::from(a <= b);
+        j += usize::from(b <= a);
     }
 }
 
@@ -334,24 +331,13 @@ pub(crate) fn peel_to_ktruss_into(
 /// connected k-truss holding `q`. The engine caches this to settle truss
 /// "no" answers in O(1), exactly as coreness settles k-core ones.
 pub fn node_max_trussness(g: &AttributedGraph) -> Vec<u32> {
-    node_max_trussness_with_index(g).1
-}
-
-/// [`node_max_trussness`] together with the [`EdgeIndex`] its
-/// decomposition built, for a caller that goes on to peel k-trusses of
-/// `g` and would otherwise build the same index again.
-pub fn node_max_trussness_with_index(g: &AttributedGraph) -> (EdgeIndex, Vec<u32>) {
     let (eidx, trussness) = truss_decomposition(g);
-    let mut out = vec![0u32; g.n()];
-    for u in 0..g.n() as NodeId {
-        for (i, _) in g.neighbors(u).iter().enumerate() {
-            let t = trussness[eidx.id_at(g, u, i) as usize];
-            if t > out[u as usize] {
-                out[u as usize] = t;
-            }
-        }
-    }
-    (eidx, out)
+    (0..g.n() as NodeId)
+        .map(|u| {
+            let ids = eidx.row(g, u).iter();
+            ids.map(|&id| trussness[id as usize]).max().unwrap_or(0)
+        })
+        .collect()
 }
 
 /// Maximal connected k-truss of the whole graph containing `q`, or `None`.
@@ -362,73 +348,116 @@ pub fn max_connected_ktruss(g: &AttributedGraph, q: NodeId, k: u32) -> Option<Ve
     peel_to_ktruss_scratch(g, &eidx, q, k, &all, &mut scratch)
 }
 
+/// An empty slot of the stamped row in [`truss_decomposition`].
+const NO_EDGE: u32 = u32::MAX;
+
 /// Computes the trussness of every edge: `trussness[id]` is the largest `k`
 /// such that the edge belongs to the k-truss. Edges outside any triangle
 /// have trussness 2. Returns the [`EdgeIndex`] used for the ids.
+///
+/// Triangles are found through a *stamped row*: `slot[w]` holds the id of
+/// the edge from the stamped node to `w`, so the third edge of a triangle
+/// is one lookup while the other row is walked. Supports count every
+/// triangle `u < v < w` once, from `u`, over forward neighbours, and charge
+/// it to all three edges. The peel then takes edges in support order from
+/// a bin-sorted array (Batagelj–Zaversnik, over edges): an edge's support
+/// when it is taken is its trussness minus 2, and each live triangle it
+/// closes — the shorter end's row stamped, the other's walked — costs its
+/// two partners one unit each, down to that level.
 pub fn truss_decomposition(g: &AttributedGraph) -> (EdgeIndex, Vec<u32>) {
     let eidx = EdgeIndex::new(g);
     let m = eidx.m();
+    let mut slot = vec![NO_EDGE; g.n()];
     let mut support = vec![0u32; m];
     let mut ends = vec![(0 as NodeId, 0 as NodeId); m];
     for u in 0..g.n() as NodeId {
-        for (i, &v) in g.neighbors(u).iter().enumerate() {
-            if u < v {
-                let id = eidx.id_at(g, u, i);
-                ends[id as usize] = (u, v);
-                let mut cnt = 0u32;
-                for_common_neighbors(g, u, v, |_, _, _| cnt += 1);
-                support[id as usize] = cnt;
+        let fu = forward_start(g.neighbors(u), u);
+        let (nu, iu) = (&g.neighbors(u)[fu..], &eidx.row(g, u)[fu..]);
+        for (&w, &uw) in nu.iter().zip(iu) {
+            slot[w as usize] = uw;
+            ends[uw as usize] = (u, w);
+        }
+        for (&v, &uv) in nu.iter().zip(iu) {
+            let fv = forward_start(g.neighbors(v), v);
+            for (&w, &vw) in g.neighbors(v)[fv..].iter().zip(&eidx.row(g, v)[fv..]) {
+                let uw = slot[w as usize];
+                if uw != NO_EDGE {
+                    for id in [uv, uw, vw] {
+                        support[id as usize] += 1;
+                    }
+                }
             }
+        }
+        for &w in nu {
+            slot[w as usize] = NO_EDGE;
         }
     }
 
-    // Peel edges in non-decreasing support order. Buckets may receive
-    // edges again when supports drop; the cursor-and-revalidate pattern
-    // keeps the whole peel near-linear in practice.
-    let mut trussness = vec![2u32; m];
+    // Bin-sort the edges by support: `order` lists them, `pos` inverts it,
+    // and `bin[s]` is where the (unprocessed) edges of support `s` start.
     let max_sup = support.iter().copied().max().unwrap_or(0) as usize;
-    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); max_sup + 1];
-    for (id, &s) in support.iter().enumerate() {
-        buckets[s as usize].push(id as u32);
+    let mut bin = vec![0u32; max_sup + 1];
+    for &s in &support {
+        bin[s as usize] += 1;
     }
+    let mut start = 0;
+    for b in &mut bin {
+        let count = *b;
+        *b = start;
+        start += count;
+    }
+    let mut order = vec![0u32; m];
+    let mut pos = vec![0u32; m];
+    for (id, &s) in support.iter().enumerate() {
+        let b = &mut bin[s as usize];
+        pos[id] = *b;
+        order[*b as usize] = id as u32;
+        *b += 1;
+    }
+    // Each `bin[s]` now ends its bin, where the next one starts.
+    bin.copy_within(..max_sup, 1);
+    bin[0] = 0;
+
+    let mut trussness = vec![0u32; m];
     let mut removed = vec![false; m];
-    let mut cur = vec![0usize; max_sup + 1];
-    let mut level = 0usize;
-    let mut processed = 0usize;
-    while processed < m {
-        while level <= max_sup && cur[level] >= buckets[level].len() {
-            level += 1;
-        }
-        if level > max_sup {
-            break;
-        }
-        let id = buckets[level][cur[level]];
-        cur[level] += 1;
-        if removed[id as usize] || (support[id as usize] as usize) != level {
-            continue;
-        }
-        removed[id as usize] = true;
-        processed += 1;
-        trussness[id as usize] = support[id as usize] + 2;
-        let (u, v) = ends[id as usize];
-        let mut hits: Vec<u32> = Vec::new();
-        for_common_neighbors(g, u, v, |_, i, j| {
-            let uw = eidx.id_at(g, u, i);
-            let vw = eidx.id_at(g, v, j);
-            if !removed[uw as usize] && !removed[vw as usize] {
-                hits.push(uw);
-                hits.push(vw);
+    for i in 0..m {
+        let id = order[i] as usize;
+        let level = support[id];
+        trussness[id] = level + 2;
+        removed[id] = true;
+        let (u, v) = ends[id];
+        let (a, b) = if g.degree(u) <= g.degree(v) {
+            (u, v)
+        } else {
+            (v, u)
+        };
+        for (&w, &aw) in g.neighbors(a).iter().zip(eidx.row(g, a)) {
+            if !removed[aw as usize] {
+                slot[w as usize] = aw;
             }
-        });
-        for id2 in hits {
-            let s = &mut support[id2 as usize];
-            if *s as usize > level {
-                *s -= 1;
-                buckets[*s as usize].push(id2);
-                if (*s as usize) < level {
-                    level = *s as usize;
+        }
+        for (&w, &bw) in g.neighbors(b).iter().zip(eidx.row(g, b)) {
+            let aw = slot[w as usize];
+            if aw == NO_EDGE || removed[bw as usize] {
+                continue;
+            }
+            for e in [aw, bw] {
+                let s = support[e as usize];
+                if s > level {
+                    // Swap `e` to the front of its bin, then move the bin
+                    // boundary past it: `e` now ends bin `s − 1`.
+                    let (front, at) = (bin[s as usize], pos[e as usize]);
+                    let other = order[front as usize];
+                    order.swap(front as usize, at as usize);
+                    pos[other as usize] = at;
+                    pos[e as usize] = front;
+                    bin[s as usize] += 1;
+                    support[e as usize] = s - 1;
                 }
             }
+        }
+        for &w in g.neighbors(a) {
+            slot[w as usize] = NO_EDGE;
         }
     }
     (eidx, trussness)

@@ -23,8 +23,5 @@ pub mod maintainer;
 
 pub use incremental::{patch_node_trussness, CoreMaintainer, NeighborAccess, TrussMaintainer};
 pub use kcore::{core_decomposition, max_connected_kcore};
-pub use ktruss::{
-    max_connected_ktruss, node_max_trussness, node_max_trussness_with_index, truss_decomposition,
-    EdgeIndex,
-};
+pub use ktruss::{max_connected_ktruss, node_max_trussness, truss_decomposition, EdgeIndex};
 pub use maintainer::{CommunityModel, Maintainer};

@@ -1,7 +1,8 @@
 //! Property tests: k-core and k-truss invariants on random graphs.
 
 use csag_decomp::{core_decomposition, max_connected_kcore, max_connected_ktruss};
-use csag_decomp::{truss_decomposition, CommunityModel, EdgeIndex, Maintainer};
+use csag_decomp::{node_max_trussness, truss_decomposition, TrussMaintainer};
+use csag_decomp::{CommunityModel, EdgeIndex, Maintainer};
 use csag_graph::{AttributedGraph, GraphBuilder, NodeId};
 use proptest::prelude::*;
 use std::collections::VecDeque;
@@ -126,6 +127,51 @@ fn reference_truss_peel(
     }
     out.sort_unstable();
     q_has_edge.then_some(out)
+}
+
+/// Oracle: `out[u][v]` is the trussness of the edge `{u, v}` (`None` for a
+/// non-edge). For each k afresh, the whole graph's edges are peeled
+/// to a fixed point — an edge survives while it closes at least `k − 2`
+/// triangles of surviving edges — and an edge's trussness is the largest
+/// k it survives.
+fn brute_force_trussness(g: &AttributedGraph) -> Vec<Vec<Option<u32>>> {
+    let n = g.n();
+    let mut out = vec![vec![None; n]; n];
+    for (u, v) in g.edges() {
+        out[u as usize][v as usize] = Some(2);
+        out[v as usize][u as usize] = Some(2);
+    }
+    for k in 3.. {
+        let mut alive: Vec<Vec<bool>> = out
+            .iter()
+            .map(|r| r.iter().map(Option::is_some).collect())
+            .collect();
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for u in 0..n {
+                for v in u + 1..n {
+                    let triangles = (0..n).filter(|&w| alive[u][w] && alive[v][w]).count();
+                    if alive[u][v] && triangles + 2 < k {
+                        alive[u][v] = false;
+                        alive[v][u] = false;
+                        changed = true;
+                    }
+                }
+            }
+        }
+        if !alive.iter().flatten().any(|&a| a) {
+            return out;
+        }
+        for u in 0..n {
+            for v in 0..n {
+                if alive[u][v] {
+                    out[u][v] = Some(k as u32);
+                }
+            }
+        }
+    }
+    unreachable!("every edge is peeled once k exceeds n")
 }
 
 proptest! {
@@ -284,6 +330,29 @@ proptest! {
                 prop_assert!(false, "u has no {}-truss but edge ({},{}) has trussness {}", t, u, v, t);
             }
         }
+    }
+
+    /// The decomposition equals the brute-force oracle on every edge, and
+    /// a maintainer adopting a decomposition is the one that runs its own.
+    #[test]
+    fn trussness_matches_brute_force_peel((n, edges) in arb_graph()) {
+        let g = build(n, &edges);
+        let (eidx, trussness) = truss_decomposition(&g);
+        let oracle = brute_force_trussness(&g);
+        let adopted = TrussMaintainer::from_decomposition(&g, &eidx, &trussness);
+        let fresh = TrussMaintainer::new(&g);
+        for u in 0..g.n() as NodeId {
+            for v in 0..g.n() as NodeId {
+                let want = oracle[u as usize][v as usize];
+                let got = eidx.id(&g, u, v).map(|id| trussness[id as usize]);
+                prop_assert_eq!(got, want, "edge ({}, {})", u, v);
+                prop_assert_eq!(adopted.trussness_of(&g, u, v), want, "adopted ({}, {})", u, v);
+                prop_assert_eq!(fresh.trussness_of(&g, u, v), want, "fresh ({}, {})", u, v);
+            }
+        }
+        let node = node_max_trussness(&g);
+        prop_assert_eq!(adopted.node_trussness(), node.as_slice());
+        prop_assert_eq!(fresh.node_trussness(), node.as_slice());
     }
 
     /// Core and truss models agree on the containment k-truss ⊆ (k-1)-core.

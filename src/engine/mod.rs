@@ -7,7 +7,9 @@
 //!   **edge-trussness decomposition** (each computed lazily, exactly
 //!   once, via `csag-decomp`) — used to answer "no community" queries in
 //!   O(1) before any peeling happens — and the truss decomposition's
-//!   edge index, which every k-truss SEA and Exact peel then borrows;
+//!   edge index, which every k-truss SEA and Exact peel then borrows,
+//!   and its per-edge table, from which a store's first write seeds its
+//!   trussness repair;
 //! * a **component index** (built lazily, once), from which a SEA read
 //!   whose Theorem-10 bound reaches `n` takes its population as a slice
 //!   instead of walking q's component;
@@ -112,6 +114,11 @@ pub struct Engine {
     /// the trussness decomposition that fills `trussness`, or built once
     /// on first use when the store seeded `trussness` instead.
     edge_index: OnceLock<EdgeIndex>,
+    /// Per-edge trussness (by `edge_index` id), kept from the
+    /// decomposition that fills `trussness` so the store's first write
+    /// seeds its repair from it instead of decomposing again. Never set
+    /// on an engine the store seeded.
+    edge_trussness: OnceLock<Vec<u32>>,
     /// The graph's connected components, built on the first SEA read.
     components: OnceLock<Components>,
     /// How many times each decomposition actually ran (observable
@@ -146,6 +153,7 @@ impl Engine {
             coreness: OnceLock::new(),
             trussness: OnceLock::new(),
             edge_index: OnceLock::new(),
+            edge_trussness: OnceLock::new(),
             components: OnceLock::new(),
             decomp_runs: AtomicUsize::new(0),
             truss_runs: AtomicUsize::new(0),
@@ -201,6 +209,14 @@ impl Engine {
         self.trussness.get()
     }
 
+    /// The per-edge trussness table and the index its ids refer to, only
+    /// if this engine's own decomposition computed them (not on an
+    /// engine the store seeded with node trussness).
+    pub(crate) fn edge_trussness_if_computed(&self) -> Option<(&EdgeIndex, &[u32])> {
+        let trussness = self.edge_trussness.get()?;
+        Some((self.edge_index(), trussness))
+    }
+
     /// Every resident distance-cache entry, as shared handles (the
     /// store's raw material for selective carry-over into the next
     /// epoch's engine).
@@ -243,9 +259,19 @@ impl Engine {
     pub fn node_trussness(&self) -> &[u32] {
         self.trussness.get_or_init(|| {
             self.truss_runs.fetch_add(1, Ordering::Relaxed);
-            let (eidx, trussness) = csag_decomp::node_max_trussness_with_index(&self.graph);
+            let g = self.graph.as_ref();
+            let (eidx, edge_trussness) = csag_decomp::truss_decomposition(g);
+            let node_max = (0..g.n() as NodeId)
+                .map(|u| {
+                    let at = |i| edge_trussness[eidx.id_at(g, u, i) as usize];
+                    (0..g.degree(u)).map(at).max().unwrap_or(0)
+                })
+                .collect();
+            // Edge ids are a function of the graph, so the table reads
+            // right through whichever index `edge_index` ends up holding.
             let _ = self.edge_index.set(eidx);
-            trussness
+            let _ = self.edge_trussness.set(edge_trussness);
+            node_max
         })
     }
 

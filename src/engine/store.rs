@@ -18,10 +18,11 @@
 //!   [`csag_decomp::TrussMaintainer`] fed next to the working copy: each
 //!   update touches only the edges whose trussness moves and their
 //!   triangle neighbours, whatever the size of the graph. The maintainer
-//!   is seeded (one truss decomposition of the pre-batch graph) by the
-//!   first batch applied after some query made trussness resident, and
-//!   lives until [`GraphStore::reset_to`]; a store nobody asks k-truss
-//!   questions stays lazy.
+//!   is seeded by the first batch applied after some query made
+//!   trussness resident — from the per-edge table that query's
+//!   decomposition left on the engine, so the store never decomposes a
+//!   second time — and lives until [`GraphStore::reset_to`]; a store
+//!   nobody asks k-truss questions stays lazy.
 //! * **Core numbers** are pre-seeded into every epoch's engine: carried
 //!   over as they are by a batch that changed no edge, and recomputed by
 //!   one `O(n + m)` peel — the order of the CSR snapshot the batch pays
@@ -688,9 +689,15 @@ impl GraphStore {
         }
         let old_engine = self.snapshot().engine_arc();
         // Trussness is maintained only once a query paid for it: seed the
-        // per-edge table from the pre-batch graph, once per store lifetime.
-        if state.truss.is_none() && old_engine.trussness_if_computed().is_some() {
-            state.truss = Some(TrussMaintainer::new(old_engine.graph()));
+        // repair from the decomposition that query ran, once per store
+        // lifetime. (Until the maintainer exists, every epoch's engine
+        // decomposes for itself, so a resident node table has its
+        // per-edge one beside it.)
+        if state.truss.is_none() {
+            if let Some((eidx, trussness)) = old_engine.edge_trussness_if_computed() {
+                let g = old_engine.graph();
+                state.truss = Some(TrussMaintainer::from_decomposition(g, eidx, trussness));
+            }
         }
 
         let mut report = UpdateReport::default();

@@ -4,7 +4,9 @@
 //! than building an `O(m log d_max)` index per query — and answer exactly
 //! as the standalone solvers that build their own. Likewise one component
 //! index per epoch: an engine SEA read takes q's component from it where
-//! the standalone solver walks, with the same answer.
+//! the standalone solver walks, with the same answer. And one truss
+//! decomposition per store: the first write seeds its trussness repair
+//! from the table the engine's decomposition kept, building no index.
 //!
 //! Keep this file at ONE `#[test]`: `EdgeIndex::builds` is process-wide,
 //! so a concurrently running sibling test would pollute the deltas.
@@ -14,7 +16,7 @@ use csag::core::exact::{Exact, ExactParams};
 use csag::core::sea::{Sea, SeaParams};
 use csag::datasets::generator::{generate, SyntheticConfig};
 use csag::datasets::{random_updates, ChurnMix};
-use csag::decomp::{CommunityModel, EdgeIndex};
+use csag::decomp::{node_max_trussness, CommunityModel, EdgeIndex};
 use csag::engine::{
     outcome_identity, CommunityQuery, CommunityResult, CsagError, Engine, GraphStore, Method,
 };
@@ -22,6 +24,7 @@ use csag::graph::traversal::Components;
 use csag::graph::{AttributedGraph, GraphUpdate as Edit, MutableGraph, NodeId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 const K: u32 = 4;
 const STATES: u64 = 200;
@@ -168,12 +171,10 @@ fn truss_reads_borrow_one_edge_index_per_epoch() {
     // A store-seeded epoch: the store hands the engine trussness it
     // repaired, so the index is built once, on the first read that peels.
     let store = GraphStore::new(g.clone());
-    store.snapshot().engine().node_trussness();
     let mut rng = StdRng::seed_from_u64(7);
     let batch = random_updates(&g, &mut rng, 8, ChurnMix::MIXED);
-    store.apply(&batch).expect("churn applies");
+    first_write_decomposes_nothing(&store, &batch, "plain store");
     let snap = store.snapshot();
-    assert_eq!(snap.engine().truss_decomp_computations(), 0, "seeded");
     let before = EdgeIndex::builds();
     for _ in 0..3 {
         for &q in &picks {
@@ -184,7 +185,44 @@ fn truss_reads_borrow_one_edge_index_per_epoch() {
     }
     assert_eq!(EdgeIndex::builds() - before, 1, "one index for the epoch");
 
+    // The same on a durable store, and on a store reset to a fresh graph
+    // (its maintainer starts over).
+    let dir = std::env::temp_dir().join(format!("csag-edge-index-wal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let durable = GraphStore::with_wal(g.clone(), &dir).expect("fresh WAL");
+    first_write_decomposes_nothing(&durable, &batch, "WAL store");
+    drop(durable);
+    let _ = std::fs::remove_dir_all(&dir);
+    store.reset_to(Arc::new(g.clone()), store.epoch() + 1);
+    first_write_decomposes_nothing(&store, &batch, "reset store");
+
     engine_sea_reads_match_the_walk_across_components(&g);
+}
+
+/// Makes trussness resident on `store`'s current epoch, then applies
+/// `batch`: the write must build no edge index (its trussness repair
+/// adopts the decomposition the engine already ran), and the node
+/// trussness it hands the next epoch must equal a fresh decomposition's.
+fn first_write_decomposes_nothing(store: &GraphStore, batch: &[Edit], label: &str) {
+    store.snapshot().engine().node_trussness();
+    let before = EdgeIndex::builds();
+    let report = store.apply(batch).expect("churn applies");
+    assert_eq!(EdgeIndex::builds() - before, 0, "{label}: first write");
+    assert!(
+        report.edges_added + report.edges_removed > 0,
+        "{label}: structural"
+    );
+    let snap = store.snapshot();
+    assert_eq!(
+        snap.engine().truss_decomp_computations(),
+        0,
+        "{label}: seeded"
+    );
+    assert_eq!(
+        snap.engine().node_trussness(),
+        node_max_trussness(snap.graph()).as_slice(),
+        "{label}: maintained node trussness"
+    );
 }
 
 /// `g` cut into three blocks of ids (`0..100`, `100..200`, the rest) with
