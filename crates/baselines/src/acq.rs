@@ -9,8 +9,8 @@
 //! nothing, Table V).
 
 use crate::BaselineResult;
-use csag_core::error::{check_query_node, CsagError};
-use csag_decomp::{CommunityModel, Maintainer};
+use csag_core::error::{check_query_node, root_of, CsagError};
+use csag_decomp::{CommunityModel, EpochIndex, Maintainer};
 use csag_graph::{AttributedGraph, NodeId};
 use std::time::Instant;
 
@@ -31,17 +31,16 @@ const EXHAUSTIVE_ATTR_LIMIT: usize = 16;
 /// [`CsagError::NoCommunity`] when `q` has no community at all.
 pub fn acq(
     g: &AttributedGraph,
+    index: &EpochIndex,
     q: NodeId,
     k: u32,
     model: CommunityModel,
 ) -> Result<BaselineResult, CsagError> {
     check_query_node(q, g.n())?;
     let start = Instant::now();
-    let mut maintainer = Maintainer::new(g, model, k);
+    let mut maintainer = Maintainer::new(g, index, model, k);
     // The search space is always inside q's maximal community.
-    let root = maintainer.maximal(q).ok_or_else(|| {
-        CsagError::no_community(format!("node {q} is in no connected {model} at k = {k}"))
-    })?;
+    let root = root_of(&mut maintainer, q)?;
 
     let q_tokens: Vec<u32> = g.tokens(q).to_vec();
     let t = q_tokens.len();
@@ -169,7 +168,7 @@ mod tests {
     #[test]
     fn acq_maximizes_shared_attributes() {
         let g = graph();
-        let res = acq(&g, 0, 2, CommunityModel::KCore).unwrap();
+        let res = acq(&g, &EpochIndex::new(), 0, 2, CommunityModel::KCore).unwrap();
         assert_eq!(res.objective, 2.0, "shares both movie and crime");
         assert_eq!(res.community, vec![0, 1, 2, 3]);
     }
@@ -178,7 +177,7 @@ mod tests {
     fn acq_relaxes_when_necessary() {
         let g = graph();
         // k=3: {0,1,2,3} is a 3-core sharing 2 attrs — still wins.
-        let res = acq(&g, 0, 3, CommunityModel::KCore).unwrap();
+        let res = acq(&g, &EpochIndex::new(), 0, 3, CommunityModel::KCore).unwrap();
         assert_eq!(res.objective, 2.0);
         assert_eq!(res.community, vec![0, 1, 2, 3]);
     }
@@ -196,7 +195,7 @@ mod tests {
             }
         }
         let g = b.build().unwrap();
-        let res = acq(&g, 0, 2, CommunityModel::KCore).unwrap();
+        let res = acq(&g, &EpochIndex::new(), 0, 2, CommunityModel::KCore).unwrap();
         assert_eq!(res.objective, 0.0, "no attribute shared by all");
         assert_eq!(
             res.community,
@@ -213,11 +212,11 @@ mod tests {
         b.add_edge(0, 1).unwrap();
         let g = b.build().unwrap();
         assert!(matches!(
-            acq(&g, 0, 2, CommunityModel::KCore),
+            acq(&g, &EpochIndex::new(), 0, 2, CommunityModel::KCore),
             Err(CsagError::NoCommunity { .. })
         ));
         assert!(matches!(
-            acq(&g, 9, 2, CommunityModel::KCore),
+            acq(&g, &EpochIndex::new(), 9, 2, CommunityModel::KCore),
             Err(CsagError::QueryNodeNotFound { q: 9, .. })
         ));
     }
@@ -235,7 +234,7 @@ mod tests {
             }
         }
         let g = b.build().unwrap();
-        let res = acq(&g, 0, 2, CommunityModel::KCore).unwrap();
+        let res = acq(&g, &EpochIndex::new(), 0, 2, CommunityModel::KCore).unwrap();
         assert_eq!(res.objective, 0.0);
         assert_eq!(res.community.len(), 4);
     }
@@ -243,7 +242,7 @@ mod tests {
     #[test]
     fn acq_truss_variant() {
         let g = graph();
-        let res = acq(&g, 0, 3, CommunityModel::KTruss).unwrap();
+        let res = acq(&g, &EpochIndex::new(), 0, 3, CommunityModel::KTruss).unwrap();
         assert!(res.community.contains(&0));
         assert!(res.objective >= 1.0);
     }

@@ -17,7 +17,7 @@
 
 use crate::BaselineResult;
 use csag_core::error::{check_query_node, CsagError};
-use csag_decomp::{CommunityModel, Maintainer};
+use csag_decomp::{CommunityModel, EpochIndex, Maintainer};
 use csag_graph::{AttributedGraph, FixedBitSet, NodeId};
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -92,13 +92,14 @@ pub fn atc_score(g: &AttributedGraph, q: NodeId, community: &[NodeId]) -> f64 {
 /// neighborhood.
 pub fn loc_atc(
     g: &AttributedGraph,
+    index: &EpochIndex,
     q: NodeId,
     k: u32,
     model: CommunityModel,
 ) -> Result<BaselineResult, CsagError> {
     check_query_node(q, g.n())?;
     let start = Instant::now();
-    let mut maintainer = Maintainer::new(g, model, k);
+    let mut maintainer = Maintainer::new(g, index, model, k);
     let seed = local_seed(g, q);
     let mut current = maintainer.maximal_within(q, &seed).ok_or_else(|| {
         CsagError::no_community(format!(
@@ -196,7 +197,7 @@ mod tests {
     #[test]
     fn loc_atc_peels_off_topic_nodes() {
         let g = graph();
-        let res = loc_atc(&g, 0, 2, CommunityModel::KCore).unwrap();
+        let res = loc_atc(&g, &EpochIndex::new(), 0, 2, CommunityModel::KCore).unwrap();
         assert_eq!(res.community, vec![0, 1, 2, 3]);
         assert!((res.objective - 8.0).abs() < 1e-12);
     }
@@ -205,7 +206,7 @@ mod tests {
     fn loc_atc_errors_without_community() {
         let g = graph();
         assert!(matches!(
-            loc_atc(&g, 0, 4, CommunityModel::KCore),
+            loc_atc(&g, &EpochIndex::new(), 0, 4, CommunityModel::KCore),
             Err(CsagError::NoCommunity { .. })
         ));
     }
@@ -224,14 +225,14 @@ mod tests {
             }
         }
         let g = b.build().unwrap();
-        let res = loc_atc(&g, 0, 2, CommunityModel::KCore).unwrap();
+        let res = loc_atc(&g, &EpochIndex::new(), 0, 2, CommunityModel::KCore).unwrap();
         assert!(res.community.contains(&0));
     }
 
     #[test]
     fn loc_atc_truss_variant_runs() {
         let g = graph();
-        let res = loc_atc(&g, 0, 3, CommunityModel::KTruss).unwrap();
+        let res = loc_atc(&g, &EpochIndex::new(), 0, 3, CommunityModel::KTruss).unwrap();
         assert!(res.community.contains(&0));
         assert!(res.community.len() >= 3);
     }

@@ -15,6 +15,11 @@
 //!   branch-and-bound (`E-VAC`, feasible only on small graphs — exactly as
 //!   reported in the paper).
 //!
+//! Each takes the graph's [`csag_core::EpochIndex`] beside it, from which
+//! it takes its root (q's maximal connected community) and, for k-truss,
+//! the edge index its peels read; a caller with no engine lends
+//! `&EpochIndex::new()`.
+//!
 //! These are faithful ports of the published *objectives and search
 //! strategies*, not line-by-line translations of the authors' Java code;
 //! the qualitative comparison of Table II / Figure 5 is what they exist to

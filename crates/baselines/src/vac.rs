@@ -20,8 +20,8 @@
 
 use crate::BaselineResult;
 use csag_core::distance::{composite_distance, DistanceParams, QueryDistances};
-use csag_core::error::{check_query_node, CsagError};
-use csag_decomp::{CommunityModel, Maintainer};
+use csag_core::error::{check_query_node, root_of, CsagError};
+use csag_decomp::{CommunityModel, EpochIndex, Maintainer};
 use csag_graph::{AttributedGraph, NodeId};
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
@@ -89,6 +89,7 @@ pub fn max_pairwise_distance(
 /// [`CsagError::NoCommunity`] when `q` has no community.
 pub fn vac(
     g: &AttributedGraph,
+    index: &EpochIndex,
     q: NodeId,
     k: u32,
     model: CommunityModel,
@@ -97,11 +98,9 @@ pub fn vac(
 ) -> Result<BaselineResult, CsagError> {
     check_query_node(q, g.n())?;
     let start = Instant::now();
-    let mut maintainer = Maintainer::new(g, model, k);
+    let mut maintainer = Maintainer::new(g, index, model, k);
     let dist = QueryDistances::new(q, g.n(), dparams);
-    let mut current = maintainer.maximal(q).ok_or_else(|| {
-        CsagError::no_community(format!("node {q} is in no connected {model} at k = {k}"))
-    })?;
+    let mut current = root_of(&mut maintainer, q)?;
     let cap = max_iters.unwrap_or(usize::MAX);
 
     for _ in 0..cap {
@@ -165,6 +164,7 @@ pub struct EVacLimits {
 /// [`EVacLimits::max_root`] (refused outright).
 pub fn e_vac(
     g: &AttributedGraph,
+    index: &EpochIndex,
     q: NodeId,
     k: u32,
     model: CommunityModel,
@@ -174,10 +174,8 @@ pub fn e_vac(
     check_query_node(q, g.n())?;
     let start = Instant::now();
     let deadline = limits.time_budget.map(|b| start + b);
-    let mut maintainer = Maintainer::new(g, model, k);
-    let root = maintainer.maximal(q).ok_or_else(|| {
-        CsagError::no_community(format!("node {q} is in no connected {model} at k = {k}"))
-    })?;
+    let mut maintainer = Maintainer::new(g, index, model, k);
+    let root = root_of(&mut maintainer, q)?;
     if limits.max_root.is_some_and(|m| root.len() > m) {
         // The paper refuses E-VAC on large roots outright (its `-` rows).
         return Err(CsagError::BudgetExhausted);
@@ -262,6 +260,7 @@ mod tests {
         let g = clique_with_outlier();
         let res = vac(
             &g,
+            &EpochIndex::new(),
             0,
             3,
             CommunityModel::KCore,
@@ -279,6 +278,7 @@ mod tests {
         // k=4 forces the full 5-clique: deleting any node collapses it.
         let res = vac(
             &g,
+            &EpochIndex::new(),
             0,
             4,
             CommunityModel::KCore,
@@ -296,6 +296,7 @@ mod tests {
         // Zero iterations: the root itself is returned.
         let res = vac(
             &g,
+            &EpochIndex::new(),
             0,
             2,
             CommunityModel::KCore,
@@ -312,6 +313,7 @@ mod tests {
         for k in [2u32, 3] {
             let a = vac(
                 &g,
+                &EpochIndex::new(),
                 0,
                 k,
                 CommunityModel::KCore,
@@ -321,6 +323,7 @@ mod tests {
             .unwrap();
             let e = e_vac(
                 &g,
+                &EpochIndex::new(),
                 0,
                 k,
                 CommunityModel::KCore,
@@ -343,6 +346,7 @@ mod tests {
         let run = |limits: EVacLimits| {
             e_vac(
                 &g,
+                &EpochIndex::new(),
                 0,
                 2,
                 CommunityModel::KCore,
@@ -392,6 +396,7 @@ mod tests {
         let g = b.build().unwrap();
         let res = vac(
             &g,
+            &EpochIndex::new(),
             0,
             2,
             CommunityModel::KCore,
@@ -412,6 +417,7 @@ mod tests {
         assert!(matches!(
             vac(
                 &g,
+                &EpochIndex::new(),
                 0,
                 2,
                 CommunityModel::KCore,
@@ -423,6 +429,7 @@ mod tests {
         assert!(matches!(
             e_vac(
                 &g,
+                &EpochIndex::new(),
                 0,
                 2,
                 CommunityModel::KCore,

@@ -14,7 +14,7 @@ use csag::engine::{Engine, Method};
 use csag_core::distance::{DistanceParams, QueryDistances};
 use csag_core::CommunityModel;
 use csag_datasets::{random_queries, standins};
-use csag_decomp::Maintainer;
+use csag_decomp::{EpochIndex, Maintainer};
 use csag_eval::relative_error;
 use csag_graph::{AttributedGraph, NodeId};
 
@@ -23,13 +23,14 @@ const BOUNDS: [(usize, usize); 4] = [(30, 35), (35, 40), (40, 45), (45, 50)];
 /// Reference: full-information greedy descent restricted to `[l, h]`.
 fn greedy_size_bounded_delta(
     g: &AttributedGraph,
+    index: &EpochIndex,
     q: NodeId,
     k: u32,
     l: usize,
     h: usize,
     dp: DistanceParams,
 ) -> Option<f64> {
-    let mut maintainer = Maintainer::new(g, CommunityModel::KCore, k);
+    let mut maintainer = Maintainer::new(g, index, CommunityModel::KCore, k);
     let dist = QueryDistances::new(q, g.n(), dp);
     let mut cur = maintainer.maximal(q)?;
     let mut best: Option<f64> = None;
@@ -83,7 +84,7 @@ fn run_graph(name: &str, g: &AttributedGraph, k: u32, scale: &Scale, table: &mut
                 // small); skip it like the paper's query filter does.
                 return None;
             }
-            let reference = greedy_size_bounded_delta(g, q, k, l, h, dp)?;
+            let reference = greedy_size_bounded_delta(g, engine.index(), q, k, l, h, dp)?;
             Some((ms, relative_error(res.delta, reference)))
         });
         let done: Vec<&(f64, f64)> = outcomes.iter().flatten().collect();

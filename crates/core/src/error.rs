@@ -19,6 +19,7 @@
 //!   serving reads but rejecting writes
 //!   ([`CsagError::DurabilityUnavailable`]).
 
+use csag_decomp::Maintainer;
 use csag_graph::NodeId;
 use std::fmt;
 use std::time::Duration;
@@ -141,6 +142,15 @@ pub fn check_query_node(q: NodeId, nodes: usize) -> Result<(), CsagError> {
     } else {
         Err(CsagError::QueryNodeNotFound { q, nodes })
     }
+}
+
+/// `q`'s root — its maximal connected community in the whole graph
+/// ([`Maintainer::maximal`]) — or the typed "no community" answer.
+pub fn root_of(m: &mut Maintainer<'_>, q: NodeId) -> Result<Vec<NodeId>, CsagError> {
+    m.maximal(q).ok_or_else(|| {
+        let (model, k) = (m.model(), m.k());
+        CsagError::no_community(format!("node {q} is in no connected {model} at k = {k}"))
+    })
 }
 
 #[cfg(test)]

@@ -23,9 +23,9 @@
 //! [`ExactResult`]).
 
 use crate::distance::{DistanceParams, QueryDistances};
-use crate::error::{check_query_node, CsagError};
+use crate::error::{check_query_node, root_of, CsagError};
 use crate::sea::prefix_ladder;
-use csag_decomp::{CommunityModel, EdgeIndex, Maintainer};
+use csag_decomp::{CommunityModel, EpochIndex, Maintainer};
 use csag_graph::{AttributedGraph, NodeId, QueryWorkspace};
 use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
@@ -163,8 +163,8 @@ pub struct ExactResult {
 /// The exact CS-AG solver.
 pub struct Exact<'g> {
     g: &'g AttributedGraph,
+    index: &'g EpochIndex,
     dparams: DistanceParams,
-    eidx: Option<&'g EdgeIndex>,
 }
 
 struct SearchCtx<'g> {
@@ -204,21 +204,12 @@ struct LevelBufs {
 }
 
 impl<'g> Exact<'g> {
-    /// Creates a solver over `g` with the given distance parameters.
-    pub fn new(g: &'g AttributedGraph, dparams: DistanceParams) -> Self {
-        Exact {
-            g,
-            dparams,
-            eidx: None,
-        }
-    }
-
-    /// Lets k-truss runs borrow `eidx`, an [`EdgeIndex`] of this graph
-    /// built once, instead of building one per run; `None` keeps
-    /// building. See [`Maintainer::with_edge_index`].
-    pub fn with_edge_index(mut self, eidx: Option<&'g EdgeIndex>) -> Self {
-        self.eidx = eidx;
-        self
+    /// Creates a solver over `g` with the given distance parameters,
+    /// taking the root and the k-truss edge index from `index` — an
+    /// engine lends its own; a standalone caller a fresh
+    /// [`EpochIndex::new`].
+    pub fn new(g: &'g AttributedGraph, index: &'g EpochIndex, dparams: DistanceParams) -> Self {
+        Exact { g, index, dparams }
     }
 
     /// Runs the exact search from query node `q`.
@@ -260,13 +251,8 @@ impl<'g> Exact<'g> {
             ));
         }
         let start = Instant::now();
-        let mut maintainer = Maintainer::with_edge_index(self.g, params.model, params.k, self.eidx);
-        let root = maintainer.maximal(q).ok_or_else(|| {
-            CsagError::no_community(format!(
-                "node {q} is in no connected {} at k = {}",
-                params.model, params.k
-            ))
-        })?;
+        let mut maintainer = Maintainer::new(self.g, self.index, params.model, params.k);
+        let root = root_of(&mut maintainer, q)?;
 
         dist.warm(self.g, &root);
         let root_delta = dist.delta(self.g, &root);
@@ -542,7 +528,8 @@ mod tests {
     #[test]
     fn exact_finds_optimum_on_figure3() {
         let (g, q) = figure3_graph();
-        let exact = Exact::new(&g, DistanceParams::with_gamma(0.0));
+        let index = EpochIndex::new();
+        let exact = Exact::new(&g, &index, DistanceParams::with_gamma(0.0));
         let res = exact.run(q, &exact_params()).unwrap();
         assert!(res.community.contains(&q));
         // Brute-force reference: try every subset containing q that is a
@@ -589,7 +576,8 @@ mod tests {
     #[test]
     fn pruning_preserves_optimality() {
         let (g, q) = figure3_graph();
-        let exact = Exact::new(&g, DistanceParams::with_gamma(0.0));
+        let index = EpochIndex::new();
+        let exact = Exact::new(&g, &index, DistanceParams::with_gamma(0.0));
         let reference = exact.run(q, &exact_params()).unwrap();
         for pruning in [
             PruningConfig::NO_P3,
@@ -608,7 +596,8 @@ mod tests {
     #[test]
     fn more_pruning_visits_fewer_states() {
         let (g, q) = figure3_graph();
-        let exact = Exact::new(&g, DistanceParams::with_gamma(0.0));
+        let index = EpochIndex::new();
+        let exact = Exact::new(&g, &index, DistanceParams::with_gamma(0.0));
         let full = exact.run(q, &exact_params()).unwrap();
         let no_p3 = exact
             .run(q, &exact_params().with_pruning(PruningConfig::NO_P3))
@@ -633,7 +622,8 @@ mod tests {
     #[test]
     fn no_community_is_a_typed_error() {
         let (g, _q) = figure3_graph();
-        let exact = Exact::new(&g, DistanceParams::default());
+        let index = EpochIndex::new();
+        let exact = Exact::new(&g, &index, DistanceParams::default());
         // Node 0 is isolated: no 2-core.
         assert!(matches!(
             exact.run(0, &exact_params()),
@@ -654,7 +644,8 @@ mod tests {
     #[test]
     fn state_budget_surfaces_best_so_far() {
         let (g, q) = figure3_graph();
-        let exact = Exact::new(&g, DistanceParams::with_gamma(0.0));
+        let index = EpochIndex::new();
+        let exact = Exact::new(&g, &index, DistanceParams::with_gamma(0.0));
         let params = exact_params().with_pruning(PruningConfig::NONE);
         let full = exact.run(q, &params).unwrap();
         assert!(full.complete && full.states_explored > 2);
@@ -682,7 +673,8 @@ mod tests {
             }
         }
         let g = b.build().unwrap();
-        let exact = Exact::new(&g, DistanceParams::default());
+        let index = EpochIndex::new();
+        let exact = Exact::new(&g, &index, DistanceParams::default());
         let params = ExactParams::default().with_k(4);
         let full = exact.run(0, &params).unwrap();
         assert_eq!(full.states_explored, 1);
@@ -695,7 +687,8 @@ mod tests {
     #[test]
     fn mismatched_distance_cache_is_rejected() {
         let (g, q) = figure3_graph();
-        let exact = Exact::new(&g, DistanceParams::with_gamma(0.0));
+        let index = EpochIndex::new();
+        let exact = Exact::new(&g, &index, DistanceParams::with_gamma(0.0));
         let mut ws = QueryWorkspace::new();
         let wrong_q = QueryDistances::new(1, g.n(), DistanceParams::with_gamma(0.0));
         assert!(matches!(
@@ -730,7 +723,8 @@ mod tests {
             b.add_edge(u, v).unwrap();
         }
         let g = b.build().unwrap();
-        let exact = Exact::new(&g, DistanceParams::with_gamma(0.0));
+        let index = EpochIndex::new();
+        let exact = Exact::new(&g, &index, DistanceParams::with_gamma(0.0));
         let params = ExactParams::default()
             .with_k(4)
             .with_model(CommunityModel::KTruss);

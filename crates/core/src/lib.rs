@@ -17,6 +17,7 @@
 //! ```
 //! use csag_core::distance::DistanceParams;
 //! use csag_core::exact::{Exact, ExactParams};
+//! use csag_core::EpochIndex;
 //! use csag_graph::GraphBuilder;
 //!
 //! // A 4-clique where node 3 is attribute-far from the query node 0.
@@ -30,7 +31,7 @@
 //!     }
 //! }
 //! let g = b.build().unwrap();
-//! let result = Exact::new(&g, DistanceParams::default())
+//! let result = Exact::new(&g, &EpochIndex::new(), DistanceParams::default())
 //!     .run(0, &ExactParams::default().with_k(2))
 //!     .expect("0 sits in a 2-core");
 //! // Node 3 is dropped: {0,1,2} is the most attribute-cohesive 2-core.
@@ -52,6 +53,6 @@ pub use exact::{Exact, ExactParams, ExactResult, PruningConfig};
 pub use hetero_cs::SeaHetero;
 pub use sea::{Sea, SeaParams, SeaResult, SeaRound, SeaTiming};
 
-// Re-export the model enum so downstream users rarely need csag-decomp
-// directly.
-pub use csag_decomp::CommunityModel;
+// Re-export the model enum and the per-graph index so downstream users
+// rarely need csag-decomp directly.
+pub use csag_decomp::{CommunityModel, EpochIndex};

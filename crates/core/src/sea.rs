@@ -6,7 +6,7 @@
 //!    neighborhood size |Gq| from the Hoeffding bound (Theorem 10), grow
 //!    `Gq` around `q` by best-first search on `f(·,q)` (or take `q`'s
 //!    component outright when the bound reaches `n` — a slice of the
-//!    engine's [`Components`] index when it has one), draw
+//!    [`EpochIndex`]'s components), draw
 //!    `|S| = λ·|V_Gq|` samples with probability ∝ `1 − f(v,q)` (Eq. 5),
 //!    and peel the induced graph `Gq[S]` to the maximal connected
 //!    community of `q`.
@@ -32,8 +32,7 @@
 
 use crate::distance::{DistanceParams, QueryDistances};
 use crate::error::{check_query_node, CsagError};
-use csag_decomp::{CommunityModel, EdgeIndex, Maintainer};
-use csag_graph::traversal::Components;
+use csag_decomp::{CommunityModel, EpochIndex, Maintainer};
 use csag_graph::{AttributedGraph, FixedBitSet, MinScored, NodeId, QueryWorkspace};
 use csag_stats::{
     incremental_sample_size, min_population_size, satisfies_error_bound,
@@ -255,38 +254,17 @@ pub struct SeaResult {
 /// The SEA solver for homogeneous attributed graphs.
 pub struct Sea<'g> {
     g: &'g AttributedGraph,
+    index: &'g EpochIndex,
     dparams: DistanceParams,
-    eidx: Option<&'g EdgeIndex>,
-    components: Option<&'g Components>,
 }
 
 impl<'g> Sea<'g> {
-    /// Creates a solver over `g` with the given distance parameters.
-    pub fn new(g: &'g AttributedGraph, dparams: DistanceParams) -> Self {
-        Sea {
-            g,
-            dparams,
-            eidx: None,
-            components: None,
-        }
-    }
-
-    /// Lets k-truss runs borrow `eidx`, an [`EdgeIndex`] of this graph
-    /// built once (the engine keeps its trussness decomposition's), instead
-    /// of building one per run; `None` keeps building. See
-    /// [`Maintainer::with_edge_index`].
-    pub fn with_edge_index(mut self, eidx: Option<&'g EdgeIndex>) -> Self {
-        self.eidx = eidx;
-        self
-    }
-
-    /// Lets runs whose Theorem-10 bound reaches `n` take `q`'s population
-    /// from `components`, a component index of this graph built once (the
-    /// engine keeps one per epoch), instead of walking `q`'s component per
-    /// run. Both give the same population.
-    pub fn with_components(mut self, components: &'g Components) -> Self {
-        self.components = Some(components);
-        self
+    /// Creates a solver over `g` with the given distance parameters,
+    /// reading `g`'s tables (edge index, components) from `index` — an
+    /// engine lends its own; a standalone caller a fresh
+    /// [`EpochIndex::new`].
+    pub fn new(g: &'g AttributedGraph, index: &'g EpochIndex, dparams: DistanceParams) -> Self {
+        Sea { g, index, dparams }
     }
 
     /// Runs the full SEA pipeline for query `q`.
@@ -346,12 +324,11 @@ impl<'g> Sea<'g> {
             1.0 - params.hoeffding_confidence,
         );
         let mut grown = ws.take_nodes();
-        let population = match self.components {
-            Some(components) if min_gq >= self.g.n() => components.of(q),
-            _ => {
-                grow_neighborhood_into(self.g, q, min_gq, dist, ws, &mut grown);
-                &grown[..]
-            }
+        let population = if min_gq >= self.g.n() {
+            self.index.components(self.g).of(q)
+        } else {
+            grow_neighborhood_into(self.g, q, min_gq, dist, ws, &mut grown);
+            &grown[..]
         };
         let sampling_setup = t0.elapsed();
 
@@ -486,7 +463,7 @@ pub fn sea_on_population<R: Rng + ?Sized>(
     ws: &mut QueryWorkspace,
 ) -> Result<SeaResult, CsagError> {
     search_population(
-        &Sea::new(g, dist.params()),
+        &Sea::new(g, &EpochIndex::new(), dist.params()),
         population,
         q,
         dist,
@@ -496,8 +473,8 @@ pub fn sea_on_population<R: Rng + ?Sized>(
     )
 }
 
-/// [`sea_on_population`] over `sea`'s graph, with its peels borrowing
-/// `sea`'s edge index when it has one.
+/// [`sea_on_population`] over `sea`'s graph, with its peels reading
+/// `sea`'s index.
 fn search_population<R: Rng + ?Sized>(
     sea: &Sea<'_>,
     population: &[NodeId],
@@ -523,7 +500,7 @@ fn search_population<R: Rng + ?Sized>(
             ))
         }
     };
-    let maintainer = Maintainer::with_edge_index(g, params.model, params.k, sea.eidx);
+    let maintainer = Maintainer::new(g, sea.index, params.model, params.k);
     // Checked out of the caller's workspace up front so every exit path
     // of the search returns them.
     let mut bufs = PopulationBufs {
@@ -868,7 +845,8 @@ mod tests {
     #[test]
     fn sea_returns_valid_community() {
         let g = planted(1);
-        let sea = Sea::new(&g, DistanceParams::default());
+        let index = EpochIndex::new();
+        let sea = Sea::new(&g, &index, DistanceParams::default());
         let params = SeaParams::default().with_k(3).with_error_bound(0.1);
         let mut rng = StdRng::seed_from_u64(7);
         let res = sea.run(0, &params, &mut rng).expect("community exists");
@@ -894,7 +872,8 @@ mod tests {
     #[test]
     fn sea_prefers_attribute_cohesive_side() {
         let g = planted(2);
-        let sea = Sea::new(&g, DistanceParams::default());
+        let index = EpochIndex::new();
+        let sea = Sea::new(&g, &index, DistanceParams::default());
         let params = SeaParams::default().with_k(3).with_error_bound(0.05);
         let mut rng = StdRng::seed_from_u64(3);
         let res = sea.run(0, &params, &mut rng).unwrap();
@@ -911,10 +890,11 @@ mod tests {
     fn sea_delta_close_to_exact_when_certified() {
         let g = planted(3);
         let dp = DistanceParams::default();
-        let exact = Exact::new(&g, dp)
+        let index = EpochIndex::new();
+        let exact = Exact::new(&g, &index, dp)
             .run(0, &ExactParams::default().with_k(3))
             .unwrap();
-        let sea = Sea::new(&g, dp);
+        let sea = Sea::new(&g, &index, dp);
         let params = SeaParams::default().with_k(3).with_error_bound(0.05);
         let mut rng = StdRng::seed_from_u64(11);
         let res = sea.run(0, &params, &mut rng).unwrap();
@@ -929,7 +909,8 @@ mod tests {
     #[test]
     fn sea_is_deterministic_under_seed() {
         let g = planted(4);
-        let sea = Sea::new(&g, DistanceParams::default());
+        let index = EpochIndex::new();
+        let sea = Sea::new(&g, &index, DistanceParams::default());
         let params = SeaParams::default().with_k(3);
         let a = sea.run(0, &params, &mut StdRng::seed_from_u64(5)).unwrap();
         let b = sea.run(0, &params, &mut StdRng::seed_from_u64(5)).unwrap();
@@ -944,7 +925,8 @@ mod tests {
         b.add_node(&["x"], &[1.0]);
         b.add_edge(0, 1).unwrap();
         let g = b.build().unwrap();
-        let sea = Sea::new(&g, DistanceParams::default());
+        let index = EpochIndex::new();
+        let sea = Sea::new(&g, &index, DistanceParams::default());
         let mut rng = StdRng::seed_from_u64(1);
         assert!(matches!(
             sea.run(0, &SeaParams::default().with_k(3), &mut rng),
@@ -961,7 +943,8 @@ mod tests {
     #[test]
     fn size_bound_is_respected() {
         let g = planted(6);
-        let sea = Sea::new(&g, DistanceParams::default());
+        let index = EpochIndex::new();
+        let sea = Sea::new(&g, &index, DistanceParams::default());
         let params = SeaParams::default()
             .with_k(2)
             .with_error_bound(0.25)
@@ -1049,7 +1032,8 @@ mod tests {
             .is_ok());
         // Degenerate runs are refused before any sampling happens.
         let g = planted(1);
-        let sea = Sea::new(&g, DistanceParams::default());
+        let index = EpochIndex::new();
+        let sea = Sea::new(&g, &index, DistanceParams::default());
         let mut rng = StdRng::seed_from_u64(1);
         assert!(matches!(
             sea.run(0, &SeaParams::default().with_k(1), &mut rng),

@@ -10,7 +10,7 @@ use csag_core::sea::{
     grow_neighborhood, grow_neighborhood_into, prefix_ladder, sea_on_population, Sea, SeaParams,
     SeaResult,
 };
-use csag_decomp::{CommunityModel, Maintainer};
+use csag_decomp::{CommunityModel, EpochIndex, Maintainer};
 use csag_graph::traversal::component_of;
 use csag_graph::{AttributedGraph, GraphBuilder, NodeId, QueryWorkspace};
 use proptest::prelude::*;
@@ -206,7 +206,8 @@ proptest! {
     /// Exact (all prunings) equals brute force in δ.
     #[test]
     fn exact_matches_brute_force((g, q) in arb_graph(), k in 1u32..4) {
-        let exact = Exact::new(&g, DistanceParams::default());
+        let index = EpochIndex::new();
+        let exact = Exact::new(&g, &index, DistanceParams::default());
         let res = exact.run(q, &ExactParams::default().with_k(k));
         let brute = brute_force(&g, q, k);
         match (res, brute) {
@@ -229,7 +230,8 @@ proptest! {
     /// Every pruning configuration returns the same optimum.
     #[test]
     fn pruning_configs_agree((g, q) in arb_graph(), k in 1u32..4) {
-        let exact = Exact::new(&g, DistanceParams::default());
+        let index = EpochIndex::new();
+        let exact = Exact::new(&g, &index, DistanceParams::default());
         let full = exact.run(q, &ExactParams::default().with_k(k));
         for pruning in [PruningConfig::NO_P3, PruningConfig::P1_ONLY, PruningConfig::NONE] {
             let other = exact.run(
@@ -252,7 +254,8 @@ proptest! {
     #[test]
     fn sea_returns_valid_connected_kcore((g, q) in arb_graph(), k in 2u32..4, seed in 0u64..50) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let sea = Sea::new(&g, DistanceParams::default());
+        let index = EpochIndex::new();
+        let sea = Sea::new(&g, &index, DistanceParams::default());
         let params = SeaParams::default().with_k(k).with_error_bound(0.2);
         if let Ok(res) = sea.run(q, &params, &mut rng) {
             prop_assert!(res.community.binary_search(&q).is_ok());
@@ -282,10 +285,11 @@ proptest! {
     #[test]
     fn sea_existence_matches_exact((g, q) in arb_graph(), k in 2u32..4) {
         let mut rng = StdRng::seed_from_u64(1234);
-        let exact_exists = Exact::new(&g, DistanceParams::default())
+        let index = EpochIndex::new();
+        let exact_exists = Exact::new(&g, &index, DistanceParams::default())
             .run(q, &ExactParams::default().with_k(k))
             .is_ok();
-        let sea_exists = Sea::new(&g, DistanceParams::default())
+        let sea_exists = Sea::new(&g, &index, DistanceParams::default())
             .run(q, &SeaParams::default().with_k(k).with_error_bound(0.3), &mut rng)
             .is_ok();
         prop_assert_eq!(sea_exists, exact_exists);
@@ -302,7 +306,8 @@ proptest! {
     /// needing more than 300 states are skipped to keep the B-sweep small.
     #[test]
     fn a_stopped_search_brackets_the_optimum((g, q) in arb_bracket_case(), k in 2u32..4) {
-        let exact = Exact::new(&g, DistanceParams::default());
+        let index = EpochIndex::new();
+        let exact = Exact::new(&g, &index, DistanceParams::default());
         for model in [CommunityModel::KCore, CommunityModel::KTruss] {
             for pruning in [
                 PruningConfig::ALL,
@@ -363,7 +368,8 @@ proptest! {
         let min_members = model.min_size(k) + extra;
         let window_top = windowed.then_some(top);
         let stop_after = stops.then_some(stop);
-        let mut m = Maintainer::new(&g, model, k);
+        let index = EpochIndex::new();
+        let mut m = Maintainer::new(&g, &index, model, k);
         let mut ws = QueryWorkspace::new();
         for q in 0..g.n() as NodeId {
             let Some(root) = m.maximal(q) else { continue };
@@ -392,7 +398,7 @@ proptest! {
                 prop_assert_eq!(rung.as_slice(), &by_f[..size], "q = {}: rung {}", q, size);
                 let mut prefix = vec![q];
                 prefix.extend(by_f[..size].iter().map(|&(_, v)| v));
-                let peel = Maintainer::new(&g, model, k).maximal_within(q, &prefix);
+                let peel = Maintainer::new(&g, &index, model, k).maximal_within(q, &prefix);
                 if let (Some(p), Some(l)) = (&peel, &last) {
                     prop_assert!(
                         l.iter().all(|v| p.binary_search(v).is_ok()),

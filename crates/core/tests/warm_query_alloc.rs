@@ -20,7 +20,7 @@
 
 use csag_core::distance::{DistanceParams, QueryDistances};
 use csag_core::sea::{Sea, SeaParams};
-use csag_decomp::CommunityModel;
+use csag_decomp::{CommunityModel, EpochIndex};
 use csag_graph::alloc_counter::{allocation_count, counting_enabled, CountingAllocator};
 use csag_graph::{AttributedGraph, GraphBuilder, NodeId, QueryWorkspace};
 use rand::rngs::StdRng;
@@ -70,7 +70,8 @@ fn planted(unused_tokens: usize) -> AttributedGraph {
 fn warm_allocations(g: &AttributedGraph, params: &SeaParams) -> (f64, Vec<u64>) {
     const QUERIES: u64 = 16;
     let q: NodeId = 5;
-    let sea = Sea::new(g, DistanceParams::default());
+    let index = EpochIndex::new();
+    let sea = Sea::new(g, &index, DistanceParams::default());
     let dist = QueryDistances::new(q, g.n(), DistanceParams::default());
     let mut ws = QueryWorkspace::new();
     let window = |ws: &mut QueryWorkspace| -> (u64, Vec<u64>) {

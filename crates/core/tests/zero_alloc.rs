@@ -14,7 +14,7 @@
 
 use csag_core::distance::{DistanceParams, QueryDistances};
 use csag_core::sea::{grow_neighborhood_into, prefix_ladder};
-use csag_decomp::{CommunityModel, Maintainer};
+use csag_decomp::{CommunityModel, EpochIndex, Maintainer};
 use csag_graph::alloc_counter::{allocation_count, counting_enabled, CountingAllocator};
 use csag_graph::{AttributedGraph, GraphBuilder, NodeId, QueryWorkspace};
 use std::ops::ControlFlow;
@@ -87,9 +87,10 @@ fn steady_state_query_loop_allocates_nothing() {
     let q: NodeId = 0;
     let dist = QueryDistances::new(q, g.n(), DistanceParams::default());
     let mut ws = QueryWorkspace::new();
+    let index = EpochIndex::new();
     let mut maintainers = [
-        Maintainer::new(&g, CommunityModel::KCore, 3),
-        Maintainer::new(&g, CommunityModel::KTruss, 4),
+        Maintainer::new(&g, &index, CommunityModel::KCore, 3),
+        Maintainer::new(&g, &index, CommunityModel::KTruss, 4),
     ];
     let (mut component, mut grown) = (Vec::new(), Vec::new());
     let mut run = |ws: &mut QueryWorkspace| {

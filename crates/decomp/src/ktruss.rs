@@ -332,6 +332,11 @@ pub(crate) fn peel_to_ktruss_into(
 /// "no" answers in O(1), exactly as coreness settles k-core ones.
 pub fn node_max_trussness(g: &AttributedGraph) -> Vec<u32> {
     let (eidx, trussness) = truss_decomposition(g);
+    node_maxima(g, &eidx, &trussness)
+}
+
+/// Each node's largest `trussness` (by `eidx` id) over its incident edges.
+pub(crate) fn node_maxima(g: &AttributedGraph, eidx: &EdgeIndex, trussness: &[u32]) -> Vec<u32> {
     (0..g.n() as NodeId)
         .map(|u| {
             let ids = eidx.row(g, u).iter();

@@ -7,10 +7,10 @@
 //! and SEA pipeline call [`Maintainer::maximal_within`] without knowing
 //! which model is active.
 
-use crate::kcore::{peel_to_kcore_into, peel_to_kcore_scratch, PeelScratch};
-use crate::ktruss::{peel_to_ktruss_into, peel_to_ktruss_scratch, EdgeIndex, TrussScratch};
+use crate::kcore::{peel_to_kcore_into, PeelScratch};
+use crate::ktruss::{peel_to_ktruss_into, TrussScratch};
+use crate::EpochIndex;
 use csag_graph::{AttributedGraph, NodeId};
-use std::borrow::Cow;
 
 /// Structure cohesiveness model (paper §II-A and §VI-C).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -42,62 +42,39 @@ impl std::fmt::Display for CommunityModel {
     }
 }
 
-enum Scratch<'g> {
+enum Scratch {
     Core(PeelScratch),
-    Truss(Box<TrussWork<'g>>),
-}
-
-struct TrussWork<'g> {
-    eidx: Cow<'g, EdgeIndex>,
-    scratch: TrussScratch,
+    Truss(Box<TrussScratch>),
 }
 
 /// Repeatedly computes maximal connected communities within node subsets of
-/// one graph, amortizing scratch allocations across calls.
-///
-/// A k-truss maintainer peels through an [`EdgeIndex`] of `g`. It either
-/// owns one ([`Maintainer::new`], for standalone callers) or borrows one
-/// built once per graph ([`Maintainer::with_edge_index`], how the engine's
-/// SEA and Exact reads reuse the index of the trussness decomposition
-/// that screened them).
+/// one graph, amortizing scratch allocations across calls; the graph's
+/// tables come from a borrowed [`EpochIndex`].
 pub struct Maintainer<'g> {
     g: &'g AttributedGraph,
+    index: &'g EpochIndex,
     model: CommunityModel,
     k: u32,
-    scratch: Scratch<'g>,
+    scratch: Scratch,
 }
 
 impl<'g> Maintainer<'g> {
-    /// Creates a maintainer for `(model, k)` queries on `g`. For the truss
-    /// model this builds an edge index once (O(m log d_max)).
-    pub fn new(g: &'g AttributedGraph, model: CommunityModel, k: u32) -> Self {
-        Self::with_edge_index(g, model, k, None)
-    }
-
-    /// [`Maintainer::new`] that, for the truss model, borrows `eidx` — an
-    /// index of this same `g` — instead of building its own; `None`
-    /// builds one. The k-core model never reads an edge index.
-    pub fn with_edge_index(
+    /// Creates a maintainer for `(model, k)` queries on `g`, whose tables
+    /// `index` holds (an engine lends its own; others a fresh
+    /// [`EpochIndex::new`]). Nothing is built until a peel needs it.
+    pub fn new(
         g: &'g AttributedGraph,
+        index: &'g EpochIndex,
         model: CommunityModel,
         k: u32,
-        eidx: Option<&'g EdgeIndex>,
     ) -> Self {
         let scratch = match model {
             CommunityModel::KCore => Scratch::Core(PeelScratch::new(g.n())),
-            CommunityModel::KTruss => Scratch::Truss(Box::new(TrussWork {
-                eidx: match eidx {
-                    Some(e) => {
-                        debug_assert_eq!(e.m(), g.m(), "edge index of another graph");
-                        Cow::Borrowed(e)
-                    }
-                    None => Cow::Owned(EdgeIndex::new(g)),
-                },
-                scratch: TrussScratch::new(g.n(), g.m()),
-            })),
+            CommunityModel::KTruss => Scratch::Truss(Box::new(TrussScratch::new(g.n(), g.m()))),
         };
         Maintainer {
             g,
+            index,
             model,
             k,
             scratch,
@@ -127,12 +104,8 @@ impl<'g> Maintainer<'g> {
     /// Maximal connected community containing `q` within the node subset
     /// `nodes` (distinct, in any order), or `None` if `q` does not survive.
     pub fn maximal_within(&mut self, q: NodeId, nodes: &[NodeId]) -> Option<Vec<NodeId>> {
-        match &mut self.scratch {
-            Scratch::Core(s) => peel_to_kcore_scratch(self.g, q, self.k, nodes, s),
-            Scratch::Truss(w) => {
-                peel_to_ktruss_scratch(self.g, &w.eidx, q, self.k, nodes, &mut w.scratch)
-            }
-        }
+        let mut out = Vec::new();
+        self.maximal_within_into(q, nodes, &mut out).then_some(out)
     }
 
     /// Allocation-free twin of [`Maintainer::maximal_within`]: writes the
@@ -147,17 +120,48 @@ impl<'g> Maintainer<'g> {
     ) -> bool {
         match &mut self.scratch {
             Scratch::Core(s) => peel_to_kcore_into(self.g, q, self.k, nodes, s, out),
-            Scratch::Truss(w) => {
-                peel_to_ktruss_into(self.g, &w.eidx, q, self.k, nodes, &mut w.scratch, out)
+            Scratch::Truss(s) => {
+                let eidx = self.index.edge_index(self.g);
+                peel_to_ktruss_into(self.g, eidx, q, self.k, nodes, s, out)
             }
         }
     }
 
     /// Maximal connected community containing `q` in the whole graph
-    /// (paper §IV-A for k-core).
+    /// (§IV-A, §VI-C), or `None`: `q`'s component within `{v : screen(v)
+    /// ≥ k}` — coreness for k-core; node trussness for k-truss, then one
+    /// peel (docs/architecture.md, "One per-epoch index").
     pub fn maximal(&mut self, q: NodeId) -> Option<Vec<NodeId>> {
-        let all: Vec<NodeId> = (0..self.g.n() as NodeId).collect();
-        self.maximal_within(q, &all)
+        let (g, k) = (self.g, self.k);
+        let screen = match self.model {
+            CommunityModel::KCore => self.index.coreness(g),
+            CommunityModel::KTruss => self.index.node_trussness(g),
+        };
+        if screen[q as usize] < k {
+            return None;
+        }
+        let s = match &mut self.scratch {
+            Scratch::Core(s) => s,
+            Scratch::Truss(t) => &mut t.node,
+        };
+        let e = s.next_epoch();
+        s.vis_epoch[q as usize] = e;
+        let mut walked = vec![q];
+        let mut next = 0;
+        while let Some(&v) = walked.get(next) {
+            next += 1;
+            for &w in g.neighbors(v) {
+                if screen[w as usize] >= k && s.vis_epoch[w as usize] != e {
+                    s.vis_epoch[w as usize] = e;
+                    walked.push(w);
+                }
+            }
+        }
+        if self.model == CommunityModel::KTruss {
+            return self.maximal_within(q, &walked);
+        }
+        walked.sort_unstable();
+        Some(walked)
     }
 }
 
@@ -185,7 +189,8 @@ mod tests {
     #[test]
     fn core_model_matches_direct_function() {
         let g = clique_with_tail();
-        let mut m = Maintainer::new(&g, CommunityModel::KCore, 4);
+        let index = EpochIndex::new();
+        let mut m = Maintainer::new(&g, &index, CommunityModel::KCore, 4);
         assert_eq!(m.maximal(0).unwrap(), vec![0, 1, 2, 3, 4]);
         assert_eq!(m.maximal(6), None);
         assert_eq!(
@@ -201,7 +206,8 @@ mod tests {
     #[test]
     fn truss_model_peels_edges() {
         let g = clique_with_tail();
-        let mut m = Maintainer::new(&g, CommunityModel::KTruss, 5);
+        let index = EpochIndex::new();
+        let mut m = Maintainer::new(&g, &index, CommunityModel::KTruss, 5);
         assert_eq!(m.maximal(0).unwrap(), vec![0, 1, 2, 3, 4]);
         assert_eq!(m.maximal(5), None, "tail edges have no triangles");
         assert_eq!(m.min_size(), 5);
@@ -211,8 +217,9 @@ mod tests {
     #[test]
     fn repeated_calls_are_stable() {
         let g = clique_with_tail();
+        let index = EpochIndex::new();
         for model in [CommunityModel::KCore, CommunityModel::KTruss] {
-            let mut m = Maintainer::new(&g, model, 3);
+            let mut m = Maintainer::new(&g, &index, model, 3);
             let first = m.maximal(2).unwrap();
             for _ in 0..20 {
                 assert_eq!(m.maximal(2).unwrap(), first);
@@ -220,25 +227,33 @@ mod tests {
         }
     }
 
-    /// Borrowing a prebuilt index peels exactly as building one.
+    /// The root walk answers as the full-graph peel, on a fresh index and
+    /// on one seeded with from-scratch tables.
     #[test]
-    fn borrowed_edge_index_peels_like_an_owned_one() {
+    fn root_walk_matches_the_full_peel() {
+        use crate::{core_decomposition, max_connected_kcore, max_connected_ktruss};
         let g = clique_with_tail();
-        let eidx = EdgeIndex::new(&g);
-        for model in [CommunityModel::KCore, CommunityModel::KTruss] {
-            for k in 2..6 {
-                let mut owned = Maintainer::new(&g, model, k);
-                let mut borrowed = Maintainer::with_edge_index(&g, model, k, Some(&eidx));
+        let seeded =
+            EpochIndex::seeded(core_decomposition(&g), Some(crate::node_max_trussness(&g)));
+        for index in [&EpochIndex::new(), &seeded] {
+            for k in 2..7 {
+                let mut core = Maintainer::new(&g, index, CommunityModel::KCore, k);
+                let mut truss = Maintainer::new(&g, index, CommunityModel::KTruss, k);
                 for q in 0..g.n() as NodeId {
-                    assert_eq!(borrowed.maximal(q), owned.maximal(q), "{model} k={k} q={q}");
-                    let subset = [0, 1, 2, 4, 5];
                     assert_eq!(
-                        borrowed.maximal_within(q, &subset),
-                        owned.maximal_within(q, &subset)
+                        core.maximal(q),
+                        max_connected_kcore(&g, q, k),
+                        "k={k} q={q}"
+                    );
+                    assert_eq!(
+                        truss.maximal(q),
+                        max_connected_ktruss(&g, q, k),
+                        "k={k} q={q}"
                     );
                 }
             }
         }
+        assert_eq!(seeded.truss_decomp_computations(), 0);
     }
 
     #[test]

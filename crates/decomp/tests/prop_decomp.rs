@@ -2,7 +2,7 @@
 
 use csag_decomp::{core_decomposition, max_connected_kcore, max_connected_ktruss};
 use csag_decomp::{node_max_trussness, truss_decomposition, TrussMaintainer};
-use csag_decomp::{CommunityModel, EdgeIndex, Maintainer};
+use csag_decomp::{CommunityModel, EdgeIndex, EpochIndex, Maintainer};
 use csag_graph::{AttributedGraph, GraphBuilder, NodeId};
 use proptest::prelude::*;
 use std::collections::VecDeque;
@@ -23,6 +23,23 @@ fn build(n: usize, edges: &[(u32, u32)]) -> csag_graph::AttributedGraph {
         b.add_edge(u, v).unwrap();
     }
     b.build().unwrap()
+}
+
+/// Random graphs of up to four blocks with no edge between blocks. Nodes
+/// are dealt to blocks at random, so components interleave in id order
+/// and some nodes end up isolated.
+fn arb_blocks() -> impl Strategy<Value = AttributedGraph> {
+    (2usize..40)
+        .prop_flat_map(|n| {
+            let block = prop::collection::vec(0u8..4, n);
+            let edges = prop::collection::vec((0..n as u32, 0..n as u32), 0..160);
+            (block, edges)
+        })
+        .prop_map(|(block, edges)| {
+            let same = |&(u, v): &(u32, u32)| block[u as usize] == block[v as usize];
+            let kept: Vec<(u32, u32)> = edges.into_iter().filter(same).collect();
+            build(block.len(), &kept)
+        })
 }
 
 /// Common neighbours of `u` and `v` with their positions in each full row.
@@ -175,6 +192,39 @@ fn brute_force_trussness(g: &AttributedGraph) -> Vec<Vec<Option<u32>>> {
 }
 
 proptest! {
+    /// `Maintainer::maximal` — a walk of the screen table, then for
+    /// k-truss one peel of what it walked — equals the full-graph peel
+    /// for both models, every node and every k from 2 to the largest
+    /// table value + 1. Under a fresh index and under one seeded with
+    /// from-scratch tables, whose edge index is then built on first use
+    /// with no decomposition.
+    #[test]
+    fn root_walk_equals_the_full_peel(g in arb_blocks()) {
+        let (coreness, trussness) = (core_decomposition(&g), node_max_trussness(&g));
+        let seeded = EpochIndex::seeded(coreness.clone(), Some(trussness.clone()));
+        let fresh = EpochIndex::new();
+        for index in [&fresh, &seeded] {
+            for (model, table) in [
+                (CommunityModel::KCore, &coreness),
+                (CommunityModel::KTruss, &trussness),
+            ] {
+                let top = table.iter().copied().max().unwrap_or(0);
+                for k in 2..=top + 1 {
+                    let mut m = Maintainer::new(&g, index, model, k);
+                    for q in 0..g.n() as NodeId {
+                        let want = match model {
+                            CommunityModel::KCore => max_connected_kcore(&g, q, k),
+                            CommunityModel::KTruss => max_connected_ktruss(&g, q, k),
+                        };
+                        prop_assert_eq!(m.maximal(q), want, "{} k={} q={}", model, k, q);
+                    }
+                }
+            }
+        }
+        prop_assert_eq!(seeded.decomp_computations(), 0);
+        prop_assert_eq!(seeded.truss_decomp_computations(), 0);
+    }
+
     /// The induced-row k-truss peel equals the full-row reference on
     /// random subsets — sorted or in arbitrary order, as SEA's prefix
     /// ladder passes them — with one maintainer reused across them all.
@@ -189,7 +239,8 @@ proptest! {
         let g = build(n, &edges);
         let eidx = EdgeIndex::new(&g);
         for k in 2u32..6 {
-            let mut m = Maintainer::new(&g, CommunityModel::KTruss, k);
+            let index = EpochIndex::new();
+            let mut m = Maintainer::new(&g, &index, CommunityModel::KTruss, k);
             for (q, picks) in &subsets {
                 let q = q % n as u32;
                 let mut keyed: Vec<(u32, NodeId)> = (0..n as NodeId)
@@ -300,7 +351,8 @@ proptest! {
             prop_assert!(csag_graph::traversal::is_connected_subset(&g, &comm));
             // The k-truss community induced on its own nodes must again
             // contain a k-truss with q: re-peeling within is a fixed point.
-            let mut m = Maintainer::new(&g, CommunityModel::KTruss, k);
+            let index = EpochIndex::new();
+            let mut m = Maintainer::new(&g, &index, CommunityModel::KTruss, k);
             let again = m.maximal_within(q, &comm).unwrap();
             prop_assert_eq!(again, comm);
         }

@@ -93,7 +93,7 @@ fn union_engine(view: &ClusterView, graph: csag_graph::AttributedGraph) -> Engin
         Arc::new(graph),
         view.epoch(),
         journal.coreness().to_vec(),
-        journal.trussness_if_computed().cloned(),
+        journal.index().node_trussness_if_computed().cloned(),
         Vec::new(),
     )
 }

@@ -3,16 +3,9 @@
 //! [`Engine`] owns a shared graph (`Arc<AttributedGraph>`) plus the
 //! reusable per-graph state every query needs:
 //!
-//! * the **core-number decomposition** and, for truss-model queries, the
-//!   **edge-trussness decomposition** (each computed lazily, exactly
-//!   once, via `csag-decomp`) — used to answer "no community" queries in
-//!   O(1) before any peeling happens — and the truss decomposition's
-//!   edge index, which every k-truss SEA and Exact peel then borrows,
-//!   and its per-edge table, from which a store's first write seeds its
-//!   trussness repair;
-//! * a **component index** (built lazily, once), from which a SEA read
-//!   whose Theorem-10 bound reaches `n` takes its population as a slice
-//!   instead of walking q's component;
+//! * one [`EpochIndex`] of lazily built tables that every method borrows;
+//!   its **core-number** and **node-trussness** tables answer "no
+//!   community" queries in O(1) before any peeling happens;
 //! * a **sharded cache of per-query-node distance tables**
 //!   ([`csag_core::distance::QueryDistances`]). Tables are handed out as
 //!   `Arc` clones — a warm hit costs a reference-count bump, never an
@@ -23,7 +16,7 @@
 //! The engine is `Send + Sync`: interior mutability is N independent
 //! mutex shards around the distance-cache map (the critical section is a
 //! hash-map probe; actual distance computation happens outside any lock)
-//! and `OnceLock`s around the decompositions. One `Engine` therefore
+//! and the index's once-set tables. One `Engine` therefore
 //! serves concurrent callers contention-free, and [`Engine::run_batch`]
 //! fans a workload out across workers that each reuse a private
 //! [`QueryWorkspace`] so the steady-state hot path allocates nothing.
@@ -67,14 +60,13 @@ use csag_core::distance::QueryDistances;
 use csag_core::error::check_query_node;
 use csag_core::exact::Exact;
 use csag_core::sea::Sea;
-use csag_decomp::{CommunityModel, EdgeIndex};
-use csag_graph::traversal::Components;
+use csag_decomp::{CommunityModel, EpochIndex};
 use csag_graph::{AttributedGraph, NodeId, QueryWorkspace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// Number of independent distance-cache shards. Keys spread by a cheap
@@ -105,26 +97,8 @@ pub struct Engine {
     /// standalone engines). Every query against this engine sees exactly
     /// this immutable snapshot, no matter how the store evolves.
     epoch: u64,
-    /// Core numbers of every node, computed once on first use.
-    coreness: OnceLock<Vec<u32>>,
-    /// Per-node maximum incident-edge trussness, computed once on the
-    /// first truss-model query (k-core queries never pay for it).
-    trussness: OnceLock<Vec<u32>>,
-    /// The edge index every k-truss peel of this graph reads: kept from
-    /// the trussness decomposition that fills `trussness`, or built once
-    /// on first use when the store seeded `trussness` instead.
-    edge_index: OnceLock<EdgeIndex>,
-    /// Per-edge trussness (by `edge_index` id), kept from the
-    /// decomposition that fills `trussness` so the store's first write
-    /// seeds its repair from it instead of decomposing again. Never set
-    /// on an engine the store seeded.
-    edge_trussness: OnceLock<Vec<u32>>,
-    /// The graph's connected components, built on the first SEA read.
-    components: OnceLock<Components>,
-    /// How many times each decomposition actually ran (observable
-    /// evidence that batches share them; see the engine tests).
-    decomp_runs: AtomicUsize,
-    truss_runs: AtomicUsize,
+    /// The per-epoch tables every method borrows (see [`EpochIndex`]).
+    index: EpochIndex,
     /// Sharded `(q, γ bits) → Arc` map of memoized `f(·, q)` tables. The
     /// `Arc` is the whole trick: checkout clones the handle (O(1)), the
     /// table memoizes internally through `&self`, and there is no
@@ -150,13 +124,7 @@ impl Engine {
         Engine {
             graph,
             epoch: 0,
-            coreness: OnceLock::new(),
-            trussness: OnceLock::new(),
-            edge_index: OnceLock::new(),
-            edge_trussness: OnceLock::new(),
-            components: OnceLock::new(),
-            decomp_runs: AtomicUsize::new(0),
-            truss_runs: AtomicUsize::new(0),
+            index: EpochIndex::new(),
             distances: (0..DISTANCE_SHARDS)
                 .map(|_| Mutex::new(HashMap::new()))
                 .collect(),
@@ -178,13 +146,11 @@ impl Engine {
         carried: Vec<((NodeId, u64), Arc<QueryDistances>)>,
     ) -> Self {
         let engine = Engine::from_arc(graph);
-        let engine = Engine { epoch, ..engine };
-        debug_assert_eq!(coreness.len(), engine.graph.n());
-        engine.coreness.set(coreness).expect("fresh OnceLock");
-        if let Some(t) = trussness {
-            debug_assert_eq!(t.len(), engine.graph.n());
-            engine.trussness.set(t).expect("fresh OnceLock");
-        }
+        let engine = Engine {
+            epoch,
+            index: EpochIndex::seeded(coreness, trussness),
+            ..engine
+        };
         let carried_len = carried.len();
         for (key, table) in carried {
             engine
@@ -200,21 +166,6 @@ impl Engine {
     /// The store epoch this engine snapshots (0 for standalone engines).
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// The trussness table, only if some query already paid for it —
-    /// lets the store patch it across epochs without ever forcing the
-    /// computation early.
-    pub(crate) fn trussness_if_computed(&self) -> Option<&Vec<u32>> {
-        self.trussness.get()
-    }
-
-    /// The per-edge trussness table and the index its ids refer to, only
-    /// if this engine's own decomposition computed them (not on an
-    /// engine the store seeded with node trussness).
-    pub(crate) fn edge_trussness_if_computed(&self) -> Option<(&EdgeIndex, &[u32])> {
-        let trussness = self.edge_trussness.get()?;
-        Some((self.edge_index(), trussness))
     }
 
     /// Every resident distance-cache entry, as shared handles (the
@@ -243,63 +194,30 @@ impl Engine {
         Arc::clone(&self.graph)
     }
 
-    /// Core numbers of every node (Batagelj–Zaversnik), computed lazily
-    /// exactly once and shared by all queries and threads.
+    /// The epoch's tables, as every method on this engine borrows them.
+    pub fn index(&self) -> &EpochIndex {
+        &self.index
+    }
+
+    /// The index's coreness table ([`EpochIndex::coreness`]).
     pub fn coreness(&self) -> &[u32] {
-        self.coreness.get_or_init(|| {
-            self.decomp_runs.fetch_add(1, Ordering::Relaxed);
-            csag_decomp::core_decomposition(&self.graph)
-        })
+        self.index.coreness(&self.graph)
     }
 
-    /// Maximum trussness over each node's incident edges, computed lazily
-    /// exactly once (on the first truss-model query) and shared by all
-    /// queries and threads. `trussness[q] ≥ k` iff a connected k-truss
-    /// containing `q` exists, so truss-model "no" answers are O(1).
+    /// The index's node trussness ([`EpochIndex::node_trussness`]):
+    /// `trussness[q] ≥ k` iff a connected k-truss contains `q`.
     pub fn node_trussness(&self) -> &[u32] {
-        self.trussness.get_or_init(|| {
-            self.truss_runs.fetch_add(1, Ordering::Relaxed);
-            let g = self.graph.as_ref();
-            let (eidx, edge_trussness) = csag_decomp::truss_decomposition(g);
-            let node_max = (0..g.n() as NodeId)
-                .map(|u| {
-                    let at = |i| edge_trussness[eidx.id_at(g, u, i) as usize];
-                    (0..g.degree(u)).map(at).max().unwrap_or(0)
-                })
-                .collect();
-            // Edge ids are a function of the graph, so the table reads
-            // right through whichever index `edge_index` ends up holding.
-            let _ = self.edge_index.set(eidx);
-            let _ = self.edge_trussness.set(edge_trussness);
-            node_max
-        })
+        self.index.node_trussness(&self.graph)
     }
 
-    /// The [`EdgeIndex`] of the graph that every k-truss SEA and Exact
-    /// read on this engine peels through: the one the trussness
-    /// decomposition built, or — on an engine the store seeded with
-    /// trussness — one built on first use. Either way, once per epoch.
-    fn edge_index(&self) -> &EdgeIndex {
-        self.edge_index.get_or_init(|| EdgeIndex::new(&self.graph))
-    }
-
-    /// The component index every SEA read on this engine takes its
-    /// population from when Theorem 10's bound reaches `n`, built in
-    /// `O(n + m)` on first use, once per epoch.
-    fn components(&self) -> &Components {
-        self.components.get_or_init(|| Components::new(&self.graph))
-    }
-
-    /// How many times the core decomposition has actually been computed
-    /// (0 before the first structural query, 1 ever after).
+    /// How many times the core decomposition has run on this epoch.
     pub fn decomp_computations(&self) -> usize {
-        self.decomp_runs.load(Ordering::Relaxed)
+        self.index.decomp_computations()
     }
 
-    /// How many times the truss decomposition has actually been computed
-    /// (0 until the first truss-model query, 1 ever after).
+    /// How many times the truss decomposition has run on this epoch.
     pub fn truss_decomp_computations(&self) -> usize {
-        self.truss_runs.load(Ordering::Relaxed)
+        self.index.truss_decomp_computations()
     }
 
     /// Number of query nodes with a resident distance table.
@@ -332,7 +250,8 @@ impl Engine {
     ///
     /// # Errors
     /// * [`CsagError::InvalidParams`] — the query fails
-    ///   [`CommunityQuery::validate`].
+    ///   [`CommunityQuery::validate`], or asks for [`Method::SeaHetero`],
+    ///   which only a [`HeteroEngine`] runs.
     /// * [`CsagError::QueryNodeNotFound`] — `query.q` is outside the
     ///   graph.
     /// * [`CsagError::NoCommunity`] — no community satisfies the model; a
@@ -360,6 +279,12 @@ impl Engine {
     ) -> Result<CommunityResult, CsagError> {
         let t_total = Instant::now();
         query.validate()?;
+        if query.method == Method::SeaHetero {
+            return Err(CsagError::invalid(
+                "method sea-hetero samples before projecting and needs the original \
+                 heterogeneous graph; run it through HeteroEngine",
+            ));
+        }
         check_query_node(query.q, self.graph.n())?;
 
         // Prepare phase: reusable per-graph state. The cached
@@ -428,19 +353,11 @@ impl Engine {
         let g = self.graph.as_ref();
         let dp = query.distance_params();
         let mut prov = Provenance::new(query.method, query.k, query.model, query.seed);
-        // SEA's and Exact's k-truss peels read the epoch's one edge index
-        // (the baselines keep building their own).
-        let eidx = || match query.model {
-            CommunityModel::KCore => None,
-            CommunityModel::KTruss => Some(self.edge_index()),
-        };
+        let index = &self.index;
         match query.method {
-            Method::SeaHetero => Err(CsagError::invalid(
-                "method sea-hetero samples before projecting and needs the original \
-                 heterogeneous graph; run it through HeteroEngine",
-            )),
+            Method::SeaHetero => unreachable!("rejected before prepare"),
             Method::Exact => {
-                let r = Exact::new(g, dp).with_edge_index(eidx()).run_in_workspace(
+                let r = Exact::new(g, index, dp).run_in_workspace(
                     query.q,
                     &query.exact_params(),
                     dist,
@@ -471,18 +388,22 @@ impl Engine {
             }
             Method::Sea | Method::SeaSizeBounded => {
                 let mut rng = StdRng::seed_from_u64(query.seed);
-                let r = Sea::new(g, dp)
-                    .with_edge_index(eidx())
-                    .with_components(self.components())
-                    .run_in_workspace(query.q, &query.sea_params(), &mut rng, dist, ws)?;
+                let r = Sea::new(g, index, dp).run_in_workspace(
+                    query.q,
+                    &query.sea_params(),
+                    &mut rng,
+                    dist,
+                    ws,
+                )?;
                 Ok(sea_community_result(query, r))
             }
             Method::Acq | Method::Atc | Method::Vac | Method::EVac => {
                 let r = match query.method {
-                    Method::Acq => baselines::acq(g, query.q, query.k, query.model)?,
-                    Method::Atc => baselines::loc_atc(g, query.q, query.k, query.model)?,
+                    Method::Acq => baselines::acq(g, index, query.q, query.k, query.model)?,
+                    Method::Atc => baselines::loc_atc(g, index, query.q, query.k, query.model)?,
                     Method::Vac => baselines::vac(
                         g,
+                        index,
                         query.q,
                         query.k,
                         query.model,
@@ -495,7 +416,7 @@ impl Engine {
                             max_root: query.evac_max_root,
                             time_budget: query.time_budget,
                         };
-                        baselines::e_vac(g, query.q, query.k, query.model, dp, &limits)?
+                        baselines::e_vac(g, index, query.q, query.k, query.model, dp, &limits)?
                     }
                     _ => unreachable!("outer match covers the baseline methods"),
                 };
@@ -761,6 +682,12 @@ mod tests {
         assert!(matches!(
             engine.run(&CommunityQuery::new(Method::Exact, 11)),
             Err(CsagError::QueryNodeNotFound { q: 11, .. })
+        ));
+        // sea-hetero needs a HeteroEngine, at any k: above q's core
+        // number too, where the screen would have answered no_community.
+        assert!(matches!(
+            engine.run(&CommunityQuery::new(Method::SeaHetero, 0).with_k(9)),
+            Err(CsagError::InvalidParams { .. })
         ));
         assert_eq!(engine.decomp_computations(), 0, "rejected before prepare");
     }

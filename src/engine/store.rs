@@ -694,8 +694,8 @@ impl GraphStore {
         // decomposes for itself, so a resident node table has its
         // per-edge one beside it.)
         if state.truss.is_none() {
-            if let Some((eidx, trussness)) = old_engine.edge_trussness_if_computed() {
-                let g = old_engine.graph();
+            let g = old_engine.graph();
+            if let Some((eidx, trussness)) = old_engine.index().edge_trussness_if_computed(g) {
                 state.truss = Some(TrussMaintainer::from_decomposition(g, eidx, trussness));
             }
         }

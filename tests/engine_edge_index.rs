@@ -1,22 +1,24 @@
-//! One edge index per epoch: the engine's k-truss SEA and Exact reads peel
-//! through the `EdgeIndex` its trussness decomposition built (or, on an
-//! epoch the store seeded with trussness, one built on first use) rather
-//! than building an `O(m log d_max)` index per query — and answer exactly
-//! as the standalone solvers that build their own. Likewise one component
-//! index per epoch: an engine SEA read takes q's component from it where
-//! the standalone solver walks, with the same answer. And one truss
+//! One index per epoch: every engine read — SEA, size-bounded SEA, Exact
+//! and the four baselines — borrows the engine's `EpochIndex`, so its
+//! k-truss peels go through the `EdgeIndex` the trussness decomposition
+//! built (or, on an epoch the store seeded with trussness, one built on
+//! first use) rather than building an `O(m log d_max)` index per query,
+//! and each answers exactly as the standalone call with a fresh index.
+//! An engine SEA read takes q's component from the index's component
+//! table, which equals the walk of q's component. And one truss
 //! decomposition per store: the first write seeds its trussness repair
 //! from the table the engine's decomposition kept, building no index.
 //!
 //! Keep this file at ONE `#[test]`: `EdgeIndex::builds` is process-wide,
 //! so a concurrently running sibling test would pollute the deltas.
 
-use csag::core::distance::DistanceParams;
+use csag::baselines::{acq, e_vac, loc_atc, vac, BaselineResult, EVacLimits};
+use csag::core::distance::{DistanceParams, QueryDistances};
 use csag::core::exact::{Exact, ExactParams};
-use csag::core::sea::{Sea, SeaParams};
+use csag::core::sea::{grow_neighborhood, Sea, SeaParams};
 use csag::datasets::generator::{generate, SyntheticConfig};
 use csag::datasets::{random_updates, ChurnMix};
-use csag::decomp::{node_max_trussness, CommunityModel, EdgeIndex};
+use csag::decomp::{node_max_trussness, CommunityModel, EdgeIndex, EpochIndex};
 use csag::engine::{
     outcome_identity, CommunityQuery, CommunityResult, CsagError, Engine, GraphStore, Method,
 };
@@ -28,27 +30,36 @@ use std::sync::Arc;
 
 const K: u32 = 4;
 const STATES: u64 = 200;
+/// E-VAC scores each state in `O(|H|²)`, so it gets a smaller budget.
+const EVAC_STATES: u64 = 16;
 
-/// The SEA and Exact reads of `q` under `model`, engine-side.
-fn reads(q: NodeId, model: CommunityModel) -> [CommunityQuery; 2] {
-    [
-        CommunityQuery::new(Method::Sea, q)
-            .with_k(K)
-            .with_model(model)
+/// Every homogeneous method's read of `q` under `model`, engine-side.
+fn reads(q: NodeId, model: CommunityModel) -> Vec<CommunityQuery> {
+    let query = |method| CommunityQuery::new(method, q).with_k(K).with_model(model);
+    vec![
+        query(Method::Sea)
             .with_error_bound(0.1)
             .with_seed(u64::from(q)),
-        CommunityQuery::new(Method::Exact, q)
-            .with_k(K)
-            .with_model(model)
-            .with_state_budget(STATES),
+        query(Method::SeaSizeBounded)
+            .with_size_bound(5, 12)
+            .with_error_bound(0.1)
+            .with_seed(u64::from(q)),
+        query(Method::Exact).with_state_budget(STATES),
+        query(Method::Acq),
+        query(Method::Atc),
+        query(Method::Vac),
+        query(Method::EVac)
+            .with_state_budget(EVAC_STATES)
+            .with_evac_max_root(None),
     ]
 }
 
-/// `query` run by a standalone solver — which builds its own edge index —
-/// in the engine's answer shape: the engine's own `answer` with every
-/// field the search decides replaced by the standalone run's. The two are
+/// `query` run by the standalone call with a fresh index, in the engine's
+/// answer shape: the engine's own `answer` with every field the search
+/// decides replaced by the standalone run's. The two are
 /// `outcome_identity`-equal iff both searches returned the same community,
-/// δ, interval, certificate and effort counters (or the same error).
+/// δ, interval, certificate, objective and effort counters (or the same
+/// error).
 fn standalone(
     engine: &Engine,
     query: &CommunityQuery,
@@ -56,18 +67,27 @@ fn standalone(
 ) -> String {
     let g = engine.graph();
     let dp = DistanceParams::default();
+    let index = EpochIndex::new();
     let like = || answer.clone().expect("the engine answered too");
+    let (q, k, model) = (query.q, query.k, query.model);
+    let baseline = |r: BaselineResult| {
+        let mut res = like();
+        res.delta = QueryDistances::new(q, g.n(), dp).delta(g, &r.community);
+        res.community = r.community;
+        res.provenance.objective = Some(r.objective);
+        res
+    };
     let outcome = match query.method {
         Method::Sea | Method::SeaSizeBounded => {
             let mut params = SeaParams::default()
-                .with_k(query.k)
-                .with_model(query.model)
+                .with_k(k)
+                .with_model(model)
                 .with_error_bound(query.error_bound);
             if let Some((l, h)) = query.size_bound {
                 params = params.with_size_bound(l, h);
             }
             let mut rng = StdRng::seed_from_u64(query.seed);
-            Sea::new(g, dp).run(query.q, &params, &mut rng).map(|r| {
+            Sea::new(g, &index, dp).run(q, &params, &mut rng).map(|r| {
                 let mut res = like();
                 res.community = r.community;
                 res.delta = r.delta_star;
@@ -82,12 +102,12 @@ fn standalone(
                 res
             })
         }
-        _ => {
+        Method::Exact => {
             let params = ExactParams::default()
-                .with_k(K)
-                .with_model(query.model)
+                .with_k(k)
+                .with_model(model)
                 .with_state_budget(STATES);
-            Exact::new(g, dp).run(query.q, &params).map(|r| {
+            Exact::new(g, &index, dp).run(q, &params).map(|r| {
                 let mut res = like();
                 res.community = r.community;
                 res.delta = r.delta;
@@ -95,8 +115,42 @@ fn standalone(
                 res
             })
         }
+        Method::Acq => acq(g, &index, q, k, model).map(baseline),
+        Method::Atc => loc_atc(g, &index, q, k, model).map(baseline),
+        Method::Vac => vac(g, &index, q, k, model, dp, query.vac_iteration_cap).map(baseline),
+        Method::EVac => {
+            let limits = EVacLimits {
+                state_budget: query.state_budget,
+                max_root: query.evac_max_root,
+                time_budget: None,
+            };
+            e_vac(g, &index, q, k, model, dp, &limits).map(baseline)
+        }
+        Method::SeaHetero => unreachable!("not a homogeneous read"),
     };
     outcome_identity(&outcome, false)
+}
+
+/// Every answer in `answers` equals the standalone call's; returns how
+/// many found a community.
+fn all_match_standalone(
+    engine: &Engine,
+    answers: &[(CommunityQuery, Result<CommunityResult, CsagError>)],
+    label: &str,
+) -> usize {
+    let mut communities = 0;
+    for (query, answer) in answers {
+        assert_eq!(
+            outcome_identity(answer, false),
+            standalone(engine, query, answer),
+            "{label}: {} {} at q = {}",
+            query.method,
+            query.model,
+            query.q
+        );
+        communities += usize::from(answer.is_ok());
+    }
+    communities
 }
 
 #[test]
@@ -139,11 +193,11 @@ fn truss_reads_borrow_one_edge_index_per_epoch() {
     assert_eq!(
         EdgeIndex::builds() - before,
         0,
-        "warm k-truss reads borrow the engine's index"
+        "warm k-truss reads of every method borrow the engine's index"
     );
 
     // The borrowed index changes nothing: every answer, k-core and
-    // k-truss, equals the standalone solver's.
+    // k-truss, equals the standalone call's.
     let core_answers: Vec<_> = picks
         .iter()
         .flat_map(|&q| reads(q, CommunityModel::KCore))
@@ -152,21 +206,11 @@ fn truss_reads_borrow_one_edge_index_per_epoch() {
             (query, answer)
         })
         .collect();
-    let mut communities = 0;
-    for (query, answer) in truss_answers.iter().chain(&core_answers) {
-        assert_eq!(
-            outcome_identity(answer, false),
-            standalone(&engine, query, answer),
-            "{} {} at q = {}",
-            query.method,
-            query.model,
-            query.q
-        );
-        communities += usize::from(answer.is_ok());
-    }
-    // Every SEA read finds its community; budget-stopped Exact reads
+    let communities = all_match_standalone(&engine, &truss_answers, "warm")
+        + all_match_standalone(&engine, &core_answers, "warm");
+    // Most reads find their community; budget-stopped Exact reads
     // compare as errors (their text carries no clock).
-    assert!(communities >= 4 * picks.len(), "{communities}");
+    assert!(communities >= 8 * picks.len(), "{communities}");
 
     // A store-seeded epoch: the store hands the engine trussness it
     // repaired, so the index is built once, on the first read that peels.
@@ -176,14 +220,17 @@ fn truss_reads_borrow_one_edge_index_per_epoch() {
     first_write_decomposes_nothing(&store, &batch, "plain store");
     let snap = store.snapshot();
     let before = EdgeIndex::builds();
+    let mut seeded_answers = Vec::new();
     for _ in 0..3 {
         for &q in &picks {
             for query in reads(q, CommunityModel::KTruss) {
-                let _ = snap.engine().run(&query);
+                seeded_answers.push((query.clone(), snap.engine().run(&query)));
             }
         }
     }
     assert_eq!(EdgeIndex::builds() - before, 1, "one index for the epoch");
+    assert_eq!(snap.engine().truss_decomp_computations(), 0, "seeded");
+    all_match_standalone(snap.engine(), &seeded_answers, "seeded");
 
     // The same on a durable store, and on a store reset to a fresh graph
     // (its maintainer starts over).
@@ -237,9 +284,10 @@ fn blocks_and_isolated(g: &AttributedGraph) -> AttributedGraph {
     cut.snapshot()
 }
 
-/// On a graph of several components and isolated nodes, every engine SEA
-/// read — k-core, k-truss and size-bounded, under several seeds — answers
-/// exactly as the standalone solver, which walks q's component.
+/// On a graph of several components and isolated nodes, every node's
+/// component in the engine's table equals the walk of it, and every
+/// engine SEA read — k-core, k-truss and size-bounded, under several
+/// seeds — answers exactly as the standalone solver.
 fn engine_sea_reads_match_the_walk_across_components(g: &AttributedGraph) {
     let cut = blocks_and_isolated(g);
     let components = Components::new(&cut);
@@ -250,6 +298,15 @@ fn engine_sea_reads_match_the_walk_across_components(g: &AttributedGraph) {
         "three blocks at least"
     );
     let engine = Engine::new(cut);
+    let g = engine.graph();
+    for q in 0..g.n() as NodeId {
+        let dist = QueryDistances::new(q, g.n(), DistanceParams::default());
+        assert_eq!(
+            engine.index().components(g).of(q),
+            grow_neighborhood(g, q, g.n(), &dist),
+            "q = {q}: the component table is the walk"
+        );
+    }
     let (coreness, trussness) = (engine.coreness().to_vec(), engine.node_trussness().to_vec());
     let mut answered = [0usize; 3];
     for (block, answered) in answered.iter_mut().enumerate() {

@@ -7,6 +7,7 @@ use csag::core::exact::{Exact, ExactParams};
 use csag::core::CommunityModel;
 use csag::datasets::generator::{generate, SyntheticConfig};
 use csag::datasets::random_queries;
+use csag::decomp::EpochIndex;
 use csag::eval::{atc_score, max_pairwise_distance, shared_attributes};
 use std::time::Duration;
 
@@ -33,7 +34,8 @@ fn each_method_wins_its_own_metric() {
     let q = random_queries(&g, 1, k, 77)[0];
     let model = CommunityModel::KCore;
 
-    let exact = Exact::new(&g, dp)
+    let index = EpochIndex::new();
+    let exact = Exact::new(&g, &index, dp)
         .run(
             q,
             &ExactParams::default()
@@ -41,9 +43,9 @@ fn each_method_wins_its_own_metric() {
                 .with_time_budget(Duration::from_secs(5)),
         )
         .unwrap_or_else(|e| panic!("expected a {k}-core around node {q}: {e}"));
-    let acq_r = acq(&g, q, k, model).unwrap();
-    let atc_r = loc_atc(&g, q, k, model).unwrap();
-    let vac_r = vac(&g, q, k, model, dp, Some(2_000)).unwrap();
+    let acq_r = acq(&g, &EpochIndex::new(), q, k, model).unwrap();
+    let atc_r = loc_atc(&g, &EpochIndex::new(), q, k, model).unwrap();
+    let vac_r = vac(&g, &EpochIndex::new(), q, k, model, dp, Some(2_000)).unwrap();
 
     // δ: Exact is at least as good as every baseline — when it completed;
     // a slow (debug) build that stops it holds no ground truth.
@@ -85,7 +87,7 @@ fn each_method_wins_its_own_metric() {
     // maximal community it started from. (Cross-method dominance is not
     // guaranteed for the *approximate* VAC — the paper's Table II likewise
     // shows ties and inversions among the approximate methods.)
-    let mut maintainer = csag::decomp::Maintainer::new(&g, model, k);
+    let mut maintainer = csag::decomp::Maintainer::new(&g, &index, model, k);
     let root = maintainer.maximal(q).unwrap();
     let (vac_mm, _) = max_pairwise_distance(&g, &vac_r.community, dp);
     let (root_mm, _) = max_pairwise_distance(&g, &root, dp);
@@ -102,7 +104,15 @@ fn e_vac_dominates_vac_on_minmax() {
     let k = 3;
     for seed in [78u64, 79] {
         let q = random_queries(&g, 1, k, seed)[0];
-        let Ok(v) = vac(&g, q, k, CommunityModel::KCore, dp, Some(2_000)) else {
+        let Ok(v) = vac(
+            &g,
+            &EpochIndex::new(),
+            q,
+            k,
+            CommunityModel::KCore,
+            dp,
+            Some(2_000),
+        ) else {
             continue;
         };
         let limits = EVacLimits {
@@ -110,7 +120,15 @@ fn e_vac_dominates_vac_on_minmax() {
             max_root: Some(400),
             time_budget: Some(Duration::from_secs(5)),
         };
-        let Ok(ev) = e_vac(&g, q, k, CommunityModel::KCore, dp, &limits) else {
+        let Ok(ev) = e_vac(
+            &g,
+            &EpochIndex::new(),
+            q,
+            k,
+            CommunityModel::KCore,
+            dp,
+            &limits,
+        ) else {
             continue;
         };
         assert!(
@@ -130,9 +148,13 @@ fn all_methods_produce_valid_kcores() {
     let q = random_queries(&g, 1, k, 80)[0];
     let model = CommunityModel::KCore;
     let communities = [
-        acq(&g, q, k, model).unwrap().community,
-        loc_atc(&g, q, k, model).unwrap().community,
-        vac(&g, q, k, model, dp, Some(2_000)).unwrap().community,
+        acq(&g, &EpochIndex::new(), q, k, model).unwrap().community,
+        loc_atc(&g, &EpochIndex::new(), q, k, model)
+            .unwrap()
+            .community,
+        vac(&g, &EpochIndex::new(), q, k, model, dp, Some(2_000))
+            .unwrap()
+            .community,
     ];
     for comm in &communities {
         assert!(comm.binary_search(&q).is_ok());

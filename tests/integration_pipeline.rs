@@ -7,6 +7,7 @@ use csag::core::sea::{Sea, SeaParams};
 use csag::core::CommunityModel;
 use csag::datasets::generator::{generate, SyntheticConfig};
 use csag::datasets::{hetero_queries, random_queries};
+use csag::decomp::EpochIndex;
 use csag::eval::{best_f1, relative_error};
 use csag::graph::{AttributedGraph, NodeId};
 use rand::rngs::StdRng;
@@ -36,7 +37,8 @@ fn exact_best(
         .with_k(k)
         .with_model(model)
         .with_time_budget(budget);
-    let r = Exact::new(g, DistanceParams::default())
+    let index = EpochIndex::new();
+    let r = Exact::new(g, &index, DistanceParams::default())
         .run(q, &params)
         .unwrap_or_else(|e| panic!("expected a {k}-community around node {q}: {e}"));
     (r.community, r.delta)
@@ -55,7 +57,8 @@ fn sea_tracks_exact_on_planted_graphs() {
             exact_best(&g, q, 4, CommunityModel::KCore, Duration::from_secs(5));
         let params = SeaParams::default().with_k(4).with_hoeffding(0.3, 0.95);
         let mut rng = StdRng::seed_from_u64(1000 + q as u64);
-        let sea = Sea::new(&g, dp)
+        let index = EpochIndex::new();
+        let sea = Sea::new(&g, &index, dp)
             .run(q, &params, &mut rng)
             .expect("same 4-core exists");
 
@@ -87,7 +90,7 @@ fn certification_implies_small_error_most_of_the_time() {
             .with_hoeffding(0.3, 0.95)
             .with_error_bound(0.05);
         let mut rng = StdRng::seed_from_u64(2000 + q as u64);
-        let Ok(sea) = Sea::new(&g, dp).run(q, &params, &mut rng) else {
+        let Ok(sea) = Sea::new(&g, &EpochIndex::new(), dp).run(q, &params, &mut rng) else {
             continue;
         };
         if !sea.certified {
@@ -95,7 +98,7 @@ fn certification_implies_small_error_most_of_the_time() {
         }
         // Only truly optimal ground truths count: budget-stopped exact
         // runs are skipped.
-        let exact = match Exact::new(&g, dp).run(
+        let exact = match Exact::new(&g, &EpochIndex::new(), dp).run(
             q,
             &ExactParams::default()
                 .with_k(4)
@@ -125,7 +128,8 @@ fn truss_communities_are_tighter_than_core_communities() {
     for &q in &queries {
         let (core_community, _) =
             exact_best(&g, q, 5, CommunityModel::KCore, Duration::from_secs(3));
-        let truss = Exact::new(&g, dp).run(
+        let index = EpochIndex::new();
+        let truss = Exact::new(&g, &index, dp).run(
             q,
             &ExactParams::default()
                 .with_k(5)
@@ -150,7 +154,8 @@ fn f1_against_planted_truth_is_meaningful() {
     let q = random_queries(&g, 1, 4, 24)[0];
     let params = SeaParams::default().with_k(4).with_hoeffding(0.3, 0.95);
     let mut rng = StdRng::seed_from_u64(3000);
-    let sea = Sea::new(&g, dp).run(q, &params, &mut rng).unwrap();
+    let index = EpochIndex::new();
+    let sea = Sea::new(&g, &index, dp).run(q, &params, &mut rng).unwrap();
     let f1 = best_f1(&sea.community, &truth);
     // The community lives inside q's planted block, so precision is high
     // and F1 is clearly above chance (block ≈ 1/8 of the graph).
@@ -209,7 +214,9 @@ fn size_bounded_pipeline_respects_window() {
         .with_hoeffding(0.3, 0.95)
         .with_size_bound(8, 20);
     let mut rng = StdRng::seed_from_u64(5000);
-    if let Ok(res) = Sea::new(&g, DistanceParams::default()).run(q, &params, &mut rng) {
+    if let Ok(res) =
+        Sea::new(&g, &EpochIndex::new(), DistanceParams::default()).run(q, &params, &mut rng)
+    {
         assert!(res.community.len() >= 8 && res.community.len() <= 20);
         assert!(res.community.binary_search(&q).is_ok());
     }
@@ -226,7 +233,8 @@ fn sea_community_contains_query_and_respects_k() {
         for &q in &random_queries(&g, 5, k, 100 + graph_seed) {
             let params = SeaParams::default().with_k(k).with_hoeffding(0.3, 0.95);
             let mut rng = StdRng::seed_from_u64(7000 + graph_seed * 31 + q as u64);
-            let res = Sea::new(&g, dp)
+            let index = EpochIndex::new();
+            let res = Sea::new(&g, &index, dp)
                 .run(q, &params, &mut rng)
                 .expect("random_queries only returns nodes with a k-core");
             assert!(
@@ -246,7 +254,7 @@ fn sea_community_contains_query_and_respects_k() {
             }
             // Determinism: the same seed reproduces the same community.
             let mut rng2 = StdRng::seed_from_u64(7000 + graph_seed * 31 + q as u64);
-            let res2 = Sea::new(&g, dp).run(q, &params, &mut rng2).unwrap();
+            let res2 = Sea::new(&g, &index, dp).run(q, &params, &mut rng2).unwrap();
             assert_eq!(res.community, res2.community, "seeded runs must agree");
         }
     }
@@ -259,7 +267,8 @@ fn delta_star_is_exactly_the_returned_communitys_distance() {
     let dp = DistanceParams::default();
     let params = SeaParams::default().with_k(4).with_hoeffding(0.3, 0.95);
     let mut rng = StdRng::seed_from_u64(6000);
-    let res = Sea::new(&g, dp).run(q, &params, &mut rng).unwrap();
+    let index = EpochIndex::new();
+    let res = Sea::new(&g, &index, dp).run(q, &params, &mut rng).unwrap();
     let dist = QueryDistances::new(q, g.n(), dp);
     let actual = dist.delta(&g, &res.community);
     assert!((actual - res.delta_star).abs() < 1e-9);
@@ -284,7 +293,7 @@ fn delta_star_is_exactly_the_returned_communitys_distance() {
 /// Run it with `cargo test --test integration_pipeline -- --ignored
 /// --nocapture` (~1 s).
 #[test]
-#[ignore = "coverage finding, ROADMAP 5(a)"]
+#[ignore = "coverage finding, ROADMAP direction 1"]
 fn certified_answers_violate_the_error_bound_no_more_often_than_alpha() {
     use csag::datasets::paper_examples::{figure1_imdb, figure3_graph};
     use csag::engine::{CommunityQuery, Engine, Method};

@@ -31,11 +31,12 @@ fn every_answer_after_churn_equals_a_fresh_engine() {
     let store = GraphStore::new(g);
     let mut rng = StdRng::seed_from_u64(0x5EED);
 
-    // Exact runs carry a *state* budget: deterministic for a given graph,
-    // so budget-stopped answers also compare equal across engines —
-    // while keeping the debug-mode test fast.
+    // Exact and E-VAC runs carry a *state* budget: deterministic for a
+    // given graph, so budget-stopped answers also compare equal across
+    // engines — while keeping the debug-mode test fast. Every method runs
+    // in both models.
     let queries_for = |q: u32| {
-        vec![
+        let core = [
             CommunityQuery::new(Method::Exact, q)
                 .with_k(3)
                 .with_state_budget(2_000),
@@ -43,12 +44,23 @@ fn every_answer_after_churn_equals_a_fresh_engine() {
                 .with_k(3)
                 .with_hoeffding(0.3, 0.95)
                 .with_seed(q as u64),
-            CommunityQuery::new(Method::Vac, q).with_k(3),
-            CommunityQuery::new(Method::Exact, q)
+            CommunityQuery::new(Method::SeaSizeBounded, q)
                 .with_k(3)
-                .with_model(csag::decomp::CommunityModel::KTruss)
-                .with_state_budget(2_000),
-        ]
+                .with_size_bound(4, 10)
+                .with_hoeffding(0.3, 0.95)
+                .with_seed(q as u64),
+            CommunityQuery::new(Method::Vac, q).with_k(3),
+            CommunityQuery::new(Method::Acq, q).with_k(3),
+            CommunityQuery::new(Method::Atc, q).with_k(3),
+            CommunityQuery::new(Method::EVac, q)
+                .with_k(3)
+                .with_state_budget(16)
+                .with_evac_max_root(None),
+        ];
+        let truss = core
+            .clone()
+            .map(|query| query.with_model(csag::decomp::CommunityModel::KTruss));
+        core.into_iter().chain(truss).collect::<Vec<_>>()
     };
     // Warm the store (including the truss decomposition, so the patched
     // path is exercised on every later epoch).
