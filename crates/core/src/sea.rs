@@ -473,8 +473,7 @@ pub fn sea_on_population<R: Rng + ?Sized>(
     )
 }
 
-/// [`sea_on_population`] over `sea`'s graph, with its peels reading
-/// `sea`'s index.
+/// [`sea_on_population`] over `sea`'s graph, peeling through `sea`'s index.
 fn search_population<R: Rng + ?Sized>(
     sea: &Sea<'_>,
     population: &[NodeId],

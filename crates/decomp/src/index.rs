@@ -48,10 +48,12 @@ impl EpochIndex {
     /// Core numbers of every node of `g` (Batagelj–Zaversnik).
     #[inline]
     pub fn coreness(&self, g: &AttributedGraph) -> &[u32] {
-        self.coreness.get_or_init(|| {
+        let coreness = self.coreness.get_or_init(|| {
             self.core_runs.fetch_add(1, Ordering::Relaxed);
             core_decomposition(g)
-        })
+        });
+        debug_assert_eq!(coreness.len(), g.n(), "coreness of another graph");
+        coreness
     }
 
     /// Maximum trussness over each node's incident edges (0 when it has
@@ -59,7 +61,7 @@ impl EpochIndex {
     /// the per-edge table.
     #[inline]
     pub fn node_trussness(&self, g: &AttributedGraph) -> &[u32] {
-        self.node_trussness.get_or_init(|| {
+        let node_max = self.node_trussness.get_or_init(|| {
             self.truss_runs.fetch_add(1, Ordering::Relaxed);
             let (eidx, edge_trussness) = truss_decomposition(g);
             let node_max = node_maxima(g, &eidx, &edge_trussness);
@@ -68,7 +70,9 @@ impl EpochIndex {
             let _ = self.edge_index.set(eidx);
             let _ = self.edge_trussness.set(edge_trussness);
             node_max
-        })
+        });
+        debug_assert_eq!(node_max.len(), g.n(), "node trussness of another graph");
+        node_max
     }
 
     /// The edge index of `g` every k-truss peel reads: the truss
@@ -90,10 +94,9 @@ impl EpochIndex {
     }
 
     /// The per-edge trussness table and the index its ids refer to, only
-    /// if this index ran the truss decomposition itself.
-    pub fn edge_trussness_if_computed(&self, g: &AttributedGraph) -> Option<(&EdgeIndex, &[u32])> {
-        let trussness = self.edge_trussness.get()?;
-        Some((self.edge_index(g), trussness))
+    /// if this index ran the truss decomposition itself (which set both).
+    pub fn edge_trussness_if_computed(&self) -> Option<(&EdgeIndex, &[u32])> {
+        Some((self.edge_index.get()?, self.edge_trussness.get()?))
     }
 
     /// How many times the core decomposition has run (0 or 1; a seeded
@@ -132,14 +135,14 @@ mod tests {
         let g = bridged_triangles();
         let index = EpochIndex::new();
         assert!(index.node_trussness_if_computed().is_none());
-        assert!(index.edge_trussness_if_computed(&g).is_none());
+        assert!(index.edge_trussness_if_computed().is_none());
         for _ in 0..3 {
             assert_eq!(index.coreness(&g), core_decomposition(&g));
             assert_eq!(index.node_trussness(&g), node_max_trussness(&g));
         }
         assert_eq!(index.decomp_computations(), 1);
         assert_eq!(index.truss_decomp_computations(), 1);
-        let (eidx, edge_trussness) = index.edge_trussness_if_computed(&g).unwrap();
+        let (eidx, edge_trussness) = index.edge_trussness_if_computed().unwrap();
         assert_eq!(eidx.m(), g.m());
         assert_eq!(edge_trussness, truss_decomposition(&g).1);
         assert_eq!(index.components(&g).of(6), &[6]);
@@ -155,6 +158,6 @@ mod tests {
         assert_eq!(index.edge_index(&g).m(), g.m());
         assert_eq!(index.decomp_computations(), 0);
         assert_eq!(index.truss_decomp_computations(), 0);
-        assert!(index.edge_trussness_if_computed(&g).is_none());
+        assert!(index.edge_trussness_if_computed().is_none());
     }
 }

@@ -145,13 +145,14 @@ impl Engine {
         trussness: Option<Vec<u32>>,
         carried: Vec<((NodeId, u64), Arc<QueryDistances>)>,
     ) -> Self {
-        let engine = Engine::from_arc(graph);
+        debug_assert_eq!(coreness.len(), graph.n());
+        debug_assert!(trussness.as_ref().is_none_or(|t| t.len() == graph.n()));
         let engine = Engine {
             epoch,
             index: EpochIndex::seeded(coreness, trussness),
-            ..engine
+            ..Engine::from_arc(graph)
         };
-        let carried_len = carried.len();
+        engine.distance_len.store(carried.len(), Ordering::Relaxed);
         for (key, table) in carried {
             engine
                 .shard(key)
@@ -159,7 +160,6 @@ impl Engine {
                 .unwrap_or_else(PoisonError::into_inner)
                 .insert(key, table);
         }
-        engine.distance_len.store(carried_len, Ordering::Relaxed);
         engine
     }
 

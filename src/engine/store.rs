@@ -695,7 +695,7 @@ impl GraphStore {
         // per-edge one beside it.)
         if state.truss.is_none() {
             let g = old_engine.graph();
-            if let Some((eidx, trussness)) = old_engine.index().edge_trussness_if_computed(g) {
+            if let Some((eidx, trussness)) = old_engine.index().edge_trussness_if_computed() {
                 state.truss = Some(TrussMaintainer::from_decomposition(g, eidx, trussness));
             }
         }

@@ -26,12 +26,23 @@ use csag::graph::traversal::Components;
 use csag::graph::{AttributedGraph, GraphUpdate as Edit, MutableGraph, NodeId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 const K: u32 = 4;
 const STATES: u64 = 200;
 /// E-VAC scores each state in `O(|H|²)`, so it gets a smaller budget.
 const EVAC_STATES: u64 = 16;
+/// The methods whose every read answers iff q has a root: all but
+/// size-bounded SEA.
+const ROOTED: [Method; 6] = [
+    Method::Sea,
+    Method::Exact,
+    Method::Acq,
+    Method::Atc,
+    Method::Vac,
+    Method::EVac,
+];
 
 /// Every homogeneous method's read of `q` under `model`, engine-side.
 fn reads(q: NodeId, model: CommunityModel) -> Vec<CommunityQuery> {
@@ -131,14 +142,14 @@ fn standalone(
     outcome_identity(&outcome, false)
 }
 
-/// Every answer in `answers` equals the standalone call's; returns how
-/// many found a community.
+/// Every answer in `answers` equals the standalone call's; adds to
+/// `found` how many found a community, per method.
 fn all_match_standalone(
     engine: &Engine,
     answers: &[(CommunityQuery, Result<CommunityResult, CsagError>)],
     label: &str,
-) -> usize {
-    let mut communities = 0;
+    found: &mut HashMap<Method, usize>,
+) {
     for (query, answer) in answers {
         assert_eq!(
             outcome_identity(answer, false),
@@ -148,9 +159,8 @@ fn all_match_standalone(
             query.model,
             query.q
         );
-        communities += usize::from(answer.is_ok());
+        *found.entry(query.method).or_default() += usize::from(answer.is_ok());
     }
-    communities
 }
 
 #[test]
@@ -206,11 +216,16 @@ fn truss_reads_borrow_one_edge_index_per_epoch() {
             (query, answer)
         })
         .collect();
-    let communities = all_match_standalone(&engine, &truss_answers, "warm")
-        + all_match_standalone(&engine, &core_answers, "warm");
-    // Most reads find their community; budget-stopped Exact reads
-    // compare as errors (their text carries no clock).
-    assert!(communities >= 8 * picks.len(), "{communities}");
+    let mut found = HashMap::new();
+    all_match_standalone(&engine, &truss_answers, "warm", &mut found);
+    all_match_standalone(&engine, &core_answers, "warm", &mut found);
+    // Each pick lies in a 4-core and a 4-truss, so every read of every
+    // method but size-bounded SEA (whose bound may exclude each
+    // community) finds one: three k-truss rounds and one k-core read per
+    // pick. A state-budgeted Exact or E-VAC answers its best so far.
+    for method in ROOTED {
+        assert_eq!(found[&method], 4 * picks.len(), "{method}: {found:?}");
+    }
 
     // A store-seeded epoch: the store hands the engine trussness it
     // repaired, so the index is built once, on the first read that peels.
@@ -230,7 +245,15 @@ fn truss_reads_borrow_one_edge_index_per_epoch() {
     }
     assert_eq!(EdgeIndex::builds() - before, 1, "one index for the epoch");
     assert_eq!(snap.engine().truss_decomp_computations(), 0, "seeded");
-    all_match_standalone(snap.engine(), &seeded_answers, "seeded");
+    // The churn may drop a pick's root; a read then fails for every
+    // method alike.
+    let mut found = HashMap::new();
+    all_match_standalone(snap.engine(), &seeded_answers, "seeded", &mut found);
+    let rooted = found[&Method::Sea];
+    assert!(rooted > 0, "{found:?}");
+    for method in ROOTED {
+        assert_eq!(found[&method], rooted, "seeded {method}: {found:?}");
+    }
 
     // The same on a durable store, and on a store reset to a fresh graph
     // (its maintainer starts over).
