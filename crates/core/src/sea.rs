@@ -236,10 +236,13 @@ pub struct SeaResult {
     pub community: Vec<NodeId>,
     /// Point estimate δ⋆ (the exact attribute distance of `community`).
     pub delta_star: f64,
-    /// Confidence interval δ⋆ ± ε at the requested level.
+    /// Confidence interval δ⋆ ± ε of `community` at the requested level.
     pub ci: ConfidenceInterval,
-    /// Whether Theorem 11 certified the error bound (`false` only when
-    /// `max_rounds` ran out; the result is then best-effort).
+    /// Whether Theorem 11's stopping rule fired on some candidate of this
+    /// run (`false` when `max_rounds` ran out, the whole population was
+    /// sampled, or a draw added nothing). `community` is the lowest-δ⋆
+    /// candidate estimated, not necessarily the one that fired, so a
+    /// certified result's `ci` can be wider than Theorem 11 allows.
     pub certified: bool,
     /// Round-by-round log (Table VI).
     pub rounds: Vec<SeaRound>,
@@ -596,11 +599,10 @@ fn sea_population_inner<R: Rng + ?Sized>(
             continue;
         }
 
-        // S2: BLB estimation over the prefix ladder. Candidates come in
-        // ascending size — ascending δ⋆ — and the first one that certifies
-        // (Theorem 11) ends the round, which realizes the paper's
-        // "terminate at the first accurate-enough candidate" semantics at
-        // the best achievable δ.
+        // S2: BLB estimation over the prefix ladder, in ascending size. SEA
+        // keeps the lowest-δ⋆ candidate of any round (δ⋆ is not monotone in
+        // size); the first one to pass Theorem 11 ends the search and sets
+        // `certified`, and is kept only if it is also the lowest.
         let t2 = Instant::now();
         let mut candidates_examined = 0usize;
         let mut last_est: Option<(f64, f64, usize)> = None; // (δ⋆, ε, |S_blb|)
@@ -635,14 +637,12 @@ fn sea_population_inner<R: Rng + ?Sized>(
                 }
                 let est = params.blb.estimate(&bufs.data, z, rng);
                 last_est = Some((est.point, est.moe, est.blb_sample_size));
-                let pass = satisfies_error_bound(est.moe, est.point, params.error_bound);
-                let better = best.is_none_or(|(d, _)| est.point < d);
-                if better || pass {
+                if best.is_none_or(|(d, _)| est.point < d) {
                     best = Some((est.point, est.moe));
                     bufs.best_comm.clear();
                     bufs.best_comm.extend_from_slice(cand);
                 }
-                if pass {
+                if satisfies_error_bound(est.moe, est.point, params.error_bound) {
                     certified = true;
                     return ControlFlow::Break(());
                 }

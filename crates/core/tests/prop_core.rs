@@ -1,7 +1,8 @@
 //! Property tests: the exact algorithm against brute force, SEA
-//! structural validity, the prefix ladder against from-scratch peels, and
-//! SEA in place against SEA on a materialized copy of its population, on
-//! random attributed graphs.
+//! structural validity, the prefix ladder against from-scratch peels,
+//! SEA in place against SEA on a materialized copy of its population, and
+//! SEA's answer against the candidates it estimated, on random attributed
+//! graphs.
 
 use csag_core::distance::{DistanceParams, QueryDistances};
 use csag_core::error::CsagError;
@@ -474,5 +475,73 @@ proptest! {
             &mut StdRng::seed_from_u64(seed), &mut ws,
         );
         prop_assert_eq!(outcome(in_place, &|v| v), outcome(copied, &|l| sub.original(l)));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// SEA answers with the lowest-δ candidate it estimated. With λ = 1 it
+    /// samples its whole population, so it runs one round over the root
+    /// `maximal_within(q, population)`; replaying the prefix ladder there
+    /// with SEA's `min_members` and window, and keeping the first
+    /// `candidates_examined` candidates inside the size bound, lists exactly
+    /// what SEA estimated. Its δ must not exceed any of theirs, whether or
+    /// not Theorem 11 fired on a larger one. An uncertified answer ran out
+    /// of population, not of rounds.
+    #[test]
+    fn sea_answers_with_the_lowest_delta_candidate_it_estimated(
+        (g, q, pop_size) in arb_population_case(),
+        (k, truss) in (2u32..5, any::<bool>()),
+        (bounded, l, width) in (any::<bool>(), 1usize..6, 0usize..8),
+        (seed, e) in (0u64..1000, 0usize..3),
+    ) {
+        let mut params = SeaParams::default()
+            .with_k(k)
+            .with_error_bound([0.02, 0.05, 0.1][e])
+            .with_lambda(1.0);
+        if truss {
+            params = params.with_model(CommunityModel::KTruss);
+        }
+        if bounded {
+            params = params.with_size_bound(l, l + width);
+        }
+        let dist = QueryDistances::new(q, g.n(), DistanceParams::default());
+        let pop = grow_neighborhood(&g, q, pop_size, &dist);
+        let mut ws = QueryWorkspace::new();
+        let res = match sea_on_population(
+            &g, &pop, q, &dist, &params, &mut StdRng::seed_from_u64(seed), &mut ws,
+        ) {
+            Ok(res) => res,
+            Err(CsagError::NoCommunity { .. }) => return Ok(()),
+            Err(err) => panic!("unexpected error: {err}"),
+        };
+        prop_assert_eq!(res.rounds.len(), 1, "λ = 1 samples everything at once");
+        prop_assert!(res.certified || res.rounds.len() < params.max_rounds);
+
+        let examined = res.rounds[0].candidates_examined;
+        let index = EpochIndex::new();
+        let mut m = Maintainer::new(&g, &index, params.model, k);
+        let root = m.maximal_within(q, &pop).expect("SEA answered, so the population has a root");
+        let window_top = params.size_bound.map(|(_, h)| 2 * h);
+        let in_window =
+            |c: &[NodeId]| params.size_bound.is_none_or(|(l, h)| (l..=h).contains(&c.len()));
+        let mut deltas = Vec::new();
+        prefix_ladder(&mut m, &dist, &root, params.min_members(), window_top, &mut ws, |_, cand| {
+            if let Some(c) = cand.filter(|c| in_window(c)) {
+                deltas.push(dist.delta(&g, c));
+            }
+            if deltas.len() < examined {
+                ControlFlow::Continue(())
+            } else {
+                ControlFlow::Break(())
+            }
+        });
+        prop_assert_eq!(deltas.len(), examined, "the replay estimates what SEA estimated");
+        let lowest = deltas.iter().copied().fold(f64::INFINITY, f64::min);
+        prop_assert!(
+            res.delta_star <= lowest + 1e-12,
+            "δ = {} but SEA estimated a candidate at δ = {}", res.delta_star, lowest
+        );
     }
 }

@@ -11,18 +11,20 @@ use std::time::Duration;
 ///
 /// * Exact runs prove `δ ≤ (1 + error_bound)·δ_opt` (Theorem 6) at
 ///   `confidence = 1`; `certified` means the search completed (bound 0).
-/// * SEA runs carry the Theorem-11 certificate when it fired, and the
-///   error bound *actually achieved* either way (derived from the final
-///   confidence interval, so a run that missed the requested bound still
-///   reports how close it got).
+/// * SEA runs set `certified` when Theorem 11's stopping rule fired on
+///   some candidate of the run. `error_bound` and `moe` come from the
+///   interval of the returned community, the lowest-δ candidate SEA
+///   estimated, which need not be the one the rule fired on: a certified
+///   answer can report `error_bound > e`, and an uncertified one still
+///   reports how close its interval came.
 /// * Heuristic baselines promise nothing; their results carry no
 ///   certificate at all ([`CommunityResult::certificate`] is `None`).
 #[derive(Clone, Copy, Debug)]
 pub struct AccuracyCertificate {
-    /// Whether the requested accuracy was certified (Theorem 11 for SEA;
-    /// completion for Exact).
+    /// Whether Theorem 11's stopping rule fired (SEA) or the search
+    /// completed (Exact).
     pub certified: bool,
-    /// The relative error bound on δ actually achieved
+    /// The relative error bound on the returned δ
     /// (`f64::INFINITY` when the interval was too wide to bound at all).
     pub error_bound: f64,
     /// The confidence level at which `error_bound` holds.

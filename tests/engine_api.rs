@@ -1,12 +1,17 @@
 //! Engine-level integration tests: the unified `csag::engine` entry
 //! point across methods, under concurrency, and over batches.
 
+use csag::core::distance::{DistanceParams, QueryDistances};
+use csag::core::sea::{Sea, SeaParams};
 use csag::datasets::generator::{generate, SyntheticConfig};
 use csag::datasets::paper_examples::figure1_imdb;
 use csag::datasets::random_queries;
-use csag::decomp::CommunityModel;
+use csag::decomp::{CommunityModel, EpochIndex};
 use csag::engine::{CommunityQuery, CsagError, Engine, Method};
 use csag::graph::{GraphBuilder, NodeId};
+use csag::stats::satisfies_error_bound;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// The Figure 2(c)/Figure 3 example from the paper: a connected 2-core on
 /// six nodes with known composite distances (γ = 0).
@@ -396,4 +401,47 @@ fn few_rounds_never_turn_an_admitted_node_into_no_community() {
             }
         }
     }
+}
+
+/// SEA's `certified` says that Theorem 11's stopping rule fired on some
+/// candidate of the run; `delta`, `moe` and `error_bound` describe the
+/// community SEA returns, which is the lowest-δ candidate it estimated.
+/// On the paper's Figure-1 graph (q = 0, k = 2, e = 0.1, seed 5; found by
+/// a seed search) the rule fires on a larger, worse candidate, so a
+/// certified answer reports `error_bound` ≈ 0.24 > e.
+#[test]
+fn a_certified_sea_answer_reports_the_interval_of_the_community_it_returns() {
+    let (g, _) = figure1_imdb();
+    let (q, k, e, seed) = (0, 2, 0.1, 5);
+    let engine = Engine::new(g.clone());
+    let query = CommunityQuery::new(Method::Sea, q)
+        .with_k(k)
+        .with_error_bound(e)
+        .with_seed(seed);
+    let r = engine.run(&query).unwrap();
+    let cert = r.certificate.unwrap();
+    assert!(cert.certified, "the stopping rule fired");
+    assert!(cert.error_bound > e, "error_bound = {}", cert.error_bound);
+
+    // δ is the returned community's, and error_bound inverts Theorem 11 at
+    // (δ, moe), so the interval is the returned community's too ...
+    let delta = QueryDistances::new(q, g.n(), DistanceParams::default()).delta(&g, &r.community);
+    assert!((delta - r.delta).abs() < 1e-12);
+    let achieved = cert.moe / (r.delta - cert.moe);
+    assert!((achieved - cert.error_bound).abs() < 1e-12);
+
+    // ... and not that of the candidate the rule fired on: the run's last
+    // estimate, which passes the gate.
+    let params = SeaParams::default().with_k(k).with_error_bound(e);
+    let index = EpochIndex::new();
+    let sea = Sea::new(&g, &index, DistanceParams::default())
+        .run(q, &params, &mut StdRng::seed_from_u64(seed))
+        .unwrap();
+    assert_eq!(
+        sea.community, r.community,
+        "the engine runs the same search"
+    );
+    let fired = sea.rounds.last().unwrap();
+    assert!(satisfies_error_bound(fired.moe, fired.delta_star, e));
+    assert!(fired.delta_star > r.delta && fired.moe != cert.moe);
 }

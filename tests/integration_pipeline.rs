@@ -274,7 +274,7 @@ fn delta_star_is_exactly_the_returned_communitys_distance() {
     assert!((actual - res.delta_star).abs() < 1e-9);
 }
 
-/// ROADMAP 5(a), quick form: SEA's certificate (Theorems 10–11) says a
+/// ROADMAP direction 1, quick form: SEA's certificate (Theorems 10–11) says a
 /// certified answer's δ is within relative error `e` of the exact
 /// optimum with probability ≥ 1 − α over SEA's own randomness. For
 /// every (graph, q, k) cell — the paper's Figure-1 and Figure-3 graphs
@@ -286,7 +286,7 @@ fn delta_star_is_exactly_the_returned_communitys_distance() {
 /// first 200 integers; nothing here is tuned to pass.
 ///
 /// **It rejects** — every cell that certifies anything, by a wide margin
-/// (counts in CHANGES.md and at the top of ROADMAP 5(a)) — so it is
+/// (counts in CHANGES.md and in ROADMAP direction 1) — so it is
 /// ignored rather than loosened, and the two older, looser assertions
 /// (`certification_implies_small_error_most_of_the_time` above, the
 /// single draw in `csag_core::sea`) stay until the estimator is fixed.
