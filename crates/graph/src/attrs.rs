@@ -11,16 +11,38 @@
 //! * numerical vectors have a fixed per-graph dimensionality and are
 //!   normalized once at build time.
 
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
+use std::fmt;
+use std::hash::BuildHasher;
 use std::sync::Arc;
 
 /// Interns textual attribute tokens (e.g. `"movie"`, `"crime"`) to dense
-/// `u32` ids, bidirectionally.
-#[derive(Clone, Debug, Default)]
+/// `u32` ids, bidirectionally. Ids are handed out in first-seen order.
+///
+/// The whole vocabulary lives in three flat buffers: every name appended
+/// to one `String`, a `Vec<u32>` of end offsets mapping id → name, and an
+/// open-addressing table of ids (linear probing, at most half full)
+/// mapping name → id. For 100 000 ten-byte names that is 26 bytes of
+/// resident memory a token, where a map of owned `String`s took 132, and
+/// a clone is three buffer copies.
+///
+/// The table hashes with a keyed [`RandomState`]: tokens reach a running
+/// server through update feeds, and an unkeyed hash would let a client
+/// choose names that all probe one run of the table.
+#[derive(Clone, Default)]
 pub struct TokenInterner {
-    map: HashMap<String, u32>,
-    names: Vec<String>,
+    /// Every name, back to back, in id order.
+    text: String,
+    /// `ends[id]` is where name `id` ends in `text`; it starts where
+    /// `id - 1` ends (or at 0).
+    ends: Vec<u32>,
+    /// `EMPTY` or an id. Its length is 0 or a power of two at least
+    /// twice the number of names.
+    slots: Vec<u32>,
+    hasher: RandomState,
 }
+
+const EMPTY: u32 = u32::MAX;
 
 impl TokenInterner {
     /// Creates an empty interner.
@@ -29,34 +51,96 @@ impl TokenInterner {
     }
 
     /// Returns the id for `name`, interning it if new.
+    ///
+    /// # Panics
+    /// When the vocabulary would outgrow `u32` ids or 4 GiB of text.
     pub fn intern(&mut self, name: &str) -> u32 {
-        if let Some(&id) = self.map.get(name) {
+        if let Some(id) = self.get(name) {
             return id;
         }
-        let id = self.names.len() as u32;
-        self.names.push(name.to_owned());
-        self.map.insert(name.to_owned(), id);
+        let id = u32::try_from(self.ends.len())
+            .ok()
+            .filter(|&id| id != EMPTY)
+            .expect("token vocabulary outgrew u32 ids");
+        self.text.push_str(name);
+        let end = u32::try_from(self.text.len()).expect("token vocabulary outgrew 4 GiB of text");
+        self.ends.push(end);
+        if 2 * self.ends.len() > self.slots.len() {
+            self.grow();
+        } else {
+            let slot = self.vacant_slot(name);
+            self.slots[slot] = id;
+        }
         id
     }
 
     /// Looks up an already-interned token.
     pub fn get(&self, name: &str) -> Option<u32> {
-        self.map.get(name).copied()
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let mut slot = self.hasher.hash_one(name) as usize & mask;
+        loop {
+            match self.slots[slot] {
+                EMPTY => return None,
+                id if self.name_at(id as usize) == name => return Some(id),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
     }
 
     /// Returns the token string for `id`, if in range.
     pub fn name(&self, id: u32) -> Option<&str> {
-        self.names.get(id as usize).map(String::as_str)
+        let id = id as usize;
+        (id < self.ends.len()).then(|| self.name_at(id))
     }
 
     /// Number of distinct interned tokens.
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.ends.len()
     }
 
     /// Returns `true` if no token has been interned.
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
+        self.ends.is_empty()
+    }
+
+    fn name_at(&self, id: usize) -> &str {
+        let start = if id == 0 {
+            0
+        } else {
+            self.ends[id - 1] as usize
+        };
+        &self.text[start..self.ends[id] as usize]
+    }
+
+    /// The first empty slot on `name`'s probe run (`name` is absent).
+    fn vacant_slot(&self, name: &str) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut slot = self.hasher.hash_one(name) as usize & mask;
+        while self.slots[slot] != EMPTY {
+            slot = (slot + 1) & mask;
+        }
+        slot
+    }
+
+    /// Doubles the table (16 slots at first) and re-inserts every id.
+    fn grow(&mut self) {
+        self.slots = vec![EMPTY; (2 * self.slots.len()).max(16)];
+        for id in 0..self.ends.len() {
+            let slot = self.vacant_slot(self.name_at(id));
+            self.slots[slot] = id as u32;
+        }
+    }
+}
+
+impl fmt::Debug for TokenInterner {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let names: Vec<&str> = (0..self.len()).map(|id| self.name_at(id)).collect();
+        f.debug_struct("TokenInterner")
+            .field("names", &names)
+            .finish()
     }
 }
 
@@ -70,8 +154,9 @@ impl TokenInterner {
 ///   dimension min-max scaled into `[0, 1]`.
 ///
 /// The interner is shared, not copied, by everything derived from one
-/// graph (restrictions, snapshots of a [`crate::update::MutableGraph`]):
-/// cloning it costs two `String`s per token of the whole vocabulary.
+/// graph (restrictions, snapshots of a [`crate::update::MutableGraph`]);
+/// a copy, made only when an update brings a token nobody has seen, is
+/// three buffer copies of the whole vocabulary.
 #[derive(Clone, Debug)]
 pub struct NodeAttributes {
     pub(crate) interner: Arc<TokenInterner>,

@@ -15,6 +15,7 @@
 //! and overflowing literals are parse errors). This is meant for
 //! examples and fixtures, not bulk storage.
 
+use crate::attrs::NodeAttributes;
 use crate::builder::{GraphBuilder, GraphError};
 use crate::graph::AttributedGraph;
 use crate::hetero::{HeteroGraph, HeteroGraphBuilder};
@@ -22,21 +23,20 @@ use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 /// Writes `g` in the v1 text format.
+///
+/// # Errors
+/// `InvalidInput`, before anything is written, when a node holds a token
+/// the reader would not read back as itself: an empty token, one holding
+/// `,` or whitespace, or a node's lone token `-`. Otherwise whatever
+/// `out` fails with.
 pub fn write_graph<W: Write>(g: &AttributedGraph, out: W) -> io::Result<()> {
+    check_writable(g.attrs())?;
     let mut w = BufWriter::new(out);
     writeln!(w, "csag-graph v1")?;
     writeln!(w, "dims {}", g.attrs().dims())?;
     for v in 0..g.n() as u32 {
-        let toks = g.tokens(v);
-        let token_str = if toks.is_empty() {
-            "-".to_string()
-        } else {
-            toks.iter()
-                .map(|&t| g.interner().name(t).unwrap_or("?"))
-                .collect::<Vec<_>>()
-                .join(",")
-        };
-        write!(w, "node {v} {token_str}")?;
+        write!(w, "node {v} ")?;
+        write_token_field(&mut w, g.attrs(), v)?;
         for x in g.numeric_raw(v) {
             write!(w, " {x}")?;
         }
@@ -46,6 +46,61 @@ pub fn write_graph<W: Write>(g: &AttributedGraph, out: W) -> io::Result<()> {
         writeln!(w, "edge {u} {v}")?;
     }
     w.flush()
+}
+
+/// Refuses a graph holding a token the readers would not read back as
+/// itself: an empty token, one containing `,` or whitespace, or the lone
+/// token `-` of a node (the field `-` reads as no tokens). A graph from
+/// [`read_graph`] or [`read_hetero_graph`] always passes; one made with a
+/// builder may not. The vocabulary is checked once, so the pass over the
+/// nodes only looks up lone tokens unless some name cannot be written.
+fn check_writable(attrs: &NodeAttributes) -> io::Result<()> {
+    let interner = attrs.interner();
+    let name = |t: u32| interner.name(t).unwrap_or("?");
+    let unwritable: Vec<u32> = (0..interner.len() as u32)
+        .filter(|&t| {
+            let name = name(t);
+            name.is_empty() || name.contains(|c: char| c == ',' || c.is_whitespace())
+        })
+        .collect();
+    for v in 0..attrs.n() as u32 {
+        let toks = attrs.tokens(v);
+        let bad = match toks {
+            [t] if name(*t) == "-" => Some(*t),
+            _ if unwritable.is_empty() => None,
+            _ => toks
+                .iter()
+                .copied()
+                .find(|t| unwritable.binary_search(t).is_ok()),
+        };
+        if let Some(t) = bad {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "node {v} holds the token {:?}, which the text format cannot hold",
+                    name(t)
+                ),
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Writes node `v`'s comma-separated token field, `-` when it has none.
+fn write_token_field<W: Write>(w: &mut W, attrs: &NodeAttributes, v: u32) -> io::Result<()> {
+    let mut names = attrs
+        .tokens(v)
+        .iter()
+        .map(|&t| attrs.interner().name(t).unwrap_or("?"));
+    let Some(first) = names.next() else {
+        return w.write_all(b"-");
+    };
+    w.write_all(first.as_bytes())?;
+    for name in names {
+        w.write_all(b",")?;
+        w.write_all(name.as_bytes())?;
+    }
+    Ok(())
 }
 
 /// Saves `g` to `path` in the v1 text format.
@@ -63,6 +118,25 @@ fn parse_err(line_no: usize, msg: &str) -> io::Error {
 /// finite values), so they are refused where text enters the program.
 pub(crate) fn parse_finite(field: &str) -> Option<f64> {
     field.parse().ok().filter(|x: &f64| x.is_finite())
+}
+
+/// Splits a comma-separated token field: `None` for `-`, the empty list.
+/// Shared by both graph readers and the `csag-updates v1` reader, so what
+/// one accepts the others write back. Refuses an empty token (`a,,b`,
+/// `,`) and a list of nothing but `-` (`-,-`), which a node would hold
+/// as the lone token `-`, written back as `-`: no tokens at all.
+pub(crate) fn parse_token_field(field: &str) -> Result<Option<Vec<&str>>, String> {
+    if field == "-" {
+        return Ok(None);
+    }
+    let tokens: Vec<&str> = field.split(',').collect();
+    if tokens.iter().any(|t| t.is_empty()) {
+        return Err(format!("empty token in `{field}`"));
+    }
+    if tokens.iter().all(|&t| t == "-") {
+        return Err(format!("only `-` tokens in `{field}`"));
+    }
+    Ok(Some(tokens))
 }
 
 /// The numerical attributes that end the `node` record of node `id`:
@@ -149,11 +223,9 @@ pub fn read_graph<R: Read>(input: R) -> io::Result<AttributedGraph> {
                 let token_field = parts
                     .next()
                     .ok_or_else(|| parse_err(no, "node needs a token field"))?;
-                let tokens: Vec<&str> = if token_field == "-" {
-                    Vec::new()
-                } else {
-                    token_field.split(',').collect()
-                };
+                let tokens = parse_token_field(token_field)
+                    .map_err(|e| parse_err(no, &e))?
+                    .unwrap_or_default();
                 let numeric = parse_numeric(parts, id, dims, no)?;
                 b.add_node(&tokens, &numeric);
             }
@@ -198,7 +270,11 @@ pub fn load_graph<P: AsRef<Path>>(path: P) -> io::Result<AttributedGraph> {
 /// node 0 author ml,nlp 30 2
 /// edge 0 1 writes
 /// ```
+///
+/// # Errors
+/// As [`write_graph`].
 pub fn write_hetero_graph<W: Write>(g: &HeteroGraph, out: W) -> io::Result<()> {
+    check_writable(g.attrs())?;
     let mut w = BufWriter::new(out);
     writeln!(w, "csag-hetero v1")?;
     writeln!(w, "dims {}", g.attrs().dims())?;
@@ -209,16 +285,8 @@ pub fn write_hetero_graph<W: Write>(g: &HeteroGraph, out: W) -> io::Result<()> {
         writeln!(w, "etype {t} {}", g.edge_type_name(t).unwrap_or("?"))?;
     }
     for v in 0..g.n() as u32 {
-        let toks = g.attrs().tokens(v);
-        let token_str = if toks.is_empty() {
-            "-".to_string()
-        } else {
-            toks.iter()
-                .map(|&t| g.attrs().interner().name(t).unwrap_or("?"))
-                .collect::<Vec<_>>()
-                .join(",")
-        };
-        write!(w, "node {v} {} {token_str}", g.node_type(v))?;
+        write!(w, "node {v} {} ", g.node_type(v))?;
+        write_token_field(&mut w, g.attrs(), v)?;
         for x in g.attrs().numeric_raw(v) {
             write!(w, " {x}")?;
         }
@@ -349,11 +417,9 @@ pub fn read_hetero_graph<R: Read>(input: R) -> io::Result<HeteroGraph> {
                 let token_field = parts
                     .next()
                     .ok_or_else(|| parse_err(no, "node needs a token field"))?;
-                let tokens: Vec<&str> = if token_field == "-" {
-                    Vec::new()
-                } else {
-                    token_field.split(',').collect()
-                };
+                let tokens = parse_token_field(token_field)
+                    .map_err(|e| parse_err(no, &e))?
+                    .unwrap_or_default();
                 let numeric = parse_numeric(parts, id, dims, no)?;
                 b.add_node(ty, &tokens, &numeric);
             }
@@ -578,6 +644,82 @@ mod tests {
         assert_eq!(empty.attrs().dim_range(7), (0.0, 0.0));
         let empty = read_hetero_graph(format!("csag-hetero v1\ndims {huge}\n").as_bytes()).unwrap();
         assert_eq!((empty.n(), empty.attrs().dims()), (0, usize::MAX));
+    }
+
+    /// A token field holding an empty token, or nothing but `-` tokens,
+    /// is refused with its line by both readers. Such a field used to
+    /// read, and then write back as a line no reader accepts (`,` as
+    /// `node 0  0.5 1`, `-,-` as `node 0 - 0.5 1`: no tokens).
+    #[test]
+    fn token_fields_the_writer_cannot_repeat_are_refused() {
+        for (field, why) in [
+            (",", "empty token in `,`"),
+            ("a,,b", "empty token in `a,,b`"),
+            ("a,", "empty token in `a,`"),
+            (",a", "empty token in `,a`"),
+            ("-,-", "only `-` tokens in `-,-`"),
+        ] {
+            let text = format!("csag-graph v1\ndims 2\nnode 0 {field} 0.5 1\n");
+            let err = read_graph(text.as_bytes()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{field}");
+            assert_eq!(err.to_string(), format!("line 3: {why}"));
+            let text = format!("csag-hetero v1\ndims 2\nntype 0 t\nnode 0 0 {field} 0.5 1\n");
+            let err = read_hetero_graph(text.as_bytes()).unwrap_err();
+            assert_eq!(err.to_string(), format!("line 4: {why}"));
+        }
+        let kept = read_graph("csag-graph v1\ndims 0\nnode 0 -,a\n".as_bytes()).unwrap();
+        assert_eq!(
+            kept.tokens(0).len(),
+            2,
+            "`-` beside another token is a token"
+        );
+    }
+
+    /// A builder takes any token; the writers refuse, before writing a
+    /// byte, the ones the readers would not read back as themselves.
+    #[test]
+    fn unwritable_builder_tokens_are_refused_before_writing() {
+        for bad in ["", "a,b", "new york", "tab\there", "nbsp\u{a0}", "-"] {
+            let mut b = GraphBuilder::new(1);
+            b.add_node(&["ok"], &[0.0]);
+            b.add_node(&["ok", bad][usize::from(bad == "-")..], &[1.0]);
+            let g = b.build().unwrap();
+            let mut out = Vec::new();
+            let err = write_graph(&g, &mut out).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{bad:?}");
+            let want = format!("node 1 holds the token {bad:?}, which the text format cannot hold");
+            assert_eq!(err.to_string(), want);
+            assert!(out.is_empty(), "{bad:?}: wrote {} bytes", out.len());
+
+            let mut b = HeteroGraphBuilder::new(0);
+            let t = b.node_type("t");
+            b.add_node(t, &["ok"], &[]);
+            b.add_node(t, &[bad], &[]);
+            let err = write_hetero_graph(&b.build(), &mut out).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{bad:?}");
+            assert_eq!(err.to_string(), want);
+            assert!(out.is_empty(), "{bad:?}: wrote {} bytes", out.len());
+        }
+
+        let mut b = GraphBuilder::new(0);
+        b.add_node(&["-", "a"], &[]);
+        b.add_node(&["#", "\u{0}", "é"], &[]);
+        let g = b.build().unwrap();
+        let mut out = Vec::new();
+        write_graph(&g, &mut out).unwrap();
+        let back = read_graph(&out[..]).unwrap();
+        for v in 0..2 {
+            let names = |g: &AttributedGraph| -> Vec<String> {
+                let mut ns: Vec<String> = g
+                    .tokens(v)
+                    .iter()
+                    .map(|&t| g.interner().name(t).unwrap().to_owned())
+                    .collect();
+                ns.sort();
+                ns
+            };
+            assert_eq!(names(&back), names(&g));
+        }
     }
 
     #[test]

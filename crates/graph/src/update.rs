@@ -107,7 +107,7 @@ impl GraphUpdate {
             }
             "add-vertex" => {
                 let token_field = parts.next().ok_or("add-vertex: missing token field")?;
-                let tokens = parse_tokens(token_field);
+                let tokens = parse_tokens(token_field, op)?;
                 let numeric = parse_floats(parts, op)?;
                 Ok(GraphUpdate::AddVertex {
                     tokens: tokens.unwrap_or_default(),
@@ -117,7 +117,7 @@ impl GraphUpdate {
             "set-attrs" => {
                 let v = parse_node(parts.next(), "node id")?;
                 let token_field = parts.next().ok_or("set-attrs: missing token field")?;
-                let tokens = parse_tokens(token_field);
+                let tokens = parse_tokens(token_field, op)?;
                 let floats = parse_floats(parts, op)?;
                 let numeric = if floats.is_empty() {
                     None
@@ -221,13 +221,13 @@ impl GraphUpdate {
     }
 }
 
-/// `-` means "no tokens / keep tokens"; otherwise a comma-separated list.
-fn parse_tokens(field: &str) -> Option<Vec<String>> {
-    if field == "-" {
-        None
-    } else {
-        Some(field.split(',').map(str::to_owned).collect())
-    }
+/// `-` means "no tokens / keep tokens"; otherwise a comma-separated list
+/// with no empty token (the graph readers' rule, so an accepted update
+/// never leaves a node the graph file cannot hold).
+fn parse_tokens(field: &str, op: &str) -> Result<Option<Vec<String>>, String> {
+    crate::io::parse_token_field(field)
+        .map(|tokens| tokens.map(|t| t.into_iter().map(str::to_owned).collect()))
+        .map_err(|e| format!("{op}: {e}"))
 }
 
 fn parse_floats<'a>(parts: impl Iterator<Item = &'a str>, op: &str) -> Result<Vec<f64>, String> {
@@ -686,6 +686,27 @@ set-attrs 0 drama
         }
     }
 
+    /// A token field the graph file could not hold back is refused where
+    /// the update is read, so no accepted update leaves a node whose saved
+    /// line no reader accepts.
+    #[test]
+    fn token_fields_with_empty_tokens_are_rejected() {
+        for (field, why) in [
+            (",", "empty token in `,`"),
+            ("a,,b", "empty token in `a,,b`"),
+            ("-,-", "only `-` tokens in `-,-`"),
+        ] {
+            assert_eq!(
+                GraphUpdate::parse_line(&format!("set-attrs 0 {field}")),
+                Err(format!("set-attrs: {why}"))
+            );
+            assert_eq!(
+                GraphUpdate::parse_script(&format!("add-edge 0 1\nadd-vertex {field} 0.5\n")),
+                Err(format!("line 2: add-vertex: {why}"))
+            );
+        }
+    }
+
     /// The values `to_line` cannot write faithfully are exactly the ones
     /// `replayable` refuses, each with the line and what it turns into.
     #[test]
@@ -704,8 +725,10 @@ set-attrs 0 drama
             set(Some(&["new york"]), None),
             set(Some(&["a,b"]), None),
             set(Some(&[""]), None),
+            set(Some(&["a", "-", ""]), Some(vec![-0.0])), // `a,-,` holds an empty token
             set(Some(&["-"]), None),
-            set(None, Some(vec![])), // no numeric tail means keep
+            set(Some(&["-", "-"]), None), // `-,-` would be a node's lone `-`
+            set(None, Some(vec![])),      // no numeric tail means keep
             set(None, Some(vec![f64::NAN])),
             vertex(&["-"], vec![0.5]),
             vertex(&["tab\there"], vec![0.5]),
@@ -719,7 +742,7 @@ set-attrs 0 drama
             "`set-attrs 0 -` reads back as SetAttributes { v: 0, tokens: None, numeric: None }"
         );
         for kept in [
-            set(Some(&["a", "-", ""]), Some(vec![-0.0])), // `a,-,` splits back
+            set(Some(&["a", "-"]), Some(vec![-0.0])), // `a,-` splits back
             set(None, None),
             vertex(&[], vec![]),
             vertex(&["#", "7"], vec![1e-300]),

@@ -314,3 +314,261 @@ mod update_text {
         }
     }
 }
+
+/// The arena interner against the obvious model: a `HashMap<String, u32>`
+/// plus a `Vec<String>` of names in first-seen order.
+mod interner_model {
+    use csag_graph::TokenInterner;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::HashMap;
+
+    /// Names that stress the table: short ones over a tiny alphabet
+    /// (repeats, the empty name, prefixes of one another), unicode, long
+    /// names, and enough numbered ones to grow the table several times.
+    fn arb_name() -> impl Strategy<Value = String> {
+        const UNICODE: [char; 8] = ['a', 'é', '中', '🦀', '\u{0}', '\u{a0}', ' ', ','];
+        (0u8..4, any::<u64>()).prop_map(|(kind, seed)| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            match kind {
+                0 => (0..rng.gen_range(0..4))
+                    .map(|_| if rng.gen_bool(0.5) { 'a' } else { 'b' })
+                    .collect(),
+                1 => (0..rng.gen_range(0..7))
+                    .map(|_| UNICODE[rng.gen_range(0..UNICODE.len())])
+                    .collect(),
+                2 => (0..rng.gen_range(40..120))
+                    .map(|_| rng.gen_range(b'a'..=b'z') as char)
+                    .collect(),
+                _ => format!("tok-{}", rng.gen_range(0..3000)),
+            }
+        })
+    }
+
+    #[derive(Default)]
+    struct Model {
+        ids: HashMap<String, u32>,
+        names: Vec<String>,
+    }
+
+    impl Model {
+        fn intern(&mut self, name: &str) -> u32 {
+            if let Some(&id) = self.ids.get(name) {
+                return id;
+            }
+            let id = self.names.len() as u32;
+            self.ids.insert(name.to_owned(), id);
+            self.names.push(name.to_owned());
+            id
+        }
+    }
+
+    /// Every id names what the model names, every model name finds its
+    /// id, and `probes` (mostly never interned) find what the model does.
+    fn agree(i: &TokenInterner, m: &Model, probes: &[String]) -> Result<(), TestCaseError> {
+        prop_assert_eq!(i.len(), m.names.len());
+        prop_assert_eq!(i.is_empty(), m.names.is_empty());
+        for (id, name) in m.names.iter().enumerate() {
+            prop_assert_eq!(i.name(id as u32), Some(name.as_str()));
+            prop_assert_eq!(i.get(name), Some(id as u32));
+        }
+        prop_assert_eq!(i.name(m.names.len() as u32), None);
+        prop_assert_eq!(i.name(u32::MAX), None);
+        for p in probes {
+            prop_assert_eq!(i.get(p), m.ids.get(p).copied(), "{:?}", p);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A clone taken part-way agrees with the model at that point, and
+        /// keeps agreeing as the rest of the stream goes into it alone.
+        #[test]
+        fn interner_matches_a_hash_map_model(
+            stream in prop::collection::vec(arb_name(), 0..3000),
+            probes in prop::collection::vec(arb_name(), 0..64),
+            cut in 0.0f64..1.0,
+        ) {
+            let cut = (stream.len() as f64 * cut) as usize;
+            let (mut interner, mut model) = (TokenInterner::new(), Model::default());
+            for name in &stream[..cut] {
+                prop_assert_eq!(interner.intern(name), model.intern(name));
+            }
+            let frozen = interner.clone();
+            let frozen_model = Model { ids: model.ids.clone(), names: model.names.clone() };
+            for name in &stream[cut..] {
+                prop_assert_eq!(interner.intern(name), model.intern(name));
+                prop_assert_eq!(interner.get(name), Some(model.ids[name]));
+            }
+            agree(&interner, &model, &probes)?;
+            agree(&interner.clone(), &model, &probes)?;
+            agree(&frozen, &frozen_model, &probes)?;
+        }
+    }
+}
+
+/// The text format over graphs whose every token it can hold: reading
+/// what was written gives the same graph back, ids included, and writing
+/// that again gives the same bytes.
+mod text_round_trip {
+    use csag_graph::io::{read_graph, read_hetero_graph, write_graph, write_hetero_graph};
+    use csag_graph::{AttributedGraph, GraphBuilder, HeteroGraph, HeteroGraphBuilder};
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Tokens the format can hold: not empty, no `,`, no whitespace; `-`
+    /// only beside another token (a list of nothing but `-` gets an `x`).
+    fn node_tokens() -> impl Strategy<Value = Vec<String>> {
+        const CHARS: [char; 9] = ['a', 'b', 'c', '0', '9', 'é', '#', '-', '\u{0}'];
+        prop::collection::vec((any::<bool>(), any::<u64>()), 0..5).prop_map(|picks| {
+            let mut toks: Vec<String> = picks
+                .into_iter()
+                .map(|(dash, seed)| {
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    if dash && rng.gen_bool(0.3) {
+                        return "-".to_owned();
+                    }
+                    (0..rng.gen_range(1..4))
+                        .map(|_| CHARS[rng.gen_range(0..CHARS.len())])
+                        .collect()
+                })
+                .collect();
+            if !toks.is_empty() && toks.iter().all(|t| t == "-") {
+                toks.push("x".to_owned());
+            }
+            toks
+        })
+    }
+
+    fn arb_value() -> impl Strategy<Value = f64> {
+        const SPECIAL: [f64; 4] = [-0.0, f64::MIN_POSITIVE, f64::MAX, 0.1 + 0.2];
+        (0usize..8, -1e6f64..1e6).prop_map(|(pick, x)| SPECIAL.get(pick).copied().unwrap_or(x))
+    }
+
+    /// `(dims, per node: tokens, numerics, type, edges (u, v, type))`.
+    type Spec = (
+        usize,
+        Vec<(Vec<String>, Vec<f64>, u32)>,
+        Vec<(u32, u32, u32)>,
+    );
+
+    fn arb_spec() -> impl Strategy<Value = Spec> {
+        (0usize..3, 1usize..24).prop_flat_map(|(dims, n)| {
+            let nodes = prop::collection::vec(
+                (
+                    node_tokens(),
+                    prop::collection::vec(arb_value(), dims),
+                    0u32..3,
+                ),
+                n,
+            );
+            let edges = prop::collection::vec((0..n as u32, 0..n as u32, 0u32..2), 0..48);
+            (Just(dims), nodes, edges)
+        })
+    }
+
+    fn homogeneous((dims, nodes, edges): &Spec) -> AttributedGraph {
+        let mut b = GraphBuilder::new(*dims);
+        for (toks, numeric, _) in nodes {
+            let toks: Vec<&str> = toks.iter().map(String::as_str).collect();
+            b.add_node(&toks, numeric);
+        }
+        for &(u, v, _) in edges {
+            b.add_edge(u, v).unwrap();
+        }
+        b.build().unwrap()
+    }
+
+    fn hetero((dims, nodes, edges): &Spec) -> HeteroGraph {
+        let mut b = HeteroGraphBuilder::new(*dims);
+        for t in ["author", "paper", "venue"] {
+            b.node_type(t);
+        }
+        for t in ["writes", "cites"] {
+            b.edge_type(t);
+        }
+        for (toks, numeric, ty) in nodes {
+            let toks: Vec<&str> = toks.iter().map(String::as_str).collect();
+            b.add_node(*ty, &toks, numeric);
+        }
+        for &(u, v, ty) in edges {
+            b.add_edge(u, v, ty).unwrap();
+        }
+        b.build()
+    }
+
+    fn bits(row: &[f64]) -> Vec<u64> {
+        row.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn same_graph(a: &AttributedGraph, b: &AttributedGraph) -> Result<(), TestCaseError> {
+        prop_assert_eq!((a.n(), a.m()), (b.n(), b.m()));
+        prop_assert_eq!(a.attrs().dims(), b.attrs().dims());
+        prop_assert_eq!(a.interner().len(), b.interner().len());
+        for t in 0..a.interner().len() as u32 {
+            prop_assert_eq!(a.interner().name(t), b.interner().name(t));
+        }
+        for v in 0..a.n() as u32 {
+            prop_assert_eq!(a.neighbors(v), b.neighbors(v));
+            prop_assert_eq!(a.tokens(v), b.tokens(v));
+            prop_assert_eq!(bits(a.numeric_raw(v)), bits(b.numeric_raw(v)));
+            prop_assert_eq!(bits(a.numeric(v)), bits(b.numeric(v)));
+        }
+        Ok(())
+    }
+
+    fn same_hetero(a: &HeteroGraph, b: &HeteroGraph) -> Result<(), TestCaseError> {
+        prop_assert_eq!((a.n(), a.m()), (b.n(), b.m()));
+        prop_assert_eq!(a.node_type_count(), b.node_type_count());
+        prop_assert_eq!(a.edge_type_count(), b.edge_type_count());
+        let (x, y) = (a.attrs(), b.attrs());
+        prop_assert_eq!(x.dims(), y.dims());
+        prop_assert_eq!(x.interner().len(), y.interner().len());
+        for t in 0..x.interner().len() as u32 {
+            prop_assert_eq!(x.interner().name(t), y.interner().name(t));
+        }
+        for v in 0..a.n() as u32 {
+            prop_assert_eq!(a.node_type(v), b.node_type(v));
+            prop_assert_eq!(a.neighbors(v), b.neighbors(v));
+            prop_assert_eq!(a.neighbor_edge_types(v), b.neighbor_edge_types(v));
+            prop_assert_eq!(x.tokens(v), y.tokens(v));
+            prop_assert_eq!(bits(x.numeric_raw(v)), bits(y.numeric_raw(v)));
+            prop_assert_eq!(bits(x.numeric_normalized(v)), bits(y.numeric_normalized(v)));
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn homogeneous_graphs_read_back_as_written(spec in arb_spec()) {
+            let g = homogeneous(&spec);
+            let mut first = Vec::new();
+            write_graph(&g, &mut first).expect("every token is writable");
+            let back = read_graph(&first[..]).expect("a written graph reads back");
+            same_graph(&back, &g)?;
+            let mut second = Vec::new();
+            write_graph(&back, &mut second).unwrap();
+            prop_assert!(first == second, "second write differs");
+        }
+
+        #[test]
+        fn hetero_graphs_read_back_as_written(spec in arb_spec()) {
+            let g = hetero(&spec);
+            let mut first = Vec::new();
+            write_hetero_graph(&g, &mut first).expect("every token is writable");
+            let back = read_hetero_graph(&first[..]).expect("a written graph reads back");
+            same_hetero(&back, &g)?;
+            let mut second = Vec::new();
+            write_hetero_graph(&back, &mut second).unwrap();
+            prop_assert!(first == second, "second write differs");
+        }
+    }
+}

@@ -160,3 +160,34 @@ fn non_finite_numbers_are_typed_errors_that_write_nothing() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// An update whose token field holds an empty token is refused where the
+/// script is read: accepting `set-attrs 0 ,` saved node 0 as
+/// `node 0  0.33 0.76`, a line that no longer loads. The graph file
+/// reader refuses the same field.
+#[test]
+fn empty_tokens_are_typed_errors_that_write_nothing() {
+    let dir = std::env::temp_dir().join(format!("csag-cli-empty-token-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = |name: &str| dir.join(name).to_str().expect("utf-8 temp path").to_owned();
+    let (graph, script, out) = (path("g.txt"), path("u.txt"), path("out.txt"));
+    let text = "csag-graph v1\ndims 2\nnode 0 a 0 0.5\nnode 1 a 1 0.5\nedge 0 1\n";
+    std::fs::write(&graph, text).expect("write graph");
+    std::fs::write(&script, "set-attrs 0 ,\n").expect("write script");
+
+    let (code, err) = csag_exit(&["update", &graph, "--script", &script, "--out", &out]);
+    assert_eq!(code, Some(1), "{err}");
+    assert!(
+        err.contains("line 1: set-attrs: empty token in `,`"),
+        "{err}"
+    );
+    assert!(!err.contains("panicked"), "{err}");
+    assert!(!std::path::Path::new(&out).exists(), "--out written");
+
+    let broken = path("broken.txt");
+    std::fs::write(&broken, text.replace("node 0 a", "node 0 ,")).expect("write graph");
+    let (code, err) = csag_exit(&["stats", &broken]);
+    assert_eq!(code, Some(1), "{err}");
+    assert!(err.contains("line 3: empty token in `,`"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
