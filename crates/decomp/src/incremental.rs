@@ -62,7 +62,7 @@ use crate::ktruss::{for_common_in_rows, node_max_trussness, truss_decomposition,
 use csag_graph::{AttributedGraph, MutableGraph, NodeId};
 
 /// Neighbor access shared by the immutable CSR graph and the evolving
-/// store's [`MutableGraph`] working copy, so the core repair can run
+/// store's [`MutableGraph`] edit overlay, so the core repair can run
 /// directly on whichever representation holds the *post-update* adjacency.
 pub trait NeighborAccess {
     /// Number of nodes.

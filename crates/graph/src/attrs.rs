@@ -156,7 +156,9 @@ impl fmt::Debug for TokenInterner {
 /// The interner is shared, not copied, by everything derived from one
 /// graph (restrictions, snapshots of a [`crate::update::MutableGraph`]);
 /// a copy, made only when an update brings a token nobody has seen, is
-/// three buffer copies of the whole vocabulary.
+/// three buffer copies of the whole vocabulary. The block itself is
+/// shared too: a graph holds it behind an `Arc`, and an overlay's snapshot
+/// after a batch that changed no attribute points at its base's block.
 #[derive(Clone, Debug)]
 pub struct NodeAttributes {
     pub(crate) interner: Arc<TokenInterner>,
@@ -220,18 +222,15 @@ impl NodeAttributes {
     }
 
     /// Builds attribute storage from per-node token-id lists and numeric
-    /// rows. Token lists are sorted and deduplicated; numeric rows are
-    /// min-max normalized per dimension (constant dimensions normalize
-    /// to 0).
+    /// rows. Token lists are sorted and deduplicated, then handed to
+    /// [`NodeAttributes::from_flat`].
     pub(crate) fn from_rows(
         interner: impl Into<Arc<TokenInterner>>,
         token_rows: Vec<Vec<u32>>,
         dims: usize,
         numeric: Vec<f64>,
     ) -> Self {
-        let n = token_rows.len();
-        debug_assert_eq!(numeric.len(), n * dims);
-        let mut token_offsets = Vec::with_capacity(n + 1);
+        let mut token_offsets = Vec::with_capacity(token_rows.len() + 1);
         token_offsets.push(0usize);
         let mut tokens = Vec::new();
         for mut row in token_rows {
@@ -240,6 +239,26 @@ impl NodeAttributes {
             tokens.extend_from_slice(&row);
             token_offsets.push(tokens.len());
         }
+        NodeAttributes::from_flat(interner.into(), token_offsets, tokens, dims, numeric)
+    }
+
+    /// Builds attribute storage from token rows already in flat form
+    /// (each row sorted and deduplicated) and numeric rows, which are
+    /// min-max normalized per dimension (constant dimensions normalize to
+    /// 0). Every attribute block, built or published, is normalized here.
+    pub(crate) fn from_flat(
+        interner: Arc<TokenInterner>,
+        token_offsets: Vec<usize>,
+        tokens: Vec<u32>,
+        dims: usize,
+        numeric: Vec<f64>,
+    ) -> Self {
+        let n = token_offsets.len() - 1;
+        debug_assert_eq!(numeric.len(), n * dims);
+        debug_assert!((0..n).all(|v| {
+            let row = &tokens[token_offsets[v]..token_offsets[v + 1]];
+            row.windows(2).all(|w| w[0] < w[1])
+        }));
 
         // Ranges are kept only for dimensions some row backs up: a graph
         // without nodes answers `(0, 0)` from `dim_range` rather than
@@ -256,9 +275,15 @@ impl NodeAttributes {
         let mut normalized = Vec::with_capacity(numeric.len());
         for row in numeric.chunks_exact(dims.max(1)) {
             for (d, &x) in row.iter().enumerate() {
-                let range = dim_max[d] - dim_min[d];
-                normalized.push(if range > 0.0 {
-                    (x - dim_min[d]) / range
+                let (lo, hi) = (dim_min[d], dim_max[d]);
+                let range = hi - lo;
+                normalized.push(if range == f64::INFINITY {
+                    // Finite extremes whose difference overflows: halving
+                    // every term keeps the quotient finite, monotone and
+                    // exactly 0 and 1 at the extremes.
+                    (x / 2.0 - lo / 2.0) / (hi / 2.0 - lo / 2.0)
+                } else if range > 0.0 {
+                    (x - lo) / range
                 } else {
                     0.0
                 });
@@ -266,7 +291,7 @@ impl NodeAttributes {
         }
 
         NodeAttributes {
-            interner: interner.into(),
+            interner,
             token_offsets,
             tokens,
             dims,
@@ -366,6 +391,28 @@ mod tests {
         );
         assert_eq!(attrs.numeric_normalized(0), &[0.0]);
         assert_eq!(attrs.numeric_normalized(1), &[0.0]);
+    }
+
+    /// Finite extremes whose difference overflows `f64` still normalize
+    /// into `[0, 1]`, with the extremes at exactly 0 and 1.
+    #[test]
+    fn overflowing_range_normalizes_into_the_unit_interval() {
+        let values = vec![f64::MAX, -f64::MAX, 0.0, 1.7e308, -1.7e308, 1.0, -5e307];
+        let n = values.len();
+        let attrs = NodeAttributes::from_rows(TokenInterner::new(), vec![vec![]; n], 1, values);
+        assert_eq!(attrs.dim_range(0), (-f64::MAX, f64::MAX));
+        assert_eq!(attrs.numeric_normalized(0), &[1.0]);
+        assert_eq!(attrs.numeric_normalized(1), &[0.0]);
+        assert_eq!(attrs.numeric_normalized(2), &[0.5]);
+        for v in 0..n as u32 {
+            let x = attrs.numeric_normalized(v)[0];
+            assert!((0.0..=1.0).contains(&x), "node {v} normalizes to {x}");
+        }
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.sort_by(|&a, &b| attrs.numeric_raw(a)[0].total_cmp(&attrs.numeric_raw(b)[0]));
+        assert!(order
+            .windows(2)
+            .all(|w| attrs.numeric_normalized(w[0])[0] <= attrs.numeric_normalized(w[1])[0]));
     }
 
     #[test]

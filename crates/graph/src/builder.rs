@@ -3,6 +3,7 @@
 use crate::attrs::{NodeAttributes, TokenInterner};
 use crate::graph::AttributedGraph;
 use crate::NodeId;
+use std::sync::Arc;
 
 /// Errors raised while assembling a graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -178,11 +179,11 @@ impl GraphBuilder {
 
         let attrs =
             NodeAttributes::from_rows(self.interner, self.token_rows, self.dims, self.numeric);
-        Ok(AttributedGraph {
-            offsets: out_offsets,
-            targets: out_targets,
-            attrs,
-        })
+        Ok(AttributedGraph::from_csr_parts(
+            out_offsets,
+            out_targets,
+            Arc::new(attrs),
+        ))
     }
 }
 

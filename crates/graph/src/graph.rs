@@ -3,6 +3,7 @@
 use crate::attrs::{NodeAttributes, TokenInterner};
 use crate::NodeId;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// An undirected homogeneous graph with node attributes (paper Def. 1).
 ///
@@ -10,20 +11,26 @@ use std::collections::HashMap;
 /// indexes the sorted neighbor list of `v` inside `targets`. Every edge
 /// appears in both endpoints' lists; self-loops and parallel edges are
 /// removed at build time.
+///
+/// The attribute block sits behind an `Arc` and is never edited in place,
+/// so graphs that differ only in structure share it: an epoch published
+/// by [`crate::update::MutableGraph`] from a batch that touched no
+/// attribute points at its predecessor's block.
 #[derive(Clone, Debug)]
 pub struct AttributedGraph {
     pub(crate) offsets: Vec<usize>,
     pub(crate) targets: Vec<NodeId>,
-    pub(crate) attrs: NodeAttributes,
+    pub(crate) attrs: Arc<NodeAttributes>,
 }
 
 impl AttributedGraph {
-    /// Assembles a graph from already-validated CSR parts (the builder and
-    /// the [`crate::update::MutableGraph`] snapshot path both end here).
+    /// Assembles a graph from already-validated CSR parts (the builder,
+    /// the [`crate::update::MutableGraph`] snapshot path and the
+    /// restrictions all end here).
     pub(crate) fn from_csr_parts(
         offsets: Vec<usize>,
         targets: Vec<NodeId>,
-        attrs: NodeAttributes,
+        attrs: Arc<NodeAttributes>,
     ) -> Self {
         debug_assert_eq!(offsets.len(), attrs.n() + 1);
         AttributedGraph {
@@ -178,13 +185,9 @@ impl AttributedGraph {
             offsets.push(targets.len());
         }
 
-        let attrs = self.attrs.restrict(&sorted);
+        let attrs = Arc::new(self.attrs.restrict(&sorted));
         InducedSubgraph {
-            graph: AttributedGraph {
-                offsets,
-                targets,
-                attrs,
-            },
+            graph: AttributedGraph::from_csr_parts(offsets, targets, attrs),
             to_original: sorted,
             from_original,
         }

@@ -11,6 +11,7 @@ use crate::bitset::FixedBitSet;
 use crate::graph::AttributedGraph;
 use crate::NodeId;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Dense node-type identifier.
 pub type NodeTypeId = u32;
@@ -234,12 +235,8 @@ impl HeteroGraph {
             offsets.push(adj.len());
         }
 
-        let attrs = self.attrs.restrict(&targets_of_type);
-        let graph = AttributedGraph {
-            offsets,
-            targets: adj,
-            attrs,
-        };
+        let attrs = Arc::new(self.attrs.restrict(&targets_of_type));
+        let graph = AttributedGraph::from_csr_parts(offsets, adj, attrs);
         ProjectedGraph {
             graph,
             to_original: targets_of_type,
@@ -277,12 +274,8 @@ impl HeteroGraph {
             }
             offsets.push(adj.len());
         }
-        let attrs = self.attrs.restrict(&nodes);
-        let graph = AttributedGraph {
-            offsets,
-            targets: adj,
-            attrs,
-        };
+        let attrs = Arc::new(self.attrs.restrict(&nodes));
+        let graph = AttributedGraph::from_csr_parts(offsets, adj, attrs);
         ProjectedGraph {
             graph,
             to_original: nodes,

@@ -1,23 +1,29 @@
 //! Graph deltas: [`GraphUpdate`] descriptions and the [`MutableGraph`]
-//! working copy that applies them and publishes immutable CSR snapshots.
+//! overlay that applies them and publishes immutable CSR snapshots.
 //!
 //! The CSR layout of [`AttributedGraph`] is the right shape for querying
 //! but the wrong shape for editing, so evolving-graph support splits the
-//! two concerns: a [`MutableGraph`] keeps per-node adjacency vectors and
-//! raw attribute rows that each [`GraphUpdate`] edits in `O(degree)`, and
-//! [`MutableGraph::snapshot`] rebuilds an immutable [`AttributedGraph`]
-//! (fresh CSR, fresh min-max normalization — exactly what
-//! [`crate::GraphBuilder::build`] would produce from the same rows) for
-//! publication. The engine's `GraphStore` owns one working copy per
-//! store, applies update batches to it, and hands the snapshot of each
-//! epoch to queries.
+//! two concerns without copying the graph: a [`MutableGraph`] is an edit
+//! overlay on a shared, published graph. It holds only what updates
+//! changed — the edited adjacency and token rows, found through a dense
+//! per-node slot index, and a copy of the raw numerics once an update
+//! writes one — and each [`GraphUpdate`] edits it in `O(degree)`.
+//! [`MutableGraph::snapshot`] splices the edited rows into copies of the
+//! base's flat arrays and yields an immutable [`AttributedGraph`] (fresh
+//! CSR, fresh min-max normalization — exactly what
+//! [`crate::GraphBuilder::build`] would produce from the same rows). A
+//! snapshot of a batch that changed no attribute shares the base's
+//! attribute block instead; a published block is never edited in place,
+//! so sharing cannot alias. The engine's `GraphStore` keeps one overlay
+//! on its current epoch's graph and turns each batch into the next
+//! epoch with [`MutableGraph::publish`].
 //!
 //! Updates are *forgiving* about redundancy — adding an edge that already
 //! exists, removing one that does not, and self-loops are no-ops, not
 //! errors (reported as [`Applied::NoOp`] so callers can count them) —
 //! but *strict* about referential integrity: out-of-range endpoints and
 //! numerical rows of the wrong dimensionality are [`GraphError`]s and
-//! leave the working copy untouched.
+//! leave the overlay untouched.
 
 use crate::attrs::{NodeAttributes, TokenInterner};
 use crate::builder::GraphError;
@@ -253,45 +259,174 @@ pub enum Applied {
     NoOp,
 }
 
-/// An editable working copy of an [`AttributedGraph`].
+/// Marks a node whose row is still the base graph's.
+const UNEDITED: u32 = u32::MAX;
+
+/// Rows edited since the base graph, laid over its flat CSR rows.
 ///
-/// Holds per-node sorted adjacency vectors plus the raw attribute rows,
-/// so edits are local: an edge toggle costs `O(deg(u) + deg(v))`, an
-/// attribute replacement `O(|row|)`. [`MutableGraph::snapshot`]
-/// rematerializes the immutable CSR graph in `O(n + m)`.
+/// `slot[v]` is [`UNEDITED`] or the index of `v`'s row in `rows`. The
+/// slot vector is dense — 4 bytes a node, allocated by the first edit —
+/// because a shard gather edits thousands of rows and pays for a map
+/// lookup on each; a node past its end is unedited.
+#[derive(Clone, Debug)]
+struct RowOverlay<T> {
+    slot: Vec<u32>,
+    rows: Vec<Vec<T>>,
+}
+
+impl<T: Copy> RowOverlay<T> {
+    fn new() -> Self {
+        RowOverlay {
+            slot: Vec::new(),
+            rows: Vec::new(),
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    fn index(&self, v: usize) -> Option<usize> {
+        match self.slot.get(v) {
+            Some(&s) if s != UNEDITED => Some(s as usize),
+            _ => None,
+        }
+    }
+
+    /// `v`'s edited row, if any.
+    fn get(&self, v: NodeId) -> Option<&[T]> {
+        self.index(v as usize).map(|i| self.rows[i].as_slice())
+    }
+
+    /// `v`'s row for editing; a first edit copies `current` (`v`'s row in
+    /// the base) with room for one more entry. `n` is the node count.
+    fn row_mut(&mut self, v: NodeId, n: usize, current: &[T]) -> &mut Vec<T> {
+        let i = match self.index(v as usize) {
+            Some(i) => i,
+            None => {
+                let mut row = Vec::with_capacity(current.len() + 1);
+                row.extend_from_slice(current);
+                self.insert(v, n, row)
+            }
+        };
+        &mut self.rows[i]
+    }
+
+    /// Replaces `v`'s row. `n` is the node count.
+    fn set(&mut self, v: NodeId, n: usize, row: Vec<T>) {
+        match self.index(v as usize) {
+            Some(i) => self.rows[i] = row,
+            None => {
+                self.insert(v, n, row);
+            }
+        }
+    }
+
+    fn insert(&mut self, v: NodeId, n: usize, row: Vec<T>) -> usize {
+        if self.slot.len() < n {
+            self.slot.resize(n, UNEDITED);
+        }
+        let i = self.rows.len();
+        // Fewer rows than nodes, and node ids are `u32`.
+        self.slot[v as usize] = i as u32;
+        self.rows.push(row);
+        i
+    }
+
+    /// The flat rows of `n` nodes: the edited row where there is one,
+    /// else the base row (`base_offsets` over `base_flat`), each unedited
+    /// stretch copied at once; a node past the base without an edited
+    /// row is empty. `capacity` sizes the flat buffer.
+    fn splice(
+        &self,
+        base_offsets: &[usize],
+        base_flat: &[T],
+        n: usize,
+        capacity: usize,
+    ) -> (Vec<usize>, Vec<T>) {
+        let base_n = base_offsets.len() - 1;
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0usize);
+        let mut flat = Vec::with_capacity(capacity);
+        let mut v = 0;
+        while v < n {
+            if let Some(row) = self.get(v as NodeId) {
+                flat.extend_from_slice(row);
+                offsets.push(flat.len());
+                v += 1;
+                continue;
+            }
+            let mut end = v + 1;
+            while end < n && self.index(end).is_none() {
+                end += 1;
+            }
+            let stop = end.min(base_n);
+            if v < stop {
+                let (from, start) = (base_offsets[v], flat.len());
+                flat.extend_from_slice(&base_flat[from..base_offsets[stop]]);
+                offsets.extend(base_offsets[v + 1..=stop].iter().map(|&o| o - from + start));
+            }
+            offsets.resize(end + 1, flat.len());
+            v = end;
+        }
+        (offsets, flat)
+    }
+}
+
+/// An editable overlay on a published [`AttributedGraph`].
+///
+/// The base graph is shared, not copied: the overlay holds only the
+/// adjacency and token rows edited since it (each a sorted `Vec`, found
+/// through a dense slot index), and a copy of the raw numerics once an
+/// update writes one. An edge toggle costs `O(deg(u) + deg(v))`, an
+/// attribute replacement `O(|row|)` — plus one copy of the numerics per
+/// batch that edits them. [`MutableGraph::snapshot`] rematerializes the
+/// immutable CSR graph in `O(n + m)`, sharing the base's attribute
+/// block when no attribute changed; [`MutableGraph::publish`] does the
+/// same and makes the result the new base.
 #[derive(Clone, Debug)]
 pub struct MutableGraph {
-    adj: Vec<Vec<NodeId>>,
-    /// Shared with the graph it came from and every snapshot it publishes;
-    /// copied only when an update brings a token nobody has seen.
+    /// The graph the overlay edits; every row it holds no edit for is
+    /// read from here.
+    base: Arc<AttributedGraph>,
+    /// Adjacency rows edited since `base`, each sorted.
+    adj: RowOverlay<NodeId>,
+    /// Token rows set since `base` (appended vertices included), each
+    /// sorted and deduplicated.
+    token_rows: RowOverlay<u32>,
+    /// Every node's raw numerics, copied from `base` by the first update
+    /// that writes one.
+    numeric: Option<Vec<f64>>,
+    /// Shared with `base` and every snapshot; copied only when an update
+    /// brings a token nobody has seen.
     interner: Arc<TokenInterner>,
-    token_rows: Vec<Vec<u32>>,
-    dims: usize,
-    numeric: Vec<f64>,
+    n: usize,
     m: usize,
 }
 
 impl MutableGraph {
-    /// Decomposes `g` into an editable working copy.
+    /// An overlay on `g` with no edits yet: a copy of its CSR arrays,
+    /// sharing its attribute block.
     pub fn from_graph(g: &AttributedGraph) -> Self {
-        let n = g.n();
-        let adj: Vec<Vec<NodeId>> = (0..n as NodeId).map(|v| g.neighbors(v).to_vec()).collect();
-        let token_rows: Vec<Vec<u32>> = (0..n as NodeId).map(|v| g.tokens(v).to_vec()).collect();
+        MutableGraph::from_arc(Arc::new(g.clone()))
+    }
+
+    /// An overlay on the shared graph `base` with no edits yet (no copy).
+    pub fn from_arc(base: Arc<AttributedGraph>) -> Self {
         MutableGraph {
-            adj,
-            interner: Arc::clone(&g.attrs.interner),
-            token_rows,
-            dims: g.attrs().dims(),
-            numeric: (0..n as NodeId)
-                .flat_map(|v| g.numeric_raw(v).iter().copied())
-                .collect(),
-            m: g.m(),
+            interner: Arc::clone(&base.attrs.interner),
+            n: base.n(),
+            m: base.m(),
+            adj: RowOverlay::new(),
+            token_rows: RowOverlay::new(),
+            numeric: None,
+            base,
         }
     }
 
     /// Number of nodes.
     pub fn n(&self) -> usize {
-        self.adj.len()
+        self.n
     }
 
     /// Number of undirected edges.
@@ -301,37 +436,49 @@ impl MutableGraph {
 
     /// Numerical dimensionality every node row must match.
     pub fn dims(&self) -> usize {
-        self.dims
+        self.base.attrs.dims
     }
 
     /// Sorted neighbor list of `v`.
     pub fn neighbors(&self, v: NodeId) -> &[NodeId] {
-        &self.adj[v as usize]
+        self.adj
+            .get(v)
+            .unwrap_or_else(|| base_neighbors(&self.base, v))
     }
 
     /// Whether the undirected edge `{u, v}` exists.
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        self.adj[u as usize].binary_search(&v).is_ok()
+        self.neighbors(u).binary_search(&v).is_ok()
     }
 
     fn check_node(&self, node: NodeId) -> Result<(), GraphError> {
-        if (node as usize) < self.n() {
+        if (node as usize) < self.n {
             Ok(())
         } else {
-            Err(GraphError::NodeOutOfRange { node, n: self.n() })
+            Err(GraphError::NodeOutOfRange { node, n: self.n })
         }
     }
 
     fn check_dims(&self, node: NodeId, row: &[f64]) -> Result<(), GraphError> {
-        if row.len() == self.dims {
+        if row.len() == self.dims() {
             Ok(())
         } else {
             Err(GraphError::DimMismatch {
                 node,
-                expected: self.dims,
+                expected: self.dims(),
                 got: row.len(),
             })
         }
+    }
+
+    /// `a`'s adjacency row for editing.
+    fn adj_row(&mut self, a: NodeId) -> &mut Vec<NodeId> {
+        self.adj.row_mut(a, self.n, base_neighbors(&self.base, a))
+    }
+
+    fn numeric_mut(&mut self) -> &mut Vec<f64> {
+        self.numeric
+            .get_or_insert_with(|| self.base.attrs.numeric.clone())
     }
 
     /// Applies one update, reporting what changed.
@@ -339,7 +486,7 @@ impl MutableGraph {
     /// # Errors
     /// [`GraphError::NodeOutOfRange`] for unknown endpoints/nodes,
     /// [`GraphError::DimMismatch`] for numerical rows of the wrong width.
-    /// On error the working copy is unchanged.
+    /// On error the overlay is unchanged.
     pub fn apply(&mut self, update: &GraphUpdate) -> Result<Applied, GraphError> {
         match update {
             GraphUpdate::AddEdge { u, v } => {
@@ -349,7 +496,7 @@ impl MutableGraph {
                     return Ok(Applied::NoOp);
                 }
                 for (a, b) in [(*u, *v), (*v, *u)] {
-                    let row = &mut self.adj[a as usize];
+                    let row = self.adj_row(a);
                     let pos = row.binary_search(&b).unwrap_err();
                     row.insert(pos, b);
                 }
@@ -363,7 +510,7 @@ impl MutableGraph {
                     return Ok(Applied::NoOp);
                 }
                 for (a, b) in [(*u, *v), (*v, *u)] {
-                    let row = &mut self.adj[a as usize];
+                    let row = self.adj_row(a);
                     let pos = row.binary_search(&b).expect("edge exists");
                     row.remove(pos);
                 }
@@ -371,14 +518,14 @@ impl MutableGraph {
                 Ok(Applied::EdgeRemoved(*u, *v))
             }
             GraphUpdate::AddVertex { tokens, numeric } => {
-                let id = self.n() as NodeId;
+                let id = self.n as NodeId;
                 self.check_dims(id, numeric)?;
-                let mut row: Vec<u32> = tokens.iter().map(|t| self.intern(t)).collect();
-                row.sort_unstable();
-                row.dedup();
-                self.adj.push(Vec::new());
-                self.token_rows.push(row);
-                self.numeric.extend_from_slice(numeric);
+                let row = self.intern_row(tokens);
+                self.n += 1;
+                if !row.is_empty() {
+                    self.token_rows.set(id, self.n, row);
+                }
+                self.numeric_mut().extend_from_slice(numeric);
                 Ok(Applied::VertexAdded(id))
             }
             GraphUpdate::SetAttributes { v, tokens, numeric } => {
@@ -387,48 +534,89 @@ impl MutableGraph {
                     self.check_dims(*v, row)?;
                 }
                 if let Some(tokens) = tokens {
-                    let mut row: Vec<u32> = tokens.iter().map(|t| self.intern(t)).collect();
-                    row.sort_unstable();
-                    row.dedup();
-                    self.token_rows[*v as usize] = row;
+                    let row = self.intern_row(tokens);
+                    self.token_rows.set(*v, self.n, row);
                 }
                 if let Some(row) = numeric {
-                    let base = *v as usize * self.dims;
-                    self.numeric[base..base + self.dims].copy_from_slice(row);
+                    let start = *v as usize * self.dims();
+                    self.numeric_mut()[start..start + row.len()].copy_from_slice(row);
                 }
                 Ok(Applied::AttributesSet(*v))
             }
         }
     }
 
-    fn intern(&mut self, token: &str) -> u32 {
-        match self.interner.get(token) {
-            Some(id) => id,
-            None => Arc::make_mut(&mut self.interner).intern(token),
-        }
+    /// The sorted, deduplicated ids of `tokens`, interning new ones.
+    fn intern_row(&mut self, tokens: &[String]) -> Vec<u32> {
+        let mut row: Vec<u32> = tokens
+            .iter()
+            .map(|t| match self.interner.get(t) {
+                Some(id) => id,
+                None => Arc::make_mut(&mut self.interner).intern(t),
+            })
+            .collect();
+        row.sort_unstable();
+        row.dedup();
+        row
     }
 
     /// Rebuilds the immutable CSR snapshot: identical to what
     /// [`crate::GraphBuilder`] would produce from the current rows, with
     /// min-max normalization recomputed over the *current* attribute
     /// values (so distances in the snapshot match a from-scratch build of
-    /// the updated graph bit-for-bit).
+    /// the updated graph bit-for-bit). When no update since the base
+    /// changed an attribute, the snapshot shares the base's attribute
+    /// block instead.
     pub fn snapshot(&self) -> AttributedGraph {
-        let n = self.n();
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0usize);
-        let mut targets = Vec::with_capacity(2 * self.m);
-        for row in &self.adj {
-            targets.extend_from_slice(row);
-            offsets.push(targets.len());
-        }
-        let attrs = NodeAttributes::from_rows(
-            Arc::clone(&self.interner),
-            self.token_rows.clone(),
-            self.dims,
-            self.numeric.clone(),
-        );
+        self.materialize(self.numeric.clone())
+    }
+
+    /// [`MutableGraph::snapshot`], shared, and made the base of an overlay
+    /// with no edits: what a store publishes as its next epoch.
+    pub fn publish(&mut self) -> Arc<AttributedGraph> {
+        let numeric = self.numeric.take();
+        let graph = Arc::new(self.materialize(numeric));
+        *self = MutableGraph::from_arc(Arc::clone(&graph));
+        graph
+    }
+
+    /// The snapshot, given the overlay's numerics (`None` when no update
+    /// wrote one).
+    fn materialize(&self, numeric: Option<Vec<f64>>) -> AttributedGraph {
+        let base = &self.base;
+        let (offsets, targets) = self
+            .adj
+            .splice(&base.offsets, &base.targets, self.n, 2 * self.m);
+        let attrs = if self.n == base.n() && self.token_rows.is_empty() && numeric.is_none() {
+            Arc::clone(&base.attrs)
+        } else {
+            // A fresh block: the published one is never edited.
+            let old = &base.attrs;
+            let edited: usize = self.token_rows.rows.iter().map(Vec::len).sum();
+            let (token_offsets, tokens) = self.token_rows.splice(
+                &old.token_offsets,
+                &old.tokens,
+                self.n,
+                old.tokens.len() + edited,
+            );
+            Arc::new(NodeAttributes::from_flat(
+                Arc::clone(&self.interner),
+                token_offsets,
+                tokens,
+                old.dims,
+                numeric.unwrap_or_else(|| old.numeric.clone()),
+            ))
+        };
         AttributedGraph::from_csr_parts(offsets, targets, attrs)
+    }
+}
+
+/// `v`'s row in `base`; empty for a node appended since.
+fn base_neighbors(base: &AttributedGraph, v: NodeId) -> &[NodeId] {
+    if (v as usize) < base.n() {
+        base.neighbors(v)
+    } else {
+        &[]
     }
 }
 
@@ -533,6 +721,89 @@ mod tests {
             }
             assert_eq!(names(&snap, v), names(&fresh, v), "tokens of {v}");
         }
+    }
+
+    fn graph_bytes(g: &AttributedGraph) -> Vec<u8> {
+        let mut out = Vec::new();
+        crate::io::write_graph(g, &mut out).unwrap();
+        out
+    }
+
+    /// An empty batch publishes an equal graph, and a batch that edits
+    /// only structure publishes one pointing at its predecessor's
+    /// attribute block, leaving the predecessor as it was.
+    #[test]
+    fn structural_publish_shares_the_attribute_block() {
+        let base = Arc::new(sample());
+        let before = graph_bytes(&base);
+        let mut m = MutableGraph::from_arc(Arc::clone(&base));
+        let empty = m.publish();
+        assert!(Arc::ptr_eq(&empty.attrs, &base.attrs));
+        assert_eq!(graph_bytes(&empty), before);
+
+        m.apply(&GraphUpdate::AddEdge { u: 0, v: 2 }).unwrap();
+        m.apply(&GraphUpdate::RemoveEdge { u: 0, v: 1 }).unwrap();
+        m.apply(&GraphUpdate::SetAttributes {
+            v: 1,
+            tokens: None,
+            numeric: None,
+        })
+        .unwrap();
+        let next = m.publish();
+        assert!(Arc::ptr_eq(&next.attrs, &base.attrs));
+        assert!(next.has_edge(0, 2) && !next.has_edge(0, 1));
+        assert_eq!(
+            graph_bytes(&base),
+            before,
+            "the previous epoch is untouched"
+        );
+        // The overlay is rebased onto what it published, with no edits.
+        assert!(Arc::ptr_eq(&m.base, &next));
+        assert!(m.adj.slot.is_empty() && m.adj.is_empty());
+    }
+
+    /// A batch that edits attributes publishes a fresh block whose
+    /// normalization is bit-identical to a builder rebuild.
+    #[test]
+    fn attribute_publish_builds_a_fresh_block_like_a_rebuild() {
+        let base = Arc::new(sample());
+        let before = graph_bytes(&base);
+        let mut m = MutableGraph::from_arc(Arc::clone(&base));
+        m.apply(&GraphUpdate::SetAttributes {
+            v: 2,
+            tokens: Some(vec!["drama".into()]),
+            numeric: Some(vec![7.5]),
+        })
+        .unwrap();
+        m.apply(&GraphUpdate::AddVertex {
+            tokens: vec![],
+            numeric: vec![-1.25],
+        })
+        .unwrap();
+        m.apply(&GraphUpdate::AddEdge { u: 3, v: 1 }).unwrap();
+        let next = m.publish();
+        assert!(!Arc::ptr_eq(&next.attrs, &base.attrs));
+        assert_eq!(
+            graph_bytes(&base),
+            before,
+            "the previous epoch is untouched"
+        );
+        assert_eq!(base.numeric(2), &[1.0]);
+
+        let mut b = GraphBuilder::new(1);
+        b.add_node(&["movie"], &[1.0]);
+        b.add_node(&["movie", "crime"], &[2.0]);
+        b.add_node(&["drama"], &[7.5]);
+        b.add_node(&[], &[-1.25]);
+        for (u, v) in [(0, 1), (1, 2), (3, 1)] {
+            b.add_edge(u, v).unwrap();
+        }
+        let fresh = b.build().unwrap();
+        assert_eq!(graph_bytes(&next), graph_bytes(&fresh));
+        let bits =
+            |a: &NodeAttributes| -> Vec<u64> { a.normalized.iter().map(|x| x.to_bits()).collect() };
+        assert_eq!(bits(&next.attrs), bits(&fresh.attrs));
+        assert_eq!(next.attrs().dim_range(0), (-1.25, 7.5));
     }
 
     #[test]
@@ -640,7 +911,7 @@ set-attrs 0 drama
     }
 
     /// Snapshots share the vocabulary until an update interns a new token;
-    /// then the working copy takes a private copy and published snapshots
+    /// then the overlay takes a private copy and published snapshots
     /// keep theirs.
     #[test]
     fn interner_is_shared_until_a_new_token_arrives() {

@@ -1,11 +1,14 @@
 //! The evolving-graph store: epoch-stamped snapshots over a mutable
 //! attributed graph.
 //!
-//! A [`GraphStore`] owns the one *mutable* copy of a graph and publishes
+//! A [`GraphStore`] owns the writer's edit overlay ([`MutableGraph`]) on
+//! the published graph — the graph itself exists once — and publishes
 //! an immutable [`Engine`] per **epoch**. [`GraphStore::apply`] takes a
-//! batch of [`GraphUpdate`]s, edits the working copy, repairs what the
-//! batch changed of the cached decompositions, and atomically swaps in
-//! the next epoch's engine — queries already running keep reading their
+//! batch of [`GraphUpdate`]s, edits the overlay, repairs what the batch
+//! changed of the cached decompositions, publishes the overlay as the
+//! next epoch's graph (sharing the previous attribute block when the
+//! batch touched no attribute), and atomically swaps in the next
+//! epoch's engine — queries already running keep reading their
 //! epoch's snapshot untouched, while every query started after the swap
 //! sees the updated graph. [`GraphStore::snapshot`] is how readers pin an
 //! epoch.
@@ -15,7 +18,7 @@
 //! The expensive per-graph state is carried forward instead of rebuilt:
 //!
 //! * **Node trussness** is repaired edge by edge by a
-//!   [`csag_decomp::TrussMaintainer`] fed next to the working copy: each
+//!   [`csag_decomp::TrussMaintainer`] fed next to the edit overlay: each
 //!   update touches only the edges whose trussness moves and their
 //!   triangle neighbours, whatever the size of the graph. The maintainer
 //!   is seeded by the first batch applied after some query made
@@ -267,6 +270,8 @@ impl std::ops::Deref for Snapshot {
 /// State guarded by the store's update lock (one writer at a time;
 /// readers never touch it).
 struct StoreState {
+    /// Edits since the current epoch, over that epoch's graph (shared
+    /// with its engine).
     mutable: MutableGraph,
     /// Per-edge trussness of `mutable`, once some query made the node
     /// table resident (see [`GraphStore::apply`]); `None` while lazy.
@@ -467,7 +472,7 @@ impl GraphStore {
     /// `graph` at `epoch`: one full core peel, nothing carried over.
     fn fresh_epoch(graph: Arc<AttributedGraph>, epoch: u64) -> (StoreState, Arc<Engine>) {
         let state = StoreState {
-            mutable: MutableGraph::from_graph(&graph),
+            mutable: MutableGraph::from_arc(Arc::clone(&graph)),
             truss: None,
             epoch,
         };
@@ -747,7 +752,7 @@ impl GraphStore {
         // Publish the applied prefix as the next epoch (no-op batches
         // still bump the epoch — an epoch is "apply happened", which
         // keeps report numbering simple and observable).
-        let new_graph = Arc::new(state.mutable.snapshot());
+        let new_graph = state.mutable.publish();
 
         // Coreness: one peel if an edge moved; otherwise the old table,
         // with core 0 for every vertex the batch appended.

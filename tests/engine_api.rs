@@ -445,3 +445,48 @@ fn a_certified_sea_answer_reports_the_interval_of_the_community_it_returns() {
     assert!(satisfies_error_bound(fired.moe, fired.delta_star, e));
     assert!(fired.delta_star > r.delta && fired.moe != cert.moe);
 }
+
+/// Finite numerics whose range overflows `f64` (`max − min = +∞`) used to
+/// normalize to NaN, and every SEA and Exact read then panicked sorting
+/// distances. Both kinds of graph — one a store published from such
+/// updates, one read from a file holding them — must answer with a
+/// finite δ.
+#[test]
+fn overflowing_numeric_ranges_still_answer_with_finite_deltas() {
+    use csag::engine::{GraphStore, GraphUpdate};
+    use csag::graph::io::{read_graph, write_graph};
+
+    let (g, _) = generate(
+        &SyntheticConfig {
+            nodes: 60,
+            communities: 3,
+            ..Default::default()
+        },
+        7,
+    );
+    let store = GraphStore::new(g);
+    let batch =
+        GraphUpdate::parse_script("set-attrs 0 - 1.7e308 0.5\nset-attrs 1 - -1.7e308 0.5\n")
+            .unwrap();
+    store.apply(&batch).unwrap();
+    let mut text = Vec::new();
+    write_graph(store.snapshot().graph(), &mut text).unwrap();
+    let from_file = Engine::new(read_graph(&text[..]).unwrap());
+
+    let queries = [
+        CommunityQuery::new(Method::Sea, 0).with_k(3).with_seed(1),
+        CommunityQuery::new(Method::Exact, 0)
+            .with_k(3)
+            .with_state_budget(2_000),
+    ];
+    for query in &queries {
+        for (source, result) in [("store", store.run(query)), ("file", from_file.run(query))] {
+            let delta = result.unwrap().delta;
+            assert!(
+                delta.is_finite(),
+                "{:?} on the {source} graph: δ = {delta}",
+                query.method
+            );
+        }
+    }
+}
