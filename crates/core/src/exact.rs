@@ -251,8 +251,24 @@ impl<'g> Exact<'g> {
             ));
         }
         let start = Instant::now();
-        let mut maintainer = Maintainer::new(self.g, self.index, params.model, params.k);
-        let root = root_of(&mut maintainer, q)?;
+        let mut maintainer =
+            Maintainer::in_workspace(self.g, self.index, params.model, params.k, ws);
+        let result = self.search(q, params, dist, &mut maintainer, ws, start);
+        maintainer.release(ws);
+        result
+    }
+
+    /// The search proper, peeling through `maintainer`.
+    fn search(
+        &self,
+        q: NodeId,
+        params: &ExactParams,
+        dist: &QueryDistances,
+        maintainer: &mut Maintainer<'_>,
+        ws: &mut QueryWorkspace,
+        start: Instant,
+    ) -> Result<ExactResult, CsagError> {
+        let root = root_of(maintainer, q)?;
 
         dist.warm(self.g, &root);
         let root_delta = dist.delta(self.g, &root);
@@ -270,7 +286,7 @@ impl<'g> Exact<'g> {
         let past_deadline = || deadline.is_some_and(|d| Instant::now() >= d);
         let mut incumbent = (root.clone(), root_delta);
         prefix_ladder(
-            &mut maintainer,
+            maintainer,
             dist,
             &root,
             params.model.min_size(params.k),
@@ -337,14 +353,7 @@ impl<'g> Exact<'g> {
             unexplored_bound: f64::INFINITY,
             free: Vec::new(),
         };
-        enumerate(
-            &mut ctx,
-            &mut maintainer,
-            dist,
-            &root,
-            root_delta,
-            f64::INFINITY,
-        );
+        enumerate(&mut ctx, maintainer, dist, &root, root_delta, f64::INFINITY);
 
         Ok(ExactResult {
             delta: ctx.best_delta,

@@ -440,6 +440,9 @@ struct PopulationBufs {
     root: Vec<NodeId>,
     data: Vec<f64>,
     best_comm: Vec<NodeId>,
+    /// [`Blb::estimate_into`]'s scratch.
+    blb_values: Vec<f64>,
+    blb_indices: Vec<u32>,
 }
 
 /// Runs sampling + estimation + incremental sampling over a *population*:
@@ -502,9 +505,9 @@ fn search_population<R: Rng + ?Sized>(
             ))
         }
     };
-    let maintainer = Maintainer::new(g, sea.index, params.model, params.k);
     // Checked out of the caller's workspace up front so every exit path
     // of the search returns them.
+    let mut maintainer = Maintainer::in_workspace(g, sea.index, params.model, params.k, ws);
     let mut bufs = PopulationBufs {
         weights: ws.take_f64s(),
         in_sample: ws.take_bitset(population.len()),
@@ -514,9 +517,20 @@ fn search_population<R: Rng + ?Sized>(
         root: ws.take_nodes(),
         data: ws.take_f64s(),
         best_comm: ws.take_nodes(),
+        blb_values: ws.take_f64s(),
+        blb_indices: ws.take_nodes(),
     };
     bufs.in_sample.insert(q_pos as u32);
-    let res = sea_population_inner(maintainer, population, dist, params, rng, &mut bufs, ws);
+    let res = sea_population_inner(
+        &mut maintainer,
+        population,
+        dist,
+        params,
+        rng,
+        &mut bufs,
+        ws,
+    );
+    maintainer.release(ws);
     ws.put_f64s(bufs.weights);
     ws.put_bitset(bufs.in_sample);
     ws.put_scored(bufs.keys);
@@ -525,13 +539,15 @@ fn search_population<R: Rng + ?Sized>(
     ws.put_nodes(bufs.root);
     ws.put_f64s(bufs.data);
     ws.put_nodes(bufs.best_comm);
+    ws.put_f64s(bufs.blb_values);
+    ws.put_nodes(bufs.blb_indices);
     res
 }
 
 /// The search proper, with `q` already in the sample; the ladder's scratch
 /// comes from `ws`.
 fn sea_population_inner<R: Rng + ?Sized>(
-    mut maintainer: Maintainer<'_>,
+    maintainer: &mut Maintainer<'_>,
     population: &[NodeId],
     dist: &QueryDistances,
     params: &SeaParams,
@@ -608,7 +624,7 @@ fn sea_population_inner<R: Rng + ?Sized>(
         let mut last_est: Option<(f64, f64, usize)> = None; // (δ⋆, ε, |S_blb|)
         let window_top = params.size_bound.map(|(_, h)| 2 * h);
         prefix_ladder(
-            &mut maintainer,
+            maintainer,
             dist,
             &bufs.root,
             params.min_members(),
@@ -635,7 +651,13 @@ fn sea_population_inner<R: Rng + ?Sized>(
                     bufs.data
                         .extend(cand.iter().filter(|&&v| v != q).map(|&v| dist.get(g, v)));
                 }
-                let est = params.blb.estimate(&bufs.data, z, rng);
+                let est = params.blb.estimate_into(
+                    &bufs.data,
+                    z,
+                    rng,
+                    &mut bufs.blb_values,
+                    &mut bufs.blb_indices,
+                );
                 last_est = Some((est.point, est.moe, est.blb_sample_size));
                 if best.is_none_or(|(d, _)| est.point < d) {
                     best = Some((est.point, est.moe));

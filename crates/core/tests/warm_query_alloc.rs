@@ -11,8 +11,9 @@
 //!   two `String`s per token — which is also why a generator graph with
 //!   pre-interned, unused pool tokens answered slower than the same graph
 //!   re-read from text);
-//! * they stay under a small fixed bound (what is left is the per-query
-//!   peel scratch, the round log and the returned community).
+//! * they stay under a small fixed bound (what is left is the round log
+//!   and the returned community; the peel scratch and the BLB buffers are
+//!   the workspace's).
 //!
 //! Keep this file at ONE `#[test]`: the allocation counter is
 //! process-wide, so a concurrently running sibling test would pollute the
@@ -109,16 +110,13 @@ fn warm_query_allocations_are_small_and_independent_of_the_vocabulary() {
     assert_eq!(large.interner().len(), 10_010);
     assert_eq!((small.n(), small.m()), (large.n(), large.m()));
 
-    // Measured: 41.6 (k-core) and 93.2 (k-truss). The k-core budget sits
-    // close enough that one more per-query `O(n)` peel scratch (a
-    // maintainer's is four arrays) fails it.
-    for (model, budget) in [
-        (CommunityModel::KCore, 44.0),
-        (CommunityModel::KTruss, 96.0),
-    ] {
-        // What is left scales with the candidates estimated (BLB allocates
-        // its subsamples per estimate), so the budget is stated for a
-        // query that certifies within a couple of rounds.
+    // Measured: 2.0 (k-core) and 2.125 (k-truss) — the round log and the
+    // returned community; the peel scratch and BLB's buffers come from
+    // the workspace. One more per-query allocation of any kind (an `O(n)`
+    // peel array, a BLB subsample per candidate) fails the budget.
+    for (model, budget) in [(CommunityModel::KCore, 2.1), (CommunityModel::KTruss, 2.2)] {
+        // A query that certifies within a couple of rounds: the round log
+        // grows with the rounds.
         let params = SeaParams::default()
             .with_k(4)
             .with_model(model)

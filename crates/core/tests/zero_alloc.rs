@@ -4,7 +4,9 @@
 //! steady-state SEA inner loop — neighborhood growth, both as the
 //! component walk and best-first, plus the [`prefix_ladder`] of candidate
 //! peels under both community models — through a reused
-//! [`QueryWorkspace`] and reused [`Maintainer`]s. After a short warm-up
+//! [`QueryWorkspace`], with a [`Maintainer`] per read that checks its peel
+//! scratch out of the workspace and hands it back, as the engine's SEA and
+//! Exact do. After a short warm-up
 //! (pools grow to their high-water mark), repeating the loop must perform
 //! **exactly zero** heap allocations.
 //!
@@ -48,14 +50,14 @@ fn planted() -> AttributedGraph {
 }
 
 /// One steady-state iteration: grow the neighborhood both ways, then walk
-/// the f-ordered prefix ladder with each maintainer, accumulating every
+/// the f-ordered prefix ladder under each model, accumulating every
 /// candidate's rung δ numerator over its size.
 fn hot_loop(
     g: &AttributedGraph,
     q: NodeId,
     dist: &QueryDistances,
     ws: &mut QueryWorkspace,
-    maintainers: &mut [Maintainer<'_>],
+    index: &EpochIndex,
     component: &mut Vec<NodeId>,
     grown: &mut Vec<NodeId>,
 ) -> f64 {
@@ -65,14 +67,16 @@ fn hot_loop(
     grow_neighborhood_into(g, q, 24, dist, ws, grown);
 
     let mut checksum = 0.0;
-    for m in maintainers.iter_mut() {
+    for (model, k) in [(CommunityModel::KCore, 3), (CommunityModel::KTruss, 4)] {
+        let mut m = Maintainer::in_workspace(g, index, model, k, ws);
         let min_members = m.min_size();
-        prefix_ladder(m, dist, grown, min_members, None, ws, |rung, cand| {
+        prefix_ladder(&mut m, dist, grown, min_members, None, ws, |rung, cand| {
             if let Some(cand) = cand {
                 checksum += rung.iter().map(|&(f, _)| f).sum::<f64>() / cand.len() as f64;
             }
             ControlFlow::Continue(())
         });
+        m.release(ws);
     }
     checksum
 }
@@ -88,22 +92,9 @@ fn steady_state_query_loop_allocates_nothing() {
     let dist = QueryDistances::new(q, g.n(), DistanceParams::default());
     let mut ws = QueryWorkspace::new();
     let index = EpochIndex::new();
-    let mut maintainers = [
-        Maintainer::new(&g, &index, CommunityModel::KCore, 3),
-        Maintainer::new(&g, &index, CommunityModel::KTruss, 4),
-    ];
     let (mut component, mut grown) = (Vec::new(), Vec::new());
-    let mut run = |ws: &mut QueryWorkspace| {
-        hot_loop(
-            &g,
-            q,
-            &dist,
-            ws,
-            &mut maintainers,
-            &mut component,
-            &mut grown,
-        )
-    };
+    let mut run =
+        |ws: &mut QueryWorkspace| hot_loop(&g, q, &dist, ws, &index, &mut component, &mut grown);
 
     // Warm-up: pools and the distance table reach their high-water mark.
     let reference = run(&mut ws);

@@ -1,6 +1,6 @@
 //! k-core decomposition and restricted k-core peeling.
 
-use csag_graph::{AttributedGraph, NodeId};
+use csag_graph::{AttributedGraph, NodeId, PeelScratch};
 
 /// Computes the coreness of every node with the O(n + m) bucket-peeling
 /// algorithm of Batagelj & Zaversnik.
@@ -74,39 +74,6 @@ pub fn avg_coreness(g: &AttributedGraph) -> f64 {
     }
 }
 
-/// Versioned scratch arrays for restricted peeling. One instance can be
-/// reused across millions of peels without clearing: each call bumps an
-/// epoch and stale entries are ignored.
-#[derive(Clone, Debug)]
-pub(crate) struct PeelScratch {
-    pub(crate) epoch: u32,
-    pub(crate) in_epoch: Vec<u32>,
-    pub(crate) rm_epoch: Vec<u32>,
-    pub(crate) vis_epoch: Vec<u32>,
-    pub(crate) deg: Vec<u32>,
-    pub(crate) stack: Vec<NodeId>,
-}
-
-impl PeelScratch {
-    pub(crate) fn new(n: usize) -> Self {
-        PeelScratch {
-            epoch: 0,
-            in_epoch: vec![0; n],
-            rm_epoch: vec![0; n],
-            vis_epoch: vec![0; n],
-            deg: vec![0; n],
-            stack: Vec::new(),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn next_epoch(&mut self) -> u32 {
-        // Epoch 0 marks "never touched"; wrap-around would take 2^32 peels.
-        self.epoch = self.epoch.checked_add(1).expect("peel epoch overflow");
-        self.epoch
-    }
-}
-
 /// Peels `nodes` down to the maximal connected k-core containing `q`, using
 /// (and reusing) `scratch`. Returns the sorted member list, or `None` if `q`
 /// does not survive.
@@ -138,10 +105,12 @@ pub(crate) fn peel_to_kcore_into(
 ) -> bool {
     out.clear();
     let e = scratch.next_epoch();
+    let [in_set, removed, visited, deg] = &mut scratch.node;
+    debug_assert!(in_set.len() >= g.n(), "scratch fitted to the graph");
     for &v in nodes {
-        scratch.in_epoch[v as usize] = e;
+        in_set[v as usize] = e;
     }
-    if scratch.in_epoch[q as usize] != e {
+    if in_set[q as usize] != e {
         return false;
     }
 
@@ -150,53 +119,53 @@ pub(crate) fn peel_to_kcore_into(
         let d = g
             .neighbors(v)
             .iter()
-            .filter(|&&w| scratch.in_epoch[w as usize] == e)
+            .filter(|&&w| in_set[w as usize] == e)
             .count() as u32;
-        scratch.deg[v as usize] = d;
+        deg[v as usize] = d;
     }
 
     // Cascade-remove nodes with restricted degree < k.
-    scratch.stack.clear();
+    let stack = &mut scratch.lists[0];
+    stack.clear();
     for &v in nodes {
-        if scratch.deg[v as usize] < k {
-            scratch.stack.push(v);
-            scratch.rm_epoch[v as usize] = e;
+        if deg[v as usize] < k {
+            stack.push(v);
+            removed[v as usize] = e;
         }
     }
-    while let Some(v) = scratch.stack.pop() {
+    while let Some(v) = stack.pop() {
         if v == q {
             // q fell out; drain the rest for cleanliness then bail.
-            scratch.stack.clear();
+            stack.clear();
             return false;
         }
         for &w in g.neighbors(v) {
             let wi = w as usize;
-            if scratch.in_epoch[wi] == e && scratch.rm_epoch[wi] != e {
-                scratch.deg[wi] -= 1;
-                if scratch.deg[wi] < k {
-                    scratch.rm_epoch[wi] = e;
-                    scratch.stack.push(w);
+            if in_set[wi] == e && removed[wi] != e {
+                deg[wi] -= 1;
+                if deg[wi] < k {
+                    removed[wi] = e;
+                    stack.push(w);
                 }
             }
         }
     }
-    if scratch.rm_epoch[q as usize] == e {
+    if removed[q as usize] == e {
         return false;
     }
 
     // Connected component of q among the survivors, by DFS on the (now
     // empty) cascade stack; `out` is sorted afterwards so the traversal
     // order is immaterial.
-    let alive =
-        |s: &PeelScratch, v: NodeId| s.in_epoch[v as usize] == e && s.rm_epoch[v as usize] != e;
-    scratch.vis_epoch[q as usize] = e;
-    scratch.stack.push(q);
-    while let Some(v) = scratch.stack.pop() {
+    visited[q as usize] = e;
+    stack.push(q);
+    while let Some(v) = stack.pop() {
         out.push(v);
         for &w in g.neighbors(v) {
-            if alive(scratch, w) && scratch.vis_epoch[w as usize] != e {
-                scratch.vis_epoch[w as usize] = e;
-                scratch.stack.push(w);
+            let wi = w as usize;
+            if in_set[wi] == e && removed[wi] != e && visited[wi] != e {
+                visited[wi] = e;
+                stack.push(w);
             }
         }
     }
@@ -204,10 +173,17 @@ pub(crate) fn peel_to_kcore_into(
     true
 }
 
+/// A scratch fitted to `n` nodes and `m` edges, for standalone peels.
+pub(crate) fn fitted_scratch(n: usize, m: usize) -> PeelScratch {
+    let mut scratch = PeelScratch::default();
+    scratch.fit(n, m);
+    scratch
+}
+
 /// Maximal connected k-core of the whole graph containing `q` (paper
 /// §IV-A), or `None` if `q` has no k-core. The result is sorted.
 pub fn max_connected_kcore(g: &AttributedGraph, q: NodeId, k: u32) -> Option<Vec<NodeId>> {
-    let mut scratch = PeelScratch::new(g.n());
+    let mut scratch = fitted_scratch(g.n(), 0);
     let all: Vec<NodeId> = (0..g.n() as NodeId).collect();
     peel_to_kcore_scratch(g, q, k, &all, &mut scratch)
 }
@@ -315,7 +291,7 @@ mod tests {
     #[test]
     fn restricted_peel_ignores_outside_nodes() {
         let g = figure2_graph();
-        let mut scratch = PeelScratch::new(g.n());
+        let mut scratch = fitted_scratch(g.n(), 0);
         // Restrict to {v1,v2,v3,v4}: edges 1-2,1-3,1-4,2-3,2-4,3-4 → a
         // 4-clique, a connected 3-core.
         let got = peel_to_kcore_scratch(&g, 1, 3, &[1, 2, 3, 4], &mut scratch).unwrap();
@@ -335,7 +311,7 @@ mod tests {
     #[test]
     fn scratch_reuse_is_clean_across_epochs() {
         let g = figure2_graph();
-        let mut scratch = PeelScratch::new(g.n());
+        let mut scratch = fitted_scratch(g.n(), 0);
         for _ in 0..100 {
             let a = peel_to_kcore_scratch(&g, 5, 3, &(0..13).collect::<Vec<_>>(), &mut scratch)
                 .unwrap();

@@ -6,9 +6,8 @@
 //! until a fixed point, then take the connected component of `q` over the
 //! surviving edges.
 
-use crate::kcore::PeelScratch;
-use csag_graph::{AttributedGraph, NodeId};
-use std::collections::VecDeque;
+use crate::kcore::fitted_scratch;
+use csag_graph::{AttributedGraph, NodeId, PeelScratch};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Edge indexes built so far in this process ([`EdgeIndex::builds`]).
@@ -86,39 +85,6 @@ impl EdgeIndex {
     }
 }
 
-/// Scratch arrays for restricted truss peeling, reusable across calls.
-#[derive(Clone, Debug)]
-pub(crate) struct TrussScratch {
-    pub(crate) node: PeelScratch,
-    /// Epoch stamp marking edges removed by the current peel.
-    edge_rm: Vec<u32>,
-    /// Triangle support of each edge in the current peel.
-    support: Vec<u32>,
-    /// Row number of each subset member in the current peel.
-    row_of: Vec<u32>,
-    /// The subset's induced rows: row `r` holds, ascending, the positions
-    /// in its member's CSR row of the neighbours inside the subset, at
-    /// `row_pos[row_start[r]..row_start[r + 1]]`.
-    row_start: Vec<u32>,
-    row_pos: Vec<u32>,
-    /// Peel queue of subcritical edges (reused across peels).
-    queue: VecDeque<(NodeId, NodeId, u32)>,
-}
-
-impl TrussScratch {
-    pub(crate) fn new(n: usize, m: usize) -> Self {
-        TrussScratch {
-            node: PeelScratch::new(n),
-            edge_rm: vec![0; m],
-            support: vec![0; m],
-            row_of: vec![0; n],
-            row_start: Vec::new(),
-            row_pos: Vec::new(),
-            queue: VecDeque::new(),
-        }
-    }
-}
-
 /// Position of the first neighbour above `u` in `u`'s sorted row.
 #[inline]
 fn forward_start(row: &[NodeId], u: NodeId) -> usize {
@@ -182,7 +148,7 @@ pub(crate) fn peel_to_ktruss_scratch(
     q: NodeId,
     k: u32,
     nodes: &[NodeId],
-    scratch: &mut TrussScratch,
+    scratch: &mut PeelScratch,
 ) -> Option<Vec<NodeId>> {
     let mut out = Vec::new();
     peel_to_ktruss_into(g, eidx, q, k, nodes, scratch, &mut out).then_some(out)
@@ -203,31 +169,31 @@ pub(crate) fn peel_to_ktruss_into(
     q: NodeId,
     k: u32,
     nodes: &[NodeId],
-    scratch: &mut TrussScratch,
+    scratch: &mut PeelScratch,
     out: &mut Vec<NodeId>,
 ) -> bool {
     out.clear();
-    let e = scratch.node.next_epoch();
+    let e = scratch.next_epoch();
+    // The node arrays: subset stamps, traversal stamps, and each member's
+    // row number; the edge arrays: removal stamps and supports. The rows
+    // hold, ascending, the positions in each member's CSR row of its
+    // neighbours inside the subset: row `r` is `row_pos[row_start[r]..
+    // row_start[r + 1]]`.
+    let PeelScratch {
+        node: [in_set, _, vis, row_of],
+        edge: [edge_rm, support],
+        lists: [dfs, row_start, row_pos],
+        queue,
+        ..
+    } = scratch;
+    debug_assert!(in_set.len() >= g.n() && edge_rm.len() >= eidx.m());
     for &v in nodes {
-        scratch.node.in_epoch[v as usize] = e;
+        in_set[v as usize] = e;
     }
-    if scratch.node.in_epoch[q as usize] != e {
+    if in_set[q as usize] != e {
         return false;
     }
     let need = k.saturating_sub(2);
-
-    // Split-borrow the scratch so node and edge tables can be used together.
-    let TrussScratch {
-        node,
-        edge_rm,
-        support,
-        row_of,
-        row_start,
-        row_pos,
-        queue,
-    } = scratch;
-    let in_epoch = &node.in_epoch;
-    let vis = &mut node.vis_epoch;
 
     // Lay out the induced rows.
     row_start.clear();
@@ -236,7 +202,7 @@ pub(crate) fn peel_to_ktruss_into(
     for (r, &u) in nodes.iter().enumerate() {
         row_of[u as usize] = r as u32;
         for (i, &v) in g.neighbors(u).iter().enumerate() {
-            if in_epoch[v as usize] == e {
+            if in_set[v as usize] == e {
                 row_pos.push(i as u32);
             }
         }
@@ -295,7 +261,6 @@ pub(crate) fn peel_to_ktruss_into(
 
     // Traverse from q over surviving edges; `out` is sorted afterwards so
     // the (stack-based) traversal order is immaterial.
-    let dfs = &mut node.stack;
     dfs.clear();
     vis[q as usize] = e;
     dfs.push(q);
@@ -348,7 +313,7 @@ pub(crate) fn node_maxima(g: &AttributedGraph, eidx: &EdgeIndex, trussness: &[u3
 /// Maximal connected k-truss of the whole graph containing `q`, or `None`.
 pub fn max_connected_ktruss(g: &AttributedGraph, q: NodeId, k: u32) -> Option<Vec<NodeId>> {
     let eidx = EdgeIndex::new(g);
-    let mut scratch = TrussScratch::new(g.n(), g.m());
+    let mut scratch = fitted_scratch(g.n(), g.m());
     let all: Vec<NodeId> = (0..g.n() as NodeId).collect();
     peel_to_ktruss_scratch(g, &eidx, q, k, &all, &mut scratch)
 }
@@ -613,7 +578,7 @@ mod tests {
     fn restricted_truss_peel_ignores_outside() {
         let g = two_cliques();
         let eidx = EdgeIndex::new(&g);
-        let mut scratch = TrussScratch::new(g.n(), g.m());
+        let mut scratch = fitted_scratch(g.n(), g.m());
         let t = peel_to_ktruss_scratch(&g, &eidx, 0, 4, &[0, 1, 2, 3], &mut scratch).unwrap();
         assert_eq!(t, vec![0, 1, 2, 3]);
         // Removing one clique node drops it to a triangle = 3-truss.
@@ -629,7 +594,7 @@ mod tests {
     fn scratch_reuse_across_epochs_is_clean() {
         let g = two_cliques();
         let eidx = EdgeIndex::new(&g);
-        let mut scratch = TrussScratch::new(g.n(), g.m());
+        let mut scratch = fitted_scratch(g.n(), g.m());
         for _ in 0..50 {
             let a = peel_to_ktruss_scratch(&g, &eidx, 0, 4, &[0, 1, 2, 3], &mut scratch).unwrap();
             assert_eq!(a, vec![0, 1, 2, 3]);

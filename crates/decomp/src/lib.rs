@@ -8,10 +8,12 @@
 //! 2. *Restricted maximality* — "the maximal connected k-core (or k-truss)
 //!    containing `q` inside this node subset". The exact enumeration of
 //!    §IV and the SEA candidate search of §V both peel thousands of node
-//!    subsets per query, so [`Maintainer`] keeps versioned scratch arrays
-//!    (epoch-stamped, never cleared) to make each restricted peel cost
-//!    O(|subset| + internal edges) with zero allocation in the steady
-//!    state.
+//!    subsets per query, so [`Maintainer`] peels on epoch-stamped scratch
+//!    arrays (cleared only when the epoch counter wraps) to make each
+//!    restricted peel cost O(|subset| + internal edges) with zero
+//!    allocation in the steady state. A query thread borrows those arrays
+//!    from its [`csag_graph::QueryWorkspace`], so a read does not
+//!    allocate them either.
 //!
 //! The [`CommunityModel`] enum abstracts over the two cohesion models so
 //! the search algorithms in `csag-core` are written once (paper §VI-C).

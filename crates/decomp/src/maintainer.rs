@@ -7,10 +7,10 @@
 //! and SEA pipeline call [`Maintainer::maximal_within`] without knowing
 //! which model is active.
 
-use crate::kcore::{peel_to_kcore_into, PeelScratch};
-use crate::ktruss::{peel_to_ktruss_into, TrussScratch};
+use crate::kcore::peel_to_kcore_into;
+use crate::ktruss::peel_to_ktruss_into;
 use crate::EpochIndex;
-use csag_graph::{AttributedGraph, NodeId};
+use csag_graph::{AttributedGraph, NodeId, PeelScratch, QueryWorkspace};
 
 /// Structure cohesiveness model (paper §II-A and §VI-C).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -42,36 +42,70 @@ impl std::fmt::Display for CommunityModel {
     }
 }
 
-enum Scratch {
-    Core(PeelScratch),
-    Truss(Box<TrussScratch>),
-}
-
 /// Repeatedly computes maximal connected communities within node subsets of
-/// one graph, amortizing scratch allocations across calls; the graph's
-/// tables come from a borrowed [`EpochIndex`].
+/// one graph; the graph's tables come from a borrowed [`EpochIndex`].
+///
+/// Every peel runs on one epoch-stamped [`PeelScratch`]: `n`-sized node
+/// arrays, plus `m`-sized edge arrays under k-truss. A standalone maintainer
+/// ([`Maintainer::new`]) allocates its own. A query-serving thread instead
+/// checks the scratch out of its [`QueryWorkspace`]
+/// ([`Maintainer::in_workspace`]) and hands it back
+/// ([`Maintainer::release`]), so a steady-state read neither allocates nor
+/// zero-fills an `O(n + m)` array.
 pub struct Maintainer<'g> {
     g: &'g AttributedGraph,
     index: &'g EpochIndex,
     model: CommunityModel,
     k: u32,
-    scratch: Scratch,
+    scratch: PeelScratch,
 }
 
 impl<'g> Maintainer<'g> {
     /// Creates a maintainer for `(model, k)` queries on `g`, whose tables
     /// `index` holds (an engine lends its own; others a fresh
-    /// [`EpochIndex::new`]). Nothing is built until a peel needs it.
+    /// [`EpochIndex::new`]), with scratch of its own. Nothing is built
+    /// until a peel needs it.
     pub fn new(
         g: &'g AttributedGraph,
         index: &'g EpochIndex,
         model: CommunityModel,
         k: u32,
     ) -> Self {
-        let scratch = match model {
-            CommunityModel::KCore => Scratch::Core(PeelScratch::new(g.n())),
-            CommunityModel::KTruss => Scratch::Truss(Box::new(TrussScratch::new(g.n(), g.m()))),
+        Self::with_scratch(g, index, model, k, PeelScratch::default())
+    }
+
+    /// Like [`Maintainer::new`], but takes the peel scratch from `ws`
+    /// (grown to `g` if it is smaller); give it back with
+    /// [`Maintainer::release`].
+    pub fn in_workspace(
+        g: &'g AttributedGraph,
+        index: &'g EpochIndex,
+        model: CommunityModel,
+        k: u32,
+        ws: &mut QueryWorkspace,
+    ) -> Self {
+        Self::with_scratch(g, index, model, k, ws.take_peel())
+    }
+
+    /// Returns the peel scratch to `ws`.
+    pub fn release(self, ws: &mut QueryWorkspace) {
+        ws.put_peel(self.scratch);
+    }
+
+    /// A maintainer peeling on `scratch`, fitted to `g`'s nodes and, under
+    /// k-truss, its edges.
+    fn with_scratch(
+        g: &'g AttributedGraph,
+        index: &'g EpochIndex,
+        model: CommunityModel,
+        k: u32,
+        mut scratch: PeelScratch,
+    ) -> Self {
+        let edges = match model {
+            CommunityModel::KCore => 0,
+            CommunityModel::KTruss => g.m(),
         };
+        scratch.fit(g.n(), edges);
         Maintainer {
             g,
             index,
@@ -118,9 +152,10 @@ impl<'g> Maintainer<'g> {
         nodes: &[NodeId],
         out: &mut Vec<NodeId>,
     ) -> bool {
-        match &mut self.scratch {
-            Scratch::Core(s) => peel_to_kcore_into(self.g, q, self.k, nodes, s, out),
-            Scratch::Truss(s) => {
+        let s = &mut self.scratch;
+        match self.model {
+            CommunityModel::KCore => peel_to_kcore_into(self.g, q, self.k, nodes, s, out),
+            CommunityModel::KTruss => {
                 let eidx = self.index.edge_index(self.g);
                 peel_to_ktruss_into(self.g, eidx, q, self.k, nodes, s, out)
             }
@@ -140,19 +175,16 @@ impl<'g> Maintainer<'g> {
         if screen[q as usize] < k {
             return None;
         }
-        let s = match &mut self.scratch {
-            Scratch::Core(s) => s,
-            Scratch::Truss(t) => &mut t.node,
-        };
-        let e = s.next_epoch();
-        s.vis_epoch[q as usize] = e;
+        let e = self.scratch.next_epoch();
+        let [_, _, visited, _] = &mut self.scratch.node;
+        visited[q as usize] = e;
         let mut walked = vec![q];
         let mut next = 0;
         while let Some(&v) = walked.get(next) {
             next += 1;
             for &w in g.neighbors(v) {
-                if screen[w as usize] >= k && s.vis_epoch[w as usize] != e {
-                    s.vis_epoch[w as usize] = e;
+                if screen[w as usize] >= k && visited[w as usize] != e {
+                    visited[w as usize] = e;
                     walked.push(w);
                 }
             }
@@ -254,6 +286,46 @@ mod tests {
             }
         }
         assert_eq!(seeded.truss_decomp_computations(), 0);
+    }
+
+    /// A pooled scratch peels across the epoch wrap exactly as a fresh one
+    /// does. The first peel (epoch 1, at a `k` no node reaches) leaves
+    /// every node stamped as in the subset and removed, and every edge as
+    /// removed; only the clear at the wrap keeps those stamps from reading
+    /// as written by the peel that reuses epoch 1 after it.
+    #[test]
+    fn pooled_scratch_peels_across_the_epoch_wrap() {
+        let g = clique_with_tail();
+        let index = EpochIndex::new();
+        let all: Vec<NodeId> = (0..g.n() as NodeId).collect();
+        for model in [CommunityModel::KCore, CommunityModel::KTruss] {
+            let mut ws = QueryWorkspace::new();
+            let mut m = Maintainer::in_workspace(&g, &index, model, 9, &mut ws);
+            assert_eq!(m.maximal_within(0, &all), None);
+            m.release(&mut ws);
+            let mut scratch = ws.take_peel();
+            assert_eq!(scratch.epoch(), 1);
+            scratch.advance_epoch_to(u32::MAX - 1);
+            ws.put_peel(scratch);
+
+            for k in 2..6 {
+                let mut fresh = Maintainer::new(&g, &index, model, k);
+                let mut pooled = Maintainer::in_workspace(&g, &index, model, k, &mut ws);
+                for q in 0..g.n() as NodeId {
+                    for subset in [&all[..], &all[..5], &all[2..]] {
+                        assert_eq!(
+                            pooled.maximal_within(q, subset),
+                            fresh.maximal_within(q, subset),
+                            "{model} k={k} q={q} {subset:?}"
+                        );
+                    }
+                    assert_eq!(pooled.maximal(q), fresh.maximal(q), "{model} k={k} q={q}");
+                }
+                pooled.release(&mut ws);
+            }
+            let epoch = ws.take_peel().epoch();
+            assert!(epoch < 1_000, "wrapped to 1 (now at {epoch})");
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use csag_decomp::{core_decomposition, max_connected_kcore, max_connected_ktruss};
 use csag_decomp::{node_max_trussness, truss_decomposition, TrussMaintainer};
 use csag_decomp::{CommunityModel, EdgeIndex, EpochIndex, Maintainer};
-use csag_graph::{AttributedGraph, GraphBuilder, NodeId};
+use csag_graph::{AttributedGraph, GraphBuilder, NodeId, QueryWorkspace};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
@@ -223,6 +223,45 @@ proptest! {
         }
         prop_assert_eq!(seeded.decomp_computations(), 0);
         prop_assert_eq!(seeded.truss_decomp_computations(), 0);
+    }
+
+    /// One pooled peel scratch serves graphs of any size in any order: a
+    /// single workspace is reused across three random graphs (larger,
+    /// then smaller, then larger again, so the scratch both outgrows a
+    /// graph and grows again) and both models, interleaving `maximal` and
+    /// `maximal_within_into`. Every answer equals a fresh maintainer's.
+    #[test]
+    fn pooled_scratch_answers_as_a_fresh_one_across_graphs(
+        graphs in (20usize..40, 2usize..12, 12usize..40).prop_flat_map(|(a, b, c)| {
+            let graph = |n: usize| (
+                Just(n),
+                prop::collection::vec((0..n as u32, 0..n as u32), 0..4 * n),
+                prop::collection::vec(any::<bool>(), n),
+            );
+            (graph(a), graph(b), graph(c))
+        }),
+    ) {
+        let mut ws = QueryWorkspace::new();
+        let (a, b, c) = graphs;
+        for (n, edges, picks) in [a, b, c] {
+            let g = build(n, &edges);
+            let index = EpochIndex::new();
+            let subset: Vec<NodeId> = (0..n as NodeId).filter(|&v| picks[v as usize]).collect();
+            let mut out = Vec::new();
+            for model in [CommunityModel::KCore, CommunityModel::KTruss] {
+                for k in 2u32..5 {
+                    let mut fresh = Maintainer::new(&g, &index, model, k);
+                    let mut pooled = Maintainer::in_workspace(&g, &index, model, k, &mut ws);
+                    for q in 0..n as NodeId {
+                        prop_assert_eq!(pooled.maximal(q), fresh.maximal(q), "{} k={} q={}", model, k, q);
+                        let want = fresh.maximal_within(q, &subset);
+                        let got = pooled.maximal_within_into(q, &subset, &mut out);
+                        prop_assert_eq!(got.then_some(&out), want.as_ref(), "{} k={} q={}", model, k, q);
+                    }
+                    pooled.release(&mut ws);
+                }
+            }
+        }
     }
 
     /// The induced-row k-truss peel equals the full-row reference on

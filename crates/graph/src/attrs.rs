@@ -115,6 +115,13 @@ impl TokenInterner {
         &self.text[start..self.ends[id] as usize]
     }
 
+    /// Drops the spare capacity of the name buffers (the probe table stays
+    /// a power of two).
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.text.shrink_to_fit();
+        self.ends.shrink_to_fit();
+    }
+
     /// The first empty slot on `name`'s probe run (`name` is absent).
     fn vacant_slot(&self, name: &str) -> usize {
         let mask = self.slots.len() - 1;
@@ -221,25 +228,24 @@ impl NodeAttributes {
         }
     }
 
-    /// Builds attribute storage from per-node token-id lists and numeric
-    /// rows. Token lists are sorted and deduplicated, then handed to
+    /// Builds attribute storage from a builder's token rows and numeric
+    /// rows, with every table at exactly its length, through
     /// [`NodeAttributes::from_flat`].
     pub(crate) fn from_rows(
-        interner: impl Into<Arc<TokenInterner>>,
-        token_rows: Vec<Vec<u32>>,
+        mut interner: TokenInterner,
+        rows: TokenRows,
         dims: usize,
-        numeric: Vec<f64>,
+        mut numeric: Vec<f64>,
     ) -> Self {
-        let mut token_offsets = Vec::with_capacity(token_rows.len() + 1);
-        token_offsets.push(0usize);
-        let mut tokens = Vec::new();
-        for mut row in token_rows {
-            row.sort_unstable();
-            row.dedup();
-            tokens.extend_from_slice(&row);
-            token_offsets.push(tokens.len());
-        }
-        NodeAttributes::from_flat(interner.into(), token_offsets, tokens, dims, numeric)
+        let TokenRows {
+            mut offsets,
+            mut tokens,
+        } = rows;
+        interner.shrink_to_fit();
+        offsets.shrink_to_fit();
+        tokens.shrink_to_fit();
+        numeric.shrink_to_fit();
+        NodeAttributes::from_flat(Arc::new(interner), offsets, tokens, dims, numeric)
     }
 
     /// Builds attribute storage from token rows already in flat form
@@ -332,9 +338,66 @@ impl NodeAttributes {
     }
 }
 
+/// Token rows under construction, already in [`NodeAttributes`]' flat
+/// form: one array of ids, each row sorted and deduplicated in place when
+/// it is closed.
+#[derive(Clone, Debug)]
+pub(crate) struct TokenRows {
+    offsets: Vec<usize>,
+    tokens: Vec<u32>,
+}
+
+impl TokenRows {
+    /// No rows yet, with room for `rows` of them.
+    pub(crate) fn with_capacity(rows: usize) -> Self {
+        let mut offsets = Vec::with_capacity(rows + 1);
+        offsets.push(0);
+        TokenRows {
+            offsets,
+            tokens: Vec::new(),
+        }
+    }
+
+    /// Number of rows closed.
+    pub(crate) fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Closes a row holding `ids` (in any order, repeats allowed).
+    pub(crate) fn push(&mut self, ids: impl IntoIterator<Item = u32>) {
+        let start = self.tokens.len();
+        self.tokens.extend(ids);
+        let kept = sort_dedup(&mut self.tokens[start..]);
+        self.tokens.truncate(start + kept);
+        self.offsets.push(self.tokens.len());
+    }
+}
+
+/// Sorts `row` and moves its distinct values, ascending, to its front;
+/// returns how many there are.
+pub(crate) fn sort_dedup(row: &mut [u32]) -> usize {
+    row.sort_unstable();
+    let mut kept = 0;
+    for i in 0..row.len() {
+        if kept == 0 || row[i] != row[kept - 1] {
+            row[kept] = row[i];
+            kept += 1;
+        }
+    }
+    kept
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn rows(rows: Vec<Vec<u32>>) -> TokenRows {
+        let mut out = TokenRows::with_capacity(rows.len());
+        for row in rows {
+            out.push(row);
+        }
+        out
+    }
 
     #[test]
     fn interner_round_trips() {
@@ -357,7 +420,7 @@ mod tests {
         let c = i.intern("c");
         NodeAttributes::from_rows(
             i,
-            vec![vec![b, a, b], vec![c], vec![]],
+            rows(vec![vec![b, a, b], vec![c], vec![]]),
             2,
             vec![0.0, 10.0, 5.0, 20.0, 10.0, 30.0],
         )
@@ -385,7 +448,7 @@ mod tests {
     fn constant_dimension_normalizes_to_zero() {
         let attrs = NodeAttributes::from_rows(
             TokenInterner::new(),
-            vec![vec![], vec![]],
+            rows(vec![vec![], vec![]]),
             1,
             vec![7.0, 7.0],
         );
@@ -399,7 +462,8 @@ mod tests {
     fn overflowing_range_normalizes_into_the_unit_interval() {
         let values = vec![f64::MAX, -f64::MAX, 0.0, 1.7e308, -1.7e308, 1.0, -5e307];
         let n = values.len();
-        let attrs = NodeAttributes::from_rows(TokenInterner::new(), vec![vec![]; n], 1, values);
+        let attrs =
+            NodeAttributes::from_rows(TokenInterner::new(), rows(vec![vec![]; n]), 1, values);
         assert_eq!(attrs.dim_range(0), (-f64::MAX, f64::MAX));
         assert_eq!(attrs.numeric_normalized(0), &[1.0]);
         assert_eq!(attrs.numeric_normalized(1), &[0.0]);
@@ -432,7 +496,7 @@ mod tests {
     #[test]
     fn zero_dims_supported() {
         let attrs =
-            NodeAttributes::from_rows(TokenInterner::new(), vec![vec![], vec![]], 0, vec![]);
+            NodeAttributes::from_rows(TokenInterner::new(), rows(vec![vec![], vec![]]), 0, vec![]);
         assert_eq!(attrs.dims(), 0);
         assert_eq!(attrs.numeric_normalized(0), &[] as &[f64]);
     }

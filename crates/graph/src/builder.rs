@@ -1,6 +1,6 @@
 //! Builder for [`AttributedGraph`].
 
-use crate::attrs::{NodeAttributes, TokenInterner};
+use crate::attrs::{sort_dedup, NodeAttributes, TokenInterner, TokenRows};
 use crate::graph::AttributedGraph;
 use crate::NodeId;
 use std::sync::Arc;
@@ -45,15 +45,26 @@ impl std::error::Error for GraphError {}
 /// Self-loops are dropped and parallel edges deduplicated at
 /// [`build`](GraphBuilder::build) time. All nodes must share the numerical
 /// dimensionality given to [`new`](GraphBuilder::new).
+///
+/// Token rows go straight into one flat array, the edge list grows by
+/// fixed-size blocks instead of copying itself to double, and `build`
+/// lays the adjacency out in one target array and compacts it in place:
+/// a built graph's tables have exactly their length, and no second copy
+/// of any of them is held while it is built.
 #[derive(Clone, Debug)]
 pub struct GraphBuilder {
     interner: TokenInterner,
-    token_rows: Vec<Vec<u32>>,
+    rows: TokenRows,
     dims: usize,
     numeric: Vec<f64>,
-    edges: Vec<(NodeId, NodeId)>,
+    /// Edges in blocks of [`EDGE_BLOCK`], so the list grows without
+    /// copying itself.
+    edges: Vec<Vec<(NodeId, NodeId)>>,
     deferred_error: Option<GraphError>,
 }
+
+/// Edges per block of [`GraphBuilder`]'s edge list.
+const EDGE_BLOCK: usize = 4096;
 
 impl GraphBuilder {
     /// Creates a builder for graphs whose nodes carry `dims` numerical
@@ -61,7 +72,7 @@ impl GraphBuilder {
     pub fn new(dims: usize) -> Self {
         GraphBuilder {
             interner: TokenInterner::new(),
-            token_rows: Vec::new(),
+            rows: TokenRows::with_capacity(0),
             dims,
             numeric: Vec::new(),
             edges: Vec::new(),
@@ -72,15 +83,15 @@ impl GraphBuilder {
     /// Pre-allocates for `nodes` nodes and `edges` edges.
     pub fn with_capacity(dims: usize, nodes: usize, edges: usize) -> Self {
         let mut b = Self::new(dims);
-        b.token_rows.reserve(nodes);
+        b.rows = TokenRows::with_capacity(nodes);
         b.numeric.reserve(nodes * dims);
-        b.edges.reserve(edges);
+        b.edges.reserve(edges.div_ceil(EDGE_BLOCK));
         b
     }
 
     /// Number of nodes added so far.
     pub fn node_count(&self) -> usize {
-        self.token_rows.len()
+        self.rows.len()
     }
 
     /// Adds a node with the given textual tokens and numerical attributes,
@@ -88,15 +99,21 @@ impl GraphBuilder {
     /// [`build`](GraphBuilder::build) (so bulk loading code does not need a
     /// `?` on every row).
     pub fn add_node(&mut self, textual: &[&str], numerical: &[f64]) -> NodeId {
-        let row = textual.iter().map(|t| self.interner.intern(t)).collect();
-        self.add_node_interned(row, numerical)
+        self.rows
+            .push(textual.iter().map(|t| self.interner.intern(t)));
+        self.add_numeric(numerical)
     }
 
     /// Adds a node whose tokens are already interned ids (used by the
     /// dataset generators, which intern topics up front).
     pub fn add_node_interned(&mut self, tokens: Vec<u32>, numerical: &[f64]) -> NodeId {
-        let id = self.token_rows.len() as NodeId;
-        self.token_rows.push(tokens);
+        self.rows.push(tokens);
+        self.add_numeric(numerical)
+    }
+
+    /// Records the numeric row of the node just added; returns its id.
+    fn add_numeric(&mut self, numerical: &[f64]) -> NodeId {
+        let id = (self.rows.len() - 1) as NodeId;
         if numerical.len() == self.dims {
             self.numeric.extend_from_slice(numerical);
         } else if self.deferred_error.is_none() {
@@ -120,14 +137,21 @@ impl GraphBuilder {
 
     /// Adds an undirected edge. Endpoints must already exist.
     pub fn add_edge(&mut self, u: NodeId, v: NodeId) -> Result<(), GraphError> {
-        let n = self.token_rows.len();
+        let n = self.rows.len();
         for node in [u, v] {
             if node as usize >= n {
                 return Err(GraphError::NodeOutOfRange { node, n });
             }
         }
         if u != v {
-            self.edges.push((u, v));
+            match self.edges.last_mut() {
+                Some(block) if block.len() < EDGE_BLOCK => block.push((u, v)),
+                _ => {
+                    let mut block = Vec::with_capacity(EDGE_BLOCK);
+                    block.push((u, v));
+                    self.edges.push(block);
+                }
+            }
         }
         Ok(())
     }
@@ -138,50 +162,52 @@ impl GraphBuilder {
         if let Some(err) = self.deferred_error {
             return Err(err);
         }
-        let n = self.token_rows.len();
+        let n = self.rows.len();
+        // Attributes first: cutting the token rows, numerics and vocabulary
+        // to their lengths frees their growth slack before the CSR needs
+        // room.
+        let attrs = NodeAttributes::from_rows(self.interner, self.rows, self.dims, self.numeric);
+        let edges = self.edges;
+        let listed: usize = edges.iter().map(Vec::len).sum();
 
-        // Counting sort of edge endpoints into CSR.
-        let mut degree = vec![0usize; n];
-        for &(u, v) in &self.edges {
-            degree[u as usize] += 1;
-            degree[v as usize] += 1;
+        // Counting sort of edge endpoints into CSR: `offsets[v + 1]`
+        // counts `v`'s entries, then the prefix sums make `offsets[v]` the
+        // start of `v`'s row, which serves as its fill cursor.
+        let mut offsets = vec![0usize; n + 1];
+        for &(u, v) in edges.iter().flatten() {
+            offsets[u as usize + 1] += 1;
+            offsets[v as usize + 1] += 1;
         }
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0usize);
         for v in 0..n {
-            offsets.push(offsets[v] + degree[v]);
+            offsets[v + 1] += offsets[v];
         }
-        let mut cursor = offsets.clone();
-        let mut targets = vec![0 as NodeId; self.edges.len() * 2];
-        for &(u, v) in &self.edges {
-            targets[cursor[u as usize]] = v;
-            cursor[u as usize] += 1;
-            targets[cursor[v as usize]] = u;
-            cursor[v as usize] += 1;
+        let mut targets = vec![0 as NodeId; listed * 2];
+        for &(u, v) in edges.iter().flatten() {
+            targets[offsets[u as usize]] = v;
+            offsets[u as usize] += 1;
+            targets[offsets[v as usize]] = u;
+            offsets[v as usize] += 1;
         }
+        drop(edges);
+        // Each cursor now sits at its row's end, the next row's start.
+        offsets.copy_within(..n, 1);
+        offsets[0] = 0;
 
-        // Sort + dedup each adjacency list in place, then compact.
-        let mut out_offsets = Vec::with_capacity(n + 1);
-        out_offsets.push(0usize);
-        let mut out_targets = Vec::with_capacity(targets.len());
+        // Sort + dedup each row in place, compacting it to the end of the
+        // previous one.
+        let mut start = 0;
         for v in 0..n {
-            let list = &mut targets[offsets[v]..offsets[v + 1]];
-            list.sort_unstable();
-            let mut prev: Option<NodeId> = None;
-            for &w in list.iter() {
-                if prev != Some(w) {
-                    out_targets.push(w);
-                    prev = Some(w);
-                }
-            }
-            out_offsets.push(out_targets.len());
+            let end = offsets[v + 1];
+            let kept = sort_dedup(&mut targets[start..end]);
+            targets.copy_within(start..start + kept, offsets[v]);
+            offsets[v + 1] = offsets[v] + kept;
+            start = end;
         }
-
-        let attrs =
-            NodeAttributes::from_rows(self.interner, self.token_rows, self.dims, self.numeric);
+        targets.truncate(offsets[n]);
+        targets.shrink_to_fit();
         Ok(AttributedGraph::from_csr_parts(
-            out_offsets,
-            out_targets,
+            offsets,
+            targets,
             Arc::new(attrs),
         ))
     }

@@ -6,7 +6,7 @@
 //! path's end type; community models such as the `(k, P)-core` are ordinary
 //! k-cores of the [`ProjectedGraph`] whose edges are P-neighbor pairs.
 
-use crate::attrs::{NodeAttributes, TokenInterner};
+use crate::attrs::{NodeAttributes, TokenInterner, TokenRows};
 use crate::bitset::FixedBitSet;
 use crate::graph::AttributedGraph;
 use crate::NodeId;
@@ -315,7 +315,7 @@ pub struct HeteroGraphBuilder {
     edge_type_names: TokenInterner,
     node_types: Vec<NodeTypeId>,
     interner: TokenInterner,
-    token_rows: Vec<Vec<u32>>,
+    rows: TokenRows,
     dims: usize,
     numeric: Vec<f64>,
     edges: Vec<(NodeId, NodeId, EdgeTypeId)>,
@@ -329,7 +329,7 @@ impl HeteroGraphBuilder {
             edge_type_names: TokenInterner::new(),
             node_types: Vec::new(),
             interner: TokenInterner::new(),
-            token_rows: Vec::new(),
+            rows: TokenRows::with_capacity(0),
             dims,
             numeric: Vec::new(),
             edges: Vec::new(),
@@ -362,8 +362,8 @@ impl HeteroGraphBuilder {
             self.dims
         );
         self.node_types.push(ty);
-        let row = textual.iter().map(|t| self.interner.intern(t)).collect();
-        self.token_rows.push(row);
+        self.rows
+            .push(textual.iter().map(|t| self.interner.intern(t)));
         self.numeric.extend_from_slice(numerical);
         id
     }
@@ -427,8 +427,7 @@ impl HeteroGraphBuilder {
             }
             out_offsets.push(targets.len());
         }
-        let attrs =
-            NodeAttributes::from_rows(self.interner, self.token_rows, self.dims, self.numeric);
+        let attrs = NodeAttributes::from_rows(self.interner, self.rows, self.dims, self.numeric);
         HeteroGraph {
             offsets: out_offsets,
             targets,

@@ -200,6 +200,9 @@ pub fn read_graph<R: Read>(input: R) -> io::Result<AttributedGraph> {
         let mut parts = t.split_whitespace();
         match parts.next() {
             Some("dims") => {
+                if builder.is_some() {
+                    return Err(parse_err(no, "dims given twice"));
+                }
                 let d: usize = parts
                     .next()
                     .ok_or_else(|| parse_err(no, "dims needs a value"))?
@@ -345,6 +348,9 @@ pub fn read_hetero_graph<R: Read>(input: R) -> io::Result<HeteroGraph> {
         let mut parts = t.split_whitespace();
         match parts.next() {
             Some("dims") => {
+                if builder.is_some() {
+                    return Err(parse_err(no, "dims given twice"));
+                }
                 let d: usize = parts
                     .next()
                     .ok_or_else(|| parse_err(no, "dims needs a value"))?
@@ -528,6 +534,25 @@ mod tests {
     fn edge_before_dims_is_rejected() {
         let text = "csag-graph v1\nedge 0 1\n";
         assert!(read_graph(text.as_bytes()).is_err());
+    }
+
+    /// A second `dims` record used to replace the builder, silently
+    /// dropping every node and edge read before it.
+    #[test]
+    fn second_dims_record_is_refused() {
+        let text = "csag-graph v1\ndims 1\nnode 0 a 1\nnode 1 b 2\nedge 0 1\ndims 1\nnode 0 c 5\n";
+        let err = read_graph(text.as_bytes()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "line 6: dims given twice");
+    }
+
+    #[test]
+    fn second_hetero_dims_record_is_refused() {
+        let text = "csag-hetero v1\ndims 1\nntype 0 a\nnode 0 0 x 1\nnode 1 0 y 2\n\
+                    etype 0 w\nedge 0 1 0\ndims 1\nntype 0 a\nnode 0 0 z 5\n";
+        let err = read_hetero_graph(text.as_bytes()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "line 8: dims given twice");
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //!   with torn-tail vs. corruption classification (the byte layer under
 //!   the facade crate's durable update log).
 //! * [`QueryWorkspace`] + [`MinScored`] — pooled per-thread query scratch
-//!   (bitsets, best-first heaps, buffers) keeping the steady-state hot
+//!   (bitsets, best-first heaps, buffers, and the grow-only
+//!   [`PeelScratch`] of the restricted peels) keeping the steady-state hot
 //!   path allocation-free, and the shared min-heap ordering every
 //!   best-first traversal uses.
 //! * [`alloc_counter`] — an opt-in counting global allocator backing the
@@ -62,7 +63,7 @@ pub use graph::{AttributedGraph, InducedSubgraph};
 pub use heap::MinScored;
 pub use hetero::{HeteroGraph, HeteroGraphBuilder, MetaPath, ProjectedGraph};
 pub use update::{Applied, GraphUpdate, MutableGraph};
-pub use workspace::QueryWorkspace;
+pub use workspace::{PeelScratch, QueryWorkspace};
 
 /// Dense node identifier, valid in `0..graph.n()`.
 pub type NodeId = u32;

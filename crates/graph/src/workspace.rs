@@ -1,22 +1,27 @@
 //! Reusable per-query scratch state.
 //!
 //! The steady-state query hot path must not pay an allocator round-trip
-//! per query: bitsets, best-first heaps, and node/score buffers are the
-//! same shapes every time, so one [`QueryWorkspace`] owns a small pool of
-//! each and hands them out with `take_*` / `put_*` pairs. A workspace is
-//! thread-private (batch executors create one per worker); the pools grow
-//! to the high-water mark of whatever ran through them and then stop
-//! allocating entirely — the property the counting-allocator test in
-//! `csag-core` pins down.
+//! per query: bitsets, best-first heaps, node/score buffers and the peel
+//! scratch are the same shapes every time, so one [`QueryWorkspace`] owns
+//! a small pool of each and hands them out with `take_*` / `put_*` pairs.
+//! A workspace is thread-private (batch executors create one per worker);
+//! the pools grow to the high-water mark of whatever ran through them and
+//! then stop allocating entirely — the property the counting-allocator
+//! tests in `csag-core` pin down.
 //!
 //! `take_*` returns a cleared (and, for bitsets, re-sized) object; `put_*`
 //! returns it to the pool. Dropping a taken object instead of returning it
 //! is safe — the pool simply refills lazily — but defeats the reuse.
+//!
+//! The one pooled object that is *not* cleared on `take` is the
+//! [`PeelScratch`] of the restricted peels: its arrays are epoch-stamped,
+//! so a peel ignores whatever an earlier one left behind, and they only
+//! grow, so one scratch serves every graph (epoch, shard) a worker reads.
 
 use crate::bitset::FixedBitSet;
 use crate::heap::MinScored;
 use crate::NodeId;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Pooled scratch for one query-serving thread. See the [module
 /// docs](self).
@@ -27,6 +32,7 @@ pub struct QueryWorkspace {
     node_bufs: Vec<Vec<NodeId>>,
     scored_bufs: Vec<Vec<(f64, NodeId)>>,
     f64_bufs: Vec<Vec<f64>>,
+    peels: Vec<PeelScratch>,
 }
 
 impl QueryWorkspace {
@@ -115,6 +121,87 @@ impl QueryWorkspace {
     pub fn put_f64s(&mut self, v: Vec<f64>) {
         self.f64_bufs.push(v);
     }
+
+    /// A peel scratch as the last peel left it (stamped, so nothing needs
+    /// clearing); the caller [`fit`s](PeelScratch::fit) it to its graph.
+    pub fn take_peel(&mut self) -> PeelScratch {
+        self.peels.pop().unwrap_or_default()
+    }
+
+    /// Returns a peel scratch to the pool.
+    pub fn put_peel(&mut self, p: PeelScratch) {
+        self.peels.push(p);
+    }
+}
+
+/// The scratch of `csag-decomp`'s restricted peels (k-core, k-truss and
+/// the maintainer's root walk): `u32` arrays indexed by node id and by
+/// edge id, the epoch counter that stamps them, and the peels' work lists.
+/// Which array means what is the peel's business.
+///
+/// An array entry equal to the current epoch was written by the current
+/// peel; any other value is stale, so a peel never clears what an earlier
+/// one wrote. Arrays that a peel uses for values rather than stamps
+/// (degrees, supports, row numbers) are written before they are read
+/// within each peel. The arrays only grow ([`PeelScratch::fit`]): a peel
+/// touches indices below its own graph's `n` and `m`, so the scratch of
+/// the largest graph seen serves every smaller one. When the epoch counter
+/// wraps, every array is cleared once and counting restarts at 1.
+#[derive(Clone, Debug, Default)]
+pub struct PeelScratch {
+    epoch: u32,
+    /// Arrays indexed by node id, each at least the largest fitted `n`.
+    pub node: [Vec<u32>; 4],
+    /// Arrays indexed by edge id, each at least the largest fitted `m`.
+    pub edge: [Vec<u32>; 2],
+    /// Lists whose length each peel sets itself (a stack, a peel's rows).
+    pub lists: [Vec<u32>; 3],
+    /// The k-truss peel's queue of `(u, v, edge id)`.
+    pub queue: VecDeque<(NodeId, NodeId, u32)>,
+}
+
+impl PeelScratch {
+    /// Grows the node arrays to at least `n` entries and the edge arrays
+    /// to at least `m` (zero-filled; zero is never a live epoch). Never
+    /// shrinks them.
+    pub fn fit(&mut self, n: usize, m: usize) {
+        for (arrays, len) in [(&mut self.node[..], n), (&mut self.edge[..], m)] {
+            for a in arrays.iter_mut().filter(|a| a.len() < len) {
+                a.resize(len, 0);
+            }
+        }
+    }
+
+    /// Starts a peel: returns its epoch, which no entry holds yet. At the
+    /// wrap (2³² − 1 peels) every array is cleared and counting restarts
+    /// at 1.
+    #[inline]
+    pub fn next_epoch(&mut self) -> u32 {
+        if self.epoch == u32::MAX {
+            for a in self.node.iter_mut().chain(&mut self.edge) {
+                a.fill(0);
+            }
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        self.epoch
+    }
+
+    /// The epoch of the latest peel (0 before the first).
+    pub fn epoch(&self) -> u32 {
+        self.epoch
+    }
+
+    /// Moves the epoch counter forward to `epoch`, as if that many peels
+    /// had run; a test reaches the wrap this way.
+    ///
+    /// # Panics
+    /// When `epoch` is below the current one: entries stamped above it
+    /// would read as written by a later peel.
+    pub fn advance_epoch_to(&mut self, epoch: u32) {
+        assert!(epoch >= self.epoch, "peel epochs only move forward");
+        self.epoch = epoch;
+    }
 }
 
 #[cfg(test)]
@@ -171,5 +258,34 @@ mod tests {
         f.push(1.0);
         ws.put_f64s(f);
         assert!(ws.take_f64s().is_empty());
+    }
+
+    #[test]
+    fn peel_scratch_only_grows() {
+        let mut ws = QueryWorkspace::new();
+        let mut p = ws.take_peel();
+        p.fit(100, 0);
+        assert!(p.node.iter().all(|a| a.len() == 100));
+        assert!(p.edge.iter().all(Vec::is_empty), "k-core fits no edges");
+        p.node[0][99] = p.next_epoch();
+        ws.put_peel(p);
+        let mut p = ws.take_peel();
+        p.fit(10, 40);
+        assert!(p.node.iter().all(|a| a.len() == 100), "never shrinks");
+        assert!(p.edge.iter().all(|a| a.len() == 40));
+        assert_eq!(p.node[0][99], 1, "stamps survive the pool");
+        assert_eq!(p.next_epoch(), 2);
+    }
+
+    #[test]
+    fn peel_epoch_wraps_to_one_and_clears() {
+        let mut p = PeelScratch::default();
+        p.fit(4, 2);
+        p.advance_epoch_to(u32::MAX - 1);
+        assert_eq!(p.next_epoch(), u32::MAX);
+        p.node[1][3] = u32::MAX;
+        p.edge[0][1] = 7;
+        assert_eq!(p.next_epoch(), 1);
+        assert!(p.node.iter().chain(&p.edge).flatten().all(|&x| x == 0));
     }
 }

@@ -148,13 +148,14 @@ mod graph_text {
 
     /// Fragments both grammars are made of — whole records, their words,
     /// and near misses of each.
-    const FRAGMENTS: [&str; 40] = [
+    const FRAGMENTS: [&str; 41] = [
         "csag-graph v1",
         "csag-hetero v1",
         "dims 0",
         "dims 1",
         "dims 18446744073709551615",
         "dims 4000000000",
+        "dims 1\nnode 0 c 5",
         "node 0 -",
         "node 0 a 1",
         "node 1 - 2",
@@ -194,8 +195,17 @@ mod graph_text {
     const HEADERS: [&str; 3] = ["", "csag-graph v1\n", "csag-hetero v1\n"];
 
     /// Reads `text` with both readers; each `Ok` must survive a write and
-    /// a second read with its shape intact.
+    /// a second read with its shape intact, and neither reader may accept
+    /// a second `dims` record.
     fn read_both(text: &str) -> Result<(), TestCaseError> {
+        let dims_records = text
+            .lines()
+            .filter(|l| l.split_whitespace().next() == Some("dims"))
+            .count();
+        if dims_records > 1 {
+            prop_assert!(read_graph(text.as_bytes()).is_err(), "{:?}", text);
+            prop_assert!(read_hetero_graph(text.as_bytes()).is_err(), "{:?}", text);
+        }
         if let Ok(g) = read_graph(text.as_bytes()) {
             let mut again = Vec::new();
             write_graph(&g, &mut again).expect("write to memory");
@@ -227,6 +237,23 @@ mod graph_text {
         ) {
             let text = HEADERS[header].to_string() + &String::from_utf8_lossy(&bytes);
             read_both(&text)?;
+        }
+
+        /// A second `dims` record anywhere after the first is refused by
+        /// both readers, never read as a fresh start that drops every
+        /// record before it.
+        #[test]
+        fn a_second_dims_record_is_refused(
+            nodes in 1usize..6,
+            at in 0usize..64,
+            dims in 0usize..3,
+        ) {
+            let mut lines: Vec<String> = (0..nodes).map(|v| format!("node {v} a 1")).collect();
+            lines.extend((1..nodes).map(|v| format!("edge 0 {v}")));
+            lines.insert(at % (lines.len() + 1), format!("dims {dims}"));
+            let body = lines.join("\n");
+            read_both(&format!("csag-graph v1\ndims 1\n{body}\n"))?;
+            read_both(&format!("csag-hetero v1\ndims 1\nntype 0 t\n{body}\n"))?;
         }
 
         #[test]

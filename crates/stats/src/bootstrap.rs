@@ -41,16 +41,29 @@ pub fn bootstrap_std_sized<R: Rng + ?Sized>(
     if data.len() < 2 || resample_len < 2 || resamples < 2 {
         return 0.0;
     }
+    resampled_std(data, resample_len, &mut vec![0.0; resamples], rng)
+}
+
+/// [`bootstrap_std_sized`] with one resample per entry of `means`, which
+/// holds the resample means afterwards.
+fn resampled_std<R: Rng + ?Sized>(
+    data: &[f64],
+    resample_len: usize,
+    means: &mut [f64],
+    rng: &mut R,
+) -> f64 {
+    if data.len() < 2 || resample_len < 2 || means.len() < 2 {
+        return 0.0;
+    }
     let b = data.len();
-    let mut means = Vec::with_capacity(resamples);
-    for _ in 0..resamples {
+    for m in means.iter_mut() {
         let mut sum = 0.0;
         for _ in 0..resample_len {
             sum += data[rng.gen_range(0..b)];
         }
-        means.push(sum / resample_len as f64);
+        *m = sum / resample_len as f64;
     }
-    std_dev(&means)
+    std_dev(means)
 }
 
 /// Bag of Little Bootstraps configuration.
@@ -121,6 +134,25 @@ impl Blb {
     /// bootstrap draws resamples of the *full* length `n` out of each
     /// subsample, per the original BLB.
     pub fn estimate<R: Rng + ?Sized>(&self, data: &[f64], z: f64, rng: &mut R) -> BlbEstimate {
+        self.estimate_into(data, z, rng, &mut Vec::new(), &mut Vec::new())
+    }
+
+    /// Allocation-free twin of [`Blb::estimate`]: the per-subsample
+    /// margins, the subsample and the resample means live in `values`, and
+    /// the index permutation in `indices` (both overwritten; a query
+    /// thread passes pooled buffers). It makes the same draws from `rng`
+    /// and returns a bit-identical estimate.
+    ///
+    /// # Panics
+    /// When `data` holds more than `u32::MAX` values.
+    pub fn estimate_into<R: Rng + ?Sized>(
+        &self,
+        data: &[f64],
+        z: f64,
+        rng: &mut R,
+        values: &mut Vec<f64>,
+        indices: &mut Vec<u32>,
+    ) -> BlbEstimate {
         let n = data.len();
         let point = mean(data);
         if n < 2 {
@@ -136,23 +168,25 @@ impl Blb {
         // subsamples; for small data fall back to fewer subsamples.
         let s = self.subsamples.min((n / b).max(1));
 
-        let mut moes = Vec::with_capacity(s);
-        let mut subsample = vec![0.0f64; b];
-        let mut indices: Vec<usize> = (0..n).collect();
-        for _ in 0..s {
+        values.clear();
+        values.resize(s + b + self.resamples, 0.0);
+        let (moes, rest) = values.split_at_mut(s);
+        let (subsample, means) = rest.split_at_mut(b);
+        indices.clear();
+        indices.extend(0..u32::try_from(n).expect("BLB data fits u32 indices"));
+        for moe in moes.iter_mut() {
             // Partial Fisher-Yates: the first b entries become the
             // subsample indices, drawn without replacement.
             for i in 0..b {
                 let j = rng.gen_range(i..n);
                 indices.swap(i, j);
             }
-            for (slot, &idx) in subsample.iter_mut().zip(indices.iter().take(b)) {
-                *slot = data[idx];
+            for (slot, &idx) in subsample.iter_mut().zip(&indices[..b]) {
+                *slot = data[idx as usize];
             }
-            let sigma_i = bootstrap_std_sized(&subsample, n, self.resamples, rng);
-            moes.push(z * sigma_i);
+            *moe = z * resampled_std(subsample, n, means, rng);
         }
-        let moe = mean(&moes);
+        let moe = mean(moes);
         BlbEstimate {
             point,
             moe,

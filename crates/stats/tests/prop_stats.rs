@@ -1,8 +1,8 @@
 //! Property tests for the statistical substrate.
 
 use csag_stats::{
-    incremental_sample_size, min_population_size, normal_cdf, normal_quantile, required_moe,
-    satisfies_error_bound, weighted_sample_without_replacement,
+    bootstrap_std_sized, incremental_sample_size, min_population_size, normal_cdf, normal_quantile,
+    required_moe, satisfies_error_bound, weighted_sample_without_replacement,
     weighted_sample_without_replacement_into, Blb, ConfidenceInterval,
 };
 use proptest::prelude::*;
@@ -10,6 +10,35 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+
+/// Reference: BLB as it allocated per call — `s` subsamples of size `b`
+/// drawn by partial Fisher–Yates over a fresh `0..n` permutation, the
+/// inner bootstrap at the full length `n`, and the mean of the margins.
+fn reference_blb(blb: &Blb, data: &[f64], z: f64, rng: &mut StdRng) -> (f64, f64, f64, usize) {
+    let n = data.len();
+    let point = if n == 0 {
+        0.0
+    } else {
+        data.iter().sum::<f64>() / n as f64
+    };
+    if n < 2 {
+        return (point, 0.0, 0.0, n);
+    }
+    let b = blb.subsample_size(n);
+    let s = blb.subsamples.min((n / b).max(1));
+    let mut moes = Vec::new();
+    let mut indices: Vec<usize> = (0..n).collect();
+    for _ in 0..s {
+        for i in 0..b {
+            let j = rng.gen_range(i..n);
+            indices.swap(i, j);
+        }
+        let subsample: Vec<f64> = indices[..b].iter().map(|&i| data[i]).collect();
+        moes.push(z * bootstrap_std_sized(&subsample, n, blb.resamples, rng));
+    }
+    let moe = moes.iter().sum::<f64>() / moes.len() as f64;
+    (point, moe, if z > 0.0 { moe / z } else { 0.0 }, s * b)
+}
 
 /// Reference: A-Res with `exp`-space keys `u^{1/w}` kept in a size-`k`
 /// min-heap, then a partial Fisher–Yates top-up over the non-positive
@@ -206,6 +235,30 @@ proptest! {
         let mean = if data.is_empty() { 0.0 } else { data.iter().sum::<f64>() / data.len() as f64 };
         prop_assert!((est.point - mean).abs() < 1e-9);
         prop_assert!(est.blb_sample_size <= data.len().max(1));
+    }
+
+    /// `Blb::estimate_into` on pooled buffers — dirty from the previous
+    /// call, of another size — returns bit for bit what BLB computed when
+    /// it allocated per call, and leaves the RNG at the same next draw.
+    #[test]
+    fn blb_estimate_into_matches_the_allocating_estimate(
+        calls in prop::collection::vec(
+            (prop::collection::vec(0.0f64..1.0, 0..200), 1usize..30, 0.5f64..0.99, 2usize..60, 0u64..1000),
+            1..4,
+        ),
+    ) {
+        let (mut values, mut indices) = (Vec::new(), Vec::new());
+        for (data, s, m, r, seed) in calls {
+            let blb = Blb::new(s, m, r);
+            let (mut got, mut want) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            let est = blb.estimate_into(&data, 1.96, &mut got, &mut values, &mut indices);
+            let (point, moe, sigma, size) = reference_blb(&blb, &data, 1.96, &mut want);
+            prop_assert_eq!(est.point.to_bits(), point.to_bits());
+            prop_assert_eq!(est.moe.to_bits(), moe.to_bits());
+            prop_assert_eq!(est.sigma.to_bits(), sigma.to_bits());
+            prop_assert_eq!(est.blb_sample_size, size);
+            prop_assert_eq!(got.next_u64(), want.next_u64(), "RNG state, n = {}", data.len());
+        }
     }
 
     /// ConfidenceInterval::covers agrees with endpoint arithmetic.
