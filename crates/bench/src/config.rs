@@ -114,13 +114,6 @@ pub fn sea_query(k: u32) -> CommunityQuery {
         .with_hoeffding(0.18, 0.95)
 }
 
-/// Engine-facing twin of [`sea_params_truss`].
-pub fn sea_query_truss(k: u32) -> CommunityQuery {
-    sea_query(k)
-        .with_model(CommunityModel::KTruss)
-        .with_lambda(0.5)
-}
-
 /// Fixed seed shared by all experiments so reruns are identical.
 pub const QUERY_SEED: u64 = 0x5EA_C5A6;
 

@@ -28,6 +28,19 @@ use rand::Rng;
 use std::collections::BinaryHeap;
 use std::time::Instant;
 
+/// Checks that `q` is a node of `g` ([`CsagError::QueryNodeNotFound`])
+/// of `path`'s source type ([`CsagError::InvalidParams`]) — the target
+/// nodes a (k, P)-community is searched from.
+pub fn check_target_node(g: &HeteroGraph, path: &MetaPath, q: NodeId) -> Result<(), CsagError> {
+    check_query_node(q, g.n())?;
+    if g.node_type(q) != path.source_type() {
+        return Err(CsagError::invalid(format!(
+            "query node {q} is not of the meta-path's source type"
+        )));
+    }
+    Ok(())
+}
+
 /// SEA solver for heterogeneous graphs under a fixed meta-path.
 pub struct SeaHetero<'g> {
     g: &'g HeteroGraph,
@@ -49,11 +62,6 @@ impl<'g> SeaHetero<'g> {
         SeaHetero { g, path, dparams }
     }
 
-    /// The meta-path in use.
-    pub fn meta_path(&self) -> &MetaPath {
-        &self.path
-    }
-
     /// Runs approximate (k,P)-core / (k,P)-truss search from target node
     /// `q`.
     ///
@@ -70,12 +78,7 @@ impl<'g> SeaHetero<'g> {
         rng: &mut R,
     ) -> Result<SeaResult, CsagError> {
         params.validate()?;
-        check_query_node(q, self.g.n())?;
-        if self.g.node_type(q) != self.path.source_type() {
-            return Err(CsagError::invalid(format!(
-                "query node {q} is not of the meta-path's source type"
-            )));
-        }
+        check_target_node(self.g, &self.path, q)?;
         let t0 = Instant::now();
         // Modification 1: n = #target nodes.
         let n_targets = self.g.count_of_type(self.path.source_type());

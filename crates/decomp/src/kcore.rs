@@ -59,21 +59,6 @@ pub fn core_decomposition(g: &AttributedGraph) -> Vec<u32> {
     deg
 }
 
-/// Maximum coreness over all nodes (0 for the empty graph).
-pub fn max_coreness(g: &AttributedGraph) -> u32 {
-    core_decomposition(g).into_iter().max().unwrap_or(0)
-}
-
-/// Average coreness over all nodes (0 for the empty graph).
-pub fn avg_coreness(g: &AttributedGraph) -> f64 {
-    let c = core_decomposition(g);
-    if c.is_empty() {
-        0.0
-    } else {
-        c.iter().map(|&x| x as f64).sum::<f64>() / c.len() as f64
-    }
-}
-
 /// Peels `nodes` down to the maximal connected k-core containing `q`, using
 /// (and reusing) `scratch`. Returns the sorted member list, or `None` if `q`
 /// does not survive.
@@ -252,7 +237,7 @@ mod tests {
         for v in 7..=11 {
             assert_eq!(c[v], 3, "v{v} is in H3 component B");
         }
-        assert_eq!(max_coreness(&g), 3);
+        assert_eq!(c.iter().max(), Some(&3));
     }
 
     #[test]
@@ -335,6 +320,5 @@ mod tests {
         }
         let g = b.build().unwrap();
         assert!(core_decomposition(&g).iter().all(|&c| c == 5));
-        assert!((avg_coreness(&g) - 5.0).abs() < 1e-12);
     }
 }

@@ -86,75 +86,6 @@ pub fn shared_attributes(g: &AttributedGraph, q: NodeId, community: &[NodeId]) -
         .count()
 }
 
-/// Normalized mutual information between a found community and a
-/// ground-truth partition, treating the task as the binary classification
-/// "member of the found community vs. not" against "member of the
-/// best-matching truth community vs. not" over `n` nodes.
-///
-/// 1.0 means the community coincides with a ground-truth community; 0.0
-/// means membership carries no information about the truth. Complements
-/// [`best_f1`] with an information-theoretic view (common in the
-/// community-detection literature).
-pub fn best_nmi(found: &[NodeId], truths: &[Vec<NodeId>], n: usize) -> f64 {
-    truths
-        .iter()
-        .map(|t| binary_nmi(found, t, n))
-        .fold(0.0, f64::max)
-}
-
-fn binary_nmi(a: &[NodeId], b: &[NodeId], n: usize) -> f64 {
-    if n == 0 || a.is_empty() || b.is_empty() || a.len() >= n || b.len() >= n {
-        return 0.0;
-    }
-    let inter = {
-        let (mut i, mut j, mut c) = (0, 0, 0usize);
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    c += 1;
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        c
-    };
-    let n_f = n as f64;
-    // Joint counts of the 2x2 contingency table.
-    let n11 = inter as f64;
-    let n10 = a.len() as f64 - n11;
-    let n01 = b.len() as f64 - n11;
-    let n00 = n_f - n11 - n10 - n01;
-    let pa = a.len() as f64 / n_f;
-    let pb = b.len() as f64 / n_f;
-    let h = |p: f64| {
-        if p <= 0.0 || p >= 1.0 {
-            0.0
-        } else {
-            -p * p.log2() - (1.0 - p) * (1.0 - p).log2()
-        }
-    };
-    let (ha, hb) = (h(pa), h(pb));
-    if ha == 0.0 || hb == 0.0 {
-        return 0.0;
-    }
-    let mut mi = 0.0;
-    for (nxy, px, py) in [
-        (n11, pa, pb),
-        (n10, pa, 1.0 - pb),
-        (n01, 1.0 - pa, pb),
-        (n00, 1.0 - pa, 1.0 - pb),
-    ] {
-        if nxy > 0.0 {
-            let pxy = nxy / n_f;
-            mi += pxy * (pxy / (px * py)).log2();
-        }
-    }
-    (mi / (ha * hb).sqrt()).clamp(0.0, 1.0)
-}
-
 /// Direction of a metric for ranking purposes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Direction {
@@ -232,31 +163,6 @@ mod tests {
         assert!((f - 6.0 / 7.0).abs() < 1e-12);
         assert_eq!(best_f1(&[9], &truths), 0.0);
         assert_eq!(best_f1(&[1], &[]), 0.0);
-    }
-
-    #[test]
-    fn nmi_extremes() {
-        let truth = vec![vec![0, 1, 2, 3]];
-        // Perfect match.
-        assert!((best_nmi(&[0, 1, 2, 3], &truth, 100) - 1.0).abs() < 1e-9);
-        // Disjoint community carries almost no information.
-        assert!(best_nmi(&[50, 51, 52, 53], &truth, 100) < 0.05);
-        // Degenerate inputs.
-        assert_eq!(best_nmi(&[], &truth, 100), 0.0);
-        assert_eq!(best_nmi(&[0], &truth, 0), 0.0);
-        assert_eq!(best_nmi(&[0], &[], 100), 0.0);
-    }
-
-    #[test]
-    fn nmi_orders_by_overlap() {
-        let truth = vec![(0u32..20).collect::<Vec<_>>()];
-        let half: Vec<u32> = (0..10).collect();
-        let most: Vec<u32> = (0..18).collect();
-        let n = 200;
-        let nmi_half = best_nmi(&half, &truth, n);
-        let nmi_most = best_nmi(&most, &truth, n);
-        assert!(nmi_most > nmi_half, "{nmi_most} vs {nmi_half}");
-        assert!(nmi_most < 1.0);
     }
 
     #[test]

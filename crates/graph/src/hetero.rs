@@ -125,11 +125,6 @@ impl HeteroGraph {
         self.node_type_names.get(name)
     }
 
-    /// Resolves an edge type name to its id.
-    pub fn edge_type_id(&self, name: &str) -> Option<EdgeTypeId> {
-        self.edge_type_names.get(name)
-    }
-
     /// Name of a node type id.
     pub fn node_type_name(&self, id: NodeTypeId) -> Option<&str> {
         self.node_type_names.name(id)

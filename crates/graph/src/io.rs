@@ -307,11 +307,6 @@ pub fn write_hetero_graph<W: Write>(g: &HeteroGraph, out: W) -> io::Result<()> {
     w.flush()
 }
 
-/// Saves a heterogeneous graph to `path` in the `csag-hetero v1` format.
-pub fn save_hetero_graph<P: AsRef<Path>>(g: &HeteroGraph, path: P) -> io::Result<()> {
-    write_hetero_graph(g, std::fs::File::create(path)?)
-}
-
 /// Reads a heterogeneous graph in the `csag-hetero v1` text format.
 pub fn read_hetero_graph<R: Read>(input: R) -> io::Result<HeteroGraph> {
     let reader = BufReader::new(input);
@@ -460,11 +455,6 @@ pub fn read_hetero_graph<R: Read>(input: R) -> io::Result<HeteroGraph> {
     }
     let b = builder.ok_or_else(|| parse_err(0, "missing `dims` record"))?;
     Ok(b.build())
-}
-
-/// Loads a heterogeneous graph from `path`.
-pub fn load_hetero_graph<P: AsRef<Path>>(path: P) -> io::Result<HeteroGraph> {
-    read_hetero_graph(std::fs::File::open(path)?)
 }
 
 #[cfg(test)]

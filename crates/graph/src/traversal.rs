@@ -49,25 +49,6 @@ pub fn is_connected_subset(g: &AttributedGraph, nodes: &[NodeId]) -> bool {
     component_of(g, start, Some(&mask)).len() == nodes.len()
 }
 
-/// Breadth-first order from `start` over the whole graph (visited nodes
-/// only).
-pub fn bfs_order(g: &AttributedGraph, start: NodeId) -> Vec<NodeId> {
-    let mut seen = FixedBitSet::new(g.n());
-    let mut order = Vec::new();
-    let mut queue = VecDeque::new();
-    seen.insert(start);
-    queue.push_back(start);
-    while let Some(v) = queue.pop_front() {
-        order.push(v);
-        for &w in g.neighbors(v) {
-            if seen.insert(w) {
-                queue.push_back(w);
-            }
-        }
-    }
-    order
-}
-
 /// Every connected component of a graph, indexed so that a node's
 /// component is a slice lookup: a label per node, plus the members of
 /// each component grouped together in ascending order. Components are
@@ -138,25 +119,6 @@ impl Components {
     }
 }
 
-/// Hop distance (unweighted shortest path length) from `start` to every
-/// node; `usize::MAX` marks unreachable nodes.
-pub fn hop_distances(g: &AttributedGraph, start: NodeId) -> Vec<usize> {
-    let mut dist = vec![usize::MAX; g.n()];
-    dist[start as usize] = 0;
-    let mut queue = VecDeque::new();
-    queue.push_back(start);
-    while let Some(v) = queue.pop_front() {
-        let d = dist[v as usize];
-        for &w in g.neighbors(v) {
-            if dist[w as usize] == usize::MAX {
-                dist[w as usize] = d + 1;
-                queue.push_back(w);
-            }
-        }
-    }
-    dist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,15 +171,6 @@ mod tests {
     }
 
     #[test]
-    fn bfs_starts_at_root_and_visits_component() {
-        let g = two_triangles();
-        let order = bfs_order(&g, 0);
-        assert_eq!(order[0], 0);
-        assert_eq!(order.len(), 6);
-        assert!(!order.contains(&6));
-    }
-
-    #[test]
     fn components_partition_the_graph() {
         let g = two_triangles();
         let comps = Components::new(&g);
@@ -227,16 +180,5 @@ mod tests {
         );
         assert_eq!(comps.of(4), &[0, 1, 2, 3, 4, 5]);
         assert_eq!(comps.of(6), &[6]);
-    }
-
-    #[test]
-    fn hop_distances_count_edges() {
-        let g = two_triangles();
-        let d = hop_distances(&g, 0);
-        assert_eq!(d[0], 0);
-        assert_eq!(d[2], 1);
-        assert_eq!(d[3], 2);
-        assert_eq!(d[5], 3);
-        assert_eq!(d[6], usize::MAX);
     }
 }

@@ -3,11 +3,11 @@
 //! The log *format* is `csag-updates v1` — the same text grammar
 //! `GraphUpdate::parse_script` already reads — framed with the epoch the
 //! batch produced. In-process replicas receive records over a channel
-//! (the `Arc`'d batch is shared, never copied per replica); the
-//! [`LogRecord::to_wire`] / [`LogRecord::parse_wire`] pair is the seam
-//! for putting a replica behind a csag-wire v2 socket later: the record
-//! a remote replica would read off the wire is byte-identical to what
-//! the in-process channel carries.
+//! (the `Arc`'d batch is shared, never copied per replica). The
+//! [`LogRecord::to_wire`] / [`LogRecord::parse_wire`] pair is the one
+//! text form of a record everywhere else: inside a `!rec` frame
+//! ([`LogRecord::from_frame`]) it is the WAL body on disk and the
+//! `csag-repl v1` frame body a remote follower reads off its socket.
 //!
 //! Correctness rests on one invariant: **epoch = batches applied**.
 //! Every [`crate::engine::GraphStore::apply`] bumps the epoch exactly
@@ -41,8 +41,7 @@ impl LogRecord {
 
     /// Renders the record as an epoch-framed `csag-updates v1` script:
     /// an `# epoch N` header comment line followed by one update line
-    /// per entry. This is the wire framing a socket-attached replica
-    /// would consume.
+    /// per entry. It is the body of every WAL and `csag-repl v1` frame.
     pub fn to_wire(&self) -> String {
         let mut s = format!("# epoch {}\n", self.epoch);
         for u in self.updates.iter() {

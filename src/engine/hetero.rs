@@ -4,16 +4,17 @@
 //! meta-path projection (paper §VI-A), so the engine can serve hetero
 //! queries by projecting once and reusing everything the homogeneous
 //! [`Engine`] already has — cached decompositions, the sharded distance
-//! cache, batch execution. [`HeteroEngine`] packages that seam: it owns
-//! the projection *and* the id mappings, so callers speak original
-//! heterogeneous node ids end to end and never hand-roll
+//! cache, per-worker workspaces. [`HeteroEngine`] packages that seam: it
+//! owns the graph, the projection *and* the id mappings, so callers speak
+//! original heterogeneous node ids end to end and never hand-roll
 //! `projection.local(..)` / `projection.original(..)` translations.
 //!
 //! Both of the paper's §VI-A strategies live behind the same facade:
 //!
 //! * **project-then-query** ([`Method::Exact`], [`Method::Sea`], the
 //!   baselines): the full projection is materialized *lazily on first
-//!   use* and cached, then every homogeneous machine applies;
+//!   use* (or up front, by calling [`HeteroEngine::engine`] once) and
+//!   cached, then every homogeneous machine applies;
 //! * **sample-then-project** ([`Method::SeaHetero`]): the native
 //!   index-free SEA pipeline grows the P-neighborhood on the
 //!   heterogeneous graph and only projects the sampled subset — the
@@ -21,17 +22,21 @@
 //!   materialize. Queries answered this way never trigger the cached
 //!   projection at all ([`HeteroEngine::projection_computed`] observes
 //!   that).
+//!
+//! Every method refuses a query node the same way [`SeaHetero::run`]
+//! does: out of range first, then not of the meta-path's source type.
 
+use super::batch::{available_threads, parallel_map_init};
 use super::error::CsagError;
 use super::query::{CommunityQuery, Method};
 use super::result::CommunityResult;
 use super::{sea_community_result, Engine};
-use csag_core::hetero_cs::SeaHetero;
-use csag_graph::{HeteroGraph, MetaPath, NodeId};
+use csag_core::hetero_cs::{check_target_node, SeaHetero};
+use csag_graph::{HeteroGraph, MetaPath, NodeId, QueryWorkspace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// The lazily materialized projection: a homogeneous [`Engine`] plus the
@@ -69,7 +74,7 @@ impl Projected {
 /// for (i, j) in [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (0, 2)] {
 ///     b.add_edge(a[i], p[j], writes).unwrap();
 /// }
-/// let engine = HeteroEngine::project(&b.build(), &MetaPath::new(
+/// let engine = HeteroEngine::new(b.build(), MetaPath::new(
 ///     vec![author, paper, author],
 ///     vec![writes, writes],
 /// ));
@@ -79,12 +84,9 @@ impl Projected {
 /// assert_eq!(res.community, a);
 /// ```
 pub struct HeteroEngine {
-    /// The heterogeneous graph, retained only by the constructors that
-    /// take (or share) ownership — [`Method::SeaHetero`] needs it at
-    /// query time. [`HeteroEngine::project`] keeps its historical
-    /// cost (projection only, no graph copy or retention) and serves
-    /// the projection-based methods alone.
-    hetero: Option<Arc<HeteroGraph>>,
+    /// The heterogeneous graph: [`Method::SeaHetero`] samples it at query
+    /// time and the projection is built from it on first use.
+    hetero: HeteroGraph,
     path: MetaPath,
     projected: OnceLock<Projected>,
 }
@@ -92,117 +94,41 @@ pub struct HeteroEngine {
 impl HeteroEngine {
     /// Builds the facade over `g` under the symmetric meta-path `path`
     /// **without projecting anything yet**: the full projection is
-    /// materialized lazily, on the first query that needs it.
+    /// materialized lazily, on the first query that needs it (call
+    /// [`HeteroEngine::engine`] once to build it up front).
     /// [`Method::SeaHetero`] queries sample before projecting and never
     /// need it.
     ///
     /// # Panics
     /// If the meta-path is not symmetric-typed (source type ≠ end type).
     pub fn new(g: HeteroGraph, path: MetaPath) -> Self {
-        HeteroEngine::from_arc(Arc::new(g), path)
-    }
-
-    /// [`HeteroEngine::new`] over an already-shared graph (no copy).
-    ///
-    /// # Panics
-    /// If the meta-path is not symmetric-typed.
-    pub fn from_arc(g: Arc<HeteroGraph>, path: MetaPath) -> Self {
         assert!(
             path.is_symmetric_typed(),
             "community search requires a symmetric meta-path"
         );
         HeteroEngine {
-            hetero: Some(g),
+            hetero: g,
             path,
             projected: OnceLock::new(),
         }
     }
 
-    /// Builds the facade and materializes the projection *eagerly* (the
-    /// reusable per-graph preparation — do it once, query many times,
-    /// with no first-query latency cliff).
-    ///
-    /// Because it only borrows `g`, this constructor keeps exactly its
-    /// historical cost: it builds the projection and retains **no copy
-    /// of the heterogeneous graph** — so [`Method::SeaHetero`] (which
-    /// samples the original graph at query time) is *not* servable
-    /// through a facade built this way and returns
-    /// [`CsagError::InvalidParams`]. Use [`HeteroEngine::new`] /
-    /// [`HeteroEngine::from_arc`] / [`HeteroEngine::project_arc`] when
-    /// you want both strategies.
-    ///
-    /// # Panics
-    /// If the meta-path is not symmetric-typed (source type ≠ end type),
-    /// like [`HeteroGraph::project`].
-    pub fn project(g: &HeteroGraph, path: &MetaPath) -> Self {
-        assert!(
-            path.is_symmetric_typed(),
-            "community search requires a symmetric meta-path"
-        );
-        let engine = HeteroEngine {
-            hetero: None,
-            path: path.clone(),
-            projected: OnceLock::new(),
-        };
-        engine
-            .projected
-            .set(Projected::build(g, path))
-            .unwrap_or_else(|_| unreachable!("fresh OnceLock"));
-        engine
-    }
-
-    /// [`HeteroEngine::project`] over an already-shared graph — eager
-    /// projection, no graph copy, and (unlike the borrowing
-    /// [`HeteroEngine::project`]) the graph stays shared so
-    /// [`Method::SeaHetero`] remains servable.
-    ///
-    /// # Panics
-    /// If the meta-path is not symmetric-typed.
-    pub fn project_arc(g: Arc<HeteroGraph>, path: MetaPath) -> Self {
-        let engine = HeteroEngine::from_arc(g, path);
-        let _ = engine.projected();
-        engine
-    }
-
     fn projected(&self) -> &Projected {
-        self.projected.get_or_init(|| {
-            let g = self
-                .hetero
-                .as_ref()
-                .expect("a facade without the graph is always built eagerly projected");
-            Projected::build(g, &self.path)
-        })
+        self.projected
+            .get_or_init(|| Projected::build(&self.hetero, &self.path))
     }
 
     /// Whether the full meta-path projection has been materialized —
     /// `false` as long as only [`Method::SeaHetero`] queries (which
-    /// sample before projecting) have run against a lazily built facade.
+    /// sample before projecting) have run.
     pub fn projection_computed(&self) -> bool {
         self.projected.get().is_some()
-    }
-
-    /// The underlying heterogeneous graph, when this facade retains one
-    /// (`None` for facades built with the borrowing
-    /// [`HeteroEngine::project`]).
-    pub fn hetero_graph(&self) -> Option<&HeteroGraph> {
-        self.hetero.as_deref()
-    }
-
-    /// The meta-path this facade projects along.
-    pub fn meta_path(&self) -> &MetaPath {
-        &self.path
     }
 
     /// The underlying engine over the projected graph (projection-local
     /// ids; for cache probes and advanced use). Forces the projection.
     pub fn engine(&self) -> &Engine {
         &self.projected().engine
-    }
-
-    /// Original ids of every target-type node, ascending — the valid
-    /// query nodes of this engine. Forces the projection.
-    pub fn target_nodes(&self) -> &[NodeId] {
-        &self.projected().to_original
     }
 
     /// Maps an original node id to its projection-local id, if it is a
@@ -223,101 +149,58 @@ impl HeteroEngine {
     /// the (lazily cached) full projection.
     ///
     /// # Errors
-    /// [`CsagError::QueryNodeNotFound`] if `query.q` is not a target-type
-    /// node of the projection; otherwise the same errors as
-    /// [`Engine::run`].
+    /// * [`CsagError::InvalidParams`] — the query fails
+    ///   [`CommunityQuery::validate`], or `query.q` is not of the
+    ///   meta-path's source type.
+    /// * [`CsagError::QueryNodeNotFound`] — `query.q` is outside the
+    ///   heterogeneous graph.
+    /// * otherwise the same errors as [`Engine::run`] or
+    ///   [`SeaHetero::run`].
     pub fn run(&self, query: &CommunityQuery) -> Result<CommunityResult, CsagError> {
-        if query.method == Method::SeaHetero {
-            return self.run_native(query);
-        }
-        let local = self.localized(query)?;
-        self.projected()
-            .engine
-            .run(&local)
-            .map(|res| self.globalize(res))
+        self.run_in(query, &mut QueryWorkspace::new())
     }
 
     /// [`HeteroEngine::run`] over a batch, in parallel, preserving order;
-    /// original ids in, original ids out. Projection-based queries share
-    /// the homogeneous engine's batch machinery (per-worker workspaces);
-    /// [`Method::SeaHetero`] queries fan out over the native pipeline.
+    /// original ids in, original ids out. Each worker owns one
+    /// [`QueryWorkspace`] for its share of the batch.
     pub fn run_batch(&self, queries: &[CommunityQuery]) -> Vec<Result<CommunityResult, CsagError>> {
-        // Translate up front so the engine batch stays homogeneous; a
-        // non-target query node yields its error in place, and native
-        // sample-then-project queries are carried through untranslated.
-        enum Routed {
-            Local(CommunityQuery),
-            Native(usize),
-            Failed(CsagError),
+        parallel_map_init(
+            queries,
+            available_threads(),
+            QueryWorkspace::new,
+            |ws, q| self.run_in(q, ws),
+        )
+    }
+
+    fn run_in(
+        &self,
+        query: &CommunityQuery,
+        ws: &mut QueryWorkspace,
+    ) -> Result<CommunityResult, CsagError> {
+        let t_total = Instant::now();
+        query.validate()?;
+        check_target_node(&self.hetero, &self.path, query.q)?;
+        if query.method == Method::SeaHetero {
+            return self.run_native(query, t_total);
         }
-        let routed: Vec<Routed> = queries
-            .iter()
-            .enumerate()
-            .map(|(i, q)| {
-                if q.method == Method::SeaHetero {
-                    Routed::Native(i)
-                } else {
-                    match self.localized(q) {
-                        Ok(local) => Routed::Local(local),
-                        Err(e) => Routed::Failed(e),
-                    }
-                }
-            })
-            .collect();
-        let local: Vec<CommunityQuery> = routed
-            .iter()
-            .filter_map(|r| match r {
-                Routed::Local(q) => Some(q.clone()),
-                _ => None,
-            })
-            .collect();
-        let native_ix: Vec<usize> = routed
-            .iter()
-            .filter_map(|r| match r {
-                Routed::Native(i) => Some(*i),
-                _ => None,
-            })
-            .collect();
-        let mut local_answers = if local.is_empty() {
-            Vec::new()
-        } else {
-            self.projected().engine.run_batch(&local)
-        }
-        .into_iter();
-        let mut native_answers =
-            super::batch::parallel_map(&native_ix, super::batch::available_threads(), |&i| {
-                self.run_native(&queries[i])
-            })
-            .into_iter();
-        routed
-            .into_iter()
-            .map(|r| match r {
-                Routed::Local(_) => local_answers
-                    .next()
-                    .expect("one engine answer per projected query")
-                    .map(|res| self.globalize(res)),
-                Routed::Native(_) => native_answers
-                    .next()
-                    .expect("one native answer per sea-hetero query"),
-                Routed::Failed(e) => Err(e),
-            })
-            .collect()
+        let local = self
+            .local(query.q)
+            .expect("the projection holds every source-type node");
+        self.projected()
+            .engine
+            .run_with_workspace(&query.clone().with_query(local), ws)
+            .map(|res| self.globalize(res))
     }
 
     /// The native §VI-A pipeline: grow the P-neighborhood on the
     /// heterogeneous graph, project only the sampled subset, then run
     /// the homogeneous SEA estimation on it.
-    fn run_native(&self, query: &CommunityQuery) -> Result<CommunityResult, CsagError> {
-        let t_total = Instant::now();
-        query.validate()?;
-        let hetero = self.hetero.as_ref().ok_or_else(|| {
-            CsagError::invalid(
-                "method sea-hetero samples the original heterogeneous graph, but this \
-                 facade was built with HeteroEngine::project(&g, ..), which retains no \
-                 copy of it; build with HeteroEngine::new / from_arc / project_arc",
-            )
-        })?;
-        let solver = SeaHetero::new(hetero, self.path.clone(), query.distance_params());
+    fn run_native(
+        &self,
+        query: &CommunityQuery,
+        t_total: Instant,
+    ) -> Result<CommunityResult, CsagError> {
+        let solver = SeaHetero::new(&self.hetero, self.path.clone(), query.distance_params());
         let mut rng = StdRng::seed_from_u64(query.seed);
         let r = solver.run(query.q, &query.sea_params(), &mut rng)?;
         // The solver already speaks original ids; no globalization step.
@@ -325,16 +208,6 @@ impl HeteroEngine {
         res.timings.search = t_total.elapsed();
         res.timings.total = t_total.elapsed();
         Ok(res)
-    }
-
-    fn localized(&self, query: &CommunityQuery) -> Result<CommunityQuery, CsagError> {
-        match self.local(query.q) {
-            Some(local) => Ok(query.clone().with_query(local)),
-            None => Err(CsagError::QueryNodeNotFound {
-                q: query.q,
-                nodes: self.projected().to_original.len(),
-            }),
-        }
     }
 
     /// Rewrites a projection-local result back into original ids.
@@ -395,8 +268,9 @@ mod tests {
     #[test]
     fn hetero_engine_speaks_original_ids() {
         let (g, apa, authors) = toy();
-        let engine = HeteroEngine::project(&g, &apa);
-        assert_eq!(engine.target_nodes(), authors.as_slice());
+        let engine = HeteroEngine::new(g, apa);
+        let locals: Vec<NodeId> = authors.iter().map(|&a| engine.local(a).unwrap()).collect();
+        assert_eq!(locals, [0, 1, 2, 3]);
         let res = engine
             .run(&CommunityQuery::new(Method::Exact, authors[0]).with_k(2))
             .unwrap();
@@ -410,7 +284,7 @@ mod tests {
     #[test]
     fn hetero_engine_matches_hand_rolled_projection() {
         let (g, apa, authors) = toy();
-        let hetero = HeteroEngine::project(&g, &apa);
+        let hetero = HeteroEngine::new(g.clone(), apa.clone());
         let projection = g.project(&apa);
         let hand = Engine::new(projection.graph.clone());
         for &a in &authors {
@@ -434,22 +308,60 @@ mod tests {
     #[test]
     fn batch_interleaves_errors_in_order() {
         let (g, apa, authors) = toy();
-        let engine = HeteroEngine::project(&g, &apa);
+        let engine = HeteroEngine::new(g, apa);
         let paper_node = 4; // first paper id — not a target-type node
         let queries = vec![
             CommunityQuery::new(Method::Exact, authors[1]).with_k(2),
             CommunityQuery::new(Method::Exact, paper_node).with_k(2),
             CommunityQuery::new(Method::Exact, authors[3]).with_k(2),
+            CommunityQuery::new(Method::SeaHetero, paper_node)
+                .with_k(2)
+                .with_error_bound(0.2),
         ];
         let out = engine.run_batch(&queries);
-        assert_eq!(out.len(), 3);
+        assert_eq!(out.len(), 4);
         assert_eq!(out[0].as_ref().unwrap().q, authors[1]);
-        assert!(matches!(
-            out[1],
-            Err(CsagError::QueryNodeNotFound { q: 4, .. })
-        ));
+        assert!(matches!(out[1], Err(CsagError::InvalidParams { .. })));
         // a3's only co-author is a2: no 2-core, a definitive no.
         assert!(out[2].as_ref().unwrap_err().is_no_community());
+        assert_eq!(out[3].as_ref().unwrap_err(), out[1].as_ref().unwrap_err());
+        // Every entry is its serial twin, errors included.
+        for (q, batched) in queries.iter().zip(&out) {
+            let serial = engine.run(q);
+            assert_eq!(
+                serial.as_ref().map(|r| &r.community),
+                batched.as_ref().map(|r| &r.community),
+                "{q:?}"
+            );
+        }
+    }
+
+    /// A non-target query node gets the error [`SeaHetero::run`] gives
+    /// it, whatever the method and whether run alone or in a batch.
+    #[test]
+    fn every_method_refuses_a_query_node_as_sea_hetero_does() {
+        let (g, apa, _) = toy();
+        let solver = SeaHetero::new(&g, apa.clone(), Default::default());
+        let engine = HeteroEngine::new(g.clone(), apa);
+        for q in [4, 7, 8, 100] {
+            let native = solver
+                .run(q, &Default::default(), &mut StdRng::seed_from_u64(0))
+                .unwrap_err();
+            let queries: Vec<CommunityQuery> = [Method::Exact, Method::Sea, Method::SeaHetero]
+                .into_iter()
+                .map(|m| CommunityQuery::new(m, q).with_k(2).with_error_bound(0.2))
+                .collect();
+            for (query, batched) in queries.iter().zip(engine.run_batch(&queries)) {
+                assert_eq!(engine.run(query).unwrap_err(), native, "{query:?}");
+                assert_eq!(batched.unwrap_err(), native, "{query:?}");
+            }
+        }
+        assert_eq!(
+            engine
+                .run(&CommunityQuery::new(Method::Exact, 100).with_k(2))
+                .unwrap_err(),
+            CsagError::QueryNodeNotFound { q: 100, nodes: 8 }
+        );
     }
 
     /// The facade's sample-then-project path never materializes the full
@@ -512,30 +424,22 @@ mod tests {
     }
 
     /// A homogeneous engine rejects the hetero-native method with a
-    /// pointer to the right entry point — and so does a borrowing
-    /// `project(&g, ..)` facade, which retains no graph to sample.
+    /// pointer to the right entry point, while the facade serves it
+    /// beside a projection built up front through `engine()`.
     #[test]
     fn homogeneous_engine_rejects_sea_hetero() {
         let (g, apa, authors) = toy();
-        let engine = HeteroEngine::project(&g, &apa);
-        let native = CommunityQuery::new(Method::SeaHetero, authors[0])
-            .with_k(2)
-            .with_error_bound(0.2);
+        let engine = HeteroEngine::new(g, apa);
         let err = engine
             .engine()
             .run(&CommunityQuery::new(Method::SeaHetero, 0).with_k(2))
             .unwrap_err();
         assert!(matches!(err, CsagError::InvalidParams { .. }));
         assert!(err.to_string().contains("HeteroEngine"), "{err}");
-        // project(&g, ..) keeps its historical cost (no graph copy), so
-        // the native method is honestly unservable through it...
-        assert!(engine.hetero_graph().is_none());
-        let err = engine.run(&native).unwrap_err();
-        assert!(err.to_string().contains("project_arc"), "{err}");
-        // ...while the retaining constructors serve it for the same node.
-        let engine = HeteroEngine::project_arc(Arc::new(g), apa);
         assert!(engine.projection_computed());
-        assert!(engine.hetero_graph().is_some());
+        let native = CommunityQuery::new(Method::SeaHetero, authors[0])
+            .with_k(2)
+            .with_error_bound(0.2);
         assert!(engine.run(&native).is_ok());
     }
 }

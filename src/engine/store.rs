@@ -247,11 +247,6 @@ impl Snapshot {
         &self.engine
     }
 
-    /// A shared handle to the epoch's engine (for spawning workers).
-    pub fn engine_arc(&self) -> Arc<Engine> {
-        Arc::clone(&self.engine)
-    }
-
     /// Wraps an engine assembled outside any store (the shard layer's
     /// gather path builds union engines for cross-shard merges).
     pub(crate) fn from_engine(engine: Arc<Engine>) -> Self {
@@ -692,7 +687,7 @@ impl GraphStore {
                     reason: e.to_string(),
                 })?;
         }
-        let old_engine = self.snapshot().engine_arc();
+        let old_engine = self.snapshot().engine;
         // Trussness is maintained only once a query paid for it: seed the
         // repair from the decomposition that query ran, once per store
         // lifetime. (Until the maintainer exists, every epoch's engine

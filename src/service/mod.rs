@@ -331,11 +331,6 @@ impl Service {
         &self.primary
     }
 
-    /// A shared handle to [`Service::store`].
-    pub fn store_arc(&self) -> Arc<GraphStore> {
-        Arc::clone(&self.primary)
-    }
-
     /// Pins the primary store's current epoch (a read-side
     /// convenience).
     pub fn snapshot(&self) -> Snapshot {

@@ -233,18 +233,6 @@ impl Ticket {
             .recv()
             .expect("service answers every admitted request")
     }
-
-    /// Returns the response if it is already available, or the ticket
-    /// back if the computation is still in flight.
-    pub fn try_wait(self) -> Result<Response, Ticket> {
-        match self.rx.try_recv() {
-            Ok(resp) => Ok(resp),
-            Err(mpsc::TryRecvError::Empty) => Err(self),
-            Err(mpsc::TryRecvError::Disconnected) => {
-                panic!("service answers every admitted request")
-            }
-        }
-    }
 }
 
 #[cfg(test)]
