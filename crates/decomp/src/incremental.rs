@@ -58,7 +58,7 @@
 //! against.
 
 use crate::kcore::core_decomposition;
-use crate::ktruss::{for_common_in_rows, node_max_trussness, truss_decomposition, EdgeIndex};
+use crate::ktruss::{for_common_in_rows, node_max_trussness, truss_decomposition};
 use csag_graph::{AttributedGraph, MutableGraph, NodeId};
 
 /// Neighbor access shared by the immutable CSR graph and the evolving
@@ -329,19 +329,14 @@ pub struct TrussMaintainer {
 impl TrussMaintainer {
     /// Decomposes `g` once and lays the edge trussness out in rows.
     pub fn new(g: &AttributedGraph) -> Self {
-        let (eidx, trussness) = truss_decomposition(g);
-        Self::from_decomposition(g, &eidx, &trussness)
+        Self::from_decomposition(g, &truss_decomposition(g))
     }
 
-    /// Adopts a finished decomposition of `g` — `trussness[id]` for every
-    /// edge id of `eidx`, as [`truss_decomposition`] returns it — and only
-    /// lays it out in rows.
-    pub fn from_decomposition(g: &AttributedGraph, eidx: &EdgeIndex, trussness: &[u32]) -> Self {
+    /// Adopts a finished decomposition of `g` — the CSR-order table
+    /// [`truss_decomposition`] returns — and only copies it out in rows.
+    pub fn from_decomposition(g: &AttributedGraph, trussness: &[u32]) -> Self {
         let tau: Vec<Vec<u32>> = (0..g.n() as NodeId)
-            .map(|v| {
-                let ids = eidx.row(g, v).iter();
-                ids.map(|&id| trussness[id as usize]).collect()
-            })
+            .map(|v| trussness[g.row_range(v)].to_vec())
             .collect();
         let node_max = tau.iter().map(|row| row_max(row)).collect();
         TrussMaintainer {
@@ -768,12 +763,10 @@ mod tests {
                 csag_graph::Applied::AttributesSet(_) | csag_graph::Applied::NoOp => {}
             }
             let snap = mutable.snapshot();
-            let (eidx, fresh) = truss_decomposition(&snap);
+            let fresh = truss_decomposition(&snap);
             assert_eq!(maint.tau.len(), snap.n());
             for v in 0..snap.n() as NodeId {
-                let want: Vec<u32> = (0..snap.neighbors(v).len())
-                    .map(|i| fresh[eidx.id_at(&snap, v, i) as usize])
-                    .collect();
+                let want = &fresh[snap.row_range(v)];
                 assert_eq!(maint.tau[v as usize], want, "row {v} after {update:?}");
             }
             assert_eq!(maint.node_trussness(), node_max_trussness(&snap));

@@ -2,7 +2,7 @@
 //! query on it shares, each built lazily, at most once.
 
 use crate::kcore::core_decomposition;
-use crate::ktruss::{node_maxima, truss_decomposition, EdgeIndex};
+use crate::ktruss::{node_maxima, truss_decomposition};
 use csag_graph::traversal::Components;
 use csag_graph::AttributedGraph;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -10,9 +10,12 @@ use std::sync::OnceLock;
 
 /// Lazily built tables of one graph, shared by every query on it:
 /// coreness (`{v : coreness(v) ≥ k}` is the k-core), node trussness (the
-/// largest trussness of an edge at each node), the [`EdgeIndex`] every
-/// k-truss peel reads, per-edge trussness (kept from the decomposition,
-/// never present on a seeded index) and the [`Components`].
+/// largest trussness of an edge at each node), per-edge trussness in CSR
+/// order (kept from the decomposition, never present on a seeded index)
+/// and the [`Components`]. Nothing here is sized by the graph's edges for
+/// a read's sake: a k-truss peel numbers the edges of its own subset, and
+/// the per-edge table exists only because the decomposition produced it
+/// (a store's first write adopts it to seed its trussness repair).
 ///
 /// The index does not hold the graph: every accessor takes it. An engine
 /// lends its own index to every method; a caller with no engine lends a
@@ -22,7 +25,6 @@ use std::sync::OnceLock;
 pub struct EpochIndex {
     coreness: OnceLock<Vec<u32>>,
     node_trussness: OnceLock<Vec<u32>>,
-    edge_index: OnceLock<EdgeIndex>,
     edge_trussness: OnceLock<Vec<u32>>,
     components: OnceLock<Components>,
     core_runs: AtomicUsize,
@@ -57,30 +59,18 @@ impl EpochIndex {
     }
 
     /// Maximum trussness over each node's incident edges (0 when it has
-    /// none). The decomposition behind it also fills the edge index and
-    /// the per-edge table.
+    /// none). The decomposition behind it also fills the per-edge table.
     #[inline]
     pub fn node_trussness(&self, g: &AttributedGraph) -> &[u32] {
         let node_max = self.node_trussness.get_or_init(|| {
             self.truss_runs.fetch_add(1, Ordering::Relaxed);
-            let (eidx, edge_trussness) = truss_decomposition(g);
-            let node_max = node_maxima(g, &eidx, &edge_trussness);
-            // Edge ids are a function of the graph, so the table reads
-            // right through whichever index `edge_index` ends up holding.
-            let _ = self.edge_index.set(eidx);
+            let edge_trussness = truss_decomposition(g);
+            let node_max = node_maxima(g, &edge_trussness);
             let _ = self.edge_trussness.set(edge_trussness);
             node_max
         });
         debug_assert_eq!(node_max.len(), g.n(), "node trussness of another graph");
         node_max
-    }
-
-    /// The edge index of `g` every k-truss peel reads: the truss
-    /// decomposition's, or one built here on first use.
-    pub fn edge_index(&self, g: &AttributedGraph) -> &EdgeIndex {
-        let eidx = self.edge_index.get_or_init(|| EdgeIndex::new(g));
-        debug_assert_eq!(eidx.m(), g.m(), "edge index of another graph");
-        eidx
     }
 
     /// The connected components of `g`, built in `O(n + m)` on first use.
@@ -93,10 +83,11 @@ impl EpochIndex {
         self.node_trussness.get()
     }
 
-    /// The per-edge trussness table and the index its ids refer to, only
-    /// if this index ran the truss decomposition itself (which set both).
-    pub fn edge_trussness_if_computed(&self) -> Option<(&EdgeIndex, &[u32])> {
-        Some((self.edge_index.get()?, self.edge_trussness.get()?))
+    /// The per-edge trussness table in CSR order (`table[g.row_range(v)]`
+    /// is `v`'s row), only if this index ran the truss decomposition
+    /// itself.
+    pub fn edge_trussness_if_computed(&self) -> Option<&[u32]> {
+        self.edge_trussness.get().map(Vec::as_slice)
     }
 
     /// How many times the core decomposition has run (0 or 1; a seeded
@@ -142,9 +133,9 @@ mod tests {
         }
         assert_eq!(index.decomp_computations(), 1);
         assert_eq!(index.truss_decomp_computations(), 1);
-        let (eidx, edge_trussness) = index.edge_trussness_if_computed().unwrap();
-        assert_eq!(eidx.m(), g.m());
-        assert_eq!(edge_trussness, truss_decomposition(&g).1);
+        let edge_trussness = index.edge_trussness_if_computed().unwrap();
+        assert_eq!(edge_trussness.len(), 2 * g.m());
+        assert_eq!(edge_trussness, truss_decomposition(&g));
         assert_eq!(index.components(&g).of(6), &[6]);
         assert_eq!(index.components(&g).of(0), &[0, 1, 2, 3, 4, 5]);
     }
@@ -155,7 +146,6 @@ mod tests {
         let index = EpochIndex::seeded(core_decomposition(&g), Some(node_max_trussness(&g)));
         assert_eq!(index.coreness(&g), core_decomposition(&g));
         assert_eq!(index.node_trussness(&g), node_max_trussness(&g));
-        assert_eq!(index.edge_index(&g).m(), g.m());
         assert_eq!(index.decomp_computations(), 0);
         assert_eq!(index.truss_decomp_computations(), 0);
         assert!(index.edge_trussness_if_computed().is_none());

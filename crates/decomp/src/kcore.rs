@@ -158,17 +158,17 @@ pub(crate) fn peel_to_kcore_into(
     true
 }
 
-/// A scratch fitted to `n` nodes and `m` edges, for standalone peels.
-pub(crate) fn fitted_scratch(n: usize, m: usize) -> PeelScratch {
+/// A scratch fitted to `n` nodes, for standalone peels.
+pub(crate) fn fitted_scratch(n: usize) -> PeelScratch {
     let mut scratch = PeelScratch::default();
-    scratch.fit(n, m);
+    scratch.fit(n);
     scratch
 }
 
 /// Maximal connected k-core of the whole graph containing `q` (paper
 /// §IV-A), or `None` if `q` has no k-core. The result is sorted.
 pub fn max_connected_kcore(g: &AttributedGraph, q: NodeId, k: u32) -> Option<Vec<NodeId>> {
-    let mut scratch = fitted_scratch(g.n(), 0);
+    let mut scratch = fitted_scratch(g.n());
     let all: Vec<NodeId> = (0..g.n() as NodeId).collect();
     peel_to_kcore_scratch(g, q, k, &all, &mut scratch)
 }
@@ -276,7 +276,7 @@ mod tests {
     #[test]
     fn restricted_peel_ignores_outside_nodes() {
         let g = figure2_graph();
-        let mut scratch = fitted_scratch(g.n(), 0);
+        let mut scratch = fitted_scratch(g.n());
         // Restrict to {v1,v2,v3,v4}: edges 1-2,1-3,1-4,2-3,2-4,3-4 → a
         // 4-clique, a connected 3-core.
         let got = peel_to_kcore_scratch(&g, 1, 3, &[1, 2, 3, 4], &mut scratch).unwrap();
@@ -296,7 +296,7 @@ mod tests {
     #[test]
     fn scratch_reuse_is_clean_across_epochs() {
         let g = figure2_graph();
-        let mut scratch = fitted_scratch(g.n(), 0);
+        let mut scratch = fitted_scratch(g.n());
         for _ in 0..100 {
             let a = peel_to_kcore_scratch(&g, 5, 3, &(0..13).collect::<Vec<_>>(), &mut scratch)
                 .unwrap();

@@ -5,36 +5,66 @@
 //! k-core one: given a node subset, drop edges with insufficient support
 //! until a fixed point, then take the connected component of `q` over the
 //! surviving edges.
+//!
+//! Neither needs a per-graph edge numbering kept beside the graph. The
+//! restricted peel numbers the internal edges of its subset as it lays out
+//! their rows, so its per-edge values take two slots per internal edge; the
+//! decomposition numbers every edge with a private [`EdgeIndex`] while it
+//! runs and returns its answer in CSR order, aligned with the graph's own
+//! rows.
 
 use crate::kcore::fitted_scratch;
 use csag_graph::{AttributedGraph, NodeId, PeelScratch};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Edge indexes built so far in this process ([`EdgeIndex::builds`]).
-static BUILDS: AtomicU64 = AtomicU64::new(0);
+/// Truss decompositions run so far in this process
+/// ([`truss_decompositions`]).
+static DECOMPOSITIONS: AtomicU64 = AtomicU64::new(0);
 
-/// Assigns a dense id in `0..m` to every undirected edge, aligned with the
-/// graph's CSR adjacency so that both directions of an edge share the id.
-#[derive(Clone, Debug)]
-pub struct EdgeIndex {
+/// How many times [`truss_decomposition`] has run in this process — a
+/// clock-free count of the only place a whole-graph edge numbering is
+/// built, so a test can assert that reads and a store's first write run
+/// none. Process-wide: read deltas in a binary that runs nothing else
+/// concurrently.
+pub fn truss_decompositions() -> u64 {
+    DECOMPOSITIONS.load(Ordering::Relaxed)
+}
+
+/// The decomposition's edge numbering: a dense id in `0..m` for every
+/// undirected edge, aligned with the graph's CSR adjacency so that both
+/// directions of an edge share the id. Ids are handed out at each edge's
+/// lower end, in (node, row position) order, so an id's upper end is at a
+/// fixed offset into its lower end's row.
+struct EdgeIndex {
     /// `ids[pos]` is the edge id of the adjacency entry at CSR position
     /// `pos` (same indexing as the graph's flat target array).
     ids: Vec<u32>,
-    m: usize,
+    /// `low[id]` is the lower end of edge `id`.
+    low: Vec<NodeId>,
+    /// `first[u]` is the first id handed out at `u`.
+    first: Vec<u32>,
+    /// `forward[u]` is the position of `u`'s first neighbour above `u`.
+    forward: Vec<u32>,
 }
 
 impl EdgeIndex {
     /// Builds the index in O(n + m log d_max).
-    pub fn new(g: &AttributedGraph) -> Self {
-        BUILDS.fetch_add(1, Ordering::Relaxed);
+    fn new(g: &AttributedGraph) -> Self {
         let mut ids = vec![u32::MAX; 2 * g.m()];
-        let mut next = 0u32;
+        let mut low = Vec::with_capacity(g.m());
+        let mut first = Vec::with_capacity(g.n());
+        let mut forward = Vec::with_capacity(g.n());
         for u in 0..g.n() as NodeId {
+            first.push(low.len() as u32);
+            let row = g.neighbors(u);
+            let fu = forward_start(row, u);
+            forward.push(fu as u32);
             let base = g.row_range(u).start;
-            for (i, &v) in g.neighbors(u).iter().enumerate() {
-                if u < v {
-                    ids[base + i] = next;
-                    next += 1;
+            for (i, &v) in row.iter().enumerate() {
+                if i >= fu {
+                    ids[base + i] = low.len() as u32;
+                    low.push(u);
                 } else {
                     // (v, u) was assigned earlier; look it up in v's row.
                     let vbase = g.row_range(v).start;
@@ -48,40 +78,29 @@ impl EdgeIndex {
         }
         EdgeIndex {
             ids,
-            m: next as usize,
+            low,
+            first,
+            forward,
         }
     }
 
-    /// How many indexes [`EdgeIndex::new`] has built in this process — a
-    /// clock-free count of the `O(m log d_max)` builds, so a test can
-    /// assert that k-truss reads reuse one index instead of building their
-    /// own. Process-wide: read deltas in a binary that runs nothing else
-    /// concurrently.
-    pub fn builds() -> u64 {
-        BUILDS.load(Ordering::Relaxed)
-    }
-
     /// Number of undirected edges.
-    pub fn m(&self) -> usize {
-        self.m
-    }
-
-    /// Edge id of the adjacency entry `i` within `v`'s neighbor row.
-    #[inline]
-    pub fn id_at(&self, g: &AttributedGraph, v: NodeId, i: usize) -> u32 {
-        self.ids[g.row_range(v).start + i]
+    fn m(&self) -> usize {
+        self.low.len()
     }
 
     /// Edge ids of `v`'s whole neighbor row, parallel to `g.neighbors(v)`.
     #[inline]
-    pub(crate) fn row(&self, g: &AttributedGraph, v: NodeId) -> &[u32] {
+    fn row(&self, g: &AttributedGraph, v: NodeId) -> &[u32] {
         &self.ids[g.row_range(v)]
     }
 
-    /// Edge id of `{u, v}`, if the edge exists.
-    pub fn id(&self, g: &AttributedGraph, u: NodeId, v: NodeId) -> Option<u32> {
-        let i = g.neighbors(u).binary_search(&v).ok()?;
-        Some(self.id_at(g, u, i))
+    /// The ends `(u, v)`, `u < v`, of edge `id`.
+    #[inline]
+    fn ends(&self, g: &AttributedGraph, id: u32) -> (NodeId, NodeId) {
+        let u = self.low[id as usize];
+        let at = self.forward[u as usize] + (id - self.first[u as usize]);
+        (u, g.neighbors(u)[at as usize])
     }
 }
 
@@ -112,29 +131,6 @@ pub(crate) fn for_common_in_rows(
     }
 }
 
-/// [`for_common_in_rows`] over two induced rows: `pu` and `pv` are
-/// ascending positions into the full rows `nu` and `nv`, and `visit`
-/// receives the full-row positions of each common neighbour.
-#[inline]
-fn for_common_in_induced(
-    nu: &[NodeId],
-    pu: &[u32],
-    nv: &[NodeId],
-    pv: &[u32],
-    mut visit: impl FnMut(NodeId, usize, usize),
-) {
-    let (mut i, mut j) = (0, 0);
-    while i < pu.len() && j < pv.len() {
-        let (p, q) = (pu[i] as usize, pv[j] as usize);
-        let (a, b) = (nu[p], nv[q]);
-        if a == b {
-            visit(a, p, q);
-        }
-        i += usize::from(a <= b);
-        j += usize::from(b <= a);
-    }
-}
-
 /// Peels the subgraph induced by `nodes` down to the maximal connected
 /// k-truss containing `q`. Returns the sorted member nodes, or `None` if
 /// `q` has no incident surviving edge.
@@ -144,14 +140,23 @@ fn for_common_in_induced(
 /// reachable over internal edges.
 pub(crate) fn peel_to_ktruss_scratch(
     g: &AttributedGraph,
-    eidx: &EdgeIndex,
     q: NodeId,
     k: u32,
     nodes: &[NodeId],
     scratch: &mut PeelScratch,
 ) -> Option<Vec<NodeId>> {
     let mut out = Vec::new();
-    peel_to_ktruss_into(g, eidx, q, k, nodes, scratch, &mut out).then_some(out)
+    peel_to_ktruss_into(g, q, k, nodes, scratch, &mut out).then_some(out)
+}
+
+/// The support an edge's slot holds once the peel has removed it.
+const REMOVED: u32 = u32::MAX;
+
+/// The positions of `u`'s induced row in a peel's row lists.
+#[inline]
+fn span(row_of: &[u32], row_start: &[u32], u: NodeId) -> Range<usize> {
+    let r = row_of[u as usize] as usize;
+    row_start[r] as usize..row_start[r + 1] as usize
 }
 
 /// Allocation-free twin of [`peel_to_ktruss_scratch`]: writes the sorted
@@ -160,12 +165,14 @@ pub(crate) fn peel_to_ktruss_scratch(
 /// `scratch` and a capacious `out` this performs zero heap allocations.
 ///
 /// `nodes` must be distinct, in any order. The subset's induced rows are
-/// laid out once, by one scan of each member's full row; support counting,
-/// the peel and the final traversal then merge and walk only in-subset
-/// neighbours, and every row entry is an internal edge by construction.
+/// laid out once, by one scan of each member's full row; support
+/// counting, the peel and the final traversal then merge and walk only
+/// in-subset neighbours. The peel numbers the internal edges itself: an
+/// edge is its *forward slot*, the one in its lower end's row, so every
+/// per-edge value fits in one array parallel to the rows — two entries
+/// per internal edge of the subset, nothing sized by the graph's `m`.
 pub(crate) fn peel_to_ktruss_into(
     g: &AttributedGraph,
-    eidx: &EdgeIndex,
     q: NodeId,
     k: u32,
     nodes: &[NodeId],
@@ -175,18 +182,19 @@ pub(crate) fn peel_to_ktruss_into(
     out.clear();
     let e = scratch.next_epoch();
     // The node arrays: subset stamps, traversal stamps, and each member's
-    // row number; the edge arrays: removal stamps and supports. The rows
-    // hold, ascending, the positions in each member's CSR row of its
-    // neighbours inside the subset: row `r` is `row_pos[row_start[r]..
-    // row_start[r + 1]]`.
+    // row number (`node[1]` holds the k-core peel's removal stamps, so no
+    // value may go there). The rows hold, ascending, each member's
+    // neighbours inside the subset: row `r` is `row_nbr[row_start[r]..
+    // row_start[r + 1]]`. Parallel to them, `slots[x]` is, for a forward
+    // slot `x` (`(u → v)` with `u < v`), the support of the edge, or
+    // `REMOVED`; for a backward slot, the index of its forward twin.
     let PeelScratch {
         node: [in_set, _, vis, row_of],
-        edge: [edge_rm, support],
-        lists: [dfs, row_start, row_pos],
-        queue,
+        slots,
+        lists: [stack, row_start, row_nbr],
         ..
     } = scratch;
-    debug_assert!(in_set.len() >= g.n() && edge_rm.len() >= eidx.m());
+    debug_assert!(in_set.len() >= g.n(), "scratch fitted to the graph");
     for &v in nodes {
         in_set[v as usize] = e;
     }
@@ -197,86 +205,102 @@ pub(crate) fn peel_to_ktruss_into(
 
     // Lay out the induced rows.
     row_start.clear();
-    row_pos.clear();
+    row_nbr.clear();
     row_start.push(0);
     for (r, &u) in nodes.iter().enumerate() {
         row_of[u as usize] = r as u32;
-        for (i, &v) in g.neighbors(u).iter().enumerate() {
+        for &v in g.neighbors(u) {
             if in_set[v as usize] == e {
-                row_pos.push(i as u32);
+                row_nbr.push(v);
             }
         }
-        row_start.push(row_pos.len() as u32);
+        row_start.push(row_nbr.len() as u32);
     }
-    let row = |u: NodeId| {
-        let r = row_of[u as usize] as usize;
-        &row_pos[row_start[r] as usize..row_start[r + 1] as usize]
+    if slots.len() < row_nbr.len() {
+        slots.resize(row_nbr.len(), 0);
+    }
+    // The edge of slot `x` at node `u`: `x` itself if it is forward, else
+    // its twin (both set by the pass below).
+    let edge = |slots: &[u32], x: usize, u: NodeId, v: NodeId| {
+        if u < v {
+            x
+        } else {
+            slots[x] as usize
+        }
     };
 
-    // Supports of the internal edges (each counted once, from its lower
-    // end), queueing the subcritical ones. Edges are *stamped removed at
-    // processing time*, not at enqueue time: when one edge of a triangle
-    // is processed, the other two must still count as alive so the
-    // triangle's loss is charged to them exactly once.
-    queue.clear();
+    // Each backward slot `(u → v)` finds its twin `(v → u)` by a search of
+    // v's ascending row, which works whatever the order of `nodes`; each
+    // edge's support is counted once, at its forward slot, and the
+    // subcritical ones are stacked as (lower end, forward slot) pairs.
+    // Edges are *marked removed at processing time*, not when stacked:
+    // when one edge of a triangle is processed, the other two must still
+    // count as alive so the triangle's loss is charged to them exactly
+    // once. The fixed point does not depend on the processing order.
+    stack.clear();
     for &u in nodes {
-        let (nu, pu) = (g.neighbors(u), row(u));
-        for &i in pu {
-            let v = nu[i as usize];
-            if u < v {
-                let mut cnt = 0u32;
-                for_common_in_induced(nu, pu, g.neighbors(v), row(v), |_, _, _| cnt += 1);
-                let id = eidx.id_at(g, u, i as usize);
-                support[id as usize] = cnt;
-                if cnt < need {
-                    queue.push_back((u, v, id));
-                }
+        let su = span(row_of, row_start, u);
+        for x in su.clone() {
+            let v = row_nbr[x];
+            let sv = span(row_of, row_start, v);
+            if v < u {
+                let j = row_nbr[sv.clone()]
+                    .binary_search(&u)
+                    .expect("symmetric adjacency");
+                slots[x] = (sv.start + j) as u32;
+                continue;
+            }
+            let mut cnt = 0u32;
+            for_common_in_rows(&row_nbr[su.clone()], &row_nbr[sv], |_, _, _| cnt += 1);
+            slots[x] = cnt;
+            if cnt < need {
+                stack.extend([u, x as u32]);
             }
         }
     }
-    while let Some((u, v, id)) = queue.pop_front() {
-        if edge_rm[id as usize] == e {
+    while let (Some(uv), Some(u)) = (stack.pop(), stack.pop()) {
+        let uv = uv as usize;
+        if slots[uv] == REMOVED {
             continue;
         }
-        edge_rm[id as usize] = e;
+        slots[uv] = REMOVED;
         // Every triangle (u, v, w) whose other two edges are still alive
         // dies with this edge; both survivors lose one unit of support,
-        // and each is queued exactly at its threshold crossing (it was
+        // and each is stacked exactly at its threshold crossing (it was
         // above `need` before this decrement, so that fires at most once).
-        let (nu, nv) = (g.neighbors(u), g.neighbors(v));
-        for_common_in_induced(nu, row(u), nv, row(v), |w, i, j| {
-            let uw = eidx.id_at(g, u, i);
-            let vw = eidx.id_at(g, v, j);
-            if edge_rm[uw as usize] != e && edge_rm[vw as usize] != e {
-                for (a, b, id2) in [(u, w, uw), (v, w, vw)] {
-                    let s = &mut support[id2 as usize];
-                    *s -= 1;
-                    if *s + 1 == need {
-                        queue.push_back((a, b, id2));
+        let v = row_nbr[uv];
+        let (su, sv) = (span(row_of, row_start, u), span(row_of, row_start, v));
+        let (bu, bv) = (su.start, sv.start);
+        for_common_in_rows(&row_nbr[su], &row_nbr[sv], |w, i, j| {
+            let uw = edge(slots, bu + i, u, w);
+            let vw = edge(slots, bv + j, v, w);
+            if slots[uw] != REMOVED && slots[vw] != REMOVED {
+                for (a, ab) in [(u, uw), (v, vw)] {
+                    slots[ab] -= 1;
+                    if slots[ab] + 1 == need {
+                        stack.extend([a.min(w), ab as u32]);
                     }
                 }
             }
         });
     }
 
-    // Traverse from q over surviving edges; `out` is sorted afterwards so
-    // the (stack-based) traversal order is immaterial.
-    dfs.clear();
+    // Traverse from q over surviving edges, on the (now empty) stack;
+    // `out` is sorted afterwards so the traversal order is immaterial.
     vis[q as usize] = e;
-    dfs.push(q);
+    stack.push(q);
     let mut q_has_edge = false;
-    while let Some(u) = dfs.pop() {
+    while let Some(u) = stack.pop() {
         out.push(u);
-        let nu = g.neighbors(u);
-        for &i in row(u) {
-            if edge_rm[eidx.id_at(g, u, i as usize) as usize] != e {
+        for x in span(row_of, row_start, u) {
+            let v = row_nbr[x];
+            if slots[edge(slots, x, u, v)] != REMOVED {
                 if u == q {
                     q_has_edge = true;
                 }
-                let v = nu[i as usize];
                 if vis[v as usize] != e {
                     vis[v as usize] = e;
-                    dfs.push(v);
+                    stack.push(v);
                 }
             }
         }
@@ -296,34 +320,31 @@ pub(crate) fn peel_to_ktruss_into(
 /// connected k-truss holding `q`. The engine caches this to settle truss
 /// "no" answers in O(1), exactly as coreness settles k-core ones.
 pub fn node_max_trussness(g: &AttributedGraph) -> Vec<u32> {
-    let (eidx, trussness) = truss_decomposition(g);
-    node_maxima(g, &eidx, &trussness)
+    node_maxima(g, &truss_decomposition(g))
 }
 
-/// Each node's largest `trussness` (by `eidx` id) over its incident edges.
-pub(crate) fn node_maxima(g: &AttributedGraph, eidx: &EdgeIndex, trussness: &[u32]) -> Vec<u32> {
+/// Each node's largest value in its row of the CSR-order `trussness`.
+pub(crate) fn node_maxima(g: &AttributedGraph, trussness: &[u32]) -> Vec<u32> {
     (0..g.n() as NodeId)
-        .map(|u| {
-            let ids = eidx.row(g, u).iter();
-            ids.map(|&id| trussness[id as usize]).max().unwrap_or(0)
-        })
+        .map(|u| trussness[g.row_range(u)].iter().copied().max().unwrap_or(0))
         .collect()
 }
 
 /// Maximal connected k-truss of the whole graph containing `q`, or `None`.
 pub fn max_connected_ktruss(g: &AttributedGraph, q: NodeId, k: u32) -> Option<Vec<NodeId>> {
-    let eidx = EdgeIndex::new(g);
-    let mut scratch = fitted_scratch(g.n(), g.m());
+    let mut scratch = fitted_scratch(g.n());
     let all: Vec<NodeId> = (0..g.n() as NodeId).collect();
-    peel_to_ktruss_scratch(g, &eidx, q, k, &all, &mut scratch)
+    peel_to_ktruss_scratch(g, q, k, &all, &mut scratch)
 }
 
 /// An empty slot of the stamped row in [`truss_decomposition`].
 const NO_EDGE: u32 = u32::MAX;
 
-/// Computes the trussness of every edge: `trussness[id]` is the largest `k`
-/// such that the edge belongs to the k-truss. Edges outside any triangle
-/// have trussness 2. Returns the [`EdgeIndex`] used for the ids.
+/// Computes the trussness of every edge: the largest `k` such that the
+/// edge belongs to the k-truss (2 for an edge outside any triangle). The
+/// table is in CSR order, one entry per adjacency slot: `trussness[g.
+/// row_range(v)]` is parallel to `g.neighbors(v)`, so each edge appears
+/// in both of its ends' rows.
 ///
 /// Triangles are found through a *stamped row*: `slot[w]` holds the id of
 /// the edge from the stamped node to `w`, so the third edge of a triangle
@@ -333,22 +354,24 @@ const NO_EDGE: u32 = u32::MAX;
 /// a bin-sorted array (Batagelj–Zaversnik, over edges): an edge's support
 /// when it is taken is its trussness minus 2, and each live triangle it
 /// closes — the shorter end's row stamped, the other's walked — costs its
-/// two partners one unit each, down to that level.
-pub fn truss_decomposition(g: &AttributedGraph) -> (EdgeIndex, Vec<u32>) {
+/// two partners one unit each, down to that level. An edge is taken once
+/// its place in the order is behind the cursor (taken places never move),
+/// its support is final from then on, and the answer is written over the
+/// edge numbering's own buffer.
+pub fn truss_decomposition(g: &AttributedGraph) -> Vec<u32> {
+    DECOMPOSITIONS.fetch_add(1, Ordering::Relaxed);
     let eidx = EdgeIndex::new(g);
     let m = eidx.m();
     let mut slot = vec![NO_EDGE; g.n()];
     let mut support = vec![0u32; m];
-    let mut ends = vec![(0 as NodeId, 0 as NodeId); m];
     for u in 0..g.n() as NodeId {
-        let fu = forward_start(g.neighbors(u), u);
+        let fu = eidx.forward[u as usize] as usize;
         let (nu, iu) = (&g.neighbors(u)[fu..], &eidx.row(g, u)[fu..]);
         for (&w, &uw) in nu.iter().zip(iu) {
             slot[w as usize] = uw;
-            ends[uw as usize] = (u, w);
         }
         for (&v, &uv) in nu.iter().zip(iu) {
-            let fv = forward_start(g.neighbors(v), v);
+            let fv = eidx.forward[v as usize] as usize;
             for (&w, &vw) in g.neighbors(v)[fv..].iter().zip(&eidx.row(g, v)[fv..]) {
                 let uw = slot[w as usize];
                 if uw != NO_EDGE {
@@ -388,27 +411,24 @@ pub fn truss_decomposition(g: &AttributedGraph) -> (EdgeIndex, Vec<u32>) {
     bin.copy_within(..max_sup, 1);
     bin[0] = 0;
 
-    let mut trussness = vec![0u32; m];
-    let mut removed = vec![false; m];
     for i in 0..m {
-        let id = order[i] as usize;
-        let level = support[id];
-        trussness[id] = level + 2;
-        removed[id] = true;
-        let (u, v) = ends[id];
+        let id = order[i];
+        let level = support[id as usize];
+        let (u, v) = eidx.ends(g, id);
         let (a, b) = if g.degree(u) <= g.degree(v) {
             (u, v)
         } else {
             (v, u)
         };
+        // Edges at places up to `i` (this one included) are taken.
         for (&w, &aw) in g.neighbors(a).iter().zip(eidx.row(g, a)) {
-            if !removed[aw as usize] {
+            if pos[aw as usize] as usize > i {
                 slot[w as usize] = aw;
             }
         }
         for (&w, &bw) in g.neighbors(b).iter().zip(eidx.row(g, b)) {
             let aw = slot[w as usize];
-            if aw == NO_EDGE || removed[bw as usize] {
+            if aw == NO_EDGE || pos[bw as usize] as usize <= i {
                 continue;
             }
             for e in [aw, bw] {
@@ -430,13 +450,29 @@ pub fn truss_decomposition(g: &AttributedGraph) -> (EdgeIndex, Vec<u32>) {
             slot[w as usize] = NO_EDGE;
         }
     }
-    (eidx, trussness)
+    let mut trussness = eidx.ids;
+    for t in &mut trussness {
+        *t = support[*t as usize] + 2;
+    }
+    trussness
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use csag_graph::GraphBuilder;
+
+    /// Id of the edge `{u, v}` under `eidx`, if the edge exists.
+    fn id(eidx: &EdgeIndex, g: &AttributedGraph, u: NodeId, v: NodeId) -> Option<u32> {
+        let i = g.neighbors(u).binary_search(&v).ok()?;
+        Some(eidx.row(g, u)[i])
+    }
+
+    /// The entry of the CSR-order `table` at the edge `{u, v}`, if any.
+    fn at(table: &[u32], g: &AttributedGraph, u: NodeId, v: NodeId) -> Option<u32> {
+        let i = g.neighbors(u).binary_search(&v).ok()?;
+        Some(table[g.row_range(u).start + i])
+    }
 
     /// Two 4-cliques sharing node 3, plus a pendant path 7-8-9.
     fn two_cliques() -> AttributedGraph {
@@ -464,12 +500,17 @@ mod tests {
         let eidx = EdgeIndex::new(&g);
         assert_eq!(eidx.m(), g.m());
         for (u, v) in g.edges() {
-            let id_uv = eidx.id(&g, u, v).unwrap();
-            let id_vu = eidx.id(&g, v, u).unwrap();
+            let id_uv = id(&eidx, &g, u, v).unwrap();
+            let id_vu = id(&eidx, &g, v, u).unwrap();
             assert_eq!(id_uv, id_vu);
             assert!((id_uv as usize) < g.m());
+            assert_eq!(
+                eidx.ends(&g, id_uv),
+                (u.min(v), u.max(v)),
+                "ends of {id_uv}"
+            );
         }
-        assert_eq!(eidx.id(&g, 0, 9), None);
+        assert_eq!(id(&eidx, &g, 0, 9), None);
     }
 
     #[test]
@@ -478,9 +519,9 @@ mod tests {
         let eidx = EdgeIndex::new(&g);
         let mut seen = vec![false; g.m()];
         for (u, v) in g.edges() {
-            let id = eidx.id(&g, u, v).unwrap() as usize;
-            assert!(!seen[id], "duplicate edge id");
-            seen[id] = true;
+            let x = id(&eidx, &g, u, v).unwrap() as usize;
+            assert!(!seen[x], "duplicate edge id");
+            seen[x] = true;
         }
         assert!(seen.iter().all(|&s| s));
     }
@@ -512,18 +553,19 @@ mod tests {
     #[test]
     fn trussness_values() {
         let g = two_cliques();
-        let (eidx, trussness) = truss_decomposition(&g);
-        let id01 = eidx.id(&g, 0, 1).unwrap();
-        assert_eq!(trussness[id01 as usize], 4, "clique edge");
-        let id78 = eidx.id(&g, 7, 8).unwrap();
-        assert_eq!(trussness[id78 as usize], 2, "triangle-free edge");
+        let trussness = truss_decomposition(&g);
+        assert_eq!(trussness.len(), 2 * g.m(), "one entry per adjacency slot");
+        assert_eq!(at(&trussness, &g, 0, 1), Some(4), "clique edge");
+        assert_eq!(at(&trussness, &g, 1, 0), Some(4), "both directions");
+        assert_eq!(at(&trussness, &g, 7, 8), Some(2), "triangle-free edge");
+        assert_eq!(at(&trussness, &g, 0, 9), None);
     }
 
     #[test]
     fn trussness_is_monotone_under_k_peel() {
         // Cross-check: edge survives the k-truss peel iff trussness >= k.
         let g = two_cliques();
-        let (eidx, trussness) = truss_decomposition(&g);
+        let trussness = truss_decomposition(&g);
         for k in 2..=5u32 {
             for q in 0..g.n() as NodeId {
                 if let Some(comm) = max_connected_ktruss(&g, q, k) {
@@ -532,16 +574,16 @@ mod tests {
                     for &u in &comm {
                         for &v in g.neighbors(u) {
                             if u < v && comm.binary_search(&v).is_ok() {
-                                let id = eidx.id(&g, u, v).unwrap();
+                                let t = at(&trussness, &g, u, v).unwrap();
                                 // Edges *inside the community subgraph* that
                                 // survived the peel satisfy the invariant;
                                 // edges of G between community nodes that
                                 // were peeled away may not. Only assert for
                                 // k<=2 or clique edges where equality holds.
                                 if k >= 3 {
-                                    assert!(trussness[id as usize] >= 2, "sanity only");
+                                    assert!(t >= 2, "sanity only");
                                 } else {
-                                    assert!(trussness[id as usize] >= 2);
+                                    assert!(t >= 2);
                                 }
                             }
                         }
@@ -577,28 +619,26 @@ mod tests {
     #[test]
     fn restricted_truss_peel_ignores_outside() {
         let g = two_cliques();
-        let eidx = EdgeIndex::new(&g);
-        let mut scratch = fitted_scratch(g.n(), g.m());
-        let t = peel_to_ktruss_scratch(&g, &eidx, 0, 4, &[0, 1, 2, 3], &mut scratch).unwrap();
+        let mut scratch = fitted_scratch(g.n());
+        let t = peel_to_ktruss_scratch(&g, 0, 4, &[0, 1, 2, 3], &mut scratch).unwrap();
         assert_eq!(t, vec![0, 1, 2, 3]);
         // Removing one clique node drops it to a triangle = 3-truss.
         assert_eq!(
-            peel_to_ktruss_scratch(&g, &eidx, 0, 4, &[0, 1, 2], &mut scratch),
+            peel_to_ktruss_scratch(&g, 0, 4, &[0, 1, 2], &mut scratch),
             None
         );
-        let t3 = peel_to_ktruss_scratch(&g, &eidx, 0, 3, &[0, 1, 2], &mut scratch).unwrap();
+        let t3 = peel_to_ktruss_scratch(&g, 0, 3, &[0, 1, 2], &mut scratch).unwrap();
         assert_eq!(t3, vec![0, 1, 2]);
     }
 
     #[test]
     fn scratch_reuse_across_epochs_is_clean() {
         let g = two_cliques();
-        let eidx = EdgeIndex::new(&g);
-        let mut scratch = fitted_scratch(g.n(), g.m());
+        let mut scratch = fitted_scratch(g.n());
         for _ in 0..50 {
-            let a = peel_to_ktruss_scratch(&g, &eidx, 0, 4, &[0, 1, 2, 3], &mut scratch).unwrap();
+            let a = peel_to_ktruss_scratch(&g, 0, 4, &[0, 1, 2, 3], &mut scratch).unwrap();
             assert_eq!(a, vec![0, 1, 2, 3]);
-            let b = peel_to_ktruss_scratch(&g, &eidx, 8, 2, &[7, 8, 9], &mut scratch).unwrap();
+            let b = peel_to_ktruss_scratch(&g, 8, 2, &[7, 8, 9], &mut scratch).unwrap();
             assert_eq!(b, vec![7, 8, 9]);
         }
     }

@@ -18,8 +18,9 @@
 //! The [`CommunityModel`] enum abstracts over the two cohesion models so
 //! the search algorithms in `csag-core` are written once (paper §VI-C).
 //! One [`EpochIndex`] per graph holds the tables every query shares —
-//! coreness, node trussness, the edge index, per-edge trussness and the
-//! components — each built lazily, once.
+//! coreness, node trussness, per-edge trussness and the components — each
+//! built lazily, once. No read needs a per-graph edge numbering: a k-truss
+//! peel numbers the edges of the subset it peels.
 
 pub mod incremental;
 pub mod index;
@@ -30,5 +31,7 @@ pub mod maintainer;
 pub use incremental::{patch_node_trussness, CoreMaintainer, NeighborAccess, TrussMaintainer};
 pub use index::EpochIndex;
 pub use kcore::{core_decomposition, max_connected_kcore};
-pub use ktruss::{max_connected_ktruss, node_max_trussness, truss_decomposition, EdgeIndex};
+pub use ktruss::{
+    max_connected_ktruss, node_max_trussness, truss_decomposition, truss_decompositions,
+};
 pub use maintainer::{CommunityModel, Maintainer};

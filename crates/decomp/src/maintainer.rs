@@ -46,12 +46,13 @@ impl std::fmt::Display for CommunityModel {
 /// one graph; the graph's tables come from a borrowed [`EpochIndex`].
 ///
 /// Every peel runs on one epoch-stamped [`PeelScratch`]: `n`-sized node
-/// arrays, plus `m`-sized edge arrays under k-truss. A standalone maintainer
-/// ([`Maintainer::new`]) allocates its own. A query-serving thread instead
-/// checks the scratch out of its [`QueryWorkspace`]
-/// ([`Maintainer::in_workspace`]) and hands it back
+/// arrays, plus, under k-truss, row slots (two per internal edge) of the
+/// largest subset peeled so far — the peel numbers the edges itself. A
+/// standalone maintainer ([`Maintainer::new`]) allocates its own. A
+/// query-serving thread instead checks the scratch out of its
+/// [`QueryWorkspace`] ([`Maintainer::in_workspace`]) and hands it back
 /// ([`Maintainer::release`]), so a steady-state read neither allocates nor
-/// zero-fills an `O(n + m)` array.
+/// zero-fills an `O(n)` array.
 pub struct Maintainer<'g> {
     g: &'g AttributedGraph,
     index: &'g EpochIndex,
@@ -92,8 +93,7 @@ impl<'g> Maintainer<'g> {
         ws.put_peel(self.scratch);
     }
 
-    /// A maintainer peeling on `scratch`, fitted to `g`'s nodes and, under
-    /// k-truss, its edges.
+    /// A maintainer peeling on `scratch`, fitted to `g`'s nodes.
     fn with_scratch(
         g: &'g AttributedGraph,
         index: &'g EpochIndex,
@@ -101,11 +101,7 @@ impl<'g> Maintainer<'g> {
         k: u32,
         mut scratch: PeelScratch,
     ) -> Self {
-        let edges = match model {
-            CommunityModel::KCore => 0,
-            CommunityModel::KTruss => g.m(),
-        };
-        scratch.fit(g.n(), edges);
+        scratch.fit(g.n());
         Maintainer {
             g,
             index,
@@ -155,10 +151,7 @@ impl<'g> Maintainer<'g> {
         let s = &mut self.scratch;
         match self.model {
             CommunityModel::KCore => peel_to_kcore_into(self.g, q, self.k, nodes, s, out),
-            CommunityModel::KTruss => {
-                let eidx = self.index.edge_index(self.g);
-                peel_to_ktruss_into(self.g, eidx, q, self.k, nodes, s, out)
-            }
+            CommunityModel::KTruss => peel_to_ktruss_into(self.g, q, self.k, nodes, s, out),
         }
     }
 

@@ -2,9 +2,10 @@
 
 use csag_decomp::{core_decomposition, max_connected_kcore, max_connected_ktruss};
 use csag_decomp::{node_max_trussness, truss_decomposition, TrussMaintainer};
-use csag_decomp::{CommunityModel, EdgeIndex, EpochIndex, Maintainer};
+use csag_decomp::{CommunityModel, EpochIndex, Maintainer};
 use csag_graph::{AttributedGraph, GraphBuilder, NodeId, QueryWorkspace};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use std::collections::VecDeque;
 
 fn arb_graph() -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
@@ -42,8 +43,8 @@ fn arb_blocks() -> impl Strategy<Value = AttributedGraph> {
         })
 }
 
-/// Common neighbours of `u` and `v` with their positions in each full row.
-fn common_in_rows(g: &AttributedGraph, u: NodeId, v: NodeId) -> Vec<(NodeId, usize, usize)> {
+/// Common neighbours of `u` and `v`, by a merge of their full rows.
+fn common_neighbors(g: &AttributedGraph, u: NodeId, v: NodeId) -> Vec<NodeId> {
     let (nu, nv) = (g.neighbors(u), g.neighbors(v));
     let (mut i, mut j, mut out) = (0, 0, Vec::new());
     while i < nu.len() && j < nv.len() {
@@ -51,7 +52,7 @@ fn common_in_rows(g: &AttributedGraph, u: NodeId, v: NodeId) -> Vec<(NodeId, usi
             std::cmp::Ordering::Less => i += 1,
             std::cmp::Ordering::Greater => j += 1,
             std::cmp::Ordering::Equal => {
-                out.push((nu[i], i, j));
+                out.push(nu[i]);
                 i += 1;
                 j += 1;
             }
@@ -60,12 +61,19 @@ fn common_in_rows(g: &AttributedGraph, u: NodeId, v: NodeId) -> Vec<(NodeId, usi
     out
 }
 
-/// Reference: the restricted k-truss peel over *full* CSR rows — supports,
-/// the peel and the traversal merge or walk every internal edge's whole
-/// rows and filter by subset membership and an internal-edge mark.
+/// The entry of a CSR-order per-edge `table` at the edge `{u, v}`, if any.
+fn at(table: &[u32], g: &AttributedGraph, u: NodeId, v: NodeId) -> Option<u32> {
+    let i = g.neighbors(u).binary_search(&v).ok()?;
+    Some(table[g.row_range(u).start + i])
+}
+
+/// Reference: the restricted k-truss peel over *full* CSR rows, with a
+/// numbering of its own — the subset's internal edges as sorted `(lower,
+/// upper)` pairs, looked up by search. Supports, the peel and the
+/// traversal merge or walk every internal edge's whole rows and filter by
+/// subset membership.
 fn reference_truss_peel(
     g: &AttributedGraph,
-    eidx: &EdgeIndex,
     q: NodeId,
     k: u32,
     nodes: &[NodeId],
@@ -78,51 +86,45 @@ fn reference_truss_peel(
         return None;
     }
     let need = k.saturating_sub(2);
-    let mut edge_in = vec![false; eidx.m()];
-    let mut removed = vec![false; eidx.m()];
-    let mut support = vec![0u32; eidx.m()];
     let mut edges = Vec::new();
     for &u in nodes {
-        for (i, &v) in g.neighbors(u).iter().enumerate() {
+        for &v in g.neighbors(u) {
             if u < v && inside[v as usize] {
-                let id = eidx.id_at(g, u, i);
-                edge_in[id as usize] = true;
-                edges.push((u, v, id));
+                edges.push((u, v));
             }
         }
     }
-    for &(u, v, id) in &edges {
-        support[id as usize] = common_in_rows(g, u, v)
-            .iter()
-            .filter(|&&(w, _, _)| inside[w as usize])
-            .count() as u32;
-    }
-    let mut queue: VecDeque<_> = edges
+    edges.sort_unstable();
+    let id = |u: NodeId, v: NodeId| edges.binary_search(&(u.min(v), u.max(v))).ok();
+    let mut removed = vec![false; edges.len()];
+    let mut support: Vec<u32> = edges
         .iter()
-        .copied()
-        .filter(|&(_, _, id)| support[id as usize] < need)
+        .map(|&(u, v)| {
+            let common = common_neighbors(g, u, v);
+            common.iter().filter(|&&w| inside[w as usize]).count() as u32
+        })
         .collect();
-    while let Some((u, v, id)) = queue.pop_front() {
-        if removed[id as usize] {
+    let mut queue: VecDeque<usize> = (0..edges.len()).filter(|&x| support[x] < need).collect();
+    while let Some(x) = queue.pop_front() {
+        if removed[x] {
             continue;
         }
-        removed[id as usize] = true;
+        removed[x] = true;
+        let (u, v) = edges[x];
         let mut hits = Vec::new();
-        for (w, i, j) in common_in_rows(g, u, v) {
+        for w in common_neighbors(g, u, v) {
             if !inside[w as usize] {
                 continue;
             }
-            let (uw, vw) = (eidx.id_at(g, u, i), eidx.id_at(g, v, j));
-            let alive = |e: u32| edge_in[e as usize] && !removed[e as usize];
-            if alive(uw) && alive(vw) {
-                hits.push((u, w, uw));
-                hits.push((v, w, vw));
+            let (uw, vw) = (id(u, w).unwrap(), id(v, w).unwrap());
+            if !removed[uw] && !removed[vw] {
+                hits.extend([uw, vw]);
             }
         }
-        for (a, b, id2) in hits {
-            support[id2 as usize] -= 1;
-            if support[id2 as usize] + 1 == need {
-                queue.push_back((a, b, id2));
+        for y in hits {
+            support[y] -= 1;
+            if support[y] + 1 == need {
+                queue.push_back(y);
             }
         }
     }
@@ -131,9 +133,8 @@ fn reference_truss_peel(
     seen[q as usize] = true;
     while let Some(u) = stack.pop() {
         out.push(u);
-        for (i, &v) in g.neighbors(u).iter().enumerate() {
-            let id = eidx.id_at(g, u, i) as usize;
-            if inside[v as usize] && edge_in[id] && !removed[id] {
+        for &v in g.neighbors(u) {
+            if id(u, v).is_some_and(|x| !removed[x]) {
                 q_has_edge |= u == q;
                 if !seen[v as usize] {
                     seen[v as usize] = true;
@@ -144,6 +145,173 @@ fn reference_truss_peel(
     }
     out.sort_unstable();
     q_has_edge.then_some(out)
+}
+
+/// Reference: the restricted k-core peel by repeated sweeps — drop every
+/// member with fewer than `k` surviving neighbours until none is left —
+/// then `q`'s component among the survivors.
+fn reference_core_peel(
+    g: &AttributedGraph,
+    q: NodeId,
+    k: u32,
+    nodes: &[NodeId],
+) -> Option<Vec<NodeId>> {
+    let mut alive = vec![false; g.n()];
+    for &v in nodes {
+        alive[v as usize] = true;
+    }
+    let degree = |alive: &[bool], v: NodeId| {
+        let live = g.neighbors(v).iter().filter(|&&w| alive[w as usize]);
+        live.count() as u32
+    };
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for &v in nodes {
+            if alive[v as usize] && degree(&alive, v) < k {
+                alive[v as usize] = false;
+                changed = true;
+            }
+        }
+    }
+    if !alive[q as usize] {
+        return None;
+    }
+    let mut seen = vec![false; g.n()];
+    let (mut stack, mut out) = (vec![q], Vec::new());
+    seen[q as usize] = true;
+    while let Some(u) = stack.pop() {
+        out.push(u);
+        for &v in g.neighbors(u) {
+            if alive[v as usize] && !seen[v as usize] {
+                seen[v as usize] = true;
+                stack.push(v);
+            }
+        }
+    }
+    out.sort_unstable();
+    Some(out)
+}
+
+/// `(n, edges, subsets as (q, k, per-node (pick, sort key)), where in the
+/// value range the epoch starts)`.
+type SharedScratchCase = (
+    usize,
+    Vec<(u32, u32)>,
+    Vec<(u32, u32, Vec<(bool, u32)>)>,
+    f64,
+);
+
+/// Random graphs of up to 40 nodes and 320 edge draws (dense enough that
+/// most subsets hold a community), with up to eight subsets (each with
+/// its own `q` and `k`) and where the epoch starts, as a fraction whose
+/// square scales the value range (starts near 0 are the likelier).
+fn arb_shared_scratch() -> impl Strategy<Value = SharedScratchCase> {
+    (2usize..40).prop_flat_map(|n| {
+        let edges = prop::collection::vec((0..n as u32, 0..n as u32), 0..8 * n);
+        let picks = prop::collection::vec((any::<bool>(), any::<u32>()), n);
+        let subsets = prop::collection::vec((0..n as u32, 2u32..6, picks), 1..9);
+        (Just(n), edges, subsets, 0.0f64..1.0)
+    })
+}
+
+/// One pooled peel scratch under both models, through stale stamps: the
+/// epoch is first advanced to a random point inside the range of values a
+/// peel keeps in its value arrays (row numbers, degrees and supports are
+/// below `n`, a subset's edge count below `m`: all below `max(n, m)`);
+/// then k-core and k-truss `maximal_within_into` and `maximal` calls
+/// alternate on one workspace, over every subset sorted and shuffled,
+/// pass after pass until the epoch is past that range. Every value a peel
+/// leaves behind is thus, at some point, the epoch a later peel of the
+/// other model stamps with, and a value written where the other model
+/// keeps stamps shows as a wrong answer. Every answer must equal a fresh
+/// [`Maintainer::new`]'s and the reference peel's. Returns how many
+/// answers were checked.
+fn check_shared_scratch_case(
+    (n, edges, subsets, start): SharedScratchCase,
+) -> Result<usize, TestCaseError> {
+    let g = build(n, &edges);
+    let index = EpochIndex::new();
+    let all: Vec<NodeId> = (0..n as NodeId).collect();
+    let limit = n.max(g.m()) as u32;
+    let mut ws = QueryWorkspace::new();
+    let mut scratch = ws.take_peel();
+    scratch.advance_epoch_to((start * start * f64::from(limit)) as u32);
+    ws.put_peel(scratch);
+    let mut orders = Vec::new();
+    for (q, k, picks) in &subsets {
+        let mut keyed: Vec<(u32, NodeId)> = (0..n as NodeId)
+            .filter(|&v| picks[v as usize].0 || v == *q)
+            .map(|v| (picks[v as usize].1, v))
+            .collect();
+        keyed.sort_unstable();
+        let shuffled: Vec<NodeId> = keyed.iter().map(|&(_, v)| v).collect();
+        let mut sorted = shuffled.clone();
+        sorted.sort_unstable();
+        orders.push((*q, *k, sorted));
+        orders.push((*q, *k, shuffled));
+    }
+    let models = [CommunityModel::KTruss, CommunityModel::KCore];
+    let (mut checked, mut out) = (0, Vec::new());
+    loop {
+        for (q, k, nodes) in &orders {
+            let (q, k) = (*q, *k);
+            for (whole, model) in [false, true]
+                .into_iter()
+                .flat_map(|w| models.map(|m| (w, m)))
+            {
+                let subset = if whole { &all } else { nodes };
+                let want = match model {
+                    CommunityModel::KCore => reference_core_peel(&g, q, k, subset),
+                    CommunityModel::KTruss => reference_truss_peel(&g, q, k, subset),
+                };
+                let mut fresh = Maintainer::new(&g, &index, model, k);
+                let mut pooled = Maintainer::in_workspace(&g, &index, model, k, &mut ws);
+                let (got, fresh_got) = if whole {
+                    (pooled.maximal(q), fresh.maximal(q))
+                } else {
+                    let got = pooled.maximal_within_into(q, subset, &mut out);
+                    (got.then(|| out.clone()), fresh.maximal_within(q, subset))
+                };
+                pooled.release(&mut ws);
+                prop_assert_eq!(
+                    &fresh_got,
+                    &want,
+                    "fresh {} k={} q={} {:?}",
+                    model,
+                    k,
+                    q,
+                    subset
+                );
+                prop_assert_eq!(&got, &want, "pooled {} k={} q={} {:?}", model, k, q, subset);
+                checked += 1;
+            }
+        }
+        let scratch = ws.take_peel();
+        let epoch = scratch.epoch();
+        ws.put_peel(scratch);
+        if epoch > limit {
+            return Ok(checked);
+        }
+    }
+}
+
+/// The longer offline run of the shared-scratch property:
+/// `cargo test -p csag-decomp --release --test prop_decomp -- --ignored`.
+#[test]
+#[ignore = "10 000 cases, about a million pooled answers; run on demand"]
+fn one_scratch_serves_both_models_through_stale_stamps_long_run() {
+    use rand::{rngs::StdRng, SeedableRng};
+    let strategy = arb_shared_scratch();
+    let mut checked = 0;
+    for case in 0..10_000u64 {
+        let mut rng = StdRng::seed_from_u64(0x5c7a_7c40 ^ case);
+        match check_shared_scratch_case(strategy.generate(&mut rng)) {
+            Ok(answers) => checked += answers,
+            Err(e) => panic!("case {case}: {e}"),
+        }
+    }
+    println!("{checked} pooled answers, zero mismatches");
 }
 
 /// Oracle: `out[u][v]` is the trussness of the edge `{u, v}` (`None` for a
@@ -196,8 +364,7 @@ proptest! {
     /// k-truss one peel of what it walked — equals the full-graph peel
     /// for both models, every node and every k from 2 to the largest
     /// table value + 1. Under a fresh index and under one seeded with
-    /// from-scratch tables, whose edge index is then built on first use
-    /// with no decomposition.
+    /// from-scratch tables, which then runs no decomposition.
     #[test]
     fn root_walk_equals_the_full_peel(g in arb_blocks()) {
         let (coreness, trussness) = (core_decomposition(&g), node_max_trussness(&g));
@@ -264,6 +431,13 @@ proptest! {
         }
     }
 
+    /// One pooled scratch under both models, through stale stamps (see
+    /// [`check_shared_scratch_case`]).
+    #[test]
+    fn one_scratch_serves_both_models_through_stale_stamps(case in arb_shared_scratch()) {
+        check_shared_scratch_case(case)?;
+    }
+
     /// The induced-row k-truss peel equals the full-row reference on
     /// random subsets — sorted or in arbitrary order, as SEA's prefix
     /// ladder passes them — with one maintainer reused across them all.
@@ -276,7 +450,6 @@ proptest! {
         ),
     ) {
         let g = build(n, &edges);
-        let eidx = EdgeIndex::new(&g);
         for k in 2u32..6 {
             let index = EpochIndex::new();
             let mut m = Maintainer::new(&g, &index, CommunityModel::KTruss, k);
@@ -290,11 +463,11 @@ proptest! {
                 let shuffled: Vec<NodeId> = keyed.iter().map(|&(_, v)| v).collect();
                 let mut sorted = shuffled.clone();
                 sorted.sort_unstable();
-                let want = reference_truss_peel(&g, &eidx, q, k, &sorted);
+                let want = reference_truss_peel(&g, q, k, &sorted);
                 prop_assert_eq!(&m.maximal_within(q, &shuffled), &want, "k={} q={} {:?}", k, q, shuffled);
                 prop_assert_eq!(&m.maximal_within(q, &sorted), &want, "k={} q={} sorted", k, q);
                 let all: Vec<NodeId> = (0..n as NodeId).collect();
-                prop_assert_eq!(m.maximal(q), reference_truss_peel(&g, &eidx, q, k, &all));
+                prop_assert_eq!(m.maximal(q), reference_truss_peel(&g, q, k, &all));
             }
         }
     }
@@ -403,10 +576,10 @@ proptest! {
     #[test]
     fn trussness_agrees_with_peel((n, edges) in arb_graph()) {
         let g = build(n, &edges);
-        let (eidx, trussness) = truss_decomposition(&g);
+        let trussness = truss_decomposition(&g);
         for (u, v) in g.edges() {
-            let id = eidx.id(&g, u, v).unwrap() as usize;
-            let t = trussness[id];
+            let t = at(&trussness, &g, u, v).unwrap();
+            prop_assert_eq!(at(&trussness, &g, v, u), Some(t), "both directions");
             prop_assert!(t >= 2);
             // The edge survives at k = t: u's t-truss community contains v
             // with the edge intact. (Survival at t+1 must fail for at least
@@ -428,14 +601,15 @@ proptest! {
     #[test]
     fn trussness_matches_brute_force_peel((n, edges) in arb_graph()) {
         let g = build(n, &edges);
-        let (eidx, trussness) = truss_decomposition(&g);
+        let trussness = truss_decomposition(&g);
+        prop_assert_eq!(trussness.len(), 2 * g.m());
         let oracle = brute_force_trussness(&g);
-        let adopted = TrussMaintainer::from_decomposition(&g, &eidx, &trussness);
+        let adopted = TrussMaintainer::from_decomposition(&g, &trussness);
         let fresh = TrussMaintainer::new(&g);
         for u in 0..g.n() as NodeId {
             for v in 0..g.n() as NodeId {
                 let want = oracle[u as usize][v as usize];
-                let got = eidx.id(&g, u, v).map(|id| trussness[id as usize]);
+                let got = at(&trussness, &g, u, v);
                 prop_assert_eq!(got, want, "edge ({}, {})", u, v);
                 prop_assert_eq!(adopted.trussness_of(&g, u, v), want, "adopted ({}, {})", u, v);
                 prop_assert_eq!(fresh.trussness_of(&g, u, v), want, "fresh ({}, {})", u, v);

@@ -192,11 +192,13 @@ fn check_dense_case((n, density, draws, ops): DenseCase) -> Result<(usize, u32),
             Applied::AttributesSet(_) | Applied::NoOp => continue,
         }
         let snap = mutable.snapshot();
-        let (eidx, fresh) = truss_decomposition(&snap);
+        let fresh = truss_decomposition(&snap);
         let mut fold = vec![0u32; snap.n()];
         for u in 0..snap.n() as NodeId {
+            let row = snap.row_range(u);
             for v in 0..snap.n() as NodeId {
-                let want = eidx.id(&snap, u, v).map(|id| fresh[id as usize]);
+                let at = snap.neighbors(u).binary_search(&v).ok();
+                let want = at.map(|i| fresh[row.start + i]);
                 prop_assert_eq!(
                     maint.trussness_of(&mutable, u, v),
                     want,

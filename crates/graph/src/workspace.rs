@@ -21,7 +21,7 @@
 use crate::bitset::FixedBitSet;
 use crate::heap::MinScored;
 use crate::NodeId;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// Pooled scratch for one query-serving thread. See the [module
 /// docs](self).
@@ -135,40 +135,41 @@ impl QueryWorkspace {
 }
 
 /// The scratch of `csag-decomp`'s restricted peels (k-core, k-truss and
-/// the maintainer's root walk): `u32` arrays indexed by node id and by
-/// edge id, the epoch counter that stamps them, and the peels' work lists.
-/// Which array means what is the peel's business.
+/// the maintainer's root walk): `u32` arrays indexed by node id and by the
+/// k-truss peel's row slots, the epoch counter that stamps the node
+/// arrays, and the peels' work lists. Which array means what is the
+/// peel's business.
 ///
-/// An array entry equal to the current epoch was written by the current
-/// peel; any other value is stale, so a peel never clears what an earlier
-/// one wrote. Arrays that a peel uses for values rather than stamps
-/// (degrees, supports, row numbers) are written before they are read
-/// within each peel. The arrays only grow ([`PeelScratch::fit`]): a peel
-/// touches indices below its own graph's `n` and `m`, so the scratch of
-/// the largest graph seen serves every smaller one. When the epoch counter
+/// A node-array entry equal to the current epoch was written by the
+/// current peel; any other value is stale, so a peel never clears what an
+/// earlier one wrote. Arrays that a peel uses for values rather than
+/// stamps (degrees, supports, row numbers) are written before they are
+/// read within each peel, and a value never goes into an array another
+/// peel reads as stamps. The arrays only grow: [`PeelScratch::fit`] sizes
+/// the node arrays to a graph's `n`, and the k-truss peel grows the slot
+/// array to the two slots (one per direction) of each internal edge of
+/// the subset it peels — so it is as long as the largest subset's edge
+/// set needs, never sized by a graph's `m`. The scratch of the largest
+/// graph and subset seen serves every smaller one. When the epoch counter
 /// wraps, every array is cleared once and counting restarts at 1.
 #[derive(Clone, Debug, Default)]
 pub struct PeelScratch {
     epoch: u32,
     /// Arrays indexed by node id, each at least the largest fitted `n`.
     pub node: [Vec<u32>; 4],
-    /// Arrays indexed by edge id, each at least the largest fitted `m`.
-    pub edge: [Vec<u32>; 2],
+    /// Indexed by the k-truss peel's row slots; at least as long as the
+    /// most slots a peel has laid out.
+    pub slots: Vec<u32>,
     /// Lists whose length each peel sets itself (a stack, a peel's rows).
     pub lists: [Vec<u32>; 3],
-    /// The k-truss peel's queue of `(u, v, edge id)`.
-    pub queue: VecDeque<(NodeId, NodeId, u32)>,
 }
 
 impl PeelScratch {
-    /// Grows the node arrays to at least `n` entries and the edge arrays
-    /// to at least `m` (zero-filled; zero is never a live epoch). Never
-    /// shrinks them.
-    pub fn fit(&mut self, n: usize, m: usize) {
-        for (arrays, len) in [(&mut self.node[..], n), (&mut self.edge[..], m)] {
-            for a in arrays.iter_mut().filter(|a| a.len() < len) {
-                a.resize(len, 0);
-            }
+    /// Grows the node arrays to at least `n` entries (zero-filled; zero is
+    /// never a live epoch). Never shrinks them.
+    pub fn fit(&mut self, n: usize) {
+        for a in self.node.iter_mut().filter(|a| a.len() < n) {
+            a.resize(n, 0);
         }
     }
 
@@ -178,7 +179,7 @@ impl PeelScratch {
     #[inline]
     pub fn next_epoch(&mut self) -> u32 {
         if self.epoch == u32::MAX {
-            for a in self.node.iter_mut().chain(&mut self.edge) {
+            for a in self.node.iter_mut().chain([&mut self.slots]) {
                 a.fill(0);
             }
             self.epoch = 0;
@@ -264,15 +265,14 @@ mod tests {
     fn peel_scratch_only_grows() {
         let mut ws = QueryWorkspace::new();
         let mut p = ws.take_peel();
-        p.fit(100, 0);
+        p.fit(100);
         assert!(p.node.iter().all(|a| a.len() == 100));
-        assert!(p.edge.iter().all(Vec::is_empty), "k-core fits no edges");
+        assert!(p.slots.is_empty(), "fitting sizes no edges");
         p.node[0][99] = p.next_epoch();
         ws.put_peel(p);
         let mut p = ws.take_peel();
-        p.fit(10, 40);
+        p.fit(10);
         assert!(p.node.iter().all(|a| a.len() == 100), "never shrinks");
-        assert!(p.edge.iter().all(|a| a.len() == 40));
         assert_eq!(p.node[0][99], 1, "stamps survive the pool");
         assert_eq!(p.next_epoch(), 2);
     }
@@ -280,12 +280,13 @@ mod tests {
     #[test]
     fn peel_epoch_wraps_to_one_and_clears() {
         let mut p = PeelScratch::default();
-        p.fit(4, 2);
+        p.fit(4);
+        p.slots.resize(2, 0);
         p.advance_epoch_to(u32::MAX - 1);
         assert_eq!(p.next_epoch(), u32::MAX);
         p.node[1][3] = u32::MAX;
-        p.edge[0][1] = 7;
+        p.slots[1] = 7;
         assert_eq!(p.next_epoch(), 1);
-        assert!(p.node.iter().chain(&p.edge).flatten().all(|&x| x == 0));
+        assert!(p.node.iter().flatten().chain(&p.slots).all(|&x| x == 0));
     }
 }

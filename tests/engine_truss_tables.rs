@@ -1,16 +1,18 @@
-//! One index per epoch: every engine read — SEA, size-bounded SEA, Exact
-//! and the four baselines — borrows the engine's `EpochIndex`, so its
-//! k-truss peels go through the `EdgeIndex` the trussness decomposition
-//! built (or, on an epoch the store seeded with trussness, one built on
-//! first use) rather than building an `O(m log d_max)` index per query,
-//! and each answers exactly as the standalone call with a fresh index.
+//! Reads build no `O(m)` edge table: every engine read — SEA, size-bounded
+//! SEA, Exact and the four baselines — borrows the engine's `EpochIndex`,
+//! whose one per-edge table is the trussness the decomposition left behind
+//! (a store-seeded epoch has none, and its reads add none), and a k-truss
+//! peel numbers the edges of the subset it peels, so the peel scratch a
+//! worker pools grows to the largest subset's internal edges, not to `m`.
+//! Each read answers exactly as the standalone call with a fresh index.
 //! An engine SEA read takes q's component from the index's component
 //! table, which equals the walk of q's component. And one truss
 //! decomposition per store: the first write seeds its trussness repair
-//! from the table the engine's decomposition kept, building no index.
+//! from the table the engine's decomposition kept, decomposing nothing.
 //!
-//! Keep this file at ONE `#[test]`: `EdgeIndex::builds` is process-wide,
-//! so a concurrently running sibling test would pollute the deltas.
+//! Keep this file at ONE `#[test]`: `truss_decompositions` is
+//! process-wide, so a concurrently running sibling test would pollute the
+//! deltas.
 
 use csag::baselines::{acq, e_vac, loc_atc, vac, BaselineResult, EVacLimits};
 use csag::core::distance::{DistanceParams, QueryDistances};
@@ -18,12 +20,12 @@ use csag::core::exact::{Exact, ExactParams};
 use csag::core::sea::{grow_neighborhood, Sea, SeaParams};
 use csag::datasets::generator::{generate, SyntheticConfig};
 use csag::datasets::{random_updates, ChurnMix};
-use csag::decomp::{node_max_trussness, CommunityModel, EdgeIndex, EpochIndex};
+use csag::decomp::{node_max_trussness, truss_decompositions, CommunityModel, EpochIndex};
 use csag::engine::{
     outcome_identity, CommunityQuery, CommunityResult, CsagError, Engine, GraphStore, Method,
 };
 use csag::graph::traversal::Components;
-use csag::graph::{AttributedGraph, GraphUpdate as Edit, MutableGraph, NodeId};
+use csag::graph::{AttributedGraph, GraphUpdate as Edit, MutableGraph, NodeId, QueryWorkspace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
@@ -164,7 +166,7 @@ fn all_match_standalone(
 }
 
 #[test]
-fn truss_reads_borrow_one_edge_index_per_epoch() {
+fn truss_reads_build_no_edge_table_and_the_first_write_adopts_the_decomposition() {
     let (g, _) = generate(
         &SyntheticConfig {
             nodes: 300,
@@ -174,12 +176,21 @@ fn truss_reads_borrow_one_edge_index_per_epoch() {
         11,
     );
 
-    // A standalone engine: the trussness screen's decomposition builds
-    // the one index, and it is kept.
+    // A standalone engine: the trussness screen runs the one
+    // decomposition, and its per-edge table (CSR order) is kept.
     let engine = Engine::new(g.clone());
-    let before = EdgeIndex::builds();
+    let before = truss_decompositions();
     let trussness = engine.node_trussness().to_vec();
-    assert_eq!(EdgeIndex::builds() - before, 1, "the decomposition's index");
+    assert_eq!(
+        truss_decompositions() - before,
+        1,
+        "the screen's decomposition"
+    );
+    let kept = engine
+        .index()
+        .edge_trussness_if_computed()
+        .map(<[u32]>::len);
+    assert_eq!(kept, Some(2 * g.m()), "one entry per adjacency slot");
     let coreness = engine.coreness();
     let picks: Vec<NodeId> = (0..g.n() as NodeId)
         .filter(|&v| trussness[v as usize] >= K && coreness[v as usize] >= K)
@@ -191,7 +202,7 @@ fn truss_reads_borrow_one_edge_index_per_epoch() {
         "the generator plants 4-trusses: {picks:?}"
     );
 
-    let before = EdgeIndex::builds();
+    let before = truss_decompositions();
     let mut truss_answers = Vec::new();
     for _ in 0..3 {
         for &q in &picks {
@@ -201,13 +212,12 @@ fn truss_reads_borrow_one_edge_index_per_epoch() {
         }
     }
     assert_eq!(
-        EdgeIndex::builds() - before,
+        truss_decompositions() - before,
         0,
-        "warm k-truss reads of every method borrow the engine's index"
+        "warm k-truss reads of every method build no edge table"
     );
 
-    // The borrowed index changes nothing: every answer, k-core and
-    // k-truss, equals the standalone call's.
+    // Every answer, k-core and k-truss, equals the standalone call's.
     let core_answers: Vec<_> = picks
         .iter()
         .flat_map(|&q| reads(q, CommunityModel::KCore))
@@ -228,13 +238,14 @@ fn truss_reads_borrow_one_edge_index_per_epoch() {
     }
 
     // A store-seeded epoch: the store hands the engine trussness it
-    // repaired, so the index is built once, on the first read that peels.
+    // repaired, and its reads neither decompose nor leave a per-edge
+    // table behind.
     let store = GraphStore::new(g.clone());
     let mut rng = StdRng::seed_from_u64(7);
     let batch = random_updates(&g, &mut rng, 8, ChurnMix::MIXED);
     first_write_decomposes_nothing(&store, &batch, "plain store");
     let snap = store.snapshot();
-    let before = EdgeIndex::builds();
+    let before = truss_decompositions();
     let mut seeded_answers = Vec::new();
     for _ in 0..3 {
         for &q in &picks {
@@ -243,8 +254,12 @@ fn truss_reads_borrow_one_edge_index_per_epoch() {
             }
         }
     }
-    assert_eq!(EdgeIndex::builds() - before, 1, "one index for the epoch");
+    assert_eq!(truss_decompositions() - before, 0, "seeded reads");
     assert_eq!(snap.engine().truss_decomp_computations(), 0, "seeded");
+    assert!(
+        snap.engine().index().edge_trussness_if_computed().is_none(),
+        "no per-edge table on a seeded epoch"
+    );
     // The churn may drop a pick's root; a read then fails for every
     // method alike.
     let mut found = HashMap::new();
@@ -257,7 +272,7 @@ fn truss_reads_borrow_one_edge_index_per_epoch() {
 
     // The same on a durable store, and on a store reset to a fresh graph
     // (its maintainer starts over).
-    let dir = std::env::temp_dir().join(format!("csag-edge-index-wal-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("csag-truss-tables-wal-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let durable = GraphStore::with_wal(g.clone(), &dir).expect("fresh WAL");
     first_write_decomposes_nothing(&durable, &batch, "WAL store");
@@ -266,18 +281,18 @@ fn truss_reads_borrow_one_edge_index_per_epoch() {
     store.reset_to(Arc::new(g.clone()), store.epoch() + 1);
     first_write_decomposes_nothing(&store, &batch, "reset store");
 
-    engine_sea_reads_match_the_walk_across_components(&g);
+    engine_reads_match_the_walk_across_components(&g);
 }
 
 /// Makes trussness resident on `store`'s current epoch, then applies
-/// `batch`: the write must build no edge index (its trussness repair
-/// adopts the decomposition the engine already ran), and the node
+/// `batch`: the write must run no decomposition (its trussness repair
+/// adopts the table the engine's decomposition kept), and the node
 /// trussness it hands the next epoch must equal a fresh decomposition's.
 fn first_write_decomposes_nothing(store: &GraphStore, batch: &[Edit], label: &str) {
     store.snapshot().engine().node_trussness();
-    let before = EdgeIndex::builds();
+    let before = truss_decompositions();
     let report = store.apply(batch).expect("churn applies");
-    assert_eq!(EdgeIndex::builds() - before, 0, "{label}: first write");
+    assert_eq!(truss_decompositions() - before, 0, "{label}: first write");
     assert!(
         report.edges_added + report.edges_removed > 0,
         "{label}: structural"
@@ -310,8 +325,13 @@ fn blocks_and_isolated(g: &AttributedGraph) -> AttributedGraph {
 /// On a graph of several components and isolated nodes, every node's
 /// component in the engine's table equals the walk of it, and every
 /// engine SEA read — k-core, k-truss and size-bounded, under several
-/// seeds — answers exactly as the standalone solver.
-fn engine_sea_reads_match_the_walk_across_components(g: &AttributedGraph) {
+/// seeds — answers exactly as the standalone solver, as does every
+/// method's k-truss read of one truss node per block. All of them run on
+/// one workspace, and every subset they peel lies in one block, so its
+/// pooled peel scratch ends with at most two row slots (one per
+/// direction) per edge of the largest block: the peels sized it by what
+/// they peeled, not by `m`.
+fn engine_reads_match_the_walk_across_components(g: &AttributedGraph) {
     let cut = blocks_and_isolated(g);
     let components = Components::new(&cut);
     let isolated = components.iter().filter(|c| c.len() == 1).count();
@@ -320,6 +340,9 @@ fn engine_sea_reads_match_the_walk_across_components(g: &AttributedGraph) {
         components.iter().count() - isolated >= 3,
         "three blocks at least"
     );
+    let block_edges = |b: NodeId| cut.edges().filter(|&(u, _)| u / 100 == b).count();
+    let largest_block = (0..3).map(block_edges).max().expect("three blocks");
+    assert!(2 * largest_block < cut.m(), "no block holds half the edges");
     let engine = Engine::new(cut);
     let g = engine.graph();
     for q in 0..g.n() as NodeId {
@@ -331,15 +354,18 @@ fn engine_sea_reads_match_the_walk_across_components(g: &AttributedGraph) {
         );
     }
     let (coreness, trussness) = (engine.coreness().to_vec(), engine.node_trussness().to_vec());
+    let mut ws = QueryWorkspace::new();
     let mut answered = [0usize; 3];
+    let mut truss_answers = Vec::new();
     for (block, answered) in answered.iter_mut().enumerate() {
         let first = block as NodeId * 100;
         let nodes = first..(first + 100).min(engine.graph().n() as NodeId);
-        for q in nodes
+        let picks: Vec<NodeId> = nodes
             .filter(|&v| coreness[v as usize] >= K)
             .step_by(7)
             .take(4)
-        {
+            .collect();
+        for &q in &picks {
             for seed in [1, 2, 77] {
                 let sea = CommunityQuery::new(Method::Sea, q)
                     .with_k(K)
@@ -355,7 +381,7 @@ fn engine_sea_reads_match_the_walk_across_components(g: &AttributedGraph) {
                     queries.push(sea.with_model(CommunityModel::KTruss));
                 }
                 for query in queries {
-                    let answer = engine.run(&query);
+                    let answer = engine.run_with_workspace(&query, &mut ws);
                     assert_eq!(
                         outcome_identity(&answer, false),
                         standalone(&engine, &query, &answer),
@@ -367,9 +393,27 @@ fn engine_sea_reads_match_the_walk_across_components(g: &AttributedGraph) {
                 }
             }
         }
+        if let Some(&q) = picks.iter().find(|&&v| trussness[v as usize] >= K) {
+            for query in reads(q, CommunityModel::KTruss) {
+                let answer = engine.run_with_workspace(&query, &mut ws);
+                truss_answers.push((query, answer));
+            }
+        }
     }
     assert!(
         answered.iter().all(|&a| a >= 12),
         "every block answers: {answered:?}"
+    );
+    let mut found = HashMap::new();
+    all_match_standalone(&engine, &truss_answers, "blocks", &mut found);
+    assert!(
+        found[&Method::Sea] >= 2,
+        "k-truss reads answered: {found:?}"
+    );
+    let slots = ws.take_peel().slots.len();
+    assert!(slots > 0, "the k-truss reads peeled");
+    assert!(
+        slots <= 2 * largest_block,
+        "the peel laid out {slots} row slots; the largest block has {largest_block} edges"
     );
 }
