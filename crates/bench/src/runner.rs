@@ -283,9 +283,14 @@ mod tests {
             );
         }
         // The whole comparison shared one engine: one decomposition, one
-        // distance table for q.
+        // distance table for q (admitted by the second method's read).
         assert_eq!(engine.decomp_computations(), 1);
         assert_eq!(engine.cached_query_nodes(), 1);
+        assert_eq!(
+            engine.distance_cache_hits(),
+            runs.len() - 2,
+            "every method after the second read the resident table"
+        );
     }
 
     #[test]

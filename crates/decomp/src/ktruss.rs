@@ -9,7 +9,7 @@
 //! Neither needs a per-graph edge numbering kept beside the graph. The
 //! restricted peel numbers the internal edges of its subset as it lays out
 //! their rows, so its per-edge values take two slots per internal edge; the
-//! decomposition numbers every edge with a private [`EdgeIndex`] while it
+//! decomposition numbers every edge with a private `EdgeIndex` while it
 //! runs and returns its answer in CSR order, aligned with the graph's own
 //! rows.
 

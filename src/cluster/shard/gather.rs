@@ -95,5 +95,6 @@ fn union_engine(view: &ClusterView, graph: csag_graph::AttributedGraph) -> Engin
         journal.coreness().to_vec(),
         journal.index().node_trussness_if_computed().cloned(),
         Vec::new(),
+        Vec::new(),
     )
 }

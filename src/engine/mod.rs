@@ -11,7 +11,10 @@
 //!   `Arc` clones — a warm hit costs a reference-count bump, never an
 //!   `O(|V|)` copy — and the tables themselves memoize lock-free through
 //!   `&self`, so concurrent queries on the same node *cooperatively* warm
-//!   one shared table with no merge-back step at all.
+//!   one shared table with no merge-back step at all. A table is admitted
+//!   on the *second* miss of its `(q, γ)` key only, into a hard cap of 64
+//!   tables: a scan over more nodes than the cache remembers leaves
+//!   nothing resident instead of churning one-use `O(|V|)` tables.
 //!
 //! The engine is `Send + Sync`: interior mutability is N independent
 //! mutex shards around the distance-cache map (the critical section is a
@@ -64,7 +67,7 @@ use csag_decomp::{CommunityModel, EpochIndex};
 use csag_graph::{AttributedGraph, NodeId, QueryWorkspace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
@@ -76,19 +79,29 @@ use std::time::Instant;
 const DISTANCE_SHARDS: usize = 16;
 
 /// Upper bound on cached per-query-node distance tables across all
-/// shards. Each table is `O(|V|)` floats, so the cache is capped rather
-/// than unbounded: once the global count reaches capacity, an insertion
-/// evicts an arbitrary resident entry of its own shard (random
+/// shards, and on the keys the cache remembers as missed once. Each table
+/// is `O(|V|)` floats, so the cache is capped rather than unbounded, and
+/// the cap is hard: the resident count never exceeds it.
+///
+/// Admission is the 2Q / TinyLFU "doorkeeper" rule. A key's first miss
+/// computes on an uncached table that is dropped with the read and only
+/// records the key in a FIFO of the last `MAX_CACHED_QUERY_NODES` such
+/// keys; a miss on a recorded key admits its table. At capacity an
+/// admission evicts an arbitrary resident entry of its own shard (random
 /// replacement — keeps a shifting hot set converging onto residency
-/// without LRU bookkeeping; cold nodes are simply recomputed). A hot set
-/// of up to this many keys stays fully resident regardless of how it
-/// hashes across shards; shards briefly exceeding their fair share only
-/// overshoot the global cap by at most one entry per shard.
+/// without LRU bookkeeping); when that shard holds none, the table is
+/// served uncached and its key stays recorded. A hot set of up to this
+/// many keys becomes fully resident on its second pass, however it
+/// hashes across shards; a cyclic scan over more keys than the record
+/// holds never repeats a recorded key, so it leaves no table behind.
 const MAX_CACHED_QUERY_NODES: usize = 64;
 
+/// A distance-cache key: `(query node, γ bits)`.
+pub(crate) type DistanceKey = (NodeId, u64);
+
 /// One distance-cache shard: an independently locked map of shared
-/// distance tables keyed by `(query node, γ bits)`.
-type DistanceShard = Mutex<HashMap<(NodeId, u64), Arc<QueryDistances>>>;
+/// distance tables.
+type DistanceShard = Mutex<HashMap<DistanceKey, Arc<QueryDistances>>>;
 
 /// The reusable per-graph query engine. See the [module docs](self).
 pub struct Engine {
@@ -105,6 +118,10 @@ pub struct Engine {
     /// check-in/merge-back step — every borrower warms the one shared
     /// table in place.
     distances: Vec<DistanceShard>,
+    /// Keys whose last miss was served uncached, oldest first, at most
+    /// [`MAX_CACHED_QUERY_NODES`]: the admission record. A key leaves it
+    /// when its table is admitted or when newer misses push it out.
+    missed: Mutex<VecDeque<DistanceKey>>,
     /// Total resident tables across shards (the global capacity gate —
     /// per-shard caps would evict a hot set that hashes unevenly).
     distance_len: AtomicUsize,
@@ -128,6 +145,7 @@ impl Engine {
             distances: (0..DISTANCE_SHARDS)
                 .map(|_| Mutex::new(HashMap::new()))
                 .collect(),
+            missed: Mutex::new(VecDeque::new()),
             distance_len: AtomicUsize::new(0),
             distance_hits: AtomicUsize::new(0),
         }
@@ -136,20 +154,26 @@ impl Engine {
     /// Builds an epoch's engine from state the [`store::GraphStore`]
     /// maintained incrementally: pre-patched decompositions (seeded
     /// without counting as recomputations — [`Engine::decomp_computations`]
-    /// keeps reporting how often the *full* peel actually ran) and the
-    /// distance tables that survived invalidation.
+    /// keeps reporting how often the *full* peel actually ran), the
+    /// distance tables that survived invalidation, and the admission
+    /// record (oldest first; only the newest [`MAX_CACHED_QUERY_NODES`]
+    /// keys are kept).
     pub(crate) fn from_store_parts(
         graph: Arc<AttributedGraph>,
         epoch: u64,
         coreness: Vec<u32>,
         trussness: Option<Vec<u32>>,
-        carried: Vec<((NodeId, u64), Arc<QueryDistances>)>,
+        carried: Vec<(DistanceKey, Arc<QueryDistances>)>,
+        missed: Vec<DistanceKey>,
     ) -> Self {
         debug_assert_eq!(coreness.len(), graph.n());
         debug_assert!(trussness.as_ref().is_none_or(|t| t.len() == graph.n()));
+        debug_assert!(carried.len() <= MAX_CACHED_QUERY_NODES);
+        let forget = missed.len().saturating_sub(MAX_CACHED_QUERY_NODES);
         let engine = Engine {
             epoch,
             index: EpochIndex::seeded(coreness, trussness),
+            missed: Mutex::new(missed.into_iter().skip(forget).collect()),
             ..Engine::from_arc(graph)
         };
         engine.distance_len.store(carried.len(), Ordering::Relaxed);
@@ -171,7 +195,7 @@ impl Engine {
     /// Every resident distance-cache entry, as shared handles (the
     /// store's raw material for selective carry-over into the next
     /// epoch's engine).
-    pub(crate) fn export_distances(&self) -> Vec<((NodeId, u64), Arc<QueryDistances>)> {
+    pub(crate) fn export_distances(&self) -> Vec<(DistanceKey, Arc<QueryDistances>)> {
         self.distances
             .iter()
             .flat_map(|s| {
@@ -182,6 +206,13 @@ impl Engine {
                     .collect::<Vec<_>>()
             })
             .collect()
+    }
+
+    /// The admission record, oldest first (carried into the next epoch's
+    /// engine with the tables).
+    pub(crate) fn export_missed(&self) -> Vec<DistanceKey> {
+        let missed = self.missed.lock().unwrap_or_else(PoisonError::into_inner);
+        missed.iter().copied().collect()
     }
 
     /// The underlying graph.
@@ -439,28 +470,31 @@ impl Engine {
 
     /// The shard owning `key` (multiplicative hash on the query node,
     /// folded with the γ bits).
-    fn shard(&self, key: (NodeId, u64)) -> &DistanceShard {
+    fn shard(&self, key: DistanceKey) -> &DistanceShard {
         let mix = (key.0 as u64)
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(key.1.rotate_left(17));
         &self.distances[(mix >> 57) as usize % DISTANCE_SHARDS]
     }
 
-    /// Hands out the shared distance table for `(q, γ)`: a warm hit is an
-    /// `Arc` clone of the resident table; a miss inserts a fresh table
+    /// Hands out the shared distance table for `(q, γ)`. A warm hit is an
+    /// `Arc` clone of the resident table. A miss admits a fresh table
     /// *before* the search runs, so concurrent same-node queries share the
-    /// in-flight table and warm it cooperatively. There is no check-in —
-    /// the table memoizes in place through `&self`.
+    /// in-flight table and warm it cooperatively — but only when the key
+    /// is in the admission record (see [`MAX_CACHED_QUERY_NODES`]);
+    /// otherwise the key is recorded and the read gets a table of its
+    /// own, dropped with it. There is no check-in — the table memoizes in
+    /// place through `&self`.
     ///
     /// At global capacity an arbitrary resident entry *of the same shard*
     /// is evicted for the newcomer, so a shifting hot set converges onto
     /// residency instead of being locked out by whichever keys arrived
-    /// first; when the full shard is elsewhere the insert briefly
-    /// overshoots the cap (bounded by one entry per shard) rather than
-    /// taking a second lock.
+    /// first; when that shard holds none, the newcomer is served uncached
+    /// rather than pushing the count past the cap.
     fn checkout_distances(&self, query: &CommunityQuery) -> Arc<QueryDistances> {
         let dp = query.distance_params();
         let key = (query.q, dp.gamma.to_bits());
+        let fresh = || Arc::new(QueryDistances::new(query.q, self.graph.n(), dp));
         let mut map = self
             .shard(key)
             .lock()
@@ -469,16 +503,35 @@ impl Engine {
             self.distance_hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(d);
         }
-        if self.distance_len.load(Ordering::Relaxed) >= MAX_CACHED_QUERY_NODES {
-            if let Some(victim) = map.keys().next().copied() {
-                map.remove(&victim);
-                self.distance_len.fetch_sub(1, Ordering::Relaxed);
+        // Lock order: shard, then record (nothing takes them the other
+        // way round).
+        let mut missed = self.missed.lock().unwrap_or_else(PoisonError::into_inner);
+        let Some(seen) = missed.iter().position(|k| *k == key) else {
+            if missed.len() == MAX_CACHED_QUERY_NODES {
+                missed.pop_front();
             }
+            missed.push_back(key);
+            drop((missed, map));
+            return fresh();
+        };
+        let reserved = self
+            .distance_len
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |len| {
+                (len < MAX_CACHED_QUERY_NODES).then_some(len + 1)
+            })
+            .is_ok();
+        if !reserved {
+            let Some(victim) = map.keys().next().copied() else {
+                drop((missed, map));
+                return fresh();
+            };
+            map.remove(&victim);
         }
-        let fresh = Arc::new(QueryDistances::new(query.q, self.graph.n(), dp));
-        map.insert(key, Arc::clone(&fresh));
-        self.distance_len.fetch_add(1, Ordering::Relaxed);
-        fresh
+        missed.remove(seen);
+        drop(missed);
+        let table = fresh();
+        map.insert(key, Arc::clone(&table));
+        table
     }
 }
 
@@ -653,23 +706,171 @@ mod tests {
         let exact = engine
             .run(&CommunityQuery::new(Method::Exact, 0).with_k(2))
             .unwrap();
-        assert_eq!(engine.cached_query_nodes(), 1);
+        assert_eq!(engine.cached_query_nodes(), 0, "a first miss is uncached");
+        // The key's second miss admits its table, whatever the method.
         let vac = engine
             .run(&CommunityQuery::new(Method::Vac, 0).with_k(2))
             .unwrap();
         assert_eq!(engine.cached_query_nodes(), 1);
+        let _ = engine
+            .run(&CommunityQuery::new(Method::Acq, 0).with_k(2))
+            .unwrap();
+        assert_eq!(engine.cached_query_nodes(), 1);
+        assert_eq!(engine.distance_cache_hits(), 1);
         assert!(vac.certificate.is_none());
         assert!(vac.provenance.objective.is_some());
         assert!(vac.delta >= exact.delta - 1e-12, "exact is δ-optimal");
-        // A different γ is a different table.
-        let _ = engine
-            .run(
-                &CommunityQuery::new(Method::Exact, 0)
-                    .with_k(2)
-                    .with_gamma(0.0),
-            )
-            .unwrap();
-        assert_eq!(engine.cached_query_nodes(), 2);
+        // A different γ is a different table, admitted on its own second
+        // miss.
+        let gamma0 = CommunityQuery::new(Method::Exact, 0)
+            .with_k(2)
+            .with_gamma(0.0);
+        for cached in [1, 2] {
+            let _ = engine.run(&gamma0).unwrap();
+            assert_eq!(engine.cached_query_nodes(), cached);
+        }
+    }
+
+    /// An edgeless graph of `n` nodes: all a distance checkout needs.
+    fn isolated(n: usize) -> AttributedGraph {
+        let mut b = GraphBuilder::new(1);
+        for v in 0..n {
+            b.add_node(&["t"], &[v as f64]);
+        }
+        b.build().unwrap()
+    }
+
+    fn checkout(engine: &Engine, q: NodeId, gamma: f64) -> Arc<QueryDistances> {
+        engine.checkout_distances(&CommunityQuery::new(Method::Sea, q).with_gamma(gamma))
+    }
+
+    #[test]
+    fn a_key_is_admitted_on_its_second_miss() {
+        let engine = Engine::new(clique());
+        let query = CommunityQuery::new(Method::Exact, 0).with_k(2);
+        let gamma = query.gamma;
+        engine.run(&query).unwrap();
+        assert_eq!(
+            engine.cached_query_nodes(),
+            0,
+            "the first run caches nothing"
+        );
+        engine.run(&query).unwrap();
+        assert_eq!(engine.cached_query_nodes(), 1, "the second run caches one");
+        assert_eq!(engine.distance_cache_hits(), 0);
+        let resident = engine.cached_distances(0, gamma).unwrap();
+        engine.run(&query).unwrap();
+        assert_eq!(engine.distance_cache_hits(), 1, "the third run is a hit");
+        assert!(Arc::ptr_eq(
+            &resident,
+            &engine.cached_distances(0, gamma).unwrap()
+        ));
+    }
+
+    #[test]
+    fn a_cyclic_scan_past_the_record_leaves_no_table() {
+        let nodes = 4 * MAX_CACHED_QUERY_NODES;
+        let engine = Engine::new(isolated(nodes));
+        for _ in 0..2 {
+            for q in 0..nodes as NodeId {
+                checkout(&engine, q, 0.5);
+            }
+        }
+        assert_eq!(engine.cached_query_nodes(), 0);
+        assert_eq!(engine.distance_cache_hits(), 0);
+    }
+
+    #[test]
+    fn a_hot_set_is_resident_from_its_second_pass() {
+        let hot = MAX_CACHED_QUERY_NODES / 2;
+        let engine = Engine::new(isolated(4 * MAX_CACHED_QUERY_NODES));
+        for _ in 0..3 {
+            for q in 0..hot as NodeId {
+                checkout(&engine, q, 0.5);
+            }
+        }
+        assert_eq!(engine.cached_query_nodes(), hot, "fully resident");
+        assert_eq!(engine.distance_cache_hits(), hot, "the third pass hits");
+        for q in 0..hot as NodeId {
+            checkout(&engine, q, 0.5);
+        }
+        assert_eq!(engine.distance_cache_hits(), 2 * hot);
+        assert_eq!(engine.cached_query_nodes(), hot);
+    }
+
+    /// At capacity, an admission whose shard holds no victim is served
+    /// uncached instead of pushing the count past the cap, and its key
+    /// stays recorded.
+    #[test]
+    fn an_admission_into_an_empty_shard_at_capacity_is_served_uncached() {
+        let engine = Engine::new(isolated(3 * MAX_CACHED_QUERY_NODES));
+        let key = |q: NodeId| (q, 0.5f64.to_bits());
+        let target = engine.shard(key(0));
+        let elsewhere: Vec<NodeId> = (1..3 * MAX_CACHED_QUERY_NODES as NodeId)
+            .filter(|&q| !std::ptr::eq(engine.shard(key(q)), target))
+            .take(MAX_CACHED_QUERY_NODES)
+            .collect();
+        assert_eq!(elsewhere.len(), MAX_CACHED_QUERY_NODES);
+        for &q in elsewhere.iter().chain(&elsewhere) {
+            checkout(&engine, q, 0.5);
+        }
+        assert_eq!(engine.cached_query_nodes(), MAX_CACHED_QUERY_NODES);
+        for _ in 0..3 {
+            checkout(&engine, 0, 0.5);
+            assert_eq!(engine.cached_query_nodes(), MAX_CACHED_QUERY_NODES);
+            assert!(engine.cached_distances(0, 0.5).is_none());
+        }
+        assert!(engine.export_missed().contains(&key(0)));
+    }
+
+    /// The cap is hard: whatever the order of checkouts, serial or from
+    /// several threads at once, no more than `MAX_CACHED_QUERY_NODES`
+    /// tables are resident — also when an admission at capacity finds
+    /// its shard empty.
+    #[test]
+    fn the_cap_holds_after_any_sequence_of_checkouts() {
+        let engine = Engine::new(isolated(3 * MAX_CACHED_QUERY_NODES));
+        // 384 keys (192 nodes × two γ) under a 64-key record: about one
+        // miss in six recurs in time to be admitted.
+        let draw = |state: &mut u64| {
+            *state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let r = *state >> 33;
+            let q = (r % (3 * MAX_CACHED_QUERY_NODES as u64)) as NodeId;
+            (q, if r & (1 << 20) == 0 { 0.5 } else { 0.0 })
+        };
+        let mut state = 7;
+        let mut peak = 0;
+        for step in 0..4_000 {
+            let (q, gamma) = draw(&mut state);
+            checkout(&engine, q, gamma);
+            let resident = engine.cached_query_nodes();
+            assert!(
+                resident <= MAX_CACHED_QUERY_NODES,
+                "step {step}: {resident}"
+            );
+            peak = peak.max(resident);
+        }
+        assert_eq!(peak, MAX_CACHED_QUERY_NODES, "the sequence reached the cap");
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let engine = &engine;
+                s.spawn(move || {
+                    let mut state = 100 + t;
+                    for _ in 0..2_000 {
+                        let (q, gamma) = draw(&mut state);
+                        checkout(engine, q, gamma);
+                    }
+                });
+            }
+        });
+        assert!(engine.cached_query_nodes() <= MAX_CACHED_QUERY_NODES);
+        assert_eq!(
+            engine.cached_query_nodes(),
+            engine.distance_len.load(Ordering::Relaxed),
+            "the gate counts exactly the resident tables"
+        );
     }
 
     #[test]

@@ -43,6 +43,11 @@
 //!   | `SetAttributes` that shifts a min-max normalization range | all (every normalized coordinate may have moved) |
 //!   | `AddVertex` | all (tables are sized to `n`) |
 //!
+//!   The cache's admission record — the keys whose last miss was served
+//!   uncached; a key's next miss admits its table — carries over with
+//!   the tables, and the key of every dropped table joins it, so a hot
+//!   node's first read after the batch re-admits its table.
+//!
 //! The [`UpdateReport`] returned by [`GraphStore::apply`] counts exactly
 //! what was retained and invalidated, and the churn tests pin the
 //! "carried bit-for-bit" case with `Arc::ptr_eq`.
@@ -67,7 +72,7 @@
 //! assert!(after.engine().run(&query).is_ok());
 //! ```
 
-use super::{CsagError, Engine};
+use super::{CsagError, DistanceKey, Engine};
 use crate::cluster::LogRecord;
 use crate::durability::{DurabilityStatus, RecoveryReport, Wal, WalConfig, WalError};
 use csag_core::distance::QueryDistances;
@@ -472,7 +477,7 @@ impl GraphStore {
             epoch,
         };
         let coreness = core_decomposition(&graph);
-        let engine = Engine::from_store_parts(graph, epoch, coreness, None, Vec::new());
+        let engine = Engine::from_store_parts(graph, epoch, coreness, None, Vec::new(), Vec::new());
         (state, Arc::new(engine))
     }
 
@@ -774,14 +779,16 @@ impl GraphStore {
                 let old_attrs = old_engine.graph().attrs();
                 (0..dims).any(|d| old_attrs.dim_range(d) != new_graph.attrs().dim_range(d))
             };
-        let mut carried: Vec<((NodeId, u64), Arc<QueryDistances>)> = Vec::new();
+        // A dropped table's key joins the admission record, so the next
+        // read of a hot node re-admits its table on that first miss.
+        let mut carried: Vec<(DistanceKey, Arc<QueryDistances>)> = Vec::new();
+        let mut missed = old_engine.export_missed();
         for (key, table) in old_engine.export_distances() {
-            if ranges_changed {
+            if ranges_changed || attrs_changed.binary_search(&key.0).is_ok() {
+                // Every normalized coordinate may have moved, or the query
+                // node's own attributes did: every slot is stale.
                 report.distance_tables_invalidated += 1;
-            } else if attrs_changed.binary_search(&key.0).is_ok() {
-                // The query node's own attributes moved: every slot of
-                // its table is stale.
-                report.distance_tables_invalidated += 1;
+                missed.push(key);
             } else if !attrs_changed.is_empty() {
                 // Warm carry-over with just the changed slots forgotten.
                 carried.push((key, Arc::new(table.clone_with_reset(&attrs_changed))));
@@ -809,6 +816,7 @@ impl GraphStore {
             new_core,
             trussness,
             carried,
+            missed,
         ));
         *self.current.write().unwrap_or_else(PoisonError::into_inner) = engine;
 
@@ -919,8 +927,11 @@ mod tests {
         let store = GraphStore::new(clique_plus_tail());
         let snap = store.snapshot();
         let gamma = CommunityQuery::new(Method::Exact, 0).with_k(2).gamma;
-        snap.run(&CommunityQuery::new(Method::Exact, 0).with_k(2))
-            .unwrap();
+        // The second read admits the table.
+        for _ in 0..2 {
+            snap.run(&CommunityQuery::new(Method::Exact, 0).with_k(2))
+                .unwrap();
+        }
         let table = snap.engine().cached_distances(0, gamma).unwrap();
 
         let report = store.apply(&[GraphUpdate::AddEdge { u: 4, v: 0 }]).unwrap();
@@ -942,7 +953,8 @@ mod tests {
         let store = GraphStore::new(clique_plus_tail());
         let snap = store.snapshot();
         let gamma = CommunityQuery::new(Method::Exact, 0).with_k(2).gamma;
-        for q in [0u32, 1] {
+        // Two reads per node: the second admits its table.
+        for q in [0u32, 1, 0, 1] {
             snap.run(&CommunityQuery::new(Method::Exact, q).with_k(2))
                 .unwrap();
         }
@@ -984,12 +996,61 @@ mod tests {
     }
 
     #[test]
+    fn a_structural_batch_carries_the_admission_record() {
+        let store = GraphStore::new(clique_plus_tail());
+        let query = CommunityQuery::new(Method::Exact, 0).with_k(2);
+        store.snapshot().run(&query).unwrap();
+        assert_eq!(store.snapshot().engine().cached_query_nodes(), 0);
+        store.apply(&[GraphUpdate::AddEdge { u: 4, v: 0 }]).unwrap();
+        let snap = store.snapshot();
+        snap.run(&query).unwrap();
+        assert_eq!(
+            snap.engine().cached_query_nodes(),
+            1,
+            "the read before the batch was the key's first miss"
+        );
+    }
+
+    #[test]
+    fn an_invalidated_table_is_readmitted_on_its_next_miss() {
+        let store = GraphStore::new(clique_plus_tail());
+        let query = CommunityQuery::new(Method::Exact, 1).with_k(2);
+        for _ in 0..2 {
+            store.snapshot().run(&query).unwrap();
+        }
+        assert!(store
+            .snapshot()
+            .engine()
+            .cached_distances(1, query.gamma)
+            .is_some());
+        // q's own tokens move: its table is dropped, its key remembered.
+        let report = store
+            .apply(&[GraphUpdate::SetAttributes {
+                v: 1,
+                tokens: Some(vec!["other".into()]),
+                numeric: None,
+            }])
+            .unwrap();
+        assert_eq!(report.distance_tables_invalidated, 1);
+        let snap = store.snapshot();
+        assert_eq!(snap.engine().cached_query_nodes(), 0);
+        snap.run(&query).unwrap();
+        assert!(
+            snap.engine().cached_distances(1, query.gamma).is_some(),
+            "the first read after the batch re-admits the table"
+        );
+    }
+
+    #[test]
     fn adding_vertices_resizes_every_epoch_structure() {
         let store = GraphStore::new(clique_plus_tail());
-        store
-            .snapshot()
-            .run(&CommunityQuery::new(Method::Exact, 0).with_k(2))
-            .unwrap();
+        // Two reads: the second admits a table for the batch to drop.
+        for _ in 0..2 {
+            store
+                .snapshot()
+                .run(&CommunityQuery::new(Method::Exact, 0).with_k(2))
+                .unwrap();
+        }
         let report = store
             .apply(&[
                 GraphUpdate::AddVertex {

@@ -128,7 +128,8 @@ fn untouched_query_nodes_keep_their_distance_tables_across_epochs() {
     let (qa, qb) = (nodes[0], nodes[1]);
     let store = GraphStore::new(g);
     let gamma = CommunityQuery::new(Method::Exact, qa).with_k(3).gamma;
-    for &q in &[qa, qb] {
+    // Two reads per node: the second admits its table.
+    for &q in &[qa, qb, qa, qb] {
         store
             .run(&CommunityQuery::new(Method::Sea, q).with_k(3).with_seed(3))
             .expect("planted query nodes have 3-cores");
