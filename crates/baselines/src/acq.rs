@@ -10,18 +10,17 @@
 
 use crate::BaselineResult;
 use csag_core::error::{check_query_node, root_of, CsagError};
-use csag_decomp::{CommunityModel, EpochIndex, Maintainer};
-use csag_graph::{AttributedGraph, NodeId};
-use std::time::Instant;
+use csag_decomp::Maintainer;
+use csag_graph::NodeId;
 
 /// Maximum number of query attributes enumerated exhaustively; queries
 /// with more tokens fall back to a greedy subset descent.
 const EXHAUSTIVE_ATTR_LIMIT: usize = 16;
 
 /// Runs ACQ: among all subsets `S ⊆ Aᵗ(q)`, find the largest `|S|` such
-/// that a connected community of the given model containing `q` exists in
-/// which every member carries all tokens of `S`; return that community
-/// (the largest one over ties in `|S|`).
+/// that a connected community of `maintainer`'s model and k containing `q`
+/// exists in which every member carries all tokens of `S`; return that
+/// community (the largest one over ties in `|S|`).
 ///
 /// Falls back to the plain maximal connected community when no attribute
 /// can be shared by any community (`objective = 0`).
@@ -29,18 +28,11 @@ const EXHAUSTIVE_ATTR_LIMIT: usize = 16;
 /// # Errors
 /// [`CsagError::QueryNodeNotFound`] for an out-of-range `q`;
 /// [`CsagError::NoCommunity`] when `q` has no community at all.
-pub fn acq(
-    g: &AttributedGraph,
-    index: &EpochIndex,
-    q: NodeId,
-    k: u32,
-    model: CommunityModel,
-) -> Result<BaselineResult, CsagError> {
+pub fn acq(maintainer: &mut Maintainer<'_>, q: NodeId) -> Result<BaselineResult, CsagError> {
+    let g = maintainer.graph();
     check_query_node(q, g.n())?;
-    let start = Instant::now();
-    let mut maintainer = Maintainer::new(g, index, model, k);
     // The search space is always inside q's maximal community.
-    let root = root_of(&mut maintainer, q)?;
+    let root = root_of(maintainer, q)?;
 
     let q_tokens: Vec<u32> = g.tokens(q).to_vec();
     let t = q_tokens.len();
@@ -67,7 +59,7 @@ pub fn acq(
                 .copied()
                 .filter(|&v| has_all_tokens(g.tokens(v), &subset))
                 .collect();
-            if eligible.len() < model.min_size(k) {
+            if eligible.len() < maintainer.min_size() {
                 continue;
             }
             if let Some(comm) = maintainer.maximal_within(q, &eligible) {
@@ -121,7 +113,6 @@ pub fn acq(
     let (shared, community) = best.unwrap_or((0, root));
     Ok(BaselineResult {
         community,
-        elapsed: start.elapsed(),
         objective: shared as f64,
     })
 }
@@ -134,7 +125,18 @@ fn has_all_tokens(have: &[u32], want: &[u32]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use csag_graph::GraphBuilder;
+    use csag_decomp::{CommunityModel, EpochIndex};
+    use csag_graph::{AttributedGraph, GraphBuilder};
+
+    /// ACQ on a standalone maintainer over a fresh index.
+    fn run(
+        g: &AttributedGraph,
+        q: NodeId,
+        k: u32,
+        model: CommunityModel,
+    ) -> Result<BaselineResult, CsagError> {
+        acq(&mut Maintainer::new(g, &EpochIndex::new(), model, k), q)
+    }
 
     /// A 6-node graph: nodes 0-3 share {movie, crime}; node 4 only
     /// {movie}; node 5 shares nothing. All form one 2-core.
@@ -168,7 +170,7 @@ mod tests {
     #[test]
     fn acq_maximizes_shared_attributes() {
         let g = graph();
-        let res = acq(&g, &EpochIndex::new(), 0, 2, CommunityModel::KCore).unwrap();
+        let res = run(&g, 0, 2, CommunityModel::KCore).unwrap();
         assert_eq!(res.objective, 2.0, "shares both movie and crime");
         assert_eq!(res.community, vec![0, 1, 2, 3]);
     }
@@ -177,7 +179,7 @@ mod tests {
     fn acq_relaxes_when_necessary() {
         let g = graph();
         // k=3: {0,1,2,3} is a 3-core sharing 2 attrs — still wins.
-        let res = acq(&g, &EpochIndex::new(), 0, 3, CommunityModel::KCore).unwrap();
+        let res = run(&g, 0, 3, CommunityModel::KCore).unwrap();
         assert_eq!(res.objective, 2.0);
         assert_eq!(res.community, vec![0, 1, 2, 3]);
     }
@@ -195,7 +197,7 @@ mod tests {
             }
         }
         let g = b.build().unwrap();
-        let res = acq(&g, &EpochIndex::new(), 0, 2, CommunityModel::KCore).unwrap();
+        let res = run(&g, 0, 2, CommunityModel::KCore).unwrap();
         assert_eq!(res.objective, 0.0, "no attribute shared by all");
         assert_eq!(
             res.community,
@@ -212,11 +214,11 @@ mod tests {
         b.add_edge(0, 1).unwrap();
         let g = b.build().unwrap();
         assert!(matches!(
-            acq(&g, &EpochIndex::new(), 0, 2, CommunityModel::KCore),
+            run(&g, 0, 2, CommunityModel::KCore),
             Err(CsagError::NoCommunity { .. })
         ));
         assert!(matches!(
-            acq(&g, &EpochIndex::new(), 9, 2, CommunityModel::KCore),
+            run(&g, 9, 2, CommunityModel::KCore),
             Err(CsagError::QueryNodeNotFound { q: 9, .. })
         ));
     }
@@ -234,7 +236,7 @@ mod tests {
             }
         }
         let g = b.build().unwrap();
-        let res = acq(&g, &EpochIndex::new(), 0, 2, CommunityModel::KCore).unwrap();
+        let res = run(&g, 0, 2, CommunityModel::KCore).unwrap();
         assert_eq!(res.objective, 0.0);
         assert_eq!(res.community.len(), 4);
     }
@@ -242,7 +244,7 @@ mod tests {
     #[test]
     fn acq_truss_variant() {
         let g = graph();
-        let res = acq(&g, &EpochIndex::new(), 0, 3, CommunityModel::KTruss).unwrap();
+        let res = run(&g, 0, 3, CommunityModel::KTruss).unwrap();
         assert!(res.community.contains(&0));
         assert!(res.objective >= 1.0);
     }

@@ -17,10 +17,9 @@
 
 use crate::BaselineResult;
 use csag_core::error::{check_query_node, CsagError};
-use csag_decomp::{CommunityModel, EpochIndex, Maintainer};
+use csag_decomp::Maintainer;
 use csag_graph::{AttributedGraph, FixedBitSet, NodeId};
 use std::collections::VecDeque;
-use std::time::Instant;
 
 /// How many low-contribution candidates are probed per greedy step.
 /// Probing all |H| nodes per step would make the local search O(|H|³);
@@ -84,24 +83,19 @@ pub fn atc_score(g: &AttributedGraph, q: NodeId, community: &[NodeId]) -> f64 {
 }
 
 /// Runs LocATC: greedy score-improving deletions from the maximal
-/// connected community of `q`.
+/// connected community of `q` in its local neighborhood, under
+/// `maintainer`'s model and k.
 ///
 /// # Errors
 /// [`CsagError::QueryNodeNotFound`] for an out-of-range `q`;
 /// [`CsagError::NoCommunity`] when `q` has no community in its local
 /// neighborhood.
-pub fn loc_atc(
-    g: &AttributedGraph,
-    index: &EpochIndex,
-    q: NodeId,
-    k: u32,
-    model: CommunityModel,
-) -> Result<BaselineResult, CsagError> {
+pub fn loc_atc(maintainer: &mut Maintainer<'_>, q: NodeId) -> Result<BaselineResult, CsagError> {
+    let g = maintainer.graph();
     check_query_node(q, g.n())?;
-    let start = Instant::now();
-    let mut maintainer = Maintainer::new(g, index, model, k);
     let seed = local_seed(g, q);
     let mut current = maintainer.maximal_within(q, &seed).ok_or_else(|| {
+        let (model, k) = (maintainer.model(), maintainer.k());
         CsagError::no_community(format!(
             "node {q} is in no connected {model} at k = {k} within its local neighborhood"
         ))
@@ -147,7 +141,6 @@ pub fn loc_atc(
 
     Ok(BaselineResult {
         community: current,
-        elapsed: start.elapsed(),
         objective: current_score,
     })
 }
@@ -155,7 +148,18 @@ pub fn loc_atc(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use csag_decomp::{CommunityModel, EpochIndex};
     use csag_graph::GraphBuilder;
+
+    /// LocATC on a standalone maintainer over a fresh index.
+    fn run(
+        g: &AttributedGraph,
+        q: NodeId,
+        k: u32,
+        model: CommunityModel,
+    ) -> Result<BaselineResult, CsagError> {
+        loc_atc(&mut Maintainer::new(g, &EpochIndex::new(), model, k), q)
+    }
 
     /// Nodes 0..3 share q's tokens; 4..5 are off-topic but structurally
     /// attached; everything forms a 2-core.
@@ -197,7 +201,7 @@ mod tests {
     #[test]
     fn loc_atc_peels_off_topic_nodes() {
         let g = graph();
-        let res = loc_atc(&g, &EpochIndex::new(), 0, 2, CommunityModel::KCore).unwrap();
+        let res = run(&g, 0, 2, CommunityModel::KCore).unwrap();
         assert_eq!(res.community, vec![0, 1, 2, 3]);
         assert!((res.objective - 8.0).abs() < 1e-12);
     }
@@ -206,7 +210,7 @@ mod tests {
     fn loc_atc_errors_without_community() {
         let g = graph();
         assert!(matches!(
-            loc_atc(&g, &EpochIndex::new(), 0, 4, CommunityModel::KCore),
+            run(&g, 0, 4, CommunityModel::KCore),
             Err(CsagError::NoCommunity { .. })
         ));
     }
@@ -225,14 +229,14 @@ mod tests {
             }
         }
         let g = b.build().unwrap();
-        let res = loc_atc(&g, &EpochIndex::new(), 0, 2, CommunityModel::KCore).unwrap();
+        let res = run(&g, 0, 2, CommunityModel::KCore).unwrap();
         assert!(res.community.contains(&0));
     }
 
     #[test]
     fn loc_atc_truss_variant_runs() {
         let g = graph();
-        let res = loc_atc(&g, &EpochIndex::new(), 0, 3, CommunityModel::KTruss).unwrap();
+        let res = run(&g, 0, 3, CommunityModel::KTruss).unwrap();
         assert!(res.community.contains(&0));
         assert!(res.community.len() >= 3);
     }

@@ -15,10 +15,15 @@
 //!   branch-and-bound (`E-VAC`, feasible only on small graphs — exactly as
 //!   reported in the paper).
 //!
-//! Each takes the graph's [`csag_core::EpochIndex`] beside it, from which
-//! it takes its root (q's maximal connected community) and, for k-truss,
-//! the edge index its peels read; a caller with no engine lends
-//! `&EpochIndex::new()`.
+//! Each peels through a borrowed [`csag_decomp::Maintainer`], which fixes
+//! the model and k and reads q's root (its maximal connected community)
+//! off the screens of its [`csag_core::EpochIndex`]. The engine lends one
+//! on the worker's pooled peel scratch ([`Maintainer::in_workspace`]), and
+//! VAC reads `f(·,q)` from the engine's distance table; a standalone
+//! caller builds a [`Maintainer::new`] over a fresh `EpochIndex::new()`.
+//!
+//! [`Maintainer::in_workspace`]: csag_decomp::Maintainer::in_workspace
+//! [`Maintainer::new`]: csag_decomp::Maintainer::new
 //!
 //! These are faithful ports of the published *objectives and search
 //! strategies*, not line-by-line translations of the authors' Java code;
@@ -30,7 +35,6 @@ pub mod atc;
 pub mod vac;
 
 use csag_graph::NodeId;
-use std::time::Duration;
 
 pub use acq::acq;
 pub use atc::{loc_atc, local_seed};
@@ -46,8 +50,6 @@ pub use csag_core::error::CsagError;
 pub struct BaselineResult {
     /// The community found (sorted node ids, contains the query).
     pub community: Vec<NodeId>,
-    /// Wall-clock time of the search.
-    pub elapsed: Duration,
     /// The value of the method's own objective for `community`
     /// (ACQ: #shared attributes; ATC: coverage score; VAC: min-max
     /// distance). Interpretation depends on the method.

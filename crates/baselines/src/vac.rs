@@ -21,7 +21,7 @@
 use crate::BaselineResult;
 use csag_core::distance::{composite_distance, DistanceParams, QueryDistances};
 use csag_core::error::{check_query_node, root_of, CsagError};
-use csag_decomp::{CommunityModel, EpochIndex, Maintainer};
+use csag_decomp::Maintainer;
 use csag_graph::{AttributedGraph, NodeId};
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
@@ -77,30 +77,26 @@ pub fn max_pairwise_distance(
 
 /// The approximate VAC: pivot-guided worst-case peeling.
 ///
-/// Each round deletes the surviving node with the largest `f(·, q)` (the
-/// 2-approximate worst-case offender; never `q`) and re-peels. Halts when
-/// the deletion would collapse the community, when all distances reach 0,
-/// or after `max_iters` rounds (`None` = unbounded). The returned
-/// objective is the (possibly approximated) min-max distance of the final
-/// community.
+/// `dist` is the distance table of the query node `q = dist.q()`, whose
+/// parameters the objective is measured with too. Each round deletes the
+/// surviving node with the largest `f(·, q)` (the 2-approximate
+/// worst-case offender; never `q`) and re-peels through `maintainer`.
+/// Halts when the deletion would collapse the community, when all
+/// distances reach 0, or after `max_iters` rounds (`None` = unbounded).
+/// The returned objective is the (possibly approximated) min-max distance
+/// of the final community.
 ///
 /// # Errors
 /// [`CsagError::QueryNodeNotFound`] for an out-of-range `q`;
 /// [`CsagError::NoCommunity`] when `q` has no community.
 pub fn vac(
-    g: &AttributedGraph,
-    index: &EpochIndex,
-    q: NodeId,
-    k: u32,
-    model: CommunityModel,
-    dparams: DistanceParams,
+    maintainer: &mut Maintainer<'_>,
+    dist: &QueryDistances,
     max_iters: Option<usize>,
 ) -> Result<BaselineResult, CsagError> {
+    let (g, q) = (maintainer.graph(), dist.q());
     check_query_node(q, g.n())?;
-    let start = Instant::now();
-    let mut maintainer = Maintainer::new(g, index, model, k);
-    let dist = QueryDistances::new(q, g.n(), dparams);
-    let mut current = root_of(&mut maintainer, q)?;
+    let mut current = root_of(maintainer, q)?;
     let cap = max_iters.unwrap_or(usize::MAX);
 
     for _ in 0..cap {
@@ -122,10 +118,9 @@ pub fn vac(
         }
     }
 
-    let (objective, _) = max_pairwise_distance(g, &current, dparams);
+    let (objective, _) = max_pairwise_distance(g, &current, dist.params());
     Ok(BaselineResult {
         community: current,
-        elapsed: start.elapsed(),
         objective,
     })
 }
@@ -143,7 +138,8 @@ pub struct EVacLimits {
     pub time_budget: Option<Duration>,
 }
 
-/// The exact VAC: branch-and-bound on worst-pair endpoints.
+/// The exact VAC: branch-and-bound on worst-pair endpoints, peeling
+/// through `maintainer`.
 ///
 /// The optimal min-max community must exclude at least one endpoint of any
 /// pair realizing a distance above the optimum, so branching on the two
@@ -163,19 +159,15 @@ pub struct EVacLimits {
 /// [`CsagError::BudgetExhausted`] when the root exceeded
 /// [`EVacLimits::max_root`] (refused outright).
 pub fn e_vac(
-    g: &AttributedGraph,
-    index: &EpochIndex,
+    maintainer: &mut Maintainer<'_>,
     q: NodeId,
-    k: u32,
-    model: CommunityModel,
     dparams: DistanceParams,
     limits: &EVacLimits,
 ) -> Result<BaselineResult, CsagError> {
+    let g = maintainer.graph();
     check_query_node(q, g.n())?;
-    let start = Instant::now();
-    let deadline = limits.time_budget.map(|b| start + b);
-    let mut maintainer = Maintainer::new(g, index, model, k);
-    let root = root_of(&mut maintainer, q)?;
+    let deadline = limits.time_budget.map(|b| Instant::now() + b);
+    let root = root_of(maintainer, q)?;
     if limits.max_root.is_some_and(|m| root.len() > m) {
         // The paper refuses E-VAC on large roots outright (its `-` rows).
         return Err(CsagError::BudgetExhausted);
@@ -220,7 +212,6 @@ pub fn e_vac(
 
     Ok(BaselineResult {
         community: best,
-        elapsed: start.elapsed(),
         objective: best_obj,
     })
 }
@@ -228,7 +219,38 @@ pub fn e_vac(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use csag_decomp::{CommunityModel, EpochIndex};
     use csag_graph::GraphBuilder;
+
+    /// VAC on a standalone k-core maintainer and a fresh distance table.
+    fn run_vac(
+        g: &AttributedGraph,
+        q: NodeId,
+        k: u32,
+        dparams: DistanceParams,
+        max_iters: Option<usize>,
+    ) -> Result<BaselineResult, CsagError> {
+        let index = EpochIndex::new();
+        let mut maintainer = Maintainer::new(g, &index, CommunityModel::KCore, k);
+        vac(
+            &mut maintainer,
+            &QueryDistances::new(q, g.n(), dparams),
+            max_iters,
+        )
+    }
+
+    /// E-VAC on a standalone k-core maintainer.
+    fn run_e_vac(
+        g: &AttributedGraph,
+        q: NodeId,
+        k: u32,
+        dparams: DistanceParams,
+        limits: &EVacLimits,
+    ) -> Result<BaselineResult, CsagError> {
+        let index = EpochIndex::new();
+        let mut maintainer = Maintainer::new(g, &index, CommunityModel::KCore, k);
+        e_vac(&mut maintainer, q, dparams, limits)
+    }
 
     /// 5-clique with one numerical outlier (node 4).
     fn clique_with_outlier() -> AttributedGraph {
@@ -258,16 +280,7 @@ mod tests {
     #[test]
     fn vac_peels_outlier() {
         let g = clique_with_outlier();
-        let res = vac(
-            &g,
-            &EpochIndex::new(),
-            0,
-            3,
-            CommunityModel::KCore,
-            DistanceParams::default(),
-            None,
-        )
-        .unwrap();
+        let res = run_vac(&g, 0, 3, DistanceParams::default(), None).unwrap();
         assert_eq!(res.community, vec![0, 1, 2, 3], "outlier removed");
         assert!(res.objective < 0.08);
     }
@@ -276,16 +289,7 @@ mod tests {
     fn vac_halts_when_deletion_would_collapse() {
         let g = clique_with_outlier();
         // k=4 forces the full 5-clique: deleting any node collapses it.
-        let res = vac(
-            &g,
-            &EpochIndex::new(),
-            0,
-            4,
-            CommunityModel::KCore,
-            DistanceParams::default(),
-            None,
-        )
-        .unwrap();
+        let res = run_vac(&g, 0, 4, DistanceParams::default(), None).unwrap();
         assert_eq!(res.community, vec![0, 1, 2, 3, 4]);
         assert!((res.objective - 0.5).abs() < 1e-12);
     }
@@ -294,16 +298,7 @@ mod tests {
     fn vac_iteration_cap_is_honored() {
         let g = clique_with_outlier();
         // Zero iterations: the root itself is returned.
-        let res = vac(
-            &g,
-            &EpochIndex::new(),
-            0,
-            2,
-            CommunityModel::KCore,
-            DistanceParams::default(),
-            Some(0),
-        )
-        .unwrap();
+        let res = run_vac(&g, 0, 2, DistanceParams::default(), Some(0)).unwrap();
         assert_eq!(res.community, vec![0, 1, 2, 3, 4]);
     }
 
@@ -311,26 +306,8 @@ mod tests {
     fn e_vac_matches_or_beats_vac() {
         let g = clique_with_outlier();
         for k in [2u32, 3] {
-            let a = vac(
-                &g,
-                &EpochIndex::new(),
-                0,
-                k,
-                CommunityModel::KCore,
-                DistanceParams::default(),
-                None,
-            )
-            .unwrap();
-            let e = e_vac(
-                &g,
-                &EpochIndex::new(),
-                0,
-                k,
-                CommunityModel::KCore,
-                DistanceParams::default(),
-                &EVacLimits::default(),
-            )
-            .unwrap();
+            let a = run_vac(&g, 0, k, DistanceParams::default(), None).unwrap();
+            let e = run_e_vac(&g, 0, k, DistanceParams::default(), &EVacLimits::default()).unwrap();
             assert!(
                 e.objective <= a.objective + 1e-12,
                 "k={k}: exact {} vs approx {}",
@@ -343,17 +320,7 @@ mod tests {
     #[test]
     fn e_vac_respects_limits() {
         let g = clique_with_outlier();
-        let run = |limits: EVacLimits| {
-            e_vac(
-                &g,
-                &EpochIndex::new(),
-                0,
-                2,
-                CommunityModel::KCore,
-                DistanceParams::default(),
-                &limits,
-            )
-        };
+        let run = |limits: EVacLimits| run_e_vac(&g, 0, 2, DistanceParams::default(), &limits);
         let full = run(EVacLimits::default()).unwrap();
         // A 1-state budget scores the root, then truncates to it.
         let one = run(EVacLimits {
@@ -394,16 +361,7 @@ mod tests {
             }
         }
         let g = b.build().unwrap();
-        let res = vac(
-            &g,
-            &EpochIndex::new(),
-            0,
-            2,
-            CommunityModel::KCore,
-            DistanceParams::default(),
-            None,
-        )
-        .unwrap();
+        let res = run_vac(&g, 0, 2, DistanceParams::default(), None).unwrap();
         assert!(res.community.contains(&0));
     }
 
@@ -415,27 +373,11 @@ mod tests {
         b.add_edge(0, 1).unwrap();
         let g = b.build().unwrap();
         assert!(matches!(
-            vac(
-                &g,
-                &EpochIndex::new(),
-                0,
-                2,
-                CommunityModel::KCore,
-                DistanceParams::default(),
-                None
-            ),
+            run_vac(&g, 0, 2, DistanceParams::default(), None),
             Err(CsagError::NoCommunity { .. })
         ));
         assert!(matches!(
-            e_vac(
-                &g,
-                &EpochIndex::new(),
-                0,
-                2,
-                CommunityModel::KCore,
-                DistanceParams::default(),
-                &EVacLimits::default()
-            ),
+            run_e_vac(&g, 0, 2, DistanceParams::default(), &EVacLimits::default()),
             Err(CsagError::NoCommunity { .. })
         ));
     }

@@ -1,8 +1,9 @@
 //! Property tests: baselines against brute force on small random graphs.
 
 use csag_baselines::{acq, e_vac, loc_atc, vac, EVacLimits};
-use csag_core::distance::DistanceParams;
+use csag_core::distance::{DistanceParams, QueryDistances};
 use csag_core::{CommunityModel, EpochIndex};
+use csag_decomp::Maintainer;
 use csag_graph::{AttributedGraph, GraphBuilder};
 use proptest::prelude::*;
 
@@ -69,7 +70,7 @@ proptest! {
     #[test]
     fn acq_is_optimal_on_shared_attributes((g, q) in arb_graph(), k in 1u32..3) {
         let communities = all_communities(&g, q, k);
-        let res = acq(&g, &EpochIndex::new(), q, k, CommunityModel::KCore);
+        let res = acq(&mut Maintainer::new(&g, &EpochIndex::new(), CommunityModel::KCore, k), q);
         match (communities.is_empty(), res) {
             (true, Err(e)) if e.is_no_community() => {}
             (false, Ok(r)) => {
@@ -111,10 +112,10 @@ proptest! {
             .iter()
             .map(|c| max_pairwise_distance(&g, c, dp).0)
             .fold(f64::INFINITY, f64::min);
-        let ev = e_vac(&g, &EpochIndex::new(), q, k, CommunityModel::KCore, dp, &EVacLimits::default())
+        let ev = e_vac(&mut Maintainer::new(&g, &EpochIndex::new(), CommunityModel::KCore, k), q, dp, &EVacLimits::default())
             .expect("community exists");
         prop_assert!(ev.objective >= brute_best - 1e-9, "E-VAC beat brute force?!");
-        let v = vac(&g, &EpochIndex::new(), q, k, CommunityModel::KCore, dp, None).expect("community exists");
+        let v = vac(&mut Maintainer::new(&g, &EpochIndex::new(), CommunityModel::KCore, k), &QueryDistances::new(q, g.n(), dp), None).expect("community exists");
         prop_assert!(ev.objective <= v.objective + 1e-9, "E-VAC worse than VAC");
     }
 
@@ -125,9 +126,9 @@ proptest! {
         let dp = DistanceParams::default();
         let exists = !all_communities(&g, q, k).is_empty();
         let results = [
-            acq(&g, &EpochIndex::new(), q, k, CommunityModel::KCore).map(|r| r.community),
-            loc_atc(&g, &EpochIndex::new(), q, k, CommunityModel::KCore).map(|r| r.community),
-            vac(&g, &EpochIndex::new(), q, k, CommunityModel::KCore, dp, None).map(|r| r.community),
+            acq(&mut Maintainer::new(&g, &EpochIndex::new(), CommunityModel::KCore, k), q).map(|r| r.community),
+            loc_atc(&mut Maintainer::new(&g, &EpochIndex::new(), CommunityModel::KCore, k), q).map(|r| r.community),
+            vac(&mut Maintainer::new(&g, &EpochIndex::new(), CommunityModel::KCore, k), &QueryDistances::new(q, g.n(), dp), None).map(|r| r.community),
         ];
         for comm in results.iter() {
             prop_assert_eq!(comm.is_ok(), exists);

@@ -156,8 +156,6 @@ pub struct ExactResult {
     pub complete: bool,
     /// Number of states visited in the search tree (root included).
     pub states_explored: u64,
-    /// Wall-clock time of the whole search.
-    pub elapsed: Duration,
 }
 
 /// The exact CS-AG solver.
@@ -205,8 +203,8 @@ struct LevelBufs {
 
 impl<'g> Exact<'g> {
     /// Creates a solver over `g` with the given distance parameters,
-    /// taking the root and the k-truss edge index from `index` — an
-    /// engine lends its own; a standalone caller a fresh
+    /// reading q's root off `index`'s coreness or node-trussness screen —
+    /// an engine lends its own index; a standalone caller a fresh
     /// [`EpochIndex::new`].
     pub fn new(g: &'g AttributedGraph, index: &'g EpochIndex, dparams: DistanceParams) -> Self {
         Exact { g, index, dparams }
@@ -361,7 +359,6 @@ impl<'g> Exact<'g> {
             complete: !ctx.out_of_budget,
             community: ctx.best,
             states_explored: ctx.states,
-            elapsed: start.elapsed(),
         })
     }
 }

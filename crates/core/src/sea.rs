@@ -263,7 +263,8 @@ pub struct Sea<'g> {
 
 impl<'g> Sea<'g> {
     /// Creates a solver over `g` with the given distance parameters,
-    /// reading `g`'s tables (edge index, components) from `index` — an
+    /// reading `g`'s tables (components, and the coreness or
+    /// node-trussness screen q's root is walked in) from `index` — an
     /// engine lends its own; a standalone caller a fresh
     /// [`EpochIndex::new`].
     pub fn new(g: &'g AttributedGraph, index: &'g EpochIndex, dparams: DistanceParams) -> Self {

@@ -29,8 +29,8 @@
 use super::batch::{available_threads, parallel_map_init};
 use super::error::CsagError;
 use super::query::{CommunityQuery, Method};
-use super::result::CommunityResult;
-use super::{sea_community_result, Engine};
+use super::result::{assemble, CommunityResult, Found};
+use super::Engine;
 use csag_core::hetero_cs::{check_target_node, SeaHetero};
 use csag_graph::{HeteroGraph, MetaPath, NodeId, QueryWorkspace};
 use rand::rngs::StdRng;
@@ -204,7 +204,7 @@ impl HeteroEngine {
         let mut rng = StdRng::seed_from_u64(query.seed);
         let r = solver.run(query.q, &query.sea_params(), &mut rng)?;
         // The solver already speaks original ids; no globalization step.
-        let mut res = sea_community_result(query, r);
+        let mut res = assemble(query, Found::Sea(r));
         res.timings.search = t_total.elapsed();
         res.timings.total = t_total.elapsed();
         Ok(res)
@@ -391,6 +391,29 @@ mod tests {
             .unwrap();
         assert_eq!(res.community, native.community);
         assert_eq!(res.delta, native.delta_star);
+    }
+
+    /// The native path's whole answer, pinned as `answer_identity` text:
+    /// community, δ, certificate and provenance, byte for byte.
+    #[test]
+    fn sea_hetero_answer_is_pinned() {
+        let (g, apa, authors) = toy();
+        let engine = HeteroEngine::new(g, apa);
+        let query = CommunityQuery::new(Method::SeaHetero, authors[0])
+            .with_k(2)
+            .with_error_bound(0.2)
+            .with_seed(3);
+        assert_eq!(
+            crate::engine::outcome_identity(&engine.run(&query), false),
+            concat!(
+                r#"{"q":0,"epoch":0,"community":[0,1,2],"size":3,"delta":0.25,"#,
+                r#""certificate":{"certified":false,"error_bound":0.8933952176324256,"#,
+                r#""confidence":0.95,"moe":0.11796206218762417},"#,
+                r#""provenance":{"method":"sea-hetero","k":2,"model":"k-core","rounds":2,"#,
+                r#""states_explored":0,"candidates_examined":2,"population_size":4,"#,
+                r#""sample_size":4,"seed":3,"objective":null}}"#
+            )
+        );
     }
 
     /// One batch can mix both §VI-A strategies; results stay in order.

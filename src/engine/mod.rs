@@ -63,10 +63,11 @@ use csag_core::distance::QueryDistances;
 use csag_core::error::check_query_node;
 use csag_core::exact::Exact;
 use csag_core::sea::Sea;
-use csag_decomp::{CommunityModel, EpochIndex};
+use csag_decomp::{CommunityModel, EpochIndex, Maintainer};
 use csag_graph::{AttributedGraph, NodeId, QueryWorkspace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use result::{assemble, Found};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -367,7 +368,7 @@ impl Engine {
         let outcome = self.dispatch(query, &dist, ws);
         let search = t_search.elapsed();
 
-        let mut res = outcome?;
+        let mut res = assemble(query, outcome?);
         res.epoch = self.epoch;
         res.timings.prepare = prepare;
         res.timings.search = search;
@@ -375,97 +376,52 @@ impl Engine {
         Ok(res)
     }
 
+    /// Runs `query`'s method on the checked-out table `dist` and the
+    /// worker's workspace. The baselines peel on the workspace's pooled
+    /// scratch, handed back on every path.
     fn dispatch(
         &self,
         query: &CommunityQuery,
         dist: &QueryDistances,
         ws: &mut QueryWorkspace,
-    ) -> Result<CommunityResult, CsagError> {
-        let g = self.graph.as_ref();
-        let dp = query.distance_params();
-        let mut prov = Provenance::new(query.method, query.k, query.model, query.seed);
-        let index = &self.index;
-        match query.method {
+    ) -> Result<Found, CsagError> {
+        let (g, index) = (self.graph.as_ref(), &self.index);
+        let (q, dp) = (query.q, query.distance_params());
+        Ok(match query.method {
             Method::SeaHetero => unreachable!("rejected before prepare"),
             Method::Exact => {
-                let r = Exact::new(g, index, dp).run_in_workspace(
-                    query.q,
-                    &query.exact_params(),
-                    dist,
-                    ws,
-                )?;
-                prov.states_explored = r.states_explored;
-                Ok(CommunityResult {
-                    q: query.q,
-                    epoch: 0,
-                    delta: r.delta,
-                    community: r.community,
-                    // The proven bracket [lower_bound, δ] on the optimum,
-                    // as a relative error: 0 when complete, ∞ when the
-                    // bound is 0.
-                    certificate: Some(AccuracyCertificate {
-                        certified: r.complete,
-                        error_bound: if r.delta <= r.lower_bound {
-                            0.0
-                        } else {
-                            r.delta / r.lower_bound - 1.0
-                        },
-                        confidence: 1.0,
-                        moe: 0.0,
-                    }),
-                    timings: PhaseTimings::default(),
-                    provenance: prov,
-                })
+                let exact = Exact::new(g, index, dp);
+                Found::Exact(exact.run_in_workspace(q, &query.exact_params(), dist, ws)?)
             }
             Method::Sea | Method::SeaSizeBounded => {
                 let mut rng = StdRng::seed_from_u64(query.seed);
-                let r = Sea::new(g, index, dp).run_in_workspace(
-                    query.q,
-                    &query.sea_params(),
-                    &mut rng,
-                    dist,
-                    ws,
-                )?;
-                Ok(sea_community_result(query, r))
+                let sea = Sea::new(g, index, dp);
+                Found::Sea(sea.run_in_workspace(q, &query.sea_params(), &mut rng, dist, ws)?)
             }
             Method::Acq | Method::Atc | Method::Vac | Method::EVac => {
-                let r = match query.method {
-                    Method::Acq => baselines::acq(g, index, query.q, query.k, query.model)?,
-                    Method::Atc => baselines::loc_atc(g, index, query.q, query.k, query.model)?,
-                    Method::Vac => baselines::vac(
-                        g,
-                        index,
-                        query.q,
-                        query.k,
-                        query.model,
-                        dp,
-                        query.vac_iteration_cap,
-                    )?,
+                let mut m = Maintainer::in_workspace(g, index, query.model, query.k, ws);
+                let found = match query.method {
+                    Method::Acq => baselines::acq(&mut m, q),
+                    Method::Atc => baselines::loc_atc(&mut m, q),
+                    Method::Vac => baselines::vac(&mut m, dist, query.vac_iteration_cap),
                     Method::EVac => {
                         let limits = baselines::EVacLimits {
                             state_budget: query.state_budget,
                             max_root: query.evac_max_root,
                             time_budget: query.time_budget,
                         };
-                        baselines::e_vac(g, index, query.q, query.k, query.model, dp, &limits)?
+                        baselines::e_vac(&mut m, q, dp, &limits)
                     }
-                    _ => unreachable!("outer match covers the baseline methods"),
+                    _ => unreachable!("the outer arm holds the four baselines"),
                 };
-                prov.objective = Some(r.objective);
+                m.release(ws);
+                let r = found?;
                 // Score every baseline under the same δ metric so results
                 // are comparable across methods (the Table II protocol).
                 let delta = dist.delta(g, &r.community);
-                Ok(CommunityResult {
-                    q: query.q,
-                    epoch: 0,
-                    community: r.community,
-                    delta,
-                    certificate: None,
-                    timings: PhaseTimings::default(),
-                    provenance: prov,
-                })
+                Found::Baseline(r, delta)
             }
-        }
+        })
     }
 
     /// The shard owning `key` (multiplicative hash on the query node,
@@ -532,51 +488,6 @@ impl Engine {
         let table = fresh();
         map.insert(key, Arc::clone(&table));
         table
-    }
-}
-
-/// Maps a raw SEA outcome onto the unified result shape — the accuracy
-/// certificate (the Theorem-11 bound actually achieved), SEA's phase
-/// timings, and the sampling provenance. Shared by the homogeneous
-/// dispatch and [`HeteroEngine`]'s native sampling-before-projection
-/// path so both report identically. The epoch is stamped by the caller.
-pub(crate) fn sea_community_result(
-    query: &CommunityQuery,
-    r: csag_core::sea::SeaResult,
-) -> CommunityResult {
-    let mut prov = Provenance::new(query.method, query.k, query.model, query.seed);
-    prov.rounds = r.rounds.len();
-    prov.candidates_examined = r.rounds.iter().map(|x| x.candidates_examined).sum();
-    prov.population_size = r.population_size;
-    prov.sample_size = r.sample_size;
-    // The bound actually achieved, by inverting Theorem 11:
-    // ε ≤ δ⋆·e/(1+e)  ⇔  e ≥ ε/(δ⋆ − ε). A zero-width interval is a
-    // perfect estimate (bound 0) even at δ⋆ = 0.
-    let achieved = if r.ci.moe == 0.0 {
-        0.0
-    } else if r.ci.moe < r.delta_star {
-        r.ci.moe / (r.delta_star - r.ci.moe)
-    } else {
-        f64::INFINITY
-    };
-    CommunityResult {
-        q: query.q,
-        epoch: 0,
-        delta: r.delta_star,
-        community: r.community,
-        certificate: Some(AccuracyCertificate {
-            certified: r.certified,
-            error_bound: achieved,
-            confidence: query.confidence,
-            moe: r.ci.moe,
-        }),
-        timings: PhaseTimings {
-            sampling: r.timing.sampling,
-            estimation: r.timing.estimation,
-            incremental: r.timing.incremental,
-            ..PhaseTimings::default()
-        },
-        provenance: prov,
     }
 }
 

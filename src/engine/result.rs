@@ -1,8 +1,12 @@
 //! The unified result type: community, accuracy certificate, per-phase
-//! timings, and provenance — one shape for every [`Method`].
+//! timings, and provenance — one shape for every [`Method`], built in one
+//! place (`assemble`, from what the method's search found).
 
-use super::query::Method;
+use super::query::{CommunityQuery, Method};
 use crate::json::{Value, Writer};
+use csag_baselines::BaselineResult;
+use csag_core::exact::ExactResult;
+use csag_core::sea::SeaResult;
 use csag_decomp::CommunityModel;
 use csag_graph::NodeId;
 use std::time::Duration;
@@ -121,6 +125,83 @@ pub struct CommunityResult {
     pub timings: PhaseTimings,
     /// Method, effort counters, seed, and native objective.
     pub provenance: Provenance,
+}
+
+/// What a method's search found, before [`assemble`] puts it in the
+/// answer shape.
+pub(crate) enum Found {
+    Exact(ExactResult),
+    Sea(SeaResult),
+    /// A baseline's community, with its δ scored on the read's distance
+    /// table.
+    Baseline(BaselineResult, f64),
+}
+
+/// The one place a [`CommunityResult`] is built: `found`'s community and
+/// δ, its certificate (Exact's proven bracket, SEA's Theorem-11 bound, none
+/// for a baseline), the SEA sub-phase timings and the provenance. The
+/// caller stamps the epoch and the outer timings.
+pub(crate) fn assemble(query: &CommunityQuery, found: Found) -> CommunityResult {
+    let mut provenance = Provenance::new(query.method, query.k, query.model, query.seed);
+    let mut timings = PhaseTimings::default();
+    let (community, delta, certificate) = match found {
+        Found::Exact(r) => {
+            provenance.states_explored = r.states_explored;
+            // The proven bracket [lower_bound, δ] on the optimum, as a
+            // relative error: 0 when complete, ∞ when the bound is 0.
+            let error_bound = if r.delta <= r.lower_bound {
+                0.0
+            } else {
+                r.delta / r.lower_bound - 1.0
+            };
+            let certificate = AccuracyCertificate {
+                certified: r.complete,
+                error_bound,
+                confidence: 1.0,
+                moe: 0.0,
+            };
+            (r.community, r.delta, Some(certificate))
+        }
+        Found::Sea(r) => {
+            provenance.rounds = r.rounds.len();
+            provenance.candidates_examined = r.rounds.iter().map(|x| x.candidates_examined).sum();
+            provenance.population_size = r.population_size;
+            provenance.sample_size = r.sample_size;
+            timings.sampling = r.timing.sampling;
+            timings.estimation = r.timing.estimation;
+            timings.incremental = r.timing.incremental;
+            // The bound actually achieved, by inverting Theorem 11:
+            // ε ≤ δ⋆·e/(1+e)  ⇔  e ≥ ε/(δ⋆ − ε). A zero-width interval is a
+            // perfect estimate (bound 0) even at δ⋆ = 0.
+            let error_bound = if r.ci.moe == 0.0 {
+                0.0
+            } else if r.ci.moe < r.delta_star {
+                r.ci.moe / (r.delta_star - r.ci.moe)
+            } else {
+                f64::INFINITY
+            };
+            let certificate = AccuracyCertificate {
+                certified: r.certified,
+                error_bound,
+                confidence: query.confidence,
+                moe: r.ci.moe,
+            };
+            (r.community, r.delta_star, Some(certificate))
+        }
+        Found::Baseline(r, delta) => {
+            provenance.objective = Some(r.objective);
+            (r.community, delta, None)
+        }
+    };
+    CommunityResult {
+        q: query.q,
+        epoch: 0,
+        community,
+        delta,
+        certificate,
+        timings,
+        provenance,
+    }
 }
 
 impl CommunityResult {

@@ -20,7 +20,9 @@ use csag::core::exact::{Exact, ExactParams};
 use csag::core::sea::{grow_neighborhood, Sea, SeaParams};
 use csag::datasets::generator::{generate, SyntheticConfig};
 use csag::datasets::{random_updates, ChurnMix};
-use csag::decomp::{node_max_trussness, truss_decompositions, CommunityModel, EpochIndex};
+use csag::decomp::{
+    node_max_trussness, truss_decompositions, CommunityModel, EpochIndex, Maintainer,
+};
 use csag::engine::{
     outcome_identity, CommunityQuery, CommunityResult, CsagError, Engine, GraphStore, Method,
 };
@@ -83,6 +85,7 @@ fn standalone(
     let index = EpochIndex::new();
     let like = || answer.clone().expect("the engine answered too");
     let (q, k, model) = (query.q, query.k, query.model);
+    let maintainer = || Maintainer::new(g, &index, model, k);
     let baseline = |r: BaselineResult| {
         let mut res = like();
         res.delta = QueryDistances::new(q, g.n(), dp).delta(g, &r.community);
@@ -128,16 +131,21 @@ fn standalone(
                 res
             })
         }
-        Method::Acq => acq(g, &index, q, k, model).map(baseline),
-        Method::Atc => loc_atc(g, &index, q, k, model).map(baseline),
-        Method::Vac => vac(g, &index, q, k, model, dp, query.vac_iteration_cap).map(baseline),
+        Method::Acq => acq(&mut maintainer(), q).map(baseline),
+        Method::Atc => loc_atc(&mut maintainer(), q).map(baseline),
+        Method::Vac => vac(
+            &mut maintainer(),
+            &QueryDistances::new(q, g.n(), dp),
+            query.vac_iteration_cap,
+        )
+        .map(baseline),
         Method::EVac => {
             let limits = EVacLimits {
                 state_budget: query.state_budget,
                 max_root: query.evac_max_root,
                 time_budget: None,
             };
-            e_vac(g, &index, q, k, model, dp, &limits).map(baseline)
+            e_vac(&mut maintainer(), q, dp, &limits).map(baseline)
         }
         Method::SeaHetero => unreachable!("not a homogeneous read"),
     };

@@ -7,7 +7,7 @@ use csag::core::exact::{Exact, ExactParams};
 use csag::core::CommunityModel;
 use csag::datasets::generator::{generate, SyntheticConfig};
 use csag::datasets::random_queries;
-use csag::decomp::EpochIndex;
+use csag::decomp::{EpochIndex, Maintainer};
 use csag::eval::{atc_score, max_pairwise_distance, shared_attributes};
 use std::time::Duration;
 
@@ -43,9 +43,14 @@ fn each_method_wins_its_own_metric() {
                 .with_time_budget(Duration::from_secs(5)),
         )
         .unwrap_or_else(|e| panic!("expected a {k}-core around node {q}: {e}"));
-    let acq_r = acq(&g, &EpochIndex::new(), q, k, model).unwrap();
-    let atc_r = loc_atc(&g, &EpochIndex::new(), q, k, model).unwrap();
-    let vac_r = vac(&g, &EpochIndex::new(), q, k, model, dp, Some(2_000)).unwrap();
+    let acq_r = acq(&mut Maintainer::new(&g, &EpochIndex::new(), model, k), q).unwrap();
+    let atc_r = loc_atc(&mut Maintainer::new(&g, &EpochIndex::new(), model, k), q).unwrap();
+    let vac_r = vac(
+        &mut Maintainer::new(&g, &EpochIndex::new(), model, k),
+        &QueryDistances::new(q, g.n(), dp),
+        Some(2_000),
+    )
+    .unwrap();
 
     // δ: Exact is at least as good as every baseline — when it completed;
     // a slow (debug) build that stops it holds no ground truth.
@@ -87,7 +92,7 @@ fn each_method_wins_its_own_metric() {
     // maximal community it started from. (Cross-method dominance is not
     // guaranteed for the *approximate* VAC — the paper's Table II likewise
     // shows ties and inversions among the approximate methods.)
-    let mut maintainer = csag::decomp::Maintainer::new(&g, &index, model, k);
+    let mut maintainer = Maintainer::new(&g, &index, model, k);
     let root = maintainer.maximal(q).unwrap();
     let (vac_mm, _) = max_pairwise_distance(&g, &vac_r.community, dp);
     let (root_mm, _) = max_pairwise_distance(&g, &root, dp);
@@ -105,12 +110,8 @@ fn e_vac_dominates_vac_on_minmax() {
     for seed in [78u64, 79] {
         let q = random_queries(&g, 1, k, seed)[0];
         let Ok(v) = vac(
-            &g,
-            &EpochIndex::new(),
-            q,
-            k,
-            CommunityModel::KCore,
-            dp,
+            &mut Maintainer::new(&g, &EpochIndex::new(), CommunityModel::KCore, k),
+            &QueryDistances::new(q, g.n(), dp),
             Some(2_000),
         ) else {
             continue;
@@ -121,11 +122,8 @@ fn e_vac_dominates_vac_on_minmax() {
             time_budget: Some(Duration::from_secs(5)),
         };
         let Ok(ev) = e_vac(
-            &g,
-            &EpochIndex::new(),
+            &mut Maintainer::new(&g, &EpochIndex::new(), CommunityModel::KCore, k),
             q,
-            k,
-            CommunityModel::KCore,
             dp,
             &limits,
         ) else {
@@ -148,13 +146,19 @@ fn all_methods_produce_valid_kcores() {
     let q = random_queries(&g, 1, k, 80)[0];
     let model = CommunityModel::KCore;
     let communities = [
-        acq(&g, &EpochIndex::new(), q, k, model).unwrap().community,
-        loc_atc(&g, &EpochIndex::new(), q, k, model)
+        acq(&mut Maintainer::new(&g, &EpochIndex::new(), model, k), q)
             .unwrap()
             .community,
-        vac(&g, &EpochIndex::new(), q, k, model, dp, Some(2_000))
+        loc_atc(&mut Maintainer::new(&g, &EpochIndex::new(), model, k), q)
             .unwrap()
             .community,
+        vac(
+            &mut Maintainer::new(&g, &EpochIndex::new(), model, k),
+            &QueryDistances::new(q, g.n(), dp),
+            Some(2_000),
+        )
+        .unwrap()
+        .community,
     ];
     for comm in &communities {
         assert!(comm.binary_search(&q).is_ok());
