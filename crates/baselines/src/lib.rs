@@ -28,7 +28,7 @@
 //! These are faithful ports of the published *objectives and search
 //! strategies*, not line-by-line translations of the authors' Java code;
 //! the qualitative comparison of Table II / Figure 5 is what they exist to
-//! reproduce (see DESIGN.md §3).
+//! reproduce.
 
 pub mod acq;
 pub mod atc;

@@ -9,9 +9,8 @@
 //!                  --expect <id>=<query.json>... [--ignore epoch]
 //! ```
 //!
-//! Ids: fig5 tab2 tab3 fig6 tab4 tab5 fig7 fig8 fig9 fig10.
-//! Output is github-flavored markdown on stdout (tee it into
-//! EXPERIMENTS.md sections).
+//! `experiments list` prints the ids ([`csag_bench::EXPERIMENTS`], paper
+//! order). Output is github-flavored markdown on stdout.
 //!
 //! `load --socket <addr>` drives an already-running `csag serve
 //! --listen` server over TCP with the sequential-vs-pipelined
@@ -26,7 +25,7 @@
 
 use csag_bench::config::Scale;
 use csag_bench::load::Check;
-use csag_bench::{all_ids, run_experiment};
+use csag_bench::{run_experiment, EXPERIMENTS};
 use std::time::Instant;
 
 fn main() {
@@ -72,12 +71,12 @@ fn main() {
                 scale.threads = n.max(1);
             }
             "list" => {
-                for id in all_ids() {
+                for (id, _) in EXPERIMENTS {
                     println!("{id}");
                 }
                 return;
             }
-            "all" => ids.extend(all_ids().iter().map(|s| s.to_string())),
+            "all" => ids.extend(EXPERIMENTS.map(|(id, _)| id.to_string())),
             other if other.starts_with('-') => die(&format!("unknown flag {other}")),
             other => ids.push(other.to_string()),
         }
@@ -168,7 +167,7 @@ fn print_help() {
     println!("  all            run every experiment");
     println!();
     println!("Ids:");
-    for id in all_ids() {
+    for (id, _) in EXPERIMENTS {
         println!("  {id}");
     }
     println!();

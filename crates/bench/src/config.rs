@@ -6,8 +6,6 @@
 //! prints the scale it actually used.
 
 use csag::engine::{CommunityQuery, Method};
-use csag_core::sea::SeaParams;
-use csag_core::CommunityModel;
 use std::time::Duration;
 
 /// Global experiment scale.
@@ -53,7 +51,8 @@ impl Scale {
         }
     }
 
-    /// Per-query time budget for the exact ground truth.
+    /// Per-query time budget for the exact ground truth: a backstop
+    /// behind [`EXACT_STATES`] (Table IV sets its own state budget).
     pub fn exact_budget(&self) -> Duration {
         if self.quick {
             Duration::from_secs(2)
@@ -84,7 +83,7 @@ fn available_threads() -> usize {
         .unwrap_or(4)
 }
 
-/// Harness-wide SEA parameters.
+/// Harness-wide Hoeffding pair `(ϵ, 1 − β)` for SEA.
 ///
 /// The library default Hoeffding ϵ = 0.05 reproduces the paper's setting
 /// on its million-node corpora, where the Theorem-10 minimum |Gq| is a few
@@ -92,27 +91,30 @@ fn available_threads() -> usize {
 /// |Gq| past the whole graph, which breaks the "Gq is a focused, mostly
 /// relevant neighborhood" premise of the sampling step. ϵ = 0.18 restores
 /// the paper's |Gq|/|V| regime (≈2–10%) at our scale; everything else is
-/// the paper's default.
-pub fn sea_params(k: u32) -> SeaParams {
-    SeaParams::default().with_k(k).with_hoeffding(0.18, 0.95)
-}
+/// the paper's default. [`sea_query`] and Figure 9's direct `SeaHetero`
+/// run both use it.
+pub const HOEFFDING: (f64, f64) = (0.18, 0.95);
 
-/// SEA parameters for the k-truss model: triangles survive node sampling
-/// with probability ~λ³, so the truss pipeline samples at λ = 0.5.
-pub fn sea_params_truss(k: u32) -> SeaParams {
-    sea_params(k)
-        .with_model(CommunityModel::KTruss)
-        .with_lambda(0.5)
-}
-
-/// The engine-facing twin of [`sea_params`]: a SEA `CommunityQuery`
-/// template (query node and seed filled in per run) for the homogeneous
-/// experiments, with the same harness-wide Hoeffding rescaling.
+/// A SEA `CommunityQuery` template (query node and seed filled in per
+/// run) with the harness-wide [`HOEFFDING`] rescaling.
 pub fn sea_query(k: u32) -> CommunityQuery {
     CommunityQuery::new(Method::Sea, 0)
         .with_k(k)
-        .with_hoeffding(0.18, 0.95)
+        .with_hoeffding(HOEFFDING.0, HOEFFDING.1)
 }
+
+/// Search-tree state budget of the lineup's Exact, in quick and full
+/// mode alike; [`Scale::exact_budget`]'s clock stays as a backstop.
+///
+/// A state budget makes Exact's reference the same on every host, so
+/// every relative error against it is too. The first states near the
+/// root are the costly ones, and their cost grows with the root: on one
+/// Xeon core, 100 states took ≈ 0.1 s on `facebook-like` (4 000 nodes), 0.15 s
+/// on the `dblp-like` projection and 0.6 s with k-truss there. Within a
+/// 2 s clock these graphs reached ≈ 20 000, 2 000 and 350 states. In full
+/// mode `twitter-like` (90 000 nodes) reached ≈ 300 states in 10 s, so one
+/// budget serves both modes with a threefold margin to the clock.
+pub const EXACT_STATES: u64 = 100;
 
 /// Fixed seed shared by all experiments so reruns are identical.
 pub const QUERY_SEED: u64 = 0x5EA_C5A6;

@@ -4,36 +4,14 @@
 //! exact ground truth, (c) response time, (d) SEA's per-step time
 //! breakdown (S1 sampling / S2 estimation / S3 incremental sampling).
 
-use crate::config::{Scale, QUERY_SEED, SEA_SEED};
-use crate::runner::{
-    mean, parallel_map, run_acq, run_e_vac, run_exact, run_loc_atc, run_sea, run_vac, Budgets,
-    MethodRun,
-};
-use crate::table::{fmt_ms, fmt_pct, Table};
-use csag::engine::{Engine, PhaseTimings};
-use csag_core::distance::DistanceParams;
+use crate::config::{Scale, QUERY_SEED};
+use crate::runner::{header, mean, parallel_map, Lineup, MethodRun, Target};
+use crate::table::{fmt_ms, fmt_pct, header_with, Table};
+use csag::engine::{Engine, Method, PhaseTimings};
 use csag_core::CommunityModel;
 use csag_datasets::standins;
 use csag_datasets::{random_queries, Dataset};
 use csag_eval::relative_error;
-
-struct QueryOutcome {
-    exact: Option<MethodRun>,
-    sea: Option<(MethodRun, PhaseTimings)>,
-    loc_atc: Option<MethodRun>,
-    acq: Option<MethodRun>,
-    vac: Option<MethodRun>,
-    e_vac: Option<MethodRun>,
-}
-
-const METHODS: [&str; 6] = [
-    "Exact",
-    "SEA (ours)",
-    "LocATC-Core",
-    "ACQ-Core",
-    "VAC-Core",
-    "E-VAC-Core",
-];
 
 fn datasets(scale: &Scale) -> Vec<Dataset> {
     if scale.quick {
@@ -43,42 +21,32 @@ fn datasets(scale: &Scale) -> Vec<Dataset> {
     }
 }
 
+/// The figure's columns: Exact, the reference of (b), then the lineup's
+/// other methods in order. SEA is column 1.
+fn columns() -> impl Iterator<Item = Method> {
+    std::iter::once(Method::Exact).chain(Lineup::ORDER.into_iter().filter(|&m| m != Method::Exact))
+}
+
 /// Runs the Figure-5 suite and renders tables (a)–(d).
 pub fn run(scale: &Scale) -> String {
-    let dp = DistanceParams::default();
     let model = CommunityModel::KCore;
-    let budgets = Budgets {
-        exact_time: scale.exact_budget(),
-        evac_states: scale.evac_budget(),
-        ..Default::default()
-    };
-
+    let names: Vec<String> = columns()
+        .map(|m| match m {
+            Method::Exact => "Exact".into(),
+            m => header(m, model),
+        })
+        .collect();
     let mut tab_a = Table::new(
         "Figure 5(a): attribute distance δ (mean over queries; lower is better)",
-        &[
-            "dataset", "queries", "k", METHODS[0], METHODS[1], METHODS[2], METHODS[3], METHODS[4],
-            METHODS[5],
-        ],
+        &header_with(&["dataset", "queries", "k"], &names),
     );
     let mut tab_b = Table::new(
         "Figure 5(b): relative error of δ w.r.t. Exact (mean %)",
-        &[
-            "dataset", METHODS[1], METHODS[2], METHODS[3], METHODS[4], METHODS[5],
-        ],
+        &header_with(&["dataset"], &names[1..]),
     );
-    let mut tab_c = Table::new(
-        "Figure 5(c): response time (mean per query)",
-        &[
-            "dataset",
-            METHODS[0],
-            METHODS[1],
-            METHODS[2],
-            METHODS[3],
-            METHODS[4],
-            METHODS[5],
-            "SEA speedup (min)",
-        ],
-    );
+    let mut header_c = header_with(&["dataset"], &names);
+    header_c.push("SEA speedup (min)");
+    let mut tab_c = Table::new("Figure 5(c): response time (mean per query)", &header_c);
     let mut tab_d = Table::new(
         "Figure 5(d): SEA per-step time (mean per query)",
         &["dataset", "S1 sampling", "S2 estimation", "S3 incremental"],
@@ -88,107 +56,63 @@ pub fn run(scale: &Scale) -> String {
         let k = d.default_k;
         let n_queries = scale.queries_for(d.graph.n());
         let queries = random_queries(&d.graph, n_queries, k, QUERY_SEED);
-        let sea_query = crate::config::sea_query(k);
-        let allow_evac = scale.evac_allowed(d.graph.n());
+        let lineup = Lineup::new(scale, k, model, Target::Homogeneous { nodes: d.graph.n() });
         // One engine per dataset: every method and query shares the
         // cached decomposition and distance tables.
         let engine = Engine::new(d.graph.clone());
 
-        let outcomes: Vec<QueryOutcome> = parallel_map(&queries, scale.threads, |q| QueryOutcome {
-            exact: run_exact(&engine, q, k, model, dp, &budgets),
-            sea: run_sea(&engine, q, &sea_query, dp, SEA_SEED).map(|(run, res)| (run, res.timings)),
-            loc_atc: run_loc_atc(&engine, q, k, model, dp),
-            acq: run_acq(&engine, q, k, model, dp, false),
-            vac: run_vac(&engine, q, k, model, dp, &budgets),
-            e_vac: allow_evac
-                .then(|| run_e_vac(&engine, q, k, model, dp, &budgets))
-                .flatten(),
+        let outcomes: Vec<Vec<Option<MethodRun>>> = parallel_map(&queries, scale.threads, |q| {
+            columns()
+                .map(|m| lineup.run(m, q, |x| engine.run(x)))
+                .collect()
         });
+        let column = |c: usize| outcomes.iter().filter_map(move |o| o[c].as_ref());
+        let mean_of = |vals: Vec<f64>| (!vals.is_empty()).then(|| mean(vals));
 
         // --- (a): mean δ per method.
-        let delta_of = |sel: &dyn Fn(&QueryOutcome) -> Option<f64>| -> String {
-            let vals: Vec<f64> = outcomes.iter().filter_map(sel).collect();
-            if vals.is_empty() {
-                "-".into()
-            } else {
-                format!("{:.4}", mean(vals.iter().copied()))
-            }
-        };
-        tab_a.add_row(vec![
-            d.name.clone(),
-            queries.len().to_string(),
-            k.to_string(),
-            delta_of(&|o| o.exact.as_ref().map(|r| r.delta)),
-            delta_of(&|o| o.sea.as_ref().map(|(r, _)| r.delta)),
-            delta_of(&|o| o.loc_atc.as_ref().map(|r| r.delta)),
-            delta_of(&|o| o.acq.as_ref().map(|r| r.delta)),
-            delta_of(&|o| o.vac.as_ref().map(|r| r.delta)),
-            delta_of(&|o| o.e_vac.as_ref().map(|r| r.delta)),
-        ]);
+        let mut row_a = vec![d.name.clone(), queries.len().to_string(), k.to_string()];
+        row_a.extend((0..names.len()).map(|c| {
+            mean_of(column(c).map(|r| r.delta).collect())
+                .map_or_else(|| "-".into(), |m| format!("{m:.4}"))
+        }));
+        tab_a.add_row(row_a);
 
         // --- (b): relative error vs Exact (only where both exist).
-        let rel_of = |sel: &dyn Fn(&QueryOutcome) -> Option<f64>| -> String {
-            let vals: Vec<f64> = outcomes
+        let mut row_b = vec![d.name.clone()];
+        row_b.extend((1..names.len()).map(|c| {
+            let errs = outcomes
                 .iter()
-                .filter_map(|o| {
-                    let exact = o.exact.as_ref()?.delta;
-                    sel(o).map(|d| relative_error(d, exact))
-                })
+                .filter_map(|o| Some(relative_error(o[c].as_ref()?.delta, o[0].as_ref()?.delta)))
                 .filter(|e| e.is_finite())
                 .collect();
-            if vals.is_empty() {
-                "-".into()
-            } else {
-                fmt_pct(mean(vals.iter().copied()))
-            }
-        };
-        tab_b.add_row(vec![
-            d.name.clone(),
-            rel_of(&|o| o.sea.as_ref().map(|(r, _)| r.delta)),
-            rel_of(&|o| o.loc_atc.as_ref().map(|r| r.delta)),
-            rel_of(&|o| o.acq.as_ref().map(|r| r.delta)),
-            rel_of(&|o| o.vac.as_ref().map(|r| r.delta)),
-            rel_of(&|o| o.e_vac.as_ref().map(|r| r.delta)),
-        ]);
+            mean_of(errs).map_or_else(|| "-".into(), fmt_pct)
+        }));
+        tab_b.add_row(row_b);
 
         // --- (c): mean time per method + SEA's minimum speedup.
-        let ms_of = |sel: &dyn Fn(&QueryOutcome) -> Option<f64>| -> Option<f64> {
-            let vals: Vec<f64> = outcomes.iter().filter_map(sel).collect();
-            (!vals.is_empty()).then(|| mean(vals.iter().copied()))
-        };
-        let sea_ms = ms_of(&|o| o.sea.as_ref().map(|(r, _)| r.millis));
-        let others_ms: Vec<Option<f64>> = vec![
-            ms_of(&|o| o.exact.as_ref().map(|r| r.millis)),
-            ms_of(&|o| o.loc_atc.as_ref().map(|r| r.millis)),
-            ms_of(&|o| o.acq.as_ref().map(|r| r.millis)),
-            ms_of(&|o| o.vac.as_ref().map(|r| r.millis)),
-            ms_of(&|o| o.e_vac.as_ref().map(|r| r.millis)),
-        ];
-        let speedup = match (sea_ms, others_ms.iter().flatten().copied().reduce(f64::min)) {
+        let ms: Vec<Option<f64>> = (0..names.len())
+            .map(|c| mean_of(column(c).map(MethodRun::millis).collect()))
+            .collect();
+        let fastest_other = ms
+            .iter()
+            .enumerate()
+            .filter(|&(c, _)| c != 1)
+            .filter_map(|(_, m)| *m)
+            .reduce(f64::min);
+        let speedup = match (ms[1], fastest_other) {
             (Some(s), Some(fastest_other)) if s > 0.0 => {
                 format!("{:.2}x", fastest_other / s)
             }
             _ => "-".into(),
         };
-        let fmt_opt = |v: Option<f64>| v.map(fmt_ms).unwrap_or_else(|| "-".into());
-        tab_c.add_row(vec![
-            d.name.clone(),
-            fmt_opt(others_ms[0]),
-            fmt_opt(sea_ms),
-            fmt_opt(others_ms[1]),
-            fmt_opt(others_ms[2]),
-            fmt_opt(others_ms[3]),
-            fmt_opt(others_ms[4]),
-            speedup,
-        ]);
+        let mut row_c = vec![d.name.clone()];
+        row_c.extend(ms.iter().map(|v| v.map_or_else(|| "-".into(), fmt_ms)));
+        row_c.push(speedup);
+        tab_c.add_row(row_c);
 
         // --- (d): SEA step breakdown.
         let step = |sel: &dyn Fn(&PhaseTimings) -> f64| -> f64 {
-            mean(
-                outcomes
-                    .iter()
-                    .filter_map(|o| o.sea.as_ref().map(|(_, t)| sel(t) * 1000.0)),
-            )
+            mean(column(1).map(|r| sel(&r.timings) * 1000.0))
         };
         tab_d.add_row(vec![
             d.name.clone(),

@@ -6,11 +6,10 @@
 //! response time) and effectiveness (mean δ, or mean relative error for
 //! the e/α panels) per sweep point.
 
-use crate::config::{Scale, QUERY_SEED, SEA_SEED};
-use crate::runner::{mean, parallel_map, run_exact, Budgets};
+use crate::config::{Scale, HOEFFDING, QUERY_SEED, SEA_SEED};
+use crate::runner::{mean, parallel_map, Lineup, Target};
 use crate::table::{fmt_ms, fmt_pct, Table};
-use csag::engine::{CommunityQuery, Engine};
-use csag_core::distance::DistanceParams;
+use csag::engine::{CommunityQuery, Engine, Method};
 use csag_core::CommunityModel;
 use csag_datasets::{random_queries, standins};
 use csag_eval::relative_error;
@@ -33,23 +32,15 @@ fn sweep(
     points: &[(String, CommunityQuery)],
     effect: Effect,
 ) {
-    let dp = DistanceParams::default();
     // Exact ground truth per query, shared by relative-error panels.
-    let budgets = Budgets {
-        exact_time: scale.exact_budget(),
-        ..Default::default()
+    let target = Target::Homogeneous {
+        nodes: engine.graph().n(),
     };
+    let lineup = Lineup::new(scale, points[0].1.k, CommunityModel::KCore, target);
     let exact: Vec<Option<f64>> = match effect {
         Effect::RelativeError => parallel_map(queries, scale.threads, |q| {
-            run_exact(
-                engine,
-                q,
-                points[0].1.k,
-                CommunityModel::KCore,
-                dp,
-                &budgets,
-            )
-            .map(|r| r.delta)
+            let r = lineup.run(Method::Exact, q, |x| engine.run(x))?;
+            Some(r.delta)
         }),
         Effect::Delta => vec![None; queries.len()],
     };
@@ -152,7 +143,7 @@ pub fn run(scale: &Scale) -> String {
         );
 
         // (c)/(d): Hoeffding ϵ sweep.
-        // ϵ rescaled to the stand-in regime (see config::sea_params).
+        // ϵ rescaled to the stand-in regime (see config::HOEFFDING).
         let eps = if scale.quick {
             vec![0.30, 0.14]
         } else {
@@ -181,7 +172,12 @@ pub fn run(scale: &Scale) -> String {
         };
         let points: Vec<(String, CommunityQuery)> = betas
             .iter()
-            .map(|&c| (format!("1-β={c}"), base.clone().with_hoeffding(0.18, c)))
+            .map(|&c| {
+                (
+                    format!("1-β={c}"),
+                    base.clone().with_hoeffding(HOEFFDING.0, c),
+                )
+            })
             .collect();
         sweep(
             &mut table,

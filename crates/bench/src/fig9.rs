@@ -6,10 +6,11 @@
 //! δ⋆ / MoE ε / ΔS / time table. We reproduce the protocol with the
 //! highest-P-degree movie of the imdb-like stand-in as the star query.
 
-use crate::config::{Scale, SEA_SEED};
+use crate::config::{Scale, HOEFFDING, SEA_SEED};
 use crate::table::{fmt_ms, Table};
 use csag_core::distance::DistanceParams;
 use csag_core::hetero_cs::SeaHetero;
+use csag_core::sea::SeaParams;
 use csag_datasets::standins;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -42,8 +43,13 @@ pub fn run(_scale: &Scale) -> String {
         ],
     );
 
+    // SEA runs directly, not through the engine: Table VI prints the
+    // per-round records, which a `CommunityResult` does not carry.
     for (l, h) in BOUNDS {
-        let params = crate::config::sea_params(d.default_k).with_size_bound(l, h);
+        let params = SeaParams::default()
+            .with_k(d.default_k)
+            .with_hoeffding(HOEFFDING.0, HOEFFDING.1)
+            .with_size_bound(l, h);
         let mut rng = StdRng::seed_from_u64(SEA_SEED ^ 0xF19);
         let sea = SeaHetero::new(&d.graph, d.meta_path.clone(), dp);
         match sea.run(star, &params, &mut rng) {

@@ -1,5 +1,6 @@
 //! Experiment harness reproducing every table and figure of the paper's
-//! evaluation (§VII). See DESIGN.md §5 for the experiment index.
+//! evaluation (§VII); [`EXPERIMENTS`] is the experiment index. The
+//! comparison tables share one method lineup ([`runner::Lineup`]).
 //!
 //! Run via the `experiments` binary:
 //!
@@ -31,34 +32,28 @@ pub mod table;
 
 use config::Scale;
 
-/// All experiment ids, in paper order.
-pub const EXPERIMENT_IDS: [&str; 10] = [
-    "tab1", "fig5", "tab2", "tab3", "fig6", "tab4", "tab5", "fig7", "fig8", "fig9",
+/// An experiment: renders its tables as markdown at a scale.
+pub type Experiment = fn(&Scale) -> String;
+
+/// Every experiment, by id, in paper order (`fig10` last): the one list
+/// behind `experiments list`, `all`, `--help` and [`run_experiment`].
+pub const EXPERIMENTS: [(&str, Experiment); 11] = [
+    ("tab1", tab1::run),
+    ("fig5", fig5::run),
+    ("tab2", tab2::run),
+    ("tab3", tab3::run),
+    ("fig6", tab3::run_fig6),
+    ("tab4", tab4::run),
+    ("tab5", tab5::run),
+    ("fig7", fig7::run),
+    ("fig8", fig8::run),
+    ("fig9", fig9::run),
+    ("fig10", fig10::run),
 ];
 
-/// Runs one experiment by id (every id of [`all_ids`]). Returns the
-/// rendered markdown, or `None` for an unknown id.
+/// Runs one experiment of [`EXPERIMENTS`] by id. Returns the rendered
+/// markdown, or `None` for an unknown id.
 pub fn run_experiment(id: &str, scale: &Scale) -> Option<String> {
-    let out = match id {
-        "tab1" => tab1::run(scale),
-        "fig5" => fig5::run(scale),
-        "tab2" => tab2::run(scale),
-        "tab3" => tab3::run(scale),
-        "fig6" => tab3::run_fig6(scale),
-        "tab4" => tab4::run(scale),
-        "tab5" => tab5::run(scale),
-        "fig7" => fig7::run(scale),
-        "fig8" => fig8::run(scale),
-        "fig9" => fig9::run(scale),
-        "fig10" => fig10::run(scale),
-        _ => return None,
-    };
-    Some(out)
-}
-
-/// Every experiment id: the paper-order list plus fig10.
-pub fn all_ids() -> Vec<&'static str> {
-    let mut ids = EXPERIMENT_IDS.to_vec();
-    ids.push("fig10");
-    ids
+    let (_, run) = EXPERIMENTS.iter().find(|(name, _)| *name == id)?;
+    Some(run(scale))
 }

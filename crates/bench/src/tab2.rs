@@ -2,10 +2,8 @@
 //! cohesiveness metric (facebook-like), with competition ranks and the
 //! total rank.
 
-use crate::config::{Scale, QUERY_SEED, SEA_SEED};
-use crate::runner::{
-    parallel_map, run_acq, run_e_vac, run_exact, run_loc_atc, run_sea, run_vac, Budgets,
-};
+use crate::config::{Scale, QUERY_SEED};
+use crate::runner::{header, parallel_map, Lineup, Target};
 use crate::table::Table;
 use csag::engine::Engine;
 use csag_core::distance::DistanceParams;
@@ -13,15 +11,6 @@ use csag_core::CommunityModel;
 use csag_datasets::{random_queries, standins};
 use csag_eval::{atc_score, max_pairwise_distance, ranks, shared_attributes, Direction};
 use csag_graph::{AttributedGraph, NodeId};
-
-const METHODS: [&str; 6] = [
-    "SEA (ours)",
-    "LocATC-Core",
-    "ACQ-Core",
-    "VAC-Core",
-    "Exact (ours)",
-    "E-VAC-Core",
-];
 
 /// Per-method mean scores under the four metrics.
 #[derive(Clone, Copy, Default)]
@@ -55,31 +44,19 @@ pub fn run(scale: &Scale) -> String {
     let dp = DistanceParams::default();
     let model = CommunityModel::KCore;
     let k = d.default_k;
-    let budgets = Budgets {
-        exact_time: scale.exact_budget(),
-        evac_states: scale.evac_budget(),
-        ..Default::default()
-    };
     let queries = random_queries(&d.graph, scale.queries_for(d.graph.n()), k, QUERY_SEED);
-    let sea_query = crate::config::sea_query(k);
+    let lineup = Lineup::new(scale, k, model, Target::Homogeneous { nodes: d.graph.n() });
     let engine = Engine::new(d.graph.clone());
 
-    let per_query: Vec<Vec<Option<MetricTuple>>> = parallel_map(&queries, scale.threads, |q| {
-        let mut row = Vec::with_capacity(METHODS.len());
-        let mut push = |r: Option<(Vec<NodeId>, f64)>| {
-            row.push(r.map(|(c, delta)| score_community(&d.graph, q, &c, delta, dp)));
-        };
-        push(run_sea(&engine, q, &sea_query, dp, SEA_SEED).map(|(r, _)| (r.community, r.delta)));
-        push(run_loc_atc(&engine, q, k, model, dp).map(|r| (r.community, r.delta)));
-        push(run_acq(&engine, q, k, model, dp, false).map(|r| (r.community, r.delta)));
-        push(run_vac(&engine, q, k, model, dp, &budgets).map(|r| (r.community, r.delta)));
-        push(run_exact(&engine, q, k, model, dp, &budgets).map(|r| (r.community, r.delta)));
-        push(run_e_vac(&engine, q, k, model, dp, &budgets).map(|r| (r.community, r.delta)));
-        row
+    let per_query = parallel_map(&queries, scale.threads, |q| {
+        Lineup::ORDER.map(|m| {
+            let r = lineup.run(m, q, |x| engine.run(x))?;
+            Some(score_community(&d.graph, q, &r.community, r.delta, dp))
+        })
     });
 
     // Aggregate means per method.
-    let mut scores = [Scores::default(); 6];
+    let mut scores = [Scores::default(); Lineup::ORDER.len()];
     for row in &per_query {
         for (m, cell) in row.iter().enumerate() {
             if let Some((minmax, coverage, shared, delta)) = cell {
@@ -128,10 +105,11 @@ pub fn run(scale: &Scale) -> String {
             "total rank",
         ],
     );
-    for (m, name) in METHODS.iter().enumerate() {
+    for (m, method) in Lineup::ORDER.into_iter().enumerate() {
+        let name = header(method, model);
         if scores[m].count == 0 {
             table.add_row(vec![
-                name.to_string(),
+                name,
                 "-".into(),
                 "-".into(),
                 "-".into(),
@@ -142,7 +120,7 @@ pub fn run(scale: &Scale) -> String {
         }
         let total = minmax_ranks[m] + coverage_ranks[m] + shared_ranks[m] + delta_ranks[m];
         table.add_row(vec![
-            name.to_string(),
+            name,
             format!("{:.4} ({})", scores[m].minmax, minmax_ranks[m]),
             format!("{:.2} ({})", scores[m].coverage, coverage_ranks[m]),
             format!("{:.3} ({})", scores[m].shared, shared_ranks[m]),

@@ -4,61 +4,31 @@
 //! ground truth (Facebook circles, LiveJournal/Orkut/Amazon communities).
 //! Figure 6 repeats the study per ego-network of the facebook-like graph.
 
-use crate::config::{Scale, QUERY_SEED, SEA_SEED};
-use crate::runner::{
-    mean, parallel_map, run_acq, run_e_vac, run_exact, run_loc_atc, run_sea, run_vac, Budgets,
-};
-use crate::table::Table;
+use crate::config::{Scale, QUERY_SEED};
+use crate::runner::{header, mean, parallel_map, Lineup, Target};
+use crate::table::{header_with, Table};
 use csag::engine::Engine;
-use csag_core::distance::DistanceParams;
 use csag_core::CommunityModel;
 use csag_datasets::ego::ego_networks;
 use csag_datasets::{random_queries, standins, Dataset};
 use csag_eval::best_f1;
-use csag_graph::NodeId;
 
-const METHODS: [&str; 6] = [
-    "SEA (ours)",
-    "LocATC-Core",
-    "ACQ-Core",
-    "VAC-Core",
-    "Exact (ours)",
-    "E-VAC-Core",
-];
-
+/// Mean F1 per lineup column on `d` (`None` where a method never ran).
 fn f1_for_dataset(d: &Dataset, scale: &Scale) -> Vec<Option<f64>> {
-    let dp = DistanceParams::default();
-    let model = CommunityModel::KCore;
     let k = d.default_k;
-    let budgets = Budgets {
-        exact_time: scale.exact_budget(),
-        evac_states: scale.evac_budget(),
-        ..Default::default()
-    };
     let queries = random_queries(&d.graph, scale.queries_for(d.graph.n()), k, QUERY_SEED);
-    let sea_query = crate::config::sea_query(k);
-    let allow_evac = scale.evac_allowed(d.graph.n());
+    let target = Target::Homogeneous { nodes: d.graph.n() };
+    let lineup = Lineup::new(scale, k, CommunityModel::KCore, target);
     let engine = Engine::new(d.graph.clone());
 
-    let per_query: Vec<Vec<Option<f64>>> = parallel_map(&queries, scale.threads, |q| {
-        let f1 = |comm: &Option<Vec<NodeId>>| -> Option<f64> {
-            comm.as_ref().map(|c| best_f1(c, &d.ground_truth))
-        };
-        vec![
-            f1(&run_sea(&engine, q, &sea_query, dp, SEA_SEED).map(|(r, _)| r.community)),
-            f1(&run_loc_atc(&engine, q, k, model, dp).map(|r| r.community)),
-            f1(&run_acq(&engine, q, k, model, dp, false).map(|r| r.community)),
-            f1(&run_vac(&engine, q, k, model, dp, &budgets).map(|r| r.community)),
-            f1(&run_exact(&engine, q, k, model, dp, &budgets).map(|r| r.community)),
-            if allow_evac {
-                f1(&run_e_vac(&engine, q, k, model, dp, &budgets).map(|r| r.community))
-            } else {
-                None
-            },
-        ]
+    let per_query = parallel_map(&queries, scale.threads, |q| {
+        Lineup::ORDER.map(|m| {
+            let r = lineup.run(m, q, |x| engine.run(x))?;
+            Some(best_f1(&r.community, &d.ground_truth))
+        })
     });
 
-    (0..METHODS.len())
+    (0..Lineup::ORDER.len())
         .map(|m| {
             let vals: Vec<f64> = per_query.iter().filter_map(|row| row[m]).collect();
             (!vals.is_empty()).then(|| mean(vals.iter().copied()))
@@ -93,8 +63,8 @@ pub fn run(scale: &Scale) -> String {
     );
     let per_dataset: Vec<Vec<Option<f64>>> =
         datasets.iter().map(|d| f1_for_dataset(d, scale)).collect();
-    for (m, name) in METHODS.iter().enumerate() {
-        let mut row = vec![name.to_string()];
+    for (m, method) in Lineup::ORDER.into_iter().enumerate() {
+        let mut row = vec![header(method, CommunityModel::KCore)];
         for col in &per_dataset {
             row.push(
                 col[m]
@@ -115,39 +85,26 @@ pub fn run_fig6(scale: &Scale) -> String {
     let d = standins::facebook_noisy();
     let count = if scale.quick { 3 } else { 10 };
     let egos = ego_networks(&d, count);
-    let dp = DistanceParams::default();
     let model = CommunityModel::KCore;
-    let budgets = Budgets {
-        exact_time: scale.exact_budget(),
-        evac_states: scale.evac_budget(),
-        ..Default::default()
-    };
-
+    let names: Vec<String> = Lineup::ORDER.map(|m| header(m, model)).to_vec();
     let mut table = Table::new(
         "Figure 6: F1-score per facebook-like ego-network (query = ego center, k=3)",
-        &[
-            "ego", "nodes", METHODS[0], METHODS[1], METHODS[2], METHODS[3], METHODS[4], METHODS[5],
-        ],
+        &header_with(&["ego", "nodes"], &names),
     );
     for ego in &egos {
-        let q = ego.center;
-        let k = 3u32;
-        let sea_query = crate::config::sea_query(k);
-        let engine = Engine::new(ego.graph.clone());
-        let f1 = |comm: Option<Vec<NodeId>>| -> String {
-            comm.map(|c| format!("{:.2}", best_f1(&c, &ego.circles)))
-                .unwrap_or_else(|| "-".into())
+        let target = Target::Homogeneous {
+            nodes: ego.graph.n(),
         };
-        table.add_row(vec![
-            ego.name.clone(),
-            engine.graph().n().to_string(),
-            f1(run_sea(&engine, q, &sea_query, dp, SEA_SEED).map(|(r, _)| r.community)),
-            f1(run_loc_atc(&engine, q, k, model, dp).map(|r| r.community)),
-            f1(run_acq(&engine, q, k, model, dp, false).map(|r| r.community)),
-            f1(run_vac(&engine, q, k, model, dp, &budgets).map(|r| r.community)),
-            f1(run_exact(&engine, q, k, model, dp, &budgets).map(|r| r.community)),
-            f1(run_e_vac(&engine, q, k, model, dp, &budgets).map(|r| r.community)),
-        ]);
+        let lineup = Lineup::new(scale, 3, model, target);
+        let engine = Engine::new(ego.graph.clone());
+        let mut row = vec![ego.name.clone(), engine.graph().n().to_string()];
+        row.extend(Lineup::ORDER.map(|m| {
+            lineup.run(m, ego.center, |x| engine.run(x)).map_or_else(
+                || "-".into(),
+                |r| format!("{:.2}", best_f1(&r.community, &ego.circles)),
+            )
+        }));
+        table.add_row(row);
     }
     table.to_markdown()
 }

@@ -1,27 +1,34 @@
 //! Table V: heterogeneous graphs — response time and relative error of δ
 //! for core- and truss-based methods.
 //!
+//! One `HeteroEngine` per dataset answers every column on original ids.
 //! SEA runs natively on the heterogeneous graph (§VI-A: P-neighbor BFS +
 //! projection of the sampled neighborhood). The comparison methods only
-//! understand homogeneous graphs, so — exactly as the paper does — the
-//! graph is converted (projected under the meta-path) first and the
-//! baselines run on the conversion. The exact ground truth for relative
-//! error comes from the exact algorithm on the projection (time-budgeted).
-//! ACQ rows are `-` on the numerical-only knowledge graphs where equality
-//! matching cannot share any attribute.
+//! understand homogeneous graphs, so — exactly as the paper does — they
+//! run on the meta-path projection, which the engine builds once. The
+//! exact ground truth for relative error comes from the lineup's Exact on
+//! the projection, one per model. ACQ cells are `-` on the
+//! numerical-only knowledge graphs where equality matching cannot share
+//! any attribute.
 
-use crate::config::{Scale, QUERY_SEED, SEA_SEED};
-use crate::runner::{mean, parallel_map, run_acq, run_exact, run_loc_atc, run_vac, Budgets};
-use crate::table::{fmt_ms, fmt_pct, Table};
-use csag::engine::Engine;
-use csag_core::distance::DistanceParams;
-use csag_core::hetero_cs::SeaHetero;
-use csag_core::CommunityModel;
+use crate::config::{Scale, QUERY_SEED};
+use crate::runner::{header, mean, parallel_map, Lineup, Target};
+use crate::table::{fmt_ms, fmt_pct, header_with, Table};
+use csag::engine::{HeteroEngine, Method};
+use csag_core::CommunityModel::{self, KCore, KTruss};
 use csag_datasets::{hetero_queries, standins, HeteroDataset};
 use csag_eval::relative_error;
-use csag_graph::NodeId;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+
+/// The printed columns: core methods, then truss methods.
+const COLUMNS: [(CommunityModel, Method); 7] = [
+    (KCore, Method::Sea),
+    (KCore, Method::Acq),
+    (KCore, Method::Atc),
+    (KCore, Method::Vac),
+    (KTruss, Method::Sea),
+    (KTruss, Method::Atc),
+    (KTruss, Method::Vac),
+];
 
 fn datasets(scale: &Scale) -> Vec<HeteroDataset> {
     if scale.quick {
@@ -60,97 +67,37 @@ impl Cell {
 
 /// Runs the Table-V study. Each cell is `mean time / mean relative error`.
 pub fn run(scale: &Scale) -> String {
-    let dp = DistanceParams::default();
+    let names: Vec<String> = COLUMNS.map(|(model, m)| header(m, model)).to_vec();
     let mut table = Table::new(
         "Table V: heterogeneous graphs — response time / relative error of δ \
          (core methods above, truss methods below; baselines run on the meta-path projection)",
-        &[
-            "dataset",
-            "SEA (ours)",
-            "ACQ-Core",
-            "LocATC-Core",
-            "VAC-Core",
-            "SEA-Truss",
-            "LocATC-Truss",
-            "VAC-Truss",
-        ],
+        &header_with(&["dataset"], &names),
     );
 
     for d in datasets(scale) {
         let k = d.default_k;
         let n_queries = if scale.quick { 3 } else { 8 };
         let queries = hetero_queries(&d, n_queries, k, QUERY_SEED);
-        // One full projection per dataset (offline conversion, not timed),
-        // and one engine over it for every projected method.
-        let projection = d.graph.project(&d.meta_path);
-        let engine = Engine::new(projection.graph.clone());
-        let budgets = Budgets {
-            exact_time: scale.exact_budget(),
-            ..Default::default()
+        let target = Target::Hetero {
+            numeric_only: d.numeric_only,
         };
+        let lineups = [KCore, KTruss].map(|model| Lineup::new(scale, k, model, target));
+        let side = |model| usize::from(model == KTruss);
+        let engine = HeteroEngine::new(d.graph, d.meta_path);
 
-        // Column order matches the table header.
-        let mut cells: Vec<Cell> = (0..7).map(|_| Cell::new()).collect();
+        let mut cells: Vec<Cell> = (0..COLUMNS.len()).map(|_| Cell::new()).collect();
         let outcomes = parallel_map(&queries, scale.threads, |q| {
-            let lq: NodeId = match projection.local(q) {
-                Some(l) => l,
-                None => return Vec::new(),
-            };
-            // Ground truths from the projection (core + truss).
-            let exact_core = run_exact(&engine, lq, k, CommunityModel::KCore, dp, &budgets);
-            let exact_truss = run_exact(&engine, lq, k, CommunityModel::KTruss, dp, &budgets);
-
-            let mut row: Vec<Option<(f64, f64)>> = Vec::with_capacity(7); // (ms, rel)
-            let rel = |delta: f64, exact: &Option<crate::runner::MethodRun>| -> f64 {
-                exact
+            // The ground truths, from the projection (core + truss).
+            let exact = lineups
+                .each_ref()
+                .map(|l| l.run(Method::Exact, q, |x| engine.run(x)));
+            COLUMNS.map(|(model, m)| {
+                let r = lineups[side(model)].run(m, q, |x| engine.run(x))?;
+                let rel = exact[side(model)]
                     .as_ref()
-                    .map(|e| relative_error(delta, e.delta))
-                    .unwrap_or(f64::NAN)
-            };
-
-            // SEA on the native heterogeneous graph.
-            let sea = {
-                let mut rng = StdRng::seed_from_u64(SEA_SEED ^ q as u64);
-                let t = std::time::Instant::now();
-                let params = crate::config::sea_params(k);
-                SeaHetero::new(&d.graph, d.meta_path.clone(), dp)
-                    .run(q, &params, &mut rng)
-                    .ok()
-                    .map(|r| (t.elapsed().as_secs_f64() * 1000.0, r.delta_star))
-            };
-            row.push(sea.map(|(ms, delta)| (ms, rel(delta, &exact_core))));
-            row.push(
-                run_acq(&engine, lq, k, CommunityModel::KCore, dp, d.numeric_only)
-                    .map(|r| (r.millis, rel(r.delta, &exact_core))),
-            );
-            row.push(
-                run_loc_atc(&engine, lq, k, CommunityModel::KCore, dp)
-                    .map(|r| (r.millis, rel(r.delta, &exact_core))),
-            );
-            row.push(
-                run_vac(&engine, lq, k, CommunityModel::KCore, dp, &budgets)
-                    .map(|r| (r.millis, rel(r.delta, &exact_core))),
-            );
-            // Truss methods.
-            let sea_truss = {
-                let mut rng = StdRng::seed_from_u64(SEA_SEED ^ q as u64 ^ 0x7055);
-                let t = std::time::Instant::now();
-                let params = crate::config::sea_params_truss(k);
-                SeaHetero::new(&d.graph, d.meta_path.clone(), dp)
-                    .run(q, &params, &mut rng)
-                    .ok()
-                    .map(|r| (t.elapsed().as_secs_f64() * 1000.0, r.delta_star))
-            };
-            row.push(sea_truss.map(|(ms, delta)| (ms, rel(delta, &exact_truss))));
-            row.push(
-                run_loc_atc(&engine, lq, k, CommunityModel::KTruss, dp)
-                    .map(|r| (r.millis, rel(r.delta, &exact_truss))),
-            );
-            row.push(
-                run_vac(&engine, lq, k, CommunityModel::KTruss, dp, &budgets)
-                    .map(|r| (r.millis, rel(r.delta, &exact_truss))),
-            );
-            row
+                    .map_or(f64::NAN, |e| relative_error(r.delta, e.delta));
+                Some((r.millis(), rel))
+            })
         });
         for row in outcomes {
             for (c, cell) in row.into_iter().enumerate() {
@@ -160,7 +107,7 @@ pub fn run(scale: &Scale) -> String {
                 }
             }
         }
-        let mut out_row = vec![d.name.clone()];
+        let mut out_row = vec![d.name];
         out_row.extend(cells.iter().map(Cell::render));
         table.add_row(out_row);
     }

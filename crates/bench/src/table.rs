@@ -61,6 +61,13 @@ impl Table {
     }
 }
 
+/// A header row: `lead`, then the method columns `cols`.
+pub fn header_with<'a>(lead: &[&'a str], cols: &'a [String]) -> Vec<&'a str> {
+    let mut h = lead.to_vec();
+    h.extend(cols.iter().map(String::as_str));
+    h
+}
+
 /// Formats milliseconds with adaptive precision.
 pub fn fmt_ms(ms: f64) -> String {
     if ms >= 1000.0 {

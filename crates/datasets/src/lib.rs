@@ -6,8 +6,8 @@
 //! replaced by a generator that reproduces the *shape* the algorithms care
 //! about: planted community structure (doubling as the ground truth used
 //! for F1 scoring), power-law-ish degrees, per-community textual topics,
-//! and per-community numerical attribute centers. See DESIGN.md §3–4 for
-//! the substitution rationale.
+//! and per-community numerical attribute centers. [`standins`] says how
+//! each corpus is scaled down.
 //!
 //! Everything is deterministic under an explicit seed.
 

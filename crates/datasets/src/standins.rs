@@ -3,7 +3,7 @@
 //! Each constructor produces a seeded synthetic graph whose *shape*
 //! (relative size, density, community structure, attribute style) mirrors
 //! the corresponding real corpus, scaled down so the full experiment suite
-//! runs on one machine (DESIGN.md §4). Sizes are roughly proportional to
+//! runs on one machine. Sizes are roughly proportional to
 //! the originals within a 4k–100k node budget.
 
 use crate::generator::{generate, SyntheticConfig};

@@ -14,7 +14,7 @@
 //! that deviates from the published BLB procedure and would estimate the
 //! uncertainty of a `⌊n^m⌋`-sized estimator (orders of magnitude wider,
 //! making the Theorem-11 gate unreachable for any community below ~10⁵
-//! nodes at e = 2%). We follow the original BLB — see DESIGN.md.
+//! nodes at e = 2%). We follow the original BLB.
 
 use crate::describe::{mean, std_dev};
 use rand::Rng;
