@@ -101,39 +101,41 @@ pub fn loc_atc(maintainer: &mut Maintainer<'_>, q: NodeId) -> Result<BaselineRes
         ))
     })?;
     let mut current_score = atc_score(g, q, &current);
+    // The probes reuse these: the ranked candidates, a probe's subset and
+    // peel, and the best probe of the step so far.
+    let (mut candidates, mut without) = (Vec::new(), Vec::new());
+    let (mut next, mut best) = (Vec::new(), Vec::new());
 
     for _ in 0..MAX_STEPS {
         // Rank candidates by how few of q's tokens they match (they drag
         // the coverage down the most), then probe the top few.
-        let mut candidates: Vec<(usize, NodeId)> = current
-            .iter()
-            .copied()
-            .filter(|&v| v != q)
-            .map(|v| {
-                let matched = g
-                    .tokens(q)
-                    .iter()
-                    .filter(|a| g.tokens(v).binary_search(a).is_ok())
-                    .count();
-                (matched, v)
-            })
-            .collect();
+        candidates.clear();
+        candidates.extend(current.iter().copied().filter(|&v| v != q).map(|v| {
+            let matched = g
+                .tokens(q)
+                .iter()
+                .filter(|a| g.tokens(v).binary_search(a).is_ok())
+                .count();
+            (matched, v)
+        }));
         candidates.sort_unstable();
 
-        let mut best_step: Option<(f64, Vec<NodeId>)> = None;
+        let mut best_score: Option<f64> = None;
         for &(_, v) in candidates.iter().take(PROBE_LIMIT) {
-            let without: Vec<NodeId> = current.iter().copied().filter(|&x| x != v).collect();
-            if let Some(next) = maintainer.maximal_within(q, &without) {
+            without.clear();
+            without.extend(current.iter().copied().filter(|&x| x != v));
+            if maintainer.maximal_within_into(q, &without, &mut next) {
                 let s = atc_score(g, q, &next);
-                if s > current_score + 1e-12 && best_step.as_ref().is_none_or(|(bs, _)| s > *bs) {
-                    best_step = Some((s, next));
+                if s > current_score + 1e-12 && best_score.is_none_or(|bs| s > bs) {
+                    best_score = Some(s);
+                    std::mem::swap(&mut best, &mut next);
                 }
             }
         }
-        match best_step {
-            Some((s, next)) => {
+        match best_score {
+            Some(s) => {
                 current_score = s;
-                current = next;
+                std::mem::swap(&mut current, &mut best);
             }
             None => break,
         }

@@ -98,6 +98,8 @@ pub fn vac(
     check_query_node(q, g.n())?;
     let mut current = root_of(maintainer, q)?;
     let cap = max_iters.unwrap_or(usize::MAX);
+    // Each round's subset and peel reuse two buffers.
+    let (mut without, mut next) = (Vec::new(), Vec::new());
 
     for _ in 0..cap {
         let Some((f_worst, worst)) = current
@@ -111,11 +113,12 @@ pub fn vac(
         if f_worst == 0.0 {
             break; // worst case cannot improve below zero
         }
-        let without: Vec<NodeId> = current.iter().copied().filter(|&x| x != worst).collect();
-        match maintainer.maximal_within(q, &without) {
-            Some(next) => current = next,
-            None => break, // would collapse the community: halt (Fig 1(d))
+        without.clear();
+        without.extend(current.iter().copied().filter(|&x| x != worst));
+        if !maintainer.maximal_within_into(q, &without, &mut next) {
+            break; // would collapse the community: halt (Fig 1(d))
         }
+        std::mem::swap(&mut current, &mut next);
     }
 
     let (objective, _) = max_pairwise_distance(g, &current, dist.params());

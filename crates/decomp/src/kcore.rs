@@ -90,7 +90,7 @@ pub(crate) fn peel_to_kcore_into(
 ) -> bool {
     out.clear();
     let e = scratch.next_epoch();
-    let [in_set, removed, visited, deg] = &mut scratch.node;
+    let [in_set, removed, visited, deg, _] = &mut scratch.node;
     debug_assert!(in_set.len() >= g.n(), "scratch fitted to the graph");
     for &v in nodes {
         in_set[v as usize] = e;

@@ -7,11 +7,11 @@
 //! surviving edges.
 //!
 //! Neither needs a per-graph edge numbering kept beside the graph. The
-//! restricted peel numbers the internal edges of its subset as it lays out
-//! their rows, so its per-edge values take two slots per internal edge; the
-//! decomposition numbers every edge with a private `EdgeIndex` while it
-//! runs and returns its answer in CSR order, aligned with the graph's own
-//! rows.
+//! restricted peel walks out from `q` over triangle edges and numbers the
+//! edges of the walked region as it lays out their rows, so its per-edge
+//! values take two slots per edge it reaches; the decomposition numbers
+//! every edge with a private `EdgeIndex` while it runs and returns its
+//! answer in CSR order, aligned with the graph's own rows.
 
 use crate::kcore::fitted_scratch;
 use csag_graph::{AttributedGraph, NodeId, PeelScratch};
@@ -152,11 +152,31 @@ pub(crate) fn peel_to_ktruss_scratch(
 /// The support an edge's slot holds once the peel has removed it.
 const REMOVED: u32 = u32::MAX;
 
-/// The positions of `u`'s induced row in a peel's row lists.
+/// Lays out `u`'s induced row — its in-subset neighbours, ascending — as
+/// the next row of a peel and returns its number. Row `r` is
+/// `nbr[rows[3r]..rows[3r + 2]]`; `rows[3r + 1]` is where its forward
+/// part (the neighbours above `u`) starts once the row is trimmed to the
+/// walk.
+fn lay_out(
+    g: &AttributedGraph,
+    u: NodeId,
+    in_set: &[u32],
+    e: u32,
+    rows: &mut Vec<u32>,
+    nbr: &mut Vec<NodeId>,
+) -> u32 {
+    let start = nbr.len() as u32;
+    nbr.extend(g.neighbors(u).iter().filter(|&&v| in_set[v as usize] == e));
+    rows.extend([start, start, nbr.len() as u32]);
+    (rows.len() / 3 - 1) as u32
+}
+
+/// The positions of `u`'s row in `nbr`, from its forward part (`forward`)
+/// or whole.
 #[inline]
-fn span(row_of: &[u32], row_start: &[u32], u: NodeId) -> Range<usize> {
-    let r = row_of[u as usize] as usize;
-    row_start[r] as usize..row_start[r + 1] as usize
+fn span(rows: &[u32], row_of: &[u32], u: NodeId, forward: bool) -> Range<usize> {
+    let r = 3 * row_of[u as usize] as usize;
+    rows[r + usize::from(forward)] as usize..rows[r + 2] as usize
 }
 
 /// Allocation-free twin of [`peel_to_ktruss_scratch`]: writes the sorted
@@ -164,13 +184,23 @@ fn span(row_of: &[u32], row_start: &[u32], u: NodeId) -> Range<usize> {
 /// survived with at least one incident truss edge. With a warmed
 /// `scratch` and a capacious `out` this performs zero heap allocations.
 ///
-/// `nodes` must be distinct, in any order. The subset's induced rows are
-/// laid out once, by one scan of each member's full row; support
-/// counting, the peel and the final traversal then merge and walk only
-/// in-subset neighbours. The peel numbers the internal edges itself: an
-/// edge is its *forward slot*, the one in its lower end's row, so every
-/// per-edge value fits in one array parallel to the rows — two entries
-/// per internal edge of the subset, nothing sized by the graph's `m`.
+/// `nodes` must be distinct, in any order. The peel pays for q's region,
+/// not for the whole subset. A walk from `q` follows only subset edges
+/// that close at least `k − 2` triangles inside the subset, and lays out
+/// a node's induced row (its in-subset neighbours) when it first touches
+/// the node. Every edge of q's maximal connected k-truss closes that
+/// many triangles inside the truss, so inside the subset, and the truss
+/// is connected through such edges, so it lies inside the walk; peeling
+/// any node set between the truss and the subset returns the truss. The
+/// exact peel therefore runs on the walked nodes, with edges to unwalked
+/// nodes dropped. A walk that reaches half the subset gives up and takes
+/// the whole subset, reusing the rows it laid out. At `k <= 2` every
+/// edge passes and nothing is peeled: the answer is q's component.
+///
+/// The peel numbers the walk's edges itself: an edge is its *forward
+/// slot*, the one in its lower end's row, so every per-edge value fits in
+/// one array parallel to the rows — two entries per edge at a walked
+/// node, nothing sized by the subset or by the graph's `m`.
 pub(crate) fn peel_to_ktruss_into(
     g: &AttributedGraph,
     q: NodeId,
@@ -181,17 +211,20 @@ pub(crate) fn peel_to_ktruss_into(
 ) -> bool {
     out.clear();
     let e = scratch.next_epoch();
-    // The node arrays: subset stamps, traversal stamps, and each member's
-    // row number (`node[1]` holds the k-core peel's removal stamps, so no
-    // value may go there). The rows hold, ascending, each member's
-    // neighbours inside the subset: row `r` is `row_nbr[row_start[r]..
-    // row_start[r + 1]]`. Parallel to them, `slots[x]` is, for a forward
-    // slot `x` (`(u → v)` with `u < v`), the support of the edge, or
-    // `REMOVED`; for a backward slot, the index of its forward twin.
+    // The node arrays: subset stamps; stamps of the nodes whose row is
+    // laid out (`node[1]` holds the k-core peel's removal stamps, so only
+    // stamps may go there); stamps of the walked nodes, which the final
+    // traversal clears to 0 (never an epoch) as it reaches them; each
+    // laid-out node's row number; and `mark`, positions in the row being
+    // stamped — an entry counts only if it is a position of that row
+    // holding the node, so a stale one needs no clearing. Parallel to the
+    // rows, `slots[x]` is, for a forward slot `x` (`(u → v)` with
+    // `u < v`), the support of the edge, or `REMOVED`; for a backward
+    // slot, the index of its forward twin.
     let PeelScratch {
-        node: [in_set, _, vis, row_of],
+        node: [in_set, laid, walked, row_of, mark],
         slots,
-        lists: [stack, row_start, row_nbr],
+        lists: [stack, walk, rows, nbr],
         ..
     } = scratch;
     debug_assert!(in_set.len() >= g.n(), "scratch fitted to the graph");
@@ -203,24 +236,103 @@ pub(crate) fn peel_to_ktruss_into(
     }
     let need = k.saturating_sub(2);
 
-    // Lay out the induced rows.
-    row_start.clear();
-    row_nbr.clear();
-    row_start.push(0);
-    for (r, &u) in nodes.iter().enumerate() {
-        row_of[u as usize] = r as u32;
-        for &v in g.neighbors(u) {
-            if in_set[v as usize] == e {
-                row_nbr.push(v);
+    // The walk, breadth-first over `walk` itself. A walked node `u` with
+    // an unwalked neighbour stamps its row into `mark` once; the edge to
+    // an unwalked neighbour `w` is then tested by a scan of w's row that
+    // stops at the `need`-th common neighbour. Once the walk holds half
+    // the subset it gives up: the rest of the subset is laid out and
+    // counts as walked (any set between the truss and the subset peels
+    // to the truss), so a subset the walk would cover pays for at most
+    // half a walk, and its rows need no trimming.
+    rows.clear();
+    nbr.clear();
+    laid[q as usize] = e;
+    row_of[q as usize] = lay_out(g, q, in_set, e, rows, nbr);
+    walk.clear();
+    walk.push(q);
+    walked[q as usize] = e;
+    let mut next = 0;
+    while let Some(&u) = walk.get(next) {
+        if 2 * walk.len() > nodes.len() {
+            for &v in nodes {
+                if laid[v as usize] != e {
+                    laid[v as usize] = e;
+                    row_of[v as usize] = lay_out(g, v, in_set, e, rows, nbr);
+                }
+                walked[v as usize] = e;
+            }
+            walk.clear();
+            walk.extend_from_slice(nodes);
+            break;
+        }
+        next += 1;
+        let su = span(rows, row_of, u, false);
+        let mut stamped = need == 0;
+        for x in su.clone() {
+            let w = nbr[x];
+            if walked[w as usize] == e {
+                continue;
+            }
+            if !stamped {
+                stamped = true;
+                for y in su.clone() {
+                    mark[nbr[y] as usize] = y as u32;
+                }
+            }
+            if laid[w as usize] != e {
+                laid[w as usize] = e;
+                row_of[w as usize] = lay_out(g, w, in_set, e, rows, nbr);
+            }
+            let mut hits = 0;
+            let closes = need == 0
+                || nbr[span(rows, row_of, w, false)].iter().any(|&y| {
+                    let at = mark[y as usize] as usize;
+                    hits += u32::from(su.contains(&at) && nbr[at] == y);
+                    hits == need
+                });
+            if closes {
+                walked[w as usize] = e;
+                walk.push(w);
             }
         }
-        row_start.push(row_nbr.len() as u32);
     }
-    if slots.len() < row_nbr.len() {
-        slots.resize(row_nbr.len(), 0);
+
+    // Trim the walked rows to the walk, in ascending node order, and
+    // number the edges; when every laid-out row is a walked node's,
+    // nothing needs dropping. A backward slot `(u → v)`, `v < u`, takes
+    // its twin from a cursor into v's forward part, kept in `mark[v]`:
+    // the forward part fills in ascending order of the upper ends, the
+    // order of this pass.
+    walk.sort_unstable();
+    if slots.len() < nbr.len() {
+        slots.resize(nbr.len(), 0);
+    }
+    let trim = rows.len() / 3 > walk.len();
+    for &u in walk.iter() {
+        let r = 3 * row_of[u as usize] as usize;
+        let (start, end) = (rows[r] as usize, rows[r + 2] as usize);
+        let (mut at, mut fwd) = (start, start);
+        for x in start..end {
+            let v = nbr[x];
+            if trim && walked[v as usize] != e {
+                continue;
+            }
+            nbr[at] = v;
+            slots[at] = if v < u {
+                fwd = at + 1;
+                mark[v as usize] += 1;
+                mark[v as usize] - 1
+            } else {
+                0
+            };
+            at += 1;
+        }
+        rows[r + 1] = fwd as u32;
+        rows[r + 2] = at as u32;
+        mark[u as usize] = fwd as u32;
     }
     // The edge of slot `x` at node `u`: `x` itself if it is forward, else
-    // its twin (both set by the pass below).
+    // its twin.
     let edge = |slots: &[u32], x: usize, u: NodeId, v: NodeId| {
         if u < v {
             x
@@ -229,49 +341,60 @@ pub(crate) fn peel_to_ktruss_into(
         }
     };
 
-    // Each backward slot `(u → v)` finds its twin `(v → u)` by a search of
-    // v's ascending row, which works whatever the order of `nodes`; each
-    // edge's support is counted once, at its forward slot, and the
-    // subcritical ones are stacked as (lower end, forward slot) pairs.
-    // Edges are *marked removed at processing time*, not when stacked:
-    // when one edge of a triangle is processed, the other two must still
-    // count as alive so the triangle's loss is charged to them exactly
-    // once. The fixed point does not depend on the processing order.
+    // Supports, over the walk only: each triangle `u < v < w` is found
+    // once, from u — u's forward neighbours stamped with their slots,
+    // each forward neighbour v's forward part scanned — and charged to
+    // its three forward slots. Once the pass is past u, every triangle on
+    // u's forward edges is counted (those with a lower third node
+    // earlier), so u's subcritical edges are stacked then, as (lower end,
+    // forward slot) pairs.
     stack.clear();
-    for &u in nodes {
-        let su = span(row_of, row_start, u);
-        for x in su.clone() {
-            let v = row_nbr[x];
-            let sv = span(row_of, row_start, v);
-            if v < u {
-                let j = row_nbr[sv.clone()]
-                    .binary_search(&u)
-                    .expect("symmetric adjacency");
-                slots[x] = (sv.start + j) as u32;
-                continue;
+    if need > 0 {
+        for &u in walk.iter() {
+            let fu = span(rows, row_of, u, true);
+            for x in fu.clone() {
+                mark[nbr[x] as usize] = x as u32;
             }
-            let mut cnt = 0u32;
-            for_common_in_rows(&row_nbr[su.clone()], &row_nbr[sv], |_, _, _| cnt += 1);
-            slots[x] = cnt;
-            if cnt < need {
-                stack.extend([u, x as u32]);
+            for x in fu.clone() {
+                for y in span(rows, row_of, nbr[x], true) {
+                    let w = nbr[y];
+                    let uw = mark[w as usize] as usize;
+                    if fu.contains(&uw) && nbr[uw] == w {
+                        for s in [x, uw, y] {
+                            slots[s] += 1;
+                        }
+                    }
+                }
+            }
+            for x in fu {
+                if slots[x] < need {
+                    stack.extend([u, x as u32]);
+                }
             }
         }
     }
+
+    // The cascade. Edges are *marked removed at processing time*, not
+    // when stacked: when one edge of a triangle is processed, the other
+    // two must still count as alive so the triangle's loss is charged to
+    // them exactly once. An edge's support counts its triangles whose
+    // other two edges are alive, so an edge processed at support 0 has
+    // nothing to charge and leaves without a merge; at k = 3 only such
+    // edges are ever stacked. The fixed point does not depend on the
+    // processing order.
     while let (Some(uv), Some(u)) = (stack.pop(), stack.pop()) {
         let uv = uv as usize;
-        if slots[uv] == REMOVED {
+        if matches!(std::mem::replace(&mut slots[uv], REMOVED), 0 | REMOVED) {
             continue;
         }
-        slots[uv] = REMOVED;
         // Every triangle (u, v, w) whose other two edges are still alive
         // dies with this edge; both survivors lose one unit of support,
         // and each is stacked exactly at its threshold crossing (it was
         // above `need` before this decrement, so that fires at most once).
-        let v = row_nbr[uv];
-        let (su, sv) = (span(row_of, row_start, u), span(row_of, row_start, v));
+        let v = nbr[uv];
+        let (su, sv) = (span(rows, row_of, u, false), span(rows, row_of, v, false));
         let (bu, bv) = (su.start, sv.start);
-        for_common_in_rows(&row_nbr[su], &row_nbr[sv], |w, i, j| {
+        for_common_in_rows(&nbr[su], &nbr[sv], |w, i, j| {
             let uw = edge(slots, bu + i, u, w);
             let vw = edge(slots, bv + j, v, w);
             if slots[uw] != REMOVED && slots[vw] != REMOVED {
@@ -287,19 +410,17 @@ pub(crate) fn peel_to_ktruss_into(
 
     // Traverse from q over surviving edges, on the (now empty) stack;
     // `out` is sorted afterwards so the traversal order is immaterial.
-    vis[q as usize] = e;
+    walked[q as usize] = 0;
     stack.push(q);
     let mut q_has_edge = false;
     while let Some(u) = stack.pop() {
         out.push(u);
-        for x in span(row_of, row_start, u) {
-            let v = row_nbr[x];
+        for x in span(rows, row_of, u, false) {
+            let v = nbr[x];
             if slots[edge(slots, x, u, v)] != REMOVED {
-                if u == q {
-                    q_has_edge = true;
-                }
-                if vis[v as usize] != e {
-                    vis[v as usize] = e;
+                q_has_edge |= u == q;
+                if walked[v as usize] == e {
+                    walked[v as usize] = 0;
                     stack.push(v);
                 }
             }

@@ -11,9 +11,10 @@
 //!    subsets per query, so [`Maintainer`] peels on epoch-stamped scratch
 //!    arrays (cleared only when the epoch counter wraps) to make each
 //!    restricted peel cost O(|subset| + internal edges) with zero
-//!    allocation in the steady state. A query thread borrows those arrays
-//!    from its [`csag_graph::QueryWorkspace`], so a read does not
-//!    allocate them either.
+//!    allocation in the steady state; a k-truss peel lays out and counts
+//!    only the region its walk from `q` reaches. A query thread borrows
+//!    those arrays from its [`csag_graph::QueryWorkspace`], so a read
+//!    does not allocate them either.
 //!
 //! The [`CommunityModel`] enum abstracts over the two cohesion models so
 //! the search algorithms in `csag-core` are written once (paper §VI-C).

@@ -46,10 +46,10 @@ impl std::fmt::Display for CommunityModel {
 /// one graph; the graph's tables come from a borrowed [`EpochIndex`].
 ///
 /// Every peel runs on one epoch-stamped [`PeelScratch`]: `n`-sized node
-/// arrays, plus, under k-truss, row slots (two per internal edge) of the
-/// largest subset peeled so far — the peel numbers the edges itself. A
-/// standalone maintainer ([`Maintainer::new`]) allocates its own. A
-/// query-serving thread instead checks the scratch out of its
+/// arrays, plus, under k-truss, row slots (two per edge) of the largest
+/// region a peel's walk from `q` reached — the peel numbers the edges
+/// itself. A standalone maintainer ([`Maintainer::new`]) allocates its
+/// own. A query-serving thread instead checks the scratch out of its
 /// [`QueryWorkspace`] ([`Maintainer::in_workspace`]) and hands it back
 /// ([`Maintainer::release`]), so a steady-state read neither allocates nor
 /// zero-fills an `O(n)` array.
@@ -169,7 +169,7 @@ impl<'g> Maintainer<'g> {
             return None;
         }
         let e = self.scratch.next_epoch();
-        let [_, _, visited, _] = &mut self.scratch.node;
+        let [_, _, visited, ..] = &mut self.scratch.node;
         visited[q as usize] = e;
         let mut walked = vec![q];
         let mut next = 0;

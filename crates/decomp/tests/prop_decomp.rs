@@ -296,11 +296,98 @@ fn check_shared_scratch_case(
     }
 }
 
-/// The longer offline run of the shared-scratch property:
+/// Membership thresholds, in tenths, of the walk property's subsets:
+/// densities 0.1, 0.2, 0.5 and 1.0, so some subsets leave `q` without a
+/// triangle and one covers the whole graph.
+const DENSITIES: [u32; 4] = [1, 2, 5, 10];
+
+/// `(graph, per node (membership draw, sort key), query nodes)`.
+type WalkCase = (AttributedGraph, Vec<(u32, u32)>, Vec<NodeId>);
+
+/// Multi-block graphs with a membership draw and a sort key per node and
+/// up to four query nodes.
+fn arb_walk_case() -> impl Strategy<Value = WalkCase> {
+    arb_blocks().prop_flat_map(|g| {
+        let n = g.n();
+        let draws = prop::collection::vec((any::<u32>(), any::<u32>()), n);
+        let queries = prop::collection::vec(0..n as u32, 1..5);
+        (Just(g), draws, queries)
+    })
+}
+
+/// `nodes` in breadth-first order from `q` over the subgraph they
+/// induce, then the ones that walk does not reach, in `nodes` order.
+fn bfs_order(g: &AttributedGraph, q: NodeId, nodes: &[NodeId]) -> Vec<NodeId> {
+    let mut inside = vec![false; g.n()];
+    for &v in nodes {
+        inside[v as usize] = true;
+    }
+    let mut order = vec![q];
+    inside[q as usize] = false;
+    let mut next = 0;
+    while let Some(&v) = order.get(next) {
+        next += 1;
+        for &w in g.neighbors(v) {
+            if std::mem::take(&mut inside[w as usize]) {
+                order.push(w);
+            }
+        }
+    }
+    order.extend(nodes.iter().filter(|&&v| inside[v as usize]));
+    order
+}
+
+/// The walk-from-q truss peel on every subset shape a caller passes: for
+/// each query node and density, the subset (always holding `q`) sorted,
+/// shuffled and in breadth-first order from `q`, at every k from 2 to 6,
+/// with k-truss and k-core peels alternating on one pooled scratch. Every
+/// answer must equal the reference peel's. Returns how many were checked.
+fn check_walk_case((g, draws, queries): WalkCase) -> Result<usize, TestCaseError> {
+    let index = EpochIndex::new();
+    let mut ws = QueryWorkspace::new();
+    let (mut checked, mut out) = (0, Vec::new());
+    for &q in &queries {
+        for tenths in DENSITIES {
+            let sorted: Vec<NodeId> = (0..g.n() as NodeId)
+                .filter(|&v| v == q || draws[v as usize].0 % 10 < tenths)
+                .collect();
+            let mut shuffled = sorted.clone();
+            shuffled.sort_unstable_by_key(|&v| (draws[v as usize].1, v));
+            let bfs = bfs_order(&g, q, &sorted);
+            for k in 2u32..=6 {
+                for model in [CommunityModel::KTruss, CommunityModel::KCore] {
+                    let want = match model {
+                        CommunityModel::KCore => reference_core_peel(&g, q, k, &sorted),
+                        CommunityModel::KTruss => reference_truss_peel(&g, q, k, &sorted),
+                    };
+                    for order in [&sorted, &shuffled, &bfs] {
+                        let mut m = Maintainer::in_workspace(&g, &index, model, k, &mut ws);
+                        let got = m.maximal_within_into(q, order, &mut out);
+                        m.release(&mut ws);
+                        prop_assert_eq!(
+                            got.then_some(&out),
+                            want.as_ref(),
+                            "{} k={} q={} {:?}",
+                            model,
+                            k,
+                            q,
+                            order
+                        );
+                        checked += 1;
+                    }
+                }
+            }
+        }
+    }
+    Ok(checked)
+}
+
+/// The longer offline runs of the pooled-scratch properties, the shared
+/// scratch through stale stamps and the walk from q:
 /// `cargo test -p csag-decomp --release --test prop_decomp -- --ignored`.
 #[test]
-#[ignore = "10 000 cases, about a million pooled answers; run on demand"]
-fn one_scratch_serves_both_models_through_stale_stamps_long_run() {
+#[ignore = "10 000 + 2 000 cases, over a million pooled answers; run on demand"]
+fn one_scratch_serves_both_models_long_run() {
     use rand::{rngs::StdRng, SeedableRng};
     let strategy = arb_shared_scratch();
     let mut checked = 0;
@@ -311,7 +398,55 @@ fn one_scratch_serves_both_models_through_stale_stamps_long_run() {
             Err(e) => panic!("case {case}: {e}"),
         }
     }
-    println!("{checked} pooled answers, zero mismatches");
+    println!("{checked} pooled answers through stale stamps, zero mismatches");
+    let strategy = arb_walk_case();
+    let mut checked = 0;
+    for case in 0..2_000u64 {
+        let mut rng = StdRng::seed_from_u64(0x3a1c_5e70 ^ case);
+        match check_walk_case(strategy.generate(&mut rng)) {
+            Ok(answers) => checked += answers,
+            Err(e) => panic!("walk case {case}: {e}"),
+        }
+    }
+    println!("{checked} walk answers, zero mismatches");
+}
+
+/// A k-truss peel lays out rows only where its walk from `q` goes: for
+/// the walked nodes and the subset neighbours it tested. `q` sits in a
+/// 4-clique whose last node starts a 400-node path (no triangle on it);
+/// with the whole graph as the subset, the slots a fresh scratch grows
+/// stay within the rows of the clique and the path's first node, where a
+/// peel that lays out the whole subset needs two per edge of the path.
+#[test]
+fn truss_peel_lays_out_only_the_walked_region() {
+    const PATH: u32 = 400;
+    let mut b = GraphBuilder::new(0);
+    for _ in 0..4 + PATH {
+        b.add_node(&[], &[]);
+    }
+    for u in 0..4u32 {
+        for v in u + 1..4 {
+            b.add_edge(u, v).unwrap();
+        }
+    }
+    for v in 3..3 + PATH {
+        b.add_edge(v, v + 1).unwrap();
+    }
+    let g = b.build().unwrap();
+    let all: Vec<NodeId> = (0..g.n() as NodeId).collect();
+    let index = EpochIndex::new();
+    let region: usize = (0..5).map(|v| g.degree(v)).sum();
+    for k in [3, 4] {
+        let mut ws = QueryWorkspace::new();
+        let mut m = Maintainer::in_workspace(&g, &index, CommunityModel::KTruss, k, &mut ws);
+        assert_eq!(m.maximal_within(0, &all), Some(vec![0, 1, 2, 3]), "k={k}");
+        m.release(&mut ws);
+        let slots = ws.take_peel().slots.len();
+        assert!(
+            slots <= region,
+            "k={k}: {slots} slots laid out; the walked region has {region}"
+        );
+    }
 }
 
 /// Oracle: `out[u][v]` is the trussness of the edge `{u, v}` (`None` for a
@@ -436,6 +571,13 @@ proptest! {
     #[test]
     fn one_scratch_serves_both_models_through_stale_stamps(case in arb_shared_scratch()) {
         check_shared_scratch_case(case)?;
+    }
+
+    /// The walk-from-q truss peel equals the reference on subsets of
+    /// every density and order (see [`check_walk_case`]).
+    #[test]
+    fn truss_walk_matches_the_reference_on_every_subset_shape(case in arb_walk_case()) {
+        check_walk_case(case)?;
     }
 
     /// The induced-row k-truss peel equals the full-row reference on

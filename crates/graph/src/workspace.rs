@@ -144,24 +144,27 @@ impl QueryWorkspace {
 /// current peel; any other value is stale, so a peel never clears what an
 /// earlier one wrote. Arrays that a peel uses for values rather than
 /// stamps (degrees, supports, row numbers) are written before they are
-/// read within each peel, and a value never goes into an array another
-/// peel reads as stamps. The arrays only grow: [`PeelScratch::fit`] sizes
-/// the node arrays to a graph's `n`, and the k-truss peel grows the slot
-/// array to the two slots (one per direction) of each internal edge of
-/// the subset it peels — so it is as long as the largest subset's edge
-/// set needs, never sized by a graph's `m`. The scratch of the largest
-/// graph and subset seen serves every smaller one. When the epoch counter
-/// wraps, every array is cleared once and counting restarts at 1.
+/// read within each peel, or checked against the current peel's rows
+/// when read, and a value never goes into an array another peel reads as
+/// stamps. The arrays only grow: [`PeelScratch::fit`] sizes the node
+/// arrays to a graph's `n`, and the k-truss peel grows the slot array to
+/// the rows it lays out — two slots (one per direction) for each subset
+/// edge at a node its walk from `q` reaches — so it is as long as the
+/// largest such region needs, never sized by a graph's `m`. The scratch
+/// of the largest graph and subset seen serves every smaller one. When
+/// the epoch counter wraps, every array is cleared once and counting
+/// restarts at 1.
 #[derive(Clone, Debug, Default)]
 pub struct PeelScratch {
     epoch: u32,
     /// Arrays indexed by node id, each at least the largest fitted `n`.
-    pub node: [Vec<u32>; 4],
+    pub node: [Vec<u32>; 5],
     /// Indexed by the k-truss peel's row slots; at least as long as the
     /// most slots a peel has laid out.
     pub slots: Vec<u32>,
-    /// Lists whose length each peel sets itself (a stack, a peel's rows).
-    pub lists: [Vec<u32>; 3],
+    /// Lists whose length each peel sets itself (a stack, a walk, a
+    /// peel's rows).
+    pub lists: [Vec<u32>; 4],
 }
 
 impl PeelScratch {

@@ -4,9 +4,11 @@
 //! (`Maintainer::in_workspace` / `release`, as SEA and Exact do), and VAC
 //! reads `f(·,q)` from the engine's distance table. So a warm read on a
 //! reused [`QueryWorkspace`] with a resident table allocates only what
-//! the method's own search builds: its candidate subsets, the peels'
-//! outputs and the returned community. A per-read `O(n)` peel array or
-//! distance table fails the budget. A refused E-VAC read
+//! the method's own search builds. LocATC and VAC peel each probe's
+//! subset into buffers they reuse across probes, so they allocate a
+//! handful of buffers per read, not one per probe; E-VAC keeps every
+//! state it visits, which is its algorithm. A per-read `O(n)` peel array
+//! or distance table fails the budget. A refused E-VAC read
 //! ([`CsagError::BudgetExhausted`]) must hand the scratch back too.
 //!
 //! Keep this file at ONE `#[test]`: the allocation counter is
@@ -81,13 +83,14 @@ fn warm_baseline_reads_borrow_the_workspace_and_the_distance_table() {
     let mut ws = QueryWorkspace::new();
 
     // Measured per warm read, ACQ / LocATC / VAC / E-VAC (16 states):
-    // 23 / 1468 / 297 / 385 under k-core and 23 / 60 / 31 / 115 under
-    // k-truss; each method's peel outputs, candidate subsets and answer.
-    // A peel scratch of the read's own (four `n`-sized node arrays, and
-    // the lists and slots it grows) or a fresh `f(·,q)` table is over.
+    // 23 / 36 / 19 / 385 under k-core and 23 / 18 / 16 / 115 under
+    // k-truss: the seed ball, the reused probe buffers as they grow, the
+    // E-VAC states and the answer. A peel scratch of the read's own (five
+    // `n`-sized node arrays, and the lists and slots it grows), a fresh
+    // `f(·,q)` table or a buffer per probe is over.
     for (model, budgets) in [
-        (CommunityModel::KCore, [23.0, 1468.0, 297.0, 385.0]),
-        (CommunityModel::KTruss, [23.0, 60.0, 31.0, 115.0]),
+        (CommunityModel::KCore, [23.0, 36.0, 19.0, 385.0]),
+        (CommunityModel::KTruss, [23.0, 18.0, 16.0, 115.0]),
     ] {
         let query = |method| CommunityQuery::new(method, Q).with_k(4).with_model(model);
         let reads = [
