@@ -125,16 +125,6 @@ impl HeteroGraph {
         self.node_type_names.get(name)
     }
 
-    /// Name of a node type id.
-    pub fn node_type_name(&self, id: NodeTypeId) -> Option<&str> {
-        self.node_type_names.name(id)
-    }
-
-    /// Name of an edge type id.
-    pub fn edge_type_name(&self, id: EdgeTypeId) -> Option<&str> {
-        self.edge_type_names.name(id)
-    }
-
     /// Number of distinct node types.
     pub fn node_type_count(&self) -> usize {
         self.node_type_names.len()
@@ -209,43 +199,19 @@ impl HeteroGraph {
     /// # Panics
     /// If the path is not symmetric-typed (source type ≠ end type).
     pub fn project(&self, path: &MetaPath) -> ProjectedGraph {
-        assert!(
-            path.is_symmetric_typed(),
-            "projection requires a symmetric meta-path (source type == end type)"
-        );
-        let targets_of_type = self.nodes_of_type(path.source_type());
-        let mut from_original: HashMap<NodeId, NodeId> =
-            HashMap::with_capacity(targets_of_type.len());
-        for (i, &v) in targets_of_type.iter().enumerate() {
-            from_original.insert(v, i as NodeId);
-        }
-
-        let mut offsets = Vec::with_capacity(targets_of_type.len() + 1);
-        offsets.push(0usize);
-        let mut adj = Vec::new();
-        for &v in &targets_of_type {
-            for w in self.p_neighbors(v, path) {
-                adj.push(from_original[&w]);
-            }
-            offsets.push(adj.len());
-        }
-
-        let attrs = Arc::new(self.attrs.restrict(&targets_of_type));
-        let graph = AttributedGraph::from_csr_parts(offsets, adj, attrs);
-        ProjectedGraph {
-            graph,
-            to_original: targets_of_type,
-            from_original,
-        }
+        self.project_subset(path, &self.nodes_of_type(path.source_type()))
     }
 
     /// Like [`project`](HeteroGraph::project) but restricted to the target
     /// nodes in `subset` (original ids). Used by the SEA pipeline, which
     /// only projects the sampled neighborhood instead of the whole graph.
+    ///
+    /// # Panics
+    /// If the path is not symmetric-typed (source type ≠ end type).
     pub fn project_subset(&self, path: &MetaPath, subset: &[NodeId]) -> ProjectedGraph {
         assert!(
             path.is_symmetric_typed(),
-            "projection requires a symmetric meta-path"
+            "projection requires a symmetric meta-path (source type == end type)"
         );
         let mut nodes: Vec<NodeId> = subset
             .iter()
@@ -344,9 +310,8 @@ impl HeteroGraphBuilder {
     /// Adds a node of type `ty` with attributes; returns its id.
     ///
     /// # Panics
-    /// When `numerical` does not hold exactly `dims` values. Text input is
-    /// checked before it gets here (`read_hetero_graph` refuses such a row
-    /// with a typed error), so only a caller's own bug can trip this.
+    /// When `numerical` does not hold exactly `dims` values: no file format
+    /// reads into this builder, so only a caller's own bug can trip this.
     pub fn add_node(&mut self, ty: NodeTypeId, textual: &[&str], numerical: &[f64]) -> NodeId {
         let id = self.node_types.len() as NodeId;
         assert_eq!(
@@ -530,7 +495,6 @@ mod tests {
         assert_eq!(g.count_of_type(paper), 3);
         assert_eq!(g.node_type_count(), 2);
         assert_eq!(g.edge_type_count(), 1);
-        assert_eq!(g.node_type_name(author), Some("author"));
         assert_eq!(g.m(), 6);
     }
 

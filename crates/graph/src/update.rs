@@ -73,14 +73,29 @@ pub enum GraphUpdate {
 }
 
 impl GraphUpdate {
-    /// Parses one line of the `csag-updates v1` text format:
+    /// Parses one line of the `csag-updates v1` text format. A `#` starts
+    /// a comment only at the start of a line ([`GraphUpdate::parse_script`]
+    /// skips those lines); on a record it is a field.
     ///
-    /// ```text
+    /// ```
+    /// use csag_graph::GraphUpdate;
+    ///
+    /// let script = "\
     /// add-edge 3 17
     /// remove-edge 3 17
     /// add-vertex movie,crime 9.2 1600000
-    /// set-attrs 5 - 7.5 90000        # `-` keeps/means empty tokens
-    /// set-attrs 5 drama              # tokens only, numerics kept
+    /// ## `-` keeps node 5's tokens; the numerics are replaced
+    /// set-attrs 5 - 7.5 90000
+    /// ## tokens only, numerics kept
+    /// set-attrs 5 drama
+    /// ";
+    /// let updates = GraphUpdate::parse_script(script).unwrap();
+    /// assert_eq!(updates.len(), 5);
+    /// assert_eq!(
+    ///     updates[4],
+    ///     GraphUpdate::SetAttributes { v: 5, tokens: Some(vec!["drama".into()]), numeric: None }
+    /// );
+    /// assert!(GraphUpdate::parse_line("set-attrs 5 drama # a note").is_err());
     /// ```
     ///
     /// For `add-vertex`, `-` means an empty token set. For `set-attrs`,

@@ -136,17 +136,18 @@ proptest! {
     }
 }
 
-/// Hostile input to the graph-file readers — what a `--graph` file, a
+/// Hostile input to the graph-file reader — what a `--graph` file, a
 /// primary's snapshot payload or a WAL checkpoint can hold. Every input
 /// reads to `Ok` or a typed `Err`, never a panic and never an allocation
 /// sized by a header field; whatever reads writes back and reads again
-/// to the same graph.
+/// to the same graph. The retired heterogeneous format's header,
+/// `ntype`/`etype` records and typed rows stay in the mix as near misses.
 mod graph_text {
-    use csag_graph::io::{read_graph, read_hetero_graph, write_graph, write_hetero_graph};
+    use csag_graph::io::{read_graph, write_graph};
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
 
-    /// Fragments both grammars are made of — whole records, their words,
+    /// Fragments the grammar is made of — whole records, their words,
     /// and near misses of each.
     const FRAGMENTS: [&str; 41] = [
         "csag-graph v1",
@@ -194,31 +195,20 @@ mod graph_text {
     const JOINTS: [&str; 5] = [" ", "\n", "\t", "\r\n", "\n\n"];
     const HEADERS: [&str; 3] = ["", "csag-graph v1\n", "csag-hetero v1\n"];
 
-    /// Reads `text` with both readers; each `Ok` must survive a write and
-    /// a second read with its shape intact, and neither reader may accept
-    /// a second `dims` record.
-    fn read_both(text: &str) -> Result<(), TestCaseError> {
+    /// Reads `text`; an `Ok` must survive a write and a second read with
+    /// its shape intact, and a second `dims` record is never accepted.
+    fn read_checked(text: &str) -> Result<(), TestCaseError> {
         let dims_records = text
             .lines()
             .filter(|l| l.split_whitespace().next() == Some("dims"))
             .count();
         if dims_records > 1 {
             prop_assert!(read_graph(text.as_bytes()).is_err(), "{:?}", text);
-            prop_assert!(read_hetero_graph(text.as_bytes()).is_err(), "{:?}", text);
         }
         if let Ok(g) = read_graph(text.as_bytes()) {
             let mut again = Vec::new();
             write_graph(&g, &mut again).expect("write to memory");
             let g2 = read_graph(&again[..]).expect("a written graph reads back");
-            prop_assert_eq!(
-                (g2.n(), g2.m(), g2.attrs().dims()),
-                (g.n(), g.m(), g.attrs().dims())
-            );
-        }
-        if let Ok(g) = read_hetero_graph(text.as_bytes()) {
-            let mut again = Vec::new();
-            write_hetero_graph(&g, &mut again).expect("write to memory");
-            let g2 = read_hetero_graph(&again[..]).expect("a written graph reads back");
             prop_assert_eq!(
                 (g2.n(), g2.m(), g2.attrs().dims()),
                 (g.n(), g.m(), g.attrs().dims())
@@ -236,12 +226,11 @@ mod graph_text {
             bytes in prop::collection::vec(any::<u8>(), 0..96),
         ) {
             let text = HEADERS[header].to_string() + &String::from_utf8_lossy(&bytes);
-            read_both(&text)?;
+            read_checked(&text)?;
         }
 
-        /// A second `dims` record anywhere after the first is refused by
-        /// both readers, never read as a fresh start that drops every
-        /// record before it.
+        /// A second `dims` record anywhere after the first is refused,
+        /// never read as a fresh start that drops every record before it.
         #[test]
         fn a_second_dims_record_is_refused(
             nodes in 1usize..6,
@@ -252,8 +241,8 @@ mod graph_text {
             lines.extend((1..nodes).map(|v| format!("edge 0 {v}")));
             lines.insert(at % (lines.len() + 1), format!("dims {dims}"));
             let body = lines.join("\n");
-            read_both(&format!("csag-graph v1\ndims 1\n{body}\n"))?;
-            read_both(&format!("csag-hetero v1\ndims 1\nntype 0 t\n{body}\n"))?;
+            read_checked(&format!("csag-graph v1\ndims 1\n{body}\n"))?;
+            read_checked(&format!("csag-hetero v1\ndims 1\nntype 0 t\n{body}\n"))?;
         }
 
         #[test]
@@ -264,7 +253,7 @@ mod graph_text {
             let text: String = std::iter::once(HEADERS[header])
                 .chain(picks.iter().flat_map(|&(f, j)| [FRAGMENTS[f], JOINTS[j]]))
                 .collect();
-            read_both(&text)?;
+            read_checked(&text)?;
         }
     }
 }
@@ -442,8 +431,8 @@ mod interner_model {
 /// what was written gives the same graph back, ids included, and writing
 /// that again gives the same bytes.
 mod text_round_trip {
-    use csag_graph::io::{read_graph, read_hetero_graph, write_graph, write_hetero_graph};
-    use csag_graph::{AttributedGraph, GraphBuilder, HeteroGraph, HeteroGraphBuilder};
+    use csag_graph::io::{read_graph, write_graph};
+    use csag_graph::{AttributedGraph, GraphBuilder};
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
     use rand::rngs::StdRng;
@@ -478,56 +467,28 @@ mod text_round_trip {
         (0usize..8, -1e6f64..1e6).prop_map(|(pick, x)| SPECIAL.get(pick).copied().unwrap_or(x))
     }
 
-    /// `(dims, per node: tokens, numerics, type, edges (u, v, type))`.
-    type Spec = (
-        usize,
-        Vec<(Vec<String>, Vec<f64>, u32)>,
-        Vec<(u32, u32, u32)>,
-    );
+    /// `(dims, per node: tokens, numerics, edges (u, v))`.
+    type Spec = (usize, Vec<(Vec<String>, Vec<f64>)>, Vec<(u32, u32)>);
 
     fn arb_spec() -> impl Strategy<Value = Spec> {
         (0usize..3, 1usize..24).prop_flat_map(|(dims, n)| {
-            let nodes = prop::collection::vec(
-                (
-                    node_tokens(),
-                    prop::collection::vec(arb_value(), dims),
-                    0u32..3,
-                ),
-                n,
-            );
-            let edges = prop::collection::vec((0..n as u32, 0..n as u32, 0u32..2), 0..48);
+            let nodes =
+                prop::collection::vec((node_tokens(), prop::collection::vec(arb_value(), dims)), n);
+            let edges = prop::collection::vec((0..n as u32, 0..n as u32), 0..48);
             (Just(dims), nodes, edges)
         })
     }
 
     fn homogeneous((dims, nodes, edges): &Spec) -> AttributedGraph {
         let mut b = GraphBuilder::new(*dims);
-        for (toks, numeric, _) in nodes {
+        for (toks, numeric) in nodes {
             let toks: Vec<&str> = toks.iter().map(String::as_str).collect();
             b.add_node(&toks, numeric);
         }
-        for &(u, v, _) in edges {
+        for &(u, v) in edges {
             b.add_edge(u, v).unwrap();
         }
         b.build().unwrap()
-    }
-
-    fn hetero((dims, nodes, edges): &Spec) -> HeteroGraph {
-        let mut b = HeteroGraphBuilder::new(*dims);
-        for t in ["author", "paper", "venue"] {
-            b.node_type(t);
-        }
-        for t in ["writes", "cites"] {
-            b.edge_type(t);
-        }
-        for (toks, numeric, ty) in nodes {
-            let toks: Vec<&str> = toks.iter().map(String::as_str).collect();
-            b.add_node(*ty, &toks, numeric);
-        }
-        for &(u, v, ty) in edges {
-            b.add_edge(u, v, ty).unwrap();
-        }
-        b.build()
     }
 
     fn bits(row: &[f64]) -> Vec<u64> {
@@ -550,27 +511,6 @@ mod text_round_trip {
         Ok(())
     }
 
-    fn same_hetero(a: &HeteroGraph, b: &HeteroGraph) -> Result<(), TestCaseError> {
-        prop_assert_eq!((a.n(), a.m()), (b.n(), b.m()));
-        prop_assert_eq!(a.node_type_count(), b.node_type_count());
-        prop_assert_eq!(a.edge_type_count(), b.edge_type_count());
-        let (x, y) = (a.attrs(), b.attrs());
-        prop_assert_eq!(x.dims(), y.dims());
-        prop_assert_eq!(x.interner().len(), y.interner().len());
-        for t in 0..x.interner().len() as u32 {
-            prop_assert_eq!(x.interner().name(t), y.interner().name(t));
-        }
-        for v in 0..a.n() as u32 {
-            prop_assert_eq!(a.node_type(v), b.node_type(v));
-            prop_assert_eq!(a.neighbors(v), b.neighbors(v));
-            prop_assert_eq!(a.neighbor_edge_types(v), b.neighbor_edge_types(v));
-            prop_assert_eq!(x.tokens(v), y.tokens(v));
-            prop_assert_eq!(bits(x.numeric_raw(v)), bits(y.numeric_raw(v)));
-            prop_assert_eq!(bits(x.numeric_normalized(v)), bits(y.numeric_normalized(v)));
-        }
-        Ok(())
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -583,18 +523,6 @@ mod text_round_trip {
             same_graph(&back, &g)?;
             let mut second = Vec::new();
             write_graph(&back, &mut second).unwrap();
-            prop_assert!(first == second, "second write differs");
-        }
-
-        #[test]
-        fn hetero_graphs_read_back_as_written(spec in arb_spec()) {
-            let g = hetero(&spec);
-            let mut first = Vec::new();
-            write_hetero_graph(&g, &mut first).expect("every token is writable");
-            let back = read_hetero_graph(&first[..]).expect("a written graph reads back");
-            same_hetero(&back, &g)?;
-            let mut second = Vec::new();
-            write_hetero_graph(&back, &mut second).unwrap();
             prop_assert!(first == second, "second write differs");
         }
     }

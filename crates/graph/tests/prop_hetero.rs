@@ -69,14 +69,19 @@ proptest! {
         }
     }
 
-    /// project_subset on the full target set equals project.
+    /// project_subset over every node, hubs included, in descending
+    /// order and each twice, equals project: it keeps only target nodes,
+    /// in ascending order, once each.
     #[test]
     fn project_subset_full_equals_project((g, path, _t) in arb_hetero()) {
-        let targets = g.nodes_of_type(path.source_type());
+        let every: Vec<u32> = (0..g.n() as u32).rev().flat_map(|v| [v, v]).collect();
         let full = g.project(&path);
-        let sub = g.project_subset(&path, &targets);
+        let sub = g.project_subset(&path, &every);
         prop_assert_eq!(full.graph.n(), sub.graph.n());
         prop_assert_eq!(full.graph.m(), sub.graph.m());
-        prop_assert_eq!(full.to_original, sub.to_original);
+        prop_assert_eq!(&full.to_original, &sub.to_original);
+        for v in 0..full.graph.n() as u32 {
+            prop_assert_eq!(full.graph.neighbors(v), sub.graph.neighbors(v));
+        }
     }
 }

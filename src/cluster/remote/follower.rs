@@ -52,9 +52,6 @@ pub struct FollowerConfig {
     /// Delay between reconnect attempts after a failed or dropped
     /// session.
     pub reconnect_backoff: Duration,
-    /// Heartbeat cadence: an idle session still acks its current epoch
-    /// this often, so ack-silence health checks see a live follower.
-    pub ack_interval: Duration,
 }
 
 impl Default for FollowerConfig {
@@ -63,7 +60,6 @@ impl Default for FollowerConfig {
             name: "follower".into(),
             seed: None,
             reconnect_backoff: Duration::from_millis(50),
-            ack_interval: Duration::from_millis(20),
         }
     }
 }
@@ -233,6 +229,13 @@ fn session_loop(
     }
 }
 
+/// How often an idle session acks its current epoch. The router's
+/// ack-silence budget is the `max_silence` its owner passes to
+/// [`crate::cluster::Router::health_check`]; a budget above this cadence
+/// (two beats or more, to ride out scheduling jitter) never degrades a
+/// live, idle follower.
+const HEARTBEAT: Duration = Duration::from_millis(20);
+
 /// One replication session: hello → catch-up → frame loop. Returns
 /// `Err` on any anomaly; the caller reconnects.
 fn run_session(
@@ -308,18 +311,17 @@ fn run_session(
     shared.connected.store(true, Ordering::Release);
 
     // Heartbeat acks: an idle follower still proves liveness (and its
-    // watermark) every `ack_interval`.
+    // watermark) every `HEARTBEAT`.
     let beat_done = Arc::new(AtomicBool::new(false));
     let beat = {
         let writer = Arc::clone(&writer);
         let store = Arc::clone(&shared.store);
         let done = Arc::clone(&beat_done);
-        let interval = config.ack_interval;
         std::thread::Builder::new()
             .name("csag-repl-beat".into())
             .spawn(move || {
                 while !done.load(Ordering::Acquire) {
-                    std::thread::sleep(interval);
+                    std::thread::sleep(HEARTBEAT);
                     if done.load(Ordering::Acquire) {
                         break;
                     }

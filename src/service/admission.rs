@@ -2,15 +2,13 @@
 //! will be answered) or *shed immediately* with
 //! [`CsagError::Overloaded`] — the queue never grows without bound.
 //!
-//! The controller tracks admitted-but-unanswered requests globally and
-//! per [`QueryClass`]; the `retry_after` hint it attaches to sheds is
-//! derived from the observed per-computation service time (an EWMA) and
-//! the current backlog, so well-behaved clients back off for roughly
-//! one queue-drain interval instead of hammering a hot service.
+//! The controller counts admitted-but-unanswered requests against one
+//! bound, whatever their class; the `retry_after` hint it attaches to
+//! sheds is derived from the observed per-computation service time (an
+//! EWMA) and the current backlog, so well-behaved clients back off for
+//! roughly one queue-drain interval instead of hammering a hot service.
 
 use crate::engine::CsagError;
-use crate::service::request::QueryClass;
-use std::collections::HashMap;
 use std::time::Duration;
 
 /// Floor/ceiling for the `retry_after` hint.
@@ -22,27 +20,22 @@ const INITIAL_SERVICE_MS: f64 = 2.0;
 
 /// The admission state (guarded by the scheduler's mutex).
 pub(crate) struct Admission {
-    /// Global bound on admitted-but-unanswered requests.
+    /// Bound on admitted-but-unanswered requests.
     capacity: usize,
-    /// Optional per-class bound (tenant isolation).
-    per_class_capacity: Option<usize>,
     /// Worker count, for the drain-time estimate.
     workers: usize,
-    /// Admitted-but-unanswered requests, total and per class.
+    /// Admitted-but-unanswered requests.
     pending: usize,
-    per_class_pending: HashMap<String, usize>,
     /// EWMA of per-computation service time, in milliseconds.
     ewma_service_ms: f64,
 }
 
 impl Admission {
-    pub(crate) fn new(capacity: usize, per_class_capacity: Option<usize>, workers: usize) -> Self {
+    pub(crate) fn new(capacity: usize, workers: usize) -> Self {
         Admission {
             capacity: capacity.max(1),
-            per_class_capacity,
             workers: workers.max(1),
             pending: 0,
-            per_class_pending: HashMap::new(),
             ewma_service_ms: INITIAL_SERVICE_MS,
         }
     }
@@ -52,42 +45,24 @@ impl Admission {
         self.pending
     }
 
-    /// Admits one request of `class`, or sheds it.
+    /// Admits one request, or sheds it.
     ///
     /// # Errors
-    /// [`CsagError::Overloaded`] when the global bound or the class's
-    /// bound is reached; nothing is counted in that case.
-    pub(crate) fn try_admit(&mut self, class: &QueryClass) -> Result<(), CsagError> {
-        let class_pending = self
-            .per_class_pending
-            .get(class.label())
-            .copied()
-            .unwrap_or(0);
-        let class_full = self
-            .per_class_capacity
-            .is_some_and(|cap| class_pending >= cap);
-        if self.pending >= self.capacity || class_full {
+    /// [`CsagError::Overloaded`] when the bound is reached; nothing is
+    /// counted in that case.
+    pub(crate) fn try_admit(&mut self) -> Result<(), CsagError> {
+        if self.pending >= self.capacity {
             return Err(CsagError::Overloaded {
                 retry_after: self.retry_after(),
             });
         }
         self.pending += 1;
-        *self
-            .per_class_pending
-            .entry(class.label().to_string())
-            .or_insert(0) += 1;
         Ok(())
     }
 
-    /// Releases one admitted request of `class` (it was answered).
-    pub(crate) fn release(&mut self, class: &QueryClass) {
-        self.pending = self.pending.saturating_sub(1);
-        if let Some(n) = self.per_class_pending.get_mut(class.label()) {
-            *n = n.saturating_sub(1);
-            if *n == 0 {
-                self.per_class_pending.remove(class.label());
-            }
-        }
+    /// Releases `answered` admitted requests.
+    pub(crate) fn release(&mut self, answered: usize) {
+        self.pending = self.pending.saturating_sub(answered);
     }
 
     /// Feeds one observed computation time into the EWMA.
@@ -111,45 +86,29 @@ impl Admission {
 mod tests {
     use super::*;
 
-    fn class(s: &str) -> QueryClass {
-        QueryClass::new(s)
-    }
-
     #[test]
     fn global_bound_sheds_with_typed_error() {
-        let mut a = Admission::new(2, None, 1);
-        assert!(a.try_admit(&class("a")).is_ok());
-        assert!(a.try_admit(&class("b")).is_ok());
-        let err = a.try_admit(&class("c")).unwrap_err();
+        let mut a = Admission::new(2, 1);
+        assert!(a.try_admit().is_ok());
+        assert!(a.try_admit().is_ok());
+        let err = a.try_admit().unwrap_err();
         let CsagError::Overloaded { retry_after } = err else {
             panic!("expected Overloaded, got {err:?}");
         };
         assert!(retry_after >= MIN_RETRY_AFTER && retry_after <= MAX_RETRY_AFTER);
         // Releasing frees a slot.
-        a.release(&class("a"));
-        assert!(a.try_admit(&class("c")).is_ok());
+        a.release(1);
+        assert!(a.try_admit().is_ok());
         assert_eq!(a.pending(), 2);
-    }
-
-    #[test]
-    fn per_class_bound_isolates_tenants() {
-        let mut a = Admission::new(10, Some(1), 1);
-        assert!(a.try_admit(&class("noisy")).is_ok());
-        assert!(matches!(
-            a.try_admit(&class("noisy")),
-            Err(CsagError::Overloaded { .. })
-        ));
-        // A different class still gets in.
-        assert!(a.try_admit(&class("quiet")).is_ok());
-        a.release(&class("noisy"));
-        assert!(a.try_admit(&class("noisy")).is_ok());
+        a.release(2);
+        assert_eq!(a.pending(), 0);
     }
 
     #[test]
     fn retry_after_scales_with_backlog_and_service_time() {
-        let mut a = Admission::new(100, None, 2);
+        let mut a = Admission::new(100, 2);
         for _ in 0..10 {
-            a.try_admit(&class("x")).unwrap();
+            a.try_admit().unwrap();
         }
         let fast = a.retry_after();
         for _ in 0..5 {

@@ -5,24 +5,23 @@
 //! [`GraphStore`] behind a request/response API built for sustained
 //! concurrent load: a [`Request`] carries a
 //! [`CommunityQuery`](crate::engine::CommunityQuery) plus the caller's
-//! serving intent — a [`Priority`], an optional deadline, and a tenant
-//! [`QueryClass`] — and [`Service::submit`] returns a [`Ticket`] whose
-//! [`Response`] wraps the engine's answer in its serving envelope
-//! (epoch, queue wait, deadline slack, coalescing/degradation flags).
+//! serving intent — a [`Priority`], an optional deadline, and a
+//! [`QueryClass`] label — and [`Service::submit`] returns a [`Ticket`]
+//! whose [`Response`] wraps the engine's answer in its serving envelope
+//! (epoch, class, queue wait, deadline slack, coalescing/degradation
+//! flags).
 //!
 //! ## Invariants
 //!
 //! The service holds five invariants, in roughly the order they matter
 //! when the graph is on fire:
 //!
-//! 1. **Bounded admission.** At most `capacity` requests (and
-//!    optionally `per_class_capacity` per tenant class) are admitted
-//!    but unanswered at any instant. Beyond that, [`Service::submit`]
-//!    sheds *immediately* with
-//!    [`crate::engine::CsagError::Overloaded`]
-//!    carrying a `retry_after` derived from the observed drain rate —
-//!    the queue never grows without bound, and latency of admitted
-//!    work stays predictable.
+//! 1. **Bounded admission.** At most `capacity` requests, whatever
+//!    their class, are admitted but unanswered at any instant. Beyond
+//!    that, [`Service::submit`] sheds *immediately* with
+//!    [`crate::engine::CsagError::Overloaded`] carrying a `retry_after`
+//!    derived from the observed drain rate — the queue never grows
+//!    without bound, and latency of admitted work stays predictable.
 //! 2. **Every admitted request is answered.** A ticket's
 //!    [`Ticket::wait`] always returns: workers drain the queue even
 //!    through shutdown, and invalid queries are rejected *before*
@@ -110,8 +109,6 @@ pub struct ServiceConfig {
     pub workers: usize,
     /// Bound on admitted-but-unanswered requests (invariant 1).
     pub capacity: usize,
-    /// Optional per-[`QueryClass`] admission bound (tenant isolation).
-    pub per_class_capacity: Option<usize>,
     /// How long an epoch-pinned request *without* a deadline may wait
     /// for its pinned epoch to publish before the typed
     /// [`CsagError::EpochUnavailable`](crate::engine::CsagError)
@@ -129,7 +126,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             workers: crate::engine::batch::available_threads(),
             capacity: 256,
-            per_class_capacity: None,
             epoch_wait: Duration::from_millis(250),
             start_paused: false,
         }
@@ -146,12 +142,6 @@ impl ServiceConfig {
     /// Sets the global admission bound (at least 1).
     pub fn with_capacity(mut self, capacity: usize) -> Self {
         self.capacity = capacity.max(1);
-        self
-    }
-
-    /// Sets (or clears) the per-class admission bound.
-    pub fn with_per_class_capacity(mut self, cap: Option<usize>) -> Self {
-        self.per_class_capacity = cap;
         self
     }
 
@@ -219,7 +209,6 @@ impl Service {
         let workers = config.workers.max(1);
         let shared = Arc::new(Shared::new(
             config.capacity,
-            config.per_class_capacity,
             workers,
             config.epoch_wait,
             config.start_paused,
@@ -246,8 +235,8 @@ impl Service {
     /// # Errors
     /// * [`CsagError::InvalidParams`] — the query fails validation
     ///   (rejected before admission; costs no slot).
-    /// * [`CsagError::Overloaded`] — admission capacity (global or
-    ///   per-class) is exhausted; retry after the carried back-off.
+    /// * [`CsagError::Overloaded`] — admission capacity is exhausted;
+    ///   retry after the carried back-off.
     pub fn submit(&self, request: Request) -> Result<Ticket, CsagError> {
         self.shared.submit(self.source.as_ref(), request)
     }

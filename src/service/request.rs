@@ -1,6 +1,6 @@
 //! The serving request/response vocabulary: [`Request`] (a
-//! [`CommunityQuery`] plus serving intent — deadline, priority, tenant
-//! class), [`Ticket`] (the waiter's handle), and [`Response`] (the
+//! [`CommunityQuery`] plus serving intent — deadline, priority, class
+//! label), [`Ticket`] (the waiter's handle), and [`Response`] (the
 //! serving envelope around the engine's [`CommunityResult`]).
 
 use crate::engine::{CommunityQuery, CommunityResult, CsagError};
@@ -64,9 +64,8 @@ impl FromStr for Priority {
     }
 }
 
-/// A tenant/workload class for admission accounting. Classes are cheap
-/// labels — the admission controller can cap each class's share of the
-/// queue so one tenant's flood cannot starve the rest.
+/// A tenant/workload label. The response echoes it (wire key `"class"`);
+/// admission counts every class against the one `capacity` bound.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct QueryClass(String);
 
@@ -98,7 +97,7 @@ impl fmt::Display for QueryClass {
 }
 
 /// A community-search request as the serving layer sees it: the engine
-/// query plus the caller's latency/priority/tenant intent.
+/// query plus the caller's latency/priority intent and class label.
 ///
 /// ```
 /// use csag::engine::{CommunityQuery, Method};
@@ -122,7 +121,7 @@ pub struct Request {
     /// configuration (see [`CommunityQuery::fit_to_deadline`]) rather
     /// than timed out.
     pub deadline: Option<Duration>,
-    /// Tenant/workload class for admission accounting.
+    /// Tenant/workload label, echoed in the response.
     pub class: QueryClass,
     /// Epoch pin: the answer must come from store epoch `>=` this (wire
     /// key `"epoch"`). Routing waits a bounded time for the epoch to
@@ -157,7 +156,7 @@ impl Request {
         self
     }
 
-    /// Sets the tenant/workload class.
+    /// Sets the tenant/workload label.
     pub fn with_class(mut self, class: impl Into<String>) -> Self {
         self.class = QueryClass::new(class);
         self
@@ -180,7 +179,7 @@ pub struct Response {
     pub epoch: u64,
     /// The priority the request was admitted at.
     pub priority: Priority,
-    /// The tenant/workload class it was accounted under.
+    /// The tenant/workload label the request carried.
     pub class: QueryClass,
     /// Whether this request rode on an identical in-flight computation
     /// instead of running its own (its `outcome` is then the *same*

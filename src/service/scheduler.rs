@@ -134,14 +134,13 @@ pub(crate) struct Shared {
 impl Shared {
     pub(crate) fn new(
         capacity: usize,
-        per_class_capacity: Option<usize>,
         workers: usize,
         epoch_wait: Duration,
         start_paused: bool,
     ) -> Self {
         Shared {
             state: Mutex::new(SchedState {
-                admission: Admission::new(capacity, per_class_capacity, workers),
+                admission: Admission::new(capacity, workers),
                 jobs: HashMap::new(),
                 by_key: HashMap::new(),
                 ready: BinaryHeap::new(),
@@ -269,7 +268,7 @@ impl Shared {
                 }));
                 continue;
             }
-            if let Err(e) = st.admission.try_admit(&req.class) {
+            if let Err(e) = st.admission.try_admit() {
                 self.metrics.shed.fetch_add(1, Ordering::Relaxed);
                 outcomes[ix] = Some(Err(e));
                 continue;
@@ -483,9 +482,7 @@ impl Shared {
                     st.by_key.remove(&job.key);
                 }
                 st.admission.observe_service_ms(service_ms);
-                for w in &job.waiters {
-                    st.admission.release(&w.class);
-                }
+                st.admission.release(job.waiters.len());
                 job.waiters
             };
             let epoch = routed.epoch();

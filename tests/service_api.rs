@@ -208,37 +208,36 @@ fn tight_deadlines_degrade_instead_of_timing_out() {
     assert_eq!(service.metrics().degraded, 1);
 }
 
-/// Per-class admission caps isolate tenants: one class's flood cannot
-/// evict another's traffic.
+/// A class is a label, not an admission bound: every class counts
+/// against the one `capacity`, so four requests under four distinct
+/// labels still admit exactly two, and each answer echoes its own label.
 #[test]
-fn per_class_capacity_isolates_tenants() {
+fn a_class_label_never_bounds_admission() {
     let (graph, q) = figure1_imdb();
     let service = Service::over_graph(
         graph,
         ServiceConfig::default()
             .with_workers(1)
-            .with_capacity(8)
-            .with_per_class_capacity(Some(2))
+            .with_capacity(2)
             .paused(),
     );
-    let mut noisy = Vec::new();
-    for i in 0..4 {
-        match service.submit(Request::new(sea_query(q).with_seed(200 + i)).with_class("noisy")) {
-            Ok(t) => noisy.push(t),
-            Err(e) => assert!(matches!(e, CsagError::Overloaded { .. })),
+    let mut admitted = Vec::new();
+    for (i, class) in ["a", "b", "c", "d"].into_iter().enumerate() {
+        let request = Request::new(sea_query(q).with_seed(200 + i as u64)).with_class(class);
+        match service.submit(request) {
+            Ok(t) => admitted.push((class, t)),
+            Err(e) => assert!(matches!(e, CsagError::Overloaded { .. }), "{e:?}"),
         }
     }
-    assert_eq!(noisy.len(), 2, "the noisy tenant is capped at 2");
-    // The quiet tenant still gets in.
-    let quiet = service
-        .submit(Request::new(sea_query(q).with_seed(300)).with_class("quiet"))
-        .expect("quiet tenant unaffected by the noisy flood");
+    let classes: Vec<&str> = admitted.iter().map(|(class, _)| *class).collect();
+    assert_eq!(classes, ["a", "b"], "the first two fill the one bound");
+    assert_eq!(service.pending(), 2);
     service.resume();
-    for t in noisy {
-        assert!(t.wait().outcome.is_ok());
+    for (class, t) in admitted {
+        let response = t.wait();
+        assert_eq!(response.class.label(), class);
+        assert!(response.outcome.is_ok());
     }
-    let quiet = quiet.wait();
-    assert_eq!(quiet.class.label(), "quiet");
 }
 
 /// Service answers equal direct engine answers, and the epoch rides
