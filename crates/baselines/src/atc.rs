@@ -16,10 +16,12 @@
 //! single-node deletion helps.
 
 use crate::BaselineResult;
+use csag_core::clock::{deadline_after, expired};
 use csag_core::error::{check_query_node, CsagError};
 use csag_decomp::Maintainer;
 use csag_graph::{AttributedGraph, FixedBitSet, NodeId};
 use std::collections::VecDeque;
+use std::time::{Duration, Instant};
 
 /// How many low-contribution candidates are probed per greedy step.
 /// Probing all |H| nodes per step would make the local search O(|H|³);
@@ -84,15 +86,22 @@ pub fn atc_score(g: &AttributedGraph, q: NodeId, community: &[NodeId]) -> f64 {
 
 /// Runs LocATC: greedy score-improving deletions from the maximal
 /// connected community of `q` in its local neighborhood, under
-/// `maintainer`'s model and k.
+/// `maintainer`'s model and k. A step starts only while `time_budget`
+/// (`None` = unlimited) lasts; a stopped search returns its current
+/// community.
 ///
 /// # Errors
 /// [`CsagError::QueryNodeNotFound`] for an out-of-range `q`;
 /// [`CsagError::NoCommunity`] when `q` has no community in its local
 /// neighborhood.
-pub fn loc_atc(maintainer: &mut Maintainer<'_>, q: NodeId) -> Result<BaselineResult, CsagError> {
+pub fn loc_atc(
+    maintainer: &mut Maintainer<'_>,
+    q: NodeId,
+    time_budget: Option<Duration>,
+) -> Result<BaselineResult, CsagError> {
     let g = maintainer.graph();
     check_query_node(q, g.n())?;
+    let deadline = deadline_after(Instant::now(), time_budget);
     let seed = local_seed(g, q);
     let mut current = maintainer.maximal_within(q, &seed).ok_or_else(|| {
         let (model, k) = (maintainer.model(), maintainer.k());
@@ -107,6 +116,9 @@ pub fn loc_atc(maintainer: &mut Maintainer<'_>, q: NodeId) -> Result<BaselineRes
     let (mut next, mut best) = (Vec::new(), Vec::new());
 
     for _ in 0..MAX_STEPS {
+        if expired(deadline) {
+            break;
+        }
         // Rank candidates by how few of q's tokens they match (they drag
         // the coverage down the most), then probe the top few.
         candidates.clear();
@@ -160,7 +172,11 @@ mod tests {
         k: u32,
         model: CommunityModel,
     ) -> Result<BaselineResult, CsagError> {
-        loc_atc(&mut Maintainer::new(g, &EpochIndex::new(), model, k), q)
+        loc_atc(
+            &mut Maintainer::new(g, &EpochIndex::new(), model, k),
+            q,
+            None,
+        )
     }
 
     /// Nodes 0..3 share q's tokens; 4..5 are off-topic but structurally
@@ -206,6 +222,12 @@ mod tests {
         let res = run(&g, 0, 2, CommunityModel::KCore).unwrap();
         assert_eq!(res.community, vec![0, 1, 2, 3]);
         assert!((res.objective - 8.0).abs() < 1e-12);
+        // A zero time budget stops before the first step: the peeled
+        // neighborhood answers.
+        let index = EpochIndex::new();
+        let mut m = Maintainer::new(&g, &index, CommunityModel::KCore, 2);
+        let res = loc_atc(&mut m, 0, Some(Duration::ZERO)).unwrap();
+        assert_eq!(res.community, vec![0, 1, 2, 3, 4, 5]);
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //!   within a week on large graphs); guarded by [`EVacLimits`].
 
 use crate::BaselineResult;
+use csag_core::clock::{deadline_after, expired};
 use csag_core::distance::{composite_distance, DistanceParams, QueryDistances};
 use csag_core::error::{check_query_node, root_of, CsagError};
 use csag_decomp::Maintainer;
@@ -82,7 +83,8 @@ pub fn max_pairwise_distance(
 /// surviving node with the largest `f(·, q)` (the 2-approximate
 /// worst-case offender; never `q`) and re-peels through `maintainer`.
 /// Halts when the deletion would collapse the community, when all
-/// distances reach 0, or after `max_iters` rounds (`None` = unbounded).
+/// distances reach 0, after `max_iters` rounds (`None` = unbounded), or
+/// at the first round head past `time_budget` (`None` = unlimited).
 /// The returned objective is the (possibly approximated) min-max distance
 /// of the final community.
 ///
@@ -93,15 +95,20 @@ pub fn vac(
     maintainer: &mut Maintainer<'_>,
     dist: &QueryDistances,
     max_iters: Option<usize>,
+    time_budget: Option<Duration>,
 ) -> Result<BaselineResult, CsagError> {
     let (g, q) = (maintainer.graph(), dist.q());
     check_query_node(q, g.n())?;
+    let deadline = deadline_after(Instant::now(), time_budget);
     let mut current = root_of(maintainer, q)?;
     let cap = max_iters.unwrap_or(usize::MAX);
     // Each round's subset and peel reuse two buffers.
     let (mut without, mut next) = (Vec::new(), Vec::new());
 
     for _ in 0..cap {
+        if expired(deadline) {
+            break;
+        }
         let Some((f_worst, worst)) = current
             .iter()
             .filter(|&&v| v != q)
@@ -169,7 +176,7 @@ pub fn e_vac(
 ) -> Result<BaselineResult, CsagError> {
     let g = maintainer.graph();
     check_query_node(q, g.n())?;
-    let deadline = limits.time_budget.map(|b| Instant::now() + b);
+    let deadline = deadline_after(Instant::now(), limits.time_budget);
     let root = root_of(maintainer, q)?;
     if limits.max_root.is_some_and(|m| root.len() > m) {
         // The paper refuses E-VAC on large roots outright (its `-` rows).
@@ -184,7 +191,7 @@ pub fn e_vac(
     let budget = limits.state_budget.unwrap_or(u64::MAX);
 
     while let Some(state) = stack.pop() {
-        if states > 0 && (states >= budget || deadline.is_some_and(|d| Instant::now() >= d)) {
+        if states > 0 && (states >= budget || expired(deadline)) {
             break;
         }
         if !seen.insert(state.clone()) {
@@ -239,6 +246,7 @@ mod tests {
             &mut maintainer,
             &QueryDistances::new(q, g.n(), dparams),
             max_iters,
+            None,
         )
     }
 
@@ -302,6 +310,13 @@ mod tests {
         let g = clique_with_outlier();
         // Zero iterations: the root itself is returned.
         let res = run_vac(&g, 0, 2, DistanceParams::default(), Some(0)).unwrap();
+        assert_eq!(res.community, vec![0, 1, 2, 3, 4]);
+        // So does a zero time budget: the clock is polled before each
+        // round.
+        let index = EpochIndex::new();
+        let dist = QueryDistances::new(0, g.n(), DistanceParams::default());
+        let mut m = Maintainer::new(&g, &index, CommunityModel::KCore, 2);
+        let res = vac(&mut m, &dist, None, Some(Duration::ZERO)).unwrap();
         assert_eq!(res.community, vec![0, 1, 2, 3, 4]);
     }
 

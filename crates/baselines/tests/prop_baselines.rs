@@ -115,7 +115,7 @@ proptest! {
         let ev = e_vac(&mut Maintainer::new(&g, &EpochIndex::new(), CommunityModel::KCore, k), q, dp, &EVacLimits::default())
             .expect("community exists");
         prop_assert!(ev.objective >= brute_best - 1e-9, "E-VAC beat brute force?!");
-        let v = vac(&mut Maintainer::new(&g, &EpochIndex::new(), CommunityModel::KCore, k), &QueryDistances::new(q, g.n(), dp), None).expect("community exists");
+        let v = vac(&mut Maintainer::new(&g, &EpochIndex::new(), CommunityModel::KCore, k), &QueryDistances::new(q, g.n(), dp), None, None).expect("community exists");
         prop_assert!(ev.objective <= v.objective + 1e-9, "E-VAC worse than VAC");
     }
 
@@ -127,8 +127,8 @@ proptest! {
         let exists = !all_communities(&g, q, k).is_empty();
         let results = [
             acq(&mut Maintainer::new(&g, &EpochIndex::new(), CommunityModel::KCore, k), q).map(|r| r.community),
-            loc_atc(&mut Maintainer::new(&g, &EpochIndex::new(), CommunityModel::KCore, k), q).map(|r| r.community),
-            vac(&mut Maintainer::new(&g, &EpochIndex::new(), CommunityModel::KCore, k), &QueryDistances::new(q, g.n(), dp), None).map(|r| r.community),
+            loc_atc(&mut Maintainer::new(&g, &EpochIndex::new(), CommunityModel::KCore, k), q, None).map(|r| r.community),
+            vac(&mut Maintainer::new(&g, &EpochIndex::new(), CommunityModel::KCore, k), &QueryDistances::new(q, g.n(), dp), None, None).map(|r| r.community),
         ];
         for comm in results.iter() {
             prop_assert_eq!(comm.is_ok(), exists);

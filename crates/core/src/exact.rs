@@ -22,6 +22,7 @@
 //! incomplete, with a proven Theorem-6 lower bound on the optimum (see
 //! [`ExactResult`]).
 
+use crate::clock::{deadline_after, expired};
 use crate::distance::{DistanceParams, QueryDistances};
 use crate::error::{check_query_node, root_of, CsagError};
 use crate::sea::prefix_ladder;
@@ -280,8 +281,7 @@ impl<'g> Exact<'g> {
         // Theorem-6 bound before enumeration starts, which shrinks the
         // search tree by orders of magnitude on homogeneous-attribute
         // communities.
-        let deadline = params.time_budget.map(|b| start + b);
-        let past_deadline = || deadline.is_some_and(|d| Instant::now() >= d);
+        let deadline = deadline_after(start, params.time_budget);
         let mut incumbent = (root.clone(), root_delta);
         prefix_ladder(
             maintainer,
@@ -299,7 +299,7 @@ impl<'g> Exact<'g> {
                         incumbent.1 = d;
                     }
                 }
-                if past_deadline() {
+                if expired(deadline) {
                     ControlFlow::Break(())
                 } else {
                     ControlFlow::Continue(())
@@ -311,7 +311,7 @@ impl<'g> Exact<'g> {
         let mut shrunk = ws.take_nodes();
         let mut cand = ws.take_nodes();
         cur.extend_from_slice(&incumbent.0);
-        while !past_deadline() {
+        while !expired(deadline) {
             let Some((_, worst)) = cur
                 .iter()
                 .filter(|&&v| v != q)
@@ -383,7 +383,7 @@ fn enumerate(
 ) {
     // A budget of B admits B states and stops at the attempt to enter
     // state B + 1, which the stop leaves unexplored.
-    if ctx.states >= ctx.state_budget || ctx.deadline.is_some_and(|d| Instant::now() >= d) {
+    if ctx.states >= ctx.state_budget || expired(ctx.deadline) {
         ctx.out_of_budget = true;
         fold_unexplored(ctx, dist, state);
         return;

@@ -13,6 +13,8 @@
 //!   size-bounded extension (§VI-B) and the k-truss model (§VI-C).
 //! * [`hetero_cs`] — the heterogeneous-graph extension: approximate
 //!   (k,P)-core/(k,P)-truss search over meta-path projections (§VI-A).
+//! * [`clock`] — the one stop rule of a wall-clock budget: a checked
+//!   conversion to a deadline, polled at each method's loop head.
 //!
 //! ```
 //! use csag_core::distance::DistanceParams;
@@ -38,6 +40,7 @@
 //! assert_eq!(result.community, vec![0, 1, 2]);
 //! ```
 
+pub mod clock;
 pub mod distance;
 pub mod error;
 pub mod exact;

@@ -30,6 +30,7 @@
 //! one [`QueryDistances`] table per `(q, γ)` serves growth, sampling
 //! weights and estimation.
 
+use crate::clock::{deadline_after, expired};
 use crate::distance::{DistanceParams, QueryDistances};
 use crate::error::{check_query_node, CsagError};
 use csag_decomp::{CommunityModel, EpochIndex, Maintainer};
@@ -69,6 +70,11 @@ pub struct SeaParams {
     pub max_rounds: usize,
     /// Optional size bound `[l, h]` (§VI-B).
     pub size_bound: Option<(usize, usize)>,
+    /// Wall-clock budget (`None` = unlimited), polled at each round's
+    /// head once some candidate has been estimated. A stopped search
+    /// answers like the same query whose `max_rounds` is the number of
+    /// rounds it ran.
+    pub time_budget: Option<Duration>,
 }
 
 impl Default for SeaParams {
@@ -84,6 +90,7 @@ impl Default for SeaParams {
             blb: Blb::default(),
             max_rounds: 5,
             size_bound: None,
+            time_budget: None,
         }
     }
 }
@@ -239,10 +246,11 @@ pub struct SeaResult {
     /// Confidence interval δ⋆ ± ε of `community` at the requested level.
     pub ci: ConfidenceInterval,
     /// Whether Theorem 11's stopping rule fired on some candidate of this
-    /// run (`false` when `max_rounds` ran out, the whole population was
-    /// sampled, or a draw added nothing). `community` is the lowest-δ⋆
-    /// candidate estimated, not necessarily the one that fired, so a
-    /// certified result's `ci` can be wider than Theorem 11 allows.
+    /// run (`false` when `max_rounds` or the time budget ran out, the
+    /// whole population was sampled, or a draw added nothing).
+    /// `community` is the lowest-δ⋆ candidate estimated, not necessarily
+    /// the one that fired, so a certified result's `ci` can be wider than
+    /// Theorem 11 allows.
     pub certified: bool,
     /// Round-by-round log (Table VI).
     pub rounds: Vec<SeaRound>,
@@ -546,7 +554,7 @@ fn search_population<R: Rng + ?Sized>(
 }
 
 /// The search proper, with `q` already in the sample; the ladder's scratch
-/// comes from `ws`.
+/// comes from `ws`. The time budget runs from here.
 fn sea_population_inner<R: Rng + ?Sized>(
     maintainer: &mut Maintainer<'_>,
     population: &[NodeId],
@@ -572,6 +580,7 @@ fn sea_population_inner<R: Rng + ?Sized>(
             }
         ))
     };
+    let deadline = deadline_after(Instant::now(), params.time_budget);
     let z = z_for_confidence(params.confidence);
     let mut timing = SeaTiming::default();
     let mut rounds: Vec<SeaRound> = Vec::new();
@@ -591,6 +600,12 @@ fn sea_population_inner<R: Rng + ?Sized>(
 
     let mut round = 0usize;
     while round < params.max_rounds || best.is_none() {
+        // The one clock poll: between rounds, once there is an answer to
+        // return, so a stopped search is the same query capped at the
+        // rounds it ran.
+        if best.is_some() && expired(deadline) {
+            break;
+        }
         round += 1;
         let round_start = Instant::now();
 

@@ -164,14 +164,15 @@ static COMMANDS: [Command; 12] = [
     Command {
         name: "query",
         synopsis: "<graph.txt> --method M --query Q --k K   any method through one command",
-        help: "common flags: --gamma G (0..1, default 0.5)  --truss  --seed S  --json",
+        help: "common flags: --gamma G (0..1, default 0.5)  --truss  --seed S  --json\n\
+               --budget-ms MS (stop early, report best found; unbounded by default)",
         flags: &[SEARCH_FLAGS, &["method"]],
         run: cmd_search,
     },
     Command {
         name: "exact",
         synopsis: "<graph.txt> --query Q --k K      exact CS-AG (δ-optimal community)",
-        help: "exact flags:  --budget-ms MS (stop early, report best found; unbounded by default)",
+        help: "",
         flags: &[SEARCH_FLAGS],
         run: cmd_search,
     },

@@ -15,6 +15,7 @@ use crate::engine::{
     ApplyError, CommunityResult, CsagError, GraphStore, GraphUpdate, Snapshot, UpdateReport,
 };
 use crate::json::Writer;
+use csag_core::clock::deadline_after;
 use csag_graph::{AttributedGraph, NodeId, QueryWorkspace};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError, RwLock};
@@ -411,7 +412,7 @@ impl Router {
     /// caught up (vacuously, when no member is healthy).
     pub fn wait_caught_up(&self, timeout: Duration) -> bool {
         let target = self.primary.published_epoch();
-        let deadline = Instant::now() + timeout;
+        let deadline = deadline_after(Instant::now(), Some(timeout));
         // A copy of the table: the wait must not hold up a handshake
         // that wants to add a member.
         let members = self.members().clone();
@@ -419,7 +420,8 @@ impl Router {
             .iter()
             .filter(|m| m.status.health() == ReplicaHealth::Healthy)
             .all(|m| {
-                let left = deadline.saturating_duration_since(Instant::now());
+                let left =
+                    deadline.map_or(timeout, |at| at.saturating_duration_since(Instant::now()));
                 m.watermark.wait_for(target, left)
             })
     }

@@ -402,8 +402,10 @@ impl Engine {
                 let mut m = Maintainer::in_workspace(g, index, query.model, query.k, ws);
                 let found = match query.method {
                     Method::Acq => baselines::acq(&mut m, q),
-                    Method::Atc => baselines::loc_atc(&mut m, q),
-                    Method::Vac => baselines::vac(&mut m, dist, query.vac_iteration_cap),
+                    Method::Atc => baselines::loc_atc(&mut m, q, query.time_budget),
+                    Method::Vac => {
+                        baselines::vac(&mut m, dist, query.vac_iteration_cap, query.time_budget)
+                    }
                     Method::EVac => {
                         let limits = baselines::EVacLimits {
                             state_budget: query.state_budget,

@@ -153,7 +153,11 @@ pub struct CommunityQuery {
     pub pruning: PruningConfig,
     /// Search-tree state budget ([`Method::Exact`] / [`Method::EVac`]).
     pub state_budget: Option<u64>,
-    /// Wall-clock budget ([`Method::Exact`] / [`Method::EVac`]).
+    /// Wall-clock budget. Every method that loops polls it at its loop
+    /// head — SEA between rounds once it has a candidate, Exact and E-VAC
+    /// per state, VAC per round, LocATC per step — and a stopped search
+    /// answers with its best community so far; ACQ's one bounded pass
+    /// ignores it. A service deadline only ever lowers it.
     pub time_budget: Option<Duration>,
     /// Peeling-iteration cap for [`Method::Vac`].
     pub vac_iteration_cap: Option<usize>,
@@ -331,90 +335,6 @@ impl CommunityQuery {
         Ok(())
     }
 
-    /// Derives a query that fits the remaining wall-clock budget — the
-    /// serving layer's accuracy-for-latency seam (the paper's whole
-    /// trade-off, applied per request).
-    ///
-    /// With `remaining ≥ full_effort` the query runs untouched apart
-    /// from clamping any wall-clock budget to the deadline. Below that,
-    /// effort scales with `r = remaining / full_effort` and the second
-    /// element of the return value is `true`:
-    ///
-    /// * **SEA variants** — fewer sampling/estimation rounds
-    ///   (`⌈max_rounds·r⌉`, at least 1), a smaller initial sampling
-    ///   fraction, and a proportionally looser requested error bound
-    ///   `e/r` (capped below 1). The result's certificate still reports
-    ///   the bound *actually achieved*, so degradation is observable,
-    ///   never silent.
-    /// * **Exact / E-VAC** — a state budget derived from the remaining
-    ///   milliseconds (a coarse states-per-millisecond calibration;
-    ///   the exact wall-clock budget backstops it), so a late request
-    ///   returns its best community so far — Exact's with a proven
-    ///   error bound — instead of blowing through the deadline.
-    /// * **VAC** — a proportionally smaller peeling-iteration cap.
-    /// * **ACQ / ATC** — unchanged (already cheap local heuristics).
-    ///
-    /// The derived query always still passes
-    /// [`CommunityQuery::validate`].
-    pub fn fit_to_deadline(&self, remaining: Duration, full_effort: Duration) -> (Self, bool) {
-        /// Floor effort tier: even an already-expired deadline gets 5%
-        /// of the full-effort envelope — degrading to a small bounded
-        /// slice, never to nothing.
-        const MIN_RATIO: f64 = 0.05;
-        let mut q = self.clone();
-        if remaining >= full_effort || full_effort.is_zero() {
-            // Roomy deadline: full effort, with the deadline as a hard
-            // wall-clock backstop for the methods that understand one
-            // (others ignore it, harmlessly).
-            q.time_budget = Some(match self.time_budget {
-                Some(t) => t.min(remaining),
-                None => remaining,
-            });
-            return (q, false);
-        }
-        let granted = remaining.max(full_effort.mul_f64(MIN_RATIO));
-        q.time_budget = Some(match self.time_budget {
-            Some(t) => t.min(granted),
-            None => granted,
-        });
-        let r = (granted.as_secs_f64() / full_effort.as_secs_f64()).clamp(MIN_RATIO, 1.0);
-        match q.method {
-            Method::Sea | Method::SeaSizeBounded | Method::SeaHetero => {
-                // Rounds are the latency lever (each incremental round
-                // re-samples and re-estimates); the initial sampling
-                // fraction stays intact and at least one incremental
-                // round survives (a first candidate that misses the
-                // bound can still be refined once), so a degraded answer
-                // is still an answer — just with a proportionally looser
-                // bound. Rounds whose sample holds no community yet do
-                // not count against the cap.
-                let floor = 2.min(q.max_rounds).max(1);
-                q.max_rounds = ((q.max_rounds as f64 * r).ceil() as usize).max(floor);
-                q.error_bound = (q.error_bound / r).min(0.95);
-            }
-            Method::Exact | Method::EVac => {
-                // Calibration: roughly how many search-tree states a
-                // millisecond buys on commodity hardware; the wall-clock
-                // budget above backstops machines that run slower.
-                const STATES_PER_MS: u64 = 2_000;
-                let derived = (granted.as_millis() as u64)
-                    .saturating_mul(STATES_PER_MS)
-                    .max(256);
-                q.state_budget = Some(q.state_budget.map_or(derived, |b| b.min(derived)));
-            }
-            Method::Vac => {
-                if let Some(cap) = q.vac_iteration_cap {
-                    // Scale down with a floor, but never past the
-                    // caller's own cap — degradation must not do MORE
-                    // work than the undegraded query.
-                    q.vac_iteration_cap = Some(((cap as f64 * r) as usize).max(64).min(cap));
-                }
-            }
-            Method::Acq | Method::Atc => {}
-        }
-        (q, true)
-    }
-
     /// The distance parameters implied by `gamma`.
     pub fn distance_params(&self) -> DistanceParams {
         DistanceParams::with_gamma(self.gamma)
@@ -431,6 +351,7 @@ impl CommunityQuery {
             hoeffding_confidence: self.hoeffding_confidence,
             lambda: self.lambda,
             max_rounds: self.max_rounds,
+            time_budget: self.time_budget,
             ..SeaParams::default()
         };
         p.size_bound = self.size_bound;
@@ -488,44 +409,6 @@ mod tests {
     }
 
     #[test]
-    fn deadline_fit_degrades_but_stays_valid() {
-        let full = Duration::from_millis(200);
-        // A roomy deadline only clamps the wall-clock budget.
-        let q = CommunityQuery::new(Method::Sea, 0);
-        let (fitted, degraded) = q.fit_to_deadline(Duration::from_secs(1), full);
-        assert!(!degraded);
-        assert_eq!(fitted.max_rounds, q.max_rounds);
-        assert_eq!(fitted.time_budget, Some(Duration::from_secs(1)));
-
-        // A tight deadline cheapens SEA: fewer rounds, looser bound.
-        let (fitted, degraded) = q.fit_to_deadline(Duration::from_millis(20), full);
-        assert!(degraded);
-        assert!(fitted.max_rounds < q.max_rounds && fitted.max_rounds >= 1);
-        assert!(fitted.error_bound > q.error_bound && fitted.error_bound < 1.0);
-        fitted.validate().expect("derived query must stay runnable");
-
-        // Exact gains a state budget derived from the remaining time,
-        // never looser than one the caller already set.
-        let q = CommunityQuery::new(Method::Exact, 0).with_state_budget(500);
-        let (fitted, degraded) = q.fit_to_deadline(Duration::from_millis(10), full);
-        assert!(degraded);
-        assert_eq!(fitted.state_budget, Some(500), "caller budget was tighter");
-        let q = CommunityQuery::new(Method::Exact, 0);
-        let (fitted, _) = q.fit_to_deadline(Duration::from_millis(10), full);
-        assert!(fitted.state_budget.unwrap() >= 256);
-        fitted.validate().unwrap();
-
-        // An already-expired deadline still yields a runnable floor
-        // tier, keeping one incremental recovery round.
-        let (fitted, degraded) =
-            CommunityQuery::new(Method::Sea, 0).fit_to_deadline(Duration::ZERO, full);
-        assert!(degraded);
-        assert_eq!(fitted.max_rounds, 2);
-        assert!(fitted.time_budget.unwrap() > Duration::ZERO, "floor grant");
-        fitted.validate().unwrap();
-    }
-
-    #[test]
     fn knobs_map_onto_core_params() {
         let q = CommunityQuery::new(Method::Exact, 3)
             .with_k(5)
@@ -543,7 +426,8 @@ mod tests {
             .with_error_bound(0.1)
             .with_hoeffding(0.2, 0.9)
             .with_lambda(0.5)
-            .with_size_bound(3, 9);
+            .with_size_bound(3, 9)
+            .with_time_budget(Duration::from_millis(7));
         let s = q.sea_params();
         assert_eq!(s.k, 4);
         assert_eq!(s.error_bound, 0.1);
@@ -551,5 +435,6 @@ mod tests {
         assert_eq!(s.hoeffding_confidence, 0.9);
         assert_eq!(s.lambda, 0.5);
         assert_eq!(s.size_bound, Some((3, 9)));
+        assert_eq!(s.time_budget, Some(Duration::from_millis(7)));
     }
 }

@@ -75,6 +75,7 @@
 use super::{CsagError, DistanceKey, Engine};
 use crate::cluster::LogRecord;
 use crate::durability::{DurabilityStatus, RecoveryReport, Wal, WalConfig, WalError};
+use csag_core::clock::deadline_after;
 use csag_core::distance::QueryDistances;
 use csag_decomp::{core_decomposition, TrussMaintainer};
 use csag_graph::{Applied, AttributedGraph, GraphError, MutableGraph, NodeId};
@@ -316,12 +317,13 @@ impl EpochCell {
     }
 
     /// Blocks until `epoch` (or later) is published, or `timeout`
-    /// elapses. Returns `true` when the epoch was reached.
+    /// elapses (never, when it reaches past what [`Instant`] can
+    /// represent). Returns `true` when the epoch was reached.
     pub(crate) fn wait_for(&self, epoch: u64, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
+        let deadline = deadline_after(Instant::now(), Some(timeout));
         let mut current = self.epoch.lock().unwrap_or_else(PoisonError::into_inner);
         while *current < epoch {
-            let left = deadline.saturating_duration_since(Instant::now());
+            let left = deadline.map_or(timeout, |at| at.saturating_duration_since(Instant::now()));
             if left.is_zero() {
                 return false;
             }

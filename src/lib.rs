@@ -15,8 +15,8 @@
 //! * [`service`] — **the serving layer over the engine**: an
 //!   admission-controlled [`service::Service`] with bounded queueing
 //!   (overload sheds with typed `Overloaded` errors), priorities,
-//!   per-request deadlines that *degrade* accuracy instead of timing
-//!   out, coalescing of identical in-flight queries, serving metrics,
+//!   per-request deadlines that *stop* a search at its best answer so
+//!   far instead of timing out, coalescing of identical in-flight queries, serving metrics,
 //!   the `csag-wire` JSON-lines protocol behind `csag serve`, and the
 //!   pipelined socket transport ([`service::Transport`], csag-wire v2
 //!   over TCP / unix-domain sockets — see `docs/wire-protocol.md`),

@@ -177,7 +177,7 @@ pub struct MetricsSnapshot {
     pub completed: u64,
     /// Waiters answered with a typed error.
     pub failed: u64,
-    /// Waiters whose query was degraded by deadline pressure.
+    /// Waiters whose search returned at or after its tightest deadline.
     pub degraded: u64,
     /// Engine computations actually executed.
     pub executed: u64,

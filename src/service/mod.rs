@@ -29,22 +29,22 @@
 //! 3. **Identical in-flight queries coalesce.** Two admitted requests
 //!    whose queries fingerprint identically (same knobs, same seed,
 //!    *same store epoch*, and the same deadline *presence* — a
-//!    deadline-free request asked for full effort and never rides a
-//!    potentially degraded computation) share one engine computation;
+//!    deadline-free request never rides a computation the clock may
+//!    stop) share one engine computation;
 //!    every waiter receives the same `Arc<CommunityResult>`
 //!    (observable via `Arc::ptr_eq`). Coalesced requests still consume
 //!    admission slots — coalescing dedups *work*, not *load
 //!    accounting* — and a higher-priority duplicate escalates the
 //!    queued job.
-//! 4. **Deadlines degrade, they don't kill.** At dispatch the
-//!    remaining wall time of the job's tightest deadline is mapped
-//!    onto the method's effort knobs
-//!    ([`CommunityQuery::fit_to_deadline`](crate::engine::CommunityQuery::fit_to_deadline)):
-//!    SEA runs fewer rounds against a proportionally looser requested
-//!    bound, exact search gets a derived state budget. The response's
-//!    `degraded` flag and the result's accuracy certificate make the
-//!    cheaper answer observable — the paper's accuracy-for-latency
-//!    trade-off, applied per request.
+//! 4. **Deadlines stop a search, they never rewrite it.** At dispatch
+//!    the time left before the job's tightest deadline caps the query's
+//!    [`time_budget`](crate::engine::CommunityQuery::time_budget), which
+//!    every method that loops polls at its loop head. A late request
+//!    answers with its best community so far instead of timing out:
+//!    SEA's certificate is still judged against the requested error
+//!    bound, Exact's is its proven bracket. The response's `degraded`
+//!    flag says the search returned at or after that deadline; a
+//!    deadline too far away to represent never expires.
 //! 5. **Epoch isolation.** Each job pins a store [`Snapshot`] at
 //!    admission; queries never coalesce across epochs, and the
 //!    response names the epoch it answered from.

@@ -116,10 +116,10 @@ pub struct Request {
     pub query: CommunityQuery,
     /// Scheduling priority (default [`Priority::Standard`]).
     pub priority: Priority,
-    /// Latency budget, measured from submission. A request that cannot
-    /// run at full effort inside it is *degraded* to a cheaper (ε, δ)
-    /// configuration (see [`CommunityQuery::fit_to_deadline`]) rather
-    /// than timed out.
+    /// Latency budget, measured from submission. At dispatch the time
+    /// left caps the query's [`CommunityQuery::time_budget`], so a late
+    /// request answers with its best community so far rather than
+    /// timing out. A deadline too far away to represent never expires.
     pub deadline: Option<Duration>,
     /// Tenant/workload label, echoed in the response.
     pub class: QueryClass,
@@ -185,14 +185,15 @@ pub struct Response {
     /// instead of running its own (its `outcome` is then the *same*
     /// `Arc` every coalesced waiter got).
     pub coalesced: bool,
-    /// Whether deadline pressure degraded the query to a cheaper
-    /// configuration before it ran.
+    /// Whether the search returned at or after the tightest deadline
+    /// among the requests sharing its computation, so the clock may
+    /// have stopped it early.
     pub degraded: bool,
     /// Time the request spent queued before a worker picked it up.
     pub queue_wait: Duration,
     /// Wall-clock margin left on the deadline when the answer was ready
     /// (negative: the deadline was missed by that much; `None`: no
-    /// deadline was set).
+    /// deadline was set, or it lies too far away to represent).
     pub deadline_slack_ms: Option<f64>,
     /// Global completion sequence number (strictly increasing in the
     /// order computations finished; coalesced waiters share their

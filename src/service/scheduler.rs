@@ -1,7 +1,8 @@
 //! The worker-pool scheduler: a priority queue of *jobs* (one job per
-//! distinct in-flight computation), coalescing of identical queries,
-//! deadline-aware budget derivation at dispatch time, and fan-out of
-//! one shared `Arc<CommunityResult>` to every waiter.
+//! distinct in-flight computation), coalescing of identical queries, a
+//! dispatch-time cap of the query's time budget at its tightest
+//! deadline, and fan-out of one shared `Arc<CommunityResult>` to every
+//! waiter.
 //!
 //! Locking discipline: all scheduler state lives behind one mutex
 //! (`Shared::state`); the critical sections are map/heap operations
@@ -14,6 +15,7 @@ use crate::service::admission::Admission;
 use crate::service::metrics::ServiceMetrics;
 use crate::service::request::{Priority, QueryClass, Request, Response, Ticket};
 use crate::service::transport::Outgoing;
+use csag_core::clock::{deadline_after, expired};
 use csag_graph::QueryWorkspace;
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::{BinaryHeap, HashMap};
@@ -98,11 +100,6 @@ impl PartialOrd for ReadyEntry {
         Some(self.cmp(other))
     }
 }
-
-/// Wall-time under which deadline pressure starts degrading effort
-/// (invariant 4): a request with at least this much deadline left runs
-/// at full effort.
-const FULL_EFFORT_LATENCY: Duration = Duration::from_millis(200);
 
 /// Mutex-guarded scheduler state.
 pub(crate) struct SchedState {
@@ -281,7 +278,7 @@ impl Shared {
                 priority: req.priority,
                 class: req.class,
                 submitted: now,
-                deadline_at: req.deadline.map(|d| now + d),
+                deadline_at: deadline_after(now, req.deadline),
                 coalesced: false,
                 reply,
             };
@@ -383,14 +380,15 @@ impl Shared {
         self.work.notify_all();
     }
 
-    /// The worker loop: pick the highest-priority queued job, derive a
-    /// deadline-fitted query, run it on this worker's private
-    /// workspace, and fan the shared outcome out to every waiter.
+    /// The worker loop: pick the highest-priority queued job, cap its
+    /// time budget at the tightest waiter's deadline, run it on this
+    /// worker's private workspace, and fan the shared outcome out to
+    /// every waiter.
     pub(crate) fn worker_loop(self: &Arc<Self>) {
         let mut ws = QueryWorkspace::new();
         loop {
             // Pick a job (or exit once shut down and drained).
-            let (job_id, query, routed, earliest_deadline) = {
+            let (job_id, mut query, routed, earliest_deadline) = {
                 let mut st = self.lock();
                 let picked = loop {
                     if st.shutdown && st.ready.is_empty() {
@@ -430,18 +428,14 @@ impl Shared {
                 )
             };
 
-            // Deadline-aware budget derivation: the remaining wall time
-            // (of the *tightest* waiter) maps onto SEA round/sample
-            // budgets or exact state budgets, so a late request degrades
-            // to a cheaper (ε, δ) answer instead of timing out.
+            // A deadline stops the search, it never rewrites the query:
+            // the tightest waiter's remaining time caps the time budget
+            // every looping method polls.
             let dispatched = Instant::now();
-            let (derived, degraded) = match earliest_deadline {
-                Some(at) => query.fit_to_deadline(
-                    at.saturating_duration_since(dispatched),
-                    FULL_EFFORT_LATENCY,
-                ),
-                None => (query, false),
-            };
+            if let Some(at) = earliest_deadline {
+                let remaining = at.saturating_duration_since(dispatched);
+                query.time_budget = Some(query.time_budget.map_or(remaining, |t| t.min(remaining)));
+            }
 
             // Execute outside the lock, on this worker's workspace. A
             // panicking query must not wedge the job (its waiters would
@@ -449,11 +443,14 @@ impl Shared {
             // coalesce onto the corpse): catch the unwind, answer the
             // waiters with a typed error, and retire the worker's
             // workspace (its pooled state may be mid-mutation).
-            let warm = routed.warm_hit(derived.q, derived.gamma);
+            let warm = routed.warm_hit(query.q, query.gamma);
             let t = Instant::now();
-            let outcome = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                routed.run_with_workspace(&derived, &mut ws)
-            })) {
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                routed.run_with_workspace(&query, &mut ws)
+            }));
+            // Degraded: the search ran into its tightest deadline.
+            let degraded = expired(earliest_deadline);
+            let outcome = match run {
                 Ok(outcome) => outcome.map(Arc::new),
                 Err(panic) => {
                     ws = QueryWorkspace::new();
@@ -534,10 +531,9 @@ impl Shared {
 /// change the answer, plus the epoch the pinned snapshot serves —
 /// queries against different graph versions must never coalesce —
 /// plus whether the request carries a deadline at all: a deadline-free
-/// request asked for full effort and must never ride a potentially
-/// degraded computation (deadlined requests coalesce with each other;
-/// the tightest deadline governs). Floats contribute their exact bit
-/// patterns.
+/// request must never ride a computation the clock may stop (deadlined
+/// requests coalesce with each other; the tightest deadline governs).
+/// Floats contribute their exact bit patterns.
 fn fingerprint(q: &CommunityQuery, epoch: u64, deadlined: bool) -> String {
     let mut s = String::with_capacity(128);
     let _ = write!(
@@ -581,7 +577,7 @@ mod tests {
         assert_ne!(
             fingerprint(&base, 0, false),
             fingerprint(&base, 0, true),
-            "full-effort requests never ride a possibly degraded job"
+            "deadline-free requests never ride a job the clock may stop"
         );
         assert_ne!(
             fingerprint(&base, 0, false),

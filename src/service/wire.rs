@@ -185,8 +185,10 @@ fn num_field(key: &str, v: &Value) -> Result<f64, String> {
         .ok_or_else(|| format!("\"{key}\" must be a number, got {v:?}"))
 }
 
-/// A span of fractional milliseconds; negative, non-finite and
-/// unrepresentably large values are rejected (never a panic).
+/// A span of fractional milliseconds; negative, non-finite and values
+/// beyond `Duration`'s range are rejected. A span too long for the clock
+/// to represent as a deadline is accepted: such a deadline or budget never
+/// expires.
 fn millis_field(key: &str, v: &Value) -> Result<Duration, String> {
     Duration::try_from_secs_f64(num_field(key, v)? / 1e3)
         .map_err(|_| format!("\"{key}\" must be a non-negative number of milliseconds"))
@@ -217,6 +219,27 @@ fn u32_field(key: &str, v: &Value) -> Result<u32, String> {
 mod tests {
     use super::*;
     use std::sync::Arc;
+
+    /// A deadline or budget the clock cannot represent (1e22 ms is a valid
+    /// `Duration`, but no `Instant` lies that far ahead) never expires,
+    /// and costs neither the submitting thread nor a worker a panic.
+    #[test]
+    fn a_deadline_too_far_to_represent_never_expires() {
+        use crate::service::{Service, ServiceConfig};
+        let (graph, q) = crate::datasets::paper_examples::figure1_imdb();
+        let service = Service::over_graph(graph, ServiceConfig::default().with_workers(1));
+        for fields in [
+            r#""method":"sea","deadline_ms":1e22"#,
+            r#""method":"exact","budget_ms":1e22"#,
+        ] {
+            let line = format!(r#"{{"q":{q},"k":3,{fields}}}"#);
+            let wire = parse_wire_request(&line, 0).unwrap();
+            let response = service.run(wire.request).expect("admitted");
+            assert!(!response.degraded, "{line}");
+            let result = response.outcome.unwrap_or_else(|e| panic!("{line}: {e}"));
+            assert!(result.community.contains(&q));
+        }
+    }
 
     #[test]
     fn full_request_round_trips_every_field() {

@@ -7,11 +7,12 @@ use csag::datasets::generator::{generate, SyntheticConfig};
 use csag::datasets::paper_examples::figure1_imdb;
 use csag::datasets::random_queries;
 use csag::decomp::{CommunityModel, EpochIndex};
-use csag::engine::{CommunityQuery, CsagError, Engine, Method};
+use csag::engine::{outcome_identity, CommunityQuery, CsagError, Engine, Method};
 use csag::graph::{GraphBuilder, NodeId};
 use csag::stats::satisfies_error_bound;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::time::Duration;
 
 /// The Figure 2(c)/Figure 3 example from the paper: a connected 2-core on
 /// six nodes with known composite distances (γ = 0).
@@ -379,8 +380,8 @@ fn one_template_replays_across_methods() {
 }
 
 /// A round whose sample holds no root doubles the sample and must not use
-/// up `max_rounds` (which `fit_to_deadline` cuts to 2): "no community"
-/// means the whole population was peeled. Every node the engine's screen
+/// up a small `max_rounds` (nor let a time budget stop the search): "no
+/// community" means the whole population was peeled. Every node the engine's screen
 /// admits has a community, so SEA answers it at one or two rounds too.
 #[test]
 fn few_rounds_never_turn_an_admitted_node_into_no_community() {
@@ -501,6 +502,88 @@ fn overflowing_numeric_ranges_still_answer_with_finite_deltas() {
                 delta.is_finite(),
                 "{:?} on the {source} graph: δ = {delta}",
                 query.method
+            );
+        }
+    }
+}
+
+/// A zero time budget stops every loop at its first poll. SEA polls at a
+/// round's head once it holds a candidate, so a stopped SEA answer is the
+/// same query capped at one round; VAC polls before each peeling round, so
+/// it answers like an iteration cap of 0. Pinned over every admitted node
+/// of a generated graph, in both models.
+#[test]
+fn a_zero_time_budget_answers_like_the_smallest_effort_cap() {
+    let (g, _) = generate(
+        &SyntheticConfig {
+            nodes: 300,
+            communities: 5,
+            ..Default::default()
+        },
+        9,
+    );
+    let engine = Engine::new(g);
+    let k = 3;
+    let answer = |query: &CommunityQuery| outcome_identity(&engine.run(query), false);
+    for model in [CommunityModel::KCore, CommunityModel::KTruss] {
+        let screen = match model {
+            CommunityModel::KCore => engine.coreness().to_vec(),
+            CommunityModel::KTruss => engine.node_trussness().to_vec(),
+        };
+        let admitted: Vec<NodeId> = (0..engine.graph().n() as NodeId)
+            .filter(|&v| screen[v as usize] >= k)
+            .step_by(7)
+            .collect();
+        assert!(admitted.len() > 10, "{model}: {} admitted", admitted.len());
+        for &q in &admitted {
+            let base = |method| {
+                CommunityQuery::new(method, q)
+                    .with_k(k)
+                    .with_model(model)
+                    .with_seed(u64::from(q))
+            };
+            for sea in [
+                base(Method::Sea),
+                base(Method::SeaSizeBounded).with_size_bound(3, 12),
+            ] {
+                assert_eq!(
+                    answer(&sea.clone().with_time_budget(Duration::ZERO)),
+                    answer(&sea.clone().with_max_rounds(1)),
+                    "{} {model} q = {q}",
+                    sea.method
+                );
+            }
+            let vac = base(Method::Vac);
+            assert_eq!(
+                answer(&vac.clone().with_time_budget(Duration::ZERO)),
+                answer(&vac.clone().with_vac_iteration_cap(Some(0))),
+                "vac {model} q = {q}"
+            );
+        }
+    }
+}
+
+/// A budget the clock cannot represent (`Instant + Duration::MAX`
+/// overflows) never expires: every method answers exactly as without one.
+#[test]
+fn a_time_budget_too_far_to_represent_never_expires() {
+    let (g, q) = figure1_imdb();
+    let engine = Engine::new(g);
+    for model in [CommunityModel::KCore, CommunityModel::KTruss] {
+        for method in Method::ALL {
+            if method == Method::SeaHetero {
+                continue;
+            }
+            let mut query = CommunityQuery::new(method, q).with_k(3).with_model(model);
+            if method == Method::SeaSizeBounded {
+                query = query.with_size_bound(3, 6);
+            }
+            let unbounded = outcome_identity(&engine.run(&query), false);
+            let query = query.with_time_budget(Duration::MAX);
+            assert_eq!(
+                outcome_identity(&engine.run(&query), false),
+                unbounded,
+                "{method} {model}"
             );
         }
     }

@@ -132,11 +132,12 @@ fn standalone(
             })
         }
         Method::Acq => acq(&mut maintainer(), q).map(baseline),
-        Method::Atc => loc_atc(&mut maintainer(), q).map(baseline),
+        Method::Atc => loc_atc(&mut maintainer(), q, None).map(baseline),
         Method::Vac => vac(
             &mut maintainer(),
             &QueryDistances::new(q, g.n(), dp),
             query.vac_iteration_cap,
+            None,
         )
         .map(baseline),
         Method::EVac => {

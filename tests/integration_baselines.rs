@@ -44,11 +44,17 @@ fn each_method_wins_its_own_metric() {
         )
         .unwrap_or_else(|e| panic!("expected a {k}-core around node {q}: {e}"));
     let acq_r = acq(&mut Maintainer::new(&g, &EpochIndex::new(), model, k), q).unwrap();
-    let atc_r = loc_atc(&mut Maintainer::new(&g, &EpochIndex::new(), model, k), q).unwrap();
+    let atc_r = loc_atc(
+        &mut Maintainer::new(&g, &EpochIndex::new(), model, k),
+        q,
+        None,
+    )
+    .unwrap();
     let vac_r = vac(
         &mut Maintainer::new(&g, &EpochIndex::new(), model, k),
         &QueryDistances::new(q, g.n(), dp),
         Some(2_000),
+        None,
     )
     .unwrap();
 
@@ -113,6 +119,7 @@ fn e_vac_dominates_vac_on_minmax() {
             &mut Maintainer::new(&g, &EpochIndex::new(), CommunityModel::KCore, k),
             &QueryDistances::new(q, g.n(), dp),
             Some(2_000),
+            None,
         ) else {
             continue;
         };
@@ -149,13 +156,18 @@ fn all_methods_produce_valid_kcores() {
         acq(&mut Maintainer::new(&g, &EpochIndex::new(), model, k), q)
             .unwrap()
             .community,
-        loc_atc(&mut Maintainer::new(&g, &EpochIndex::new(), model, k), q)
-            .unwrap()
-            .community,
+        loc_atc(
+            &mut Maintainer::new(&g, &EpochIndex::new(), model, k),
+            q,
+            None,
+        )
+        .unwrap()
+        .community,
         vac(
             &mut Maintainer::new(&g, &EpochIndex::new(), model, k),
             &QueryDistances::new(q, g.n(), dp),
             Some(2_000),
+            None,
         )
         .unwrap()
         .community,

@@ -1,11 +1,15 @@
 //! Integration tests for `csag::service`: the admission, coalescing,
-//! priority, deadline-degradation, and epoch-pinning invariants the
+//! priority, deadline, and epoch-pinning invariants the
 //! module docs promise — exercised deterministically through the
 //! `start_paused` seam (submissions queue while dequeuing is held, so
 //! overload and ordering are not racy).
 
+use csag::cluster::Router;
 use csag::datasets::paper_examples::figure1_imdb;
-use csag::engine::{CommunityQuery, CsagError, GraphStore, GraphUpdate, Method};
+use csag::decomp::CommunityModel;
+use csag::engine::{
+    outcome_identity, CommunityQuery, CsagError, Engine, GraphStore, GraphUpdate, Method,
+};
 use csag::service::{Priority, Request, Response, Service, ServiceConfig};
 use std::sync::Arc;
 use std::time::Duration;
@@ -175,9 +179,9 @@ fn distinct_queries_complete_in_priority_order_under_overload() {
 fn tight_deadlines_degrade_instead_of_timing_out() {
     let (graph, q) = figure1_imdb();
     let service = Service::over_graph(graph, ServiceConfig::default().with_workers(1).paused());
-    // The tight request is exact: deadline pressure degrades it to a
-    // derived state budget (the demo graph fits comfortably inside the
-    // floor tier, so the answer stays exact and complete).
+    // The tight request is exact: its lapsed deadline caps the time
+    // budget at zero, so the search stops at its first poll and answers
+    // with the warm start's incumbent.
     let tight = service
         .submit(
             Request::new(CommunityQuery::new(Method::Exact, q).with_k(3))
@@ -193,8 +197,8 @@ fn tight_deadlines_degrade_instead_of_timing_out() {
     service.resume();
 
     let tight = tight.wait();
-    assert!(tight.degraded, "expired deadline ⇒ floor-effort tier");
-    let result = tight.outcome.expect("degraded requests still answer");
+    assert!(tight.degraded, "expired deadline ⇒ a clock-stopped search");
+    let result = tight.outcome.expect("stopped searches still answer");
     assert!(result.community.contains(&q));
     assert!(
         tight.deadline_slack_ms.expect("deadline was set") < 0.0,
@@ -202,10 +206,127 @@ fn tight_deadlines_degrade_instead_of_timing_out() {
     );
 
     let roomy = roomy.wait();
-    assert!(!roomy.degraded, "a roomy deadline runs at full effort");
+    assert!(!roomy.degraded, "a roomy deadline never stops the search");
     assert!(roomy.deadline_slack_ms.expect("deadline was set") > 0.0);
     assert!(roomy.outcome.is_ok());
     assert_eq!(service.metrics().degraded, 1);
+}
+
+/// One clock rule for every method: an expired deadline caps the time
+/// budget at zero, a roomy one leaves the search alone. Every method, in
+/// both models, answers or returns a typed error either way; `degraded`
+/// is set exactly for the expired ones; and each answer is the engine's
+/// for the same query stopped at its first poll (SEA: after one round,
+/// certified against the requested e) or not stopped at all.
+#[test]
+fn every_method_stops_on_the_clock_and_never_on_a_rewrite() {
+    let (graph, q) = figure1_imdb();
+    let engine = Engine::new(graph.clone());
+    let service = Service::over_graph(graph, ServiceConfig::default().with_workers(1));
+    let mut stopped = 0;
+    for model in [CommunityModel::KCore, CommunityModel::KTruss] {
+        for method in Method::ALL {
+            let mut query = CommunityQuery::new(method, q)
+                .with_k(3)
+                .with_model(model)
+                .with_error_bound(0.1)
+                .with_seed(5);
+            if method == Method::SeaSizeBounded {
+                query = query.with_size_bound(3, 6);
+            }
+            for expired in [true, false] {
+                let deadline = if expired {
+                    Duration::ZERO
+                } else {
+                    Duration::from_secs(60)
+                };
+                let response =
+                    match service.run(Request::new(query.clone()).with_deadline(deadline)) {
+                        Ok(response) => response,
+                        Err(e) => {
+                            // Only a HeteroEngine answers sea-hetero.
+                            assert_eq!(method, Method::SeaHetero, "{e}");
+                            assert!(matches!(e, CsagError::InvalidParams { .. }), "{e}");
+                            continue;
+                        }
+                    };
+                let shown = format!("{method} {model} expired={expired}");
+                assert_eq!(response.degraded, expired, "{shown}");
+                stopped += usize::from(expired);
+                let reference = match (expired, method) {
+                    (false, _) => query.clone(),
+                    (true, Method::Sea | Method::SeaSizeBounded) => {
+                        query.clone().with_max_rounds(1)
+                    }
+                    (true, _) => query.clone().with_time_budget(Duration::ZERO),
+                };
+                assert_eq!(
+                    outcome_identity(&response.outcome, false),
+                    outcome_identity(&engine.run(&reference), false),
+                    "{shown}"
+                );
+            }
+        }
+    }
+    assert_eq!(stopped, 14, "seven methods the service runs, two models");
+    assert_eq!(service.metrics().degraded, 14);
+}
+
+/// A deadline too far away to represent never expires, and never panics
+/// the submitting thread with the scheduler's lock held: three such
+/// requests through a capacity-2 service are all answered, each at full
+/// effort, and every admission slot comes back — a fourth is admitted.
+#[test]
+fn a_deadline_too_far_to_represent_never_expires_nor_leaks_a_slot() {
+    let (graph, q) = figure1_imdb();
+    let service = Service::over_graph(
+        graph,
+        ServiceConfig::default().with_workers(1).with_capacity(2),
+    );
+    for seed in 0..3 {
+        let response = service
+            .run(Request::new(sea_query(q).with_seed(seed)).with_deadline(Duration::MAX))
+            .expect("admitted");
+        assert!(!response.degraded);
+        assert!(response.outcome.expect("answers").community.contains(&q));
+    }
+    assert_eq!(service.pending(), 0, "no slot leaked");
+    let fourth = service
+        .submit(Request::new(sea_query(q).with_seed(3)))
+        .expect("a fourth request is admitted");
+    assert!(fourth.wait().outcome.is_ok());
+}
+
+/// An epoch-pinned read waits for its epoch for as long as its deadline
+/// allows; a deadline too far away to represent waits until the publish.
+#[test]
+fn a_pinned_read_with_an_unrepresentable_deadline_waits_for_its_epoch() {
+    let (graph, q) = figure1_imdb();
+    let router = Arc::new(Router::over_graph(graph, 1));
+    let service = Arc::new(Service::over_cluster(
+        Arc::clone(&router),
+        ServiceConfig::default().with_workers(1),
+    ));
+    let reader = {
+        let service = Arc::clone(&service);
+        std::thread::spawn(move || {
+            service.run(
+                Request::new(sea_query(q))
+                    .with_epoch(1)
+                    .with_deadline(Duration::MAX),
+            )
+        })
+    };
+    // Publish only once the read is waiting on the epoch.
+    while router.metrics().pinned_waits == 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    router
+        .apply(&[GraphUpdate::AddEdge { u: q, v: 0 }])
+        .expect("endpoints exist");
+    let response = reader.join().expect("no panic").expect("admitted");
+    assert_eq!(response.epoch, 1);
+    assert!(response.outcome.is_ok());
 }
 
 /// A class is a label, not an admission bound: every class counts
