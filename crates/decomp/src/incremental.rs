@@ -6,10 +6,12 @@
 //!
 //! # Trussness: [`TrussMaintainer`], a local per-edge repair
 //!
-//! The store's one truss repair path. It holds the trussness of every
-//! edge and fixes it up after each single edge toggle, touching only the
-//! edges that change and their triangle neighbours. Soundness rests on a
-//! characterization and two bounds, not on a peel order:
+//! The store's one truss repair path. It edits the per-edge trussness
+//! table an epoch published, after each single edge toggle, touching
+//! only the edges that change and their triangle neighbours (and copying
+//! only their rows), and publishes the next epoch's table, which shares
+//! every untouched chunk. Soundness rests on a characterization and two
+//! bounds, not on a peel order:
 //!
 //! * **Greatest fixpoint.** Call `f: E → {2, 3, …}` *feasible* when every
 //!   edge `e` lies in at least `f(e) − 2` triangles whose other two edges
@@ -57,37 +59,11 @@
 //! property tests (`tests/prop_maintain.rs`) and `benchmark/` compile
 //! against.
 
+use crate::index::{chunk_nodes, EdgeTrussness, CHUNK};
 use crate::kcore::core_decomposition;
 use crate::ktruss::{for_common_in_rows, node_max_trussness, truss_decomposition};
-use csag_graph::{AttributedGraph, MutableGraph, NodeId};
-
-/// Neighbor access shared by the immutable CSR graph and the evolving
-/// store's [`MutableGraph`] edit overlay, so the core repair can run
-/// directly on whichever representation holds the *post-update* adjacency.
-pub trait NeighborAccess {
-    /// Number of nodes.
-    fn node_count(&self) -> usize;
-    /// Sorted neighbor list of `v`.
-    fn neighbors_of(&self, v: NodeId) -> &[NodeId];
-}
-
-impl NeighborAccess for AttributedGraph {
-    fn node_count(&self) -> usize {
-        self.n()
-    }
-    fn neighbors_of(&self, v: NodeId) -> &[NodeId] {
-        self.neighbors(v)
-    }
-}
-
-impl NeighborAccess for MutableGraph {
-    fn node_count(&self) -> usize {
-        self.n()
-    }
-    fn neighbors_of(&self, v: NodeId) -> &[NodeId] {
-        self.neighbors(v)
-    }
-}
+use csag_graph::{AttributedGraph, MutableGraph, NodeId, RowOverlay};
+use std::sync::Arc;
 
 /// Incrementally maintained core numbers of an evolving graph.
 ///
@@ -164,7 +140,7 @@ impl CoreMaintainer {
 
     /// Collects the subcore at level `r`: nodes with `core == r` reachable
     /// from the given roots through nodes of core `r`, in `g`.
-    fn collect_candidates<A: NeighborAccess>(&mut self, g: &A, roots: [Option<NodeId>; 2], e: u32) {
+    fn collect_candidates(&mut self, g: &MutableGraph, roots: [Option<NodeId>; 2], e: u32) {
         self.cand.clear();
         self.stack.clear();
         for root in roots.into_iter().flatten() {
@@ -176,7 +152,7 @@ impl CoreMaintainer {
         while let Some(w) = self.stack.pop() {
             let r = self.core[w as usize];
             self.cand.push(w);
-            for &x in g.neighbors_of(w) {
+            for &x in g.neighbors(w) {
                 if self.core[x as usize] == r && self.cand_mark[x as usize] != e {
                     self.cand_mark[x as usize] = e;
                     self.stack.push(x);
@@ -189,7 +165,7 @@ impl CoreMaintainer {
     /// already contain the edge. Affected nodes (the subcore of the
     /// lower-core endpoint) are promoted to `r + 1` exactly when they keep
     /// `≥ r + 1` supporting neighbors under the cascade.
-    pub fn insert_edge<A: NeighborAccess>(&mut self, g: &A, u: NodeId, v: NodeId) {
+    pub fn insert_edge(&mut self, g: &MutableGraph, u: NodeId, v: NodeId) {
         let r = self.core[u as usize].min(self.core[v as usize]);
         let e = self.next_epoch();
         let root_u = (self.core[u as usize] == r).then_some(u);
@@ -201,7 +177,7 @@ impl CoreMaintainer {
         for i in 0..self.cand.len() {
             let w = self.cand[i];
             let mut d = 0u32;
-            for &x in g.neighbors_of(w) {
+            for &x in g.neighbors(w) {
                 let xi = x as usize;
                 if self.core[xi] > r || self.cand_mark[xi] == e {
                     d += 1;
@@ -220,7 +196,7 @@ impl CoreMaintainer {
             }
         }
         while let Some(w) = self.stack.pop() {
-            for &x in g.neighbors_of(w) {
+            for &x in g.neighbors(w) {
                 let xi = x as usize;
                 if self.cand_mark[xi] == e && self.out_mark[xi] != e {
                     self.cd[xi] -= 1;
@@ -243,7 +219,7 @@ impl CoreMaintainer {
     /// no longer contain the edge. Affected nodes (the subcores of the
     /// endpoints at the lower core level) are demoted to `r − 1` exactly
     /// when the cascade leaves them `< r` supporting neighbors.
-    pub fn remove_edge<A: NeighborAccess>(&mut self, g: &A, u: NodeId, v: NodeId) {
+    pub fn remove_edge(&mut self, g: &MutableGraph, u: NodeId, v: NodeId) {
         let r = self.core[u as usize].min(self.core[v as usize]);
         if r == 0 {
             return; // an isolated endpoint: nothing depended on the edge
@@ -257,7 +233,7 @@ impl CoreMaintainer {
         for i in 0..self.cand.len() {
             let w = self.cand[i];
             let mut d = 0u32;
-            for &x in g.neighbors_of(w) {
+            for &x in g.neighbors(w) {
                 if self.core[x as usize] >= r {
                     d += 1;
                 }
@@ -275,7 +251,7 @@ impl CoreMaintainer {
         }
         while let Some(w) = self.stack.pop() {
             self.core[w as usize] = r - 1;
-            for &x in g.neighbors_of(w) {
+            for &x in g.neighbors(w) {
                 let xi = x as usize;
                 if self.cand_mark[xi] == e && self.out_mark[xi] != e {
                     self.cd[xi] -= 1;
@@ -290,77 +266,128 @@ impl CoreMaintainer {
 }
 
 /// Marks an edge as a rise candidate of the insertion in progress, in
-/// the top bit of its `tau` slots (trussness is at most the maximum
+/// the top bit of its table slots (trussness is at most the maximum
 /// degree plus one, nowhere near `2^31`).
 const CANDIDATE: u32 = 1 << 31;
 
-/// Incrementally maintained trussness of every edge of an evolving
-/// graph, and the per-node maximum the engine screens k-truss queries
-/// with. See the [module docs](self) for why the repair is exact.
+/// Incrementally maintained per-edge trussness of an evolving graph. See
+/// the [module docs](self) for why the repair is exact.
 ///
-/// Seed it from the initial graph — or from its decomposition, when one
-/// is at hand ([`TrussMaintainer::from_decomposition`]) — then report
-/// every structural change through [`TrussMaintainer::insert_edge`] /
-/// [`TrussMaintainer::remove_edge`] (passing the adjacency *after* the
-/// change) and [`TrussMaintainer::add_vertex`];
-/// [`TrussMaintainer::node_trussness`] is then always equal to a
-/// from-scratch [`node_max_trussness`] of the current graph. A repair
+/// It adopts an epoch's [`EdgeTrussness`] without copying a value, edits
+/// only the rows a repair touches (each copied out on its first edit,
+/// [`RowOverlay`]'s rule), and [`TrussMaintainer::publish`]es the next
+/// epoch's table and node trussness. Report every edge toggle through
+/// `insert_edge` / `remove_edge`, passing the adjacency *after* the
+/// change; an appended vertex has no edge and needs no report. A repair
 /// visits the changed edges and their triangle neighbours only —
 /// [`TrussMaintainer::work`] counts the steps.
 #[derive(Clone, Debug)]
 pub struct TrussMaintainer {
-    /// `tau[v][i]` is the trussness of the edge `{v, neighbors_of(v)[i]}`:
-    /// rows parallel to the adjacency, every edge in both endpoints' rows,
-    /// so a triangle's two partner values fall out of the row merge.
-    tau: Vec<Vec<u32>>,
-    /// Maximum of each `tau` row (0 for an isolated node).
-    node_max: Vec<u32>,
+    /// `rows.row(v)[i]` is the trussness of the edge `{v, g.neighbors(v)
+    /// [i]}`: rows parallel to the adjacency, every edge in both
+    /// endpoints' rows, so a triangle's two partner values fall out of the
+    /// row merge.
+    rows: Rows,
     work: u64,
     /// Edges whose support must be re-checked by `settle`.
     queue: Vec<(NodeId, NodeId)>,
     /// Rise candidates of the current insertion, in visit order.
     candidates: Vec<(NodeId, NodeId)>,
-    /// Nodes that lost an edge at their maximum during this repair.
-    dirty: Vec<NodeId>,
     /// Partner minima of the new edge's triangles (for its bound).
     mins: Vec<u32>,
 }
 
-impl TrussMaintainer {
-    /// Decomposes `g` once and lays the edge trussness out in rows.
-    pub fn new(g: &AttributedGraph) -> Self {
-        Self::from_decomposition(g, &truss_decomposition(g))
+/// The published table of `graph`, with the rows edited since laid over
+/// it.
+#[derive(Clone, Debug)]
+struct Rows {
+    graph: Arc<AttributedGraph>,
+    table: EdgeTrussness,
+    edited: RowOverlay<u32>,
+}
+
+impl Rows {
+    fn row(&self, v: NodeId) -> &[u32] {
+        self.edited
+            .get(v)
+            .unwrap_or_else(|| self.table.row(&self.graph, v))
     }
 
-    /// Adopts a finished decomposition of `g` — the CSR-order table
-    /// [`truss_decomposition`] returns — and only copies it out in rows.
-    pub fn from_decomposition(g: &AttributedGraph, trussness: &[u32]) -> Self {
-        let tau: Vec<Vec<u32>> = (0..g.n() as NodeId)
-            .map(|v| trussness[g.row_range(v)].to_vec())
-            .collect();
-        let node_max = tau.iter().map(|row| row_max(row)).collect();
+    /// `v`'s row for editing; `n` is the current node count.
+    fn row_mut(&mut self, v: NodeId, n: usize) -> &mut Vec<u32> {
+        let current = self.table.row(&self.graph, v);
+        self.edited.row_mut(v, n, current)
+    }
+}
+
+impl TrussMaintainer {
+    /// Decomposes `g` once and adopts the table.
+    pub fn new(g: &AttributedGraph) -> Self {
+        Self::adopt(
+            Arc::new(g.clone()),
+            EdgeTrussness::new(g, &truss_decomposition(g)),
+        )
+    }
+
+    /// Adopts `table`, the per-edge trussness of `graph`; its chunks are
+    /// shared, not copied.
+    pub fn adopt(graph: Arc<AttributedGraph>, table: EdgeTrussness) -> Self {
         TrussMaintainer {
-            tau,
-            node_max,
+            rows: Rows {
+                graph,
+                table,
+                edited: RowOverlay::default(),
+            },
             work: 0,
             queue: Vec::new(),
             candidates: Vec::new(),
-            dirty: Vec::new(),
             mins: Vec::new(),
         }
     }
 
-    /// Maximum trussness over each node's incident edges.
-    pub fn node_trussness(&self) -> &[u32] {
-        &self.node_max
-    }
-
-    /// The maintained trussness of the edge `{u, v}` of `g` (the current
-    /// adjacency), or `None` when `g` has no such edge.
-    pub fn trussness_of<A: NeighborAccess>(&self, g: &A, u: NodeId, v: NodeId) -> Option<u32> {
-        let row = &self.tau[u as usize];
-        debug_assert_eq!(row.len(), g.neighbors_of(u).len(), "row {u} misaligned");
-        g.neighbors_of(u).binary_search(&v).ok().map(|i| row[i])
+    /// The table of `graph`, the graph the reported toggles led to, and
+    /// its node trussness, given `nodes`, that of the graph last published
+    /// (or adopted); later repairs edit this table. A chunk with no edited
+    /// row is shared, and its nodes keep their values; the others are
+    /// built afresh, an edited row's node value being its maximum.
+    pub fn publish(
+        &mut self,
+        graph: &Arc<AttributedGraph>,
+        nodes: &[u32],
+    ) -> (EdgeTrussness, Vec<u32>) {
+        let rows = &self.rows;
+        let mut node_trussness = nodes.to_vec();
+        node_trussness.resize(graph.n(), 0);
+        let chunks = (0..graph.n().div_ceil(CHUNK))
+            .map(|c| {
+                let members = chunk_nodes(c, graph.n());
+                match rows.table.chunks.get(c) {
+                    Some(chunk) if members.clone().all(|v| rows.edited.get(v).is_none()) => {
+                        Arc::clone(chunk)
+                    }
+                    _ => {
+                        let base = graph.row_range(members.start).start;
+                        let len = graph.row_range(members.end - 1).end - base;
+                        let mut chunk: Arc<[u32]> = std::iter::repeat_n(0, len).collect();
+                        let out = Arc::get_mut(&mut chunk).expect("a fresh chunk");
+                        for v in members {
+                            let at = graph.row_range(v);
+                            out[at.start - base..at.end - base].copy_from_slice(rows.row(v));
+                            if let Some(row) = rows.edited.get(v) {
+                                node_trussness[v as usize] = row.iter().copied().max().unwrap_or(0);
+                            }
+                        }
+                        chunk
+                    }
+                }
+            })
+            .collect();
+        self.rows = Rows {
+            graph: Arc::clone(graph),
+            table: EdgeTrussness { chunks },
+            edited: RowOverlay::default(),
+        };
+        (self.rows.table.clone(), node_trussness)
     }
 
     /// Steps taken by every repair so far: one per support re-check, one
@@ -370,25 +397,19 @@ impl TrussMaintainer {
         self.work
     }
 
-    /// Registers a new isolated vertex (no edges, node trussness 0).
-    pub fn add_vertex(&mut self) {
-        self.tau.push(Vec::new());
-        self.node_max.push(0);
-    }
-
     /// Repairs the table after the edge `{u, v}` was inserted; `g` must
     /// already contain the edge.
-    pub fn insert_edge<A: NeighborAccess>(&mut self, g: &A, u: NodeId, v: NodeId) {
-        let (nu, nv) = (g.neighbors_of(u), g.neighbors_of(v));
+    pub fn insert_edge(&mut self, g: &MutableGraph, u: NodeId, v: NodeId) {
+        let (nu, nv, n) = (g.neighbors(u), g.neighbors(v), g.n());
         // Open the two slots first so every row is aligned with `g`. A
         // common neighbour is neither `u` nor `v`, so the merges below
         // never read them before they are set.
-        self.tau[u as usize].insert(slot(nu, v), 0);
-        self.tau[v as usize].insert(slot(nv, u), 0);
+        self.rows.row_mut(u, n).insert(slot(nu, v), 0);
+        self.rows.row_mut(v, n).insert(slot(nv, u), 0);
 
         // k2: the largest k with k − 2 triangles whose partners are both
         // at k − 1 or more (they can rise by one, no further).
-        let (tu, tv) = (&self.tau[u as usize], &self.tau[v as usize]);
+        let (tu, tv) = (self.rows.row(u), self.rows.row(v));
         self.mins.clear();
         for_common_in_rows(nu, nv, |_, p, q| self.mins.push(tu[p].min(tv[q])));
         self.mins.sort_unstable_by(|a, b| b.cmp(a));
@@ -420,8 +441,8 @@ impl TrussMaintainer {
         while head < self.candidates.len() {
             let (x, y) = self.candidates[head];
             head += 1;
-            let (nx, ny) = (g.neighbors_of(x), g.neighbors_of(y));
-            let (tx, ty) = (&self.tau[x as usize], &self.tau[y as usize]);
+            let (nx, ny) = (g.neighbors(x), g.neighbors(y));
+            let (tx, ty) = (self.rows.row(x), self.rows.row(y));
             let k = tx[slot(nx, y)] & !CANDIDATE;
             let found = self.candidates.len();
             for_common_in_rows(nx, ny, |w, p, q| {
@@ -443,7 +464,7 @@ impl TrussMaintainer {
         self.queue.push((u, v));
         for i in 0..self.candidates.len() {
             let (x, y) = self.candidates[i];
-            let raised = (self.tau[x as usize][slot(g.neighbors_of(x), y)] & !CANDIDATE) + 1;
+            let raised = (self.rows.row(x)[slot(g.neighbors(x), y)] & !CANDIDATE) + 1;
             self.set(g, x, y, raised);
             self.queue.push((x, y));
         }
@@ -452,18 +473,14 @@ impl TrussMaintainer {
 
     /// Repairs the table after the edge `{u, v}` was removed; `g` must no
     /// longer contain the edge.
-    pub fn remove_edge<A: NeighborAccess>(&mut self, g: &A, u: NodeId, v: NodeId) {
-        let (nu, nv) = (g.neighbors_of(u), g.neighbors_of(v));
+    pub fn remove_edge(&mut self, g: &MutableGraph, u: NodeId, v: NodeId) {
+        let (nu, nv, n) = (g.neighbors(u), g.neighbors(v), g.n());
         // Where the neighbour would be inserted is where its slot was.
-        let gone = self.tau[u as usize].remove(nu.binary_search(&v).unwrap_err());
-        self.tau[v as usize].remove(nv.binary_search(&u).unwrap_err());
-        for x in [u, v] {
-            if self.node_max[x as usize] == gone {
-                self.dirty.push(x);
-            }
-        }
+        let (at_u, at_v) = (nu.binary_search(&v), nv.binary_search(&u));
+        let gone = self.rows.row_mut(u, n).remove(at_u.unwrap_err());
+        self.rows.row_mut(v, n).remove(at_v.unwrap_err());
         // Only an edge that counted the lost triangle can now fall short.
-        let (tu, tv) = (&self.tau[u as usize], &self.tau[v as usize]);
+        let (tu, tv) = (self.rows.row(u), self.rows.row(v));
         for_common_in_rows(nu, nv, |w, p, q| {
             if tu[p] <= gone.min(tv[q]) {
                 self.queue.push((u, w));
@@ -475,27 +492,18 @@ impl TrussMaintainer {
         self.settle(g);
     }
 
-    /// Writes `value` into both slots of the edge `{a, b}` and keeps the
-    /// node maxima: a rise lifts them at once, a fall from the maximum
-    /// marks the endpoint dirty, to be recomputed when `settle` is done.
-    fn set<A: NeighborAccess>(&mut self, g: &A, a: NodeId, b: NodeId, value: u32) {
+    /// Writes `value` into both slots of the edge `{a, b}`.
+    fn set(&mut self, g: &MutableGraph, a: NodeId, b: NodeId, value: u32) {
         for (x, y) in [(a, b), (b, a)] {
-            let cell = &mut self.tau[x as usize][slot(g.neighbors_of(x), y)];
-            let old = std::mem::replace(cell, value) & !CANDIDATE;
-            let max = &mut self.node_max[x as usize];
-            if value > *max {
-                *max = value;
-            } else if value < old && old == *max {
-                self.dirty.push(x);
-            }
+            self.rows.row_mut(x, g.n())[slot(g.neighbors(x), y)] = value;
         }
     }
 
     /// Flags both slots of `candidates[from..]` as visited.
-    fn flag_candidates<A: NeighborAccess>(&mut self, g: &A, from: usize) {
+    fn flag_candidates(&mut self, g: &MutableGraph, from: usize) {
         for &(x, y) in &self.candidates[from..] {
             for (a, b) in [(x, y), (y, x)] {
-                self.tau[a as usize][slot(g.neighbors_of(a), b)] |= CANDIDATE;
+                self.rows.row_mut(a, g.n())[slot(g.neighbors(a), b)] |= CANDIDATE;
             }
         }
     }
@@ -504,11 +512,11 @@ impl TrussMaintainer {
     /// triangles whose partners are both at `k` or more drops to `k − 1`,
     /// which costs exactly the partners at level `k` of those triangles
     /// one unit of support — they, and the edge itself, are re-checked.
-    fn settle<A: NeighborAccess>(&mut self, g: &A) {
+    fn settle(&mut self, g: &MutableGraph) {
         while let Some((a, b)) = self.queue.pop() {
             self.work += 1;
-            let (na, nb) = (g.neighbors_of(a), g.neighbors_of(b));
-            let (ta, tb) = (&self.tau[a as usize], &self.tau[b as usize]);
+            let (na, nb) = (g.neighbors(a), g.neighbors(b));
+            let (ta, tb) = (self.rows.row(a), self.rows.row(b));
             let k = ta[slot(na, b)];
             if k <= 2 {
                 continue; // no triangle required
@@ -535,19 +543,12 @@ impl TrussMaintainer {
             self.queue.push((a, b));
             self.set(g, a, b, k - 1);
         }
-        for x in self.dirty.drain(..) {
-            self.node_max[x as usize] = row_max(&self.tau[x as usize]);
-        }
     }
 }
 
 /// Position of `b` in the sorted neighbor row `row`.
 fn slot(row: &[NodeId], b: NodeId) -> usize {
     row.binary_search(&b).expect("edge is in the adjacency")
-}
-
-fn row_max(row: &[u32]) -> u32 {
-    row.iter().copied().max().unwrap_or(0)
 }
 
 /// Repairs a [`node_max_trussness`] table after a structural update batch
@@ -748,31 +749,60 @@ mod tests {
         );
     }
 
-    /// Drives a `MutableGraph` + `TrussMaintainer` through a churn script,
-    /// asserting after every single step that each `tau` row is aligned
-    /// with the adjacency and holds the decomposition's value for its
-    /// edge, and that the node table is the per-row maximum.
-    fn drive_truss(initial: &AttributedGraph, script: &[GraphUpdate]) -> TrussMaintainer {
+    /// What [`drive_truss`] leaves: the maintainer, and the last published
+    /// graph, table and node trussness.
+    struct Driven {
+        maint: TrussMaintainer,
+        graph: Arc<AttributedGraph>,
+        table: EdgeTrussness,
+        nodes: Vec<u32>,
+    }
+
+    impl Driven {
+        /// The published trussness of the edge `{u, v}`, if it is one.
+        fn at(&self, u: NodeId, v: NodeId) -> Option<u32> {
+            let g = &self.graph;
+            let i = g.neighbors(u).binary_search(&v).ok()?;
+            Some(self.table.row(g, u)[i])
+        }
+    }
+
+    /// Drives a `MutableGraph` + `TrussMaintainer` through `batches`,
+    /// publishing both after each batch, and asserts that the published
+    /// table is the decomposition of the published graph and the node
+    /// table its per-node maximum.
+    fn drive_truss(initial: &AttributedGraph, batches: &[&[GraphUpdate]]) -> Driven {
         let mut mutable = MutableGraph::from_graph(initial);
         let mut maint = TrussMaintainer::new(initial);
-        for update in script {
-            match mutable.apply(update).unwrap() {
-                csag_graph::Applied::EdgeAdded(u, v) => maint.insert_edge(&mutable, u, v),
-                csag_graph::Applied::EdgeRemoved(u, v) => maint.remove_edge(&mutable, u, v),
-                csag_graph::Applied::VertexAdded(_) => maint.add_vertex(),
-                csag_graph::Applied::AttributesSet(_) | csag_graph::Applied::NoOp => {}
+        let mut nodes = node_max_trussness(initial);
+        let mut published = None;
+        for batch in batches {
+            for update in *batch {
+                match mutable.apply(update).unwrap() {
+                    csag_graph::Applied::EdgeAdded(u, v) => maint.insert_edge(&mutable, u, v),
+                    csag_graph::Applied::EdgeRemoved(u, v) => maint.remove_edge(&mutable, u, v),
+                    _ => {}
+                }
             }
-            let snap = mutable.snapshot();
-            let fresh = truss_decomposition(&snap);
-            assert_eq!(maint.tau.len(), snap.n());
-            for v in 0..snap.n() as NodeId {
-                let want = &fresh[snap.row_range(v)];
-                assert_eq!(maint.tau[v as usize], want, "row {v} after {update:?}");
-            }
-            assert_eq!(maint.node_trussness(), node_max_trussness(&snap));
+            let graph = mutable.publish();
+            let table;
+            (table, nodes) = maint.publish(&graph, &nodes);
+            assert_eq!(
+                table.chunks().concat(),
+                truss_decomposition(&graph),
+                "after {batch:?}"
+            );
+            assert_eq!(nodes, node_max_trussness(&graph), "after {batch:?}");
+            published = Some((graph, table, nodes.clone()));
         }
-        assert!(maint.queue.is_empty() && maint.dirty.is_empty());
-        maint
+        assert!(maint.queue.is_empty() && maint.rows.edited.is_empty());
+        let (graph, table, nodes) = published.expect("one batch at least");
+        Driven {
+            maint,
+            graph,
+            table,
+            nodes,
+        }
     }
 
     fn add(u: NodeId, v: NodeId) -> GraphUpdate {
@@ -812,11 +842,10 @@ mod tests {
             }
         }
         let g = grid(5, &edges);
-        let before = TrussMaintainer::new(&g);
-        assert!(before.tau.iter().flatten().all(|&t| t == 4));
-        let after = drive_truss(&g, &[add(0, 1)]);
-        assert!(after.tau.iter().flatten().all(|&t| t == 5));
-        assert_eq!(after.node_trussness(), &[5; 5]);
+        assert!(truss_decomposition(&g).iter().all(|&t| t == 4));
+        let after = drive_truss(&g, &[&[add(0, 1)]]);
+        assert!(after.table.chunks().concat().iter().all(|&t| t == 5));
+        assert_eq!(after.nodes, [5; 5]);
     }
 
     #[test]
@@ -825,46 +854,88 @@ mod tests {
         // triangle; their fall takes the rest of the level with it — the
         // edge {1, 3} shares no triangle, not even a node, with {0, 2}.
         let g = octahedron();
-        let before = TrussMaintainer::new(&g);
-        assert_eq!(before.trussness_of(&g, 1, 3), Some(4));
-        let mut mutable = MutableGraph::from_graph(&g);
-        mutable.apply(&remove(0, 2)).unwrap();
-        let after = drive_truss(&g, &[remove(0, 2)]);
-        assert_eq!(after.trussness_of(&mutable, 1, 3), Some(3));
-        assert_eq!(after.trussness_of(&mutable, 0, 2), None);
-        assert_eq!(after.node_trussness(), &[3; 6]);
+        assert!(truss_decomposition(&g).iter().all(|&t| t == 4));
+        let after = drive_truss(&g, &[&[remove(0, 2)]]);
+        assert_eq!(after.at(1, 3), Some(3));
+        assert_eq!(after.at(0, 2), None);
+        assert_eq!(after.nodes, [3; 6]);
     }
 
     #[test]
     fn insertion_between_components_moves_nothing_else() {
         let g = grid(7, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]);
-        let mut mutable = MutableGraph::from_graph(&g);
-        mutable.apply(&add(2, 3)).unwrap();
-        let after = drive_truss(&g, &[add(2, 3)]);
-        assert_eq!(after.trussness_of(&mutable, 2, 3), Some(2));
-        assert_eq!(after.node_trussness(), &[3, 3, 3, 3, 3, 3, 0]);
+        let after = drive_truss(&g, &[&[add(2, 3)]]);
+        assert_eq!(after.at(2, 3), Some(2));
+        assert_eq!(after.nodes, [3, 3, 3, 3, 3, 3, 0]);
         assert_eq!(
-            after.work(),
+            after.maint.work(),
             1,
             "no triangle: the new edge alone is checked"
         );
-        // An isolated node's first edge, and a vertex added on the fly.
+        // An isolated node's first edge, and a vertex added on the fly,
+        // published one by one and in one batch.
         let grown = GraphUpdate::AddVertex {
             tokens: vec![],
             numeric: vec![],
         };
-        let after = drive_truss(&g, &[add(6, 0), grown, add(7, 6), add(7, 0)]);
-        assert_eq!(after.node_trussness(), &[3, 3, 3, 3, 3, 3, 3, 3]);
+        let script = [add(6, 0), grown, add(7, 6), add(7, 0)];
+        let one_by_one: Vec<&[GraphUpdate]> = script.iter().map(std::slice::from_ref).collect();
+        for after in [drive_truss(&g, &one_by_one), drive_truss(&g, &[&script])] {
+            assert_eq!(after.nodes, [3, 3, 3, 3, 3, 3, 3, 3]);
+        }
     }
 
     #[test]
     fn reinserting_a_removed_edge_restores_every_value() {
         let g = octahedron();
-        let seeded = TrussMaintainer::new(&g);
-        let back = drive_truss(&g, &[remove(0, 2), add(0, 2), remove(4, 1), add(1, 4)]);
-        assert_eq!(back.tau, seeded.tau);
-        assert_eq!(back.node_trussness(), seeded.node_trussness());
-        assert!(back.work() > seeded.work(), "the counter only grows");
+        let script = [remove(0, 2), add(0, 2), remove(4, 1), add(1, 4)];
+        let back = drive_truss(&g, &[&script]);
+        assert_eq!(back.table.chunks().concat(), truss_decomposition(&g));
+        assert_eq!(back.nodes, node_max_trussness(&g));
+        assert!(back.maint.work() > 0, "the repairs were counted");
+    }
+
+    /// Which chunks of `a` are the very chunks of `b`.
+    fn shared(a: &EdgeTrussness, b: &EdgeTrussness) -> Vec<bool> {
+        let pairs = a.chunks().iter().zip(b.chunks());
+        pairs.map(|(x, y)| Arc::ptr_eq(x, y)).collect()
+    }
+
+    /// A batch that moves no edge shares every chunk of the table it
+    /// started from; an edit copies only the rows of the edge's ends and
+    /// of the edges whose value it moves, and rebuilds only their chunks.
+    #[test]
+    fn an_edit_copies_the_rows_it_touches_and_shares_the_other_chunks() {
+        let n = 3 * CHUNK as NodeId;
+        let triangles: Vec<(NodeId, NodeId)> = (0..n / 3)
+            .flat_map(|t| {
+                [
+                    (3 * t, 3 * t + 1),
+                    (3 * t + 1, 3 * t + 2),
+                    (3 * t, 3 * t + 2),
+                ]
+            })
+            .collect();
+        let g = Arc::new(grid(n as usize, &triangles));
+        let table = EdgeTrussness::new(&g, &truss_decomposition(&g));
+        let mut maint = TrussMaintainer::adopt(Arc::clone(&g), table.clone());
+        let nodes = node_max_trussness(&g);
+        let (same, same_nodes) = maint.publish(&g, &nodes);
+        assert_eq!(shared(&same, &table), [true; 3], "no edit, no copy");
+        assert_eq!(same_nodes, nodes);
+
+        let mut mutable = MutableGraph::from_arc(Arc::clone(&g));
+        mutable.apply(&add(0, n - 1)).unwrap();
+        maint.insert_edge(&mutable, 0, n - 1);
+        let touched: Vec<NodeId> = (0..n)
+            .filter(|&v| maint.rows.edited.get(v).is_some())
+            .collect();
+        assert_eq!(touched, [0, n - 1], "a bridge moves no other value");
+        let next = mutable.publish();
+        let (published, next_nodes) = maint.publish(&next, &nodes);
+        assert_eq!(shared(&published, &table), [false, true, false]);
+        assert_eq!(published.chunks().concat(), truss_decomposition(&next));
+        assert_eq!(next_nodes, node_max_trussness(&next));
     }
 
     #[test]

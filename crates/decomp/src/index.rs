@@ -2,20 +2,71 @@
 //! query on it shares, each built lazily, at most once.
 
 use crate::kcore::core_decomposition;
-use crate::ktruss::{node_maxima, truss_decomposition};
+use crate::ktruss::truss_decomposition;
 use csag_graph::traversal::Components;
-use csag_graph::AttributedGraph;
+use csag_graph::{AttributedGraph, NodeId};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
+
+/// Nodes whose rows make up one chunk of an [`EdgeTrussness`] table.
+pub(crate) const CHUNK: usize = 16;
+
+/// The trussness of every edge of one graph in CSR order (v's row is
+/// parallel to `g.neighbors(v)`, every edge in both ends' rows), held in
+/// chunks of the rows of 16 consecutive nodes (`CHUNK`), each behind an
+/// `Arc`: a store's epochs share every chunk a batch left untouched, so
+/// an epoch costs the chunks its batch edited, not `2·m` values.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct EdgeTrussness {
+    pub(crate) chunks: Vec<Arc<[u32]>>,
+}
+
+impl EdgeTrussness {
+    /// The table of `g` from its CSR-order values, as
+    /// [`truss_decomposition`] returns them.
+    pub fn new(g: &AttributedGraph, flat: &[u32]) -> Self {
+        let chunks = (0..g.n().div_ceil(CHUNK))
+            .map(|c| {
+                let nodes = chunk_nodes(c, g.n());
+                let (first, last) = (nodes.start, nodes.end - 1);
+                Arc::from(&flat[g.row_range(first).start..g.row_range(last).end])
+            })
+            .collect();
+        EdgeTrussness { chunks }
+    }
+
+    /// `v`'s row of the table of `g` (empty past `g`'s nodes).
+    #[inline]
+    pub fn row(&self, g: &AttributedGraph, v: NodeId) -> &[u32] {
+        if v as usize >= g.n() {
+            return &[];
+        }
+        let c = v as usize / CHUNK;
+        let base = g.row_range((c * CHUNK) as NodeId).start;
+        let row = g.row_range(v);
+        &self.chunks[c][row.start - base..row.end - base]
+    }
+
+    /// The chunks, each shared with every epoch that holds it; their
+    /// concatenation is what [`truss_decomposition`] returns.
+    pub fn chunks(&self) -> &[Arc<[u32]>] {
+        &self.chunks
+    }
+}
+
+/// The nodes of chunk `c` of a table of `n` nodes.
+pub(crate) fn chunk_nodes(c: usize, n: usize) -> std::ops::Range<NodeId> {
+    (c * CHUNK) as NodeId..((c + 1) * CHUNK).min(n) as NodeId
+}
 
 /// Lazily built tables of one graph, shared by every query on it:
-/// coreness (`{v : coreness(v) ≥ k}` is the k-core), node trussness (the
-/// largest trussness of an edge at each node), per-edge trussness in CSR
-/// order (kept from the decomposition, never present on a seeded index)
-/// and the [`Components`]. Nothing here is sized by the graph's edges for
-/// a read's sake: a k-truss peel numbers the edges of its own subset, and
-/// the per-edge table exists only because the decomposition produced it
-/// (a store's first write adopts it to seed its trussness repair).
+/// coreness (`{v : coreness(v) ≥ k}` is the k-core), per-edge trussness
+/// ([`EdgeTrussness`]; q's k-truss root is q's component over the edges
+/// of trussness ≥ k), node trussness (each node's largest edge
+/// trussness) and the [`Components`]. The per-edge table is the one copy
+/// of trussness: a store hands each epoch the one its repair published,
+/// a fresh index decomposes for it, and no read sizes anything else by
+/// `m`.
 ///
 /// The index does not hold the graph: every accessor takes it. An engine
 /// lends its own index to every method; a caller with no engine lends a
@@ -25,7 +76,7 @@ use std::sync::OnceLock;
 pub struct EpochIndex {
     coreness: OnceLock<Vec<u32>>,
     node_trussness: OnceLock<Vec<u32>>,
-    edge_trussness: OnceLock<Vec<u32>>,
+    edge_trussness: OnceLock<EdgeTrussness>,
     components: OnceLock<Components>,
     core_runs: AtomicUsize,
     truss_runs: AtomicUsize,
@@ -37,12 +88,19 @@ impl EpochIndex {
         Self::default()
     }
 
-    /// An index seeded with tables maintained elsewhere (a store repairs
-    /// them across epochs). Seeding counts as no decomposition run.
-    pub fn seeded(coreness: Vec<u32>, node_trussness: Option<Vec<u32>>) -> Self {
+    /// An index seeded with tables maintained elsewhere (a store's
+    /// repaired ones; a shard gather's global node trussness alone, whose
+    /// per-edge table is built only if a root asks). Seeding counts as no
+    /// decomposition run.
+    pub fn seeded(
+        coreness: Vec<u32>,
+        node_trussness: Option<Vec<u32>>,
+        edge_trussness: Option<EdgeTrussness>,
+    ) -> Self {
         EpochIndex {
             coreness: OnceLock::from(coreness),
             node_trussness: node_trussness.map(OnceLock::from).unwrap_or_default(),
+            edge_trussness: edge_trussness.map(OnceLock::from).unwrap_or_default(),
             ..Self::default()
         }
     }
@@ -59,18 +117,24 @@ impl EpochIndex {
     }
 
     /// Maximum trussness over each node's incident edges (0 when it has
-    /// none). The decomposition behind it also fills the per-edge table.
+    /// none), folded from the per-edge table.
     #[inline]
     pub fn node_trussness(&self, g: &AttributedGraph) -> &[u32] {
         let node_max = self.node_trussness.get_or_init(|| {
-            self.truss_runs.fetch_add(1, Ordering::Relaxed);
-            let edge_trussness = truss_decomposition(g);
-            let node_max = node_maxima(g, &edge_trussness);
-            let _ = self.edge_trussness.set(edge_trussness);
-            node_max
+            let table = self.edge_trussness(g);
+            let max = |v| table.row(g, v).iter().copied().max().unwrap_or(0);
+            (0..g.n() as NodeId).map(max).collect()
         });
         debug_assert_eq!(node_max.len(), g.n(), "node trussness of another graph");
         node_max
+    }
+
+    /// The trussness of every edge of `g`.
+    pub fn edge_trussness(&self, g: &AttributedGraph) -> &EdgeTrussness {
+        self.edge_trussness.get_or_init(|| {
+            self.truss_runs.fetch_add(1, Ordering::Relaxed);
+            EdgeTrussness::new(g, &truss_decomposition(g))
+        })
     }
 
     /// The connected components of `g`, built in `O(n + m)` on first use.
@@ -83,11 +147,10 @@ impl EpochIndex {
         self.node_trussness.get()
     }
 
-    /// The per-edge trussness table in CSR order (`table[g.row_range(v)]`
-    /// is `v`'s row), only if this index ran the truss decomposition
-    /// itself.
-    pub fn edge_trussness_if_computed(&self) -> Option<&[u32]> {
-        self.edge_trussness.get().map(Vec::as_slice)
+    /// The per-edge trussness table, only if it is already resident
+    /// (what a store's truss repair adopts).
+    pub fn edge_trussness_if_computed(&self) -> Option<&EdgeTrussness> {
+        self.edge_trussness.get()
     }
 
     /// How many times the core decomposition has run (0 or 1; a seeded
@@ -130,24 +193,61 @@ mod tests {
         for _ in 0..3 {
             assert_eq!(index.coreness(&g), core_decomposition(&g));
             assert_eq!(index.node_trussness(&g), node_max_trussness(&g));
+            assert_eq!(
+                index.edge_trussness(&g).chunks().concat(),
+                truss_decomposition(&g)
+            );
         }
         assert_eq!(index.decomp_computations(), 1);
         assert_eq!(index.truss_decomp_computations(), 1);
-        let edge_trussness = index.edge_trussness_if_computed().unwrap();
-        assert_eq!(edge_trussness.len(), 2 * g.m());
-        assert_eq!(edge_trussness, truss_decomposition(&g));
         assert_eq!(index.components(&g).of(6), &[6]);
         assert_eq!(index.components(&g).of(0), &[0, 1, 2, 3, 4, 5]);
+    }
+
+    /// Rows come back from their chunks, across chunk boundaries and for
+    /// nodes with no edge.
+    #[test]
+    fn a_table_reads_back_every_row() {
+        let mut b = GraphBuilder::new(0);
+        for _ in 0..3 * CHUNK + 5 {
+            b.add_node(&[], &[]);
+        }
+        for v in 1..(3 * CHUNK + 5) as NodeId {
+            if v % 7 != 0 {
+                b.add_edge(v - 1, v).unwrap();
+                b.add_edge(v / 2, v).unwrap();
+            }
+        }
+        let g = b.build().unwrap();
+        let flat = truss_decomposition(&g);
+        let table = EdgeTrussness::new(&g, &flat);
+        assert_eq!(table.chunks().len(), 4);
+        assert_eq!(table.chunks().concat(), flat);
+        for v in 0..g.n() as NodeId {
+            assert_eq!(table.row(&g, v), &flat[g.row_range(v)], "row {v}");
+        }
     }
 
     #[test]
     fn a_seeded_index_runs_no_decomposition() {
         let g = bridged_triangles();
-        let index = EpochIndex::seeded(core_decomposition(&g), Some(node_max_trussness(&g)));
+        let table = EdgeTrussness::new(&g, &truss_decomposition(&g));
+        let index = EpochIndex::seeded(
+            core_decomposition(&g),
+            Some(node_max_trussness(&g)),
+            Some(table.clone()),
+        );
         assert_eq!(index.coreness(&g), core_decomposition(&g));
         assert_eq!(index.node_trussness(&g), node_max_trussness(&g));
+        assert_eq!(index.edge_trussness_if_computed(), Some(&table));
         assert_eq!(index.decomp_computations(), 0);
         assert_eq!(index.truss_decomp_computations(), 0);
-        assert!(index.edge_trussness_if_computed().is_none());
+        // Node trussness alone: the per-edge table is built on demand.
+        let nodes_only =
+            EpochIndex::seeded(core_decomposition(&g), Some(node_max_trussness(&g)), None);
+        assert_eq!(nodes_only.node_trussness(&g), node_max_trussness(&g));
+        assert_eq!(nodes_only.truss_decomp_computations(), 0);
+        assert_eq!(nodes_only.edge_trussness(&g), &table);
+        assert_eq!(nodes_only.truss_decomp_computations(), 1);
     }
 }

@@ -441,11 +441,7 @@ pub(crate) fn peel_to_ktruss_into(
 /// connected k-truss holding `q`. The engine caches this to settle truss
 /// "no" answers in O(1), exactly as coreness settles k-core ones.
 pub fn node_max_trussness(g: &AttributedGraph) -> Vec<u32> {
-    node_maxima(g, &truss_decomposition(g))
-}
-
-/// Each node's largest value in its row of the CSR-order `trussness`.
-pub(crate) fn node_maxima(g: &AttributedGraph, trussness: &[u32]) -> Vec<u32> {
+    let trussness = truss_decomposition(g);
     (0..g.n() as NodeId)
         .map(|u| trussness[g.row_range(u)].iter().copied().max().unwrap_or(0))
         .collect()

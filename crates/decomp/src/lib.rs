@@ -29,8 +29,8 @@ pub mod kcore;
 pub mod ktruss;
 pub mod maintainer;
 
-pub use incremental::{patch_node_trussness, CoreMaintainer, NeighborAccess, TrussMaintainer};
-pub use index::EpochIndex;
+pub use incremental::{patch_node_trussness, CoreMaintainer, TrussMaintainer};
+pub use index::{EdgeTrussness, EpochIndex};
 pub use kcore::{core_decomposition, max_connected_kcore};
 pub use ktruss::{
     max_connected_ktruss, node_max_trussness, truss_decomposition, truss_decompositions,

@@ -156,14 +156,15 @@ impl<'g> Maintainer<'g> {
     }
 
     /// Maximal connected community containing `q` in the whole graph
-    /// (§IV-A, §VI-C), or `None`: `q`'s component within `{v : screen(v)
-    /// ≥ k}` — coreness for k-core; node trussness for k-truss, then one
-    /// peel (docs/architecture.md, "One per-epoch index").
+    /// (§IV-A, §VI-C), or `None`: the walk from `q` over `{v : coreness(v)
+    /// ≥ k}` for k-core, over the edges of trussness ≥ k for k-truss, once
+    /// the node table (coreness or node trussness) admits `q`
+    /// (docs/architecture.md, "One per-epoch index").
     pub fn maximal(&mut self, q: NodeId) -> Option<Vec<NodeId>> {
-        let (g, k) = (self.g, self.k);
-        let screen = match self.model {
-            CommunityModel::KCore => self.index.coreness(g),
-            CommunityModel::KTruss => self.index.node_trussness(g),
+        let (g, k, index) = (self.g, self.k, self.index);
+        let (screen, trussness) = match self.model {
+            CommunityModel::KCore => (index.coreness(g), None),
+            CommunityModel::KTruss => (index.node_trussness(g), Some(index.edge_trussness(g))),
         };
         if screen[q as usize] < k {
             return None;
@@ -175,15 +176,14 @@ impl<'g> Maintainer<'g> {
         let mut next = 0;
         while let Some(&v) = walked.get(next) {
             next += 1;
-            for &w in g.neighbors(v) {
-                if screen[w as usize] >= k && visited[w as usize] != e {
+            let row = trussness.map(|t| t.row(g, v));
+            for (i, &w) in g.neighbors(v).iter().enumerate() {
+                let cohesive = row.map_or(screen[w as usize] >= k, |r| r[i] >= k);
+                if cohesive && visited[w as usize] != e {
                     visited[w as usize] = e;
                     walked.push(w);
                 }
             }
-        }
-        if self.model == CommunityModel::KTruss {
-            return self.maximal_within(q, &walked);
         }
         walked.sort_unstable();
         Some(walked)
@@ -258,8 +258,14 @@ mod tests {
     fn root_walk_matches_the_full_peel() {
         use crate::{core_decomposition, max_connected_kcore, max_connected_ktruss};
         let g = clique_with_tail();
-        let seeded =
-            EpochIndex::seeded(core_decomposition(&g), Some(crate::node_max_trussness(&g)));
+        let seeded = EpochIndex::seeded(
+            core_decomposition(&g),
+            Some(crate::node_max_trussness(&g)),
+            Some(crate::EdgeTrussness::new(
+                &g,
+                &crate::truss_decomposition(&g),
+            )),
+        );
         for index in [&EpochIndex::new(), &seeded] {
             for k in 2..7 {
                 let mut core = Maintainer::new(&g, index, CommunityModel::KCore, k);

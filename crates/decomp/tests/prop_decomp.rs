@@ -2,11 +2,12 @@
 
 use csag_decomp::{core_decomposition, max_connected_kcore, max_connected_ktruss};
 use csag_decomp::{node_max_trussness, truss_decomposition, TrussMaintainer};
-use csag_decomp::{CommunityModel, EpochIndex, Maintainer};
+use csag_decomp::{CommunityModel, EdgeTrussness, EpochIndex, Maintainer};
 use csag_graph::{AttributedGraph, GraphBuilder, NodeId, QueryWorkspace};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 fn arb_graph() -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
     (2usize..30).prop_flat_map(|n| {
@@ -495,15 +496,16 @@ fn brute_force_trussness(g: &AttributedGraph) -> Vec<Vec<Option<u32>>> {
 }
 
 proptest! {
-    /// `Maintainer::maximal` — a walk of the screen table, then for
-    /// k-truss one peel of what it walked — equals the full-graph peel
+    /// `Maintainer::maximal` — a walk over the nodes of coreness ≥ k, or
+    /// over the edges of trussness ≥ k — equals the full-graph peel
     /// for both models, every node and every k from 2 to the largest
     /// table value + 1. Under a fresh index and under one seeded with
     /// from-scratch tables, which then runs no decomposition.
     #[test]
     fn root_walk_equals_the_full_peel(g in arb_blocks()) {
         let (coreness, trussness) = (core_decomposition(&g), node_max_trussness(&g));
-        let seeded = EpochIndex::seeded(coreness.clone(), Some(trussness.clone()));
+        let table = EdgeTrussness::new(&g, &truss_decomposition(&g));
+        let seeded = EpochIndex::seeded(coreness.clone(), Some(trussness.clone()), Some(table));
         let fresh = EpochIndex::new();
         for index in [&fresh, &seeded] {
             for (model, table) in [
@@ -739,27 +741,28 @@ proptest! {
     }
 
     /// The decomposition equals the brute-force oracle on every edge, and
-    /// a maintainer adopting a decomposition is the one that runs its own.
+    /// a maintainer that adopted it publishes it untouched: every chunk
+    /// is shared, and every row reads back.
     #[test]
     fn trussness_matches_brute_force_peel((n, edges) in arb_graph()) {
-        let g = build(n, &edges);
+        let g = Arc::new(build(n, &edges));
         let trussness = truss_decomposition(&g);
         prop_assert_eq!(trussness.len(), 2 * g.m());
         let oracle = brute_force_trussness(&g);
-        let adopted = TrussMaintainer::from_decomposition(&g, &trussness);
-        let fresh = TrussMaintainer::new(&g);
         for u in 0..g.n() as NodeId {
             for v in 0..g.n() as NodeId {
                 let want = oracle[u as usize][v as usize];
-                let got = at(&trussness, &g, u, v);
-                prop_assert_eq!(got, want, "edge ({}, {})", u, v);
-                prop_assert_eq!(adopted.trussness_of(&g, u, v), want, "adopted ({}, {})", u, v);
-                prop_assert_eq!(fresh.trussness_of(&g, u, v), want, "fresh ({}, {})", u, v);
+                prop_assert_eq!(at(&trussness, &g, u, v), want, "edge ({}, {})", u, v);
             }
         }
-        let node = node_max_trussness(&g);
-        prop_assert_eq!(adopted.node_trussness(), node.as_slice());
-        prop_assert_eq!(fresh.node_trussness(), node.as_slice());
+        let chunked = EdgeTrussness::new(&g, &trussness);
+        let mut adopted = TrussMaintainer::adopt(Arc::clone(&g), chunked.clone());
+        let (table, _) = adopted.publish(&g, &node_max_trussness(&g));
+        let pairs = table.chunks().iter().zip(chunked.chunks());
+        prop_assert!(pairs.filter(|(a, b)| Arc::ptr_eq(a, b)).count() == chunked.chunks().len());
+        for v in 0..g.n() as NodeId {
+            prop_assert_eq!(table.row(&g, v), &trussness[g.row_range(v)]);
+        }
     }
 
     /// Core and truss models agree on the containment k-truss ⊆ (k-1)-core.

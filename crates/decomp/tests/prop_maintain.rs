@@ -8,11 +8,12 @@
 
 use csag_decomp::{
     core_decomposition, node_max_trussness, patch_node_trussness, truss_decomposition,
-    CoreMaintainer, TrussMaintainer,
+    CommunityModel, CoreMaintainer, EpochIndex, Maintainer, TrussMaintainer,
 };
 use csag_graph::{Applied, GraphBuilder, GraphUpdate, MutableGraph, NodeId};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
+use std::sync::Arc;
 
 fn build(n: usize, edges: &[(u32, u32)]) -> csag_graph::AttributedGraph {
     let mut b = GraphBuilder::new(0);
@@ -67,6 +68,7 @@ proptest! {
         let mut maint = CoreMaintainer::new(&initial);
         let mut truss = node_max_trussness(&initial);
         let mut edge_truss = TrussMaintainer::new(&initial);
+        let mut edge_nodes = node_max_trussness(&initial);
 
         for batch in ops.chunks(batch_size) {
             let mut seeds: Vec<NodeId> = Vec::new();
@@ -83,14 +85,11 @@ proptest! {
                         edge_truss.remove_edge(&mutable, u, v);
                         seeds.extend([u, v]);
                     }
-                    Applied::VertexAdded(_) => {
-                        maint.add_vertex();
-                        edge_truss.add_vertex();
-                    }
+                    Applied::VertexAdded(_) => maint.add_vertex(),
                     Applied::AttributesSet(_) | Applied::NoOp => {}
                 }
             }
-            let snap = mutable.snapshot();
+            let snap = mutable.publish();
             let fresh = core_decomposition(&snap);
             prop_assert_eq!(
                 maint.coreness(),
@@ -105,12 +104,15 @@ proptest! {
                 "patched trussness diverged after batch {:?}",
                 batch
             );
+            let table;
+            (table, edge_nodes) = edge_truss.publish(&snap, &edge_nodes);
             prop_assert_eq!(
-                edge_truss.node_trussness(),
-                truss.as_slice(),
+                table.chunks().concat(),
+                truss_decomposition(&snap),
                 "maintained trussness diverged after batch {:?}",
                 batch
             );
+            prop_assert_eq!(&edge_nodes, &truss, "published node trussness after batch {:?}", batch);
         }
     }
 
@@ -158,12 +160,12 @@ fn arb_dense_churn() -> impl Strategy<Value = DenseCase> {
     })
 }
 
-/// Drives a [`TrussMaintainer`] through the case and checks it against
-/// [`truss_decomposition`] after each op: every edge's value from both
-/// endpoints' rows (the accessor also checks the row against the
-/// adjacency's length in debug builds), no value for a missing edge, and
-/// the node table equal to the per-node fold. Returns how many ops changed
-/// the graph (each one checked) and the highest trussness seen.
+/// Drives a [`TrussMaintainer`] through the case, publishing after each
+/// op as a store does after a one-update batch, and checks the published
+/// table against [`truss_decomposition`] of the published graph (every
+/// edge's value, in both endpoints' rows) and the node table against the
+/// per-node fold. Returns how many ops changed the graph (each one
+/// checked) and the highest trussness seen.
 fn check_dense_case((n, density, draws, ops): DenseCase) -> Result<(usize, u32), TestCaseError> {
     let pairs = (0..n as u32).flat_map(|u| (u + 1..n as u32).map(move |v| (u, v)));
     let edges: Vec<(u32, u32)> = pairs
@@ -173,6 +175,7 @@ fn check_dense_case((n, density, draws, ops): DenseCase) -> Result<(usize, u32),
     let initial = build(n, &edges);
     let mut mutable = MutableGraph::from_graph(&initial);
     let mut maint = TrussMaintainer::new(&initial);
+    let mut nodes = node_max_trussness(&initial);
     let (mut checked, mut highest) = (0, 0);
     for &(kind, a, b) in &ops {
         let n = mutable.n() as u32;
@@ -188,38 +191,173 @@ fn check_dense_case((n, density, draws, ops): DenseCase) -> Result<(usize, u32),
         match mutable.apply(&update).unwrap() {
             Applied::EdgeAdded(u, v) => maint.insert_edge(&mutable, u, v),
             Applied::EdgeRemoved(u, v) => maint.remove_edge(&mutable, u, v),
-            Applied::VertexAdded(_) => maint.add_vertex(),
+            Applied::VertexAdded(_) => {}
             Applied::AttributesSet(_) | Applied::NoOp => continue,
         }
-        let snap = mutable.snapshot();
-        let fresh = truss_decomposition(&snap);
-        let mut fold = vec![0u32; snap.n()];
-        for u in 0..snap.n() as NodeId {
-            let row = snap.row_range(u);
-            for v in 0..snap.n() as NodeId {
-                let at = snap.neighbors(u).binary_search(&v).ok();
-                let want = at.map(|i| fresh[row.start + i]);
-                prop_assert_eq!(
-                    maint.trussness_of(&mutable, u, v),
-                    want,
-                    "edge ({}, {}) after {:?}",
-                    u,
-                    v,
-                    update
-                );
-                fold[u as usize] = fold[u as usize].max(want.unwrap_or(0));
-            }
-        }
+        let snap = mutable.publish();
+        let table;
+        (table, nodes) = maint.publish(&snap, &nodes);
         prop_assert_eq!(
-            maint.node_trussness(),
-            fold.as_slice(),
+            table.chunks().concat(),
+            truss_decomposition(&snap),
             "after {:?}",
             update
         );
+        prop_assert_eq!(&nodes, &node_max_trussness(&snap), "after {:?}", update);
         checked += 1;
-        highest = highest.max(fold.iter().copied().max().unwrap_or(0));
+        highest = highest.max(nodes.iter().copied().max().unwrap_or(0));
     }
     Ok((checked, highest))
+}
+
+/// `(block of each node, edges drawn over node pairs, batches of raw ops)`.
+type EpochCase = (Vec<u8>, Vec<(u32, u32)>, Vec<Vec<(u8, u32, u32)>>);
+
+/// Graphs of up to four blocks with no edge between blocks (nodes are
+/// dealt to blocks at random, so components interleave in id order and
+/// some nodes are isolated), one numeric attribute a node, and up to 8
+/// batches of up to 12 ops. kind: 0–2 = add an edge inside `a`'s block,
+/// 3–4 = remove one of `a`'s edges, 5 = rewrite `a`'s attribute, 6 = add
+/// a vertex (in block `id % 4`), 7 = an out-of-range edge that stops the
+/// batch, as a store's erroring batch stops.
+fn arb_epochs() -> impl Strategy<Value = EpochCase> {
+    (2usize..32).prop_flat_map(|n| {
+        let block = prop::collection::vec(0u8..4, n);
+        let edges = prop::collection::vec((0..n as u32, 0..n as u32), 0..140);
+        let op = (0u8..8, 0u32..64, 0u32..64);
+        let batches = prop::collection::vec(prop::collection::vec(op, 0..12), 1..9);
+        (block, edges, batches)
+    })
+}
+
+/// One raw op of [`arb_epochs`] on the current graph, or `None` when it
+/// has nothing to bite on.
+fn epoch_update(g: &MutableGraph, block: &[u8], (kind, a, b): (u8, u32, u32)) -> GraphUpdate {
+    let u = a % g.n() as u32;
+    let mates: Vec<NodeId> = (0..g.n() as u32)
+        .filter(|&w| block[w as usize] == block[u as usize])
+        .collect();
+    let nbrs = g.neighbors(u);
+    match kind {
+        0..=2 => GraphUpdate::AddEdge {
+            u,
+            v: mates[b as usize % mates.len()],
+        },
+        3 | 4 if !nbrs.is_empty() => GraphUpdate::RemoveEdge {
+            u,
+            v: nbrs[b as usize % nbrs.len()],
+        },
+        3..=5 => GraphUpdate::SetAttributes {
+            v: u,
+            tokens: None,
+            numeric: Some(vec![f64::from(b)]),
+        },
+        6 => GraphUpdate::AddVertex {
+            tokens: vec![],
+            numeric: vec![f64::from(b)],
+        },
+        _ => GraphUpdate::AddEdge { u, v: u32::MAX },
+    }
+}
+
+/// Drives the case through a store's epoch protocol: a k-truss read
+/// first (the epoch's index decomposes), whose table the repair adopts;
+/// then per batch the edits, one publish of the graph and of the repair,
+/// and the next epoch's index seeded with what they published. On every
+/// published epoch: the per-edge table equals [`truss_decomposition`],
+/// the node table [`node_max_trussness`], the table shares every chunk
+/// of the previous one exactly when the batch moved no edge, the index
+/// decomposes nothing, and for
+/// every q and every k from 2 to 6 `Maintainer::maximal` equals the peel
+/// of the whole graph, in both models. Returns the batches checked.
+fn check_epochs((mut block, edges, batches): EpochCase) -> Result<usize, TestCaseError> {
+    let n = block.len();
+    let mut b = GraphBuilder::new(1);
+    for v in 0..n {
+        b.add_node(&[], &[v as f64]);
+    }
+    for (u, v) in edges {
+        if block[u as usize] == block[v as usize] {
+            b.add_edge(u, v).unwrap();
+        }
+    }
+    let mut epoch_graph = Arc::new(b.build().unwrap());
+    let mut index = EpochIndex::new();
+    index.node_trussness(&epoch_graph);
+    let adopted = index
+        .edge_trussness_if_computed()
+        .expect("decomposed")
+        .clone();
+    let mut maint = TrussMaintainer::adopt(Arc::clone(&epoch_graph), adopted);
+    let mut mutable = MutableGraph::from_arc(Arc::clone(&epoch_graph));
+    for batch in &batches {
+        let mut moved = false;
+        for &op in batch {
+            let update = epoch_update(&mutable, &block, op);
+            match mutable.apply(&update) {
+                Ok(Applied::EdgeAdded(u, v)) => maint.insert_edge(&mutable, u, v),
+                Ok(Applied::EdgeRemoved(u, v)) => maint.remove_edge(&mutable, u, v),
+                Ok(Applied::VertexAdded(v)) => block.push(v as u8 % 4),
+                Ok(Applied::AttributesSet(_) | Applied::NoOp) => continue,
+                Err(_) => break,
+            }
+            moved |= !matches!(update, GraphUpdate::AddVertex { .. });
+        }
+        let graph = mutable.publish();
+        let previous = index
+            .edge_trussness_if_computed()
+            .expect("resident")
+            .clone();
+        let (table, nodes) = maint.publish(&graph, index.node_trussness(&epoch_graph));
+        let pairs = previous.chunks().iter().zip(table.chunks());
+        let kept = pairs.filter(|(a, b)| Arc::ptr_eq(a, b)).count();
+        prop_assert_eq!(kept == previous.chunks().len(), !moved, "{:?}", batch);
+        index = EpochIndex::seeded(core_decomposition(&graph), Some(nodes), Some(table));
+        epoch_graph = graph;
+        let g = epoch_graph.as_ref();
+        prop_assert_eq!(
+            index.edge_trussness(g).chunks().concat(),
+            truss_decomposition(g)
+        );
+        prop_assert_eq!(index.node_trussness(g).to_vec(), node_max_trussness(g));
+        let all: Vec<NodeId> = (0..g.n() as NodeId).collect();
+        for model in [CommunityModel::KCore, CommunityModel::KTruss] {
+            for k in 2..=6 {
+                let mut m = Maintainer::new(g, &index, model, k);
+                for &q in &all {
+                    let root = m.maximal(q);
+                    prop_assert_eq!(root, m.maximal_within(q, &all), "{} k={} q={}", model, k, q);
+                }
+            }
+        }
+        prop_assert_eq!(index.truss_decomp_computations(), 0);
+    }
+    Ok(batches.len())
+}
+
+proptest! {
+    /// A store's epochs, short: see [`check_epochs`].
+    #[test]
+    fn published_epochs_hold_the_decomposition_and_walk_their_roots(case in arb_epochs()) {
+        check_epochs(case)?;
+    }
+}
+
+/// The longer run of [`check_epochs`], beside the one below.
+#[test]
+#[ignore = "2 000 cases of up to 8 published epochs; run on demand"]
+fn published_epochs_hold_the_decomposition_and_walk_their_roots_long_run() {
+    use rand::{rngs::StdRng, SeedableRng};
+    let strategy = arb_epochs();
+    let mut epochs = 0;
+    for case in 0..2_000u64 {
+        let mut rng = StdRng::seed_from_u64(0xE90C ^ case);
+        match check_epochs(strategy.generate(&mut rng)) {
+            Ok(checked) => epochs += checked,
+            Err(e) => panic!("case {case}: {e}"),
+        }
+    }
+    println!("{epochs} published epochs, zero mismatches");
 }
 
 /// The longer offline run of the same property (CHANGES.md quotes it):

@@ -62,7 +62,7 @@ pub use builder::{GraphBuilder, GraphError};
 pub use graph::{AttributedGraph, InducedSubgraph};
 pub use heap::MinScored;
 pub use hetero::{HeteroGraph, HeteroGraphBuilder, MetaPath, ProjectedGraph};
-pub use update::{Applied, GraphUpdate, MutableGraph};
+pub use update::{Applied, GraphUpdate, MutableGraph, RowOverlay};
 pub use workspace::{PeelScratch, QueryWorkspace};
 
 /// Dense node identifier, valid in `0..graph.n()`.

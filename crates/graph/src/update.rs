@@ -277,27 +277,33 @@ pub enum Applied {
 /// Marks a node whose row is still the base graph's.
 const UNEDITED: u32 = u32::MAX;
 
-/// Rows edited since the base graph, laid over its flat CSR rows.
+/// Rows edited since a base of flat CSR rows, laid over it: the overlay
+/// rule of [`MutableGraph`] (adjacency and token rows) and of the truss
+/// repair's per-edge table. A row is copied out of the base on its first
+/// edit, so an edit costs only the rows it touches.
 ///
-/// `slot[v]` is [`UNEDITED`] or the index of `v`'s row in `rows`. The
+/// `slot[v]` is `UNEDITED` or the index of `v`'s row in `rows`. The
 /// slot vector is dense — 4 bytes a node, allocated by the first edit —
 /// because a shard gather edits thousands of rows and pays for a map
 /// lookup on each; a node past its end is unedited.
 #[derive(Clone, Debug)]
-struct RowOverlay<T> {
+pub struct RowOverlay<T> {
     slot: Vec<u32>,
     rows: Vec<Vec<T>>,
 }
 
-impl<T: Copy> RowOverlay<T> {
-    fn new() -> Self {
+impl<T> Default for RowOverlay<T> {
+    fn default() -> Self {
         RowOverlay {
             slot: Vec::new(),
             rows: Vec::new(),
         }
     }
+}
 
-    fn is_empty(&self) -> bool {
+impl<T: Copy> RowOverlay<T> {
+    /// Whether no row has been edited.
+    pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
 
@@ -309,13 +315,13 @@ impl<T: Copy> RowOverlay<T> {
     }
 
     /// `v`'s edited row, if any.
-    fn get(&self, v: NodeId) -> Option<&[T]> {
+    pub fn get(&self, v: NodeId) -> Option<&[T]> {
         self.index(v as usize).map(|i| self.rows[i].as_slice())
     }
 
     /// `v`'s row for editing; a first edit copies `current` (`v`'s row in
     /// the base) with room for one more entry. `n` is the node count.
-    fn row_mut(&mut self, v: NodeId, n: usize, current: &[T]) -> &mut Vec<T> {
+    pub fn row_mut(&mut self, v: NodeId, n: usize, current: &[T]) -> &mut Vec<T> {
         let i = match self.index(v as usize) {
             Some(i) => i,
             None => {
@@ -432,8 +438,8 @@ impl MutableGraph {
             interner: Arc::clone(&base.attrs.interner),
             n: base.n(),
             m: base.m(),
-            adj: RowOverlay::new(),
-            token_rows: RowOverlay::new(),
+            adj: RowOverlay::default(),
+            token_rows: RowOverlay::default(),
             numeric: None,
             base,
         }

@@ -985,6 +985,12 @@ fn churn_queries(q: u32) -> Vec<CommunityQuery> {
         CommunityQuery::new(Method::Exact, q)
             .with_k(3)
             .with_model(csag::decomp::CommunityModel::KTruss),
+        CommunityQuery::new(Method::Acq, q)
+            .with_k(3)
+            .with_model(csag::decomp::CommunityModel::KTruss),
+        CommunityQuery::new(Method::Vac, q)
+            .with_k(3)
+            .with_model(csag::decomp::CommunityModel::KTruss),
     ]
 }
 

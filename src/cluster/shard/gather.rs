@@ -19,6 +19,7 @@ use super::ClusterView;
 use crate::engine::query::CommunityQuery;
 use crate::engine::store::Snapshot;
 use crate::engine::{CommunityResult, CsagError, Engine, GraphUpdate};
+use csag_decomp::EpochIndex;
 use csag_graph::{MutableGraph, NodeId, QueryWorkspace};
 use std::sync::Arc;
 
@@ -84,17 +85,17 @@ pub(crate) fn run(
 }
 
 /// Wraps a gathered union graph in an engine at the view's epoch,
-/// seeded with the journal's global core decomposition (and trussness,
-/// when some routing decision already paid for it): precheck messages
-/// quote global numbers, exactly as a single store would.
+/// seeded with the journal's global core decomposition (and node
+/// trussness, when some routing decision already paid for it): precheck
+/// messages quote global numbers, exactly as a single store would. The
+/// union graph's per-edge trussness is decomposed only if a k-truss root
+/// asks for it.
 fn union_engine(view: &ClusterView, graph: csag_graph::AttributedGraph) -> Engine {
     let journal = view.journal().engine();
-    Engine::from_store_parts(
-        Arc::new(graph),
-        view.epoch(),
+    let index = EpochIndex::seeded(
         journal.coreness().to_vec(),
         journal.index().node_trussness_if_computed().cloned(),
-        Vec::new(),
-        Vec::new(),
-    )
+        None,
+    );
+    Engine::from_store_parts(Arc::new(graph), view.epoch(), index, Vec::new(), Vec::new())
 }

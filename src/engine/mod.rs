@@ -153,8 +153,8 @@ impl Engine {
     }
 
     /// Builds an epoch's engine from state the [`store::GraphStore`]
-    /// maintained incrementally: pre-patched decompositions (seeded
-    /// without counting as recomputations — [`Engine::decomp_computations`]
+    /// maintained incrementally: an index seeded with repaired tables
+    /// (seeding counts as no recomputation — [`Engine::decomp_computations`]
     /// keeps reporting how often the *full* peel actually ran), the
     /// distance tables that survived invalidation, and the admission
     /// record (oldest first; only the newest [`MAX_CACHED_QUERY_NODES`]
@@ -162,18 +162,15 @@ impl Engine {
     pub(crate) fn from_store_parts(
         graph: Arc<AttributedGraph>,
         epoch: u64,
-        coreness: Vec<u32>,
-        trussness: Option<Vec<u32>>,
+        index: EpochIndex,
         carried: Vec<(DistanceKey, Arc<QueryDistances>)>,
         missed: Vec<DistanceKey>,
     ) -> Self {
-        debug_assert_eq!(coreness.len(), graph.n());
-        debug_assert!(trussness.as_ref().is_none_or(|t| t.len() == graph.n()));
         debug_assert!(carried.len() <= MAX_CACHED_QUERY_NODES);
         let forget = missed.len().saturating_sub(MAX_CACHED_QUERY_NODES);
         let engine = Engine {
             epoch,
-            index: EpochIndex::seeded(coreness, trussness),
+            index,
             missed: Mutex::new(missed.into_iter().skip(forget).collect()),
             ..Engine::from_arc(graph)
         };

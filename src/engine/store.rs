@@ -17,13 +17,16 @@
 //!
 //! The expensive per-graph state is carried forward instead of rebuilt:
 //!
-//! * **Node trussness** is repaired edge by edge by a
+//! * **Trussness** is one per-edge table per epoch
+//!   ([`csag_decomp::EdgeTrussness`]), repaired edge by edge by a
 //!   [`csag_decomp::TrussMaintainer`] fed next to the edit overlay: each
 //!   update touches only the edges whose trussness moves and their
-//!   triangle neighbours, whatever the size of the graph. The maintainer
-//!   is seeded by the first batch applied after some query made
-//!   trussness resident — from the per-edge table that query's
-//!   decomposition left on the engine, so the store never decomposes a
+//!   triangle neighbours, whatever the size of the graph, and copies only
+//!   their rows; the batch publishes the next epoch's table, sharing every
+//!   chunk of rows it left untouched, and its node trussness. The
+//!   maintainer is seeded by the first batch applied after some query
+//!   made trussness resident — it adopts the table that query's
+//!   decomposition left on the epoch, so the store never decomposes a
 //!   second time — and lives until [`GraphStore::reset_to`]; a store
 //!   nobody asks k-truss questions stays lazy.
 //! * **Core numbers** are pre-seeded into every epoch's engine: carried
@@ -77,7 +80,7 @@ use crate::cluster::LogRecord;
 use crate::durability::{DurabilityStatus, RecoveryReport, Wal, WalConfig, WalError};
 use csag_core::clock::deadline_after;
 use csag_core::distance::QueryDistances;
-use csag_decomp::{core_decomposition, TrussMaintainer};
+use csag_decomp::{core_decomposition, EpochIndex, TrussMaintainer};
 use csag_graph::{Applied, AttributedGraph, GraphError, MutableGraph, NodeId};
 use std::fmt;
 use std::path::Path;
@@ -274,8 +277,9 @@ struct StoreState {
     /// Edits since the current epoch, over that epoch's graph (shared
     /// with its engine).
     mutable: MutableGraph,
-    /// Per-edge trussness of `mutable`, once some query made the node
-    /// table resident (see [`GraphStore::apply`]); `None` while lazy.
+    /// The trussness repair, editing the current epoch's per-edge table,
+    /// once some query made it resident (see [`GraphStore::apply`]);
+    /// `None` while lazy.
     truss: Option<TrussMaintainer>,
     epoch: u64,
 }
@@ -478,8 +482,8 @@ impl GraphStore {
             truss: None,
             epoch,
         };
-        let coreness = core_decomposition(&graph);
-        let engine = Engine::from_store_parts(graph, epoch, coreness, None, Vec::new(), Vec::new());
+        let index = EpochIndex::seeded(core_decomposition(&graph), None, None);
+        let engine = Engine::from_store_parts(graph, epoch, index, Vec::new(), Vec::new());
         (state, Arc::new(engine))
     }
 
@@ -695,15 +699,14 @@ impl GraphStore {
                 })?;
         }
         let old_engine = self.snapshot().engine;
-        // Trussness is maintained only once a query paid for it: seed the
-        // repair from the decomposition that query ran, once per store
-        // lifetime. (Until the maintainer exists, every epoch's engine
-        // decomposes for itself, so a resident node table has its
-        // per-edge one beside it.)
+        // Trussness is maintained only once a query paid for it: the
+        // repair adopts the table that query's decomposition left on the
+        // epoch, once per store lifetime, and from then on hands every
+        // epoch its own.
         if state.truss.is_none() {
-            let g = old_engine.graph();
-            if let Some(trussness) = old_engine.index().edge_trussness_if_computed() {
-                state.truss = Some(TrussMaintainer::from_decomposition(g, trussness));
+            if let Some(table) = old_engine.index().edge_trussness_if_computed() {
+                let graph = old_engine.graph_arc();
+                state.truss = Some(TrussMaintainer::adopt(graph, table.clone()));
             }
         }
 
@@ -731,9 +734,6 @@ impl GraphStore {
                     report.edges_removed += 1;
                 }
                 Ok(Applied::VertexAdded(_)) => {
-                    if let Some(truss) = truss {
-                        truss.add_vertex();
-                    }
                     n_changed = true;
                     report.vertices_added += 1;
                 }
@@ -772,7 +772,10 @@ impl GraphStore {
             .filter(|(a, b)| a != b)
             .count()
             + (new_core.len() - old_core.len());
-        let trussness = state.truss.as_ref().map(|t| t.node_trussness().to_vec());
+        let trussness = state
+            .truss
+            .as_mut()
+            .map(|t| t.publish(&new_graph, old_engine.node_trussness()));
 
         // Selective distance-table invalidation (see the module docs).
         let ranges_changed = n_changed
@@ -812,11 +815,11 @@ impl GraphStore {
             wal.maybe_checkpoint(&new_graph, state.epoch);
         }
 
+        let (edge_trussness, node_trussness) = trussness.unzip();
         let engine = Arc::new(Engine::from_store_parts(
             new_graph,
             state.epoch,
-            new_core,
-            trussness,
+            EpochIndex::seeded(new_core, node_trussness, edge_trussness),
             carried,
             missed,
         ));

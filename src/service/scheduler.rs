@@ -205,6 +205,9 @@ impl Shared {
         // homogeneous engine can never answer — admitting it would burn
         // a slot and a dispatch on a guaranteed InvalidParams — and
         // unroutable epoch pins.
+        // One arrival instant: a deadline runs from submission, through
+        // any wait for a pinned epoch and the search alike.
+        let arrived = Instant::now();
         let mut batch_route: Option<RoutedSnapshot> = None;
         let mut outcomes: Vec<Option<Result<u64, CsagError>>> = Vec::with_capacity(entries.len());
         let mut admissible: Vec<(usize, Request, ReplyTo, String, RoutedSnapshot)> =
@@ -239,7 +242,10 @@ impl Shared {
                     batch_route.clone().expect("just routed")
                 }
                 Some(epoch) => {
-                    let wait = req.deadline.unwrap_or(self.epoch_wait);
+                    let wait = match deadline_after(arrived, req.deadline) {
+                        Some(at) => at.saturating_duration_since(Instant::now()),
+                        None => req.deadline.unwrap_or(self.epoch_wait),
+                    };
                     match source.route_read(Some(epoch), wait) {
                         Ok(r) => r,
                         Err(e) => {
@@ -272,13 +278,12 @@ impl Shared {
             }
             let request_id = st.next_request_id;
             st.next_request_id += 1;
-            let now = Instant::now();
             let mut waiter = Waiter {
                 request_id,
                 priority: req.priority,
                 class: req.class,
-                submitted: now,
-                deadline_at: deadline_after(now, req.deadline),
+                submitted: arrived,
+                deadline_at: deadline_after(arrived, req.deadline),
                 coalesced: false,
                 reply,
             };

@@ -83,14 +83,15 @@ fn warm_baseline_reads_borrow_the_workspace_and_the_distance_table() {
     let mut ws = QueryWorkspace::new();
 
     // Measured per warm read, ACQ / LocATC / VAC / E-VAC (16 states):
-    // 23 / 36 / 19 / 385 under k-core and 23 / 18 / 16 / 115 under
-    // k-truss: the seed ball, the reused probe buffers as they grow, the
-    // E-VAC states and the answer. A peel scratch of the read's own (five
+    // 23 / 36 / 19 / 385 under k-core and 17 / 18 / 10 / 109 under
+    // k-truss (a k-truss root is a walk of the edge table, no peel): the
+    // seed ball, the reused probe buffers as they grow, the E-VAC states
+    // and the answer. A peel scratch of the read's own (five
     // `n`-sized node arrays, and the lists and slots it grows), a fresh
     // `f(·,q)` table or a buffer per probe is over.
     for (model, budgets) in [
         (CommunityModel::KCore, [23.0, 36.0, 19.0, 385.0]),
-        (CommunityModel::KTruss, [23.0, 18.0, 16.0, 115.0]),
+        (CommunityModel::KTruss, [17.0, 18.0, 10.0, 109.0]),
     ] {
         let query = |method| CommunityQuery::new(method, Q).with_k(4).with_model(model);
         let reads = [

@@ -1,9 +1,10 @@
 //! Reads build no `O(m)` edge table: every engine read — SEA, size-bounded
 //! SEA, Exact and the four baselines — borrows the engine's `EpochIndex`,
-//! whose one per-edge table is the trussness the decomposition left behind
-//! (a store-seeded epoch has none, and its reads add none), and a k-truss
-//! peel numbers the edges of the subset it peels, so the peel scratch a
-//! worker pools grows to the largest subset's internal edges, not to `m`.
+//! whose one per-edge table is the trussness table (decomposed by a fresh
+//! engine, handed over repaired on a store-seeded epoch, and built by no
+//! read), and a k-truss peel numbers the edges of the subset it peels, so
+//! the peel scratch a worker pools grows to the largest subset's internal
+//! edges, not to `m`.
 //! Each read answers exactly as the standalone call with a fresh index.
 //! An engine SEA read takes q's component from the index's component
 //! table, which equals the walk of q's component. And one truss
@@ -21,7 +22,8 @@ use csag::core::sea::{grow_neighborhood, Sea, SeaParams};
 use csag::datasets::generator::{generate, SyntheticConfig};
 use csag::datasets::{random_updates, ChurnMix};
 use csag::decomp::{
-    node_max_trussness, truss_decompositions, CommunityModel, EpochIndex, Maintainer,
+    node_max_trussness, truss_decomposition, truss_decompositions, CommunityModel, EpochIndex,
+    Maintainer,
 };
 use csag::engine::{
     outcome_identity, CommunityQuery, CommunityResult, CsagError, Engine, GraphStore, Method,
@@ -198,7 +200,7 @@ fn truss_reads_build_no_edge_table_and_the_first_write_adopts_the_decomposition(
     let kept = engine
         .index()
         .edge_trussness_if_computed()
-        .map(<[u32]>::len);
+        .map(|t| t.chunks().concat().len());
     assert_eq!(kept, Some(2 * g.m()), "one entry per adjacency slot");
     let coreness = engine.coreness();
     let picks: Vec<NodeId> = (0..g.n() as NodeId)
@@ -246,9 +248,9 @@ fn truss_reads_build_no_edge_table_and_the_first_write_adopts_the_decomposition(
         assert_eq!(found[&method], 4 * picks.len(), "{method}: {found:?}");
     }
 
-    // A store-seeded epoch: the store hands the engine trussness it
-    // repaired, and its reads neither decompose nor leave a per-edge
-    // table behind.
+    // A store-seeded epoch: the store hands the engine the per-edge
+    // table it repaired and its node trussness, and its reads decompose
+    // nothing.
     let store = GraphStore::new(g.clone());
     let mut rng = StdRng::seed_from_u64(7);
     let batch = random_updates(&g, &mut rng, 8, ChurnMix::MIXED);
@@ -265,9 +267,13 @@ fn truss_reads_build_no_edge_table_and_the_first_write_adopts_the_decomposition(
     }
     assert_eq!(truss_decompositions() - before, 0, "seeded reads");
     assert_eq!(snap.engine().truss_decomp_computations(), 0, "seeded");
-    assert!(
-        snap.engine().index().edge_trussness_if_computed().is_none(),
-        "no per-edge table on a seeded epoch"
+    assert_eq!(
+        snap.engine()
+            .index()
+            .edge_trussness_if_computed()
+            .map(|t| t.chunks().concat()),
+        Some(truss_decomposition(snap.graph())),
+        "a seeded epoch holds the store's repaired per-edge table"
     );
     // The churn may drop a pick's root; a read then fails for every
     // method alike.

@@ -23,7 +23,7 @@
 use csag::baselines::local_seed;
 use csag::core::distance::{DistanceParams, QueryDistances};
 use csag::datasets::{generate, standins, SyntheticConfig};
-use csag::decomp::{node_max_trussness, CommunityModel, EpochIndex, Maintainer};
+use csag::decomp::{CommunityModel, EpochIndex, Maintainer};
 use csag::graph::{AttributedGraph, NodeId, QueryWorkspace};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::time::Instant;
@@ -115,11 +115,8 @@ fn queries(trussness: &[u32], k: u32) -> Vec<NodeId> {
 #[ignore = "a timing probe; run in release with --ignored --nocapture"]
 fn truss_peel_times() {
     let g = g5();
-    let trussness = node_max_trussness(&g);
-    let index = EpochIndex::seeded(
-        csag::decomp::core_decomposition(&g),
-        Some(trussness.clone()),
-    );
+    let index = EpochIndex::new();
+    let trussness = index.node_trussness(&g).to_vec();
     let mut ws = QueryWorkspace::new();
     let root = |ws: &mut QueryWorkspace, k: u32, q: NodeId| {
         let mut m = Maintainer::in_workspace(&g, &index, CommunityModel::KTruss, k, ws);
@@ -171,8 +168,8 @@ fn truss_peel_times() {
     }
     let d = standins::dblp_like();
     let p = d.graph.project(&d.meta_path).graph;
-    let (pk, pt) = (d.default_k, node_max_trussness(&p));
-    let pindex = EpochIndex::seeded(csag::decomp::core_decomposition(&p), Some(pt.clone()));
+    let pindex = EpochIndex::new();
+    let (pk, pt) = (d.default_k, pindex.node_trussness(&p).to_vec());
     let mut pus = Vec::new();
     let mut psize = 0;
     for q in (0..p.n() as NodeId)

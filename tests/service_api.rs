@@ -329,6 +329,43 @@ fn a_pinned_read_with_an_unrepresentable_deadline_waits_for_its_epoch() {
     assert!(response.outcome.is_ok());
 }
 
+/// A pinned read's deadline runs from submission: the wait for its
+/// epoch spends it, and the search gets only what is left (the deadline
+/// used to start again once the epoch arrived, so the slack read the
+/// whole deadline).
+#[test]
+fn a_pinned_reads_deadline_counts_its_wait_for_the_epoch() {
+    let (graph, q) = figure1_imdb();
+    let store = Arc::new(GraphStore::new(graph));
+    let service = Arc::new(Service::new(
+        Arc::clone(&store),
+        ServiceConfig::default().with_workers(1),
+    ));
+    let reader = {
+        let service = Arc::clone(&service);
+        std::thread::spawn(move || {
+            service.run(
+                Request::new(sea_query(q))
+                    .with_epoch(1)
+                    .with_deadline(Duration::from_millis(400)),
+            )
+        })
+    };
+    // Publish 300 ms after the read arrived.
+    while service.metrics().submitted == 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    std::thread::sleep(Duration::from_millis(300));
+    store
+        .apply(&[GraphUpdate::AddEdge { u: q, v: 0 }])
+        .expect("endpoints exist");
+    let response = reader.join().expect("no panic").expect("admitted");
+    assert_eq!(response.epoch, 1);
+    assert!(response.outcome.is_ok());
+    let slack = response.deadline_slack_ms.expect("deadline was set");
+    assert!(slack < 200.0, "{slack} ms of slack after a 300 ms wait");
+}
+
 /// A class is a label, not an admission bound: every class counts
 /// against the one `capacity`, so four requests under four distinct
 /// labels still admit exactly two, and each answer echoes its own label.

@@ -255,7 +255,7 @@ fn concurrent_readers_see_consistent_epochs_during_churn() {
 /// nodes (the benchmark's `G5` shape, communities of ≈ 91).
 #[test]
 fn truss_repair_work_is_bounded_by_the_community_not_the_graph() {
-    use csag::decomp::TrussMaintainer;
+    use csag::decomp::{node_max_trussness, TrussMaintainer};
     use csag::graph::MutableGraph;
     use rand::Rng;
 
@@ -295,9 +295,14 @@ fn truss_repair_work_is_bounded_by_the_community_not_the_graph() {
             total += steps;
         }
         println!("{nodes} nodes: worst {worst}, mean {}", total / 512);
+        let published = mutable.publish();
         assert_eq!(
-            maint.node_trussness(),
-            csag::decomp::node_max_trussness(&mutable.snapshot()).as_slice(),
+            maint
+                .publish(&published, &node_max_trussness(&g))
+                .0
+                .chunks()
+                .concat(),
+            csag::decomp::truss_decomposition(&published),
             "{nodes} nodes: the counted repairs are the correct ones"
         );
     }
@@ -338,6 +343,15 @@ fn assert_inherited_tables_match_scratch(store: &GraphStore) {
         snap.engine().node_trussness(),
         csag::decomp::node_max_trussness(snap.graph()).as_slice(),
         "epoch {epoch} trussness"
+    );
+    assert_eq!(
+        snap.engine()
+            .index()
+            .edge_trussness(snap.graph())
+            .chunks()
+            .concat(),
+        csag::decomp::truss_decomposition(snap.graph()),
+        "epoch {epoch} per-edge trussness"
     );
     assert_eq!(snap.engine().decomp_computations(), 0, "epoch {epoch}");
     assert_eq!(
@@ -439,4 +453,134 @@ fn resident_tables_equal_from_scratch_at_every_epoch_of_mixed_churn() {
         vertices > 0 && edges > 100,
         "{vertices} vertices, {edges} edge toggles"
     );
+}
+
+mod published_epochs {
+    use super::*;
+    use csag::decomp::{node_max_trussness, truss_decomposition, CommunityModel, Maintainer};
+    use csag::graph::{AttributedGraph, GraphBuilder, NodeId};
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
+
+    /// A graph of `n` nodes dealt to up to four blocks, with the edges of
+    /// `pairs` that stay inside a block, one numeric attribute a node.
+    fn blocks(block: &[u8], pairs: &[(u32, u32)]) -> AttributedGraph {
+        let mut b = GraphBuilder::new(1);
+        for v in 0..block.len() {
+            b.add_node(&["t"], &[v as f64]);
+        }
+        for &(u, v) in pairs {
+            if block[u as usize] == block[v as usize] {
+                b.add_edge(u, v).unwrap();
+            }
+        }
+        b.build().unwrap()
+    }
+
+    /// One raw op on `g`: kind 0–2 adds an edge inside `a`'s block, 3–4
+    /// removes one of `a`'s edges (or, with none, falls through), 5
+    /// rewrites `a`'s attribute, 6 appends a vertex (in block `id % 4`).
+    fn update(g: &AttributedGraph, block: &[u8], (kind, a, b): (u8, u32, u32)) -> GraphUpdate {
+        let u = a % g.n() as u32;
+        let mates: Vec<NodeId> = (0..g.n() as u32)
+            .filter(|&w| block[w as usize] == block[u as usize])
+            .collect();
+        let nbrs = g.neighbors(u);
+        match kind {
+            0..=2 => GraphUpdate::AddEdge {
+                u,
+                v: mates[b as usize % mates.len()],
+            },
+            3 | 4 if !nbrs.is_empty() => GraphUpdate::RemoveEdge {
+                u,
+                v: nbrs[b as usize % nbrs.len()],
+            },
+            3..=5 => GraphUpdate::SetAttributes {
+                v: u,
+                tokens: None,
+                numeric: Some(vec![f64::from(b)]),
+            },
+            _ => GraphUpdate::AddVertex {
+                tokens: vec!["t".into()],
+                numeric: vec![f64::from(b)],
+            },
+        }
+    }
+
+    /// A k-truss read first, so the store's repair is seeded; then after
+    /// every batch the published epoch holds the decomposition's per-edge
+    /// table and node trussness, decomposed nothing, shares every chunk of
+    /// the previous table exactly when the batch moved no edge, and
+    /// answers every root — each q, k from 2 to 6, both models — as the
+    /// peel of the whole graph.
+    fn check(
+        block: &mut Vec<u8>,
+        pairs: &[(u32, u32)],
+        batches: &[Vec<(u8, u32, u32)>],
+    ) -> Result<(), TestCaseError> {
+        let store = GraphStore::new(blocks(block, pairs));
+        store.snapshot().engine().node_trussness();
+        for raw in batches {
+            let before = store.snapshot();
+            let mut batch = Vec::new();
+            let mut preview = csag::graph::MutableGraph::from_arc(before.engine().graph_arc());
+            for &op in raw {
+                let next = update(&preview.snapshot(), block, op);
+                if let csag::graph::Applied::VertexAdded(v) = preview.apply(&next).unwrap() {
+                    block.push(v as u8 % 4);
+                }
+                batch.push(next);
+            }
+            let report = store.apply(&batch).expect("endpoints exist");
+            let snap = store.snapshot();
+            let (engine, g) = (snap.engine(), snap.graph());
+            let index = engine.index();
+            let table = index.edge_trussness_if_computed().expect("published");
+            let previous = before.engine().index().edge_trussness_if_computed();
+            let moved = report.edges_added + report.edges_removed > 0;
+            let shares_all = previous.is_some_and(|p| {
+                let pairs = p.chunks().iter().zip(table.chunks());
+                pairs.filter(|(a, b)| Arc::ptr_eq(a, b)).count() == p.chunks().len()
+            });
+            prop_assert_eq!(shares_all, !moved, "{:?}", batch);
+            prop_assert_eq!(table.chunks().concat(), truss_decomposition(g));
+            prop_assert_eq!(engine.node_trussness().to_vec(), node_max_trussness(g));
+            let all: Vec<NodeId> = (0..g.n() as NodeId).collect();
+            for model in [CommunityModel::KCore, CommunityModel::KTruss] {
+                for k in 2..=6 {
+                    let mut m = Maintainer::new(g, index, model, k);
+                    for &q in &all {
+                        let root = m.maximal(q);
+                        prop_assert_eq!(
+                            root,
+                            m.maximal_within(q, &all),
+                            "{} k={} q={}",
+                            model,
+                            k,
+                            q
+                        );
+                    }
+                }
+            }
+            prop_assert_eq!(engine.truss_decomp_computations(), 0);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+        /// Random multi-block graphs through a `GraphStore` with random
+        /// structural, attribute-only and `AddVertex` batches (the long
+        /// run of the same protocol is `prop_maintain`'s ignored one).
+        #[test]
+        fn published_epochs_hold_the_decomposition_and_walk_their_roots(
+            (mut block, pairs, batches) in (2usize..28).prop_flat_map(|n| (
+                prop::collection::vec(0u8..4, n),
+                prop::collection::vec((0..n as u32, 0..n as u32), 0..120),
+                prop::collection::vec(prop::collection::vec((0u8..7, 0u32..64, 0u32..64), 0..10), 1..7),
+            )),
+        ) {
+            check(&mut block, &pairs, &batches)?;
+        }
+    }
 }
