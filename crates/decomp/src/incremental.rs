@@ -59,9 +59,9 @@
 //! property tests (`tests/prop_maintain.rs`) and `benchmark/` compile
 //! against.
 
-use crate::index::{chunk_nodes, EdgeTrussness, CHUNK};
+use crate::index::{EdgeTrussness, CHUNK};
 use crate::kcore::core_decomposition;
-use crate::ktruss::{for_common_in_rows, node_max_trussness, truss_decomposition};
+use crate::ktruss::{for_common_in_rows, node_max_trussness};
 use csag_graph::{AttributedGraph, MutableGraph, NodeId, RowOverlay};
 use std::sync::Arc;
 
@@ -92,11 +92,7 @@ impl CoreMaintainer {
     /// Computes the initial core numbers of `g` and readies the repair
     /// scratch.
     pub fn new(g: &AttributedGraph) -> Self {
-        Self::from_coreness(core_decomposition(g))
-    }
-
-    /// Adopts already-computed core numbers (must match the current graph).
-    pub fn from_coreness(core: Vec<u32>) -> Self {
+        let core = core_decomposition(g);
         let n = core.len();
         CoreMaintainer {
             core,
@@ -321,14 +317,6 @@ impl Rows {
 }
 
 impl TrussMaintainer {
-    /// Decomposes `g` once and adopts the table.
-    pub fn new(g: &AttributedGraph) -> Self {
-        Self::adopt(
-            Arc::new(g.clone()),
-            EdgeTrussness::new(g, &truss_decomposition(g)),
-        )
-    }
-
     /// Adopts `table`, the per-edge trussness of `graph`; its chunks are
     /// shared, not copied.
     pub fn adopt(graph: Arc<AttributedGraph>, table: EdgeTrussness) -> Self {
@@ -348,46 +336,33 @@ impl TrussMaintainer {
     /// The table of `graph`, the graph the reported toggles led to, and
     /// its node trussness, given `nodes`, that of the graph last published
     /// (or adopted); later repairs edit this table. A chunk with no edited
-    /// row is shared, and its nodes keep their values; the others are
-    /// built afresh, an edited row's node value being its maximum.
+    /// row is shared, the others are built afresh, and an edited row's
+    /// node takes the row's maximum.
     pub fn publish(
         &mut self,
         graph: &Arc<AttributedGraph>,
         nodes: &[u32],
     ) -> (EdgeTrussness, Vec<u32>) {
         let rows = &self.rows;
+        let unedited = |c: usize| {
+            (c * CHUNK..graph.n().min((c + 1) * CHUNK))
+                .all(|v| rows.edited.get(v as NodeId).is_none())
+        };
+        let kept = |c| rows.table.chunks.get(c).filter(|_| unedited(c)).cloned();
+        let table = EdgeTrussness::build(graph, kept, |v| rows.row(v));
         let mut node_trussness = nodes.to_vec();
         node_trussness.resize(graph.n(), 0);
-        let chunks = (0..graph.n().div_ceil(CHUNK))
-            .map(|c| {
-                let members = chunk_nodes(c, graph.n());
-                match rows.table.chunks.get(c) {
-                    Some(chunk) if members.clone().all(|v| rows.edited.get(v).is_none()) => {
-                        Arc::clone(chunk)
-                    }
-                    _ => {
-                        let base = graph.row_range(members.start).start;
-                        let len = graph.row_range(members.end - 1).end - base;
-                        let mut chunk: Arc<[u32]> = std::iter::repeat_n(0, len).collect();
-                        let out = Arc::get_mut(&mut chunk).expect("a fresh chunk");
-                        for v in members {
-                            let at = graph.row_range(v);
-                            out[at.start - base..at.end - base].copy_from_slice(rows.row(v));
-                            if let Some(row) = rows.edited.get(v) {
-                                node_trussness[v as usize] = row.iter().copied().max().unwrap_or(0);
-                            }
-                        }
-                        chunk
-                    }
-                }
-            })
-            .collect();
+        for (v, max) in node_trussness.iter_mut().enumerate() {
+            if let Some(row) = rows.edited.get(v as NodeId) {
+                *max = row.iter().copied().max().unwrap_or(0);
+            }
+        }
         self.rows = Rows {
             graph: Arc::clone(graph),
-            table: EdgeTrussness { chunks },
+            table: table.clone(),
             edited: RowOverlay::default(),
         };
-        (self.rows.table.clone(), node_trussness)
+        (table, node_trussness)
     }
 
     /// Steps taken by every repair so far: one per support re-check, one
@@ -603,6 +578,7 @@ pub fn patch_node_trussness(new_g: &AttributedGraph, old: &[u32], seeds: &[NodeI
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ktruss::truss_decomposition;
     use csag_graph::{GraphBuilder, GraphUpdate};
 
     fn grid(n: usize, edges: &[(u32, u32)]) -> AttributedGraph {
@@ -773,7 +749,8 @@ mod tests {
     /// table its per-node maximum.
     fn drive_truss(initial: &AttributedGraph, batches: &[&[GraphUpdate]]) -> Driven {
         let mut mutable = MutableGraph::from_graph(initial);
-        let mut maint = TrussMaintainer::new(initial);
+        let table = EdgeTrussness::new(initial, &truss_decomposition(initial));
+        let mut maint = TrussMaintainer::adopt(Arc::new(initial.clone()), table);
         let mut nodes = node_max_trussness(initial);
         let mut published = None;
         for batch in batches {
@@ -889,10 +866,16 @@ mod tests {
     fn reinserting_a_removed_edge_restores_every_value() {
         let g = octahedron();
         let script = [remove(0, 2), add(0, 2), remove(4, 1), add(1, 4)];
-        let back = drive_truss(&g, &[&script]);
-        assert_eq!(back.table.chunks().concat(), truss_decomposition(&g));
-        assert_eq!(back.nodes, node_max_trussness(&g));
-        assert!(back.maint.work() > 0, "the repairs were counted");
+        // One update a batch (every intermediate state checked), then all
+        // four in one batch: the same repairs, the same final table.
+        let one_by_one: Vec<&[GraphUpdate]> = script.iter().map(std::slice::from_ref).collect();
+        let runs = [drive_truss(&g, &one_by_one), drive_truss(&g, &[&script])];
+        for back in &runs {
+            assert_eq!(back.table.chunks().concat(), truss_decomposition(&g));
+            assert_eq!(back.nodes, node_max_trussness(&g));
+            assert!(back.maint.work() > 0, "the counter only grows");
+        }
+        assert_eq!(runs[0].maint.work(), runs[1].maint.work());
     }
 
     /// Which chunks of `a` are the very chunks of `b`.

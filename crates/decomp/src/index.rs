@@ -25,14 +25,25 @@ impl EdgeTrussness {
     /// The table of `g` from its CSR-order values, as
     /// [`truss_decomposition`] returns them.
     pub fn new(g: &AttributedGraph, flat: &[u32]) -> Self {
-        let chunks = (0..g.n().div_ceil(CHUNK))
-            .map(|c| {
-                let nodes = chunk_nodes(c, g.n());
-                let (first, last) = (nodes.start, nodes.end - 1);
-                Arc::from(&flat[g.row_range(first).start..g.row_range(last).end])
+        Self::build(g, |_| None, |v| &flat[g.row_range(v)])
+    }
+
+    /// The table of `g` whose chunk `c` is `kept(c)`, or else the rows
+    /// `row(v)` of its nodes laid end to end.
+    pub(crate) fn build<'a>(
+        g: &AttributedGraph,
+        kept: impl Fn(usize) -> Option<Arc<[u32]>>,
+        row: impl Fn(NodeId) -> &'a [u32],
+    ) -> Self {
+        let chunks = (0..g.n().div_ceil(CHUNK)).map(|c| {
+            kept(c).unwrap_or_else(|| {
+                let nodes = (c * CHUNK) as NodeId..((c + 1) * CHUNK).min(g.n()) as NodeId;
+                nodes.flat_map(|v| row(v).iter().copied()).collect()
             })
-            .collect();
-        EdgeTrussness { chunks }
+        });
+        EdgeTrussness {
+            chunks: chunks.collect(),
+        }
     }
 
     /// `v`'s row of the table of `g` (empty past `g`'s nodes).
@@ -52,11 +63,6 @@ impl EdgeTrussness {
     pub fn chunks(&self) -> &[Arc<[u32]>] {
         &self.chunks
     }
-}
-
-/// The nodes of chunk `c` of a table of `n` nodes.
-pub(crate) fn chunk_nodes(c: usize, n: usize) -> std::ops::Range<NodeId> {
-    (c * CHUNK) as NodeId..((c + 1) * CHUNK).min(n) as NodeId
 }
 
 /// Lazily built tables of one graph, shared by every query on it:
@@ -89,9 +95,8 @@ impl EpochIndex {
     }
 
     /// An index seeded with tables maintained elsewhere (a store's
-    /// repaired ones; a shard gather's global node trussness alone, whose
-    /// per-edge table is built only if a root asks). Seeding counts as no
-    /// decomposition run.
+    /// repaired ones, a shard gather's global ones); a table left out is
+    /// built on first use. Seeding counts as no decomposition run.
     pub fn seeded(
         coreness: Vec<u32>,
         node_trussness: Option<Vec<u32>>,

@@ -162,13 +162,14 @@ impl<'g> Maintainer<'g> {
     /// (docs/architecture.md, "One per-epoch index").
     pub fn maximal(&mut self, q: NodeId) -> Option<Vec<NodeId>> {
         let (g, k, index) = (self.g, self.k, self.index);
-        let (screen, trussness) = match self.model {
-            CommunityModel::KCore => (index.coreness(g), None),
-            CommunityModel::KTruss => (index.node_trussness(g), Some(index.edge_trussness(g))),
+        let screen = match self.model {
+            CommunityModel::KCore => index.coreness(g),
+            CommunityModel::KTruss => index.node_trussness(g),
         };
         if screen[q as usize] < k {
             return None;
         }
+        let trussness = (self.model == CommunityModel::KTruss).then(|| index.edge_trussness(g));
         let e = self.scratch.next_epoch();
         let [_, _, visited, ..] = &mut self.scratch.node;
         visited[q as usize] = e;

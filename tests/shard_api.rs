@@ -57,6 +57,9 @@ fn battery(q: u32) -> Vec<CommunityQuery> {
             .with_model(CommunityModel::KTruss)
             .with_state_budget(500),
         CommunityQuery::new(Method::Acq, q).with_k(3),
+        CommunityQuery::new(Method::Acq, q)
+            .with_k(3)
+            .with_model(CommunityModel::KTruss),
         CommunityQuery::new(Method::Vac, q).with_k(3),
         // Root-capped so debug builds stay fast: large roots answer
         // with the same BudgetExhausted bytes on both sides.

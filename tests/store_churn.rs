@@ -271,7 +271,8 @@ fn truss_repair_work_is_bounded_by_the_community_not_the_graph() {
         };
         let (g, planted) = generate(&config, 20);
         let mut mutable = MutableGraph::from_graph(&g);
-        let mut maint = TrussMaintainer::new(&g);
+        let table = csag::decomp::EpochIndex::new().edge_trussness(&g).clone();
+        let mut maint = TrussMaintainer::adopt(Arc::new(g.clone()), table);
         let mut rng = StdRng::seed_from_u64(0x10CA1);
         let (mut worst, mut total) = (0, 0);
         for _ in 0..512 {
