@@ -95,8 +95,8 @@ impl EpochIndex {
     }
 
     /// An index seeded with tables maintained elsewhere (a store's
-    /// repaired ones, a shard gather's global ones); a table left out is
-    /// built on first use. Seeding counts as no decomposition run.
+    /// repaired ones); a table left out is built on first use. Seeding
+    /// counts as no decomposition run.
     pub fn seeded(
         coreness: Vec<u32>,
         node_trussness: Option<Vec<u32>>,

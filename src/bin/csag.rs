@@ -970,21 +970,31 @@ fn cmd_wal_churn(args: Args) -> Result<(), String> {
     Ok(())
 }
 
+/// The state budget of `churn_queries`' Exact rows: unbudgeted, the
+/// k = 2, γ = 0 row goes exponential as the churned graph grows (49 s at
+/// epoch 27). A state budget stops at the same state on every engine, so
+/// served and fresh answers stay byte-comparable.
+const CHURN_EXACT_STATES: u64 = 2_000;
+
 /// The pinned query set replayed after every churn batch (node ids are
 /// clamped into the graph at run time, so late epochs stay covered).
 fn churn_queries(q: u32) -> Vec<CommunityQuery> {
     vec![
-        CommunityQuery::new(Method::Exact, q).with_k(3),
+        CommunityQuery::new(Method::Exact, q)
+            .with_k(3)
+            .with_state_budget(CHURN_EXACT_STATES),
         CommunityQuery::new(Method::Sea, q)
             .with_k(3)
             .with_error_bound(0.05)
             .with_seed(11),
         CommunityQuery::new(Method::Exact, q)
             .with_k(2)
-            .with_gamma(0.0),
+            .with_gamma(0.0)
+            .with_state_budget(CHURN_EXACT_STATES),
         CommunityQuery::new(Method::Exact, q)
             .with_k(3)
-            .with_model(csag::decomp::CommunityModel::KTruss),
+            .with_model(csag::decomp::CommunityModel::KTruss)
+            .with_state_budget(CHURN_EXACT_STATES),
         CommunityQuery::new(Method::Acq, q)
             .with_k(3)
             .with_model(csag::decomp::CommunityModel::KTruss),

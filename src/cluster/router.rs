@@ -106,14 +106,14 @@ impl RoutedSnapshot {
     }
 
     /// The snapshot that will answer the read. For a sharded read this
-    /// is the view's whole-graph assembly (built lazily, at most once
-    /// per cluster epoch) — per-query work should go through
-    /// [`RoutedSnapshot::run_with_workspace`] instead, which routes to
-    /// individual shards.
+    /// is the view's journal snapshot, the whole graph at the view's
+    /// epoch — per-query work should go through
+    /// [`RoutedSnapshot::run_with_workspace`] instead, which answers
+    /// from one shard where the planner proves it can.
     pub fn snapshot(&self) -> &Snapshot {
         match &self.target {
             RouteTarget::Engine(snapshot) => snapshot,
-            RouteTarget::Shards { view, .. } => view.assembly(),
+            RouteTarget::Shards { view, .. } => view.journal(),
         }
     }
 
@@ -133,25 +133,23 @@ impl RoutedSnapshot {
 
     /// Whether the distance table for `(q, γ)` is already resident on
     /// the store that would answer — the scheduler's warm-start signal.
-    /// For a sharded read, the home shard's cache is consulted.
+    /// For a sharded read, the journal's cache (where a spilled read
+    /// runs) and the home shard's cache are consulted.
     pub fn warm_hit(&self, q: NodeId, gamma: f64) -> bool {
+        let cached = |s: &Snapshot| s.engine().cached_distances(q, gamma).is_some();
         match &self.target {
-            RouteTarget::Engine(snapshot) => snapshot.engine().cached_distances(q, gamma).is_some(),
+            RouteTarget::Engine(snapshot) => cached(snapshot),
             RouteTarget::Shards { view, .. } => {
                 (q as usize) < view.journal().engine().graph().n()
-                    && view
-                        .shard(view.owner(q))
-                        .engine()
-                        .cached_distances(q, gamma)
-                        .is_some()
+                    && (cached(view.journal()) || cached(view.shard(view.owner(q))))
             }
         }
     }
 
     /// Runs one query against the routed target: directly on the
     /// pinned engine, or — for a sharded read — through the shard
-    /// planner (shard-local under a coverage certificate,
-    /// scatter-gather otherwise). Byte-identical either way.
+    /// planner (shard-local under a coverage certificate, on the
+    /// journal snapshot otherwise). Byte-identical either way.
     ///
     /// # Errors
     /// Same as [`crate::engine::Engine::run`].
@@ -666,10 +664,10 @@ pub struct ShardSectionMetrics {
     pub watermark: u64,
     /// Queries answered entirely by this shard (coverage certificate).
     pub local_hits: u64,
-    /// Queries homed here whose candidate region crossed shards
-    /// (scatter-gather + union re-peel).
+    /// Queries homed here whose candidate region crossed shards (run on
+    /// the view's journal snapshot instead).
     pub gathers: u64,
-    /// Total wall-clock spent gathering and merging those queries,
+    /// Total wall-clock spent answering those queries on the journal,
     /// in milliseconds.
     pub merge_ms: f64,
 }

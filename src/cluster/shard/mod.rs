@@ -1,5 +1,5 @@
 //! `csag::cluster::shard` — partitioned graph stores behind a
-//! scatter-gather query router.
+//! per-query routing planner.
 //!
 //! A [`ShardedRouter`] splits one logical graph across `N` shard
 //! stores and presents them through the same [`ReadSource`] seam the
@@ -17,11 +17,8 @@
 //!   and the per-update routing table ([`ShardPlan`]).
 //! * [`planner`] — per-query routing: runs a query shard-local only
 //!   under a coverage *certificate* proving the method's whole read
-//!   footprint is resident; everything else scatter-gathers.
-//! * [`gather`] — the spill path: collects the candidate region's
-//!   fragments from the owning shards and re-peels the union.
-//! * [`merge`] — conservative certificate combination (error bound =
-//!   max, confidence = min): a merged certificate never overclaims.
+//!   footprint is resident; everything else spills to the journal
+//!   snapshot the view pins, the whole graph at the same epoch.
 //!
 //! # The write path and the cluster epoch
 //!
@@ -44,13 +41,14 @@
 //! # Reads
 //!
 //! A routed read hands the scheduler an immutable [`ClusterView`]: the
-//! per-shard snapshots pinned at one cluster epoch, plus the ownership
-//! and coverage tables that were current when it published. Queries
-//! then run through the planner against that view — epoch consistency
-//! is by construction, not by coordination.
+//! per-shard snapshots and the journal snapshot, all pinned at one
+//! cluster epoch, plus the ownership and coverage tables that were
+//! current when it published. Queries then run through the planner
+//! against that view: at the home shard under a coverage certificate,
+//! else on the journal snapshot, with its global tables and its own
+//! distance cache. Epoch consistency is by construction, not by
+//! coordination.
 
-pub mod gather;
-pub mod merge;
 pub mod partition;
 pub mod planner;
 
@@ -62,23 +60,20 @@ use crate::engine::store::{EpochCell, ReadCounters, Snapshot};
 use crate::engine::{ApplyError, CsagError, GraphStore, GraphUpdate, UpdateReport};
 use csag_graph::{AttributedGraph, NodeId};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::Duration;
 
-/// One published cluster epoch: the journal snapshot (global metadata
-/// — its engine never serves community queries), every shard's
-/// snapshot pinned at the same epoch, and the ownership/coverage
-/// tables that were current at publish. Immutable; readers hold it for
-/// the lifetime of a query.
+/// One published cluster epoch: the journal snapshot (the global graph
+/// and tables the planner routes with, and the engine a spilled read
+/// runs on), every shard's snapshot pinned at the same epoch, and the
+/// ownership/coverage tables that were current at publish. Immutable;
+/// readers hold it for the lifetime of a query.
 pub struct ClusterView {
     epoch: u64,
     journal: Snapshot,
     shards: Vec<Snapshot>,
     owner: Arc<Vec<u32>>,
     covered: Vec<Arc<Vec<bool>>>,
-    /// Whole-graph re-assembly from the shards, built lazily for the
-    /// compatibility [`RoutedSnapshot::snapshot`] path.
-    assembly: OnceLock<Snapshot>,
 }
 
 impl ClusterView {
@@ -88,7 +83,7 @@ impl ClusterView {
     }
 
     /// The journal's snapshot: the global graph and decompositions the
-    /// planner routes with.
+    /// planner routes with, and the engine a spilled read runs on.
     pub fn journal(&self) -> &Snapshot {
         &self.journal
     }
@@ -130,12 +125,6 @@ impl ClusterView {
             .enumerate()
             .filter(|&(v, &c)| c && self.owner[v] != s as u32)
             .count()
-    }
-
-    /// The whole graph re-assembled from the shards, built at most
-    /// once per view.
-    pub(crate) fn assembly(&self) -> &Snapshot {
-        self.assembly.get_or_init(|| gather::assemble_full(self))
     }
 }
 
@@ -247,7 +236,6 @@ impl ShardedRouter {
             shards: shards.iter().map(|r| r.primary().snapshot()).collect(),
             owner: plan.owners(),
             covered: (0..plan.shards()).map(|s| plan.coverage(s)).collect(),
-            assembly: OnceLock::new(),
         }
     }
 

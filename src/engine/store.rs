@@ -255,12 +255,6 @@ impl Snapshot {
     pub fn engine(&self) -> &Engine {
         &self.engine
     }
-
-    /// Wraps an engine assembled outside any store (the shard layer's
-    /// gather path builds union engines for cross-shard merges).
-    pub(crate) fn from_engine(engine: Arc<Engine>) -> Self {
-        Snapshot { engine }
-    }
 }
 
 impl std::ops::Deref for Snapshot {

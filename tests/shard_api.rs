@@ -6,8 +6,9 @@
 //! random graphs through random partitions (1–4 shards, halos 0–2) and
 //! random churn, comparing full result JSON (timings stripped — wall
 //! clock is the only thing allowed to differ). Deterministic tests pin
-//! the scatter-gather split, the pinned-read gate on the cluster
-//! epoch, and the lazily assembled full snapshot.
+//! the split between local hits and spilled reads, the pinned-read gate
+//! on the cluster epoch, the shards' owner adjacency against the
+//! journal's, and the warm-start signal of a spilled read.
 
 use csag::cluster::{ReadSource, ShardedRouter};
 use csag::core::CommunityModel;
@@ -18,6 +19,7 @@ use csag::engine::{
     UpdateReport,
 };
 use csag::graph::QueryWorkspace;
+use csag::service::{Request, Service, ServiceConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -201,7 +203,7 @@ fn erroneous_batches_halt_at_the_same_prefix() {
 }
 
 /// With several shards and a thin halo, community-spanning queries
-/// must scatter-gather while purely local ones stay home — and the
+/// must spill to the journal while purely local ones stay home — and the
 /// metrics section records both.
 #[test]
 fn queries_split_between_local_hits_and_gathers() {
@@ -300,14 +302,16 @@ fn pinned_reads_gate_on_the_cluster_epoch() {
     }
 }
 
-/// The routed snapshot's full assembly equals the journal graph — the
-/// shard carves union back to exactly the global edge set.
+/// After every batch of a churn run, each vertex's adjacency on its
+/// owner shard equals the journal's: the shards, read at each vertex's
+/// owner, assemble exactly the global graph — and the routed snapshot
+/// is the journal's, at the cluster epoch.
 #[test]
 fn assembled_snapshot_equals_the_journal_graph() {
     let g = synthetic(120, 4, 99);
     let sharded = Arc::new(ShardedRouter::over_graph(g, 4, 1, 0));
     let mut rng = StdRng::seed_from_u64(0xA55E);
-    for _ in 0..2 {
+    for batch_no in 0..6 {
         let batch = random_updates(
             sharded.journal().snapshot().engine().graph(),
             &mut rng,
@@ -315,19 +319,68 @@ fn assembled_snapshot_equals_the_journal_graph() {
             ChurnMix::MIXED,
         );
         sharded.apply(&batch).expect("churn batch applies");
+        let view = sharded.view();
+        let journal = sharded.journal().snapshot();
+        let jg = journal.engine().graph();
+        assert_eq!(view.epoch(), journal.epoch());
+        for v in 0..jg.n() as u32 {
+            let owner = view.shard(view.owner(v)).engine().graph();
+            assert_eq!(
+                owner.neighbors(v),
+                jg.neighbors(v),
+                "adjacency of {v} after batch {batch_no}"
+            );
+        }
+        let routed = sharded
+            .route_read(None, Duration::ZERO)
+            .expect("unpinned read routes");
+        assert_eq!(routed.snapshot().engine().graph().m(), jg.m());
+        assert_eq!(routed.snapshot().epoch(), journal.epoch());
     }
-    let routed = sharded
-        .route_read(None, Duration::ZERO)
-        .expect("unpinned read routes");
-    let assembled = routed.snapshot();
-    let journal = sharded.journal().snapshot();
-    let (ag, jg) = (assembled.engine().graph(), journal.engine().graph());
-    assert_eq!(ag.n(), jg.n());
-    assert_eq!(ag.m(), jg.m());
-    for v in 0..jg.n() as u32 {
-        assert_eq!(ag.neighbors(v), jg.neighbors(v), "adjacency of {v}");
+}
+
+/// A spilled SEA read runs on the journal, whose distance cache admits
+/// q's table on the key's second miss: the third of three identical
+/// reads through a service is a warm hit.
+#[test]
+fn a_repeated_spilled_read_is_a_warm_hit() {
+    let g = synthetic(100, 5, 42);
+    let sea = |q: u32| {
+        CommunityQuery::new(Method::Sea, q)
+            .with_k(3)
+            .with_hoeffding(0.3, 0.95)
+            .with_seed(u64::from(q))
+    };
+    // Find a spilled read on a throwaway router, so the service's
+    // journal cache starts cold.
+    let probe = ShardedRouter::over_graph(g.clone(), 3, 0, 0);
+    let gathers = || {
+        probe
+            .metrics()
+            .shards
+            .iter()
+            .map(|s| s.gathers)
+            .sum::<u64>()
+    };
+    let mut ws = QueryWorkspace::new();
+    let q = (0..g.n() as u32)
+        .find(|&q| {
+            let before = gathers();
+            let routed = probe
+                .route_read(None, Duration::ZERO)
+                .expect("unpinned read routes");
+            routed
+                .run_with_workspace(&sea(q), &mut ws)
+                .expect("SEA answers");
+            gathers() > before
+        })
+        .expect("a halo-0 partition spills some SEA read");
+    let sharded = Arc::new(ShardedRouter::over_graph(g, 3, 0, 0));
+    let service = Service::over_shards(sharded, ServiceConfig::default().with_workers(1));
+    for _ in 0..3 {
+        service.run(Request::new(sea(q))).expect("admitted");
     }
-    assert_eq!(assembled.epoch(), journal.epoch());
+    assert!(service.metrics().warm_hits >= 1, "q={q}");
 }
 
 /// `--replicas` composes: each shard is a full replicated router, and
