@@ -59,9 +59,10 @@
 //! property tests (`tests/prop_maintain.rs`) and `benchmark/` compile
 //! against.
 
-use crate::index::{EdgeTrussness, CHUNK};
+use crate::index::EdgeTrussness;
 use crate::kcore::core_decomposition;
 use crate::ktruss::{for_common_in_rows, node_max_trussness};
+use csag_graph::graph::chunk_nodes;
 use csag_graph::{AttributedGraph, MutableGraph, NodeId, RowOverlay};
 use std::sync::Arc;
 
@@ -344,10 +345,7 @@ impl TrussMaintainer {
         nodes: &[u32],
     ) -> (EdgeTrussness, Vec<u32>) {
         let rows = &self.rows;
-        let unedited = |c: usize| {
-            (c * CHUNK..graph.n().min((c + 1) * CHUNK))
-                .all(|v| rows.edited.get(v as NodeId).is_none())
-        };
+        let unedited = |c| !rows.edited.any_edited(chunk_nodes(c, graph.n()));
         let kept = |c| rows.table.chunks.get(c).filter(|_| unedited(c)).cloned();
         let table = EdgeTrussness::build(graph, kept, |v| rows.row(v));
         let mut node_trussness = nodes.to_vec();
@@ -579,6 +577,7 @@ pub fn patch_node_trussness(new_g: &AttributedGraph, old: &[u32], seeds: &[NodeI
 mod tests {
     use super::*;
     use crate::ktruss::truss_decomposition;
+    use csag_graph::graph::CHUNK;
     use csag_graph::{GraphBuilder, GraphUpdate};
 
     fn grid(n: usize, edges: &[(u32, u32)]) -> AttributedGraph {

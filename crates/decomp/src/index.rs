@@ -3,19 +3,18 @@
 
 use crate::kcore::core_decomposition;
 use crate::ktruss::truss_decomposition;
+use csag_graph::graph::{chunk_rows, CHUNK};
 use csag_graph::traversal::Components;
 use csag_graph::{AttributedGraph, NodeId};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// Nodes whose rows make up one chunk of an [`EdgeTrussness`] table.
-pub(crate) const CHUNK: usize = 16;
-
 /// The trussness of every edge of one graph in CSR order (v's row is
 /// parallel to `g.neighbors(v)`, every edge in both ends' rows), held in
-/// chunks of the rows of 16 consecutive nodes (`CHUNK`), each behind an
-/// `Arc`: a store's epochs share every chunk a batch left untouched, so
-/// an epoch costs the chunks its batch edited, not `2·m` values.
+/// the graph's chunking, the rows of 16 consecutive nodes ([`CHUNK`]) a
+/// chunk, each behind an `Arc`: a store's epochs share every chunk a
+/// batch left untouched, so an epoch costs the chunks its batch edited,
+/// not `2·m` values.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EdgeTrussness {
     pub(crate) chunks: Vec<Arc<[u32]>>,
@@ -35,14 +34,8 @@ impl EdgeTrussness {
         kept: impl Fn(usize) -> Option<Arc<[u32]>>,
         row: impl Fn(NodeId) -> &'a [u32],
     ) -> Self {
-        let chunks = (0..g.n().div_ceil(CHUNK)).map(|c| {
-            kept(c).unwrap_or_else(|| {
-                let nodes = (c * CHUNK) as NodeId..((c + 1) * CHUNK).min(g.n()) as NodeId;
-                nodes.flat_map(|v| row(v).iter().copied()).collect()
-            })
-        });
         EdgeTrussness {
-            chunks: chunks.collect(),
+            chunks: chunk_rows(g.n(), kept, row),
         }
     }
 
@@ -147,11 +140,6 @@ impl EpochIndex {
         self.components.get_or_init(|| Components::new(g))
     }
 
-    /// The node trussness table, only if it is already resident.
-    pub fn node_trussness_if_computed(&self) -> Option<&Vec<u32>> {
-        self.node_trussness.get()
-    }
-
     /// The per-edge trussness table, only if it is already resident
     /// (what a store's truss repair adopts).
     pub fn edge_trussness_if_computed(&self) -> Option<&EdgeTrussness> {
@@ -193,8 +181,10 @@ mod tests {
     fn tables_are_built_once_and_match_the_decompositions() {
         let g = bridged_triangles();
         let index = EpochIndex::new();
-        assert!(index.node_trussness_if_computed().is_none());
         assert!(index.edge_trussness_if_computed().is_none());
+        assert_eq!(index.truss_decomp_computations(), 0, "nothing built yet");
+        assert_eq!(index.node_trussness(&g), node_max_trussness(&g));
+        assert_eq!(index.truss_decomp_computations(), 1, "built on first use");
         for _ in 0..3 {
             assert_eq!(index.coreness(&g), core_decomposition(&g));
             assert_eq!(index.node_trussness(&g), node_max_trussness(&g));

@@ -48,9 +48,10 @@ impl std::error::Error for GraphError {}
 ///
 /// Token rows go straight into one flat array, the edge list grows by
 /// fixed-size blocks instead of copying itself to double, and `build`
-/// lays the adjacency out in one target array and compacts it in place:
-/// a built graph's tables have exactly their length, and no second copy
-/// of any of them is held while it is built.
+/// lays the adjacency out in one target array, compacts it in place and
+/// cuts it into the graph's row chunks once the edge list is gone: a
+/// built graph's tables have exactly their length, and no more than two
+/// copies of the edges are held at once while it is built.
 #[derive(Clone, Debug)]
 pub struct GraphBuilder {
     interner: TokenInterner,
@@ -203,11 +204,9 @@ impl GraphBuilder {
             offsets[v + 1] = offsets[v] + kept;
             start = end;
         }
-        targets.truncate(offsets[n]);
-        targets.shrink_to_fit();
         Ok(AttributedGraph::from_csr_parts(
             offsets,
-            targets,
+            &targets,
             Arc::new(attrs),
         ))
     }

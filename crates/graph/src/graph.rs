@@ -1,41 +1,90 @@
-//! The undirected attributed graph in CSR layout.
+//! The undirected attributed graph in CSR layout, its adjacency held in
+//! shared chunks of rows.
 
 use crate::attrs::{NodeAttributes, TokenInterner};
 use crate::NodeId;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
+
+/// Nodes whose rows make up one chunk of a chunked row table: the
+/// adjacency of an [`AttributedGraph`], and every per-edge table laid out
+/// parallel to it.
+pub const CHUNK: usize = 16;
+
+/// The nodes of chunk `c` of a row table over `n` nodes.
+pub fn chunk_nodes(c: usize, n: usize) -> Range<usize> {
+    c * CHUNK..n.min((c + 1) * CHUNK)
+}
+
+/// The chunks of a row table over `n` nodes: chunk `c` is `kept(c)`, or
+/// else the rows `row(v)` of its nodes laid end to end, built with one
+/// allocation.
+pub fn chunk_rows<'a, T: Copy + 'a>(
+    n: usize,
+    kept: impl Fn(usize) -> Option<Arc<[T]>>,
+    row: impl Fn(NodeId) -> &'a [T],
+) -> Vec<Arc<[T]>> {
+    let mut scratch = Vec::new();
+    (0..n.div_ceil(CHUNK))
+        .map(|c| {
+            kept(c).unwrap_or_else(|| {
+                scratch.clear();
+                for v in chunk_nodes(c, n) {
+                    scratch.extend_from_slice(row(v as NodeId));
+                }
+                Arc::from(&scratch[..])
+            })
+        })
+        .collect()
+}
 
 /// An undirected homogeneous graph with node attributes (paper Def. 1).
 ///
-/// Stored as a compressed sparse row structure: `offsets[v]..offsets[v+1]`
-/// indexes the sorted neighbor list of `v` inside `targets`. Every edge
-/// appears in both endpoints' lists; self-loops and parallel edges are
-/// removed at build time.
+/// Stored in compressed sparse row layout: `offsets[v]..offsets[v+1]` is
+/// the position range of the sorted neighbor list of `v` in the flat
+/// adjacency, which every edge enters in both endpoints' lists;
+/// self-loops and parallel edges are removed at build time. The flat
+/// adjacency is held in chunks of the rows of [`CHUNK`] consecutive
+/// nodes, each behind an `Arc` and never edited in place, so graphs share
+/// every chunk whose rows they have in common: an epoch published by
+/// [`crate::update::MutableGraph`] points at each of its predecessor's
+/// chunks that its batch left untouched, and a clone copies no row.
 ///
-/// The attribute block sits behind an `Arc` and is never edited in place,
-/// so graphs that differ only in structure share it: an epoch published
-/// by [`crate::update::MutableGraph`] from a batch that touched no
-/// attribute points at its predecessor's block.
+/// The attribute block sits behind an `Arc` the same way, so graphs that
+/// differ only in structure share it.
 #[derive(Clone, Debug)]
 pub struct AttributedGraph {
     pub(crate) offsets: Vec<usize>,
-    pub(crate) targets: Vec<NodeId>,
+    pub(crate) chunks: Vec<Arc<[NodeId]>>,
     pub(crate) attrs: Arc<NodeAttributes>,
 }
 
 impl AttributedGraph {
-    /// Assembles a graph from already-validated CSR parts (the builder,
-    /// the [`crate::update::MutableGraph`] snapshot path and the
-    /// restrictions all end here).
+    /// Assembles a graph from already-validated CSR parts (the builder and
+    /// the restrictions end here), cutting `targets` into chunks.
     pub(crate) fn from_csr_parts(
         offsets: Vec<usize>,
-        targets: Vec<NodeId>,
+        targets: &[NodeId],
+        attrs: Arc<NodeAttributes>,
+    ) -> Self {
+        let row = |v: NodeId| &targets[offsets[v as usize]..offsets[v as usize + 1]];
+        let chunks = chunk_rows(offsets.len() - 1, |_| None, row);
+        AttributedGraph::from_chunks(offsets, chunks, attrs)
+    }
+
+    /// Assembles a graph from its offsets and row chunks (what
+    /// [`crate::update::MutableGraph`] publishes).
+    pub(crate) fn from_chunks(
+        offsets: Vec<usize>,
+        chunks: Vec<Arc<[NodeId]>>,
         attrs: Arc<NodeAttributes>,
     ) -> Self {
         debug_assert_eq!(offsets.len(), attrs.n() + 1);
+        debug_assert_eq!(chunks.len(), attrs.n().div_ceil(CHUNK));
         AttributedGraph {
             offsets,
-            targets,
+            chunks,
             attrs,
         }
     }
@@ -49,14 +98,16 @@ impl AttributedGraph {
     /// Number of undirected edges.
     #[inline]
     pub fn m(&self) -> usize {
-        self.targets.len() / 2
+        self.offsets[self.n()] / 2
     }
 
     /// Sorted neighbor list of `v`.
     #[inline]
     pub fn neighbors(&self, v: NodeId) -> &[NodeId] {
         let v = v as usize;
-        &self.targets[self.offsets[v]..self.offsets[v + 1]]
+        let c = v / CHUNK;
+        let base = self.offsets[c * CHUNK];
+        &self.chunks[c][self.offsets[v] - base..self.offsets[v + 1] - base]
     }
 
     /// Degree of `v` in the full graph.
@@ -67,12 +118,19 @@ impl AttributedGraph {
     }
 
     /// CSR position range of `v`'s neighbor row within the flat adjacency
-    /// array; used by edge-indexed algorithms (e.g. truss peeling) to align
-    /// per-adjacency-entry side tables.
+    /// (the chunks laid end to end); used by edge-indexed algorithms (e.g.
+    /// truss peeling) to align per-adjacency-entry side tables.
     #[inline]
     pub fn row_range(&self, v: NodeId) -> std::ops::Range<usize> {
         let v = v as usize;
         self.offsets[v]..self.offsets[v + 1]
+    }
+
+    /// The adjacency's chunks in node order, each shared with every graph
+    /// that holds it; chunk `c` is the rows of the nodes
+    /// `c·CHUNK..(c+1)·CHUNK` laid end to end.
+    pub fn row_chunks(&self) -> &[Arc<[NodeId]>] {
+        &self.chunks
     }
 
     /// Returns `true` if the undirected edge `{u, v}` exists.
@@ -151,7 +209,7 @@ impl AttributedGraph {
         if self.n() == 0 {
             0.0
         } else {
-            self.targets.len() as f64 / self.n() as f64
+            self.offsets[self.n()] as f64 / self.n() as f64
         }
     }
 
@@ -187,7 +245,7 @@ impl AttributedGraph {
 
         let attrs = Arc::new(self.attrs.restrict(&sorted));
         InducedSubgraph {
-            graph: AttributedGraph::from_csr_parts(offsets, targets, attrs),
+            graph: AttributedGraph::from_csr_parts(offsets, &targets, attrs),
             to_original: sorted,
             from_original,
         }

@@ -236,7 +236,7 @@ impl HeteroGraph {
             offsets.push(adj.len());
         }
         let attrs = Arc::new(self.attrs.restrict(&nodes));
-        let graph = AttributedGraph::from_csr_parts(offsets, adj, attrs);
+        let graph = AttributedGraph::from_csr_parts(offsets, &adj, attrs);
         ProjectedGraph {
             graph,
             to_original: nodes,

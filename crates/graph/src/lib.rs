@@ -3,10 +3,11 @@
 //! This crate provides the graph substrate used by every algorithm in the
 //! workspace:
 //!
-//! * [`AttributedGraph`] — an undirected homogeneous graph in CSR layout
-//!   whose nodes carry *textual* attributes (interned token sets) and
-//!   *numerical* attributes (fixed-width `f64` vectors, min-max normalized
-//!   at build time, the paper's `Z(·)`).
+//! * [`AttributedGraph`] — an undirected homogeneous graph in CSR layout,
+//!   its rows in chunks that graphs share (so an epoch costs the chunks
+//!   its batch edited), whose nodes carry *textual* attributes (interned
+//!   token sets) and *numerical* attributes (fixed-width `f64` vectors,
+//!   min-max normalized at build time, the paper's `Z(·)`).
 //! * [`HeteroGraph`] — a heterogeneous graph with typed nodes and edges,
 //!   [`MetaPath`] queries, P-neighbor computation and meta-path projection
 //!   onto an [`AttributedGraph`] of target-type nodes (paper §VI-A).

@@ -8,15 +8,15 @@
 //! changed — the edited adjacency and token rows, found through a dense
 //! per-node slot index, and a copy of the raw numerics once an update
 //! writes one — and each [`GraphUpdate`] edits it in `O(degree)`.
-//! [`MutableGraph::snapshot`] splices the edited rows into copies of the
-//! base's flat arrays and yields an immutable [`AttributedGraph`] (fresh
-//! CSR, fresh min-max normalization — exactly what
-//! [`crate::GraphBuilder::build`] would produce from the same rows). A
-//! snapshot of a batch that changed no attribute shares the base's
-//! attribute block instead; a published block is never edited in place,
-//! so sharing cannot alias. The engine's `GraphStore` keeps one overlay
-//! on its current epoch's graph and turns each batch into the next
-//! epoch with [`MutableGraph::publish`].
+//! [`MutableGraph::snapshot`] yields an immutable [`AttributedGraph`]
+//! equal to what [`crate::GraphBuilder::build`] would produce from the
+//! same rows (fresh offsets, fresh min-max normalization). It builds only
+//! the adjacency chunks holding an edited row, and shares every other
+//! chunk with the base; a snapshot of a batch that changed no attribute
+//! shares the base's attribute block too. A published chunk or block is
+//! never edited in place, so sharing cannot alias. The engine's
+//! `GraphStore` keeps one overlay on its current epoch's graph and turns
+//! each batch into the next epoch with [`MutableGraph::publish`].
 //!
 //! Updates are *forgiving* about redundancy — adding an edge that already
 //! exists, removing one that does not, and self-loops are no-ops, not
@@ -27,8 +27,9 @@
 
 use crate::attrs::{NodeAttributes, TokenInterner};
 use crate::builder::GraphError;
-use crate::graph::AttributedGraph;
+use crate::graph::{chunk_nodes, AttributedGraph, CHUNK};
 use crate::NodeId;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// One edit to an attributed graph.
@@ -277,8 +278,8 @@ pub enum Applied {
 /// Marks a node whose row is still the base graph's.
 const UNEDITED: u32 = u32::MAX;
 
-/// Rows edited since a base of flat CSR rows, laid over it: the overlay
-/// rule of [`MutableGraph`] (adjacency and token rows) and of the truss
+/// Rows edited since a base of CSR rows, laid over it: the overlay rule
+/// of [`MutableGraph`] (adjacency and token rows) and of the truss
 /// repair's per-edge table. A row is copied out of the base on its first
 /// edit, so an edit costs only the rows it touches.
 ///
@@ -305,6 +306,12 @@ impl<T: Copy> RowOverlay<T> {
     /// Whether no row has been edited.
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
+    }
+
+    /// Whether the row of some node in `nodes` has been edited.
+    pub fn any_edited(&self, nodes: Range<usize>) -> bool {
+        let end = nodes.end.min(self.slot.len());
+        (self.slot.get(nodes.start..end)).is_some_and(|slots| slots.iter().any(|&s| s != UNEDITED))
     }
 
     fn index(&self, v: usize) -> Option<usize> {
@@ -354,43 +361,45 @@ impl<T: Copy> RowOverlay<T> {
         i
     }
 
-    /// The flat rows of `n` nodes: the edited row where there is one,
-    /// else the base row (`base_offsets` over `base_flat`), each unedited
-    /// stretch copied at once; a node past the base without an edited
-    /// row is empty. `capacity` sizes the flat buffer.
-    fn splice(
+    /// Appends the rows of `nodes` to `flat`, and where each ends to
+    /// `offsets` (whose last entry is where `flat` ends): the edited row
+    /// where there is one, else the base row, each unedited stretch
+    /// copied at once from `base(positions)`, the base's rows at
+    /// `base_offsets`; a node past the base without an edited row is
+    /// empty.
+    fn splice<'a>(
         &self,
+        nodes: Range<usize>,
         base_offsets: &[usize],
-        base_flat: &[T],
-        n: usize,
-        capacity: usize,
-    ) -> (Vec<usize>, Vec<T>) {
+        base: impl Fn(Range<usize>) -> &'a [T],
+        offsets: &mut Vec<usize>,
+        flat: &mut Vec<T>,
+    ) where
+        T: 'a,
+    {
         let base_n = base_offsets.len() - 1;
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0usize);
-        let mut flat = Vec::with_capacity(capacity);
-        let mut v = 0;
-        while v < n {
+        let origin = offsets[offsets.len() - 1] - flat.len();
+        let mut v = nodes.start;
+        while v < nodes.end {
             if let Some(row) = self.get(v as NodeId) {
                 flat.extend_from_slice(row);
-                offsets.push(flat.len());
+                offsets.push(origin + flat.len());
                 v += 1;
                 continue;
             }
             let mut end = v + 1;
-            while end < n && self.index(end).is_none() {
+            while end < nodes.end && self.index(end).is_none() {
                 end += 1;
             }
             let stop = end.min(base_n);
             if v < stop {
-                let (from, start) = (base_offsets[v], flat.len());
-                flat.extend_from_slice(&base_flat[from..base_offsets[stop]]);
+                let (from, start) = (base_offsets[v], origin + flat.len());
+                flat.extend_from_slice(base(from..base_offsets[stop]));
                 offsets.extend(base_offsets[v + 1..=stop].iter().map(|&o| o - from + start));
             }
-            offsets.resize(end + 1, flat.len());
+            offsets.resize(end + 1, origin + flat.len());
             v = end;
         }
-        (offsets, flat)
     }
 }
 
@@ -402,8 +411,9 @@ impl<T: Copy> RowOverlay<T> {
 /// update writes one. An edge toggle costs `O(deg(u) + deg(v))`, an
 /// attribute replacement `O(|row|)` — plus one copy of the numerics per
 /// batch that edits them. [`MutableGraph::snapshot`] rematerializes the
-/// immutable CSR graph in `O(n + m)`, sharing the base's attribute
-/// block when no attribute changed; [`MutableGraph::publish`] does the
+/// immutable graph in `O(n)` plus the rows of the adjacency chunks the
+/// batch edited: every other chunk, and the attribute block when no
+/// attribute changed, is the base's. [`MutableGraph::publish`] does the
 /// same and makes the result the new base.
 #[derive(Clone, Debug)]
 pub struct MutableGraph {
@@ -426,8 +436,8 @@ pub struct MutableGraph {
 }
 
 impl MutableGraph {
-    /// An overlay on `g` with no edits yet: a copy of its CSR arrays,
-    /// sharing its attribute block.
+    /// An overlay on `g` with no edits yet: a copy of its offsets,
+    /// sharing its row chunks and attribute block.
     pub fn from_graph(g: &AttributedGraph) -> Self {
         MutableGraph::from_arc(Arc::new(g.clone()))
     }
@@ -585,9 +595,10 @@ impl MutableGraph {
     /// [`crate::GraphBuilder`] would produce from the current rows, with
     /// min-max normalization recomputed over the *current* attribute
     /// values (so distances in the snapshot match a from-scratch build of
-    /// the updated graph bit-for-bit). When no update since the base
-    /// changed an attribute, the snapshot shares the base's attribute
-    /// block instead.
+    /// the updated graph bit-for-bit). It shares every adjacency chunk
+    /// of the base whose nodes are unchanged and none of whose rows was
+    /// edited, and, when no update since the base changed an attribute,
+    /// the base's attribute block.
     pub fn snapshot(&self) -> AttributedGraph {
         self.materialize(self.numeric.clone())
     }
@@ -602,23 +613,50 @@ impl MutableGraph {
     }
 
     /// The snapshot, given the overlay's numerics (`None` when no update
-    /// wrote one).
+    /// wrote one). A row chunk whose nodes are the base's and none of
+    /// whose rows was edited is the base's; only the others are built.
     fn materialize(&self, numeric: Option<Vec<f64>>) -> AttributedGraph {
         let base = &self.base;
-        let (offsets, targets) = self
-            .adj
-            .splice(&base.offsets, &base.targets, self.n, 2 * self.m);
+        let mut offsets = Vec::with_capacity(self.n + 1);
+        offsets.push(0usize);
+        let mut scratch = Vec::new();
+        let chunk = |c| {
+            let nodes = chunk_nodes(c, self.n);
+            let end = offsets[offsets.len() - 1];
+            if nodes == chunk_nodes(c, base.n()) && !self.adj.any_edited(nodes.clone()) {
+                let from = base.offsets[nodes.start];
+                let rows = &base.offsets[nodes.start + 1..=nodes.end];
+                offsets.extend(rows.iter().map(|&o| o - from + end));
+                return Arc::clone(&base.chunks[c]);
+            }
+            // Every base row the built chunk reads lies in base chunk `c`.
+            let base_rows = |at: Range<usize>| {
+                let first = base.offsets[c * CHUNK];
+                &base.chunks[c][at.start - first..at.end - first]
+            };
+            scratch.clear();
+            self.adj
+                .splice(nodes, &base.offsets, base_rows, &mut offsets, &mut scratch);
+            Arc::from(&scratch[..])
+        };
+        let chunks = (0..self.n.div_ceil(CHUNK)).map(chunk).collect();
+        debug_assert_eq!(offsets[self.n], 2 * self.m);
         let attrs = if self.n == base.n() && self.token_rows.is_empty() && numeric.is_none() {
             Arc::clone(&base.attrs)
         } else {
             // A fresh block: the published one is never edited.
             let old = &base.attrs;
             let edited: usize = self.token_rows.rows.iter().map(Vec::len).sum();
-            let (token_offsets, tokens) = self.token_rows.splice(
+            let mut token_offsets = Vec::with_capacity(self.n + 1);
+            token_offsets.push(0usize);
+            let mut tokens = Vec::with_capacity(old.tokens.len() + edited);
+            let base_rows = |at: Range<usize>| &old.tokens[at];
+            self.token_rows.splice(
+                0..self.n,
                 &old.token_offsets,
-                &old.tokens,
-                self.n,
-                old.tokens.len() + edited,
+                base_rows,
+                &mut token_offsets,
+                &mut tokens,
             );
             Arc::new(NodeAttributes::from_flat(
                 Arc::clone(&self.interner),
@@ -628,7 +666,7 @@ impl MutableGraph {
                 numeric.unwrap_or_else(|| old.numeric.clone()),
             ))
         };
-        AttributedGraph::from_csr_parts(offsets, targets, attrs)
+        AttributedGraph::from_chunks(offsets, chunks, attrs)
     }
 }
 

@@ -8,9 +8,12 @@
 //! overlay's adjacency must match the model's; after every publish the
 //! published graph must save to the same bytes as a [`GraphBuilder`]
 //! rebuild of the model's rows, normalize bit-identically, share its
-//! predecessor's attribute block exactly when no attribute changed, and
-//! leave every earlier epoch's graph byte-unchanged.
+//! predecessor's attribute block exactly when no attribute changed,
+//! share its predecessor's adjacency chunk exactly when the chunk's nodes
+//! are unchanged and none of their rows was edited, and leave every
+//! earlier epoch's graph byte-unchanged.
 
+use csag_graph::graph::{chunk_nodes, CHUNK};
 use csag_graph::io::write_graph;
 use csag_graph::update::{Applied, GraphUpdate, MutableGraph};
 use csag_graph::{AttributedGraph, GraphBuilder, GraphError, NodeId};
@@ -193,7 +196,7 @@ impl Strategy for Cases {
     type Value = (AttributedGraph, Vec<Step>);
 
     fn generate(&self, rng: &mut StdRng) -> Self::Value {
-        let n = rng.gen_range(1..20);
+        let n = rng.gen_range(1..40);
         let mut b = GraphBuilder::new(DIMS);
         for _ in 0..n {
             let tokens = random_tokens(rng);
@@ -201,12 +204,12 @@ impl Strategy for Cases {
             let numeric: Vec<f64> = (0..DIMS).map(|_| rng.gen_range(-50.0..50.0)).collect();
             b.add_node(&names, &numeric);
         }
-        for _ in 0..rng.gen_range(0..50) {
+        for _ in 0..rng.gen_range(0..100) {
             b.add_edge(rng.gen_range(0..n), rng.gen_range(0..n))
                 .unwrap();
         }
         // Node ids run past the seed graph, so some updates are refused.
-        let node = |rng: &mut StdRng| rng.gen_range(0..28u32);
+        let node = |rng: &mut StdRng| rng.gen_range(0..48u32);
         let steps = (0..rng.gen_range(1..40))
             .map(|_| match rng.gen_range(0..18) {
                 0..=5 => Step::Update(GraphUpdate::AddEdge {
@@ -259,25 +262,57 @@ fn check_adjacency(mg: &MutableGraph, model: &Model) -> Result<(), TestCaseError
     Ok(())
 }
 
+/// What the updates since the last publish edited.
+#[derive(Default)]
+struct Edited {
+    attrs: bool,
+    /// Nodes whose adjacency row an update edited.
+    rows: Vec<NodeId>,
+}
+
 fn apply_both(
     mg: &mut MutableGraph,
     model: &mut Model,
     update: &GraphUpdate,
-) -> Result<bool, TestCaseError> {
+    edited: &mut Edited,
+) -> Result<(), TestCaseError> {
     let got = mg.apply(update);
     prop_assert_eq!(&got, &model.apply(update), "{:?}", update);
-    let attrs_edited = match (update, got) {
-        (GraphUpdate::AddVertex { .. }, Ok(_)) => true,
+    match (update, got) {
+        (_, Ok(Applied::EdgeAdded(u, v) | Applied::EdgeRemoved(u, v))) => {
+            edited.rows.extend([u, v]);
+        }
+        (GraphUpdate::AddVertex { .. }, Ok(_)) => edited.attrs = true,
         (
             GraphUpdate::SetAttributes {
                 tokens, numeric, ..
             },
             Ok(_),
-        ) => tokens.is_some() || numeric.is_some(),
-        _ => false,
-    };
-    check_adjacency(mg, model)?;
-    Ok(attrs_edited)
+        ) => edited.attrs |= tokens.is_some() || numeric.is_some(),
+        _ => {}
+    }
+    check_adjacency(mg, model)
+}
+
+/// Chunk `c` of `published` is `previous`'s exactly when its nodes are
+/// the same and none of their rows was edited.
+fn check_chunks_shared(
+    published: &AttributedGraph,
+    previous: &AttributedGraph,
+    rows: &[NodeId],
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(published.row_chunks().len(), published.n().div_ceil(CHUNK));
+    for (c, chunk) in published.row_chunks().iter().enumerate() {
+        let nodes = chunk_nodes(c, published.n());
+        let unedited = !rows.iter().any(|&v| nodes.contains(&(v as usize)));
+        let kept = nodes == chunk_nodes(c, previous.n()) && unedited;
+        let shared = previous
+            .row_chunks()
+            .get(c)
+            .is_some_and(|p| Arc::ptr_eq(p, chunk));
+        prop_assert_eq!(shared, kept, "chunk {} of {} nodes", c, published.n());
+    }
+    Ok(())
 }
 
 proptest! {
@@ -288,11 +323,11 @@ proptest! {
         let mut model = Model::of(&base);
         // Every published epoch with the bytes it saved to when published.
         let mut epochs: Vec<(Arc<AttributedGraph>, Vec<u8>)> = vec![(Arc::clone(&base), bytes(&base))];
-        let mut attrs_edited = false;
+        let mut edited = Edited::default();
         for step in steps.iter().chain([&Step::Publish]) {
             match step {
                 Step::Update(update) => {
-                    attrs_edited |= apply_both(&mut mg, &mut model, update)?;
+                    apply_both(&mut mg, &mut model, update, &mut edited)?;
                 }
                 Step::Sweep(stride) => {
                     let n = model.n() as NodeId;
@@ -303,7 +338,7 @@ proptest! {
                         } else {
                             GraphUpdate::AddEdge { u, v: w }
                         };
-                        apply_both(&mut mg, &mut model, &update)?;
+                        apply_both(&mut mg, &mut model, &update, &mut edited)?;
                     }
                 }
                 Step::Publish => {
@@ -318,14 +353,15 @@ proptest! {
                     let previous = &epochs.last().unwrap().0;
                     prop_assert_eq!(
                         std::ptr::eq(published.attrs(), previous.attrs()),
-                        !attrs_edited,
+                        !edited.attrs,
                         "the attribute block is shared exactly when no attribute changed"
                     );
+                    check_chunks_shared(&published, previous, &edited.rows)?;
                     for (epoch, (g, saved)) in epochs.iter().enumerate() {
                         prop_assert_eq!(&bytes(g), saved, "epoch {} changed after publishing", epoch);
                     }
                     epochs.push((published, got));
-                    attrs_edited = false;
+                    edited = Edited::default();
                 }
             }
         }

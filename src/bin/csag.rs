@@ -211,9 +211,10 @@ static COMMANDS: [Command; 12] = [
         synopsis: "<graph.txt>                       csag-wire service: v1 on stdin/stdout, or\n\
                    pipelined v2 sockets via --listen / --uds",
         help: "serve flags:  --workers N  --capacity N (admission bound)  --metrics (snapshot on exit)\n\
-               --shards N (partition the graph into N shard stores behind the\n\
-               \x20 scatter-gather router; --shard-halo R sets the ghost radius, default 1;\n\
-               \x20 composes with --replicas, which then replicates per shard, and --wal)\n\
+               --shards N (partition the graph into N shard stores; a read the planner\n\
+               \x20 cannot prove local runs on the journal; --shard-halo R sets the ghost\n\
+               \x20 radius, default 1; composes with --replicas, which then replicates per\n\
+               \x20 shard, and --wal)\n\
                --replicas N (replicated stores behind the epoch-consistent csag::cluster\n\
                router; reads balance, `\"epoch\"`-pinned reads stay consistent)\n\
                --wal <dir> (write-ahead log + checkpoints; an initialized dir is\n\

@@ -297,7 +297,13 @@ impl ShardPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::ShardedRouter;
+    use csag_datasets::generator::{generate, SyntheticConfig};
     use csag_datasets::paper_examples::figure1_imdb;
+    use csag_datasets::{random_updates, ChurnMix};
+    use csag_graph::graph::{chunk_nodes, CHUNK};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     #[test]
     fn partition_is_deterministic_and_total() {
@@ -403,5 +409,68 @@ mod tests {
             1,
             "and only at its owner"
         );
+    }
+
+    /// Chunk `c` of `shard` is the journal's when `sharing[c]`, and
+    /// `sharing` marks at least one chunk.
+    fn check_shared(shard: &AttributedGraph, journal: &AttributedGraph, sharing: &[bool]) {
+        assert!(sharing.contains(&true), "some chunk keeps every edge");
+        let pairs = shard.row_chunks().iter().zip(journal.row_chunks());
+        for (c, (a, b)) in pairs.enumerate() {
+            if sharing[c] {
+                assert!(Arc::ptr_eq(a, b), "chunk {c} is a copy");
+            }
+        }
+    }
+
+    /// A carved shard shares with the journal every chunk none of whose
+    /// nodes lost an edge, and still does after a batch for every such
+    /// chunk the batch did not touch.
+    #[test]
+    fn a_carved_shard_shares_the_chunks_that_keep_their_edges() {
+        let config = SyntheticConfig {
+            nodes: 400,
+            communities: 4,
+            ..SyntheticConfig::default()
+        };
+        let g = generate(&config, 3).0;
+        let router = ShardedRouter::over_graph(g, 3, 1, 0);
+        let view = router.view();
+        let journal = view.journal().graph();
+        let sharing: Vec<Vec<bool>> = (0..3)
+            .map(|s| {
+                let shard = view.shard(s).graph();
+                let keeps = |v: usize| shard.degree(v as NodeId) == journal.degree(v as NodeId);
+                let chunks = journal.n().div_ceil(CHUNK);
+                (0..chunks)
+                    .map(|c| chunk_nodes(c, journal.n()).all(keeps))
+                    .collect()
+            })
+            .collect();
+        for (s, sharing) in sharing.iter().enumerate() {
+            assert!(sharing.contains(&false), "shard {s} lost some edge");
+            check_shared(view.shard(s).graph(), journal, sharing);
+        }
+
+        let mut rng = StdRng::seed_from_u64(3);
+        let batch = random_updates(journal, &mut rng, 16, ChurnMix::STRUCTURAL);
+        router.apply(&batch).expect("churn batch applies");
+        let touched: Vec<usize> = batch
+            .iter()
+            .flat_map(|update| match *update {
+                GraphUpdate::AddEdge { u, v } | GraphUpdate::RemoveEdge { u, v } => {
+                    vec![u as usize / CHUNK, v as usize / CHUNK]
+                }
+                _ => Vec::new(),
+            })
+            .collect();
+        let view = router.view();
+        assert_eq!(view.journal().graph().n(), journal.n());
+        for (s, sharing) in sharing.iter().enumerate() {
+            let untouched: Vec<bool> = (sharing.iter().enumerate())
+                .map(|(c, &shared)| shared && !touched.contains(&c))
+                .collect();
+            check_shared(view.shard(s).graph(), view.journal().graph(), &untouched);
+        }
     }
 }

@@ -459,7 +459,8 @@ fn resident_tables_equal_from_scratch_at_every_epoch_of_mixed_churn() {
 mod published_epochs {
     use super::*;
     use csag::decomp::{node_max_trussness, truss_decomposition, CommunityModel, Maintainer};
-    use csag::graph::{AttributedGraph, GraphBuilder, NodeId};
+    use csag::graph::graph::chunk_nodes;
+    use csag::graph::{Applied, AttributedGraph, GraphBuilder, NodeId};
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
 
@@ -511,7 +512,8 @@ mod published_epochs {
     /// A k-truss read first, so the store's repair is seeded; then after
     /// every batch the published epoch holds the decomposition's per-edge
     /// table and node trussness, decomposed nothing, shares every chunk of
-    /// the previous table exactly when the batch moved no edge, and
+    /// the previous table exactly when the batch moved no edge, shares
+    /// each adjacency chunk exactly when the batch left it untouched, and
     /// answers every root — each q, k from 2 to 6, both models — as the
     /// peel of the whole graph.
     fn check(
@@ -524,11 +526,16 @@ mod published_epochs {
         for raw in batches {
             let before = store.snapshot();
             let mut batch = Vec::new();
+            let mut edited_rows = Vec::new();
             let mut preview = csag::graph::MutableGraph::from_arc(before.engine().graph_arc());
             for &op in raw {
                 let next = update(&preview.snapshot(), block, op);
-                if let csag::graph::Applied::VertexAdded(v) = preview.apply(&next).unwrap() {
-                    block.push(v as u8 % 4);
+                match preview.apply(&next).unwrap() {
+                    Applied::VertexAdded(v) => block.push(v as u8 % 4),
+                    Applied::EdgeAdded(u, v) | Applied::EdgeRemoved(u, v) => {
+                        edited_rows.extend([u, v])
+                    }
+                    Applied::AttributesSet(_) | Applied::NoOp => {}
                 }
                 batch.push(next);
             }
@@ -544,6 +551,21 @@ mod published_epochs {
                 pairs.filter(|(a, b)| Arc::ptr_eq(a, b)).count() == p.chunks().len()
             });
             prop_assert_eq!(shares_all, !moved, "{:?}", batch);
+            // The graph shares each adjacency chunk whose nodes the batch
+            // left as they were and none of whose rows it edited: an
+            // attribute-only batch every chunk, an `AddVertex`-only one
+            // every chunk but a last one that gained nodes.
+            let old_graph = before.graph();
+            for (c, chunk) in g.row_chunks().iter().enumerate() {
+                let nodes = chunk_nodes(c, g.n());
+                let untouched = nodes == chunk_nodes(c, old_graph.n())
+                    && !edited_rows.iter().any(|&v| nodes.contains(&(v as usize)));
+                let shared = old_graph
+                    .row_chunks()
+                    .get(c)
+                    .is_some_and(|p| Arc::ptr_eq(p, chunk));
+                prop_assert_eq!(shared, untouched, "chunk {} after {:?}", c, batch);
+            }
             prop_assert_eq!(table.chunks().concat(), truss_decomposition(g));
             prop_assert_eq!(engine.node_trussness().to_vec(), node_max_trussness(g));
             let all: Vec<NodeId> = (0..g.n() as NodeId).collect();
