@@ -114,6 +114,7 @@ pub fn acq(maintainer: &mut Maintainer<'_>, q: NodeId) -> Result<BaselineResult,
     Ok(BaselineResult {
         community,
         objective: shared as f64,
+        steps: 0,
     })
 }
 

@@ -16,22 +16,23 @@
 //! single-node deletion helps.
 
 use crate::BaselineResult;
-use csag_core::clock::{deadline_after, expired};
+use csag_core::clock::Stop;
 use csag_core::error::{check_query_node, CsagError};
 use csag_decomp::Maintainer;
 use csag_graph::{AttributedGraph, FixedBitSet, NodeId};
 use std::collections::VecDeque;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// How many low-contribution candidates are probed per greedy step.
 /// Probing all |H| nodes per step would make the local search O(|H|³);
 /// the published heuristic also restricts attention to unpromising nodes.
 const PROBE_LIMIT: usize = 8;
 
-/// Maximum greedy steps. Giant k-cores (the whole graph on dense social
-/// networks) would otherwise take thousands of peels; the published local
-/// method is likewise an early-terminating heuristic.
-const MAX_STEPS: usize = 120;
+/// Greedy steps when the caller sets no step budget. Giant k-cores (the
+/// whole graph on dense social networks) would otherwise take thousands
+/// of peels; the published local method is likewise an early-terminating
+/// heuristic.
+pub const DEFAULT_STEPS: u64 = 120;
 
 /// Size cap of the local BFS neighborhood the search starts from.
 const LOCAL_LIMIT: usize = 1_500;
@@ -86,9 +87,9 @@ pub fn atc_score(g: &AttributedGraph, q: NodeId, community: &[NodeId]) -> f64 {
 
 /// Runs LocATC: greedy score-improving deletions from the maximal
 /// connected community of `q` in its local neighborhood, under
-/// `maintainer`'s model and k. A step starts only while `time_budget`
-/// (`None` = unlimited) lasts; a stopped search returns its current
-/// community.
+/// `maintainer`'s model and k. At most `step_budget` steps run (`None` =
+/// [`DEFAULT_STEPS`]), and a step starts only while `time_budget` (`None`
+/// = unlimited) lasts; a stopped search returns its current community.
 ///
 /// # Errors
 /// [`CsagError::QueryNodeNotFound`] for an out-of-range `q`;
@@ -97,11 +98,12 @@ pub fn atc_score(g: &AttributedGraph, q: NodeId, community: &[NodeId]) -> f64 {
 pub fn loc_atc(
     maintainer: &mut Maintainer<'_>,
     q: NodeId,
+    step_budget: Option<u64>,
     time_budget: Option<Duration>,
 ) -> Result<BaselineResult, CsagError> {
     let g = maintainer.graph();
     check_query_node(q, g.n())?;
-    let deadline = deadline_after(Instant::now(), time_budget);
+    let mut stop = Stop::new(time_budget, step_budget.or(Some(DEFAULT_STEPS)));
     let seed = local_seed(g, q);
     let mut current = maintainer.maximal_within(q, &seed).ok_or_else(|| {
         let (model, k) = (maintainer.model(), maintainer.k());
@@ -115,10 +117,7 @@ pub fn loc_atc(
     let (mut candidates, mut without) = (Vec::new(), Vec::new());
     let (mut next, mut best) = (Vec::new(), Vec::new());
 
-    for _ in 0..MAX_STEPS {
-        if expired(deadline) {
-            break;
-        }
+    while !stop.poll(true) {
         // Rank candidates by how few of q's tokens they match (they drag
         // the coverage down the most), then probe the top few.
         candidates.clear();
@@ -156,6 +155,7 @@ pub fn loc_atc(
     Ok(BaselineResult {
         community: current,
         objective: current_score,
+        steps: stop.steps(),
     })
 }
 
@@ -175,6 +175,7 @@ mod tests {
         loc_atc(
             &mut Maintainer::new(g, &EpochIndex::new(), model, k),
             q,
+            None,
             None,
         )
     }
@@ -226,8 +227,16 @@ mod tests {
         // neighborhood answers.
         let index = EpochIndex::new();
         let mut m = Maintainer::new(&g, &index, CommunityModel::KCore, 2);
-        let res = loc_atc(&mut m, 0, Some(Duration::ZERO)).unwrap();
+        let res = loc_atc(&mut m, 0, None, Some(Duration::ZERO)).unwrap();
         assert_eq!(res.community, vec![0, 1, 2, 3, 4, 5]);
+        assert_eq!(res.steps, 0);
+        // So does a zero step budget, and replaying the full run's steps
+        // answers as the full run.
+        let zero = loc_atc(&mut m, 0, Some(0), None).unwrap();
+        assert_eq!((zero.community, zero.steps), (res.community, 0));
+        let full = run(&g, 0, 2, CommunityModel::KCore).unwrap();
+        let again = loc_atc(&mut m, 0, Some(full.steps), None).unwrap();
+        assert_eq!((again.community, again.steps), (full.community, full.steps));
     }
 
     #[test]

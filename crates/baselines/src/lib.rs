@@ -54,4 +54,7 @@ pub struct BaselineResult {
     /// (ACQ: #shared attributes; ATC: coverage score; VAC: min-max
     /// distance). Interpretation depends on the method.
     pub objective: f64,
+    /// Loop heads the search passed (VAC: rounds; E-VAC: states;
+    /// LocATC: steps; ACQ's one bounded pass: 0).
+    pub steps: u64,
 }

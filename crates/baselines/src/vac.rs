@@ -12,20 +12,20 @@
 //!   it exploits the triangle inequality through a pivot: the node farthest
 //!   from the query is the 2-approximate worst-case offender, so each round
 //!   deletes the farthest remaining node and re-peels, halting when the
-//!   community would collapse. An iteration cap keeps giant k-cores
+//!   community would collapse. A round budget keeps giant k-cores
 //!   bounded (the paper's own runs take `>4h` in such regimes).
 //! * [`e_vac`] — the exact branch-and-bound over worst-pair endpoints,
 //!   feasible only on small inputs (the SEA paper could not finish it
 //!   within a week on large graphs); guarded by [`EVacLimits`].
 
 use crate::BaselineResult;
-use csag_core::clock::{deadline_after, expired};
+use csag_core::clock::Stop;
 use csag_core::distance::{composite_distance, DistanceParams, QueryDistances};
 use csag_core::error::{check_query_node, root_of, CsagError};
 use csag_decomp::Maintainer;
 use csag_graph::{AttributedGraph, NodeId};
 use std::collections::HashSet;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Above this community size the exact O(|H|²) pairwise scan is replaced
 /// by a pivot double-sweep (a classic 2-approximation that lower-bounds
@@ -83,10 +83,10 @@ pub fn max_pairwise_distance(
 /// surviving node with the largest `f(·, q)` (the 2-approximate
 /// worst-case offender; never `q`) and re-peels through `maintainer`.
 /// Halts when the deletion would collapse the community, when all
-/// distances reach 0, after `max_iters` rounds (`None` = unbounded), or
-/// at the first round head past `time_budget` (`None` = unlimited).
-/// The returned objective is the (possibly approximated) min-max distance
-/// of the final community.
+/// distances reach 0, after `step_budget` rounds (`None` =
+/// [`DEFAULT_ROUNDS`]), or at the first round head past `time_budget`
+/// (`None` = unlimited). The returned objective is the (possibly
+/// approximated) min-max distance of the final community.
 ///
 /// # Errors
 /// [`CsagError::QueryNodeNotFound`] for an out-of-range `q`;
@@ -94,21 +94,17 @@ pub fn max_pairwise_distance(
 pub fn vac(
     maintainer: &mut Maintainer<'_>,
     dist: &QueryDistances,
-    max_iters: Option<usize>,
+    step_budget: Option<u64>,
     time_budget: Option<Duration>,
 ) -> Result<BaselineResult, CsagError> {
     let (g, q) = (maintainer.graph(), dist.q());
     check_query_node(q, g.n())?;
-    let deadline = deadline_after(Instant::now(), time_budget);
+    let mut stop = Stop::new(time_budget, step_budget.or(Some(DEFAULT_ROUNDS)));
     let mut current = root_of(maintainer, q)?;
-    let cap = max_iters.unwrap_or(usize::MAX);
     // Each round's subset and peel reuse two buffers.
     let (mut without, mut next) = (Vec::new(), Vec::new());
 
-    for _ in 0..cap {
-        if expired(deadline) {
-            break;
-        }
+    while !stop.poll(true) {
         let Some((f_worst, worst)) = current
             .iter()
             .filter(|&&v| v != q)
@@ -132,14 +128,18 @@ pub fn vac(
     Ok(BaselineResult {
         community: current,
         objective,
+        steps: stop.steps(),
     })
 }
+
+/// [`vac`]'s rounds when the caller sets no step budget.
+pub const DEFAULT_ROUNDS: u64 = 5_000;
 
 /// Resource limits for [`e_vac`]. Unset fields mean "unlimited".
 #[derive(Clone, Copy, Debug, Default)]
 pub struct EVacLimits {
     /// Maximum number of branch-and-bound states.
-    pub state_budget: Option<u64>,
+    pub step_budget: Option<u64>,
     /// Refuse outright ([`CsagError::BudgetExhausted`]) if the maximal
     /// community is larger than this — mirrors the paper only reporting
     /// E-VAC on its two smallest datasets.
@@ -157,7 +157,7 @@ pub struct EVacLimits {
 /// deduplicated by their node sets; [`EVacLimits`] bounds the exponential
 /// worst case.
 ///
-/// The root is scored before any budget check, so a state or time limit
+/// The root is scored before any budget check, so a step or time limit
 /// only truncates the search: the result is then the best community
 /// found so far, as for [`vac`] at its iteration cap. E-VAC minimises
 /// the max-pairwise distance, not δ, so a truncated run has no δ-bracket
@@ -176,7 +176,7 @@ pub fn e_vac(
 ) -> Result<BaselineResult, CsagError> {
     let g = maintainer.graph();
     check_query_node(q, g.n())?;
-    let deadline = deadline_after(Instant::now(), limits.time_budget);
+    let mut stop = Stop::new(limits.time_budget, limits.step_budget);
     let root = root_of(maintainer, q)?;
     if limits.max_root.is_some_and(|m| root.len() > m) {
         // The paper refuses E-VAC on large roots outright (its `-` rows).
@@ -187,17 +187,16 @@ pub fn e_vac(
     let mut best: Vec<NodeId> = Vec::new();
     let mut seen: HashSet<Vec<NodeId>> = HashSet::new();
     let mut stack: Vec<Vec<NodeId>> = vec![root];
-    let mut states: u64 = 0;
-    let budget = limits.state_budget.unwrap_or(u64::MAX);
 
     while let Some(state) = stack.pop() {
-        if states > 0 && (states >= budget || expired(deadline)) {
-            break;
-        }
-        if !seen.insert(state.clone()) {
+        if seen.contains(&state) {
             continue;
         }
-        states += 1;
+        // Each new state is a step; the root always is.
+        if stop.poll(!best.is_empty()) {
+            break;
+        }
+        seen.insert(state.clone());
         let (obj, pair) = max_pairwise_distance(g, &state, dparams);
         if obj < best_obj {
             best_obj = obj;
@@ -223,6 +222,7 @@ pub fn e_vac(
     Ok(BaselineResult {
         community: best,
         objective: best_obj,
+        steps: stop.steps(),
     })
 }
 
@@ -238,14 +238,14 @@ mod tests {
         q: NodeId,
         k: u32,
         dparams: DistanceParams,
-        max_iters: Option<usize>,
+        step_budget: Option<u64>,
     ) -> Result<BaselineResult, CsagError> {
         let index = EpochIndex::new();
         let mut maintainer = Maintainer::new(g, &index, CommunityModel::KCore, k);
         vac(
             &mut maintainer,
             &QueryDistances::new(q, g.n(), dparams),
-            max_iters,
+            step_budget,
             None,
         )
     }
@@ -306,11 +306,14 @@ mod tests {
     }
 
     #[test]
-    fn vac_iteration_cap_is_honored() {
+    fn vac_step_budget_is_honored() {
         let g = clique_with_outlier();
-        // Zero iterations: the root itself is returned.
+        // Zero rounds: the root itself is returned.
         let res = run_vac(&g, 0, 2, DistanceParams::default(), Some(0)).unwrap();
-        assert_eq!(res.community, vec![0, 1, 2, 3, 4]);
+        assert_eq!((res.community, res.steps), (vec![0, 1, 2, 3, 4], 0));
+        let full = run_vac(&g, 0, 2, DistanceParams::default(), None).unwrap();
+        let again = run_vac(&g, 0, 2, DistanceParams::default(), Some(full.steps)).unwrap();
+        assert_eq!((again.community, again.steps), (full.community, full.steps));
         // So does a zero time budget: the clock is polled before each
         // round.
         let index = EpochIndex::new();
@@ -340,9 +343,9 @@ mod tests {
         let g = clique_with_outlier();
         let run = |limits: EVacLimits| run_e_vac(&g, 0, 2, DistanceParams::default(), &limits);
         let full = run(EVacLimits::default()).unwrap();
-        // A 1-state budget scores the root, then truncates to it.
+        // A 1-step budget scores the root, then truncates to it.
         let one = run(EVacLimits {
-            state_budget: Some(1),
+            step_budget: Some(1),
             ..Default::default()
         })
         .unwrap();

@@ -127,7 +127,7 @@ proptest! {
         let exists = !all_communities(&g, q, k).is_empty();
         let results = [
             acq(&mut Maintainer::new(&g, &EpochIndex::new(), CommunityModel::KCore, k), q).map(|r| r.community),
-            loc_atc(&mut Maintainer::new(&g, &EpochIndex::new(), CommunityModel::KCore, k), q, None).map(|r| r.community),
+            loc_atc(&mut Maintainer::new(&g, &EpochIndex::new(), CommunityModel::KCore, k), q, None, None).map(|r| r.community),
             vac(&mut Maintainer::new(&g, &EpochIndex::new(), CommunityModel::KCore, k), &QueryDistances::new(q, g.n(), dp), None, None).map(|r| r.community),
         ];
         for comm in results.iter() {

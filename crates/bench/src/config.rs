@@ -52,7 +52,7 @@ impl Scale {
     }
 
     /// Per-query time budget for the exact ground truth: a backstop
-    /// behind [`EXACT_STATES`] (Table IV sets its own state budget).
+    /// behind [`EXACT_STEPS`] (Table IV sets its own step budget).
     pub fn exact_budget(&self) -> Duration {
         if self.quick {
             Duration::from_secs(2)
@@ -103,10 +103,12 @@ pub fn sea_query(k: u32) -> CommunityQuery {
         .with_hoeffding(HOEFFDING.0, HOEFFDING.1)
 }
 
-/// Search-tree state budget of the lineup's Exact, in quick and full
-/// mode alike; [`Scale::exact_budget`]'s clock stays as a backstop.
+/// Step budget of the lineup's Exact, in quick and full mode alike;
+/// [`Scale::exact_budget`]'s clock stays as a backstop. The warm start's
+/// rungs and descent steps count too, so at most this many states are
+/// searched.
 ///
-/// A state budget makes Exact's reference the same on every host, so
+/// A step budget makes Exact's reference the same on every host, so
 /// every relative error against it is too. The first states near the
 /// root are the costly ones, and their cost grows with the root: on one
 /// Xeon core, 100 states took ≈ 0.1 s on `facebook-like` (4 000 nodes), 0.15 s
@@ -114,7 +116,7 @@ pub fn sea_query(k: u32) -> CommunityQuery {
 /// 2 s clock these graphs reached ≈ 20 000, 2 000 and 350 states. In full
 /// mode `twitter-like` (90 000 nodes) reached ≈ 300 states in 10 s, so one
 /// budget serves both modes with a threefold margin to the clock.
-pub const EXACT_STATES: u64 = 100;
+pub const EXACT_STEPS: u64 = 100;
 
 /// Fixed seed shared by all experiments so reruns are identical.
 pub const QUERY_SEED: u64 = 0x5EA_C5A6;

@@ -11,7 +11,7 @@
 //! Budget-stopped Exact and E-VAC runs answer with their best community so
 //! far — the paper's "best found within the limit" rows.
 
-use crate::config::{sea_query, Scale, EXACT_STATES, SEA_SEED};
+use crate::config::{sea_query, Scale, EXACT_STEPS, SEA_SEED};
 use csag::engine::{
     parallel_map as engine_parallel_map, CommunityQuery, CommunityResult, CsagError, Method,
     PhaseTimings,
@@ -80,7 +80,7 @@ impl Lineup {
     ];
 
     /// The lineup at `k` under `model` on `target`, with `scale`'s
-    /// budgets: Exact stops at [`EXACT_STATES`] states or
+    /// budgets: Exact stops at [`EXACT_STEPS`] steps or
     /// [`Scale::exact_budget`], whichever comes first; VAC peels at most
     /// 1 500 times; E-VAC gets [`Scale::evac_budget`] states, the same
     /// clock, and refuses roots above 320 nodes. k-truss SEA samples at
@@ -105,15 +105,15 @@ impl Lineup {
                 let template = match m {
                     Method::Exact => Some(
                         base(m)
-                            .with_state_budget(EXACT_STATES)
+                            .with_step_budget(EXACT_STEPS)
                             .with_time_budget(scale.exact_budget()),
                     ),
                     Method::Sea => Some(sea.clone()),
                     Method::Acq => (!numeric_only).then(|| base(m)),
-                    Method::Vac => Some(base(m).with_vac_iteration_cap(Some(1_500))),
+                    Method::Vac => Some(base(m).with_step_budget(1_500)),
                     Method::EVac => evac.then(|| {
                         base(m)
-                            .with_state_budget(scale.evac_budget())
+                            .with_step_budget(scale.evac_budget())
                             .with_time_budget(scale.exact_budget())
                             .with_evac_max_root(Some(320))
                     }),
@@ -275,7 +275,7 @@ mod tests {
     }
 
     #[test]
-    fn exact_column_stops_on_its_state_budget() {
+    fn exact_column_stops_on_its_step_budget() {
         let engine = small_engine();
         let target = Target::Homogeneous {
             nodes: engine.graph().n(),
@@ -293,7 +293,7 @@ mod tests {
         assert_eq!(a.community, b.community);
         assert_eq!(a.delta.to_bits(), b.delta.to_bits());
         for res in [&a, &b] {
-            assert_eq!(res.provenance.states_explored, EXACT_STATES);
+            assert_eq!(res.provenance.rounds, EXACT_STEPS);
             assert!(
                 !res.certificate.unwrap().certified,
                 "a stopped search is uncertified"

@@ -22,7 +22,7 @@ const CONFIGS: [(&str, PruningConfig); 4] = [
 
 fn datasets(scale: &Scale) -> Vec<Dataset> {
     // Miniature planted graphs: the ablation needs every configuration to
-    // finish (or visibly blow through the state budget), which on the full
+    // finish (or visibly blow through the step budget), which on the full
     // stand-ins is impossible for `Exact w/o P` — mirroring the paper's
     // `>8 days` rows, but at a scale where the other configs terminate.
     let mut minis = standins::ablation_minis();
@@ -34,10 +34,10 @@ fn datasets(scale: &Scale) -> Vec<Dataset> {
 
 /// Runs the pruning ablation.
 pub fn run(scale: &Scale) -> String {
-    let state_budget: u64 = if scale.quick { 20_000 } else { 200_000 };
+    let step_budget: u64 = if scale.quick { 20_000 } else { 200_000 };
     let mut table = Table::new(
         &format!(
-            "Table IV: effect of prunings on Exact (mean per query; state budget {state_budget})"
+            "Table IV: effect of prunings on Exact (mean per query; step budget {step_budget})"
         ),
         &["dataset", "config", "time", "# states", "budget hit"],
     );
@@ -51,7 +51,7 @@ pub fn run(scale: &Scale) -> String {
             let template = CommunityQuery::new(Method::Exact, 0)
                 .with_k(k)
                 .with_pruning(pruning)
-                .with_state_budget(state_budget)
+                .with_step_budget(step_budget)
                 .with_time_budget(scale.exact_budget());
             let runs: Vec<Option<(f64, u64, bool)>> = parallel_map(&queries, scale.threads, |q| {
                 let r = engine.run(&template.clone().with_query(q)).ok()?;

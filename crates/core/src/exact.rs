@@ -16,20 +16,20 @@
 //!   best δ found so far.
 //!
 //! Each strategy can be toggled independently ([`PruningConfig`]) to
-//! reproduce the paper's Table IV ablation. A state/time budget stops
+//! reproduce the paper's Table IV ablation. A step/time budget stops
 //! runaway configurations — the way the paper reports `> 8 days` — and
 //! the stopped search still answers: its best community so far, marked
 //! incomplete, with a proven Theorem-6 lower bound on the optimum (see
 //! [`ExactResult`]).
 
-use crate::clock::{deadline_after, expired};
+use crate::clock::Stop;
 use crate::distance::{DistanceParams, QueryDistances};
 use crate::error::{check_query_node, root_of, CsagError};
 use crate::sea::prefix_ladder;
 use csag_decomp::{CommunityModel, EpochIndex, Maintainer};
 use csag_graph::{AttributedGraph, NodeId, QueryWorkspace};
 use std::ops::ControlFlow;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Which pruning strategies are active (Table IV ablation).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -88,8 +88,9 @@ pub struct ExactParams {
     pub model: CommunityModel,
     /// Active pruning strategies.
     pub pruning: PruningConfig,
-    /// Abort after visiting this many states (`None` = unlimited).
-    pub state_budget: Option<u64>,
+    /// Stop after this many steps (`None` = unlimited): each warm-start
+    /// rung, each descent step and each search state is one.
+    pub step_budget: Option<u64>,
     /// Abort after this much wall-clock time (`None` = unlimited).
     pub time_budget: Option<Duration>,
 }
@@ -100,7 +101,7 @@ impl Default for ExactParams {
             k: 4,
             model: CommunityModel::KCore,
             pruning: PruningConfig::default(),
-            state_budget: None,
+            step_budget: None,
             time_budget: None,
         }
     }
@@ -125,12 +126,6 @@ impl ExactParams {
         self
     }
 
-    /// Sets a state budget.
-    pub fn with_state_budget(mut self, states: u64) -> Self {
-        self.state_budget = Some(states);
-        self
-    }
-
     /// Sets a time budget.
     pub fn with_time_budget(mut self, budget: Duration) -> Self {
         self.time_budget = Some(budget);
@@ -139,7 +134,7 @@ impl ExactParams {
 }
 
 /// Result of an exact CS-AG search. A `complete` search's community is
-/// δ-optimal under the chosen model. A search its state or time budget
+/// δ-optimal under the chosen model. A search its step or time budget
 /// stopped returns the best community found so far, and the optimum lies
 /// in `[lower_bound, delta]`.
 #[derive(Clone, Debug)]
@@ -157,6 +152,8 @@ pub struct ExactResult {
     pub complete: bool,
     /// Number of states visited in the search tree (root included).
     pub states_explored: u64,
+    /// Steps passed: warm-start rungs and descent steps, then states.
+    pub steps: u64,
 }
 
 /// The exact CS-AG solver.
@@ -175,10 +172,7 @@ struct SearchCtx<'g> {
     need: usize,
     best: Vec<NodeId>,
     best_delta: f64,
-    states: u64,
-    state_budget: u64,
-    deadline: Option<Instant>,
-    out_of_budget: bool,
+    stop: Stop,
     /// Smallest Theorem-6 bound over the subtrees a stop left unexplored,
     /// folded in as the recursion unwinds from it (∞ while none is).
     unexplored_bound: f64,
@@ -249,10 +243,9 @@ impl<'g> Exact<'g> {
                 "distance cache was built for a different query or γ",
             ));
         }
-        let start = Instant::now();
         let mut maintainer =
             Maintainer::in_workspace(self.g, self.index, params.model, params.k, ws);
-        let result = self.search(q, params, dist, &mut maintainer, ws, start);
+        let result = self.search(q, params, dist, &mut maintainer, ws);
         maintainer.release(ws);
         result
     }
@@ -265,8 +258,8 @@ impl<'g> Exact<'g> {
         dist: &QueryDistances,
         maintainer: &mut Maintainer<'_>,
         ws: &mut QueryWorkspace,
-        start: Instant,
     ) -> Result<ExactResult, CsagError> {
+        let mut stop = Stop::new(params.time_budget, params.step_budget);
         let root = root_of(maintainer, q)?;
 
         dist.warm(self.g, &root);
@@ -281,7 +274,6 @@ impl<'g> Exact<'g> {
         // Theorem-6 bound before enumeration starts, which shrinks the
         // search tree by orders of magnitude on homogeneous-attribute
         // communities.
-        let deadline = deadline_after(start, params.time_budget);
         let mut incumbent = (root.clone(), root_delta);
         prefix_ladder(
             maintainer,
@@ -299,7 +291,7 @@ impl<'g> Exact<'g> {
                         incumbent.1 = d;
                     }
                 }
-                if expired(deadline) {
+                if stop.poll(true) {
                     ControlFlow::Break(())
                 } else {
                     ControlFlow::Continue(())
@@ -311,7 +303,7 @@ impl<'g> Exact<'g> {
         let mut shrunk = ws.take_nodes();
         let mut cand = ws.take_nodes();
         cur.extend_from_slice(&incumbent.0);
-        while !expired(deadline) {
+        while !stop.poll(true) {
             let Some((_, worst)) = cur
                 .iter()
                 .filter(|&&v| v != q)
@@ -337,6 +329,8 @@ impl<'g> Exact<'g> {
         ws.put_nodes(shrunk);
         ws.put_nodes(cand);
 
+        // Every step from here on enters one state.
+        let warm_steps = stop.steps();
         let mut ctx = SearchCtx {
             g: self.g,
             q,
@@ -344,10 +338,7 @@ impl<'g> Exact<'g> {
             need: params.model.min_size(params.k).saturating_sub(1),
             best: incumbent.0,
             best_delta: incumbent.1,
-            states: 0,
-            state_budget: params.state_budget.unwrap_or(u64::MAX),
-            deadline,
-            out_of_budget: false,
+            stop,
             unexplored_bound: f64::INFINITY,
             free: Vec::new(),
         };
@@ -356,9 +347,10 @@ impl<'g> Exact<'g> {
         Ok(ExactResult {
             delta: ctx.best_delta,
             lower_bound: ctx.best_delta.min(ctx.unexplored_bound),
-            complete: !ctx.out_of_budget,
+            complete: !ctx.stop.stopped(),
             community: ctx.best,
-            states_explored: ctx.states,
+            states_explored: ctx.stop.steps() - warm_steps,
+            steps: ctx.stop.steps(),
         })
     }
 }
@@ -381,14 +373,12 @@ fn enumerate(
     state_delta: f64,
     f_u: f64,
 ) {
-    // A budget of B admits B states and stops at the attempt to enter
-    // state B + 1, which the stop leaves unexplored.
-    if ctx.states >= ctx.state_budget || expired(ctx.deadline) {
-        ctx.out_of_budget = true;
+    // A budget of B admits B steps and stops at the attempt to enter the
+    // next state, which the stop leaves unexplored.
+    if ctx.stop.poll(true) {
         fold_unexplored(ctx, dist, state);
         return;
     }
-    ctx.states += 1;
 
     // This level's buffers: popped from the free pool, pushed back on
     // every exit. Steady-state recursion therefore reuses the deepest
@@ -460,7 +450,7 @@ fn enumerate(
             ctx.best.extend_from_slice(substate);
         }
         enumerate(ctx, maintainer, dist, &level.substate, sub_delta, f_v);
-        if ctx.out_of_budget {
+        if ctx.stop.stopped() {
             // Unwinding from a stop: the candidates after this one are
             // unexplored subtrees of `state`.
             if idx + 1 < level.cands.len() {
@@ -648,7 +638,7 @@ mod tests {
     }
 
     #[test]
-    fn state_budget_surfaces_best_so_far() {
+    fn step_budget_surfaces_best_so_far() {
         let (g, q) = figure3_graph();
         let index = EpochIndex::new();
         let exact = Exact::new(&g, &index, DistanceParams::with_gamma(0.0));
@@ -656,17 +646,26 @@ mod tests {
         let full = exact.run(q, &params).unwrap();
         assert!(full.complete && full.states_explored > 2);
         assert_eq!(full.lower_bound, full.delta);
-        let stopped = exact.run(q, &params.with_state_budget(2)).unwrap();
+        let steps = full.steps - full.states_explored + 2;
+        let stopped = exact
+            .run(
+                q,
+                &ExactParams {
+                    step_budget: Some(steps),
+                    ..params
+                },
+            )
+            .unwrap();
         assert!(!stopped.complete);
-        assert_eq!(stopped.states_explored, 2);
+        assert_eq!((stopped.states_explored, stopped.steps), (2, steps));
         // The best-so-far is a valid community, and the proven bracket
         // holds the optimum.
         assert!(stopped.community.contains(&q));
         assert!(stopped.lower_bound <= full.delta && full.delta <= stopped.delta);
     }
 
-    /// A budget of B expands B states: a search that needs exactly one
-    /// state completes under a budget of one.
+    /// A budget of B passes B steps: a search that needs exactly one state
+    /// after its warm start completes under a budget of its steps.
     #[test]
     fn a_budget_of_b_expands_b_states() {
         let mut b = GraphBuilder::new(1);
@@ -684,7 +683,16 @@ mod tests {
         let params = ExactParams::default().with_k(4);
         let full = exact.run(0, &params).unwrap();
         assert_eq!(full.states_explored, 1);
-        let budgeted = exact.run(0, &params.with_state_budget(1)).unwrap();
+        let steps = full.steps;
+        let budgeted = exact
+            .run(
+                0,
+                &ExactParams {
+                    step_budget: Some(steps),
+                    ..params
+                },
+            )
+            .unwrap();
         assert!(budgeted.complete);
         assert_eq!(budgeted.community, full.community);
         assert_eq!(budgeted.delta, full.delta);

@@ -30,7 +30,7 @@
 //! one [`QueryDistances`] table per `(q, γ)` serves growth, sampling
 //! weights and estimation.
 
-use crate::clock::{deadline_after, expired};
+use crate::clock::Stop;
 use crate::distance::{DistanceParams, QueryDistances};
 use crate::error::{check_query_node, CsagError};
 use csag_decomp::{CommunityModel, EpochIndex, Maintainer};
@@ -62,18 +62,16 @@ pub struct SeaParams {
     pub lambda: f64,
     /// Bag-of-Little-Bootstraps configuration.
     pub blb: Blb,
-    /// Maximum sampling/estimation rounds before giving up and returning
-    /// the best uncertified candidate (paper: `N_e ≤ 5` in practice). The
-    /// cap applies once some candidate has been estimated; until then the
-    /// sample keeps growing, so "no community" always means the whole
-    /// population was peeled.
-    pub max_rounds: usize,
     /// Optional size bound `[l, h]` (§VI-B).
     pub size_bound: Option<(usize, usize)>,
-    /// Wall-clock budget (`None` = unlimited), polled at each round's
-    /// head once some candidate has been estimated. A stopped search
-    /// answers like the same query whose `max_rounds` is the number of
-    /// rounds it ran.
+    /// Rounds before giving up with the best uncertified candidate (`None`
+    /// = [`DEFAULT_ROUNDS`]). Rootless rounds count too, but no budget
+    /// stops the search before it holds a candidate, so "no community"
+    /// always means the whole population was peeled.
+    pub step_budget: Option<u64>,
+    /// Wall-clock budget (`None` = unlimited), polled with `step_budget`;
+    /// a stopped search answers as the same query with `step_budget` =
+    /// [`SeaResult::steps`] and no time budget.
     pub time_budget: Option<Duration>,
 }
 
@@ -88,8 +86,8 @@ impl Default for SeaParams {
             hoeffding_confidence: 0.95,
             lambda: 0.2,
             blb: Blb::default(),
-            max_rounds: 5,
             size_bound: None,
+            step_budget: None,
             time_budget: None,
         }
     }
@@ -147,8 +145,8 @@ impl SeaParams {
     /// # Errors
     /// [`CsagError::InvalidParams`] naming the offending parameter:
     /// `k ≥ 2`, `error_bound ∈ (0,1)`, `confidence ∈ (0,1)`, the
-    /// Hoeffding pair in `(0,1)`, `lambda ∈ (0,1]`, `1 ≤ l ≤ h` for size
-    /// bounds, and at least one round.
+    /// Hoeffding pair in `(0,1)`, `lambda ∈ (0,1]` and `1 ≤ l ≤ h` for
+    /// size bounds.
     pub fn validate(&self) -> Result<(), CsagError> {
         if self.k < 2 {
             return Err(CsagError::invalid(format!(
@@ -192,9 +190,6 @@ impl SeaParams {
                     "size bound requires 1 <= l <= h (got [{l}, {h}])"
                 )));
             }
-        }
-        if self.max_rounds == 0 {
-            return Err(CsagError::invalid("max_rounds must be at least 1"));
         }
         Ok(())
     }
@@ -246,14 +241,17 @@ pub struct SeaResult {
     /// Confidence interval δ⋆ ± ε of `community` at the requested level.
     pub ci: ConfidenceInterval,
     /// Whether Theorem 11's stopping rule fired on some candidate of this
-    /// run (`false` when `max_rounds` or the time budget ran out, the
+    /// run (`false` when the step or time budget ran out, the
     /// whole population was sampled, or a draw added nothing).
     /// `community` is the lowest-δ⋆ candidate estimated, not necessarily
     /// the one that fired, so a certified result's `ci` can be wider than
     /// Theorem 11 allows.
     pub certified: bool,
-    /// Round-by-round log (Table VI).
+    /// Round-by-round log (Table VI) of the rounds whose sample held a
+    /// root.
     pub rounds: Vec<SeaRound>,
+    /// Every round the search ran, rootless ones included.
+    pub steps: u64,
     /// Per-step timing (Figure 5(d)).
     pub timing: SeaTiming,
     /// Size of the sampling population |V_Gq|.
@@ -580,7 +578,10 @@ fn sea_population_inner<R: Rng + ?Sized>(
             }
         ))
     };
-    let deadline = deadline_after(Instant::now(), params.time_budget);
+    let mut stop = Stop::new(
+        params.time_budget,
+        params.step_budget.or(Some(DEFAULT_ROUNDS)),
+    );
     let z = z_for_confidence(params.confidence);
     let mut timing = SeaTiming::default();
     let mut rounds: Vec<SeaRound> = Vec::new();
@@ -598,15 +599,9 @@ fn sea_population_inner<R: Rng + ?Sized>(
     let mut certified = false;
     let mut added_this_round = 0usize;
 
-    let mut round = 0usize;
-    while round < params.max_rounds || best.is_none() {
-        // The one clock poll: between rounds, once there is an answer to
-        // return, so a stopped search is the same query capped at the
-        // rounds it ran.
-        if best.is_some() && expired(deadline) {
-            break;
-        }
-        round += 1;
+    // The one stop poll: every round is a step, and the search stops only
+    // at a round head where it has an answer to return.
+    while !stop.poll(best.is_some()) {
         let round_start = Instant::now();
 
         // S1: peel the induced sample to the maximal community of q.
@@ -738,12 +733,17 @@ fn sea_population_inner<R: Rng + ?Sized>(
         delta_star,
         certified,
         rounds,
+        steps: stop.steps(),
         timing,
         population_size: n,
         sample_size: bufs.in_sample.count(),
         community: bufs.best_comm[..].to_vec(),
     })
 }
+
+/// SEA's rounds when the query sets no step budget (the paper: `N_e ≤ 5`
+/// in practice).
+pub const DEFAULT_ROUNDS: u64 = 5;
 
 /// Most candidates one round of the ladder estimates. Bounds the estimation
 /// step on giant sampled communities; certification normally ends a round

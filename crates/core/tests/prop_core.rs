@@ -9,7 +9,7 @@ use csag_core::error::CsagError;
 use csag_core::exact::{Exact, ExactParams, PruningConfig};
 use csag_core::sea::{
     grow_neighborhood, grow_neighborhood_into, prefix_ladder, sea_on_population, Sea, SeaParams,
-    SeaResult,
+    SeaResult, DEFAULT_ROUNDS,
 };
 use csag_decomp::{CommunityModel, EpochIndex, Maintainer};
 use csag_graph::traversal::component_of;
@@ -300,11 +300,12 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// A search stopped at any state budget B brackets the optimum:
+    /// A search stopped after any B states brackets the optimum:
     /// `lower_bound ≤ δ_opt ≤ δ_B`. The bracket never widens as B grows,
     /// and it closes, with the unbudgeted community, exactly when B
-    /// reaches the `C` states the unbudgeted search needs. Searches
-    /// needing more than 300 states are skipped to keep the B-sweep small.
+    /// reaches the `C` states the unbudgeted search needs. B states are a
+    /// step budget of the warm start's `W` steps plus B. Searches needing
+    /// more than 300 states are skipped to keep the B-sweep small.
     #[test]
     fn a_stopped_search_brackets_the_optimum((g, q) in arb_bracket_case(), k in 2u32..4) {
         let index = EpochIndex::new();
@@ -320,16 +321,18 @@ proptest! {
                     .with_k(k)
                     .with_model(model)
                     .with_pruning(pruning);
-                let Ok(full) = exact.run(q, &params.clone().with_state_budget(300)) else {
+                let steps = |b: u64| ExactParams { step_budget: Some(b), ..params.clone() };
+                let Ok(probe) = exact.run(q, &steps(300)) else {
                     continue;
                 };
+                let full = exact.run(q, &steps(300 + probe.steps - probe.states_explored)).unwrap();
                 if !full.complete {
                     continue;
                 }
-                let (opt, c) = (full.delta, full.states_explored);
+                let (opt, c, warm) = (full.delta, full.states_explored, full.steps - full.states_explored);
                 let mut gap = f64::INFINITY;
                 for b in 1..=c {
-                    let r = exact.run(q, &params.clone().with_state_budget(b)).unwrap();
+                    let r = exact.run(q, &steps(warm + b)).unwrap();
                     let at = format!("{model} k={k} {pruning:?} B={b} of {c}");
                     prop_assert!(
                         r.lower_bound <= opt + 1e-12 && opt <= r.delta + 1e-12,
@@ -517,7 +520,7 @@ proptest! {
             Err(err) => panic!("unexpected error: {err}"),
         };
         prop_assert_eq!(res.rounds.len(), 1, "λ = 1 samples everything at once");
-        prop_assert!(res.certified || res.rounds.len() < params.max_rounds);
+        prop_assert!(res.certified || res.steps < DEFAULT_ROUNDS);
 
         let examined = res.rounds[0].candidates_examined;
         let index = EpochIndex::new();

@@ -422,7 +422,7 @@ fn print_result(g: &AttributedGraph, res: &CommunityResult) {
         res.timings.prepare.as_secs_f64() * 1000.0,
         res.timings.search.as_secs_f64() * 1000.0,
     );
-    if res.provenance.rounds > 0 {
+    if res.provenance.population_size > 0 {
         println!(
             "  {} SEA round(s), {} candidate(s), sample {}/{}",
             res.provenance.rounds,
@@ -971,11 +971,11 @@ fn cmd_wal_churn(args: Args) -> Result<(), String> {
     Ok(())
 }
 
-/// The state budget of `churn_queries`' Exact rows: unbudgeted, the
+/// The step budget of `churn_queries`' Exact rows: unbudgeted, the
 /// k = 2, γ = 0 row goes exponential as the churned graph grows (49 s at
-/// epoch 27). A state budget stops at the same state on every engine, so
+/// epoch 27). A step budget stops at the same step on every engine, so
 /// served and fresh answers stay byte-comparable.
-const CHURN_EXACT_STATES: u64 = 2_000;
+const CHURN_EXACT_STEPS: u64 = 2_000;
 
 /// The pinned query set replayed after every churn batch (node ids are
 /// clamped into the graph at run time, so late epochs stay covered).
@@ -983,7 +983,7 @@ fn churn_queries(q: u32) -> Vec<CommunityQuery> {
     vec![
         CommunityQuery::new(Method::Exact, q)
             .with_k(3)
-            .with_state_budget(CHURN_EXACT_STATES),
+            .with_step_budget(CHURN_EXACT_STEPS),
         CommunityQuery::new(Method::Sea, q)
             .with_k(3)
             .with_error_bound(0.05)
@@ -991,11 +991,11 @@ fn churn_queries(q: u32) -> Vec<CommunityQuery> {
         CommunityQuery::new(Method::Exact, q)
             .with_k(2)
             .with_gamma(0.0)
-            .with_state_budget(CHURN_EXACT_STATES),
+            .with_step_budget(CHURN_EXACT_STEPS),
         CommunityQuery::new(Method::Exact, q)
             .with_k(3)
             .with_model(csag::decomp::CommunityModel::KTruss)
-            .with_state_budget(CHURN_EXACT_STATES),
+            .with_step_budget(CHURN_EXACT_STEPS),
         CommunityQuery::new(Method::Acq, q)
             .with_k(3)
             .with_model(csag::decomp::CommunityModel::KTruss),

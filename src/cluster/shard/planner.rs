@@ -351,7 +351,7 @@ mod tests {
                     let query = CommunityQuery::new(method, q)
                         .with_model(CommunityModel::KTruss)
                         .with_k(k)
-                        .with_state_budget(200);
+                        .with_step_budget(200);
                     if decide(&view, &query) != spill {
                         continue;
                     }

@@ -399,13 +399,15 @@ impl Engine {
                 let mut m = Maintainer::in_workspace(g, index, query.model, query.k, ws);
                 let found = match query.method {
                     Method::Acq => baselines::acq(&mut m, q),
-                    Method::Atc => baselines::loc_atc(&mut m, q, query.time_budget),
+                    Method::Atc => {
+                        baselines::loc_atc(&mut m, q, query.step_budget, query.time_budget)
+                    }
                     Method::Vac => {
-                        baselines::vac(&mut m, dist, query.vac_iteration_cap, query.time_budget)
+                        baselines::vac(&mut m, dist, query.step_budget, query.time_budget)
                     }
                     Method::EVac => {
                         let limits = baselines::EVacLimits {
-                            state_budget: query.state_budget,
+                            step_budget: query.step_budget,
                             max_root: query.evac_max_root,
                             time_budget: query.time_budget,
                         };

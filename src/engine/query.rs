@@ -2,9 +2,11 @@
 //!
 //! A [`CommunityQuery`] names the query node, the structural model
 //! (`k` + k-core/k-truss), the [`Method`] to answer with, and the
-//! accuracy/budget knobs that method understands. Knobs a method does not
-//! use are simply ignored, so the same query can be replayed across
-//! methods (the comparison tables of the paper do exactly that).
+//! accuracy/budget knobs that method understands. Accuracy knobs a
+//! method does not use are simply ignored, so the same query can be
+//! replayed across methods (the comparison tables of the paper do exactly
+//! that); the budgets bind every method that loops, each in its own unit
+//! ([`CommunityQuery::step_budget`]).
 //!
 //! Validation happens *at build time*: [`CommunityQuery::build`] (or
 //! [`CommunityQuery::validate`], which the engine also calls defensively
@@ -151,21 +153,21 @@ pub struct CommunityQuery {
     pub seed: u64,
     /// Pruning strategies for [`Method::Exact`] (Table IV ablation).
     pub pruning: PruningConfig,
-    /// Search-tree state budget ([`Method::Exact`] / [`Method::EVac`]).
-    pub state_budget: Option<u64>,
-    /// Wall-clock budget. Every method that loops polls it at its loop
-    /// head — SEA between rounds once it has a candidate, Exact and E-VAC
-    /// per state, VAC per round, LocATC per step — and a stopped search
-    /// answers with its best community so far; ACQ's one bounded pass
-    /// ignores it. A service deadline only ever lowers it.
+    /// Step budget of every method that loops, polled with `time_budget`
+    /// at one stop poll per loop head: SEA's and VAC's rounds, LocATC's
+    /// steps, E-VAC's states, Exact's warm-start rungs, descent steps and
+    /// states. `None` keeps each method's default (SEA 5, VAC 5 000,
+    /// LocATC 120, Exact and E-VAC unbounded); 0 stops at the first head
+    /// that may stop. An answer's `provenance.rounds` is its steps: asked
+    /// again with that budget and no time budget, it is the same answer.
+    pub step_budget: Option<u64>,
+    /// Wall-clock budget, polled at the same loop heads as
+    /// `step_budget`; a stopped search answers with its best community
+    /// so far. A service deadline only ever lowers it.
     pub time_budget: Option<Duration>,
-    /// Peeling-iteration cap for [`Method::Vac`].
-    pub vac_iteration_cap: Option<usize>,
     /// Root-size guard for [`Method::EVac`]: refuse larger roots with
     /// [`CsagError::BudgetExhausted`], mirroring the paper's `-` rows.
     pub evac_max_root: Option<usize>,
-    /// Maximum SEA sampling/estimation rounds.
-    pub max_rounds: usize,
 }
 
 impl CommunityQuery {
@@ -187,11 +189,9 @@ impl CommunityQuery {
             size_bound: None,
             seed: 42,
             pruning: exact.pruning,
-            state_budget: None,
+            step_budget: None,
             time_budget: None,
-            vac_iteration_cap: Some(5_000),
             evac_max_root: Some(400),
-            max_rounds: sea.max_rounds,
         }
     }
 
@@ -269,9 +269,9 @@ impl CommunityQuery {
         self
     }
 
-    /// Sets a search-tree state budget.
-    pub fn with_state_budget(mut self, states: u64) -> Self {
-        self.state_budget = Some(states);
+    /// Sets a step budget (see [`CommunityQuery::step_budget`]).
+    pub fn with_step_budget(mut self, steps: u64) -> Self {
+        self.step_budget = Some(steps);
         self
     }
 
@@ -281,21 +281,9 @@ impl CommunityQuery {
         self
     }
 
-    /// Caps approximate VAC's peeling iterations (`None` = unbounded).
-    pub fn with_vac_iteration_cap(mut self, cap: Option<usize>) -> Self {
-        self.vac_iteration_cap = cap;
-        self
-    }
-
     /// Sets E-VAC's root-size guard (`None` = accept any root).
     pub fn with_evac_max_root(mut self, max_root: Option<usize>) -> Self {
         self.evac_max_root = max_root;
-        self
-    }
-
-    /// Sets the maximum SEA sampling/estimation rounds.
-    pub fn with_max_rounds(mut self, rounds: usize) -> Self {
-        self.max_rounds = rounds;
         self
     }
 
@@ -321,16 +309,13 @@ impl CommunityQuery {
             )));
         }
         // The SEA parameter envelope covers k ≥ 2, the accuracy pair, the
-        // Hoeffding pair, λ, the size bound, and max_rounds — shared by
+        // Hoeffding pair, λ and the size bound — shared by
         // every method so a query stays replayable across methods.
         self.sea_params().validate()?;
         if self.method == Method::SeaSizeBounded && self.size_bound.is_none() {
             return Err(CsagError::invalid(
                 "method sea-size-bounded requires a size bound; call with_size_bound(l, h)",
             ));
-        }
-        if self.state_budget == Some(0) {
-            return Err(CsagError::invalid("state budget of 0 can never search"));
         }
         Ok(())
     }
@@ -342,7 +327,7 @@ impl CommunityQuery {
 
     /// The equivalent `csag-core` SEA parameters.
     pub(crate) fn sea_params(&self) -> SeaParams {
-        let mut p = SeaParams {
+        SeaParams {
             k: self.k,
             model: self.model,
             error_bound: self.error_bound,
@@ -350,12 +335,11 @@ impl CommunityQuery {
             hoeffding_epsilon: self.hoeffding_epsilon,
             hoeffding_confidence: self.hoeffding_confidence,
             lambda: self.lambda,
-            max_rounds: self.max_rounds,
+            size_bound: self.size_bound,
+            step_budget: self.step_budget,
             time_budget: self.time_budget,
             ..SeaParams::default()
-        };
-        p.size_bound = self.size_bound;
-        p
+        }
     }
 
     /// The equivalent `csag-core` exact parameters.
@@ -364,7 +348,7 @@ impl CommunityQuery {
             k: self.k,
             model: self.model,
             pruning: self.pruning,
-            state_budget: self.state_budget,
+            step_budget: self.step_budget,
             time_budget: self.time_budget,
         }
     }
@@ -397,7 +381,6 @@ mod tests {
             CommunityQuery::new(Method::Sea, 0).with_lambda(0.0),
             CommunityQuery::new(Method::Sea, 0).with_size_bound(9, 4),
             CommunityQuery::new(Method::SeaSizeBounded, 0),
-            CommunityQuery::new(Method::Exact, 0).with_state_budget(0),
         ];
         for c in cases {
             let shown = format!("{c:?}");
@@ -405,6 +388,14 @@ mod tests {
                 matches!(c.build(), Err(CsagError::InvalidParams { .. })),
                 "{shown} should fail validation"
             );
+        }
+        // A zero step budget stops at the first loop head that may stop.
+        for method in Method::ALL
+            .into_iter()
+            .filter(|&m| m != Method::SeaSizeBounded)
+        {
+            let zero = CommunityQuery::new(method, 0).with_step_budget(0).build();
+            assert_eq!(zero.map(|q| q.step_budget).ok(), Some(Some(0)), "{method}");
         }
     }
 
@@ -414,12 +405,13 @@ mod tests {
             .with_k(5)
             .with_model(CommunityModel::KTruss)
             .with_pruning(PruningConfig::NO_P3)
-            .with_state_budget(100);
+            .with_step_budget(100);
         let e = q.exact_params();
         assert_eq!(e.k, 5);
         assert_eq!(e.model, CommunityModel::KTruss);
         assert_eq!(e.pruning, PruningConfig::NO_P3);
-        assert_eq!(e.state_budget, Some(100));
+        assert_eq!(e.step_budget, Some(100));
+        assert_eq!(q.sea_params().step_budget, Some(100));
 
         let q = CommunityQuery::new(Method::Sea, 3)
             .with_k(4)

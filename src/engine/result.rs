@@ -70,8 +70,10 @@ pub struct Provenance {
     pub k: u32,
     /// Community model of the run.
     pub model: CommunityModel,
-    /// SEA sampling/estimation rounds executed.
-    pub rounds: usize,
+    /// Steps the search passed, in the units of
+    /// [`CommunityQuery::step_budget`](super::CommunityQuery::step_budget)
+    /// (ACQ: 0); that budget and no time budget replays the answer.
+    pub rounds: u64,
     /// Search-tree states visited (exact enumeration).
     pub states_explored: u64,
     /// Candidate communities estimated (SEA).
@@ -146,6 +148,7 @@ pub(crate) fn assemble(query: &CommunityQuery, found: Found) -> CommunityResult 
     let mut timings = PhaseTimings::default();
     let (community, delta, certificate) = match found {
         Found::Exact(r) => {
+            provenance.rounds = r.steps;
             provenance.states_explored = r.states_explored;
             // The proven bracket [lower_bound, δ] on the optimum, as a
             // relative error: 0 when complete, ∞ when the bound is 0.
@@ -163,7 +166,7 @@ pub(crate) fn assemble(query: &CommunityQuery, found: Found) -> CommunityResult 
             (r.community, r.delta, Some(certificate))
         }
         Found::Sea(r) => {
-            provenance.rounds = r.rounds.len();
+            provenance.rounds = r.steps;
             provenance.candidates_examined = r.rounds.iter().map(|x| x.candidates_examined).sum();
             provenance.population_size = r.population_size;
             provenance.sample_size = r.sample_size;
@@ -189,6 +192,7 @@ pub(crate) fn assemble(query: &CommunityQuery, found: Found) -> CommunityResult 
             (r.community, r.delta_star, Some(certificate))
         }
         Found::Baseline(r, delta) => {
+            provenance.rounds = r.steps;
             provenance.objective = Some(r.objective);
             (r.community, delta, None)
         }
@@ -255,7 +259,7 @@ impl CommunityResult {
         w.key("method").string(p.method.name());
         w.key("k").uint(p.k.into());
         w.key("model").display(p.model);
-        w.key("rounds").uint(p.rounds as u64);
+        w.key("rounds").uint(p.rounds);
         w.key("states_explored").uint(p.states_explored);
         w.key("candidates_examined")
             .uint(p.candidates_examined as u64);

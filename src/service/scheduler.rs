@@ -543,7 +543,7 @@ fn fingerprint(q: &CommunityQuery, epoch: u64, deadlined: bool) -> String {
     let mut s = String::with_capacity(128);
     let _ = write!(
         s,
-        "{epoch}|{deadlined}|{}|{}|{}|{}|{:x}|{:x}|{:x}|{:x}|{:x}|{:x}|{:?}|{}|{:?}|{:?}|{:?}|{:?}|{:?}|{}",
+        "{epoch}|{deadlined}|{}|{}|{}|{}|{:x}|{:x}|{:x}|{:x}|{:x}|{:x}|{:?}|{}|{:?}|{:?}|{:?}|{:?}",
         q.method.name(),
         q.q,
         q.k,
@@ -557,11 +557,9 @@ fn fingerprint(q: &CommunityQuery, epoch: u64, deadlined: bool) -> String {
         q.size_bound,
         q.seed,
         q.pruning,
-        q.state_budget,
+        q.step_budget,
         q.time_budget,
-        q.vac_iteration_cap,
         q.evac_max_root,
-        q.max_rounds,
     );
     s
 }

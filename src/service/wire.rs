@@ -95,7 +95,7 @@ pub fn parse_wire_request(line: &str, line_no: usize) -> Result<WireRequest, Str
             "size_l" => size_l = Some(uint_field(&key, &value)? as usize),
             "size_h" => size_h = Some(uint_field(&key, &value)? as usize),
             "budget_ms" => query = query.with_time_budget(millis_field(&key, &value)?),
-            "budget_states" => query = query.with_state_budget(uint_field(&key, &value)?),
+            "budget_steps" => query = query.with_step_budget(uint_field(&key, &value)?),
             "priority" => {
                 priority = str_field(&key, value)?
                     .parse()
@@ -195,7 +195,7 @@ fn millis_field(key: &str, v: &Value) -> Result<Duration, String> {
 }
 
 /// An integer field, read from the integer literal itself so all 64
-/// bits survive (`seed`, `epoch`, `budget_states`). A literal spelled
+/// bits survive (`seed`, `epoch`, `budget_steps`). A literal spelled
 /// with a fraction or exponent (`3.0`, `1e3`) still counts while `f64`
 /// holds it exactly.
 fn uint_field(key: &str, v: &Value) -> Result<u64, String> {
@@ -299,13 +299,14 @@ mod tests {
         assert!(identity(&direct).contains(&format!("\"seed\":{SEED}")));
 
         let line = format!(
-            r#"{{"id":{0},"q":1,"seed":{0},"epoch":{0},"budget_states":{0},"size_l":3,"size_h":{0}}}"#,
+            r#"{{"id":{0},"q":1,"seed":{0},"epoch":{0},"budget_steps":{0},"size_l":3,"size_h":{0}}}"#,
             u64::MAX
         );
         let wire = parse_wire_request(&line, 0).unwrap();
         assert_eq!(wire.id, u64::MAX.to_string());
         assert_eq!(wire.request.query.seed, u64::MAX);
         assert_eq!(wire.request.pin_epoch, Some(u64::MAX));
+        assert_eq!(wire.request.query.step_budget, Some(u64::MAX));
         assert_eq!(wire.request.query.size_bound, Some((3, u64::MAX as usize)));
         // Other id spellings echo as before.
         for (token, echo) in [
@@ -363,6 +364,7 @@ mod tests {
         for (line, needle) in [
             (r#"{"k": 3}"#, "missing required key"),
             (r#"{"q": 1, "mehtod": "sea"}"#, "unknown csag-wire key"),
+            (r#"{"q": 1, "budget_states": 5}"#, "unknown csag-wire key"),
             (r#"{"q": 1, "method": "bogus"}"#, "unknown method"),
             (r#"{"q": 1.5}"#, "non-negative integer"),
             (r#"{"q": -1}"#, "non-negative integer"),

@@ -98,7 +98,7 @@ fn warm_baseline_reads_borrow_the_workspace_and_the_distance_table() {
             query(Method::Acq),
             query(Method::Atc),
             query(Method::Vac),
-            query(Method::EVac).with_state_budget(16),
+            query(Method::EVac).with_step_budget(16),
         ];
         for (read, budget) in reads.iter().zip(budgets) {
             // Two misses admit q's table; every read after is warm.

@@ -53,7 +53,7 @@ fn replicas_answer_byte_identically_to_the_primary_after_churn() {
         vec![
             CommunityQuery::new(Method::Exact, q)
                 .with_k(3)
-                .with_state_budget(2_000),
+                .with_step_budget(2_000),
             CommunityQuery::new(Method::Sea, q)
                 .with_k(3)
                 .with_hoeffding(0.3, 0.95)
@@ -288,7 +288,7 @@ fn induced_failure_degrades_then_heals_with_zero_failed_reads() {
         let outcome = routed.snapshot().engine().run(
             &CommunityQuery::new(Method::Exact, q)
                 .with_k(3)
-                .with_state_budget(2_000),
+                .with_step_budget(2_000),
         );
         assert!(
             matches!(outcome, Ok(_) | Err(CsagError::NoCommunity { .. })),
@@ -316,7 +316,7 @@ fn induced_failure_degrades_then_heals_with_zero_failed_reads() {
     let primary = router.primary().snapshot();
     let query = CommunityQuery::new(Method::Exact, query_nodes[0])
         .with_k(3)
-        .with_state_budget(2_000);
+        .with_step_budget(2_000);
     let mut saw_replica0 = false;
     for _ in 0..64 {
         let routed = router

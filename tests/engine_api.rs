@@ -307,12 +307,12 @@ fn engine_reports_typed_errors() {
         .with_gamma(0.0)
         .with_pruning(csag::core::exact::PruningConfig::NONE);
     let optimum = engine.run(&query).unwrap().delta;
-    let stopped = engine.run(&query.with_state_budget(2)).unwrap();
+    let stopped = engine.run(&query.with_step_budget(2)).unwrap();
     let cert = stopped.certificate.unwrap();
     assert!(!cert.certified);
     assert!(stopped.delta <= (1.0 + cert.error_bound) * optimum + 1e-12);
     assert_eq!((cert.confidence, cert.moe), (1.0, 0.0));
-    assert_eq!(stopped.provenance.states_explored, 2);
+    assert_eq!(stopped.provenance.rounds, 2, "the budget counts every step");
     assert!(stopped.community.contains(&q));
 }
 
@@ -379,9 +379,10 @@ fn one_template_replays_across_methods() {
     }
 }
 
-/// A round whose sample holds no root doubles the sample and must not use
-/// up a small `max_rounds` (nor let a time budget stop the search): "no
-/// community" means the whole population was peeled. Every node the engine's screen
+/// A round whose sample holds no root doubles the sample and counts
+/// against a small step budget, but neither the budget nor a time budget
+/// stops the search before it holds a candidate: "no community" means the
+/// whole population was peeled. Every node the engine's screen
 /// admits has a community, so SEA answers it at one or two rounds too.
 #[test]
 fn few_rounds_never_turn_an_admitted_node_into_no_community() {
@@ -410,9 +411,9 @@ fn few_rounds_never_turn_an_admitted_node_into_no_community() {
                     .with_k(k)
                     .with_model(model)
                     .with_seed(u64::from(q))
-                    .with_max_rounds(rounds);
+                    .with_step_budget(rounds);
                 if let Err(err) = engine.run(&query) {
-                    panic!("{model} q = {q} at max_rounds {rounds}: {err}");
+                    panic!("{model} q = {q} at step budget {rounds}: {err}");
                 }
             }
         }
@@ -493,7 +494,7 @@ fn overflowing_numeric_ranges_still_answer_with_finite_deltas() {
         CommunityQuery::new(Method::Sea, 0).with_k(3).with_seed(1),
         CommunityQuery::new(Method::Exact, 0)
             .with_k(3)
-            .with_state_budget(2_000),
+            .with_step_budget(2_000),
     ];
     for query in &queries {
         for (source, result) in [("store", store.run(query)), ("file", from_file.run(query))] {
@@ -507,11 +508,11 @@ fn overflowing_numeric_ranges_still_answer_with_finite_deltas() {
     }
 }
 
-/// A zero time budget stops every loop at its first poll. SEA polls at a
-/// round's head once it holds a candidate, so a stopped SEA answer is the
-/// same query capped at one round; VAC polls before each peeling round, so
-/// it answers like an iteration cap of 0. Pinned over every admitted node
-/// of a generated graph, in both models.
+/// A zero time budget stops every loop at its first poll that may stop.
+/// SEA may stop at a round's head once it holds a candidate, so a stopped
+/// SEA answer is the same query with a step budget of one round; VAC polls
+/// before each peeling round, so it answers like a step budget of 0.
+/// Pinned over every admitted node of a generated graph, in both models.
 #[test]
 fn a_zero_time_budget_answers_like_the_smallest_effort_cap() {
     let (g, _) = generate(
@@ -548,7 +549,7 @@ fn a_zero_time_budget_answers_like_the_smallest_effort_cap() {
             ] {
                 assert_eq!(
                     answer(&sea.clone().with_time_budget(Duration::ZERO)),
-                    answer(&sea.clone().with_max_rounds(1)),
+                    answer(&sea.clone().with_step_budget(1)),
                     "{} {model} q = {q}",
                     sea.method
                 );
@@ -556,7 +557,7 @@ fn a_zero_time_budget_answers_like_the_smallest_effort_cap() {
             let vac = base(Method::Vac);
             assert_eq!(
                 answer(&vac.clone().with_time_budget(Duration::ZERO)),
-                answer(&vac.clone().with_vac_iteration_cap(Some(0))),
+                answer(&vac.clone().with_step_budget(0)),
                 "vac {model} q = {q}"
             );
         }

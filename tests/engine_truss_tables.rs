@@ -61,12 +61,12 @@ fn reads(q: NodeId, model: CommunityModel) -> Vec<CommunityQuery> {
             .with_size_bound(5, 12)
             .with_error_bound(0.1)
             .with_seed(u64::from(q)),
-        query(Method::Exact).with_state_budget(STATES),
+        query(Method::Exact).with_step_budget(STATES),
         query(Method::Acq),
         query(Method::Atc),
         query(Method::Vac),
         query(Method::EVac)
-            .with_state_budget(EVAC_STATES)
+            .with_step_budget(EVAC_STATES)
             .with_evac_max_root(None),
     ]
 }
@@ -93,6 +93,7 @@ fn standalone(
         res.delta = QueryDistances::new(q, g.n(), dp).delta(g, &r.community);
         res.community = r.community;
         res.provenance.objective = Some(r.objective);
+        res.provenance.rounds = r.steps;
         res
     };
     let outcome = match query.method {
@@ -112,7 +113,7 @@ fn standalone(
                 let cert = res.certificate.as_mut().expect("SEA answers certify");
                 cert.certified = r.certified;
                 cert.moe = r.ci.moe;
-                res.provenance.rounds = r.rounds.len();
+                res.provenance.rounds = r.steps;
                 res.provenance.candidates_examined =
                     r.rounds.iter().map(|x| x.candidates_examined).sum();
                 res.provenance.population_size = r.population_size;
@@ -121,30 +122,31 @@ fn standalone(
             })
         }
         Method::Exact => {
-            let params = ExactParams::default()
-                .with_k(k)
-                .with_model(model)
-                .with_state_budget(STATES);
+            let params = ExactParams {
+                step_budget: query.step_budget,
+                ..ExactParams::default().with_k(k).with_model(model)
+            };
             Exact::new(g, &index, dp).run(q, &params).map(|r| {
                 let mut res = like();
                 res.community = r.community;
                 res.delta = r.delta;
                 res.provenance.states_explored = r.states_explored;
+                res.provenance.rounds = r.steps;
                 res
             })
         }
         Method::Acq => acq(&mut maintainer(), q).map(baseline),
-        Method::Atc => loc_atc(&mut maintainer(), q, None).map(baseline),
+        Method::Atc => loc_atc(&mut maintainer(), q, query.step_budget, None).map(baseline),
         Method::Vac => vac(
             &mut maintainer(),
             &QueryDistances::new(q, g.n(), dp),
-            query.vac_iteration_cap,
+            query.step_budget,
             None,
         )
         .map(baseline),
         Method::EVac => {
             let limits = EVacLimits {
-                state_budget: query.state_budget,
+                step_budget: query.step_budget,
                 max_root: query.evac_max_root,
                 time_budget: None,
             };

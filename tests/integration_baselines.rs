@@ -48,6 +48,7 @@ fn each_method_wins_its_own_metric() {
         &mut Maintainer::new(&g, &EpochIndex::new(), model, k),
         q,
         None,
+        None,
     )
     .unwrap();
     let vac_r = vac(
@@ -124,7 +125,7 @@ fn e_vac_dominates_vac_on_minmax() {
             continue;
         };
         let limits = EVacLimits {
-            state_budget: Some(5_000),
+            step_budget: Some(5_000),
             max_root: Some(400),
             time_budget: Some(Duration::from_secs(5)),
         };
@@ -159,6 +160,7 @@ fn all_methods_produce_valid_kcores() {
         loc_atc(
             &mut Maintainer::new(&g, &EpochIndex::new(), model, k),
             q,
+            None,
             None,
         )
         .unwrap()

@@ -326,7 +326,7 @@ fn certified_answers_violate_the_error_bound_no_more_often_than_alpha() {
         let engine = Engine::new(g);
         let cell = |method| CommunityQuery::new(method, q).with_k(k).with_gamma(gamma);
         let exact = engine
-            .run(&cell(Method::Exact).with_state_budget(2_000_000))
+            .run(&cell(Method::Exact).with_step_budget(2_000_000))
             .unwrap_or_else(|e| panic!("{name} q={q}: exact must answer: {e}"));
         assert!(
             exact.certificate.is_some_and(|c| c.certified),

@@ -48,7 +48,7 @@ fn queries_for(q: u32) -> Vec<CommunityQuery> {
     vec![
         CommunityQuery::new(Method::Exact, q)
             .with_k(3)
-            .with_state_budget(2_000),
+            .with_step_budget(2_000),
         CommunityQuery::new(Method::Sea, q)
             .with_k(3)
             .with_hoeffding(0.3, 0.95)

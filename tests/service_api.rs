@@ -256,7 +256,7 @@ fn every_method_stops_on_the_clock_and_never_on_a_rewrite() {
                 let reference = match (expired, method) {
                     (false, _) => query.clone(),
                     (true, Method::Sea | Method::SeaSizeBounded) => {
-                        query.clone().with_max_rounds(1)
+                        query.clone().with_step_budget(1)
                     }
                     (true, _) => query.clone().with_time_budget(Duration::ZERO),
                 };

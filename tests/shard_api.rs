@@ -53,11 +53,11 @@ fn battery(q: u32) -> Vec<CommunityQuery> {
     vec![
         CommunityQuery::new(Method::Exact, q)
             .with_k(3)
-            .with_state_budget(500),
+            .with_step_budget(500),
         CommunityQuery::new(Method::Exact, q)
             .with_k(3)
             .with_model(CommunityModel::KTruss)
-            .with_state_budget(500),
+            .with_step_budget(500),
         CommunityQuery::new(Method::Acq, q).with_k(3),
         CommunityQuery::new(Method::Acq, q)
             .with_k(3)
@@ -220,7 +220,7 @@ fn queries_split_between_local_hits_and_gathers() {
         for query in [
             CommunityQuery::new(Method::Exact, q)
                 .with_k(3)
-                .with_state_budget(500),
+                .with_step_budget(500),
             CommunityQuery::new(Method::Sea, q)
                 .with_k(3)
                 .with_hoeffding(0.3, 0.95)

@@ -39,7 +39,7 @@ fn every_answer_after_churn_equals_a_fresh_engine() {
         let core = [
             CommunityQuery::new(Method::Exact, q)
                 .with_k(3)
-                .with_state_budget(2_000),
+                .with_step_budget(2_000),
             CommunityQuery::new(Method::Sea, q)
                 .with_k(3)
                 .with_hoeffding(0.3, 0.95)
@@ -54,7 +54,7 @@ fn every_answer_after_churn_equals_a_fresh_engine() {
             CommunityQuery::new(Method::Atc, q).with_k(3),
             CommunityQuery::new(Method::EVac, q)
                 .with_k(3)
-                .with_state_budget(16)
+                .with_step_budget(16)
                 .with_evac_max_root(None),
         ];
         let truss = core
