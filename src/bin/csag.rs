@@ -695,9 +695,7 @@ impl Topology {
                 Follower::start(addr, config).map_err(|e| format!("following {addr}: {e}"))?;
             // Clients connecting after the `following` line never see
             // the pre-replication empty store.
-            while !(follower.synced() && follower.connected()) {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            follower.wait_connected(Duration::MAX);
             println!("following {addr} epoch {}", follower.epoch());
             return Ok(Topology::Follower(follower));
         }

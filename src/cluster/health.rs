@@ -1,10 +1,6 @@
-//! Replica health primitives: the lifecycle state machine
-//! ([`ReplicaHealth`]) and the heartbeat/status cell the router probes.
-//! (A member's high-watermark is the store's own
-//! `engine::store::EpochCell`.)
-
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::time::{Duration, Instant};
+//! A member's published state: its lifecycle ([`ReplicaHealth`]) and
+//! its watermark, one value (`MemberState`) read by one predicate
+//! (`MemberState::serves`).
 
 /// Lifecycle state of one replica in the read rotation.
 ///
@@ -33,70 +29,23 @@ impl ReplicaHealth {
             ReplicaHealth::Reseeding => "reseeding",
         }
     }
-
-    fn from_u8(v: u8) -> ReplicaHealth {
-        match v {
-            0 => ReplicaHealth::Healthy,
-            1 => ReplicaHealth::Degraded,
-            _ => ReplicaHealth::Reseeding,
-        }
-    }
-
-    fn to_u8(self) -> u8 {
-        match self {
-            ReplicaHealth::Healthy => 0,
-            ReplicaHealth::Degraded => 1,
-            ReplicaHealth::Reseeding => 2,
-        }
-    }
 }
 
-/// Lock-free health + heartbeat cell, shared between the replica thread
-/// (which beats) and the router (which probes and degrades).
-pub(crate) struct StatusCell {
-    health: AtomicU8,
-    /// Milliseconds since `origin` at the last heartbeat.
-    beat_ms: AtomicU64,
-    origin: Instant,
-    /// Transitions *into* `Degraded` (a monotonic incident counter).
-    degraded_marks: AtomicU64,
+/// One member's health and watermark: one value, changed in one step.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct MemberState {
+    pub(crate) health: ReplicaHealth,
+    /// The watermark: in process, the highest epoch the replica has
+    /// published; across a socket, the highest the follower has acked.
+    pub(crate) epoch: u64,
 }
 
-impl StatusCell {
-    pub(crate) fn new() -> Self {
-        StatusCell {
-            health: AtomicU8::new(ReplicaHealth::Healthy.to_u8()),
-            beat_ms: AtomicU64::new(0),
-            origin: Instant::now(),
-            degraded_marks: AtomicU64::new(0),
-        }
-    }
-
-    pub(crate) fn health(&self) -> ReplicaHealth {
-        ReplicaHealth::from_u8(self.health.load(Ordering::Acquire))
-    }
-
-    pub(crate) fn set_health(&self, h: ReplicaHealth) {
-        if h == ReplicaHealth::Degraded && self.health() != ReplicaHealth::Degraded {
-            self.degraded_marks.fetch_add(1, Ordering::Relaxed);
-        }
-        self.health.store(h.to_u8(), Ordering::Release);
-    }
-
-    pub(crate) fn degraded_marks(&self) -> u64 {
-        self.degraded_marks.load(Ordering::Relaxed)
-    }
-
-    /// Records "alive now" (called by the replica loop every iteration).
-    pub(crate) fn beat(&self) {
-        let ms = self.origin.elapsed().as_millis() as u64;
-        self.beat_ms.store(ms, Ordering::Release);
-    }
-
-    /// Time since the last heartbeat.
-    pub(crate) fn silence(&self) -> Duration {
-        let last = Duration::from_millis(self.beat_ms.load(Ordering::Acquire));
-        self.origin.elapsed().saturating_sub(last)
+impl MemberState {
+    /// The one readiness predicate: the member is in the rotation and
+    /// its watermark has reached `epoch`, so it answers a read pinned
+    /// there byte for byte like the primary.
+    pub(crate) fn serves(self, epoch: u64) -> bool {
+        self.health == ReplicaHealth::Healthy && self.epoch >= epoch
     }
 }
 
@@ -106,22 +55,16 @@ mod tests {
 
     #[test]
     fn health_names_and_transitions() {
-        for h in [
+        for health in [
             ReplicaHealth::Healthy,
             ReplicaHealth::Degraded,
             ReplicaHealth::Reseeding,
         ] {
-            assert_eq!(ReplicaHealth::from_u8(h.to_u8()), h);
-            assert!(!h.name().is_empty());
+            assert!(!health.name().is_empty());
+            let state = MemberState { health, epoch: 7 };
+            let healthy = health == ReplicaHealth::Healthy;
+            assert_eq!((state.serves(0), state.serves(7)), (healthy, healthy));
+            assert!(!state.serves(8), "never past the watermark");
         }
-        let cell = StatusCell::new();
-        assert_eq!(cell.health(), ReplicaHealth::Healthy);
-        cell.set_health(ReplicaHealth::Degraded);
-        cell.set_health(ReplicaHealth::Degraded);
-        assert_eq!(cell.degraded_marks(), 1, "re-marking is not an incident");
-        cell.set_health(ReplicaHealth::Reseeding);
-        cell.set_health(ReplicaHealth::Healthy);
-        cell.set_health(ReplicaHealth::Degraded);
-        assert_eq!(cell.degraded_marks(), 2);
     }
 }

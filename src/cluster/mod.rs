@@ -53,7 +53,10 @@
 //! set keyed by member name ([`Router::member_health`],
 //! [`Router::member_watermark`], [`Router::wait_member_caught_up`],
 //! [`Router::wait_caught_up`]; in-process replica `i` is `local-<i>`)
-//! and one [`MemberMetrics`] row.
+//! and one [`MemberMetrics`] row. A member's health and watermark are
+//! one state, changed in one step; a member serves epoch `e` when it is
+//! healthy with its watermark at or past `e`, and that one predicate is
+//! what routing and every caught-up wait read.
 //!
 //! ```
 //! use csag::cluster::{ReadSource, Router};

@@ -24,6 +24,7 @@
 
 use crate::cluster::replica::{install_snapshot, replay_record};
 use crate::cluster::replication::LogRecord;
+use crate::engine::store::Watched;
 use crate::engine::GraphStore;
 use crate::service::transport::{read_capped_line, Socket};
 use csag_graph::builder::GraphBuilder;
@@ -64,20 +65,26 @@ impl Default for FollowerConfig {
     }
 }
 
+/// Where the follower stands, changed in one step and waited on.
+struct Session {
+    /// The store holds real state (seeded at start, or a snapshot
+    /// landed); until then hellos carry `epoch none`.
+    synced: bool,
+    /// A replication session is live: its handshake is done.
+    connected: bool,
+    /// The socket from the dial on, for severing on [`Follower::stop`].
+    live: Option<Socket>,
+}
+
 /// Counters and control state shared with the session thread.
 struct FollowerShared {
     store: Arc<GraphStore>,
     stop: AtomicBool,
-    /// `true` once the store holds real state (seeded at start, or a
-    /// snapshot landed); until then hellos carry `epoch none`.
-    synced: AtomicBool,
-    connected: AtomicBool,
+    session: Watched<Session>,
     records_applied: AtomicU64,
     snapshots_received: AtomicU64,
     /// Sessions opened after the first (each one is a reconnect).
     reconnects: AtomicU64,
-    /// The live session's socket, for severing on [`Follower::stop`].
-    live: Mutex<Option<Socket>>,
 }
 
 /// A remote replica runtime: owns the follower store and the session
@@ -111,12 +118,14 @@ impl Follower {
         let shared = Arc::new(FollowerShared {
             store: Arc::new(store),
             stop: AtomicBool::new(false),
-            synced: AtomicBool::new(synced),
-            connected: AtomicBool::new(false),
+            session: Watched::new(Session {
+                synced,
+                connected: false,
+                live: None,
+            }),
             records_applied: AtomicU64::new(0),
             snapshots_received: AtomicU64::new(0),
             reconnects: AtomicU64::new(0),
-            live: Mutex::new(None),
         });
         let session_shared = Arc::clone(&shared);
         let join = std::thread::Builder::new()
@@ -144,15 +153,21 @@ impl Follower {
 
     /// `true` while a replication session is live.
     pub fn connected(&self) -> bool {
-        self.shared.connected.load(Ordering::Acquire)
+        self.shared.session.lock().connected
     }
 
-    /// `true` once the store holds real state (seed or snapshot). For a
-    /// snapshot it turns `true` just before the snapshot's epoch
-    /// publishes; gate store reads on [`Follower::wait_for_epoch`] or
-    /// [`Follower::connected`] as well.
+    /// `true` once the store holds real state (seed or snapshot). A
+    /// snapshot's install and this flag are one step: whoever the
+    /// snapshot's epoch publish wakes reads `true` here.
     pub fn synced(&self) -> bool {
-        self.shared.synced.load(Ordering::Acquire)
+        self.shared.session.lock().synced
+    }
+
+    /// Blocks until a replication session is live over synced state,
+    /// or `timeout` elapses; `true` when it is.
+    pub fn wait_connected(&self, timeout: Duration) -> bool {
+        let live = |s: &Session| s.synced && s.connected;
+        self.shared.session.wait_until(timeout, live)
     }
 
     /// Log records applied across all sessions.
@@ -173,7 +188,7 @@ impl Follower {
     /// Blocks until the follower publishes `epoch` (or later), or
     /// `timeout` elapses; `true` when reached.
     pub fn wait_for_epoch(&self, epoch: u64, timeout: Duration) -> bool {
-        self.shared.store.subscribe().wait_for(epoch, timeout)
+        self.shared.store.wait_for_epoch(epoch, timeout)
     }
 
     /// Stops the session thread (severing any live connection) and
@@ -187,13 +202,7 @@ impl Follower {
 impl Drop for Follower {
     fn drop(&mut self) {
         self.shared.stop.store(true, Ordering::Release);
-        if let Some(live) = self
-            .shared
-            .live
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .as_ref()
-        {
+        if let Some(live) = &self.shared.session.lock().live {
             live.shutdown(Shutdown::Both);
         }
         if let Some(join) = self.join.take() {
@@ -215,12 +224,12 @@ fn session_loop(
                 shared.reconnects.fetch_add(1, Ordering::Relaxed);
             }
             sessions += 1;
-            if let Ok(keeper) = stream.try_clone() {
-                *shared.live.lock().unwrap_or_else(PoisonError::into_inner) = Some(keeper);
-            }
+            let keeper = stream.try_clone().ok();
+            shared.session.update(|s| s.live = keeper);
             let _ = run_session(shared, stream, config);
-            shared.connected.store(false, Ordering::Release);
-            *shared.live.lock().unwrap_or_else(PoisonError::into_inner) = None;
+            shared
+                .session
+                .update(|s| (s.connected, s.live) = (false, None));
         }
         if shared.stop.load(Ordering::Acquire) {
             break;
@@ -247,7 +256,8 @@ fn run_session(
     let writer = Arc::new(Mutex::new(write_half));
     let mut reader = BufReader::new(stream);
 
-    let epoch_token = if shared.synced.load(Ordering::Acquire) {
+    let synced = shared.session.lock().synced;
+    let epoch_token = if synced {
         shared.store.published_epoch().to_string()
     } else {
         "none".to_string()
@@ -295,20 +305,22 @@ fn run_session(
             // A snapshot at or below our own epoch carries state we
             // already have (epoch lockstep makes it identical); resets
             // only ever move the published epoch forward.
-            if epoch > shared.store.published_epoch() || !shared.synced.load(Ordering::Acquire) {
+            if epoch > shared.store.published_epoch() || !synced {
                 let graph = csag_graph::io::read_graph(&bytes[..])
                     .map_err(|e| format!("unreadable snapshot: {e}"))?;
-                // Before the install: it publishes the epoch, and a
-                // waiter woken by that publish must already read this.
-                shared.synced.store(true, Ordering::Release);
-                let received = &shared.snapshots_received;
-                install_snapshot(&shared.store, Arc::new(graph), epoch, received);
+                // Under the session lock: a waiter woken by the install's
+                // epoch publish reads `synced` only once it is set.
+                shared.session.update(|s| {
+                    let received = &shared.snapshots_received;
+                    install_snapshot(&shared.store, Arc::new(graph), epoch, received);
+                    s.synced = true;
+                });
             }
             send_ack(&writer, shared.store.published_epoch())?;
         }
         Header::Error { message } => return Err(format!("primary refused: {message}")),
     }
-    shared.connected.store(true, Ordering::Release);
+    shared.session.update(|s| s.connected = true);
 
     // Heartbeat acks: an idle follower still proves liveness (and its
     // watermark) every `HEARTBEAT`.

@@ -157,8 +157,8 @@ fn serve_conn(router: &Router, faults: &FaultPlan, stream: Socket) {
     let member = Arc::clone(&attach.member);
     let generation = attach.generation;
 
-    // Ack reader: every `ack <epoch>` advances the watermark and beats
-    // the heartbeat; EOF or damage detaches this connection's
+    // Ack reader: every `ack <epoch>` beats and makes the member healthy
+    // at that watermark; EOF or damage detaches this connection's
     // generation (a fast reconnect's newer attach is left alone).
     let ack_member = Arc::clone(&member);
     let ack_thread = std::thread::Builder::new()
@@ -169,7 +169,8 @@ fn serve_conn(router: &Router, faults: &FaultPlan, stream: Socket) {
                 let Some(Ok(epoch)) = epoch.map(|e| e.trim().parse::<u64>()) else {
                     break;
                 };
-                ack_member.note_ack(epoch);
+                ack_member.counters.acks.fetch_add(1, Ordering::Relaxed);
+                ack_member.ack(generation, epoch);
             }
             ack_member.detach(generation);
         });

@@ -15,7 +15,6 @@ use crate::engine::{
     ApplyError, CommunityResult, CsagError, GraphStore, GraphUpdate, Snapshot, UpdateReport,
 };
 use crate::json::Writer;
-use csag_core::clock::deadline_after;
 use csag_graph::{AttributedGraph, NodeId, QueryWorkspace};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError, RwLock};
@@ -187,8 +186,7 @@ impl ReadSource for GraphStore {
     /// publish watermark admits the pin. (A bare store reports no read
     /// metrics, so the gate's counts are dropped.)
     fn route_read(&self, pin: Option<u64>, wait: Duration) -> Result<RoutedSnapshot, CsagError> {
-        self.watermark()
-            .admit_read(pin, wait, &ReadCounters::default())?;
+        self.watch.admit_read(pin, wait, &ReadCounters::default())?;
         Ok(RoutedSnapshot::primary(self.snapshot()))
     }
 }
@@ -347,11 +345,9 @@ impl Router {
             Some(tail) => tail,
             None => self.snapshot_catch_up(pinned)?,
         };
-        if matches!(catch_up, CatchUp::Snapshot { .. }) {
-            member.status.set_health(ReplicaHealth::Reseeding);
-        }
         let (tx, rx) = mpsc::channel();
-        let generation = member.attach(tx);
+        let reseed = matches!(catch_up, CatchUp::Snapshot { .. });
+        let generation = member.attach(tx, reseed);
         Ok(RemoteAttach {
             member,
             feed: rx,
@@ -387,41 +383,47 @@ impl Router {
     /// Current health of member `name` (`local-<i>` for in-process
     /// replica `i`, else a follower's self-declared name), if any.
     pub fn member_health(&self, name: &str) -> Option<ReplicaHealth> {
-        self.member(name).map(|m| m.status.health())
+        self.member(name).map(|m| m.state().health)
     }
 
     /// Member `name`'s high-watermark: the highest epoch it has
     /// published (in process) or acked (across a socket).
     pub fn member_watermark(&self, name: &str) -> Option<u64> {
-        self.member(name).map(|m| m.watermark.current())
+        self.member(name).map(|m| m.state().epoch)
     }
 
-    /// Blocks until member `name`'s watermark reaches the primary's
-    /// current epoch, or `timeout` elapses. `false` when the member is
-    /// unknown or the wait times out.
+    /// Blocks until member `name` is healthy with its watermark at the
+    /// primary's current epoch — one published state, so a `true` here
+    /// and a [`Router::member_health`] read after it never disagree —
+    /// or `timeout` elapses. `false` when the member is unknown or the
+    /// wait times out.
     pub fn wait_member_caught_up(&self, name: &str, timeout: Duration) -> bool {
         let target = self.primary.published_epoch();
         self.member(name)
-            .is_some_and(|m| m.watermark.wait_for(target, timeout))
+            .is_some_and(|m| m.wait_until(timeout, |s| s.serves(target)))
     }
 
-    /// Blocks until every healthy member's watermark reaches the
-    /// primary's current epoch, or `timeout` elapses. `true` when all
-    /// caught up (vacuously, when no member is healthy).
+    /// Blocks until member `name` reads `health`, or `timeout` elapses.
+    /// `false` when the member is unknown or the wait times out.
+    pub fn wait_member_health(&self, name: &str, health: ReplicaHealth, timeout: Duration) -> bool {
+        self.member(name)
+            .is_some_and(|m| m.wait_until(timeout, |s| s.health == health))
+    }
+
+    /// [`Router::wait_member_caught_up`] for every member at once: `true`
+    /// when all are healthy at the primary's current epoch within
+    /// `timeout` (vacuously, when there are none). A degraded member
+    /// that is not reseeded in time makes it `false`.
     pub fn wait_caught_up(&self, timeout: Duration) -> bool {
         let target = self.primary.published_epoch();
-        let deadline = deadline_after(Instant::now(), Some(timeout));
+        let start = Instant::now();
         // A copy of the table: the wait must not hold up a handshake
         // that wants to add a member.
         let members = self.members().clone();
-        members
-            .iter()
-            .filter(|m| m.status.health() == ReplicaHealth::Healthy)
-            .all(|m| {
-                let left =
-                    deadline.map_or(timeout, |at| at.saturating_duration_since(Instant::now()));
-                m.watermark.wait_for(target, left)
-            })
+        members.iter().all(|m| {
+            let left = timeout.saturating_sub(start.elapsed());
+            m.wait_until(left, |s| s.serves(target))
+        })
     }
 
     /// Queues a reseed for every currently degraded in-process member
@@ -443,15 +445,11 @@ impl Router {
     /// rebuilding and exempt by design). Returns how many were newly
     /// degraded; they reseed as [`Router::heal`] describes.
     pub fn health_check(&self, max_silence: Duration) -> usize {
-        let mut degraded = 0;
-        for member in self.members().iter() {
-            let status = &member.status;
-            if status.health() == ReplicaHealth::Healthy && status.silence() > max_silence {
-                status.set_health(ReplicaHealth::Degraded);
-                degraded += 1;
-            }
-        }
-        degraded
+        let members = self.members();
+        members
+            .iter()
+            .filter(|m| m.degrade_if_silent(max_silence))
+            .count()
     }
 
     /// Runs `seam` on in-process replica `i`'s link.
@@ -495,9 +493,9 @@ impl Router {
         self.with_local(i, |link| link.fail_next.store(true, Ordering::Relaxed));
     }
 
-    /// Routes one admitted read: to the least-loaded healthy in-process
-    /// replica whose watermark has reached `min_epoch` (rotating ties),
-    /// else to the primary.
+    /// Routes one admitted read: to the least-loaded in-process replica
+    /// that [serves](crate::cluster::health::MemberState::serves)
+    /// `min_epoch` (rotating ties), else to the primary.
     fn pick(&self, min_epoch: u64) -> RoutedSnapshot {
         let members = self.members();
         let locals = &members[..self.locals];
@@ -505,9 +503,7 @@ impl Router {
         let mut best: Option<(usize, u64)> = None;
         for i in (0..locals.len()).map(|i| (start + i) % locals.len()) {
             let member = &locals[i];
-            if member.status.health() != ReplicaHealth::Healthy
-                || member.watermark.current() < min_epoch
-            {
+            if !member.state().serves(min_epoch) {
                 continue;
             }
             let load = member.counters.outstanding.load(Ordering::Relaxed);
@@ -522,8 +518,9 @@ impl Router {
         let (member, link) = (&locals[i], locals[i].local().expect("local prefix"));
         member.counters.routed_reads.fetch_add(1, Ordering::Relaxed);
         let lease = ReadLease::acquire(&member.counters.outstanding);
-        // Order matters: snapshot *after* the watermark check that got
-        // us here — stores only move forward, so the snapshot's epoch
+        // Order matters: snapshot *after* the state check that got us
+        // here — the replica publishes its store's epoch before its
+        // state, and stores only move forward, so the snapshot's epoch
         // is at least the watermark the pick saw.
         RoutedSnapshot {
             target: RouteTarget::Engine(link.store.snapshot()),
@@ -559,14 +556,11 @@ impl ReadSource for Router {
     /// Cluster routing: the primary's publish watermark is the gate (a
     /// replica can never be ahead of the primary, so a pin no replica
     /// has reached is a pin the primary's publish will wake). Once
-    /// admitted, the read goes to the least-loaded healthy replica
-    /// whose watermark reached the pin — for an unpinned read, the
-    /// primary's current epoch — and to the primary when none has.
+    /// admitted, the read goes to the least-loaded replica that serves
+    /// the pin — for an unpinned read, the primary's current epoch — and
+    /// to the primary when none does.
     fn route_read(&self, pin: Option<u64>, wait: Duration) -> Result<RoutedSnapshot, CsagError> {
-        let min_epoch = self
-            .primary
-            .watermark()
-            .admit_read(pin, wait, &self.reads)?;
+        let min_epoch = self.primary.watch.admit_read(pin, wait, &self.reads)?;
         Ok(self.pick(min_epoch))
     }
 }

@@ -171,7 +171,7 @@ pub struct ShardedRouter {
     view: RwLock<Arc<ClusterView>>,
     /// The cluster-epoch watermark: published only after every shard
     /// applied. Pinned reads gate here.
-    watch: Arc<EpochCell>,
+    watch: EpochCell,
     /// Serializes route + journal-apply + fan-out + publish.
     write: Mutex<()>,
     stats: Arc<ShardStats>,

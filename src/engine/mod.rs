@@ -56,7 +56,7 @@ pub use result::{
     answer_identity, error_to_json, outcome_identity, AccuracyCertificate, CommunityResult,
     PhaseTimings, Provenance,
 };
-pub use store::{ApplyError, EpochWatch, GraphStore, GraphUpdate, Replay, Snapshot, UpdateReport};
+pub use store::{ApplyError, GraphStore, GraphUpdate, Replay, Snapshot, UpdateReport};
 
 use csag_baselines as baselines;
 use csag_core::distance::QueryDistances;

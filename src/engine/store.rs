@@ -78,15 +78,14 @@
 use super::{CsagError, DistanceKey, Engine};
 use crate::cluster::LogRecord;
 use crate::durability::{DurabilityStatus, RecoveryReport, Wal, WalConfig, WalError};
-use csag_core::clock::deadline_after;
 use csag_core::distance::QueryDistances;
 use csag_decomp::{core_decomposition, EpochIndex, TrussMaintainer};
 use csag_graph::{Applied, AttributedGraph, GraphError, MutableGraph, NodeId};
 use std::fmt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
+use std::time::Duration;
 
 pub use csag_graph::GraphUpdate;
 
@@ -278,60 +277,66 @@ struct StoreState {
     epoch: u64,
 }
 
-/// The condvar-backed epoch watermark: the store's publish watermark
-/// behind [`GraphStore::subscribe`] (updated, and broadcast, right after
-/// each epoch's engine swaps in), and — the same three operations — a
-/// replica's applied watermark, a remote follower's acked watermark and
-/// the sharded cluster's epoch. Waiters block on the condvar; nothing
-/// polls.
-pub(crate) struct EpochCell {
-    epoch: Mutex<u64>,
-    published: Condvar,
+/// A value that changes only under its lock, each change waking every
+/// waiter: waiters block on the condvar; nothing polls. It holds a
+/// cluster member's consumer and a follower's session; as
+/// [`EpochCell`], an epoch.
+pub(crate) struct Watched<T> {
+    value: Mutex<T>,
+    changed: Condvar,
 }
 
-impl EpochCell {
-    /// A fresh cell at `epoch`.
-    pub(crate) fn new(epoch: u64) -> Arc<EpochCell> {
-        Arc::new(EpochCell {
-            epoch: Mutex::new(epoch),
-            published: Condvar::new(),
-        })
+impl<T> Watched<T> {
+    pub(crate) fn new(value: T) -> Self {
+        Watched {
+            value: Mutex::new(value),
+            changed: Condvar::new(),
+        }
     }
 
+    /// The value, locked.
+    pub(crate) fn lock(&self) -> MutexGuard<'_, T> {
+        self.value.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Changes the value in one step and wakes every waiter.
+    pub(crate) fn update<R>(&self, change: impl FnOnce(&mut T) -> R) -> R {
+        let result = change(&mut self.lock());
+        self.changed.notify_all();
+        result
+    }
+
+    /// Blocks until `reached` holds, or `timeout` elapses (never, for a
+    /// timeout no clock reaches); `true` when it holds.
+    pub(crate) fn wait_until(&self, timeout: Duration, reached: impl Fn(&T) -> bool) -> bool {
+        let (_value, outcome) = self
+            .changed
+            .wait_timeout_while(self.lock(), timeout, |value| !reached(value))
+            .unwrap_or_else(PoisonError::into_inner);
+        !outcome.timed_out()
+    }
+}
+
+/// The epoch watermark: the store's publish watermark behind
+/// [`GraphStore::wait_for_epoch`] (updated, and broadcast, right after
+/// each epoch's engine swaps in), and the sharded cluster's epoch.
+pub(crate) type EpochCell = Watched<u64>;
+
+impl EpochCell {
     /// The highest epoch published so far.
     pub(crate) fn current(&self) -> u64 {
-        *self.epoch.lock().unwrap_or_else(PoisonError::into_inner)
+        *self.lock()
     }
 
-    /// Publishes `epoch` (monotone: lower values are ignored) and wakes
-    /// every waiter.
+    /// Publishes `epoch` (monotone: lower values are ignored).
     pub(crate) fn publish(&self, epoch: u64) {
-        let mut current = self.epoch.lock().unwrap_or_else(PoisonError::into_inner);
-        if epoch > *current {
-            *current = epoch;
-        }
-        drop(current);
-        self.published.notify_all();
+        self.update(|current| *current = epoch.max(*current));
     }
 
     /// Blocks until `epoch` (or later) is published, or `timeout`
-    /// elapses (never, when it reaches past what [`Instant`] can
-    /// represent). Returns `true` when the epoch was reached.
+    /// elapses; `true` when the epoch was reached.
     pub(crate) fn wait_for(&self, epoch: u64, timeout: Duration) -> bool {
-        let deadline = deadline_after(Instant::now(), Some(timeout));
-        let mut current = self.epoch.lock().unwrap_or_else(PoisonError::into_inner);
-        while *current < epoch {
-            let left = deadline.map_or(timeout, |at| at.saturating_duration_since(Instant::now()));
-            if left.is_zero() {
-                return false;
-            }
-            let (guard, _timed_out) = self
-                .published
-                .wait_timeout(current, left)
-                .unwrap_or_else(PoisonError::into_inner);
-            current = guard;
-        }
-        true
+        self.wait_until(timeout, |current| *current >= epoch)
     }
 
     /// The pinned-read gate every [`crate::cluster::ReadSource`] goes
@@ -380,31 +385,6 @@ pub(crate) struct ReadCounters {
     pub(crate) pinned_rejects: AtomicU64,
 }
 
-/// A subscription to a store's epoch publishes ([`GraphStore::subscribe`]).
-///
-/// The watch observes the publish watermark without polling: a waiter
-/// blocks on a condvar that [`GraphStore::apply`] signals right after it
-/// swaps the new epoch's engine in. This is how the cluster router (and
-/// any single-store epoch-pinned read) waits for a write to land
-/// instead of spinning on [`GraphStore::epoch`].
-#[derive(Clone)]
-pub struct EpochWatch {
-    cell: Arc<EpochCell>,
-}
-
-impl EpochWatch {
-    /// The highest epoch published so far.
-    pub fn current(&self) -> u64 {
-        self.cell.current()
-    }
-
-    /// Blocks until the store publishes `epoch` (or later), or `timeout`
-    /// elapses. Returns `true` when the epoch was reached.
-    pub fn wait_for(&self, epoch: u64, timeout: Duration) -> bool {
-        self.cell.wait_for(epoch, timeout)
-    }
-}
-
 /// What [`GraphStore::replay`] did with one log record.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Replay {
@@ -432,7 +412,8 @@ pub enum Replay {
 pub struct GraphStore {
     state: Mutex<StoreState>,
     current: RwLock<Arc<Engine>>,
-    watch: Arc<EpochCell>,
+    /// The publish watermark — what pinned reads are gated on.
+    pub(crate) watch: EpochCell,
     /// The durable update log, when this store was built through
     /// [`GraphStore::with_wal`] / [`GraphStore::recover`]. Appended to
     /// *before* a batch is applied; an append failure rejects the write
@@ -604,19 +585,13 @@ impl GraphStore {
         self.watch.current()
     }
 
-    /// The publish watermark itself — what the cluster router gates
-    /// pinned reads on.
-    pub(crate) fn watermark(&self) -> &Arc<EpochCell> {
-        &self.watch
-    }
-
-    /// Subscribes to this store's epoch publishes: the returned
-    /// [`EpochWatch`] can block until a given epoch lands instead of
-    /// polling [`GraphStore::epoch`].
-    pub fn subscribe(&self) -> EpochWatch {
-        EpochWatch {
-            cell: Arc::clone(&self.watch),
-        }
+    /// Blocks until this store publishes `epoch` (or later), or
+    /// `timeout` elapses; `true` when it was reached. The waiter sleeps
+    /// on a condvar that [`GraphStore::apply`] signals right after it
+    /// swaps the new epoch's engine in — nothing polls
+    /// [`GraphStore::epoch`].
+    pub fn wait_for_epoch(&self, epoch: u64, timeout: Duration) -> bool {
+        self.watch.wait_for(epoch, timeout)
     }
 
     /// Pins the current epoch for reading. Queries on the returned
@@ -1139,15 +1114,17 @@ mod tests {
     fn subscribers_observe_publishes_without_polling() {
         let store = GraphStore::new(clique_plus_tail());
         assert_eq!(store.published_epoch(), 0);
-        let watch = store.subscribe();
-        assert_eq!(watch.current(), 0);
-        assert!(watch.wait_for(0, Duration::ZERO), "already published");
-        assert!(!watch.wait_for(1, Duration::from_millis(5)), "not yet");
+        assert!(store.wait_for_epoch(0, Duration::ZERO), "already published");
+        assert!(
+            !store.wait_for_epoch(1, Duration::from_millis(5)),
+            "not yet"
+        );
 
         // A blocked waiter is woken by the publish itself.
+        let store = Arc::new(store);
         let waiter = std::thread::spawn({
-            let watch = watch.clone();
-            move || watch.wait_for(1, Duration::from_secs(10))
+            let store = Arc::clone(&store);
+            move || store.wait_for_epoch(1, Duration::from_secs(10))
         });
         store.apply(&[GraphUpdate::AddEdge { u: 4, v: 0 }]).unwrap();
         assert!(waiter.join().unwrap());
@@ -1169,7 +1146,7 @@ mod tests {
         assert!(cell.wait_for(3, Duration::ZERO));
         assert!(!cell.wait_for(4, Duration::from_millis(5)));
 
-        let cell = EpochCell::new(0);
+        let cell = Arc::new(EpochCell::new(0));
         let waiter = std::thread::spawn({
             let cell = Arc::clone(&cell);
             move || cell.wait_for(2, Duration::from_secs(10))

@@ -126,13 +126,13 @@ fn pinned_reads_skip_lagging_replicas() {
     }
     let pin = router.epoch();
     assert_eq!(pin, 3);
-    // `wait_caught_up` would block on the paused-but-healthy
-    // replica 0; wait for replica 1's watermark directly.
-    let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    while watermark(&router, 1) < pin && std::time::Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    assert_eq!(watermark(&router, 1), pin, "replica 1 catches up");
+    // `wait_caught_up` would block on the paused replica 0; wait for
+    // replica 1 alone.
+    assert!(
+        router.wait_member_caught_up("local-1", Duration::from_secs(30)),
+        "replica 1 catches up"
+    );
+    assert_eq!(watermark(&router, 1), pin);
     assert!(
         watermark(&router, 0) < pin,
         "paused replica must lag for this test to bite"
@@ -203,6 +203,7 @@ fn pinned_service_reads_stay_consistent_under_concurrent_churn() {
                     random_updates(snap.engine().graph(), &mut rng, 3, ChurnMix::STRUCTURAL);
                 drop(snap);
                 router.apply(&batch).expect("churn batch applies");
+                // Pacing under test: the batches interleave with the reads.
                 std::thread::sleep(Duration::from_millis(2));
             }
         })
@@ -265,16 +266,8 @@ fn induced_failure_degrades_then_heals_with_zero_failed_reads() {
     assert!(router.wait_caught_up(Duration::from_secs(10)));
     router.induce_failure(0);
     churn(&router, &mut rng); // replica 0 fails this apply and degrades
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while router.member_health("local-0") == Some(ReplicaHealth::Healthy)
-        && std::time::Instant::now() < deadline
-    {
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    assert_eq!(
-        router.member_health("local-0"),
-        Some(ReplicaHealth::Degraded)
-    );
+    let degraded = ReplicaHealth::Degraded;
+    assert!(router.wait_member_health("local-0", degraded, Duration::from_secs(10)));
 
     // Reads keep answering while the replica is out — and never from it.
     let pin = router.epoch();
@@ -298,17 +291,11 @@ fn induced_failure_degrades_then_heals_with_zero_failed_reads() {
 
     // Heal: reseed from the primary snapshot, rejoin, agree.
     assert_eq!(router.heal(), 1, "exactly the failed replica reseeds");
-    let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    while router.member_health("local-0") != Some(ReplicaHealth::Healthy)
-        && std::time::Instant::now() < deadline
-    {
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    assert!(router.wait_member_caught_up("local-0", Duration::from_secs(30)));
     assert_eq!(
         router.member_health("local-0"),
         Some(ReplicaHealth::Healthy)
     );
-    assert!(router.wait_caught_up(Duration::from_secs(30)));
     assert_eq!(watermark(&router, 0), router.epoch());
 
     churn(&router, &mut rng); // a reseeded replica consumes new records
@@ -391,9 +378,9 @@ fn unpublishable_pins_reject_with_the_typed_error() {
 fn health_check_degrades_silent_replicas() {
     let (g, _) = small_graph(36);
     let router = Router::over_graph(g, 2);
-    // Let both replicas heartbeat at least once.
-    std::thread::sleep(Duration::from_millis(60));
+    // Both replicas beat when they attach, at construction.
     router.silence_replica(1);
+    // The silence under test: longer than the 50 ms budget below.
     std::thread::sleep(Duration::from_millis(80));
     assert_eq!(router.health_check(Duration::from_millis(50)), 1);
     assert_eq!(
@@ -408,12 +395,7 @@ fn health_check_degrades_silent_replicas() {
 
     router.resume_replica(1); // clears the silence along with the pause
     assert_eq!(router.heal(), 1);
-    let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    while router.member_health("local-1") != Some(ReplicaHealth::Healthy)
-        && std::time::Instant::now() < deadline
-    {
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    assert!(router.wait_member_caught_up("local-1", Duration::from_secs(30)));
     assert_eq!(
         router.member_health("local-1"),
         Some(ReplicaHealth::Healthy)
@@ -434,12 +416,15 @@ fn every_member_kind_upholds_the_lifecycle() {
     let listener =
         ReplListener::bind_tcp(Arc::clone(&router), "127.0.0.1:0").expect("bind repl listener");
     let addr = listener.local_addr().to_string();
+    // The follower registers with its first hello.
     let follow = || {
         let config = FollowerConfig {
             name: "f".into(),
             ..FollowerConfig::default()
         };
-        Follower::start(&addr, config).expect("follower starts")
+        let follower = Follower::start(&addr, config).expect("follower starts");
+        assert!(follower.wait_connected(Duration::from_secs(30)), "f joins");
+        follower
     };
     let follower = std::sync::Mutex::new(Some(follow()));
 
@@ -454,21 +439,10 @@ fn every_member_kind_upholds_the_lifecycle() {
         let found = rows.into_iter().find(|m| m.name == name);
         found.unwrap_or_else(|| panic!("no member {name}"))
     };
-    let wait_until = |what: &str, reached: &dyn Fn() -> bool| {
-        let deadline = std::time::Instant::now() + Duration::from_secs(30);
-        while !reached() {
-            assert!(std::time::Instant::now() < deadline, "never: {what}");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    };
-    let wait_health = |name: &str, want: ReplicaHealth| {
-        wait_until(&format!("{name} {want:?}"), &|| {
-            router.member_health(name) == Some(want)
-        });
-    };
+    // Caught up is healthy at the primary's epoch, one published state.
     let caught_up = |name: &str| {
-        wait_health(name, ReplicaHealth::Healthy);
         assert!(router.wait_member_caught_up(name, Duration::from_secs(30)));
+        assert_eq!(router.member_health(name), Some(ReplicaHealth::Healthy));
         assert_eq!(router.member_watermark(name), Some(router.epoch()));
     };
 
@@ -488,10 +462,6 @@ fn every_member_kind_upholds_the_lifecycle() {
         ),
     ];
     for (name, kind, fail, reseed) in kinds {
-        // The follower registers with its first hello.
-        wait_until(&format!("{name} joins"), &|| {
-            router.member_health(name).is_some()
-        });
         churn();
         caught_up(name);
         let healthy = row(name);
@@ -503,7 +473,8 @@ fn every_member_kind_upholds_the_lifecycle() {
         // watermark freezes one epoch short and stays there.
         fail();
         churn();
-        wait_health(name, ReplicaHealth::Degraded);
+        let degraded = ReplicaHealth::Degraded;
+        assert!(router.wait_member_health(name, degraded, Duration::from_secs(30)));
         let out = row(name);
         assert_eq!(out.watermark, healthy.watermark, "{name}: frozen");
         assert_eq!(
@@ -623,9 +594,11 @@ fn every_read_source_upholds_the_pinned_read_contract() {
                 match &t.metrics {
                     Some(metrics) => {
                         while metrics().pinned_waits < 2 && std::time::Instant::now() < deadline {
+                            // A poll: nothing publishes the wait counter.
                             std::thread::sleep(Duration::from_millis(1));
                         }
                     }
+                    // Nothing publishes a bare store's blocked read: a grace period.
                     None => std::thread::sleep(Duration::from_millis(50)),
                 }
                 (t.apply)(&batch);

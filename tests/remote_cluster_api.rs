@@ -62,19 +62,6 @@ fn uds_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("csag-rt-{}-{tag}.sock", std::process::id()))
 }
 
-/// Polls until the named remote member exists *and* has acked the
-/// primary's current epoch.
-fn wait_caught_up(router: &Router, name: &str, timeout: Duration) -> bool {
-    let deadline = Instant::now() + timeout;
-    while Instant::now() < deadline {
-        if router.wait_member_caught_up(name, Duration::from_millis(50)) {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    false
-}
-
 /// The headline contract: after arbitrary churn through the router, a
 /// follower fed over a real socket answers every query byte-for-byte
 /// like the primary at the same epoch.
@@ -97,11 +84,10 @@ fn follower_answers_byte_identically_after_churn() {
     // Let the handshake land before churning: churn racing ahead of
     // the hello would legitimately turn the stream into a snapshot
     // ship, and this test pins the pure-stream path.
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while !follower.connected() {
-        assert!(Instant::now() < deadline, "follower never connected");
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    assert!(
+        follower.wait_connected(Duration::from_secs(30)),
+        "follower never connected"
+    );
 
     let mut rng = StdRng::seed_from_u64(0xB17E);
     for round in 0..5 {
@@ -111,7 +97,7 @@ fn follower_answers_byte_identically_after_churn() {
         router.apply(&batch).expect("churn batch applies");
         let epoch = router.primary().published_epoch();
         assert!(
-            wait_caught_up(&router, "f1", Duration::from_secs(30)),
+            router.wait_member_caught_up("f1", Duration::from_secs(30)),
             "follower acks epoch {epoch} after round {round}"
         );
         assert!(
@@ -251,15 +237,12 @@ fn a_lying_snapshot_header_costs_a_session_not_memory() {
 
     let follower =
         Follower::start(&addr.to_string(), FollowerConfig::default()).expect("follower starts");
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while follower.reconnects() == 0 && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    // The second session's hello follows the reconnect's count.
+    serving.join().expect("fake primary saw both sessions");
     assert!(
         follower.reconnects() >= 1,
         "the session thread survived the header and dialed again"
     );
-    serving.join().expect("fake primary saw both sessions");
     assert!(!follower.synced(), "no snapshot ever landed");
     assert_eq!(follower.snapshots_received(), 0);
     assert_eq!(follower.epoch(), 0);
@@ -448,7 +431,10 @@ fn hostile_hellos_are_refused_and_the_listener_keeps_accepting() {
     router
         .apply(&[csag::engine::GraphUpdate::AddEdge { u: 0, v: 1 }])
         .expect("batch applies");
-    assert!(wait_caught_up(&router, "real", Duration::from_secs(30)));
+    // The hello may land before or after the batch: a stream or a
+    // snapshot catch-up. Either way, caught up means healthy.
+    assert!(follower.wait_connected(Duration::from_secs(30)));
+    assert!(router.wait_member_caught_up("real", Duration::from_secs(30)));
     assert_eq!(router.member_health("real"), Some(ReplicaHealth::Healthy));
     drop(follower);
     listener.shutdown();
@@ -606,7 +592,7 @@ fn scripted_drop_degrades_then_reseeds_with_zero_failed_reads() {
         "the gap was repaired by a reseed"
     );
     assert!(
-        wait_caught_up(&router, "f1", Duration::from_secs(30)),
+        router.wait_member_caught_up("f1", Duration::from_secs(30)),
         "the member returns to the caught-up set"
     );
     let metrics = router.metrics();
@@ -617,6 +603,58 @@ fn scripted_drop_degrades_then_reseeds_with_zero_failed_reads() {
 
     drop(follower);
     drop(listener);
+}
+
+/// "Caught up" and "healthy" are one published member state: over
+/// repeated drop → reconnect → snapshot reseed → catch-up cycles, the
+/// moment `wait_member_caught_up` returns `true` the member reads
+/// `Healthy`.
+#[test]
+fn caught_up_is_healthy_across_drop_and_reseed_cycles() {
+    const CYCLES: u64 = 24;
+    let (g, _) = small_graph(113);
+    let router = Arc::new(Router::over_graph(g.clone(), 0));
+    let path = uds_path("cycle");
+    // Every live record the link ships is dropped, so each batch severs
+    // it; the follower, one epoch behind a primary without a WAL, is
+    // then reseeded by a snapshot.
+    let faults = (0..CYCLES).fold(FaultPlan::none(), FaultPlan::drop_connection_at_request);
+    let listener = ReplListener::bind_uds_with(Arc::clone(&router), &path, faults.clone())
+        .expect("bind repl uds");
+    let config = FollowerConfig {
+        name: "f1".into(),
+        seed: Some(Arc::new(g)),
+        reconnect_backoff: Duration::from_millis(1),
+    };
+    let follower = Follower::start(path.to_str().unwrap(), config).expect("follower starts");
+    assert!(follower.wait_connected(Duration::from_secs(30)));
+
+    for cycle in 0..CYCLES {
+        let edge = csag::engine::GraphUpdate::AddEdge {
+            u: 0,
+            v: 1 + cycle as u32,
+        };
+        router.apply(&[edge]).expect("batch applies");
+        assert!(
+            router.wait_member_caught_up("f1", Duration::from_secs(30)),
+            "cycle {cycle}: the follower catches up"
+        );
+        assert_eq!(
+            router.member_health("f1"),
+            Some(ReplicaHealth::Healthy),
+            "cycle {cycle}: caught up and not healthy"
+        );
+    }
+    assert_eq!(faults.injected(), CYCLES, "every cycle dropped the link");
+    assert_eq!(follower.snapshots_received(), CYCLES);
+    let row = &router.metrics().members[0];
+    assert_eq!(
+        (row.degraded, row.reseeds, row.watermark),
+        (CYCLES, CYCLES, CYCLES),
+        "one incident and one reseed per cycle"
+    );
+    drop(follower);
+    listener.shutdown();
 }
 
 /// Epoch pins hold across both sockets: a `csag-wire v2` client of the

@@ -192,7 +192,7 @@ fn tight_deadlines_degrade_instead_of_timing_out() {
     let roomy = service
         .submit(Request::new(sea_query(q).with_seed(77)).with_deadline(Duration::from_secs(60)))
         .expect("admitted");
-    // Let the tight deadline lapse while the queue is held.
+    // The time under test: the tight deadline lapses while the queue is held.
     std::thread::sleep(Duration::from_millis(5));
     service.resume();
 
@@ -319,6 +319,7 @@ fn a_pinned_read_with_an_unrepresentable_deadline_waits_for_its_epoch() {
     };
     // Publish only once the read is waiting on the epoch.
     while router.metrics().pinned_waits == 0 {
+        // A poll: nothing publishes the wait counter.
         std::thread::sleep(Duration::from_millis(1));
     }
     router
@@ -353,8 +354,10 @@ fn a_pinned_reads_deadline_counts_its_wait_for_the_epoch() {
     };
     // Publish 300 ms after the read arrived.
     while service.metrics().submitted == 0 {
+        // A poll: nothing publishes the submission counter.
         std::thread::sleep(Duration::from_millis(1));
     }
+    // The wait under test, spent from the read's deadline.
     std::thread::sleep(Duration::from_millis(300));
     store
         .apply(&[GraphUpdate::AddEdge { u: q, v: 0 }])

@@ -62,6 +62,7 @@ fn wait_pending(service: &Service, n: usize) {
             "timed out waiting for {n} admitted requests (have {})",
             service.pending()
         );
+        // A poll: nothing publishes the queue's length.
         std::thread::sleep(Duration::from_millis(2));
     }
 }
@@ -237,6 +238,7 @@ fn shutdown_drains_in_flight_requests() {
     // Shut the transport down while the queue is still held; the call
     // must block until every in-flight request is answered.
     let shutdown = std::thread::spawn(move || transport.shutdown());
+    // Under test: the shutdown has begun, and blocks, before the resume.
     std::thread::sleep(Duration::from_millis(50));
     service.resume();
     shutdown.join().expect("shutdown returns");
